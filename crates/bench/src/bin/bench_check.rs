@@ -22,7 +22,10 @@
 //!    A higher optimized `cycles` count is **blocking**; a higher
 //!    optimized wall time is advisory unless `--strict-wall` promotes it
 //!    (used on the committed full-scale results, where the VM's SIMD and
-//!    privatized-reduction lowering is expected to win outright).
+//!    privatized-reduction lowering is expected to win outright). On
+//!    `grad` rows the *compiled* wall (`compiled_wall_ms`) must also stay
+//!    within 1.10x of `ft-naive`'s: **blocking** at full scale, advisory
+//!    at small scale.
 //!
 //! 3. **Searched schedules** — within the *current* file, every
 //!    `ft-searched` row (a committed `results/schedules/` trace replayed by
@@ -64,6 +67,10 @@
 use ft_metrics::MetricsSnapshot;
 use ft_trace::JsonVal;
 use std::process::ExitCode;
+
+/// Noise margin of the compiled-wall inversion check on gradient rows:
+/// best-of-2 timings of millisecond kernels repeat within a few percent.
+const GRAD_WALL_MARGIN: f64 = 1.10;
 
 fn field(r: &JsonVal, k: &str) -> Option<String> {
     r.get(k).and_then(JsonVal::as_str).map(str::to_string)
@@ -254,6 +261,36 @@ fn main() -> ExitCode {
                 println!(
                     "ok         {ck}: ft-optimized wall {ow:.3}ms <= ft-naive {nw:.3}ms"
                 );
+            }
+        }
+        // The product path on differentiated programs: rule-scheduled
+        // gradients carry parallel reductions, and before those were
+        // privatized the compiled kernel lost to the unscheduled one.
+        // Blocking at full scale; at small scale a kernel of a few
+        // microseconds is all fork/join, so the row only advises.
+        if field(cur, "kind").as_deref() == Some("grad") {
+            if let (Some(nw), Some(ow)) = (
+                num(naive, "compiled_wall_ms"),
+                num(cur, "compiled_wall_ms"),
+            ) {
+                if ow <= GRAD_WALL_MARGIN * nw {
+                    println!(
+                        "ok         {ck}: ft-optimized compiled wall {ow:.3}ms <= \
+                         {GRAD_WALL_MARGIN} x ft-naive {nw:.3}ms"
+                    );
+                } else {
+                    let full = field(cur, "scale").as_deref() == Some("full");
+                    let label = if full { "BLOCKING" } else { "ADVISORY" };
+                    if full {
+                        blocking += 1;
+                    } else {
+                        advisories += 1;
+                    }
+                    println!(
+                        "{label}   {ck}: ft-optimized compiled wall {ow:.3}ms > \
+                         {GRAD_WALL_MARGIN} x ft-naive {nw:.3}ms (inversion)"
+                    );
+                }
             }
         }
     }

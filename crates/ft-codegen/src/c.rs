@@ -87,10 +87,7 @@ impl Mangler {
     /// A mangler with the preamble's support identifiers and C keywords
     /// pre-reserved.
     pub fn new() -> Mangler {
-        Mangler {
-            used: RESERVED.iter().map(|s| s.to_string()).collect(),
-            scopes: HashMap::new(),
-        }
+        Mangler::default()
     }
 
     /// Bind an IR name in the current scope, returning its unique C
@@ -99,7 +96,7 @@ impl Mangler {
         let base = sanitize(name);
         let mut ident = base.clone();
         let mut n = 1usize;
-        while self.used.contains(&ident) {
+        while RESERVED.contains(&ident.as_str()) || self.used.contains(&ident) {
             n += 1;
             ident = format!("{base}_{n}");
         }
@@ -123,10 +120,18 @@ impl Mangler {
     /// plain sanitization for names never bound (callers emitting
     /// references to externally-declared identifiers).
     pub fn resolve(&self, name: &str) -> String {
-        self.scopes
-            .get(name)
-            .and_then(|v| v.last().cloned())
-            .unwrap_or_else(|| sanitize(name))
+        let mut out = String::new();
+        self.put(&mut out, name);
+        out
+    }
+
+    /// Append [`resolve`](Mangler::resolve)`(name)` to `out` without an
+    /// intermediate `String`.
+    fn put(&self, out: &mut String, name: &str) {
+        match self.scopes.get(name).and_then(|v| v.last()) {
+            Some(ident) => out.push_str(ident),
+            None => out.push_str(&sanitize(name)),
+        }
     }
 }
 
@@ -176,6 +181,43 @@ pub struct ProfSite {
     pub desc: String,
 }
 
+/// IR the C emitter refuses: parallel constructs that
+/// [`lower_cpu_parallel`](crate::lower_cpu_parallel) rewrites away. Reaching
+/// the emitter with one means the caller skipped the lowering; emitting a
+/// pragma for it would be a silent nondeterministic (or serialized-nested)
+/// kernel, so it is an error instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodegenError {
+    /// A `ReduceTo` into `var` still carries the `atomic` flag.
+    AtomicReduce {
+        /// The reduction target.
+        var: String,
+    },
+    /// The parallel loop over `iter` sits inside another parallel loop.
+    NestedParallel {
+        /// The inner loop's iterator.
+        iter: String,
+    },
+}
+
+impl std::fmt::Display for CodegenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodegenError::AtomicReduce { var } => write!(
+                f,
+                "atomic reduction into `{var}` reached the C emitter; run lower_cpu_parallel first"
+            ),
+            CodegenError::NestedParallel { iter } => write!(
+                f,
+                "parallel loop `{iter}` nested in a parallel loop reached the C emitter; \
+                 run lower_cpu_parallel first"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CodegenError {}
+
 /// Arena placement of one planned `VarDef`, precomputed from a
 /// [`ft_analysis::MemPlan`] and consumed by the emitter in def pre-order.
 #[derive(Debug, Clone)]
@@ -212,6 +254,8 @@ struct Emitter {
     /// a parallel body must stay thread-private (`calloc` per iteration);
     /// a shared arena offset would race across the team.
     parallel_depth: usize,
+    /// First unlowered construct met; the unit is discarded when set.
+    err: Option<CodegenError>,
 }
 
 impl Emitter {
@@ -221,6 +265,17 @@ impl Emitter {
         }
         self.out.push_str(s);
         self.out.push('\n');
+    }
+
+    /// One line whose text `write` streams straight into the unit.
+    fn line_with(&mut self, write: impl FnOnce(&Emitter, &mut String)) {
+        let mut out = std::mem::take(&mut self.out);
+        for _ in 0..self.indent {
+            out.push_str("    ");
+        }
+        write(self, &mut out);
+        out.push('\n');
+        self.out = out;
     }
 
     fn ty(&self, e: &Expr) -> CTy {
@@ -260,116 +315,137 @@ impl Emitter {
         }
     }
 
-    fn index_expr(&self, var: &str, indices: &[Expr]) -> String {
-        let shape = self.shapes.get(var).cloned().unwrap_or_default();
-        if indices.is_empty() {
-            return format!("{}[0]", self.names.resolve(var));
-        }
-        let mut s = String::new();
-        for (d, idx) in indices.iter().enumerate() {
-            if d == 0 {
-                s = self.expr(idx);
-            } else {
-                let extent = self.expr(&shape[d]);
-                s = format!("({s}) * ({extent}) + ({})", self.expr(idx));
+    /// Append `var[linearized indices]` to `out`.
+    fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
+        let shape: &[Expr] = self.shapes.get(var).map_or(&[], Vec::as_slice);
+        self.names.put(out, var);
+        out.push('[');
+        match indices {
+            [] => out.push('0'),
+            // Row-major Horner form: ((i0) * (n1) + (i1)) * (n2) + (i2).
+            [first, rest @ ..] => {
+                for _ in rest {
+                    out.push('(');
+                }
+                self.put_expr(out, first);
+                for (d, idx) in rest.iter().enumerate() {
+                    out.push_str(") * (");
+                    self.put_expr(out, &shape[d + 1]);
+                    out.push_str(") + (");
+                    self.put_expr(out, idx);
+                    out.push(')');
+                }
             }
         }
-        format!("{}[{s}]", self.names.resolve(var))
+        out.push(']');
     }
 
     fn expr(&self, e: &Expr) -> String {
+        let mut out = String::new();
+        self.put_expr(&mut out, e);
+        out
+    }
+
+    /// `open a sep b close`, streamed.
+    fn put_pair(&self, out: &mut String, open: &str, a: &Expr, sep: &str, b: &Expr, close: &str) {
+        out.push_str(open);
+        self.put_expr(out, a);
+        out.push_str(sep);
+        self.put_expr(out, b);
+        out.push_str(close);
+    }
+
+    /// Append the C spelling of `e` to `out` — one buffer for the whole
+    /// expression tree, not a `String` per node: the engine re-emits the
+    /// translation unit on every warm call.
+    fn put_expr(&self, out: &mut String, e: &Expr) {
         match e {
-            Expr::IntConst(v) => format!("{v}"),
+            Expr::IntConst(v) => {
+                let _ = write!(out, "{v}");
+            }
             Expr::FloatConst(v) => {
                 if *v == f64::INFINITY {
-                    "INFINITY".to_string()
+                    out.push_str("INFINITY");
                 } else if *v == f64::NEG_INFINITY {
-                    "-INFINITY".to_string()
+                    out.push_str("-INFINITY");
                 } else {
-                    format!("{v:?}")
+                    let _ = write!(out, "{v:?}");
                 }
             }
-            Expr::BoolConst(v) => format!("{v}"),
-            Expr::Var(n) => self.names.resolve(n),
-            Expr::Load { var, indices } => self.index_expr(var, indices),
+            Expr::BoolConst(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Expr::Var(n) => self.names.put(out, n),
+            Expr::Load { var, indices } => self.put_index(out, var, indices),
             Expr::Unary { op, a } => {
-                let x = self.expr(a);
-                match op {
-                    UnaryOp::Neg => format!("(-{x})"),
-                    UnaryOp::Not => format!("(!{x})"),
-                    UnaryOp::Abs => {
-                        if self.ty(a) == CTy::Float {
-                            format!("fabs({x})")
-                        } else {
-                            format!("llabs({x})")
-                        }
+                let (open, close) = match op {
+                    UnaryOp::Neg => ("(-", ")"),
+                    UnaryOp::Not => ("(!", ")"),
+                    UnaryOp::Abs if self.ty(a) == CTy::Float => ("fabs(", ")"),
+                    UnaryOp::Abs => ("llabs(", ")"),
+                    UnaryOp::Sqrt => ("sqrt(", ")"),
+                    UnaryOp::Exp => ("exp(", ")"),
+                    UnaryOp::Ln => ("log(", ")"),
+                    UnaryOp::Sigmoid => ("ft_sigmoid(", ")"),
+                    UnaryOp::Tanh => ("tanh(", ")"),
+                    UnaryOp::Sign => {
+                        let x = self.expr(a);
+                        let _ = write!(out, "(({x} > 0) - ({x} < 0))");
+                        return;
                     }
-                    UnaryOp::Sqrt => format!("sqrt({x})"),
-                    UnaryOp::Exp => format!("exp({x})"),
-                    UnaryOp::Ln => format!("log({x})"),
-                    UnaryOp::Sigmoid => format!("ft_sigmoid({x})"),
-                    UnaryOp::Tanh => format!("tanh({x})"),
-                    UnaryOp::Sign => format!("(({x} > 0) - ({x} < 0))"),
-                }
+                };
+                out.push_str(open);
+                self.put_expr(out, a);
+                out.push_str(close);
             }
             Expr::Binary { op, a, b } => {
-                let x = self.expr(a);
-                let y = self.expr(b);
-                let float = self.ty(a) == CTy::Float || self.ty(b) == CTy::Float;
-                match op {
-                    BinaryOp::Add => format!("({x} + {y})"),
-                    BinaryOp::Sub => format!("({x} - {y})"),
-                    BinaryOp::Mul => format!("({x} * {y})"),
-                    BinaryOp::Div => {
-                        if float {
-                            format!("({x} / {y})")
-                        } else {
-                            format!("ft_fdiv({x}, {y})")
-                        }
+                // Only these four spell differently on floats.
+                let float = matches!(
+                    op,
+                    BinaryOp::Div | BinaryOp::Mod | BinaryOp::Min | BinaryOp::Max
+                ) && (self.ty(a) == CTy::Float || self.ty(b) == CTy::Float);
+                let (open, sep) = match op {
+                    BinaryOp::Add => ("(", " + "),
+                    BinaryOp::Sub => ("(", " - "),
+                    BinaryOp::Mul => ("(", " * "),
+                    BinaryOp::Div if float => ("(", " / "),
+                    BinaryOp::Div => ("ft_fdiv(", ", "),
+                    BinaryOp::Mod if float => ("fmod(", ", "),
+                    BinaryOp::Mod => ("ft_fmod(", ", "),
+                    BinaryOp::Min if float => ("fmin(", ", "),
+                    BinaryOp::Max if float => ("fmax(", ", "),
+                    BinaryOp::Min | BinaryOp::Max => {
+                        let (x, y) = (self.expr(a), self.expr(b));
+                        let cmp = if *op == BinaryOp::Min { '<' } else { '>' };
+                        let _ = write!(out, "(({x}) {cmp} ({y}) ? ({x}) : ({y}))");
+                        return;
                     }
-                    BinaryOp::Mod => {
-                        if float {
-                            format!("fmod({x}, {y})")
-                        } else {
-                            format!("ft_fmod({x}, {y})")
-                        }
-                    }
-                    BinaryOp::Min => {
-                        if float {
-                            format!("fmin({x}, {y})")
-                        } else {
-                            format!("(({x}) < ({y}) ? ({x}) : ({y}))")
-                        }
-                    }
-                    BinaryOp::Max => {
-                        if float {
-                            format!("fmax({x}, {y})")
-                        } else {
-                            format!("(({x}) > ({y}) ? ({x}) : ({y}))")
-                        }
-                    }
-                    BinaryOp::Pow => format!("pow({x}, {y})"),
-                    BinaryOp::Eq => format!("({x} == {y})"),
-                    BinaryOp::Ne => format!("({x} != {y})"),
-                    BinaryOp::Lt => format!("({x} < {y})"),
-                    BinaryOp::Le => format!("({x} <= {y})"),
-                    BinaryOp::Gt => format!("({x} > {y})"),
-                    BinaryOp::Ge => format!("({x} >= {y})"),
-                    BinaryOp::And => format!("({x} && {y})"),
-                    BinaryOp::Or => format!("({x} || {y})"),
-                }
+                    BinaryOp::Pow => ("pow(", ", "),
+                    BinaryOp::Eq => ("(", " == "),
+                    BinaryOp::Ne => ("(", " != "),
+                    BinaryOp::Lt => ("(", " < "),
+                    BinaryOp::Le => ("(", " <= "),
+                    BinaryOp::Gt => ("(", " > "),
+                    BinaryOp::Ge => ("(", " >= "),
+                    BinaryOp::And => ("(", " && "),
+                    BinaryOp::Or => ("(", " || "),
+                };
+                self.put_pair(out, open, a, sep, b, ")");
             }
             Expr::Select {
                 cond,
                 then,
                 otherwise,
-            } => format!(
-                "({} ? {} : {})",
-                self.expr(cond),
-                self.expr(then),
-                self.expr(otherwise)
-            ),
-            Expr::Cast { dtype, a } => format!("(({}){})", ctype(*dtype), self.expr(a)),
+            } => {
+                self.put_pair(out, "(", cond, " ? ", then, " : ");
+                self.put_expr(out, otherwise);
+                out.push(')');
+            }
+            Expr::Cast { dtype, a } => {
+                let _ = write!(out, "(({})", ctype(*dtype));
+                self.put_expr(out, a);
+                out.push(')');
+            }
         }
     }
 
@@ -460,10 +536,14 @@ impl Emitter {
                 // clock_gettime pairs accumulating into their __ft_prof slot.
                 let site = if self.loop_depth == 0 {
                     if let Some(sites) = &mut self.prof {
-                        let k = sites.len();
-                        sites.push(ProfSite {
-                            stmt: s.id,
-                            desc: format!("for {iter}"),
+                        // The fill, chunk and merge nests of one lowered
+                        // loop share its id and therefore its slot.
+                        let k = sites.iter().position(|p| p.stmt == s.id).unwrap_or_else(|| {
+                            sites.push(ProfSite {
+                                stmt: s.id,
+                                desc: format!("for {iter}"),
+                            });
+                            sites.len() - 1
                         });
                         self.line("{");
                         self.indent += 1;
@@ -477,6 +557,11 @@ impl Emitter {
                     None
                 };
                 if property.parallel.is_parallel() {
+                    if self.parallel_depth > 0 {
+                        self.err.get_or_insert_with(|| CodegenError::NestedParallel {
+                            iter: iter.clone(),
+                        });
+                    }
                     self.line("#pragma omp parallel for");
                 } else if property.vectorize {
                     self.line("#pragma omp simd");
@@ -533,9 +618,12 @@ impl Emitter {
                 indices,
                 value,
             } => {
-                let lhs = self.index_expr(var, indices);
-                let rhs = self.expr(value);
-                self.line(&format!("{lhs} = {rhs};"));
+                self.line_with(|em, out| {
+                    em.put_index(out, var, indices);
+                    out.push_str(" = ");
+                    em.put_expr(out, value);
+                    out.push(';');
+                });
             }
             StmtKind::ReduceTo {
                 var,
@@ -544,20 +632,24 @@ impl Emitter {
                 value,
                 atomic,
             } => {
-                let lhs = self.index_expr(var, indices);
-                let rhs = self.expr(value);
+                if *atomic {
+                    self.err
+                        .get_or_insert_with(|| CodegenError::AtomicReduce { var: var.clone() });
+                }
                 match op {
                     ReduceOp::Add | ReduceOp::Mul => {
-                        if *atomic {
-                            self.line("#pragma omp atomic");
-                        }
-                        let o = if *op == ReduceOp::Add { "+" } else { "*" };
-                        self.line(&format!("{lhs} {o}= {rhs};"));
+                        let o = if *op == ReduceOp::Add { " += " } else { " *= " };
+                        self.line_with(|em, out| {
+                            em.put_index(out, var, indices);
+                            out.push_str(o);
+                            em.put_expr(out, value);
+                            out.push(';');
+                        });
                     }
                     ReduceOp::Min | ReduceOp::Max => {
-                        if *atomic {
-                            self.line("#pragma omp critical");
-                        }
+                        let mut lhs = String::new();
+                        self.put_index(&mut lhs, var, indices);
+                        let rhs = self.expr(value);
                         self.tmp += 1;
                         let raw = format!("ft_r{}", self.tmp);
                         let t = self.names.bind(&raw);
@@ -609,9 +701,14 @@ fn sanitize(name: &str) -> String {
 }
 
 /// Emit a complete C translation unit (preamble + one function) for a
-/// CPU-scheduled function.
-pub fn emit_c(func: &Func) -> String {
-    emit_unit(func, None, false).0
+/// CPU-scheduled, [lowered](crate::lower_cpu_parallel) function.
+///
+/// # Errors
+///
+/// [`CodegenError`] when `func` still holds an `atomic` reduction or a
+/// nested parallel loop (all three emitters).
+pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
+    Ok(emit_unit(func, None, false)?.0)
 }
 
 /// Emit a *profiled* translation unit: the function gains a trailing
@@ -620,7 +717,7 @@ pub fn emit_c(func: &Func) -> String {
 /// nanoseconds into its slot. Passing a NULL `__ft_prof` skips recording,
 /// so one profiled artifact serves both timed and untimed calls. Returns
 /// the source and the site table (slot `k` ↔ `sites[k]`).
-pub fn emit_c_profiled(func: &Func) -> (String, Vec<ProfSite>) {
+pub fn emit_c_profiled(func: &Func) -> Result<(String, Vec<ProfSite>), CodegenError> {
     emit_unit(func, None, true)
 }
 
@@ -642,7 +739,7 @@ pub fn emit_c_planned(
     func: &Func,
     plan: &ft_analysis::MemPlan,
     profile: bool,
-) -> (String, Vec<ProfSite>) {
+) -> Result<(String, Vec<ProfSite>), CodegenError> {
     emit_unit(func, Some(plan), profile)
 }
 
@@ -650,7 +747,7 @@ fn emit_unit(
     func: &Func,
     plan: Option<&ft_analysis::MemPlan>,
     profile: bool,
-) -> (String, Vec<ProfSite>) {
+) -> Result<(String, Vec<ProfSite>), CodegenError> {
     let mut names = Mangler::new();
     let syms = bind_signature(&mut names, func);
     let arena: Vec<Option<ArenaSlot>> = plan.map_or_else(Vec::new, |pl| {
@@ -681,6 +778,7 @@ fn emit_unit(
         arena,
         def_idx: 0,
         parallel_depth: 0,
+        err: None,
     };
     for p in &func.params {
         em.dtypes.insert(p.name.clone(), p.dtype);
@@ -726,12 +824,15 @@ fn emit_unit(
     }
     em.indent = 1;
     em.stmt(&func.body);
+    if let Some(e) = em.err {
+        return Err(e);
+    }
     out.push_str(&em.out);
     if any_planned {
         out.push_str("    if (__ft_arena_owned) free(__ft_arena_base);\n");
     }
     out.push_str("}\n");
-    (out, em.prof.unwrap_or_default())
+    Ok((out, em.prof.unwrap_or_default()))
 }
 
 #[cfg(test)]
@@ -760,15 +861,15 @@ mod tests {
 
     #[test]
     fn emits_signature_and_pragma() {
-        let c = emit_c(&sample());
+        let c = emit_c(&sample()).unwrap();
         assert!(c.contains("void axpy(const float* x, float* y, int64_t n)"), "{c}");
         assert!(c.contains("#pragma omp parallel for"), "{c}");
         assert!(c.contains("y[i] = (y[i] + (x[i] * 2.0))"), "{c}");
     }
 
-    #[test]
-    fn emits_locals_and_atomics() {
-        let f = Func::new("f")
+    /// `h[idx[i]] += 1` over a parallel `i`, flagged atomic by `parallelize`.
+    fn histogram() -> Func {
+        Func::new("f")
             .param("h", [4], DataType::F32, AccessType::Output)
             .param("idx", [64], DataType::I32, AccessType::Input)
             .body(for_with(
@@ -783,10 +884,12 @@ mod tests {
                     value: Expr::FloatConst(1.0),
                     atomic: true,
                 }),
-            ));
-        let c = emit_c(&f);
-        assert!(c.contains("#pragma omp atomic"), "{c}");
-        let f2 = Func::new("g")
+            ))
+    }
+
+    #[test]
+    fn emits_stack_locals() {
+        let f = Func::new("g")
             .param("y", [8], DataType::F32, AccessType::Output)
             .body(var_def(
                 "t",
@@ -795,8 +898,48 @@ mod tests {
                 MemType::CpuStack,
                 store("y", [0], load("t", [0])),
             ));
-        let c2 = emit_c(&f2);
-        assert!(c2.contains("float t[8] = {0};"), "{c2}");
+        let c = emit_c(&f).unwrap();
+        assert!(c.contains("float t[8] = {0};"), "{c}");
+    }
+
+    #[test]
+    fn unlowered_parallel_constructs_are_errors_not_pragmas() {
+        assert_eq!(
+            emit_c(&histogram()),
+            Err(CodegenError::AtomicReduce {
+                var: "h".to_string()
+            })
+        );
+        let omp = || ForProperty::parallel(ParallelScope::OpenMp);
+        let nested = Func::new("g")
+            .param("y", [8, 8], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "i",
+                0,
+                8,
+                omp(),
+                for_with("j", 0, 8, omp(), store("y", [var("i"), var("j")], 1.0f32)),
+            ));
+        assert_eq!(
+            emit_c_profiled(&nested).map(|(c, _)| c),
+            Err(CodegenError::NestedParallel {
+                iter: "j".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn lowered_histogram_emits_chunk_rows_and_an_ordered_merge() {
+        let f = histogram();
+        let lowered = crate::lower_cpu_parallel(&f);
+        let c = emit_c(&lowered).unwrap();
+        assert!(!c.contains("omp atomic") && !c.contains("omp critical"), "{c}");
+        assert_eq!(c.matches("#pragma omp parallel for").count(), 2, "{c}");
+        assert!(c.contains("h_part[(i_chunk) * (4) + (((int64_t)idx[i]))] += 1.0;"), "{c}");
+        assert!(c.contains("h[h_part_i0] += h_part[(i_chunk_2) * (4) + (h_part_i0)];"), "{c}");
+        // One lowered loop, one profiling site.
+        let (_, sites) = emit_c_profiled(&lowered).unwrap();
+        assert_eq!(sites.len(), 1, "{sites:?}");
     }
 
     #[test]
@@ -806,7 +949,7 @@ mod tests {
             .size_param("n")
             .size_param("m")
             .body(store("a", ft_ir::idx![var("n") - 1, 0], 1.0f64));
-        let c = emit_c(&f);
+        let c = emit_c(&f).unwrap();
         assert!(c.contains("a[((n - 1)) * (m) + (0)] = 1.0;"), "{c}");
     }
 
@@ -821,7 +964,7 @@ mod tests {
                 MemType::CpuStack,
                 store("y", [0], load("t.cache", [0])),
             ));
-        let c = emit_c(&f);
+        let c = emit_c(&f).unwrap();
         assert!(c.contains("t_cache"), "{c}");
         assert!(!c.contains("t.cache["), "{c}");
     }
@@ -837,7 +980,7 @@ mod tests {
         let syms = c_symbols(&f);
         assert_eq!(syms.params.len(), 2);
         assert_ne!(syms.params[0], syms.params[1], "{syms:?}");
-        let c = emit_c(&f);
+        let c = emit_c(&f).unwrap();
         let sig = format!(
             "void {}(const float* {}, float* {})",
             syms.func, syms.params[0], syms.params[1]
@@ -868,7 +1011,7 @@ mod tests {
                 MemType::CpuStack,
                 store("t", [0], load("t", [1])),
             ));
-        let c = emit_c(&f);
+        let c = emit_c(&f).unwrap();
         assert!(c.contains("float t_2[2] = {0};"), "{c}");
         // Inside the VarDef, `t` resolves to the inner binding.
         assert!(c.contains("t_2[0] = t_2[1];"), "{c}");
@@ -884,7 +1027,7 @@ mod tests {
         let syms = c_symbols(&f);
         assert_ne!(syms.func, "main");
         assert_ne!(syms.params[0], "ft_fdiv");
-        let c = emit_c(&f);
+        let c = emit_c(&f).unwrap();
         assert!(c.contains(&format!("void {}(", syms.func)), "{c}");
     }
 
@@ -901,7 +1044,7 @@ mod tests {
                 for_("i", 0, var("n"), inner),
                 for_("k", 0, var("n"), store("y", [var("k")], 2.0f32)),
             ])));
-        let (c, sites) = emit_c_profiled(&f);
+        let (c, sites) = emit_c_profiled(&f).unwrap();
         assert_eq!(sites.len(), 2, "{sites:?}");
         assert_eq!(sites[0].desc, "for i");
         assert_eq!(sites[1].desc, "for k");
@@ -911,7 +1054,7 @@ mod tests {
         assert!(c.contains("if (__ft_prof) __ft_prof[1] +="), "{c}");
         assert_eq!(c.matches("clock_gettime").count(), 4, "{c}");
         // The unprofiled emission is untouched by the profiling machinery.
-        let plain = emit_c(&f);
+        let plain = emit_c(&f).unwrap();
         assert!(!plain.contains("__ft_prof"), "{plain}");
         assert!(!plain.contains("clock_gettime"), "{plain}");
     }
@@ -939,7 +1082,7 @@ mod tests {
         let sizes = HashMap::from([("n".to_string(), 256i64)]);
         let plan = ft_analysis::MemPlan::plan(&f, &sizes);
         assert!(plan.planned_peak_bytes > 0, "{plan:?}");
-        let (c, sites) = emit_c_planned(&f, &plan, false);
+        let (c, sites) = emit_c_planned(&f, &plan, false).unwrap();
         assert!(sites.is_empty());
         assert!(c.contains("unsigned char* __ft_arena"), "{c}");
         assert!(c.contains("float* t = (float*)(__ft_arena_base + 0);"), "{c}");
@@ -953,14 +1096,14 @@ mod tests {
         assert!(!c.contains("memset(t"), "{c}");
         // The unplanned emission is byte-identical to what emit_c always
         // produced: no arena symbols anywhere.
-        assert!(!emit_c(&f).contains("__ft_arena"));
+        assert!(!emit_c(&f).unwrap().contains("__ft_arena"));
     }
 
     #[test]
     fn profiled_c_compiles_if_cc_available() {
         use std::io::Write as _;
         use std::process::{Command, Stdio};
-        let (c, _) = emit_c_profiled(&sample());
+        let (c, _) = emit_c_profiled(&sample()).unwrap();
         let Ok(mut child) = Command::new("cc")
             .args(["-fsyntax-only", "-fopenmp", "-xc", "-"])
             .stdin(Stdio::piped())
@@ -989,7 +1132,7 @@ mod tests {
     fn generated_c_compiles_if_cc_available() {
         use std::io::Write as _;
         use std::process::{Command, Stdio};
-        let c = emit_c(&sample());
+        let c = emit_c(&sample()).unwrap();
         let Ok(mut child) = Command::new("cc")
             .args(["-fsyntax-only", "-fopenmp", "-xc", "-"])
             .stdin(Stdio::piped())

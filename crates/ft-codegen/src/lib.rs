@@ -4,9 +4,12 @@
 //! dedicated backend compilers like gcc or nvcc" (paper §4.3). This crate
 //! reproduces the source-emission half:
 //!
-//! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`,
-//!   `atomic`) for CPU schedules; compile-checked against the host C
-//!   compiler in the test suite;
+//! * [`lower::lower_cpu_parallel`] — the IR→IR step every compiled-C path
+//!   runs first: nested parallel marks become serial loops and `atomic`
+//!   reductions become chunk-private partial rows with an ordered merge;
+//! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`) for
+//!   lowered CPU schedules; compile-checked against the host C compiler in
+//!   the test suite;
 //! * [`cuda::emit_cuda`] — CUDA-flavoured source: one `__global__` kernel per
 //!   outermost GPU-parallel nest plus a host launcher.
 //!
@@ -17,16 +20,41 @@
 
 pub mod c;
 pub mod cuda;
+pub mod lower;
 
-pub use c::{c_symbols, emit_c, emit_c_planned, emit_c_profiled, CSymbols, Mangler, ProfSite};
+pub use c::{
+    c_symbols, emit_c, emit_c_planned, emit_c_profiled, CSymbols, CodegenError, Mangler, ProfSite,
+};
 pub use cuda::emit_cuda;
+pub use lower::lower_cpu_parallel;
 
+use ft_analysis::MemPlan;
 use ft_ir::Func;
 use ft_trace::TraceSink;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
-/// [`emit_c`] with a provenance span on the compile track of `sink`.
+/// The function the C backend compiles for `func` and the memory plan of
+/// *that* function — the single place [`lower_cpu_parallel`] meets
+/// [`MemPlan::plan`]. Engines, the serving admission check and the
+/// conformance backend all size and emit from this pair, so the partial
+/// rows the lowering adds are in the planned peak, come out of the arena
+/// and are budgeted.
+pub fn lower_and_plan<'a>(
+    func: &'a Func,
+    sizes: &HashMap<String, i64>,
+) -> (Cow<'a, Func>, MemPlan) {
+    let lowered = lower_cpu_parallel(func);
+    let plan = MemPlan::plan(&lowered, sizes);
+    (lowered, plan)
+}
+
+/// [`lower_cpu_parallel`] then [`emit_c`], with a provenance span on the
+/// compile track of `sink`.
 pub fn emit_c_traced(func: &Func, sink: Option<&TraceSink>) -> String {
-    emit_traced("emit_c", func, sink, emit_c)
+    emit_traced("emit_c", func, sink, |f| {
+        emit_c(&lower_cpu_parallel(f)).expect("lower_cpu_parallel leaves nothing emit_c rejects")
+    })
 }
 
 /// [`emit_cuda`] with a provenance span on the compile track of `sink`.

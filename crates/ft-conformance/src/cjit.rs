@@ -172,12 +172,13 @@ fn run_c_impl(
     }
 
     // Generate the translation unit: emitted kernel + main() driver.
+    let (lowered, plan) = ft_codegen::lower_and_plan(func, sizes);
     let mut src = if planned {
-        let plan = ft_analysis::MemPlan::plan(func, sizes);
-        ft_codegen::emit_c_planned(func, &plan, false).0
+        ft_codegen::emit_c_planned(&lowered, &plan, false).map(|(src, _)| src)
     } else {
-        ft_codegen::emit_c(func)
-    };
+        ft_codegen::emit_c(&lowered)
+    }
+    .map_err(|e| format!("codegen: {e}"))?;
     src.push_str("\n#include <stdio.h>\n\nint main(void) {\n");
     for (name, c, shape, dtype, atype) in &shapes {
         let n = shape.iter().product::<usize>().max(1);

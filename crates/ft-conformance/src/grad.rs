@@ -445,7 +445,7 @@ pub fn run_grad_conformance(cfg: &GradConfig) -> GradSummary {
                         check_grad_variant(&gfunc, &inputs, &oracle_grads, &cfg.backends, &cfg.tol);
                     let (divergence, repro_path) = match divergence {
                         None => (None, None),
-                        Some(_) => {
+                        Some(first) => {
                             let fails = |t: &[ScheduleOp]| {
                                 build_grad_func(&case.func, t, &spec)
                                     .map(|(f, _)| {
@@ -476,14 +476,15 @@ pub fn run_grad_conformance(cfg: &GradConfig) -> GradSummary {
                                 .iter()
                                 .map(ft_trace::decision_line)
                                 .collect();
-                            let d = check_grad_variant(
-                                &f,
-                                &inputs,
-                                &oracle_grads,
-                                &cfg.backends,
-                                &cfg.tol,
-                            )
-                            .expect("minimized trace must still fail");
+                            let (d, flaky) = crate::shrink::recheck(first, || {
+                                check_grad_variant(
+                                    &f,
+                                    &inputs,
+                                    &oracle_grads,
+                                    &cfg.backends,
+                                    &cfg.tol,
+                                )
+                            });
                             // Telemetry of the diverging backward run
                             // rides along in the repro.
                             let metrics = crate::backend::run_backend_telemetry(
@@ -501,6 +502,7 @@ pub fn run_grad_conformance(cfg: &GradConfig) -> GradSummary {
                                 grad: Some(spec),
                                 tol_rel: Some(cfg.tol.rel),
                                 metrics: Some(metrics),
+                                flaky,
                             };
                             let path = repro.write(&cfg.out_dir).ok();
                             (Some(d), path)

@@ -44,7 +44,7 @@ pub use diff::{check_grad_variant, check_variant, Divergence, GradTol};
 pub use grad::{run_grad_conformance, GradConfig, GradOrder, GradSpec, GradSummary};
 pub use ops::ScheduleOp;
 pub use repro::Repro;
-pub use shrink::minimize;
+pub use shrink::{minimize, recheck, Flaky, RECHECK_RUNS};
 pub use workload::{Case, Workload};
 
 use proptest::test_runner::TestRng;
@@ -174,7 +174,7 @@ pub fn run_conformance(cfg: &Config) -> Summary {
             let divergence = check_variant(&case, &func, &cfg.backends, cfg.tol);
             let (divergence, repro_path) = match divergence {
                 None => (None, None),
-                Some(_) => {
+                Some(first) => {
                     // Shrink on the accepted trace (rejected ops are no-ops,
                     // so the accepted subsequence reproduces the same func).
                     let minimized = minimize(&trace, |t| {
@@ -190,8 +190,9 @@ pub fn run_conformance(cfg: &Config) -> Summary {
                         .iter()
                         .map(ft_trace::decision_line)
                         .collect();
-                    let d = check_variant(&case, &f, &cfg.backends, cfg.tol)
-                        .expect("minimized trace must still fail");
+                    let (d, flaky) = recheck(first, || {
+                        check_variant(&case, &f, &cfg.backends, cfg.tol)
+                    });
                     // One more run of the diverging backend with a fresh
                     // metrics registry, so the repro carries the runtime
                     // telemetry of the failure.
@@ -208,6 +209,7 @@ pub fn run_conformance(cfg: &Config) -> Summary {
                         grad: None,
                         tol_rel: None,
                         metrics: Some(metrics),
+                        flaky,
                     };
                     let path = repro.write(&cfg.out_dir).ok();
                     (Some(d), path)

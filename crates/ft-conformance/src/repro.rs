@@ -14,6 +14,7 @@ use crate::grad::{
 };
 use crate::json::JsonVal;
 use crate::ops::{apply_trace, op_from_json, op_to_json, ScheduleOp};
+use crate::shrink::Flaky;
 use crate::workload::Workload;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -52,6 +53,12 @@ pub struct Repro {
     /// conditions that produced it. Informational: not needed for replay,
     /// `None` on files from before telemetry existed.
     pub metrics: Option<ft_metrics::MetricsSnapshot>,
+    /// Set when the minimized trace did not diverge on every one of its
+    /// re-runs ([`crate::shrink::recheck`]): the failure is intermittent
+    /// (`hits` of `runs`), and `hits == 0` means it stopped reproducing
+    /// altogether — the fields above then describe the original sighting.
+    /// `None` on deterministic divergences and on older files.
+    pub flaky: Option<Flaky>,
 }
 
 fn num(n: u64) -> JsonVal {
@@ -167,6 +174,13 @@ impl Repro {
                 fields.push(("metrics".to_string(), v));
             }
         }
+        if let Some(f) = self.flaky {
+            let counts = vec![
+                ("hits".to_string(), num(u64::from(f.hits))),
+                ("runs".to_string(), num(u64::from(f.runs))),
+            ];
+            fields.push(("flaky".to_string(), JsonVal::Obj(counts)));
+        }
         JsonVal::Obj(fields).to_string()
     }
 
@@ -222,6 +236,21 @@ impl Repro {
                     .map_err(|e| format!("bad `metrics` block: {e}"))?,
             ),
         };
+        let flaky = match v.get("flaky") {
+            None => None,
+            Some(f) => {
+                let count = |key: &str| {
+                    f.get(key)
+                        .and_then(JsonVal::as_u64)
+                        .and_then(|n| u32::try_from(n).ok())
+                        .ok_or_else(|| format!("bad `flaky` block: missing count `{key}`"))
+                };
+                Some(Flaky {
+                    hits: count("hits")?,
+                    runs: count("runs")?,
+                })
+            }
+        };
         Ok(Repro {
             workload: str_field("workload")?,
             input_seed: num_field("input_seed")? as u64,
@@ -237,6 +266,7 @@ impl Repro {
             grad,
             tol_rel,
             metrics,
+            flaky,
         })
     }
 
@@ -334,6 +364,7 @@ mod tests {
             grad: None,
             tol_rel: None,
             metrics: None,
+            flaky: None,
         }
     }
 
@@ -395,6 +426,19 @@ mod tests {
         assert_eq!(Repro::from_json(&json).unwrap().grad, None);
         // A malformed grad object is rejected, not silently dropped.
         let bad = g.to_json().replace("opt-then-grad", "sideways");
+        assert!(Repro::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn flaky_counts_roundtrip_and_are_absent_when_deterministic() {
+        let mut r = sample();
+        assert!(!r.to_json().contains("\"flaky\""));
+        r.flaky = Some(Flaky { hits: 2, runs: 5 });
+        let json = r.to_json();
+        assert!(json.contains("\"flaky\""), "{json}");
+        assert_eq!(Repro::from_json(&json).unwrap(), r);
+        // Present but malformed is rejected, not silently dropped.
+        let bad = json.replace("\"hits\"", "\"hit\"");
         assert!(Repro::from_json(&bad).is_err());
     }
 

@@ -50,9 +50,62 @@ where
     cur
 }
 
+/// How many times a minimized trace is re-run before it is written up.
+pub const RECHECK_RUNS: u32 = 5;
+
+/// A divergence that did not reproduce on every re-run of its minimized
+/// trace: a nondeterministic backend, reported as such.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flaky {
+    /// Re-runs that diverged.
+    pub hits: u32,
+    /// Re-runs made ([`RECHECK_RUNS`]).
+    pub runs: u32,
+}
+
+/// Re-run `check` on the minimized trace [`RECHECK_RUNS`] times. Returns
+/// the divergence to report — the last one a re-run observed, or `first`
+/// (seen while sweeping and shrinking) when none of them diverged — and
+/// `Some(Flaky)` unless every re-run hit. The harness fuzzes the compiler;
+/// it must itself survive a backend that answers differently each time.
+pub fn recheck<D>(first: D, mut check: impl FnMut() -> Option<D>) -> (D, Option<Flaky>) {
+    let mut seen = first;
+    let mut hits = 0;
+    for _ in 0..RECHECK_RUNS {
+        if let Some(d) = check() {
+            seen = d;
+            hits += 1;
+        }
+    }
+    let flaky = (hits < RECHECK_RUNS).then_some(Flaky {
+        hits,
+        runs: RECHECK_RUNS,
+    });
+    (seen, flaky)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recheck_classifies_instead_of_panicking() {
+        // Deterministic: every re-run hits, the freshest divergence wins.
+        assert_eq!(recheck("first", || Some("again")), ("again", None));
+        // Gone: nothing reproduces, the original observation is reported.
+        let gone = Flaky {
+            hits: 0,
+            runs: RECHECK_RUNS,
+        };
+        assert_eq!(recheck("first", || None), ("first", Some(gone)));
+        // Intermittent: two of five.
+        let mut n = 0;
+        let (d, flaky) = recheck(0, || {
+            n += 1;
+            (n % 2 == 0).then_some(n)
+        });
+        assert_eq!((d, flaky.map(|f| (f.hits, f.runs))), (4, Some((2, RECHECK_RUNS))));
+    }
 
     fn op(i: usize) -> ScheduleOp {
         ScheduleOp::Vectorize { loop_idx: i }

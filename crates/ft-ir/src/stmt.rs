@@ -54,17 +54,23 @@ impl ReduceOp {
         }
     }
 
-    /// Identity element of the reduction for a given element type.
+    /// Identity element of the reduction for a given element type. Integer
+    /// extrema are the element type's own (a 64-bit extremum stored to an
+    /// `i32` tensor truncates to −1/0 in generated C).
     pub fn identity(self, dtype: DataType) -> Expr {
+        let (int_min, int_max) = match dtype {
+            DataType::I32 => (i64::from(i32::MIN), i64::from(i32::MAX)),
+            _ => (i64::MIN, i64::MAX),
+        };
         match (self, dtype.is_float()) {
             (ReduceOp::Add, true) => Expr::FloatConst(0.0),
             (ReduceOp::Add, false) => Expr::IntConst(0),
             (ReduceOp::Mul, true) => Expr::FloatConst(1.0),
             (ReduceOp::Mul, false) => Expr::IntConst(1),
             (ReduceOp::Min, true) => Expr::FloatConst(f64::INFINITY),
-            (ReduceOp::Min, false) => Expr::IntConst(i64::MAX),
+            (ReduceOp::Min, false) => Expr::IntConst(int_max),
             (ReduceOp::Max, true) => Expr::FloatConst(f64::NEG_INFINITY),
-            (ReduceOp::Max, false) => Expr::IntConst(i64::MIN),
+            (ReduceOp::Max, false) => Expr::IntConst(int_min),
         }
     }
 }

@@ -54,6 +54,9 @@ pub use device::DeviceConfig;
 pub use engine::{ExecutionEngine, ThreadedEngine};
 pub use error::RuntimeError;
 pub use interp::{RunResult, Runtime};
+// The (lowered function, memory plan) pair `CompiledEngine` compiles and
+// binds contexts to — re-exported so admission control sizes the same plan.
+pub use ft_codegen::lower_and_plan;
 pub use native::{cc_available, CompiledEngine};
 pub use pool::{PoolStatsSnapshot, WorkerPool};
 pub use process::{output_with_timeout, TimedOutput};

@@ -16,6 +16,12 @@
 //! the IR that `emit_c` prints), the compiler flag string, and an ABI
 //! version bumped whenever the entry-point convention changes.
 //!
+//! Parallelism: the engine compiles `ft_codegen::lower_cpu_parallel(func)`,
+//! not `func` — nested parallel marks serialized, `atomic` reductions
+//! turned into chunk-private rows merged in a fixed order — and plans,
+//! binds contexts to, and caches by that lowered function. Outputs are
+//! therefore bit-identical run to run and across `OMP_NUM_THREADS`.
+//!
 //! Numerics: generated C computes `float` expressions in single precision,
 //! while the interpreter widens to `f64` and rounds on store, so results
 //! agree to rounding error, not bit-for-bit — the conformance harness
@@ -31,7 +37,7 @@ use crate::process::output_with_timeout;
 use crate::value::TensorVal;
 use crate::arena::RunContext;
 use ft_analysis::MemPlan;
-use ft_codegen::{c_symbols, emit_c_planned, ProfSite};
+use ft_codegen::{c_symbols, emit_c_planned, lower_and_plan, ProfSite};
 use ft_ir::{AccessType, BinaryOp, DataType, Expr, Func};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, TraceSink, Verdict, TRACK_RUNTIME};
@@ -222,6 +228,19 @@ fn lock_exclusive(_file: &std::fs::File) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Hold the OpenMP runtime for the life of the process. Kernels are its
+/// only other users, so dropping the last engine used to unload libgomp
+/// under its own worker threads — a segfault whenever they were still
+/// spinning after a parallel region. Kernels stay unloadable; the runtime
+/// does not. A toolchain without libgomp builds serial kernels and has
+/// nothing to pin.
+fn pin_openmp_runtime() {
+    static PINNED: OnceLock<Option<libloading::Library>> = OnceLock::new();
+    // SAFETY: the same library every `-fopenmp` kernel links and loads;
+    // its initializers are the ones the first kernel would run anyway.
+    PINNED.get_or_init(|| unsafe { libloading::Library::new("libgomp.so.1") }.ok());
+}
+
 fn ctype(dt: DataType) -> &'static str {
     match dt {
         DataType::F32 => "float",
@@ -331,8 +350,13 @@ impl CompiledEngine {
     /// units thread the prof array through to the emitted function;
     /// unprofiled units discard it, so the entry signature is the same
     /// across both.
-    fn source_for(&self, func: &Func, plan: &MemPlan) -> (String, Vec<ProfSite>) {
-        let (mut src, sites) = emit_c_planned(func, plan, self.profile);
+    fn source_for(
+        &self,
+        func: &Func,
+        plan: &MemPlan,
+    ) -> Result<(String, Vec<ProfSite>), RuntimeError> {
+        let (mut src, sites) = emit_c_planned(func, plan, self.profile)
+            .map_err(|e| RuntimeError::Native(format!("codegen: {e}")))?;
         let syms = c_symbols(func);
         src.push_str(
             "\nvoid ft_entry(void **params, const int64_t *sizes, \
@@ -354,7 +378,7 @@ impl CompiledEngine {
             src.push_str("    (void)prof;\n");
         }
         src.push_str(&format!("    {}({});\n}}\n", syms.func, call_args.join(", ")));
-        (src, sites)
+        Ok((src, sites))
     }
 
     fn note_cache(&self, hash: u64, hit: bool) {
@@ -467,7 +491,7 @@ impl CompiledEngine {
     /// `plan`. The plan hash participates in the cache key (belt and
     /// braces — planned offsets are already baked into the source).
     fn kernel_for(&self, func: &Func, plan: &MemPlan) -> Result<Arc<LoadedKernel>, RuntimeError> {
-        let (src, sites) = self.source_for(func, plan);
+        let (src, sites) = self.source_for(func, plan)?;
         let mut key = src.clone().into_bytes();
         key.push(0);
         key.extend_from_slice(CC_FLAGS.as_bytes());
@@ -527,6 +551,7 @@ impl CompiledEngine {
                 // (each waiter leads at most once before erroring itself).
             }
         }
+        pin_openmp_runtime();
         // SAFETY: the object was produced by our own emitter + cc (or is a
         // cache entry keyed by the full source), and ft_entry's type is
         // fixed by ABI_VERSION which participates in the key.
@@ -617,7 +642,10 @@ impl CompiledEngine {
         sizes: &HashMap<String, i64>,
         mut rctx: Option<&mut RunContext>,
     ) -> Result<RunResult, RuntimeError> {
-        let plan = MemPlan::plan(func, sizes);
+        // Everything below — plan, context binding, source, kernel — is of
+        // the *lowered* function; params and name are the caller's.
+        let (lowered, plan) = lower_and_plan(func, sizes);
+        let func: &Func = &lowered;
         if let Some(c) = rctx.as_deref_mut() {
             c.ensure_bound(func, sizes, &plan)?;
         }
@@ -983,8 +1011,8 @@ mod tests {
         let prof = plain.clone().with_profiling(true);
         let f = axpy();
         let plan = MemPlan::plan(&f, &HashMap::from([("n".to_string(), 8i64)]));
-        let (src_plain, sites_plain) = plain.source_for(&f, &plan);
-        let (src_prof, sites_prof) = prof.source_for(&f, &plan);
+        let (src_plain, sites_plain) = plain.source_for(&f, &plan).unwrap();
+        let (src_prof, sites_prof) = prof.source_for(&f, &plan).unwrap();
         assert_ne!(src_plain, src_prof);
         assert!(sites_plain.is_empty());
         assert_eq!(sites_prof.len(), 1);

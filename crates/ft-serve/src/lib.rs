@@ -25,7 +25,8 @@
 //!   Digest-mode requests ([`Request::digest_only`]) let the server keep
 //!   the output buffers too, completing the zero-alloc loop.
 //! * **Memory budget** — admission is gated on the memory plan's
-//!   [`run_peak_bytes`](MemPlan::run_peak_bytes): when the sum over
+//!   [`run_peak_bytes`](ft_analysis::MemPlan::run_peak_bytes) — of the plan
+//!   the engine runs under, [`ft_runtime::lower_and_plan`]: when the sum over
 //!   admitted (queued + executing) jobs would exceed the configured
 //!   budget, the request is rejected with the numbers that said no
 //!   ([`ServeError::OverBudget`]).
@@ -38,7 +39,6 @@
 //! The implementation is plain threads + channels — no async executor, no
 //! external dependencies — matching the rest of the workspace.
 
-use ft_analysis::MemPlan;
 use ft_ir::Func;
 use ft_metrics::Metrics;
 use ft_runtime::{
@@ -373,7 +373,9 @@ impl Server {
         let m = &self.inner.metrics;
         m.counter("serve.requests").inc();
         let key = content_key(&req.func, &req.sizes);
-        let plan = MemPlan::plan(&req.func, &req.sizes);
+        // The plan the engine will run under: of the lowered function, so
+        // partial rows of privatized reductions are budgeted too.
+        let (_, plan) = ft_runtime::lower_and_plan(&req.func, &req.sizes);
         let peak_bytes = plan.run_peak_bytes(&req.func, &req.sizes);
         let (tx, rx) = mpsc::channel();
         {

@@ -127,6 +127,7 @@ fn injected_dependence_bug_is_caught_and_minimized() {
             &f,
             &case.inputs,
         )),
+        flaky: None,
     };
     let dir = std::env::temp_dir().join(format!("ftconf-injected-{}", std::process::id()));
     let path = repro.write(&dir).unwrap();
@@ -158,6 +159,7 @@ fn repro_files_replay() {
         grad: None,
         tol_rel: None,
         metrics: None,
+        flaky: None,
     };
     let parsed = Repro::from_json(&repro.to_json()).unwrap();
     assert_eq!(parsed.replay().unwrap().map(|d| d.message), None);

@@ -1,0 +1,743 @@
+//! `lower_cpu_parallel` — the IR→IR step between a scheduled function and
+//! the C emitter — and the determinism contract it buys (see `DESIGN.md`,
+//! "CPU parallel lowering and the determinism contract").
+//!
+//! * Directed IR cases, one per rule of the pass: each checks the shape of
+//!   the lowered tree and that lowered and original agree on the
+//!   interpreter.
+//! * `compiled_outputs_are_bit_identical_across_20_runs` and
+//!   `compiled_outputs_are_bit_identical_across_omp_num_threads` — the three
+//!   differentiated programs and the four committed searched schedules,
+//!   through `CompiledEngine`: one bit pattern run to run, and the same
+//!   pattern from child processes at `OMP_NUM_THREADS` = 1, 2 and 4.
+//! * `emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged` — no
+//!   `omp atomic`/`omp critical` in any of those programs' C, and the C of
+//!   the four forward rule-scheduled programs (full and small scale) still
+//!   hashes to what the commit before the lowering emitted.
+
+use freetensor::autodiff::GradOptions;
+use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
+use freetensor::autoschedule::Target;
+use freetensor::codegen::lower::{MAX_CHUNKS, PARTIAL_BYTES_CAP};
+use freetensor::codegen::{emit_c, lower_cpu_parallel};
+use freetensor::core::Program;
+use freetensor::ir::prelude::*;
+use freetensor::ir::{ForProperty, StmtId};
+use freetensor::runtime::{
+    cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, Scalar, TensorVal,
+};
+use freetensor::workloads::{data, gat, longformer, softras, subdivnet, Inputs};
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+fn omp() -> ForProperty {
+    ForProperty::parallel(ParallelScope::OpenMp)
+}
+
+/// `var[indices] op= value`, flagged the way `parallelize` flags a carried
+/// reduction.
+fn atomic<I>(var: &str, indices: I, op: ReduceOp, value: impl Into<Expr>) -> Stmt
+where
+    I: IntoIterator,
+    I::Item: Into<Expr>,
+{
+    let mut s = reduce(var, indices, op, value);
+    if let StmtKind::ReduceTo { atomic, .. } = &mut s.kind {
+        *atomic = true;
+    }
+    s
+}
+
+fn idx_at(i: &str) -> Expr {
+    Expr::cast(DataType::I64, load("idx", [var(i)]))
+}
+
+/// What the directed cases look at in a lowered tree.
+#[derive(Debug, Default)]
+struct Shape {
+    parallel_loops: Vec<String>,
+    vectorized_loops: Vec<String>,
+    atomics: usize,
+    defs: Vec<(String, Vec<Expr>)>,
+    /// Values stored into `*.part*` buffers: the fill identities.
+    fills: Vec<(String, Expr)>,
+}
+
+fn shape_of(f: &Func) -> Shape {
+    let mut sh = Shape::default();
+    f.body.walk(&mut |s| match &s.kind {
+        StmtKind::For { iter, property, .. } => {
+            if property.parallel.is_parallel() {
+                sh.parallel_loops.push(iter.clone());
+            }
+            if property.vectorize {
+                sh.vectorized_loops.push(iter.clone());
+            }
+        }
+        StmtKind::ReduceTo { atomic: true, .. } => sh.atomics += 1,
+        StmtKind::VarDef { name, shape, .. } => sh.defs.push((name.clone(), shape.clone())),
+        StmtKind::Store { var, value, .. } if var.contains(".part") => {
+            sh.fills.push((var.clone(), value.clone()));
+        }
+        _ => {}
+    });
+    sh
+}
+
+fn loops_with_id(f: &Func, id: StmtId) -> usize {
+    let mut n = 0;
+    f.body.walk(&mut |s| {
+        if s.id == id && matches!(s.kind, StmtKind::For { .. }) {
+            n += 1;
+        }
+    });
+    n
+}
+
+/// Lower `f`, check the invariants every lowering has, and check that the
+/// interpreter computes the same outputs from both trees.
+fn lower_checked(f: &Func, inputs: &Inputs, sizes: &HashMap<String, i64>) -> Func {
+    let lowered = lower_cpu_parallel(f).into_owned();
+    assert_eq!(shape_of(&lowered).atomics, 0, "{lowered}");
+    assert!(
+        matches!(lower_cpu_parallel(&lowered), Cow::Borrowed(_)),
+        "lowering is not idempotent:\n{lowered}"
+    );
+    emit_c(&lowered).unwrap_or_else(|e| panic!("emit_c rejected lowered IR: {e}\n{lowered}"));
+    let rt = Runtime::new();
+    let want = rt.run(f, inputs, sizes).expect("original runs");
+    let got = rt.run(&lowered, inputs, sizes).expect("lowered runs");
+    assert_eq!(want.outputs.len(), got.outputs.len());
+    for (name, w) in &want.outputs {
+        let g = got.output(name);
+        for i in 0..w.numel() {
+            let (w, g) = (w.get_flat(i).as_f64(), g.get_flat(i).as_f64());
+            assert!(
+                (w - g).abs() <= 1e-5 + 1e-5 * w.abs(),
+                "{name}[{i}]: original {w}, lowered {g}\n{lowered}"
+            );
+        }
+    }
+    lowered
+}
+
+fn no_sizes() -> HashMap<String, i64> {
+    HashMap::new()
+}
+
+/// `idx` (256 bins indices below `bins`) and `w` (256 weights).
+fn scatter_inputs(bins: usize) -> Inputs {
+    let idx: Vec<i32> = (0..256).map(|i| ((i * 37 + 11) % bins) as i32).collect();
+    let w: Vec<f32> = (0..256).map(|i| 0.25 + (i % 7) as f32 * 0.125).collect();
+    HashMap::from([
+        ("idx".to_string(), TensorVal::from_i32(&[256], idx)),
+        ("w".to_string(), TensorVal::from_f32(&[256], w)),
+    ])
+}
+
+fn scatter_func(bins: impl Into<Expr>, body: Stmt) -> Func {
+    Func::new("scatter")
+        .param("idx", [256], DataType::I32, AccessType::Input)
+        .param("w", [256], DataType::F32, AccessType::Input)
+        .param("h", [bins.into()], DataType::F32, AccessType::InOut)
+        .body(body)
+}
+
+#[test]
+fn carried_add_becomes_chunk_rows_and_an_ordered_merge() {
+    let l = for_with(
+        "i",
+        0,
+        256,
+        omp(),
+        atomic("h", [idx_at("i")], ReduceOp::Add, load("w", [var("i")])),
+    )
+    .with_label("L");
+    let id = l.id;
+    let f = scatter_func(64, l);
+    let mut inputs = scatter_inputs(64);
+    inputs.insert("h".to_string(), TensorVal::from_f32(&[64], vec![1.5; 64]));
+    let lowered = lower_checked(&f, &inputs, &no_sizes());
+    let sh = shape_of(&lowered);
+    // 64 f32 = 256 B per row: the chunk count tops out.
+    assert_eq!(
+        sh.defs,
+        [(
+            "h.part".to_string(),
+            vec![Expr::IntConst(MAX_CHUNKS as i64), Expr::IntConst(64)]
+        )],
+        "{lowered}"
+    );
+    // Chunk loop and merge: two parallel nests, both under L's id (a
+    // zeroed `VarDef` is the identity of `+=`, so nothing fills the rows);
+    // the chunk loop keeps L's label.
+    assert_eq!(sh.parallel_loops, ["i.chunk", "h.part.i0"], "{lowered}");
+    assert_eq!(loops_with_id(&lowered, id), 2, "{lowered}");
+    let labelled = find_stmts(&lowered.body, &|s| s.label.as_deref() == Some("L"));
+    assert_eq!(labelled.len(), 1, "{lowered}");
+    assert!(
+        matches!(&labelled[0].kind, StmtKind::For { iter, .. } if iter == "i.chunk"),
+        "{lowered}"
+    );
+    assert!(sh.fills.is_empty(), "{lowered}");
+}
+
+#[test]
+fn mul_min_max_rows_start_from_the_identity() {
+    let body = block([
+        atomic("pm", [idx_at("i")], ReduceOp::Mul, load("w", [var("i")])),
+        atomic("mn", [idx_at("i")], ReduceOp::Min, load("w", [var("i")])),
+        atomic("mx", [idx_at("i")], ReduceOp::Max, load("w", [var("i")])),
+        atomic("imx", [idx_at("i")], ReduceOp::Max, load("idx", [var("i")])),
+    ]);
+    let f = Func::new("ops")
+        .param("idx", [256], DataType::I32, AccessType::Input)
+        .param("w", [256], DataType::F32, AccessType::Input)
+        .param("pm", [4], DataType::F32, AccessType::InOut)
+        .param("mn", [4], DataType::F32, AccessType::InOut)
+        .param("mx", [4], DataType::F32, AccessType::InOut)
+        .param("imx", [4], DataType::I32, AccessType::InOut);
+    let mut inputs = scatter_inputs(4);
+    // Existing contents must survive: the merge folds rows *into* X.
+    inputs.insert("pm".to_string(), TensorVal::from_f32(&[4], vec![2.0; 4]));
+    inputs.insert(
+        "mn".to_string(),
+        TensorVal::from_f32(&[4], vec![0.3, 9.0, 0.1, 9.0]),
+    );
+    inputs.insert(
+        "mx".to_string(),
+        TensorVal::from_f32(&[4], vec![0.3, 9.0, 0.1, 9.0]),
+    );
+    inputs.insert(
+        "imx".to_string(),
+        TensorVal::from_i32(&[4], vec![-7, 100, 2, 0]),
+    );
+    let l = for_with("i", 0, 256, omp(), body);
+    let id = l.id;
+    let f = f.body(l);
+    let lowered = lower_checked(&f, &inputs, &no_sizes());
+    // Per target a fill and a merge nest, plus the chunk loop, all L's.
+    assert_eq!(loops_with_id(&lowered, id), 4 + 1 + 4, "{lowered}");
+    let mut fills = shape_of(&lowered).fills;
+    fills.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(
+        fills,
+        [
+            ("imx.part".to_string(), Expr::IntConst(i64::from(i32::MIN))),
+            ("mn.part".to_string(), Expr::FloatConst(f64::INFINITY)),
+            ("mx.part".to_string(), Expr::FloatConst(f64::NEG_INFINITY)),
+            ("pm.part".to_string(), Expr::FloatConst(1.0)),
+        ],
+        "{lowered}"
+    );
+}
+
+#[test]
+fn thread_private_target_only_loses_its_flag() {
+    // `t` lives inside L: the inner parallel mark made its reduction
+    // atomic, demoting that mark makes it plain.
+    let inner = for_with(
+        "j",
+        0,
+        8,
+        omp(),
+        atomic(
+            "t",
+            [var("j") % 2],
+            ReduceOp::Add,
+            load("x", [var("i"), var("j")]),
+        ),
+    );
+    let body = var_def(
+        "t",
+        [2],
+        DataType::F32,
+        MemType::CpuStack,
+        block([
+            inner,
+            store("y", [var("i")], load("t", [0]) - load("t", [1])),
+        ]),
+    );
+    let f = Func::new("private")
+        .param("x", [16, 8], DataType::F32, AccessType::Input)
+        .param("y", [16], DataType::F32, AccessType::Output)
+        .body(for_with("i", 0, 16, omp(), body));
+    let inputs = HashMap::from([("x".to_string(), data::features(&[16, 8], 5))]);
+    let lowered = lower_checked(&f, &inputs, &no_sizes());
+    let sh = shape_of(&lowered);
+    assert_eq!(sh.parallel_loops, ["i"], "{lowered}");
+    assert_eq!(
+        sh.defs.len(),
+        1,
+        "no partial for a private target:\n{lowered}"
+    );
+}
+
+/// The three ways a target cannot be privatized: the loop and everything in
+/// it run serially, without `simd` on the loop itself.
+#[test]
+fn unprivatizable_targets_serialize_the_loop() {
+    let red = || atomic("h", [idx_at("i")], ReduceOp::Add, load("w", [var("i")]));
+    let serial = |f: &Func, inputs: &Inputs, sizes: &HashMap<String, i64>, why: &str| {
+        let lowered = lower_checked(f, inputs, sizes);
+        let sh = shape_of(&lowered);
+        assert!(sh.parallel_loops.is_empty(), "{why}:\n{lowered}");
+        assert!(sh.vectorized_loops.is_empty(), "{why}:\n{lowered}");
+        assert!(sh.defs.is_empty(), "{why}:\n{lowered}");
+    };
+    let par_simd = ForProperty {
+        vectorize: true,
+        ..omp()
+    };
+
+    // A Store to the target inside L.
+    let body = block([if_(var("i").lt(4), store("h", [var("i")], 0.0f32)), red()]);
+    let f = scatter_func(64, for_with("i", 0, 256, par_simd, body));
+    let mut inputs = scatter_inputs(64);
+    inputs.insert("h".to_string(), TensorVal::from_f32(&[64], vec![1.0; 64]));
+    serial(&f, &inputs, &no_sizes(), "store inside L");
+
+    // A symbolic extent.
+    let f = scatter_func(var("n"), for_with("i", 0, 256, omp(), red())).size_param("n");
+    serial(
+        &f,
+        &inputs,
+        &HashMap::from([("n".to_string(), 64i64)]),
+        "symbolic extent",
+    );
+
+    // Two rows over the cap.
+    let bins = PARTIAL_BYTES_CAP as usize / 4 / 2 + 1;
+    let f = scatter_func(bins, for_with("i", 0, 256, omp(), red()));
+    let mut big = scatter_inputs(64);
+    big.insert("h".to_string(), TensorVal::zeros(DataType::F32, &[bins]));
+    serial(&f, &big, &no_sizes(), "over the byte cap");
+
+    // Loop bounds that read memory.
+    let f = scatter_func(
+        64,
+        for_with(
+            "i",
+            0,
+            Expr::cast(DataType::I64, load("idx", [0])),
+            omp(),
+            red(),
+        ),
+    );
+    serial(&f, &inputs, &no_sizes(), "bounds read a tensor");
+}
+
+#[test]
+fn only_the_outermost_parallel_mark_survives() {
+    let k = for_with(
+        "k",
+        0,
+        4,
+        ForProperty {
+            vectorize: true,
+            ..omp()
+        },
+        store(
+            "y",
+            [var("i"), var("j"), var("k")],
+            var("i") * 100 + var("j") * 10 + var("k"),
+        ),
+    );
+    let f = Func::new("nest3")
+        .param("y", [4, 4, 4], DataType::F32, AccessType::Output)
+        .body(for_with("i", 0, 4, omp(), for_with("j", 0, 4, omp(), k)));
+    let lowered = lower_checked(&f, &HashMap::new(), &no_sizes());
+    let sh = shape_of(&lowered);
+    assert_eq!(sh.parallel_loops, ["i"], "{lowered}");
+    assert_eq!(
+        sh.vectorized_loops,
+        ["k"],
+        "demotion keeps vectorize:\n{lowered}"
+    );
+}
+
+#[test]
+fn a_local_def_shadowing_the_target_is_left_alone() {
+    // Inside L, `h` is rebound: reductions under the inner def go to it,
+    // not to the partial of the outer `h`.
+    let inner = var_def(
+        "h",
+        [64],
+        DataType::F32,
+        MemType::CpuHeap,
+        block([
+            atomic("h", [idx_at("i")], ReduceOp::Add, 1.0f32),
+            store("y", [var("i")], load("h", [idx_at("i")])),
+        ]),
+    );
+    let body = block([
+        inner,
+        atomic("h", [idx_at("i")], ReduceOp::Add, load("w", [var("i")])),
+    ]);
+    let f = scatter_func(64, for_with("i", 0, 256, omp(), body)).param(
+        "y",
+        [256],
+        DataType::F32,
+        AccessType::Output,
+    );
+    let mut inputs = scatter_inputs(64);
+    inputs.insert("h".to_string(), TensorVal::zeros(DataType::F32, &[64]));
+    let lowered = lower_checked(&f, &inputs, &no_sizes());
+    let mut to_part = 0;
+    lowered.body.walk(&mut |s| {
+        if matches!(&s.kind, StmtKind::ReduceTo { var, .. } if var == "h.part") {
+            to_part += 1;
+        }
+    });
+    assert_eq!(to_part, 1, "{lowered}");
+}
+
+/// One plan for one function: the rows the lowering adds are in the plan
+/// the engine binds contexts to, live in the arena (no allocation on a warm
+/// call, no `calloc` in the C) and count against a server's memory budget.
+#[test]
+fn partial_rows_are_planned_arena_backed_and_budgeted() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // 4096 f32 bins = 16 KiB per row, 8 rows.
+    let red = atomic("h", [idx_at("i")], ReduceOp::Add, load("w", [var("i")]));
+    let f = scatter_func(4096, for_with("i", 0, 256, omp(), red));
+    let rows = MAX_CHUNKS * 4096 * 4;
+    let sizes = no_sizes();
+    let (lowered, plan) = freetensor::runtime::lower_and_plan(&f, &sizes);
+    assert!(plan.planned_peak_bytes >= rows, "{plan:?}");
+    let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
+    assert!(
+        c.contains("float* h_part = (float*)(__ft_arena_base + "),
+        "{c}"
+    );
+    assert!(!c.contains("calloc"), "{c}");
+
+    let mut inputs = scatter_inputs(4096);
+    inputs.insert("h".to_string(), TensorVal::zeros(DataType::F32, &[4096]));
+    let metrics = ft_metrics::Metrics::new();
+    let mut engine = CompiledEngine::new();
+    engine.set_metrics(Some(metrics.clone()));
+    let mut ctx = RunContext::new();
+    let cold = engine
+        .run_with(&f, &inputs, &sizes, &mut ctx)
+        .expect("cold run");
+    ctx.recycle(cold).expect("recycles");
+    let allocs = |m: &ft_metrics::Metrics| m.snapshot().counter("mem.arena.alloc_calls");
+    let before = allocs(&metrics);
+    for _ in 0..3 {
+        let r = engine
+            .run_with(&f, &inputs, &sizes, &mut ctx)
+            .expect("warm run");
+        ctx.recycle(r).expect("recycles");
+    }
+    assert_eq!(allocs(&metrics), before, "warm calls allocated");
+
+    let params = (256 + 256 + 4096) * 4;
+    let srv = freetensor::serve::Server::new(
+        freetensor::serve::ServeConfig {
+            workers: 0,
+            mem_budget_bytes: Some(params + rows / 2),
+            ..Default::default()
+        },
+        ft_metrics::Metrics::new(),
+    );
+    let req = freetensor::serve::Request::new(std::sync::Arc::new(f), inputs, sizes);
+    match srv.submit("a", req) {
+        Err(freetensor::serve::ServeError::OverBudget {
+            requested_bytes, ..
+        }) => assert!(requested_bytes >= params + rows, "{requested_bytes}"),
+        other => panic!("want OverBudget, got {:?}", other.map(|_| ())),
+    }
+}
+
+#[test]
+fn nothing_to_lower_is_returned_borrowed() {
+    let f = Func::new("axpy")
+        .param("x", [var("n")], DataType::F32, AccessType::Input)
+        .param("y", [var("n")], DataType::F32, AccessType::InOut)
+        .size_param("n")
+        .body(for_with(
+            "i",
+            0,
+            var("n"),
+            omp(),
+            block([
+                store(
+                    "y",
+                    [var("i")],
+                    load("y", [var("i")]) + load("x", [var("i")]),
+                ),
+                // A plain (non-atomic) reduction and a serial inner loop.
+                for_("j", 0, 2, reduce("y", [var("i")], ReduceOp::Add, 1.0f32)),
+            ]),
+        ));
+    assert!(matches!(lower_cpu_parallel(&f), Cow::Borrowed(_)));
+}
+
+// ---------------------------------------------------------------------------
+// The benchmark's programs: three gradients under the rule passes and the
+// four committed searched schedules.
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    Rules,
+    GradRules,
+    Searched,
+}
+
+fn source(name: &str, full: bool) -> String {
+    match (name, full) {
+        ("subdivnet", true) => subdivnet::source(&subdivnet::Params::default()),
+        ("subdivnet", false) => subdivnet::source(&subdivnet::Params {
+            n_faces: 128,
+            in_feats: 8,
+        }),
+        ("longformer", true) => longformer::source(&longformer::Params::default()),
+        ("longformer", false) => longformer::source(&longformer::Params {
+            seq_len: 96,
+            w: 8,
+            feat_len: 16,
+        }),
+        ("softras", true) => softras::source(&softras::Params::default()),
+        ("softras", false) => softras::source(&softras::Params {
+            h: 12,
+            w: 12,
+            n_faces: 12,
+            ..softras::Params::default()
+        }),
+        ("gat", true) => gat::source(&gat::Params::default()),
+        ("gat", false) => gat::source(&gat::Params {
+            n_nodes: 64,
+            degree: 4,
+            feat_len: 8,
+        }),
+        _ => unreachable!("unknown workload {name}"),
+    }
+}
+
+/// Full-scale inputs; a gradient also gets its seed tensor `<out>.grad`.
+fn inputs(name: &str, grad: bool) -> Inputs {
+    let (mut m, out, shape) = match name {
+        "subdivnet" => {
+            let p = subdivnet::Params::default();
+            (subdivnet::inputs(&p, 7), "y", vec![p.n_faces, p.in_feats])
+        }
+        "longformer" => {
+            let p = longformer::Params::default();
+            (longformer::inputs(&p, 7), "y", vec![p.seq_len, p.feat_len])
+        }
+        "softras" => {
+            let p = softras::Params::default();
+            (softras::inputs(&p, 7), "img", vec![p.pixels(), p.channels])
+        }
+        "gat" => {
+            let p = gat::Params::default();
+            (gat::inputs(&p, 7), "y", vec![p.n_nodes, p.feat_len])
+        }
+        _ => unreachable!("unknown workload {name}"),
+    };
+    if grad {
+        m.insert(format!("{out}.grad"), data::features(&shape, 99));
+    }
+    m
+}
+
+fn program(name: &str, full: bool, kind: Kind) -> Program {
+    let func = freetensor::libop::compile_with_libop(&source(name, full), name).expect("compiles");
+    let p = Program::from_func(func);
+    match kind {
+        Kind::Rules => p.optimize(&Target::cpu()),
+        Kind::GradRules => p
+            .grad(&GradOptions::default())
+            .expect("differentiable")
+            .optimize(&Target::cpu()),
+        Kind::Searched => {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("results/schedules")
+                .join(SavedSchedule::file_name(name, "cpu", "full"));
+            let text = std::fs::read_to_string(&path).expect("committed schedule");
+            let saved = SavedSchedule::from_json(&text).expect("schedule parses");
+            let (func, _) = prepare_candidate(p.func(), freetensor::ir::Device::Cpu, &saved.trace);
+            Program::from_schedule(freetensor::schedule::Schedule::new(func))
+        }
+    }
+}
+
+/// The seven programs whose C used to carry `omp atomic` or nested regions.
+fn lowered_programs() -> Vec<(String, Program, Inputs)> {
+    let mut v = Vec::new();
+    for name in ["subdivnet", "longformer", "softras"] {
+        v.push((
+            format!("{name}.grad"),
+            program(name, true, Kind::GradRules),
+            inputs(name, true),
+        ));
+    }
+    for name in ["subdivnet", "longformer", "softras", "gat"] {
+        v.push((
+            format!("{name}.searched"),
+            program(name, true, Kind::Searched),
+            inputs(name, false),
+        ));
+    }
+    v
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h = (*h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over names, shapes and raw element bits, in name order.
+fn output_hash(outputs: &HashMap<String, TensorVal>) -> u64 {
+    let mut names: Vec<&String> = outputs.keys().collect();
+    names.sort();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for name in names {
+        let t = &outputs[name];
+        fnv(&mut h, name.as_bytes());
+        for d in t.shape() {
+            fnv(&mut h, &d.to_le_bytes());
+        }
+        for i in 0..t.numel() {
+            let bits = match t.get_flat(i) {
+                Scalar::Float(f) => f.to_bits(),
+                Scalar::Int(v) => v as u64,
+                Scalar::Bool(b) => u64::from(b),
+            };
+            fnv(&mut h, &bits.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// One hash per program over `runs` compiled runs each; panics when two
+/// runs of a program differ in a single bit.
+fn compiled_hashes(runs: usize) -> Vec<(String, u64)> {
+    let engine = CompiledEngine::new();
+    let sizes = no_sizes();
+    lowered_programs()
+        .into_iter()
+        .map(|(label, p, inputs)| {
+            let mut ctx = RunContext::new();
+            let mut first = None;
+            for run in 0..runs {
+                let r = engine
+                    .run_with(p.func(), &inputs, &sizes, &mut ctx)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let h = output_hash(&r.outputs);
+                assert_eq!(
+                    *first.get_or_insert(h),
+                    h,
+                    "{label}: run {run} differs bitwise from run 0"
+                );
+                ctx.recycle(r).expect("recycles");
+            }
+            (label, first.expect("runs > 0"))
+        })
+        .collect()
+}
+
+#[test]
+fn compiled_outputs_are_bit_identical_across_20_runs() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    assert_eq!(compiled_hashes(20).len(), 7);
+}
+
+const HASH_LINE: &str = "FT_OUTPUT_HASHES ";
+
+/// Child side of the `OMP_NUM_THREADS` sweep (libgomp reads the variable
+/// once per process): prints one line of per-program output hashes.
+#[test]
+#[ignore = "helper: run by compiled_outputs_are_bit_identical_across_omp_num_threads"]
+fn print_compiled_output_hashes() {
+    let line: Vec<String> = compiled_hashes(2)
+        .into_iter()
+        .map(|(label, h)| format!("{label}={h:016x}"))
+        .collect();
+    println!("{HASH_LINE}{}", line.join(" "));
+}
+
+#[test]
+fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let hashes: Vec<String> = ["1", "2", "4"]
+        .iter()
+        .map(|threads| {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "print_compiled_output_hashes",
+                    "--ignored",
+                    "--nocapture",
+                ])
+                .env("OMP_NUM_THREADS", threads)
+                .output()
+                .expect("child test process runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "child at OMP_NUM_THREADS={threads} failed:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            stdout
+                .lines()
+                .find_map(|l| l.split_once(HASH_LINE).map(|(_, h)| h.to_string()))
+                .unwrap_or_else(|| panic!("no hash line from the child:\n{stdout}"))
+        })
+        .collect();
+    assert_eq!(hashes[0].split(' ').count(), 7, "{hashes:?}");
+    assert_eq!(hashes[0], hashes[1], "OMP_NUM_THREADS=1 vs 2");
+    assert_eq!(hashes[0], hashes[2], "OMP_NUM_THREADS=1 vs 4");
+}
+
+/// FNV-1a of `Program::emit_c()` for the forward rule-scheduled programs at
+/// the commit before `lower_cpu_parallel` existed (980b554): they hold no
+/// atomic reduction and no nested parallel mark, so the lowering must not
+/// have moved a byte.
+const FORWARD_RULE_C: [(&str, bool, u64); 8] = [
+    ("subdivnet", true, 0x398a_d8cc_0c5d_ff64),
+    ("subdivnet", false, 0x5335_d34c_540e_bfd6),
+    ("longformer", true, 0x62a8_2294_1e81_3537),
+    ("longformer", false, 0x3cda_07a6_cdef_2086),
+    ("softras", true, 0x663f_c44a_fe06_ab98),
+    ("softras", false, 0xd59c_df72_7204_139f),
+    ("gat", true, 0xf292_9ad3_d4f7_f5b5),
+    ("gat", false, 0x66e2_8000_1a63_13ad),
+];
+
+#[test]
+fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
+    for (label, p, _) in lowered_programs() {
+        assert!(
+            matches!(lower_cpu_parallel(p.func()), Cow::Owned(_)),
+            "{label} no longer exercises the lowering"
+        );
+        let c = p.emit_c();
+        assert!(
+            !c.contains("omp atomic") && !c.contains("omp critical"),
+            "{label}:\n{c}"
+        );
+    }
+    for (name, full, want) in FORWARD_RULE_C {
+        let p = program(name, full, Kind::Rules);
+        assert!(
+            matches!(lower_cpu_parallel(p.func()), Cow::Borrowed(_)),
+            "{name}"
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        fnv(&mut h, p.emit_c().as_bytes());
+        assert_eq!(h, want, "{name} (full scale: {full}) emits different C");
+    }
+}

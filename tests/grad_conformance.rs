@@ -106,6 +106,7 @@ fn injected_ad_fault_is_caught_shrunk_and_replays() {
             &f,
             &inputs,
         )),
+        flaky: None,
     };
     // JSON roundtrip, then replay from the parsed artifact alone: the
     // interpreter is deterministic, so the replay reproduces the exact
