@@ -749,13 +749,8 @@ impl MemPlan {
     /// Deterministic FNV-1a hash of the whole plan — identical programs
     /// yield identical hashes across processes and runs.
     pub fn plan_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = ft_ir::Fnv1a::new_p44();
+        let mut eat = |bytes: &[u8]| h.write(bytes);
         eat(&(self.n_params as u64).to_le_bytes());
         eat(&self.planned_peak_bytes.to_le_bytes());
         eat(&self.naive_peak_bytes.to_le_bytes());
@@ -768,7 +763,7 @@ impl MemPlan {
             eat(&u64::from(e.first).to_le_bytes());
             eat(&u64::from(e.last).to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Planned peak footprint of one *run* of `func` at these sizes: the

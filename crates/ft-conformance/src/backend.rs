@@ -1,32 +1,37 @@
 //! The execution backends a variant is pushed through.
 //!
 //! Every backend is driven through the common
-//! [`ExecutionEngine`](ft_runtime::ExecutionEngine) trait — the harness no
-//! longer special-cases how each one is invoked, only which one to
-//! construct.
+//! [`ExecutionEngine`](ft_runtime::ExecutionEngine) trait — the harness
+//! only chooses which engine to construct and, for [`Backend::Reordered`],
+//! which rewrite of the program to hand it.
 
-use ft_ir::{AccessType, Func};
+use ft_ir::mutate::{mutate_stmt_walk, subst_var_stmt, Mutator};
+use ft_ir::{find_stmt, AccessType, Expr, Func, ParallelScope, Stmt, StmtKind};
 use ft_runtime::{
-    CompiledEngine, ExecutionEngine, RunContext, Runtime, TensorVal, ThreadedEngine, VmRuntime,
+    cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, TensorVal, VmRuntime,
 };
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
-
-/// Worker threads used by the thread-parallel backend.
-pub const THREADS: usize = 4;
 
 /// One way of executing a scheduled function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Sequential instrumented interpreter ([`Runtime::run`]).
     Interp,
-    /// Real-thread parallel runtime ([`ThreadedEngine`]).
-    Threaded,
-    /// C codegen, compiled with the system compiler and executed as a child
-    /// process (stdout protocol).
-    Codegen,
-    /// Fast-mode bytecode VM ([`VmRuntime`]) — a wall-clock engine, with an
-    /// automatic interpreter fallback for statically untypable programs.
+    /// The interpreter on [`reverse_parallel_loops`] of the program: the
+    /// legality check of `parallelize`. A loop marked `OpenMp` claims its
+    /// iterations may run in any order, so running them last-to-first must
+    /// give the same answer (up to float reduction order, hence the sweep's
+    /// tolerance). An *illegal* mark — a carried dependence the analysis
+    /// missed — gives a wrong answer on every run, on any core count. It
+    /// proves order-independence only: it runs on one thread, so it says
+    /// nothing about races inside an engine's own parallel runtime (that is
+    /// what the bit-identity rows of [`Backend::Vm`] and
+    /// [`Backend::Compiled`] under real threads are for).
+    Reordered,
+    /// Bytecode VM ([`VmRuntime`]) — a wall-clock engine, with an automatic
+    /// interpreter fallback for statically untypable programs.
     Vm,
     /// Native compiled engine ([`CompiledEngine`]): C → `cc` → shared
     /// object, loaded and called in-process through the artifact cache.
@@ -34,10 +39,9 @@ pub enum Backend {
 }
 
 /// All backend variants, in sweep order.
-const ALL: [Backend; 5] = [
+const ALL: [Backend; 4] = [
     Backend::Interp,
-    Backend::Threaded,
-    Backend::Codegen,
+    Backend::Reordered,
     Backend::Vm,
     Backend::Compiled,
 ];
@@ -47,8 +51,7 @@ impl Backend {
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Interp => "interp",
-            Backend::Threaded => "threaded",
-            Backend::Codegen => "codegen",
+            Backend::Reordered => "reordered",
             Backend::Vm => "vm",
             Backend::Compiled => "compiled",
         }
@@ -59,16 +62,74 @@ impl Backend {
         ALL.into_iter().find(|b| b.name() == name)
     }
 
-    /// All backends usable in this environment: the two compiler-based
-    /// backends are included only when a C compiler is on `PATH`.
+    /// All backends usable in this environment: the compiled engine is
+    /// included only when a C compiler is on `PATH`.
     pub fn available() -> Vec<Backend> {
-        let mut v = vec![Backend::Interp, Backend::Threaded, Backend::Vm];
-        if crate::cjit::cc_available() {
-            v.push(Backend::Codegen);
+        let mut v = vec![Backend::Interp, Backend::Reordered, Backend::Vm];
+        if cc_available() {
             v.push(Backend::Compiled);
         }
         v
     }
+
+    /// The program this backend executes for `func`.
+    fn program<'a>(&self, func: &'a Func) -> Cow<'a, Func> {
+        match self {
+            Backend::Reordered => Cow::Owned(reverse_parallel_loops(func)),
+            _ => Cow::Borrowed(func),
+        }
+    }
+}
+
+/// Rewrite every `OpenMp` loop `for i in [b, e)` to visit its iterations in
+/// descending order, by substituting `i ↦ b + e − 1 − i` in the body. A
+/// loop whose body writes a tensor its own bounds read is left alone: the
+/// substitution re-reads the bounds on every use, where the loop read them
+/// once on entry.
+pub fn reverse_parallel_loops(func: &Func) -> Func {
+    struct Reverse;
+    impl Mutator for Reverse {
+        fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
+            let Stmt { id, label, kind } = mutate_stmt_walk(self, s);
+            let kind = match kind {
+                StmtKind::For {
+                    iter,
+                    begin,
+                    end,
+                    property,
+                    body,
+                } if property.parallel == ParallelScope::OpenMp
+                    && !writes_any(&body, &(&begin.loaded_vars() | &end.loaded_vars())) =>
+                {
+                    let mirrored = begin.clone() + end.clone() - 1 - Expr::Var(iter.clone());
+                    StmtKind::For {
+                        body: Box::new(subst_var_stmt(*body, &iter, &mirrored)),
+                        iter,
+                        begin,
+                        end,
+                        property,
+                    }
+                }
+                other => other,
+            };
+            Stmt { id, label, kind }
+        }
+    }
+    let mut out = func.clone();
+    out.body = Reverse.mutate_stmt(out.body);
+    out
+}
+
+/// Whether `body` stores to, reduces into or library-writes a tensor named
+/// in `names`.
+fn writes_any(body: &Stmt, names: &HashSet<String>) -> bool {
+    !names.is_empty()
+        && find_stmt(body, &|s| match &s.kind {
+            StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => names.contains(var),
+            StmtKind::LibCall { outputs, .. } => outputs.iter().any(|o| names.contains(o)),
+            _ => false,
+        })
+        .is_some()
 }
 
 /// The process-wide compiled engine: sharing one instance lets every
@@ -82,9 +143,7 @@ pub fn shared_compiled_engine() -> &'static CompiledEngine {
 /// Construct the engine behind a backend.
 pub fn engine_for(backend: Backend) -> Box<dyn ExecutionEngine> {
     match backend {
-        Backend::Interp => Box::new(Runtime::new()),
-        Backend::Threaded => Box::new(ThreadedEngine::new(THREADS)),
-        Backend::Codegen => Box::new(crate::cjit::CjitEngine),
+        Backend::Interp | Backend::Reordered => Box::new(Runtime::new()),
         Backend::Vm => Box::new(VmRuntime::new()),
         Backend::Compiled => Box::new(shared_compiled_engine().clone()),
     }
@@ -103,9 +162,9 @@ pub fn output_names(func: &Func) -> Vec<String> {
 ///
 /// # Errors
 ///
-/// A human-readable description of whatever failed — runtime error, C
-/// compilation failure, child timeout, or malformed child output. Errors
-/// are treated as divergences by the differential checker.
+/// A human-readable description of whatever failed — a runtime error or a
+/// C compilation failure. Errors are treated as divergences by the
+/// differential checker.
 pub fn run_backend(
     backend: Backend,
     func: &Func,
@@ -113,17 +172,16 @@ pub fn run_backend(
 ) -> Result<HashMap<String, TensorVal>, String> {
     let engine = engine_for(backend);
     engine
-        .run(func, inputs, &HashMap::new())
+        .run(&backend.program(func), inputs, &HashMap::new())
         .map(|r| r.outputs)
-        .map_err(|e| format!("{}: {e}", engine.name()))
+        .map_err(|e| format!("{}: {e}", backend.name()))
 }
 
 /// Execute `func` on `backend` through the *arena-planned* path: the engine
 /// runs with a reusable [`RunContext`] (memory-planned buffer pools, staging
-/// reuse), and the codegen backend emits through `emit_c_planned`. The
-/// context is warmed with one recycled run first, so the returned outputs
-/// come from the buffer-*reuse* steady state — the riskiest path, where a
-/// stale or mis-packed buffer would surface.
+/// reuse). The context is warmed with one recycled run first, so the
+/// returned outputs come from the buffer-*reuse* steady state — the riskiest
+/// path, where a stale or mis-packed buffer would surface.
 ///
 /// # Errors
 ///
@@ -133,18 +191,16 @@ pub fn run_backend_planned(
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
 ) -> Result<HashMap<String, TensorVal>, String> {
-    if backend == Backend::Codegen {
-        return crate::cjit::run_c_planned(func, inputs, &HashMap::new());
-    }
     let engine = engine_for(backend);
+    let func = backend.program(func);
     let mut ctx = RunContext::new();
-    if let Ok(warm) = engine.run_with(func, inputs, &HashMap::new(), &mut ctx) {
+    if let Ok(warm) = engine.run_with(&func, inputs, &HashMap::new(), &mut ctx) {
         ctx.recycle(warm).expect("recycle into bound context");
     }
     engine
-        .run_with(func, inputs, &HashMap::new(), &mut ctx)
+        .run_with(&func, inputs, &HashMap::new(), &mut ctx)
         .map(|r| r.outputs)
-        .map_err(|e| format!("{} (planned): {e}", engine.name()))
+        .map_err(|e| format!("{} (planned): {e}", backend.name()))
 }
 
 /// Re-run `func` on `backend` with a fresh metrics registry installed and
@@ -161,6 +217,92 @@ pub fn run_backend_telemetry(
     let mut engine = engine_for(backend);
     let metrics = ft_metrics::Metrics::new();
     engine.set_metrics(Some(metrics.clone()));
-    let _ = engine.run(func, inputs, &HashMap::new());
+    let _ = engine.run(&backend.program(func), inputs, &HashMap::new());
     metrics.snapshot()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::{apply_trace, ScheduleOp};
+
+    const N: usize = 1000;
+
+    fn compile(src: &str, name: &str) -> Func {
+        freetensor_core::Program::compile(src, name)
+            .expect("compiles")
+            .func()
+            .clone()
+    }
+
+    #[test]
+    fn legal_atomic_reductions_survive_reversal() {
+        // Both sums are carried by `i`, so the checked `parallelize` accepts
+        // the loop only by marking the two reductions atomic.
+        let base = compile(
+            &format!(
+                r#"
+def sums(x: f32[{N}] in, k: i32[{N}] in, fsum: f32[] out, isum: i32[] out):
+  for i in range({N}):
+    fsum += x[i]
+    isum += k[i]
+"#
+            ),
+            "sums",
+        );
+        let (func, accepted) = apply_trace(&base, &[ScheduleOp::Parallelize { loop_idx: 0 }]);
+        assert_eq!(accepted.len(), 1, "legal parallelize was rejected");
+        assert_ne!(
+            reverse_parallel_loops(&func).to_string(),
+            func.to_string(),
+            "the parallel loop was not reversed"
+        );
+        let x = TensorVal::from_f32(&[N], (0..N).map(|i| (i as f32 * 0.37).sin() * 3.0).collect());
+        let k = TensorVal::from_i32(&[N], (0..N as i32).map(|i| i * 7919 % 1013 - 500).collect());
+        let inputs: HashMap<String, TensorVal> =
+            [("x".to_string(), x), ("k".to_string(), k)].into_iter().collect();
+        let interp = run_backend(Backend::Interp, &func, &inputs).unwrap();
+        let reordered = run_backend(Backend::Reordered, &func, &inputs).unwrap();
+        // Integer addition is associative: exact. Float addition is not: the
+        // reversed sum lands on different low bits, inside the sweep's bound.
+        assert_eq!(interp["isum"], reordered["isum"]);
+        let d = interp["fsum"].max_abs_diff(&reordered["fsum"]);
+        assert!(d > 0.0, "reversal did not reassociate the float sum");
+        assert!(d <= crate::Config::default().tol, "float reduction drifted by {d:e}");
+    }
+
+    #[test]
+    fn reversal_exposes_a_carried_dependence_and_respects_loop_entry_bounds() {
+        // y[i] = y[i - 1] + 1 run last-to-first reads zeros: every cell is 1.
+        let rec = compile(
+            r#"
+def rec(y: f32[8] out):
+  for i in range(8):
+    y[i] = 1.0
+    if i > 0:
+      y[i] = y[i - 1] + 1.0
+"#,
+            "rec",
+        );
+        let (bad, accepted) = apply_trace(&rec, &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }]);
+        assert_eq!(accepted.len(), 1);
+        let out = run_backend(Backend::Reordered, &bad, &HashMap::new()).unwrap();
+        assert_eq!(out["y"].to_f64_vec(), vec![1.0; 8]);
+
+        // A loop that overwrites the tensor its own upper bound was read
+        // from must keep its order: mirroring would re-read the new bound.
+        let own_bound = compile(
+            r#"
+def shrink(n: i32[1] inout, y: f32[4] out):
+  for i in range(n[0]):
+    n[0] = 0
+    y[i] = 1.0
+"#,
+            "shrink",
+        );
+        let (marked, accepted) =
+            apply_trace(&own_bound, &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }]);
+        assert_eq!(accepted.len(), 1);
+        assert_eq!(reverse_parallel_loops(&marked).to_string(), marked.to_string());
+    }
 }

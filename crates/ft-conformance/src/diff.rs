@@ -116,19 +116,16 @@ fn diverge(backend: Backend, output: &str, err: f64, what: &str) -> Divergence {
 }
 
 /// Re-run `func` on `b` through the arena-planned path
-/// ([`run_backend_planned`]: memory-planned pools, warmed `RunContext`,
-/// planned C emission) and compare every output against the
-/// fresh-allocation outputs `plain` under `close` (`Ok` = agree, `Err` =
-/// worst element-wise error). The planner only moves buffers; it must never
-/// change what is computed, so deterministic backends are held to exact
-/// equality — callers relax `close` only for the threaded backend, whose
-/// lock-ordered reductions are not run-to-run reproducible to the bit.
+/// ([`run_backend_planned`]: memory-planned pools, warmed `RunContext`)
+/// and compare every output against the fresh-allocation outputs `plain`.
+/// The planner only moves buffers; it must never change what is computed,
+/// and every backend is run-to-run deterministic, so the two runs are held
+/// to exact equality.
 fn check_planned_path(
     b: Backend,
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
     plain: &HashMap<String, TensorVal>,
-    close: impl Fn(&TensorVal, &TensorVal) -> Result<(), f64>,
 ) -> Option<Divergence> {
     let planned = match run_backend_planned(b, func, inputs) {
         Ok(o) => o,
@@ -149,7 +146,8 @@ fn check_planned_path(
         if got.shape() != want.shape() {
             return Some(diverge(b, &name, f64::INFINITY, "planned run shape mismatch"));
         }
-        if let Err(d) = close(got, want) {
+        let d = got.max_abs_diff(want);
+        if d.is_nan() || d > 0.0 {
             return Some(diverge(
                 b,
                 &name,
@@ -168,9 +166,12 @@ fn check_planned_path(
 /// * each non-interpreter backend's *other* outputs against the
 ///   interpreter's, so secondary outputs are covered too;
 /// * each backend's *arena-planned* run (memory-planned pools through a
-///   warmed `RunContext`, planned C emission) against its fresh-allocation
-///   run — bit-identical on deterministic backends, within `tol` on the
-///   threaded backend ([`check_planned_path`]).
+///   warmed `RunContext`) against its fresh-allocation run, bit for bit
+///   ([`check_planned_path`]).
+///
+/// `tol` is what lets [`Backend::Reordered`] reassociate float reductions;
+/// the VM and the compiled engine sit far inside it (`tests/vm_fuzz.rs`
+/// holds the VM to bit-identity with the interpreter).
 ///
 /// Returns the first divergence found, or `None` when all agree.
 pub fn check_variant(
@@ -231,15 +232,7 @@ pub fn check_variant(
                 return Some(diverge(*b, &name, d, "values differ from oracle"));
             }
         }
-        let bound = if *b == Backend::Threaded { tol } else { 0.0 };
-        if let Some(d) = check_planned_path(*b, func, &case.inputs, &outs, |g, w| {
-            let d = g.max_abs_diff(w);
-            if d.is_nan() || d > bound {
-                Err(d)
-            } else {
-                Ok(())
-            }
-        }) {
+        if let Some(d) = check_planned_path(*b, func, &case.inputs, &outs) {
             return Some(d);
         }
     }
@@ -312,18 +305,7 @@ pub fn check_grad_variant(
                 return Some(diverge(*b, &name, d, what));
             }
         }
-        if let Some(d) = check_planned_path(*b, func, inputs, &outs, |g, w| {
-            if *b == Backend::Threaded {
-                grad_close(g, w, tol, scale)
-            } else {
-                let d = g.max_abs_diff(w);
-                if d.is_nan() || d > 0.0 {
-                    Err(d)
-                } else {
-                    Ok(())
-                }
-            }
-        }) {
+        if let Some(d) = check_planned_path(*b, func, inputs, &outs) {
             return Some(d);
         }
     }

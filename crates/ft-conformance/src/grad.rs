@@ -401,7 +401,7 @@ pub fn run_grad_conformance(cfg: &GradConfig) -> GradSummary {
     let mut summary = GradSummary::default();
     for w in Workload::ALL {
         for k in 0..cfg.samples_per_workload {
-            let stream = crate::fnv1a(w.name().as_bytes())
+            let stream = ft_ir::fnv1a_p44(w.name().as_bytes())
                 ^ cfg.seed
                 ^ GRAD_STREAM_SALT
                 ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);

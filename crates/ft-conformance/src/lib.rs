@@ -9,8 +9,9 @@
 //!    `fuse` / `parallelize` / `cache` / … — via proptest strategies, keeping
 //!    only the transformations the legality checks accept ([`ops`]);
 //! 3. execute the scheduled variant through every backend — the sequential
-//!    instrumented interpreter, the real-thread parallel runtime, and the C
-//!    codegen path (compiled with the system C compiler and *run*) — and
+//!    instrumented interpreter, the interpreter again with every parallel
+//!    loop reversed, the bytecode VM, and the native compiled engine (C
+//!    built with the system compiler, loaded and *run* in-process) — and
 //!    compare every output element-wise against the plain-Rust oracle
 //!    ([`diff`]);
 //! 4. on divergence, shrink the trace to a minimal failing prefix
@@ -30,7 +31,6 @@
 //! root are the CI drivers.
 
 pub mod backend;
-pub mod cjit;
 pub mod diff;
 pub mod grad;
 pub mod json;
@@ -61,8 +61,7 @@ pub struct Config {
     pub seed: u64,
     /// Maximum tolerated element-wise |backend − oracle| difference.
     pub tol: f64,
-    /// Backends to execute. Defaults to all three when a C compiler is
-    /// available, otherwise interpreter + threaded.
+    /// Backends to execute. Defaults to [`Backend::available`].
     pub backends: Vec<Backend>,
     /// Where JSON repros of divergences are written.
     pub out_dir: PathBuf,
@@ -146,16 +145,6 @@ impl Summary {
     }
 }
 
-/// FNV-1a, used to derive per-variant seeds deterministically.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Run the full differential sweep and return a per-variant summary.
 ///
 /// Divergent variants are shrunk to a minimal failing prefix and a JSON
@@ -165,7 +154,7 @@ pub fn run_conformance(cfg: &Config) -> Summary {
     let mut summary = Summary::default();
     for w in Workload::ALL {
         for k in 0..cfg.samples_per_workload {
-            let stream = fnv1a(w.name().as_bytes()) ^ cfg.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let stream = ft_ir::fnv1a_p44(w.name().as_bytes()) ^ cfg.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let input_seed = stream & 0xFFFF;
             let case = w.build(input_seed);
             let mut rng = TestRng::from_seed_u64(stream);

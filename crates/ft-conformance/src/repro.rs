@@ -338,7 +338,7 @@ mod tests {
         Repro {
             workload: "gat".to_string(),
             input_seed: 17,
-            backend: "threaded".to_string(),
+            backend: "reordered".to_string(),
             output: "y".to_string(),
             max_abs_err: 0.375,
             tol: 5e-4,
@@ -404,6 +404,16 @@ mod tests {
     fn malformed_json_is_rejected() {
         assert!(Repro::from_json("{}").is_err());
         assert!(Repro::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn a_repro_naming_a_removed_backend_is_a_structured_replay_error() {
+        // Files written before the threaded and child-process backends
+        // were deleted still parse; replaying one says what is wrong.
+        let mut r = sample();
+        r.backend = "threaded".to_string();
+        let parsed = Repro::from_json(&r.to_json()).unwrap();
+        assert_eq!(parsed.replay().unwrap_err(), "unknown backend `threaded`");
     }
 
     #[test]

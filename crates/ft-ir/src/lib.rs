@@ -37,6 +37,7 @@ pub mod builder;
 pub mod expr;
 pub mod find;
 pub mod func;
+pub mod hash;
 pub mod mutate;
 pub mod printer;
 pub mod stmt;
@@ -47,6 +48,7 @@ pub use builder::*;
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use find::{find_stmt, find_stmts, parent_map, LoopNest};
 pub use func::{Func, Param};
+pub use hash::{fnv1a, fnv1a_p44, Fnv1a};
 pub use mutate::Mutator;
 pub use stmt::{ForProperty, ReduceOp, Stmt, StmtId, StmtKind};
 pub use types::{AccessType, DataType, Device, MemType, ParallelScope};

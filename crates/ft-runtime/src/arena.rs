@@ -8,8 +8,6 @@
 //!
 //! * [`TensorPool`] — [`TensorVal`] buffers for the interpreter's executor
 //!   (`crate::compiled::ExecCtx`);
-//! * [`ThreadedBufPool`] — widened `f64` storage for the threaded engine,
-//!   shared behind a mutex so the coordinator reclaims scope-exit buffers;
 //! * [`NativeArena`] — the single flat allocation handed to generated C
 //!   (`unsigned char* __ft_arena`) by the compiled engine;
 //! * [`RunContext`] — owns all of the above plus converted input/output
@@ -26,12 +24,10 @@ use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::value::TensorVal;
 use ft_analysis::{MemPlan, ARENA_ALIGN};
-use ft_ir::{AccessType, DataType, Func, StmtId};
+use ft_ir::{AccessType, DataType, Func};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, TraceSink, Verdict, TRACK_RUNTIME};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Allocation-behavior counters of one pool (or of the staging layer).
 ///
@@ -240,70 +236,6 @@ impl TensorPool {
     }
 }
 
-/// Class-keyed free-lists of widened `f64` buffers for the threaded
-/// engine, addressed by the `VarDef`'s [`StmtId`] (the threaded engine
-/// walks the raw IR tree, so pre-order slot numbering is unavailable).
-#[derive(Debug)]
-pub(crate) struct ThreadedBufPool {
-    plan_hash: u64,
-    by_stmt: HashMap<StmtId, (usize, bool)>,
-    free: Vec<Vec<Vec<f64>>>,
-    pub(crate) stats: ArenaStats,
-}
-
-impl ThreadedBufPool {
-    pub(crate) fn new(plan: &MemPlan) -> ThreadedBufPool {
-        let by_stmt = plan
-            .entries
-            .iter()
-            .filter_map(|e| e.class.map(|c| (e.stmt, (c, e.must_zero))))
-            .collect();
-        ThreadedBufPool {
-            plan_hash: plan.plan_hash(),
-            by_stmt,
-            free: (0..plan.classes.len()).map(|_| Vec::new()).collect(),
-            stats: ArenaStats::default(),
-        }
-    }
-
-    pub(crate) fn plan_hash(&self) -> u64 {
-        self.plan_hash
-    }
-
-    /// A zero-semantics `f64` buffer of `numel` elements for def `id`.
-    /// Pooled storage skips the fill when write-before-read is proven.
-    pub(crate) fn take(&mut self, id: StmtId, numel: usize) -> Vec<f64> {
-        if let Some(&(class, must_zero)) = self.by_stmt.get(&id) {
-            if let Some(mut v) = self.free[class].pop() {
-                let grew = numel > v.capacity();
-                if must_zero {
-                    v.clear();
-                    v.resize(numel, 0.0);
-                } else {
-                    v.resize(numel, 0.0);
-                }
-                if grew {
-                    self.stats.miss(0);
-                } else {
-                    self.stats.hit();
-                }
-                return v;
-            }
-            self.stats.miss((numel * 8) as u64);
-        } else {
-            self.stats.miss(0);
-        }
-        vec![0.0; numel]
-    }
-
-    /// Return a scope-exited def's storage to its class free-list.
-    pub(crate) fn put(&mut self, id: StmtId, v: Vec<f64>) {
-        if let Some(&(class, _)) = self.by_stmt.get(&id) {
-            self.free[class].push(v);
-        }
-    }
-}
-
 /// The flat backing allocation handed to generated C as
 /// `unsigned char* __ft_arena`. Offsets inside are the plan's class
 /// offsets; the base pointer is aligned to [`ARENA_ALIGN`].
@@ -361,13 +293,8 @@ struct CtxBinding {
 /// parameter's value. Two runs with equal signatures bind buffers of
 /// identical names and byte sizes.
 fn shape_sig(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = ft_ir::Fnv1a::new();
+    let mut eat = |bytes: &[u8]| h.write(bytes);
     eat(func.name.as_bytes());
     for p in &func.params {
         eat(b"|p");
@@ -389,7 +316,7 @@ fn shape_sig(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
             eat(&v.to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 /// The bound program's output signature: every Output/InOut parameter with
@@ -416,9 +343,9 @@ fn output_sig(func: &Func, sizes: &HashMap<String, i64>) -> Vec<(String, Option<
 /// keyed by the memory-plan hash, plus named staging buffers that keep
 /// converted inputs and returned outputs alive between runs.
 ///
-/// A context is engine-agnostic — the same value may be threaded through
-/// the interpreter, the VM, the threaded engine and the compiled engine;
-/// each keeps its own pool slot. Feed finished results back with
+/// A context is engine-agnostic — the same value may be passed to the
+/// interpreter, the VM and the compiled engine; each keeps its own pool
+/// slot. Feed finished results back with
 /// [`recycle`](RunContext::recycle) so output buffers return to the
 /// staging area instead of being dropped.
 ///
@@ -437,7 +364,6 @@ fn output_sig(func: &Func, sizes: &HashMap<String, i64>) -> Vec<(String, Option<
 pub struct RunContext {
     pub(crate) tensor_pool: Option<TensorPool>,
     pub(crate) vm_pool: Option<crate::bytecode::VmPool>,
-    pub(crate) threaded_pool: Option<Arc<Mutex<ThreadedBufPool>>>,
     pub(crate) native_arena: Option<NativeArena>,
     pub(crate) staging: HashMap<String, TensorVal>,
     /// Staging-layer stats (pools carry their own).
@@ -513,7 +439,6 @@ impl RunContext {
     pub fn reset(&mut self) {
         self.tensor_pool = None;
         self.vm_pool = None;
-        self.threaded_pool = None;
         self.native_arena = None;
         self.staging.clear();
         self.stats.bytes_held = 0;
@@ -594,19 +519,6 @@ impl RunContext {
             self.tensor_pool = Some(TensorPool::new(plan));
         }
         self.tensor_pool.as_mut().expect("just filled")
-    }
-
-    /// The threaded engine's pool for `plan`, rebuilt on plan change.
-    pub(crate) fn threaded_pool_for(&mut self, plan: &MemPlan) -> Arc<Mutex<ThreadedBufPool>> {
-        let hash = plan.plan_hash();
-        if self
-            .threaded_pool
-            .as_ref()
-            .is_none_or(|p| p.lock().plan_hash() != hash)
-        {
-            self.threaded_pool = Some(Arc::new(Mutex::new(ThreadedBufPool::new(plan))));
-        }
-        self.threaded_pool.as_ref().expect("just filled").clone()
     }
 
     /// The compiled engine's flat arena for `plan`, rebuilt on plan change.

@@ -9,20 +9,14 @@
 //! loop with explicit jump offsets: no recursion, no allocation per
 //! statement, no hash lookups.
 //!
-//! Two modes ([`VmMode`]):
-//!
-//! * **Fast** — the wall-clock execution path. Performance counters, the
-//!   cache simulator and per-statement profiling are compiled *out* (only
-//!   the device-capacity accounting needed to reproduce out-of-memory
-//!   errors remains), and affine tensor indices inside the innermost loop
-//!   are strength-reduced to a per-iteration induction increment
-//!   (`off += stride`) hoisted into a loop preheader.
-//! * **Instrumented** — executes the same instruction stream annotated with
-//!   counting ops in exactly the interpreter's order, reproducing
-//!   [`PerfCounters`] (including the `f64` `modeled_cycles`) and the
-//!   per-statement profile *bit-for-bit*. Strength reduction is disabled so
-//!   every access runs through the same bounds-check/cache-model sequence
-//!   as the interpreter.
+//! The VM is the *portable fallback* engine — a wall-clock execution path
+//! for hosts without a C compiler. It models no device: performance
+//! counters, the cache simulator and per-statement profiling belong to the
+//! interpreter alone, and [`RunResult::counters`] comes back defaulted
+//! (only the device-capacity accounting needed to reproduce out-of-memory
+//! errors remains). Affine tensor indices inside the innermost loop are
+//! strength-reduced to a per-iteration induction increment
+//! (`off += stride`) hoisted into a loop preheader.
 //!
 //! Programs the static compiler cannot type (currently: `Select` whose arms
 //! evaluate to different runtime scalar kinds) and runs whose supplied
@@ -32,23 +26,20 @@
 //!
 //! ## Known, documented divergences (erroring programs only)
 //!
-//! On programs that *succeed*, outputs (all modes) and counters
-//! (instrumented mode) are bit-identical to the interpreter; the
-//! differential fuzz suite asserts this. Programs that *fail* may differ in
-//! the error payload (never in success/failure of instrumented runs on
-//! in-bounds programs):
+//! On programs that *succeed*, outputs are bit-identical to the
+//! interpreter; the differential fuzz suite asserts this. Programs that
+//! *fail* may differ in the error payload:
 //!
-//! * Fast-mode strength-reduced accesses check the *flat* offset against
-//!   `numel` instead of each dimension, so a program that indexes
-//!   out-of-bounds per-dimension but in-bounds flat is caught by the
-//!   interpreter and instrumented mode but not by fast mode, and the
-//!   out-of-bounds payload carries the flat offset.
+//! * Strength-reduced accesses check the *flat* offset against `numel`
+//!   instead of each dimension, so a program that indexes out-of-bounds
+//!   per-dimension but in-bounds flat is caught by the interpreter but not
+//!   by the VM, and the out-of-bounds payload carries the flat offset.
 //! * `VarDef`/parameter shapes are evaluated dimension-at-a-time by the
 //!   interpreter (erroring before later dimensions run) but
 //!   all-dims-then-convert by the VM.
 //! * Integer overflow wraps in the VM (as it does in interpreter release
 //!   builds) where a debug-build interpreter would panic.
-//! * Fast mode hoists loop-invariant index arithmetic — including loads
+//! * The VM hoists loop-invariant index arithmetic — including loads
 //!   from tensors the loop does not write, for accesses executed
 //!   unconditionally on every iteration — into the loop preheader. The
 //!   hoisted code only runs when the loop has at least one iteration, so
@@ -58,7 +49,7 @@
 //!   the interpreter.
 
 use crate::compiled::Compiled;
-use crate::counters::{CacheSim, PerfCounters, LINE};
+use crate::counters::PerfCounters;
 use crate::device::DeviceConfig;
 use crate::error::RuntimeError;
 use crate::interp::{RunResult, Runtime};
@@ -66,21 +57,9 @@ use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Scalar, TensorVal};
 use ft_ir::{AccessType, BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
 use ft_metrics::Metrics;
-use ft_trace::{ProfileNode, RunProfile, StmtCounters, TraceSink, TRACK_RUNTIME};
+use ft_trace::{ProfileNode, TraceSink, TRACK_RUNTIME};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-
-/// Execution mode of the VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[derive(Default)]
-pub enum VmMode {
-    /// Counters off, cache model off, strength reduction on: the wall-clock
-    /// path. [`RunResult::counters`] comes back defaulted.
-    #[default]
-    Fast,
-    /// Bit-exact [`PerfCounters`] / profile parity with the interpreter.
-    Instrumented,
-}
 
 /// Statically inferred scalar kind of a register, mirroring the
 /// interpreter's runtime [`Scalar`] variants.
@@ -189,15 +168,11 @@ enum Instr {
     BindParam { p: u32, shape: u32, ndim: u8 },
     LibCall { id: u32 },
 
-    /// `count_op` in the interpreter's exact position (instrumented only).
-    CountOp { float: bool },
-    LoopEnter { b: u32, e: u32, prof: u32, scope: ParallelScope },
-    LoopExit { b: u32, e: u32, scope: ParallelScope, vectorize: bool },
-    /// Fast mode: a whole innermost `vectorize`-marked loop fused into one
+    /// A whole innermost `vectorize`-marked loop fused into one
     /// wide kernel dispatch ([`VecSite`]). Carries no jump targets, so it
     /// relocates freely inside enclosing loop bodies.
     VecLoop { site: u32 },
-    /// Fast mode: a whole `OpenMp` loop run as a fork-join region on the
+    /// A whole `OpenMp` loop run as a fork-join region on the
     /// persistent worker pool ([`ParSite`]).
     ParRegion { site: u32 },
     Halt,
@@ -226,7 +201,6 @@ struct LibSite {
     inputs: Vec<usize>,
     outputs: Vec<usize>,
     attrs: Vec<i64>,
-    prof: usize,
 }
 
 /// A strength-reduced access used by a vectorized loop: the register
@@ -406,7 +380,6 @@ struct Compiler {
     /// Registers below this are permanently reserved (persists).
     floor: u32,
     max_regs: u32,
-    instrumented: bool,
     loops: Vec<LoopCtx>,
     /// Loop depth at which each tensor slot was defined (`Some(0)` for
     /// parameters), used to prove a tensor — and hence its shape — is
@@ -645,7 +618,7 @@ impl Compiler {
     }
 
     /// Emit a conversion between scalar kinds, mirroring the interpreter's
-    /// `as_f64`/`as_i64`/`as_bool` (which are free — no `count_op`).
+    /// `as_f64`/`as_i64`/`as_bool`.
     fn conv(&mut self, r: u32, from: Ty, to: Ty) -> u32 {
         if from == to {
             return r;
@@ -805,9 +778,6 @@ impl Compiler {
         t: usize,
         idx: &[crate::compiled::CExpr],
     ) -> Result<Option<u32>, Unsupported> {
-        if self.instrumented {
-            return Ok(None);
-        }
         let Some((s, cond_base)) = self.loops.last().map(|l| (l.s, l.cond_base)) else {
             return Ok(None);
         };
@@ -948,9 +918,6 @@ impl Compiler {
             E::Unary { op, a } => {
                 let mark = self.mark();
                 let (ra, ta) = self.expr(a)?;
-                if self.instrumented {
-                    self.emit(Instr::CountOp { float: ta == Ty::F });
-                }
                 use UnaryOp::*;
                 match op {
                     // The interpreter's catch-all passes Bool operands
@@ -995,11 +962,6 @@ impl Compiler {
                 let mark = self.mark();
                 let (ra, ta) = self.expr(a)?;
                 let (rb, tb) = self.expr(b)?;
-                if self.instrumented {
-                    self.emit(Instr::CountOp {
-                        float: ta == Ty::F || tb == Ty::F,
-                    });
-                }
                 use BinaryOp::*;
                 match op {
                     And | Or => {
@@ -1255,7 +1217,7 @@ impl Compiler {
                 inputs,
                 outputs,
                 attrs,
-                prof,
+                prof: _,
             } => {
                 let id = self.lib_sites.len() as u32;
                 self.lib_sites.push(LibSite {
@@ -1263,7 +1225,6 @@ impl Compiler {
                     inputs: inputs.clone(),
                     outputs: outputs.clone(),
                     attrs: attrs.clone(),
-                    prof: *prof,
                 });
                 self.emit(Instr::LibCall { id });
             }
@@ -1292,129 +1253,79 @@ impl Compiler {
         body: &crate::compiled::CStmt,
     ) -> Result<(), Unsupported> {
         let s_reg = s as u32;
-        if self.instrumented {
-            let rb = self.alloc_persist();
-            let re = self.alloc_persist();
-            let mark = self.mark();
-            let (r0, t0) = self.expr(begin)?;
-            let c0 = self.conv(r0, t0, Ty::I);
-            self.emit(Instr::Mov { dst: rb, src: c0 });
-            self.free_to(mark);
-            let (r1, t1) = self.expr(end)?;
-            let c1 = self.conv(r1, t1, Ty::I);
-            self.emit(Instr::Mov { dst: re, src: c1 });
-            self.free_to(mark);
-            self.emit(Instr::LoopEnter {
-                b: rb,
-                e: re,
-                prof: prof as u32,
-                scope,
-            });
-            self.emit(Instr::Mov {
-                dst: s_reg,
-                src: rb,
-            });
-            let guard = self.buf.len() as u32;
-            let gi = self.emit_idx(Instr::BrGeI {
+        // `end` cannot reference `s` (the lowering creates the iterator
+        // slot after lowering both bounds), so `s` can take the begin
+        // value before `end` evaluates.
+        let mark = self.mark();
+        let (r0, t0) = self.expr(begin)?;
+        let c0 = self.conv(r0, t0, Ty::I);
+        self.emit(Instr::Mov {
+            dst: s_reg,
+            src: c0,
+        });
+        self.free_to(mark);
+        let re = self.alloc_persist();
+        let mark2 = self.mark();
+        let (r1, t1) = self.expr(end)?;
+        let c1 = self.conv(r1, t1, Ty::I);
+        self.emit(Instr::Mov { dst: re, src: c1 });
+        self.free_to(mark2);
+        // Schedule marks, honored in priority order: an `OpenMp` loop
+        // becomes a pool region; failing that, a `vectorize` mark
+        // becomes a fused wide kernel; failing both, the plain
+        // strength-reduced serial loop below.
+        if scope == ParallelScope::OpenMp
+            && !self.in_region
+            && self.try_region(s, s_reg, re, prof, body)?
+        {
+            return Ok(());
+        }
+        if vectorize && self.try_vectorize(s, s_reg, re, prof, body)? {
+            return Ok(());
+        }
+        let mut writes = std::collections::HashSet::new();
+        collect_writes(body, &mut writes);
+        self.loops.push(LoopCtx::new(s, self.cond_depth, writes));
+        let mut body_buf = Vec::new();
+        std::mem::swap(&mut self.buf, &mut body_buf);
+        let r = self.stmt(body);
+        std::mem::swap(&mut self.buf, &mut body_buf);
+        let ctx = self.loops.pop().expect("pushed above");
+        r?;
+        // Preheader (offset bases + numeric stride probes), then the
+        // guard, then the relocated body, then the induction latches.
+        // When the preheader can fault (hoisted invariant loads), a
+        // zero-trip pre-guard skips it entirely so an empty loop never
+        // touches memory it would not have touched under the
+        // interpreter.
+        let pre_gi = if ctx.faulty_preheader {
+            Some(self.emit_idx(Instr::BrGeI {
                 a: s_reg,
                 b: re,
                 to: 0,
-            });
-            // Instrumented mode never strength-reduces, so the loop context
-            // carries no write-set.
-            self.loops.push(LoopCtx::new(
-                s,
-                self.cond_depth,
-                std::collections::HashSet::new(),
-            ));
-            let r = self.stmt(body);
-            self.loops.pop();
-            r?;
-            self.emit(Instr::AddImmI { dst: s_reg, v: 1 });
-            self.emit(Instr::Jmp { to: guard });
-            let exit = self.buf.len() as u32;
-            self.patch(gi, exit);
-            self.emit(Instr::LoopExit {
-                b: rb,
-                e: re,
-                scope,
-                vectorize,
-            });
+            }))
         } else {
-            // `end` cannot reference `s` (the lowering creates the iterator
-            // slot after lowering both bounds), so `s` can take the begin
-            // value before `end` evaluates.
-            let mark = self.mark();
-            let (r0, t0) = self.expr(begin)?;
-            let c0 = self.conv(r0, t0, Ty::I);
-            self.emit(Instr::Mov {
-                dst: s_reg,
-                src: c0,
-            });
-            self.free_to(mark);
-            let re = self.alloc_persist();
-            let mark2 = self.mark();
-            let (r1, t1) = self.expr(end)?;
-            let c1 = self.conv(r1, t1, Ty::I);
-            self.emit(Instr::Mov { dst: re, src: c1 });
-            self.free_to(mark2);
-            // Schedule marks, honored in priority order: an `OpenMp` loop
-            // becomes a pool region; failing that, a `vectorize` mark
-            // becomes a fused wide kernel; failing both, the plain
-            // strength-reduced serial loop below.
-            if scope == ParallelScope::OpenMp
-                && !self.in_region
-                && self.try_region(s, s_reg, re, prof, body)?
-            {
-                return Ok(());
-            }
-            if vectorize && self.try_vectorize(s, s_reg, re, prof, body)? {
-                return Ok(());
-            }
-            let mut writes = std::collections::HashSet::new();
-            collect_writes(body, &mut writes);
-            self.loops.push(LoopCtx::new(s, self.cond_depth, writes));
-            let mut body_buf = Vec::new();
-            std::mem::swap(&mut self.buf, &mut body_buf);
-            let r = self.stmt(body);
-            std::mem::swap(&mut self.buf, &mut body_buf);
-            let ctx = self.loops.pop().expect("pushed above");
-            r?;
-            // Preheader (offset bases + numeric stride probes), then the
-            // guard, then the relocated body, then the induction latches.
-            // When the preheader can fault (hoisted invariant loads), a
-            // zero-trip pre-guard skips it entirely so an empty loop never
-            // touches memory it would not have touched under the
-            // interpreter.
-            let pre_gi = if ctx.faulty_preheader {
-                Some(self.emit_idx(Instr::BrGeI {
-                    a: s_reg,
-                    b: re,
-                    to: 0,
-                }))
-            } else {
-                None
-            };
-            self.buf.extend(ctx.preheader);
-            let guard = self.buf.len() as u32;
-            let gi = self.emit_idx(Instr::BrGeI {
-                a: s_reg,
-                b: re,
-                to: 0,
-            });
-            let base = self.buf.len() as u32;
-            for ins in body_buf {
-                let ins = reloc(ins, base);
-                self.buf.push(ins);
-            }
-            self.buf.extend(ctx.latches);
-            self.emit(Instr::AddImmI { dst: s_reg, v: 1 });
-            self.emit(Instr::Jmp { to: guard });
-            let exit = self.buf.len() as u32;
-            self.patch(gi, exit);
-            if let Some(pg) = pre_gi {
-                self.patch(pg, exit);
-            }
+            None
+        };
+        self.buf.extend(ctx.preheader);
+        let guard = self.buf.len() as u32;
+        let gi = self.emit_idx(Instr::BrGeI {
+            a: s_reg,
+            b: re,
+            to: 0,
+        });
+        let base = self.buf.len() as u32;
+        for ins in body_buf {
+            let ins = reloc(ins, base);
+            self.buf.push(ins);
+        }
+        self.buf.extend(ctx.latches);
+        self.emit(Instr::AddImmI { dst: s_reg, v: 1 });
+        self.emit(Instr::Jmp { to: guard });
+        let exit = self.buf.len() as u32;
+        self.patch(gi, exit);
+        if let Some(pg) = pre_gi {
+            self.patch(pg, exit);
         }
         Ok(())
     }
@@ -1883,16 +1794,12 @@ fn scan_region(
 }
 
 /// Lower a [`Compiled`] function into a VM program.
-pub(crate) fn compile_program(
-    c: &Compiled,
-    instrumented: bool,
-) -> Result<VmProgram, Unsupported> {
+pub(crate) fn compile_program(c: &Compiled) -> Result<VmProgram, Unsupported> {
     let mut cp = Compiler {
         buf: Vec::new(),
         next: c.n_scalars as u32,
         floor: c.n_scalars as u32,
         max_regs: c.n_scalars as u32,
-        instrumented,
         loops: Vec::new(),
         cond_depth: 0,
         depth_of: vec![None; c.n_tensors],
@@ -1971,8 +1878,6 @@ struct VTensor {
     numel: usize,
     dtype: DataType,
     mtype: MemType,
-    /// Simulated base address (instrumented mode's cache model).
-    base: u64,
     bytes: u64,
 }
 
@@ -1992,7 +1897,6 @@ impl VTensor {
             numel,
             dtype,
             mtype,
-            base: 0,
             bytes: (numel * dtype.size_bytes()) as u64,
         }
     }
@@ -2004,7 +1908,6 @@ impl VTensor {
             numel: v.numel(),
             dtype: v.dtype(),
             mtype,
-            base: 0,
             bytes: v.size_bytes() as u64,
         }
     }
@@ -2090,7 +1993,6 @@ impl VTensor {
         self.shape.extend_from_slice(shape);
         self.numel = numel;
         self.mtype = mtype;
-        self.base = 0;
         self.bytes = (numel * dtype.size_bytes()) as u64;
         Some(grew)
     }
@@ -2176,8 +2078,7 @@ impl VmPool {
 /// runs (region code contains no `Alloc`/`Free`/`BindParam` for non-local
 /// tensors, and privatized slots are masked worker-local). Transient `&mut`
 /// views of one shared slot may coexist across workers only under that
-/// disjoint-write proof — the same contract the threaded backend's shared
-/// buffers rely on.
+/// disjoint-write proof.
 struct SharedSlots(*mut Option<VTensor>);
 unsafe impl Send for SharedSlots {}
 unsafe impl Sync for SharedSlots {}
@@ -2220,29 +2121,21 @@ struct VmState<'a> {
     names: &'a [String],
     regs: Vec<u64>,
     tensors: Vec<Option<VTensor>>,
-    instrumented: bool,
-    counters: PerfCounters,
-    cache: Option<CacheSim>,
-    next_addr: u64,
-    gpu_depth: usize,
-    prof: Option<Vec<StmtCounters>>,
-    prof_cur: usize,
-    /// `(saved prof_cur, modeled_cycles at entry)` per open loop.
-    loop_stack: Vec<(usize, f64)>,
-    /// Fast-mode live-byte accounting, `[cpu, gpu]`.
+    /// Live bytes per device, `[cpu, gpu]` — the capacity accounting that
+    /// reproduces the interpreter's out-of-memory errors.
     live: [u64; 2],
     /// Inside a fork-join region: the coordinator's slots plus the mask of
     /// slots that stay worker-private (region locals and privatized
     /// reduction targets).
     shared: Option<(&'a SharedSlots, &'a [bool])>,
-    /// Fast-mode dispatch tallies, present only when the owning
+    /// Dispatch tallies, present only when the owning
     /// [`VmRuntime`] has a metrics registry. Coordinator-thread only:
     /// worker states inside a fork-join region run untallied, so the
     /// counts are independent of worker count.
     tally: Option<VmTally>,
     /// Plan-driven buffer pool for `Alloc`/`Free` storage. Coordinator
-    /// only — fork-join worker states run with `None`; accounting
-    /// (instrumented counters and fast-mode live bytes) is unchanged.
+    /// only — fork-join worker states run with `None`; live-byte
+    /// accounting is unchanged.
     arena: Option<VmPool>,
 }
 
@@ -2398,131 +2291,31 @@ impl VmState<'_> {
         Ok(())
     }
 
-    /// Mirror of `ExecCtx::count_op`.
-    fn count_op(&mut self, float: bool) {
-        if float {
-            self.counters.flops += 1;
-        } else {
-            self.counters.int_ops += 1;
-        }
-        self.counters.modeled_cycles += self.config.cost_op;
-        if let Some(p) = self.prof.as_mut() {
-            let c = &mut p[self.prof_cur];
-            if float {
-                c.flops += 1;
-            } else {
-                c.int_ops += 1;
-            }
-            c.cycles += self.config.cost_op;
-        }
-    }
-
-    /// Mirror of `ExecCtx::record_access`.
-    fn record_access(&mut self, t: usize, off: usize) {
-        let vt = self.slot(t).as_ref().expect("checked by caller");
-        let bytes = vt.dtype.size_bytes() as u64;
-        let mtype = vt.mtype;
-        let base = vt.base;
-        match mtype {
-            MemType::CpuHeap | MemType::GpuGlobal => {
-                self.counters.heap_bytes += bytes;
-                self.counters.l2_bytes += bytes;
-                let cache = self.cache.as_mut().expect("instrumented");
-                let addr = base + off as u64 * bytes;
-                let m0 = cache.misses;
-                cache.access(addr, bytes);
-                let misses = cache.misses - m0;
-                let cyc = if misses > 0 {
-                    misses as f64 * self.config.cost_dram
-                } else {
-                    self.config.cost_l2
-                };
-                self.counters.dram_bytes += misses * LINE;
-                self.counters.modeled_cycles += cyc;
-                if let Some(p) = self.prof.as_mut() {
-                    let c = &mut p[self.prof_cur];
-                    c.heap_bytes += bytes;
-                    c.l2_bytes += bytes;
-                    c.dram_bytes += misses * LINE;
-                    c.cycles += cyc;
-                }
-            }
-            MemType::CpuStack | MemType::GpuShared | MemType::GpuLocal => {
-                self.counters.scratch_bytes += bytes;
-                self.counters.modeled_cycles += self.config.cost_scratch;
-                if let Some(p) = self.prof.as_mut() {
-                    let c = &mut p[self.prof_cur];
-                    c.scratch_bytes += bytes;
-                    c.cycles += self.config.cost_scratch;
-                }
-            }
-        }
-    }
-
-    /// Mirror of `ExecCtx::charge_bulk`.
-    fn charge_bulk(&mut self, bytes: u64, flops: u64, cycles: f64) {
-        self.counters.heap_bytes += bytes;
-        self.counters.l2_bytes += bytes;
-        self.counters.dram_bytes += bytes;
-        self.counters.flops += flops;
-        let cyc = cycles + (bytes as f64 / LINE as f64) * self.config.cost_dram / 4.0;
-        self.counters.modeled_cycles += cyc;
-        if let Some(p) = self.prof.as_mut() {
-            let c = &mut p[self.prof_cur];
-            c.heap_bytes += bytes;
-            c.l2_bytes += bytes;
-            c.dram_bytes += bytes;
-            c.flops += flops;
-            c.cycles += cyc;
-        }
-    }
-
-    /// Capacity check + accounting, mirroring `ExecCtx::alloc` in
-    /// instrumented mode and keeping only the OOM check in fast mode.
-    fn account_alloc(&mut self, t: usize, mut vt: VTensor) -> Result<(), RuntimeError> {
+    /// The capacity check of `ExecCtx::alloc` (same `OutOfMemory` payload)
+    /// without its counters.
+    fn account_alloc(&mut self, t: usize, vt: VTensor) -> Result<(), RuntimeError> {
         let device = vt.mtype.device();
         let bytes = vt.bytes;
         let capacity = self.config.capacity(device) as u64;
-        if self.instrumented {
-            let dev_name = device.to_string();
-            let live = *self.counters.live_bytes.get(&dev_name).unwrap_or(&0);
-            if live + bytes > capacity {
-                return Err(RuntimeError::OutOfMemory {
-                    device,
-                    requested: bytes,
-                    live,
-                    capacity,
-                });
-            }
-            self.counters.alloc(&dev_name, bytes);
-            vt.base = self.next_addr;
-            self.next_addr += bytes.div_ceil(LINE) * LINE;
-        } else {
-            let di = dev_index(device);
-            let live = self.live[di];
-            if live + bytes > capacity {
-                return Err(RuntimeError::OutOfMemory {
-                    device,
-                    requested: bytes,
-                    live,
-                    capacity,
-                });
-            }
-            self.live[di] = live + bytes;
+        let di = dev_index(device);
+        let live = self.live[di];
+        if live + bytes > capacity {
+            return Err(RuntimeError::OutOfMemory {
+                device,
+                requested: bytes,
+                live,
+                capacity,
+            });
         }
+        self.live[di] = live + bytes;
         *self.slot_mut(t) = Some(vt);
         Ok(())
     }
 
     fn account_free(&mut self, t: usize) -> Option<VTensor> {
         self.slot_mut(t).take().inspect(|vt| {
-            let device = vt.mtype.device();
-            if self.instrumented {
-                self.counters.free(&device.to_string(), vt.bytes);
-            } else {
-                let di = dev_index(device);
-                self.live[di] = self.live[di].saturating_sub(vt.bytes);
-            }
+            let di = dev_index(vt.mtype.device());
+            self.live[di] = self.live[di].saturating_sub(vt.bytes);
         })
     }
 
@@ -2538,8 +2331,8 @@ impl VmState<'_> {
         }
     }
 
-    /// Dispatch a `LibCall` site (same kernels, accounting and error payloads
-    /// as `crate::libkernel::dispatch_slots`).
+    /// Dispatch a `LibCall` site (same kernels and error payloads as
+    /// `crate::libkernel::dispatch_slots`).
     fn libcall(&mut self, prog: &VmProgram, site: &LibSite) -> Result<(), RuntimeError> {
         match site.kernel.as_str() {
             "matmul" => {
@@ -2571,16 +2364,6 @@ impl VmState<'_> {
                     .as_mut()
                     .expect("fetched above");
                 vt.buf = Buf::of_tensor_val(&c);
-                if self.instrumented {
-                    let elem = 4u64;
-                    let bytes = ((m * k + k * n + 2 * m * n) as u64) * elem;
-                    let flops = (2 * m * k * n) as u64;
-                    self.charge_bulk(
-                        bytes,
-                        flops,
-                        flops as f64 / crate::libkernel::LIB_EFFICIENCY,
-                    );
-                }
                 Ok(())
             }
             other => Err(RuntimeError::UnknownKernel(other.to_string())),
@@ -2877,9 +2660,6 @@ impl VmState<'_> {
                         Buf::B(v) => v[o] as u64,
                     };
                     self.regs[*dst as usize] = bits;
-                    if self.instrumented {
-                        self.record_access(ti, o);
-                    }
                 }
                 Instr::LoadFlat { t, off, dst } => {
                     let ti = *t as usize;
@@ -2900,9 +2680,6 @@ impl VmState<'_> {
                         .as_mut()
                         .expect("Off checked")
                         .store_scalar(o, v);
-                    if self.instrumented {
-                        self.record_access(ti, o);
-                    }
                 }
                 Instr::StoreFlat { t, off, src, sty } => {
                     let ti = *t as usize;
@@ -2921,20 +2698,11 @@ impl VmState<'_> {
                     let o = self.regs[*off as usize] as usize;
                     let v = self.scalar_of(*src, *sty);
                     let old = self.slot(ti).as_ref().expect("Off checked").scalar_at(o);
-                    if self.instrumented {
-                        self.record_access(ti, o);
-                        self.count_op(
-                            matches!(old, Scalar::Float(_)) || matches!(v, Scalar::Float(_)),
-                        );
-                    }
                     let new = crate::interp::apply_reduce(*op, old, v);
                     self.slot_mut(ti)
                         .as_mut()
                         .expect("Off checked")
                         .store_scalar(o, new);
-                    if self.instrumented {
-                        self.record_access(ti, o);
-                    }
                 }
                 Instr::ReduceFlat {
                     t,
@@ -3010,57 +2778,7 @@ impl VmState<'_> {
                     self.account_alloc(ti, vt)?;
                 }
                 Instr::LibCall { id } => {
-                    let site = &prog.lib_sites[*id as usize];
-                    let saved = self.prof_cur;
-                    if let Some(p) = self.prof.as_mut() {
-                        self.prof_cur = site.prof;
-                        p[site.prof].trips += 1;
-                    }
-                    let r = self.libcall(prog, site);
-                    self.prof_cur = saved;
-                    r?;
-                }
-                Instr::CountOp { float } => self.count_op(*float),
-                Instr::LoopEnter { b, e, prof, scope } => {
-                    let bv = self.ri(*b);
-                    let ev = self.ri(*e);
-                    let entering_gpu = scope.is_gpu() && self.gpu_depth == 0;
-                    if entering_gpu {
-                        self.counters.kernel_launches += 1;
-                        self.counters.modeled_cycles += self.config.cost_kernel_launch;
-                    }
-                    if scope.is_gpu() {
-                        self.gpu_depth += 1;
-                    }
-                    let saved = self.prof_cur;
-                    if let Some(p) = self.prof.as_mut() {
-                        self.prof_cur = *prof as usize;
-                        p[*prof as usize].trips += (ev - bv).max(0) as u64;
-                    }
-                    self.loop_stack.push((saved, self.counters.modeled_cycles));
-                }
-                Instr::LoopExit {
-                    b,
-                    e,
-                    scope,
-                    vectorize,
-                } => {
-                    let (saved, before) = self.loop_stack.pop().expect("balanced loops");
-                    self.prof_cur = saved;
-                    if scope.is_gpu() {
-                        self.gpu_depth -= 1;
-                    }
-                    let bv = self.ri(*b);
-                    let ev = self.ri(*e);
-                    let mut width = self.config.width(*scope) as f64;
-                    if *vectorize {
-                        width *= 8.0;
-                    }
-                    if width > 1.0 && ev > bv {
-                        let delta = self.counters.modeled_cycles - before;
-                        let eff = width.min((ev - bv) as f64);
-                        self.counters.modeled_cycles = before + delta / eff;
-                    }
+                    self.libcall(prog, &prog.lib_sites[*id as usize])?;
                 }
                 Instr::VecLoop { site } => {
                     self.exec_vec(&prog.vec_sites[*site as usize])?;
@@ -3501,14 +3219,6 @@ impl VmState<'_> {
                 names,
                 regs: std::mem::take(&mut acc.0),
                 tensors: std::mem::take(&mut acc.1),
-                instrumented: false,
-                counters: PerfCounters::default(),
-                cache: None,
-                next_addr: 0,
-                gpu_depth: 0,
-                prof: None,
-                prof_cur: 0,
-                loop_stack: Vec::new(),
                 live,
                 shared: Some((&shared, mask)),
                 tally: None,
@@ -3560,31 +3270,21 @@ impl VmState<'_> {
 /// [`Runtime`](crate::interp::Runtime).
 #[derive(Debug, Clone, Default)]
 pub struct VmRuntime {
-    /// Modeled platform parameters (used by instrumented mode and by the
-    /// out-of-memory checks in both modes).
+    /// Modeled platform parameters: device capacities for the
+    /// out-of-memory checks, and the device model of interpreter fallbacks.
     pub config: DeviceConfig,
-    mode: VmMode,
     sink: Option<TraceSink>,
     metrics: Option<Metrics>,
 }
 
 
 impl VmRuntime {
-    /// A fast-mode VM with the default device model.
+    /// A VM with the default device model.
     pub fn new() -> VmRuntime {
         VmRuntime::default()
     }
 
-    /// An instrumented-mode VM (bit-exact counter parity with the
-    /// interpreter) with the default device model.
-    pub fn instrumented() -> VmRuntime {
-        VmRuntime {
-            mode: VmMode::Instrumented,
-            ..VmRuntime::default()
-        }
-    }
-
-    /// A fast-mode VM with an explicit device model.
+    /// A VM with an explicit device model.
     pub fn with_config(config: DeviceConfig) -> VmRuntime {
         VmRuntime {
             config,
@@ -3592,20 +3292,8 @@ impl VmRuntime {
         }
     }
 
-    /// Switch execution mode.
-    pub fn with_mode(mut self, mode: VmMode) -> VmRuntime {
-        self.mode = mode;
-        self
-    }
-
-    /// The current execution mode.
-    pub fn mode(&self) -> VmMode {
-        self.mode
-    }
-
     /// Install (or remove) a trace sink. A sink records a `"vm <name>"`
-    /// runtime span per run and, in instrumented mode, the same
-    /// per-statement [`RunProfile`] the interpreter emits.
+    /// runtime span per run plus one `vm.lower` span per lowering decision.
     pub fn set_sink(&mut self, sink: Option<TraceSink>) {
         self.sink = sink;
     }
@@ -3616,7 +3304,7 @@ impl VmRuntime {
     }
 
     /// Install (or remove) a metrics registry. When present, every run
-    /// records an `engine.vm.run_us` wall histogram, fast-mode fused-kernel
+    /// records an `engine.vm.run_us` wall histogram, fused-kernel
     /// dispatch counters (`vm.kernel.*`) with an `engine.vm.kernel_ns`
     /// dispatch-wall histogram, parallel-region scheduling counters
     /// (`vm.par.{pool,serial}`), worker-pool claim counters, and an
@@ -3667,11 +3355,10 @@ impl VmRuntime {
                     .get(&compiled.tensor_names[*slot])
                     .is_some_and(|t| t.dtype() != *dtype)
         });
-        let instrumented = self.mode == VmMode::Instrumented;
         let prog = if dtype_mismatch {
             Err(Unsupported("input.dtype_mismatch"))
         } else {
-            compile_program(&compiled, instrumented)
+            compile_program(&compiled)
         };
         let prog = match prog {
             Ok(p) => p,
@@ -3714,13 +3401,12 @@ impl VmRuntime {
                 });
             }
         }
-        let mut span = self
+        let _span = self
             .sink
             .as_ref()
             .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
-        // One span per lowering decision (fast mode only — instrumented
-        // compilation takes none), so a trace explains which loops became
-        // wide kernels or pool regions and why the rest did not.
+        // One span per lowering decision, so a trace explains which loops
+        // became wide kernels or pool regions and why the rest did not.
         if let Some(sink) = &self.sink {
             for d in &prog.decisions {
                 let mut sp = sink.span_on(TRACK_RUNTIME, "vm.lower", d.kind);
@@ -3734,16 +3420,6 @@ impl VmRuntime {
             names: &prog.tensor_names,
             regs: vec![0; prog.n_regs],
             tensors: (0..prog.n_tensors).map(|_| None).collect(),
-            instrumented,
-            counters: PerfCounters::default(),
-            cache: instrumented
-                .then(|| CacheSim::new(self.config.l2_size, self.config.l2_ways)),
-            next_addr: 0x1000,
-            gpu_depth: 0,
-            prof: (instrumented && self.sink.is_some())
-                .then(|| vec![StmtCounters::default(); prog.prof_nodes.len()]),
-            prof_cur: 0,
-            loop_stack: Vec::new(),
             live: [0, 0],
             shared: None,
             tally: self.metrics.as_ref().map(|m| VmTally {
@@ -3807,34 +3483,14 @@ impl VmRuntime {
                 outputs.insert(name, vt.into_tensor_val());
             }
         }
-        if instrumented {
-            if let (Some(sink), Some(buckets)) = (&self.sink, st.prof.take()) {
-                let mut nodes = prog.prof_nodes.clone();
-                for (n, c) in nodes.iter_mut().zip(buckets) {
-                    n.counters = c;
-                }
-                sink.profile(RunProfile {
-                    func: func.name.clone(),
-                    nodes,
-                });
-                if let Some(sp) = span.as_mut() {
-                    sp.arg("modeled_cycles", format!("{:.0}", st.counters.modeled_cycles));
-                    sp.arg("flops", st.counters.flops);
-                }
-            }
-        }
         Ok(RunResult {
             outputs,
-            counters: if instrumented {
-                st.counters
-            } else {
-                PerfCounters::default()
-            },
+            counters: PerfCounters::default(),
         })
     }
 }
 
-/// Execute a function on the fast-mode VM and return its outputs.
+/// Execute a function on the VM and return its outputs.
 ///
 /// # Errors
 ///
@@ -3866,9 +3522,8 @@ mod tests {
         )
     }
 
-    /// Run `f` on the interpreter and on both VM modes; outputs must be
-    /// bit-identical everywhere and the instrumented VM's counters must
-    /// equal the interpreter's exactly (f64 `modeled_cycles` included).
+    /// Run `f` on the interpreter and on the VM; outputs must be
+    /// bit-identical and the VM must report no counters.
     fn assert_parity(
         f: &Func,
         inputs: &[(&str, TensorVal)],
@@ -3876,18 +3531,9 @@ mod tests {
     ) -> RunResult {
         let (ins, szs) = maps(inputs, sizes);
         let ri = Runtime::new().run(f, &ins, &szs).expect("interp ok");
-        let rf = VmRuntime::new().run(f, &ins, &szs).expect("fast vm ok");
-        let rv = VmRuntime::instrumented()
-            .run(f, &ins, &szs)
-            .expect("instrumented vm ok");
-        assert_eq!(ri.outputs, rf.outputs, "fast-mode outputs differ");
-        assert_eq!(ri.outputs, rv.outputs, "instrumented outputs differ");
-        assert_eq!(ri.counters, rv.counters, "instrumented counters differ");
-        assert_eq!(
-            rf.counters,
-            PerfCounters::default(),
-            "fast mode must not count"
-        );
+        let rv = VmRuntime::new().run(f, &ins, &szs).expect("vm ok");
+        assert_eq!(ri.outputs, rv.outputs, "vm outputs differ");
+        assert_eq!(rv.counters, PerfCounters::default(), "the vm must not count");
         ri
     }
 
@@ -3967,9 +3613,9 @@ mod tests {
         assert_eq!(r.output("y").to_f64_vec(), vec![7.0, -1.0, 3.0, -1.0]);
     }
 
-    /// One function exercising every instrumentation source: GPU kernel
-    /// launches, vectorized width scaling, scratch memory, float and int
-    /// reductions, casts, intrinsics, `Pow` and `Mod`.
+    /// One function mixing GPU-scoped loops, a vectorized reduction,
+    /// scratch memory, float and int reductions, casts, intrinsics, `Pow`
+    /// and `Mod`.
     fn mixed_workload() -> Func {
         let vec_prop = ForProperty {
             vectorize: true,
@@ -4058,42 +3704,17 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_counters_match_interp_exactly() {
+    fn mixed_workload_matches_interp_and_emits_a_vm_span() {
         let x = TensorVal::from_f32(&[64], (0..64).map(|v| (v as f32 - 31.0) * 0.5).collect());
-        let r = assert_parity(&mixed_workload(), &[("x", x)], &[]);
-        assert_eq!(r.counters.kernel_launches, 1);
-        assert!(r.counters.scratch_bytes > 0);
-        assert!(r.counters.flops > 0 && r.counters.int_ops > 0);
-    }
-
-    #[test]
-    fn profile_and_span_parity() {
-        let x = TensorVal::from_f32(&[64], (0..64).map(|v| v as f32 * 0.1).collect());
-        let (ins, szs) = maps(&[("x", x)], &[]);
         let f = mixed_workload();
+        assert_parity(&f, &[("x", x.clone())], &[]);
 
-        let interp_sink = TraceSink::new();
-        let mut rt = Runtime::new();
-        rt.set_sink(Some(interp_sink.clone()));
-        rt.run(&f, &ins, &szs).expect("interp ok");
-
-        let vm_sink = TraceSink::new();
-        let mut vm = VmRuntime::instrumented();
-        vm.set_sink(Some(vm_sink.clone()));
+        let (ins, szs) = maps(&[("x", x)], &[]);
+        let sink = TraceSink::new();
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(sink.clone()));
         vm.run(&f, &ins, &szs).expect("vm ok");
-
-        let pi = interp_sink.profiles();
-        let pv = vm_sink.profiles();
-        assert_eq!(pi.len(), 1);
-        assert_eq!(pv.len(), 1);
-        assert_eq!(pi[0].func, pv[0].func);
-        assert_eq!(pi[0].nodes.len(), pv[0].nodes.len());
-        for (a, b) in pi[0].nodes.iter().zip(&pv[0].nodes) {
-            assert_eq!(a.desc, b.desc);
-            assert_eq!(a.parent, b.parent);
-            assert_eq!(a.counters, b.counters, "profile bucket for {}", a.desc);
-        }
-        let names: Vec<String> = vm_sink.events().into_iter().map(|e| e.name).collect();
+        let names: Vec<String> = sink.events().into_iter().map(|e| e.name).collect();
         assert!(
             names.iter().any(|n| n == "vm mix"),
             "expected a vm span, got {names:?}"
@@ -4196,15 +3817,13 @@ mod tests {
         let (ins, szs) = maps(&[("x", x)], &[]);
         let ei = Runtime::new().run(&f, &ins, &szs).unwrap_err();
         let ef = VmRuntime::new().run(&f, &ins, &szs).unwrap_err();
-        let ev = VmRuntime::instrumented().run(&f, &ins, &szs).unwrap_err();
         assert_eq!(ei, RuntimeError::DivisionByZero);
         assert_eq!(ei, ef);
-        assert_eq!(ei, ev);
     }
 
     #[test]
     fn error_parity_out_of_bounds_and_missing_input() {
-        // A data-dependent index keeps even fast mode on the generic
+        // A data-dependent index keeps the VM on the generic
         // (per-dimension checked) path, so the error payload is identical.
         let f = Func::new("oob")
             .param("idx", [1], DataType::I64, AccessType::Input)
@@ -4316,10 +3935,8 @@ mod tests {
         let (ins, szs) = maps(&[], &[]);
         let ei = Runtime::new().run(&f, &ins, &szs).unwrap_err();
         let ef = VmRuntime::new().run(&f, &ins, &szs).unwrap_err();
-        let ev = VmRuntime::instrumented().run(&f, &ins, &szs).unwrap_err();
         assert!(matches!(ei, RuntimeError::OutOfMemory { .. }));
         assert_eq!(ei, ef);
-        assert_eq!(ei, ev);
     }
 
     #[test]
@@ -4334,7 +3951,7 @@ mod tests {
                 store("y", [var("i")], load("x", [var("i")])),
             ));
         let c = crate::compiled::compile(&affine).unwrap();
-        let prog = compile_program(&c, false).expect("typable");
+        let prog = compile_program(&c).expect("typable");
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadFlat { .. })),
             "affine load should strength-reduce"
@@ -4355,21 +3972,10 @@ mod tests {
                 store("y", [var("i")], load("x", [load("idx", [var("i")])])),
             ));
         let c = crate::compiled::compile(&gather).unwrap();
-        let prog = compile_program(&c, false).expect("typable");
+        let prog = compile_program(&c).expect("typable");
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadT { .. })),
             "gather load must stay on the generic checked path"
-        );
-
-        // Instrumented mode never strength-reduces (it must observe every
-        // access through the cache model).
-        let prog = compile_program(&c, true).expect("typable");
-        assert!(
-            !prog.code.iter().any(|i| matches!(
-                i,
-                Instr::LoadFlat { .. } | Instr::StoreFlat { .. } | Instr::ReduceFlat { .. }
-            )),
-            "instrumented mode must not emit flat accesses"
         );
     }
 
@@ -4413,7 +4019,7 @@ mod tests {
                 ),
             ));
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c, false).expect("typable");
+        let prog = compile_program(&c).expect("typable");
         let flat_loads = prog
             .code
             .iter()
@@ -4553,7 +4159,7 @@ mod tests {
     /// Filter the lowering decision log by span kind, as (accepted, detail).
     fn decisions_of(f: &Func, kind: &str) -> Vec<(bool, String)> {
         let c = crate::compiled::compile(f).unwrap();
-        let prog = compile_program(&c, false).expect("typable");
+        let prog = compile_program(&c).expect("typable");
         prog.decisions
             .iter()
             .filter(|d| d.kind == kind)
@@ -4654,7 +4260,7 @@ mod tests {
     fn every_vectorize_kernel_shape_lowers() {
         let f = all_kernels_func();
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c, false).expect("typable");
+        let prog = compile_program(&c).expect("typable");
         let veclooops = prog
             .code
             .iter()
@@ -4675,13 +4281,6 @@ mod tests {
         assert_eq!(
             accepted,
             ["axpy", "axpy", "copy", "dot", "fill", "hreduce", "hreduce", "hreduce"]
-        );
-        // The instrumented VM must observe every scalar access: no fused
-        // kernels there, ever.
-        let prog = compile_program(&c, true).expect("typable");
-        assert!(
-            !prog.code.iter().any(|i| matches!(i, Instr::VecLoop { .. })),
-            "instrumented mode must not vectorize"
         );
     }
 

@@ -170,30 +170,6 @@ impl PerfCounters {
         }
     }
 
-    /// Merge another counter set into this one (used by threaded execution
-    /// and long accumulation loops). Saturating on every `u64` field: near
-    /// the top of the range a sum pins at `u64::MAX` instead of wrapping to
-    /// a small number — a wrapped total would silently pass "counters look
-    /// plausible" checks while being off by 2^64.
-    pub fn merge(&mut self, other: &PerfCounters) {
-        self.kernel_launches = self.kernel_launches.saturating_add(other.kernel_launches);
-        self.flops = self.flops.saturating_add(other.flops);
-        self.int_ops = self.int_ops.saturating_add(other.int_ops);
-        self.dram_bytes = self.dram_bytes.saturating_add(other.dram_bytes);
-        self.l2_bytes = self.l2_bytes.saturating_add(other.l2_bytes);
-        self.scratch_bytes = self.scratch_bytes.saturating_add(other.scratch_bytes);
-        self.heap_bytes = self.heap_bytes.saturating_add(other.heap_bytes);
-        self.modeled_cycles += other.modeled_cycles;
-        for (k, v) in &other.live_bytes {
-            let live = self.live_bytes.entry(k.clone()).or_insert(0);
-            *live = live.saturating_add(*v);
-        }
-        for (k, v) in &other.peak_bytes {
-            let p = self.peak_bytes.entry(k.clone()).or_insert(0);
-            *p = (*p).max(*v);
-        }
-    }
-
     /// The search objective of this run: quantized `modeled_cycles` first,
     /// `dram_bytes` as the tiebreak. See [`ScheduleScore`].
     pub fn score(&self) -> ScheduleScore {
@@ -374,55 +350,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_alloc_saturate_instead_of_wrapping() {
-        let mut a = PerfCounters {
-            flops: u64::MAX - 1,
-            heap_bytes: u64::MAX,
-            ..Default::default()
-        };
-        a.alloc("cpu", u64::MAX - 8);
-        let mut b = PerfCounters {
-            flops: 5,
-            heap_bytes: 1,
-            ..Default::default()
-        };
-        b.alloc("cpu", 64);
-        a.merge(&b);
-        assert_eq!(a.flops, u64::MAX);
-        assert_eq!(a.heap_bytes, u64::MAX);
-        assert_eq!(a.live_bytes["cpu"], u64::MAX);
-        // alloc near the top also pins rather than wrapping.
+    fn alloc_saturates_instead_of_wrapping() {
         let mut p = PerfCounters::default();
         p.alloc("gpu", u64::MAX - 1);
         assert_eq!(p.alloc("gpu", 100), u64::MAX);
         assert_eq!(p.peak_bytes["gpu"], u64::MAX);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PerfCounters {
-            flops: 10,
-            kernel_launches: 2,
-            ..Default::default()
-        };
-        a.alloc("gpu", 100);
-        let mut b = PerfCounters {
-            flops: 5,
-            dram_bytes: 64,
-            kernel_launches: 3,
-            ..Default::default()
-        };
-        b.alloc("gpu", 40);
-        b.alloc("cpu", 8);
-        a.merge(&b);
-        assert_eq!(a.flops, 15);
-        assert_eq!(a.dram_bytes, 64);
-        assert_eq!(a.kernel_launches, 5);
-        // live_bytes merges by summation (both sides still hold their
-        // allocations); peak_bytes merges by max.
-        assert_eq!(a.live_bytes["gpu"], 140);
-        assert_eq!(a.live_bytes["cpu"], 8);
-        assert_eq!(a.peak_bytes["gpu"], 100);
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct DeviceConfig {
     pub cost_op: f64,
     /// Modeled fixed overhead of one kernel launch, in cycles.
     pub cost_kernel_launch: f64,
-    /// Number of real worker threads used by [`crate::run_threaded`].
-    pub real_threads: usize,
 }
 
 impl Default for DeviceConfig {
@@ -59,7 +57,6 @@ impl Default for DeviceConfig {
             cost_scratch: 1.0,
             cost_op: 1.0,
             cost_kernel_launch: 10_000.0,
-            real_threads: 4,
         }
     }
 }

@@ -1,20 +1,22 @@
-//! A common interface over the execution engines.
+//! A common interface over the three execution engines.
 //!
-//! The interpreter, the threaded mode, the bytecode VM, and the native
-//! compiled engine all answer the same question — "run this lowered `Func`
-//! on these tensors" — but grew separate entry points, so every harness
-//! (bench, conformance, examples) special-cased each backend. The
-//! [`ExecutionEngine`] trait is the single seam: one `run` signature
+//! Each engine exists for one role: the interpreter ([`Runtime`]) is the
+//! reference semantics and the device model every other engine is diffed
+//! against; the bytecode VM ([`VmRuntime`]) is the portable fallback for
+//! hosts without a C compiler; the native compiled engine
+//! ([`CompiledEngine`](crate::native::CompiledEngine)) is the production
+//! path and the paper's execution model. All three answer the same
+//! question — "run this lowered `Func` on these tensors" — and the
+//! [`ExecutionEngine`] trait is the single seam harnesses (bench,
+//! conformance, serving, examples) drive them through: one `run` signature
 //! returning the interpreter's [`RunResult`], plus trace-sink plumbing so
 //! drivers can wire provenance uniformly.
 
 use crate::arena::RunContext;
 use crate::bytecode::VmRuntime;
-use crate::counters::PerfCounters;
 use crate::error::RuntimeError;
 use crate::interp::{RunResult, Runtime};
 use crate::pool::{PoolStatsSnapshot, WorkerPool};
-use crate::threaded::{run_threaded_pooled, run_threaded_traced};
 use crate::value::TensorVal;
 use ft_ir::Func;
 use ft_metrics::Metrics;
@@ -24,8 +26,7 @@ use std::collections::HashMap;
 /// Publish the worker-pool statistics accumulated since `before` into `m`:
 /// `pool.regions[.inline]`, `pool.chunks.{submitter,helper}` counters, the
 /// monotone `pool.queue.peak_depth` gauge, and the last run's
-/// `pool.claim.imbalance_pct` gauge. Shared by every engine that schedules
-/// regions on [`WorkerPool::global`].
+/// `pool.claim.imbalance_pct` gauge.
 pub(crate) fn record_pool_delta(m: &Metrics, before: &PoolStatsSnapshot) {
     let d = WorkerPool::global().stats().delta_since(before);
     m.counter("pool.regions").add(d.regions);
@@ -41,15 +42,14 @@ pub(crate) fn record_pool_delta(m: &Metrics, before: &PoolStatsSnapshot) {
 
 /// An execution backend for lowered functions.
 ///
-/// Engines differ in *how* they execute (tree-walking, bytecode, real
-/// threads, compiled native code) and in what instrumentation they can
-/// report — counters are zero for engines that do not model the device —
-/// but all satisfy the interpreter's parameter semantics: inputs are
-/// read-only, `InOut` params are copied in and returned, `Output` params
-/// are zero-initialized.
+/// Engines differ in *how* they execute (tree-walking, bytecode, compiled
+/// native code) and in what instrumentation they can report — counters are
+/// zero for the two engines that do not model the device — but all satisfy
+/// the interpreter's parameter semantics: inputs are read-only, `InOut`
+/// params are copied in and returned, `Output` params are zero-initialized.
 pub trait ExecutionEngine {
-    /// Short stable identifier (`"interp"`, `"threaded"`, `"vm"`,
-    /// `"compiled"`), used in reports and trace spans.
+    /// Short stable identifier (`"interp"`, `"vm"`, `"compiled"`), used in
+    /// reports and trace spans.
     fn name(&self) -> &'static str;
 
     /// Execute `func` with the given input tensors and size parameters.
@@ -73,17 +73,14 @@ pub trait ExecutionEngine {
     /// zero tensor heap allocations in steady state (observable via the
     /// `mem.arena.*` metrics). Results are bit-identical to `run`. Feed
     /// each result back with [`RunContext::recycle`] to return output
-    /// buffers to the context. The default ignores the context.
+    /// buffers to the context.
     fn run_with(
         &self,
         func: &Func,
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
         ctx: &mut RunContext,
-    ) -> Result<RunResult, RuntimeError> {
-        let _ = ctx;
-        self.run(func, inputs, sizes)
-    }
+    ) -> Result<RunResult, RuntimeError>;
 
     /// Install (or remove) a trace sink.
     fn set_sink(&mut self, sink: Option<TraceSink>);
@@ -94,16 +91,11 @@ pub trait ExecutionEngine {
     /// Install (or remove) a metrics registry. Engines record per-run wall
     /// histograms (`engine.<name>.run_us`), error counters, and whatever
     /// backend-specific telemetry they own (cache counters, kernel dispatch
-    /// counts, pool claims). The default does nothing, for backends without
-    /// instrumentation.
-    fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        let _ = metrics;
-    }
+    /// counts, pool claims).
+    fn set_metrics(&mut self, metrics: Option<Metrics>);
 
     /// The installed metrics registry, if any.
-    fn metrics(&self) -> Option<&Metrics> {
-        None
-    }
+    fn metrics(&self) -> Option<&Metrics>;
 }
 
 impl ExecutionEngine for Runtime {
@@ -188,116 +180,6 @@ impl ExecutionEngine for VmRuntime {
     }
 }
 
-/// The thread-parallel mode behind the common trait: `OpenMp` loops run on
-/// real threads from the persistent worker pool. Counters are not modeled
-/// (they come back zero), matching `run_threaded`'s contract.
-#[derive(Debug, Clone)]
-pub struct ThreadedEngine {
-    /// Worker thread count for parallel loops.
-    pub threads: usize,
-    sink: Option<TraceSink>,
-    metrics: Option<Metrics>,
-}
-
-impl ThreadedEngine {
-    /// An engine running parallel loops on `threads` workers.
-    pub fn new(threads: usize) -> ThreadedEngine {
-        ThreadedEngine {
-            threads: threads.max(1),
-            sink: None,
-            metrics: None,
-        }
-    }
-}
-
-impl ExecutionEngine for ThreadedEngine {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn run(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let pool_before = self.metrics.as_ref().map(|_| WorkerPool::global().stats());
-        let r = run_threaded_traced(func, inputs, sizes, self.threads, self.sink.as_ref());
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.threaded.run_us")
-                .record_duration_us(t0.elapsed());
-            if let Some(before) = &pool_before {
-                record_pool_delta(m, before);
-            }
-            if r.is_err() {
-                m.counter("engine.threaded.errors").inc();
-            }
-        }
-        Ok(RunResult {
-            outputs: r?,
-            counters: PerfCounters::default(),
-        })
-    }
-
-    fn run_with(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        ctx: &mut RunContext,
-    ) -> Result<RunResult, RuntimeError> {
-        let plan = ft_analysis::MemPlan::plan(func, sizes);
-        ctx.ensure_bound(func, sizes, &plan)?;
-        crate::arena::publish_plan(self.sink.as_ref(), self.metrics.as_ref(), &func.name, &plan);
-        let pool = ctx.threaded_pool_for(&plan);
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let pool_before = self.metrics.as_ref().map(|_| WorkerPool::global().stats());
-        let r = run_threaded_pooled(
-            func,
-            inputs,
-            sizes,
-            self.threads,
-            self.sink.as_ref(),
-            Some(pool.clone()),
-        );
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.threaded.run_us")
-                .record_duration_us(t0.elapsed());
-            if let Some(before) = &pool_before {
-                record_pool_delta(m, before);
-            }
-            crate::arena::flush_stats(m, &mut pool.lock().stats);
-            if r.is_err() {
-                m.counter("engine.threaded.errors").inc();
-            }
-        }
-        if let Err(e) = &r {
-            ctx.poison_on(e);
-        }
-        Ok(RunResult {
-            outputs: r?,
-            counters: PerfCounters::default(),
-        })
-    }
-
-    fn set_sink(&mut self, sink: Option<TraceSink>) {
-        self.sink = sink;
-    }
-
-    fn sink(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        self.metrics = metrics;
-    }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +213,6 @@ mod tests {
         let engines: Vec<Box<dyn ExecutionEngine>> = vec![
             Box::new(Runtime::new()),
             Box::new(VmRuntime::new()),
-            Box::new(ThreadedEngine::new(2)),
         ];
         for e in &engines {
             let r = e.run(&f, &inputs, &sizes).expect("runs");

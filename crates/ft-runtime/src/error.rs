@@ -49,10 +49,10 @@ pub enum RuntimeError {
     /// The native compiled engine failed to emit, compile, load, or call
     /// the generated shared object (carries the toolchain/loader message).
     Native(String),
-    /// A spawned child process (compiler or generated binary) exceeded its
-    /// deadline and was killed.
+    /// A spawned child process (the C compiler) exceeded its deadline and
+    /// was killed.
     ChildTimeout {
-        /// What was running (e.g. `"cc"` or the binary path).
+        /// What was running (e.g. `"cc"`).
         what: String,
         /// The deadline that was exceeded, in milliseconds.
         timeout_ms: u64,

@@ -17,20 +17,25 @@
 //!   bodies are divided by the mapped hardware width, so CPU/GPU schedules
 //!   can be compared on a single-core host.
 //!
-//! Four execution engines are provided behind the common
-//! [`ExecutionEngine`] trait: the deterministic instrumented interpreter
-//! ([`Runtime::run`]) — the *specification* all others are diffed against;
-//! a flat bytecode VM ([`VmRuntime`], [`bytecode`]) whose uninstrumented
-//! fast mode is a wall-clock execution path and whose instrumented mode
-//! reproduces the interpreter's counters bit-for-bit; a genuinely
-//! thread-parallel mode ([`run_threaded`], [`ThreadedEngine`]) that
-//! executes `OpenMp` loops on real threads (the persistent [`pool`]
-//! workers) with mutex-protected atomic reductions, demonstrating that
-//! legality-checked parallel schedules are actually data-race free; and
-//! the native compiled engine ([`CompiledEngine`], [`native`]) that emits
-//! C with `ft-codegen`, compiles it with the host `cc` into a
-//! content-addressed shared-object cache, and calls it in-process —
-//! the paper's actual execution model (§4.3).
+//! Three execution engines are provided behind the common
+//! [`ExecutionEngine`] trait, one per role:
+//!
+//! * **reference semantics + device model** — the deterministic
+//!   instrumented interpreter ([`Runtime::run`]), the *specification* the
+//!   other two are diffed against and the only engine that counts;
+//! * **portable fallback** — a flat bytecode VM ([`VmRuntime`],
+//!   [`bytecode`]): a wall-clock path that needs no C compiler, runs
+//!   `OpenMp` loops as fork-join regions on the persistent [`pool`]
+//!   workers, and is bit-identical to the interpreter on outputs;
+//! * **production** — the native compiled engine ([`CompiledEngine`],
+//!   [`native`]) that emits C with `ft-codegen`, compiles it with the host
+//!   `cc` into a content-addressed shared-object cache, and calls it
+//!   in-process — the paper's actual execution model (§4.3).
+//!
+//! Whether a parallel schedule is *legal* is decided by dependence
+//! analysis (`ft-analysis`), not by running it on threads; the conformance
+//! harness checks the analysis by re-running the interpreter with parallel
+//! loops reversed (`ft_conformance::Backend::Reordered`).
 
 pub mod arena;
 pub mod bytecode;
@@ -44,14 +49,13 @@ pub mod libkernel;
 pub mod native;
 pub mod pool;
 pub mod process;
-pub mod threaded;
 pub mod value;
 
 pub use arena::{ArenaStats, RunContext};
-pub use bytecode::{run_vm, VmMode, VmRuntime};
+pub use bytecode::{run_vm, VmRuntime};
 pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};
 pub use device::DeviceConfig;
-pub use engine::{ExecutionEngine, ThreadedEngine};
+pub use engine::ExecutionEngine;
 pub use error::RuntimeError;
 pub use interp::{RunResult, Runtime};
 // The (lowered function, memory plan) pair `CompiledEngine` compiles and
@@ -60,5 +64,4 @@ pub use ft_codegen::lower_and_plan;
 pub use native::{cc_available, CompiledEngine};
 pub use pool::{PoolStatsSnapshot, WorkerPool};
 pub use process::{output_with_timeout, TimedOutput};
-pub use threaded::{run_threaded, run_threaded_traced};
 pub use value::{Scalar, TensorVal};

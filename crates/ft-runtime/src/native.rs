@@ -168,17 +168,6 @@ fn cache_size_bytes(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// 64-bit FNV-1a — stable across processes and Rust versions, unlike
-/// `DefaultHasher`, so on-disk keys survive toolchain bumps.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One in-flight compilation of a cache key. The first requester (the
 /// *leader*) compiles; everyone else parks on the condvar and re-checks the
 /// on-disk artifact once the leader finishes.
@@ -498,7 +487,9 @@ impl CompiledEngine {
         key.push(0);
         key.extend_from_slice(&ABI_VERSION.to_le_bytes());
         key.extend_from_slice(&plan.plan_hash().to_le_bytes());
-        let hash = fnv1a(&key);
+        // FNV-1a is stable across processes and Rust versions, unlike
+        // `DefaultHasher`, so on-disk keys survive toolchain bumps.
+        let hash = ft_ir::fnv1a(&key);
         if let Some(k) = self.state.loaded.lock().get(&hash) {
             self.note_cache(hash, true);
             return Ok(Arc::clone(k));

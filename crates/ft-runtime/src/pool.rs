@@ -1,11 +1,9 @@
 //! A persistent worker pool for parallel loop regions.
 //!
-//! The original [`crate::threaded`] implementation forked a fresh
-//! `crossbeam::thread::scope` with static chunking at *every* parallel
-//! region. For the irregular inner bounds of the SoftRas/GAT workloads the
-//! static split leaves workers idle, and the per-region thread spawn/join
-//! dominates small regions. This module keeps a process-global set of
-//! long-lived workers and hands them regions as `[begin, end)` ranges with
+//! Forking fresh threads with static chunking at *every* parallel region
+//! leaves workers idle on the irregular inner bounds of the SoftRas/GAT
+//! workloads, and the per-region spawn/join dominates small regions. This
+//! module keeps a process-global set of long-lived workers and hands them regions as `[begin, end)` ranges with
 //! work-queue dynamic chunking: each worker (including the submitting
 //! thread) repeatedly claims the next `grain` iterations from an atomic
 //! cursor until the range is drained.
@@ -367,8 +365,8 @@ impl WorkerPool {
     /// not of which worker claimed the chunk, so for a fixed `grain` the
     /// sequence of `merge` calls — and therefore the result, even for
     /// non-associative combines — is independent of thread scheduling.
-    /// This is what lets the fast VM and the threaded interpreter privatize
-    /// reductions while staying bit-identical run to run.
+    /// This is what lets the VM privatize reductions while staying
+    /// bit-identical run to run.
     ///
     /// Chunks that were never claimed because an earlier chunk panicked (or
     /// that panicked themselves) contribute no accumulator; on panic the
@@ -407,40 +405,6 @@ impl WorkerPool {
             }
         }
         Ok(())
-    }
-
-    /// [`WorkerPool::try_run_reduce`] that re-raises a worker panic on the
-    /// calling thread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_reduce<T: Send>(
-        &self,
-        begin: i64,
-        end: i64,
-        grain: i64,
-        max_workers: usize,
-        init: &(dyn Fn(usize) -> T + Sync),
-        body: &(dyn Fn(i64, i64, &mut T) + Sync),
-        merge: &mut dyn FnMut(usize, T),
-    ) {
-        if let Err(payload) = self.try_run_reduce(begin, end, grain, max_workers, init, body, merge)
-        {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// [`WorkerPool::try_run`] that re-raises a worker panic on the calling
-    /// thread.
-    pub fn run(
-        &self,
-        begin: i64,
-        end: i64,
-        grain: i64,
-        max_workers: usize,
-        task: &(dyn Fn(i64, i64) + Sync),
-    ) {
-        if let Err(payload) = self.try_run(begin, end, grain, max_workers, task) {
-            std::panic::resume_unwind(payload);
-        }
     }
 }
 
@@ -491,13 +455,14 @@ mod tests {
 
     fn sum_region(pool: &WorkerPool, n: i64, grain: i64, workers: usize) -> i64 {
         let acc = AtomicI64::new(0);
-        pool.run(0, n, grain, workers, &|lo, hi| {
+        pool.try_run(0, n, grain, workers, &|lo, hi| {
             let mut s = 0;
             for i in lo..hi {
                 s += i;
             }
             acc.fetch_add(s, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         acc.load(Ordering::Relaxed)
     }
 
@@ -515,15 +480,18 @@ mod tests {
     fn zero_and_negative_ranges_return_immediately() {
         let pool = WorkerPool::new(2);
         let hits = AtomicUsize::new(0);
-        pool.run(0, 0, 1, 4, &|_, _| {
+        pool.try_run(0, 0, 1, 4, &|_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.run(5, 5, 1, 4, &|_, _| {
+        })
+        .unwrap();
+        pool.try_run(5, 5, 1, 4, &|_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.run(10, 3, 1, 4, &|_, _| {
+        })
+        .unwrap();
+        pool.try_run(10, 3, 1, 4, &|_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 0);
         // And the pool still works afterwards.
         assert_eq!(sum_region(&pool, 10, 2, 3), 45);
@@ -554,15 +522,17 @@ mod tests {
     fn nested_regions_run_inline_without_deadlock() {
         let pool = WorkerPool::new(2);
         let acc = AtomicI64::new(0);
-        pool.run(0, 8, 1, 3, &|lo, hi| {
+        pool.try_run(0, 8, 1, 3, &|lo, hi| {
             for _ in lo..hi {
                 // A nested region from inside a worker: must not deadlock,
                 // and must still cover its range.
-                pool.run(0, 16, 4, 3, &|ilo, ihi| {
+                pool.try_run(0, 16, 4, 3, &|ilo, ihi| {
                     acc.fetch_add(ihi - ilo, Ordering::Relaxed);
-                });
+                })
+                .unwrap();
             }
-        });
+        })
+        .unwrap();
         assert_eq!(acc.load(Ordering::Relaxed), 8 * 16);
     }
 
@@ -570,10 +540,11 @@ mod tests {
     fn grain_larger_than_range_uses_single_chunk() {
         let pool = WorkerPool::new(2);
         let chunks = AtomicUsize::new(0);
-        pool.run(0, 10, 1_000_000, 4, &|lo, hi| {
+        pool.try_run(0, 10, 1_000_000, 4, &|lo, hi| {
             assert_eq!((lo, hi), (0, 10));
             chunks.fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(chunks.load(Ordering::Relaxed), 1);
     }
 
@@ -581,9 +552,10 @@ mod tests {
     fn max_workers_one_runs_inline() {
         let pool = WorkerPool::new(2);
         let main = std::thread::current().id();
-        pool.run(0, 100, 1, 1, &|_, _| {
+        pool.try_run(0, 100, 1, 1, &|_, _| {
             assert_eq!(std::thread::current().id(), main);
-        });
+        })
+        .unwrap();
     }
 
     #[test]
@@ -595,7 +567,7 @@ mod tests {
             // string regardless of which worker ran which chunk.
             let mut log = String::new();
             let mut total = 0i64;
-            pool.run_reduce(
+            pool.try_run_reduce(
                 0,
                 100,
                 7,
@@ -610,7 +582,7 @@ mod tests {
                     log.push_str(&format!("{idx}:{acc};"));
                     total += acc;
                 },
-            );
+            ).unwrap();
             assert_eq!(total, 100 * 99 / 2);
             assert_eq!(
                 log,
@@ -624,9 +596,10 @@ mod tests {
     fn run_reduce_zero_range_and_panic() {
         let pool = WorkerPool::new(2);
         let mut merges = 0usize;
-        pool.run_reduce(5, 5, 1, 4, &|_| 0i64, &|_, _, _| {}, &mut |_, _| {
+        pool.try_run_reduce(5, 5, 1, 4, &|_| 0i64, &|_, _, _| {}, &mut |_, _| {
             merges += 1;
-        });
+        })
+        .unwrap();
         assert_eq!(merges, 0);
         let err = pool
             .try_run_reduce(

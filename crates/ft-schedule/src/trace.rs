@@ -359,12 +359,7 @@ pub fn apply_trace_traced(
 /// trace plus a rejected op, or two op orders with the same effect) map to
 /// the same key, which is what search memoization dedupes on.
 pub fn canonical_key(func: &Func) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in func.to_string().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    ft_ir::fnv1a_p44(func.to_string().as_bytes())
 }
 
 fn num(n: u64) -> JsonVal {

@@ -270,13 +270,8 @@ pub struct Server {
 /// sorted size bindings. Everything that changes generated code or buffer
 /// geometry is in one of the two.
 fn content_key(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = ft_ir::Fnv1a::new();
+    let mut eat = |bytes: &[u8]| h.write(bytes);
     eat(func.to_string().as_bytes());
     let mut kv: Vec<(&String, &i64)> = sizes.iter().collect();
     kv.sort();
@@ -285,7 +280,7 @@ fn content_key(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
         eat(k.as_bytes());
         eat(&v.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// FNV-1a digest over output names, shapes and elements — no allocation,
@@ -293,21 +288,12 @@ fn content_key(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
 fn digest_outputs(outputs: &HashMap<String, TensorVal>) -> u64 {
     let mut names: Vec<&String> = outputs.keys().collect();
     names.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat_u64 = |h: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = ft_ir::Fnv1a::new();
     for name in names {
-        for b in name.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(name.as_bytes());
         let t = &outputs[name];
         for &d in t.shape() {
-            eat_u64(&mut h, d as u64);
+            h.write(&(d as u64).to_le_bytes());
         }
         for i in 0..t.numel() {
             let v = match t.get_flat(i) {
@@ -315,10 +301,10 @@ fn digest_outputs(outputs: &HashMap<String, TensorVal>) -> u64 {
                 Scalar::Float(v) => v.to_bits(),
                 Scalar::Bool(v) => v as u64,
             };
-            eat_u64(&mut h, v);
+            h.write(&v.to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 impl Server {

@@ -11,12 +11,17 @@
 //!   the `compiled.cc.spawned` / `compiled.cache.{hit,miss}` metrics
 //!   counters (structurally, through the METRICS.json snapshot format —
 //!   the same counters `bench_check --expect-warm` gates on in CI).
+//! * `colliding_param_names_do_not_shadow`,
+//!   `heap_def_inside_a_parallel_body_is_thread_private` — directed ABI and
+//!   storage cases the sampled traces do not reach.
 
 use ft_conformance::grad::{build_grad_func, grad_run_inputs, ones_seed, GradSpec};
 use ft_conformance::ops::{apply_trace, sample_trace};
 use ft_conformance::{check_grad_variant, check_variant, Backend, GradTol, Workload};
+use ft_ir::prelude::*;
+use ft_ir::ForProperty;
 use ft_metrics::{Metrics, MetricsSnapshot};
-use ft_runtime::{cc_available, CompiledEngine, ExecutionEngine};
+use ft_runtime::{cc_available, CompiledEngine, ExecutionEngine, Runtime, TensorVal};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 
@@ -24,12 +29,7 @@ use std::collections::HashMap;
 const TOL: f64 = 5e-4;
 
 fn variant_seed(w: Workload, k: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in w.name().as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    ft_ir::fnv1a(w.name().as_bytes()) ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[test]
@@ -173,4 +173,100 @@ fn warm_artifact_cache_spawns_no_compiler() {
     let diff = r.output(&case.oracle_output).max_abs_diff(&case.oracle);
     assert!(diff < TOL, "warm kernel diverged from oracle by {diff}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn colliding_param_names_do_not_shadow() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // `x.y` and `x_y` sanitize to the same C identifier; the emitter's
+    // mangler must keep them apart in the kernel signature and the engine
+    // must bind each to its own buffer.
+    let f = Func::new("pick")
+        .param("x.y", [2], DataType::F32, AccessType::Input)
+        .param("x_y", [2], DataType::F32, AccessType::Input)
+        .param("o", [2], DataType::F32, AccessType::Output)
+        .body(for_(
+            "i",
+            0,
+            2,
+            store(
+                "o",
+                [var("i")],
+                load("x.y", [var("i")]) - load("x_y", [var("i")]),
+            ),
+        ));
+    let inputs: HashMap<String, TensorVal> = [
+        ("x.y".to_string(), TensorVal::from_f32(&[2], vec![10.0, 20.0])),
+        ("x_y".to_string(), TensorVal::from_f32(&[2], vec![1.0, 2.0])),
+    ]
+    .into_iter()
+    .collect();
+    let out = CompiledEngine::new()
+        .run(&f, &inputs, &HashMap::new())
+        .expect("compiled run");
+    assert_eq!(out.output("o").to_f64_vec(), vec![9.0, 18.0]);
+}
+
+#[test]
+fn heap_def_inside_a_parallel_body_is_thread_private() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // A heap `VarDef` under an `OpenMp` loop cannot live at a shared arena
+    // offset: the planned unit must `calloc` it per iteration. Each row
+    // fills its scratch and reads it back, so a shared buffer would mix
+    // rows across the team.
+    const ROWS: usize = 64;
+    const COLS: usize = 48;
+    let f = Func::new("rows")
+        .param("x", [ROWS, COLS], DataType::F32, AccessType::Input)
+        .param("y", [ROWS], DataType::F32, AccessType::Output)
+        .body(for_with(
+            "i",
+            0,
+            ROWS,
+            ForProperty::parallel(ParallelScope::OpenMp),
+            var_def(
+                "t",
+                [COLS],
+                DataType::F32,
+                MemType::CpuHeap,
+                block([
+                    for_(
+                        "j",
+                        0,
+                        COLS,
+                        store("t", [var("j")], load("x", [var("i"), var("j")]) * 2.0f32),
+                    ),
+                    for_(
+                        "k",
+                        0,
+                        COLS,
+                        reduce("y", [var("i")], ReduceOp::Add, load("t", [var("k")])),
+                    ),
+                ]),
+            ),
+        ));
+    let (lowered, plan) = ft_runtime::lower_and_plan(&f, &HashMap::new());
+    let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
+    assert!(c.contains("calloc("), "planned unit placed `t` in the arena:\n{c}");
+
+    let x = TensorVal::from_f32(
+        &[ROWS, COLS],
+        (0..ROWS * COLS).map(|v| (v as f32 * 0.11).sin()).collect(),
+    );
+    let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
+    let want = Runtime::new().run(&f, &inputs, &HashMap::new()).expect("interp run");
+    let engine = CompiledEngine::new();
+    let mut ctx = ft_runtime::RunContext::new();
+    let fresh = engine.run(&f, &inputs, &HashMap::new()).expect("compiled run");
+    let planned = engine
+        .run_with(&f, &inputs, &HashMap::new(), &mut ctx)
+        .expect("compiled run with a context");
+    assert_eq!(fresh.outputs, want.outputs);
+    assert_eq!(planned.outputs, want.outputs);
 }

@@ -2,9 +2,10 @@
 //!
 //! * `conformance_sweep` — samples random legality-checked schedule traces
 //!   for every workload and executes each variant on all available backends
-//!   (interpreter, real threads, compiled C), comparing against the
-//!   plain-Rust oracle. Budget: `FT_CONFORMANCE_SAMPLES` variants per
-//!   workload (default 16 → 64 total ≥ the 50-variant CI floor).
+//!   (interpreter, reversed-parallel-loop interpreter, VM, compiled C),
+//!   comparing against the plain-Rust oracle. Budget:
+//!   `FT_CONFORMANCE_SAMPLES` variants per workload (default 16 → 64 total
+//!   ≥ the 50-variant CI floor).
 //! * `injected_dependence_bug_is_caught_and_minimized` — proves the harness
 //!   has teeth: a parallelization with the dependence check deliberately
 //!   dropped must be detected, shrunk to the single culprit op, and
@@ -41,8 +42,8 @@ fn conformance_sweep() {
 
 /// A program whose single loop carries a recurrence: `y[i]` reads
 /// `y[i - 1]`, so parallelizing the loop is illegal. With `x = 1…`,
-/// `y[i] = i + 1` (a prefix count), and any worker starting mid-range reads
-/// a stale 0 — divergence is large and immediate.
+/// `y[i] = i + 1` (a prefix count); run last-to-first every iteration reads
+/// a stale 0 and `y[i] = 1` — divergence is large and deterministic.
 fn recurrence_case() -> Case {
     const N: usize = 2048;
     let func = freetensor_core::Program::compile(
@@ -74,14 +75,14 @@ fn legality_check_blocks_the_recurrence() {
     let (func, accepted) = apply_trace(&case.func, &[ScheduleOp::Parallelize { loop_idx: 0 }]);
     assert!(accepted.is_empty(), "dependence check failed to block");
     assert!(
-        check_variant(&case, &func, &[Backend::Interp, Backend::Threaded], 1e-4).is_none()
+        check_variant(&case, &func, &[Backend::Interp, Backend::Reordered], 1e-4).is_none()
     );
 }
 
 #[test]
 fn injected_dependence_bug_is_caught_and_minimized() {
     let case = recurrence_case();
-    let backends = [Backend::Threaded];
+    let backends = [Backend::Reordered];
     let tol = 1e-3;
     // The injected bug — parallelize with its dependence check dropped —
     // buried between benign ops, as a buggy sampler run would produce it.
@@ -90,13 +91,9 @@ fn injected_dependence_bug_is_caught_and_minimized() {
         ScheduleOp::ParallelizeUnchecked { loop_idx: 0 },
         ScheduleOp::Vectorize { loop_idx: 0 },
     ];
-    // Racy reads are not perfectly deterministic; a trace "fails" if either
-    // of two runs diverges.
     let fails = |t: &[ScheduleOp]| {
-        (0..2).any(|_| {
-            let (f, _) = apply_trace(&case.func, t);
-            check_variant(&case, &f, &backends, tol).is_some()
-        })
+        let (f, _) = apply_trace(&case.func, t);
+        check_variant(&case, &f, &backends, tol).is_some()
     };
     assert!(fails(&trace), "injected dependence bug was not caught");
     let minimized = minimize(&trace, fails);
@@ -107,9 +104,7 @@ fn injected_dependence_bug_is_caught_and_minimized() {
     );
     // Reconstruct the divergence and push it through the repro pipeline.
     let (f, _) = apply_trace(&case.func, &minimized);
-    let d = (0..4)
-        .find_map(|_| check_variant(&case, &f, &backends, tol))
-        .expect("minimized trace no longer diverges");
+    let d = check_variant(&case, &f, &backends, tol).expect("minimized trace no longer diverges");
     assert!(d.max_abs_err > 1.0, "divergence suspiciously small: {d:?}");
     let repro = Repro {
         workload: case.name.clone(),
@@ -144,7 +139,7 @@ fn repro_files_replay() {
     let repro = Repro {
         workload: "subdivnet".to_string(),
         input_seed: 5,
-        backend: "threaded".to_string(),
+        backend: "reordered".to_string(),
         output: "y".to_string(),
         max_abs_err: 0.0,
         tol: 5e-4,

@@ -586,22 +586,16 @@ fn lowered_programs() -> Vec<(String, Program, Inputs)> {
     v
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h = (*h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// FNV-1a over names, shapes and raw element bits, in name order.
 fn output_hash(outputs: &HashMap<String, TensorVal>) -> u64 {
     let mut names: Vec<&String> = outputs.keys().collect();
     names.sort();
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = freetensor::ir::Fnv1a::new();
     for name in names {
         let t = &outputs[name];
-        fnv(&mut h, name.as_bytes());
+        h.write(name.as_bytes());
         for d in t.shape() {
-            fnv(&mut h, &d.to_le_bytes());
+            h.write(&d.to_le_bytes());
         }
         for i in 0..t.numel() {
             let bits = match t.get_flat(i) {
@@ -609,10 +603,10 @@ fn output_hash(outputs: &HashMap<String, TensorVal>) -> u64 {
                 Scalar::Int(v) => v as u64,
                 Scalar::Bool(b) => u64::from(b),
             };
-            fnv(&mut h, &bits.to_le_bytes());
+            h.write(&bits.to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 /// One hash per program over `runs` compiled runs each; panics when two
@@ -736,8 +730,7 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
             matches!(lower_cpu_parallel(p.func()), Cow::Borrowed(_)),
             "{name}"
         );
-        let mut h = 0xcbf2_9ce4_8422_2325;
-        fnv(&mut h, p.emit_c().as_bytes());
+        let h = freetensor::ir::fnv1a(p.emit_c().as_bytes());
         assert_eq!(h, want, "{name} (full scale: {full}) emits different C");
     }
 }

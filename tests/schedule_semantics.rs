@@ -100,8 +100,9 @@ fn random_accepted_schedules_preserve_semantics() {
 }
 
 #[test]
-fn threaded_execution_matches_sequential() {
-    // Parallelize what the checker allows, then execute with real threads.
+fn parallel_marks_preserve_semantics_reordered_and_on_the_vm() {
+    // Parallelize what the checker allows, then execute the marked loops
+    // in reverse iteration order (interpreter) and as VM pool regions.
     let base = subject();
     let mut sched = Schedule::new(base.clone());
     let loops = loops_of(sched.func());
@@ -112,11 +113,16 @@ fn threaded_execution_matches_sequential() {
     let (y0, acc0) = run(&func);
     let x = TensorVal::from_f32(&[40], (0..40).map(|i| (i as f32 * 0.3).cos()).collect());
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
-    let out = freetensor::runtime::run_threaded(&func, &inputs, &HashMap::new(), 4).unwrap();
-    for (a, b) in y0.iter().zip(out["y"].to_f64_vec()) {
-        assert!((a - b).abs() < 1e-4);
+    let reversed = ft_conformance::backend::reverse_parallel_loops(&func);
+    assert_ne!(reversed.to_string(), func.to_string(), "no loop was parallelized");
+    let reordered = Runtime::new().run(&reversed, &inputs, &HashMap::new()).unwrap();
+    let vm = freetensor::runtime::run_vm(&func, &inputs, &HashMap::new()).unwrap();
+    for out in [&reordered.outputs, &vm] {
+        for (a, b) in y0.iter().zip(out["y"].to_f64_vec()) {
+            assert!((a - b).abs() < 1e-4);
+        }
+        assert!((acc0[0] - out["acc"].to_f64_vec()[0]).abs() < 1e-3);
     }
-    assert!((acc0[0] - out["acc"].to_f64_vec()[0]).abs() < 1e-3);
 }
 
 #[test]

@@ -1,15 +1,10 @@
 //! Differential fuzz of the bytecode VM against the instrumented
 //! interpreter.
 //!
-//! The interpreter is the semantic specification; the VM's two modes make
-//! two distinct promises that this test checks on randomly *scheduled*
-//! variants of all four paper workloads (the same variant generator the
-//! cross-backend conformance sweep uses):
-//!
-//! * **fast mode** — bit-identical outputs, counters left defaulted;
-//! * **instrumented mode** — bit-identical outputs *and* bit-identical
-//!   [`PerfCounters`] (including the `f64` `modeled_cycles`), plus an
-//!   identical per-statement profile when a trace sink is attached.
+//! The interpreter is the semantic specification; the VM promises
+//! bit-identical outputs with [`PerfCounters`] left defaulted, which this
+//! test checks on randomly *scheduled* variants of all four paper workloads
+//! (the same variant generator the cross-backend conformance sweep uses).
 
 use ft_conformance::{ops, Workload};
 use ft_ir::prelude::*;
@@ -17,23 +12,14 @@ use ft_runtime::{PerfCounters, Runtime, TensorVal, VmRuntime};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 
-/// FNV-1a, mirroring the conformance sweep's per-variant seed derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn vm_matches_interp_on_random_scheduled_workloads() {
     let sizes = HashMap::new();
     let mut variants = 0usize;
     for w in Workload::ALL {
         for k in 0..10u64 {
-            let stream = fnv1a(w.name().as_bytes())
+            // Mirrors the conformance sweep's per-variant seed derivation.
+            let stream = ft_ir::fnv1a_p44(w.name().as_bytes())
                 ^ 0xF0DD_u64
                 ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let case = w.build(stream & 0xFFFF);
@@ -45,66 +31,20 @@ fn vm_matches_interp_on_random_scheduled_workloads() {
             let ri = Runtime::new()
                 .run(&func, &case.inputs, &sizes)
                 .unwrap_or_else(|e| panic!("interp failed on {ctx}: {e:?}"));
-            let rf = VmRuntime::new()
+            let rv = VmRuntime::new()
                 .run(&func, &case.inputs, &sizes)
-                .unwrap_or_else(|e| panic!("fast vm failed on {ctx}: {e:?}"));
-            let rv = VmRuntime::instrumented()
-                .run(&func, &case.inputs, &sizes)
-                .unwrap_or_else(|e| panic!("instrumented vm failed on {ctx}: {e:?}"));
+                .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
 
-            assert_eq!(ri.outputs, rf.outputs, "fast-mode outputs differ on {ctx}");
+            assert_eq!(ri.outputs, rv.outputs, "vm outputs differ on {ctx}");
             assert_eq!(
-                ri.outputs, rv.outputs,
-                "instrumented outputs differ on {ctx}"
-            );
-            assert_eq!(
-                ri.counters, rv.counters,
-                "instrumented counters differ on {ctx}"
-            );
-            assert_eq!(
-                rf.counters,
+                rv.counters,
                 PerfCounters::default(),
-                "fast mode must not count on {ctx}"
+                "the vm must not count on {ctx}"
             );
             variants += 1;
         }
     }
     assert_eq!(variants, 4 * 10);
-}
-
-#[test]
-fn vm_profile_matches_interp_on_unscheduled_workloads() {
-    let sizes = HashMap::new();
-    for w in Workload::ALL {
-        let case = w.build(7);
-
-        let si = ft_trace::TraceSink::new();
-        let mut rt = Runtime::new();
-        rt.set_sink(Some(si.clone()));
-        rt.run(&case.func, &case.inputs, &sizes)
-            .unwrap_or_else(|e| panic!("interp failed on {}: {e:?}", w.name()));
-
-        let sv = ft_trace::TraceSink::new();
-        let mut vm = VmRuntime::instrumented();
-        vm.set_sink(Some(sv.clone()));
-        vm.run(&case.func, &case.inputs, &sizes)
-            .unwrap_or_else(|e| panic!("vm failed on {}: {e:?}", w.name()));
-
-        let pi = si.profiles();
-        let pv = sv.profiles();
-        assert_eq!(pi.len(), 1, "workload {}", w.name());
-        assert_eq!(pv.len(), 1, "workload {}", w.name());
-        assert_eq!(pi[0].nodes.len(), pv[0].nodes.len(), "workload {}", w.name());
-        for (a, b) in pi[0].nodes.iter().zip(&pv[0].nodes) {
-            assert_eq!(a.desc, b.desc, "workload {}", w.name());
-            assert_eq!(
-                a.counters, b.counters,
-                "workload {} profile bucket `{}`",
-                w.name(),
-                a.desc
-            );
-        }
-    }
 }
 
 /// Run interpreter vs fast VM (with a trace sink) and return the fast
