@@ -172,9 +172,9 @@ impl Program {
         Ok(Program::from_func_inner(g, self.sink.clone()))
     }
 
-    /// Execute on an instrumented runtime. If this program carries a trace
-    /// sink and `runtime` has none, the run is profiled into the program's
-    /// sink (runtime span + per-statement counter attribution).
+    /// Execute on an instrumented runtime ([`Program::run_engine`] on the
+    /// interpreter): a run profiled into the program's sink gets a runtime
+    /// span plus per-statement counter attribution.
     ///
     /// # Errors
     ///
@@ -185,25 +185,11 @@ impl Program {
         inputs: &[(&str, TensorVal)],
         sizes: &[(&str, i64)],
     ) -> Result<RunResult, RuntimeError> {
-        let inputs: HashMap<String, TensorVal> = inputs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        let sizes: HashMap<String, i64> = sizes.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        match &self.sink {
-            Some(s) if runtime.sink().is_none() => {
-                let mut rt = runtime.clone();
-                rt.set_sink(Some(s.clone()));
-                rt.run(&self.func, &inputs, &sizes)
-            }
-            _ => runtime.run(&self.func, &inputs, &sizes),
-        }
+        self.run_engine(runtime, inputs, sizes)
     }
 
-    /// Execute on the bytecode VM (the wall-clock engine; see
-    /// `ft_runtime::VmRuntime`). Sink propagation matches [`Program::run`]:
-    /// if this program carries a trace sink and `vm` has none, the run is
-    /// recorded into the program's sink.
+    /// Execute on the bytecode VM, the portable wall-clock engine
+    /// ([`Program::run_engine`] on `ft_runtime::VmRuntime`).
     ///
     /// # Errors
     ///
@@ -214,26 +200,13 @@ impl Program {
         inputs: &[(&str, TensorVal)],
         sizes: &[(&str, i64)],
     ) -> Result<RunResult, RuntimeError> {
-        let inputs: HashMap<String, TensorVal> = inputs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        let sizes: HashMap<String, i64> = sizes.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        match &self.sink {
-            Some(s) if vm.sink().is_none() => {
-                let mut v = vm.clone();
-                v.set_sink(Some(s.clone()));
-                v.run(&self.func, &inputs, &sizes)
-            }
-            _ => vm.run(&self.func, &inputs, &sizes),
-        }
+        self.run_engine(vm, inputs, sizes)
     }
 
     /// Execute on any [`ExecutionEngine`] — the one entry point behind
-    /// [`Program::run`]/[`Program::run_vm`]/[`Program::run_compiled`].
-    /// Sink propagation matches [`Program::run`]: if this program carries a
-    /// trace sink and `engine` has none, the run is recorded into the
-    /// program's sink.
+    /// [`Program::run`]/[`Program::run_vm`]/[`Program::run_compiled`]. If
+    /// this program carries a trace sink and `engine` has none, the run is
+    /// recorded into the program's sink.
     ///
     /// # Errors
     ///

@@ -5,8 +5,9 @@
 //! reproduces the source-emission half:
 //!
 //! * [`lower::lower_cpu_parallel`] — the IR→IR step every compiled-C path
-//!   runs first: nested parallel marks become serial loops and `atomic`
-//!   reductions become chunk-private partial rows with an ordered merge;
+//!   and the bytecode VM run first: nested parallel marks become serial
+//!   loops and `atomic` reductions become chunk-private partial rows with
+//!   an ordered merge;
 //! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`) for
 //!   lowered CPU schedules; compile-checked against the host C compiler in
 //!   the test suite;
@@ -34,12 +35,12 @@ use ft_trace::TraceSink;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// The function the C backend compiles for `func` and the memory plan of
-/// *that* function — the single place [`lower_cpu_parallel`] meets
-/// [`MemPlan::plan`]. Engines, the serving admission check and the
-/// conformance backend all size and emit from this pair, so the partial
-/// rows the lowering adds are in the planned peak, come out of the arena
-/// and are budgeted.
+/// The function the C backend compiles and the VM executes for `func`, and
+/// the memory plan of *that* function — the single place
+/// [`lower_cpu_parallel`] meets [`MemPlan::plan`]. Both engines, the
+/// serving admission check and the conformance backend all size, emit and
+/// run from this pair, so the partial rows the lowering adds are in the
+/// planned peak, come out of the arena and are budgeted.
 pub fn lower_and_plan<'a>(
     func: &'a Func,
     sizes: &HashMap<String, i64>,

@@ -26,16 +26,18 @@
 //!
 //! `P = clamp(PARTIAL_BYTES_TARGET / Σ bytes(X), 2, 8)` is a function of the
 //! nest alone — never of the runtime thread count — and every
-//! floating-point sum has one fixed association order, so
-//! compiled results are bit-identical run to run and across
-//! `OMP_NUM_THREADS`: the contract `WorkerPool::try_run_reduce` gives the
-//! VM. The rules are purely syntactic (no dependence queries; the engine
-//! runs this on every warm call), and a function with no `atomic` reduction
-//! and no nested parallel mark is returned borrowed, untouched.
+//! floating-point sum has one fixed association order, so results are
+//! bit-identical run to run and across `OMP_NUM_THREADS` — and across the
+//! two back ends that execute the lowered function, the C emitter's
+//! kernels and the bytecode VM, whatever their worker counts. The rules are
+//! purely syntactic (no dependence queries; the engines run this on every
+//! warm call), and a function with no `atomic` reduction and no nested
+//! parallel mark is returned borrowed, untouched.
 //!
 //! The C backend maps *every* parallel scope onto OpenMP threads, so the
 //! pass treats any non-serial scope as a CPU parallel mark. The
-//! interpreter, VM, cost model and CUDA emitter keep the unlowered IR.
+//! interpreter (the reference semantics), the cost model and the CUDA
+//! emitter keep the unlowered IR.
 
 use ft_ir::{
     AccessType, DataType, Expr, ForProperty, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtId,

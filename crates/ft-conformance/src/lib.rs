@@ -33,7 +33,6 @@
 pub mod backend;
 pub mod diff;
 pub mod grad;
-pub mod json;
 pub mod ops;
 pub mod repro;
 pub mod shrink;

@@ -12,10 +12,10 @@ use crate::grad::{
     build_grad_func, fault_from_name, fault_name, grad_run_inputs, ones_seed, policy_from_name,
     policy_name, GradOrder, GradSpec,
 };
-use crate::json::JsonVal;
 use crate::ops::{apply_trace, op_from_json, op_to_json, ScheduleOp};
 use crate::shrink::Flaky;
 use crate::workload::Workload;
+use ft_trace::JsonVal;
 use std::io;
 use std::path::{Path, PathBuf};
 

@@ -7,7 +7,7 @@
 //! per-engine free-lists and a cross-run [`RunContext`]:
 //!
 //! * [`TensorPool`] — [`TensorVal`] buffers for the interpreter's executor
-//!   (`crate::compiled::ExecCtx`);
+//!   (`crate::compiled::ExecCtx`) and the VM's (`crate::bytecode`);
 //! * [`NativeArena`] — the single flat allocation handed to generated C
 //!   (`unsigned char* __ft_arena`) by the compiled engine;
 //! * [`RunContext`] — owns all of the above plus converted input/output
@@ -81,6 +81,23 @@ pub(crate) fn flush_stats(m: &Metrics, stats: &mut ArenaStats) {
     stats.alloc_calls = 0;
     stats.reuse_hits = 0;
     stats.poison_resets = 0;
+}
+
+/// End of a run, successful or not: flush the allocation counters of the
+/// pool the executor drew on and hand the pool back to the context it was
+/// taken from, so a cross-run context keeps its buffers.
+pub(crate) fn return_pool(
+    pool: Option<TensorPool>,
+    metrics: Option<&Metrics>,
+    rctx: Option<&mut RunContext>,
+) {
+    let Some(mut pool) = pool else { return };
+    if let Some(m) = metrics {
+        flush_stats(m, &mut pool.stats);
+    }
+    if let Some(c) = rctx {
+        c.tensor_pool = Some(pool);
+    }
 }
 
 /// Record the planner's verdict: a `mem.plan` span on the runtime track,
@@ -165,7 +182,8 @@ impl DefLookup {
     }
 }
 
-/// Class-keyed free-lists of [`TensorVal`] buffers for the interpreter.
+/// Class-keyed free-lists of [`TensorVal`] buffers for the interpreter and
+/// the VM.
 #[derive(Debug)]
 pub(crate) struct TensorPool {
     plan_hash: u64,
@@ -343,15 +361,18 @@ fn output_sig(func: &Func, sizes: &HashMap<String, i64>) -> Vec<(String, Option<
 /// keyed by the memory-plan hash, plus named staging buffers that keep
 /// converted inputs and returned outputs alive between runs.
 ///
-/// A context is engine-agnostic — the same value may be passed to the
-/// interpreter, the VM and the compiled engine; each keeps its own pool
-/// slot. Feed finished results back with
+/// A context binds to the first *plan* it runs (memory-plan hash +
+/// parameter shape signature), and each engine plans the function it
+/// executes: the interpreter `func` as given, the VM and the compiled
+/// engine the lowered function of `ft_codegen::lower_and_plan`. Those two
+/// can therefore share a context; the interpreter can join them only on a
+/// program the lowering leaves untouched. Feed finished results back with
 /// [`recycle`](RunContext::recycle) so output buffers return to the
 /// staging area instead of being dropped.
 ///
-/// A context *binds* to the first program it runs (memory-plan hash +
-/// parameter shape signature). Running it against a different program or
-/// different shapes is a [`RuntimeError::ContextMismatch`], and recycling
+/// Running a bound context against a different program, another engine's
+/// plan of the same program, or different shapes is a
+/// [`RuntimeError::ContextMismatch`], and recycling
 /// a result whose outputs do not match the bound program's output set is a
 /// [`RuntimeError::RecycleMismatch`] — both guard the serving path, where
 /// contexts are pooled per program key and a crossed wire would seed one
@@ -363,7 +384,6 @@ fn output_sig(func: &Func, sizes: &HashMap<String, i64>) -> Vec<(String, Option<
 #[derive(Debug, Default)]
 pub struct RunContext {
     pub(crate) tensor_pool: Option<TensorPool>,
-    pub(crate) vm_pool: Option<crate::bytecode::VmPool>,
     pub(crate) native_arena: Option<NativeArena>,
     pub(crate) staging: HashMap<String, TensorVal>,
     /// Staging-layer stats (pools carry their own).
@@ -438,7 +458,6 @@ impl RunContext {
     /// survive — they are observability, not state).
     pub fn reset(&mut self) {
         self.tensor_pool = None;
-        self.vm_pool = None;
         self.native_arena = None;
         self.staging.clear();
         self.stats.bytes_held = 0;
@@ -511,14 +530,13 @@ impl RunContext {
         }
     }
 
-    /// The interpreter's pool for `plan`, rebuilt when the plan hash
-    /// changed since the previous run.
-    pub(crate) fn tensor_pool_for(&mut self, plan: &MemPlan) -> &mut TensorPool {
+    /// Lend the interpreter or the VM the pool for `plan` for one run (a
+    /// fresh one when the plan hash changed since the previous run); the
+    /// engine puts it back in `tensor_pool` when the run ends.
+    pub(crate) fn take_tensor_pool(&mut self, plan: &MemPlan) -> TensorPool {
         let hash = plan.plan_hash();
-        if self.tensor_pool.as_ref().is_none_or(|p| p.plan_hash() != hash) {
-            self.tensor_pool = Some(TensorPool::new(plan));
-        }
-        self.tensor_pool.as_mut().expect("just filled")
+        let kept = self.tensor_pool.take().filter(|p| p.plan_hash() == hash);
+        kept.unwrap_or_else(|| TensorPool::new(plan))
     }
 
     /// The compiled engine's flat arena for `plan`, rebuilt on plan change.

@@ -10,25 +10,37 @@
 //! statement, no hash lookups.
 //!
 //! The VM is the *portable fallback* engine — a wall-clock execution path
-//! for hosts without a C compiler. It models no device: performance
+//! for hosts without a C compiler — and a *back end*, not a second
+//! runtime: like the compiled engine it executes the function
+//! `ft_codegen::lower_and_plan` returns, on the crate's [`TensorVal`] and
+//! `arena::TensorPool`. How a parallel reduction is realized (chunk-private
+//! rows merged in chunk order, or a serial loop) is thus decided once, on
+//! the IR, for both; the VM only proves the writes of a marked loop
+//! disjoint and runs it on the [`WorkerPool`]. It models no device:
 //! counters, the cache simulator and per-statement profiling belong to the
 //! interpreter alone, and [`RunResult::counters`] comes back defaulted
-//! (only the device-capacity accounting needed to reproduce out-of-memory
-//! errors remains). Affine tensor indices inside the innermost loop are
+//! (only the capacity accounting that reproduces out-of-memory errors
+//! remains). Affine tensor indices inside the innermost loop are
 //! strength-reduced to a per-iteration induction increment
 //! (`off += stride`) hoisted into a loop preheader.
 //!
 //! Programs the static compiler cannot type (currently: `Select` whose arms
 //! evaluate to different runtime scalar kinds) and runs whose supplied
 //! input dtypes differ from the declared parameter dtypes fall back
-//! transparently to the interpreter, so [`VmRuntime::run`] is a drop-in
-//! replacement for [`Runtime::run`](crate::interp::Runtime::run).
+//! transparently to the interpreter, on the same lowered function, so
+//! [`VmRuntime::run`] is a drop-in replacement for
+//! [`Runtime::run`](crate::interp::Runtime::run).
 //!
-//! ## Known, documented divergences (erroring programs only)
+//! ## The contract, and known, documented divergences
 //!
-//! On programs that *succeed*, outputs are bit-identical to the
-//! interpreter; the differential fuzz suite asserts this. Programs that
-//! *fail* may differ in the error payload:
+//! On programs that *succeed*, outputs are bit-identical to the interpreter
+//! run on `lower_cpu_parallel(func)`, run to run and at any worker count
+//! (the differential fuzz suite asserts this): results follow the lowered
+//! function's association order. Where the lowering returns `func`
+//! untouched that is the interpreter on `func` itself; where it privatizes
+//! a float reduction the two agree to rounding, as the compiled kernel does.
+//!
+//! Programs that *fail* may differ in the error payload:
 //!
 //! * Strength-reduced accesses check the *flat* offset against `numel`
 //!   instead of each dimension, so a program that indexes out-of-bounds
@@ -48,16 +60,18 @@
 //!   erroring program may report a different (still-legitimate) error than
 //!   the interpreter.
 
+use crate::arena::TensorPool;
 use crate::compiled::Compiled;
 use crate::counters::PerfCounters;
 use crate::device::DeviceConfig;
 use crate::error::RuntimeError;
 use crate::interp::{RunResult, Runtime};
+use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
-use crate::value::{lanes, Scalar, TensorVal};
+use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::{AccessType, BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
 use ft_metrics::Metrics;
-use ft_trace::{ProfileNode, TraceSink, TRACK_RUNTIME};
+use ft_trace::{TraceSink, TRACK_RUNTIME};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -185,15 +199,6 @@ enum Instr {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Unsupported(pub(crate) &'static str);
 
-/// A parameter binding site.
-#[derive(Debug, Clone)]
-struct ParamSite {
-    slot: usize,
-    dtype: DataType,
-    mtype: MemType,
-    atype: AccessType,
-}
-
 /// A `LibCall` site.
 #[derive(Debug, Clone)]
 struct LibSite {
@@ -248,14 +253,19 @@ enum VecKernel {
     },
 }
 
+/// Names of the fused kernels: the `vm.simd` decision detail and the
+/// `vm.kernel.*` metric suffix, in [`VecKernel::idx`] order.
+const VEC_KERNEL_NAMES: [&str; 5] = ["fill", "copy", "axpy", "dot", "hreduce"];
+
 impl VecKernel {
-    fn name(&self) -> &'static str {
+    /// This kernel's place in [`VEC_KERNEL_NAMES`] and [`VmTally::vec`].
+    fn idx(&self) -> usize {
         match self {
-            VecKernel::Fill { .. } => "fill",
-            VecKernel::Copy { .. } => "copy",
-            VecKernel::Axpy { .. } => "axpy",
-            VecKernel::Dot { .. } => "dot",
-            VecKernel::HReduce { .. } => "hreduce",
+            VecKernel::Fill { .. } => 0,
+            VecKernel::Copy { .. } => 1,
+            VecKernel::Axpy { .. } => 2,
+            VecKernel::Dot { .. } => 3,
+            VecKernel::HReduce { .. } => 4,
         }
     }
 }
@@ -275,20 +285,17 @@ struct ParSite {
     s: u32,
     end: u32,
     code: Vec<Instr>,
-    /// Per tensor slot: `true` when each worker owns a private copy
-    /// (`VarDef` locals and privatized reduction targets); `false` slots
-    /// route to the parent's storage, written disjointly.
+    /// Per tensor slot: `true` when each worker owns a private copy (the
+    /// body's `VarDef` locals); `false` slots route to the parent's
+    /// storage, written disjointly.
     local_mask: Vec<bool>,
-    /// Reduction targets privatized per worker and merged in deterministic
-    /// chunk order after the join (the runtime `cache_reduce`).
-    privatized: Vec<(usize, ReduceOp)>,
     /// Static body cost (instruction count) feeding the grain heuristic.
     cost: u32,
 }
 
 /// One lowering decision (a `vectorize` or parallel-region attempt),
-/// surfaced as a `vm.simd` / `vm.parallel` / `vm.reduce.privatize` trace
-/// span with a structured acceptance or rejection reason.
+/// surfaced as a `vm.simd` / `vm.parallel` trace span with a structured
+/// acceptance or rejection reason.
 #[derive(Debug, Clone)]
 struct LowerDecision {
     kind: &'static str,
@@ -297,17 +304,14 @@ struct LowerDecision {
     detail: String,
 }
 
-/// A compiled VM program.
-#[derive(Debug, Clone)]
-pub(crate) struct VmProgram {
+/// A compiled VM program: the instruction streams, beside the slot-resolved
+/// function they were lowered from (whose name, parameter and size tables
+/// the dispatch loop reads in place).
+pub(crate) struct VmProgram<'c> {
+    c: &'c Compiled,
     code: Vec<Instr>,
     n_regs: usize,
-    n_tensors: usize,
-    tensor_names: Vec<String>,
-    params: Vec<ParamSite>,
-    size_slots: Vec<(String, usize)>,
     lib_sites: Vec<LibSite>,
-    prof_nodes: Vec<ProfileNode>,
     vec_sites: Vec<VecSite>,
     par_sites: Vec<ParSite>,
     decisions: Vec<LowerDecision>,
@@ -347,30 +351,35 @@ impl LoopCtx {
     }
 }
 
-/// Collect every tensor slot `s` can write (or reallocate).
-fn collect_writes(s: &crate::compiled::CStmt, out: &mut std::collections::HashSet<usize>) {
+/// Call `f` on `s` and on every statement nested in it.
+fn for_each_stmt(s: &crate::compiled::CStmt, f: &mut impl FnMut(&crate::compiled::CStmt)) {
     use crate::compiled::CStmt as S;
+    f(s);
     match s {
-        S::Nop => {}
-        S::Seq(v) => v.iter().for_each(|st| collect_writes(st, out)),
-        S::VarDef { t, body, .. } => {
-            out.insert(*t);
-            collect_writes(body, out);
-        }
-        S::For { body, .. } => collect_writes(body, out),
+        S::Nop | S::Store { .. } | S::Reduce { .. } | S::LibCall { .. } => {}
+        S::Seq(v) => v.iter().for_each(|st| for_each_stmt(st, f)),
+        S::VarDef { body, .. } | S::For { body, .. } => for_each_stmt(body, f),
         S::If {
             then, otherwise, ..
         } => {
-            collect_writes(then, out);
+            for_each_stmt(then, f);
             if let Some(o) = otherwise {
-                collect_writes(o, out);
+                for_each_stmt(o, f);
             }
         }
-        S::Store { t, .. } | S::Reduce { t, .. } => {
+    }
+}
+
+/// Collect every tensor slot `s` can write (or reallocate).
+fn collect_writes(s: &crate::compiled::CStmt, out: &mut std::collections::HashSet<usize>) {
+    use crate::compiled::CStmt as S;
+    for_each_stmt(s, &mut |st| match st {
+        S::VarDef { t, .. } | S::Store { t, .. } | S::Reduce { t, .. } => {
             out.insert(*t);
         }
         S::LibCall { outputs, .. } => out.extend(outputs.iter().copied()),
-    }
+        _ => {}
+    });
 }
 
 struct Compiler {
@@ -392,9 +401,6 @@ struct Compiler {
     /// whether an access executes unconditionally in its loop.
     cond_depth: usize,
     lib_sites: Vec<LibSite>,
-    /// Whether we are compiling the body of a parallel region (nested
-    /// `OpenMp` loops then stay serial — the pool is flat).
-    in_region: bool,
     vec_sites: Vec<VecSite>,
     par_sites: Vec<ParSite>,
     decisions: Vec<LowerDecision>,
@@ -402,24 +408,11 @@ struct Compiler {
 
 /// Tensor slots a region body defines locally (`VarDef`s).
 fn collect_locals(s: &crate::compiled::CStmt, out: &mut std::collections::HashSet<usize>) {
-    use crate::compiled::CStmt as S;
-    match s {
-        S::Nop | S::Store { .. } | S::Reduce { .. } | S::LibCall { .. } => {}
-        S::Seq(v) => v.iter().for_each(|st| collect_locals(st, out)),
-        S::VarDef { t, body, .. } => {
+    for_each_stmt(s, &mut |st| {
+        if let crate::compiled::CStmt::VarDef { t, .. } = st {
             out.insert(*t);
-            collect_locals(body, out);
         }
-        S::For { body, .. } => collect_locals(body, out),
-        S::If {
-            then, otherwise, ..
-        } => {
-            collect_locals(then, out);
-            if let Some(o) = otherwise {
-                collect_locals(o, out);
-            }
-        }
-    }
+    });
 }
 
 /// Record every non-local tensor `e` loads from into `loaded`.
@@ -462,12 +455,6 @@ fn collect_loads(
 fn disjoint_by(idx: &[crate::compiled::CExpr], s: usize) -> bool {
     idx.iter()
         .any(|e| pure_total(e) && linear_in(e, s) && contains_scalar(e, s))
-}
-
-/// What a parallel-region analysis proved about a loop body.
-struct RegionInfo {
-    locals: std::collections::HashSet<usize>,
-    privatized: Vec<(usize, ReduceOp)>,
 }
 
 /// If `e` is a load whose index varies in `s`, return its target and index.
@@ -1151,8 +1138,8 @@ impl Compiler {
                 }
                 self.free_to(mark);
             }
-            // `atomic` matters only to the parallel-region analysis
-            // (privatization); the serial lowering is identical either way.
+            // `atomic` matters only to the parallel-region analysis; the
+            // serial lowering is identical either way.
             S::Reduce {
                 t,
                 idx,
@@ -1274,10 +1261,7 @@ impl Compiler {
         // becomes a pool region; failing that, a `vectorize` mark
         // becomes a fused wide kernel; failing both, the plain
         // strength-reduced serial loop below.
-        if scope == ParallelScope::OpenMp
-            && !self.in_region
-            && self.try_region(s, s_reg, re, prof, body)?
-        {
+        if scope == ParallelScope::OpenMp && self.try_region(s, s_reg, re, prof, body)? {
             return Ok(());
         }
         if vectorize && self.try_vectorize(s, s_reg, re, prof, body)? {
@@ -1294,20 +1278,7 @@ impl Compiler {
         r?;
         // Preheader (offset bases + numeric stride probes), then the
         // guard, then the relocated body, then the induction latches.
-        // When the preheader can fault (hoisted invariant loads), a
-        // zero-trip pre-guard skips it entirely so an empty loop never
-        // touches memory it would not have touched under the
-        // interpreter.
-        let pre_gi = if ctx.faulty_preheader {
-            Some(self.emit_idx(Instr::BrGeI {
-                a: s_reg,
-                b: re,
-                to: 0,
-            }))
-        } else {
-            None
-        };
-        self.buf.extend(ctx.preheader);
+        let pre_gi = self.emit_preheader(ctx.faulty_preheader, ctx.preheader, s_reg, re);
         let guard = self.buf.len() as u32;
         let gi = self.emit_idx(Instr::BrGeI {
             a: s_reg,
@@ -1328,6 +1299,17 @@ impl Compiler {
             self.patch(pg, exit);
         }
         Ok(())
+    }
+
+    /// Emit a loop's preheader. When it can fault (hoisted invariant loads)
+    /// it goes behind a zero-trip pre-guard, so an empty loop never touches
+    /// memory it would not have touched under the interpreter; the guard
+    /// (on iterator `a` against bound `b`) is returned for the caller to
+    /// patch to the loop's exit.
+    fn emit_preheader(&mut self, faulty: bool, pre: Vec<Instr>, a: u32, b: u32) -> Option<usize> {
+        let guard = faulty.then(|| self.emit_idx(Instr::BrGeI { a, b, to: 0 }));
+        self.buf.extend(pre);
+        guard
     }
 
     /// Record one lowering decision for the trace.
@@ -1588,17 +1570,8 @@ impl Compiler {
             Ok(kernel) => {
                 // The induction latches are dropped: the kernel dispatch
                 // computes every offset from base + k * stride directly.
-                let pre_gi = if ctx.faulty_preheader {
-                    Some(self.emit_idx(Instr::BrGeI {
-                        a: s_reg,
-                        b: re,
-                        to: 0,
-                    }))
-                } else {
-                    None
-                };
-                self.buf.extend(ctx.preheader);
-                let detail = kernel.name();
+                let pre_gi = self.emit_preheader(ctx.faulty_preheader, ctx.preheader, s_reg, re);
+                let detail = VEC_KERNEL_NAMES[kernel.idx()];
                 let site = self.vec_sites.len() as u32;
                 self.vec_sites.push(VecSite {
                     s: s_reg,
@@ -1616,40 +1589,26 @@ impl Compiler {
         }
     }
 
-    /// Prove a loop body safe for fork-join execution: every non-local
-    /// write lands on provably iteration-disjoint cells, no tensor is both
-    /// read and written, and atomic reductions privatize bit-exactly
-    /// (integer ops only — wrapping Add/Mul and Min/Max are associative and
-    /// commutative mod 2^width; float reductions are not and serialize the
-    /// region instead).
+    /// Prove a loop body safe for fork-join execution — every non-local
+    /// write lands on provably iteration-disjoint cells and no tensor is
+    /// both read and written — and return the slots its `VarDef`s bind.
+    /// Reductions that collide across iterations are not this analysis's
+    /// to resolve: `lower_cpu_parallel` has already turned them into
+    /// chunk-private rows, which pass as ordinary disjoint writes.
     fn analyze_region(
         &self,
         body: &crate::compiled::CStmt,
         s: usize,
-    ) -> Result<RegionInfo, &'static str> {
+    ) -> Result<std::collections::HashSet<usize>, &'static str> {
         let mut locals = std::collections::HashSet::new();
         collect_locals(body, &mut locals);
         let mut stored = std::collections::HashSet::new();
         let mut loaded = std::collections::HashSet::new();
-        let mut reduced = std::collections::BTreeMap::new();
-        scan_region(body, s, &locals, &mut stored, &mut loaded, &mut reduced)?;
+        scan_region(body, s, &locals, &mut stored, &mut loaded)?;
         if stored.iter().any(|t| loaded.contains(t)) {
             return Err("read_write_overlap");
         }
-        let mut privatized = Vec::new();
-        for (&t, &op) in &reduced {
-            if stored.contains(&t) || loaded.contains(&t) {
-                return Err("reduction_target_reused");
-            }
-            match self.tdtype[t] {
-                DataType::F32 | DataType::F64 => {
-                    return Err("nonassociative_float_reduction")
-                }
-                DataType::Bool => return Err("unsupported_reduce_dtype"),
-                DataType::I32 | DataType::I64 => privatized.push((t, op)),
-            }
-        }
-        Ok(RegionInfo { locals, privatized })
+        Ok(locals)
     }
 
     /// Try to lower an `OpenMp` loop into a pool-executed [`ParSite`].
@@ -1661,12 +1620,12 @@ impl Compiler {
         prof: usize,
         body: &crate::compiled::CStmt,
     ) -> Result<bool, Unsupported> {
-        let info = match self.analyze_region(body, s) {
+        let locals = match self.analyze_region(body, s) {
             Err(reason) => {
                 self.decide("vm.parallel", prof, false, reason);
                 return Ok(false);
             }
-            Ok(i) => i,
+            Ok(l) => l,
         };
         // The body compiles into a standalone stream with a clean loop /
         // conditional context (workers re-enter it from scratch every
@@ -1676,7 +1635,6 @@ impl Compiler {
         let saved_loops = std::mem::take(&mut self.loops);
         let saved_cond = self.cond_depth;
         self.cond_depth = 0;
-        self.in_region = true;
         let mut code = Vec::new();
         std::mem::swap(&mut self.buf, &mut code);
         let r = self.stmt(body);
@@ -1684,15 +1642,10 @@ impl Compiler {
         std::mem::swap(&mut self.buf, &mut code);
         self.loops = saved_loops;
         self.cond_depth = saved_cond;
-        self.in_region = false;
         r?;
         let mut local_mask = vec![false; self.tdtype.len()];
-        for &t in &info.locals {
+        for &t in &locals {
             local_mask[t] = true;
-        }
-        for &(t, op) in &info.privatized {
-            local_mask[t] = true;
-            self.decide("vm.reduce.privatize", prof, true, format!("{op:?}"));
         }
         let cost = code.len() as u32;
         let site = self.par_sites.len() as u32;
@@ -1701,7 +1654,6 @@ impl Compiler {
             end: re,
             code,
             local_mask,
-            privatized: info.privatized,
             cost,
         });
         self.emit(Instr::ParRegion { site });
@@ -1718,24 +1670,23 @@ fn scan_region(
     locals: &std::collections::HashSet<usize>,
     stored: &mut std::collections::HashSet<usize>,
     loaded: &mut std::collections::HashSet<usize>,
-    reduced: &mut std::collections::BTreeMap<usize, ReduceOp>,
 ) -> Result<(), &'static str> {
     use crate::compiled::CStmt as S;
     match st {
         S::Nop => Ok(()),
         S::Seq(v) => v
             .iter()
-            .try_for_each(|x| scan_region(x, s, locals, stored, loaded, reduced)),
+            .try_for_each(|x| scan_region(x, s, locals, stored, loaded)),
         S::VarDef { shape, body, .. } => {
             shape.iter().for_each(|e| collect_loads(e, locals, loaded));
-            scan_region(body, s, locals, stored, loaded, reduced)
+            scan_region(body, s, locals, stored, loaded)
         }
         S::For {
             begin, end, body, ..
         } => {
             collect_loads(begin, locals, loaded);
             collect_loads(end, locals, loaded);
-            scan_region(body, s, locals, stored, loaded, reduced)
+            scan_region(body, s, locals, stored, loaded)
         }
         S::If {
             cond,
@@ -1743,49 +1694,26 @@ fn scan_region(
             otherwise,
         } => {
             collect_loads(cond, locals, loaded);
-            scan_region(then, s, locals, stored, loaded, reduced)?;
+            scan_region(then, s, locals, stored, loaded)?;
             match otherwise {
-                Some(o) => scan_region(o, s, locals, stored, loaded, reduced),
+                Some(o) => scan_region(o, s, locals, stored, loaded),
                 None => Ok(()),
             }
         }
-        S::Store { t, idx, value } => {
+        S::Store { t, idx, value } | S::Reduce { t, idx, value, .. } => {
             idx.iter().for_each(|e| collect_loads(e, locals, loaded));
             collect_loads(value, locals, loaded);
             if !locals.contains(t) {
                 if !disjoint_by(idx, s) {
-                    return Err("unproven_disjoint_write");
+                    // The lowering leaves no `atomic` flag behind; one
+                    // here means the caller skipped it (the C emitter's
+                    // `CodegenError::AtomicReduce`).
+                    return Err(match st {
+                        S::Reduce { atomic: true, .. } => "atomic_reduce_unlowered",
+                        _ => "unproven_disjoint_write",
+                    });
                 }
                 stored.insert(*t);
-            }
-            Ok(())
-        }
-        S::Reduce {
-            t,
-            idx,
-            op,
-            value,
-            atomic,
-        } => {
-            idx.iter().for_each(|e| collect_loads(e, locals, loaded));
-            collect_loads(value, locals, loaded);
-            if !locals.contains(t) {
-                if disjoint_by(idx, s) {
-                    stored.insert(*t);
-                } else if *atomic {
-                    match reduced.entry(*t) {
-                        std::collections::btree_map::Entry::Occupied(e) => {
-                            if *e.get() != *op {
-                                return Err("mixed_reduce_ops");
-                            }
-                        }
-                        std::collections::btree_map::Entry::Vacant(v) => {
-                            v.insert(*op);
-                        }
-                    }
-                } else {
-                    return Err("unproven_disjoint_write");
-                }
             }
             Ok(())
         }
@@ -1794,7 +1722,7 @@ fn scan_region(
 }
 
 /// Lower a [`Compiled`] function into a VM program.
-pub(crate) fn compile_program(c: &Compiled) -> Result<VmProgram, Unsupported> {
+pub(crate) fn compile_program(c: &Compiled) -> Result<VmProgram<'_>, Unsupported> {
     let mut cp = Compiler {
         buf: Vec::new(),
         next: c.n_scalars as u32,
@@ -1805,7 +1733,6 @@ pub(crate) fn compile_program(c: &Compiled) -> Result<VmProgram, Unsupported> {
         depth_of: vec![None; c.n_tensors],
         tdtype: vec![DataType::F32; c.n_tensors],
         lib_sites: Vec::new(),
-        in_region: false,
         vec_sites: Vec::new(),
         par_sites: Vec::new(),
         decisions: Vec::new(),
@@ -1825,248 +1752,38 @@ pub(crate) fn compile_program(c: &Compiled) -> Result<VmProgram, Unsupported> {
     cp.stmt(&c.body)?;
     cp.emit(Instr::Halt);
     Ok(VmProgram {
+        c,
         code: cp.buf,
         n_regs: cp.max_regs as usize,
-        n_tensors: c.n_tensors,
-        tensor_names: c.tensor_names.clone(),
-        params: c
-            .params
-            .iter()
-            .map(|(slot, _, dtype, mtype, atype)| ParamSite {
-                slot: *slot,
-                dtype: *dtype,
-                mtype: *mtype,
-                atype: *atype,
-            })
-            .collect(),
-        size_slots: c.size_slots.clone(),
         lib_sites: cp.lib_sites,
-        prof_nodes: c.prof_nodes.clone(),
         vec_sites: cp.vec_sites,
         par_sites: cp.par_sites,
         decisions: cp.decisions,
     })
 }
 
-/// Typed flat storage of one live tensor.
-#[derive(Debug, Clone)]
-enum Buf {
-    F32(Vec<f32>),
-    F64(Vec<f64>),
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-    B(Vec<bool>),
-}
-
-impl Buf {
-    fn of_tensor_val(v: &TensorVal) -> Buf {
-        match v.dtype() {
-            DataType::F32 => Buf::F32(v.f32_data().expect("dtype pre-checked").to_vec()),
-            DataType::F64 => Buf::F64(v.f64_data().expect("dtype pre-checked").to_vec()),
-            DataType::I32 => Buf::I32(v.i32_data().expect("dtype pre-checked").to_vec()),
-            DataType::I64 => Buf::I64(v.i64_data().expect("dtype pre-checked").to_vec()),
-            DataType::Bool => Buf::B(v.bool_data().expect("dtype pre-checked").to_vec()),
-        }
-    }
-}
-
-/// A live tensor in the VM.
-#[derive(Debug, Clone)]
-struct VTensor {
-    buf: Buf,
-    shape: Vec<usize>,
-    numel: usize,
-    dtype: DataType,
-    mtype: MemType,
-    bytes: u64,
-}
-
-impl VTensor {
-    fn zeros(dtype: DataType, shape: &[usize], mtype: MemType) -> VTensor {
-        let numel: usize = shape.iter().product();
-        let buf = match dtype {
-            DataType::F32 => Buf::F32(vec![0.0; numel]),
-            DataType::F64 => Buf::F64(vec![0.0; numel]),
-            DataType::I32 => Buf::I32(vec![0; numel]),
-            DataType::I64 => Buf::I64(vec![0; numel]),
-            DataType::Bool => Buf::B(vec![false; numel]),
-        };
-        VTensor {
-            buf,
-            shape: shape.to_vec(),
-            numel,
-            dtype,
-            mtype,
-            bytes: (numel * dtype.size_bytes()) as u64,
-        }
-    }
-
-    fn from_tensor_val(v: &TensorVal, mtype: MemType) -> VTensor {
-        VTensor {
-            buf: Buf::of_tensor_val(v),
-            shape: v.shape().to_vec(),
-            numel: v.numel(),
-            dtype: v.dtype(),
-            mtype,
-            bytes: v.size_bytes() as u64,
-        }
-    }
-
-    fn tensor_val(&self) -> TensorVal {
-        match &self.buf {
-            Buf::F32(v) => TensorVal::from_f32(&self.shape, v.clone()),
-            Buf::F64(v) => TensorVal::from_f64(&self.shape, v.clone()),
-            Buf::I32(v) => TensorVal::from_i32(&self.shape, v.clone()),
-            Buf::I64(v) => TensorVal::from_i64(&self.shape, v.clone()),
-            Buf::B(v) => TensorVal::from_bool(&self.shape, v.clone()),
-        }
-    }
-
-    fn into_tensor_val(self) -> TensorVal {
-        match self.buf {
-            Buf::F32(v) => TensorVal::from_f32(&self.shape, v),
-            Buf::F64(v) => TensorVal::from_f64(&self.shape, v),
-            Buf::I32(v) => TensorVal::from_i32(&self.shape, v),
-            Buf::I64(v) => TensorVal::from_i64(&self.shape, v),
-            Buf::B(v) => TensorVal::from_bool(&self.shape, v),
-        }
-    }
-
-    /// Mirror of [`TensorVal::get_flat`].
-    #[inline]
-    fn scalar_at(&self, off: usize) -> Scalar {
-        match &self.buf {
-            Buf::F32(v) => Scalar::Float(v[off] as f64),
-            Buf::F64(v) => Scalar::Float(v[off]),
-            Buf::I32(v) => Scalar::Int(v[off] as i64),
-            Buf::I64(v) => Scalar::Int(v[off]),
-            Buf::B(v) => Scalar::Bool(v[off]),
-        }
-    }
-
-    /// Mirror of [`TensorVal::set_flat`].
-    #[inline]
-    fn store_scalar(&mut self, off: usize, v: Scalar) {
-        match &mut self.buf {
-            Buf::F32(d) => d[off] = v.as_f64() as f32,
-            Buf::F64(d) => d[off] = v.as_f64(),
-            Buf::I32(d) => d[off] = v.as_i64() as i32,
-            Buf::I64(d) => d[off] = v.as_i64(),
-            Buf::B(d) => d[off] = v.as_bool(),
-        }
-    }
-
-    /// Reset every element to zero in place.
-    fn fill_zero(&mut self) {
-        match &mut self.buf {
-            Buf::F32(v) => v.fill(0.0),
-            Buf::F64(v) => v.fill(0.0),
-            Buf::I32(v) => v.fill(0),
-            Buf::I64(v) => v.fill(0),
-            Buf::B(v) => v.fill(false),
-        }
-    }
-
-    /// Retarget this buffer at `(dtype, shape, mtype)` without zeroing,
-    /// reusing the storage when the dtype matches. Returns `None` on a
-    /// dtype mismatch, otherwise `Some(grew)` — whether the resize had to
-    /// allocate beyond the old capacity. Stale elements survive; callers
-    /// need a write-before-read proof or a [`fill_zero`](Self::fill_zero).
-    fn reuse_for(&mut self, dtype: DataType, shape: &[usize], mtype: MemType) -> Option<bool> {
-        if self.dtype != dtype {
-            return None;
-        }
-        let numel: usize = shape.iter().product();
-        fn fit<T: Default + Clone>(v: &mut Vec<T>, n: usize) -> bool {
-            let grew = n > v.capacity();
-            v.resize(n, T::default());
-            grew
-        }
-        let grew = match &mut self.buf {
-            Buf::F32(v) => fit(v, numel),
-            Buf::F64(v) => fit(v, numel),
-            Buf::I32(v) => fit(v, numel),
-            Buf::I64(v) => fit(v, numel),
-            Buf::B(v) => fit(v, numel),
-        };
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
-        self.numel = numel;
-        self.mtype = mtype;
-        self.bytes = (numel * dtype.size_bytes()) as u64;
-        Some(grew)
-    }
-}
-
-/// Class-keyed free-lists of [`VTensor`] buffers, held across runs by a
-/// [`crate::arena::RunContext`]. Only the coordinator state touches the
-/// pool — fork-join workers allocate their privates directly.
+/// A live tensor in the VM: the crate's one tensor type, beside the two
+/// facts the dispatch loop needs without a walk over the shape — the
+/// element count every flat bounds check compares against, and the memory
+/// type the capacity accounting charges.
 #[derive(Debug)]
-pub(crate) struct VmPool {
-    plan_hash: u64,
-    n_params: usize,
-    /// Per def index (slot − n_params): `(class, must_zero)`.
-    defs: Vec<Option<(usize, bool)>>,
-    free: Vec<Vec<VTensor>>,
-    pub(crate) stats: crate::arena::ArenaStats,
+struct VmSlot {
+    val: TensorVal,
+    numel: usize,
+    mtype: MemType,
 }
 
-impl VmPool {
-    pub(crate) fn new(plan: &ft_analysis::MemPlan) -> VmPool {
-        VmPool {
-            plan_hash: plan.plan_hash(),
-            n_params: plan.n_params,
-            defs: plan
-                .entries
-                .iter()
-                .map(|e| e.class.map(|c| (c, e.must_zero)))
-                .collect(),
-            free: (0..plan.classes.len()).map(|_| Vec::new()).collect(),
-            stats: crate::arena::ArenaStats::default(),
+impl VmSlot {
+    fn new(val: TensorVal, mtype: MemType) -> VmSlot {
+        VmSlot {
+            numel: val.numel(),
+            val,
+            mtype,
         }
     }
 
-    pub(crate) fn plan_hash(&self) -> u64 {
-        self.plan_hash
-    }
-
-    fn class_of(&self, slot: usize) -> Option<(usize, bool)> {
-        self.defs.get(slot.checked_sub(self.n_params)?).copied()?
-    }
-
-    /// A buffer for the def occupying tensor slot `slot`; pool hits skip
-    /// the zero-fill when write-before-read is proven by the plan.
-    fn take(&mut self, slot: usize, dtype: DataType, shape: &[usize], mtype: MemType) -> VTensor {
-        if let Some((class, must_zero)) = self.class_of(slot) {
-            while let Some(mut vt) = self.free[class].pop() {
-                match vt.reuse_for(dtype, shape, mtype) {
-                    Some(grew) => {
-                        if must_zero {
-                            vt.fill_zero();
-                        }
-                        if grew {
-                            self.stats.miss(0);
-                        } else {
-                            self.stats.hit();
-                        }
-                        return vt;
-                    }
-                    None => continue, // dtype mismatch: drop, try next
-                }
-            }
-            let vt = VTensor::zeros(dtype, shape, mtype);
-            self.stats.miss(vt.bytes);
-            return vt;
-        }
-        self.stats.miss(0);
-        VTensor::zeros(dtype, shape, mtype)
-    }
-
-    /// Return a scope-exited def's buffer to its class free-list.
-    fn put(&mut self, slot: usize, vt: VTensor) {
-        if let Some((class, _)) = self.class_of(slot) {
-            self.free[class].push(vt);
-        }
+    fn bytes(&self) -> u64 {
+        (self.numel * self.val.dtype().size_bytes()) as u64
     }
 }
 
@@ -2076,40 +1793,12 @@ impl VmPool {
 /// on iteration-disjoint cells, so element writes never race; the `Option`
 /// shells of shared slots are never inserted or removed while the region
 /// runs (region code contains no `Alloc`/`Free`/`BindParam` for non-local
-/// tensors, and privatized slots are masked worker-local). Transient `&mut`
+/// tensors). Transient `&mut`
 /// views of one shared slot may coexist across workers only under that
 /// disjoint-write proof.
-struct SharedSlots(*mut Option<VTensor>);
+struct SharedSlots(*mut Option<VmSlot>);
 unsafe impl Send for SharedSlots {}
 unsafe impl Sync for SharedSlots {}
-
-/// The identity element of `op`, in the shape and dtype of `like`.
-fn identity_tensor(like: &VTensor, op: ReduceOp) -> VTensor {
-    let mut vt = VTensor::zeros(like.dtype, &like.shape, like.mtype);
-    match (op, &mut vt.buf) {
-        (ReduceOp::Add, _) => {}
-        (ReduceOp::Mul, Buf::I32(v)) => v.fill(1),
-        (ReduceOp::Mul, Buf::I64(v)) => v.fill(1),
-        (ReduceOp::Min, Buf::I32(v)) => v.fill(i32::MAX),
-        (ReduceOp::Min, Buf::I64(v)) => v.fill(i64::MAX),
-        (ReduceOp::Max, Buf::I32(v)) => v.fill(i32::MIN),
-        (ReduceOp::Max, Buf::I64(v)) => v.fill(i64::MIN),
-        // The region analysis only privatizes integer reductions.
-        _ => unreachable!("privatized reductions are integer-only"),
-    }
-    vt
-}
-
-/// Fold one chunk's private accumulator into the shared target, cell by
-/// cell, with the interpreter's reduce semantics. Wrapping integer Add/Mul
-/// and Min/Max are associative and commutative (i32 truncation commutes
-/// with i64 arithmetic), so accumulate-then-merge equals the serial order.
-fn merge_reduce(dst: &mut VTensor, part: &VTensor, op: ReduceOp) {
-    for o in 0..dst.numel {
-        let new = crate::interp::apply_reduce(op, dst.scalar_at(o), part.scalar_at(o));
-        dst.store_scalar(o, new);
-    }
-}
 
 /// Minimum `trip * body_cost` before a parallel region pays for the
 /// fork-join handshake; below it the region runs serially in place.
@@ -2120,13 +1809,12 @@ struct VmState<'a> {
     config: &'a DeviceConfig,
     names: &'a [String],
     regs: Vec<u64>,
-    tensors: Vec<Option<VTensor>>,
+    tensors: Vec<Option<VmSlot>>,
     /// Live bytes per device, `[cpu, gpu]` — the capacity accounting that
     /// reproduces the interpreter's out-of-memory errors.
     live: [u64; 2],
     /// Inside a fork-join region: the coordinator's slots plus the mask of
-    /// slots that stay worker-private (region locals and privatized
-    /// reduction targets).
+    /// slots that stay worker-private (the region body's `VarDef`s).
     shared: Option<(&'a SharedSlots, &'a [bool])>,
     /// Dispatch tallies, present only when the owning
     /// [`VmRuntime`] has a metrics registry. Coordinator-thread only:
@@ -2136,7 +1824,7 @@ struct VmState<'a> {
     /// Plan-driven buffer pool for `Alloc`/`Free` storage. Coordinator
     /// only — fork-join worker states run with `None`; live-byte
     /// accounting is unchanged.
-    arena: Option<VmPool>,
+    arena: Option<TensorPool>,
 }
 
 /// Per-run dispatch bookkeeping harvested into the metrics registry after
@@ -2144,31 +1832,22 @@ struct VmState<'a> {
 /// dispatch hot path.
 #[derive(Debug)]
 struct VmTally {
-    /// Dispatch counts per fused [`VecKernel`] kind, indexed as
-    /// [`VEC_KERNEL_NAMES`].
+    /// Dispatch counts per fused [`VecKernel`] kind, by [`VecKernel::idx`].
     vec: [u64; VEC_KERNEL_NAMES.len()],
     /// Parallel-region sites scheduled on the worker pool.
     par_pool: u64,
     /// Parallel-region sites that took the serial fallback (tiny trip
-    /// count, nested region, or unavailable privatization).
+    /// count, one-core host, or nested region).
     par_serial: u64,
     /// Wall time of each fused-kernel dispatch, in nanoseconds.
     kernel_ns: ft_metrics::Histogram,
 }
 
-/// Metric-name suffixes of the fused vectorized kernels, in
-/// [`VmTally::vec`] index order.
-const VEC_KERNEL_NAMES: [&str; 5] = ["fill", "copy", "axpy", "dot", "hreduce"];
-
-/// The [`VmTally::vec`] slot a kernel dispatch is counted in.
-fn vec_tally_idx(k: &VecKernel) -> usize {
-    match k {
-        VecKernel::Fill { .. } => 0,
-        VecKernel::Copy { .. } => 1,
-        VecKernel::Axpy { .. } => 2,
-        VecKernel::Dot { .. } => 3,
-        VecKernel::HReduce { .. } => 4,
-    }
+/// Whether `trip` elements from flat offset `base` at `stride` are one
+/// in-bounds slice of a `numel`-element tensor (the wide kernels' gate).
+#[inline]
+fn contiguous(base: i64, stride: i64, trip: usize, numel: usize) -> bool {
+    stride == 1 && base >= 0 && (base as u64).saturating_add(trip as u64) <= numel as u64
 }
 
 #[inline(always)]
@@ -2220,7 +1899,7 @@ impl VmState<'_> {
     /// coordinator's slot when running inside a fork-join region and `t`
     /// is not worker-private.
     #[inline(always)]
-    fn slot(&self, t: usize) -> &Option<VTensor> {
+    fn slot(&self, t: usize) -> &Option<VmSlot> {
         match self.shared {
             // SAFETY: see [`SharedSlots`].
             Some((sh, mask)) if !mask[t] => unsafe { &*sh.0.add(t) },
@@ -2229,7 +1908,7 @@ impl VmState<'_> {
     }
 
     #[inline(always)]
-    fn slot_mut(&mut self, t: usize) -> &mut Option<VTensor> {
+    fn slot_mut(&mut self, t: usize) -> &mut Option<VmSlot> {
         match self.shared {
             // SAFETY: see [`SharedSlots`].
             Some((sh, mask)) if !mask[t] => unsafe { &mut *sh.0.add(t) },
@@ -2256,7 +1935,7 @@ impl VmState<'_> {
         if o < 0 || o as usize >= vt.numel {
             return Err(self.oob(t, vec![o]));
         }
-        Ok(vt.scalar_at(o as usize))
+        Ok(vt.val.get_flat(o as usize))
     }
 
     /// One `StoreFlat` worth of semantics as a plain call.
@@ -2269,7 +1948,8 @@ impl VmState<'_> {
         self.slot_mut(t)
             .as_mut()
             .expect("checked above")
-            .store_scalar(o as usize, v);
+            .val
+            .set_flat(o as usize, v);
         Ok(())
     }
 
@@ -2287,15 +1967,16 @@ impl VmState<'_> {
         self.slot_mut(t)
             .as_mut()
             .expect("checked above")
-            .store_scalar(o as usize, new);
+            .val
+            .set_flat(o as usize, new);
         Ok(())
     }
 
     /// The capacity check of `ExecCtx::alloc` (same `OutOfMemory` payload)
     /// without its counters.
-    fn account_alloc(&mut self, t: usize, vt: VTensor) -> Result<(), RuntimeError> {
+    fn account_alloc(&mut self, t: usize, vt: VmSlot) -> Result<(), RuntimeError> {
         let device = vt.mtype.device();
-        let bytes = vt.bytes;
+        let bytes = vt.bytes();
         let capacity = self.config.capacity(device) as u64;
         let di = dev_index(device);
         let live = self.live[di];
@@ -2312,17 +1993,26 @@ impl VmState<'_> {
         Ok(())
     }
 
-    fn account_free(&mut self, t: usize) -> Option<VTensor> {
+    fn account_free(&mut self, t: usize) -> Option<VmSlot> {
         self.slot_mut(t).take().inspect(|vt| {
             let di = dev_index(vt.mtype.device());
-            self.live[di] = self.live[di].saturating_sub(vt.bytes);
+            self.live[di] = self.live[di].saturating_sub(vt.bytes());
         })
+    }
+
+    /// The extents of tensor `t`, read from the `ndim` registers at `base`.
+    fn shape_of(&self, t: usize, base: u32, ndim: u8) -> Result<Vec<usize>, RuntimeError> {
+        let regs = &self.regs[base as usize..base as usize + ndim as usize];
+        regs.iter()
+            .map(|r| usize::try_from(*r as i64))
+            .collect::<Result<_, _>>()
+            .map_err(|_| RuntimeError::UnresolvedSize(self.names[t].clone()))
     }
 
     fn oob(&self, t: usize, index: Vec<i64>) -> RuntimeError {
         let shape = self.slot(t)
             .as_ref()
-            .map(|vt| vt.shape.clone())
+            .map(|vt| vt.val.shape().to_vec())
             .unwrap_or_default();
         RuntimeError::IndexOutOfBounds {
             name: self.names[t].clone(),
@@ -2331,52 +2021,35 @@ impl VmState<'_> {
         }
     }
 
-    /// Dispatch a `LibCall` site (same kernels and error payloads as
-    /// `crate::libkernel::dispatch_slots`).
-    fn libcall(&mut self, prog: &VmProgram, site: &LibSite) -> Result<(), RuntimeError> {
+    /// Dispatch a `LibCall` site to the kernels of [`crate::libkernel`], on
+    /// the operands in place.
+    fn libcall(&mut self, site: &LibSite) -> Result<(), RuntimeError> {
         match site.kernel.as_str() {
             "matmul" => {
-                let [m, k, n] = site.attrs.as_slice() else {
-                    return Err(RuntimeError::UnknownKernel(
-                        "matmul expects attrs [m, k, n]".to_string(),
-                    ));
-                };
-                let (m, k, n) = (*m as usize, *k as usize, *n as usize);
-                let fetch = |st: &VmState<'_>, slot: usize| -> Result<TensorVal, RuntimeError> {
-                    st.slot(slot)
+                let out = site.outputs[0];
+                let undefined = |t: usize| RuntimeError::UndefinedName(self.names[t].clone());
+                // The output leaves its slot for the call so the inputs can
+                // be borrowed beside it. An input that *is* the output reads
+                // a copy of its value at entry, as the interpreter's does.
+                let mut c = self.slot_mut(out).take().ok_or_else(|| undefined(out))?;
+                let at_entry = site.inputs.contains(&out).then(|| c.val.clone());
+                let input = |t: usize| match &at_entry {
+                    Some(v) if t == out => Ok(v),
+                    _ => self
+                        .slot(t)
                         .as_ref()
-                        .map(VTensor::tensor_val)
-                        .ok_or_else(|| RuntimeError::UndefinedName(st.names[slot].clone()))
+                        .map(|s| &s.val)
+                        .ok_or_else(|| undefined(t)),
                 };
-                let a = fetch(self, site.inputs[0])?;
-                let b = fetch(self, site.inputs[1])?;
-                let mut c = fetch(self, site.outputs[0])?;
-                if a.numel() != m * k || b.numel() != k * n || c.numel() != m * n {
-                    return Err(RuntimeError::ShapeMismatch {
-                        name: prog.tensor_names[site.outputs[0]].clone(),
-                        expected: vec![m, n],
-                        actual: c.shape().to_vec(),
-                    });
-                }
-                crate::libkernel::matmul_blocked(&a, &b, &mut c, m, k, n);
-                let vt = self
-                    .slot_mut(site.outputs[0])
-                    .as_mut()
-                    .expect("fetched above");
-                vt.buf = Buf::of_tensor_val(&c);
-                Ok(())
+                let r = input(site.inputs[0]).and_then(|a| {
+                    let b = input(site.inputs[1])?;
+                    matmul_checked(a, b, &mut c.val, &site.attrs, &self.names[out])
+                });
+                *self.slot_mut(out) = Some(c);
+                r.map(drop)
             }
             other => Err(RuntimeError::UnknownKernel(other.to_string())),
         }
-    }
-
-    /// The dispatch loop over the program's top-level stream.
-    fn exec(
-        &mut self,
-        prog: &VmProgram,
-        inputs: &HashMap<String, TensorVal>,
-    ) -> Result<(), RuntimeError> {
-        self.exec_code(&prog.code, prog, inputs)
     }
 
     /// The dispatch loop over one instruction stream (the top-level code or
@@ -2384,7 +2057,7 @@ impl VmState<'_> {
     fn exec_code(
         &mut self,
         code: &[Instr],
-        prog: &VmProgram,
+        prog: &VmProgram<'_>,
         inputs: &HashMap<String, TensorVal>,
     ) -> Result<(), RuntimeError> {
         let mut pc = 0usize;
@@ -2614,26 +2287,18 @@ impl VmState<'_> {
                     };
                     let nd = *ndim as usize;
                     let base = *idx as usize;
-                    if nd != vt.shape.len() {
-                        let index: Vec<i64> =
-                            (0..nd).map(|d| self.regs[base + d] as i64).collect();
-                        return Err(self.oob(ti, index));
+                    let index = || (0..nd).map(|d| self.regs[base + d] as i64).collect();
+                    if nd != vt.val.ndim() {
+                        return Err(self.oob(ti, index()));
                     }
                     let mut off = 0usize;
-                    let mut ok = true;
                     for d in 0..nd {
                         let i = self.regs[base + d] as i64;
-                        let extent = vt.shape[d];
+                        let extent = vt.val.shape()[d];
                         if i < 0 || i as usize >= extent {
-                            ok = false;
-                            break;
+                            return Err(self.oob(ti, index()));
                         }
                         off = off * extent + i as usize;
-                    }
-                    if !ok {
-                        let index: Vec<i64> =
-                            (0..nd).map(|d| self.regs[base + d] as i64).collect();
-                        return Err(self.oob(ti, index));
                     }
                     self.regs[*dst as usize] = off as u64;
                 }
@@ -2644,7 +2309,7 @@ impl VmState<'_> {
                     let mut off = 0i64;
                     for d in 0..*ndim as usize {
                         let i = self.regs[base + d] as i64;
-                        off = off.wrapping_mul(vt.shape[d] as i64).wrapping_add(i);
+                        off = off.wrapping_mul(vt.val.shape()[d] as i64).wrapping_add(i);
                     }
                     self.regs[*dst as usize] = off as u64;
                 }
@@ -2652,12 +2317,12 @@ impl VmState<'_> {
                     let ti = *t as usize;
                     let o = self.regs[*off as usize] as usize;
                     let vt = self.slot(ti).as_ref().expect("Off checked");
-                    let bits = match &vt.buf {
-                        Buf::F32(v) => (v[o] as f64).to_bits(),
-                        Buf::F64(v) => v[o].to_bits(),
-                        Buf::I32(v) => (v[o] as i64) as u64,
-                        Buf::I64(v) => v[o] as u64,
-                        Buf::B(v) => v[o] as u64,
+                    let bits = match &vt.val.data {
+                        Data::F32(v) => (v[o] as f64).to_bits(),
+                        Data::F64(v) => v[o].to_bits(),
+                        Data::I32(v) => (v[o] as i64) as u64,
+                        Data::I64(v) => v[o] as u64,
+                        Data::Bool(v) => v[o] as u64,
                     };
                     self.regs[*dst as usize] = bits;
                 }
@@ -2679,7 +2344,8 @@ impl VmState<'_> {
                     self.slot_mut(ti)
                         .as_mut()
                         .expect("Off checked")
-                        .store_scalar(o, v);
+                        .val
+                        .set_flat(o, v);
                 }
                 Instr::StoreFlat { t, off, src, sty } => {
                     let ti = *t as usize;
@@ -2697,12 +2363,13 @@ impl VmState<'_> {
                     let ti = *t as usize;
                     let o = self.regs[*off as usize] as usize;
                     let v = self.scalar_of(*src, *sty);
-                    let old = self.slot(ti).as_ref().expect("Off checked").scalar_at(o);
+                    let old = self.slot(ti).as_ref().expect("Off checked").val.get_flat(o);
                     let new = crate::interp::apply_reduce(*op, old, v);
                     self.slot_mut(ti)
                         .as_mut()
                         .expect("Off checked")
-                        .store_scalar(o, new);
+                        .val
+                        .set_flat(o, new);
                 }
                 Instr::ReduceFlat {
                     t,
@@ -2724,42 +2391,27 @@ impl VmState<'_> {
                     mtype,
                 } => {
                     let ti = *t as usize;
-                    let base = *shape as usize;
-                    let mut sh = Vec::with_capacity(*ndim as usize);
-                    for d in 0..*ndim as usize {
-                        let v = self.regs[base + d] as i64;
-                        let u = usize::try_from(v).map_err(|_| {
-                            RuntimeError::UnresolvedSize(self.names[ti].clone())
-                        })?;
-                        sh.push(u);
-                    }
-                    let vt = match self.arena.as_mut() {
-                        Some(pool) => pool.take(ti, *dtype, &sh, *mtype),
-                        None => VTensor::zeros(*dtype, &sh, *mtype),
+                    let sh = self.shape_of(ti, *shape, *ndim)?;
+                    let val = match self.arena.as_mut() {
+                        Some(pool) => pool.take_slot(ti, *dtype, &sh),
+                        None => TensorVal::zeros(*dtype, &sh),
                     };
-                    self.account_alloc(ti, vt)?;
+                    self.account_alloc(ti, VmSlot::new(val, *mtype))?;
                 }
                 Instr::Free { t } => {
                     let ti = *t as usize;
                     if let Some(vt) = self.account_free(ti) {
                         if let Some(pool) = self.arena.as_mut() {
-                            pool.put(ti, vt);
+                            pool.put_slot(ti, vt.val);
                         }
                     }
                 }
                 Instr::BindParam { p, shape, ndim } => {
-                    let site = &prog.params[*p as usize];
-                    let ti = site.slot;
-                    let name = &prog.tensor_names[ti];
-                    let base = *shape as usize;
-                    let mut sh = Vec::with_capacity(*ndim as usize);
-                    for d in 0..*ndim as usize {
-                        let v = self.regs[base + d] as i64;
-                        let u = usize::try_from(v)
-                            .map_err(|_| RuntimeError::UnresolvedSize(name.clone()))?;
-                        sh.push(u);
-                    }
-                    let vt = match site.atype {
+                    let (ti, _, dtype, mtype, atype) = &prog.c.params[*p as usize];
+                    let ti = *ti;
+                    let name = &self.names[ti];
+                    let sh = self.shape_of(ti, *shape, *ndim)?;
+                    let val = match atype {
                         AccessType::Input | AccessType::InOut => {
                             let tv = inputs
                                 .get(name)
@@ -2771,14 +2423,14 @@ impl VmState<'_> {
                                     actual: tv.shape().to_vec(),
                                 });
                             }
-                            VTensor::from_tensor_val(tv, site.mtype)
+                            tv.clone()
                         }
-                        _ => VTensor::zeros(site.dtype, &sh, site.mtype),
+                        _ => TensorVal::zeros(*dtype, &sh),
                     };
-                    self.account_alloc(ti, vt)?;
+                    self.account_alloc(ti, VmSlot::new(val, *mtype))?;
                 }
                 Instr::LibCall { id } => {
-                    self.libcall(prog, &prog.lib_sites[*id as usize])?;
+                    self.libcall(&prog.lib_sites[*id as usize])?;
                 }
                 Instr::VecLoop { site } => {
                     self.exec_vec(&prog.vec_sites[*site as usize])?;
@@ -2821,7 +2473,7 @@ impl VmState<'_> {
                 VecKernel::HReduce { dst, x, op } => self.vec_hreduce(trip, dst, x, *op)?,
             }
             if let Some(t) = self.tally.as_mut() {
-                t.vec[vec_tally_idx(&site.kernel)] += 1;
+                t.vec[site.kernel.idx()] += 1;
                 if let Some(t0) = t0 {
                     t.kernel_ns
                         .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -2845,14 +2497,14 @@ impl VmState<'_> {
         let (dt, db, ds) = self.acc(dst);
         let v = self.scalar_of(src, sty);
         let numel = self.numel_of(dt)?;
-        if ds == 1 && db >= 0 && (db as u64).saturating_add(trip as u64) <= numel as u64 {
+        if contiguous(db, ds, trip, numel) {
             let o = db as usize;
-            match &mut self.slot_mut(dt).as_mut().expect("checked above").buf {
-                Buf::F32(d) => d[o..o + trip].fill(v.as_f64() as f32),
-                Buf::F64(d) => d[o..o + trip].fill(v.as_f64()),
-                Buf::I32(d) => d[o..o + trip].fill(v.as_i64() as i32),
-                Buf::I64(d) => d[o..o + trip].fill(v.as_i64()),
-                Buf::B(d) => d[o..o + trip].fill(v.as_bool()),
+            match &mut self.slot_mut(dt).as_mut().expect("checked above").val.data {
+                Data::F32(d) => d[o..o + trip].fill(v.as_f64() as f32),
+                Data::F64(d) => d[o..o + trip].fill(v.as_f64()),
+                Data::I32(d) => d[o..o + trip].fill(v.as_i64() as i32),
+                Data::I64(d) => d[o..o + trip].fill(v.as_i64()),
+                Data::Bool(d) => d[o..o + trip].fill(v.as_bool()),
             }
             return Ok(());
         }
@@ -2871,45 +2523,39 @@ impl VmState<'_> {
         // Serial order faults on the source load before the dest store.
         let xn = self.numel_of(xt)?;
         let dn = self.numel_of(dt)?;
-        let lane = xs == 1
-            && ds == 1
-            && xb >= 0
-            && (xb as u64).saturating_add(trip as u64) <= xn as u64
-            && db >= 0
-            && (db as u64).saturating_add(trip as u64) <= dn as u64
-            && dt != xt;
+        let lane = contiguous(xb, xs, trip, xn) && contiguous(db, ds, trip, dn) && dt != xt;
         if lane {
             let (xo, do_) = (xb as usize, db as usize);
-            let sp: *const Option<VTensor> = self.slot(xt);
-            let dp: *mut Option<VTensor> = self.slot_mut(dt);
+            let sp: *const Option<VmSlot> = self.slot(xt);
+            let dp: *mut Option<VmSlot> = self.slot_mut(dt);
             // SAFETY: distinct live slots (checked above); ranges in bounds.
             let xv = unsafe { (*sp).as_ref().expect("checked above") };
             let dv = unsafe { (*dp).as_mut().expect("checked above") };
-            match (&mut dv.buf, &xv.buf) {
-                (Buf::F32(d), Buf::F32(s)) => {
+            match (&mut dv.val.data, &xv.val.data) {
+                (Data::F32(d), Data::F32(s)) => {
                     // Keep the serial f32→f64→f32 round-trip for NaN-bit
                     // fidelity.
                     for (dd, ss) in d[do_..do_ + trip].iter_mut().zip(&s[xo..xo + trip]) {
                         *dd = (*ss as f64) as f32;
                     }
                 }
-                (Buf::F64(d), Buf::F64(s)) => {
+                (Data::F64(d), Data::F64(s)) => {
                     d[do_..do_ + trip].copy_from_slice(&s[xo..xo + trip]);
                 }
-                (Buf::I32(d), Buf::I32(s)) => {
+                (Data::I32(d), Data::I32(s)) => {
                     d[do_..do_ + trip].copy_from_slice(&s[xo..xo + trip]);
                 }
-                (Buf::I64(d), Buf::I64(s)) => {
+                (Data::I64(d), Data::I64(s)) => {
                     d[do_..do_ + trip].copy_from_slice(&s[xo..xo + trip]);
                 }
-                (Buf::B(d), Buf::B(s)) => {
+                (Data::Bool(d), Data::Bool(s)) => {
                     d[do_..do_ + trip].copy_from_slice(&s[xo..xo + trip]);
                 }
                 _ => {
                     // Mixed dtypes: the exact scalar conversion per cell.
                     for k in 0..trip {
-                        let v = xv.scalar_at(xo + k);
-                        dv.store_scalar(do_ + k, v);
+                        let v = xv.val.get_flat(xo + k);
+                        dv.val.set_flat(do_ + k, v);
                     }
                 }
             }
@@ -2940,22 +2586,16 @@ impl VmState<'_> {
         let av = a.map(|(r, ty)| self.scalar_of(r, ty).as_f64());
         let xn = self.numel_of(xt)?;
         let dn = self.numel_of(dt)?;
-        let lane = xs == 1
-            && ds == 1
-            && xb >= 0
-            && (xb as u64).saturating_add(trip as u64) <= xn as u64
-            && db >= 0
-            && (db as u64).saturating_add(trip as u64) <= dn as u64
-            && dt != xt;
+        let lane = contiguous(xb, xs, trip, xn) && contiguous(db, ds, trip, dn) && dt != xt;
         if lane {
             let (xo, do_) = (xb as usize, db as usize);
-            let sp: *const Option<VTensor> = self.slot(xt);
-            let dp: *mut Option<VTensor> = self.slot_mut(dt);
+            let sp: *const Option<VmSlot> = self.slot(xt);
+            let dp: *mut Option<VmSlot> = self.slot_mut(dt);
             // SAFETY: distinct live slots (checked above); ranges in bounds.
             let xv = unsafe { (*sp).as_ref().expect("checked above") };
             let dv = unsafe { (*dp).as_mut().expect("checked above") };
-            match (&mut dv.buf, &xv.buf) {
-                (Buf::F32(d), Buf::F32(s)) => {
+            match (&mut dv.val.data, &xv.val.data) {
+                (Data::F32(d), Data::F32(s)) => {
                     let (d, s) = (&mut d[do_..do_ + trip], &s[xo..xo + trip]);
                     match (av, a_lhs) {
                         (Some(a), true) => lanes::axpy_f32(d, a, s),
@@ -2971,7 +2611,7 @@ impl VmState<'_> {
                         }
                     }
                 }
-                (Buf::F64(d), Buf::F64(s)) => {
+                (Data::F64(d), Data::F64(s)) => {
                     let (d, s) = (&mut d[do_..do_ + trip], &s[xo..xo + trip]);
                     match (av, a_lhs) {
                         (Some(a), true) => lanes::axpy_f64(d, a, s),
@@ -2990,14 +2630,14 @@ impl VmState<'_> {
                 _ => {
                     // Mixed float widths: exact f64 math per cell.
                     for k in 0..trip {
-                        let xvv = xv.scalar_at(xo + k).as_f64();
+                        let xvv = xv.val.get_flat(xo + k).as_f64();
                         let prod = match (av, a_lhs) {
                             (Some(a), true) => a * xvv,
                             (Some(a), false) => xvv * a,
                             (None, _) => xvv,
                         };
-                        let old = dv.scalar_at(do_ + k).as_f64();
-                        dv.store_scalar(do_ + k, Scalar::Float(old + prod));
+                        let old = dv.val.get_flat(do_ + k).as_f64();
+                        dv.val.set_flat(do_ + k, Scalar::Float(old + prod));
                     }
                 }
             }
@@ -3032,39 +2672,35 @@ impl VmState<'_> {
         let xn = self.numel_of(xt)?;
         let yn = self.numel_of(yt)?;
         let dn = self.numel_of(dt)?;
-        let lane = xs == 1
-            && ys == 1
-            && xb >= 0
-            && (xb as u64).saturating_add(trip as u64) <= xn as u64
-            && yb >= 0
-            && (yb as u64).saturating_add(trip as u64) <= yn as u64
+        let lane = contiguous(xb, xs, trip, xn)
+            && contiguous(yb, ys, trip, yn)
             && db >= 0
             && (db as usize) < dn
             && dt != xt
             && dt != yt;
         if lane {
             let (xo, yo, do_) = (xb as usize, yb as usize, db as usize);
-            let xp: *const Option<VTensor> = self.slot(xt);
-            let yp: *const Option<VTensor> = self.slot(yt);
-            let dp: *mut Option<VTensor> = self.slot_mut(dt);
+            let xp: *const Option<VmSlot> = self.slot(xt);
+            let yp: *const Option<VmSlot> = self.slot(yt);
+            let dp: *mut Option<VmSlot> = self.slot_mut(dt);
             // SAFETY: dst is distinct from both sources (checked above);
             // x and y may alias each other, both views are shared.
             let xv = unsafe { (*xp).as_ref().expect("checked above") };
             let yv = unsafe { (*yp).as_ref().expect("checked above") };
             let dv = unsafe { (*dp).as_mut().expect("checked above") };
-            match (&mut dv.buf, &xv.buf, &yv.buf) {
-                (Buf::F32(d), Buf::F32(sx), Buf::F32(sy)) => {
+            match (&mut dv.val.data, &xv.val.data, &yv.val.data) {
+                (Data::F32(d), Data::F32(sx), Data::F32(sy)) => {
                     d[do_] = lanes::dot_f32(d[do_], &sx[xo..xo + trip], &sy[yo..yo + trip]);
                 }
-                (Buf::F64(d), Buf::F64(sx), Buf::F64(sy)) => {
+                (Data::F64(d), Data::F64(sx), Data::F64(sy)) => {
                     d[do_] = lanes::dot_f64(d[do_], &sx[xo..xo + trip], &sy[yo..yo + trip]);
                 }
                 _ => {
                     // Mixed float widths: exact f64 math per cell.
                     for k in 0..trip {
-                        let p = xv.scalar_at(xo + k).as_f64() * yv.scalar_at(yo + k).as_f64();
-                        let old = dv.scalar_at(do_).as_f64();
-                        dv.store_scalar(do_, Scalar::Float(old + p));
+                        let p = xv.val.get_flat(xo + k).as_f64() * yv.val.get_flat(yo + k).as_f64();
+                        let old = dv.val.get_flat(do_).as_f64();
+                        dv.val.set_flat(do_, Scalar::Float(old + p));
                     }
                 }
             }
@@ -3093,21 +2729,16 @@ impl VmState<'_> {
         let (xt, xb, xs) = self.acc(x);
         let xn = self.numel_of(xt)?;
         let dn = self.numel_of(dt)?;
-        let lane = xs == 1
-            && xb >= 0
-            && (xb as u64).saturating_add(trip as u64) <= xn as u64
-            && db >= 0
-            && (db as usize) < dn
-            && dt != xt;
+        let lane = contiguous(xb, xs, trip, xn) && db >= 0 && (db as usize) < dn && dt != xt;
         if lane {
             let (xo, do_) = (xb as usize, db as usize);
-            let xp: *const Option<VTensor> = self.slot(xt);
-            let dp: *mut Option<VTensor> = self.slot_mut(dt);
+            let xp: *const Option<VmSlot> = self.slot(xt);
+            let dp: *mut Option<VmSlot> = self.slot_mut(dt);
             // SAFETY: distinct live slots (checked above); ranges in bounds.
             let xv = unsafe { (*xp).as_ref().expect("checked above") };
             let dv = unsafe { (*dp).as_mut().expect("checked above") };
-            match (&mut dv.buf, &xv.buf) {
-                (Buf::F32(d), Buf::F32(s)) => {
+            match (&mut dv.val.data, &xv.val.data) {
+                (Data::F32(d), Data::F32(s)) => {
                     let s = &s[xo..xo + trip];
                     d[do_] = match op {
                         ReduceOp::Add => lanes::sum_f32(d[do_], s),
@@ -3116,7 +2747,7 @@ impl VmState<'_> {
                         ReduceOp::Mul => unreachable!("rejected at compile time"),
                     };
                 }
-                (Buf::F64(d), Buf::F64(s)) => {
+                (Data::F64(d), Data::F64(s)) => {
                     let s = &s[xo..xo + trip];
                     d[do_] = match op {
                         ReduceOp::Add => lanes::sum_f64(d[do_], s),
@@ -3128,10 +2759,10 @@ impl VmState<'_> {
                 _ => {
                     // Mixed float widths: exact scalar reduce per cell.
                     for k in 0..trip {
-                        let v = xv.scalar_at(xo + k);
-                        let old = dv.scalar_at(do_);
+                        let v = xv.val.get_flat(xo + k);
+                        let old = dv.val.get_flat(do_);
                         let new = crate::interp::apply_reduce(op, old, v);
-                        dv.store_scalar(do_, new);
+                        dv.val.set_flat(do_, new);
                     }
                 }
             }
@@ -3150,7 +2781,7 @@ impl VmState<'_> {
     /// when the work would not pay for the handshake.
     fn exec_region(
         &mut self,
-        prog: &VmProgram,
+        prog: &VmProgram<'_>,
         site: &ParSite,
         inputs: &HashMap<String, TensorVal>,
     ) -> Result<(), RuntimeError> {
@@ -3164,8 +2795,7 @@ impl VmState<'_> {
         let pool = WorkerPool::global();
         let workers = (pool.background_workers() + 1).min(trip);
         let work = (trip as u64).saturating_mul(u64::from(site.cost.max(1)));
-        let priv_ok = site.privatized.iter().all(|&(t, _)| self.tensors[t].is_some());
-        if workers <= 1 || work < PAR_THRESHOLD || !priv_ok || self.shared.is_some() {
+        if workers <= 1 || work < PAR_THRESHOLD || self.shared.is_some() {
             if let Some(t) = self.tally.as_mut() {
                 t.par_serial += 1;
             }
@@ -3180,45 +2810,29 @@ impl VmState<'_> {
             t.par_pool += 1;
         }
         let grain = grain_for(trip as i64, workers, u64::from(site.cost.max(1)));
-        // Per-chunk private accumulators start from the identity, cloned
-        // from templates built before any worker can touch the slots.
-        let templates: Vec<(usize, ReduceOp, VTensor)> = site
-            .privatized
-            .iter()
-            .map(|&(t, op)| {
-                let src = self.tensors[t].as_ref().expect("priv_ok checked");
-                (t, op, identity_tensor(src, op))
-            })
-            .collect();
-        let base_regs = self.regs.clone();
+        let base_regs = &self.regs;
         let shared = SharedSlots(self.tensors.as_mut_ptr());
         let config = self.config;
         let names = self.names;
         let live = self.live;
         let mask = site.local_mask.as_slice();
-        let n_tensors = prog.n_tensors;
         // First error in deterministic (chunk, not thread) order. Region
         // analysis rejects loads of anything the region writes, so whether
         // each iteration faults is independent of the others and the
         // minimum faulting chunk matches the serial first fault.
         let err: Mutex<Option<(usize, RuntimeError)>> = Mutex::new(None);
-        let init = |_chunk: usize| -> (Vec<u64>, Vec<Option<VTensor>>) {
-            let mut tensors: Vec<Option<VTensor>> = (0..n_tensors).map(|_| None).collect();
-            for (t, _, ident) in &templates {
-                tensors[*t] = Some(ident.clone());
-            }
-            (base_regs.clone(), tensors)
-        };
-        let body = |lo: i64, hi: i64, acc: &mut (Vec<u64>, Vec<Option<VTensor>>)| {
+        let body = |lo: i64, hi: i64| {
             let chunk = ((lo - b) / grain) as usize;
             if err.lock().as_ref().is_some_and(|(c, _)| *c < chunk) {
                 return;
             }
+            // This chunk's scratch state: the registers as they stood at
+            // region entry, and empty slots for the body's own `VarDef`s.
             let mut ws = VmState {
                 config,
                 names,
-                regs: std::mem::take(&mut acc.0),
-                tensors: std::mem::take(&mut acc.1),
+                regs: base_regs.clone(),
+                tensors: (0..prog.c.n_tensors).map(|_| None).collect(),
                 live,
                 shared: Some((&shared, mask)),
                 tally: None,
@@ -3234,28 +2848,8 @@ impl VmState<'_> {
                     break;
                 }
             }
-            acc.0 = ws.regs;
-            acc.1 = ws.tensors;
         };
-        // Merge runs on this thread, in ascending chunk order, strictly
-        // after every worker has left the region.
-        let mut merge = |_chunk: usize, mut acc: (Vec<u64>, Vec<Option<VTensor>>)| {
-            if err.lock().is_some() {
-                return;
-            }
-            for (t, op, _) in &templates {
-                let Some(part) = acc.1[*t].take() else {
-                    continue;
-                };
-                // SAFETY: workers never touch privatized slots through the
-                // shared view (they are masked local), and all workers have
-                // finished by the time merge runs.
-                let dst = unsafe { (*shared.0.add(*t)).as_mut().expect("priv_ok checked") };
-                merge_reduce(dst, &part, *op);
-            }
-        };
-        if let Err(payload) = pool.try_run_reduce(b, e, grain, workers, &init, &body, &mut merge)
-        {
+        if let Err(payload) = pool.try_run(b, e, grain, workers, &body) {
             std::panic::resume_unwind(payload);
         }
         if let Some((_, er)) = err.into_inner() {
@@ -3314,11 +2908,6 @@ impl VmRuntime {
         self.metrics = metrics;
     }
 
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
-    }
-
     /// Execute `func`, falling back to the interpreter for programs the
     /// static compiler cannot type (or whose supplied inputs' dtypes differ
     /// from the declarations).
@@ -3345,6 +2934,11 @@ impl VmRuntime {
     ) -> Result<RunResult, RuntimeError> {
         let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let pool_before = self.metrics.as_ref().map(|_| WorkerPool::global().stats());
+        // Execute, plan and bind contexts to the function `CompiledEngine`
+        // emits C for: a reduction is privatized (or its loop serialized)
+        // once, on the IR, for both back ends.
+        let (lowered, plan) = ft_codegen::lower_and_plan(func, sizes);
+        let func = &*lowered;
         let compiled = crate::compiled::compile(func)?;
         // The interpreter binds inputs by clone whatever their dtype; the
         // VM compiles loads against the declared dtype, so mismatched
@@ -3380,12 +2974,11 @@ impl VmRuntime {
                 return rt.run_timed(func, inputs, sizes, rctx);
             }
         };
-        // With a cross-run context: plan VarDef storage and pool `Alloc`
-        // buffers by interference class, keyed by the plan hash. Plain
-        // `run` keeps the allocation-free fast path untouched.
-        let mut pool: Option<VmPool> = None;
+        // With a cross-run context: pool `Alloc` buffers by the plan's
+        // interference classes. Plain `run` allocates every `VarDef` fresh,
+        // which is what the planned path is diffed against.
+        let mut pool: Option<TensorPool> = None;
         if let Some(c) = rctx.as_deref_mut() {
-            let plan = ft_analysis::MemPlan::plan(func, sizes);
             c.ensure_bound(func, sizes, &plan)?;
             crate::arena::publish_plan(
                 self.sink.as_ref(),
@@ -3393,12 +2986,8 @@ impl VmRuntime {
                 &func.name,
                 &plan,
             );
-            if crate::arena::plan_matches_names(&plan, &prog.tensor_names) {
-                let hash = plan.plan_hash();
-                pool = Some(match c.vm_pool.take() {
-                    Some(p) if p.plan_hash() == hash => p,
-                    _ => VmPool::new(&plan),
-                });
+            if crate::arena::plan_matches_names(&plan, &compiled.tensor_names) {
+                pool = Some(c.take_tensor_pool(&plan));
             }
         }
         let _span = self
@@ -3410,16 +2999,16 @@ impl VmRuntime {
         if let Some(sink) = &self.sink {
             for d in &prog.decisions {
                 let mut sp = sink.span_on(TRACK_RUNTIME, "vm.lower", d.kind);
-                sp.arg("target", &prog.prof_nodes[d.prof].desc);
+                sp.arg("target", &compiled.prof_nodes[d.prof].desc);
                 sp.arg("accepted", d.accepted);
                 sp.arg(if d.accepted { "how" } else { "reason" }, &d.detail);
             }
         }
         let mut st = VmState {
             config: &self.config,
-            names: &prog.tensor_names,
+            names: &compiled.tensor_names,
             regs: vec![0; prog.n_regs],
-            tensors: (0..prog.n_tensors).map(|_| None).collect(),
+            tensors: (0..compiled.n_tensors).map(|_| None).collect(),
             live: [0, 0],
             shared: None,
             tally: self.metrics.as_ref().map(|m| VmTally {
@@ -3430,13 +3019,13 @@ impl VmRuntime {
             }),
             arena: pool,
         };
-        for (name, slot) in &prog.size_slots {
+        for (name, slot) in &compiled.size_slots {
             let v = *sizes
                 .get(name)
                 .ok_or_else(|| RuntimeError::UnresolvedSize(name.clone()))?;
             st.regs[*slot] = v as u64;
         }
-        let exec_r = st.exec(&prog, inputs);
+        let exec_r = st.exec_code(&prog.code, &prog, inputs);
         if let Some(m) = &self.metrics {
             if let Some(t0) = t0 {
                 m.histogram("engine.vm.run_us").record_duration_us(t0.elapsed());
@@ -3461,26 +3050,16 @@ impl VmRuntime {
                 crate::engine::record_pool_delta(m, before);
             }
         }
-        // Recover the buffer pool (even on error) so the context keeps its
-        // free-lists, and flush its allocation counters.
-        if let Some(mut p) = st.arena.take() {
-            if let Some(m) = &self.metrics {
-                crate::arena::flush_stats(m, &mut p.stats);
-            }
-            if let Some(c) = rctx.as_deref_mut() {
-                c.vm_pool = Some(p);
-            }
-        }
+        crate::arena::return_pool(st.arena.take(), self.metrics.as_ref(), rctx.as_deref_mut());
         if let (Err(e), Some(c)) = (&exec_r, rctx) {
             c.poison_on(e);
         }
         exec_r?;
         let mut outputs = HashMap::new();
-        for p in &prog.params {
-            if matches!(p.atype, AccessType::Output | AccessType::InOut) {
-                let name = prog.tensor_names[p.slot].clone();
-                let vt = st.tensors[p.slot].take().expect("params stay live");
-                outputs.insert(name, vt.into_tensor_val());
+        for (slot, _, _, _, atype) in &compiled.params {
+            if matches!(atype, AccessType::Output | AccessType::InOut) {
+                let vt = st.tensors[*slot].take().expect("params stay live");
+                outputs.insert(compiled.tensor_names[*slot].clone(), vt.val);
             }
         }
         Ok(RunResult {
@@ -3522,15 +3101,17 @@ mod tests {
         )
     }
 
-    /// Run `f` on the interpreter and on the VM; outputs must be
-    /// bit-identical and the VM must report no counters.
+    /// The VM's contract: run `f` on the VM and `lower_cpu_parallel(f)` on
+    /// the interpreter; outputs must be bit-identical and the VM must
+    /// report no counters. Returns the interpreter's result.
     fn assert_parity(
         f: &Func,
         inputs: &[(&str, TensorVal)],
         sizes: &[(&str, i64)],
     ) -> RunResult {
         let (ins, szs) = maps(inputs, sizes);
-        let ri = Runtime::new().run(f, &ins, &szs).expect("interp ok");
+        let lowered = ft_codegen::lower_cpu_parallel(f);
+        let ri = Runtime::new().run(&lowered, &ins, &szs).expect("interp ok");
         let rv = VmRuntime::new().run(f, &ins, &szs).expect("vm ok");
         assert_eq!(ri.outputs, rv.outputs, "vm outputs differ");
         assert_eq!(rv.counters, PerfCounters::default(), "the vm must not count");
@@ -4458,63 +4039,90 @@ mod tests {
         assert_parity(&f, &[("x", x), ("xi", xi), ("idx", idx)], &[]);
     }
 
-    #[test]
-    fn parallel_region_privatizes_int_reductions() {
-        // A histogram (random-access atomic Add) plus a carried Max: both
-        // integer, so both privatize bit-exactly; the decision log must say
-        // so and the pooled execution must match the interpreter exactly.
-        let body = block([
-            Stmt::new(StmtKind::ReduceTo {
-                var: "hist".to_string(),
-                indices: vec![Expr::cast(DataType::I64, load("x", [var("i")]).rem(8))],
-                op: ReduceOp::Add,
-                value: Expr::IntConst(1),
-                atomic: true,
-            }),
-            Stmt::new(StmtKind::ReduceTo {
-                var: "top".to_string(),
-                indices: vec![Expr::IntConst(0)],
-                op: ReduceOp::Max,
-                value: load("x", [var("i")]),
-                atomic: true,
-            }),
-        ]);
-        let f = Func::new("ppriv")
-            .param("x", [256], DataType::I32, AccessType::Input)
-            .param("hist", [8], DataType::I64, AccessType::Output)
-            .param("top", [1], DataType::I64, AccessType::Output)
-            .body(for_with(
-                "i",
-                0,
-                256,
-                ForProperty::parallel(ParallelScope::OpenMp),
-                body,
-            ));
-        let priv_log = decisions_of(&f, "vm.reduce.privatize");
-        assert_eq!(
-            priv_log,
-            vec![(true, "Add".to_string()), (true, "Max".to_string())]
-        );
-        let par_log = decisions_of(&f, "vm.parallel");
-        assert_eq!(par_log.len(), 1);
-        assert!(par_log[0].0, "region must parallelize");
-        assert!(
-            par_log[0].1.starts_with("cost="),
-            "accepted detail carries the grain cost: {}",
-            par_log[0].1
-        );
-        let x = TensorVal::from_i32(&[256], (0..256).map(|v| (v * 13 + 5) % 97).collect());
-        let r = assert_parity(&f, &[("x", x)], &[]);
-        assert_eq!(r.output("top").get_flat(0).as_i64(), 96);
-        let total: f64 = r.output("hist").to_f64_vec().iter().sum();
-        assert_eq!(total, 256.0);
+    /// `target[index] op= value`, flagged `atomic`: what `parallelize` leaves
+    /// of a reduction its loop carries.
+    fn atomic_reduce(target: &str, index: Expr, op: ReduceOp, value: Expr) -> Stmt {
+        Stmt::new(StmtKind::ReduceTo {
+            var: target.to_string(),
+            indices: vec![index],
+            op,
+            value,
+            atomic: true,
+        })
     }
 
     #[test]
-    fn parallel_region_serializes_float_reductions() {
-        // A carried f32 Add is not associative under per-step rounding, so
-        // the region must refuse to privatize and run serially — and the
-        // serial run must stay bit-identical to the interpreter.
+    fn parallel_float_reductions_run_the_lowered_nest() {
+        // `y[i] += x[i, j]` and `top max= x[i, j]` with `j` parallel: float
+        // reductions carried by the parallel loop. The VM used to serialize
+        // such a loop; now it executes the nest the compiled kernel
+        // executes — fill, chunk loop, merges, every one a disjoint-write
+        // region — so the association is the lowered function's: fixed by
+        // the IR, not by which worker ran what, and only close to serial.
+        // 2048 rows put the merge of `y` over `PAR_THRESHOLD`: with a helper
+        // thread it runs on the pool, on a one-core host inline, same bits.
+        let (rows, cols) = (2048usize, 24usize);
+        let xij = || load("x", [var("i"), var("j")]);
+        let f = Func::new("rowsum")
+            .param("x", [rows, cols], DataType::F32, AccessType::Input)
+            .param("y", [rows], DataType::F32, AccessType::Output)
+            .param("top", [1], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "j",
+                0,
+                cols as i64,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                for_(
+                    "i",
+                    0,
+                    rows as i64,
+                    block([
+                        atomic_reduce("y", var("i"), ReduceOp::Add, xij()),
+                        atomic_reduce("top", 0.into(), ReduceOp::Max, xij()),
+                    ]),
+                ),
+            ));
+        let x = TensorVal::from_f32(
+            &[rows, cols],
+            (0..rows * cols)
+                .map(|v| (v as f32 * 0.37).sin() * 3.1)
+                .collect(),
+        );
+        let (ins, szs) = maps(&[("x", x.clone())], &[]);
+        let (sink, metrics) = (TraceSink::new(), Metrics::new());
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(sink.clone()));
+        vm.set_metrics(Some(metrics.clone()));
+        let first = vm.run(&f, &ins, &szs).expect("vm ok");
+        assert_eq!(
+            metrics.snapshot().counter("vm.par.pool") > 0,
+            WorkerPool::global().background_workers() > 0
+        );
+        let regions: Vec<bool> = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == "vm.parallel")
+            .map(|e| e.args.iter().any(|(k, v)| k == "accepted" && v == "true"))
+            .collect();
+        assert!(
+            regions.len() >= 3 && regions.iter().all(|ok| *ok),
+            "fill, chunk loop and merge must all stay parallel: {regions:?}"
+        );
+        for _ in 1..20 {
+            let again = vm.run(&f, &ins, &szs).expect("vm ok");
+            assert_eq!(again.outputs, first.outputs, "run-to-run bits moved");
+        }
+        assert_eq!(assert_parity(&f, &[("x", x)], &[]).outputs, first.outputs);
+        let serial = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
+        assert!(first.output("y").allclose(serial.output("y"), 1e-4));
+        assert_eq!(first.output("top"), serial.output("top"));
+    }
+
+    #[test]
+    fn unlowered_atomic_reduce_is_rejected_never_pooled() {
+        // `compile_program` fed the IR `run_inner` never hands it: the
+        // colliding reduction still carries its `atomic` flag. The region
+        // is refused by name and compiles as a serial loop.
         let f = Func::new("fser")
             .param("x", [64], DataType::F32, AccessType::Input)
             .param("acc", [1], DataType::F32, AccessType::Output)
@@ -4523,21 +4131,17 @@ mod tests {
                 0,
                 64,
                 ForProperty::parallel(ParallelScope::OpenMp),
-                Stmt::new(StmtKind::ReduceTo {
-                    var: "acc".to_string(),
-                    indices: vec![Expr::IntConst(0)],
-                    op: ReduceOp::Add,
-                    value: load("x", [var("i")]),
-                    atomic: true,
-                }),
+                atomic_reduce("acc", 0.into(), ReduceOp::Add, load("x", [var("i")])),
             ));
-        assert_eq!(
-            decisions_of(&f, "vm.parallel"),
-            vec![(false, "nonassociative_float_reduction".to_string())]
-        );
-        assert!(decisions_of(&f, "vm.reduce.privatize").is_empty());
-        let x = TensorVal::from_f32(&[64], (0..64).map(|v| v as f32 * 0.093 - 1.7).collect());
-        assert_parity(&f, &[("x", x)], &[]);
+        let c = crate::compiled::compile(&f).unwrap();
+        let prog = compile_program(&c).expect("typable");
+        let log: Vec<_> = prog
+            .decisions
+            .iter()
+            .map(|d| (d.kind, d.accepted, d.detail.as_str()))
+            .collect();
+        assert_eq!(log, [("vm.parallel", false, "atomic_reduce_unlowered")]);
+        assert!(prog.par_sites.is_empty());
     }
 
     #[test]

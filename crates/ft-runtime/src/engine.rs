@@ -5,7 +5,8 @@
 //! against; the bytecode VM ([`VmRuntime`]) is the portable fallback for
 //! hosts without a C compiler; the native compiled engine
 //! ([`CompiledEngine`](crate::native::CompiledEngine)) is the production
-//! path and the paper's execution model. All three answer the same
+//! path and the paper's execution model — the last two execute the same
+//! lowered function ([`lower_and_plan`](crate::lower_and_plan)). All three answer the same
 //! question — "run this lowered `Func` on these tensors" — and the
 //! [`ExecutionEngine`] trait is the single seam harnesses (bench,
 //! conformance, serving, examples) drive them through: one `run` signature
@@ -67,7 +68,8 @@ pub trait ExecutionEngine {
     ) -> Result<RunResult, RuntimeError>;
 
     /// As [`run`](ExecutionEngine::run), with a reusable [`RunContext`]:
-    /// the engine plans `VarDef` storage (`ft_analysis::MemPlan`), draws
+    /// the engine plans `VarDef` storage (`ft_analysis::MemPlan`, of the
+    /// function it executes — see [`RunContext`]), draws
     /// temporary buffers from the context's arena pools, and keeps staging
     /// buffers alive across calls — so a compile-once/run-many loop reaches
     /// zero tensor heap allocations in steady state (observable via the
@@ -93,9 +95,6 @@ pub trait ExecutionEngine {
     /// backend-specific telemetry they own (cache counters, kernel dispatch
     /// counts, pool claims).
     fn set_metrics(&mut self, metrics: Option<Metrics>);
-
-    /// The installed metrics registry, if any.
-    fn metrics(&self) -> Option<&Metrics>;
 }
 
 impl ExecutionEngine for Runtime {
@@ -133,10 +132,6 @@ impl ExecutionEngine for Runtime {
     fn set_metrics(&mut self, metrics: Option<Metrics>) {
         Runtime::set_metrics(self, metrics)
     }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        Runtime::metrics(self)
-    }
 }
 
 impl ExecutionEngine for VmRuntime {
@@ -173,10 +168,6 @@ impl ExecutionEngine for VmRuntime {
 
     fn set_metrics(&mut self, metrics: Option<Metrics>) {
         VmRuntime::set_metrics(self, metrics)
-    }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        VmRuntime::metrics(self)
     }
 }
 

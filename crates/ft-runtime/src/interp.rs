@@ -81,11 +81,6 @@ impl Runtime {
         self.metrics = metrics;
     }
 
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
-    }
-
     /// Execute `func` with the given input tensors and size parameters.
     ///
     /// # Errors
@@ -149,13 +144,10 @@ impl Runtime {
             &plan,
         );
         let pool = if crate::arena::plan_matches_names(&plan, &compiled.tensor_names) {
-            match rctx.as_deref_mut() {
-                Some(c) => {
-                    c.tensor_pool_for(&plan);
-                    c.tensor_pool.take()
-                }
-                None => Some(crate::arena::TensorPool::new(&plan)),
-            }
+            Some(match rctx.as_deref_mut() {
+                Some(c) => c.take_tensor_pool(&plan),
+                None => crate::arena::TensorPool::new(&plan),
+            })
         } else {
             None
         };
@@ -180,16 +172,7 @@ impl Runtime {
             arena: pool,
         };
         let r = bind_and_exec(&compiled, &mut ctx, inputs, sizes);
-        // Recover the pool (even on error) so a cross-run context keeps its
-        // buffers, and flush its allocation counters.
-        if let Some(mut pool) = ctx.arena.take() {
-            if let Some(m) = &self.metrics {
-                crate::arena::flush_stats(m, &mut pool.stats);
-            }
-            if let Some(c) = rctx {
-                c.tensor_pool = Some(pool);
-            }
-        }
+        crate::arena::return_pool(ctx.arena.take(), self.metrics.as_ref(), rctx);
         let outputs = r?;
         if let (Some(sink), Some(buckets)) = (&self.sink, ctx.prof.take()) {
             let mut nodes = compiled.prof_nodes.clone();

@@ -24,9 +24,11 @@
 //!   instrumented interpreter ([`Runtime::run`]), the *specification* the
 //!   other two are diffed against and the only engine that counts;
 //! * **portable fallback** — a flat bytecode VM ([`VmRuntime`],
-//!   [`bytecode`]): a wall-clock path that needs no C compiler, runs
-//!   `OpenMp` loops as fork-join regions on the persistent [`pool`]
-//!   workers, and is bit-identical to the interpreter on outputs;
+//!   [`bytecode`]): a wall-clock path that needs no C compiler. It is a
+//!   second back end of the function the production engine compiles
+//!   ([`lower_and_plan`]), runs its `OpenMp` loops as fork-join regions on
+//!   the persistent [`pool`] workers, and is bit-identical on outputs to
+//!   the interpreter run on that lowered function;
 //! * **production** — the native compiled engine ([`CompiledEngine`],
 //!   [`native`]) that emits C with `ft-codegen`, compiles it with the host
 //!   `cc` into a content-addressed shared-object cache, and calls it
@@ -58,8 +60,9 @@ pub use device::DeviceConfig;
 pub use engine::ExecutionEngine;
 pub use error::RuntimeError;
 pub use interp::{RunResult, Runtime};
-// The (lowered function, memory plan) pair `CompiledEngine` compiles and
-// binds contexts to — re-exported so admission control sizes the same plan.
+// The (lowered function, memory plan) pair `CompiledEngine` and `VmRuntime`
+// execute and bind contexts to — re-exported so admission control sizes the
+// same plan.
 pub use ft_codegen::lower_and_plan;
 pub use native::{cc_available, CompiledEngine};
 pub use pool::{PoolStatsSnapshot, WorkerPool};

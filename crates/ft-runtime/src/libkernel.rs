@@ -35,23 +35,10 @@ fn matmul(
     outputs: &[usize],
     attrs: &[i64],
 ) -> Result<(), RuntimeError> {
-    let [m, k, n] = attrs else {
-        return Err(RuntimeError::UnknownKernel(
-            "matmul expects attrs [m, k, n]".to_string(),
-        ));
-    };
-    let (m, k, n) = (*m as usize, *k as usize, *n as usize);
     let a = ctx.tensor(inputs[0])?.clone();
     let b = ctx.tensor(inputs[1])?.clone();
     let mut c = ctx.tensor(outputs[0])?.clone();
-    if a.numel() != m * k || b.numel() != k * n || c.numel() != m * n {
-        return Err(RuntimeError::ShapeMismatch {
-            name: ctx.names[outputs[0]].to_string(),
-            expected: vec![m, n],
-            actual: c.shape().to_vec(),
-        });
-    }
-    matmul_blocked(&a, &b, &mut c, m, k, n);
+    let [m, k, n] = matmul_checked(&a, &b, &mut c, attrs, &ctx.names[outputs[0]])?;
     ctx.replace_tensor(outputs[0], c)?;
     // Bulk accounting: one streaming pass per operand, FLOPs at library
     // efficiency for the time model.
@@ -62,19 +49,38 @@ fn matmul(
     Ok(())
 }
 
-/// The blocked compute kernel itself, shared verbatim by the interpreter's
-/// `LibCall` dispatch and the bytecode VM so both produce bit-identical
-/// results (partial sums round through the output dtype on every update, so
-/// the iteration order and the per-update `set_flat` are semantically
-/// significant).
-pub(crate) fn matmul_blocked(
+/// The `matmul` kernel on three resolved operands, as both the interpreter
+/// and the VM call it: reads `[m, k, n]` from `attrs`, checks every
+/// operand's element count against them and runs [`matmul_blocked`].
+/// `out_name` is the output's name, for the error payload.
+pub(crate) fn matmul_checked(
     a: &TensorVal,
     b: &TensorVal,
     c: &mut TensorVal,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+    attrs: &[i64],
+    out_name: &str,
+) -> Result<[usize; 3], RuntimeError> {
+    let [m, k, n] = attrs else {
+        return Err(RuntimeError::UnknownKernel(
+            "matmul expects attrs [m, k, n]".to_string(),
+        ));
+    };
+    let (m, k, n) = (*m as usize, *k as usize, *n as usize);
+    if a.numel() != m * k || b.numel() != k * n || c.numel() != m * n {
+        return Err(RuntimeError::ShapeMismatch {
+            name: out_name.to_string(),
+            expected: vec![m, n],
+            actual: c.shape().to_vec(),
+        });
+    }
+    matmul_blocked(a, b, c, m, k, n);
+    Ok([m, k, n])
+}
+
+/// The blocked compute kernel itself (partial sums round through the output
+/// dtype on every update, so the iteration order and the per-update
+/// `set_flat` are semantically significant).
+fn matmul_blocked(a: &TensorVal, b: &TensorVal, c: &mut TensorVal, m: usize, k: usize, n: usize) {
     const BLK: usize = 32;
     for i0 in (0..m).step_by(BLK) {
         for k0 in (0..k).step_by(BLK) {

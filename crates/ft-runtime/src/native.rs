@@ -619,10 +619,6 @@ impl ExecutionEngine for CompiledEngine {
     fn set_metrics(&mut self, metrics: Option<Metrics>) {
         self.metrics = metrics;
     }
-
-    fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
-    }
 }
 
 impl CompiledEngine {

@@ -125,8 +125,8 @@ impl Job {
     /// Claim the next grid-aligned chunk from the chosen end, or `None`
     /// when the range is drained. Both ends stay on the same chunk grid
     /// (`begin + k * grain`), so chunk indices — and everything built on
-    /// them, like [`WorkerPool::try_run_reduce`]'s merge order — are
-    /// independent of who claimed what.
+    /// them, like the VM's first-error-by-chunk order — are independent of
+    /// who claimed what.
     fn claim(&self, from_back: bool) -> Option<(i64, i64)> {
         let mut r = self.range.lock().unwrap_or_else(|e| e.into_inner());
         let (front, back) = *r;
@@ -234,14 +234,16 @@ impl WorkerPool {
     }
 
     /// The process-global pool, created on first use with one background
-    /// worker per available core (minus the submitter), capped at 15.
+    /// worker per available core (minus the submitter), capped at 15. A
+    /// process confined to one core gets none: every region runs inline on
+    /// the submitting thread.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4);
-            WorkerPool::new(cores.saturating_sub(1).clamp(1, 15))
+            WorkerPool::new(cores.saturating_sub(1).min(15))
         })
     }
 
@@ -355,57 +357,6 @@ impl WorkerPool {
             None => Ok(()),
         }
     }
-
-    /// A runtime `cache_reduce`: run `body` over `[begin, end)` in
-    /// `grain`-sized chunks, giving every *chunk* its own private
-    /// accumulator (`init(chunk_idx)`), then combine the accumulators on
-    /// the calling thread in **ascending chunk order** via `merge`.
-    ///
-    /// Chunk index `(lo - begin) / grain` is a pure function of the range,
-    /// not of which worker claimed the chunk, so for a fixed `grain` the
-    /// sequence of `merge` calls — and therefore the result, even for
-    /// non-associative combines — is independent of thread scheduling.
-    /// This is what lets the VM privatize reductions while staying
-    /// bit-identical run to run.
-    ///
-    /// Chunks that were never claimed because an earlier chunk panicked (or
-    /// that panicked themselves) contribute no accumulator; on panic the
-    /// payload is returned and no `merge` calls are made.
-    ///
-    /// # Errors
-    ///
-    /// The payload of the first panicking chunk.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_run_reduce<T: Send>(
-        &self,
-        begin: i64,
-        end: i64,
-        grain: i64,
-        max_workers: usize,
-        init: &(dyn Fn(usize) -> T + Sync),
-        body: &(dyn Fn(i64, i64, &mut T) + Sync),
-        merge: &mut dyn FnMut(usize, T),
-    ) -> Result<(), Box<dyn std::any::Any + Send>> {
-        if begin >= end {
-            return Ok(());
-        }
-        let grain = grain.max(1);
-        let n_chunks = ((end - begin + grain - 1) / grain) as usize;
-        let partials: Vec<Mutex<Option<T>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let result = self.try_run(begin, end, grain, max_workers, &|lo, hi| {
-            let idx = ((lo - begin) / grain) as usize;
-            let mut acc = init(idx);
-            body(lo, hi, &mut acc);
-            *partials[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
-        });
-        result?;
-        for (idx, slot) in partials.into_iter().enumerate() {
-            if let Some(acc) = slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                merge(idx, acc);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Pick a dynamic-scheduling chunk size for a region of `trip` iterations
@@ -413,11 +364,11 @@ impl WorkerPool {
 /// instructions) per iteration.
 ///
 /// Two pressures: chunks must be *large* enough that the per-chunk claim
-/// (one `fetch_add` plus, for reductions, one accumulator init + merge)
-/// amortizes against `TARGET_CHUNK_COST` units of real work, and *small*
-/// enough that `workers` threads each see several chunks for load balancing.
-/// The result is a pure function of its arguments, so chunk boundaries —
-/// and hence deterministic-merge-order reductions — are reproducible.
+/// (one locked range update plus the claimer's scratch state) amortizes
+/// against `TARGET_CHUNK_COST` units of real work, and *small* enough that
+/// `workers` threads each see several chunks for load balancing. The
+/// result is a pure function of its arguments, so chunk boundaries are
+/// reproducible.
 pub fn grain_for(trip: i64, workers: usize, body_cost: u64) -> i64 {
     const TARGET_CHUNK_COST: u64 = 16_384;
     if trip <= 0 {
@@ -559,75 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn run_reduce_merges_in_ascending_chunk_order() {
-        let pool = WorkerPool::new(3);
-        for _ in 0..8 {
-            // Non-associative combine: string concatenation of chunk sums.
-            // Deterministic merge order means every run builds the same
-            // string regardless of which worker ran which chunk.
-            let mut log = String::new();
-            let mut total = 0i64;
-            pool.try_run_reduce(
-                0,
-                100,
-                7,
-                4,
-                &|_| 0i64,
-                &|lo, hi, acc| {
-                    for i in lo..hi {
-                        *acc += i;
-                    }
-                },
-                &mut |idx, acc| {
-                    log.push_str(&format!("{idx}:{acc};"));
-                    total += acc;
-                },
-            ).unwrap();
-            assert_eq!(total, 100 * 99 / 2);
-            assert_eq!(
-                log,
-                "0:21;1:70;2:119;3:168;4:217;5:266;6:315;7:364;8:413;9:462;\
-                 10:511;11:560;12:609;13:658;14:197;"
-            );
-        }
-    }
-
-    #[test]
-    fn run_reduce_zero_range_and_panic() {
-        let pool = WorkerPool::new(2);
-        let mut merges = 0usize;
-        pool.try_run_reduce(5, 5, 1, 4, &|_| 0i64, &|_, _, _| {}, &mut |_, _| {
-            merges += 1;
-        })
-        .unwrap();
-        assert_eq!(merges, 0);
-        let err = pool
-            .try_run_reduce(
-                0,
-                100,
-                4,
-                4,
-                &|_| 0i64,
-                &|lo, hi, acc| {
-                    for i in lo..hi {
-                        assert!(i != 50, "reduce boom");
-                        *acc += i;
-                    }
-                },
-                &mut |_, _| panic!("merge must not run after a chunk panic"),
-            )
-            .unwrap_err();
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("reduce boom"), "unexpected payload: {msg}");
-        // Pool still usable.
-        assert_eq!(sum_region(&pool, 100, 8, 3), 100 * 99 / 2);
-    }
-
-    #[test]
     fn grain_heuristic_bounds() {
         // Cheap bodies get big chunks, capped by the cost target.
         assert_eq!(grain_for(1 << 20, 4, 1), 16_384);
@@ -681,7 +563,6 @@ mod tests {
     #[test]
     fn global_pool_is_shared_and_reusable() {
         let pool = WorkerPool::global();
-        assert!(pool.background_workers() >= 1);
         assert_eq!(sum_region(pool, 5000, 16, 4), 5000i64 * 4999 / 2);
         assert_eq!(sum_region(pool, 5000, 16, 4), 5000i64 * 4999 / 2);
     }

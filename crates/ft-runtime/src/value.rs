@@ -9,12 +9,15 @@ use std::fmt;
 pub struct TensorVal {
     dtype: DataType,
     shape: Vec<usize>,
-    data: Data,
+    /// Crate-visible so the VM's fused kernels can work on typed slices.
+    /// The length always equals the product of `shape`; nothing outside
+    /// this module resizes it.
+    pub(crate) data: Data,
 }
 
 /// Typed backing storage.
 #[derive(Debug, Clone, PartialEq)]
-enum Data {
+pub(crate) enum Data {
     F32(Vec<f32>),
     F64(Vec<f64>),
     I32(Vec<i32>),
@@ -340,6 +343,7 @@ impl TensorVal {
     }
 
     /// Read the element at a flat offset.
+    #[inline]
     pub fn get_flat(&self, off: usize) -> Scalar {
         match &self.data {
             Data::F32(v) => Scalar::Float(v[off] as f64),
@@ -351,6 +355,7 @@ impl TensorVal {
     }
 
     /// Write the element at a flat offset, converting to the tensor's dtype.
+    #[inline]
     pub fn set_flat(&mut self, off: usize, v: Scalar) {
         match &mut self.data {
             Data::F32(d) => d[off] = v.as_f64() as f32,

@@ -1,16 +1,57 @@
 //! Differential fuzz of the bytecode VM against the instrumented
 //! interpreter.
 //!
-//! The interpreter is the semantic specification; the VM promises
-//! bit-identical outputs with [`PerfCounters`] left defaulted, which this
-//! test checks on randomly *scheduled* variants of all four paper workloads
-//! (the same variant generator the cross-backend conformance sweep uses).
+//! The interpreter is the semantic specification, and the VM is a back end
+//! of `lower_cpu_parallel`: it promises outputs bit-identical to the
+//! interpreter's *on the lowered function*, with [`PerfCounters`] left
+//! defaulted ([`assert_vm_contract`]). This test checks that on randomly
+//! *scheduled* variants of all four paper workloads (the same variant
+//! generator the cross-backend conformance sweep uses) and on directed
+//! schedules.
 
-use ft_conformance::{ops, Workload};
+use ft_codegen::lower_cpu_parallel;
+use ft_conformance::diff::{grad_close, reduction_depth};
+use ft_conformance::{ops, GradTol, Workload};
 use ft_ir::prelude::*;
-use ft_runtime::{PerfCounters, Runtime, TensorVal, VmRuntime};
+use ft_runtime::{PerfCounters, RunResult, Runtime, TensorVal, VmRuntime};
 use proptest::test_runner::TestRng;
+use std::borrow::Cow;
 use std::collections::HashMap;
+
+/// The VM's contract on one program it ran. `vm` must equal, bit for bit,
+/// what the interpreter computes on `lower_cpu_parallel(func)` — the
+/// function the VM executes. Where the lowering rewrote the program it only
+/// re-associated reductions, so `vm` must also sit within the conformance
+/// tolerance of the interpreter on `func` itself.
+fn assert_vm_contract(
+    func: &ft_ir::Func,
+    inputs: &HashMap<String, TensorVal>,
+    vm: &RunResult,
+    ctx: &str,
+) {
+    let sizes = HashMap::new();
+    let lowered = lower_cpu_parallel(func);
+    let on_lowered = Runtime::new()
+        .run(&lowered, inputs, &sizes)
+        .unwrap_or_else(|e| panic!("interp failed on lowered {ctx}: {e:?}"));
+    assert_eq!(on_lowered.outputs, vm.outputs, "vm outputs differ on {ctx}");
+    assert_eq!(
+        vm.counters,
+        PerfCounters::default(),
+        "the vm must not count on {ctx}"
+    );
+    if let Cow::Owned(_) = lowered {
+        let original = Runtime::new()
+            .run(func, inputs, &sizes)
+            .unwrap_or_else(|e| panic!("interp failed on {ctx}: {e:?}"));
+        let scale = (1 + reduction_depth(func)) as f64;
+        for (name, want) in &original.outputs {
+            grad_close(&vm.outputs[name], want, &GradTol::default(), scale).unwrap_or_else(|d| {
+                panic!("vm is {d:e} off the unlowered interpreter on `{name}` of {ctx}")
+            });
+        }
+    }
+}
 
 #[test]
 fn vm_matches_interp_on_random_scheduled_workloads() {
@@ -28,45 +69,33 @@ fn vm_matches_interp_on_random_scheduled_workloads() {
             let (func, trace) = ops::apply_trace(&case.func, &raw);
             let ctx = format!("workload {} variant {k} trace {trace:?}", w.name());
 
-            let ri = Runtime::new()
-                .run(&func, &case.inputs, &sizes)
-                .unwrap_or_else(|e| panic!("interp failed on {ctx}: {e:?}"));
             let rv = VmRuntime::new()
                 .run(&func, &case.inputs, &sizes)
                 .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
-
-            assert_eq!(ri.outputs, rv.outputs, "vm outputs differ on {ctx}");
-            assert_eq!(
-                rv.counters,
-                PerfCounters::default(),
-                "the vm must not count on {ctx}"
-            );
+            assert_vm_contract(&func, &case.inputs, &rv, &ctx);
             variants += 1;
         }
     }
     assert_eq!(variants, 4 * 10);
 }
 
-/// Run interpreter vs fast VM (with a trace sink) and return the fast
-/// VM's `vm.lower` decision spans as `(kind, accepted, detail)`. Outputs
-/// must be bit-identical and every span well-formed.
+/// Run the VM (with a trace sink), hold it to [`assert_vm_contract`], and
+/// return its outputs with its `vm.lower` decision spans as `(kind,
+/// accepted, detail)`. Every span must be well-formed.
 fn diff_with_decisions(
     func: &ft_ir::Func,
     inputs: &HashMap<String, TensorVal>,
     ctx: &str,
-) -> Vec<(String, bool, String)> {
-    let sizes = HashMap::new();
-    let ri = Runtime::new()
-        .run(func, inputs, &sizes)
-        .unwrap_or_else(|e| panic!("interp failed on {ctx}: {e:?}"));
+) -> (RunResult, Vec<(String, bool, String)>) {
     let sink = ft_trace::TraceSink::new();
     let mut vm = VmRuntime::new();
     vm.set_sink(Some(sink.clone()));
-    let rf = vm
-        .run(func, inputs, &sizes)
-        .unwrap_or_else(|e| panic!("fast vm failed on {ctx}: {e:?}"));
-    assert_eq!(ri.outputs, rf.outputs, "fast-mode outputs differ on {ctx}");
-    sink.events()
+    let rv = vm
+        .run(func, inputs, &HashMap::new())
+        .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
+    assert_vm_contract(func, inputs, &rv, ctx);
+    let decisions = sink
+        .events()
         .iter()
         .filter(|e| e.cat == "vm.lower")
         .map(|e| {
@@ -89,12 +118,13 @@ fn diff_with_decisions(
             );
             (e.name.clone(), accepted, detail)
         })
-        .collect()
+        .collect();
+    (rv, decisions)
 }
 
 /// Directed schedules: parallelize then vectorize *every* loop of every
-/// workload (the legality checker keeps what is sound), and diff the fast
-/// VM bit-exactly against the interpreter on the result. This saturates
+/// workload (the legality checker keeps what is sound), and hold the VM to
+/// its contract on the result. This saturates
 /// the vectorize/parallel lowering paths far beyond what the uniform
 /// random traces above reach.
 #[test]
@@ -112,14 +142,15 @@ fn vm_matches_interp_on_directed_vectorize_parallel_schedules() {
         }
         let (func, trace) = ops::apply_trace(&case.func, &raw);
         let ctx = format!("workload {} directed trace {trace:?}", w.name());
-        spans += diff_with_decisions(&func, &case.inputs, &ctx).len();
+        spans += diff_with_decisions(&func, &case.inputs, &ctx).1.len();
     }
     assert!(spans > 0, "directed schedules produced no lowering attempts");
 }
 
 /// A `vectorize`-marked dot product and a parallel integer histogram:
-/// the corpus must demonstrably engage both the fused SIMD kernels and
-/// the privatized parallel reduction, bit-exactly.
+/// the corpus must demonstrably engage both the fused SIMD kernels and —
+/// on the chunk rows `lower_cpu_parallel` privatizes the histogram into —
+/// the pool regions, bit-exactly.
 #[test]
 fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
     let vec = ForProperty {
@@ -147,7 +178,7 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x), ("w".to_string(), w)]
         .into_iter()
         .collect();
-    let ds = diff_with_decisions(&dot, &inputs, "vectorized dot");
+    let (_, ds) = diff_with_decisions(&dot, &inputs, "vectorized dot");
     assert!(
         ds.iter()
             .any(|(k, acc, how)| k == "vm.simd" && *acc && how == "dot"),
@@ -170,25 +201,27 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
                 atomic: true,
             }),
         ));
-    let x = TensorVal::from_i32(&[1024], (0..1024).map(|v| (v * 31 + 7) % 113).collect());
+    let xs: Vec<i32> = (0..1024).map(|v| (v * 31 + 7) % 113).collect();
+    let x = TensorVal::from_i32(&[1024], xs.clone());
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
-    let ds = diff_with_decisions(&hist, &inputs, "parallel histogram");
-    assert!(
-        ds.iter()
-            .any(|(k, acc, how)| k == "vm.reduce.privatize" && *acc && how == "Add"),
-        "histogram reduction was not privatized: {ds:?}"
-    );
-    assert!(
-        ds.iter()
-            .any(|(k, acc, _)| k == "vm.parallel" && *acc),
-        "histogram region was not parallelized: {ds:?}"
-    );
+    let (out, ds) = diff_with_decisions(&hist, &inputs, "parallel histogram");
+    // The lowered nest is a chunk loop filling `h.part` and a merge nest
+    // folding it into `h`; the VM must take both as regions, not serialize.
+    let regions: Vec<bool> = ds
+        .iter()
+        .filter(|(k, _, _)| k == "vm.parallel")
+        .map(|(_, acc, _)| *acc)
+        .collect();
+    assert_eq!(regions, [true, true], "chunk loop and merge nest: {ds:?}");
+    let mut serial = [0.0f64; 16];
+    xs.iter().for_each(|v| serial[(*v % 16) as usize] += 1.0);
+    assert_eq!(out.output("h").to_f64_vec(), serial);
 }
 
 /// Directed grad-program schedules: differentiate every workload under both
 /// tape policies, aggressively schedule the resulting *gradient* function,
-/// and diff the fast VM bit-exactly against the interpreter. In fast mode
-/// every backward-pass program must either lower onto the VM or emit a
+/// and hold the VM to its contract on it. Every backward-pass program must
+/// either lower onto the VM or emit a
 /// structured `vm.fallback` span naming the reason — never silently drop to
 /// the interpreter.
 #[test]
@@ -197,7 +230,6 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
     use ft_conformance::grad::{build_grad_func, grad_run_inputs, ones_seed};
     use ft_conformance::{GradOrder, GradSpec};
 
-    let sizes = HashMap::new();
     let mut taped_programs = 0usize;
     let mut lowering_attempts = 0usize;
     for w in Workload::ALL {
@@ -233,16 +265,13 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
                 trace.len()
             );
 
-            let ri = Runtime::new()
-                .run(&func, &inputs, &sizes)
-                .unwrap_or_else(|e| panic!("interp failed on {ctx}: {e:?}"));
             let sink = ft_trace::TraceSink::new();
             let mut vm = VmRuntime::new();
             vm.set_sink(Some(sink.clone()));
-            let rf = vm
-                .run(&func, &inputs, &sizes)
-                .unwrap_or_else(|e| panic!("fast vm failed on {ctx}: {e:?}"));
-            assert_eq!(ri.outputs, rf.outputs, "fast-mode outputs differ on {ctx}");
+            let rv = vm
+                .run(&func, &inputs, &HashMap::new())
+                .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
+            assert_vm_contract(&func, &inputs, &rv, &ctx);
 
             let events = sink.events();
             let lowered = events.iter().filter(|e| e.cat == "vm.lower").count();
