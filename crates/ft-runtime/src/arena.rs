@@ -7,7 +7,7 @@
 //! per-engine free-lists and a cross-run [`RunContext`]:
 //!
 //! * [`TensorPool`] — [`TensorVal`] buffers for the interpreter's executor
-//!   (`crate::compiled::ExecCtx`) and the VM's (`crate::bytecode`);
+//!   (`crate::compiled::ExecCtx`) and the VM's (`crate::vm`);
 //! * [`NativeArena`] — the single flat allocation handed to generated C
 //!   (`unsigned char* __ft_arena`) by the compiled engine;
 //! * [`RunContext`] — owns all of the above plus converted input/output

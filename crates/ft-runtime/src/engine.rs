@@ -14,7 +14,7 @@
 //! drivers can wire provenance uniformly.
 
 use crate::arena::RunContext;
-use crate::bytecode::VmRuntime;
+use crate::vm::VmRuntime;
 use crate::error::RuntimeError;
 use crate::interp::{RunResult, Runtime};
 use crate::pool::{PoolStatsSnapshot, WorkerPool};

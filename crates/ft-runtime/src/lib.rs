@@ -24,7 +24,7 @@
 //!   instrumented interpreter ([`Runtime::run`]), the *specification* the
 //!   other two are diffed against and the only engine that counts;
 //! * **portable fallback** — a flat bytecode VM ([`VmRuntime`],
-//!   [`bytecode`]): a wall-clock path that needs no C compiler. It is a
+//!   [`vm`]): a wall-clock path that needs no C compiler. It is a
 //!   second back end of the function the production engine compiles
 //!   ([`lower_and_plan`]), runs its `OpenMp` loops as fork-join regions on
 //!   the persistent [`pool`] workers, and is bit-identical on outputs to
@@ -40,7 +40,7 @@
 //! loops reversed (`ft_conformance::Backend::Reordered`).
 
 pub mod arena;
-pub mod bytecode;
+pub mod vm;
 pub(crate) mod compiled;
 pub mod counters;
 pub mod device;
@@ -54,7 +54,7 @@ pub mod process;
 pub mod value;
 
 pub use arena::{ArenaStats, RunContext};
-pub use bytecode::{run_vm, VmRuntime};
+pub use vm::{run_vm, VmRuntime};
 pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};
 pub use device::DeviceConfig;
 pub use engine::ExecutionEngine;

@@ -1,0 +1,894 @@
+//! A flat bytecode VM over the slot-indexed lowering in [`crate::compiled`].
+//!
+//! The tree-walking interpreter ([`crate::interp::Runtime`]) is the
+//! *specification*: deterministic, fully instrumented, and deliberately
+//! simple. It is also slow — every expression evaluation chases `Box`es,
+//! re-matches enum variants, and re-folds multi-dimensional indices. This
+//! module lowers a [`Compiled`] function once more into a linear instruction
+//! stream over a flat `u64` register file, executed by a single dispatch
+//! loop with explicit jump offsets: no recursion, no allocation per
+//! statement, no hash lookups.
+//!
+//! The VM is the *portable fallback* engine — a wall-clock execution path
+//! for hosts without a C compiler — and a *back end*, not a second
+//! runtime: like the compiled engine it executes the function
+//! `ft_codegen::lower_and_plan` returns, on the crate's [`TensorVal`] and
+//! `arena::TensorPool`. How a parallel reduction is realized (chunk-private
+//! rows merged in chunk order, or a serial loop) is thus decided once, on
+//! the IR, for both; the VM only proves the writes of a marked loop
+//! disjoint and runs it on the [`WorkerPool`]. It models no device:
+//! counters, the cache simulator and per-statement profiling belong to the
+//! interpreter alone, and [`RunResult::counters`] comes back defaulted
+//! (only the capacity accounting that reproduces out-of-memory errors
+//! remains). Affine tensor indices inside the innermost loop are
+//! strength-reduced to a per-iteration induction increment
+//! (`off += stride`) hoisted into a loop preheader.
+//!
+//! Programs the static compiler cannot type (currently: `Select` whose arms
+//! evaluate to different runtime scalar kinds) and runs whose supplied
+//! input dtypes differ from the declared parameter dtypes fall back
+//! transparently to the interpreter, on the same lowered function, so
+//! [`VmRuntime::run`] is a drop-in replacement for
+//! [`Runtime::run`](crate::interp::Runtime::run).
+//!
+//! ## The contract, and known, documented divergences
+//!
+//! On programs that *succeed*, outputs are bit-identical to the interpreter
+//! run on `lower_cpu_parallel(func)`, run to run and at any worker count
+//! (the differential fuzz suite asserts this): results follow the lowered
+//! function's association order. Where the lowering returns `func`
+//! untouched that is the interpreter on `func` itself; where it privatizes
+//! a float reduction the two agree to rounding, as the compiled kernel does.
+//!
+//! Programs that *fail* may differ in the error payload:
+//!
+//! * Strength-reduced accesses check the *flat* offset against `numel`
+//!   instead of each dimension, so a program that indexes out-of-bounds
+//!   per-dimension but in-bounds flat is caught by the interpreter but not
+//!   by the VM, and the out-of-bounds payload carries the flat offset.
+//! * `VarDef`/parameter shapes are evaluated dimension-at-a-time by the
+//!   interpreter (erroring before later dimensions run) but
+//!   all-dims-then-convert by the VM.
+//! * Integer overflow wraps in the VM (as it does in interpreter release
+//!   builds) where a debug-build interpreter would panic.
+//! * The VM hoists loop-invariant index arithmetic — including loads
+//!   from tensors the loop does not write, for accesses executed
+//!   unconditionally on every iteration — into the loop preheader. The
+//!   hoisted code only runs when the loop has at least one iteration, so
+//!   every fault it can raise is one the first iteration would raise too,
+//!   but it runs *before* that iteration's other side effects, so an
+//!   erroring program may report a different (still-legitimate) error than
+//!   the interpreter.
+
+mod exec;
+mod kernels;
+mod lower;
+
+use exec::*;
+use lower::*;
+
+use crate::arena::TensorPool;
+use crate::compiled::Compiled;
+use crate::counters::PerfCounters;
+use crate::device::DeviceConfig;
+use crate::error::RuntimeError;
+use crate::interp::{RunResult, Runtime};
+use crate::libkernel::matmul_checked;
+use crate::pool::{grain_for, WorkerPool};
+use crate::value::{lanes, Data, Scalar, TensorVal};
+use ft_ir::{AccessType, BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
+use ft_metrics::Metrics;
+use ft_trace::{TraceSink, TRACK_RUNTIME};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+
+/// Statically inferred scalar kind of a register, mirroring the
+/// interpreter's runtime [`Scalar`] variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    /// `Scalar::Int` — stored as the `i64` bit pattern.
+    I,
+    /// `Scalar::Float` — stored via `f64::to_bits`.
+    F,
+    /// `Scalar::Bool` — stored as 0/1.
+    B,
+}
+
+fn ty_of(dtype: DataType) -> Ty {
+    match dtype {
+        DataType::F32 | DataType::F64 => Ty::F,
+        DataType::I32 | DataType::I64 => Ty::I,
+        DataType::Bool => Ty::B,
+    }
+}
+
+/// One VM instruction. Register operands are indices into a flat `u64`
+/// file; the first `n_scalars` registers are the scalar slots of the
+/// lowering (loop iterators and size parameters, always [`Ty::I`]).
+#[derive(Debug, Clone)]
+enum Instr {
+    ConstI { dst: u32, v: i64 },
+    ConstF { dst: u32, v: f64 },
+    ConstB { dst: u32, v: bool },
+    Mov { dst: u32, src: u32 },
+    /// `dst += v` (wrapping). Loop increment and preheader probe.
+    AddImmI { dst: u32, v: i64 },
+
+    AddI { dst: u32, a: u32, b: u32 },
+    SubI { dst: u32, a: u32, b: u32 },
+    MulI { dst: u32, a: u32, b: u32 },
+    DivI { dst: u32, a: u32, b: u32 },
+    ModI { dst: u32, a: u32, b: u32 },
+    MinI { dst: u32, a: u32, b: u32 },
+    MaxI { dst: u32, a: u32, b: u32 },
+    PowI { dst: u32, a: u32, b: u32 },
+
+    AddF { dst: u32, a: u32, b: u32 },
+    SubF { dst: u32, a: u32, b: u32 },
+    MulF { dst: u32, a: u32, b: u32 },
+    DivF { dst: u32, a: u32, b: u32 },
+    ModF { dst: u32, a: u32, b: u32 },
+    MinF { dst: u32, a: u32, b: u32 },
+    MaxF { dst: u32, a: u32, b: u32 },
+    PowF { dst: u32, a: u32, b: u32 },
+
+    NegI { dst: u32, a: u32 },
+    NegF { dst: u32, a: u32 },
+    AbsI { dst: u32, a: u32 },
+    AbsF { dst: u32, a: u32 },
+    SignI { dst: u32, a: u32 },
+    SignF { dst: u32, a: u32 },
+    NotB { dst: u32, a: u32 },
+    SqrtF { dst: u32, a: u32 },
+    ExpF { dst: u32, a: u32 },
+    LnF { dst: u32, a: u32 },
+    SigmoidF { dst: u32, a: u32 },
+    TanhF { dst: u32, a: u32 },
+
+    /// Comparisons over `f64` operands (the interpreter compares `as_f64`).
+    EqF { dst: u32, a: u32, b: u32 },
+    NeF { dst: u32, a: u32, b: u32 },
+    LtF { dst: u32, a: u32, b: u32 },
+    LeF { dst: u32, a: u32, b: u32 },
+    GtF { dst: u32, a: u32, b: u32 },
+    GeF { dst: u32, a: u32, b: u32 },
+    AndB { dst: u32, a: u32, b: u32 },
+    OrB { dst: u32, a: u32, b: u32 },
+
+    IToF { dst: u32, a: u32 },
+    BToF { dst: u32, a: u32 },
+    BToI { dst: u32, a: u32 },
+    FToI { dst: u32, a: u32 },
+    IToB { dst: u32, a: u32 },
+    FToB { dst: u32, a: u32 },
+    /// `x as f32 as f64` — the F32 cast.
+    RoundF32 { dst: u32, a: u32 },
+    /// `x as i32 as i64` — the I32 cast.
+    TruncI32 { dst: u32, a: u32 },
+
+    Jmp { to: u32 },
+    BrFalse { cond: u32, to: u32 },
+    /// Loop guard: jump if `regs[a] >= regs[b]` (as `i64`).
+    BrGeI { a: u32, b: u32, to: u32 },
+
+    /// Row-major fold of `ndim` index registers starting at `idx`, with
+    /// per-dimension bounds checks (the interpreter's `bounds_check`).
+    Off { t: u32, idx: u32, ndim: u8, dst: u32 },
+    /// Same fold, wrapping and unchecked — preheader stride probes only.
+    OffRaw { t: u32, idx: u32, ndim: u8, dst: u32 },
+    LoadT { t: u32, off: u32, dst: u32 },
+    /// Strength-reduced load: flat offset checked against `numel` only.
+    LoadFlat { t: u32, off: u32, dst: u32 },
+    StoreT { t: u32, off: u32, src: u32, sty: Ty },
+    StoreFlat { t: u32, off: u32, src: u32, sty: Ty },
+    ReduceT { t: u32, off: u32, src: u32, sty: Ty, op: ReduceOp },
+    ReduceFlat { t: u32, off: u32, src: u32, sty: Ty, op: ReduceOp },
+
+    Alloc { t: u32, shape: u32, ndim: u8, dtype: DataType, mtype: MemType },
+    Free { t: u32 },
+    BindParam { p: u32, shape: u32, ndim: u8 },
+    LibCall { id: u32 },
+
+    /// A whole innermost `vectorize`-marked loop fused into one
+    /// wide kernel dispatch ([`VecSite`]). Carries no jump targets, so it
+    /// relocates freely inside enclosing loop bodies.
+    VecLoop { site: u32 },
+    /// A whole `OpenMp` loop run as a fork-join region on the
+    /// persistent worker pool ([`ParSite`]).
+    ParRegion { site: u32 },
+    Halt,
+}
+
+/// Marker: the program uses a construct the static compiler cannot type;
+/// the caller falls back to the interpreter. Carries a stable machine-
+/// readable reason naming the construct (reported as the `reason` arg of
+/// the `vm.fallback` trace span — no fallback is silent).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Unsupported(pub(crate) &'static str);
+
+/// A `LibCall` site.
+#[derive(Debug, Clone)]
+struct LibSite {
+    kernel: String,
+    inputs: Vec<usize>,
+    outputs: Vec<usize>,
+    attrs: Vec<i64>,
+}
+
+/// A strength-reduced access used by a vectorized loop: the register
+/// holding the flat base offset (maintained by the loop preheader) plus the
+/// register holding the numerically probed per-iteration stride (`None` for
+/// loop-invariant accesses, i.e. stride 0).
+#[derive(Debug, Clone)]
+struct VecAccess {
+    t: u32,
+    off: u32,
+    stride: Option<u32>,
+}
+
+/// The fused inner-loop shapes the vectorizer recognizes. Float reduction
+/// kernels preserve the interpreter's serial-order combines and per-step
+/// storage rounding (see [`crate::value::lanes`]), so accepting a kernel
+/// never changes results — only dispatch cost.
+#[derive(Debug, Clone)]
+enum VecKernel {
+    /// `dst[k] = v` with `v` loop-invariant (hoisted into register `src`).
+    Fill { dst: VecAccess, src: u32, sty: Ty },
+    /// `dst[k] = x[k]` (dtype conversion through the scalar widen/narrow).
+    Copy { dst: VecAccess, x: VecAccess },
+    /// `dst[k] += a * x[k]` — elementwise float accumulate with an optional
+    /// invariant multiplier `a` (`a_lhs` records the operand order so NaN
+    /// propagation matches the serial multiply).
+    Axpy {
+        dst: VecAccess,
+        x: VecAccess,
+        a: Option<(u32, Ty)>,
+        a_lhs: bool,
+    },
+    /// `acc += x[k] * y[k]` — loop-carried dot-product reduction into one
+    /// invariant cell.
+    Dot {
+        dst: VecAccess,
+        x: VecAccess,
+        y: VecAccess,
+    },
+    /// `acc op= x[k]` — loop-carried horizontal reduction (Add/Min/Max).
+    HReduce {
+        dst: VecAccess,
+        x: VecAccess,
+        op: ReduceOp,
+    },
+}
+
+/// Names of the fused kernels: the `vm.simd` decision detail and the
+/// `vm.kernel.*` metric suffix, in [`VecKernel::idx`] order.
+const VEC_KERNEL_NAMES: [&str; 5] = ["fill", "copy", "axpy", "dot", "hreduce"];
+
+impl VecKernel {
+    /// This kernel's place in [`VEC_KERNEL_NAMES`] and [`VmTally::vec`].
+    fn idx(&self) -> usize {
+        match self {
+            VecKernel::Fill { .. } => 0,
+            VecKernel::Copy { .. } => 1,
+            VecKernel::Axpy { .. } => 2,
+            VecKernel::Dot { .. } => 3,
+            VecKernel::HReduce { .. } => 4,
+        }
+    }
+}
+
+/// A vectorized-loop site: iterator register, end-bound register, kernel.
+#[derive(Debug, Clone)]
+struct VecSite {
+    s: u32,
+    end: u32,
+    kernel: VecKernel,
+}
+
+/// A parallel-region site: the loop body compiled into a standalone
+/// instruction stream workers execute once per iteration.
+#[derive(Debug, Clone)]
+struct ParSite {
+    s: u32,
+    end: u32,
+    code: Vec<Instr>,
+    /// Per tensor slot: `true` when each worker owns a private copy (the
+    /// body's `VarDef` locals); `false` slots route to the parent's
+    /// storage, written disjointly.
+    local_mask: Vec<bool>,
+    /// Static body cost (instruction count) feeding the grain heuristic.
+    cost: u32,
+}
+
+/// One lowering decision (a `vectorize` or parallel-region attempt),
+/// surfaced as a `vm.simd` / `vm.parallel` trace span with a structured
+/// acceptance or rejection reason.
+#[derive(Debug, Clone)]
+struct LowerDecision {
+    kind: &'static str,
+    prof: usize,
+    accepted: bool,
+    detail: String,
+}
+
+/// A compiled VM program: the instruction streams, beside the slot-resolved
+/// function they were lowered from (whose name, parameter and size tables
+/// the dispatch loop reads in place).
+pub(crate) struct VmProgram<'c> {
+    c: &'c Compiled,
+    code: Vec<Instr>,
+    n_regs: usize,
+    lib_sites: Vec<LibSite>,
+    vec_sites: Vec<VecSite>,
+    par_sites: Vec<ParSite>,
+    decisions: Vec<LowerDecision>,
+}
+
+
+/// The bytecode execution engine, a drop-in replacement for
+/// [`Runtime`](crate::interp::Runtime).
+#[derive(Debug, Clone, Default)]
+pub struct VmRuntime {
+    /// Modeled platform parameters: device capacities for the
+    /// out-of-memory checks, and the device model of interpreter fallbacks.
+    pub config: DeviceConfig,
+    sink: Option<TraceSink>,
+    metrics: Option<Metrics>,
+}
+
+
+impl VmRuntime {
+    /// A VM with the default device model.
+    pub fn new() -> VmRuntime {
+        VmRuntime::default()
+    }
+
+    /// A VM with an explicit device model.
+    pub fn with_config(config: DeviceConfig) -> VmRuntime {
+        VmRuntime {
+            config,
+            ..VmRuntime::default()
+        }
+    }
+
+    /// Install (or remove) a trace sink. A sink records a `"vm <name>"`
+    /// runtime span per run plus one `vm.lower` span per lowering decision.
+    pub fn set_sink(&mut self, sink: Option<TraceSink>) {
+        self.sink = sink;
+    }
+
+    /// The installed trace sink, if any.
+    pub fn sink(&self) -> Option<&TraceSink> {
+        self.sink.as_ref()
+    }
+
+    /// Install (or remove) a metrics registry. When present, every run
+    /// records an `engine.vm.run_us` wall histogram, fused-kernel
+    /// dispatch counters (`vm.kernel.*`) with an `engine.vm.kernel_ns`
+    /// dispatch-wall histogram, parallel-region scheduling counters
+    /// (`vm.par.{pool,serial}`), worker-pool claim counters, and an
+    /// `engine.vm.fallback` counter for runs delegated to the interpreter
+    /// (those record interpreter metrics instead).
+    pub fn set_metrics(&mut self, metrics: Option<Metrics>) {
+        self.metrics = metrics;
+    }
+
+    /// Execute `func`, falling back to the interpreter for programs the
+    /// static compiler cannot type (or whose supplied inputs' dtypes differ
+    /// from the declarations).
+    ///
+    /// # Errors
+    ///
+    /// The same [`RuntimeError`] conditions as
+    /// [`Runtime::run`](crate::interp::Runtime::run).
+    pub fn run(
+        &self,
+        func: &Func,
+        inputs: &HashMap<String, TensorVal>,
+        sizes: &HashMap<String, i64>,
+    ) -> Result<RunResult, RuntimeError> {
+        self.run_inner(func, inputs, sizes, None)
+    }
+
+    pub(crate) fn run_inner(
+        &self,
+        func: &Func,
+        inputs: &HashMap<String, TensorVal>,
+        sizes: &HashMap<String, i64>,
+        mut rctx: Option<&mut crate::arena::RunContext>,
+    ) -> Result<RunResult, RuntimeError> {
+        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let pool_before = self.metrics.as_ref().map(|_| WorkerPool::global().stats());
+        // Execute, plan and bind contexts to the function `CompiledEngine`
+        // emits C for: a reduction is privatized (or its loop serialized)
+        // once, on the IR, for both back ends.
+        let (lowered, plan) = ft_codegen::lower_and_plan(func, sizes);
+        let func = &*lowered;
+        let compiled = crate::compiled::compile(func)?;
+        // The interpreter binds inputs by clone whatever their dtype; the
+        // VM compiles loads against the declared dtype, so mismatched
+        // inputs take the interpreter path instead.
+        let dtype_mismatch = compiled.params.iter().any(|(slot, _, dtype, _, atype)| {
+            matches!(atype, AccessType::Input | AccessType::InOut)
+                && inputs
+                    .get(&compiled.tensor_names[*slot])
+                    .is_some_and(|t| t.dtype() != *dtype)
+        });
+        let prog = if dtype_mismatch {
+            Err(Unsupported("input.dtype_mismatch"))
+        } else {
+            compile_program(&compiled)
+        };
+        let prog = match prog {
+            Ok(p) => p,
+            Err(Unsupported(reason)) => {
+                // Structured fallback: name the construct that kept the
+                // program off the VM, then run the interpreter. Never
+                // silent — conformance asserts on this span.
+                if let Some(sink) = &self.sink {
+                    let mut sp = sink.span_on(TRACK_RUNTIME, "vm.fallback", "vm.fallback");
+                    sp.arg("reason", reason);
+                    sp.arg("target", &func.name);
+                }
+                let mut rt = Runtime::with_config(self.config.clone());
+                rt.set_sink(self.sink.clone());
+                if let Some(m) = &self.metrics {
+                    m.counter("engine.vm.fallback").inc();
+                    rt.set_metrics(self.metrics.clone());
+                }
+                return rt.run_timed(func, inputs, sizes, rctx);
+            }
+        };
+        // With a cross-run context: pool `Alloc` buffers by the plan's
+        // interference classes. Plain `run` allocates every `VarDef` fresh,
+        // which is what the planned path is diffed against.
+        let mut pool: Option<TensorPool> = None;
+        if let Some(c) = rctx.as_deref_mut() {
+            c.ensure_bound(func, sizes, &plan)?;
+            crate::arena::publish_plan(
+                self.sink.as_ref(),
+                self.metrics.as_ref(),
+                &func.name,
+                &plan,
+            );
+            if crate::arena::plan_matches_names(&plan, &compiled.tensor_names) {
+                pool = Some(c.take_tensor_pool(&plan));
+            }
+        }
+        let _span = self
+            .sink
+            .as_ref()
+            .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
+        // One span per lowering decision, so a trace explains which loops
+        // became wide kernels or pool regions and why the rest did not.
+        if let Some(sink) = &self.sink {
+            for d in &prog.decisions {
+                let mut sp = sink.span_on(TRACK_RUNTIME, "vm.lower", d.kind);
+                sp.arg("target", &compiled.prof_nodes[d.prof].desc);
+                sp.arg("accepted", d.accepted);
+                sp.arg(if d.accepted { "how" } else { "reason" }, &d.detail);
+            }
+        }
+        let mut st = VmState {
+            config: &self.config,
+            names: &compiled.tensor_names,
+            regs: vec![0; prog.n_regs],
+            tensors: (0..compiled.n_tensors).map(|_| None).collect(),
+            live: [0, 0],
+            shared: None,
+            tally: self.metrics.as_ref().map(|m| VmTally {
+                vec: [0; VEC_KERNEL_NAMES.len()],
+                par_pool: 0,
+                par_serial: 0,
+                kernel_ns: m.histogram("engine.vm.kernel_ns"),
+            }),
+            arena: pool,
+        };
+        for (name, slot) in &compiled.size_slots {
+            let v = *sizes
+                .get(name)
+                .ok_or_else(|| RuntimeError::UnresolvedSize(name.clone()))?;
+            st.regs[*slot] = v as u64;
+        }
+        let exec_r = st.exec_code(&prog.code, &prog, inputs);
+        if let Some(m) = &self.metrics {
+            if let Some(t0) = t0 {
+                m.histogram("engine.vm.run_us").record_duration_us(t0.elapsed());
+            }
+            if exec_r.is_err() {
+                m.counter("engine.vm.errors").inc();
+            }
+            if let Some(t) = st.tally.take() {
+                for (i, name) in VEC_KERNEL_NAMES.iter().enumerate() {
+                    if t.vec[i] > 0 {
+                        m.counter(&format!("vm.kernel.{name}")).add(t.vec[i]);
+                    }
+                }
+                if t.par_pool > 0 {
+                    m.counter("vm.par.pool").add(t.par_pool);
+                }
+                if t.par_serial > 0 {
+                    m.counter("vm.par.serial").add(t.par_serial);
+                }
+            }
+            if let Some(before) = &pool_before {
+                crate::engine::record_pool_delta(m, before);
+            }
+        }
+        crate::arena::return_pool(st.arena.take(), self.metrics.as_ref(), rctx.as_deref_mut());
+        if let (Err(e), Some(c)) = (&exec_r, rctx) {
+            c.poison_on(e);
+        }
+        exec_r?;
+        let mut outputs = HashMap::new();
+        for (slot, _, _, _, atype) in &compiled.params {
+            if matches!(atype, AccessType::Output | AccessType::InOut) {
+                let vt = st.tensors[*slot].take().expect("params stay live");
+                outputs.insert(compiled.tensor_names[*slot].clone(), vt.val);
+            }
+        }
+        Ok(RunResult {
+            outputs,
+            counters: PerfCounters::default(),
+        })
+    }
+}
+
+/// Execute a function on the VM and return its outputs.
+///
+/// # Errors
+///
+/// The same [`RuntimeError`] conditions as [`VmRuntime::run`].
+pub fn run_vm(
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    sizes: &HashMap<String, i64>,
+) -> Result<HashMap<String, TensorVal>, RuntimeError> {
+    VmRuntime::new().run(func, inputs, sizes).map(|r| r.outputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ft_ir::prelude::*;
+    use ft_ir::ForProperty;
+
+    pub(super) fn maps(
+        inputs: &[(&str, TensorVal)],
+        sizes: &[(&str, i64)],
+    ) -> (HashMap<String, TensorVal>, HashMap<String, i64>) {
+        (
+            inputs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+            sizes.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        )
+    }
+
+    /// The VM's contract: run `f` on the VM and `lower_cpu_parallel(f)` on
+    /// the interpreter; outputs must be bit-identical and the VM must
+    /// report no counters. Returns the interpreter's result.
+    pub(super) fn assert_parity(
+        f: &Func,
+        inputs: &[(&str, TensorVal)],
+        sizes: &[(&str, i64)],
+    ) -> RunResult {
+        let (ins, szs) = maps(inputs, sizes);
+        let lowered = ft_codegen::lower_cpu_parallel(f);
+        let ri = Runtime::new().run(&lowered, &ins, &szs).expect("interp ok");
+        let rv = VmRuntime::new().run(f, &ins, &szs).expect("vm ok");
+        assert_eq!(ri.outputs, rv.outputs, "vm outputs differ");
+        assert_eq!(rv.counters, PerfCounters::default(), "the vm must not count");
+        ri
+    }
+
+    #[test]
+    fn fast_vm_matches_interp_on_affine_elementwise() {
+        let f = Func::new("scale")
+            .param("x", [var("n")], DataType::F32, AccessType::Input)
+            .param("y", [var("n")], DataType::F32, AccessType::Output)
+            .size_param("n")
+            .body(for_(
+                "i",
+                0,
+                var("n"),
+                store("y", [var("i")], load("x", [var("i")]) * 2.0f32 + 1.0f32),
+            ));
+        let x = TensorVal::from_f32(&[100], (0..100).map(|v| v as f32 * 0.25).collect());
+        let r = assert_parity(&f, &[("x", x)], &[("n", 100)]);
+        assert_eq!(r.output("y").get_flat(4).as_f64(), 3.0);
+    }
+
+    #[test]
+    fn nested_tiled_loops_with_runtime_strides() {
+        // Transposed read: the `j` stride in `x` is the runtime size `n`,
+        // so strength reduction must probe the stride numerically.
+        let f = Func::new("transpose")
+            .param("x", [var("m"), var("n")], DataType::F64, AccessType::Input)
+            .param("y", [var("n"), var("m")], DataType::F64, AccessType::Output)
+            .size_param("m")
+            .size_param("n")
+            .body(for_(
+                "i",
+                0,
+                var("m"),
+                for_(
+                    "j",
+                    0,
+                    var("n"),
+                    store(
+                        "y",
+                        [var("j"), var("i")],
+                        load("x", [var("i"), var("j")]) * 3.0f64,
+                    ),
+                ),
+            ));
+        let x = TensorVal::from_f64(&[5, 7], (0..35).map(|v| v as f64).collect());
+        let r = assert_parity(&f, &[("x", x)], &[("m", 5), ("n", 7)]);
+        // y[j, i] = 3 * x[i, j] = 3 * (i*7 + j)
+        assert_eq!(r.output("y").get(&[6, 4]).as_f64(), 3.0 * (4.0 * 7.0 + 6.0));
+    }
+
+    #[test]
+    fn gather_guards_and_select_take_generic_path() {
+        let f = Func::new("gather")
+            .param("x", [8], DataType::F32, AccessType::Input)
+            .param("idx", [4], DataType::I64, AccessType::Input)
+            .param("y", [4], DataType::F32, AccessType::Output)
+            .body(for_(
+                "i",
+                0,
+                4,
+                if_(
+                    load("idx", [var("i")]).ge(0),
+                    store(
+                        "y",
+                        [var("i")],
+                        Expr::select(
+                            load("x", [load("idx", [var("i")])]).gt(2.0f32),
+                            load("x", [load("idx", [var("i")])]),
+                            Expr::from(-1.0f32),
+                        ),
+                    ),
+                ),
+            ));
+        let x = TensorVal::from_f32(&[8], (0..8).map(|v| v as f32).collect());
+        let idx = TensorVal::from_i64(&[4], vec![7, 0, 3, 2]);
+        let r = assert_parity(&f, &[("x", x), ("idx", idx)], &[]);
+        assert_eq!(r.output("y").to_f64_vec(), vec![7.0, -1.0, 3.0, -1.0]);
+    }
+
+    /// One function mixing GPU-scoped loops, a vectorized reduction,
+    /// scratch memory, float and int reductions, casts, intrinsics, `Pow`
+    /// and `Mod`.
+    fn mixed_workload() -> Func {
+        let vec_prop = ForProperty {
+            vectorize: true,
+            ..ForProperty::serial()
+        };
+        let cpu_part = block([
+            for_with(
+                "i",
+                0,
+                64,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                store(
+                    "y",
+                    [var("i")],
+                    intrin::sqrt(intrin::abs(load("x", [var("i")])))
+                        + intrin::sigmoid(load("x", [var("i")]))
+                            * Expr::cast(DataType::F32, var("i").rem(7)),
+                ),
+            ),
+            for_with(
+                "v",
+                0,
+                64,
+                vec_prop,
+                reduce(
+                    "acc",
+                    [0],
+                    ReduceOp::Add,
+                    load("y", [var("v")]) * load("y", [var("v")]),
+                ),
+            ),
+            for_(
+                "j",
+                0,
+                8,
+                reduce(
+                    "zi",
+                    [0],
+                    ReduceOp::Max,
+                    Expr::binary(BinaryOp::Pow, var("j"), 2.into())
+                        - Expr::binary(BinaryOp::Mod, var("j"), 3.into()),
+                ),
+            ),
+            var_def(
+                "scratch",
+                [16],
+                DataType::F32,
+                MemType::CpuStack,
+                block([
+                    for_("s", 0, 16, store("scratch", [var("s")], var("s") * 2)),
+                    for_(
+                        "s2",
+                        0,
+                        16,
+                        reduce("acc", [0], ReduceOp::Add, load("scratch", [var("s2")])),
+                    ),
+                ]),
+            ),
+        ]);
+        let gpu_part = for_with(
+            "b",
+            0,
+            4,
+            ForProperty::parallel(ParallelScope::CudaBlockX),
+            for_with(
+                "t",
+                0,
+                8,
+                ForProperty::parallel(ParallelScope::CudaThreadX),
+                store("g", [var("b") * 8 + var("t")], var("b") + var("t")),
+            ),
+        );
+        Func::new("mix")
+            .param("x", [64], DataType::F32, AccessType::Input)
+            .param("y", [64], DataType::F32, AccessType::Output)
+            .param("acc", [1], DataType::F32, AccessType::Output)
+            .param("zi", [1], DataType::I64, AccessType::Output)
+            .param_on(
+                "g",
+                [32],
+                DataType::F32,
+                MemType::GpuGlobal,
+                AccessType::Output,
+            )
+            .body(block([cpu_part, gpu_part]))
+    }
+
+    #[test]
+    fn mixed_workload_matches_interp_and_emits_a_vm_span() {
+        let x = TensorVal::from_f32(&[64], (0..64).map(|v| (v as f32 - 31.0) * 0.5).collect());
+        let f = mixed_workload();
+        assert_parity(&f, &[("x", x.clone())], &[]);
+
+        let (ins, szs) = maps(&[("x", x)], &[]);
+        let sink = TraceSink::new();
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(sink.clone()));
+        vm.run(&f, &ins, &szs).expect("vm ok");
+        let names: Vec<String> = sink.events().into_iter().map(|e| e.name).collect();
+        assert!(
+            names.iter().any(|n| n == "vm mix"),
+            "expected a vm span, got {names:?}"
+        );
+    }
+
+    #[test]
+    fn mixed_type_select_falls_back_to_interp() {
+        // `select` arms of different register types are statically untypable
+        // for the VM; the program must still run (via the interpreter) and
+        // announce itself as such in the trace.
+        let f = Func::new("mixsel")
+            .param("y", [4], DataType::F64, AccessType::Output)
+            .body(for_(
+                "i",
+                0,
+                4,
+                store(
+                    "y",
+                    [var("i")],
+                    Expr::select(var("i").lt(2), var("i"), Expr::from(0.5f64)),
+                ),
+            ));
+        let (ins, szs) = maps(&[], &[]);
+        let ri = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
+        let sink = TraceSink::new();
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(sink.clone()));
+        let rv = vm.run(&f, &ins, &szs).expect("vm (fallback) ok");
+        assert_eq!(ri.outputs, rv.outputs);
+        let events = sink.events();
+        let fb = events
+            .iter()
+            .find(|e| e.name == "vm.fallback")
+            .unwrap_or_else(|| {
+                panic!(
+                    "expected a structured vm.fallback span, got {:?}",
+                    events.iter().map(|e| &e.name).collect::<Vec<_>>()
+                )
+            });
+        assert!(
+            fb.args
+                .iter()
+                .any(|(k, v)| k == "reason" && v == "select.mixed_arm_types"),
+            "fallback span must name the construct, got args {:?}",
+            fb.args
+        );
+        let names: Vec<String> = events.iter().map(|e| e.name.clone()).collect();
+        assert!(
+            names.iter().any(|n| n == "interp mixsel"),
+            "expected interpreter fallback span, got {names:?}"
+        );
+    }
+
+    #[test]
+    fn dtype_mismatch_fallback_names_its_reason() {
+        // Inputs whose dtype differs from the declaration take the
+        // interpreter path with a named reason — not silently.
+        let f = Func::new("mismatch")
+            .param("x", [4], DataType::F32, AccessType::Input)
+            .param("y", [4], DataType::F32, AccessType::Output)
+            .body(for_(
+                "i",
+                0,
+                4,
+                store("y", [var("i")], load("x", [var("i")]) * 2.0f64),
+            ));
+        let x = TensorVal::from_f64(&[4], vec![1.0, 2.0, 3.0, 4.0]);
+        let (ins, szs) = maps(&[("x", x)], &[]);
+        let sink = TraceSink::new();
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(sink.clone()));
+        vm.run(&f, &ins, &szs).expect("fallback run ok");
+        let events = sink.events();
+        assert!(
+            events.iter().any(|e| e.name == "vm.fallback"
+                && e.args
+                    .iter()
+                    .any(|(k, v)| k == "reason" && v == "input.dtype_mismatch")),
+            "expected vm.fallback with input.dtype_mismatch, got {:?}",
+            events
+                .iter()
+                .map(|e| (&e.name, &e.args))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn dtype_mismatched_inputs_fall_back() {
+        // The interpreter binds inputs by clone whatever the declared dtype;
+        // the VM detects the mismatch and must take the same path.
+        let f = Func::new("dt")
+            .param("x", [3], DataType::F32, AccessType::Input)
+            .param("y", [3], DataType::F64, AccessType::Output)
+            .body(for_(
+                "i",
+                0,
+                3,
+                store("y", [var("i")], load("x", [var("i")]) + 0.5f64),
+            ));
+        let x64 = TensorVal::from_f64(&[3], vec![1.25, 2.25, 3.25]);
+        let (ins, szs) = maps(&[("x", x64)], &[]);
+        let ri = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
+        let rv = VmRuntime::new().run(&f, &ins, &szs).expect("vm ok");
+        assert_eq!(ri.outputs, rv.outputs);
+        assert_eq!(ri.output("y").to_f64_vec(), vec![1.75, 2.75, 3.75]);
+    }
+
+    /// Filter the lowering decision log by span kind, as (accepted, detail).
+    pub(super) fn decisions_of(f: &Func, kind: &str) -> Vec<(bool, String)> {
+        let c = crate::compiled::compile(f).unwrap();
+        let prog = compile_program(&c).expect("typable");
+        prog.decisions
+            .iter()
+            .filter(|d| d.kind == kind)
+            .map(|d| (d.accepted, d.detail.clone()))
+            .collect()
+    }
+
+    /// `target[index] op= value`, flagged `atomic`: what `parallelize` leaves
+    /// of a reduction its loop carries.
+    pub(super) fn atomic_reduce(target: &str, index: Expr, op: ReduceOp, value: Expr) -> Stmt {
+        Stmt::new(StmtKind::ReduceTo {
+            var: target.to_string(),
+            indices: vec![index],
+            op,
+            value,
+            atomic: true,
+        })
+    }
+}
