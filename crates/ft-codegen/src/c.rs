@@ -1,7 +1,9 @@
 //! C99 + OpenMP emission for CPU schedules.
 
+use crate::scalar::{self, Event, Kind};
 use ft_ir::{
-    AccessType, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp,
+    AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, ReduceOp, Stmt, StmtKind,
+    UnaryOp,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -23,6 +25,7 @@ static inline int64_t ft_fmod(int64_t a, int64_t b) {
     return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
 }
 static inline double ft_sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
+static inline float ft_sigmoidf(float x) { return 1.0f / (1.0f + expf(-x)); }
 static inline void ft_lib_matmul(const float* A, const float* B, float* C,
                                  int64_t m, int64_t k, int64_t n) {
     for (int64_t i = 0; i < m; ++i)
@@ -48,25 +51,28 @@ fn ctype(dt: DataType) -> &'static str {
     }
 }
 
-/// Coarse C-side type of an expression (for operator selection).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CTy {
-    Int,
-    Float,
-    Bool,
-}
-
 /// C identifiers every generated translation unit already uses (the
 /// preamble's support library) plus the C99 keywords — IR names must never
 /// mangle onto these.
 const RESERVED: &[&str] = &[
-    "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_lib_matmul", "ft_entry", "__ft_prof", "__ft_t0",
-    "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "auto", "break", "case", "char",
-    "const", "continue", "default", "do", "double", "else", "enum", "extern", "float", "for",
-    "goto", "if", "inline", "int", "long", "register", "restrict", "return", "short", "signed",
-    "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
-    "while", "bool", "true", "false", "int32_t", "int64_t", "main",
+    "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_sigmoidf", "ft_lib_matmul", "ft_entry", "__ft_prof",
+    "__ft_t0", "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "auto", "break",
+    "case", "char", "const", "continue", "default", "do", "double", "else", "enum", "extern",
+    "float", "for", "goto", "if", "inline", "int", "long", "register", "restrict", "return",
+    "short", "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned",
+    "void", "volatile", "while", "bool", "true", "false", "int32_t", "int64_t", "main",
 ];
+
+/// Whether `ident` is spelled like a temporary of the emitter's own —
+/// `ft_h3` (hoisted out of a loop), `ft_c12` (computed once), `ft_a1`
+/// (accumulator). The emitter numbers them itself, so no IR name may be
+/// given one.
+fn is_temporary(ident: &str) -> bool {
+    ident
+        .strip_prefix("ft_")
+        .and_then(|r| r.strip_prefix(['h', 'c', 'a']))
+        .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+}
 
 /// Scope-aware mapping from IR names to *distinct* C identifiers.
 ///
@@ -96,7 +102,10 @@ impl Mangler {
         let base = sanitize(name);
         let mut ident = base.clone();
         let mut n = 1usize;
-        while RESERVED.contains(&ident.as_str()) || self.used.contains(&ident) {
+        while RESERVED.contains(&ident.as_str())
+            || self.used.contains(&ident)
+            || is_temporary(&ident)
+        {
             n += 1;
             ident = format!("{base}_{n}");
         }
@@ -181,11 +190,11 @@ pub struct ProfSite {
     pub desc: String,
 }
 
-/// IR the C emitter refuses: parallel constructs that
-/// [`lower_cpu_parallel`](crate::lower_cpu_parallel) rewrites away. Reaching
-/// the emitter with one means the caller skipped the lowering; emitting a
-/// pragma for it would be a silent nondeterministic (or serialized-nested)
-/// kernel, so it is an error instead.
+/// IR the C emitter refuses. The parallel constructs are the ones
+/// [`lower_cpu_parallel`](crate::lower_cpu_parallel) rewrites away: reaching
+/// the emitter with one means the caller skipped the lowering, and a pragma
+/// for it would be a silent nondeterministic (or serialized-nested) kernel.
+/// A library call the backend has no kernel for would be a silent no-op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodegenError {
     /// A `ReduceTo` into `var` still carries the `atomic` flag.
@@ -197,6 +206,11 @@ pub enum CodegenError {
     NestedParallel {
         /// The inner loop's iterator.
         iter: String,
+    },
+    /// A `LibCall` names a kernel the C backend does not provide.
+    UnknownLibKernel {
+        /// The kernel's name.
+        kernel: String,
     },
 }
 
@@ -212,6 +226,9 @@ impl std::fmt::Display for CodegenError {
                 "parallel loop `{iter}` nested in a parallel loop reached the C emitter; \
                  run lower_cpu_parallel first"
             ),
+            CodegenError::UnknownLibKernel { kernel } => {
+                write!(f, "unknown library kernel `{kernel}`")
+            }
         }
     }
 }
@@ -234,9 +251,31 @@ struct ArenaSlot {
     must_zero: bool,
 }
 
-struct Emitter {
-    dtypes: HashMap<String, DataType>,
-    shapes: HashMap<String, Vec<Expr>>,
+/// A temporary of the emitter's own: while it is live, `expr` is spelled
+/// `ident`.
+struct Temp<'a> {
+    expr: &'a Expr,
+    ident: String,
+    /// The assignment after which a reused value retires; `None` for one
+    /// hoisted out of a loop, which lives until the loop ends.
+    last: Option<u32>,
+}
+
+/// `var[indices]` held in local `ident` while the loop in front of which it
+/// was loaded runs.
+struct Acc<'a> {
+    var: &'a str,
+    indices: &'a [Expr],
+    op: ReduceOp,
+    ident: String,
+}
+
+/// Largest constant element count emitted as an automatic array.
+const STACK_ELEMS: i64 = 4096;
+
+struct Emitter<'a> {
+    /// Tensors in scope, innermost last: name, element type, shape.
+    tensors: Vec<(&'a str, DataType, &'a [Expr])>,
     names: Mangler,
     out: String,
     indent: usize,
@@ -251,14 +290,84 @@ struct Emitter {
     /// Pre-order counter of `VarDef`s encountered so far.
     def_idx: usize,
     /// Number of enclosing parallel (`omp parallel for`) loops. Defs inside
-    /// a parallel body must stay thread-private (`calloc` per iteration);
-    /// a shared arena offset would race across the team.
+    /// a parallel body must stay thread-private; a shared arena offset
+    /// would race across the team.
     parallel_depth: usize,
-    /// First unlowered construct met; the unit is discarded when set.
+    /// First construct the backend refuses; the unit is discarded when set.
     err: Option<CodegenError>,
+    /// The scalar-code decisions, by statement; `next_event` is the first
+    /// one not acted on yet, `next_stmt` the pre-order number (their key)
+    /// of the next statement.
+    events: Vec<Event<'a>>,
+    next_event: usize,
+    next_stmt: u32,
+    temps: Vec<Temp<'a>>,
+    accs: Vec<Acc<'a>>,
 }
 
-impl Emitter {
+/// `<math.h>` spelling of a function that exists per float width: the
+/// `float` one where the operands are `f32`, as C++ overload resolution
+/// picks for the paper's backend.
+fn float_fn(name: &str, single: bool) -> &'static str {
+    match (name, single) {
+        ("abs", true) => "fabsf(",
+        ("abs", false) => "fabs(",
+        ("sqrt", true) => "sqrtf(",
+        ("sqrt", false) => "sqrt(",
+        ("exp", true) => "expf(",
+        ("exp", false) => "exp(",
+        ("ln", true) => "logf(",
+        ("ln", false) => "log(",
+        ("sigmoid", true) => "ft_sigmoidf(",
+        ("sigmoid", false) => "ft_sigmoid(",
+        ("tanh", true) => "tanhf(",
+        ("tanh", false) => "tanh(",
+        ("%", true) => "fmodf(",
+        ("%", false) => "fmod(",
+        ("min", true) => "fminf(",
+        ("min", false) => "fmin(",
+        ("max", true) => "fmaxf(",
+        ("max", false) => "fmax(",
+        ("pow", true) => "powf(",
+        ("pow", false) => "pow(",
+        _ => unreachable!("{name} has no float spelling"),
+    }
+}
+
+/// A float literal as `single` or double precision source text.
+fn put_float(out: &mut String, v: f64, single: bool) {
+    // The `f32` is printed with its own shortest digits, which C reads back
+    // to the same bits; the double's digits with an `f` could round twice.
+    let inf = if single {
+        (v as f32).is_infinite()
+    } else {
+        v.is_infinite()
+    };
+    if v.is_nan() {
+        out.push_str("NAN");
+    } else if inf {
+        out.push_str(if v > 0.0 { "INFINITY" } else { "-INFINITY" });
+    } else if single {
+        let _ = write!(out, "{:?}f", v as f32);
+    } else {
+        let _ = write!(out, "{v:?}");
+    }
+}
+
+/// Whether `e` is built from literals only and floating point: the one
+/// kind of operand whose spelling depends on what it meets.
+fn weak_float(e: &Expr) -> bool {
+    !matches!(e, Expr::IntConst(_))
+        && e.literal_only()
+        && e.dtype(&|_| DataType::I64).dtype.is_float()
+}
+
+const WEAK_FLOAT: ExprType = ExprType {
+    dtype: DataType::F64,
+    weak: true,
+};
+
+impl<'a> Emitter<'a> {
     fn line(&mut self, s: &str) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
@@ -268,7 +377,7 @@ impl Emitter {
     }
 
     /// One line whose text `write` streams straight into the unit.
-    fn line_with(&mut self, write: impl FnOnce(&Emitter, &mut String)) {
+    fn line_with(&mut self, write: impl FnOnce(&Emitter<'a>, &mut String)) {
         let mut out = std::mem::take(&mut self.out);
         for _ in 0..self.indent {
             out.push_str("    ");
@@ -278,46 +387,54 @@ impl Emitter {
         self.out = out;
     }
 
-    fn ty(&self, e: &Expr) -> CTy {
-        match e {
-            Expr::IntConst(_) | Expr::Var(_) => CTy::Int,
-            Expr::FloatConst(_) => CTy::Float,
-            Expr::BoolConst(_) => CTy::Bool,
-            Expr::Load { var, .. } => match self.dtypes.get(var) {
-                Some(d) if d.is_float() => CTy::Float,
-                Some(DataType::Bool) => CTy::Bool,
-                _ => CTy::Int,
-            },
-            Expr::Unary { op, a } => match op {
-                UnaryOp::Not => CTy::Bool,
-                UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign => self.ty(a),
-                _ => CTy::Float,
-            },
-            Expr::Binary { op, a, b } => {
-                if op.is_comparison() {
-                    CTy::Bool
-                } else if self.ty(a) == CTy::Float || self.ty(b) == CTy::Float {
-                    CTy::Float
-                } else {
-                    CTy::Int
-                }
-            }
-            Expr::Select { then, .. } => self.ty(then),
-            Expr::Cast { dtype, .. } => {
-                if dtype.is_float() {
-                    CTy::Float
-                } else if *dtype == DataType::Bool {
-                    CTy::Bool
-                } else {
-                    CTy::Int
-                }
-            }
+    fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr])> {
+        self.tensors.iter().rev().find(|t| t.0 == name)
+    }
+
+    fn elem(&self, name: &str) -> DataType {
+        self.tensor(name).map_or(DataType::I64, |t| t.1)
+    }
+
+    fn ty(&self, e: &Expr) -> ExprType {
+        e.dtype(&|n| self.elem(n))
+    }
+
+    /// The decision for statement `at` that comes next, if one is left.
+    fn event_at(&mut self, at: u32) -> Option<Kind<'a>> {
+        let e = self.events.get(self.next_event).filter(|e| e.at == at)?;
+        self.next_event += 1;
+        Some(e.kind)
+    }
+
+    /// The next identifier of the emitter's own (see [`is_temporary`]).
+    fn temporary(&mut self, kind: char) -> String {
+        self.tmp += 1;
+        format!("ft_{kind}{}", self.tmp)
+    }
+
+    /// `const T ft_xN = e;` here, and `ft_xN` for `e` from here on.
+    fn declare(&mut self, kind: char, e: &'a Expr, last: Option<u32>) {
+        let t = self.ty(e);
+        if t.weak {
+            // Nothing but literals: the compiler folds it wherever it is.
+            return;
         }
+        let ident = self.temporary(kind);
+        self.line_with(|em, out| {
+            let _ = write!(out, "const {} {ident} = ", ctype(t.dtype));
+            em.put_expr(out, e, t.dtype);
+            out.push(';');
+        });
+        self.temps.push(Temp {
+            expr: e,
+            ident,
+            last,
+        });
     }
 
     /// Append `var[linearized indices]` to `out`.
     fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
-        let shape: &[Expr] = self.shapes.get(var).map_or(&[], Vec::as_slice);
+        let shape: &[Expr] = self.tensor(var).map_or(&[], |t| t.2);
         self.names.put(out, var);
         out.push('[');
         match indices {
@@ -327,12 +444,12 @@ impl Emitter {
                 for _ in rest {
                     out.push('(');
                 }
-                self.put_expr(out, first);
+                self.put_expr(out, first, DataType::I64);
                 for (d, idx) in rest.iter().enumerate() {
                     out.push_str(") * (");
-                    self.put_expr(out, &shape[d + 1]);
+                    self.put_expr(out, &shape[d + 1], DataType::I64);
                     out.push_str(") + (");
-                    self.put_expr(out, idx);
+                    self.put_expr(out, idx, DataType::I64);
                     out.push(')');
                 }
             }
@@ -340,87 +457,101 @@ impl Emitter {
         out.push(']');
     }
 
-    fn expr(&self, e: &Expr) -> String {
+    fn expr(&self, e: &Expr, lit: DataType) -> String {
         let mut out = String::new();
-        self.put_expr(&mut out, e);
+        self.put_expr(&mut out, e, lit);
         out
     }
 
+    /// The type float literals take in two operands that are converted to a
+    /// common type: the other operand's, or `lit` when both are literals.
+    fn operand_lit(&self, a: &Expr, b: &Expr, lit: DataType) -> DataType {
+        let other = match (weak_float(a), weak_float(b)) {
+            (true, false) => b,
+            (false, true) => a,
+            _ => return lit,
+        };
+        self.ty(other).unify(WEAK_FLOAT).resolve(lit)
+    }
+
     /// `open a sep b close`, streamed.
-    fn put_pair(&self, out: &mut String, open: &str, a: &Expr, sep: &str, b: &Expr, close: &str) {
+    #[allow(clippy::too_many_arguments)]
+    fn put_pair(
+        &self,
+        out: &mut String,
+        open: &str,
+        a: &Expr,
+        sep: &str,
+        b: &Expr,
+        close: &str,
+        lit: DataType,
+    ) {
         out.push_str(open);
-        self.put_expr(out, a);
+        self.put_expr(out, a, lit);
         out.push_str(sep);
-        self.put_expr(out, b);
+        self.put_expr(out, b, lit);
         out.push_str(close);
     }
 
     /// Append the C spelling of `e` to `out` — one buffer for the whole
     /// expression tree, not a `String` per node: the engine re-emits the
-    /// translation unit on every warm call.
-    fn put_expr(&self, out: &mut String, e: &Expr) {
+    /// translation unit on every warm call. `lit` is the type literals take
+    /// where nothing in `e` says otherwise (a store's target type): an
+    /// `f32` expression is spelled to evaluate in `float`, so every float
+    /// literal in it carries an `f` and every math call the `float` name.
+    fn put_expr(&self, out: &mut String, e: &Expr, lit: DataType) {
+        let leaf = matches!(
+            e,
+            Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_)
+        );
+        if !leaf {
+            if let Some(t) = self.temps.iter().find(|t| t.expr == e) {
+                return out.push_str(&t.ident);
+            }
+        }
         match e {
             Expr::IntConst(v) => {
                 let _ = write!(out, "{v}");
             }
-            Expr::FloatConst(v) => {
-                if *v == f64::INFINITY {
-                    out.push_str("INFINITY");
-                } else if *v == f64::NEG_INFINITY {
-                    out.push_str("-INFINITY");
-                } else {
-                    let _ = write!(out, "{v:?}");
-                }
-            }
+            Expr::FloatConst(v) => put_float(out, *v, lit == DataType::F32),
             Expr::BoolConst(v) => {
                 let _ = write!(out, "{v}");
             }
             Expr::Var(n) => self.names.put(out, n),
             Expr::Load { var, indices } => self.put_index(out, var, indices),
             Expr::Unary { op, a } => {
-                let (open, close) = match op {
-                    UnaryOp::Neg => ("(-", ")"),
-                    UnaryOp::Not => ("(!", ")"),
-                    UnaryOp::Abs if self.ty(a) == CTy::Float => ("fabs(", ")"),
-                    UnaryOp::Abs => ("llabs(", ")"),
-                    UnaryOp::Sqrt => ("sqrt(", ")"),
-                    UnaryOp::Exp => ("exp(", ")"),
-                    UnaryOp::Ln => ("log(", ")"),
-                    UnaryOp::Sigmoid => ("ft_sigmoid(", ")"),
-                    UnaryOp::Tanh => ("tanh(", ")"),
-                    UnaryOp::Sign => {
-                        let x = self.expr(a);
-                        let _ = write!(out, "(({x} > 0) - ({x} < 0))");
-                        return;
+                let (open, lit) = match op {
+                    UnaryOp::Neg => ("(-", lit),
+                    UnaryOp::Not => ("(!", lit),
+                    _ => {
+                        // The operand's type picks the function.
+                        let t = self.ty(a).resolve(lit);
+                        let lit = if t.is_float() { t } else { lit };
+                        match op {
+                            UnaryOp::Sign => {
+                                // The operand's type, not C's `int`.
+                                let x = self.expr(a, lit);
+                                let sign = format!("(({x} > 0) - ({x} < 0))");
+                                let _ = match t.is_float() {
+                                    true => write!(out, "(({}){sign})", ctype(t)),
+                                    false => write!(out, "{sign}"),
+                                };
+                                return;
+                            }
+                            UnaryOp::Abs if !t.is_float() => ("llabs(", lit),
+                            _ => (float_fn(op.name(), t == DataType::F32), lit),
+                        }
                     }
                 };
                 out.push_str(open);
-                self.put_expr(out, a);
-                out.push_str(close);
+                self.put_expr(out, a, lit);
+                out.push(')');
             }
             Expr::Binary { op, a, b } => {
-                // Only these four spell differently on floats.
-                let float = matches!(
-                    op,
-                    BinaryOp::Div | BinaryOp::Mod | BinaryOp::Min | BinaryOp::Max
-                ) && (self.ty(a) == CTy::Float || self.ty(b) == CTy::Float);
                 let (open, sep) = match op {
                     BinaryOp::Add => ("(", " + "),
                     BinaryOp::Sub => ("(", " - "),
                     BinaryOp::Mul => ("(", " * "),
-                    BinaryOp::Div if float => ("(", " / "),
-                    BinaryOp::Div => ("ft_fdiv(", ", "),
-                    BinaryOp::Mod if float => ("fmod(", ", "),
-                    BinaryOp::Mod => ("ft_fmod(", ", "),
-                    BinaryOp::Min if float => ("fmin(", ", "),
-                    BinaryOp::Max if float => ("fmax(", ", "),
-                    BinaryOp::Min | BinaryOp::Max => {
-                        let (x, y) = (self.expr(a), self.expr(b));
-                        let cmp = if *op == BinaryOp::Min { '<' } else { '>' };
-                        let _ = write!(out, "(({x}) {cmp} ({y}) ? ({x}) : ({y}))");
-                        return;
-                    }
-                    BinaryOp::Pow => ("pow(", ", "),
                     BinaryOp::Eq => ("(", " == "),
                     BinaryOp::Ne => ("(", " != "),
                     BinaryOp::Lt => ("(", " < "),
@@ -429,21 +560,48 @@ impl Emitter {
                     BinaryOp::Ge => ("(", " >= "),
                     BinaryOp::And => ("(", " && "),
                     BinaryOp::Or => ("(", " || "),
+                    BinaryOp::Div
+                    | BinaryOp::Mod
+                    | BinaryOp::Min
+                    | BinaryOp::Max
+                    | BinaryOp::Pow => {
+                        // These spell differently per operand type.
+                        let t = self.ty(a).unify(self.ty(b)).resolve(lit);
+                        let lit = if t.is_float() { t } else { lit };
+                        let open = match (op, t.is_float()) {
+                            (BinaryOp::Div, true) => {
+                                return self.put_pair(out, "(", a, " / ", b, ")", lit)
+                            }
+                            (BinaryOp::Div, false) => "ft_fdiv(",
+                            (BinaryOp::Mod, false) => "ft_fmod(",
+                            (BinaryOp::Min | BinaryOp::Max, false) => {
+                                let (x, y) = (self.expr(a, lit), self.expr(b, lit));
+                                let cmp = if *op == BinaryOp::Min { '<' } else { '>' };
+                                let _ = write!(out, "(({x}) {cmp} ({y}) ? ({x}) : ({y}))");
+                                return;
+                            }
+                            // `pow` of integers is the double one.
+                            _ => float_fn(op.name(), t == DataType::F32),
+                        };
+                        return self.put_pair(out, open, a, ", ", b, ")", lit);
+                    }
                 };
-                self.put_pair(out, open, a, sep, b, ")");
+                let lit = self.operand_lit(a, b, lit);
+                self.put_pair(out, open, a, sep, b, ")", lit);
             }
             Expr::Select {
                 cond,
                 then,
                 otherwise,
             } => {
-                self.put_pair(out, "(", cond, " ? ", then, " : ");
-                self.put_expr(out, otherwise);
-                out.push(')');
+                out.push('(');
+                self.put_expr(out, cond, lit);
+                let lit = self.operand_lit(then, otherwise, lit);
+                self.put_pair(out, " ? ", then, " : ", otherwise, ")", lit);
             }
             Expr::Cast { dtype, a } => {
                 let _ = write!(out, "(({})", ctype(*dtype));
-                self.put_expr(out, a);
+                self.put_expr(out, a, if dtype.is_float() { *dtype } else { lit });
                 out.push(')');
             }
         }
@@ -455,12 +613,73 @@ impl Emitter {
         }
         shape
             .iter()
-            .map(|e| format!("({})", self.expr(e)))
+            .map(|e| format!("({})", self.expr(e, DataType::I64)))
             .collect::<Vec<_>>()
             .join(" * ")
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    /// The left-hand side of an assignment to `var[indices]`: the local
+    /// that holds the element while its loop runs, else the element.
+    fn put_target(&self, out: &mut String, var: &str, indices: &[Expr]) {
+        match self
+            .accs
+            .iter()
+            .find(|a| a.var == var && a.indices == indices)
+        {
+            Some(acc) => out.push_str(&acc.ident),
+            None => self.put_index(out, var, indices),
+        }
+    }
+
+    /// `var[indices] = value;` or `var[indices] op= value;`, with the
+    /// values this statement is the first to use computed in front of it.
+    fn assign(&mut self, at: u32, var: &str, indices: &[Expr], op: Option<ReduceOp>, value: &Expr) {
+        while let Some(kind) = self.event_at(at) {
+            if let Kind::Reuse { expr, last } = kind {
+                self.declare('c', expr, Some(last));
+            }
+        }
+        let elem = self.elem(var);
+        self.line_with(|em, out| {
+            em.put_target(out, var, indices);
+            match op {
+                None | Some(ReduceOp::Add | ReduceOp::Mul) => {
+                    out.push_str(match op {
+                        None => " = ",
+                        Some(ReduceOp::Add) => " += ",
+                        _ => " *= ",
+                    });
+                    em.put_expr(out, value, elem);
+                }
+                Some(op @ (ReduceOp::Min | ReduceOp::Max)) => {
+                    // Compared in the common type of element and value,
+                    // like any other min/max: exactly, on integers.
+                    out.push_str(" = ");
+                    let t = ExprType::strong(elem).unify(em.ty(value)).dtype;
+                    if t.is_float() {
+                        let name = if op == ReduceOp::Min { "min" } else { "max" };
+                        out.push_str(float_fn(name, t == DataType::F32));
+                        em.put_target(out, var, indices);
+                        out.push_str(", ");
+                        em.put_expr(out, value, t);
+                        out.push(')');
+                    } else {
+                        let mut x = String::new();
+                        em.put_target(&mut x, var, indices);
+                        let y = em.expr(value, elem);
+                        let cmp = if op == ReduceOp::Min { '<' } else { '>' };
+                        let _ = write!(out, "(({x}) {cmp} ({y}) ? ({x}) : ({y}))");
+                    }
+                }
+            }
+            out.push(';');
+        });
+        self.temps.retain(|t| t.last != Some(at));
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) {
+        let at = self.next_stmt;
+        self.next_stmt += 1;
         match &s.kind {
             StmtKind::Empty => {}
             StmtKind::Block(v) => {
@@ -476,8 +695,6 @@ impl Emitter {
                 body,
                 ..
             } => {
-                self.dtypes.insert(name.clone(), *dtype);
-                self.shapes.insert(name.clone(), shape.clone());
                 let ty = ctype(*dtype);
                 // Extents are evaluated in the enclosing scope, before the
                 // new name is bound.
@@ -488,13 +705,23 @@ impl Emitter {
                     .try_fold(1i64, |a, b| b.map(|v| a * v));
                 let slot = self.arena.get(self.def_idx).cloned().flatten();
                 self.def_idx += 1;
+                self.tensors.push((name, *dtype, shape));
                 let ident = self.names.bind(name);
                 self.line("{");
                 self.indent += 1;
                 let heap = match (mtype, const_n) {
                     // Small constant-extent stack defs beat any arena: no
                     // pointer chase, no shared cache lines.
-                    (MemType::CpuStack, Some(n)) if n <= 4096 => {
+                    (MemType::CpuStack, Some(n)) if n <= STACK_ELEMS => {
+                        self.line(&format!("{ty} {ident}[{n}] = {{0}};"));
+                        false
+                    }
+                    // So does a thread-private heap row that small: the
+                    // arena is the team's, and a `calloc` per iteration
+                    // costs more than the row's work.
+                    (MemType::CpuHeap, Some(n))
+                        if self.parallel_depth > 0 && (1..=STACK_ELEMS).contains(&n) =>
+                    {
                         self.line(&format!("{ty} {ident}[{n}] = {{0}};"));
                         false
                     }
@@ -524,6 +751,7 @@ impl Emitter {
                 self.indent -= 1;
                 self.line("}");
                 self.names.unbind(name);
+                self.tensors.pop();
             }
             StmtKind::For {
                 iter,
@@ -556,6 +784,43 @@ impl Emitter {
                 } else {
                     None
                 };
+                // Bounds are evaluated in the enclosing scope; the iterator
+                // is only in scope inside the loop.
+                let begin_c = self.expr(begin, DataType::I64);
+                let end_c = self.expr(end, DataType::I64);
+                // What the loop keeps out of its body goes in front of its
+                // pragma: invariant values, then the elements it folds into.
+                let (temps, accs) = (self.temps.len(), self.accs.len());
+                let (mut simd, mut guarded) = (property.vectorize, false);
+                while let Some(kind) = self.event_at(at) {
+                    match kind {
+                        Kind::Hoist(e) => self.declare('h', e, None),
+                        Kind::NoSimd => simd = false,
+                        Kind::Accum { var, indices, op } => {
+                            // A loop that may not run must not touch the
+                            // element either.
+                            if !guarded && !scalar::certainly_runs(begin, end) {
+                                self.line(&format!("if ({begin_c} < {end_c}) {{"));
+                                self.indent += 1;
+                                guarded = true;
+                            }
+                            let ident = self.temporary('a');
+                            let ty = ctype(self.elem(var));
+                            self.line_with(|em, out| {
+                                let _ = write!(out, "{ty} {ident} = ");
+                                em.put_index(out, var, indices);
+                                out.push(';');
+                            });
+                            self.accs.push(Acc {
+                                var,
+                                indices,
+                                op,
+                                ident,
+                            });
+                        }
+                        Kind::Reuse { .. } => unreachable!("reuse is decided per assignment"),
+                    }
+                }
                 if property.parallel.is_parallel() {
                     if self.parallel_depth > 0 {
                         self.err.get_or_insert_with(|| CodegenError::NestedParallel {
@@ -563,15 +828,22 @@ impl Emitter {
                         });
                     }
                     self.line("#pragma omp parallel for");
-                } else if property.vectorize {
-                    self.line("#pragma omp simd");
+                } else if simd {
+                    self.line_with(|em, out| {
+                        out.push_str("#pragma omp simd");
+                        for (sym, op) in [('+', ReduceOp::Add), ('*', ReduceOp::Mul)] {
+                            let of_op = em.accs[accs..].iter().filter(|a| a.op == op);
+                            let ids: Vec<&str> = of_op.map(|a| a.ident.as_str()).collect();
+                            if !ids.is_empty() {
+                                let _ = write!(out, " reduction({sym}: {})", ids.join(", "));
+                            }
+                        }
+                    });
                 }
-                // Bounds are evaluated in the enclosing scope; the iterator
-                // is only in scope inside the loop.
-                let begin = self.expr(begin);
-                let end = self.expr(end);
                 let i = self.names.bind(iter);
-                self.line(&format!("for (int64_t {i} = {begin}; {i} < {end}; ++{i}) {{"));
+                self.line(&format!(
+                    "for (int64_t {i} = {begin_c}; {i} < {end_c}; ++{i}) {{"
+                ));
                 self.indent += 1;
                 self.loop_depth += 1;
                 if property.parallel.is_parallel() {
@@ -585,6 +857,17 @@ impl Emitter {
                 self.indent -= 1;
                 self.line("}");
                 self.names.unbind(iter);
+                for a in self.accs.split_off(accs) {
+                    self.line_with(|em, out| {
+                        em.put_index(out, a.var, a.indices);
+                        let _ = write!(out, " = {};", a.ident);
+                    });
+                }
+                if guarded {
+                    self.indent -= 1;
+                    self.line("}");
+                }
+                self.temps.truncate(temps);
                 if let Some(k) = site {
                     self.line("clock_gettime(CLOCK_MONOTONIC, &__ft_t1);");
                     self.line(&format!(
@@ -601,7 +884,7 @@ impl Emitter {
                 then,
                 otherwise,
             } => {
-                self.line(&format!("if ({}) {{", self.expr(cond)));
+                self.line(&format!("if ({}) {{", self.expr(cond, DataType::I64)));
                 self.indent += 1;
                 self.stmt(then);
                 self.indent -= 1;
@@ -617,14 +900,7 @@ impl Emitter {
                 var,
                 indices,
                 value,
-            } => {
-                self.line_with(|em, out| {
-                    em.put_index(out, var, indices);
-                    out.push_str(" = ");
-                    em.put_expr(out, value);
-                    out.push(';');
-                });
-            }
+            } => self.assign(at, var, indices, None, value),
             StmtKind::ReduceTo {
                 var,
                 indices,
@@ -636,33 +912,7 @@ impl Emitter {
                     self.err
                         .get_or_insert_with(|| CodegenError::AtomicReduce { var: var.clone() });
                 }
-                match op {
-                    ReduceOp::Add | ReduceOp::Mul => {
-                        let o = if *op == ReduceOp::Add { " += " } else { " *= " };
-                        self.line_with(|em, out| {
-                            em.put_index(out, var, indices);
-                            out.push_str(o);
-                            em.put_expr(out, value);
-                            out.push(';');
-                        });
-                    }
-                    ReduceOp::Min | ReduceOp::Max => {
-                        let mut lhs = String::new();
-                        self.put_index(&mut lhs, var, indices);
-                        let rhs = self.expr(value);
-                        self.tmp += 1;
-                        let raw = format!("ft_r{}", self.tmp);
-                        let t = self.names.bind(&raw);
-                        let f = if *op == ReduceOp::Min { "fmin" } else { "fmax" };
-                        self.line("{");
-                        self.indent += 1;
-                        self.line(&format!("double {t} = {rhs};"));
-                        self.line(&format!("{lhs} = {f}({lhs}, {t});"));
-                        self.indent -= 1;
-                        self.line("}");
-                        self.names.unbind(&raw);
-                    }
-                }
+                self.assign(at, var, indices, Some(*op), value);
             }
             StmtKind::LibCall {
                 kernel,
@@ -681,7 +931,10 @@ impl Emitter {
                         attrs[2]
                     ));
                 } else {
-                    self.line(&format!("/* unknown library kernel: {kernel} */"));
+                    self.err
+                        .get_or_insert_with(|| CodegenError::UnknownLibKernel {
+                            kernel: kernel.clone(),
+                        });
                 }
             }
         }
@@ -706,7 +959,8 @@ fn sanitize(name: &str) -> String {
 /// # Errors
 ///
 /// [`CodegenError`] when `func` still holds an `atomic` reduction or a
-/// nested parallel loop (all three emitters).
+/// nested parallel loop, or calls a library kernel the backend does not
+/// provide (all three emitters).
 pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
     Ok(emit_unit(func, None, false)?.0)
 }
@@ -729,7 +983,9 @@ pub fn emit_c_profiled(func: &Func) -> Result<(String, Vec<ProfSite>), CodegenEr
 /// `memset` only where the plan's liveness analysis could not prove
 /// write-before-read. Callers passing a NULL arena get a function-local
 /// `malloc`/`free` of the planned peak, so the kernel stays self-contained.
-/// Small constant-extent `CpuStack` defs keep their stack-array emission;
+/// Small constant-extent `CpuStack` defs keep their stack-array emission,
+/// and so does a small constant-extent heap def inside a parallel body,
+/// which must be thread-private and therefore cannot take an arena offset;
 /// defs the plan could not size fall back to `calloc` as before.
 ///
 /// The plan must have been computed for this exact `func` (same `VarDef`
@@ -767,8 +1023,11 @@ fn emit_unit(
     });
     let any_planned = arena.iter().any(Option::is_some);
     let mut em = Emitter {
-        dtypes: HashMap::new(),
-        shapes: HashMap::new(),
+        tensors: func
+            .params
+            .iter()
+            .map(|p| (p.name.as_str(), p.dtype, p.shape.as_slice()))
+            .collect(),
         names,
         out: String::new(),
         indent: 0,
@@ -779,11 +1038,12 @@ fn emit_unit(
         def_idx: 0,
         parallel_depth: 0,
         err: None,
+        events: scalar::analyze(&func.body),
+        next_event: 0,
+        next_stmt: 0,
+        temps: Vec::new(),
+        accs: Vec::new(),
     };
-    for p in &func.params {
-        em.dtypes.insert(p.name.clone(), p.dtype);
-        em.shapes.insert(p.name.clone(), p.shape.clone());
-    }
     let mut sig: Vec<String> = Vec::new();
     for (p, ident) in func.params.iter().zip(&syms.params) {
         let c = ctype(p.dtype);
@@ -864,7 +1124,7 @@ mod tests {
         let c = emit_c(&sample()).unwrap();
         assert!(c.contains("void axpy(const float* x, float* y, int64_t n)"), "{c}");
         assert!(c.contains("#pragma omp parallel for"), "{c}");
-        assert!(c.contains("y[i] = (y[i] + (x[i] * 2.0))"), "{c}");
+        assert!(c.contains("y[i] = (y[i] + (x[i] * 2.0f))"), "{c}");
     }
 
     /// `h[idx[i]] += 1` over a parallel `i`, flagged atomic by `parallelize`.
@@ -935,8 +1195,16 @@ mod tests {
         let c = emit_c(&lowered).unwrap();
         assert!(!c.contains("omp atomic") && !c.contains("omp critical"), "{c}");
         assert_eq!(c.matches("#pragma omp parallel for").count(), 2, "{c}");
-        assert!(c.contains("h_part[(i_chunk) * (4) + (((int64_t)idx[i]))] += 1.0;"), "{c}");
-        assert!(c.contains("h[h_part_i0] += h_part[(i_chunk_2) * (4) + (h_part_i0)];"), "{c}");
+        assert!(
+            c.contains("h_part[(i_chunk) * (4) + (((int64_t)idx[i]))] += 1.0f;"),
+            "{c}"
+        );
+        // Rows fold in ascending chunk order, into a register.
+        assert!(
+            c.contains("ft_a1 += h_part[(i_chunk_2) * (4) + (h_part_i0)];"),
+            "{c}"
+        );
+        assert!(c.contains("h[h_part_i0] = ft_a1;"), "{c}");
         // One lowered loop, one profiling site.
         let (_, sites) = emit_c_profiled(&lowered).unwrap();
         assert_eq!(sites.len(), 1, "{sites:?}");
@@ -989,7 +1257,7 @@ mod tests {
         // The store targets the second param, the load reads the first.
         assert!(
             c.contains(&format!(
-                "{}[0] = ({}[0] + 1.0);",
+                "{}[0] = ({}[0] + 1.0f);",
                 syms.params[1], syms.params[0]
             )),
             "{c}"
@@ -1027,6 +1295,10 @@ mod tests {
         let syms = c_symbols(&f);
         assert_ne!(syms.func, "main");
         assert_ne!(syms.params[0], "ft_fdiv");
+        // So must one spelled like a temporary of the emitter's.
+        let mut m = Mangler::new();
+        assert_eq!(m.bind("ft_h1"), "ft_h1_2");
+        assert_eq!(m.bind("ft_hx"), "ft_hx");
         let c = emit_c(&f).unwrap();
         assert!(c.contains(&format!("void {}(", syms.func)), "{c}");
     }
@@ -1097,6 +1369,361 @@ mod tests {
         // The unplanned emission is byte-identical to what emit_c always
         // produced: no arena symbols anywhere.
         assert!(!emit_c(&f).unwrap().contains("__ft_arena"));
+    }
+
+    // -----------------------------------------------------------------
+    // Scalar code: one positive and one negative case per rule of
+    // `scalar.rs`, read off the emitted text.
+
+    /// `f` over f32 tensors `x[64]`, `t[1]`, i32 `idx[64]` (inputs) and
+    /// `y[64, 32]`, `z[64]` (outputs), size parameter `n`.
+    fn over_f32(body: Stmt) -> String {
+        let f = Func::new("f")
+            .param("x", [64], DataType::F32, AccessType::Input)
+            .param("t", [1], DataType::F32, AccessType::InOut)
+            .param("idx", [64], DataType::I32, AccessType::Input)
+            .param("y", [64, 32], DataType::F32, AccessType::Output)
+            .param("z", [64], DataType::F32, AccessType::Output)
+            .size_param("n")
+            .body(body);
+        emit_c(&f).unwrap()
+    }
+
+    fn simd() -> ForProperty {
+        ForProperty {
+            vectorize: true,
+            ..ForProperty::default()
+        }
+    }
+
+    fn exp(e: Expr) -> Expr {
+        Expr::unary(UnaryOp::Exp, e)
+    }
+
+    /// `y[i, c] = exp(x[i]) * x[idx[i] + c]` for `c` in `begin..end`.
+    fn gather_row(begin: impl Into<Expr>, end: impl Into<Expr>, wrap: fn(Stmt) -> Stmt) -> String {
+        let gathered = load(
+            "x",
+            [Expr::cast(DataType::I64, load("idx", [var("i")])) + var("c")],
+        );
+        let row = store(
+            "y",
+            ft_ir::idx![var("i"), var("c")],
+            exp(load("x", [var("i")])) * gathered,
+        );
+        over_f32(for_("i", 0, var("n"), for_("c", begin, end, wrap(row))))
+    }
+
+    #[test]
+    fn invariants_leave_a_loop_that_certainly_runs() {
+        let c = gather_row(0, 32, |s| s);
+        let decls = c.find("const float ft_h1 = expf(x[i]);").expect(&c);
+        assert!(
+            c.contains("const int64_t ft_h2 = ((int64_t)idx[i]);"),
+            "{c}"
+        );
+        // In front of the loop they left — and still inside `i`, whose trip
+        // count nobody knows.
+        assert!(c.find("for (int64_t i = ").unwrap() < decls, "{c}");
+        assert!(decls < c.find("for (int64_t c = ").unwrap(), "{c}");
+        assert!(
+            c.contains("y[(i) * (32) + (c)] = (ft_h1 * x[(ft_h2 + c)]);"),
+            "{c}"
+        );
+    }
+
+    #[test]
+    fn nothing_leaves_a_loop_that_may_not_run_or_an_if() {
+        for c in [
+            gather_row(0, var("n"), |s| s),
+            gather_row(5, 5, |s| s),
+            gather_row(0, 32, |s| if_(var("c").lt(var("n")), s)),
+        ] {
+            assert!(!c.contains("ft_h"), "{c}");
+            assert!(
+                c.contains("= (expf(x[i]) * x[(((int64_t)idx[i]) + c)]);"),
+                "{c}"
+            );
+        }
+    }
+
+    #[test]
+    fn what_the_loop_writes_or_rebinds_stays_inside() {
+        // `t[0]` is read and written in the loop.
+        let c = over_f32(for_(
+            "c",
+            0,
+            8,
+            block([
+                store("z", [var("c")], load("t", [0]) * 2.0f32),
+                store("t", [0], load("z", [var("c")])),
+            ]),
+        ));
+        assert!(!c.contains("ft_h"), "{c}");
+        // The `t` read in the loop is a def of the loop's, not the
+        // parameter of that name that nothing writes.
+        let c = over_f32(for_(
+            "c",
+            0,
+            8,
+            var_def(
+                "t",
+                [1],
+                DataType::F32,
+                MemType::CpuStack,
+                store("z", [var("c")], load("t", [0]) * load("x", [0])),
+            ),
+        ));
+        assert!(c.contains("const float ft_h1 = x[0];"), "{c}");
+        assert!(c.contains("z[c] = (t_2[0] * ft_h1);"), "{c}");
+        // A `select` arm is not evaluated on every path.
+        let c = over_f32(for_(
+            "c",
+            0,
+            8,
+            store(
+                "z",
+                [var("c")],
+                Expr::select(var("c").lt(var("n")), load("x", [var("n")]), 0.0f32.into()),
+            ),
+        ));
+        assert!(!c.contains("ft_h"), "{c}");
+    }
+
+    #[test]
+    fn a_repeated_value_is_computed_once_until_its_operand_is_written() {
+        let e = || exp(load("t", [0]));
+        let c = over_f32(block([
+            store("z", [0], e()),
+            store("z", [1], e() / load("x", [1])),
+            store("t", [0], 1.0f32),
+            store("z", [2], e()),
+        ]));
+        assert_eq!(c.matches("expf(t[0])").count(), 2, "{c}");
+        let decl = c.find("const float ft_c1 = expf(t[0]);").expect(&c);
+        assert!(decl < c.find("z[0] = ft_c1;").expect(&c), "{c}");
+        assert!(c.contains("z[1] = (ft_c1 / x[1]);"), "{c}");
+        assert!(c.contains("z[2] = expf(t[0]);"), "{c}");
+        // Loads count, plain arithmetic is left to the C compiler.
+        let c = over_f32(store(
+            "z",
+            [0],
+            (load("x", [0]) - 1.0f32) * (load("x", [0]) - 1.0f32),
+        ));
+        assert!(c.contains("const float ft_c1 = x[0];"), "{c}");
+        assert!(
+            c.contains("z[0] = ((ft_c1 - 1.0f) * (ft_c1 - 1.0f));"),
+            "{c}"
+        );
+    }
+
+    /// `z[0] op= value` for `p` in `0..end`, marked `vectorize`.
+    fn fold(op: ReduceOp, end: impl Into<Expr>, value: Expr) -> String {
+        over_f32(for_with("p", 0, end, simd(), reduce("z", [0], op, value)))
+    }
+
+    #[test]
+    fn an_invariant_reduction_target_becomes_a_simd_reduction() {
+        let c = fold(ReduceOp::Add, 64, load("x", [var("p")]) * 0.5);
+        for line in [
+            "float ft_a1 = z[0];",
+            "#pragma omp simd reduction(+: ft_a1)",
+            "ft_a1 += (x[p] * 0.5f);",
+            "z[0] = ft_a1;",
+        ] {
+            assert!(c.contains(line), "`{line}` missing:\n{c}");
+        }
+        assert!(!c.contains("if ("), "{c}");
+        // A loop that may not run must not touch the element either.
+        let c = fold(ReduceOp::Mul, var("n"), load("x", [var("p")]));
+        assert!(c.contains("if (0 < n) {"), "{c}");
+        assert!(c.contains("#pragma omp simd reduction(*: ft_a1)"), "{c}");
+        // `fmaxf` drops a NaN, the clause's `max` need not: promoted, serial.
+        let c = fold(ReduceOp::Max, 64, load("x", [var("p")]));
+        assert!(c.contains("ft_a1 = fmaxf(ft_a1, x[p]);"), "{c}");
+        assert!(!c.contains("#pragma omp simd"), "{c}");
+    }
+
+    #[test]
+    fn a_simd_loop_left_with_a_carried_reduction_loses_its_pragma() {
+        // The target is also read ...
+        let c = fold(ReduceOp::Add, 64, load("x", [var("p")]) * load("z", [0]));
+        assert!(
+            !c.contains("ft_a") && !c.contains("#pragma omp simd"),
+            "{c}"
+        );
+        assert!(c.contains("z[0] += (x[p] * z[0]);"), "{c}");
+        // ... or folded into conditionally.
+        let guarded = if_(
+            var("p").lt(var("n")),
+            reduce("z", [0], ReduceOp::Add, load("x", [var("p")])),
+        );
+        let c = over_f32(for_with("p", 0, 64, simd(), guarded));
+        assert!(
+            !c.contains("ft_a") && !c.contains("#pragma omp simd"),
+            "{c}"
+        );
+        // One element per iteration is no carried dependence.
+        let c = over_f32(for_with(
+            "p",
+            0,
+            64,
+            simd(),
+            reduce("z", [var("p")], ReduceOp::Add, load("x", [var("p")])),
+        ));
+        assert!(c.contains("#pragma omp simd\n"), "{c}");
+        assert!(c.contains("z[p] += x[p];"), "{c}");
+    }
+
+    #[test]
+    fn elements_told_apart_by_a_constant_get_a_local_each() {
+        let row = |k: i64| {
+            reduce(
+                "y",
+                ft_ir::idx![var("i"), k],
+                ReduceOp::Add,
+                load("x", [var("p")]),
+            )
+        };
+        let c = over_f32(for_(
+            "i",
+            0,
+            64,
+            for_("p", 0, 64, block([row(0), row(1), row(0)])),
+        ));
+        assert!(c.contains("float ft_a1 = y[(i) * (32) + (0)];"), "{c}");
+        assert!(c.contains("float ft_a2 = y[(i) * (32) + (1)];"), "{c}");
+        assert_eq!(c.matches("ft_a1 += ").count(), 2, "{c}");
+        // `y[i, idx[p]]` may be either of them.
+        let unknown = reduce(
+            "y",
+            ft_ir::idx![var("i"), Expr::cast(DataType::I64, load("idx", [var("p")]))],
+            ReduceOp::Add,
+            1.0f32,
+        );
+        let c = over_f32(for_("i", 0, 64, for_("p", 0, 64, block([row(0), unknown]))));
+        assert!(!c.contains("ft_a"), "{c}");
+    }
+
+    #[test]
+    fn a_small_heap_row_in_a_parallel_body_is_an_array() {
+        let rows = |cols: usize| {
+            over_f32(for_with(
+                "i",
+                0,
+                64,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                var_def(
+                    "row",
+                    [cols],
+                    DataType::F32,
+                    MemType::CpuHeap,
+                    store("z", [var("i")], load("row", [0])),
+                ),
+            ))
+        };
+        let c = rows(4096);
+        assert!(
+            c.contains("float row[4096] = {0};") && !c.contains("calloc"),
+            "{c}"
+        );
+        let c = rows(4097);
+        assert!(
+            c.contains("float* row = (float*)calloc((4097), sizeof(float));"),
+            "{c}"
+        );
+        // Outside a parallel body the arena (or `calloc`) keeps it.
+        let c = over_f32(var_def(
+            "row",
+            [8],
+            DataType::F32,
+            MemType::CpuHeap,
+            store("z", [0], load("row", [0])),
+        ));
+        assert!(c.contains("calloc((8)"), "{c}");
+    }
+
+    #[test]
+    fn operators_are_spelled_in_their_operands_type() {
+        let body = |dt: DataType| {
+            let x = || load("x", [0]);
+            Func::new("f")
+                .param("x", [1], dt, AccessType::Input)
+                .param("y", [8], dt, AccessType::Output)
+                .body(block([
+                    store("y", [0], exp(x() * 0.5) / 3),
+                    store("y", [1], x().max(0.0).min(x() % 2.5)),
+                    store(
+                        "y",
+                        [2],
+                        Expr::binary(BinaryOp::Pow, x(), Expr::IntConst(2)),
+                    ),
+                    store(
+                        "y",
+                        [3],
+                        Expr::unary(UnaryOp::Sigmoid, Expr::unary(UnaryOp::Abs, x())),
+                    ),
+                    store("y", [4], Expr::select(x().lt(0.0), -x(), 1.5f32.into())),
+                    store("y", [5], Expr::unary(UnaryOp::Sign, x())),
+                    store("y", [6], f64::INFINITY),
+                    reduce("y", [7], ReduceOp::Min, x() + 1),
+                ]))
+        };
+        let single = emit_c(&body(DataType::F32)).unwrap();
+        for line in [
+            "const float ft_c1 = x[0];",
+            "y[0] = (expf((ft_c1 * 0.5f)) / 3);",
+            "y[1] = fminf(fmaxf(ft_c1, 0.0f), fmodf(ft_c1, 2.5f));",
+            "y[2] = powf(ft_c1, 2);",
+            "y[3] = ft_sigmoidf(fabsf(ft_c1));",
+            "y[4] = ((ft_c1 < 0.0f) ? (-ft_c1) : 1.5f);",
+            "y[5] = ((float)((ft_c1 > 0) - (ft_c1 < 0)));",
+            "y[6] = INFINITY;",
+            "y[7] = fminf(y[7], (ft_c1 + 1));",
+        ] {
+            assert!(single.contains(line), "`{line}` missing:\n{single}");
+        }
+        let double = emit_c(&body(DataType::F64)).unwrap();
+        for line in [
+            "y[0] = (exp((ft_c1 * 0.5)) / 3);",
+            "y[1] = fmin(fmax(ft_c1, 0.0), fmod(ft_c1, 2.5));",
+            "y[2] = pow(ft_c1, 2);",
+            "y[3] = ft_sigmoid(fabs(ft_c1));",
+            "y[4] = ((ft_c1 < 0.0) ? (-ft_c1) : 1.5);",
+            "y[7] = fmin(y[7], (ft_c1 + 1));",
+        ] {
+            assert!(double.contains(line), "`{line}` missing:\n{double}");
+        }
+        // An integer meeting a float literal is a double, as in C; among
+        // themselves integers compare exactly.
+        let int = emit_c(&body(DataType::I64)).unwrap();
+        for line in [
+            "y[1] = fmin(fmax(ft_c1, 0.0), fmod(ft_c1, 2.5));",
+            "y[3] = ft_sigmoid(llabs(ft_c1));",
+            "y[5] = ((ft_c1 > 0) - (ft_c1 < 0));",
+            "y[7] = ((y[7]) < ((ft_c1 + 1)) ? (y[7]) : ((ft_c1 + 1)));",
+        ] {
+            assert!(int.contains(line), "`{line}` missing:\n{int}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_library_kernel_is_an_error_not_a_comment() {
+        let f = Func::new("f")
+            .param("a", [4], DataType::F32, AccessType::Input)
+            .param("b", [4], DataType::F32, AccessType::Output)
+            .body(Stmt::new(StmtKind::LibCall {
+                kernel: "fft".to_string(),
+                inputs: vec!["a".to_string()],
+                outputs: vec!["b".to_string()],
+                attrs: vec![4],
+            }));
+        assert_eq!(
+            emit_c(&f),
+            Err(CodegenError::UnknownLibKernel {
+                kernel: "fft".to_string()
+            })
+        );
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   an ordered merge;
 //! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`) for
 //!   lowered CPU schedules; compile-checked against the host C compiler in
-//!   the test suite;
+//!   the test suite. What the C computes per element is decided here, not
+//!   left to the backend compiler: `f32` expressions are spelled in `float`
+//!   ([`ft_ir::Expr::dtype`]), and loop-invariant values, repeated values
+//!   and reduction targets go into locals (the crate-private `scalar`
+//!   analysis; `DESIGN.md` §7 states the numeric contract);
 //! * [`cuda::emit_cuda`] — CUDA-flavoured source: one `__global__` kernel per
 //!   outermost GPU-parallel nest plus a host launcher.
 //!
@@ -22,6 +26,7 @@
 pub mod c;
 pub mod cuda;
 pub mod lower;
+mod scalar;
 
 pub use c::{
     c_symbols, emit_c, emit_c_planned, emit_c_profiled, CSymbols, CodegenError, Mangler, ProfSite,
@@ -52,9 +57,15 @@ pub fn lower_and_plan<'a>(
 
 /// [`lower_cpu_parallel`] then [`emit_c`], with a provenance span on the
 /// compile track of `sink`.
+///
+/// # Panics
+///
+/// When `func` calls a library kernel the C backend does not provide
+/// ([`CodegenError::UnknownLibKernel`]).
 pub fn emit_c_traced(func: &Func, sink: Option<&TraceSink>) -> String {
     emit_traced("emit_c", func, sink, |f| {
-        emit_c(&lower_cpu_parallel(f)).expect("lower_cpu_parallel leaves nothing emit_c rejects")
+        emit_c(&lower_cpu_parallel(f))
+            .expect("lowered IR calling library kernels the C backend provides")
     })
 }
 

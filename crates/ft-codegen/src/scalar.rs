@@ -1,0 +1,625 @@
+//! Scalar-code decisions of the C emitter: what leaves a loop, what is
+//! computed once, what lives in a register.
+//!
+//! The paper's speedups are fewer redundant operations in the generated
+//! OpenMP code (§4.3), and the backend compiler cannot find them for us:
+//! every tensor is a plain pointer that may alias every other, the body of
+//! an `omp parallel for` is outlined, and `exp` may set `errno`. So the
+//! decisions are made here, on the IR, where a tensor is a name — and
+//! handed to [`c`](crate::c) as a list of [`Event`]s keyed by the pre-order
+//! number of the statement they apply to. The IR itself is not rewritten:
+//! the engine re-emits the unit on every warm call to find its cache key,
+//! and cloning a function costs more than this whole analysis.
+//!
+//! * **Hoisting.** A maximal subexpression of a statement directly in loop
+//!   `L` that names nothing bound in `L` (iterators and `VarDef`s, nested
+//!   ones included, so a structurally equal expression anywhere in `L`
+//!   means the same thing), loads nothing written in `L` and contains a
+//!   load, a division or a math call is evaluated once in front of `L` —
+//!   one level at a time, and only where that cannot add an evaluation the
+//!   program did not have: `L` runs a constant, positive number of times,
+//!   the statement is not under an `If` in `L`, and the subexpression is
+//!   not in a `select` arm or right of a short-circuit operator.
+//! * **Reuse.** Within a run of consecutive `Store`/`ReduceTo` statements,
+//!   a load, division or math call that occurs again before anything it
+//!   loads is written is computed once, in front of its first use. (The
+//!   arithmetic in between needs no help: on `const` locals the backend
+//!   compiler's own CSE sees it.)
+//! * **Accumulators.** In an innermost serial or `vectorize` loop, an
+//!   unconditional `X[idx] op= v` with loop-invariant `idx`, `X` touched by
+//!   nothing else in the loop, accumulates in a local. `+`/`*` locals go
+//!   into the loop's `simd reduction` clause; a `vectorize` loop left with
+//!   a carried reduction (`min`/`max`, whose NaN rule is not the clause's,
+//!   or a target the rule above refused) loses its pragma rather than
+//!   carry a `simd` promise it breaks.
+
+use ft_ir::{BinaryOp, Expr, ReduceOp, Stmt, StmtKind, UnaryOp};
+
+/// One decision, for the statement whose pre-order number is `at`.
+#[derive(Debug)]
+pub(crate) struct Event<'a> {
+    pub at: u32,
+    pub kind: Kind<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind<'a> {
+    /// `const T t = expr;` in front of loop `at` (and of its pragma), live
+    /// until the loop ends.
+    Hoist(&'a Expr),
+    /// `const T t = expr;` in front of statement `at`, live through
+    /// statement `last`.
+    Reuse { expr: &'a Expr, last: u32 },
+    /// Loop `at` keeps `var[indices]` in a local: loaded in front of the
+    /// loop, the target of every `var[indices] op= v` inside, stored after.
+    Accum {
+        var: &'a str,
+        indices: &'a [Expr],
+        op: ReduceOp,
+    },
+    /// Loop `at` is marked `vectorize` but carries a reduction.
+    NoSimd,
+}
+
+/// The decisions for `body`, sorted by statement.
+pub(crate) fn analyze(body: &Stmt) -> Vec<Event<'_>> {
+    let mut a = Analyzer::default();
+    a.collect(body, 0);
+    a.visit(body, None, false);
+    a.events.sort_by_key(|e| e.at);
+    a.events
+}
+
+/// Names bound or written in a loop: a range of [`Analyzer::names`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Scope {
+    start: usize,
+    end: usize,
+    innermost: bool,
+}
+
+/// An enclosing loop, as seen from a statement inside it.
+#[derive(Debug, Clone, Copy)]
+struct Loop {
+    scope: Scope,
+    /// Runs a constant, positive number of times.
+    hoistable: bool,
+    /// Where this loop's candidates start in [`Analyzer::hoists`].
+    h0: usize,
+}
+
+/// `var[indices] op= …` kept in a local.
+type Acc<'a> = (&'a str, &'a [Expr], ReduceOp);
+
+/// A load, division or math call seen in the current run of assignments.
+#[derive(Debug)]
+struct Seen<'a> {
+    expr: &'a Expr,
+    /// 0 once a write to a tensor it loads closed the entry.
+    count: u32,
+    first: u32,
+    last: u32,
+}
+
+#[derive(Debug, Default)]
+struct Analyzer<'a> {
+    /// Every name a loop binds (its iterator, a `VarDef`) or writes, in
+    /// traversal order, so that a loop's names — its nested loops' included
+    /// — are one contiguous range.
+    names: Vec<&'a str>,
+    /// One scope per `For`, in pre-order.
+    loops: Vec<Scope>,
+    next_loop: usize,
+    next_stmt: u32,
+    events: Vec<Event<'a>>,
+    /// Hoisting candidates of the enclosing loops, innermost last. All of
+    /// them will be temporaries that are live at the statement being
+    /// visited, whichever loop they end up in front of.
+    hoists: Vec<&'a Expr>,
+    seen: Vec<Seen<'a>>,
+}
+
+/// Whether a loop over `begin..end` runs a constant, positive number of
+/// times.
+pub(crate) fn certainly_runs(begin: &Expr, end: &Expr) -> bool {
+    matches!((begin, end), (Expr::IntConst(b), Expr::IntConst(e)) if b < e)
+}
+
+fn is_assign(s: &Stmt) -> bool {
+    matches!(s.kind, StmtKind::Store { .. } | StmtKind::ReduceTo { .. })
+}
+
+/// Whether evaluating `e` itself (not its operands) is worth a temporary.
+fn costly(e: &Expr) -> bool {
+    match e {
+        Expr::Load { .. } => true,
+        Expr::Unary { op, .. } => matches!(
+            op,
+            UnaryOp::Sqrt | UnaryOp::Exp | UnaryOp::Ln | UnaryOp::Sigmoid | UnaryOp::Tanh
+        ),
+        Expr::Binary { op, .. } => matches!(op, BinaryOp::Div | BinaryOp::Mod | BinaryOp::Pow),
+        _ => false,
+    }
+}
+
+/// The operands of `e` that are evaluated whenever `e` is, then the ones
+/// that may not be.
+fn operands(e: &Expr) -> (&[Expr], [Option<&Expr>; 2], [Option<&Expr>; 2]) {
+    match e {
+        Expr::Load { indices, .. } => (indices, [None; 2], [None; 2]),
+        Expr::Unary { a, .. } | Expr::Cast { a, .. } => (&[], [Some(a), None], [None; 2]),
+        Expr::Binary {
+            op: BinaryOp::And | BinaryOp::Or,
+            a,
+            b,
+        } => (&[], [Some(a), None], [Some(b), None]),
+        Expr::Binary { a, b, .. } => (&[], [Some(a), Some(b)], [None; 2]),
+        Expr::Select {
+            cond,
+            then,
+            otherwise,
+        } => (&[], [Some(cond), None], [Some(then), Some(otherwise)]),
+        _ => (&[], [None; 2], [None; 2]),
+    }
+}
+
+fn is_leaf(e: &Expr) -> bool {
+    matches!(
+        e,
+        Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_)
+    )
+}
+
+/// Whether `f` holds of `e` or of anything in it.
+fn any_node(e: &Expr, f: &mut impl FnMut(&Expr) -> bool) -> bool {
+    f(e) || match e {
+        Expr::Load { indices, .. } => indices.iter().any(|i| any_node(i, f)),
+        Expr::Unary { a, .. } | Expr::Cast { a, .. } => any_node(a, f),
+        Expr::Binary { a, b, .. } => any_node(a, f) || any_node(b, f),
+        Expr::Select {
+            cond,
+            then,
+            otherwise,
+        } => any_node(cond, f) || any_node(then, f) || any_node(otherwise, f),
+        _ => false,
+    }
+}
+
+fn loads(e: &Expr, var: &str) -> bool {
+    any_node(
+        e,
+        &mut |n| matches!(n, Expr::Load { var: v, .. } if v == var),
+    )
+}
+
+fn mentions(e: &Expr, iter: &str) -> bool {
+    any_node(e, &mut |n| matches!(n, Expr::Var(v) if v == iter))
+}
+
+/// Whether two index lists certainly address different elements.
+fn distinct(a: &[Expr], b: &[Expr]) -> bool {
+    a.iter()
+        .zip(b)
+        .any(|(x, y)| matches!((x, y), (Expr::IntConst(p), Expr::IntConst(q)) if p != q))
+}
+
+/// Whether `s` reads `var`, or writes it other than through `ok`.
+fn touches<'a>(
+    s: &'a Stmt,
+    var: &str,
+    guarded: bool,
+    ok: &mut impl FnMut(&'a [Expr], ReduceOp, bool) -> bool,
+) -> bool {
+    let reads = |es: &[Expr]| es.iter().any(|e| loads(e, var));
+    match &s.kind {
+        StmtKind::Block(v) => v.iter().any(|c| touches(c, var, guarded, ok)),
+        StmtKind::VarDef {
+            name, shape, body, ..
+        } => name == var || reads(shape) || touches(body, var, guarded, ok),
+        StmtKind::For {
+            begin, end, body, ..
+        } => loads(begin, var) || loads(end, var) || touches(body, var, true, ok),
+        StmtKind::If {
+            cond,
+            then,
+            otherwise,
+        } => {
+            loads(cond, var)
+                || touches(then, var, true, ok)
+                || otherwise
+                    .as_ref()
+                    .is_some_and(|o| touches(o, var, true, ok))
+        }
+        StmtKind::Store {
+            var: x,
+            indices,
+            value,
+        } => x == var || reads(indices) || loads(value, var),
+        StmtKind::ReduceTo {
+            var: x,
+            indices,
+            op,
+            value,
+            atomic,
+        } => {
+            reads(indices)
+                || loads(value, var)
+                || (x == var && !ok(indices, *op, guarded || *atomic))
+        }
+        StmtKind::LibCall {
+            inputs, outputs, ..
+        } => inputs.iter().chain(outputs).any(|n| n == var),
+        StmtKind::Empty => false,
+    }
+}
+
+impl<'a> Analyzer<'a> {
+    /// First pass: the names each loop binds or writes. `from` is where the
+    /// names of the innermost loop around `s` start. Returns whether `s`
+    /// holds a loop at all.
+    fn collect(&mut self, s: &'a Stmt, from: usize) -> bool {
+        match &s.kind {
+            StmtKind::Block(v) => v.iter().fold(false, |any, c| self.collect(c, from) | any),
+            StmtKind::VarDef { name, body, .. } => {
+                self.name(name, from);
+                self.collect(body, from)
+            }
+            StmtKind::For { iter, body, .. } => {
+                let idx = self.loops.len();
+                self.loops.push(Scope::default());
+                let start = self.names.len();
+                self.names.push(iter);
+                let nested = self.collect(body, start);
+                self.loops[idx] = Scope {
+                    start,
+                    end: self.names.len(),
+                    innermost: !nested,
+                };
+                true
+            }
+            StmtKind::If {
+                then, otherwise, ..
+            } => {
+                let t = self.collect(then, from);
+                otherwise.as_ref().is_some_and(|o| self.collect(o, from)) | t
+            }
+            StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => {
+                self.name(var, from);
+                false
+            }
+            StmtKind::LibCall { outputs, .. } => {
+                outputs.iter().for_each(|o| self.name(o, from));
+                false
+            }
+            StmtKind::Empty => false,
+        }
+    }
+
+    fn name(&mut self, n: &'a str, from: usize) {
+        // Once per loop: every lookup walks the loop's whole range.
+        if !self.names[from..].contains(&n) {
+            self.names.push(n);
+        }
+    }
+
+    fn names_in(&self, lp: &Loop, name: &str) -> bool {
+        self.names[lp.scope.start..lp.scope.end].contains(&name)
+    }
+
+    /// Whether `e` means the same thing everywhere in `lp` and before it.
+    fn invariant(&self, e: &Expr, lp: &Loop) -> bool {
+        !any_node(
+            e,
+            &mut |n| matches!(n, Expr::Var(v) | Expr::Load { var: v, .. } if self.names_in(lp, v)),
+        )
+    }
+
+    fn candidate(&mut self, e: &'a Expr, lp: &Loop) {
+        if !self.hoists[lp.h0..].contains(&e) {
+            self.hoists.push(e);
+        }
+    }
+
+    /// Make candidates of the maximal proper subexpressions of `e` that are
+    /// invariant in `lp`, contain something [`costly`] and are evaluated
+    /// whenever `e` is. Returns whether `e` itself is invariant, and
+    /// whether it contains something costly.
+    fn scan(&mut self, e: &'a Expr, lp: &Loop) -> (bool, bool) {
+        if is_leaf(e) {
+            return (!matches!(e, Expr::Var(n) if self.names_in(lp, n)), false);
+        }
+        let mark = self.hoists.len();
+        let mut inv = !matches!(e, Expr::Load { var, .. } if self.names_in(lp, var));
+        let mut worth = costly(e);
+        let (idx, sure, maybe) = operands(e);
+        for c in idx.iter().chain(sure.into_iter().flatten()) {
+            let (ci, cw) = self.scan(c, lp);
+            if ci && cw {
+                self.candidate(c, lp);
+            }
+            inv &= ci;
+            worth |= cw;
+        }
+        for c in maybe.into_iter().flatten() {
+            inv &= self.invariant(c, lp);
+            worth |= any_node(c, &mut costly);
+        }
+        if inv {
+            // The caller takes `e` whole.
+            self.hoists.truncate(mark);
+        }
+        (inv, worth)
+    }
+
+    /// Candidates from the assignments directly and unconditionally in
+    /// `lp`, whose body is `s`.
+    fn prescan(&mut self, s: &'a Stmt, lp: &Loop) {
+        match &s.kind {
+            StmtKind::Block(v) => v.iter().for_each(|c| self.prescan(c, lp)),
+            StmtKind::VarDef { body, .. } => self.prescan(body, lp),
+            StmtKind::Store { indices, value, .. } | StmtKind::ReduceTo { indices, value, .. } => {
+                for e in indices.iter().chain([value]) {
+                    if self.scan(e, lp) == (true, true) {
+                        self.candidate(e, lp);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Count the costly subexpressions of `e`, part of assignment `at`,
+    /// that are evaluated whenever `e` is. A repeat is not looked into: its
+    /// operands will be evaluated once, with it.
+    fn count(&mut self, e: &'a Expr, at: u32) {
+        if is_leaf(e) {
+            return;
+        }
+        if self.hoists.contains(&e) {
+            return;
+        }
+        let costly = costly(e);
+        if costly {
+            if let Some(s) = self.seen.iter_mut().find(|s| s.count > 0 && s.expr == e) {
+                s.count += 1;
+                s.last = at;
+                return;
+            }
+        }
+        let (idx, sure, _) = operands(e);
+        for c in idx.iter().chain(sure.into_iter().flatten()) {
+            self.count(c, at);
+        }
+        if costly {
+            self.seen.push(Seen {
+                expr: e,
+                count: 1,
+                first: at,
+                last: at,
+            });
+        }
+    }
+
+    /// One assignment of a run.
+    fn assign(&mut self, s: &'a Stmt) {
+        let at = self.next_stmt;
+        self.next_stmt += 1;
+        let (StmtKind::Store {
+            var,
+            indices,
+            value,
+        }
+        | StmtKind::ReduceTo {
+            var,
+            indices,
+            value,
+            ..
+        }) = &s.kind
+        else {
+            unreachable!("assign is called on Store and ReduceTo only")
+        };
+        for e in indices.iter().chain([value]) {
+            self.count(e, at);
+        }
+        // What loads `var` has a new value from here on.
+        for i in 0..self.seen.len() {
+            if self.seen[i].count > 0 && loads(self.seen[i].expr, var) {
+                self.close(i);
+            }
+        }
+    }
+
+    fn close(&mut self, i: usize) {
+        let s = &mut self.seen[i];
+        if s.count > 1 {
+            self.events.push(Event {
+                at: s.first,
+                kind: Kind::Reuse {
+                    expr: s.expr,
+                    last: s.last,
+                },
+            });
+        }
+        s.count = 0;
+    }
+
+    fn end_run(&mut self) {
+        (0..self.seen.len()).for_each(|i| self.close(i));
+        self.seen.clear();
+    }
+
+    /// Second pass. `lp` is the innermost enclosing loop, `guarded` whether
+    /// an `If` sits between it and `s`.
+    fn visit(&mut self, s: &'a Stmt, lp: Option<&Loop>, guarded: bool) {
+        if is_assign(s) {
+            self.assign(s);
+            return self.end_run();
+        }
+        let at = self.next_stmt;
+        self.next_stmt += 1;
+        match &s.kind {
+            StmtKind::Block(v) => {
+                for c in v {
+                    if is_assign(c) {
+                        self.assign(c);
+                    } else {
+                        self.end_run();
+                        self.visit(c, lp, guarded);
+                    }
+                }
+                self.end_run();
+            }
+            StmtKind::VarDef { body, .. } => self.visit(body, lp, guarded),
+            StmtKind::If {
+                then, otherwise, ..
+            } => {
+                self.visit(then, lp, true);
+                if let Some(o) = otherwise {
+                    self.visit(o, lp, true);
+                }
+            }
+            StmtKind::For {
+                iter,
+                begin,
+                end,
+                property,
+                body,
+            } => {
+                let scope = self.loops[self.next_loop];
+                self.next_loop += 1;
+                let me = Loop {
+                    scope,
+                    hoistable: certainly_runs(begin, end),
+                    h0: self.hoists.len(),
+                };
+                if me.hoistable {
+                    self.prescan(body, &me);
+                }
+                self.visit(body, Some(&me), false);
+                // Each candidate goes one loop further out where it may,
+                // and in front of this loop where it may not — then what
+                // is invariant *inside* it gets its chance further out.
+                let up = lp.filter(|p| p.hoistable && !guarded);
+                let e0 = self.events.len();
+                let mut keep = me.h0;
+                for i in me.h0..self.hoists.len() {
+                    let e = self.hoists[i];
+                    match up {
+                        Some(p) if self.invariant(e, p) => {
+                            if !self.hoists[p.h0..keep].contains(&e) {
+                                self.hoists[keep] = e;
+                                keep += 1;
+                            }
+                        }
+                        _ => self.events.push(Event {
+                            at,
+                            kind: Kind::Hoist(e),
+                        }),
+                    }
+                }
+                self.hoists.truncate(keep);
+                if let Some(p) = up {
+                    for i in e0..self.events.len() {
+                        if let Kind::Hoist(e) = self.events[i].kind {
+                            self.scan(e, p);
+                        }
+                    }
+                }
+                if scope.innermost && !property.parallel.is_parallel() {
+                    self.accumulate(at, iter, body, &me, property.vectorize);
+                } else if property.vectorize && carried(body, iter, &[]) {
+                    self.events.push(Event {
+                        at,
+                        kind: Kind::NoSimd,
+                    });
+                }
+            }
+            StmtKind::Store { .. } | StmtKind::ReduceTo { .. } => unreachable!("handled above"),
+            StmtKind::LibCall { .. } | StmtKind::Empty => {}
+        }
+    }
+
+    /// Accumulators of innermost loop `at` over `iter`.
+    fn accumulate(&mut self, at: u32, iter: &str, body: &'a Stmt, me: &Loop, vectorize: bool) {
+        let mut accs: Vec<Acc<'a>> = Vec::new();
+        self.reductions(body, me, &mut accs);
+        let mut k = 0;
+        while k < accs.len() {
+            let var = accs[k].0;
+            if k > 0 && accs[k - 1].0 == var {
+                // Cleared together with the accumulator before it.
+                k += 1;
+                continue;
+            }
+            // Nothing in the loop may read `var`, and every write of it
+            // must be one of its accumulators or certainly another element
+            // than all of them.
+            let alone = !touches(body, var, false, &mut |idx, op, guarded| {
+                accs.iter()
+                    .filter(|a| a.0 == var)
+                    .all(|a| (a.1 == idx && a.2 == op && !guarded) || distinct(a.1, idx))
+            });
+            if alone {
+                k += 1;
+            } else {
+                // The first of `var`'s accumulators is the one at `k`.
+                accs.retain(|a| a.0 != var);
+            }
+        }
+        if vectorize && carried(body, iter, &accs) {
+            self.events.push(Event {
+                at,
+                kind: Kind::NoSimd,
+            });
+        }
+        self.events
+            .extend(accs.into_iter().map(|(var, indices, op)| Event {
+                at,
+                kind: Kind::Accum { var, indices, op },
+            }));
+    }
+
+    /// The distinct unconditional, non-atomic reductions directly in `me`
+    /// whose target element is the same in every iteration.
+    fn reductions(&self, s: &'a Stmt, me: &Loop, out: &mut Vec<Acc<'a>>) {
+        match &s.kind {
+            StmtKind::Block(v) => v.iter().for_each(|c| self.reductions(c, me, out)),
+            StmtKind::VarDef { body, .. } => self.reductions(body, me, out),
+            StmtKind::ReduceTo {
+                var,
+                indices,
+                op,
+                atomic: false,
+                ..
+            } if indices.iter().all(|e| self.invariant(e, me))
+                && !out.iter().any(|a| a.0 == var && a.1 == indices.as_slice()) =>
+            {
+                out.push((var, indices, *op));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Whether the loop over `iter` with body `s` folds into one element from
+/// more than one iteration, other than through the `+`/`*` accumulators
+/// among `accs` (a `simd reduction` clause covers those).
+fn carried(s: &Stmt, iter: &str, accs: &[Acc<'_>]) -> bool {
+    match &s.kind {
+        StmtKind::ReduceTo {
+            var, indices, op, ..
+        } => {
+            let in_clause = matches!(op, ReduceOp::Add | ReduceOp::Mul)
+                && accs.iter().any(|a| a.0 == var && a.1 == indices.as_slice());
+            !in_clause && !indices.iter().any(|e| mentions(e, iter))
+        }
+        StmtKind::Block(v) => v.iter().any(|c| carried(c, iter, accs)),
+        StmtKind::VarDef { body, .. } | StmtKind::For { body, .. } => carried(body, iter, accs),
+        StmtKind::If {
+            then, otherwise, ..
+        } => {
+            carried(then, iter, accs) || otherwise.as_ref().is_some_and(|o| carried(o, iter, accs))
+        }
+        _ => false,
+    }
+}

@@ -177,7 +177,151 @@ pub enum Expr {
     },
 }
 
+/// Static type of an expression under C's usual arithmetic conversions —
+/// what the C backend's operators apply to the spelling it emits.
+///
+/// Literals are *weakly* typed: an expression built from literals alone has
+/// a default type (`I32`/`I64` by magnitude, `F64`) but takes the float
+/// width of the strongly typed operand it meets, so `x * 0.5` over an `f32`
+/// tensor stays `f32` — the overload the paper's C++ backend resolves to —
+/// instead of dragging the product into double.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExprType {
+    /// The element type (the default one, when `weak`).
+    pub dtype: DataType,
+    /// Built from literals only.
+    pub weak: bool,
+}
+
+impl ExprType {
+    /// A strongly typed value of `dtype`.
+    pub fn strong(dtype: DataType) -> ExprType {
+        ExprType { dtype, weak: false }
+    }
+
+    /// The common type two operands are converted to.
+    pub fn unify(self, other: ExprType) -> ExprType {
+        if self.weak == other.weak {
+            return ExprType {
+                dtype: self.dtype.promote(other.dtype),
+                weak: self.weak,
+            };
+        }
+        let (s, w) = if self.weak {
+            (other, self)
+        } else {
+            (self, other)
+        };
+        // A literal follows a float operand's width; a float literal
+        // meeting an integer operand is a double.
+        ExprType::strong(if s.dtype.is_float() {
+            s.dtype
+        } else {
+            s.dtype.promote(w.dtype)
+        })
+    }
+
+    /// The type a weak operand takes where a strongly typed `ctx` is
+    /// expected (a store target, a sibling operand); a strong one keeps its
+    /// own.
+    pub fn resolve(self, ctx: DataType) -> DataType {
+        if self.weak {
+            self.unify(ExprType::strong(ctx)).dtype
+        } else {
+            self.dtype
+        }
+    }
+
+    /// Integer promotion: arithmetic on `bool` yields `int`.
+    fn arith(self) -> ExprType {
+        ExprType {
+            dtype: self.dtype.promote(DataType::I32),
+            ..self
+        }
+    }
+
+    /// `self` when floating point, else `dtype` at the same strength: the
+    /// result of an operator that exists per float width but on one other
+    /// type only.
+    fn float_or(self, dtype: DataType) -> ExprType {
+        if self.dtype.is_float() {
+            self
+        } else {
+            ExprType { dtype, ..self }
+        }
+    }
+}
+
 impl Expr {
+    /// The expression's static type, with `tensor` giving each loaded
+    /// tensor's element type. Mirrors the C that `ft-codegen` spells and is
+    /// never narrower than it: scalar variables are `int64_t`, integer
+    /// floor-division and `abs` go through 64-bit helpers, a math function
+    /// of an integer is a double.
+    pub fn dtype(&self, tensor: &impl Fn(&str) -> DataType) -> ExprType {
+        match self {
+            Expr::IntConst(v) => ExprType {
+                dtype: if i32::try_from(*v).is_ok() {
+                    DataType::I32
+                } else {
+                    DataType::I64
+                },
+                weak: true,
+            },
+            Expr::FloatConst(_) => ExprType {
+                dtype: DataType::F64,
+                weak: true,
+            },
+            Expr::BoolConst(_) => ExprType::strong(DataType::Bool),
+            Expr::Var(_) => ExprType::strong(DataType::I64),
+            Expr::Load { var, .. } => ExprType::strong(tensor(var)),
+            Expr::Unary { op, a } => {
+                let t = a.dtype(tensor);
+                match op {
+                    UnaryOp::Not => ExprType::strong(DataType::Bool),
+                    UnaryOp::Neg | UnaryOp::Sign => t.arith(),
+                    UnaryOp::Abs => t.float_or(DataType::I64),
+                    UnaryOp::Sqrt
+                    | UnaryOp::Exp
+                    | UnaryOp::Ln
+                    | UnaryOp::Sigmoid
+                    | UnaryOp::Tanh => t.float_or(DataType::F64),
+                }
+            }
+            Expr::Binary { op, a, b } => {
+                if op.is_comparison() {
+                    return ExprType::strong(DataType::Bool);
+                }
+                let t = a.dtype(tensor).unify(b.dtype(tensor));
+                match op {
+                    BinaryOp::Div | BinaryOp::Mod => t.float_or(DataType::I64),
+                    BinaryOp::Pow => t.float_or(DataType::F64),
+                    _ => t.arith(),
+                }
+            }
+            Expr::Select {
+                then, otherwise, ..
+            } => then.dtype(tensor).unify(otherwise.dtype(tensor)).arith(),
+            Expr::Cast { dtype, .. } => ExprType::strong(*dtype),
+        }
+    }
+
+    /// Whether [`dtype`](Expr::dtype) is weak, decided without tensor types
+    /// and on the first non-literal leaf.
+    pub fn literal_only(&self) -> bool {
+        match self {
+            Expr::IntConst(_) | Expr::FloatConst(_) => true,
+            Expr::Unary { op, a } => *op != UnaryOp::Not && a.literal_only(),
+            Expr::Binary { op, a, b } => {
+                !op.is_comparison() && a.literal_only() && b.literal_only()
+            }
+            Expr::Select {
+                then, otherwise, ..
+            } => then.literal_only() && otherwise.literal_only(),
+            _ => false,
+        }
+    }
+
     /// Build a binary node.
     pub fn binary(op: BinaryOp, a: Expr, b: Expr) -> Expr {
         Expr::Binary {
@@ -585,6 +729,98 @@ mod tests {
                 assert_eq!(indices[0], v("t"));
             }
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dtype_follows_the_usual_arithmetic_conversions() {
+        use DataType::*;
+        let tensor = |n: &str| match n {
+            "f" => F32,
+            "d" => F64,
+            "s" => I32,
+            "b" => Bool,
+            _ => I64,
+        };
+        let ld = |n: &str| Expr::Load {
+            var: n.into(),
+            indices: vec![],
+        };
+        let ty = |e: &Expr| e.dtype(&tensor);
+        let weak = |dtype| ExprType { dtype, weak: true };
+        // Literals are weak and take the float operand's width.
+        assert_eq!(ty(&Expr::FloatConst(0.5)), weak(F64));
+        assert_eq!(ty(&Expr::IntConst(7)), weak(I32));
+        assert_eq!(ty(&Expr::IntConst(1 << 40)), weak(I64));
+        assert_eq!(ty(&(ld("f") * 0.5)), ExprType::strong(F32));
+        assert_eq!(ty(&(ld("f") * 2)), ExprType::strong(F32));
+        assert_eq!(ty(&(ld("d") * 0.5f32)), ExprType::strong(F64));
+        assert_eq!(ty(&(ld("f") + ld("d"))), ExprType::strong(F64));
+        // ... except that a float literal makes an integer a double.
+        assert_eq!(ty(&(ld("s") * 0.5)), ExprType::strong(F64));
+        assert_eq!(ty(&(Expr::IntConst(2) * 0.5)), weak(F64));
+        assert_eq!(weak(F64).resolve(F32), F32);
+        assert_eq!(weak(F64).resolve(I32), F64);
+        assert_eq!(ExprType::strong(F64).resolve(F32), F64);
+        // Integers: the iterator is 64-bit, int32 arithmetic stays int,
+        // bool promotes, the floor-division helpers return int64_t.
+        assert_eq!(ty(&(v("i") + 1)), ExprType::strong(I64));
+        assert_eq!(ty(&(ld("s") + 1)), ExprType::strong(I32));
+        assert_eq!(ty(&(ld("b") + ld("b"))), ExprType::strong(I32));
+        assert_eq!(ty(&(ld("s") / 2)), ExprType::strong(I64));
+        assert_eq!(ty(&(ld("f") / 2)), ExprType::strong(F32));
+        assert_eq!(ty(&ld("s").min(ld("s"))), ExprType::strong(I32));
+        assert_eq!(
+            ty(&Expr::unary(UnaryOp::Abs, ld("s"))),
+            ExprType::strong(I64)
+        );
+        // Math functions exist per float width; of an integer, in double.
+        assert_eq!(
+            ty(&Expr::unary(UnaryOp::Exp, ld("f"))),
+            ExprType::strong(F32)
+        );
+        assert_eq!(
+            ty(&Expr::unary(UnaryOp::Exp, ld("s"))),
+            ExprType::strong(F64)
+        );
+        assert_eq!(
+            ty(&Expr::unary(UnaryOp::Exp, Expr::FloatConst(1.0))),
+            weak(F64)
+        );
+        assert_eq!(
+            ty(&Expr::binary(BinaryOp::Pow, ld("f"), Expr::IntConst(2))),
+            ExprType::strong(F32)
+        );
+        assert_eq!(ty(&ld("f").lt(0.0)), ExprType::strong(Bool));
+        assert_eq!(
+            ty(&Expr::select(ld("b"), ld("f"), Expr::FloatConst(0.0))),
+            ExprType::strong(F32)
+        );
+        assert_eq!(ty(&Expr::cast(I64, ld("f"))), ExprType::strong(I64));
+    }
+
+    #[test]
+    fn literal_only_is_the_weak_flag() {
+        let tensor = |_: &str| DataType::F32;
+        let ld = Expr::Load {
+            var: "x".into(),
+            indices: vec![],
+        };
+        for e in [
+            Expr::FloatConst(1.0),
+            -Expr::FloatConst(1.0),
+            Expr::IntConst(2) * 0.5,
+            Expr::unary(UnaryOp::Exp, Expr::IntConst(1)),
+            Expr::select(ld.clone().lt(0.0), Expr::FloatConst(0.0), Expr::IntConst(1)),
+            Expr::FloatConst(1.0).lt(2.0),
+            Expr::IntConst(1).not(),
+            Expr::BoolConst(true),
+            Expr::cast(DataType::F32, Expr::FloatConst(1.0)),
+            ld.clone() * 0.5,
+            v("i") + 1,
+            Expr::select(Expr::BoolConst(true), ld.clone(), Expr::FloatConst(0.0)),
+        ] {
+            assert_eq!(e.literal_only(), e.dtype(&tensor).weak, "{e:?}");
         }
     }
 

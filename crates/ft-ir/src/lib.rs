@@ -45,7 +45,7 @@ pub mod types;
 pub mod visit;
 
 pub use builder::*;
-pub use expr::{BinaryOp, Expr, UnaryOp};
+pub use expr::{BinaryOp, Expr, ExprType, UnaryOp};
 pub use find::{find_stmt, find_stmts, parent_map, LoopNest};
 pub use func::{Func, Param};
 pub use hash::{fnv1a, fnv1a_p44, Fnv1a};

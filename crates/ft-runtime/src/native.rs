@@ -37,7 +37,7 @@ use crate::process::output_with_timeout;
 use crate::value::TensorVal;
 use crate::arena::RunContext;
 use ft_analysis::MemPlan;
-use ft_codegen::{c_symbols, emit_c_planned, lower_and_plan, ProfSite};
+use ft_codegen::{c_symbols, emit_c_planned, lower_and_plan, CodegenError, ProfSite};
 use ft_ir::{AccessType, BinaryOp, DataType, Expr, Func};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, TraceSink, Verdict, TRACK_RUNTIME};
@@ -344,8 +344,11 @@ impl CompiledEngine {
         func: &Func,
         plan: &MemPlan,
     ) -> Result<(String, Vec<ProfSite>), RuntimeError> {
-        let (mut src, sites) = emit_c_planned(func, plan, self.profile)
-            .map_err(|e| RuntimeError::Native(format!("codegen: {e}")))?;
+        let (mut src, sites) = emit_c_planned(func, plan, self.profile).map_err(|e| match e {
+            // The interpreter's and the VM's error for the same program.
+            CodegenError::UnknownLibKernel { kernel } => RuntimeError::UnknownKernel(kernel),
+            e => RuntimeError::Native(format!("codegen: {e}")),
+        })?;
         let syms = c_symbols(func);
         src.push_str(
             "\nvoid ft_entry(void **params, const int64_t *sizes, \

@@ -29,7 +29,8 @@
 //!   the engine runs under, [`ft_runtime::lower_and_plan`]: when the sum over
 //!   admitted (queued + executing) jobs would exceed the configured
 //!   budget, the request is rejected with the numbers that said no
-//!   ([`ServeError::OverBudget`]).
+//!   ([`ServeError::OverBudget`]). A server without a budget does not plan
+//!   at admission at all.
 //!
 //! Everything is observable through ft-metrics: `serve.requests`,
 //! `serve.ok`/`serve.errors`, the rejection counters, a
@@ -236,7 +237,8 @@ struct QueueState {
     ring: Vec<String>,
     cursor: usize,
     queued: usize,
-    /// Planned-peak bytes of admitted (queued + executing) jobs.
+    /// Planned-peak bytes of admitted (queued + executing) jobs; stays 0
+    /// on a server without a budget, which plans nothing at admission.
     admitted_bytes: u64,
     /// Keys submitted whose first completion hasn't happened yet; a second
     /// submission while a key is here is an in-flight dedup hit.
@@ -360,9 +362,13 @@ impl Server {
         m.counter("serve.requests").inc();
         let key = content_key(&req.func, &req.sizes);
         // The plan the engine will run under: of the lowered function, so
-        // partial rows of privatized reductions are budgeted too.
-        let (_, plan) = ft_runtime::lower_and_plan(&req.func, &req.sizes);
-        let peak_bytes = plan.run_peak_bytes(&req.func, &req.sizes);
+        // partial rows of privatized reductions are budgeted too. Nothing
+        // reads the figure without a budget, and planning is a good part
+        // of a small request.
+        let peak_bytes = self.inner.cfg.mem_budget_bytes.map_or(0, |_| {
+            let (_, plan) = ft_runtime::lower_and_plan(&req.func, &req.sizes);
+            plan.run_peak_bytes(&req.func, &req.sizes)
+        });
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.inner.q.lock().unwrap();

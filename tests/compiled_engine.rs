@@ -14,14 +14,21 @@
 //! * `colliding_param_names_do_not_shadow`,
 //!   `heap_def_inside_a_parallel_body_is_thread_private` — directed ABI and
 //!   storage cases the sampled traces do not reach.
+//! * `hoisted_gathers_and_guards_*`, `all_i32_histogram_is_exact`,
+//!   `i64_max_reduction_is_exact_above_2_pow_53`,
+//!   `unknown_library_kernel_*` — the emitter's scalar-code decisions
+//!   (values moved out of loops, register accumulators, typed operators)
+//!   on the inputs where moving an evaluation would show.
 
+use freetensor::autoschedule::Target;
+use freetensor::workloads::{gat, longformer};
 use ft_conformance::grad::{build_grad_func, grad_run_inputs, ones_seed, GradSpec};
 use ft_conformance::ops::{apply_trace, sample_trace};
 use ft_conformance::{check_grad_variant, check_variant, Backend, GradTol, Workload};
 use ft_ir::prelude::*;
 use ft_ir::ForProperty;
 use ft_metrics::{Metrics, MetricsSnapshot};
-use ft_runtime::{cc_available, CompiledEngine, ExecutionEngine, Runtime, TensorVal};
+use ft_runtime::{cc_available, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 
@@ -217,56 +224,256 @@ fn heap_def_inside_a_parallel_body_is_thread_private() {
         return;
     }
     // A heap `VarDef` under an `OpenMp` loop cannot live at a shared arena
-    // offset: the planned unit must `calloc` it per iteration. Each row
-    // fills its scratch and reads it back, so a shared buffer would mix
+    // offset: the planned unit keeps it on the iteration's stack while it
+    // fits the emitter's bound and `calloc`s it per iteration above. Each
+    // row fills its scratch and reads it back, so a shared buffer would mix
     // rows across the team.
     const ROWS: usize = 64;
-    const COLS: usize = 48;
-    let f = Func::new("rows")
-        .param("x", [ROWS, COLS], DataType::F32, AccessType::Input)
-        .param("y", [ROWS], DataType::F32, AccessType::Output)
+    for (cols, private) in [(48usize, "float t[48] = {0};"), (4097, "calloc(")] {
+        let f = Func::new("rows")
+            .param("x", [ROWS, cols], DataType::F32, AccessType::Input)
+            .param("y", [ROWS], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "i",
+                0,
+                ROWS,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                var_def(
+                    "t",
+                    [cols],
+                    DataType::F32,
+                    MemType::CpuHeap,
+                    block([
+                        for_(
+                            "j",
+                            0,
+                            cols,
+                            store("t", [var("j")], load("x", [var("i"), var("j")]) * 2.0f32),
+                        ),
+                        for_(
+                            "k",
+                            0,
+                            cols,
+                            reduce("y", [var("i")], ReduceOp::Add, load("t", [var("k")])),
+                        ),
+                    ]),
+                ),
+            ));
+        let (lowered, plan) = ft_runtime::lower_and_plan(&f, &HashMap::new());
+        let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
+        assert!(
+            c.contains(private),
+            "`t` is not thread-private as `{private}`:\n{c}"
+        );
+        assert_eq!(c.contains("calloc("), cols > 4096, "{c}");
+
+        let x = TensorVal::from_f32(
+            &[ROWS, cols],
+            (0..ROWS * cols).map(|v| (v as f32 * 0.11).sin()).collect(),
+        );
+        let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
+        let want = Runtime::new()
+            .run(&f, &inputs, &HashMap::new())
+            .expect("interp run");
+        let engine = CompiledEngine::new();
+        let mut ctx = ft_runtime::RunContext::new();
+        let fresh = engine
+            .run(&f, &inputs, &HashMap::new())
+            .expect("compiled run");
+        let planned = engine
+            .run_with(&f, &inputs, &HashMap::new(), &mut ctx)
+            .expect("compiled run with a context");
+        assert_eq!(fresh.outputs, want.outputs);
+        assert_eq!(planned.outputs, want.outputs);
+    }
+}
+
+/// `y` of the rule-scheduled `program` on both engines, checked to agree
+/// within `TOL` everywhere.
+fn compiled_and_interpreted(
+    program: &freetensor::core::Program,
+    inputs: &HashMap<String, TensorVal>,
+) -> (TensorVal, TensorVal) {
+    let p = program.optimize(&Target::cpu());
+    let want = Runtime::new()
+        .run(p.func(), inputs, &HashMap::new())
+        .expect("interp run");
+    let got = CompiledEngine::new()
+        .run(p.func(), inputs, &HashMap::new())
+        .expect("compiled run");
+    let (want, got) = (want.output("y").clone(), got.output("y").clone());
+    let diff = got.max_abs_diff(&want);
+    assert!(
+        diff < TOL,
+        "compiled differs from the interpreter by {diff}"
+    );
+    (got, want)
+}
+
+#[test]
+fn hoisted_gathers_and_guards_stay_within_tolerance_of_the_interpreter() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // GAT: the per-edge weight and the gathered row index leave the channel
+    // loop, `m` and `den` accumulate in registers around edge loops whose
+    // trip count is data. The last node gets no edge: its edge range starts
+    // at the end of `colidx`, so anything evaluated for it that the program
+    // does not evaluate reads out of bounds, and its row must stay zero.
+    let p = gat::Params {
+        n_nodes: 64,
+        degree: 4,
+        feat_len: 8,
+    };
+    let mut inputs = gat::inputs(&p, 11);
+    let rowptr = inputs.get_mut("rowptr").expect("rowptr");
+    let edges = rowptr.get_flat(p.n_nodes);
+    rowptr.set_flat(p.n_nodes - 1, edges);
+    let (y, _) = compiled_and_interpreted(&gat::program(&p), &inputs);
+    let last_row = &y.f32_data().expect("f32 y")[(p.n_nodes - 1) * p.feat_len..];
+    assert!(last_row.iter().all(|v| *v == 0.0), "{last_row:?}");
+
+    // Longformer: rows at both ends of the sequence have window slots
+    // outside it. The `K`/`V` rows of those slots do not exist; the dot
+    // products and the weighted sum around them sit under an `If` that
+    // nothing may be moved out of.
+    let p = longformer::Params {
+        seq_len: 96,
+        w: 8,
+        feat_len: 16,
+    };
+    let inputs = longformer::inputs(&p, 11);
+    let (y, want) = compiled_and_interpreted(&longformer::program(&p), &inputs);
+    for row in [0, p.w - 1, p.seq_len - p.w, p.seq_len - 1] {
+        for c in 0..p.feat_len {
+            let (g, w) = (
+                y.get(&[row as i64, c as i64]),
+                want.get(&[row as i64, c as i64]),
+            );
+            assert!(
+                g.as_f64().is_finite() && (g.as_f64() - w.as_f64()).abs() < TOL,
+                "y[{row}, {c}] = {g:?}, interpreter {w:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn all_i32_histogram_is_exact() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // `h[idx[i]] += w[i]` under a parallel mark, every tensor `i32`: chunk
+    // rows, an ordered merge into a register, nothing typed as a float on
+    // the way.
+    const N: usize = 4096;
+    const BINS: usize = 16;
+    let mut fold = reduce(
+        "h",
+        [Expr::cast(DataType::I64, load("idx", [var("i")]))],
+        ReduceOp::Add,
+        load("w", [var("i")]),
+    );
+    if let StmtKind::ReduceTo { atomic, .. } = &mut fold.kind {
+        *atomic = true;
+    }
+    let f = Func::new("hist")
+        .param("idx", [N], DataType::I32, AccessType::Input)
+        .param("w", [N], DataType::I32, AccessType::Input)
+        .param("h", [BINS], DataType::I32, AccessType::Output)
         .body(for_with(
             "i",
             0,
-            ROWS,
+            N,
             ForProperty::parallel(ParallelScope::OpenMp),
-            var_def(
-                "t",
-                [COLS],
-                DataType::F32,
-                MemType::CpuHeap,
-                block([
-                    for_(
-                        "j",
-                        0,
-                        COLS,
-                        store("t", [var("j")], load("x", [var("i"), var("j")]) * 2.0f32),
-                    ),
-                    for_(
-                        "k",
-                        0,
-                        COLS,
-                        reduce("y", [var("i")], ReduceOp::Add, load("t", [var("k")])),
-                    ),
-                ]),
-            ),
+            fold,
         ));
-    let (lowered, plan) = ft_runtime::lower_and_plan(&f, &HashMap::new());
-    let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
-    assert!(c.contains("calloc("), "planned unit placed `t` in the arena:\n{c}");
+    let inputs: HashMap<String, TensorVal> = [
+        (
+            "idx".to_string(),
+            TensorVal::from_i32(
+                &[N],
+                (0..N).map(|i| ((i * 37 + 11) % BINS) as i32).collect(),
+            ),
+        ),
+        (
+            "w".to_string(),
+            TensorVal::from_i32(
+                &[N],
+                (0..N).map(|i| (i as i32 % 1000) * 2_000 - 7).collect(),
+            ),
+        ),
+    ]
+    .into_iter()
+    .collect();
+    let want = Runtime::new()
+        .run(&f, &inputs, &HashMap::new())
+        .expect("interp run");
+    let got = CompiledEngine::new()
+        .run(&f, &inputs, &HashMap::new())
+        .expect("compiled run");
+    assert_eq!(got.outputs, want.outputs);
+}
 
-    let x = TensorVal::from_f32(
-        &[ROWS, COLS],
-        (0..ROWS * COLS).map(|v| (v as f32 * 0.11).sin()).collect(),
-    );
+#[test]
+fn i64_max_reduction_is_exact_above_2_pow_53() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // 2^53 + 1 is not a double: a `max=` that compares through `fmax`
+    // answers 2^53.
+    const BIG: i64 = 1 << 53;
+    let f = Func::new("top")
+        .param("x", [4], DataType::I64, AccessType::Input)
+        .param("m", [2], DataType::I64, AccessType::Output)
+        .body(for_(
+            "i",
+            0,
+            4,
+            block([
+                reduce("m", [0], ReduceOp::Max, load("x", [var("i")])),
+                reduce("m", [1], ReduceOp::Min, -load("x", [var("i")])),
+            ]),
+        ));
+    let x = TensorVal::from_i64(&[4], vec![BIG - 1, BIG + 1, BIG, 5]);
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
     let want = Runtime::new().run(&f, &inputs, &HashMap::new()).expect("interp run");
-    let engine = CompiledEngine::new();
-    let mut ctx = ft_runtime::RunContext::new();
-    let fresh = engine.run(&f, &inputs, &HashMap::new()).expect("compiled run");
-    let planned = engine
-        .run_with(&f, &inputs, &HashMap::new(), &mut ctx)
-        .expect("compiled run with a context");
-    assert_eq!(fresh.outputs, want.outputs);
-    assert_eq!(planned.outputs, want.outputs);
+    assert_eq!(want.output("m").i64_data(), Some(&[BIG + 1, -BIG - 1][..]));
+    let got = CompiledEngine::new()
+        .run(&f, &inputs, &HashMap::new())
+        .expect("compiled run");
+    assert_eq!(got.outputs, want.outputs);
+}
+
+#[test]
+fn unknown_library_kernel_is_a_structured_error_and_spawns_no_cc() {
+    // Needs no compiler: the point is that none is asked.
+    let f = Func::new("spectrum")
+        .param("a", [4], DataType::F32, AccessType::Input)
+        .param("b", [4], DataType::F32, AccessType::Output)
+        .body(Stmt::new(StmtKind::LibCall {
+            kernel: "fft".to_string(),
+            inputs: vec!["a".to_string()],
+            outputs: vec!["b".to_string()],
+            attrs: vec![4],
+        }));
+    let inputs: HashMap<String, TensorVal> =
+        [("a".to_string(), TensorVal::from_f32(&[4], vec![1.0; 4]))]
+            .into_iter()
+            .collect();
+    let want = RuntimeError::UnknownKernel("fft".to_string());
+    let interp = Runtime::new().run(&f, &inputs, &HashMap::new());
+    assert_eq!(interp.err(), Some(want.clone()));
+
+    let metrics = Metrics::new();
+    let mut engine = CompiledEngine::new();
+    engine.set_metrics(Some(metrics.clone()));
+    let compiled = engine.run(&f, &inputs, &HashMap::new());
+    assert_eq!(compiled.err(), Some(want));
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("compiled.cc.spawned"), 0);
+    assert_eq!(snap.counter("compiled.cache.miss"), 0);
 }

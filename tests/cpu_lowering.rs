@@ -13,7 +13,10 @@
 //! * `emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged` — no
 //!   `omp atomic`/`omp critical` in any of those programs' C, and the C of
 //!   the four forward rule-scheduled programs (full and small scale) still
-//!   hashes to what the commit before the lowering emitted.
+//!   hashes to its pin: the lowering does not touch them.
+//! * `benchmark_units_stay_in_f32_under_wdouble_promotion` — the C of the
+//!   benchmark's seven units has no implicit `float`→`double` promotion and
+//!   no narrowing float conversion, says `cc`.
 
 use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
@@ -696,19 +699,23 @@ fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
     assert_eq!(hashes[0], hashes[2], "OMP_NUM_THREADS=1 vs 4");
 }
 
-/// FNV-1a of `Program::emit_c()` for the forward rule-scheduled programs at
-/// the commit before `lower_cpu_parallel` existed (980b554): they hold no
-/// atomic reduction and no nested parallel mark, so the lowering must not
-/// have moved a byte.
+/// FNV-1a of `Program::emit_c()` for the forward rule-scheduled programs:
+/// they hold no atomic reduction and no nested parallel mark, so the
+/// lowering must not move a byte of them. Pinned at the commit before
+/// `lower_cpu_parallel` existed (980b554) and re-pinned once since, when the
+/// emitter itself changed what it spells for the same IR: `f32` expressions
+/// in `float` (`expf`, `0.5f`), loop-invariant and repeated values in
+/// `const` locals, reduction targets in registers with a `simd reduction`
+/// clause, small thread-private rows as arrays (`ft-codegen/src/scalar.rs`).
 const FORWARD_RULE_C: [(&str, bool, u64); 8] = [
-    ("subdivnet", true, 0x398a_d8cc_0c5d_ff64),
-    ("subdivnet", false, 0x5335_d34c_540e_bfd6),
-    ("longformer", true, 0x62a8_2294_1e81_3537),
-    ("longformer", false, 0x3cda_07a6_cdef_2086),
-    ("softras", true, 0x663f_c44a_fe06_ab98),
-    ("softras", false, 0xd59c_df72_7204_139f),
-    ("gat", true, 0xf292_9ad3_d4f7_f5b5),
-    ("gat", false, 0x66e2_8000_1a63_13ad),
+    ("subdivnet", true, 0xfc9c_e7f4_84f9_0faa),
+    ("subdivnet", false, 0x00d9_7a47_cf14_d470),
+    ("longformer", true, 0x90d7_905d_d96a_591c),
+    ("longformer", false, 0x939c_1a35_ad35_e2b1),
+    ("softras", true, 0xaff3_4f2b_791c_1ae4),
+    ("softras", false, 0x0e9b_7874_9b6b_f7f3),
+    ("gat", true, 0x589f_2f3d_a612_afa7),
+    ("gat", false, 0x5952_44d4_f914_aebb),
 ];
 
 #[test]
@@ -732,5 +739,45 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
         );
         let h = freetensor::ir::fnv1a(p.emit_c().as_bytes());
         assert_eq!(h, want, "{name} (full scale: {full}) emits different C");
+    }
+}
+
+/// The emitter types an `f32` program's expressions in `float` from the
+/// IR's own inference (`Expr::dtype`); `cc` is the judge of whether that
+/// inference mirrors C's conversions: one `exp` for `expf`, one unsuffixed
+/// literal or one temporary of the wrong type is a warning here.
+#[test]
+fn benchmark_units_stay_in_f32_under_wdouble_promotion() {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    let units = ["subdivnet", "longformer", "softras", "gat"]
+        .map(|n| (n, Kind::Rules))
+        .into_iter()
+        .chain(["subdivnet", "longformer", "softras"].map(|n| (n, Kind::GradRules)));
+    for (name, kind) in units {
+        let c = program(name, true, kind).emit_c();
+        let mut cc = Command::new("cc")
+            .args(["-fopenmp", "-fsyntax-only", "-Werror", "-xc", "-"])
+            .args(["-Wdouble-promotion", "-Wfloat-conversion"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cc spawns");
+        cc.stdin
+            .as_mut()
+            .expect("piped stdin")
+            .write_all(c.as_bytes())
+            .expect("write source");
+        let out = cc.wait_with_output().expect("cc runs");
+        assert!(
+            out.status.success(),
+            "{name} ({kind:?}):\n{}\n--- source ---\n{c}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
