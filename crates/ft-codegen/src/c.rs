@@ -5,7 +5,7 @@ use ft_ir::{
     AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, ReduceOp, Stmt, StmtKind,
     UnaryOp,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Static preamble: headers and the tiny support library every generated
@@ -86,7 +86,9 @@ fn is_temporary(ident: &str) -> bool {
 #[derive(Debug, Default)]
 pub struct Mangler {
     used: HashSet<String>,
-    scopes: HashMap<String, Vec<String>>,
+    /// Live bindings, innermost last: IR name, C identifier. A handful at
+    /// any point, and looked up once per name the unit mentions.
+    scopes: Vec<(String, String)>,
 }
 
 impl Mangler {
@@ -110,18 +112,15 @@ impl Mangler {
             ident = format!("{base}_{n}");
         }
         self.used.insert(ident.clone());
-        self.scopes
-            .entry(name.to_string())
-            .or_default()
-            .push(ident.clone());
+        self.scopes.push((name.to_string(), ident.clone()));
         ident
     }
 
     /// Leave the innermost binding of `name` (its identifier stays
     /// reserved, so a later re-binding of a colliding name cannot reuse it).
     pub fn unbind(&mut self, name: &str) {
-        if let Some(stack) = self.scopes.get_mut(name) {
-            stack.pop();
+        if let Some(i) = self.scopes.iter().rposition(|(n, _)| n == name) {
+            self.scopes.remove(i);
         }
     }
 
@@ -137,8 +136,8 @@ impl Mangler {
     /// Append [`resolve`](Mangler::resolve)`(name)` to `out` without an
     /// intermediate `String`.
     fn put(&self, out: &mut String, name: &str) {
-        match self.scopes.get(name).and_then(|v| v.last()) {
-            Some(ident) => out.push_str(ident),
+        match self.scopes.iter().rev().find(|(n, _)| n == name) {
+            Some((_, ident)) => out.push_str(ident),
             None => out.push_str(&sanitize(name)),
         }
     }
@@ -334,6 +333,21 @@ fn float_fn(name: &str, single: bool) -> &'static str {
     }
 }
 
+/// An integer literal. Index arithmetic is mostly small constants, and
+/// `fmt` costs more than the rest of the node's emission.
+fn put_int(out: &mut String, v: i64) {
+    match u8::try_from(v) {
+        Ok(d @ 0..=9) => out.push(char::from(b'0' + d)),
+        Ok(d @ 10..=99) => {
+            out.push(char::from(b'0' + d / 10));
+            out.push(char::from(b'0' + d % 10));
+        }
+        _ => {
+            let _ = write!(out, "{v}");
+        }
+    }
+}
+
 /// A float literal as `single` or double precision source text.
 fn put_float(out: &mut String, v: f64, single: bool) {
     // The `f32` is printed with its own shortest digits, which C reads back
@@ -510,9 +524,7 @@ impl<'a> Emitter<'a> {
             }
         }
         match e {
-            Expr::IntConst(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Expr::IntConst(v) => put_int(out, *v),
             Expr::FloatConst(v) => put_float(out, *v, lit == DataType::F32),
             Expr::BoolConst(v) => {
                 let _ = write!(out, "{v}");
@@ -1100,6 +1112,7 @@ mod tests {
     use super::*;
     use ft_ir::prelude::*;
     use ft_ir::ForProperty;
+    use std::collections::HashMap;
 
     fn sample() -> Func {
         Func::new("axpy")

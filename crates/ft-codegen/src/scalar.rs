@@ -33,7 +33,7 @@
 //!   or a target the rule above refused) loses its pragma rather than
 //!   carry a `simd` promise it breaks.
 
-use ft_ir::{BinaryOp, Expr, ReduceOp, Stmt, StmtKind, UnaryOp};
+use ft_ir::{BinaryOp, Expr, Fnv1a, ReduceOp, Stmt, StmtKind, UnaryOp};
 
 /// One decision, for the statement whose pre-order number is `at`.
 #[derive(Debug)]
@@ -95,6 +95,11 @@ type Acc<'a> = (&'a str, &'a [Expr], ReduceOp);
 #[derive(Debug)]
 struct Seen<'a> {
     expr: &'a Expr,
+    /// [`fingerprint`] of `expr`: an unrolled body is a run of dozens of
+    /// loads that differ in the last term of an index, and each is looked
+    /// up among all the others, and again whenever a tensor is written.
+    hash: u64,
+    loads: u64,
     /// 0 once a write to a tensor it loads closed the entry.
     count: u32,
     first: u32,
@@ -194,6 +199,59 @@ fn loads(e: &Expr, var: &str) -> bool {
 
 fn mentions(e: &Expr, iter: &str) -> bool {
     any_node(e, &mut |n| matches!(n, Expr::Var(v) if v == iter))
+}
+
+/// The bit of tensor `name` in a set of tensors folded into 64 bits.
+fn tensor_bit(name: &str) -> u64 {
+    1 << (ft_ir::fnv1a(name.as_bytes()) & 63)
+}
+
+/// Feed the structure of `e` to `h`, and the tensors it loads to `loads`.
+fn fingerprint(e: &Expr, h: &mut Fnv1a, loads: &mut u64) {
+    match e {
+        Expr::IntConst(v) => {
+            h.write(&[0]);
+            h.write(&v.to_le_bytes());
+        }
+        Expr::FloatConst(v) => {
+            h.write(&[1]);
+            h.write(&v.to_bits().to_le_bytes());
+        }
+        Expr::BoolConst(v) => h.write(&[2, u8::from(*v)]),
+        Expr::Var(n) => {
+            h.write(&[3]);
+            h.write(n.as_bytes());
+        }
+        Expr::Load { var, indices } => {
+            h.write(&[4, indices.len() as u8]);
+            h.write(var.as_bytes());
+            *loads |= tensor_bit(var);
+            indices.iter().for_each(|i| fingerprint(i, h, loads));
+        }
+        Expr::Unary { op, a } => {
+            h.write(&[5, *op as u8]);
+            fingerprint(a, h, loads);
+        }
+        Expr::Binary { op, a, b } => {
+            h.write(&[6, *op as u8]);
+            fingerprint(a, h, loads);
+            fingerprint(b, h, loads);
+        }
+        Expr::Select {
+            cond,
+            then,
+            otherwise,
+        } => {
+            h.write(&[7]);
+            fingerprint(cond, h, loads);
+            fingerprint(then, h, loads);
+            fingerprint(otherwise, h, loads);
+        }
+        Expr::Cast { dtype, a } => {
+            h.write(&[8, *dtype as u8]);
+            fingerprint(a, h, loads);
+        }
+    }
 }
 
 /// Whether two index lists certainly address different elements.
@@ -379,8 +437,11 @@ impl<'a> Analyzer<'a> {
             return;
         }
         let costly = costly(e);
+        let (mut h, mut loads) = (Fnv1a::new(), 0);
         if costly {
-            if let Some(s) = self.seen.iter_mut().find(|s| s.count > 0 && s.expr == e) {
+            fingerprint(e, &mut h, &mut loads);
+            let repeat = |s: &&mut Seen| s.count > 0 && s.hash == h.finish() && s.expr == e;
+            if let Some(s) = self.seen.iter_mut().find(repeat) {
                 s.count += 1;
                 s.last = at;
                 return;
@@ -393,6 +454,8 @@ impl<'a> Analyzer<'a> {
         if costly {
             self.seen.push(Seen {
                 expr: e,
+                hash: h.finish(),
+                loads,
                 count: 1,
                 first: at,
                 last: at,
@@ -422,8 +485,10 @@ impl<'a> Analyzer<'a> {
             self.count(e, at);
         }
         // What loads `var` has a new value from here on.
+        let bit = tensor_bit(var);
         for i in 0..self.seen.len() {
-            if self.seen[i].count > 0 && loads(self.seen[i].expr, var) {
+            let s = &self.seen[i];
+            if s.count > 0 && s.loads & bit != 0 && loads(s.expr, var) {
                 self.close(i);
             }
         }
