@@ -10,27 +10,33 @@
 //! ```
 //!
 //! `--search` runs the evolutionary trace search (`ft_autoschedule::search`)
-//! for each selected workload on CPU: candidates are scored by running the
-//! instrumented interpreter on the workload's real inputs (deterministic
-//! `modeled_cycles`, `dram_bytes` tiebreak), and the best trace is persisted
-//! as `DIR/<workload>-cpu-<scale>.json` plus a `.history.json` with the
-//! per-generation progress. `--warm-start` seeds the mutation payoff table
-//! from an existing saved schedule. `--require-win` exits non-zero unless
-//! every searched schedule strictly beats the rule-based warm-start score —
-//! the CI smoke gate.
+//! for each selected workload on CPU. Every candidate is scored by the cost
+//! model — the instrumented interpreter on the CPU-lowered function over the
+//! workload's real inputs (deterministic `modeled_cycles`, `dram_bytes`
+//! tiebreak). On a host with a C compiler the model only picks which
+//! candidates get timed: a few per generation run as compiled kernels, the
+//! measured wall decides survivors, and the trace that is saved won a final
+//! interleaved A/B against the rule trace (see `bench::search_schedule`).
+//! The result is persisted as `DIR/<workload>-cpu-<scale>.json` plus a
+//! `.history.json` with the per-generation progress, and a measured run
+//! merges every `(modeled cycles, wall)` pair it took and their Spearman ρ
+//! into `CALIBRATION.json` next to `DIR` (`results/CALIBRATION.json` for
+//! the default `DIR`). `--warm-start` seeds the mutation payoff table from
+//! an existing saved schedule. `--require-win` exits non-zero unless every
+//! searched schedule is no worse than the rule trace on the axis the run
+//! optimized — measured wall within the rule trace's own noise when
+//! measuring, a strict modeled-cycles win otherwise — the CI smoke gate.
 //!
 //! `--replay` re-applies every committed schedule and verifies the replayed
-//! deterministic score equals the recorded one (exit non-zero on any
-//! mismatch or missing file): the committed JSONs stay honest.
+//! modeled score equals the recorded one (exit non-zero on any mismatch or
+//! missing file): the committed JSONs stay honest.
 
 use bench::{
-    bench_metrics, fmt_cycles, prepare, replay_program, search_schedule, Scale, Workload,
+    bench_metrics, calibration_record, fmt_cycles, prepare, replayed_counters, search_schedule,
+    write_calibration, Scale, Workload,
 };
-use ft_ir::Device;
-use ft_runtime::{Runtime, ScheduleScore};
+use ft_runtime::ScheduleScore;
 use ft_trace::JsonVal;
-use ft_workloads::input_pairs;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -127,10 +133,12 @@ fn search_all(
         scale.key()
     );
     println!(
-        "{:<12} {:>14} {:>14} {:>8} {:>8} {:>6} {:>10}",
-        "workload", "rule cycles", "searched", "gain", "evals", "memo", "search ms"
+        "{:<12} {:>12} {:>12} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>8} {:>8}",
+        "workload", "rule cycles", "searched", "rule us", "srch us", "noise", "evals", "timed",
+        "rho", "model s", "cc s"
     );
     let mut losses = 0usize;
+    let mut calibration = Vec::new();
     for &w in workloads {
         let prep = prepare(w, scale);
         let warm_payoff = if warm_start {
@@ -146,26 +154,41 @@ fn search_all(
             ..ft_autoschedule::search::SearchConfig::default()
         };
         let (saved, outcome) = search_schedule(&prep, &config, None, Some(bench_metrics()));
-        let win = outcome.best_score < outcome.rule_score;
+        // Never worse than the rule trace on the axis this run optimized.
+        let win = match &saved.measured {
+            Some(m) => m.wall_us <= m.rule_wall_us + m.noise_us,
+            None => outcome.best_score < outcome.rule_score,
+        };
         if !win {
             losses += 1;
         }
-        let gain = if saved.searched_cycles > 0.0 {
-            format!("{:.2}x", saved.rule_cycles / saved.searched_cycles)
-        } else {
-            "-".to_string()
+        let record = calibration_record(&saved, &outcome);
+        let us = |pick: fn(&ft_autoschedule::search::Measured) -> f64| {
+            saved
+                .measured
+                .as_ref()
+                .map_or_else(|| "-".to_string(), |m| format!("{:.1}", pick(m)))
         };
+        let rho = record
+            .as_ref()
+            .and_then(|r| r.get("spearman")?.as_f64())
+            .map_or_else(|| "-".to_string(), |r| format!("{r:.2}"));
         println!(
-            "{:<12} {:>14} {:>14} {:>8} {:>8} {:>6} {:>10.0}{}",
+            "{:<12} {:>12} {:>12} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>8.1} {:>8.1}{}",
             w.name(),
             fmt_cycles(saved.rule_cycles),
             fmt_cycles(saved.searched_cycles),
-            gain,
+            us(|m| m.rule_wall_us),
+            us(|m| m.wall_us),
+            us(|m| m.noise_us),
             outcome.evaluations,
-            outcome.memo_hits,
-            saved.search_wall_ms,
+            outcome.measurements.len(),
+            rho,
+            (saved.search_wall_ms - outcome.measure_wall_ms) / 1e3,
+            outcome.measure_wall_ms / 1e3,
             if win { "" } else { "   NO WIN" }
         );
+        calibration.extend(record);
         if let Err(e) = std::fs::create_dir_all(out_dir) {
             eprintln!("cannot create {}: {e}", out_dir.display());
             return ExitCode::from(2);
@@ -181,8 +204,13 @@ fn search_all(
             .expect("write history");
         eprintln!("wrote {} and {}", path.display(), hist_path.display());
     }
+    if !calibration.is_empty() {
+        let path = out_dir.parent().unwrap_or(out_dir).join("CALIBRATION.json");
+        write_calibration(&path, calibration).expect("write calibration");
+        eprintln!("merged into {}", path.display());
+    }
     if require_win && losses > 0 {
-        eprintln!("FAIL: {losses} workload(s) did not beat the rule-based schedule");
+        eprintln!("FAIL: {losses} workload(s) lost to the rule-based schedule");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -201,8 +229,13 @@ fn history_json(outcome: &ft_autoschedule::search::SearchOutcome) -> JsonVal {
                             ("generation".to_string(), JsonVal::Num(g.generation as f64)),
                             ("evaluations".to_string(), JsonVal::Num(g.evaluations as f64)),
                             ("memo_hits".to_string(), JsonVal::Num(g.memo_hits as f64)),
+                            ("measured".to_string(), JsonVal::Num(g.measured as f64)),
                             ("best_cycles".to_string(), JsonVal::Num(g.best_cycles)),
                             ("best_dram".to_string(), JsonVal::Num(g.best_dram as f64)),
+                            (
+                                "best_wall_us".to_string(),
+                                g.best_wall_us.map_or(JsonVal::Null, JsonVal::Num),
+                            ),
                         ])
                     })
                     .collect(),
@@ -211,6 +244,10 @@ fn history_json(outcome: &ft_autoschedule::search::SearchOutcome) -> JsonVal {
         (
             "illegal_rejected".to_string(),
             JsonVal::Num(outcome.illegal_rejected as f64),
+        ),
+        (
+            "measure_wall_ms".to_string(),
+            JsonVal::Num(outcome.measure_wall_ms),
         ),
         ("payoff".to_string(), outcome.payoff.to_json()),
     ])
@@ -241,33 +278,24 @@ fn replay_all(workloads: &[Workload], scale: Scale, out_dir: &std::path::Path) -
             }
         };
         let prep = prepare(w, scale);
-        let prog = replay_program(&prep.naive, Device::Cpu, &saved.trace);
-        let inputs: HashMap<String, ft_runtime::TensorVal> = input_pairs(&prep.inputs)
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        let r = match Runtime::new().run(prog.func(), &inputs, &HashMap::new()) {
-            Ok(r) => r,
-            Err(e) => {
-                println!("FAIL       {}: replay run failed: {e}", w.name());
-                failures += 1;
-                continue;
-            }
+        let Some(counters) = replayed_counters(&prep, &saved.trace) else {
+            println!("FAIL       {}: replay run failed", w.name());
+            failures += 1;
+            continue;
         };
-        let replayed = r.counters.score();
         let recorded = ScheduleScore::new(saved.searched_cycles, saved.searched_dram);
-        if replayed == recorded {
+        if counters.score() == recorded {
             println!(
                 "ok         {}: {} cycles, {} ops replayed deterministically",
                 w.name(),
-                fmt_cycles(r.counters.modeled_cycles),
+                fmt_cycles(counters.modeled_cycles),
                 saved.trace.len()
             );
         } else {
             println!(
                 "MISMATCH   {}: replayed {} cycles vs recorded {}",
                 w.name(),
-                fmt_cycles(r.counters.modeled_cycles),
+                fmt_cycles(counters.modeled_cycles),
                 fmt_cycles(saved.searched_cycles)
             );
             failures += 1;

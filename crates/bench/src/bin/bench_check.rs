@@ -29,11 +29,16 @@
 //!
 //! 3. **Searched schedules** — within the *current* file, every
 //!    `ft-searched` row (a committed `results/schedules/` trace replayed by
-//!    `fig16`) must beat its `ft-optimized` counterpart on the
-//!    deterministic `cycles` metric, and a *failed* `ft-searched` row is
-//!    itself **blocking**: a committed schedule that no longer replays is a
-//!    broken artifact, not a skippable case. Rows are only checked when
-//!    present — repos without committed schedules pass vacuously.
+//!    `fig16`) is held to the axis the search optimizes: its
+//!    `compiled_wall_ms` must stay within 1.10x of its `ft-optimized`
+//!    counterpart's — **blocking** at full scale, advisory at small scale,
+//!    as for `grad` rows in check 2. Its modeled `cycles` (of the
+//!    CPU-lowered program) are reported against `ft-optimized`'s and only
+//!    ever advise: the cost model picks what the search measures, it does
+//!    not decide what wins. A *failed* `ft-searched` row is itself
+//!    **blocking**: a committed schedule that no longer replays is a broken
+//!    artifact, not a skippable case. Rows are only checked when present —
+//!    repos without committed schedules pass vacuously.
 //!
 //! 4. **Memory plans** — every current row carrying both peak-bytes
 //!    fields must satisfy `peak_live_bytes_planned <=
@@ -68,9 +73,10 @@ use ft_metrics::MetricsSnapshot;
 use ft_trace::JsonVal;
 use std::process::ExitCode;
 
-/// Noise margin of the compiled-wall inversion check on gradient rows:
-/// best-of-2 timings of millisecond kernels repeat within a few percent.
-const GRAD_WALL_MARGIN: f64 = 1.10;
+/// Noise margin of the compiled-wall inversion checks (gradient rows
+/// against `ft-naive`, searched rows against `ft-optimized`): best-of-5
+/// timings of sub-millisecond kernels repeat within a few percent.
+const WALL_MARGIN: f64 = 1.10;
 
 fn field(r: &JsonVal, k: &str) -> Option<String> {
     r.get(k).and_then(JsonVal::as_str).map(str::to_string)
@@ -105,6 +111,19 @@ fn num(r: &JsonVal, k: &str) -> Option<f64> {
 
 fn failed(r: &JsonVal) -> bool {
     r.get("failure").and_then(JsonVal::as_str).is_some()
+}
+
+/// Count a compiled-wall inversion on row `r` and return its label: it
+/// blocks at full scale; at small scale a kernel of a few microseconds is
+/// all fork/join, so the row only advises.
+fn wall_finding(r: &JsonVal, blocking: &mut usize, advisories: &mut usize) -> &'static str {
+    if field(r, "scale").as_deref() == Some("full") {
+        *blocking += 1;
+        "BLOCKING"
+    } else {
+        *advisories += 1;
+        "ADVISORY"
+    }
 }
 
 fn load(path: &str) -> Result<Vec<JsonVal>, String> {
@@ -273,29 +292,23 @@ fn main() -> ExitCode {
                 num(naive, "compiled_wall_ms"),
                 num(cur, "compiled_wall_ms"),
             ) {
-                if ow <= GRAD_WALL_MARGIN * nw {
+                if ow <= WALL_MARGIN * nw {
                     println!(
                         "ok         {ck}: ft-optimized compiled wall {ow:.3}ms <= \
-                         {GRAD_WALL_MARGIN} x ft-naive {nw:.3}ms"
+                         {WALL_MARGIN} x ft-naive {nw:.3}ms"
                     );
                 } else {
-                    let full = field(cur, "scale").as_deref() == Some("full");
-                    let label = if full { "BLOCKING" } else { "ADVISORY" };
-                    if full {
-                        blocking += 1;
-                    } else {
-                        advisories += 1;
-                    }
+                    let label = wall_finding(cur, &mut blocking, &mut advisories);
                     println!(
                         "{label}   {ck}: ft-optimized compiled wall {ow:.3}ms > \
-                         {GRAD_WALL_MARGIN} x ft-naive {nw:.3}ms (inversion)"
+                         {WALL_MARGIN} x ft-naive {nw:.3}ms (inversion)"
                     );
                 }
             }
         }
     }
 
-    // --- Check 3: ft-searched must pay off over ft-optimized. ---
+    // --- Check 3: ft-searched must not lose to ft-optimized on wall. ---
     let mut searched_checked = 0usize;
     for cur in &current {
         if field(cur, "system").as_deref() != Some("ft-searched") {
@@ -318,16 +331,33 @@ fn main() -> ExitCode {
             continue;
         };
         searched_checked += 1;
+        if let (Some(ow), Some(sw)) = (
+            num(opt, "compiled_wall_ms"),
+            num(cur, "compiled_wall_ms"),
+        ) {
+            if sw <= WALL_MARGIN * ow {
+                println!(
+                    "ok         {ck}: ft-searched compiled wall {sw:.3}ms <= \
+                     {WALL_MARGIN} x ft-optimized {ow:.3}ms"
+                );
+            } else {
+                let label = wall_finding(cur, &mut blocking, &mut advisories);
+                println!(
+                    "{label}   {ck}: ft-searched compiled wall {sw:.3}ms > \
+                     {WALL_MARGIN} x ft-optimized {ow:.3}ms (search loses to the rules)"
+                );
+            }
+        }
         if let (Some(oc), Some(sc)) = (num(opt, "cycles"), num(cur, "cycles")) {
             if sc > oc {
-                blocking += 1;
+                advisories += 1;
                 println!(
-                    "BLOCKING   {ck}: ft-searched cycles {sc:.0} > ft-optimized {oc:.0} \
-                     (search does not pay off)"
+                    "ADVISORY   {ck}: ft-searched modeled cycles {sc:.0} > ft-optimized {oc:.0} \
+                     (the model disagrees with the measurement)"
                 );
             } else {
                 println!(
-                    "ok         {ck}: ft-searched cycles {sc:.0} <= ft-optimized {oc:.0}"
+                    "ok         {ck}: ft-searched modeled cycles {sc:.0} <= ft-optimized {oc:.0}"
                 );
             }
         }

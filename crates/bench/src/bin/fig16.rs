@@ -162,12 +162,16 @@ fn main() {
             // Search-found schedules ride along as a fourth system on CPU
             // forward rows, whenever a committed `results/schedules/` trace
             // exists for this (workload, scale) — replayed, not re-searched.
+            // Its compiled wall against the rules' is what the search
+            // optimized; its cycles are the model's opinion of the lowered
+            // program.
             if !grad && dev == Device::Cpu && load_saved_schedule(w, scale).is_some() {
                 let r = run_forward_capped(&prep, System::FtSearched, dev, capacity);
-                let vs_rule = if r.failure.is_none() && ft_cycles.is_finite() && r.cycles > 0.0 {
-                    format!("{:.2}x vs rule-based", ft_cycles / r.cycles)
-                } else {
-                    r.failure.clone().unwrap_or_else(|| "-".to_string())
+                let vs_rule = match (r.compiled_wall_ms, ft_compiled) {
+                    (Some(s), Some(o)) if r.failure.is_none() && s > 0.0 => {
+                        format!("compiled: {s:.3}ms, {:.2}x vs rule-based {o:.3}ms", o / s)
+                    }
+                    _ => r.failure.clone().unwrap_or_else(|| "compiled: -".to_string()),
                 };
                 println!(
                     "{:<12} {:<5} {:>74}   searched: {} ({:.1}ms) {} [search {:.0}ms]",

@@ -28,7 +28,9 @@
 //! comparisons.
 
 use ft_autodiff::{GradOptions, TapePolicy};
-use ft_autoschedule::search::{prepare_candidate, SavedSchedule, SearchConfig, SearchOutcome};
+use ft_autoschedule::search::{
+    prepare_candidate, Measured, SavedSchedule, SearchConfig, SearchOutcome,
+};
 use ft_autoschedule::Target;
 use ft_ir::{Device, Func};
 use ft_metrics::Metrics;
@@ -41,7 +43,9 @@ use ft_schedule::trace::ScheduleOp;
 use ft_trace::JsonVal;
 use ft_workloads::{gat, input_pairs, longformer, softras, subdivnet, Inputs};
 use std::collections::HashMap;
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -494,6 +498,15 @@ fn run_searched_forward(
     }
     let mut r = run_ft_both_engines(&prog, &input_pairs(&prep.inputs), config, device);
     r.search_wall_ms = Some(saved.search_wall_ms);
+    // A searched trace may carry marks the CPU lowering serializes or
+    // privatizes; its modeled columns are those of the program the kernel
+    // executes, the score the search recorded.
+    if r.failure.is_none() {
+        if let Some(c) = modeled_counters(prog.func(), &owned_inputs(&prep.inputs)) {
+            r.cycles = c.modeled_cycles;
+            r.counters = c;
+        }
+    }
     r
 }
 
@@ -542,35 +555,283 @@ pub fn replay_program(
     freetensor_core::Program::from_schedule(ft_schedule::Schedule::new(func))
 }
 
-/// Run the evolutionary schedule search for a prepared workload on CPU:
-/// the evaluator executes candidates on the instrumented interpreter over
-/// the workload's real inputs, and the result is packaged as the
-/// [`SavedSchedule`] the bench replay path consumes. Returns the saved
-/// schedule and the raw [`SearchOutcome`] (history, payoff, stats).
+/// A workload's inputs as the map the engines take.
+pub fn owned_inputs(inputs: &Inputs) -> HashMap<String, TensorVal> {
+    input_pairs(inputs)
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+}
+
+/// The cost model's counters for `func` as the CPU engines execute it: the
+/// instrumented interpreter on `lower_cpu_parallel(func)`, so a nested mark
+/// the lowering serializes earns no parallel credit and a privatized
+/// reduction pays for its rows and its merge. The one definition of a
+/// schedule's modeled score — the search evaluator, `ft-autoschedule
+/// --replay`, `fig16`'s searched rows and the committed-schedule test all
+/// call it. `None` when the interpreter cannot run the program.
+pub fn modeled_counters(func: &Func, inputs: &HashMap<String, TensorVal>) -> Option<PerfCounters> {
+    Runtime::new()
+        .run(&ft_codegen::lower_cpu_parallel(func), inputs, &HashMap::new())
+        .ok()
+        .map(|r| r.counters)
+}
+
+/// [`modeled_counters`] of `trace` replayed on `prep`'s program: what a
+/// saved schedule's `searched_cycles` / `searched_dram` must reproduce.
+pub fn replayed_counters(prep: &Prepared, trace: &[ScheduleOp]) -> Option<PerfCounters> {
+    let prog = replay_program(&prep.naive, Device::Cpu, trace);
+    modeled_counters(prog.func(), &owned_inputs(&prep.inputs))
+}
+
+/// Median of a sample (mean of the middle two for even counts).
+fn median(mut v: Vec<f64>) -> Option<f64> {
+    v.sort_by(f64::total_cmp);
+    match v.len() {
+        0 => None,
+        n if n % 2 == 1 => Some(v[n / 2]),
+        n => Some((v[n / 2 - 1] + v[n / 2]) / 2.0),
+    }
+}
+
+/// Spearman rank correlation of `(x, y)` pairs, ties sharing their mean
+/// rank. `None` for fewer than three pairs or when either side is constant.
+pub fn spearman(pairs: &[(f64, f64)]) -> Option<f64> {
+    fn ranks(v: &[f64]) -> Vec<f64> {
+        let mut idx: Vec<usize> = (0..v.len()).collect();
+        idx.sort_by(|&a, &b| v[a].total_cmp(&v[b]));
+        let mut r = vec![0.0; v.len()];
+        let mut i = 0;
+        while i < idx.len() {
+            let mut j = i;
+            while j + 1 < idx.len() && v[idx[j + 1]] == v[idx[i]] {
+                j += 1;
+            }
+            for &k in &idx[i..=j] {
+                r[k] = (i + j) as f64 / 2.0;
+            }
+            i = j + 1;
+        }
+        r
+    }
+    if pairs.len() < 3 {
+        return None;
+    }
+    let rx = ranks(&pairs.iter().map(|p| p.0).collect::<Vec<_>>());
+    let ry = ranks(&pairs.iter().map(|p| p.1).collect::<Vec<_>>());
+    let mean = (pairs.len() - 1) as f64 / 2.0;
+    let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+    for (x, y) in rx.iter().zip(&ry) {
+        sxy += (x - mean) * (y - mean);
+        sxx += (x - mean) * (x - mean);
+        syy += (y - mean) * (y - mean);
+    }
+    (sxx > 0.0 && syy > 0.0).then(|| sxy / (sxx * syy).sqrt())
+}
+
+/// OpenMP team size compiled kernels run with in this process:
+/// `OMP_NUM_THREADS` (its first level) when set, else one per hardware
+/// thread — libgomp's own default.
+fn omp_threads(nproc: u64) -> u64 {
+    std::env::var("OMP_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.split(',').next()?.trim().parse().ok())
+        .unwrap_or(nproc)
+}
+
+/// First line of `cc --version`, or empty when it cannot be asked.
+fn cc_version() -> String {
+    std::process::Command::new("cc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| Some(String::from_utf8(o.stdout).ok()?.lines().next()?.to_string()))
+        .unwrap_or_default()
+}
+
+/// Times search candidates as compiled kernels, each against the
+/// rule-scheduled kernel of the same program run alternately with it.
+///
+/// A kernel on the 2-vCPU guests this runs on has no one wall time: over
+/// seconds the same Longformer kernel drifts between 430 and 870 us (the
+/// host lending or taking the second core, by the look of it), and ten
+/// interleaved 120 ms slices of four contenders read 320/360/250 us
+/// *together*. Readings of two candidates taken a second apart therefore
+/// rank them by when they ran. What does repeat is a ratio: bursts of a few
+/// milliseconds, candidate then yardstick then candidate, see the same
+/// host, and a stalled libgomp barrier that hits both cancels. A reading is
+/// the median burst ratio times the yardstick's wall at set-up — the wall
+/// the candidate would have had then — so readings are comparable across a
+/// whole search, and what the rule trace reads against itself is the noise
+/// of the method.
+struct WallMeasurer<'a> {
+    engine: CompiledEngine,
+    inputs: &'a HashMap<String, TensorVal>,
+    /// The one context candidates run on, re-bound per candidate.
+    ctx: RunContext,
+    yardstick: Func,
+    yardstick_ctx: RunContext,
+    /// Median wall of the yardstick over the set-up's operations, in us.
+    yardstick_us: f64,
+}
+
+impl<'a> WallMeasurer<'a> {
+    /// Candidate/yardstick burst pairs behind one reading, at least; more
+    /// while they fit in [`Self::READING`].
+    const MIN_PAIRS: usize = 3;
+    /// How long one reading keeps alternating bursts: two `ftbench` slices
+    /// (12 s over 25 rounds of 4 programs), one per kernel.
+    const READING: std::time::Duration = std::time::Duration::from_millis(240);
+    const BURST: std::time::Duration = std::time::Duration::from_millis(10);
+    /// A yardstick burst this many times over its set-up wall means the
+    /// OpenMP team has lost a core (below): the pair is not a reading. The
+    /// stall is 4 ms a region, 7x the slowest yardstick here; the drift
+    /// that is not a stall stays under 2x.
+    const STALLED: f64 = 3.0;
+    /// How long a reading waits for [`Self::MIN_PAIRS`] clean pairs before
+    /// it gives up; a stall lasts about a second.
+    const GIVE_UP: std::time::Duration = std::time::Duration::from_secs(3);
+
+    /// Compile the yardstick and run it until the process's OpenMP team is
+    /// in place, then take its wall. A team's first hundred-odd regions —
+    /// and now and then a second of them mid-run — find it on one core,
+    /// and every barrier then costs a 4 ms spin (EXPERIMENTS.md, "A hazard
+    /// this does not fix"): parallel kernels read 10–70x their wall and
+    /// serial ones do not, so a search that timed through it would learn
+    /// that threads are slow. `None` when the yardstick does not build.
+    fn new(
+        cache_dir: &std::path::Path,
+        yardstick: Func,
+        inputs: &'a HashMap<String, TensorVal>,
+    ) -> Option<WallMeasurer<'a>> {
+        let engine = CompiledEngine::with_cache_dir(cache_dir);
+        let mut yardstick_ctx = RunContext::new();
+        let spin_up = std::time::Duration::from_secs(2);
+        warm_compiled_ops(&engine, &yardstick, inputs, &mut yardstick_ctx, 256, spin_up)?;
+        let slice = Self::READING / 2;
+        let ops =
+            timed_compiled_ops(&engine, &yardstick, inputs, &mut yardstick_ctx, usize::MAX, slice)?;
+        Some(WallMeasurer {
+            engine,
+            inputs,
+            ctx: RunContext::new(),
+            yardstick,
+            yardstick_ctx,
+            yardstick_us: median(ops)? * 1e3,
+        })
+    }
+
+    /// Median operation of one burst of `func`, in us: the first operation
+    /// after the switch re-warms the caches and is not counted.
+    fn burst(
+        engine: &CompiledEngine,
+        func: &Func,
+        inputs: &HashMap<String, TensorVal>,
+        ctx: &mut RunContext,
+    ) -> Option<f64> {
+        compiled_op_ms(engine, func, inputs, ctx)?;
+        let ops = timed_compiled_ops(engine, func, inputs, ctx, usize::MAX, Self::BURST)?;
+        Some(median(ops)? * 1e3)
+    }
+
+    /// One reading of `func` in microseconds. `None` when it does not build
+    /// or run, or when the host would not give [`Self::MIN_PAIRS`] clean
+    /// burst pairs in [`Self::GIVE_UP`].
+    fn measure(&mut self, func: &Func) -> Option<f64> {
+        // Candidates differ in their memory plans; the context is one
+        // program's at a time.
+        self.ctx.reset();
+        warm_up_compiled(&self.engine, func, self.inputs, &mut self.ctx)?;
+        let start = Instant::now();
+        let mut ratios = Vec::new();
+        while ratios.len() < Self::MIN_PAIRS || start.elapsed() < Self::READING {
+            if start.elapsed() > Self::GIVE_UP {
+                return None;
+            }
+            let candidate = Self::burst(&self.engine, func, self.inputs, &mut self.ctx)?;
+            let yardstick =
+                Self::burst(&self.engine, &self.yardstick, self.inputs, &mut self.yardstick_ctx)?;
+            if yardstick <= Self::STALLED * self.yardstick_us {
+                ratios.push(candidate / yardstick);
+            }
+        }
+        Some(self.yardstick_us * median(ratios)?)
+    }
+}
+
+/// Run the evolutionary schedule search for a prepared workload on CPU and
+/// package the result as the [`SavedSchedule`] the bench replay path
+/// consumes. Returns the saved schedule and the raw [`SearchOutcome`]
+/// (history, payoff, measurements).
+///
+/// The evaluator is [`modeled_counters`] over the workload's real inputs.
+/// When a C compiler is available the search also gets a measurer — a
+/// [`WallMeasurer`] on an engine of its own, with a temporary artifact
+/// cache that is removed afterwards — and the model only decides which
+/// candidates it times. Without one (tier-1 on a `cc`-less host) the model
+/// decides alone and `measured` is `None`.
 pub fn search_schedule(
     prep: &Prepared,
     config: &SearchConfig,
     sink: Option<&ft_trace::TraceSink>,
     metrics: Option<&Metrics>,
 ) -> (SavedSchedule, SearchOutcome) {
-    let inputs: HashMap<String, TensorVal> = input_pairs(&prep.inputs)
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    let sizes: HashMap<String, i64> = HashMap::new();
-    let evaluator = move |f: &Func| -> Option<PerfCounters> {
-        Runtime::new().run(f, &inputs, &sizes).ok().map(|r| r.counters)
+    static SEARCHES: AtomicU64 = AtomicU64::new(0);
+    let inputs = owned_inputs(&prep.inputs);
+    // Privatizing (or caching) a whole tensor inside a serial loop makes a
+    // kernel that zero-fills and merges it once per iteration: hundreds of
+    // times the work — SubdivNet with its three-trip `j` loop parallelized
+    // re-materializes 256 MiB of rows, measures 35 ms against 0.09 and takes
+    // the interpreter 16 s to score. Such a candidate is turned away
+    // unscored: more than `OVERSIZED` times the temporaries of the
+    // unscheduled program (or its inputs, if those are larger) per run.
+    const OVERSIZED: u64 = 64;
+    let no_sizes = HashMap::new();
+    let temporaries = |f: &Func| ft_codegen::lower_and_plan(f, &no_sizes).1.naive_alloc_bytes;
+    let input_bytes: usize = inputs.values().map(TensorVal::size_bytes).sum();
+    let limit = OVERSIZED * temporaries(prep.naive.func()).max(input_bytes as u64);
+    let evaluator = |f: &Func| {
+        if temporaries(f) > limit {
+            return None;
+        }
+        modeled_counters(f, &inputs)
     };
+    let target = Target::cpu();
     let start = Instant::now();
-    let outcome = ft_autoschedule::search::search(
+    let cache_dir = std::env::temp_dir().join(format!(
+        "ft-search-cache-{}-{}",
+        std::process::id(),
+        SEARCHES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let wall = if cc_available() {
+        let rules = ft_autoschedule::search::rule_trace(prep.naive.func(), &target);
+        let (yardstick, _) = prepare_candidate(prep.naive.func(), target.device, &rules);
+        WallMeasurer::new(&cache_dir, yardstick, &inputs).map(RefCell::new)
+    } else {
+        None
+    };
+    let measurer = wall
+        .as_ref()
+        .map(|w| move |f: &Func| w.borrow_mut().measure(f));
+    let set_up_ms = start.elapsed().as_secs_f64() * 1e3;
+    let mut outcome = ft_autoschedule::search::search(
         prep.naive.func(),
-        &Target::cpu(),
+        &target,
         config,
         &evaluator,
+        measurer.as_ref().map(|m| m as &ft_autoschedule::search::Measurer),
         sink,
         metrics,
     );
     let search_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    if wall.is_some() {
+        // Building and spinning up the yardstick is measuring cost too.
+        outcome.measure_wall_ms += set_up_ms;
+    }
+    // The kernels stay mapped for as long as the engine lives; their files
+    // are not needed for that.
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
     let saved = SavedSchedule {
         workload: prep.workload.schedule_key().to_string(),
         device: "cpu".to_string(),
@@ -584,6 +845,12 @@ pub fn search_schedule(
         rule_dram: outcome.rule_score.dram_bytes,
         trace: outcome.best_trace.clone(),
         payoff: outcome.payoff.clone(),
+        measured: outcome.measured.clone().map(|m| Measured {
+            omp_threads: omp_threads(nproc),
+            nproc,
+            cc: cc_version(),
+            ..m
+        }),
     };
     (saved, outcome)
 }
@@ -722,20 +989,12 @@ fn warm_arena_probe(
     Some(warm)
 }
 
-/// Time the native compiled engine on a CPU case: warm up (the first run
-/// pays compilation through the artifact cache on a cold start), then best
-/// of five timed runs (the VM axis takes two; these kernels are short
-/// enough that two samples leave scheduler noise in a sub-millisecond row,
-/// and `bench_check` gates on ratios of them). The warm-up is up to 20 runs
-/// or 0.3 s, not one run: the first OpenMP kernel of a process starts its
-/// team on the submitting thread's core, and until the scheduler spreads
-/// it every barrier costs a time slice (a 0.3 ms kernel measures 16–24 ms
-/// for the first few hundred milliseconds on a 2-vCPU guest). Runs go
-/// through one recycled [`RunContext`], the compile-once/run-many path:
-/// without it every call mallocs and faults in its own arena, which is most
-/// of such a kernel's wall. `None` off-CPU, without a C compiler, or when
-/// the engine fails (the compiled axis is an extra measurement, not a
-/// correctness gate — conformance owns that).
+/// Time the native compiled engine on a CPU case: best of five warm
+/// operations (the VM axis takes two; these kernels are short enough that
+/// two samples leave scheduler noise in a sub-millisecond row, and
+/// `bench_check` gates on ratios of them). `None` off-CPU, without a C
+/// compiler, or when the engine fails (the compiled axis is an extra
+/// measurement, not a correctness gate — conformance owns that).
 fn time_compiled(
     prog: &freetensor_core::Program,
     pairs: &[(&str, TensorVal)],
@@ -744,32 +1003,94 @@ fn time_compiled(
     if device != Device::Cpu || !cc_available() {
         return None;
     }
-    let engine = bench_compiled_engine();
     let inputs: HashMap<String, TensorVal> = pairs
         .iter()
         .map(|(k, v)| (k.to_string(), v.clone()))
         .collect();
-    let sizes = HashMap::new();
-    let mut ctx = RunContext::new();
-    let mut timed_run = || {
-        let start = Instant::now();
-        let r = engine.run_with(prog.func(), &inputs, &sizes, &mut ctx).ok()?;
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        ctx.recycle(r).ok()?;
-        Some(ms)
-    };
+    let ops = warm_compiled_ops(
+        bench_compiled_engine(),
+        prog.func(),
+        &inputs,
+        &mut RunContext::new(),
+        5,
+        std::time::Duration::MAX,
+    )?;
+    ops.into_iter().min_by(f64::total_cmp)
+}
+
+/// One `run_with` of `func` through `ctx`, timed in milliseconds (the
+/// recycle that follows is not). Runs go through a recycled context, the
+/// compile-once/run-many path: without it every call mallocs and faults in
+/// its own arena, which is most of a sub-millisecond kernel's wall. `None`
+/// when the engine fails.
+fn compiled_op_ms(
+    engine: &CompiledEngine,
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    ctx: &mut RunContext,
+) -> Option<f64> {
+    let start = Instant::now();
+    let r = engine.run_with(func, inputs, &HashMap::new(), ctx).ok()?;
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    ctx.recycle(r).ok()?;
+    Some(ms)
+}
+
+/// Warm `func` up on `engine`: the first run pays compilation through the
+/// artifact cache on a cold start, and it takes up to 20 runs or 0.3 s, not
+/// one run, because the first OpenMP kernel of a process starts its team on
+/// the submitting thread's core, and until the scheduler spreads it every
+/// barrier costs a time slice (a 0.3 ms kernel measures 16–24 ms for the
+/// first few hundred milliseconds on a 2-vCPU guest).
+fn warm_up_compiled(
+    engine: &CompiledEngine,
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    ctx: &mut RunContext,
+) -> Option<()> {
     let warm = Instant::now();
     for _ in 0..20 {
-        timed_run()?;
+        compiled_op_ms(engine, func, inputs, ctx)?;
         if warm.elapsed().as_secs_f64() > 0.3 {
             break;
         }
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        best = best.min(timed_run()?);
+    Some(())
+}
+
+/// Fewest operations [`timed_compiled_ops`] times before its `cap` applies.
+const MIN_TIMED_OPS: usize = 4;
+
+/// Up to `n` back-to-back [`compiled_op_ms`] readings of a warm `func`,
+/// stopping early once they have taken `cap` together and there are
+/// [`MIN_TIMED_OPS`] of them.
+fn timed_compiled_ops(
+    engine: &CompiledEngine,
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    ctx: &mut RunContext,
+    n: usize,
+    cap: std::time::Duration,
+) -> Option<Vec<f64>> {
+    let timed = Instant::now();
+    let mut ops = Vec::new();
+    while ops.len() < n && (ops.len() < MIN_TIMED_OPS || timed.elapsed() < cap) {
+        ops.push(compiled_op_ms(engine, func, inputs, ctx)?);
     }
-    Some(best)
+    Some(ops)
+}
+
+/// [`warm_up_compiled`], then [`timed_compiled_ops`].
+fn warm_compiled_ops(
+    engine: &CompiledEngine,
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    ctx: &mut RunContext,
+    n: usize,
+    cap: std::time::Duration,
+) -> Option<Vec<f64>> {
+    warm_up_compiled(engine, func, inputs, ctx)?;
+    timed_compiled_ops(engine, func, inputs, ctx, n, cap)
 }
 
 fn run_opbase_forward(prep: &Prepared, device: Device, config: DeviceConfig) -> CaseResult {
@@ -1105,15 +1426,23 @@ pub fn write_bench_json(
     kind: &str,
     records: Vec<JsonVal>,
 ) -> std::io::Result<()> {
+    write_merged(path, records, |old| {
+        old.get("kind").and_then(JsonVal::as_str) == Some(kind)
+    })
+}
+
+/// `{"version": 1, "records": [...]}` at `path`: the records already there
+/// that `replaced` does not claim, then `records`.
+fn write_merged(
+    path: &std::path::Path,
+    records: Vec<JsonVal>,
+    replaced: impl Fn(&JsonVal) -> bool,
+) -> std::io::Result<()> {
     let mut kept: Vec<JsonVal> = Vec::new();
     if let Ok(prev) = std::fs::read_to_string(path) {
         if let Ok(doc) = JsonVal::parse(&prev) {
             if let Some(old) = doc.get("records").and_then(JsonVal::as_arr) {
-                kept.extend(
-                    old.iter()
-                        .filter(|r| r.get("kind").and_then(JsonVal::as_str) != Some(kind))
-                        .cloned(),
-                );
+                kept.extend(old.iter().filter(|r| !replaced(r)).cloned());
             }
         }
     }
@@ -1126,6 +1455,66 @@ pub fn write_bench_json(
         ("records".to_string(), JsonVal::Arr(kept)),
     ]);
     std::fs::write(path, format!("{doc}\n"))
+}
+
+/// One record of `results/CALIBRATION.json`: every candidate a measured
+/// search timed for `(workload, scale)`, as `[modeled cycles on the lowered
+/// function, wall µs]` pairs in measurement order, with their Spearman ρ —
+/// how far the cost model can be trusted to pick what gets measured.
+/// `None` when the search measured nothing.
+pub fn calibration_record(saved: &SavedSchedule, outcome: &SearchOutcome) -> Option<JsonVal> {
+    if outcome.measurements.is_empty() {
+        return None;
+    }
+    let pairs: Vec<(f64, f64)> = outcome
+        .measurements
+        .iter()
+        .filter_map(|m| Some((m.cycles, m.wall_us?)))
+        .collect();
+    let host = saved.measured.clone().unwrap_or_default();
+    Some(JsonVal::Obj(vec![
+        ("workload".to_string(), JsonVal::Str(saved.workload.clone())),
+        ("scale".to_string(), JsonVal::Str(saved.scale.clone())),
+        ("seed".to_string(), JsonVal::Num(saved.seed as f64)),
+        ("budget".to_string(), JsonVal::Num(saved.budget as f64)),
+        ("omp_threads".to_string(), JsonVal::Num(host.omp_threads as f64)),
+        ("nproc".to_string(), JsonVal::Num(host.nproc as f64)),
+        ("cc".to_string(), JsonVal::Str(host.cc)),
+        ("count".to_string(), JsonVal::Num(pairs.len() as f64)),
+        (
+            "failed".to_string(),
+            JsonVal::Num((outcome.measurements.len() - pairs.len()) as f64),
+        ),
+        (
+            "spearman".to_string(),
+            spearman(&pairs).map_or(JsonVal::Null, JsonVal::Num),
+        ),
+        (
+            "pairs".to_string(),
+            JsonVal::Arr(
+                pairs
+                    .iter()
+                    .map(|(c, w)| JsonVal::Arr(vec![JsonVal::Num(*c), JsonVal::Num(*w)]))
+                    .collect(),
+            ),
+        ),
+    ]))
+}
+
+/// Write [`calibration_record`]s into the CALIBRATION.json at `path`,
+/// replacing the records of the same `(workload, scale)` and keeping the
+/// rest, so per-workload and per-scale search runs accumulate in one file.
+///
+/// # Errors
+///
+/// As [`write_bench_json`].
+pub fn write_calibration(path: &std::path::Path, records: Vec<JsonVal>) -> std::io::Result<()> {
+    let id = |r: &JsonVal| {
+        let field = |k| r.get(k).and_then(JsonVal::as_str).map(str::to_string);
+        (field("workload"), field("scale"))
+    };
+    let new: Vec<_> = records.iter().map(id).collect();
+    write_merged(path, records, |old| new.contains(&id(old)))
 }
 
 #[cfg(test)]
@@ -1337,10 +1726,11 @@ mod tests {
     #[test]
     fn searched_schedule_roundtrips_through_search_save_and_replay() {
         // The full tentpole loop at toy scale: search a few evaluations on
-        // small GAT, persist the winner, replay it through the bench path,
-        // and require the replayed deterministic score to equal the
-        // recorded one (the memoized score was produced by the very same
-        // prepare → interpret pipeline).
+        // small GAT (measuring, when this host has a C compiler), persist
+        // the winner, replay it through the bench path, and require the
+        // replayed modeled score to equal the recorded one (the memoized
+        // score was produced by the very same prepare → lower → interpret
+        // pipeline).
         let prep = prepare(Workload::Gat, Scale::Small);
         let config = SearchConfig {
             budget: 12,
@@ -1350,23 +1740,74 @@ mod tests {
         };
         let (saved, outcome) = search_schedule(&prep, &config, None, None);
         assert!(outcome.evaluations <= 12);
-        assert!(saved.searched_cycles <= saved.rule_cycles * (1.0 + 1e-6));
+        assert_eq!(saved.measured.is_some(), cc_available());
+        // Never worse than the rule trace on the axis the run optimized.
+        match &saved.measured {
+            Some(m) => {
+                assert!(m.wall_us <= m.rule_wall_us + m.noise_us, "{m:?}");
+                assert!(m.runs >= 10 && m.nproc >= 1 && m.omp_threads >= 1, "{m:?}");
+                assert!(outcome.measurements.len() >= 2, "both seeds are measured");
+            }
+            None => assert!(saved.searched_cycles <= saved.rule_cycles * (1.0 + 1e-6)),
+        }
         let back = SavedSchedule::from_json(&saved.to_json()).unwrap();
         assert_eq!(saved, back);
-        let prog = replay_program(&prep.naive, Device::Cpu, &back.trace);
-        let r = run_ft_both_engines(
-            &prog,
-            &input_pairs(&prep.inputs),
-            DeviceConfig::default(),
-            Device::Cpu,
-        );
-        assert!(r.failure.is_none(), "{:?}", r.failure);
+        let replayed = replayed_counters(&prep, &back.trace).unwrap();
         assert!(
-            r.counters.score_eq(&outcome.best_counters),
+            replayed.score_eq(&outcome.best_counters),
             "replayed counters diverged: {} vs recorded {}",
-            r.counters.modeled_cycles,
+            replayed.modeled_cycles,
             saved.searched_cycles
         );
+        // A calibration record exists exactly when something was timed.
+        let record = calibration_record(&saved, &outcome);
+        assert_eq!(record.is_some(), cc_available());
+        if let Some(r) = record {
+            let pairs = r.get("pairs").and_then(JsonVal::as_arr).unwrap().len();
+            assert_eq!(r.get("count").and_then(JsonVal::as_u64), Some(pairs as u64));
+            assert!(pairs <= outcome.measurements.len());
+        }
+    }
+
+    #[test]
+    fn spearman_ranks_with_ties_and_refuses_degenerate_samples() {
+        let rho = |p: &[(f64, f64)]| spearman(p);
+        assert_eq!(rho(&[(1.0, 10.0), (2.0, 20.0), (3.0, 90.0)]), Some(1.0));
+        assert_eq!(rho(&[(1.0, 9.0), (2.0, 5.0), (3.0, 1.0)]), Some(-1.0));
+        // Ties share their mean rank: x ranks 0.5, 0.5, 2, 3 against 0..3.
+        let tied = rho(&[(5.0, 1.0), (5.0, 2.0), (7.0, 3.0), (9.0, 4.0)]).unwrap();
+        assert!((tied - 4.5 / (4.5f64 * 5.0).sqrt()).abs() < 1e-12, "{tied}");
+        assert_eq!(rho(&[(1.0, 1.0), (2.0, 2.0)]), None, "two pairs");
+        assert_eq!(rho(&[(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)]), None, "constant side");
+    }
+
+    #[test]
+    fn calibration_file_merges_by_workload_and_scale() {
+        let path = std::env::temp_dir().join(format!(
+            "ft-calibration-test-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let rec = |w: &str, scale: &str, count: f64| {
+            JsonVal::Obj(vec![
+                ("workload".to_string(), JsonVal::Str(w.to_string())),
+                ("scale".to_string(), JsonVal::Str(scale.to_string())),
+                ("count".to_string(), JsonVal::Num(count)),
+            ])
+        };
+        write_calibration(&path, vec![rec("gat", "small", 1.0), rec("gat", "full", 2.0)]).unwrap();
+        write_calibration(&path, vec![rec("gat", "small", 3.0), rec("softras", "small", 4.0)])
+            .unwrap();
+        let doc = JsonVal::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let counts: Vec<u64> = doc
+            .get("records")
+            .and_then(JsonVal::as_arr)
+            .unwrap()
+            .iter()
+            .map(|r| r.get("count").and_then(JsonVal::as_u64).unwrap())
+            .collect();
+        assert_eq!(counts, [2, 3, 4], "gat/small replaced, gat/full kept");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

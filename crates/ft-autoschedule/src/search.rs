@@ -1,5 +1,7 @@
 //! Search-based auto-scheduling: evolutionary search over [`ScheduleOp`]
-//! traces, scored by the deterministic cost model.
+//! traces. The deterministic cost model scores every candidate; when the
+//! caller can time candidates on the hardware, the model only decides which
+//! of them get timed and the measured wall decides which one wins.
 //!
 //! Where the rule-based [`auto_schedule`](crate::auto_schedule) commits to
 //! one fixed pass order, this module *searches* the legal-schedule space the
@@ -11,19 +13,25 @@
 //!    ([`ft_schedule::trace::apply_trace`]); an illegal mutation is simply
 //!    a no-op in the trace, so the neighborhood generator never needs its
 //!    own legality model.
-//! 2. **Scoring is deterministic.** Candidates are ranked by the
-//!    instrumented cost model's `modeled_cycles` (with `dram_bytes` as
+//! 2. **The model's ranking is deterministic.** Candidates are scored by
+//!    the instrumented cost model's `modeled_cycles` (with `dram_bytes` as
 //!    tiebreak), quantized into a total order by
-//!    [`ft_runtime::ScheduleScore`] — so the same seed and budget produce
-//!    the identical best trace on any machine, at any worker count, and the
-//!    result can be gated in CI without wall-clock noise.
+//!    [`ft_runtime::ScheduleScore`] — so without a measurer the same seed
+//!    and budget produce the identical best trace on any machine, at any
+//!    worker count.
 //!
 //! The engine is workload-agnostic: the caller supplies an *evaluator*
 //! closure that runs a scheduled function on real inputs and returns its
-//! [`PerfCounters`] (the bench crate's driver runs the instrumented VM).
-//! Candidate programs are memoized on [`canonical_key`] — the printed,
-//! simplified function — so two traces that produce the same program are
-//! never evaluated twice.
+//! [`PerfCounters`] (the bench crate's driver runs the instrumented
+//! interpreter on the CPU-lowered function), and optionally a *measurer*
+//! that returns the warm wall time of the same function in microseconds
+//! (the bench crate's runs the compiled kernel). With a measurer, each
+//! generation times [`MEASURED_PER_GEN`] of its candidates, survivors and
+//! payoff credit follow the measured wall, and the returned trace is the
+//! winner of a final interleaved A/B against the rule trace. Candidate
+//! programs are memoized on [`canonical_key`] — the printed, simplified
+//! function — so two traces that produce the same program are never
+//! evaluated, or measured, twice.
 
 use crate::Target;
 use ft_ir::{Device, Func, MemType};
@@ -36,7 +44,8 @@ use ft_schedule::Schedule;
 use ft_trace::{JsonVal, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
 
 /// Knobs of one search run. Everything that affects the outcome is in here
 /// (plus the base function and target): two runs with equal configs are
@@ -165,16 +174,56 @@ pub struct GenStat {
     pub evaluations: u64,
     /// Cumulative memoization hits after this generation.
     pub memo_hits: u64,
-    /// Best modeled cycles seen so far.
+    /// Cumulative candidates handed to the measurer (0 without one).
+    pub measured: u64,
+    /// Modeled cycles of the best candidate so far.
     pub best_cycles: f64,
     /// `dram_bytes` of the best candidate so far.
     pub best_dram: u64,
+    /// Measured wall of the best candidate so far (`None` without a
+    /// measurer, or while nothing has been timed successfully).
+    pub best_wall_us: Option<f64>,
+}
+
+/// One candidate the search loop handed to the measurer: the pair the
+/// calibration report correlates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Measurement {
+    /// [`canonical_key`] of the candidate program (never repeats).
+    pub key: u64,
+    /// Its modeled cycles, from the evaluator.
+    pub cycles: f64,
+    /// Its measured wall in microseconds; `None` when the measurer failed.
+    pub wall_us: Option<f64>,
+}
+
+/// The verdict of the final A/B, and where it was taken. `search` fills
+/// the four timing fields; it cannot know what its measurer ran on, so the
+/// caller that built the measurer fills `omp_threads`, `nproc` and `cc`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Measured {
+    /// Median wall of the returned trace over the A/B, in microseconds.
+    pub wall_us: f64,
+    /// Median wall of the rule trace over the same A/B.
+    pub rule_wall_us: f64,
+    /// Interquartile range of the rule trace's A/B samples: the margin a
+    /// candidate had to beat `rule_wall_us` by to displace the rule trace.
+    pub noise_us: f64,
+    /// Alternations of the A/B (samples behind each median).
+    pub runs: u64,
+    /// OpenMP team size the kernels ran with.
+    pub omp_threads: u64,
+    /// Hardware threads of the host.
+    pub nproc: u64,
+    /// First line of `cc --version`.
+    pub cc: String,
 }
 
 /// Everything a search run produced.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// Best trace found (accepted ops only — replays deterministically).
+    /// Best trace found, minimized ([`minimize_trace`]): accepted ops only,
+    /// none of them redundant — replays deterministically.
     pub best_trace: Vec<ScheduleOp>,
     /// Its score.
     pub best_score: ScheduleScore,
@@ -196,6 +245,15 @@ pub struct SearchOutcome {
     pub history: Vec<GenStat>,
     /// Final payoff statistics (persist for warm starts).
     pub payoff: PayoffTable,
+    /// The final A/B between `best_trace` and `rule_trace`; `None` without
+    /// a measurer, or when the rule trace itself could not be measured.
+    pub measured: Option<Measured>,
+    /// Every candidate the generations measured, in measurement order (the
+    /// A/B's repeat measurements are not in here).
+    pub measurements: Vec<Measurement>,
+    /// Wall-clock milliseconds spent inside the measurer (compiling and
+    /// timing), the A/B included.
+    pub measure_wall_ms: f64,
 }
 
 /// A prepared candidate: the trace applied and simplified, exactly the way
@@ -402,27 +460,37 @@ fn random_op(rng: &mut StdRng, payoff: &PayoffTable) -> ScheduleOp {
     }
 }
 
+/// What candidates are ranked by, lower first: measured wall in
+/// nanoseconds, then the model's score. Without a measurer the wall is 0
+/// for everyone and the model decides alone; with one, a candidate nothing
+/// has timed (or whose measurement failed) carries `u64::MAX` and ranks
+/// behind every timed one.
+type Fitness = (u64, ScheduleScore);
+
+/// Fitness of a candidate that failed to run, or that the budget starved.
+const WORST: Fitness = (u64::MAX, worst_score());
+
 /// One member of the population.
 #[derive(Debug, Clone)]
 struct Indiv {
     key: u64,
     trace: Vec<ScheduleOp>,
-    score: ScheduleScore,
+    fitness: Fitness,
 }
 
 /// A proposed candidate: the trace, the op kinds its mutation introduced
-/// (for payoff credit), and the parent score it must beat to count a win.
+/// (for payoff credit), and the parent fitness it must beat to count a win.
 struct Proposal {
     trace: Vec<ScheduleOp>,
     credited: Vec<&'static str>,
-    parent_score: ScheduleScore,
+    parent_fitness: Fitness,
 }
 
 /// Tournament selection: the better of two uniform draws.
 fn select<'a>(rng: &mut StdRng, pop: &'a [Indiv]) -> &'a Indiv {
     let a = &pop[rng.gen_range(0..pop.len())];
     let b = &pop[rng.gen_range(0..pop.len())];
-    if a.score <= b.score {
+    if a.fitness <= b.fitness {
         a
     } else {
         b
@@ -464,7 +532,7 @@ fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable, max_len: usize
     Proposal {
         trace,
         credited,
-        parent_score: parent.score,
+        parent_fitness: parent.fitness,
     }
 }
 
@@ -479,8 +547,283 @@ fn op_kind_name(op: &ScheduleOp) -> &'static str {
 }
 
 /// Score of a failed (or budget-starved) candidate: ranks strictly last.
-fn worst_score() -> ScheduleScore {
-    ScheduleScore::new(f64::INFINITY, u64::MAX)
+const fn worst_score() -> ScheduleScore {
+    ScheduleScore {
+        cycles_q: u64::MAX,
+        dram_bytes: u64::MAX,
+    }
+}
+
+/// Candidates handed to the measurer per generation: the three the model
+/// ranks best among those nothing has timed yet, plus one drawn by the
+/// seeded RNG from the rest — so the model is also sampled where it
+/// expects nothing, which is where a miscalibrated model hides winners.
+pub const MEASURED_PER_GEN: usize = 4;
+
+/// Measured candidates that meet the rule trace in the final A/B.
+pub const FINALISTS: usize = 3;
+
+/// Alternations of the final A/B (samples per contender).
+pub const AB_ROUNDS: usize = 10;
+
+/// Drop, one at a time to a fixpoint, every op of `trace` whose removal
+/// leaves the [`canonical_key`] of the prepared program unchanged: repeated
+/// marks, ops a later op undoes, ops that were no-ops where they applied.
+/// The result replays to the same program with nothing left to drop
+/// (minimizing twice is the identity).
+pub fn minimize_trace(base: &Func, device: Device, trace: &[ScheduleOp]) -> Vec<ScheduleOp> {
+    let mut cur = prepare(base, device, trace);
+    let mut i = 0;
+    while i < cur.accepted.len() {
+        let mut shorter = cur.accepted.clone();
+        shorter.remove(i);
+        let p = prepare(base, device, &shorter);
+        if p.key == cur.key {
+            // Everything before `i` was already tried against this program
+            // with one more op in the trace; an op that could not go then
+            // may be able to now, so start over.
+            cur = p;
+            i = 0;
+        } else {
+            i += 1;
+        }
+    }
+    cur.accepted
+}
+
+/// Median of a non-empty sample (mean of the middle two for even counts).
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// The cost model as [`search`] sees it: the counters of a scheduled
+/// function on real inputs, `None` when it fails to run.
+pub type Evaluator<'a> = dyn Fn(&Func) -> Option<PerfCounters> + Sync + 'a;
+
+/// The hardware as [`search`] sees it: the warm wall of a scheduled
+/// function in microseconds, `None` when it fails to build or run.
+pub type Measurer<'a> = dyn Fn(&Func) -> Option<f64> + 'a;
+
+/// What the search knows about one distinct candidate program.
+struct Seen {
+    /// Discovery order: the tiebreak that keeps "the first best wins".
+    order: usize,
+    /// Accepted ops of the first trace that produced this program.
+    trace: Vec<ScheduleOp>,
+    /// `None` when the evaluator could not run it.
+    counters: Option<PerfCounters>,
+    score: ScheduleScore,
+    /// `None`: never handed to the measurer. `Some(None)`: the measurer
+    /// failed on it. `Some(Some(us))`: its warm wall.
+    wall: Option<Option<f64>>,
+}
+
+/// The mutable state of one [`search`] run and the two things it is given
+/// to judge candidates with.
+struct Searcher<'a> {
+    base: &'a Func,
+    device: Device,
+    workers: usize,
+    budget: u64,
+    evaluator: &'a Evaluator<'a>,
+    measurer: Option<&'a Measurer<'a>>,
+    rng: StdRng,
+    seen: BTreeMap<u64, Seen>,
+    evals: u64,
+    memo_hits: u64,
+    illegal: u64,
+    measurements: Vec<Measurement>,
+    measure_time: Duration,
+}
+
+impl Searcher<'_> {
+    fn fitness(&self, key: u64) -> Fitness {
+        let Some(s) = self.seen.get(&key) else {
+            return WORST;
+        };
+        let wall_ns = match (self.measurer, s.wall) {
+            (None, _) => 0,
+            (Some(_), Some(Some(us))) => (us * 1e3) as u64,
+            (Some(_), _) => u64::MAX,
+        };
+        (wall_ns, s.score)
+    }
+
+    /// The best candidate that ran, by fitness, earliest discovered first.
+    fn best(&self) -> Option<&Seen> {
+        self.seen
+            .iter()
+            .filter(|(_, s)| s.counters.is_some())
+            .min_by_key(|(k, s)| (self.fitness(**k), s.order))
+            .map(|(_, s)| s)
+    }
+
+    fn measure(&mut self, func: &Func) -> Option<f64> {
+        let measurer = self.measurer?;
+        let start = Instant::now();
+        // A measurer that answers with something that is not a time has
+        // failed, whatever it meant.
+        let wall = measurer(func).filter(|us| us.is_finite() && *us >= 0.0);
+        self.measure_time += start.elapsed();
+        wall
+    }
+
+    /// One batch: prepare in parallel, dedupe against the memo, evaluate
+    /// misses in parallel, fold results sequentially in batch order, then —
+    /// the workers having joined — time this batch's share of candidates on
+    /// the calling thread. Returns each trace's program key and accepted
+    /// ops, in batch order.
+    fn run_batch(&mut self, traces: &[Vec<ScheduleOp>]) -> Vec<(u64, Vec<ScheduleOp>)> {
+        let (base, device) = (self.base, self.device);
+        let prepared: Vec<Prepared> = par_map(traces, self.workers, |t| prepare(base, device, t));
+        // Sequential dedup: first occurrence of each unseen key becomes a
+        // miss, capped by the remaining budget (deterministically: later
+        // candidates in the batch are the ones starved).
+        let mut miss_idx: Vec<usize> = Vec::new();
+        let mut batch_new: BTreeSet<u64> = BTreeSet::new();
+        for (i, p) in prepared.iter().enumerate() {
+            self.illegal += p.rejected;
+            if self.seen.contains_key(&p.key) || batch_new.contains(&p.key) {
+                self.memo_hits += 1;
+            } else if (self.evals + miss_idx.len() as u64) < self.budget {
+                batch_new.insert(p.key);
+                miss_idx.push(i);
+            }
+        }
+        let miss_funcs: Vec<&Func> = miss_idx.iter().map(|&i| &prepared[i].func).collect();
+        let evaluator = self.evaluator;
+        let fresh: Vec<Option<PerfCounters>> = par_map(&miss_funcs, self.workers, |f| evaluator(f));
+        for (&i, counters) in miss_idx.iter().zip(fresh) {
+            self.evals += 1;
+            let order = self.seen.len();
+            self.seen.insert(
+                prepared[i].key,
+                Seen {
+                    order,
+                    trace: prepared[i].accepted.clone(),
+                    score: counters
+                        .as_ref()
+                        .map_or_else(worst_score, PerfCounters::score),
+                    counters,
+                    wall: None,
+                },
+            );
+        }
+        if self.measurer.is_some() {
+            // Distinct programs of this batch that the model could run and
+            // nothing has timed, best modeled first.
+            let untimed = |key: &u64| {
+                self.seen
+                    .get(key)
+                    .is_some_and(|s| s.counters.is_some() && s.wall.is_none())
+            };
+            let mut pool: Vec<usize> = (0..prepared.len())
+                .filter(|&i| untimed(&prepared[i].key))
+                .collect();
+            pool.sort_by_key(|&i| (self.seen[&prepared[i].key].score, prepared[i].key));
+            pool.dedup_by_key(|i| prepared[*i].key);
+            let favourites = MEASURED_PER_GEN - 1;
+            let mut picks: Vec<usize> = pool.iter().copied().take(favourites).collect();
+            if pool.len() > favourites {
+                picks.push(pool[self.rng.gen_range(favourites..pool.len())]);
+            }
+            for i in picks {
+                let wall_us = self.measure(&prepared[i].func);
+                let s = self
+                    .seen
+                    .get_mut(&prepared[i].key)
+                    .expect("pooled from seen");
+                s.wall = Some(wall_us);
+                self.measurements.push(Measurement {
+                    key: prepared[i].key,
+                    cycles: s.score.cycles(),
+                    wall_us,
+                });
+            }
+        }
+        prepared.into_iter().map(|p| (p.key, p.accepted)).collect()
+    }
+
+    /// The final interleaved A/B: the rule trace against the best
+    /// [`FINALISTS`] measured candidates, [`AB_ROUNDS`] samples each, in an
+    /// order that reverses every round so no contender always runs behind
+    /// the same neighbour. Returns the winner's key and the verdict; the
+    /// rule trace is displaced only by a contender whose median beats its
+    /// own by more than the interquartile range of its own samples. `None`
+    /// when the rule trace has no measurement to defend (no measurer, or
+    /// the measurer fails on it).
+    fn final_ab(&mut self, rule_key: u64) -> Option<(u64, Measured)> {
+        self.seen.get(&rule_key)?.wall??;
+        let mut finalists: Vec<u64> = self
+            .seen
+            .iter()
+            .filter(|(k, s)| **k != rule_key && s.wall.flatten().is_some())
+            .map(|(k, _)| *k)
+            .collect();
+        finalists.sort_by_key(|k| (self.fitness(*k), self.seen[k].order));
+        finalists.truncate(FINALISTS);
+        let contenders: Vec<u64> = std::iter::once(rule_key).chain(finalists).collect();
+        let funcs: Vec<Func> = contenders
+            .iter()
+            .map(|k| prepare(self.base, self.device, &self.seen[k].trace).func)
+            .collect();
+        let mut samples: Vec<Vec<f64>> = vec![Vec::new(); contenders.len()];
+        for round in 0..AB_ROUNDS {
+            let mut order: Vec<usize> = (0..contenders.len()).collect();
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            for c in order {
+                if let Some(us) = self.measure(&funcs[c]) {
+                    samples[c].push(us);
+                }
+            }
+        }
+        // A contender the measurer failed on even once has no full sample.
+        for s in &mut samples {
+            s.sort_by(f64::total_cmp);
+        }
+        let full_median = |s: &Vec<f64>| (s.len() == AB_ROUNDS).then(|| median(s));
+        let rule = &samples[0];
+        let rule_wall_us = full_median(rule)?;
+        let noise_us = rule[AB_ROUNDS * 3 / 4] - rule[AB_ROUNDS / 4];
+        let (winner, wall_us) = samples
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter_map(|(c, s)| Some((c, full_median(s)?)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .filter(|(_, m)| rule_wall_us - m > noise_us)
+            .unwrap_or((0, rule_wall_us));
+        Some((
+            contenders[winner],
+            Measured {
+                wall_us,
+                rule_wall_us,
+                noise_us,
+                runs: AB_ROUNDS as u64,
+                ..Measured::default()
+            },
+        ))
+    }
+
+    fn gen_stat(&self, generation: u64) -> GenStat {
+        let best = self.best();
+        GenStat {
+            generation,
+            evaluations: self.evals,
+            memo_hits: self.memo_hits,
+            measured: self.measurements.len() as u64,
+            best_cycles: best.map_or(f64::INFINITY, |s| s.score.cycles()),
+            best_dram: best.map_or(u64::MAX, |s| s.score.dram_bytes),
+            best_wall_us: best.and_then(|s| s.wall.flatten()),
+        }
+    }
 }
 
 /// Run the evolutionary search. See the module docs for the model; the
@@ -497,11 +840,26 @@ fn worst_score() -> ScheduleScore {
 ///
 /// `evaluator` returns `None` for candidates that fail to run; they rank
 /// strictly last and can never become the best.
+///
+/// With a `measurer` (called on this thread only, never while evaluator
+/// workers run) the model stops being the objective: each generation —
+/// generation 0's two seeds included — hands the measurer
+/// [`MEASURED_PER_GEN`] of its not-yet-timed distinct candidates, ranks
+/// population and payoff credit by measured wall (an untimed candidate
+/// ranks behind every timed one and earns its op kinds neither a trial nor
+/// a win), and the returned trace is the winner of a final interleaved A/B:
+/// the rule trace against the best [`FINALISTS`] measured candidates,
+/// [`AB_ROUNDS`] readings each, the rule trace displaced only by a median
+/// that beats its own by more than the interquartile range of its own
+/// readings ([`SearchOutcome::measured`]). The outcome is then as
+/// repeatable as the measurer is. Without one this is the deterministic
+/// model-ranked loop, the RNG stream included.
 pub fn search(
     base: &Func,
     target: &Target,
     config: &SearchConfig,
-    evaluator: &(dyn Fn(&Func) -> Option<PerfCounters> + Sync),
+    evaluator: &Evaluator<'_>,
+    measurer: Option<&Measurer<'_>>,
     sink: Option<&TraceSink>,
     metrics: Option<&Metrics>,
 ) -> SearchOutcome {
@@ -510,170 +868,144 @@ pub fn search(
         Device::Cpu,
         "trace search is CPU-only (the trace vocabulary parallelizes onto OpenMP)"
     );
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut payoff = config.warm_payoff.clone().unwrap_or_default();
-    let mut memo: BTreeMap<u64, ScheduleScore> = BTreeMap::new();
-    let mut best: Option<(Vec<ScheduleOp>, ScheduleScore, PerfCounters)> = None;
     let mut pop: Vec<Indiv> = Vec::new();
-    let mut evals: u64 = 0;
-    let mut memo_hits: u64 = 0;
-    let mut illegal: u64 = 0;
     let mut history: Vec<GenStat> = Vec::new();
-    let budget = config.budget as u64;
-    let workers = config.workers.max(1);
-
-    // One batch: prepare in parallel, dedupe against the memo, evaluate
-    // misses in parallel, then fold results sequentially in batch order.
-    let run_batch = |traces: &[Vec<ScheduleOp>],
-                         evals: &mut u64,
-                         memo_hits: &mut u64,
-                         illegal: &mut u64,
-                         memo: &mut BTreeMap<u64, ScheduleScore>,
-                         best: &mut Option<(Vec<ScheduleOp>, ScheduleScore, PerfCounters)>|
-     -> Vec<(u64, Vec<ScheduleOp>, ScheduleScore)> {
-        let prepared: Vec<Prepared> =
-            par_map(traces, workers, |t| prepare(base, target.device, t));
-        // Sequential dedup: first occurrence of each unseen key becomes a
-        // miss, capped by the remaining budget (deterministically: later
-        // candidates in the batch are the ones starved).
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut batch_new: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for (i, p) in prepared.iter().enumerate() {
-            *illegal += p.rejected;
-            if memo.contains_key(&p.key) || batch_new.contains(&p.key) {
-                *memo_hits += 1;
-            } else if (*evals + miss_idx.len() as u64) < budget {
-                batch_new.insert(p.key);
-                miss_idx.push(i);
-            }
+    let mut st = Searcher {
+        base,
+        device: target.device,
+        workers: config.workers.max(1),
+        budget: config.budget as u64,
+        evaluator,
+        measurer,
+        rng: StdRng::seed_from_u64(config.seed),
+        seen: BTreeMap::new(),
+        evals: 0,
+        memo_hits: 0,
+        illegal: 0,
+        measurements: Vec::new(),
+        measure_time: Duration::ZERO,
+    };
+    let report = |st: &Searcher, generation: u64, history: &mut Vec<GenStat>| {
+        let g = st.gen_stat(generation);
+        if let Some(m) = metrics {
+            m.gauge("search.best_cycles")
+                .set(if g.best_cycles.is_finite() {
+                    g.best_cycles as i64
+                } else {
+                    i64::MAX
+                });
         }
-        let miss_funcs: Vec<&Func> = miss_idx.iter().map(|&i| &prepared[i].func).collect();
-        let fresh: Vec<Option<PerfCounters>> =
-            par_map(&miss_funcs, workers, |f| evaluator(f));
-        for (&i, counters) in miss_idx.iter().zip(fresh) {
-            *evals += 1;
-            let score = counters
-                .as_ref()
-                .map_or_else(worst_score, PerfCounters::score);
-            memo.insert(prepared[i].key, score);
-            if let Some(c) = counters {
-                let better = best.as_ref().is_none_or(|(_, bs, _)| score < *bs);
-                if better {
-                    *best = Some((prepared[i].accepted.clone(), score, c));
-                }
-            }
-        }
-        prepared
-            .into_iter()
-            .map(|p| {
-                let score = memo.get(&p.key).copied().unwrap_or_else(worst_score);
-                (p.key, p.accepted, score)
-            })
-            .collect()
+        history.push(g);
     };
 
     // Generation 0: warm-start seeds (empty trace + rule-mirroring trace).
     let rtrace = rule_trace(base, target);
     let seeds = vec![Vec::new(), rtrace.clone()];
     let mut span0 = sink.map(|s| s.span("search", "generation"));
-    let seeded = run_batch(
-        &seeds, &mut evals, &mut memo_hits, &mut illegal, &mut memo, &mut best,
-    );
-    let rule_score = seeded[1].2;
-    for (key, trace, score) in seeded {
-        pop.push(Indiv { key, trace, score });
+    let seeded = st.run_batch(&seeds);
+    let rule_key = seeded[1].0;
+    let rule_score = st.fitness(rule_key).1;
+    for (key, trace) in seeded {
+        let fitness = st.fitness(key);
+        pop.push(Indiv {
+            key,
+            trace,
+            fitness,
+        });
     }
     if let Some(s) = &mut span0 {
         s.arg("gen", 0);
-        s.arg("evaluations", evals);
+        s.arg("evaluations", st.evals);
     }
     drop(span0);
-    if let Some(m) = metrics {
-        m.gauge("search.best_cycles")
-            .set(best.as_ref().map_or(i64::MAX, |(_, s, _)| s.cycles() as i64));
-    }
-    history.push(GenStat {
-        generation: 0,
-        evaluations: evals,
-        memo_hits,
-        best_cycles: best.as_ref().map_or(f64::INFINITY, |(_, s, _)| s.cycles()),
-        best_dram: best.as_ref().map_or(u64::MAX, |(_, s, _)| s.dram_bytes),
-    });
+    report(&st, 0, &mut history);
 
     let mut generations: u64 = 0;
-    while evals < budget && !pop.is_empty() {
+    while st.evals < st.budget && !pop.is_empty() {
         generations += 1;
         let mut span = sink.map(|s| s.span("search", "generation"));
         // Propose sequentially (single RNG stream → deterministic).
         let proposals: Vec<Proposal> = (0..config.generation_size)
-            .map(|_| propose(&mut rng, &pop, &payoff, config.max_trace_len))
+            .map(|_| propose(&mut st.rng, &pop, &payoff, config.max_trace_len))
             .collect();
         let traces: Vec<Vec<ScheduleOp>> = proposals.iter().map(|p| p.trace.clone()).collect();
-        let evals_before = evals;
-        let scored = run_batch(
-            &traces, &mut evals, &mut memo_hits, &mut illegal, &mut memo, &mut best,
-        );
+        let (evals_before, measured_before) = (st.evals, st.measurements.len());
+        let scored = st.run_batch(&traces);
+        // A candidate timed in this batch may already sit in the
+        // population from an earlier, untimed appearance.
+        for ind in &mut pop {
+            ind.fitness = st.fitness(ind.key);
+        }
         // Sequential fold in proposal order: payoff credit + population.
-        for (prop, (key, accepted, score)) in proposals.iter().zip(scored) {
-            let improved = score < prop.parent_score;
-            for kind in &prop.credited {
-                payoff.credit(kind, improved);
+        for (prop, (key, trace)) in proposals.iter().zip(scored) {
+            let fitness = st.fitness(key);
+            let judged = measurer.is_none() || fitness.0 != u64::MAX;
+            if judged {
+                for kind in &prop.credited {
+                    payoff.credit(kind, fitness < prop.parent_fitness);
+                }
             }
             pop.push(Indiv {
                 key,
-                trace: accepted,
-                score,
+                trace,
+                fitness,
             });
         }
         // Survivor selection: best-first, deduped by canonical key so the
         // population can't collapse into copies of one schedule.
-        pop.sort_by(|a, b| a.score.cmp(&b.score).then(a.key.cmp(&b.key)));
+        pop.sort_by(|a, b| a.fitness.cmp(&b.fitness).then(a.key.cmp(&b.key)));
         pop.dedup_by_key(|i| i.key);
         pop.truncate(config.population.max(1));
+        report(&st, generations, &mut history);
         if let Some(s) = &mut span {
             s.arg("gen", generations);
-            s.arg("evaluations", evals - evals_before);
-            s.arg(
-                "best_cycles",
-                best.as_ref().map_or(f64::INFINITY, |(_, sc, _)| sc.cycles()),
-            );
+            s.arg("evaluations", st.evals - evals_before);
+            s.arg("measured", st.measurements.len() - measured_before);
+            s.arg("best_cycles", history[history.len() - 1].best_cycles);
         }
         if let Some(m) = metrics {
-            m.gauge("search.best_cycles")
-                .set(best.as_ref().map_or(i64::MAX, |(_, s, _)| s.cycles() as i64));
             m.counter("search.generations").inc();
         }
-        history.push(GenStat {
-            generation: generations,
-            evaluations: evals,
-            memo_hits,
-            best_cycles: best.as_ref().map_or(f64::INFINITY, |(_, s, _)| s.cycles()),
-            best_dram: best.as_ref().map_or(u64::MAX, |(_, s, _)| s.dram_bytes),
-        });
     }
 
+    let ab = st.final_ab(rule_key);
     if let Some(m) = metrics {
-        m.counter("search.evaluations").add(evals);
-        m.counter("search.memo.hit").add(memo_hits);
-        m.counter("search.illegal_rejected").add(illegal);
+        m.counter("search.evaluations").add(st.evals);
+        m.counter("search.memo.hit").add(st.memo_hits);
+        m.counter("search.illegal_rejected").add(st.illegal);
+        m.counter("search.measured")
+            .add(st.measurements.len() as u64);
     }
-    let (best_trace, best_score, best_counters) = best.unwrap_or_else(|| {
+    let winner = match &ab {
+        Some((key, _)) => st.seen.get(key),
+        None => st.best(),
+    };
+    let (best_trace, best_score, best_counters) = match winner {
+        Some(s) => (
+            minimize_trace(base, target.device, &s.trace),
+            s.score,
+            s.counters.clone().unwrap_or_default(),
+        ),
         // Every evaluation failed (evaluator returned None throughout):
         // surface the rule trace with a worst score rather than panicking.
-        (rtrace.clone(), worst_score(), PerfCounters::default())
-    });
+        None => (rtrace.clone(), worst_score(), PerfCounters::default()),
+    };
     SearchOutcome {
         best_trace,
         best_score,
         best_counters,
         rule_trace: rtrace,
         rule_score,
-        evaluations: evals,
-        memo_hits,
-        illegal_rejected: illegal,
+        evaluations: st.evals,
+        memo_hits: st.memo_hits,
+        illegal_rejected: st.illegal,
         generations,
         history,
         payoff,
+        measured: ab.map(|(_, m)| m),
+        measurements: st.measurements,
+        measure_wall_ms: st.measure_time.as_secs_f64() * 1e3,
     }
 }
 
@@ -708,6 +1040,53 @@ pub struct SavedSchedule {
     pub trace: Vec<ScheduleOp>,
     /// Final payoff table, for warm-starting future searches.
     pub payoff: PayoffTable,
+    /// The measured verdict behind `trace`; `None` for a schedule searched
+    /// on the model alone (no C compiler, or a file from before the field).
+    pub measured: Option<Measured>,
+}
+
+impl Measured {
+    fn to_json(&self) -> JsonVal {
+        JsonVal::Obj(vec![
+            ("wall_us".to_string(), JsonVal::Num(self.wall_us)),
+            ("rule_wall_us".to_string(), JsonVal::Num(self.rule_wall_us)),
+            ("noise_us".to_string(), JsonVal::Num(self.noise_us)),
+            ("runs".to_string(), JsonVal::Num(self.runs as f64)),
+            (
+                "omp_threads".to_string(),
+                JsonVal::Num(self.omp_threads as f64),
+            ),
+            ("nproc".to_string(), JsonVal::Num(self.nproc as f64)),
+            ("cc".to_string(), JsonVal::Str(self.cc.clone())),
+        ])
+    }
+
+    fn from_json(v: &JsonVal) -> Result<Measured, String> {
+        let time = |key: &str| -> Result<f64, String> {
+            v.get(key)
+                .and_then(JsonVal::as_f64)
+                .filter(|us| us.is_finite() && *us >= 0.0)
+                .ok_or_else(|| format!("`measured.{key}` is not a time in microseconds"))
+        };
+        let count = |key: &str| -> Result<u64, String> {
+            v.get(key)
+                .and_then(JsonVal::as_u64)
+                .ok_or_else(|| format!("`measured.{key}` is not a count"))
+        };
+        Ok(Measured {
+            wall_us: time("wall_us")?,
+            rule_wall_us: time("rule_wall_us")?,
+            noise_us: time("noise_us")?,
+            runs: count("runs")?,
+            omp_threads: count("omp_threads")?,
+            nproc: count("nproc")?,
+            cc: v
+                .get("cc")
+                .and_then(JsonVal::as_str)
+                .ok_or("`measured.cc` is not a string")?
+                .to_string(),
+        })
+    }
 }
 
 impl SavedSchedule {
@@ -718,7 +1097,7 @@ impl SavedSchedule {
 
     /// Serialize as a JSON document.
     pub fn to_json(&self) -> String {
-        JsonVal::Obj(vec![
+        let mut fields = vec![
             ("workload".to_string(), JsonVal::Str(self.workload.clone())),
             ("device".to_string(), JsonVal::Str(self.device.clone())),
             ("scale".to_string(), JsonVal::Str(self.scale.clone())),
@@ -734,11 +1113,15 @@ impl SavedSchedule {
                 JsonVal::Arr(self.trace.iter().map(op_to_json).collect()),
             ),
             ("payoff".to_string(), self.payoff.to_json()),
-        ])
-        .to_string()
+        ];
+        if let Some(m) = &self.measured {
+            fields.push(("measured".to_string(), m.to_json()));
+        }
+        JsonVal::Obj(fields).to_string()
     }
 
-    /// Parse [`SavedSchedule::to_json`] output.
+    /// Parse [`SavedSchedule::to_json`] output. Fields this version does
+    /// not know are ignored; `measured` may be absent.
     ///
     /// # Errors
     ///
@@ -784,6 +1167,7 @@ impl SavedSchedule {
             rule_dram: num_field("rule_dram")? as u64,
             trace,
             payoff,
+            measured: v.get("measured").map(Measured::from_json).transpose()?,
         })
     }
 }
@@ -851,7 +1235,7 @@ mod tests {
                 workers,
                 ..SearchConfig::default()
             };
-            search(&f, &t, &config, &toy_eval, None, None)
+            search(&f, &t, &config, &toy_eval, None, None, None)
         };
         let a = run(1);
         let b = run(1);
@@ -875,7 +1259,7 @@ mod tests {
             seed: 2022,
             ..SearchConfig::default()
         };
-        let out = search(&f, &t, &config, &toy_eval, None, Some(&metrics));
+        let out = search(&f, &t, &config, &toy_eval, None, None, Some(&metrics));
         assert!(out.best_score <= out.rule_score);
         assert!(out.evaluations <= 32);
         // The winner must replay to the same score it was recorded with.
@@ -891,13 +1275,220 @@ mod tests {
         assert!(snap.gauges.contains_key("search.best_cycles"));
     }
 
+    /// A hardware that hates threads: every OpenMP mark costs more than the
+    /// whole serial program. The model believes the opposite.
+    fn charges_parallel_marks(f: &Func) -> Option<f64> {
+        Some(100.0 + 500.0 * f.to_string().matches("parallel=").count() as f64)
+    }
+
+    fn parallel_marks(f: &Func, trace: &[ScheduleOp]) -> usize {
+        let (scheduled, _) = prepare_candidate(f, Device::Cpu, trace);
+        scheduled.to_string().matches("parallel=").count()
+    }
+
+    fn measured_config() -> SearchConfig {
+        SearchConfig {
+            budget: 40,
+            seed: 2022,
+            ..SearchConfig::default()
+        }
+    }
+
     #[test]
-    fn saved_schedule_roundtrips() {
+    fn the_returned_trace_follows_the_measurer_where_it_disagrees_with_the_model() {
+        let f = toy();
+        let t = Target::cpu();
+        let config = measured_config();
+        let modeled = search(&f, &t, &config, &toy_eval, None, None, None);
+        assert!(
+            parallel_marks(&f, &modeled.best_trace) > 0,
+            "the model alone is expected to parallelize the toy"
+        );
+        assert!(modeled.measured.is_none() && modeled.measurements.is_empty());
+        let out = search(
+            &f,
+            &t,
+            &config,
+            &toy_eval,
+            Some(&charges_parallel_marks),
+            None,
+            None,
+        );
+        assert_eq!(
+            parallel_marks(&f, &out.best_trace),
+            0,
+            "{:?}",
+            out.best_trace
+        );
+        let m = out.measured.expect("the A/B ran");
+        assert_eq!(m.runs, AB_ROUNDS as u64);
+        assert_eq!(m.wall_us, 100.0);
+        assert!(m.rule_wall_us > m.wall_us + m.noise_us);
+        // The model's favourite is on the record with what it measured.
+        assert!(out.best_score > modeled.best_score);
+        assert_eq!(out.history.last().unwrap().best_wall_us, Some(100.0));
+    }
+
+    #[test]
+    fn the_rule_trace_stands_when_nothing_beats_it_by_more_than_the_noise() {
+        let f = toy();
+        let t = Target::cpu();
+        // Every program measures the same, the rule trace a little noisily:
+        // no contender clears the margin however the model ranks them.
+        let rule_key = canonical_key(&prepare_candidate(&f, Device::Cpu, &rule_trace(&f, &t)).0);
+        let calls = std::cell::Cell::new(0u32);
+        let flat = |g: &Func| {
+            calls.set(calls.get() + 1);
+            let jitter = f64::from(calls.get() % 3);
+            Some(if canonical_key(g) == rule_key {
+                50.0 + jitter
+            } else {
+                50.0
+            })
+        };
+        let out = search(
+            &f,
+            &t,
+            &measured_config(),
+            &toy_eval,
+            Some(&flat),
+            None,
+            None,
+        );
+        let (replayed, _) = prepare_candidate(&f, Device::Cpu, &out.best_trace);
+        assert_eq!(canonical_key(&replayed), rule_key);
+        assert_eq!(out.best_score, out.rule_score);
+        let m = out.measured.expect("the A/B ran");
+        assert_eq!(m.wall_us, m.rule_wall_us);
+        assert!(m.noise_us > 0.0);
+    }
+
+    #[test]
+    fn the_measurer_sees_each_program_once_and_a_bounded_share_of_each_generation() {
+        let f = toy();
+        let t = Target::cpu();
+        let calls = std::cell::RefCell::new(Vec::new());
+        let counting = |g: &Func| {
+            calls.borrow_mut().push(canonical_key(g));
+            charges_parallel_marks(g)
+        };
+        let out = search(
+            &f,
+            &t,
+            &measured_config(),
+            &toy_eval,
+            Some(&counting),
+            None,
+            None,
+        );
+        // Generation 0 measures both seeds.
+        assert_eq!(out.history[0].measured, 2);
+        for w in out.history.windows(2) {
+            assert!(w[1].measured - w[0].measured <= MEASURED_PER_GEN as u64);
+        }
+        let calls = calls.into_inner();
+        let searched = &calls[..out.measurements.len()];
+        let keys: Vec<u64> = out.measurements.iter().map(|m| m.key).collect();
+        assert_eq!(searched, keys);
+        let distinct: BTreeSet<u64> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "a program was measured twice");
+        assert!(out.measurements.len() > 2 && out.measurements.len() as u64 <= out.evaluations);
+        // Everything after is the A/B: full rounds over at most the
+        // finalists and the rule trace.
+        let ab = calls.len() - searched.len();
+        assert_eq!(ab % AB_ROUNDS, 0);
+        assert!((1..=FINALISTS + 1).contains(&(ab / AB_ROUNDS)));
+    }
+
+    #[test]
+    fn a_failing_measurer_ranks_last_and_never_panics() {
+        let f = toy();
+        let t = Target::cpu();
+        // `cc` is broken: nothing can be timed, so the model's order stands
+        // and there is no measured verdict to report.
+        let broken = |_: &Func| None;
+        let out = search(
+            &f,
+            &t,
+            &measured_config(),
+            &toy_eval,
+            Some(&broken),
+            None,
+            None,
+        );
+        assert!(out.measured.is_none());
+        assert!(out.measurements.len() > 2);
+        assert!(out.measurements.iter().all(|m| m.wall_us.is_none()));
+        assert!(out.best_score < out.rule_score);
+        assert_eq!(
+            out.best_score.cycles(),
+            out.history.last().unwrap().best_cycles
+        );
+        // It fails on parallel programs only: they rank behind every timed
+        // one, so the winner is serial, and NaN is a failure too.
+        let picky = |g: &Func| match charges_parallel_marks(g) {
+            Some(us) if us > 100.0 => Some(f64::NAN),
+            timed => timed,
+        };
+        let out = search(
+            &f,
+            &t,
+            &measured_config(),
+            &toy_eval,
+            Some(&picky),
+            None,
+            None,
+        );
+        assert_eq!(parallel_marks(&f, &out.best_trace), 0);
+        // The rule trace itself could not be timed: no A/B, no verdict.
+        assert!(out.measured.is_none());
+    }
+
+    #[test]
+    fn minimized_traces_replay_to_the_same_program_and_stay_minimal() {
+        let f = toy();
+        let padded = vec![
+            ScheduleOp::Parallelize { loop_idx: 0 },
+            ScheduleOp::Fuse {
+                first_idx: 0,
+                second_idx: 1,
+            },
+            ScheduleOp::Parallelize { loop_idx: 0 },
+            ScheduleOp::Parallelize { loop_idx: 0 },
+            ScheduleOp::SeparateTail { loop_idx: 0 },
+        ];
+        let key = |t: &[ScheduleOp]| canonical_key(&prepare_candidate(&f, Device::Cpu, t).0);
+        let min = minimize_trace(&f, Device::Cpu, &padded);
+        assert_eq!(key(&min), key(&padded));
+        assert!(min.len() < padded.len(), "{min:?}");
+        assert_eq!(minimize_trace(&f, Device::Cpu, &min), min);
+        for i in 0..min.len() {
+            let mut shorter = min.clone();
+            shorter.remove(i);
+            assert_ne!(key(&shorter), key(&min), "op {i} of {min:?} is redundant");
+        }
+        // What search returns is already minimal.
+        let out = search(
+            &f,
+            &Target::cpu(),
+            &measured_config(),
+            &toy_eval,
+            None,
+            None,
+            None,
+        );
+        assert_eq!(
+            minimize_trace(&f, Device::Cpu, &out.best_trace),
+            out.best_trace
+        );
+    }
+
+    fn saved() -> SavedSchedule {
         let mut payoff = PayoffTable::default();
         payoff.credit("split", true);
         payoff.credit("split", false);
         payoff.credit("parallelize", true);
-        let s = SavedSchedule {
+        SavedSchedule {
             workload: "subdivnet".to_string(),
             device: "cpu".to_string(),
             scale: "small".to_string(),
@@ -917,14 +1508,59 @@ mod tests {
                 ScheduleOp::SetMtype { def_idx: 0 },
             ],
             payoff,
-        };
-        let back = SavedSchedule::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
+            measured: None,
+        }
+    }
+
+    #[test]
+    fn saved_schedule_roundtrips_with_and_without_measured() {
+        let mut s = saved();
+        let text = s.to_json();
+        assert!(!text.contains("measured"));
+        assert_eq!(SavedSchedule::from_json(&text).unwrap(), s);
+        s.measured = Some(Measured {
+            wall_us: 61.25,
+            rule_wall_us: 70.5,
+            noise_us: 1.75,
+            runs: 10,
+            omp_threads: 2,
+            nproc: 2,
+            cc: "cc (Debian 12.2.0-14) 12.2.0".to_string(),
+        });
+        assert_eq!(SavedSchedule::from_json(&s.to_json()).unwrap(), s);
         assert_eq!(
             SavedSchedule::file_name("subdivnet", "cpu", "small"),
             "subdivnet-cpu-small.json"
         );
         assert!(SavedSchedule::from_json("{}").is_err());
+    }
+
+    #[test]
+    fn saved_schedule_ignores_unknown_fields_and_names_a_malformed_measured_one() {
+        let s = saved();
+        let text = s.to_json();
+        let with = |extra: &str| format!("{}, {extra}}}", text.strip_suffix('}').unwrap());
+        let parsed = SavedSchedule::from_json(&with(r#""from_the_future": [1, {"x": 2}]"#));
+        assert_eq!(parsed.unwrap(), s);
+        let unknown_inside = r#""measured": {"wall_us": 1, "rule_wall_us": 2, "noise_us": 0,
+            "runs": 10, "omp_threads": 2, "nproc": 2, "cc": "gcc", "governor": "performance"}"#;
+        let parsed = SavedSchedule::from_json(&with(unknown_inside)).unwrap();
+        assert_eq!(parsed.measured.unwrap().rule_wall_us, 2.0);
+        for (bad, field) in [
+            (r#""measured": 3"#, "measured.wall_us"),
+            (r#""measured": {"wall_us": "fast"}"#, "measured.wall_us"),
+            (
+                r#""measured": {"wall_us": 1, "rule_wall_us": -2}"#,
+                "measured.rule_wall_us",
+            ),
+            (
+                r#""measured": {"wall_us": 1, "rule_wall_us": 2, "noise_us": 0, "runs": "ten"}"#,
+                "measured.runs",
+            ),
+        ] {
+            let err = SavedSchedule::from_json(&with(bad)).unwrap_err();
+            assert!(err.contains(field), "{bad}: {err}");
+        }
     }
 
     #[test]

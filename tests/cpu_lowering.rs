@@ -7,9 +7,13 @@
 //!   interpreter.
 //! * `compiled_outputs_are_bit_identical_across_20_runs` and
 //!   `compiled_outputs_are_bit_identical_across_omp_num_threads` — the three
-//!   differentiated programs and the four committed searched schedules,
-//!   through `CompiledEngine`: one bit pattern run to run, and the same
-//!   pattern from child processes at `OMP_NUM_THREADS` = 1, 2 and 4.
+//!   differentiated programs and four searched schedules, through
+//!   `CompiledEngine`: one bit pattern run to run, and the same pattern from
+//!   child processes at `OMP_NUM_THREADS` = 1, 2 and 4. The schedules are
+//!   the model-ranked traces `results/schedules/` held until the search
+//!   started measuring (`tests/fixtures/model-ranked-schedules/`): they nest
+//!   parallel marks and parallelize reductions into shared rows, which is
+//!   what the lowering is for and what a measured search no longer commits.
 //! * `emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged` — no
 //!   `omp atomic`/`omp critical` in any of those programs' C, and the C of
 //!   the four forward rule-scheduled programs (full and small scale) still
@@ -559,9 +563,9 @@ fn program(name: &str, full: bool, kind: Kind) -> Program {
             .optimize(&Target::cpu()),
         Kind::Searched => {
             let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("results/schedules")
+                .join("tests/fixtures/model-ranked-schedules")
                 .join(SavedSchedule::file_name(name, "cpu", "full"));
-            let text = std::fs::read_to_string(&path).expect("committed schedule");
+            let text = std::fs::read_to_string(&path).expect("schedule fixture");
             let saved = SavedSchedule::from_json(&text).expect("schedule parses");
             let (func, _) = prepare_candidate(p.func(), freetensor::ir::Device::Cpu, &saved.trace);
             Program::from_schedule(freetensor::schedule::Schedule::new(func))
