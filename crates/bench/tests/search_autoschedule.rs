@@ -4,7 +4,9 @@
 //! artifacts, and metrics export coverage.
 
 use bench::{modeled_counters, owned_inputs, prepare, replayed_counters, Scale, Workload};
-use ft_autoschedule::search::{search, SavedSchedule, SearchConfig, SearchOutcome};
+use ft_autoschedule::search::{
+    prepare_candidate, rule_trace, search, SavedSchedule, SearchConfig, SearchOutcome,
+};
 use ft_autoschedule::Target;
 use ft_metrics::Metrics;
 use ft_runtime::ScheduleScore;
@@ -85,6 +87,29 @@ fn search_beats_a_known_good_hand_schedule_on_small_subdivnet() {
         "search ({:?}) lost to the hand schedule ({hand_score:?})",
         outcome.best_score
     );
+}
+
+#[test]
+fn the_rule_trace_replays_to_the_rule_schedule() {
+    // The search's warm start, the A/B's reference and `rule_wall_us` all
+    // claim to be "the rules' program": replaying the rule trace must give
+    // `Program::optimize`'s program, on every workload at both scales.
+    let cpu = Target::cpu();
+    for w in Workload::ALL {
+        for scale in [Scale::Small, Scale::Full] {
+            let prep = prepare(w, scale);
+            let base = prep.naive.func();
+            let (replayed, accepted) =
+                prepare_candidate(base, cpu.device, &rule_trace(base, &cpu));
+            assert_eq!(
+                replayed.to_string(),
+                prep.naive.optimize(&cpu).func().to_string(),
+                "{} {}: replayed {accepted:?}",
+                w.schedule_key(),
+                scale.key()
+            );
+        }
+    }
 }
 
 #[test]

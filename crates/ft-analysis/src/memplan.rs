@@ -766,27 +766,15 @@ impl MemPlan {
         h.finish()
     }
 
-    /// Planned peak footprint of one *run* of `func` at these sizes: the
-    /// arena peak plus every parameter buffer (inputs are caller-owned but
-    /// pinned for the call; outputs/in-outs/caches are allocated by the
-    /// engine). This is the number a serving admission controller budgets
-    /// against — rejecting on `planned_peak_bytes` alone would undercount
-    /// programs whose footprint is dominated by parameters. Unresolvable
-    /// (symbolic, size not supplied) extents contribute zero, keeping the
-    /// estimate a floor.
-    pub fn run_peak_bytes(&self, func: &Func, sizes: &HashMap<String, i64>) -> u64 {
-        let params: u64 = func
-            .params
-            .iter()
-            .map(|p| {
-                p.shape
-                    .iter()
-                    .map(|e| eval_extent(e, sizes).filter(|&v| v >= 0).unwrap_or(0) as u64)
-                    .product::<u64>()
-                    .saturating_mul(p.dtype.size_bytes() as u64)
-            })
-            .map(align_up)
-            .sum();
+    /// Planned peak footprint of one *run*: the arena peak plus every
+    /// parameter buffer, given as its resolved byte size and aligned like
+    /// the arena (inputs are caller-owned but pinned for the call;
+    /// outputs/in-outs/caches are allocated by the engine). This is the
+    /// number a serving admission controller budgets against — rejecting on
+    /// `planned_peak_bytes` alone would undercount programs whose footprint
+    /// is dominated by parameters.
+    pub fn run_peak_bytes(&self, param_bytes: impl IntoIterator<Item = u64>) -> u64 {
+        let params: u64 = param_bytes.into_iter().map(align_up).sum();
         self.planned_peak_bytes.saturating_add(params)
     }
 

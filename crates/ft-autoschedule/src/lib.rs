@@ -131,27 +131,6 @@ pub fn auto_fuse(sched: &mut Schedule) -> usize {
     let mut fused = 0;
     // Fixpoint: each successful fusion changes the sibling structure.
     for _ in 0..16 {
-        let mut candidate: Option<(StmtId, StmtId)> = None;
-        let func = sched.func();
-        ft_ir::find::find_stmts(&func.body, &|s| {
-            matches!(s.kind, StmtKind::Block(_))
-        })
-        .iter()
-        .for_each(|blk| {
-            let StmtKind::Block(items) = &blk.kind else {
-                return;
-            };
-            for w in items.windows(2) {
-                if candidate.is_some() {
-                    return;
-                }
-                if matches!(w[0].kind, StmtKind::For { .. })
-                    && matches!(w[1].kind, StmtKind::For { .. })
-                {
-                    candidate = Some((w[0].id, w[1].id));
-                }
-            }
-        });
         // Try every adjacent pair until one fuses.
         let mut progressed = false;
         let pairs = adjacent_loop_pairs(sched.func());
@@ -341,13 +320,18 @@ pub fn auto_schedule(func: &Func, target: &Target) -> Func {
 pub fn auto_schedule_traced(func: &Func, target: &Target, sink: Option<TraceSink>) -> Func {
     let mut sched = Schedule::new(func.clone());
     sched.set_sink(sink);
-    auto_fuse(&mut sched);
-    auto_use_lib(&mut sched);
-    auto_parallelize(&mut sched, target);
-    auto_vectorize(&mut sched);
-    auto_mem_type(&mut sched, target);
-    auto_unroll(&mut sched, target);
+    run_passes(&mut sched, target);
     sched.into_func()
+}
+
+/// The six passes, in the paper's order.
+fn run_passes(sched: &mut Schedule, target: &Target) {
+    auto_fuse(sched);
+    auto_use_lib(sched);
+    auto_parallelize(sched, target);
+    auto_vectorize(sched);
+    auto_mem_type(sched, target);
+    auto_unroll(sched, target);
 }
 
 #[cfg(test)]

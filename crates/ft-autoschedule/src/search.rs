@@ -37,9 +37,7 @@ use crate::Target;
 use ft_ir::{Device, Func, MemType};
 use ft_metrics::Metrics;
 use ft_runtime::{PerfCounters, ScheduleScore};
-use ft_schedule::trace::{
-    apply_trace, canonical_key, loops_of, op_from_json, op_to_json, vardefs_of, ScheduleOp,
-};
+use ft_schedule::trace::{apply_trace, canonical_key, op_from_json, op_to_json, ScheduleOp};
 use ft_schedule::Schedule;
 use ft_trace::{JsonVal, TraceSink};
 use rand::rngs::StdRng;
@@ -229,7 +227,7 @@ pub struct SearchOutcome {
     pub best_score: ScheduleScore,
     /// Its full counters (from the evaluation that discovered it).
     pub best_counters: PerfCounters,
-    /// The rule-mirroring warm-start trace ([`rule_trace`]).
+    /// The recorded rule passes, the warm-start trace ([`rule_trace`]).
     pub rule_trace: Vec<ScheduleOp>,
     /// The warm-start trace's score (what search has to beat).
     pub rule_score: ScheduleScore,
@@ -313,10 +311,13 @@ fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + 
     out.into_iter().map(|r| r.expect("par_map slot filled")).collect()
 }
 
-/// Mirror the six rule-based passes in the positional trace vocabulary:
-/// greedy, deterministic, and cheap (no evaluator calls). The result seeds
-/// the search population so generation 0 already contains a rule-class
-/// schedule; search then has to *improve* on it.
+/// What the six rule-based passes do to `base`, in the positional trace
+/// vocabulary: the real passes run on a recording [`Schedule`], and every
+/// primitive they get accepted is noted with the position its loop or def
+/// had at that moment. Replaying the result through [`prepare_candidate`]
+/// therefore rebuilds `Program::optimize`'s program. It seeds the search
+/// population so generation 0 already contains the rule schedule; search
+/// then has to *improve* on it.
 ///
 /// CPU-only, like the search itself (the trace vocabulary's `parallelize`
 /// is OpenMP).
@@ -326,76 +327,9 @@ pub fn rule_trace(base: &Func, target: &Target) -> Vec<ScheduleOp> {
         p.mtype = MemType::default_for(target.device);
     }
     let mut sched = Schedule::new(f);
-    let mut trace: Vec<ScheduleOp> = Vec::new();
-    let try_op = |sched: &mut Schedule, trace: &mut Vec<ScheduleOp>, op: ScheduleOp| -> bool {
-        let ok = op.apply(sched).is_ok();
-        if ok {
-            trace.push(op);
-        }
-        ok
-    };
-    // Pass 1 (auto_fuse): fuse sibling loops to a fixpoint. Positional
-    // pairs are legality-gated, so trying all pairs is safe.
-    'fuse: for _ in 0..16 {
-        let n = loops_of(sched.func()).len();
-        for i in 0..n.saturating_sub(1) {
-            for j in (i + 1)..n {
-                if try_op(
-                    &mut sched,
-                    &mut trace,
-                    ScheduleOp::Fuse {
-                        first_idx: i,
-                        second_idx: j,
-                    },
-                ) {
-                    continue 'fuse;
-                }
-            }
-        }
-        break;
-    }
-    // Pass 2 (auto_use_lib): offer every loop to the library matcher.
-    for i in 0..loops_of(sched.func()).len() {
-        try_op(&mut sched, &mut trace, ScheduleOp::AsLib { loop_idx: i });
-    }
-    // Pass 3 (auto_parallelize, CPU): outermost loops onto OpenMP threads.
-    {
-        let loops = loops_of(sched.func());
-        for (i, id) in loops.iter().enumerate() {
-            if !crate::has_loop_parent(sched.func(), *id) {
-                try_op(&mut sched, &mut trace, ScheduleOp::Parallelize { loop_idx: i });
-            }
-        }
-    }
-    // Pass 4 (auto_vectorize): innermost nested serial loops.
-    {
-        let loops = loops_of(sched.func());
-        for (i, id) in loops.iter().enumerate() {
-            if crate::is_innermost(sched.func(), *id)
-                && crate::has_loop_parent(sched.func(), *id)
-                && crate::loop_extent_const(sched.func(), *id).is_none_or(|e| e >= 4)
-            {
-                try_op(&mut sched, &mut trace, ScheduleOp::Vectorize { loop_idx: i });
-            }
-        }
-    }
-    // Pass 5 (auto_mem_type): promote small locals to the stack.
-    for d in 0..vardefs_of(sched.func()).len() {
-        try_op(&mut sched, &mut trace, ScheduleOp::SetMtype { def_idx: d });
-    }
-    // Pass 6 (auto_unroll): unroll very short innermost loops.
-    {
-        let loops = loops_of(sched.func());
-        for (i, id) in loops.iter().enumerate() {
-            if crate::is_innermost(sched.func(), *id)
-                && crate::loop_extent_const(sched.func(), *id)
-                    .is_some_and(|e| e <= target.unroll_trip)
-            {
-                try_op(&mut sched, &mut trace, ScheduleOp::Unroll { loop_idx: i });
-            }
-        }
-    }
-    trace
+    sched.record_ops();
+    crate::run_passes(&mut sched, target);
+    sched.take_ops()
 }
 
 /// Op kinds the neighborhood generator samples, with base weights.
@@ -899,7 +833,7 @@ pub fn search(
         history.push(g);
     };
 
-    // Generation 0: warm-start seeds (empty trace + rule-mirroring trace).
+    // Generation 0: warm-start seeds (empty trace + the rule trace).
     let rtrace = rule_trace(base, target);
     let seeds = vec![Vec::new(), rtrace.clone()];
     let mut span0 = sink.map(|s| s.span("search", "generation"));
@@ -1209,16 +1143,20 @@ mod tests {
     }
 
     #[test]
-    fn rule_trace_mirrors_the_rule_passes() {
+    fn rule_trace_replays_to_the_rule_schedule() {
         let f = toy();
         let t = Target::cpu();
         let trace = rule_trace(&f, &t);
-        assert!(!trace.is_empty());
-        // The trace must at least fuse the two loops and parallelize.
+        // The rules fuse the two loops and parallelize, every op they were
+        // granted replays, and the replay is their program.
         assert!(trace.iter().any(|o| matches!(o, ScheduleOp::Fuse { .. })));
         assert!(trace.iter().any(|o| matches!(o, ScheduleOp::Parallelize { .. })));
-        // And its schedule must actually beat the unscheduled program.
-        let (scheduled, _) = prepare_candidate(&f, Device::Cpu, &trace);
+        let (scheduled, accepted) = prepare_candidate(&f, Device::Cpu, &trace);
+        assert_eq!(accepted, trace);
+        let (placed, _) = prepare_candidate(&f, Device::Cpu, &[]);
+        let rules = ft_passes::simplify(&crate::auto_schedule(&placed, &t));
+        assert_eq!(scheduled.to_string(), rules.to_string());
+        // And that schedule must actually beat the unscheduled program.
         let base_score = toy_eval(&f).unwrap().score();
         let rule_score = toy_eval(&scheduled).unwrap().score();
         assert!(rule_score < base_score, "{rule_score:?} vs {base_score:?}");

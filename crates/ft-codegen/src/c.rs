@@ -9,14 +9,18 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Static preamble: headers and the tiny support library every generated
-/// translation unit relies on.
-pub const PREAMBLE: &str = r#"#include <stdint.h>
+/// translation unit relies on — `HEADERS`, [`SCALAR_HELPERS`], `LIB_MATMUL`.
+const HEADERS: &str = r#"#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <stdbool.h>
 #include <math.h>
 
-static inline int64_t ft_fdiv(int64_t a, int64_t b) {
+"#;
+
+/// The helpers expressions are spelled with, each qualified `static inline`
+/// (the CUDA emitter re-qualifies them for both sides of a launch).
+pub(crate) const SCALAR_HELPERS: &str = r#"static inline int64_t ft_fdiv(int64_t a, int64_t b) {
     int64_t q = a / b, r = a % b;
     return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
 }
@@ -26,7 +30,9 @@ static inline int64_t ft_fmod(int64_t a, int64_t b) {
 }
 static inline double ft_sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
 static inline float ft_sigmoidf(float x) { return 1.0f / (1.0f + expf(-x)); }
-static inline void ft_lib_matmul(const float* A, const float* B, float* C,
+"#;
+
+const LIB_MATMUL: &str = r#"static inline void ft_lib_matmul(const float* A, const float* B, float* C,
                                  int64_t m, int64_t k, int64_t n) {
     for (int64_t i = 0; i < m; ++i)
         for (int64_t p = 0; p < k; ++p)
@@ -36,20 +42,13 @@ static inline void ft_lib_matmul(const float* A, const float* B, float* C,
 "#;
 
 /// Extra headers a *profiled* translation unit needs (`clock_gettime`).
-/// Appended to [`PREAMBLE`] by [`emit_c_profiled`] only, so the unprofiled
+/// Appended to the preamble by [`emit_c_profiled`] only, so the unprofiled
 /// source — and therefore its artifact-cache key — is byte-identical to
 /// what [`emit_c`] always produced.
 pub const PROF_PREAMBLE: &str = "#include <time.h>\n";
 
-fn ctype(dt: DataType) -> &'static str {
-    match dt {
-        DataType::F32 => "float",
-        DataType::F64 => "double",
-        DataType::I32 => "int32_t",
-        DataType::I64 => "int64_t",
-        DataType::Bool => "bool",
-    }
-}
+/// C's names of the element types, in [`Printer::ctype`]'s order.
+const TYPES: [&str; 5] = ["float", "double", "int32_t", "int64_t", "bool"];
 
 /// C identifiers every generated translation unit already uses (the
 /// preamble's support library) plus the C99 keywords — IR names must never
@@ -272,10 +271,22 @@ struct Acc<'a> {
 /// Largest constant element count emitted as an automatic array.
 const STACK_ELEMS: i64 = 4096;
 
-struct Emitter<'a> {
+/// The one expression printer of the crate: what is in scope — tensors
+/// with their element types and shapes, IR names with their identifiers,
+/// the emitter's temporaries — and the target language's type names. Both
+/// emitters spell names, indices and expressions through it; everything it
+/// prints is typed from [`Expr::dtype`].
+pub(crate) struct Printer<'a> {
     /// Tensors in scope, innermost last: name, element type, shape.
-    tensors: Vec<(&'a str, DataType, &'a [Expr])>,
-    names: Mangler,
+    pub(crate) tensors: Vec<(&'a str, DataType, &'a [Expr])>,
+    pub(crate) names: Mangler,
+    temps: Vec<Temp<'a>>,
+    /// The target's names of `f32`, `f64`, `i32`, `i64`, `bool`.
+    types: [&'static str; 5],
+}
+
+struct Emitter<'a> {
+    p: Printer<'a>,
     out: String,
     indent: usize,
     tmp: usize,
@@ -300,7 +311,6 @@ struct Emitter<'a> {
     events: Vec<Event<'a>>,
     next_event: usize,
     next_stmt: u32,
-    temps: Vec<Temp<'a>>,
     accs: Vec<Acc<'a>>,
 }
 
@@ -381,31 +391,54 @@ const WEAK_FLOAT: ExprType = ExprType {
     weak: true,
 };
 
-impl<'a> Emitter<'a> {
-    fn line(&mut self, s: &str) {
-        for _ in 0..self.indent {
-            self.out.push_str("    ");
-        }
-        self.out.push_str(s);
-        self.out.push('\n');
+impl<'a> Printer<'a> {
+    /// A printer with `func`'s signature bound (see [`c_symbols`]) and its
+    /// parameters in scope.
+    pub(crate) fn new(func: &'a Func, types: [&'static str; 5]) -> (Printer<'a>, CSymbols) {
+        let mut names = Mangler::new();
+        let syms = bind_signature(&mut names, func);
+        let tensors = func
+            .params
+            .iter()
+            .map(|p| (p.name.as_str(), p.dtype, p.shape.as_slice()))
+            .collect();
+        let p = Printer {
+            tensors,
+            names,
+            temps: Vec::new(),
+            types,
+        };
+        (p, syms)
     }
 
-    /// One line whose text `write` streams straight into the unit.
-    fn line_with(&mut self, write: impl FnOnce(&Emitter<'a>, &mut String)) {
-        let mut out = std::mem::take(&mut self.out);
-        for _ in 0..self.indent {
-            out.push_str("    ");
-        }
-        write(self, &mut out);
-        out.push('\n');
-        self.out = out;
+    /// `func`'s parameter list: a pointer per tensor (`const` for inputs),
+    /// then the size parameters.
+    pub(crate) fn signature(&self, func: &Func, syms: &CSymbols) -> Vec<String> {
+        let tensors = func.params.iter().zip(&syms.params).map(|(p, ident)| {
+            let qual = if p.atype == AccessType::Input { "const " } else { "" };
+            format!("{qual}{}* {ident}", self.ctype(p.dtype))
+        });
+        let int = self.ctype(DataType::I64);
+        let sizes = syms.size_params.iter().map(|ident| format!("{int} {ident}"));
+        tensors.chain(sizes).collect()
     }
 
-    fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr])> {
+    /// The target's name of `dt`.
+    pub(crate) fn ctype(&self, dt: DataType) -> &'static str {
+        self.types[match dt {
+            DataType::F32 => 0,
+            DataType::F64 => 1,
+            DataType::I32 => 2,
+            DataType::I64 => 3,
+            DataType::Bool => 4,
+        }]
+    }
+
+    pub(crate) fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr])> {
         self.tensors.iter().rev().find(|t| t.0 == name)
     }
 
-    fn elem(&self, name: &str) -> DataType {
+    pub(crate) fn elem(&self, name: &str) -> DataType {
         self.tensor(name).map_or(DataType::I64, |t| t.1)
     }
 
@@ -413,41 +446,8 @@ impl<'a> Emitter<'a> {
         e.dtype(&|n| self.elem(n))
     }
 
-    /// The decision for statement `at` that comes next, if one is left.
-    fn event_at(&mut self, at: u32) -> Option<Kind<'a>> {
-        let e = self.events.get(self.next_event).filter(|e| e.at == at)?;
-        self.next_event += 1;
-        Some(e.kind)
-    }
-
-    /// The next identifier of the emitter's own (see [`is_temporary`]).
-    fn temporary(&mut self, kind: char) -> String {
-        self.tmp += 1;
-        format!("ft_{kind}{}", self.tmp)
-    }
-
-    /// `const T ft_xN = e;` here, and `ft_xN` for `e` from here on.
-    fn declare(&mut self, kind: char, e: &'a Expr, last: Option<u32>) {
-        let t = self.ty(e);
-        if t.weak {
-            // Nothing but literals: the compiler folds it wherever it is.
-            return;
-        }
-        let ident = self.temporary(kind);
-        self.line_with(|em, out| {
-            let _ = write!(out, "const {} {ident} = ", ctype(t.dtype));
-            em.put_expr(out, e, t.dtype);
-            out.push(';');
-        });
-        self.temps.push(Temp {
-            expr: e,
-            ident,
-            last,
-        });
-    }
-
     /// Append `var[linearized indices]` to `out`.
-    fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
+    pub(crate) fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
         let shape: &[Expr] = self.tensor(var).map_or(&[], |t| t.2);
         self.names.put(out, var);
         out.push('[');
@@ -471,7 +471,7 @@ impl<'a> Emitter<'a> {
         out.push(']');
     }
 
-    fn expr(&self, e: &Expr, lit: DataType) -> String {
+    pub(crate) fn expr(&self, e: &Expr, lit: DataType) -> String {
         let mut out = String::new();
         self.put_expr(&mut out, e, lit);
         out
@@ -513,7 +513,7 @@ impl<'a> Emitter<'a> {
     /// where nothing in `e` says otherwise (a store's target type): an
     /// `f32` expression is spelled to evaluate in `float`, so every float
     /// literal in it carries an `f` and every math call the `float` name.
-    fn put_expr(&self, out: &mut String, e: &Expr, lit: DataType) {
+    pub(crate) fn put_expr(&self, out: &mut String, e: &Expr, lit: DataType) {
         let leaf = matches!(
             e,
             Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_)
@@ -545,7 +545,7 @@ impl<'a> Emitter<'a> {
                                 let x = self.expr(a, lit);
                                 let sign = format!("(({x} > 0) - ({x} < 0))");
                                 let _ = match t.is_float() {
-                                    true => write!(out, "(({}){sign})", ctype(t)),
+                                    true => write!(out, "(({}){sign})", self.ctype(t)),
                                     false => write!(out, "{sign}"),
                                 };
                                 return;
@@ -612,11 +612,65 @@ impl<'a> Emitter<'a> {
                 self.put_pair(out, " ? ", then, " : ", otherwise, ")", lit);
             }
             Expr::Cast { dtype, a } => {
-                let _ = write!(out, "(({})", ctype(*dtype));
+                let _ = write!(out, "(({})", self.ctype(*dtype));
                 self.put_expr(out, a, if dtype.is_float() { *dtype } else { lit });
                 out.push(')');
             }
         }
+    }
+}
+
+impl<'a> Emitter<'a> {
+    fn line(&mut self, s: &str) {
+        for _ in 0..self.indent {
+            self.out.push_str("    ");
+        }
+        self.out.push_str(s);
+        self.out.push('\n');
+    }
+
+    /// One line whose text `write` streams straight into the unit.
+    fn line_with(&mut self, write: impl FnOnce(&Emitter<'a>, &mut String)) {
+        let mut out = std::mem::take(&mut self.out);
+        for _ in 0..self.indent {
+            out.push_str("    ");
+        }
+        write(self, &mut out);
+        out.push('\n');
+        self.out = out;
+    }
+
+    /// The decision for statement `at` that comes next, if one is left.
+    fn event_at(&mut self, at: u32) -> Option<Kind<'a>> {
+        let e = self.events.get(self.next_event).filter(|e| e.at == at)?;
+        self.next_event += 1;
+        Some(e.kind)
+    }
+
+    /// The next identifier of the emitter's own (see [`is_temporary`]).
+    fn temporary(&mut self, kind: char) -> String {
+        self.tmp += 1;
+        format!("ft_{kind}{}", self.tmp)
+    }
+
+    /// `const T ft_xN = e;` here, and `ft_xN` for `e` from here on.
+    fn declare(&mut self, kind: char, e: &'a Expr, last: Option<u32>) {
+        let t = self.p.ty(e);
+        if t.weak {
+            // Nothing but literals: the compiler folds it wherever it is.
+            return;
+        }
+        let ident = self.temporary(kind);
+        self.line_with(|em, out| {
+            let _ = write!(out, "const {} {ident} = ", em.p.ctype(t.dtype));
+            em.p.put_expr(out, e, t.dtype);
+            out.push(';');
+        });
+        self.p.temps.push(Temp {
+            expr: e,
+            ident,
+            last,
+        });
     }
 
     fn numel(&self, shape: &[Expr]) -> String {
@@ -625,7 +679,7 @@ impl<'a> Emitter<'a> {
         }
         shape
             .iter()
-            .map(|e| format!("({})", self.expr(e, DataType::I64)))
+            .map(|e| format!("({})", self.p.expr(e, DataType::I64)))
             .collect::<Vec<_>>()
             .join(" * ")
     }
@@ -639,7 +693,7 @@ impl<'a> Emitter<'a> {
             .find(|a| a.var == var && a.indices == indices)
         {
             Some(acc) => out.push_str(&acc.ident),
-            None => self.put_index(out, var, indices),
+            None => self.p.put_index(out, var, indices),
         }
     }
 
@@ -651,7 +705,7 @@ impl<'a> Emitter<'a> {
                 self.declare('c', expr, Some(last));
             }
         }
-        let elem = self.elem(var);
+        let elem = self.p.elem(var);
         self.line_with(|em, out| {
             em.put_target(out, var, indices);
             match op {
@@ -661,24 +715,24 @@ impl<'a> Emitter<'a> {
                         Some(ReduceOp::Add) => " += ",
                         _ => " *= ",
                     });
-                    em.put_expr(out, value, elem);
+                    em.p.put_expr(out, value, elem);
                 }
                 Some(op @ (ReduceOp::Min | ReduceOp::Max)) => {
                     // Compared in the common type of element and value,
                     // like any other min/max: exactly, on integers.
                     out.push_str(" = ");
-                    let t = ExprType::strong(elem).unify(em.ty(value)).dtype;
+                    let t = ExprType::strong(elem).unify(em.p.ty(value)).dtype;
                     if t.is_float() {
                         let name = if op == ReduceOp::Min { "min" } else { "max" };
                         out.push_str(float_fn(name, t == DataType::F32));
                         em.put_target(out, var, indices);
                         out.push_str(", ");
-                        em.put_expr(out, value, t);
+                        em.p.put_expr(out, value, t);
                         out.push(')');
                     } else {
                         let mut x = String::new();
                         em.put_target(&mut x, var, indices);
-                        let y = em.expr(value, elem);
+                        let y = em.p.expr(value, elem);
                         let cmp = if op == ReduceOp::Min { '<' } else { '>' };
                         let _ = write!(out, "(({x}) {cmp} ({y}) ? ({x}) : ({y}))");
                     }
@@ -686,7 +740,7 @@ impl<'a> Emitter<'a> {
             }
             out.push(';');
         });
-        self.temps.retain(|t| t.last != Some(at));
+        self.p.temps.retain(|t| t.last != Some(at));
     }
 
     fn stmt(&mut self, s: &'a Stmt) {
@@ -707,7 +761,7 @@ impl<'a> Emitter<'a> {
                 body,
                 ..
             } => {
-                let ty = ctype(*dtype);
+                let ty = self.p.ctype(*dtype);
                 // Extents are evaluated in the enclosing scope, before the
                 // new name is bound.
                 let n = self.numel(shape);
@@ -717,8 +771,8 @@ impl<'a> Emitter<'a> {
                     .try_fold(1i64, |a, b| b.map(|v| a * v));
                 let slot = self.arena.get(self.def_idx).cloned().flatten();
                 self.def_idx += 1;
-                self.tensors.push((name, *dtype, shape));
-                let ident = self.names.bind(name);
+                self.p.tensors.push((name, *dtype, shape));
+                let ident = self.p.names.bind(name);
                 self.line("{");
                 self.indent += 1;
                 let heap = match (mtype, const_n) {
@@ -762,8 +816,8 @@ impl<'a> Emitter<'a> {
                 }
                 self.indent -= 1;
                 self.line("}");
-                self.names.unbind(name);
-                self.tensors.pop();
+                self.p.names.unbind(name);
+                self.p.tensors.pop();
             }
             StmtKind::For {
                 iter,
@@ -798,11 +852,11 @@ impl<'a> Emitter<'a> {
                 };
                 // Bounds are evaluated in the enclosing scope; the iterator
                 // is only in scope inside the loop.
-                let begin_c = self.expr(begin, DataType::I64);
-                let end_c = self.expr(end, DataType::I64);
+                let begin_c = self.p.expr(begin, DataType::I64);
+                let end_c = self.p.expr(end, DataType::I64);
                 // What the loop keeps out of its body goes in front of its
                 // pragma: invariant values, then the elements it folds into.
-                let (temps, accs) = (self.temps.len(), self.accs.len());
+                let (temps, accs) = (self.p.temps.len(), self.accs.len());
                 let (mut simd, mut guarded) = (property.vectorize, false);
                 while let Some(kind) = self.event_at(at) {
                     match kind {
@@ -817,10 +871,10 @@ impl<'a> Emitter<'a> {
                                 guarded = true;
                             }
                             let ident = self.temporary('a');
-                            let ty = ctype(self.elem(var));
+                            let ty = self.p.ctype(self.p.elem(var));
                             self.line_with(|em, out| {
                                 let _ = write!(out, "{ty} {ident} = ");
-                                em.put_index(out, var, indices);
+                                em.p.put_index(out, var, indices);
                                 out.push(';');
                             });
                             self.accs.push(Acc {
@@ -852,7 +906,7 @@ impl<'a> Emitter<'a> {
                         }
                     });
                 }
-                let i = self.names.bind(iter);
+                let i = self.p.names.bind(iter);
                 self.line(&format!(
                     "for (int64_t {i} = {begin_c}; {i} < {end_c}; ++{i}) {{"
                 ));
@@ -868,10 +922,10 @@ impl<'a> Emitter<'a> {
                 self.loop_depth -= 1;
                 self.indent -= 1;
                 self.line("}");
-                self.names.unbind(iter);
+                self.p.names.unbind(iter);
                 for a in self.accs.split_off(accs) {
                     self.line_with(|em, out| {
-                        em.put_index(out, a.var, a.indices);
+                        em.p.put_index(out, a.var, a.indices);
                         let _ = write!(out, " = {};", a.ident);
                     });
                 }
@@ -879,7 +933,7 @@ impl<'a> Emitter<'a> {
                     self.indent -= 1;
                     self.line("}");
                 }
-                self.temps.truncate(temps);
+                self.p.temps.truncate(temps);
                 if let Some(k) = site {
                     self.line("clock_gettime(CLOCK_MONOTONIC, &__ft_t1);");
                     self.line(&format!(
@@ -896,7 +950,7 @@ impl<'a> Emitter<'a> {
                 then,
                 otherwise,
             } => {
-                self.line(&format!("if ({}) {{", self.expr(cond, DataType::I64)));
+                self.line(&format!("if ({}) {{", self.p.expr(cond, DataType::I64)));
                 self.indent += 1;
                 self.stmt(then);
                 self.indent -= 1;
@@ -935,9 +989,9 @@ impl<'a> Emitter<'a> {
                 if kernel == "matmul" {
                     self.line(&format!(
                         "ft_lib_matmul({}, {}, {}, {}, {}, {});",
-                        self.names.resolve(&inputs[0]),
-                        self.names.resolve(&inputs[1]),
-                        self.names.resolve(&outputs[0]),
+                        self.p.names.resolve(&inputs[0]),
+                        self.p.names.resolve(&inputs[1]),
+                        self.p.names.resolve(&outputs[0]),
                         attrs[0],
                         attrs[1],
                         attrs[2]
@@ -1016,8 +1070,7 @@ fn emit_unit(
     plan: Option<&ft_analysis::MemPlan>,
     profile: bool,
 ) -> Result<(String, Vec<ProfSite>), CodegenError> {
-    let mut names = Mangler::new();
-    let syms = bind_signature(&mut names, func);
+    let (p, syms) = Printer::new(func, TYPES);
     let arena: Vec<Option<ArenaSlot>> = plan.map_or_else(Vec::new, |pl| {
         let n_defs = pl.entries.iter().map(|e| e.def_idx + 1).max().unwrap_or(0);
         let mut v = vec![None; n_defs];
@@ -1035,12 +1088,7 @@ fn emit_unit(
     });
     let any_planned = arena.iter().any(Option::is_some);
     let mut em = Emitter {
-        tensors: func
-            .params
-            .iter()
-            .map(|p| (p.name.as_str(), p.dtype, p.shape.as_slice()))
-            .collect(),
-        names,
+        p,
         out: String::new(),
         indent: 0,
         tmp: 0,
@@ -1053,29 +1101,16 @@ fn emit_unit(
         events: scalar::analyze(&func.body),
         next_event: 0,
         next_stmt: 0,
-        temps: Vec::new(),
         accs: Vec::new(),
     };
-    let mut sig: Vec<String> = Vec::new();
-    for (p, ident) in func.params.iter().zip(&syms.params) {
-        let c = ctype(p.dtype);
-        let qual = if p.atype == AccessType::Input {
-            "const "
-        } else {
-            ""
-        };
-        sig.push(format!("{qual}{c}* {ident}"));
-    }
-    for ident in &syms.size_params {
-        sig.push(format!("int64_t {ident}"));
-    }
+    let mut sig = em.p.signature(func, &syms);
     if plan.is_some() {
         sig.push("unsigned char* __ft_arena".to_string());
     }
     if profile {
         sig.push("uint64_t *__ft_prof".to_string());
     }
-    let mut out = String::from(PREAMBLE);
+    let mut out = [HEADERS, SCALAR_HELPERS, LIB_MATMUL].concat();
     if profile {
         out.push_str(PROF_PREAMBLE);
     }

@@ -4,39 +4,45 @@
 //! host function launches them in order. Block/thread-scope loops map to
 //! `blockIdx.*` / `threadIdx.*` with bound guards; `GpuShared` definitions
 //! become `__shared__` arrays; atomic reductions become `atomicAdd`.
+//!
+//! Names, indices and expressions are spelled by the C emitter's
+//! [`Printer`] — one scope of tensors and identifiers for the host function
+//! and every kernel, one typed spelling of every operator — under CUDA's
+//! type names and with the scalar helpers qualified for both sides.
 
-use ft_ir::{
-    AccessType, BinaryOp, DataType, Expr, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind,
-    UnaryOp,
-};
-use std::collections::HashMap;
+use crate::c::{Printer, SCALAR_HELPERS};
+use ft_ir::{BinaryOp, DataType, Expr, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind};
 use std::fmt::Write as _;
 
-fn ctype(dt: DataType) -> &'static str {
-    match dt {
-        DataType::F32 => "float",
-        DataType::F64 => "double",
-        DataType::I32 => "int",
-        DataType::I64 => "long long",
-        DataType::Bool => "bool",
-    }
-}
+/// CUDA's names of the element types, in [`Printer::ctype`]'s order:
+/// `long long`, which the atomics and `min`/`max` are overloaded for, not
+/// `int64_t`.
+const TYPES: [&str; 5] = ["float", "double", "int", "long long", "bool"];
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
+const HEADERS: &str = "#include <cuda_runtime.h>\n#include <math.h>\n#include <stdint.h>\n\n";
 
-struct Cuda {
-    shapes: HashMap<String, Vec<Expr>>,
-    shared: std::collections::HashSet<String>,
+/// What the scalar helpers are qualified with: host code calls them too.
+const HELPER_QUALIFIER: &str = "static inline __host__ __device__";
+
+struct Cuda<'a> {
+    p: Printer<'a>,
+    /// `__shared__` defs in scope, innermost last.
+    shared: Vec<&'a str>,
+    /// The `__global__` functions emitted so far.
+    kernels: String,
+    n_kernels: usize,
+    /// `<func>_kernel`, and the parameter and argument lists every kernel
+    /// shares with the host function.
+    kernel_prefix: String,
+    params: String,
+    args: String,
     in_kernel: bool,
+    /// The function being written: the host's, or the current kernel's.
     out: String,
     indent: usize,
 }
 
-impl Cuda {
+impl<'a> Cuda<'a> {
     /// Whether a sub-tree writes any `__shared__` tensor (which requires a
     /// barrier before other threads read it — paper §4.3's "inserting
     /// thread synchronizing statements").
@@ -44,15 +50,13 @@ impl Cuda {
         let mut hit = false;
         s.walk(&mut |st| match &st.kind {
             StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => {
-                hit |= self.shared.contains(var);
+                hit |= self.shared.contains(&var.as_str());
             }
             _ => {}
         });
         hit
     }
-}
 
-impl Cuda {
     fn line(&mut self, s: &str) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
@@ -61,88 +65,52 @@ impl Cuda {
         self.out.push('\n');
     }
 
-    fn expr(&self, e: &Expr) -> String {
-        match e {
-            Expr::IntConst(v) => format!("{v}"),
-            Expr::FloatConst(v) => {
-                if *v == f64::INFINITY {
-                    "INFINITY".into()
-                } else if *v == f64::NEG_INFINITY {
-                    "-INFINITY".into()
-                } else {
-                    format!("{v:?}f")
-                }
-            }
-            Expr::BoolConst(v) => format!("{v}"),
-            Expr::Var(n) => sanitize(n),
-            Expr::Load { var, indices } => self.index_expr(var, indices),
-            Expr::Unary { op, a } => {
-                let x = self.expr(a);
-                match op {
-                    UnaryOp::Neg => format!("(-{x})"),
-                    UnaryOp::Not => format!("(!{x})"),
-                    UnaryOp::Abs => format!("fabsf({x})"),
-                    UnaryOp::Sqrt => format!("sqrtf({x})"),
-                    UnaryOp::Exp => format!("expf({x})"),
-                    UnaryOp::Ln => format!("logf({x})"),
-                    UnaryOp::Sigmoid => format!("(1.0f / (1.0f + expf(-({x}))))"),
-                    UnaryOp::Tanh => format!("tanhf({x})"),
-                    UnaryOp::Sign => format!("(({x} > 0) - ({x} < 0))"),
-                }
-            }
-            Expr::Binary { op, a, b } => {
-                let x = self.expr(a);
-                let y = self.expr(b);
-                match op {
-                    BinaryOp::Add => format!("({x} + {y})"),
-                    BinaryOp::Sub => format!("({x} - {y})"),
-                    BinaryOp::Mul => format!("({x} * {y})"),
-                    BinaryOp::Div => format!("({x} / {y})"),
-                    BinaryOp::Mod => format!("(((({x}) % ({y})) + ({y})) % ({y}))"),
-                    BinaryOp::Min => format!("min({x}, {y})"),
-                    BinaryOp::Max => format!("max({x}, {y})"),
-                    BinaryOp::Pow => format!("powf({x}, {y})"),
-                    BinaryOp::Eq => format!("({x} == {y})"),
-                    BinaryOp::Ne => format!("({x} != {y})"),
-                    BinaryOp::Lt => format!("({x} < {y})"),
-                    BinaryOp::Le => format!("({x} <= {y})"),
-                    BinaryOp::Gt => format!("({x} > {y})"),
-                    BinaryOp::Ge => format!("({x} >= {y})"),
-                    BinaryOp::And => format!("({x} && {y})"),
-                    BinaryOp::Or => format!("({x} || {y})"),
-                }
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => format!(
-                "({} ? {} : {})",
-                self.expr(cond),
-                self.expr(then),
-                self.expr(otherwise)
-            ),
-            Expr::Cast { dtype, a } => format!("(({}){})", ctype(*dtype), self.expr(a)),
-        }
+    /// `s { body }`.
+    fn braced(&mut self, head: &str, body: &'a Stmt) {
+        self.line(head);
+        self.indent += 1;
+        self.stmt(body);
+        self.indent -= 1;
     }
 
-    fn index_expr(&self, var: &str, indices: &[Expr]) -> String {
-        if indices.is_empty() {
-            return format!("{}[0]", sanitize(var));
-        }
-        let shape = self.shapes.get(var).cloned().unwrap_or_default();
-        let mut s = String::new();
-        for (d, idx) in indices.iter().enumerate() {
-            if d == 0 {
-                s = self.expr(idx);
-            } else {
-                s = format!("({s}) * ({}) + ({})", self.expr(&shape[d]), self.expr(idx));
-            }
-        }
-        format!("{}[{s}]", sanitize(var))
+    /// Extent of a GPU-parallel loop, printed for the launch configuration.
+    fn launch_extent(&self, begin: &Expr, end: &Expr) -> String {
+        let extent = ft_passes::const_fold_expr(end.clone() - begin.clone());
+        self.p.expr(&extent, DataType::I64)
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    /// An outermost GPU-parallel loop: its nest becomes a kernel of its own,
+    /// written with everything the host has in scope, and the host launches
+    /// it.
+    fn kernel(&mut self, s: &'a Stmt, begin: &Expr, end: &Expr, body: &'a Stmt) {
+        let name = format!("{}{}", self.kernel_prefix, self.n_kernels);
+        self.n_kernels += 1;
+        // Grid/block sizes: this loop plus an inner thread loop.
+        let grid = self.launch_extent(begin, end);
+        let block = match &ft_schedule::util::peel(body).kind {
+            StmtKind::For {
+                begin, end, property, ..
+            } if property.parallel.is_gpu_thread() => self.launch_extent(begin, end),
+            _ => "1".to_string(),
+        };
+        let host = (std::mem::take(&mut self.out), self.indent);
+        (self.in_kernel, self.indent) = (true, 1);
+        self.stmt(s);
+        let text = std::mem::replace(&mut self.out, host.0);
+        (self.in_kernel, self.indent) = (false, host.1);
+        let _ = writeln!(
+            self.kernels,
+            "__global__ void {name}({}) {{\n{text}}}\n",
+            self.params
+        );
+        self.line(&format!(
+            "{name}<<<dim3({grid}), dim3({block})>>>({});",
+            self.args
+        ));
+        self.line("cudaDeviceSynchronize();");
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) {
         match &s.kind {
             StmtKind::Empty => {}
             StmtKind::Block(v) => {
@@ -162,29 +130,43 @@ impl Cuda {
                 body,
                 ..
             } => {
-                self.shapes.insert(name.clone(), shape.clone());
+                self.p.tensors.push((name, *dtype, shape));
+                let ident = self.p.names.bind(name);
                 if *mtype == MemType::GpuShared {
-                    self.shared.insert(name.clone());
+                    self.shared.push(name);
                 }
-                let n: i64 = shape
-                    .iter()
-                    .map(|e| {
-                        ft_passes::const_fold_expr(e.clone())
-                            .as_int()
-                            .unwrap_or(1)
-                    })
-                    .product::<i64>()
-                    .max(1);
-                let prefix = match mtype {
-                    MemType::GpuShared => "__shared__ ",
-                    _ => "",
-                };
-                self.line(&format!(
-                    "{prefix}{} {}[{n}];",
-                    ctype(*dtype),
-                    sanitize(name)
-                ));
+                if self.in_kernel {
+                    let n: i64 = shape
+                        .iter()
+                        .map(|e| ft_passes::const_fold_expr(e.clone()).as_int().unwrap_or(1))
+                        .product::<i64>()
+                        .max(1);
+                    let prefix = match mtype {
+                        MemType::GpuShared => "__shared__ ",
+                        _ => "",
+                    };
+                    self.line(&format!("{prefix}{} {ident}[{n}];", self.p.ctype(*dtype)));
+                } else {
+                    // Host-side buffers for locals spanning kernels.
+                    self.line(&format!(
+                        "/* device buffer `{ident}` allocated via cudaMalloc in deployment */"
+                    ));
+                }
                 self.stmt(body);
+                if *mtype == MemType::GpuShared {
+                    self.shared.pop();
+                }
+                self.p.names.unbind(name);
+                self.p.tensors.pop();
+            }
+            StmtKind::For {
+                begin,
+                end,
+                property,
+                body,
+                ..
+            } if property.parallel.is_gpu() && !self.in_kernel => {
+                self.kernel(s, begin, end, body);
             }
             StmtKind::For {
                 iter,
@@ -193,55 +175,40 @@ impl Cuda {
                 property,
                 body,
             } => {
-                let i = sanitize(iter);
-                match property.parallel {
-                    ParallelScope::CudaBlockX
-                    | ParallelScope::CudaBlockY
-                    | ParallelScope::CudaThreadX
-                    | ParallelScope::CudaThreadY => {
-                        let hw = match property.parallel {
-                            ParallelScope::CudaBlockX => "blockIdx.x",
-                            ParallelScope::CudaBlockY => "blockIdx.y",
-                            ParallelScope::CudaThreadX => "threadIdx.x",
-                            _ => "threadIdx.y",
-                        };
-                        self.line(&format!(
-                            "long long {i} = {} + (long long){hw};",
-                            self.expr(begin)
-                        ));
-                        self.line(&format!("if ({i} < {}) {{", self.expr(end)));
-                        self.indent += 1;
-                        self.stmt(body);
-                        self.indent -= 1;
-                        self.line("}");
+                // Bounds are evaluated in the enclosing scope; the iterator
+                // is only in scope inside the loop.
+                let begin = self.p.expr(begin, DataType::I64);
+                let end = self.p.expr(end, DataType::I64);
+                let i = self.p.names.bind(iter);
+                let hw = match property.parallel {
+                    ParallelScope::CudaBlockX => Some("blockIdx.x"),
+                    ParallelScope::CudaBlockY => Some("blockIdx.y"),
+                    ParallelScope::CudaThreadX => Some("threadIdx.x"),
+                    ParallelScope::CudaThreadY => Some("threadIdx.y"),
+                    _ => None,
+                };
+                match hw {
+                    Some(hw) => {
+                        self.line(&format!("long long {i} = {begin} + (long long){hw};"));
+                        self.braced(&format!("if ({i} < {end}) {{"), body);
                     }
-                    _ => {
-                        self.line(&format!(
-                            "for (long long {i} = {}; {i} < {}; ++{i}) {{",
-                            self.expr(begin),
-                            self.expr(end)
-                        ));
-                        self.indent += 1;
-                        self.stmt(body);
-                        self.indent -= 1;
-                        self.line("}");
-                    }
+                    None => self.braced(
+                        &format!("for (long long {i} = {begin}; {i} < {end}; ++{i}) {{"),
+                        body,
+                    ),
                 }
+                self.line("}");
+                self.p.names.unbind(iter);
             }
             StmtKind::If {
                 cond,
                 then,
                 otherwise,
             } => {
-                self.line(&format!("if ({}) {{", self.expr(cond)));
-                self.indent += 1;
-                self.stmt(then);
-                self.indent -= 1;
+                let cond = self.p.expr(cond, DataType::I64);
+                self.braced(&format!("if ({cond}) {{"), then);
                 if let Some(o) = otherwise {
-                    self.line("} else {");
-                    self.indent += 1;
-                    self.stmt(o);
-                    self.indent -= 1;
+                    self.braced("} else {", o);
                 }
                 self.line("}");
             }
@@ -249,170 +216,86 @@ impl Cuda {
                 var,
                 indices,
                 value,
-            } => {
-                let lhs = self.index_expr(var, indices);
-                let rhs = self.expr(value);
-                self.line(&format!("{lhs} = {rhs};"));
-            }
+            } => self.assign(var, indices, None, false, value),
             StmtKind::ReduceTo {
                 var,
                 indices,
                 op,
                 value,
                 atomic,
-            } => {
-                let lhs = self.index_expr(var, indices);
-                let rhs = self.expr(value);
-                match (op, atomic) {
-                    (ReduceOp::Add, true) => {
-                        self.line(&format!("atomicAdd(&{lhs}, {rhs});"));
-                    }
-                    (ReduceOp::Add, false) => self.line(&format!("{lhs} += {rhs};")),
-                    (ReduceOp::Mul, _) => self.line(&format!("{lhs} *= {rhs};")),
-                    (ReduceOp::Min, _) => self.line(&format!("{lhs} = min({lhs}, {rhs});")),
-                    (ReduceOp::Max, _) => self.line(&format!("{lhs} = max({lhs}, {rhs});")),
-                }
-            }
+            } => self.assign(var, indices, Some(*op), *atomic, value),
             StmtKind::LibCall { kernel, .. } => {
                 self.line(&format!("/* library call: {kernel} (cuBLAS in deployment) */"));
             }
         }
     }
-}
 
-/// Extent of a GPU-parallel loop, printed for the launch configuration.
-fn launch_extent(e: &Expr, b: &Expr, shapes: &Cuda) -> String {
-    let ext = ft_passes::const_fold_expr(e.clone() - b.clone());
-    shapes.expr(&ext)
+    /// `var[indices] = value;` or its reduction, the value spelled in the
+    /// element's type.
+    fn assign(
+        &mut self,
+        var: &str,
+        indices: &[Expr],
+        op: Option<ReduceOp>,
+        atomic: bool,
+        value: &Expr,
+    ) {
+        let elem = self.p.elem(var);
+        let mut lhs = String::new();
+        self.p.put_index(&mut lhs, var, indices);
+        let fold = |op| {
+            // `min=`/`max=` are the binary operator on the element, typed
+            // and spelled like any other.
+            let element = Expr::Load {
+                var: var.to_string(),
+                indices: indices.to_vec(),
+            };
+            self.p.expr(&Expr::binary(op, element, value.clone()), elem)
+        };
+        let rhs = match op {
+            Some(ReduceOp::Min) => fold(BinaryOp::Min),
+            Some(ReduceOp::Max) => fold(BinaryOp::Max),
+            _ => self.p.expr(value, elem),
+        };
+        self.line(&match (op, atomic) {
+            (Some(ReduceOp::Add), true) => format!("atomicAdd(&{lhs}, {rhs});"),
+            (Some(ReduceOp::Add), false) => format!("{lhs} += {rhs};"),
+            (Some(ReduceOp::Mul), _) => format!("{lhs} *= {rhs};"),
+            _ => format!("{lhs} = {rhs};"),
+        });
+    }
 }
 
 /// Emit CUDA-flavoured source: one `__global__` kernel per outermost
 /// GPU-parallel region, plus a host launcher function.
 pub fn emit_cuda(func: &Func) -> String {
-    let mut shapes = HashMap::new();
-    for p in &func.params {
-        shapes.insert(p.name.clone(), p.shape.clone());
-    }
+    let (p, syms) = Printer::new(func, TYPES);
     // Parameters of every kernel: all tensors + size params.
-    let mut params: Vec<String> = Vec::new();
-    let mut args: Vec<String> = Vec::new();
-    for p in &func.params {
-        let qual = if p.atype == AccessType::Input {
-            "const "
-        } else {
-            ""
-        };
-        params.push(format!("{qual}{}* {}", ctype(p.dtype), sanitize(&p.name)));
-        args.push(sanitize(&p.name));
-    }
-    for sp in &func.size_params {
-        params.push(format!("long long {}", sanitize(sp)));
-        args.push(sanitize(sp));
-    }
-
-    let mut kernels = String::new();
-    let mut host = String::new();
-    let mut k = 0usize;
+    let params = p.signature(func, &syms);
+    let args: Vec<&str> = syms.params.iter().chain(&syms.size_params).map(String::as_str).collect();
     // Outermost GPU-parallel loops become kernels; everything else runs on
     // the host (sequentially, in order).
-    let mut host_emit = Cuda {
-        shapes: shapes.clone(),
-        shared: Default::default(),
+    let mut em = Cuda {
+        p,
+        shared: Vec::new(),
+        kernels: String::new(),
+        n_kernels: 0,
+        kernel_prefix: format!("{}_kernel", syms.func),
+        params: params.join(", "),
+        args: args.join(", "),
         in_kernel: false,
         out: String::new(),
         indent: 1,
     };
-    #[allow(clippy::too_many_arguments)] // one-shot recursive splitter
-    fn walk(
-        s: &Stmt,
-        k: &mut usize,
-        kernels: &mut String,
-        host: &mut Cuda,
-        params: &[String],
-        args: &[String],
-        shapes: &HashMap<String, Vec<Expr>>,
-        func_name: &str,
-    ) {
-        match &s.kind {
-            StmtKind::For {
-                begin,
-                end,
-                property,
-                body,
-                ..
-            } if property.parallel.is_gpu() => {
-                let name = format!("{}_kernel{k}", sanitize(func_name));
-                *k += 1;
-                let mut em = Cuda {
-                    shapes: shapes.clone(),
-                    shared: Default::default(),
-                    in_kernel: true,
-                    out: String::new(),
-                    indent: 1,
-                };
-                // Grid/block sizes: this loop plus an inner thread loop.
-                let grid = launch_extent(end, begin, &em);
-                let mut block = "1".to_string();
-                if let StmtKind::For {
-                    begin: b2,
-                    end: e2,
-                    property: p2,
-                    ..
-                } = &ft_schedule::util::peel(body).kind
-                {
-                    if p2.parallel.is_gpu_thread() {
-                        block = launch_extent(e2, b2, &em);
-                    }
-                }
-                em.stmt(s);
-                let _ = writeln!(
-                    kernels,
-                    "__global__ void {name}({}) {{\n{}}}\n",
-                    params.join(", "),
-                    em.out
-                );
-                host.line(&format!(
-                    "{name}<<<dim3({grid}), dim3({block})>>>({});",
-                    args.join(", ")
-                ));
-                host.line("cudaDeviceSynchronize();");
-            }
-            StmtKind::Block(v) => {
-                for st in v {
-                    walk(st, k, kernels, host, params, args, shapes, func_name);
-                }
-            }
-            StmtKind::VarDef { name, shape, .. } => {
-                host.shapes.insert(name.clone(), shape.clone());
-                // Host-side buffers for locals spanning kernels.
-                host.line(&format!(
-                    "/* device buffer `{}` allocated via cudaMalloc in deployment */",
-                    sanitize(name)
-                ));
-                let StmtKind::VarDef { body, .. } = &s.kind else {
-                    unreachable!()
-                };
-                walk(body, k, kernels, host, params, args, shapes, func_name);
-            }
-            _ => {
-                host.stmt(s);
-            }
-        }
-    }
-    walk(
-        &func.body,
-        &mut k,
-        &mut kernels,
-        &mut host_emit,
-        &params,
-        &args,
-        &shapes,
-        &func.name,
-    );
-    let _ = writeln!(host, "void {}({}) {{", sanitize(&func.name), params.join(", "));
-    host.push_str(&host_emit.out);
-    host.push_str("}\n");
-    format!("#include <cuda_runtime.h>\n#include <math.h>\n\n{kernels}\n{host}")
+    em.stmt(&func.body);
+    format!(
+        "{HEADERS}{}\n{}\nvoid {}({}) {{\n{}}}\n",
+        SCALAR_HELPERS.replace("static inline", HELPER_QUALIFIER),
+        em.kernels,
+        syms.func,
+        em.params,
+        em.out
+    )
 }
 
 #[cfg(test)]
@@ -550,5 +433,78 @@ mod tests {
         let cu = emit_cuda(&f);
         assert!(cu.contains("f_kernel0"), "{cu}");
         assert!(cu.contains("f_kernel1"), "{cu}");
+    }
+
+    /// `body` over every `b` of a block-parallel loop.
+    fn per_block(iter: &str, body: Stmt) -> Stmt {
+        for_with(iter, 0, 8, ForProperty::parallel(ParallelScope::CudaBlockX), body)
+    }
+
+    #[test]
+    fn a_def_spanning_kernels_is_indexed_with_its_own_shape() {
+        // `t[8, 5]` lives on the host side, between the kernel that fills
+        // it and the one that reads it back: both must know its shape.
+        let f = Func::new("span")
+            .param_on("y", [8], DataType::F32, MemType::GpuGlobal, AccessType::Output)
+            .body(var_def(
+                "t",
+                [8, 5],
+                DataType::F32,
+                MemType::GpuGlobal,
+                block([
+                    per_block("b", store("t", [var("b"), 3.into()], 1.0f32)),
+                    per_block("b2", store("y", [var("b2")], load("t", [var("b2"), 3.into()]))),
+                ]),
+            ));
+        let cu = emit_cuda(&f);
+        assert!(cu.contains("t[(b) * (5) + (3)] = 1.0f;"), "{cu}");
+        assert!(cu.contains("y[b2] = t[(b2) * (5) + (3)];"), "{cu}");
+    }
+
+    #[test]
+    fn colliding_param_names_get_distinct_identifiers() {
+        let f = Func::new("c")
+            .param_on("a.b", [8], DataType::F32, MemType::GpuGlobal, AccessType::Input)
+            .param_on("a_b", [8], DataType::F32, MemType::GpuGlobal, AccessType::Output)
+            .body(per_block("i", store("a_b", [var("i")], load("a.b", [var("i")]))));
+        let cu = emit_cuda(&f);
+        assert!(cu.contains("c_kernel0(const float* a_b, float* a_b_2)"), "{cu}");
+        assert!(cu.contains("a_b_2[i] = a_b[i];"), "{cu}");
+        assert!(cu.contains("c_kernel0<<<dim3(8), dim3(1)>>>(a_b, a_b_2);"), "{cu}");
+    }
+
+    #[test]
+    fn integer_operators_are_spelled_as_the_c_emitter_spells_them() {
+        // The IR's integer `/` and `%` floor and its `abs` is exact: C's
+        // truncating operators and `fabsf` are none of them.
+        let n = || load("n", [var("i")]);
+        let f = Func::new("ints")
+            .param_on("n", [8], DataType::I32, MemType::GpuGlobal, AccessType::Input)
+            .param_on("q", [8], DataType::I32, MemType::GpuGlobal, AccessType::Output)
+            .param_on("x", [8], DataType::F32, MemType::GpuGlobal, AccessType::Output)
+            .body(per_block(
+                "i",
+                block([
+                    store("q", [var("i")], intrin::abs(n() / 3) + n().rem(3)),
+                    store("x", [var("i")], intrin::abs(load("x", [var("i")]))),
+                ]),
+            ));
+        let cu = emit_cuda(&f);
+        assert!(
+            cu.contains("q[i] = (llabs(ft_fdiv(n[i], 3)) + ft_fmod(n[i], 3));"),
+            "{cu}"
+        );
+        assert!(cu.contains("x[i] = fabsf(x[i]);"), "{cu}");
+        assert!(
+            cu.contains("static inline __host__ __device__ int64_t ft_fdiv("),
+            "{cu}"
+        );
+        // And the same operators in C (which keeps `n[i]` in a local):
+        // one printer, one spelling.
+        let c = crate::emit_c(&f).expect("nothing to refuse");
+        assert!(
+            c.contains("q[i] = (llabs(ft_fdiv(ft_c1, 3)) + ft_fmod(ft_c1, 3));"),
+            "{c}"
+        );
     }
 }

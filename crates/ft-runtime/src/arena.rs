@@ -20,11 +20,12 @@
 //! `mem.plan` runtime span plus a decision-log entry with the
 //! planned-vs-naive peak bytes.
 
+use crate::bind::Resolved;
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::value::TensorVal;
 use ft_analysis::{MemPlan, ARENA_ALIGN};
-use ft_ir::{AccessType, DataType, Func};
+use ft_ir::{AccessType, DataType};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, TraceSink, Verdict, TRACK_RUNTIME};
 use std::collections::HashMap;
@@ -140,19 +141,6 @@ pub(crate) fn publish_plan(
     }
 }
 
-/// True when the plan's pre-order def list lines up name-for-name with the
-/// slot-lowered `tensor_names` table (params first, then defs). Both are
-/// produced by a pre-order DFS over the same tree, so a mismatch means the
-/// caller planned a different function than it compiled — pooling is then
-/// disabled rather than risking a class collision.
-pub(crate) fn plan_matches_names(plan: &MemPlan, tensor_names: &[String]) -> bool {
-    plan.entries.iter().all(|e| {
-        tensor_names
-            .get(plan.n_params + e.def_idx)
-            .is_some_and(|n| *n == e.name)
-    })
-}
-
 /// Per-def facts extracted from a plan, indexed by slot (params offset
 /// already applied).
 #[derive(Debug)]
@@ -186,7 +174,6 @@ impl DefLookup {
 /// the VM.
 #[derive(Debug)]
 pub(crate) struct TensorPool {
-    plan_hash: u64,
     lookup: DefLookup,
     free: Vec<Vec<TensorVal>>,
     pub(crate) stats: ArenaStats,
@@ -196,15 +183,10 @@ impl TensorPool {
     pub(crate) fn new(plan: &MemPlan) -> TensorPool {
         let lookup = DefLookup::new(plan);
         TensorPool {
-            plan_hash: plan.plan_hash(),
             free: (0..lookup.n_classes).map(|_| Vec::new()).collect(),
             lookup,
             stats: ArenaStats::default(),
         }
-    }
-
-    pub(crate) fn plan_hash(&self) -> u64 {
-        self.plan_hash
     }
 
     /// A buffer for the `VarDef` occupying tensor slot `slot`. Pool hits
@@ -293,7 +275,7 @@ impl NativeArena {
 }
 
 /// What a [`RunContext`] is committed to after its first planned run: the
-/// memory-plan hash, a signature of the parameter shapes/sizes, and the
+/// memory-plan hash, the signature of the parameter shapes/sizes, and the
 /// expected output set — the facts every later run and recycle must match.
 #[derive(Debug, Clone)]
 struct CtxBinding {
@@ -301,59 +283,8 @@ struct CtxBinding {
     plan_hash: u64,
     shape_sig: u64,
     /// Output/InOut parameter names with their resolved shapes, for the
-    /// recycle-time signature check. `None` shape = unresolvable extent
-    /// (symbolic with a missing size), which skips the shape comparison.
-    outputs: Vec<(String, Option<Vec<usize>>)>,
-}
-
-/// FNV-1a signature of a run's parameter/shape binding: function name,
-/// every parameter's (name, dtype, access, resolved shape) and every size
-/// parameter's value. Two runs with equal signatures bind buffers of
-/// identical names and byte sizes.
-fn shape_sig(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
-    let mut h = ft_ir::Fnv1a::new();
-    let mut eat = |bytes: &[u8]| h.write(bytes);
-    eat(func.name.as_bytes());
-    for p in &func.params {
-        eat(b"|p");
-        eat(p.name.as_bytes());
-        eat(&[p.dtype as u8, p.atype as u8]);
-        for e in &p.shape {
-            match ft_analysis::eval_extent(e, sizes) {
-                Some(v) => eat(&v.to_le_bytes()),
-                None => eat(format!("{e:?}").as_bytes()),
-            }
-        }
-    }
-    let mut sp: Vec<&String> = func.size_params.iter().collect();
-    sp.sort();
-    for s in sp {
-        eat(b"|s");
-        eat(s.as_bytes());
-        if let Some(v) = sizes.get(s) {
-            eat(&v.to_le_bytes());
-        }
-    }
-    h.finish()
-}
-
-/// The bound program's output signature: every Output/InOut parameter with
-/// its resolved shape.
-fn output_sig(func: &Func, sizes: &HashMap<String, i64>) -> Vec<(String, Option<Vec<usize>>)> {
-    func.params
-        .iter()
-        .filter(|p| matches!(p.atype, AccessType::Output | AccessType::InOut))
-        .map(|p| {
-            let shape: Option<Vec<usize>> = p
-                .shape
-                .iter()
-                .map(|e| {
-                    ft_analysis::eval_extent(e, sizes).and_then(|v| usize::try_from(v).ok())
-                })
-                .collect();
-            (p.name.clone(), shape)
-        })
-        .collect()
+    /// recycle-time signature check.
+    outputs: Vec<(String, Vec<usize>)>,
 }
 
 /// Reusable cross-run state for [`ExecutionEngine::run_with`]
@@ -380,7 +311,10 @@ fn output_sig(func: &Func, sizes: &HashMap<String, i64>) -> Vec<(String, Option<
 /// repurposes a context intentionally. A run that fails mid-way *poisons*
 /// the context (pools may have lost or half-written buffers); the next
 /// `run_with` detects the poison and resets to a clean slate instead of
-/// reusing suspect storage, counted as `mem.arena.poison_resets`.
+/// reusing suspect storage, counted as `mem.arena.poison_resets`. A call
+/// refused before the run — a missing size, a missing or ill-shaped input,
+/// a `ContextMismatch` — neither binds nor poisons: the context stays as
+/// warm as it was.
 #[derive(Debug, Default)]
 pub struct RunContext {
     pub(crate) tensor_pool: Option<TensorPool>,
@@ -421,27 +355,13 @@ impl RunContext {
         if let Some(b) = &self.binding {
             for (name, t) in &outputs {
                 let expected = b.outputs.iter().find(|(n, _)| n == name);
-                match expected {
-                    Some((_, Some(shape))) if shape == t.shape() => {}
-                    // Unresolvable declared shape: accept (the run-time
-                    // binding guard already vouched for the size set).
-                    Some((_, None)) => {}
-                    Some((_, Some(shape))) => {
-                        return Err(RuntimeError::RecycleMismatch {
-                            bound_func: b.func_name.clone(),
-                            output: name.clone(),
-                            expected_shape: Some(shape.clone()),
-                            actual_shape: t.shape().to_vec(),
-                        });
-                    }
-                    None => {
-                        return Err(RuntimeError::RecycleMismatch {
-                            bound_func: b.func_name.clone(),
-                            output: name.clone(),
-                            expected_shape: None,
-                            actual_shape: t.shape().to_vec(),
-                        });
-                    }
+                if expected.is_none_or(|(_, shape)| shape != t.shape()) {
+                    return Err(RuntimeError::RecycleMismatch {
+                        bound_func: b.func_name.clone(),
+                        output: name.clone(),
+                        expected_shape: expected.map(|(_, shape)| shape.clone()),
+                        actual_shape: t.shape().to_vec(),
+                    });
                 }
             }
         }
@@ -482,61 +402,51 @@ impl RunContext {
         self.binding.as_ref().map(|b| b.func_name.as_str())
     }
 
-    /// Poison the context for errors that indict the run, not the binding
-    /// handshake (a `ContextMismatch` leaves the context perfectly good
-    /// for its own program).
-    pub(crate) fn poison_on(&mut self, e: &RuntimeError) {
-        if !matches!(e, RuntimeError::ContextMismatch { .. }) {
-            self.poison();
-        }
-    }
-
-    /// Admission check run by every engine before drawing on the context:
-    /// heal a poisoned context (full reset, counted), then bind to
-    /// `(func, sizes, plan)` or verify the existing binding matches.
+    /// Run by the engine shell once a call has resolved and validated,
+    /// before the engine draws on the context: heal a poisoned context
+    /// (full reset, counted), then bind to `resolved` or verify the
+    /// existing binding matches.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ContextMismatch`] when bound to a different
     /// program/plan/shape set.
-    pub(crate) fn ensure_bound(
-        &mut self,
-        func: &Func,
-        sizes: &HashMap<String, i64>,
-        plan: &MemPlan,
-    ) -> Result<(), RuntimeError> {
+    pub(crate) fn ensure_bound(&mut self, resolved: &Resolved<'_>) -> Result<(), RuntimeError> {
         if self.poisoned {
             self.reset();
             self.stats.poison_resets += 1;
         }
-        let sig = shape_sig(func, sizes);
+        let func = resolved.func();
+        let plan_hash = resolved.plan().plan_hash();
         match &self.binding {
             None => {
                 self.binding = Some(CtxBinding {
                     func_name: func.name.clone(),
-                    plan_hash: plan.plan_hash(),
-                    shape_sig: sig,
-                    outputs: output_sig(func, sizes),
+                    plan_hash,
+                    shape_sig: resolved.shape_sig(),
+                    outputs: resolved
+                        .params()
+                        .filter(|(p, _)| matches!(p.atype, AccessType::Output | AccessType::InOut))
+                        .map(|(p, shape)| (p.name.clone(), shape.to_vec()))
+                        .collect(),
                 });
                 Ok(())
             }
-            Some(b) if b.plan_hash == plan.plan_hash() && b.shape_sig == sig => Ok(()),
+            Some(b) if b.plan_hash == plan_hash && b.shape_sig == resolved.shape_sig() => Ok(()),
             Some(b) => Err(RuntimeError::ContextMismatch {
                 bound_func: b.func_name.clone(),
                 bound_plan_hash: b.plan_hash,
                 requested_func: func.name.clone(),
-                requested_plan_hash: plan.plan_hash(),
+                requested_plan_hash: plan_hash,
             }),
         }
     }
 
-    /// Lend the interpreter or the VM the pool for `plan` for one run (a
-    /// fresh one when the plan hash changed since the previous run); the
-    /// engine puts it back in `tensor_pool` when the run ends.
+    /// Lend the interpreter or the VM the pool for `plan` — the plan this
+    /// context is bound to — for one run; the engine puts it back in
+    /// `tensor_pool` when the run ends.
     pub(crate) fn take_tensor_pool(&mut self, plan: &MemPlan) -> TensorPool {
-        let hash = plan.plan_hash();
-        let kept = self.tensor_pool.take().filter(|p| p.plan_hash() == hash);
-        kept.unwrap_or_else(|| TensorPool::new(plan))
+        self.tensor_pool.take().unwrap_or_else(|| TensorPool::new(plan))
     }
 
     /// The compiled engine's flat arena for `plan`, rebuilt on plan change.

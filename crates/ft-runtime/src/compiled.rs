@@ -13,8 +13,7 @@ use crate::device::DeviceConfig;
 use crate::error::RuntimeError;
 use crate::value::{Scalar, TensorVal};
 use ft_ir::{
-    AccessType, BinaryOp, DataType, Expr, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind,
-    UnaryOp,
+    BinaryOp, DataType, Expr, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind, UnaryOp,
 };
 use ft_trace::{ProfileNode, StmtCounters};
 use std::collections::HashMap;
@@ -110,10 +109,11 @@ pub(crate) struct Compiled {
     pub body: CStmt,
     /// One entry per tensor slot: diagnostic name.
     pub tensor_names: Vec<String>,
-    /// Parameter slots in declaration order: (slot, shape, dtype, mtype, atype).
-    pub params: Vec<(usize, Vec<CExpr>, DataType, MemType, AccessType)>,
-    /// Scalar slot per size parameter, by name.
-    pub size_slots: Vec<(String, usize)>,
+    /// Tensor slot and declared dtype per parameter, in declaration order
+    /// (shapes and inputs arrive resolved — see [`crate::bind`]).
+    pub params: Vec<(usize, DataType)>,
+    /// Scalar slot per size parameter, in declaration order.
+    pub size_slots: Vec<usize>,
     pub n_tensors: usize,
     pub n_scalars: usize,
     /// Profile-tree skeleton in preorder (node 0 = the function root); each
@@ -353,38 +353,22 @@ pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
         }],
         prof_cur: 0,
     };
-    let mut size_slots = Vec::new();
-    for sp in &func.size_params {
-        size_slots.push((sp.clone(), lw.new_scalar(sp)));
-    }
-    let mut params = Vec::new();
-    for p in &func.params {
-        let shape: Vec<CExpr> = p
-            .shape
-            .iter()
-            .map(|e| lw.expr(e))
-            .collect::<Result<_, _>>()?;
-        let slot = lw.new_tensor(&p.name);
-        params.push((slot, shape, p.dtype, p.mtype, p.atype));
-    }
+    let size_slots = func.size_params.iter().map(|sp| lw.new_scalar(sp)).collect();
+    let params = func
+        .params
+        .iter()
+        .map(|p| (lw.new_tensor(&p.name), p.dtype))
+        .collect();
     let body = lw.stmt(&func.body)?;
     Ok(Compiled {
         body,
+        n_tensors: lw.tensor_names.len(),
         tensor_names: lw.tensor_names,
         params,
         size_slots,
-        n_tensors: 0,
         n_scalars: lw.n_scalars,
         prof_nodes: lw.prof_nodes,
-    }
-    .finish())
-}
-
-impl Compiled {
-    fn finish(mut self) -> Compiled {
-        self.n_tensors = self.tensor_names.len();
-        self
-    }
+    })
 }
 
 pub(crate) struct TensorEntry {
@@ -414,7 +398,7 @@ pub(crate) struct ExecCtx<'a> {
     /// Plan-driven buffer pool for `VarDef` storage. Reuses scope-exited
     /// buffers of the same interference class (skipping the zero-fill when
     /// the plan proved write-before-read); modeled accounting is unchanged.
-    pub arena: Option<crate::arena::TensorPool>,
+    pub arena: crate::arena::TensorPool,
 }
 
 impl ExecCtx<'_> {
@@ -643,16 +627,11 @@ impl ExecCtx<'_> {
                             .map_err(|_| RuntimeError::UnresolvedSize(self.names[*t].clone()))
                     })
                     .collect::<Result<_, _>>()?;
-                let val = match self.arena.as_mut() {
-                    Some(pool) => pool.take_slot(*t, *dtype, &sh),
-                    None => TensorVal::zeros(*dtype, &sh),
-                };
+                let val = self.arena.take_slot(*t, *dtype, &sh);
                 self.alloc(*t, val, *mtype)?;
                 let r = self.exec(body);
                 if let Some(val) = self.dealloc(*t) {
-                    if let Some(pool) = self.arena.as_mut() {
-                        pool.put_slot(*t, val);
-                    }
+                    self.arena.put_slot(*t, val);
                 }
                 r
             }

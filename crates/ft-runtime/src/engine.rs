@@ -1,22 +1,24 @@
 //! A common interface over the three execution engines.
 //!
-//! Each engine exists for one role: the interpreter ([`Runtime`]) is the
-//! reference semantics and the device model every other engine is diffed
-//! against; the bytecode VM ([`VmRuntime`]) is the portable fallback for
-//! hosts without a C compiler; the native compiled engine
+//! Each engine exists for one role: the interpreter
+//! ([`Runtime`](crate::Runtime)) is the reference semantics and the device
+//! model every other engine is diffed against; the bytecode VM
+//! ([`VmRuntime`](crate::VmRuntime)) is the portable fallback for hosts
+//! without a C compiler; the native compiled engine
 //! ([`CompiledEngine`](crate::native::CompiledEngine)) is the production
 //! path and the paper's execution model — the last two execute the same
-//! lowered function ([`lower_and_plan`](crate::lower_and_plan)). All three answer the same
-//! question — "run this lowered `Func` on these tensors" — and the
+//! lowered function (`ft_codegen::lower_and_plan`). All three answer the
+//! same question — "run this `Func` on these tensors" — and the
 //! [`ExecutionEngine`] trait is the single seam harnesses (bench,
-//! conformance, serving, examples) drive them through: one `run` signature
-//! returning the interpreter's [`RunResult`], plus trace-sink plumbing so
-//! drivers can wire provenance uniformly.
+//! conformance, serving, examples) drive them through. What the question
+//! means on the call side — sizes, shapes, which inputs must be there — is
+//! decided once, in [`crate::bind`], and the sequence around it once, here:
+//! an engine supplies only `execute`.
 
 use crate::arena::RunContext;
-use crate::vm::VmRuntime;
+use crate::bind::Resolved;
 use crate::error::RuntimeError;
-use crate::interp::{RunResult, Runtime};
+use crate::interp::RunResult;
 use crate::pool::{PoolStatsSnapshot, WorkerPool};
 use crate::value::TensorVal;
 use ft_ir::Func;
@@ -41,17 +43,109 @@ pub(crate) fn record_pool_delta(m: &Metrics, before: &PoolStatsSnapshot) {
     }
 }
 
+mod sealed {
+    use super::*;
+
+    /// The installed trace sink and metrics registry of one engine — what
+    /// the trait's `set_sink`/`sink`/`set_metrics` read and write.
+    #[derive(Debug, Clone, Default)]
+    pub struct Telemetry {
+        pub(crate) sink: Option<TraceSink>,
+        pub(crate) metrics: Option<Metrics>,
+    }
+
+    /// What an engine contributes to a run; the rest is the shell behind
+    /// [`ExecutionEngine::run`]. The module is private, which seals
+    /// [`ExecutionEngine`] and keeps `execute` — whose callers vouch for
+    /// validated inputs — off the public surface.
+    pub trait Backend {
+        /// Whether this engine executes `ft_codegen::lower_and_plan(func)`
+        /// instead of `func` as given.
+        fn lowers(&self) -> bool;
+
+        /// Run a resolved, validated call. With a context, the shell has
+        /// already bound it to `resolved`.
+        fn execute(
+            &self,
+            resolved: &Resolved<'_>,
+            inputs: &HashMap<String, TensorVal>,
+            ctx: Option<&mut RunContext>,
+        ) -> Result<RunResult, RuntimeError>;
+
+        fn telemetry(&self) -> &Telemetry;
+
+        fn telemetry_mut(&mut self) -> &mut Telemetry;
+    }
+}
+pub(crate) use sealed::{Backend, Telemetry};
+
+/// The one prepare-then-run sequence: resolve → validate → bind → publish
+/// the plan → execute, timed as `engine.<name>.run_us` and counted in
+/// `engine.<name>.errors`. Only an error of the run itself poisons the
+/// context: a call refused before `execute` has touched none of its buffers.
+fn run_shell<E: ExecutionEngine + ?Sized>(
+    engine: &E,
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    sizes: &HashMap<String, i64>,
+    mut ctx: Option<&mut RunContext>,
+) -> Result<RunResult, RuntimeError> {
+    let Telemetry { sink, metrics } = engine.telemetry();
+    let t0 = metrics.as_ref().map(|_| std::time::Instant::now());
+    let r = engine.resolve(func, sizes).and_then(|resolved| {
+        resolved.check_inputs(inputs)?;
+        if let Some(c) = ctx.as_deref_mut() {
+            c.ensure_bound(&resolved)?;
+        }
+        let name = &resolved.func().name;
+        crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), name, resolved.plan());
+        let r = engine.execute(&resolved, inputs, ctx.as_deref_mut());
+        if let (Err(_), Some(c)) = (&r, ctx) {
+            c.poison();
+        }
+        r
+    });
+    if let (Some(m), Some(t0)) = (metrics, t0) {
+        let name = engine.name();
+        m.histogram(&format!("engine.{name}.run_us"))
+            .record_duration_us(t0.elapsed());
+        if r.is_err() {
+            m.counter(&format!("engine.{name}.errors")).inc();
+        }
+    }
+    r
+}
+
 /// An execution backend for lowered functions.
 ///
 /// Engines differ in *how* they execute (tree-walking, bytecode, compiled
 /// native code) and in what instrumentation they can report — counters are
-/// zero for the two engines that do not model the device — but all satisfy
-/// the interpreter's parameter semantics: inputs are read-only, `InOut`
-/// params are copied in and returned, `Output` params are zero-initialized.
-pub trait ExecutionEngine {
+/// zero for the two engines that do not model the device — but the call
+/// side is one contract, spelled once ([`Resolved`]): inputs are read-only,
+/// `InOut` params are copied in and returned, `Output` params are
+/// zero-initialized, and a call with a missing size or a missing or
+/// ill-shaped input is refused, with the same error by every engine, before
+/// anything is compiled, bound or allocated.
+pub trait ExecutionEngine: Backend {
     /// Short stable identifier (`"interp"`, `"vm"`, `"compiled"`), used in
     /// reports and trace spans.
     fn name(&self) -> &'static str;
+
+    /// The call-side facts of running `func` at `sizes` on this engine:
+    /// the function it executes, its memory plan, resolved sizes and
+    /// parameter shapes, the planned footprint.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::UnresolvedSize`] / [`RuntimeError::DivisionByZero`]
+    /// when a size is missing or an extent does not evaluate.
+    fn resolve<'f>(
+        &self,
+        func: &'f Func,
+        sizes: &HashMap<String, i64>,
+    ) -> Result<Resolved<'f>, RuntimeError> {
+        Resolved::new(func, sizes, self.lowers())
+    }
 
     /// Execute `func` with the given input tensors and size parameters.
     ///
@@ -65,154 +159,43 @@ pub trait ExecutionEngine {
         func: &Func,
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError>;
+    ) -> Result<RunResult, RuntimeError> {
+        run_shell(self, func, inputs, sizes, None)
+    }
 
     /// As [`run`](ExecutionEngine::run), with a reusable [`RunContext`]:
-    /// the engine plans `VarDef` storage (`ft_analysis::MemPlan`, of the
-    /// function it executes — see [`RunContext`]), draws
-    /// temporary buffers from the context's arena pools, and keeps staging
-    /// buffers alive across calls — so a compile-once/run-many loop reaches
-    /// zero tensor heap allocations in steady state (observable via the
-    /// `mem.arena.*` metrics). Results are bit-identical to `run`. Feed
-    /// each result back with [`RunContext::recycle`] to return output
-    /// buffers to the context.
+    /// the engine draws temporary buffers from the context's arena pools
+    /// (sized by the plan of the function it executes — see [`RunContext`])
+    /// and keeps staging buffers alive across calls — so a compile-once/
+    /// run-many loop reaches zero tensor heap allocations in steady state
+    /// (observable via the `mem.arena.*` metrics). Results are bit-identical
+    /// to `run`. Feed each result back with [`RunContext::recycle`] to
+    /// return output buffers to the context.
     fn run_with(
         &self,
         func: &Func,
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
         ctx: &mut RunContext,
-    ) -> Result<RunResult, RuntimeError>;
+    ) -> Result<RunResult, RuntimeError> {
+        run_shell(self, func, inputs, sizes, Some(ctx))
+    }
 
     /// Install (or remove) a trace sink.
-    fn set_sink(&mut self, sink: Option<TraceSink>);
+    fn set_sink(&mut self, sink: Option<TraceSink>) {
+        self.telemetry_mut().sink = sink;
+    }
 
     /// The installed trace sink, if any.
-    fn sink(&self) -> Option<&TraceSink>;
+    fn sink(&self) -> Option<&TraceSink> {
+        self.telemetry().sink.as_ref()
+    }
 
     /// Install (or remove) a metrics registry. Engines record per-run wall
     /// histograms (`engine.<name>.run_us`), error counters, and whatever
     /// backend-specific telemetry they own (cache counters, kernel dispatch
     /// counts, pool claims).
-    fn set_metrics(&mut self, metrics: Option<Metrics>);
-}
-
-impl ExecutionEngine for Runtime {
-    fn name(&self) -> &'static str {
-        "interp"
-    }
-
-    fn run(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError> {
-        Runtime::run(self, func, inputs, sizes)
-    }
-
-    fn run_with(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        ctx: &mut RunContext,
-    ) -> Result<RunResult, RuntimeError> {
-        self.run_timed(func, inputs, sizes, Some(ctx))
-    }
-
-    fn set_sink(&mut self, sink: Option<TraceSink>) {
-        Runtime::set_sink(self, sink)
-    }
-
-    fn sink(&self) -> Option<&TraceSink> {
-        Runtime::sink(self)
-    }
-
     fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        Runtime::set_metrics(self, metrics)
-    }
-}
-
-impl ExecutionEngine for VmRuntime {
-    fn name(&self) -> &'static str {
-        "vm"
-    }
-
-    fn run(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError> {
-        VmRuntime::run(self, func, inputs, sizes)
-    }
-
-    fn run_with(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        ctx: &mut RunContext,
-    ) -> Result<RunResult, RuntimeError> {
-        self.run_inner(func, inputs, sizes, Some(ctx))
-    }
-
-    fn set_sink(&mut self, sink: Option<TraceSink>) {
-        VmRuntime::set_sink(self, sink)
-    }
-
-    fn sink(&self) -> Option<&TraceSink> {
-        VmRuntime::sink(self)
-    }
-
-    fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        VmRuntime::set_metrics(self, metrics)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ft_ir::prelude::*;
-    use ft_ir::{AccessType, DataType};
-
-    fn axpy() -> Func {
-        Func::new("axpy")
-            .param("x", [var("n")], DataType::F32, AccessType::Input)
-            .param("y", [var("n")], DataType::F32, AccessType::InOut)
-            .size_param("n")
-            .body(for_(
-                "i",
-                0,
-                var("n"),
-                store(
-                    "y",
-                    [var("i")],
-                    load("y", [var("i")]) + load("x", [var("i")]) * 2.0f32,
-                ),
-            ))
-    }
-
-    #[test]
-    fn engines_agree_through_the_trait() {
-        let f = axpy();
-        let mut inputs = HashMap::new();
-        inputs.insert("x".to_string(), TensorVal::from_f32(&[4], vec![1.0; 4]));
-        inputs.insert("y".to_string(), TensorVal::from_f32(&[4], vec![0.5; 4]));
-        let sizes = HashMap::from([("n".to_string(), 4i64)]);
-        let engines: Vec<Box<dyn ExecutionEngine>> = vec![
-            Box::new(Runtime::new()),
-            Box::new(VmRuntime::new()),
-        ];
-        for e in &engines {
-            let r = e.run(&f, &inputs, &sizes).expect("runs");
-            assert_eq!(
-                r.output("y").to_f64_vec(),
-                vec![2.5; 4],
-                "engine {}",
-                e.name()
-            );
-        }
+        self.telemetry_mut().metrics = metrics;
     }
 }

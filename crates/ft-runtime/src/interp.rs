@@ -1,12 +1,14 @@
 //! The instrumented interpreter.
 
+use crate::arena::RunContext;
+use crate::bind::Resolved;
 use crate::counters::{CacheSim, PerfCounters};
 use crate::device::DeviceConfig;
+use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::value::{Scalar, TensorVal};
 use ft_ir::{AccessType, BinaryOp, Func, ReduceOp, UnaryOp};
-use ft_metrics::Metrics;
-use ft_trace::{RunProfile, StmtCounters, TraceSink, TRACK_RUNTIME};
+use ft_trace::{RunProfile, StmtCounters, TRACK_RUNTIME};
 use std::collections::HashMap;
 
 /// Result of executing a function.
@@ -32,12 +34,17 @@ impl RunResult {
 }
 
 /// The interpreter with its device model.
+///
+/// With a trace sink installed ([`ExecutionEngine::set_sink`]) every run
+/// additionally records a runtime span and a [`RunProfile`] attributing
+/// counter deltas to loops and library calls; with a metrics registry,
+/// `engine.interp.run_us` and per-library-kernel `engine.interp.kernel_us`
+/// wall histograms plus an error counter.
 #[derive(Debug, Clone, Default)]
 pub struct Runtime {
     /// Modeled platform parameters.
     pub config: DeviceConfig,
-    sink: Option<TraceSink>,
-    metrics: Option<Metrics>,
+    pub(crate) tel: Telemetry,
 }
 
 impl Runtime {
@@ -54,34 +61,8 @@ impl Runtime {
         }
     }
 
-    /// A runtime that reports spans and per-statement profiles into `sink`.
-    pub fn with_sink(sink: TraceSink) -> Runtime {
-        Runtime {
-            sink: Some(sink),
-            ..Runtime::default()
-        }
-    }
-
-    /// Install (or remove) a trace sink. When a sink is present, every
-    /// [`Runtime::run`] additionally records a runtime span and a
-    /// [`RunProfile`] attributing counter deltas to loops and library calls.
-    pub fn set_sink(&mut self, sink: Option<TraceSink>) {
-        self.sink = sink;
-    }
-
-    /// The installed trace sink, if any.
-    pub fn sink(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
-    /// Install (or remove) a metrics registry. When present, every run
-    /// records `engine.interp.run_us` and per-library-kernel
-    /// `engine.interp.kernel_us` wall histograms plus an error counter.
-    pub fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        self.metrics = metrics;
-    }
-
-    /// Execute `func` with the given input tensors and size parameters.
+    /// Execute `func` with the given input tensors and size parameters
+    /// ([`ExecutionEngine::run`], callable without the trait in scope).
     ///
     /// # Errors
     ///
@@ -93,63 +74,47 @@ impl Runtime {
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
     ) -> Result<RunResult, RuntimeError> {
-        self.run_timed(func, inputs, sizes, None)
+        ExecutionEngine::run(self, func, inputs, sizes)
+    }
+}
+
+impl ExecutionEngine for Runtime {
+    fn name(&self) -> &'static str {
+        "interp"
+    }
+}
+
+impl Backend for Runtime {
+    fn lowers(&self) -> bool {
+        false
     }
 
-    pub(crate) fn run_timed(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        mut rctx: Option<&mut crate::arena::RunContext>,
-    ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let r = self.run_inner(func, inputs, sizes, rctx.as_deref_mut());
-        if let (Err(e), Some(c)) = (&r, rctx) {
-            c.poison_on(e);
-        }
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.interp.run_us").record_duration_us(t0.elapsed());
-            if r.is_err() {
-                m.counter("engine.interp.errors").inc();
-            }
-        }
-        r
+    fn telemetry(&self) -> &Telemetry {
+        &self.tel
     }
 
-    fn run_inner(
+    fn telemetry_mut(&mut self) -> &mut Telemetry {
+        &mut self.tel
+    }
+
+    fn execute(
         &self,
-        func: &Func,
+        resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        mut rctx: Option<&mut crate::arena::RunContext>,
+        mut rctx: Option<&mut RunContext>,
     ) -> Result<RunResult, RuntimeError> {
-        let mut span = self
-            .sink
-            .as_ref()
-            .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("interp {}", func.name)));
+        let func = resolved.func();
+        let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
+        let mut span =
+            sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("interp {}", func.name)));
         let compiled = crate::compiled::compile(func)?;
-        // Plan VarDef storage: loop-local defs reuse one buffer across
+        // Planned VarDef storage: loop-local defs reuse one buffer across
         // iterations within this run (skipping the re-zero where liveness
         // proves write-before-read), and a caller-provided RunContext keeps
         // the pool alive across runs.
-        let plan = ft_analysis::MemPlan::plan(func, sizes);
-        if let Some(c) = rctx.as_deref_mut() {
-            c.ensure_bound(func, sizes, &plan)?;
-        }
-        crate::arena::publish_plan(
-            self.sink.as_ref(),
-            self.metrics.as_ref(),
-            &func.name,
-            &plan,
-        );
-        let pool = if crate::arena::plan_matches_names(&plan, &compiled.tensor_names) {
-            Some(match rctx.as_deref_mut() {
-                Some(c) => c.take_tensor_pool(&plan),
-                None => crate::arena::TensorPool::new(&plan),
-            })
-        } else {
-            None
+        let pool = match rctx.as_deref_mut() {
+            Some(c) => c.take_tensor_pool(resolved.plan()),
+            None => crate::arena::TensorPool::new(resolved.plan()),
         };
         let mut ctx = crate::compiled::ExecCtx {
             config: &self.config,
@@ -160,21 +125,15 @@ impl Runtime {
             cache: CacheSim::new(self.config.l2_size, self.config.l2_ways),
             next_addr: 0x1000,
             gpu_depth: 0,
-            prof: self
-                .sink
-                .is_some()
-                .then(|| vec![StmtCounters::default(); compiled.prof_nodes.len()]),
+            prof: sink.map(|_| vec![StmtCounters::default(); compiled.prof_nodes.len()]),
             prof_cur: 0,
-            kernel_us: self
-                .metrics
-                .as_ref()
-                .map(|m| m.histogram("engine.interp.kernel_us")),
+            kernel_us: metrics.map(|m| m.histogram("engine.interp.kernel_us")),
             arena: pool,
         };
-        let r = bind_and_exec(&compiled, &mut ctx, inputs, sizes);
-        crate::arena::return_pool(ctx.arena.take(), self.metrics.as_ref(), rctx);
+        let r = bind_and_exec(&compiled, &mut ctx, resolved, inputs);
+        crate::arena::return_pool(Some(ctx.arena), metrics, rctx);
         let outputs = r?;
-        if let (Some(sink), Some(buckets)) = (&self.sink, ctx.prof.take()) {
+        if let (Some(sink), Some(buckets)) = (sink, ctx.prof.take()) {
             let mut nodes = compiled.prof_nodes.clone();
             for (n, c) in nodes.iter_mut().zip(buckets) {
                 n.counters = c;
@@ -195,59 +154,32 @@ impl Runtime {
     }
 }
 
-/// Bind sizes and parameters, execute the body, and extract outputs — the
-/// fallible core of [`Runtime::run`], separated so the caller can recover
-/// the arena pool from the [`ExecCtx`](crate::compiled::ExecCtx) whether or
-/// not execution succeeded.
+/// Place the resolved sizes and parameters (inputs cloned, the rest
+/// zeroed), execute the body, and extract outputs — the fallible core of
+/// `execute`, separated so the caller can recover the arena pool from the
+/// [`ExecCtx`](crate::compiled::ExecCtx) whether or not execution succeeded.
 fn bind_and_exec(
     compiled: &crate::compiled::Compiled,
     ctx: &mut crate::compiled::ExecCtx<'_>,
+    resolved: &Resolved<'_>,
     inputs: &HashMap<String, TensorVal>,
-    sizes: &HashMap<String, i64>,
 ) -> Result<HashMap<String, TensorVal>, RuntimeError> {
-    for (name, slot) in &compiled.size_slots {
-        let v = *sizes
-            .get(name)
-            .ok_or_else(|| RuntimeError::UnresolvedSize(name.clone()))?;
-        ctx.scalars[*slot] = v;
+    for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
+        ctx.scalars[*slot] = *v;
     }
-    // Bind parameters.
-    for (slot, shape, dtype, mtype, atype) in &compiled.params {
-        let shape: Vec<usize> = shape
-            .iter()
-            .map(|e| {
-                let v = ctx.eval(e)?.as_i64();
-                usize::try_from(v).map_err(|_| {
-                    RuntimeError::UnresolvedSize(compiled.tensor_names[*slot].clone())
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let name = &compiled.tensor_names[*slot];
-        let val = match atype {
-            AccessType::Input | AccessType::InOut => {
-                let t = inputs
-                    .get(name)
-                    .ok_or_else(|| RuntimeError::MissingInput(name.clone()))?;
-                if t.shape() != shape.as_slice() {
-                    return Err(RuntimeError::ShapeMismatch {
-                        name: name.clone(),
-                        expected: shape.clone(),
-                        actual: t.shape().to_vec(),
-                    });
-                }
-                t.clone()
-            }
-            _ => TensorVal::zeros(*dtype, &shape),
+    for ((slot, _), (p, shape)) in compiled.params.iter().zip(resolved.params()) {
+        let val = match p.atype {
+            AccessType::Input | AccessType::InOut => inputs[&p.name].clone(),
+            _ => TensorVal::zeros(p.dtype, shape),
         };
-        ctx.alloc(*slot, val, *mtype)?;
+        ctx.alloc(*slot, val, p.mtype)?;
     }
     ctx.exec(&compiled.body)?;
     let mut outputs = HashMap::new();
-    for (slot, _, _, _, atype) in &compiled.params {
-        if matches!(atype, AccessType::Output | AccessType::InOut) {
-            let name = compiled.tensor_names[*slot].clone();
+    for ((slot, _), (p, _)) in compiled.params.iter().zip(resolved.params()) {
+        if matches!(p.atype, AccessType::Output | AccessType::InOut) {
             let entry = ctx.tensors[*slot].take().expect("params stay live");
-            outputs.insert(name, entry.val);
+            outputs.insert(p.name.clone(), entry.val);
         }
     }
     Ok(outputs)
@@ -366,7 +298,6 @@ pub(crate) fn eval_binary(op: BinaryOp, a: Scalar, b: Scalar) -> Result<Scalar, 
 mod tests {
     use super::*;
     use ft_ir::prelude::*;
-    use ft_ir::idx;
 
     fn run(func: &Func, inputs: &[(&str, TensorVal)], sizes: &[(&str, i64)]) -> RunResult {
         let inputs: HashMap<String, TensorVal> = inputs
@@ -549,20 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_inputs_and_sizes_error() {
-        let f = Func::new("f")
-            .param("x", [var("n")], DataType::F32, AccessType::Input)
-            .param("y", [var("n")], DataType::F32, AccessType::Output)
-            .size_param("n")
-            .body(empty());
-        let err = Runtime::new().run(&f, &HashMap::new(), &HashMap::new());
-        assert!(matches!(err, Err(RuntimeError::UnresolvedSize(_))));
-        let sizes: HashMap<String, i64> = [("n".to_string(), 4i64)].into_iter().collect();
-        let err = Runtime::new().run(&f, &HashMap::new(), &sizes);
-        assert!(matches!(err, Err(RuntimeError::MissingInput(_))));
-    }
-
-    #[test]
     fn shadowed_names_resolve_lexically() {
         // Two sibling VarDefs named `t` and a shadowed loop iterator: the
         // slot-indexed lowering must bind each use to its nearest definition.
@@ -657,7 +574,7 @@ mod tests {
         let mut ctx = crate::arena::RunContext::new();
         for _ in 0..2 {
             let r = rt
-                .run_timed(&f, &HashMap::new(), &HashMap::new(), Some(&mut ctx))
+                .run_with(&f, &HashMap::new(), &HashMap::new(), &mut ctx)
                 .unwrap();
             assert_eq!(r.output("y").to_f64_vec(), want);
             ctx.recycle(r).unwrap();
@@ -688,9 +605,9 @@ mod tests {
         let x = TensorVal::from_f32(&[64, 64], vec![1.0; 64 * 64]);
         let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
         let sink = ft_trace::TraceSink::new();
-        let r = Runtime::with_sink(sink.clone())
-            .run(&f, &inputs, &HashMap::new())
-            .unwrap();
+        let mut rt = Runtime::new();
+        rt.set_sink(Some(sink.clone()));
+        let r = rt.run(&f, &inputs, &HashMap::new()).unwrap();
 
         let profiles = sink.profiles();
         assert_eq!(profiles.len(), 1);
@@ -730,18 +647,6 @@ mod tests {
         assert_eq!(r.output("y").to_f64_vec(), vec![1.0; 8]);
     }
 
-    #[test]
-    fn shape_validation() {
-        let f = Func::new("f")
-            .param("x", [4], DataType::F32, AccessType::Input)
-            .param("y", [4], DataType::F32, AccessType::Output)
-            .body(store("y", [0], load("x", idx![0])));
-        let x = TensorVal::from_f32(&[3], vec![1.0; 3]);
-        let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
-        let err = Runtime::new().run(&f, &inputs, &HashMap::new());
-        assert!(matches!(err, Err(RuntimeError::ShapeMismatch { .. })));
-    }
-
     fn fill(name: &str, n: i64, v: f32) -> Func {
         Func::new(name)
             .param("y", [n], DataType::F32, AccessType::Output)
@@ -756,10 +661,10 @@ mod tests {
         let mut ctx = crate::arena::RunContext::new();
         let none: HashMap<String, TensorVal> = HashMap::new();
         let nosz: HashMap<String, i64> = HashMap::new();
-        rt.run_timed(&a, &none, &nosz, Some(&mut ctx)).unwrap();
+        rt.run_with(&a, &none, &nosz, &mut ctx).unwrap();
         assert_eq!(ctx.bound_func(), Some("a"));
         let err = rt
-            .run_timed(&b, &none, &nosz, Some(&mut ctx))
+            .run_with(&b, &none, &nosz, &mut ctx)
             .unwrap_err();
         assert!(
             matches!(
@@ -771,10 +676,10 @@ mod tests {
         );
         // The mismatch does not poison the context — its own program still runs.
         assert!(!ctx.is_poisoned());
-        rt.run_timed(&a, &none, &nosz, Some(&mut ctx)).unwrap();
+        rt.run_with(&a, &none, &nosz, &mut ctx).unwrap();
         // reset() repurposes it intentionally.
         ctx.reset();
-        let r = rt.run_timed(&b, &none, &nosz, Some(&mut ctx)).unwrap();
+        let r = rt.run_with(&b, &none, &nosz, &mut ctx).unwrap();
         assert_eq!(r.output("y").to_f64_vec(), vec![2.0; 16]);
         assert_eq!(ctx.bound_func(), Some("b"));
     }
@@ -790,12 +695,12 @@ mod tests {
         let none: HashMap<String, TensorVal> = HashMap::new();
         let s8: HashMap<String, i64> = [("n".to_string(), 8)].into_iter().collect();
         let s9: HashMap<String, i64> = [("n".to_string(), 9)].into_iter().collect();
-        rt.run_timed(&f, &none, &s8, Some(&mut ctx)).unwrap();
+        rt.run_with(&f, &none, &s8, &mut ctx).unwrap();
         // Same plan hash is possible for size-independent plans, but the
         // shape signature still differs — staging buffers are sized for n=8.
-        let err = rt.run_timed(&f, &none, &s9, Some(&mut ctx));
+        let err = rt.run_with(&f, &none, &s9, &mut ctx);
         assert!(matches!(err, Err(RuntimeError::ContextMismatch { .. })));
-        rt.run_timed(&f, &none, &s8, Some(&mut ctx)).unwrap();
+        rt.run_with(&f, &none, &s8, &mut ctx).unwrap();
     }
 
     #[test]
@@ -806,7 +711,7 @@ mod tests {
         let mut ctx = crate::arena::RunContext::new();
         let none: HashMap<String, TensorVal> = HashMap::new();
         let nosz: HashMap<String, i64> = HashMap::new();
-        let ra = rt.run_timed(&a, &none, &nosz, Some(&mut ctx)).unwrap();
+        let ra = rt.run_with(&a, &none, &nosz, &mut ctx).unwrap();
         let rb = rt.run(&b, &none, &nosz).unwrap();
         // b's `y` is [16]; the context is bound to a's `y` of [8].
         let err = ctx.recycle(rb).unwrap_err();
@@ -842,7 +747,7 @@ mod tests {
         let rt = Runtime::new();
         let mut ctx = crate::arena::RunContext::new();
         let err = rt
-            .run_timed(&bad, &inputs, &HashMap::new(), Some(&mut ctx))
+            .run_with(&bad, &inputs, &HashMap::new(), &mut ctx)
             .unwrap_err();
         assert_eq!(err, RuntimeError::DivisionByZero);
         assert!(ctx.is_poisoned());
@@ -851,7 +756,7 @@ mod tests {
         let good = fill("good", 4, 3.0);
         let none: HashMap<String, TensorVal> = HashMap::new();
         let nosz: HashMap<String, i64> = HashMap::new();
-        let r = rt.run_timed(&good, &none, &nosz, Some(&mut ctx)).unwrap();
+        let r = rt.run_with(&good, &none, &nosz, &mut ctx).unwrap();
         assert_eq!(r.output("y").to_f64_vec(), vec![3.0; 4]);
         assert!(!ctx.is_poisoned());
         assert_eq!(ctx.bound_func(), Some("good"));

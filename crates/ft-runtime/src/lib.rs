@@ -40,6 +40,7 @@
 //! loops reversed (`ft_conformance::Backend::Reordered`).
 
 pub mod arena;
+pub mod bind;
 pub mod vm;
 pub(crate) mod compiled;
 pub mod counters;
@@ -54,6 +55,7 @@ pub mod process;
 pub mod value;
 
 pub use arena::{ArenaStats, RunContext};
+pub use bind::Resolved;
 pub use vm::{run_vm, VmRuntime};
 pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};
 pub use device::DeviceConfig;
@@ -61,8 +63,8 @@ pub use engine::ExecutionEngine;
 pub use error::RuntimeError;
 pub use interp::{RunResult, Runtime};
 // The (lowered function, memory plan) pair `CompiledEngine` and `VmRuntime`
-// execute and bind contexts to — re-exported so admission control sizes the
-// same plan.
+// execute — what `ExecutionEngine::resolve` hands out for them; re-exported
+// for tests that inspect the pair directly.
 pub use ft_codegen::lower_and_plan;
 pub use native::{cc_available, CompiledEngine};
 pub use pool::{PoolStatsSnapshot, WorkerPool};

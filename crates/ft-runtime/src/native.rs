@@ -29,18 +29,18 @@
 //! keeps the compiler from fusing multiply-adds so the difference stays
 //! bounded by that rounding story.
 
+use crate::arena::RunContext;
+use crate::bind::Resolved;
 use crate::counters::PerfCounters;
-use crate::engine::ExecutionEngine;
+use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::process::output_with_timeout;
 use crate::value::TensorVal;
-use crate::arena::RunContext;
 use ft_analysis::MemPlan;
-use ft_codegen::{c_symbols, emit_c_planned, lower_and_plan, CodegenError, ProfSite};
-use ft_ir::{AccessType, BinaryOp, DataType, Expr, Func};
-use ft_metrics::Metrics;
-use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, TraceSink, Verdict, TRACK_RUNTIME};
+use ft_codegen::{c_symbols, emit_c_planned, CodegenError, ProfSite};
+use ft_ir::{AccessType, DataType, Func};
+use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, Verdict, TRACK_RUNTIME};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ffi::c_void;
@@ -103,8 +103,7 @@ struct EngineState {
 pub struct CompiledEngine {
     cache_dir: PathBuf,
     cc_timeout: Duration,
-    sink: Option<TraceSink>,
-    metrics: Option<Metrics>,
+    tel: Telemetry,
     /// Emit per-loop-nest timing hooks into generated C and publish a
     /// [`RunProfile`] per run. Defaults from the `FT_PROFILE` env var.
     profile: bool,
@@ -240,51 +239,8 @@ fn ctype(dt: DataType) -> &'static str {
     }
 }
 
-/// Evaluate a parameter-shape extent over the supplied size parameters.
-fn eval_extent(e: &Expr, sizes: &HashMap<String, i64>) -> Result<i64, RuntimeError> {
-    match e {
-        Expr::IntConst(v) => Ok(*v),
-        Expr::Var(n) => sizes
-            .get(n)
-            .copied()
-            .ok_or_else(|| RuntimeError::UnresolvedSize(n.clone())),
-        Expr::Binary { op, a, b } => {
-            let x = eval_extent(a, sizes)?;
-            let y = eval_extent(b, sizes)?;
-            match op {
-                BinaryOp::Add => Ok(x + y),
-                BinaryOp::Sub => Ok(x - y),
-                BinaryOp::Mul => Ok(x * y),
-                BinaryOp::Div => {
-                    if y == 0 {
-                        Err(RuntimeError::DivisionByZero)
-                    } else {
-                        Ok(x.div_euclid(y))
-                    }
-                }
-                BinaryOp::Mod => {
-                    if y == 0 {
-                        Err(RuntimeError::DivisionByZero)
-                    } else {
-                        Ok(x.rem_euclid(y))
-                    }
-                }
-                BinaryOp::Min => Ok(x.min(y)),
-                BinaryOp::Max => Ok(x.max(y)),
-                _ => Err(RuntimeError::Native(format!(
-                    "unsupported extent operator {op:?}"
-                ))),
-            }
-        }
-        _ => Err(RuntimeError::Native(format!(
-            "unsupported extent expression {e:?}"
-        ))),
-    }
-}
-
-/// Copy `t` into a tensor of `dtype` (element-wise converting).
-fn convert(t: &TensorVal, dtype: DataType) -> TensorVal {
-    let mut out = TensorVal::zeros(dtype, t.shape());
+/// Copy `t` into `out`, a tensor of its shape (element-wise converting).
+fn convert_into(mut out: TensorVal, t: &TensorVal) -> TensorVal {
     for i in 0..t.numel() {
         out.set_flat(i, t.get_flat(i));
     }
@@ -298,8 +254,7 @@ impl CompiledEngine {
         CompiledEngine {
             cache_dir: default_cache_dir(),
             cc_timeout: Duration::from_secs(60),
-            sink: None,
-            metrics: None,
+            tel: Telemetry::default(),
             profile: profile_env_enabled(),
             state: Arc::new(EngineState::default()),
         }
@@ -374,7 +329,7 @@ impl CompiledEngine {
     }
 
     fn note_cache(&self, hash: u64, hit: bool) {
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.tel.metrics {
             m.counter(if hit {
                 "compiled.cache.hit"
             } else {
@@ -382,7 +337,7 @@ impl CompiledEngine {
             })
             .inc();
         }
-        if let Some(sink) = &self.sink {
+        if let Some(sink) = &self.tel.sink {
             sink.decision(Decision {
                 pass: None,
                 primitive: "compiled.cache".to_string(),
@@ -440,13 +395,13 @@ impl CompiledEngine {
                 .arg("-o")
                 .arg(&tmp)
                 .arg("-lm");
-            let mut span = self.sink.as_ref().map(|s| {
+            let mut span = self.tel.sink.as_ref().map(|s| {
                 let mut sp = s.span("compiled.cc", "compiled.cc");
                 sp.arg("hash", format!("{hash:016x}"));
                 sp.arg("flags", flags);
                 sp
             });
-            if let Some(m) = &self.metrics {
+            if let Some(m) = &self.tel.metrics {
                 m.counter("compiled.cc.spawned").inc();
             }
             let out = output_with_timeout(&mut cmd, self.cc_timeout)
@@ -464,7 +419,7 @@ impl CompiledEngine {
             if out.success() {
                 std::fs::rename(&tmp, so_path)
                     .map_err(|e| RuntimeError::Native(format!("rename artifact: {e}")))?;
-                if let Some(m) = &self.metrics {
+                if let Some(m) = &self.tel.metrics {
                     m.histogram("compiled.compile_us")
                         .record_duration_us(t0.elapsed());
                     m.counter("compiled.cache.publish").inc();
@@ -533,7 +488,7 @@ impl CompiledEngine {
                     Err(e) => return Err(e),
                 }
             } else {
-                if let Some(m) = &self.metrics {
+                if let Some(m) = &self.tel.metrics {
                     m.counter("compiled.singleflight.wait").inc();
                 }
                 let mut done = flight.done.lock().unwrap();
@@ -570,91 +525,36 @@ impl ExecutionEngine for CompiledEngine {
     fn name(&self) -> &'static str {
         "compiled"
     }
-
-    fn run(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        let r = self.run_inner(func, inputs, sizes, None);
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.compiled.run_us")
-                .record_duration_us(t0.elapsed());
-            if r.is_err() {
-                m.counter("engine.compiled.errors").inc();
-            }
-        }
-        r
-    }
-
-    fn run_with(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        ctx: &mut RunContext,
-    ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        let r = self.run_inner(func, inputs, sizes, Some(&mut *ctx));
-        if let Err(e) = &r {
-            ctx.poison_on(e);
-        }
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.compiled.run_us")
-                .record_duration_us(t0.elapsed());
-            if r.is_err() {
-                m.counter("engine.compiled.errors").inc();
-            }
-        }
-        r
-    }
-
-    fn set_sink(&mut self, sink: Option<TraceSink>) {
-        self.sink = sink;
-    }
-
-    fn sink(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        self.metrics = metrics;
-    }
 }
 
-impl CompiledEngine {
-    fn run_inner(
+impl Backend for CompiledEngine {
+    // Plan, context binding, source and kernel are all of the *lowered*
+    // function; params and name are the caller's.
+    fn lowers(&self) -> bool {
+        true
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.tel
+    }
+
+    fn telemetry_mut(&mut self) -> &mut Telemetry {
+        &mut self.tel
+    }
+
+    fn execute(
         &self,
-        func: &Func,
+        resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
         mut rctx: Option<&mut RunContext>,
     ) -> Result<RunResult, RuntimeError> {
-        // Everything below — plan, context binding, source, kernel — is of
-        // the *lowered* function; params and name are the caller's.
-        let (lowered, plan) = lower_and_plan(func, sizes);
-        let func: &Func = &lowered;
-        if let Some(c) = rctx.as_deref_mut() {
-            c.ensure_bound(func, sizes, &plan)?;
-        }
-        crate::arena::publish_plan(self.sink.as_ref(), self.metrics.as_ref(), &func.name, &plan);
-        let kernel = self.kernel_for(func, &plan)?;
+        let (func, plan) = (resolved.func(), resolved.plan());
+        let kernel = self.kernel_for(func, plan)?;
         let mut span = self
+            .tel
             .sink
             .as_ref()
             .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("compiled {}", func.name)));
-        let size_vals: Vec<i64> = func
-            .size_params
-            .iter()
-            .map(|sp| {
-                sizes
-                    .get(sp)
-                    .copied()
-                    .ok_or_else(|| RuntimeError::UnresolvedSize(sp.clone()))
-            })
-            .collect::<Result<_, _>>()?;
         // Bind parameters with the interpreter's semantics: Input borrowed
         // read-only, InOut copied in (and returned), Output zeroed. The
         // kernel reads Input buffers through const pointers; owned InOut/
@@ -664,27 +564,10 @@ impl CompiledEngine {
             Owned(TensorVal),
         }
         let mut bound: Vec<Bound<'_>> = Vec::with_capacity(func.params.len());
-        for p in &func.params {
-            let shape: Vec<usize> = p
-                .shape
-                .iter()
-                .map(|e| {
-                    let v = eval_extent(e, sizes)?;
-                    usize::try_from(v).map_err(|_| RuntimeError::UnresolvedSize(p.name.clone()))
-                })
-                .collect::<Result<_, _>>()?;
+        for (p, shape) in resolved.params() {
             let b = match p.atype {
                 AccessType::Input | AccessType::InOut => {
-                    let t = inputs
-                        .get(&p.name)
-                        .ok_or_else(|| RuntimeError::MissingInput(p.name.clone()))?;
-                    if t.shape() != shape.as_slice() {
-                        return Err(RuntimeError::ShapeMismatch {
-                            name: p.name.clone(),
-                            expected: shape,
-                            actual: t.shape().to_vec(),
-                        });
-                    }
+                    let t = &inputs[&p.name];
                     if p.atype == AccessType::InOut || t.dtype() != p.dtype {
                         // Owned copy, converting when the caller's dtype
                         // differs from the declaration (the kernel indexes
@@ -693,14 +576,9 @@ impl CompiledEngine {
                         let owned = match rctx.as_deref_mut() {
                             Some(c) if t.dtype() == p.dtype => c.staged_copy(&p.name, t),
                             Some(c) => {
-                                let mut out =
-                                    c.staged_zeros(&p.name, p.dtype, t.shape(), false);
-                                for i in 0..t.numel() {
-                                    out.set_flat(i, t.get_flat(i));
-                                }
-                                out
+                                convert_into(c.staged_zeros(&p.name, p.dtype, shape, false), t)
                             }
-                            None => convert(t, p.dtype),
+                            None => convert_into(TensorVal::zeros(p.dtype, shape), t),
                         };
                         Bound::Owned(owned)
                     } else {
@@ -711,8 +589,8 @@ impl CompiledEngine {
                 // Output (and InOut) are returned.
                 AccessType::Output | AccessType::Cache => {
                     let owned = match rctx.as_deref_mut() {
-                        Some(c) => c.staged_zeros(&p.name, p.dtype, &shape, true),
-                        None => TensorVal::zeros(p.dtype, &shape),
+                        Some(c) => c.staged_zeros(&p.name, p.dtype, shape, true),
+                        None => TensorVal::zeros(p.dtype, shape),
                     };
                     Bound::Owned(owned)
                 }
@@ -738,19 +616,29 @@ impl CompiledEngine {
         // A RunContext preallocates the plan's arena once and hands the
         // same block to every call; without one the kernel mallocs its own.
         let arena_ptr: *mut c_void = match rctx.as_deref_mut() {
-            Some(c) => c.native_arena_for(&plan).ptr() as *mut c_void,
+            Some(c) => c.native_arena_for(plan).ptr() as *mut c_void,
             None => std::ptr::null_mut(),
         };
         let call_t0 = Instant::now();
         // SAFETY: pointer array length and element types match the
-        // generated ft_entry (same Func produced both); buffers outlive
-        // the call; size values are passed by const pointer; arena_ptr is
+        // generated ft_entry (same Func produced both); every buffer has
+        // the shape `resolved` computed from the sizes the kernel is handed
+        // (inputs: held to it by `check_inputs` before `execute`; the rest:
+        // allocated from it above) and outlives the call; size values are
+        // passed by const pointer in declaration order; arena_ptr is
         // NULL or points at planned_peak_bytes of storage for the plan the
         // kernel was emitted from; prof_ptr is NULL or points at
         // sites.len() slots, matching the profiled build.
-        unsafe { (kernel.entry)(ptrs.as_mut_ptr(), size_vals.as_ptr(), arena_ptr, prof_ptr) };
+        unsafe {
+            (kernel.entry)(
+                ptrs.as_mut_ptr(),
+                resolved.sizes().as_ptr(),
+                arena_ptr,
+                prof_ptr,
+            )
+        };
         let call_ns = call_t0.elapsed().as_nanos() as u64;
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.tel.metrics {
             m.histogram("engine.compiled.kernel_us").record(call_ns / 1000);
         }
         if !kernel.sites.is_empty() {
@@ -769,7 +657,7 @@ impl CompiledEngine {
             // tensors (it binds by clone); convert back when they differ.
             let t = match inputs.get(&p.name) {
                 Some(orig) if p.atype == AccessType::InOut && orig.dtype() != t.dtype() => {
-                    convert(&t, orig.dtype())
+                    convert_into(TensorVal::zeros(orig.dtype(), t.shape()), &t)
                 }
                 _ => t,
             };
@@ -778,7 +666,7 @@ impl CompiledEngine {
         if let Some(sp) = span.as_mut() {
             sp.arg("params", func.params.len());
         }
-        if let (Some(m), Some(c)) = (&self.metrics, rctx) {
+        if let (Some(m), Some(c)) = (&self.tel.metrics, rctx) {
             crate::arena::flush_stats(m, &mut c.stats);
         }
         Ok(RunResult {
@@ -786,7 +674,9 @@ impl CompiledEngine {
             counters: PerfCounters::default(),
         })
     }
+}
 
+impl CompiledEngine {
     /// Publish the per-loop-nest timings of a profiled run as a
     /// [`RunProfile`], mirroring the interpreter's attribution shape: node 0
     /// is the function root, one child per outermost loop nest, wall
@@ -796,11 +686,11 @@ impl CompiledEngine {
     /// counter for metrics-only consumers.
     fn publish_profile(&self, func: &Func, sites: &[ProfSite], times_ns: &[u64], call_ns: u64) {
         let in_loops: u64 = times_ns.iter().sum();
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.tel.metrics {
             m.counter("compiled.prof.site_ns").add(in_loops);
             m.counter("compiled.prof.call_ns").add(call_ns);
         }
-        let Some(sink) = &self.sink else { return };
+        let Some(sink) = &self.tel.sink else { return };
         let mut nodes = vec![ProfileNode {
             stmt: None,
             desc: func.name.clone(),
@@ -833,6 +723,8 @@ impl CompiledEngine {
 mod tests {
     use super::*;
     use ft_ir::prelude::*;
+    use ft_metrics::Metrics;
+    use ft_trace::TraceSink;
 
     fn tmp_cache(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1074,15 +966,6 @@ mod tests {
             warm.counter("mem.arena.reuse_hits") > cold.counter("mem.arena.reuse_hits"),
             "{warm:?}"
         );
-    }
-
-    #[test]
-    fn zero_size_divisor_is_an_error_not_a_panic() {
-        let e = eval_extent(
-            &(var("n") / var("z")),
-            &HashMap::from([("n".to_string(), 4i64), ("z".to_string(), 0i64)]),
-        );
-        assert_eq!(e, Err(RuntimeError::DivisionByZero));
     }
 
     #[test]

@@ -33,8 +33,8 @@ impl VmSlot {
 /// SAFETY: region compilation proves every concurrent non-local write lands
 /// on iteration-disjoint cells, so element writes never race; the `Option`
 /// shells of shared slots are never inserted or removed while the region
-/// runs (region code contains no `Alloc`/`Free`/`BindParam` for non-local
-/// tensors). Transient `&mut`
+/// runs (region code contains no `Alloc`/`Free` for non-local tensors, and
+/// parameters are placed before any code runs). Transient `&mut`
 /// views of one shared slot may coexist across workers only under that
 /// disjoint-write proof.
 pub(super) struct SharedSlots(*mut Option<VmSlot>);
@@ -234,6 +234,24 @@ impl VmState<'_> {
         })
     }
 
+    /// Place the resolved parameters — inputs cloned, the rest zeroed — under
+    /// the capacity accounting, before any code runs.
+    pub(super) fn bind_params(
+        &mut self,
+        c: &Compiled,
+        resolved: &Resolved<'_>,
+        inputs: &HashMap<String, TensorVal>,
+    ) -> Result<(), RuntimeError> {
+        for ((slot, _), (p, shape)) in c.params.iter().zip(resolved.params()) {
+            let val = match p.atype {
+                AccessType::Input | AccessType::InOut => inputs[&p.name].clone(),
+                _ => TensorVal::zeros(p.dtype, shape),
+            };
+            self.account_alloc(*slot, VmSlot::new(val, p.mtype))?;
+        }
+        Ok(())
+    }
+
     /// The extents of tensor `t`, read from the `ndim` registers at `base`.
     fn shape_of(&self, t: usize, base: u32, ndim: u8) -> Result<Vec<usize>, RuntimeError> {
         let regs = &self.regs[base as usize..base as usize + ndim as usize];
@@ -292,7 +310,6 @@ impl VmState<'_> {
         &mut self,
         code: &[Instr],
         prog: &VmProgram<'_>,
-        inputs: &HashMap<String, TensorVal>,
     ) -> Result<(), RuntimeError> {
         let mut pc = 0usize;
         loop {
@@ -640,29 +657,6 @@ impl VmState<'_> {
                         }
                     }
                 }
-                Instr::BindParam { p, shape, ndim } => {
-                    let (ti, _, dtype, mtype, atype) = &prog.c.params[*p as usize];
-                    let ti = *ti;
-                    let name = &self.names[ti];
-                    let sh = self.shape_of(ti, *shape, *ndim)?;
-                    let val = match atype {
-                        AccessType::Input | AccessType::InOut => {
-                            let tv = inputs
-                                .get(name)
-                                .ok_or_else(|| RuntimeError::MissingInput(name.clone()))?;
-                            if tv.shape() != sh.as_slice() {
-                                return Err(RuntimeError::ShapeMismatch {
-                                    name: name.clone(),
-                                    expected: sh,
-                                    actual: tv.shape().to_vec(),
-                                });
-                            }
-                            tv.clone()
-                        }
-                        _ => TensorVal::zeros(*dtype, &sh),
-                    };
-                    self.account_alloc(ti, VmSlot::new(val, *mtype))?;
-                }
                 Instr::LibCall { id } => {
                     self.libcall(&prog.lib_sites[*id as usize])?;
                 }
@@ -670,7 +664,7 @@ impl VmState<'_> {
                     self.exec_vec(&prog.vec_sites[*site as usize])?;
                 }
                 Instr::ParRegion { site } => {
-                    self.exec_region(prog, &prog.par_sites[*site as usize], inputs)?;
+                    self.exec_region(prog, &prog.par_sites[*site as usize])?;
                 }
             }
             pc += 1;
@@ -679,12 +673,7 @@ impl VmState<'_> {
 
     /// Run one fork-join region on the worker pool, or serially in place
     /// when the work would not pay for the handshake.
-    fn exec_region(
-        &mut self,
-        prog: &VmProgram<'_>,
-        site: &ParSite,
-        inputs: &HashMap<String, TensorVal>,
-    ) -> Result<(), RuntimeError> {
+    fn exec_region(&mut self, prog: &VmProgram<'_>, site: &ParSite) -> Result<(), RuntimeError> {
         let b = self.ri(site.s);
         let e = self.ri(site.end);
         if b >= e {
@@ -701,7 +690,7 @@ impl VmState<'_> {
             }
             for i in b..e {
                 self.wi(site.s, i);
-                self.exec_code(&site.code, prog, inputs)?;
+                self.exec_code(&site.code, prog)?;
             }
             self.wi(site.s, e);
             return Ok(());
@@ -740,7 +729,7 @@ impl VmState<'_> {
             };
             for i in lo..hi {
                 ws.wi(site.s, i);
-                if let Err(er) = ws.exec_code(&site.code, prog, inputs) {
+                if let Err(er) = ws.exec_code(&site.code, prog) {
                     let mut g = err.lock();
                     if g.as_ref().is_none_or(|(c, _)| chunk < *c) {
                         *g = Some((chunk, er));
@@ -787,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn error_parity_out_of_bounds_and_missing_input() {
+    fn error_parity_out_of_bounds() {
         // A data-dependent index keeps the VM on the generic
         // (per-dimension checked) path, so the error payload is identical.
         let f = Func::new("oob")
@@ -807,12 +796,6 @@ mod tests {
             }
         );
         assert_eq!(ei, ef);
-
-        let empty = HashMap::new();
-        let mi = Runtime::new().run(&f, &empty, &szs).unwrap_err();
-        let mv = VmRuntime::new().run(&f, &empty, &szs).unwrap_err();
-        assert_eq!(mi, RuntimeError::MissingInput("idx".to_string()));
-        assert_eq!(mi, mv);
     }
 
     #[test]

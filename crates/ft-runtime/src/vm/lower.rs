@@ -1140,17 +1140,9 @@ pub(crate) fn compile_program(c: &Compiled) -> Result<VmProgram<'_>, Unsupported
         par_sites: Vec::new(),
         decisions: Vec::new(),
     };
-    for (pi, (slot, shape, dtype, _mtype, _atype)) in c.params.iter().enumerate() {
+    for (slot, dtype) in &c.params {
         cp.tdtype[*slot] = *dtype;
         cp.depth_of[*slot] = Some(0);
-        let mark = cp.mark();
-        let blk = cp.idx_block(shape)?;
-        cp.emit(Instr::BindParam {
-            p: pi as u32,
-            shape: blk,
-            ndim: shape.len() as u8,
-        });
-        cp.free_to(mark);
     }
     cp.stmt(&c.body)?;
     cp.emit(Instr::Halt);

@@ -46,9 +46,10 @@
 //!   instead of each dimension, so a program that indexes out-of-bounds
 //!   per-dimension but in-bounds flat is caught by the interpreter but not
 //!   by the VM, and the out-of-bounds payload carries the flat offset.
-//! * `VarDef`/parameter shapes are evaluated dimension-at-a-time by the
-//!   interpreter (erroring before later dimensions run) but
-//!   all-dims-then-convert by the VM.
+//! * `VarDef` shapes are evaluated dimension-at-a-time by the interpreter
+//!   (erroring before later dimensions run) but all-dims-then-convert by
+//!   the VM. (Parameter shapes are neither's business: they arrive
+//!   resolved, see [`crate::bind`].)
 //! * Integer overflow wraps in the VM (as it does in interpreter release
 //!   builds) where a debug-build interpreter would panic.
 //! * The VM hoists loop-invariant index arithmetic — including loads
@@ -67,18 +68,19 @@ mod lower;
 use exec::*;
 use lower::*;
 
-use crate::arena::TensorPool;
+use crate::arena::{RunContext, TensorPool};
+use crate::bind::Resolved;
 use crate::compiled::Compiled;
 use crate::counters::PerfCounters;
 use crate::device::DeviceConfig;
+use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::interp::{RunResult, Runtime};
 use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::{AccessType, BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
-use ft_metrics::Metrics;
-use ft_trace::{TraceSink, TRACK_RUNTIME};
+use ft_trace::TRACK_RUNTIME;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -186,7 +188,6 @@ enum Instr {
 
     Alloc { t: u32, shape: u32, ndim: u8, dtype: DataType, mtype: MemType },
     Free { t: u32 },
-    BindParam { p: u32, shape: u32, ndim: u8 },
     LibCall { id: u32 },
 
     /// A whole innermost `vectorize`-marked loop fused into one
@@ -327,15 +328,22 @@ pub(crate) struct VmProgram<'c> {
 
 /// The bytecode execution engine, a drop-in replacement for
 /// [`Runtime`](crate::interp::Runtime).
+///
+/// A trace sink ([`ExecutionEngine::set_sink`]) records a `"vm <name>"`
+/// runtime span per run plus one `vm.lower` span per lowering decision. A
+/// metrics registry records an `engine.vm.run_us` wall histogram,
+/// fused-kernel dispatch counters (`vm.kernel.*`) with an
+/// `engine.vm.kernel_ns` dispatch-wall histogram, parallel-region
+/// scheduling counters (`vm.par.{pool,serial}`), worker-pool claim counters,
+/// and an `engine.vm.fallback` counter for runs delegated to the
+/// interpreter.
 #[derive(Debug, Clone, Default)]
 pub struct VmRuntime {
     /// Modeled platform parameters: device capacities for the
     /// out-of-memory checks, and the device model of interpreter fallbacks.
     pub config: DeviceConfig,
-    sink: Option<TraceSink>,
-    metrics: Option<Metrics>,
+    tel: Telemetry,
 }
-
 
 impl VmRuntime {
     /// A VM with the default device model.
@@ -351,31 +359,10 @@ impl VmRuntime {
         }
     }
 
-    /// Install (or remove) a trace sink. A sink records a `"vm <name>"`
-    /// runtime span per run plus one `vm.lower` span per lowering decision.
-    pub fn set_sink(&mut self, sink: Option<TraceSink>) {
-        self.sink = sink;
-    }
-
-    /// The installed trace sink, if any.
-    pub fn sink(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
-    /// Install (or remove) a metrics registry. When present, every run
-    /// records an `engine.vm.run_us` wall histogram, fused-kernel
-    /// dispatch counters (`vm.kernel.*`) with an `engine.vm.kernel_ns`
-    /// dispatch-wall histogram, parallel-region scheduling counters
-    /// (`vm.par.{pool,serial}`), worker-pool claim counters, and an
-    /// `engine.vm.fallback` counter for runs delegated to the interpreter
-    /// (those record interpreter metrics instead).
-    pub fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        self.metrics = metrics;
-    }
-
     /// Execute `func`, falling back to the interpreter for programs the
     /// static compiler cannot type (or whose supplied inputs' dtypes differ
-    /// from the declarations).
+    /// from the declarations). [`ExecutionEngine::run`], callable without
+    /// the trait in scope.
     ///
     /// # Errors
     ///
@@ -387,32 +374,48 @@ impl VmRuntime {
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
     ) -> Result<RunResult, RuntimeError> {
-        self.run_inner(func, inputs, sizes, None)
+        ExecutionEngine::run(self, func, inputs, sizes)
+    }
+}
+
+impl ExecutionEngine for VmRuntime {
+    fn name(&self) -> &'static str {
+        "vm"
+    }
+}
+
+impl Backend for VmRuntime {
+    // Execute, plan and bind contexts to the function `CompiledEngine`
+    // emits C for: a reduction is privatized (or its loop serialized)
+    // once, on the IR, for both back ends.
+    fn lowers(&self) -> bool {
+        true
     }
 
-    pub(crate) fn run_inner(
+    fn telemetry(&self) -> &Telemetry {
+        &self.tel
+    }
+
+    fn telemetry_mut(&mut self) -> &mut Telemetry {
+        &mut self.tel
+    }
+
+    fn execute(
         &self,
-        func: &Func,
+        resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-        mut rctx: Option<&mut crate::arena::RunContext>,
+        mut rctx: Option<&mut RunContext>,
     ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let pool_before = self.metrics.as_ref().map(|_| WorkerPool::global().stats());
-        // Execute, plan and bind contexts to the function `CompiledEngine`
-        // emits C for: a reduction is privatized (or its loop serialized)
-        // once, on the IR, for both back ends.
-        let (lowered, plan) = ft_codegen::lower_and_plan(func, sizes);
-        let func = &*lowered;
+        let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
+        let pool_before = metrics.map(|_| WorkerPool::global().stats());
+        let func = resolved.func();
         let compiled = crate::compiled::compile(func)?;
         // The interpreter binds inputs by clone whatever their dtype; the
         // VM compiles loads against the declared dtype, so mismatched
         // inputs take the interpreter path instead.
-        let dtype_mismatch = compiled.params.iter().any(|(slot, _, dtype, _, atype)| {
-            matches!(atype, AccessType::Input | AccessType::InOut)
-                && inputs
-                    .get(&compiled.tensor_names[*slot])
-                    .is_some_and(|t| t.dtype() != *dtype)
+        let dtype_mismatch = resolved.params().any(|(p, _)| {
+            matches!(p.atype, AccessType::Input | AccessType::InOut)
+                && inputs[&p.name].dtype() != p.dtype
         });
         let prog = if dtype_mismatch {
             Err(Unsupported("input.dtype_mismatch"))
@@ -425,43 +428,28 @@ impl VmRuntime {
                 // Structured fallback: name the construct that kept the
                 // program off the VM, then run the interpreter. Never
                 // silent — conformance asserts on this span.
-                if let Some(sink) = &self.sink {
+                if let Some(sink) = sink {
                     let mut sp = sink.span_on(TRACK_RUNTIME, "vm.fallback", "vm.fallback");
                     sp.arg("reason", reason);
                     sp.arg("target", &func.name);
                 }
-                let mut rt = Runtime::with_config(self.config.clone());
-                rt.set_sink(self.sink.clone());
-                if let Some(m) = &self.metrics {
+                if let Some(m) = metrics {
                     m.counter("engine.vm.fallback").inc();
-                    rt.set_metrics(self.metrics.clone());
                 }
-                return rt.run_timed(func, inputs, sizes, rctx);
+                let mut rt = Runtime::with_config(self.config.clone());
+                rt.tel = self.tel.clone();
+                return rt.execute(resolved, inputs, rctx);
             }
         };
-        // With a cross-run context: pool `Alloc` buffers by the plan's
+        // With a cross-run context: pool `VarDef` buffers by the plan's
         // interference classes. Plain `run` allocates every `VarDef` fresh,
         // which is what the planned path is diffed against.
-        let mut pool: Option<TensorPool> = None;
-        if let Some(c) = rctx.as_deref_mut() {
-            c.ensure_bound(func, sizes, &plan)?;
-            crate::arena::publish_plan(
-                self.sink.as_ref(),
-                self.metrics.as_ref(),
-                &func.name,
-                &plan,
-            );
-            if crate::arena::plan_matches_names(&plan, &compiled.tensor_names) {
-                pool = Some(c.take_tensor_pool(&plan));
-            }
-        }
-        let _span = self
-            .sink
-            .as_ref()
-            .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
+        let pool = rctx.as_deref_mut().map(|c| c.take_tensor_pool(resolved.plan()));
+        let _span =
+            sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
         // One span per lowering decision, so a trace explains which loops
         // became wide kernels or pool regions and why the rest did not.
-        if let Some(sink) = &self.sink {
+        if let Some(sink) = sink {
             for d in &prog.decisions {
                 let mut sp = sink.span_on(TRACK_RUNTIME, "vm.lower", d.kind);
                 sp.arg("target", &compiled.prof_nodes[d.prof].desc);
@@ -476,7 +464,7 @@ impl VmRuntime {
             tensors: (0..compiled.n_tensors).map(|_| None).collect(),
             live: [0, 0],
             shared: None,
-            tally: self.metrics.as_ref().map(|m| VmTally {
+            tally: metrics.map(|m| VmTally {
                 vec: [0; VEC_KERNEL_NAMES.len()],
                 par_pool: 0,
                 par_serial: 0,
@@ -484,20 +472,13 @@ impl VmRuntime {
             }),
             arena: pool,
         };
-        for (name, slot) in &compiled.size_slots {
-            let v = *sizes
-                .get(name)
-                .ok_or_else(|| RuntimeError::UnresolvedSize(name.clone()))?;
-            st.regs[*slot] = v as u64;
+        for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
+            st.regs[*slot] = *v as u64;
         }
-        let exec_r = st.exec_code(&prog.code, &prog, inputs);
-        if let Some(m) = &self.metrics {
-            if let Some(t0) = t0 {
-                m.histogram("engine.vm.run_us").record_duration_us(t0.elapsed());
-            }
-            if exec_r.is_err() {
-                m.counter("engine.vm.errors").inc();
-            }
+        let exec_r = st
+            .bind_params(&compiled, resolved, inputs)
+            .and_then(|()| st.exec_code(&prog.code, &prog));
+        if let Some(m) = metrics {
             if let Some(t) = st.tally.take() {
                 for (i, name) in VEC_KERNEL_NAMES.iter().enumerate() {
                     if t.vec[i] > 0 {
@@ -515,16 +496,13 @@ impl VmRuntime {
                 crate::engine::record_pool_delta(m, before);
             }
         }
-        crate::arena::return_pool(st.arena.take(), self.metrics.as_ref(), rctx.as_deref_mut());
-        if let (Err(e), Some(c)) = (&exec_r, rctx) {
-            c.poison_on(e);
-        }
+        crate::arena::return_pool(st.arena.take(), metrics, rctx);
         exec_r?;
         let mut outputs = HashMap::new();
-        for (slot, _, _, _, atype) in &compiled.params {
-            if matches!(atype, AccessType::Output | AccessType::InOut) {
+        for ((slot, _), (p, _)) in compiled.params.iter().zip(resolved.params()) {
+            if matches!(p.atype, AccessType::Output | AccessType::InOut) {
                 let vt = st.tensors[*slot].take().expect("params stay live");
-                outputs.insert(compiled.tensor_names[*slot].clone(), vt.val);
+                outputs.insert(p.name.clone(), vt.val);
             }
         }
         Ok(RunResult {
@@ -552,6 +530,8 @@ mod tests {
     use super::*;
     use ft_ir::prelude::*;
     use ft_ir::ForProperty;
+    pub(super) use ft_metrics::Metrics;
+    pub(super) use ft_trace::TraceSink;
 
     pub(super) fn maps(
         inputs: &[(&str, TensorVal)],
@@ -816,42 +796,10 @@ mod tests {
     }
 
     #[test]
-    fn dtype_mismatch_fallback_names_its_reason() {
-        // Inputs whose dtype differs from the declaration take the
-        // interpreter path with a named reason — not silently.
-        let f = Func::new("mismatch")
-            .param("x", [4], DataType::F32, AccessType::Input)
-            .param("y", [4], DataType::F32, AccessType::Output)
-            .body(for_(
-                "i",
-                0,
-                4,
-                store("y", [var("i")], load("x", [var("i")]) * 2.0f64),
-            ));
-        let x = TensorVal::from_f64(&[4], vec![1.0, 2.0, 3.0, 4.0]);
-        let (ins, szs) = maps(&[("x", x)], &[]);
-        let sink = TraceSink::new();
-        let mut vm = VmRuntime::new();
-        vm.set_sink(Some(sink.clone()));
-        vm.run(&f, &ins, &szs).expect("fallback run ok");
-        let events = sink.events();
-        assert!(
-            events.iter().any(|e| e.name == "vm.fallback"
-                && e.args
-                    .iter()
-                    .any(|(k, v)| k == "reason" && v == "input.dtype_mismatch")),
-            "expected vm.fallback with input.dtype_mismatch, got {:?}",
-            events
-                .iter()
-                .map(|e| (&e.name, &e.args))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn dtype_mismatched_inputs_fall_back() {
+    fn dtype_mismatched_inputs_fall_back_and_name_their_reason() {
         // The interpreter binds inputs by clone whatever the declared dtype;
-        // the VM detects the mismatch and must take the same path.
+        // the VM detects the mismatch and must take the same path — with a
+        // named reason, not silently.
         let f = Func::new("dt")
             .param("x", [3], DataType::F32, AccessType::Input)
             .param("y", [3], DataType::F64, AccessType::Output)
@@ -864,9 +812,22 @@ mod tests {
         let x64 = TensorVal::from_f64(&[3], vec![1.25, 2.25, 3.25]);
         let (ins, szs) = maps(&[("x", x64)], &[]);
         let ri = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
-        let rv = VmRuntime::new().run(&f, &ins, &szs).expect("vm ok");
+        let sink = TraceSink::new();
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(sink.clone()));
+        let rv = vm.run(&f, &ins, &szs).expect("vm ok");
         assert_eq!(ri.outputs, rv.outputs);
         assert_eq!(ri.output("y").to_f64_vec(), vec![1.75, 2.75, 3.75]);
+        let events = sink.events();
+        let named = |e: &ft_trace::SpanEvent| {
+            let reason = |(k, v): &(String, String)| k == "reason" && v == "input.dtype_mismatch";
+            e.name == "vm.fallback" && e.args.iter().any(reason)
+        };
+        assert!(
+            events.iter().any(named),
+            "expected vm.fallback with input.dtype_mismatch, got {:?}",
+            events.iter().map(|e| (&e.name, &e.args)).collect::<Vec<_>>()
+        );
     }
 
     /// Filter the lowering decision log by span kind, as (accepted, detail).

@@ -49,6 +49,7 @@ use ft_ir::find::Selector;
 use ft_ir::{Func, Stmt, StmtId};
 use ft_trace::{Decision, TraceSink, Verdict};
 use std::fmt;
+use trace::ScheduleOp;
 
 /// Errors raised by schedule primitives.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +92,9 @@ pub struct Schedule {
     /// Dependences captured by the legality check of the primitive currently
     /// executing; drained into its decision-log entry.
     pending_deps: Vec<FoundDep>,
+    /// While recording ([`Schedule::record_ops`]): the positional op of
+    /// every primitive accepted so far.
+    ops: Option<Vec<ScheduleOp>>,
 }
 
 impl Schedule {
@@ -101,6 +105,7 @@ impl Schedule {
             sink: None,
             phase: None,
             pending_deps: Vec::new(),
+            ops: None,
         }
     }
 
@@ -125,6 +130,42 @@ impl Schedule {
     /// auto-scheduler so each entry records which `auto_*` pass tried it).
     pub fn set_phase(&mut self, phase: Option<String>) {
         self.phase = phase;
+    }
+
+    /// Start recording: every primitive accepted from here on that the trace
+    /// vocabulary can express is noted as its [`ScheduleOp`], addressed by
+    /// the position its loop or def has at that moment — what replaying the
+    /// op resolves. The record is what the callers *did*, so it cannot drift
+    /// from them.
+    pub fn record_ops(&mut self) {
+        self.ops = Some(Vec::new());
+    }
+
+    /// Stop recording and return the ops noted since
+    /// [`record_ops`](Schedule::record_ops).
+    pub fn take_ops(&mut self) -> Vec<ScheduleOp> {
+        self.ops.take().unwrap_or_default()
+    }
+
+    /// While recording: the pre-order position of the loop `sel` names.
+    pub(crate) fn loop_pos(&self, sel: &Selector) -> Option<usize> {
+        self.ops.as_ref()?;
+        let id = sel.resolve(&self.func)?.id;
+        trace::loops_of(&self.func).iter().position(|l| *l == id)
+    }
+
+    /// While recording: the pre-order position of the first def named `var`.
+    pub(crate) fn def_pos(&self, var: &str) -> Option<usize> {
+        self.ops.as_ref()?;
+        trace::vardefs_of(&self.func).iter().position(|d| d == var)
+    }
+
+    /// Note `op` — built from positions taken before the primitive ran — if
+    /// the primitive was accepted.
+    pub(crate) fn note_op<T>(&mut self, op: Option<ScheduleOp>, result: &Result<T, ScheduleError>) {
+        if let (Some(ops), Some(op), Ok(_)) = (&mut self.ops, op, result) {
+            ops.push(op);
+        }
     }
 
     /// The current (transformed) function.

@@ -2,6 +2,7 @@
 //! `swap` (paper Table 1, "Loop").
 
 use crate::util::{as_for, extent, peel, replace_by_id};
+use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::deps::{fission_illegal, fuse_illegal, reorder_illegal, swap_illegal, subtree_ids};
 use ft_ir::find::Selector;
@@ -355,7 +356,13 @@ impl Schedule {
         let args = self
             .tracing()
             .then(|| format!("({first_sel:?}, {second_sel:?})"));
+        let op = self.loop_pos(&first_sel).zip(self.loop_pos(&second_sel));
+        let op = op.map(|(first_idx, second_idx)| ScheduleOp::Fuse {
+            first_idx,
+            second_idx,
+        });
         let r = self.fuse_impl(first_sel, second_sel);
+        self.note_op(op, &r);
         self.record("fuse", args, &r);
         r
     }

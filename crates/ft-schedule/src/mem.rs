@@ -2,6 +2,7 @@
 //! (paper Table 1, "Memory Hierarchy Trans."; bound inference per Fig. 14).
 
 use crate::util::{bound_names, fresh_name, replace_by_id};
+use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::bounds::{symbolic_bounds, BoundsCtx, SymBounds};
 use ft_analysis::to_linexpr;
@@ -573,7 +574,13 @@ impl Schedule {
         let args = self
             .tracing()
             .then(|| format!("(\"{var}\", {new_mtype:?})"));
+        // The vocabulary's `set_mtype` is a promotion to the CPU stack.
+        let op = self
+            .def_pos(var)
+            .filter(|_| new_mtype == MemType::CpuStack)
+            .map(|def_idx| ScheduleOp::SetMtype { def_idx });
         let r = self.set_mtype_impl(var, new_mtype);
+        self.note_op(op, &r);
         self.record("set_mtype", args, &r);
         r
     }

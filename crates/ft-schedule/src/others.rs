@@ -2,6 +2,7 @@
 //! (paper Table 1, "Others").
 
 use crate::util::{as_for, peel, refresh_ids, replace_by_id};
+use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::to_linexpr;
 use ft_ir::find::Selector;
@@ -28,7 +29,9 @@ impl Schedule {
     pub fn as_lib(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
+        let op = self.loop_pos(&sel).map(|loop_idx| ScheduleOp::AsLib { loop_idx });
         let r = self.as_lib_impl(sel);
+        self.note_op(op, &r);
         self.record("as_lib", args, &r);
         r
     }

@@ -2,6 +2,7 @@
 //! `vectorize` (paper Table 1, "Parallelizing Trans.").
 
 use crate::util::{as_for, peel, refresh_ids, replace_by_id};
+use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::deps::{carried_reductions, parallelize_blockers, fission_illegal, subtree_ids};
 use ft_ir::find::Selector;
@@ -27,7 +28,13 @@ impl Schedule {
     ) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?}, {scope:?})"));
+        // The vocabulary's `parallelize` is OpenMP.
+        let op = self
+            .loop_pos(&sel)
+            .filter(|_| scope == ParallelScope::OpenMp)
+            .map(|loop_idx| ScheduleOp::Parallelize { loop_idx });
         let r = self.parallelize_impl(sel, scope);
+        self.note_op(op, &r);
         self.record("parallelize", args, &r);
         r
     }
@@ -156,7 +163,9 @@ impl Schedule {
     pub fn unroll(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
+        let op = self.loop_pos(&sel).map(|loop_idx| ScheduleOp::Unroll { loop_idx });
         let r = self.unroll_impl(sel);
+        self.note_op(op, &r);
         self.record("unroll", args, &r);
         r
     }
@@ -273,7 +282,9 @@ impl Schedule {
     pub fn vectorize(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
+        let op = self.loop_pos(&sel).map(|loop_idx| ScheduleOp::Vectorize { loop_idx });
         let r = self.vectorize_impl(sel);
+        self.note_op(op, &r);
         self.record("vectorize", args, &r);
         r
     }

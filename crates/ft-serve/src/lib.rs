@@ -24,9 +24,9 @@
 //!   performs zero tensor heap allocations (`mem.arena.warm_alloc_calls`).
 //!   Digest-mode requests ([`Request::digest_only`]) let the server keep
 //!   the output buffers too, completing the zero-alloc loop.
-//! * **Memory budget** — admission is gated on the memory plan's
-//!   [`run_peak_bytes`](ft_analysis::MemPlan::run_peak_bytes) — of the plan
-//!   the engine runs under, [`ft_runtime::lower_and_plan`]: when the sum over
+//! * **Memory budget** — admission is gated on the call's
+//!   [`run_peak_bytes`](ft_runtime::Resolved::run_peak_bytes) as the engine
+//!   resolves it ([`ExecutionEngine::resolve`]): when the sum over
 //!   admitted (queued + executing) jobs would exceed the configured
 //!   budget, the request is rejected with the numbers that said no
 //!   ([`ServeError::OverBudget`]). A server without a budget does not plan
@@ -361,13 +361,15 @@ impl Server {
         let m = &self.inner.metrics;
         m.counter("serve.requests").inc();
         let key = content_key(&req.func, &req.sizes);
-        // The plan the engine will run under: of the lowered function, so
-        // partial rows of privatized reductions are budgeted too. Nothing
-        // reads the figure without a budget, and planning is a good part
-        // of a small request.
+        // The footprint the engine itself resolves for this call: of the
+        // function it executes, so partial rows of privatized reductions
+        // are budgeted too. Nothing reads the figure without a budget, and
+        // resolving is a good part of a small request. A call that does not
+        // resolve occupies nothing — the engine refuses it before it binds
+        // or allocates, and that error is the reply.
         let peak_bytes = self.inner.cfg.mem_budget_bytes.map_or(0, |_| {
-            let (_, plan) = ft_runtime::lower_and_plan(&req.func, &req.sizes);
-            plan.run_peak_bytes(&req.func, &req.sizes)
+            let resolved = self.inner.engine.resolve(&req.func, &req.sizes);
+            resolved.map_or(0, |r| r.run_peak_bytes())
         });
         let (tx, rx) = mpsc::channel();
         {
@@ -605,6 +607,16 @@ mod tests {
         Request::new(Arc::clone(f), HashMap::new(), HashMap::new())
     }
 
+    /// `y = x` over four elements.
+    fn needs_x() -> Arc<Func> {
+        Arc::new(
+            Func::new("needs_x")
+                .param("x", [4], DataType::F32, AccessType::Input)
+                .param("y", [4], DataType::F32, AccessType::Output)
+                .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")])))),
+        )
+    }
+
     fn manual_server(cfg: ServeConfig) -> Server {
         let dir = std::env::temp_dir().join(format!(
             "ft-serve-test-{}-{}",
@@ -791,14 +803,9 @@ mod tests {
             workers: 0,
             ..ServeConfig::default()
         });
-        // Missing input tensor: admission passes (shape bookkeeping only),
-        // execution fails.
-        let f = Arc::new(
-            Func::new("needs_x")
-                .param("x", [4], DataType::F32, AccessType::Input)
-                .param("y", [4], DataType::F32, AccessType::Output)
-                .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")])))),
-        );
+        // Missing input tensor: admission passes (it budgets the call's
+        // footprint, it does not see the tensors), the engine refuses.
+        let f = needs_x();
         let rx = srv
             .submit("a", Request::new(f, HashMap::new(), HashMap::new()))
             .unwrap();
@@ -810,9 +817,48 @@ mod tests {
         );
         let s = srv.metrics().snapshot();
         assert_eq!(s.counter("serve.errors"), 1);
+        // Refused before anything was compiled for it.
+        assert_eq!(s.counter("compiled.cc.spawned"), 0, "{s:?}");
         // The key never became warm; the next attempt is cold again and is
         // the new compile leader (no deadlock on the failed flight).
         assert_eq!(s.counter("serve.warm"), 0);
+    }
+
+    #[test]
+    fn a_malformed_request_leaves_the_keys_pooled_context_warm() {
+        if !ft_runtime::cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let f = needs_x();
+        let x = TensorVal::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0]);
+        let call = |inputs: HashMap<String, TensorVal>| {
+            let req = Request::new(Arc::clone(&f), inputs, HashMap::new()).digest();
+            let rx = srv.submit("a", req).unwrap();
+            assert!(srv.pump_one());
+            (rx.recv().unwrap(), srv.metrics().snapshot())
+        };
+        let good = || HashMap::from([("x".to_string(), x.clone())]);
+        call(good()).0.expect("cold request");
+        let (reply, warm) = call(good());
+        assert!(reply.expect("warm request").warm);
+        // Same program, same sizes — same key, same pooled context — but
+        // the tensor is missing.
+        let (reply, _) = call(HashMap::new());
+        assert_eq!(
+            reply.unwrap_err(),
+            ServeError::Runtime(RuntimeError::MissingInput("x".to_string()))
+        );
+        let (reply, after) = call(good());
+        reply.expect("the request after the malformed one");
+        assert_eq!(after.counter("mem.arena.poison_resets"), 0, "{after:?}");
+        for flat in ["mem.arena.alloc_calls", "compiled.cc.spawned"] {
+            assert_eq!(after.counter(flat), warm.counter(flat), "{flat}: {after:?}");
+        }
     }
 
     #[test]

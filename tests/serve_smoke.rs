@@ -18,6 +18,10 @@
 //! * `server_keys_contexts_per_program` — the same two workloads served
 //!   concurrently through one `ft-serve` server: per-key context pools
 //!   mean no mismatch ever escapes to a client.
+//! * `a_cold_stampede_compiles_once_and_the_warm_loop_allocates_nothing` —
+//!   the blocking serving invariants: 64 identical cold requests pay one
+//!   deduplicated build, and a warm key serves with no `cc`, a pure cache
+//!   hit stream and no tensor allocation. Latency is `ftbench serve-*`'s.
 
 use ft_conformance::ops::{apply_trace, sample_trace};
 use ft_conformance::Workload;
@@ -26,6 +30,7 @@ use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, RuntimeError, Scalar,
     TensorVal,
 };
+use freetensor::autoschedule::Target;
 use freetensor::serve::{Request, ServeConfig, Server};
 use freetensor::workloads::{longformer, subdivnet};
 use proptest::test_runner::TestRng;
@@ -227,4 +232,103 @@ fn server_keys_contexts_per_program() {
     assert_eq!(snap.counter("compiled.cache.publish"), 2, "{snap:?}");
     drop(server);
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn a_cold_stampede_compiles_once_and_the_warm_loop_allocates_nothing() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let p = subdivnet::Params {
+        n_faces: 128,
+        in_feats: 8,
+    };
+    let program = subdivnet::program(&p).optimize(&Target::cpu());
+    let func = Arc::new(program.func().clone());
+    let inputs = subdivnet::inputs(&p, 2022);
+    let none: HashMap<String, i64> = HashMap::new();
+    let req = || Request::new(func.clone(), inputs.clone(), none.clone()).digest();
+
+    // What one build of this program costs in `cc` spawns on this toolchain
+    // (1, or 2 where the OpenMP build fails over to the serial one).
+    let solo_cache = fresh_cache("stampede-solo");
+    let solo_metrics = Metrics::new();
+    let mut solo = CompiledEngine::with_cache_dir(&solo_cache);
+    solo.set_metrics(Some(solo_metrics.clone()));
+    solo.run(&func, &inputs, &none).expect("solo cold run");
+    let per_build = solo_metrics.snapshot().counter("compiled.cc.spawned");
+    assert!((1..=2).contains(&per_build), "{per_build}");
+
+    let (clients, workers) = (4usize, 2usize);
+    let cache = fresh_cache("stampede");
+    let metrics = Metrics::new();
+    let server = Server::new(
+        ServeConfig {
+            workers,
+            ctx_pool_per_key: workers + 1,
+            cache_dir: Some(cache.clone()),
+            ..ServeConfig::default()
+        },
+        metrics.clone(),
+    );
+
+    // 64 identical requests on a cold key, submitted at once: singleflight
+    // and the publish lock collapse every concurrent miss onto one build.
+    let pending: Vec<_> = (0..64)
+        .map(|i| {
+            server
+                .submit(&format!("client-{}", i % clients), req())
+                .expect("admitted")
+        })
+        .collect();
+    let digests: Vec<u64> = pending
+        .into_iter()
+        .map(|rx| {
+            let resp = rx.recv().expect("reply").expect("cold request");
+            resp.digest().expect("digest-mode response")
+        })
+        .collect();
+    assert!(digests.iter().all(|d| *d == digests[0]), "replies disagree");
+    let cold = metrics.snapshot();
+    assert_eq!(cold.counter("compiled.cc.spawned"), per_build, "{cold:?}");
+    assert_eq!(cold.counter("compiled.cache.publish"), 1, "{cold:?}");
+
+    // Warm closed loop: each client submits its next request when the
+    // previous reply arrives.
+    std::thread::scope(|s| {
+        for c in 0..clients {
+            let (server, req, want) = (&server, &req, digests[0]);
+            s.spawn(move || {
+                for _ in 0..16 {
+                    let resp = server.call(&format!("client-{c}"), req()).expect("warm request");
+                    assert_eq!(resp.digest(), Some(want));
+                    assert!(resp.warm);
+                }
+            });
+        }
+    });
+    // Two more, one after the other, on contexts the loop left warm.
+    let before_probe = metrics.snapshot();
+    for _ in 0..2 {
+        server.call("probe", req()).expect("probe request");
+    }
+    let warm = metrics.snapshot();
+    assert_eq!(warm.counter("compiled.cc.spawned"), per_build, "{warm:?}");
+    assert_eq!(
+        warm.counter("mem.arena.alloc_calls"),
+        before_probe.counter("mem.arena.alloc_calls"),
+        "a warm request allocated: {warm:?}"
+    );
+    let (hit, miss) = (
+        warm.counter("compiled.cache.hit") as f64,
+        warm.counter("compiled.cache.miss") as f64,
+    );
+    assert!(hit / (hit + miss) >= 0.99, "{warm:?}");
+    assert_eq!(warm.counter("serve.errors"), 0, "{warm:?}");
+    assert_eq!(warm.counter("serve.ok"), 64 + 64 + 2, "{warm:?}");
+    drop(server);
+    for dir in [cache, solo_cache] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -13,7 +13,7 @@ use ft_codegen::lower_cpu_parallel;
 use ft_conformance::diff::{grad_close, reduction_depth};
 use ft_conformance::{ops, GradTol, Workload};
 use ft_ir::prelude::*;
-use ft_runtime::{PerfCounters, RunResult, Runtime, TensorVal, VmRuntime};
+use ft_runtime::{ExecutionEngine, PerfCounters, RunResult, Runtime, TensorVal, VmRuntime};
 use proptest::test_runner::TestRng;
 use std::borrow::Cow;
 use std::collections::HashMap;
