@@ -73,7 +73,7 @@ fn main() -> ExitCode {
     });
     let workloads: Vec<Workload> = match opt_val(&args, "--workload").map(String::as_str) {
         None | Some("all") => Workload::ALL.to_vec(),
-        Some(key) => match Workload::from_key(key) {
+        Some(key) => match Workload::from_name(key) {
             Some(w) => vec![w],
             None => {
                 eprintln!(
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        std::fs::write(&path, snap.to_json()).expect("write metrics");
+        std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap))).expect("write metrics");
         eprintln!(
             "wrote {} (evaluations {}, memo hits {}, illegal rejected {})",
             path.display(),
@@ -130,7 +130,7 @@ fn search_all(
     println!(
         "# search-based auto-scheduling: budget {budget} evaluations, seed {seed}, \
          {workers} worker(s), scale {}",
-        scale.key()
+        scale.name()
     );
     println!(
         "{:<12} {:>12} {:>12} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>8} {:>8}",
@@ -175,7 +175,7 @@ fn search_all(
             .map_or_else(|| "-".to_string(), |r| format!("{r:.2}"));
         println!(
             "{:<12} {:>12} {:>12} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>8.1} {:>8.1}{}",
-            w.name(),
+            w.display(),
             fmt_cycles(saved.rule_cycles),
             fmt_cycles(saved.searched_cycles),
             us(|m| m.rule_wall_us),
@@ -257,14 +257,14 @@ fn replay_all(workloads: &[Workload], scale: Scale, out_dir: &std::path::Path) -
     println!(
         "# replaying committed schedules from {} (scale {})",
         out_dir.display(),
-        scale.key()
+        scale.name()
     );
     let mut failures = 0usize;
     for &w in workloads {
         let path = out_dir.join(ft_autoschedule::search::SavedSchedule::file_name(
-            w.schedule_key(),
+            w.name(),
             "cpu",
-            scale.key(),
+            scale.name(),
         ));
         let saved = match std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
@@ -279,7 +279,7 @@ fn replay_all(workloads: &[Workload], scale: Scale, out_dir: &std::path::Path) -
         };
         let prep = prepare(w, scale);
         let Some(counters) = replayed_counters(&prep, &saved.trace) else {
-            println!("FAIL       {}: replay run failed", w.name());
+            println!("FAIL       {}: replay run failed", w.display());
             failures += 1;
             continue;
         };
@@ -287,14 +287,14 @@ fn replay_all(workloads: &[Workload], scale: Scale, out_dir: &std::path::Path) -
         if counters.score() == recorded {
             println!(
                 "ok         {}: {} cycles, {} ops replayed deterministically",
-                w.name(),
+                w.display(),
                 fmt_cycles(counters.modeled_cycles),
                 saved.trace.len()
             );
         } else {
             println!(
                 "MISMATCH   {}: replayed {} cycles vs recorded {}",
-                w.name(),
+                w.display(),
                 fmt_cycles(counters.modeled_cycles),
                 fmt_cycles(saved.searched_cycles)
             );

@@ -69,7 +69,6 @@
 //!
 //! Exits 0 when clean, 1 on any blocking finding, 2 on usage/IO errors.
 
-use ft_metrics::MetricsSnapshot;
 use ft_trace::JsonVal;
 use std::process::ExitCode;
 
@@ -399,8 +398,9 @@ fn main() -> ExitCode {
     // --- Check 5: runtime-telemetry warm-cache gates. ---
     if let Some(path) = metrics_path {
         let snap = match std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|t| JsonVal::parse(&t).and_then(|v| ft_trace::metrics_from_json(&v)))
             .map_err(|e| format!("{path}: {e}"))
-            .and_then(|t| MetricsSnapshot::from_json(&t).map_err(|e| format!("{path}: {e}")))
         {
             Ok(s) => s,
             Err(e) => {

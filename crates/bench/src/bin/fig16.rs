@@ -1,7 +1,7 @@
 //! Regenerates paper Fig. 16: end-to-end time per workload × device ×
 //! system. Default is Fig. 16(a) (no differentiation); `--grad` produces
 //! Fig. 16(b) (forward + backward, GAT excluded, OOM reported as in the
-//! paper). `--small` uses the reduced Criterion shapes.
+//! paper). `--small` uses the reduced shapes (`Scale::Small`).
 //!
 //! Each run also writes the machine-readable `results/BENCH.json`
 //! (override with `--json PATH`, suppress with `--no-json`); a plain run
@@ -92,11 +92,10 @@ fn main() {
         systems[1].label(),
         systems[2].label()
     );
-    let workloads: Vec<Workload> = if grad {
-        vec![Workload::SubdivNet, Workload::Longformer, Workload::SoftRas]
-    } else {
-        Workload::ALL.to_vec()
-    };
+    let mut workloads = Workload::ALL.to_vec();
+    if grad {
+        workloads.retain(|w| w.differentiable());
+    }
     let kind = if grad { "grad" } else { "forward" };
     let mut records = Vec::new();
     for &w in &workloads {
@@ -149,7 +148,7 @@ fn main() {
             );
             println!(
                 "{:<12} {:<5} {:>24} {:>24} {:>24}   speedup vs best other: {:<8} VM speedup: {:<6} compiled: {:<8} arena peak: {}",
-                w.name(),
+                w.display(),
                 dev.to_string(),
                 cells[0],
                 cells[1],
@@ -199,7 +198,7 @@ fn main() {
             let prep = prepare(w, scale);
             let r = run_forward_traced(&prep, System::FtOptimized, Device::Cpu, &sink);
             if let Some(f) = r.failure {
-                eprintln!("trace run failed on {}: {f}", w.name());
+                eprintln!("trace run failed on {}: {f}", w.display());
             }
         }
         if let Some(dir) = path.parent() {
@@ -238,7 +237,7 @@ fn main() {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        std::fs::write(&path, snap.to_json()).expect("write metrics");
+        std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap))).expect("write metrics");
         eprintln!(
             "wrote {} (cc spawned {}, cache {} hit / {} miss, {} compiled runs, \
              arena warm allocs {} over {} probe(s))",

@@ -15,7 +15,7 @@ fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let trace = std::env::args().any(|a| a == "--trace");
     let prep = prepare(
-        Workload::SubdivNet,
+        Workload::Subdivnet,
         if small { Scale::Small } else { Scale::Full },
     );
     let sink = trace.then(ft_trace::TraceSink::new);

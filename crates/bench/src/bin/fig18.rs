@@ -16,7 +16,7 @@ fn main() {
         "{:<12} {:<5} {:>14} {:>14} {:>14} {:>10} {:>12} {:>12}",
         "workload", "dev", "FT(-) total", "FT(+) total", "speedup", "fwd-only", "FT(-) peak", "FT(+) peak"
     );
-    for w in [Workload::SubdivNet, Workload::Longformer, Workload::SoftRas] {
+    for w in Workload::ALL.into_iter().filter(|w| w.differentiable()) {
         let prep = prepare(w, scale);
         for dev in [Device::Cpu, Device::Gpu] {
             let fwd = run_forward(&prep, System::FtOptimized, dev);
@@ -40,7 +40,7 @@ fn main() {
             };
             println!(
                 "{:<12} {:<5} {:>14} {:>14} {:>14} {:>10} {:>12} {:>12}",
-                w.name(),
+                w.display(),
                 dev.to_string(),
                 cell(&minus),
                 cell(&plus),

@@ -105,7 +105,7 @@ fn main() {
             let tuner_time = t1.elapsed().as_secs_f64();
             println!(
                 "{:<12} {:<5} {:>13.1}ms {:>17} ({}x{:.2}s) {:>9.2}%",
-                w.name(),
+                w.display(),
                 dev.to_string(),
                 ft_time * 1e3,
                 format!("{tuner_time:.2}s"),

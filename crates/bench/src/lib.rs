@@ -10,8 +10,6 @@
 //! | `fig18` | Fig. 18 selective-materialization ablation (FT(-) vs FT(+)) |
 //! | `table2` | Table 2 compile time: rule-based vs search-based tuning |
 //!
-//! Criterion benches (`cargo bench`) wrap the same runners at reduced sizes.
-//!
 //! Measurement note (documented substitution): FreeTensor programs report
 //! three time axes. The hardware-independent counters and the modeled cycle
 //! time come from the *instrumented interpreter* — the semantic reference,
@@ -34,14 +32,14 @@ use ft_autoschedule::search::{
 use ft_autoschedule::Target;
 use ft_ir::{Device, Func};
 use ft_metrics::Metrics;
-use ft_opbase::Session;
+use ft_opbase::{OpError, Session};
 use ft_runtime::{
     cc_available, CompiledEngine, DeviceConfig, ExecutionEngine, PerfCounters, RunContext,
     Runtime, TensorVal, VmRuntime,
 };
 use ft_schedule::trace::ScheduleOp;
 use ft_trace::JsonVal;
-use ft_workloads::{gat, input_pairs, longformer, softras, subdivnet, Inputs};
+use ft_workloads::{input_pairs, Inputs, Instance};
 use std::collections::HashMap;
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -85,73 +83,7 @@ impl System {
     }
 }
 
-/// The four workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// SubdivNet mesh convolution.
-    SubdivNet,
-    /// Longformer sliding-window attention.
-    Longformer,
-    /// SoftRas differentiable rasterizer.
-    SoftRas,
-    /// Graph attention network layer.
-    Gat,
-}
-
-impl Workload {
-    /// All workloads, in the paper's order.
-    pub const ALL: [Workload; 4] = [
-        Workload::SubdivNet,
-        Workload::Longformer,
-        Workload::SoftRas,
-        Workload::Gat,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::SubdivNet => "SubdivNet",
-            Workload::Longformer => "Longformer",
-            Workload::SoftRas => "SoftRas",
-            Workload::Gat => "GAT",
-        }
-    }
-
-    /// Lowercase key used in `results/schedules/` file names and the
-    /// `ft-autoschedule` CLI.
-    pub fn schedule_key(self) -> &'static str {
-        match self {
-            Workload::SubdivNet => "subdivnet",
-            Workload::Longformer => "longformer",
-            Workload::SoftRas => "softras",
-            Workload::Gat => "gat",
-        }
-    }
-
-    /// Parse a [`Workload::schedule_key`] back into a workload.
-    pub fn from_key(key: &str) -> Option<Workload> {
-        Workload::ALL.into_iter().find(|w| w.schedule_key() == key)
-    }
-}
-
-/// Benchmark problem scale.
-#[derive(Debug, Clone, Copy)]
-pub enum Scale {
-    /// Paper-like shapes (scaled to the simulator).
-    Full,
-    /// Reduced shapes for Criterion wall-clock sampling.
-    Small,
-}
-
-impl Scale {
-    /// Stable machine-readable key used in `BENCH.json`.
-    pub fn key(self) -> &'static str {
-        match self {
-            Scale::Full => "full",
-            Scale::Small => "small",
-        }
-    }
-}
+pub use ft_workloads::{Scale, Workload};
 
 /// Outcome of one measured case.
 #[derive(Debug, Clone)]
@@ -227,6 +159,25 @@ impl CaseResult {
             _ => None,
         }
     }
+
+    /// A case that produced no measurement: skipped, or failed in `stage`
+    /// after `elapsed_ms`. No cycle count, no counters, no memory axes.
+    pub fn not_run(stage: &'static str, reason: String, elapsed_ms: f64) -> CaseResult {
+        CaseResult {
+            wall_ms: elapsed_ms,
+            interp_wall_ms: None,
+            compiled_wall_ms: None,
+            search_wall_ms: None,
+            cycles: f64::NAN,
+            counters: PerfCounters::default(),
+            failure: Some(reason),
+            failed_stage: Some(stage),
+            peak_naive_bytes: None,
+            peak_planned_bytes: None,
+            warm_alloc_calls: None,
+            naive_alloc_bytes: None,
+        }
+    }
 }
 
 /// The process-wide metrics registry shared by every engine a bench sweep
@@ -262,110 +213,18 @@ pub struct Prepared {
     pub inputs: Inputs,
     /// Unscheduled FreeTensor program.
     pub naive: freetensor_core::Program,
-    /// Name of the output tensor.
-    pub output: &'static str,
-    sub_p: Option<subdivnet::Params>,
-    lf_p: Option<longformer::Params>,
-    sr_p: Option<softras::Params>,
-    gat_p: Option<gat::Params>,
+    instance: Instance,
 }
 
 /// Build inputs and the base program for a workload at a scale.
 pub fn prepare(workload: Workload, scale: Scale) -> Prepared {
-    let seed = 2022;
-    match workload {
-        Workload::SubdivNet => {
-            let p = match scale {
-                Scale::Full => subdivnet::Params {
-                    n_faces: 1024,
-                    in_feats: 32,
-                },
-                Scale::Small => subdivnet::Params {
-                    n_faces: 128,
-                    in_feats: 8,
-                },
-            };
-            Prepared {
-                workload,
-                scale,
-                inputs: subdivnet::inputs(&p, seed),
-                naive: subdivnet::program(&p),
-                output: "y",
-                sub_p: Some(p),
-                lf_p: None,
-                sr_p: None,
-                gat_p: None,
-            }
-        }
-        Workload::Longformer => {
-            let p = match scale {
-                Scale::Full => longformer::Params {
-                    seq_len: 512,
-                    w: 32,
-                    feat_len: 64,
-                },
-                Scale::Small => longformer::Params {
-                    seq_len: 96,
-                    w: 8,
-                    feat_len: 16,
-                },
-            };
-            Prepared {
-                workload,
-                scale,
-                inputs: longformer::inputs(&p, seed),
-                naive: longformer::program(&p),
-                output: "y",
-                sub_p: None,
-                lf_p: Some(p),
-                sr_p: None,
-                gat_p: None,
-            }
-        }
-        Workload::SoftRas => {
-            let p = match scale {
-                Scale::Full => softras::Params::default(),
-                Scale::Small => softras::Params {
-                    h: 12,
-                    w: 12,
-                    n_faces: 12,
-                    channels: 3,
-                    ..softras::Params::default()
-                },
-            };
-            Prepared {
-                workload,
-                scale,
-                inputs: softras::inputs(&p, seed),
-                naive: softras::program(&p),
-                output: "img",
-                sub_p: None,
-                lf_p: None,
-                sr_p: Some(p),
-                gat_p: None,
-            }
-        }
-        Workload::Gat => {
-            let p = match scale {
-                Scale::Full => gat::Params::default(),
-                Scale::Small => gat::Params {
-                    n_nodes: 64,
-                    degree: 4,
-                    feat_len: 8,
-                },
-            };
-            Prepared {
-                workload,
-                scale,
-                inputs: gat::inputs(&p, seed),
-                naive: gat::program(&p),
-                output: "y",
-                sub_p: None,
-                lf_p: None,
-                sr_p: None,
-                gat_p: Some(p),
-            }
-        }
+    let instance = workload.at(scale);
+    Prepared {
+        workload,
+        scale,
+        inputs: instance.inputs(2022),
+        naive: instance.program(),
+        instance,
     }
 }
 
@@ -421,7 +280,7 @@ fn run_forward_inner(
         System::OpBase => {
             let span = sink.map(|s| {
                 let mut sp = s.span_on(ft_trace::TRACK_RUNTIME, "runtime", "opbase forward");
-                sp.arg("workload", prep.workload.name());
+                sp.arg("workload", prep.workload.display());
                 sp.arg("device", device);
                 sp
             });
@@ -444,7 +303,7 @@ fn run_forward_inner(
                 // as-is (CPU-memory naive run stands in for Julia).
                 base
             };
-            run_ft_both_engines(&prog, &input_pairs(&prep.inputs), config, device)
+            run_ft_both_engines(&prog, &prep.inputs, config, device)
         }
         System::FtSearched => run_searched_forward(prep, device, config, sink),
     }
@@ -453,20 +312,7 @@ fn run_forward_inner(
 /// A structured non-run: the case could not start (no saved schedule, wrong
 /// device), reported the same way grad exclusions are.
 fn schedule_skip(reason: String) -> CaseResult {
-    CaseResult {
-        wall_ms: 0.0,
-        interp_wall_ms: None,
-        compiled_wall_ms: None,
-        search_wall_ms: None,
-        cycles: f64::NAN,
-        counters: PerfCounters::default(),
-        failure: Some(reason),
-        failed_stage: Some("schedule"),
-        peak_naive_bytes: None,
-        peak_planned_bytes: None,
-        warm_alloc_calls: None,
-        naive_alloc_bytes: None,
-    }
+    CaseResult::not_run("schedule", reason, 0.0)
 }
 
 /// Replay the saved best-of-search schedule for `(prep.workload,
@@ -496,13 +342,13 @@ fn run_searched_forward(
     if let Some(s) = sink {
         prog.set_sink(Some(s.clone()));
     }
-    let mut r = run_ft_both_engines(&prog, &input_pairs(&prep.inputs), config, device);
+    let mut r = run_ft_both_engines(&prog, &prep.inputs, config, device);
     r.search_wall_ms = Some(saved.search_wall_ms);
     // A searched trace may carry marks the CPU lowering serializes or
     // privatizes; its modeled columns are those of the program the kernel
     // executes, the score the search recorded.
     if r.failure.is_none() {
-        if let Some(c) = modeled_counters(prog.func(), &owned_inputs(&prep.inputs)) {
+        if let Some(c) = modeled_counters(prog.func(), &prep.inputs) {
             r.cycles = c.modeled_cycles;
             r.counters = c;
         }
@@ -521,9 +367,9 @@ pub fn schedules_dir() -> PathBuf {
 /// Path of the saved schedule for a (workload, scale) pair on CPU.
 pub fn saved_schedule_path(workload: Workload, scale: Scale) -> PathBuf {
     schedules_dir().join(SavedSchedule::file_name(
-        workload.schedule_key(),
+        workload.name(),
         "cpu",
-        scale.key(),
+        scale.name(),
     ))
 }
 
@@ -555,14 +401,6 @@ pub fn replay_program(
     freetensor_core::Program::from_schedule(ft_schedule::Schedule::new(func))
 }
 
-/// A workload's inputs as the map the engines take.
-pub fn owned_inputs(inputs: &Inputs) -> HashMap<String, TensorVal> {
-    input_pairs(inputs)
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
-}
-
 /// The cost model's counters for `func` as the CPU engines execute it: the
 /// instrumented interpreter on `lower_cpu_parallel(func)`, so a nested mark
 /// the lowering serializes earns no parallel credit and a privatized
@@ -581,7 +419,7 @@ pub fn modeled_counters(func: &Func, inputs: &HashMap<String, TensorVal>) -> Opt
 /// saved schedule's `searched_cycles` / `searched_dram` must reproduce.
 pub fn replayed_counters(prep: &Prepared, trace: &[ScheduleOp]) -> Option<PerfCounters> {
     let prog = replay_program(&prep.naive, Device::Cpu, trace);
-    modeled_counters(prog.func(), &owned_inputs(&prep.inputs))
+    modeled_counters(prog.func(), &prep.inputs)
 }
 
 /// Median of a sample (mean of the middle two for even counts).
@@ -777,7 +615,7 @@ pub fn search_schedule(
     metrics: Option<&Metrics>,
 ) -> (SavedSchedule, SearchOutcome) {
     static SEARCHES: AtomicU64 = AtomicU64::new(0);
-    let inputs = owned_inputs(&prep.inputs);
+    let inputs = &prep.inputs;
     // Privatizing (or caching) a whole tensor inside a serial loop makes a
     // kernel that zero-fills and merges it once per iteration: hundreds of
     // times the work — SubdivNet with its three-trip `j` loop parallelized
@@ -794,7 +632,7 @@ pub fn search_schedule(
         if temporaries(f) > limit {
             return None;
         }
-        modeled_counters(f, &inputs)
+        modeled_counters(f, inputs)
     };
     let target = Target::cpu();
     let start = Instant::now();
@@ -806,7 +644,7 @@ pub fn search_schedule(
     let wall = if cc_available() {
         let rules = ft_autoschedule::search::rule_trace(prep.naive.func(), &target);
         let (yardstick, _) = prepare_candidate(prep.naive.func(), target.device, &rules);
-        WallMeasurer::new(&cache_dir, yardstick, &inputs).map(RefCell::new)
+        WallMeasurer::new(&cache_dir, yardstick, inputs).map(RefCell::new)
     } else {
         None
     };
@@ -833,9 +671,9 @@ pub fn search_schedule(
     let _ = std::fs::remove_dir_all(&cache_dir);
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
     let saved = SavedSchedule {
-        workload: prep.workload.schedule_key().to_string(),
+        workload: prep.workload.name().to_string(),
         device: "cpu".to_string(),
-        scale: prep.scale.key().to_string(),
+        scale: prep.scale.name().to_string(),
         seed: config.seed,
         budget: config.budget as u64,
         search_wall_ms,
@@ -861,10 +699,11 @@ pub fn search_schedule(
 /// compiler on `PATH` — the native compiled engine for the third axis.
 fn run_ft_both_engines(
     prog: &freetensor_core::Program,
-    pairs: &[(&str, TensorVal)],
+    inputs: &Inputs,
     config: DeviceConfig,
     device: Device,
 ) -> CaseResult {
+    let pairs = &input_pairs(inputs);
     // The static memory plan is a pure function of the schedule (bench
     // programs have constant shapes), so the peak-bytes axis is computed
     // once here rather than measured per engine.
@@ -895,55 +734,33 @@ fn run_ft_both_engines(
                     vm_result = again;
                 }
             }
-            let compiled_wall_ms = time_compiled(prog, pairs, device);
-            let warm_alloc_calls = warm_arena_probe(prog, pairs, device);
-            match vm_result {
-                Ok(_) => CaseResult {
-                    wall_ms,
-                    interp_wall_ms: Some(interp_wall_ms),
-                    compiled_wall_ms,
-                    search_wall_ms: None,
-                    cycles: r.counters.modeled_cycles,
-                    counters: r.counters,
-                    failure: None,
-                    failed_stage: None,
-                    peak_naive_bytes,
-                    peak_planned_bytes,
-                    warm_alloc_calls,
-                    naive_alloc_bytes,
-                },
-                // The VM mirrors interpreter semantics, so a run that
-                // passed on the interpreter failing here is a real engine
-                // divergence worth surfacing, not something to paper over.
-                Err(e) => CaseResult {
-                    wall_ms,
-                    interp_wall_ms: Some(interp_wall_ms),
-                    compiled_wall_ms,
-                    search_wall_ms: None,
-                    cycles: r.counters.modeled_cycles,
-                    counters: r.counters,
-                    failure: Some(short_error(&e.to_string())),
-                    failed_stage: Some("vm"),
-                    peak_naive_bytes,
-                    peak_planned_bytes,
-                    warm_alloc_calls,
-                    naive_alloc_bytes,
-                },
+            let compiled_wall_ms = time_compiled(prog, inputs, device);
+            let warm_alloc_calls = warm_arena_probe(prog, inputs, device);
+            // The VM mirrors interpreter semantics, so a run that passed on
+            // the interpreter failing here is a real engine divergence worth
+            // surfacing, not something to paper over.
+            let failure = vm_result.err().map(|e| short_error(&e.to_string()));
+            CaseResult {
+                wall_ms,
+                interp_wall_ms: Some(interp_wall_ms),
+                compiled_wall_ms,
+                search_wall_ms: None,
+                cycles: r.counters.modeled_cycles,
+                counters: r.counters,
+                failed_stage: failure.is_some().then_some("vm"),
+                failure,
+                peak_naive_bytes,
+                peak_planned_bytes,
+                warm_alloc_calls,
+                naive_alloc_bytes,
             }
         }
         Err(e) => CaseResult {
-            wall_ms: interp_wall_ms,
             interp_wall_ms: Some(interp_wall_ms),
-            compiled_wall_ms: None,
-            search_wall_ms: None,
-            cycles: f64::NAN,
-            counters: PerfCounters::default(),
-            failure: Some(short_error(&e.to_string())),
-            failed_stage: Some("run"),
             peak_naive_bytes,
             peak_planned_bytes,
-            warm_alloc_calls: None,
             naive_alloc_bytes,
+            ..CaseResult::not_run("run", short_error(&e.to_string()), interp_wall_ms)
         },
     }
 }
@@ -959,7 +776,7 @@ fn run_ft_both_engines(
 /// gates on. `None` off-CPU, without a C compiler, or when any run fails.
 fn warm_arena_probe(
     prog: &freetensor_core::Program,
-    pairs: &[(&str, TensorVal)],
+    inputs: &Inputs,
     device: Device,
 ) -> Option<u64> {
     if device != Device::Cpu || !cc_available() {
@@ -970,17 +787,13 @@ fn warm_arena_probe(
     let mut engine = bench_compiled_engine().clone();
     let m = Metrics::new();
     engine.set_metrics(Some(m.clone()));
-    let inputs: HashMap<String, TensorVal> = pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect();
     let sizes = HashMap::new();
     let mut ctx = RunContext::new();
-    let cold = engine.run_with(prog.func(), &inputs, &sizes, &mut ctx).ok()?;
+    let cold = engine.run_with(prog.func(), inputs, &sizes, &mut ctx).ok()?;
     ctx.recycle(cold).expect("recycle cold outputs");
     let before = m.snapshot().counter("mem.arena.alloc_calls");
     for _ in 0..2 {
-        let r = engine.run_with(prog.func(), &inputs, &sizes, &mut ctx).ok()?;
+        let r = engine.run_with(prog.func(), inputs, &sizes, &mut ctx).ok()?;
         ctx.recycle(r).expect("recycle warm outputs");
     }
     let warm = m.snapshot().counter("mem.arena.alloc_calls") - before;
@@ -997,20 +810,16 @@ fn warm_arena_probe(
 /// measurement, not a correctness gate — conformance owns that).
 fn time_compiled(
     prog: &freetensor_core::Program,
-    pairs: &[(&str, TensorVal)],
+    inputs: &Inputs,
     device: Device,
 ) -> Option<f64> {
     if device != Device::Cpu || !cc_available() {
         return None;
     }
-    let inputs: HashMap<String, TensorVal> = pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect();
     let ops = warm_compiled_ops(
         bench_compiled_engine(),
         prog.func(),
-        &inputs,
+        inputs,
         &mut RunContext::new(),
         5,
         std::time::Duration::MAX,
@@ -1093,34 +902,13 @@ fn warm_compiled_ops(
     timed_compiled_ops(engine, func, inputs, ctx, n, cap)
 }
 
-fn run_opbase_forward(prep: &Prepared, device: Device, config: DeviceConfig) -> CaseResult {
-    let s = Session::new(device, config);
+/// The operator baseline's row: what `session` counted while `run` ran.
+fn run_opbase(session: &Session, run: impl FnOnce() -> Result<(), OpError>) -> CaseResult {
     let start = Instant::now();
-    let result: Result<(), String> = (|| {
-        match prep.workload {
-            Workload::SubdivNet => {
-                subdivnet::opbase(&s, &prep.sub_p.expect("params"), &prep.inputs)
-                    .map_err(|e| e.to_string())?;
-            }
-            Workload::Longformer => {
-                longformer::opbase(&s, &prep.lf_p.expect("params"), &prep.inputs)
-                    .map_err(|e| e.to_string())?;
-            }
-            Workload::SoftRas => {
-                softras::opbase(&s, &prep.sr_p.expect("params"), &prep.inputs)
-                    .map_err(|e| e.to_string())?;
-            }
-            Workload::Gat => {
-                gat::opbase(&s, &prep.gat_p.expect("params"), &prep.inputs)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(())
-    })();
+    let result = run();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let counters = s.counters();
-    let failure = result.err().map(|e| short_error(&e));
-    let failed_stage = failure.is_some().then_some("run");
+    let counters = session.counters();
+    let failure = result.err().map(|e| short_error(&e.to_string()));
     CaseResult {
         wall_ms,
         interp_wall_ms: None,
@@ -1128,13 +916,18 @@ fn run_opbase_forward(prep: &Prepared, device: Device, config: DeviceConfig) -> 
         search_wall_ms: None,
         cycles: counters.modeled_cycles,
         counters,
+        failed_stage: failure.is_some().then_some("run"),
         failure,
-        failed_stage,
         peak_naive_bytes: None,
         peak_planned_bytes: None,
         warm_alloc_calls: None,
         naive_alloc_bytes: None,
     }
+}
+
+fn run_opbase_forward(prep: &Prepared, device: Device, config: DeviceConfig) -> CaseResult {
+    let s = Session::new(device, config);
+    run_opbase(&s, || prep.instance.opbase(&s, &prep.inputs).map(drop))
 }
 
 /// Run forward+backward of one case (GAT excluded, as in the paper).
@@ -1163,95 +956,26 @@ pub fn run_grad_capped(
     // operator baseline has no backward for the CSR gather. Report a
     // structured skip instead of panicking so sweeps over `Workload::ALL`
     // stay total.
-    if prep.workload == Workload::Gat {
-        return CaseResult {
-            wall_ms: 0.0,
-            interp_wall_ms: None,
-            compiled_wall_ms: None,
-            search_wall_ms: None,
-            cycles: f64::NAN,
-            counters: PerfCounters::default(),
-            failure: Some("skipped: GAT gradients are excluded (paper §6.2)".to_string()),
-            failed_stage: Some("grad"),
-            peak_naive_bytes: None,
-            peak_planned_bytes: None,
-            warm_alloc_calls: None,
-            naive_alloc_bytes: None,
-        };
+    if !prep.workload.differentiable() {
+        let why = "skipped: GAT gradients are excluded (paper §6.2)";
+        return CaseResult::not_run("grad", why.to_string(), 0.0);
     }
-    let seed_shape: Vec<usize> = {
-        let out = match prep.workload {
-            Workload::SubdivNet => {
-                let p = prep.sub_p.expect("params");
-                vec![p.n_faces, p.in_feats]
-            }
-            Workload::Longformer => {
-                let p = prep.lf_p.expect("params");
-                vec![p.seq_len, p.feat_len]
-            }
-            Workload::SoftRas => {
-                let p = prep.sr_p.expect("params");
-                vec![p.pixels(), p.channels]
-            }
-            Workload::Gat => unreachable!("handled by the structured skip above"),
-        };
-        out
-    };
-    let seed = TensorVal::from_f32(
-        &seed_shape,
-        vec![1.0; seed_shape.iter().product::<usize>()],
-    );
-    // Searched schedules are tuned (and legality-checked) against the
-    // forward program; replaying a forward trace on the differentiated IR
-    // would be positional nonsense. Report a structured skip.
-    if system == System::FtSearched {
-        return schedule_skip("skipped: searched schedules cover forward only".to_string());
-    }
+    let seed_shape = prep.instance.output_shape();
+    let seed = TensorVal::from_f32(&seed_shape, vec![1.0; seed_shape.iter().product()]);
     match system {
+        // Searched schedules are tuned (and legality-checked) against the
+        // forward program; replaying a forward trace on the differentiated
+        // IR would be positional nonsense. Report a structured skip.
+        System::FtSearched => {
+            schedule_skip("skipped: searched schedules cover forward only".to_string())
+        }
         System::OpBase => {
             let s = Session::new(device, config);
             s.set_grad_mode(true);
-            let start = Instant::now();
-            let result: Result<(), String> = (|| {
-                match prep.workload {
-                    Workload::SubdivNet => {
-                        let y = subdivnet::opbase(&s, &prep.sub_p.expect("params"), &prep.inputs)
-                            .map_err(|e| e.to_string())?;
-                        s.backward(&y, seed.clone()).map_err(|e| e.to_string())?;
-                    }
-                    Workload::Longformer => {
-                        let h =
-                            longformer::opbase(&s, &prep.lf_p.expect("params"), &prep.inputs)
-                                .map_err(|e| e.to_string())?;
-                        s.backward(&h.y, seed.clone()).map_err(|e| e.to_string())?;
-                    }
-                    Workload::SoftRas => {
-                        let h = softras::opbase(&s, &prep.sr_p.expect("params"), &prep.inputs)
-                            .map_err(|e| e.to_string())?;
-                        s.backward(&h.img, seed.clone()).map_err(|e| e.to_string())?;
-                    }
-                    Workload::Gat => unreachable!("handled by the structured skip above"),
-                }
-                Ok(())
-            })();
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let counters = s.counters();
-            let failure = result.err().map(|e| short_error(&e));
-            let failed_stage = failure.is_some().then_some("run");
-            CaseResult {
-                wall_ms,
-                interp_wall_ms: None,
-                compiled_wall_ms: None,
-                search_wall_ms: None,
-                cycles: counters.modeled_cycles,
-                counters,
-                failure,
-                failed_stage,
-                peak_naive_bytes: None,
-                peak_planned_bytes: None,
-                warm_alloc_calls: None,
-                naive_alloc_bytes: None,
-            }
+            run_opbase(&s, || {
+                let y = prep.instance.opbase(&s, &prep.inputs)?;
+                s.backward(&y, seed).map(drop)
+            })
         }
         System::FtNaive | System::FtOptimized => {
             let opts = GradOptions {
@@ -1261,24 +985,12 @@ pub fn run_grad_capped(
             let grad_start = Instant::now();
             let grad = match prep.naive.grad(&opts) {
                 Ok(g) => g,
+                // Differentiation itself failed: report how long the attempt
+                // took and attribute the failure to the compile stage rather
+                // than pretending the case ran in 0 ms.
                 Err(e) => {
-                    // Differentiation itself failed: report how long the
-                    // attempt took and attribute the failure to the compile
-                    // stage rather than pretending the case ran in 0 ms.
-                    return CaseResult {
-                        wall_ms: grad_start.elapsed().as_secs_f64() * 1e3,
-                        interp_wall_ms: None,
-                        compiled_wall_ms: None,
-                        search_wall_ms: None,
-                        cycles: f64::NAN,
-                        counters: PerfCounters::default(),
-                        failure: Some(short_error(&e.to_string())),
-                        failed_stage: Some("grad"),
-                        peak_naive_bytes: None,
-                        peak_planned_bytes: None,
-                        warm_alloc_calls: None,
-                        naive_alloc_bytes: None,
-                    };
+                    let elapsed_ms = grad_start.elapsed().as_secs_f64() * 1e3;
+                    return CaseResult::not_run("grad", short_error(&e.to_string()), elapsed_ms);
                 }
             };
             let prog = if system == System::FtOptimized {
@@ -1286,12 +998,10 @@ pub fn run_grad_capped(
             } else {
                 grad
             };
-            let grad_seed_name = format!("{}.grad", prep.output);
-            let mut pairs = input_pairs(&prep.inputs);
-            pairs.push((&grad_seed_name, seed.clone()));
-            run_ft_both_engines(&prog, &pairs, config, device)
+            let mut inputs = prep.inputs.clone();
+            inputs.insert(format!("{}.grad", prep.workload.output()), seed);
+            run_ft_both_engines(&prog, &inputs, config, device)
         }
-        System::FtSearched => unreachable!("handled by the structured skip above"),
     }
 }
 
@@ -1341,76 +1051,33 @@ pub fn json_record(
     scale: Scale,
     r: &CaseResult,
 ) -> JsonVal {
-    let num = |v: f64| {
-        if v.is_nan() {
-            JsonVal::Null
-        } else {
-            JsonVal::Num(v)
-        }
-    };
-    JsonVal::Obj(vec![
-        ("workload".to_string(), JsonVal::Str(workload.name().to_string())),
-        ("system".to_string(), JsonVal::Str(system.key().to_string())),
-        ("device".to_string(), JsonVal::Str(device.to_string())),
-        ("kind".to_string(), JsonVal::Str(kind.to_string())),
-        ("scale".to_string(), JsonVal::Str(scale.key().to_string())),
-        ("wall_ms".to_string(), num(r.wall_ms)),
-        (
-            "interp_wall_ms".to_string(),
-            r.interp_wall_ms.map_or(JsonVal::Null, JsonVal::Num),
-        ),
-        (
-            "vm_wall_speedup".to_string(),
-            r.vm_speedup().map_or(JsonVal::Null, JsonVal::Num),
-        ),
-        (
-            "compiled_wall_ms".to_string(),
-            r.compiled_wall_ms.map_or(JsonVal::Null, JsonVal::Num),
-        ),
-        (
-            "compiled_wall_speedup".to_string(),
-            r.compiled_speedup().map_or(JsonVal::Null, JsonVal::Num),
-        ),
-        (
-            "search_wall_ms".to_string(),
-            r.search_wall_ms.map_or(JsonVal::Null, JsonVal::Num),
-        ),
-        ("cycles".to_string(), num(r.cycles)),
-        (
-            "peak_live_bytes_naive".to_string(),
-            r.peak_naive_bytes
-                .map_or(JsonVal::Null, |b| JsonVal::Num(b as f64)),
-        ),
-        (
-            "peak_live_bytes_planned".to_string(),
-            r.peak_planned_bytes
-                .map_or(JsonVal::Null, |b| JsonVal::Num(b as f64)),
-        ),
-        (
-            "warm_alloc_calls".to_string(),
-            r.warm_alloc_calls
-                .map_or(JsonVal::Null, |c| JsonVal::Num(c as f64)),
-        ),
-        (
-            "naive_alloc_bytes".to_string(),
-            r.naive_alloc_bytes
-                .map_or(JsonVal::Null, |b| JsonVal::Num(b as f64)),
-        ),
-        ("flops".to_string(), JsonVal::Num(r.counters.flops as f64)),
-        (
-            "dram_bytes".to_string(),
-            JsonVal::Num(r.counters.dram_bytes as f64),
-        ),
-        (
-            "failure".to_string(),
-            r.failure.clone().map_or(JsonVal::Null, JsonVal::Str),
-        ),
-        (
-            "failed_stage".to_string(),
-            r.failed_stage
-                .map_or(JsonVal::Null, |s| JsonVal::Str(s.to_string())),
-        ),
-    ])
+    // NaN (a case that did not run has no cycle count) is `null`.
+    let num = |v: Option<f64>| v.filter(|v| !v.is_nan()).map_or(JsonVal::Null, JsonVal::Num);
+    let count = |v: Option<u64>| v.map_or(JsonVal::Null, |n| JsonVal::Int(n.into()));
+    let text = |s: &str| JsonVal::Str(s.to_string());
+    let fields = [
+        ("workload", text(workload.display())),
+        ("system", text(system.key())),
+        ("device", text(&device.to_string())),
+        ("kind", text(kind)),
+        ("scale", text(scale.name())),
+        ("wall_ms", num(Some(r.wall_ms))),
+        ("interp_wall_ms", num(r.interp_wall_ms)),
+        ("vm_wall_speedup", num(r.vm_speedup())),
+        ("compiled_wall_ms", num(r.compiled_wall_ms)),
+        ("compiled_wall_speedup", num(r.compiled_speedup())),
+        ("search_wall_ms", num(r.search_wall_ms)),
+        ("cycles", num(Some(r.cycles))),
+        ("peak_live_bytes_naive", count(r.peak_naive_bytes)),
+        ("peak_live_bytes_planned", count(r.peak_planned_bytes)),
+        ("warm_alloc_calls", count(r.warm_alloc_calls)),
+        ("naive_alloc_bytes", count(r.naive_alloc_bytes)),
+        ("flops", count(Some(r.counters.flops))),
+        ("dram_bytes", count(Some(r.counters.dram_bytes))),
+        ("failure", r.failure.as_deref().map_or(JsonVal::Null, text)),
+        ("failed_stage", r.failed_stage.map_or(JsonVal::Null, text)),
+    ];
+    JsonVal::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Write `records` into the BENCH.json at `path`, merging with an existing
@@ -1570,11 +1237,15 @@ mod tests {
                     assert!(
                         r.failure.is_none(),
                         "{} / {:?} / {dev} failed: {:?}",
-                        w.name(),
+                        w.display(),
                         sys,
                         r.failure
                     );
                     assert!(r.cycles > 0.0);
+                    // The memory planner's steady state, wherever the probe
+                    // ran (CPU, with a C compiler): warm compiled runs
+                    // through a recycled context allocate nothing.
+                    assert_eq!(r.warm_alloc_calls.unwrap_or(0), 0, "{}", w.display());
                 }
             }
         }
@@ -1582,15 +1253,19 @@ mod tests {
 
     #[test]
     fn grad_cases_run_at_small_scale() {
-        for w in [Workload::SubdivNet, Workload::Longformer, Workload::SoftRas] {
+        // Fig. 16(b)'s two systems, and Fig. 18's FT(-) beside FT(+).
+        for w in Workload::ALL.into_iter().filter(|w| w.differentiable()) {
             let prep = prepare(w, Scale::Small);
-            for sys in [System::OpBase, System::FtOptimized] {
-                let r = run_grad(&prep, sys, Device::Cpu, TapePolicy::Selective);
+            for (sys, policy) in [
+                (System::OpBase, TapePolicy::Selective),
+                (System::FtOptimized, TapePolicy::Selective),
+                (System::FtOptimized, TapePolicy::All),
+            ] {
+                let r = run_grad(&prep, sys, Device::Cpu, policy);
                 assert!(
                     r.failure.is_none(),
-                    "{} / {:?} grad failed: {:?}",
-                    w.name(),
-                    sys,
+                    "{} / {sys:?} / {policy:?} grad failed: {:?}",
+                    w.display(),
                     r.failure
                 );
             }
@@ -1618,7 +1293,7 @@ mod tests {
         // The third time axis: on CPU cases with a C compiler available,
         // FreeTensor rows also carry the native compiled engine's wall
         // time; GPU cases never do (the compiled engine is CPU-only).
-        let prep = prepare(Workload::SubdivNet, Scale::Small);
+        let prep = prepare(Workload::Subdivnet, Scale::Small);
         let cpu = run_forward(&prep, System::FtOptimized, Device::Cpu);
         assert!(cpu.failure.is_none(), "{:?}", cpu.failure);
         if cc_available() {
@@ -1687,7 +1362,7 @@ mod tests {
         // The fig17 `--trace` path: one sink sees schedule decisions, pass
         // spans, and a per-statement profile whose totals equal the
         // whole-run counters; the Chrome export validates.
-        let prep = prepare(Workload::SubdivNet, Scale::Small);
+        let prep = prepare(Workload::Subdivnet, Scale::Small);
         let sink = ft_trace::TraceSink::new();
         let ft = run_forward_traced(&prep, System::FtOptimized, Device::Gpu, &sink);
         assert!(ft.failure.is_none(), "{:?}", ft.failure);
@@ -1717,7 +1392,7 @@ mod tests {
         assert!(gpu.failure.as_deref().unwrap_or_default().contains("CPU-only"));
         // (GAT grads are excluded before the schedule skip can fire, so use
         // a workload that reaches the searched-grad guard.)
-        let prep = prepare(Workload::SubdivNet, Scale::Small);
+        let prep = prepare(Workload::Subdivnet, Scale::Small);
         let grad = run_grad(&prep, System::FtSearched, Device::Cpu, TapePolicy::Selective);
         assert_eq!(grad.failed_stage, Some("schedule"));
         assert!(grad.cycles.is_nan());
@@ -1822,7 +1497,7 @@ mod tests {
                 assert!(
                     ft.cycles < ob.cycles,
                     "{} on {dev}: FreeTensor {} !< baseline {}",
-                    w.name(),
+                    w.display(),
                     fmt_cycles(ft.cycles),
                     fmt_cycles(ob.cycles)
                 );

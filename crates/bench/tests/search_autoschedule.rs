@@ -3,7 +3,7 @@
 //! worker pools, a directed quality bar on small SubdivNet, honest committed
 //! artifacts, and metrics export coverage.
 
-use bench::{modeled_counters, owned_inputs, prepare, replayed_counters, Scale, Workload};
+use bench::{modeled_counters, prepare, replayed_counters, Scale, Workload};
 use ft_autoschedule::search::{
     prepare_candidate, rule_trace, search, SavedSchedule, SearchConfig, SearchOutcome,
 };
@@ -32,8 +32,7 @@ fn modeled_search(
     config: &SearchConfig,
     metrics: Option<&Metrics>,
 ) -> SearchOutcome {
-    let inputs = owned_inputs(&prep.inputs);
-    let evaluator = |f: &ft_ir::Func| modeled_counters(f, &inputs);
+    let evaluator = |f: &ft_ir::Func| modeled_counters(f, &prep.inputs);
     search(prep.naive.func(), &Target::cpu(), config, &evaluator, None, None, metrics)
 }
 
@@ -67,7 +66,7 @@ fn search_beats_a_known_good_hand_schedule_on_small_subdivnet() {
     // model's axis the search must discover something at least as good
     // within a small budget — and the hand schedule itself must be a real
     // improvement, or the bar would be vacuous.
-    let prep = prepare(Workload::SubdivNet, Scale::Small);
+    let prep = prepare(Workload::Subdivnet, Scale::Small);
     let naive = modeled_score(&prep, &[]).expect("naive run");
     let hand = vec![
         ScheduleOp::Parallelize { loop_idx: 0 },
@@ -105,8 +104,8 @@ fn the_rule_trace_replays_to_the_rule_schedule() {
                 replayed.to_string(),
                 prep.naive.optimize(&cpu).func().to_string(),
                 "{} {}: replayed {accepted:?}",
-                w.schedule_key(),
-                scale.key()
+                w.name(),
+                scale.name()
             );
         }
     }
@@ -124,9 +123,9 @@ fn committed_schedules_replay_to_their_recorded_scores() {
     for w in Workload::ALL {
         for scale in [Scale::Small, Scale::Full] {
             let path = dir.join(SavedSchedule::file_name(
-                w.schedule_key(),
+                w.name(),
                 "cpu",
-                scale.key(),
+                scale.name(),
             ));
             let Ok(text) = std::fs::read_to_string(&path) else {
                 continue;
@@ -186,6 +185,7 @@ fn search_exports_its_counters_through_the_standard_registry() {
     assert!(snap.gauges.contains_key("search.best_cycles"));
     // And the snapshot round-trips through JSON with the gauges intact,
     // which is what the artifact upload consumes.
-    let back = ft_metrics::MetricsSnapshot::from_json(&snap.to_json()).unwrap();
+    let text = ft_trace::metrics_to_json(&snap).to_string();
+    let back = ft_trace::metrics_from_json(&ft_trace::JsonVal::parse(&text).unwrap()).unwrap();
     assert_eq!(back.counter("search.evaluations"), outcome.evaluations);
 }

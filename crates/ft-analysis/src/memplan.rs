@@ -792,49 +792,6 @@ impl MemPlan {
     pub fn n_zero_elided(&self) -> usize {
         self.entries.iter().filter(|e| !e.must_zero).count()
     }
-
-    /// Compact JSON rendering of the plan (entries, classes, totals) for
-    /// artifacts and repros.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"plan_hash\": \"{:016x}\",", self.plan_hash());
-        let _ = writeln!(s, "  \"n_params\": {},", self.n_params);
-        let _ = writeln!(s, "  \"planned_peak_bytes\": {},", self.planned_peak_bytes);
-        let _ = writeln!(s, "  \"naive_peak_bytes\": {},", self.naive_peak_bytes);
-        let _ = writeln!(s, "  \"naive_alloc_bytes\": {},", self.naive_alloc_bytes);
-        let _ = writeln!(s, "  \"classes\": [");
-        for (i, c) in self.classes.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"bytes\": {}, \"offset\": {}}}{}",
-                c.bytes,
-                c.offset,
-                if i + 1 < self.classes.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"name\": {:?}, \"def_idx\": {}, \"bytes\": {}, \"class\": {}, \
-                 \"offset\": {}, \"must_zero\": {}, \"first\": {}, \"last\": {}}}{}",
-                e.name,
-                e.def_idx,
-                e.bytes.map_or("null".to_string(), |b| b.to_string()),
-                e.class.map_or("null".to_string(), |c| c.to_string()),
-                e.offset.map_or("null".to_string(), |o| o.to_string()),
-                e.must_zero,
-                e.first,
-                e.last,
-                if i + 1 < self.entries.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        s.push('}');
-        s
-    }
 }
 
 #[cfg(test)]
@@ -1142,22 +1099,5 @@ mod tests {
             p.planned_peak_bytes,
             p.naive_peak_bytes
         );
-    }
-
-    #[test]
-    fn json_roundtrips_key_fields() {
-        let f = Func::new("f")
-            .param("y", [1], DataType::F32, AccessType::Output)
-            .body(var_def(
-                "t",
-                [16],
-                DataType::F32,
-                MemType::CpuHeap,
-                store("t", [0], 1.0f32),
-            ));
-        let p = MemPlan::plan(&f, &HashMap::new());
-        let j = p.to_json();
-        assert!(j.contains("\"planned_peak_bytes\": 64"), "{j}");
-        assert!(j.contains(&format!("{:016x}", p.plan_hash())), "{j}");
     }
 }

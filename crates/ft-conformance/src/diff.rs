@@ -77,7 +77,10 @@ pub fn grad_close(got: &TensorVal, want: &TensorVal, tol: &GradTol, scale: f64) 
         if d > worst {
             worst = d;
         }
-        if d > scale * (tol.abs + tol.rel * w.abs()) {
+        // A NaN bound (no relative term times an infinite `want`) accepts
+        // nothing.
+        let bound = scale * (tol.abs + tol.rel * w.abs());
+        if d > bound || bound.is_nan() {
             ok = false;
         }
     }
@@ -115,6 +118,16 @@ fn diverge(backend: Backend, output: &str, err: f64, what: &str) -> Divergence {
     }
 }
 
+/// A backend that did not run at all: `message` is its error.
+fn failed(backend: Backend, message: String) -> Divergence {
+    Divergence {
+        backend,
+        output: String::new(),
+        max_abs_err: f64::INFINITY,
+        message,
+    }
+}
+
 /// Re-run `func` on `b` through the arena-planned path
 /// ([`run_backend_planned`]: memory-planned pools, warmed `RunContext`)
 /// and compare every output against the fresh-allocation outputs `plain`.
@@ -129,14 +142,7 @@ fn check_planned_path(
 ) -> Option<Divergence> {
     let planned = match run_backend_planned(b, func, inputs) {
         Ok(o) => o,
-        Err(e) => {
-            return Some(Divergence {
-                backend: b,
-                output: String::new(),
-                max_abs_err: f64::INFINITY,
-                message: e,
-            })
-        }
+        Err(e) => return Some(failed(b, e)),
     };
     for name in output_names(func) {
         let Some(got) = planned.get(&name) else {
@@ -159,87 +165,105 @@ fn check_planned_path(
     None
 }
 
-/// Run `func` through every backend in `backends` and compare:
+/// How one kind of variant is judged: the element-wise contract
+/// ([`grad_close`] under `tol` and `scale`) and the wording of its reports.
+struct Contract {
+    tol: GradTol,
+    scale: f64,
+    /// A backend did not return an output at all.
+    missing: &'static str,
+    /// An output with an oracle value is not close to it.
+    vs_oracle: &'static str,
+    /// An output without one is not close to the interpreter's.
+    vs_interp: &'static str,
+}
+
+/// The differential check. Run `func` through every backend in `backends`
+/// and compare:
 ///
-/// * each backend's main output against the plain-Rust oracle
-///   (`case.oracle`), element-wise within `tol`;
+/// * each output named in `oracles` against its plain-Rust oracle value,
+///   element-wise under `contract`;
 /// * each non-interpreter backend's *other* outputs against the
-///   interpreter's, so secondary outputs are covered too;
+///   interpreter's under the same contract, so outputs without an oracle
+///   are covered too;
 /// * each backend's *arena-planned* run (memory-planned pools through a
 ///   warmed `RunContext`) against its fresh-allocation run, bit for bit
 ///   ([`check_planned_path`]).
 ///
-/// `tol` is what lets [`Backend::Reordered`] reassociate float reductions;
-/// the VM and the compiled engine sit far inside it (`tests/vm_fuzz.rs`
-/// holds the VM to bit-identity with the interpreter).
-///
 /// Returns the first divergence found, or `None` when all agree.
-pub fn check_variant(
-    case: &Case,
+fn check(
     func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    oracles: &HashMap<&str, &TensorVal>,
     backends: &[Backend],
-    tol: f64,
+    contract: &Contract,
 ) -> Option<Divergence> {
     // The interpreter doubles as the baseline for non-oracle outputs; run it
     // unconditionally (it is also the cheapest backend).
-    let base = match run_backend(Backend::Interp, func, &case.inputs) {
+    let base = match run_backend(Backend::Interp, func, inputs) {
         Ok(o) => o,
-        Err(e) => {
-            return Some(Divergence {
-                backend: Backend::Interp,
-                output: String::new(),
-                max_abs_err: f64::INFINITY,
-                message: e,
-            })
-        }
+        Err(e) => return Some(failed(Backend::Interp, e)),
     };
-    for b in backends {
-        let outs = if *b == Backend::Interp {
+    for &b in backends {
+        let outs = if b == Backend::Interp {
             base.clone()
         } else {
-            match run_backend(*b, func, &case.inputs) {
+            match run_backend(b, func, inputs) {
                 Ok(o) => o,
-                Err(e) => {
-                    return Some(Divergence {
-                        backend: *b,
-                        output: String::new(),
-                        max_abs_err: f64::INFINITY,
-                        message: e,
-                    })
-                }
+                Err(e) => return Some(failed(b, e)),
             }
         };
         for name in output_names(func) {
             let Some(got) = outs.get(&name) else {
-                return Some(diverge(*b, &name, f64::INFINITY, "output missing"));
+                return Some(diverge(b, &name, f64::INFINITY, contract.missing));
             };
-            // Main output: judged against the plain-Rust oracle. Others:
-            // against the interpreter baseline.
-            let expect = if name == case.oracle_output {
-                &case.oracle
-            } else if *b == Backend::Interp {
+            let (expect, what) = if let Some(oracle) = oracles.get(name.as_str()) {
+                (*oracle, contract.vs_oracle)
+            } else if b == Backend::Interp {
                 continue;
             } else {
-                &base[&name]
+                (&base[&name], contract.vs_interp)
             };
             if got.shape() != expect.shape() {
-                return Some(diverge(*b, &name, f64::INFINITY, "shape mismatch"));
+                return Some(diverge(b, &name, f64::INFINITY, "shape mismatch"));
             }
-            // NaN (from a NaN element on either side) must count as a
-            // divergence, hence the explicit is_nan arm.
-            let d = got.max_abs_diff(expect);
-            if d.is_nan() || d > tol {
-                return Some(diverge(*b, &name, d, "values differ from oracle"));
+            if let Err(d) = grad_close(got, expect, &contract.tol, contract.scale) {
+                return Some(diverge(b, &name, d, what));
             }
         }
-        if let Some(d) = check_planned_path(*b, func, &case.inputs, &outs) {
+        if let Some(d) = check_planned_path(b, func, inputs, &outs) {
             return Some(d);
         }
     }
     None
 }
 
-/// Differential check of a *gradient* function across backends.
+/// [`check`] of a forward variant: the main output is judged against the
+/// plain-Rust oracle (`case.oracle`), every other output against the
+/// interpreter, element-wise within the flat absolute bound `tol` — the
+/// gradient contract with one oracle, no relative term and scale 1.
+///
+/// `tol` is what lets [`Backend::Reordered`] reassociate float reductions;
+/// the VM and the compiled engine sit far inside it (`tests/vm_fuzz.rs`
+/// holds the VM to bit-identity with the interpreter).
+pub fn check_variant(
+    case: &Case,
+    func: &Func,
+    backends: &[Backend],
+    tol: f64,
+) -> Option<Divergence> {
+    let contract = Contract {
+        tol: GradTol { abs: tol, rel: 0.0 },
+        scale: 1.0,
+        missing: "output missing",
+        vs_oracle: "values differ from oracle",
+        vs_interp: "values differ from oracle",
+    };
+    let oracles = HashMap::from([(case.oracle_output.as_str(), &case.oracle)]);
+    check(func, &case.inputs, &oracles, backends, &contract)
+}
+
+/// [`check`] of a *gradient* function.
 ///
 /// `inputs` must already contain the seed gradient (`{output}.grad` ones);
 /// `oracle_grads` maps `.grad` output names to the plain-Rust oracle
@@ -248,10 +272,7 @@ pub fn check_variant(
 /// depth); every other output of the grad function — the recomputed forward
 /// outputs and consumed seeds — is judged against the interpreter baseline
 /// under the same contract, so taped-vs-recomputed forward replay is
-/// covered too. Each backend's arena-planned run is additionally diffed
-/// against its fresh-allocation run, exactly as in [`check_variant`].
-///
-/// Returns the first divergence found, or `None` when all agree.
+/// covered too.
 pub fn check_grad_variant(
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
@@ -259,57 +280,15 @@ pub fn check_grad_variant(
     backends: &[Backend],
     tol: &GradTol,
 ) -> Option<Divergence> {
-    let scale = (1 + reduction_depth(func)) as f64;
-    let base = match run_backend(Backend::Interp, func, inputs) {
-        Ok(o) => o,
-        Err(e) => {
-            return Some(Divergence {
-                backend: Backend::Interp,
-                output: String::new(),
-                max_abs_err: f64::INFINITY,
-                message: e,
-            })
-        }
+    let contract = Contract {
+        tol: *tol,
+        scale: (1 + reduction_depth(func)) as f64,
+        missing: "gradient output missing",
+        vs_oracle: "gradient differs from oracle",
+        vs_interp: "gradient-function output differs from interp",
     };
-    for b in backends {
-        let outs = if *b == Backend::Interp {
-            base.clone()
-        } else {
-            match run_backend(*b, func, inputs) {
-                Ok(o) => o,
-                Err(e) => {
-                    return Some(Divergence {
-                        backend: *b,
-                        output: String::new(),
-                        max_abs_err: f64::INFINITY,
-                        message: e,
-                    })
-                }
-            }
-        };
-        for name in output_names(func) {
-            let Some(got) = outs.get(&name) else {
-                return Some(diverge(*b, &name, f64::INFINITY, "gradient output missing"));
-            };
-            let (expect, what) = if let Some(oracle) = oracle_grads.get(&name) {
-                (oracle, "gradient differs from oracle")
-            } else if *b == Backend::Interp {
-                continue;
-            } else {
-                (&base[&name], "gradient-function output differs from interp")
-            };
-            if got.shape() != expect.shape() {
-                return Some(diverge(*b, &name, f64::INFINITY, "shape mismatch"));
-            }
-            if let Err(d) = grad_close(got, expect, tol, scale) {
-                return Some(diverge(*b, &name, d, what));
-            }
-        }
-        if let Some(d) = check_planned_path(*b, func, inputs, &outs) {
-            return Some(d);
-        }
-    }
-    None
+    let oracles = oracle_grads.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    check(func, inputs, &oracles, backends, &contract)
 }
 
 #[cfg(test)]
@@ -353,6 +332,46 @@ mod tests {
         // NaN always fails.
         let got = TensorVal::from_f64(&[1], vec![f64::NAN]);
         assert!(grad_close(&got, &want, &tol, 1.0).is_err());
+    }
+
+    #[test]
+    fn a_wrong_oracle_is_reported_alike_for_both_kinds_of_variant() {
+        use crate::grad::{build_grad_func, grad_setup, GradSpec};
+        use ft_runtime::Scalar;
+        let bump = |t: &mut TensorVal| {
+            let v = t.get_flat(0).as_f64();
+            t.set_flat(0, Scalar::Float(v + 1.0));
+        };
+        let said = |d: &Divergence, what: &str| {
+            let want = format!(
+                "backend vm disagrees on `{}`: {what} (max_abs_err {:.6e})",
+                d.output, d.max_abs_err
+            );
+            assert_eq!(d.message, want);
+            assert_eq!(d.backend, Backend::Vm);
+            assert!((d.max_abs_err - 1.0).abs() < 1e-3, "{d:?}");
+        };
+        let w = crate::Workload::Subdivnet;
+        let mut case = Case::build(w, 7);
+        let backends = [Backend::Vm];
+        let forward_tol = crate::Config::default().tol;
+
+        assert!(check_variant(&case, &case.func, &backends, forward_tol).is_none());
+        bump(&mut case.oracle);
+        let d = check_variant(&case, &case.func, &backends, forward_tol).expect("wrong oracle");
+        assert_eq!(d.output, "y");
+        said(&d, "values differ from oracle");
+
+        let case = Case::build(w, 7);
+        let (inputs, mut oracle_grads) = grad_setup(w, &case);
+        let (g, _) = build_grad_func(&case.func, &[], &GradSpec::default()).unwrap();
+        let tol = GradTol::default();
+        assert!(check_grad_variant(&g, &inputs, &oracle_grads, &backends, &tol).is_none());
+        bump(oracle_grads.get_mut("e.grad").unwrap());
+        let d = check_grad_variant(&g, &inputs, &oracle_grads, &backends, &tol)
+            .expect("wrong gradient oracle");
+        assert_eq!(d.output, "e.grad");
+        said(&d, "gradient differs from oracle");
     }
 
     #[test]

@@ -14,16 +14,14 @@
 //! that capture the full `GradOptions` alongside the schedule.
 
 use crate::backend::Backend;
-use crate::diff::{check_grad_variant, reduction_depth, Divergence, GradTol};
+use crate::diff::{reduction_depth, GradTol};
 use crate::ops::{self, ScheduleOp};
-use crate::repro::Repro;
-use crate::shrink::minimize;
-use crate::workload::{Case, Workload};
+use crate::workload::Case;
+use crate::{Summary, Variant};
 use ft_autodiff::{grad_with, AdError, AdFault, GradOptions, TapePolicy};
 use ft_ir::Func;
 use ft_runtime::{Scalar, TensorVal};
-use ft_workloads::Inputs;
-use proptest::test_runner::TestRng;
+use ft_workloads::{Inputs, Scale, Workload};
 use std::path::PathBuf;
 
 /// Composition order of differentiation and scheduling.
@@ -177,18 +175,17 @@ pub fn build_grad_func_traced(
     }
 }
 
-/// The all-ones seed gradient `∂L/∂output` for a case (the loss is the sum
-/// of the main output's elements).
-pub fn ones_seed(case: &Case) -> TensorVal {
-    TensorVal::from_f32(case.oracle.shape(), vec![1.0; case.oracle.numel()])
-}
-
-/// The inputs a grad function of `case` runs with: the case inputs plus the
-/// consumed in-out seed `{output}.grad`.
-pub fn grad_run_inputs(case: &Case, seed: &TensorVal) -> Inputs {
-    let mut m = case.inputs.clone();
-    m.insert(format!("{}.grad", case.oracle_output), seed.clone());
-    m
+/// What a gradient variant of a workload case runs on and is judged
+/// against. The loss is the sum of the main output's elements, so the seed
+/// `∂L/∂output` is all ones: the inputs are the case's plus that seed as the
+/// consumed in-out `{output}.grad`, the oracle the plain-Rust gradient
+/// `{x}.grad` of every differentiable input under it.
+pub fn grad_setup(w: Workload, case: &Case) -> (Inputs, Inputs) {
+    let seed = TensorVal::from_f32(case.oracle.shape(), vec![1.0; case.oracle.numel()]);
+    let oracle_grads = w.at(Scale::Test).reference_grad(&case.inputs, &seed);
+    let mut inputs = case.inputs.clone();
+    inputs.insert(format!("{}.grad", case.oracle_output), seed);
+    (inputs, oracle_grads)
 }
 
 /// Central-difference probes per differentiable input when validating the
@@ -206,6 +203,7 @@ const FD_PROBES: usize = 6;
 /// every probe.
 pub fn fd_disagreements(w: Workload, case: &Case, oracle_grads: &Inputs) -> Vec<String> {
     let scale = (1 + reduction_depth(&case.func)) as f64;
+    let oracle = w.at(Scale::Test);
     let h = 1e-3f64;
     let mut names: Vec<&String> = oracle_grads.keys().collect();
     names.sort();
@@ -230,8 +228,8 @@ pub fn fd_disagreements(w: Workload, case: &Case, oracle_grads: &Inputs) -> Vec<
             minus.get_mut(xname).unwrap().set_flat(i, Scalar::Float(x0 - h));
             let xp = plus[xname].get_flat(i).as_f64();
             let xm = minus[xname].get_flat(i).as_f64();
-            let lp: f64 = w.oracle_value(&plus).to_f64_vec().iter().sum();
-            let lm: f64 = w.oracle_value(&minus).to_f64_vec().iter().sum();
+            let lp: f64 = oracle.reference(&plus).to_f64_vec().iter().sum();
+            let lm: f64 = oracle.reference(&minus).to_f64_vec().iter().sum();
             let fd = (lp - lm) / (xp - xm);
             let g = gval.get_flat(i).as_f64();
             // The forward oracle stores f32 elements, so the summed loss
@@ -293,99 +291,6 @@ impl Default for GradConfig {
     }
 }
 
-/// What happened to one grad variant of the sweep.
-#[derive(Debug)]
-pub struct GradVariantReport {
-    /// Workload name.
-    pub workload: String,
-    /// Seed used for the synthetic inputs of this variant.
-    pub input_seed: u64,
-    /// How the grad function was built.
-    pub spec: GradSpec,
-    /// The legality-accepted schedule trace that was executed.
-    pub trace: Vec<ScheduleOp>,
-    /// `Some` when the (possibly scheduled) program fell outside the
-    /// differentiable fragment — a structured skip, not a divergence.
-    pub skipped: Option<String>,
-    /// `None` when every backend agreed with the oracle gradient.
-    pub divergence: Option<Divergence>,
-    /// JSON repro path, when a divergence was recorded.
-    pub repro_path: Option<PathBuf>,
-}
-
-/// Aggregate outcome of [`run_grad_conformance`].
-#[derive(Debug, Default)]
-pub struct GradSummary {
-    /// One entry per grad variant.
-    pub variants: Vec<GradVariantReport>,
-    /// Cases whose analytic oracle gradient failed the finite-difference
-    /// cross-check (`workload`, message) — an oracle bug, independent of
-    /// any backend.
-    pub fd_failures: Vec<String>,
-}
-
-impl GradSummary {
-    /// Variants on which all backends matched the oracle gradient.
-    pub fn n_ok(&self) -> usize {
-        self.variants
-            .iter()
-            .filter(|v| v.divergence.is_none() && v.skipped.is_none())
-            .count()
-    }
-
-    /// Variants that diverged.
-    pub fn n_diverged(&self) -> usize {
-        self.variants.iter().filter(|v| v.divergence.is_some()).count()
-    }
-
-    /// Variants skipped with a structured [`AdError`].
-    pub fn n_skipped(&self) -> usize {
-        self.variants.iter().filter(|v| v.skipped.is_some()).count()
-    }
-
-    /// Human-readable one-screen report.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "grad conformance: {} variants, {} ok, {} diverged, {} skipped, {} oracle FD failures\n",
-            self.variants.len(),
-            self.n_ok(),
-            self.n_diverged(),
-            self.n_skipped(),
-            self.fd_failures.len()
-        );
-        for m in &self.fd_failures {
-            s.push_str(&format!("  ORACLE-FD {m}\n"));
-        }
-        for v in self.variants.iter().filter(|v| v.divergence.is_some()) {
-            let d = v.divergence.as_ref().unwrap();
-            s.push_str(&format!(
-                "  DIVERGED {} (input_seed {}, {}): backend {} output `{}` max_abs_err {:.3e}{}\n",
-                v.workload,
-                v.input_seed,
-                v.spec.label(),
-                d.backend.name(),
-                d.output,
-                d.max_abs_err,
-                v.repro_path
-                    .as_ref()
-                    .map(|p| format!(" — repro: {}", p.display()))
-                    .unwrap_or_default(),
-            ));
-        }
-        s
-    }
-
-    /// Panic with the rendered report if any variant diverged or the oracle
-    /// failed its finite-difference cross-check.
-    pub fn assert_clean(&self) {
-        assert!(
-            self.n_diverged() == 0 && self.fd_failures.is_empty(),
-            "{}",
-            self.render()
-        );
-    }
-}
-
 /// Salt separating the gradient sweep's random streams from the forward
 /// sweep's, so the two explore different (input, trace) points.
 const GRAD_STREAM_SALT: u64 = 0x6772_6164; // "grad"
@@ -396,27 +301,21 @@ const GRAD_STREAM_SALT: u64 = 0x6772_6164; // "grad"
 /// Divergent variants are shrunk to a minimal failing trace and a JSON
 /// repro capturing the [`GradSpec`] is written under `cfg.out_dir`; the
 /// sweep itself never panics — callers decide via
-/// [`GradSummary::assert_clean`].
-pub fn run_grad_conformance(cfg: &GradConfig) -> GradSummary {
-    let mut summary = GradSummary::default();
+/// [`Summary::assert_clean`].
+pub fn run_grad_conformance(cfg: &GradConfig) -> Summary {
+    let mut summary = Summary {
+        grad: true,
+        ..Summary::default()
+    };
     for w in Workload::ALL {
         for k in 0..cfg.samples_per_workload {
-            let stream = ft_ir::fnv1a_p44(w.name().as_bytes())
-                ^ cfg.seed
-                ^ GRAD_STREAM_SALT
-                ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let input_seed = stream & 0xFFFF;
-            let case = w.build(input_seed);
-            let seed = ones_seed(&case);
-            let oracle_grads = w.oracle_grad(&case.inputs, &seed);
+            let (case, raw) = crate::sample(w, cfg.seed ^ GRAD_STREAM_SALT, k, cfg.max_ops);
+            let (inputs, oracle_grads) = grad_setup(w, &case);
             // Cross-check the analytic oracle itself against central
             // differences once per case (schedule-independent).
             summary
                 .fd_failures
                 .extend(fd_disagreements(w, &case, &oracle_grads));
-            let inputs = grad_run_inputs(&case, &seed);
-            let mut rng = TestRng::from_seed_u64(stream);
-            let raw = ops::sample_trace(&mut rng, cfg.max_ops);
             let threshold = cfg.thresholds[k % cfg.thresholds.len()];
             for policy in [TapePolicy::All, TapePolicy::Selective] {
                 for order in GradOrder::ALL {
@@ -426,97 +325,13 @@ pub fn run_grad_conformance(cfg: &GradConfig) -> GradSummary {
                         order,
                         fault: cfg.fault,
                     };
-                    let (gfunc, trace) = match build_grad_func(&case.func, &raw, &spec) {
-                        Ok(x) => x,
-                        Err(e) => {
-                            summary.variants.push(GradVariantReport {
-                                workload: w.name().to_string(),
-                                input_seed,
-                                spec,
-                                trace: Vec::new(),
-                                skipped: Some(e.to_string()),
-                                divergence: None,
-                                repro_path: None,
-                            });
-                            continue;
-                        }
+                    let variant = Variant {
+                        case: &case,
+                        grad: Some((spec, &inputs, &oracle_grads)),
+                        tol: cfg.tol,
+                        backends: &cfg.backends,
                     };
-                    let divergence =
-                        check_grad_variant(&gfunc, &inputs, &oracle_grads, &cfg.backends, &cfg.tol);
-                    let (divergence, repro_path) = match divergence {
-                        None => (None, None),
-                        Some(first) => {
-                            let fails = |t: &[ScheduleOp]| {
-                                build_grad_func(&case.func, t, &spec)
-                                    .map(|(f, _)| {
-                                        check_grad_variant(
-                                            &f,
-                                            &inputs,
-                                            &oracle_grads,
-                                            &cfg.backends,
-                                            &cfg.tol,
-                                        )
-                                        .is_some()
-                                    })
-                                    .unwrap_or(false)
-                            };
-                            let minimized = minimize(&trace, fails);
-                            // Replay the minimized trace once more with a
-                            // sink so the repro embeds the decision log.
-                            let sink = ft_trace::TraceSink::new();
-                            let (f, _) = build_grad_func_traced(
-                                &case.func,
-                                &minimized,
-                                &spec,
-                                Some(&sink),
-                            )
-                            .expect("minimized trace must still differentiate");
-                            let decision_log = sink
-                                .decisions()
-                                .iter()
-                                .map(ft_trace::decision_line)
-                                .collect();
-                            let (d, flaky) = crate::shrink::recheck(first, || {
-                                check_grad_variant(
-                                    &f,
-                                    &inputs,
-                                    &oracle_grads,
-                                    &cfg.backends,
-                                    &cfg.tol,
-                                )
-                            });
-                            // Telemetry of the diverging backward run
-                            // rides along in the repro.
-                            let metrics = crate::backend::run_backend_telemetry(
-                                d.backend, &f, &inputs,
-                            );
-                            let repro = Repro {
-                                workload: w.name().to_string(),
-                                input_seed,
-                                backend: d.backend.name().to_string(),
-                                output: d.output.clone(),
-                                max_abs_err: d.max_abs_err,
-                                tol: cfg.tol.abs,
-                                trace: minimized,
-                                decision_log,
-                                grad: Some(spec),
-                                tol_rel: Some(cfg.tol.rel),
-                                metrics: Some(metrics),
-                                flaky,
-                            };
-                            let path = repro.write(&cfg.out_dir).ok();
-                            (Some(d), path)
-                        }
-                    };
-                    summary.variants.push(GradVariantReport {
-                        workload: w.name().to_string(),
-                        input_seed,
-                        spec,
-                        trace,
-                        skipped: None,
-                        divergence,
-                        repro_path,
-                    });
+                    summary.variants.push(variant.run(&raw, &cfg.out_dir));
                 }
             }
         }
@@ -550,9 +365,8 @@ mod tests {
         // The analytic oracle gradient of every workload agrees with
         // central differences through the forward oracle.
         for w in Workload::ALL {
-            let case = w.build(11);
-            let seed = ones_seed(&case);
-            let grads = w.oracle_grad(&case.inputs, &seed);
+            let case = Case::build(w, 11);
+            let (_, grads) = grad_setup(w, &case);
             assert!(!grads.is_empty(), "{}: oracle gradient is empty", w.name());
             let bad = fd_disagreements(w, &case, &grads);
             assert!(bad.is_empty(), "{:?}", bad);
@@ -564,9 +378,8 @@ mod tests {
         // Scaling the oracle gradient by 2 must trip the FD check — the
         // cross-check is live, not vacuous.
         let w = Workload::Subdivnet;
-        let case = w.build(11);
-        let seed = ones_seed(&case);
-        let mut grads = w.oracle_grad(&case.inputs, &seed);
+        let case = Case::build(w, 11);
+        let (_, mut grads) = grad_setup(w, &case);
         let g = grads.get_mut("e.grad").unwrap();
         for i in 0..g.numel() {
             let v = g.get_flat(i).as_f64();
@@ -580,17 +393,15 @@ mod tests {
         // Sanity: grad-then-opt and opt-then-grad of an empty trace give
         // the same gradients on the interpreter.
         let w = Workload::Longformer;
-        let case = w.build(5);
-        let seed = ones_seed(&case);
-        let inputs = grad_run_inputs(&case, &seed);
-        let oracle = w.oracle_grad(&case.inputs, &seed);
+        let case = Case::build(w, 5);
+        let (inputs, oracle) = grad_setup(w, &case);
         for order in GradOrder::ALL {
             let spec = GradSpec {
                 order,
                 ..GradSpec::default()
             };
             let (g, _) = build_grad_func(&case.func, &[], &spec).unwrap();
-            let d = check_grad_variant(&g, &inputs, &oracle, &[Backend::Interp], &GradTol::default());
+            let d = crate::check_grad_variant(&g, &inputs, &oracle, &[Backend::Interp], &GradTol::default());
             assert!(d.is_none(), "{}: {:?}", order.name(), d);
         }
     }

@@ -45,12 +45,12 @@ pub fn sample_trace(rng: &mut TestRng, max_ops: usize) -> Vec<ScheduleOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
+    use crate::{Case, Workload};
     use ft_ir::{find, ParallelScope, StmtKind};
 
     #[test]
     fn accepted_subsequence_replays_to_identical_func() {
-        let case = Workload::Gat.build(3);
+        let case = Case::build(Workload::Gat, 3);
         let mut rng = TestRng::from_seed_u64(99);
         for _ in 0..8 {
             let raw = sample_trace(&mut rng, 6);
@@ -64,7 +64,7 @@ mod tests {
     #[test]
     fn sampler_finds_legal_ops_on_every_workload() {
         for w in Workload::ALL {
-            let case = w.build(1);
+            let case = Case::build(w, 1);
             let mut rng = TestRng::from_seed_u64(7);
             let mut accepted_total = 0;
             for _ in 0..10 {
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn parallelize_unchecked_marks_the_loop() {
-        let case = Workload::Subdivnet.build(1);
+        let case = Case::build(Workload::Subdivnet, 1);
         let mut sched = ft_schedule::Schedule::new(case.func.clone());
         ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }
             .apply(&mut sched)

@@ -7,14 +7,15 @@
 //! reproduced from the artifact alone.
 
 use crate::backend::Backend;
-use crate::diff::{check_grad_variant, check_variant, Divergence, GradTol};
+use crate::diff::{Divergence, GradTol};
 use crate::grad::{
-    build_grad_func, fault_from_name, fault_name, grad_run_inputs, ones_seed, policy_from_name,
-    policy_name, GradOrder, GradSpec,
+    fault_from_name, fault_name, grad_setup, policy_from_name, policy_name, GradOrder, GradSpec,
 };
-use crate::ops::{apply_trace, op_from_json, op_to_json, ScheduleOp};
+use crate::ops::{op_from_json, op_to_json, ScheduleOp};
 use crate::shrink::Flaky;
-use crate::workload::Workload;
+use crate::workload::Case;
+use crate::Variant;
+use ft_workloads::Workload;
 use ft_trace::JsonVal;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -62,7 +63,7 @@ pub struct Repro {
 }
 
 fn num(n: u64) -> JsonVal {
-    JsonVal::Num(n as f64)
+    JsonVal::Int(n.into())
 }
 
 /// `max_abs_err` is infinite on execution-failure divergences, and JSON has
@@ -80,15 +81,12 @@ fn err_to_json(v: f64) -> JsonVal {
 }
 
 fn err_from_json(v: &JsonVal) -> Option<f64> {
-    match v {
-        JsonVal::Num(n) => Some(*n),
-        JsonVal::Str(s) => match s.as_str() {
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            _ => None,
-        },
-        _ => None,
+    match v.as_str() {
+        Some("inf") => Some(f64::INFINITY),
+        Some("-inf") => Some(f64::NEG_INFINITY),
+        Some("nan") => Some(f64::NAN),
+        Some(_) => None,
+        None => v.as_f64(),
     }
 }
 
@@ -166,13 +164,8 @@ impl Repro {
         }
         // The telemetry snapshot is emitted only when present, so files
         // from metric-less sweeps are byte-identical to the old format.
-        // The snapshot serializes itself; re-parse into this module's
-        // value type to embed it as a structured object rather than an
-        // opaque string.
         if let Some(m) = &self.metrics {
-            if let Ok(v) = JsonVal::parse(&m.to_json()) {
-                fields.push(("metrics".to_string(), v));
-            }
+            fields.push(("metrics".to_string(), ft_trace::metrics_to_json(m)));
         }
         if let Some(f) = self.flaky {
             let counts = vec![
@@ -232,8 +225,7 @@ impl Repro {
         let metrics = match v.get("metrics") {
             None => None,
             Some(m) => Some(
-                ft_metrics::MetricsSnapshot::from_json(&m.to_string())
-                    .map_err(|e| format!("bad `metrics` block: {e}"))?,
+                ft_trace::metrics_from_json(m).map_err(|e| format!("bad `metrics` block: {e}"))?,
             ),
         };
         let flaky = match v.get("flaky") {
@@ -253,7 +245,10 @@ impl Repro {
         };
         Ok(Repro {
             workload: str_field("workload")?,
-            input_seed: num_field("input_seed")? as u64,
+            input_seed: v
+                .get("input_seed")
+                .and_then(JsonVal::as_u64)
+                .ok_or("missing numeric field `input_seed`")?,
             backend: str_field("backend")?,
             output: str_field("output")?,
             max_abs_err: v
@@ -313,20 +308,21 @@ impl Repro {
             .ok_or_else(|| format!("unknown workload `{}`", self.workload))?;
         let b = Backend::from_name(&self.backend)
             .ok_or_else(|| format!("unknown backend `{}`", self.backend))?;
-        let case = w.build(self.input_seed);
-        let Some(spec) = &self.grad else {
-            let (func, _) = apply_trace(&case.func, &self.trace);
-            return Ok(check_variant(&case, &func, &[b], self.tol));
+        let case = Case::build(w, self.input_seed);
+        let setup = self.grad.map(|spec| (spec, grad_setup(w, &case)));
+        let variant = Variant {
+            case: &case,
+            grad: setup
+                .as_ref()
+                .map(|(spec, (inputs, oracle_grads))| (*spec, inputs, oracle_grads)),
+            tol: GradTol {
+                abs: self.tol,
+                rel: self.tol_rel.unwrap_or(0.0),
+            },
+            backends: &[b],
         };
-        let (gfunc, _) = build_grad_func(&case.func, &self.trace, spec).map_err(|e| e.to_string())?;
-        let seed = ones_seed(&case);
-        let inputs = grad_run_inputs(&case, &seed);
-        let oracle_grads = w.oracle_grad(&case.inputs, &seed);
-        let tol = GradTol {
-            abs: self.tol,
-            rel: self.tol_rel.unwrap_or(0.0),
-        };
-        Ok(check_grad_variant(&gfunc, &inputs, &oracle_grads, &[b], &tol))
+        let (func, _) = variant.build(&self.trace, None).map_err(|e| e.to_string())?;
+        Ok(variant.check(&func))
     }
 }
 

@@ -1,22 +1,10 @@
-//! The programs under differential test: the paper's four workloads, plus
-//! custom cases for fault-injection tests.
+//! The programs under differential test: the paper's four workloads
+//! ([`ft_workloads::Workload`], at [`Scale::Test`]), plus custom cases for
+//! fault-injection tests.
 
 use ft_ir::Func;
 use ft_runtime::TensorVal;
-use ft_workloads::{gat, longformer, softras, subdivnet, Inputs};
-
-/// One of the paper's four irregular workloads (§6.1), at test scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Indirect adjacency + circular difference (paper Fig. 2).
-    Subdivnet,
-    /// Sliding-window attention with boundary guards (Fig. 1/5).
-    Longformer,
-    /// Per pixel–face geometric scoring.
-    Softras,
-    /// CSR neighbor softmax with data-dependent loop bounds.
-    Gat,
-}
+use ft_workloads::{Inputs, Scale, Workload};
 
 /// A fully-instantiated program under test: IR, inputs, and the plain-Rust
 /// oracle's expected value of the main output.
@@ -55,123 +43,18 @@ impl Case {
             input_seed: 0,
         }
     }
-}
 
-impl Workload {
-    /// All four workloads.
-    pub const ALL: [Workload; 4] = [
-        Workload::Subdivnet,
-        Workload::Longformer,
-        Workload::Softras,
-        Workload::Gat,
-    ];
-
-    /// Stable lower-case name (used in repro files).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Workload::Subdivnet => "subdivnet",
-            Workload::Longformer => "longformer",
-            Workload::Softras => "softras",
-            Workload::Gat => "gat",
-        }
-    }
-
-    /// Inverse of [`Workload::name`].
-    pub fn from_name(name: &str) -> Option<Workload> {
-        Workload::ALL.iter().copied().find(|w| w.name() == name)
-    }
-
-    /// Instantiate the workload at test scale with inputs drawn from `seed`.
-    pub fn build(&self, seed: u64) -> Case {
-        let (func, inputs, oracle, out) = match self {
-            Workload::Subdivnet => {
-                let p = subdivnet::Params::small();
-                let ins = subdivnet::inputs(&p, seed);
-                let f = subdivnet::program(&p).func().clone();
-                let oracle = subdivnet::reference(&p, &ins);
-                (f, ins, oracle, "y")
-            }
-            Workload::Longformer => {
-                let p = longformer::Params::small();
-                let ins = longformer::inputs(&p, seed);
-                let f = longformer::program(&p).func().clone();
-                let oracle = longformer::reference(&p, &ins);
-                (f, ins, oracle, "y")
-            }
-            Workload::Softras => {
-                let p = softras::Params::small();
-                let ins = softras::inputs(&p, seed);
-                let f = softras::program(&p).func().clone();
-                let oracle = softras::reference(&p, &ins);
-                (f, ins, oracle, "img")
-            }
-            Workload::Gat => {
-                let p = gat::Params::small();
-                let ins = gat::inputs(&p, seed);
-                let f = gat::program(&p).func().clone();
-                let oracle = gat::reference(&p, &ins);
-                (f, ins, oracle, "y")
-            }
-        };
+    /// Instantiate `w` at test scale with inputs drawn from `seed`.
+    pub fn build(w: Workload, seed: u64) -> Case {
+        let instance = w.at(Scale::Test);
+        let inputs = instance.inputs(seed);
         Case {
-            name: self.name().to_string(),
-            func,
+            name: w.name().to_string(),
+            func: instance.program().func().clone(),
+            oracle: instance.reference(&inputs),
             inputs,
-            oracle,
-            oracle_output: out.to_string(),
+            oracle_output: w.output().to_string(),
             input_seed: seed,
         }
-    }
-
-    /// Plain-Rust forward oracle over arbitrary `inputs` (same test-scale
-    /// `Params::small()` the [`Workload::build`] case uses). Exists so the
-    /// gradient sweep can finite-difference through the oracle.
-    pub fn oracle_value(&self, inputs: &Inputs) -> TensorVal {
-        match self {
-            Workload::Subdivnet => subdivnet::reference(&subdivnet::Params::small(), inputs),
-            Workload::Longformer => longformer::reference(&longformer::Params::small(), inputs),
-            Workload::Softras => softras::reference(&softras::Params::small(), inputs),
-            Workload::Gat => gat::reference(&gat::Params::small(), inputs),
-        }
-    }
-
-    /// Plain-Rust oracle gradient: `{x}.grad` for every differentiable
-    /// input, given the seed `∂L/∂output`.
-    pub fn oracle_grad(&self, inputs: &Inputs, seed: &TensorVal) -> Inputs {
-        match self {
-            Workload::Subdivnet => {
-                subdivnet::reference_grad(&subdivnet::Params::small(), inputs, seed)
-            }
-            Workload::Longformer => {
-                longformer::reference_grad(&longformer::Params::small(), inputs, seed)
-            }
-            Workload::Softras => softras::reference_grad(&softras::Params::small(), inputs, seed),
-            Workload::Gat => gat::reference_grad(&gat::Params::small(), inputs, seed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_workloads_build_and_oracle_matches_interp() {
-        for w in Workload::ALL {
-            let case = w.build(7);
-            let r = ft_runtime::Runtime::new()
-                .run(&case.func, &case.inputs, &std::collections::HashMap::new())
-                .unwrap_or_else(|e| panic!("{}: {e:?}", w.name()));
-            let d = r.output(&case.oracle_output).max_abs_diff(&case.oracle);
-            assert!(d < 1e-4, "{}: oracle mismatch {d}", w.name());
-        }
-    }
-
-    #[test]
-    fn name_roundtrip() {
-        for w in Workload::ALL {
-            assert_eq!(Workload::from_name(w.name()), Some(w));
-        }
-        assert_eq!(Workload::from_name("nope"), None);
     }
 }

@@ -23,10 +23,11 @@
 //! are lock-free thereafter, so hot loops register once and hold the
 //! handle. [`Metrics::snapshot`] freezes everything into a
 //! [`MetricsSnapshot`] with deterministic (sorted-name) ordering,
-//! [`MetricsSnapshot::diff`] isolates one run's deltas, and exporters
-//! render Prometheus text exposition ([`MetricsSnapshot::to_prometheus`])
-//! or JSON ([`MetricsSnapshot::to_json`] / [`MetricsSnapshot::from_json`],
-//! the format of `results/METRICS.json`).
+//! [`MetricsSnapshot::diff`] isolates one run's deltas, and
+//! [`MetricsSnapshot::to_prometheus`] renders Prometheus text exposition.
+//! The JSON form (`results/METRICS.json`) is `ft_trace::metrics_to_json` /
+//! `metrics_from_json`: the workspace has one JSON codec, and this crate
+//! stays a leaf below it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -427,110 +428,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Render the JSON document format of `results/METRICS.json`. Histogram
-    /// buckets are sparse `[index, count]` pairs; the output is
-    /// deterministic (sorted names, no whitespace variation).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    {}: {v}", json_str(k)));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    {}: {v}", json_str(k)));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b != 0)
-                .map(|(i, &b)| format!("[{i},{b}]"))
-                .collect();
-            out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
-                json_str(k),
-                h.count,
-                h.sum,
-                buckets.join(",")
-            ));
-        }
-        out.push_str(if first { "}\n" } else { "\n  }\n" });
-        out.push_str("}\n");
-        out
-    }
-
-    /// Parse [`MetricsSnapshot::to_json`] output back.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed construct.
-    pub fn from_json(s: &str) -> Result<MetricsSnapshot, String> {
-        let v = json::parse(s)?;
-        let mut snap = MetricsSnapshot::default();
-        if let Some(obj) = v.get("counters").and_then(json::Val::as_obj) {
-            for (k, v) in obj {
-                let n = v.as_u64().ok_or_else(|| format!("counter `{k}` not a u64"))?;
-                snap.counters.insert(k.clone(), n);
-            }
-        }
-        if let Some(obj) = v.get("gauges").and_then(json::Val::as_obj) {
-            for (k, v) in obj {
-                let n = v.as_i64().ok_or_else(|| format!("gauge `{k}` not an i64"))?;
-                snap.gauges.insert(k.clone(), n);
-            }
-        }
-        if let Some(obj) = v.get("histograms").and_then(json::Val::as_obj) {
-            for (k, v) in obj {
-                let mut h = HistogramSnapshot::empty();
-                h.count = v
-                    .get("count")
-                    .and_then(json::Val::as_u64)
-                    .ok_or_else(|| format!("histogram `{k}` missing `count`"))?;
-                h.sum = v
-                    .get("sum")
-                    .and_then(json::Val::as_u64)
-                    .ok_or_else(|| format!("histogram `{k}` missing `sum`"))?;
-                let buckets = v
-                    .get("buckets")
-                    .and_then(json::Val::as_arr)
-                    .ok_or_else(|| format!("histogram `{k}` missing `buckets`"))?;
-                for pair in buckets {
-                    let p = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                        format!("histogram `{k}`: bucket entry is not an [index, count] pair")
-                    })?;
-                    let (i, b) = (p[0].as_u64(), p[1].as_u64());
-                    let (Some(i), Some(b)) = (i, b) else {
-                        return Err(format!("histogram `{k}`: non-integer bucket pair"));
-                    };
-                    if (i as usize) < HISTOGRAM_BUCKETS {
-                        h.buckets[i as usize] = b;
-                    }
-                }
-                snap.histograms.insert(k.clone(), h);
-            }
-        }
-        Ok(snap)
-    }
 }
 
 /// Sanitize a dotted metric name into a Prometheus metric name.
@@ -544,254 +441,6 @@ fn prom_name(name: &str) -> String {
         }
     }
     out
-}
-
-/// Quote a JSON string with minimal escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal JSON reader, private to this crate so it stays a leaf with no
-/// dependency on the other crates' JSON helpers. Integers round-trip
-/// exactly up to `u64::MAX` (no lossy f64 detour).
-mod json {
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Val {
-        Null,
-        Bool(bool),
-        Int(i128),
-        Float(f64),
-        Str(String),
-        Arr(Vec<Val>),
-        Obj(Vec<(String, Val)>),
-    }
-
-    impl Val {
-        pub fn get(&self, key: &str) -> Option<&Val> {
-            match self {
-                Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_obj(&self) -> Option<&[(String, Val)]> {
-            match self {
-                Val::Obj(f) => Some(f),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Val]> {
-            match self {
-                Val::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Val::Int(n) => u64::try_from(*n).ok(),
-                Val::Float(f) if *f >= 0.0 && f.fract() == 0.0 && *f <= u64::MAX as f64 => {
-                    Some(*f as u64)
-                }
-                _ => None,
-            }
-        }
-
-        pub fn as_i64(&self) -> Option<i64> {
-            match self {
-                Val::Int(n) => i64::try_from(*n).ok(),
-                Val::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Val, String> {
-        let b = s.as_bytes();
-        let mut pos = 0usize;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let k = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((k, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Val::Obj(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Val::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Val::Str(string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Val::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Val::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Val::Null)
-            }
-            Some(_) => number(b, pos),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = b.get(*pos).copied().ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let n = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            *pos += 4;
-                            out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape `\\{}`", e as char)),
-                    }
-                }
-                c => {
-                    // Re-decode multi-byte UTF-8 from the raw bytes.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = *pos - 1;
-                        let len = if c >= 0xF0 {
-                            4
-                        } else if c >= 0xE0 {
-                            3
-                        } else {
-                            2
-                        };
-                        let chunk = b.get(start..start + len).ok_or("truncated UTF-8")?;
-                        let s = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
-                        out.push_str(s);
-                        *pos = start + len;
-                    }
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-        let start = *pos;
-        while *pos < b.len()
-            && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        if s.is_empty() {
-            return Err(format!("expected value at offset {start}"));
-        }
-        if s.bytes().all(|c| c.is_ascii_digit() || c == b'-') {
-            s.parse::<i128>()
-                .map(Val::Int)
-                .map_err(|e| format!("bad integer `{s}`: {e}"))
-        } else {
-            s.parse::<f64>()
-                .map(Val::Float)
-                .map_err(|e| format!("bad number `{s}`: {e}"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -866,32 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
-        let m = Metrics::new();
-        m.counter("compiled.cache.hit").add(41);
-        m.counter("big").add(u64::MAX);
-        m.gauge("pool.queue.depth").set(-3);
-        let h = m.histogram("engine.vm.run_us");
-        h.record(0);
-        h.record(17);
-        h.record(1 << 40);
-        let snap = m.snapshot();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(MetricsSnapshot::from_json("not json").is_err());
-        assert!(MetricsSnapshot::from_json("{\"counters\": {\"x\": -1}}").is_err());
-        assert!(MetricsSnapshot::from_json("{} trailing").is_err());
-    }
-
-    #[test]
     fn empty_snapshot_exports_cleanly() {
-        let snap = Metrics::new().snapshot();
-        assert_eq!(MetricsSnapshot::from_json(&snap.to_json()).unwrap(), snap);
-        assert_eq!(snap.to_prometheus(), "");
+        assert_eq!(Metrics::new().snapshot().to_prometheus(), "");
     }
 
     #[test]

@@ -208,14 +208,6 @@ fn lock_exclusive(file: &std::fs::File) -> std::io::Result<()> {
     }
 }
 
-#[cfg(not(unix))]
-fn lock_exclusive(_file: &std::fs::File) -> std::io::Result<()> {
-    // No advisory locking: in-process singleflight still dedups, and the
-    // tmp+rename publish keeps concurrent processes correct (they may
-    // redundantly compile, never corrupt).
-    Ok(())
-}
-
 /// Hold the OpenMP runtime for the life of the process. Kernels are its
 /// only other users, so dropping the last engine used to unload libgomp
 /// under its own worker threads — a segfault whenever they were still

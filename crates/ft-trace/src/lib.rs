@@ -37,7 +37,7 @@ pub mod json;
 pub mod report;
 
 pub use chrome::{chrome_trace, validate_chrome_trace, write_chrome_trace, TraceStats};
-pub use json::JsonVal;
+pub use json::{metrics_from_json, metrics_to_json, JsonVal};
 pub use report::{decision_line, provenance_report};
 
 /// Track (Chrome `tid`) that compilation-phase spans land on.

@@ -23,6 +23,9 @@ pub mod gat;
 pub mod longformer;
 pub mod softras;
 pub mod subdivnet;
+mod table;
+
+pub use table::{Instance, Scale, Workload};
 
 use ft_runtime::TensorVal;
 use std::collections::HashMap;

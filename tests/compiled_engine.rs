@@ -22,12 +22,13 @@
 
 use freetensor::autoschedule::Target;
 use freetensor::workloads::{gat, longformer};
-use ft_conformance::grad::{build_grad_func, grad_run_inputs, ones_seed, GradSpec};
+use freetensor::trace::{metrics_from_json, metrics_to_json, JsonVal};
+use ft_conformance::grad::{build_grad_func, grad_setup, GradSpec};
 use ft_conformance::ops::{apply_trace, sample_trace};
-use ft_conformance::{check_grad_variant, check_variant, Backend, GradTol, Workload};
+use ft_conformance::{check_grad_variant, check_variant, Backend, Case, GradTol, Workload};
 use ft_ir::prelude::*;
 use ft_ir::ForProperty;
-use ft_metrics::{Metrics, MetricsSnapshot};
+use ft_metrics::Metrics;
 use ft_runtime::{cc_available, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
@@ -49,7 +50,7 @@ fn compiled_matches_interpreter_on_all_workloads_under_sampled_traces() {
     for w in Workload::ALL {
         for k in 0..4u64 {
             let seed = variant_seed(w, k);
-            let case = w.build(seed & 0xFFFF);
+            let case = Case::build(w, seed & 0xFFFF);
             let mut rng = TestRng::from_seed_u64(seed);
             let raw = sample_trace(&mut rng, 5);
             let (func, trace) = apply_trace(&case.func, &raw);
@@ -76,7 +77,7 @@ fn compiled_grad_matches_interpreter_under_sampled_traces() {
     for w in Workload::ALL {
         for k in 0..2u64 {
             let seed = variant_seed(w, 0x6AD ^ k);
-            let case = w.build(seed & 0xFFFF);
+            let case = Case::build(w, seed & 0xFFFF);
             let mut rng = TestRng::from_seed_u64(seed);
             let raw = sample_trace(&mut rng, 4);
             // Outside the differentiable fragment = structured skip, same
@@ -85,9 +86,7 @@ fn compiled_grad_matches_interpreter_under_sampled_traces() {
             else {
                 continue;
             };
-            let seed_grad = ones_seed(&case);
-            let inputs = grad_run_inputs(&case, &seed_grad);
-            let oracle_grads = w.oracle_grad(&case.inputs, &seed_grad);
+            let (inputs, oracle_grads) = grad_setup(w, &case);
             if let Some(d) = check_grad_variant(&gfunc, &inputs, &oracle_grads, &backends, &tol)
             {
                 panic!(
@@ -113,12 +112,14 @@ fn warm_artifact_cache_spawns_no_compiler() {
     }
     let dir = std::env::temp_dir().join(format!("ft-warm-cache-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let case = Workload::Subdivnet.build(3);
+    let case = Case::build(Workload::Subdivnet, 3);
     // Both runs are judged through the METRICS.json snapshot format — the
     // same structural path `bench_check --expect-warm` gates on in CI —
     // so this test pins the counters *and* their export.
     let frozen = |m: &Metrics| {
-        MetricsSnapshot::from_json(&m.snapshot().to_json()).expect("snapshot roundtrips")
+        let text = metrics_to_json(&m.snapshot()).to_string();
+        let doc = JsonVal::parse(&text).expect("snapshot is JSON");
+        metrics_from_json(&doc).expect("snapshot roundtrips")
     };
 
     // Cold start: fresh directory, fresh engine — must compile exactly here.

@@ -33,7 +33,7 @@ use freetensor::ir::{ForProperty, StmtId};
 use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, Scalar, TensorVal,
 };
-use freetensor::workloads::{data, gat, longformer, softras, subdivnet, Inputs};
+use freetensor::workloads::{data, Inputs, Instance, Scale, Workload};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -495,66 +495,24 @@ enum Kind {
     Searched,
 }
 
-fn source(name: &str, full: bool) -> String {
-    match (name, full) {
-        ("subdivnet", true) => subdivnet::source(&subdivnet::Params::default()),
-        ("subdivnet", false) => subdivnet::source(&subdivnet::Params {
-            n_faces: 128,
-            in_feats: 8,
-        }),
-        ("longformer", true) => longformer::source(&longformer::Params::default()),
-        ("longformer", false) => longformer::source(&longformer::Params {
-            seq_len: 96,
-            w: 8,
-            feat_len: 16,
-        }),
-        ("softras", true) => softras::source(&softras::Params::default()),
-        ("softras", false) => softras::source(&softras::Params {
-            h: 12,
-            w: 12,
-            n_faces: 12,
-            ..softras::Params::default()
-        }),
-        ("gat", true) => gat::source(&gat::Params::default()),
-        ("gat", false) => gat::source(&gat::Params {
-            n_nodes: 64,
-            degree: 4,
-            feat_len: 8,
-        }),
-        _ => unreachable!("unknown workload {name}"),
-    }
+fn instance(name: &str, full: bool) -> Instance {
+    let scale = if full { Scale::Full } else { Scale::Small };
+    Workload::from_name(name).expect("a workload").at(scale)
 }
 
 /// Full-scale inputs; a gradient also gets its seed tensor `<out>.grad`.
 fn inputs(name: &str, grad: bool) -> Inputs {
-    let (mut m, out, shape) = match name {
-        "subdivnet" => {
-            let p = subdivnet::Params::default();
-            (subdivnet::inputs(&p, 7), "y", vec![p.n_faces, p.in_feats])
-        }
-        "longformer" => {
-            let p = longformer::Params::default();
-            (longformer::inputs(&p, 7), "y", vec![p.seq_len, p.feat_len])
-        }
-        "softras" => {
-            let p = softras::Params::default();
-            (softras::inputs(&p, 7), "img", vec![p.pixels(), p.channels])
-        }
-        "gat" => {
-            let p = gat::Params::default();
-            (gat::inputs(&p, 7), "y", vec![p.n_nodes, p.feat_len])
-        }
-        _ => unreachable!("unknown workload {name}"),
-    };
+    let inst = instance(name, true);
+    let mut m = inst.inputs(7);
     if grad {
-        m.insert(format!("{out}.grad"), data::features(&shape, 99));
+        let out = inst.workload().output();
+        m.insert(format!("{out}.grad"), data::features(&inst.output_shape(), 99));
     }
     m
 }
 
 fn program(name: &str, full: bool, kind: Kind) -> Program {
-    let func = freetensor::libop::compile_with_libop(&source(name, full), name).expect("compiles");
-    let p = Program::from_func(func);
+    let p = instance(name, full).program();
     match kind {
         Kind::Rules => p.optimize(&Target::cpu()),
         Kind::GradRules => p

@@ -15,10 +15,10 @@
 //!   repro.
 
 use ft_autodiff::{AdFault, TapePolicy};
-use ft_conformance::grad::{build_grad_func, grad_run_inputs, ones_seed};
+use ft_conformance::grad::{build_grad_func, grad_setup};
 use ft_conformance::{
-    check_grad_variant, minimize, run_grad_conformance, Backend, GradConfig, GradOrder, GradSpec,
-    GradTol, Repro, Workload,
+    check_grad_variant, minimize, run_grad_conformance, Backend, Case, GradConfig, GradOrder,
+    GradSpec, GradTol, Repro, Workload,
 };
 
 #[test]
@@ -53,10 +53,8 @@ fn injected_ad_fault_is_caught_shrunk_and_replays() {
     // under `TapePolicy::All` its tape carries version subscripts; dropping
     // the version bump makes every backward read hit slot (0, 0).
     let w = Workload::Subdivnet;
-    let case = w.build(13);
-    let seed = ones_seed(&case);
-    let inputs = grad_run_inputs(&case, &seed);
-    let oracle = w.oracle_grad(&case.inputs, &seed);
+    let case = Case::build(w, 13);
+    let (inputs, oracle) = grad_setup(w, &case);
     let spec = GradSpec {
         policy: TapePolicy::All,
         recompute_threshold: 16,
@@ -168,10 +166,8 @@ fn sound_ad_passes_where_the_fault_fails() {
     // Control for the fault-injection test: the identical sweep point with
     // the fault removed is clean on every backend.
     let w = Workload::Subdivnet;
-    let case = w.build(13);
-    let seed = ones_seed(&case);
-    let inputs = grad_run_inputs(&case, &seed);
-    let oracle = w.oracle_grad(&case.inputs, &seed);
+    let case = Case::build(w, 13);
+    let (inputs, oracle) = grad_setup(w, &case);
     let spec = GradSpec {
         policy: TapePolicy::All,
         recompute_threshold: 16,

@@ -11,7 +11,7 @@
 //! the nightly job raises it to 64 → 256.
 
 use ft_conformance::ops::{apply_trace, sample_trace};
-use ft_conformance::Workload;
+use ft_conformance::{Case, Workload};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 
@@ -31,7 +31,7 @@ fn memplan_determinism_sweep() {
                 sample_trace(&mut rng, 6)
             };
             let build = || {
-                let case = w.build(11);
+                let case = Case::build(w, 11);
                 apply_trace(&case.func, &trace).0
             };
             let p1 = ft_analysis::MemPlan::plan(&build(), &sizes);

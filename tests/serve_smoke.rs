@@ -24,7 +24,7 @@
 //!   hit stream and no tensor allocation. Latency is `ftbench serve-*`'s.
 
 use ft_conformance::ops::{apply_trace, sample_trace};
-use ft_conformance::Workload;
+use ft_conformance::{Case, Workload};
 use ft_metrics::Metrics;
 use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, RuntimeError, Scalar,
@@ -73,7 +73,7 @@ fn four_thread_replay_is_bit_identical_to_sequential() {
     // Sampled schedule variants of two workloads (seeded — deterministic).
     let mut variants = Vec::new();
     for (w, seed) in [(Workload::Subdivnet, 11u64), (Workload::Gat, 12u64)] {
-        let case = w.build(seed);
+        let case = Case::build(w, seed);
         let mut rng = TestRng::from_seed_u64(seed);
         for _ in 0..3 {
             let raw = sample_trace(&mut rng, 5);

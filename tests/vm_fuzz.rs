@@ -11,7 +11,7 @@
 
 use ft_codegen::lower_cpu_parallel;
 use ft_conformance::diff::{grad_close, reduction_depth};
-use ft_conformance::{ops, GradTol, Workload};
+use ft_conformance::{ops, Case, GradTol, Workload};
 use ft_ir::prelude::*;
 use ft_runtime::{ExecutionEngine, PerfCounters, RunResult, Runtime, TensorVal, VmRuntime};
 use proptest::test_runner::TestRng;
@@ -63,7 +63,7 @@ fn vm_matches_interp_on_random_scheduled_workloads() {
             let stream = ft_ir::fnv1a_p44(w.name().as_bytes())
                 ^ 0xF0DD_u64
                 ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let case = w.build(stream & 0xFFFF);
+            let case = Case::build(w, stream & 0xFFFF);
             let mut rng = TestRng::from_seed_u64(stream);
             let raw = ops::sample_trace(&mut rng, 6);
             let (func, trace) = ops::apply_trace(&case.func, &raw);
@@ -131,7 +131,7 @@ fn diff_with_decisions(
 fn vm_matches_interp_on_directed_vectorize_parallel_schedules() {
     let mut spans = 0usize;
     for w in Workload::ALL {
-        let case = w.build(11);
+        let case = Case::build(w, 11);
         let nloops = ops::loops_of(&case.func).len();
         let mut raw = Vec::new();
         for i in 0..nloops {
@@ -227,13 +227,13 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
 #[test]
 fn vm_matches_interp_on_directed_grad_program_schedules() {
     use ft_autodiff::TapePolicy;
-    use ft_conformance::grad::{build_grad_func, grad_run_inputs, ones_seed};
+    use ft_conformance::grad::{build_grad_func, grad_setup};
     use ft_conformance::{GradOrder, GradSpec};
 
     let mut taped_programs = 0usize;
     let mut lowering_attempts = 0usize;
     for w in Workload::ALL {
-        let case = w.build(11);
+        let case = Case::build(w, 11);
         for policy in [TapePolicy::All, TapePolicy::Selective] {
             let spec = GradSpec {
                 policy,
@@ -257,8 +257,7 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
             let (func, trace) =
                 build_grad_func(&case.func, &raw, &spec).expect("scheduled grad builds");
             taped_programs += format!("{func}").contains(".tape") as usize;
-            let seed = ones_seed(&case);
-            let inputs = grad_run_inputs(&case, &seed);
+            let (inputs, _) = grad_setup(w, &case);
             let ctx = format!(
                 "grad of {} ({policy:?}, {} sched ops)",
                 w.name(),
