@@ -25,6 +25,7 @@
 
 pub mod analyze;
 pub mod deriv;
+mod name;
 pub mod transform;
 
 pub use analyze::{MaterializeDecision, TapePolicy};

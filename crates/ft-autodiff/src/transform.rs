@@ -2,6 +2,7 @@
 
 use crate::analyze::{decide, tensor_facts, MaterializeDecision, TapePolicy};
 use crate::deriv::{pullback, DerivError};
+use crate::name::name_invariants;
 use ft_ir::mutate::{rename_var_stmt, subst_var_stmt, uniquify_def_names};
 use ft_ir::{
     builder, AccessType, DataType, Expr, Func, MemType, Param, ReduceOp, Stmt, StmtKind,
@@ -160,18 +161,12 @@ pub fn grad_with(func: &Func, opts: &GradOptions) -> Result<Func, AdError> {
             .collect(),
     };
     let mut dtypes: HashMap<String, DataType> = HashMap::new();
-    let mut mtypes: HashMap<String, MemType> = HashMap::new();
     for p in &func.params {
         dtypes.insert(p.name.clone(), p.dtype);
-        mtypes.insert(p.name.clone(), p.mtype);
     }
     func.body.walk(&mut |s| {
-        if let StmtKind::VarDef {
-            name, dtype, mtype, ..
-        } = &s.kind
-        {
+        if let StmtKind::VarDef { name, dtype, .. } = &s.kind {
             dtypes.insert(name.clone(), *dtype);
-            mtypes.insert(name.clone(), *mtype);
         }
     });
     let inputs_inactive: HashSet<String> = func
@@ -180,17 +175,21 @@ pub fn grad_with(func: &Func, opts: &GradOptions) -> Result<Func, AdError> {
         .filter(|p| p.atype == AccessType::Input && !wrt.contains(&p.name))
         .map(|p| p.name.clone())
         .collect();
-    let dtypes_for_active = dtypes.clone();
-    let active = move |name: &str| -> bool {
-        dtypes_for_active
-            .get(name)
-            .is_some_and(|d| d.is_float())
-            && !inputs_inactive.contains(name)
+    let is_active = |dtypes: &HashMap<String, DataType>, name: &str| {
+        dtypes.get(name).is_some_and(|d| d.is_float()) && !inputs_inactive.contains(name)
     };
+    // The backward pass is differentiated from a body in which loop-invariant
+    // values have names. Everything else — what is taped, what is
+    // recomputed, the forward pass that is instrumented — is decided on and
+    // taken from the program as written: the names exist in the backward
+    // pass only, where they are active float scalars like any other.
+    let (named_body, names) = name_invariants(func, &dtypes, &|n| is_active(&dtypes, n));
+    dtypes.extend(names.iter().cloned());
+    let active = |name: &str| is_active(&dtypes, name);
 
     let facts = tensor_facts(func, &active);
     let param_set: HashSet<String> = func.params.iter().map(|p| p.name.clone()).collect();
-    let decisions = decide(&facts, &param_set, opts.policy, opts.recompute_threshold);
+    let mut decisions = decide(&facts, &param_set, opts.policy, opts.recompute_threshold);
     if opts.policy == TapePolicy::None {
         if let Some((t, _)) = decisions
             .iter()
@@ -203,6 +202,14 @@ pub fn grad_with(func: &Func, opts: &GradOptions) -> Result<Func, AdError> {
     }
 
     let deep_tape = deep_tape_plan(func, &decisions)?;
+    // A named value is recomputed, under every policy: `backward(Block)`
+    // replays `t = E` in front of its loop from what the pullback of the
+    // unnamed statement would have read inside it.
+    decisions.extend(
+        names
+            .into_iter()
+            .map(|(t, _)| (t, MaterializeDecision::Recompute)),
+    );
     let mut tx = Grad {
         decisions: &decisions,
         dtypes: &dtypes,
@@ -217,7 +224,7 @@ pub fn grad_with(func: &Func, opts: &GradOptions) -> Result<Func, AdError> {
         fault: opts.fault,
     };
     let fwd = tx.instrument_forward(func.body.clone())?;
-    let bwd = tx.backward(&func.body)?;
+    let bwd = tx.backward(&named_body)?;
 
     // Assemble: tapes wrap [forward; backward].
     let mut body = Stmt::new(StmtKind::Block(vec![fwd, bwd]));
@@ -725,13 +732,14 @@ impl Grad<'_> {
             } => {
                 self.stack
                     .push((iter.clone(), begin.clone(), end.clone()));
-                let inner = self.backward(body)?;
+                let mut inner = self.backward(body)?;
                 self.stack.pop();
-                // Iterate in reverse: i := begin + end - 1 - i.
-                let reversed_iter = const_fold_expr(
-                    begin.clone() + end.clone() - 1 - builder::var(iter),
-                );
-                let inner = subst_var_stmt(inner, iter, &reversed_iter);
+                if !accumulate_only(body) {
+                    // Iterate in reverse: i := begin + end - 1 - i.
+                    let reversed_iter =
+                        const_fold_expr(begin.clone() + end.clone() - 1 - builder::var(iter));
+                    inner = subst_var_stmt(inner, iter, &reversed_iter);
+                }
                 Ok(builder::for_(
                     iter.clone(),
                     begin.clone(),
@@ -836,6 +844,43 @@ impl Grad<'_> {
             }
         }
     }
+}
+
+/// Whether the backward pass of a loop with body `s` may run its iterations
+/// in forward order: `s` is, through nested `For`s and `Block`s only, nothing
+/// but `+=` into tensors it never loads. The backward iterations then read
+/// the adjoints of those targets and `+=` into the adjoints of the tensors
+/// loaded — two disjoint sets — so their order decides rounding only, and
+/// ascending subscripts are the ones a C compiler vectorizes.
+fn accumulate_only(s: &Stmt) -> bool {
+    fn walk(s: &Stmt, targets: &mut HashSet<String>, loads: &mut HashSet<String>) -> bool {
+        match &s.kind {
+            StmtKind::Block(v) => v.iter().all(|c| walk(c, targets, loads)),
+            StmtKind::For {
+                begin, end, body, ..
+            } => {
+                loads.extend(begin.loaded_vars());
+                loads.extend(end.loaded_vars());
+                walk(body, targets, loads)
+            }
+            StmtKind::ReduceTo {
+                var,
+                indices,
+                op: ReduceOp::Add,
+                value,
+                ..
+            } => {
+                targets.insert(var.clone());
+                for e in indices.iter().chain([value]) {
+                    loads.extend(e.loaded_vars());
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+    let (mut targets, mut loads) = (HashSet::new(), HashSet::new());
+    walk(s, &mut targets, &mut loads) && targets.is_disjoint(&loads)
 }
 
 /// The set of tensors written in a sub-tree, and whether every write is a
@@ -1035,6 +1080,84 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate gradient parameter names");
+    }
+
+    #[test]
+    fn only_pure_accumulation_keeps_the_forward_order() {
+        let dot = || {
+            reduce(
+                "dot",
+                [var("k")],
+                ReduceOp::Add,
+                load("Q", [var("j"), var("p")]) * load("K", [var("k"), var("p")]),
+            )
+        };
+        // `dot[k] += Q[j, p] * K[k, p]`, alone or at the bottom of a nest.
+        assert!(accumulate_only(&dot()));
+        assert!(accumulate_only(&for_("p", 0, 4, block([dot(), dot()]))));
+        // Anything else in the body keeps the reversal.
+        let scalar_def = |body| var_def("t", scalar(), DataType::F32, MemType::CpuStack, body);
+        for body in [
+            block([dot(), store("y", [var("p")], 0.0f32)]),
+            scalar_def(dot()),
+            if_(var("p").lt(2), dot()),
+            reduce(
+                "m",
+                scalar(),
+                ReduceOp::Max,
+                load("Q", [var("j"), var("p")]),
+            ),
+            // A target the body also reads is carried from iteration to
+            // iteration.
+            reduce(
+                "dot",
+                [var("p")],
+                ReduceOp::Add,
+                load("dot", [var("p") - 1]),
+            ),
+        ] {
+            assert!(!accumulate_only(&body), "{body}");
+        }
+    }
+
+    #[test]
+    fn backward_loops_ascend_over_accumulations_and_descend_elsewhere() {
+        // for i: for p: y[i] += x[i, p] * w[p]    (accumulation in `p`)
+        //        z[i] = y[i] * y[i]               (a store: `i` reverses)
+        let f = Func::new("f")
+            .param("x", [4, 8], DataType::F32, AccessType::Input)
+            .param("w", [8], DataType::F32, AccessType::Input)
+            .param("y", [4], DataType::F32, AccessType::Output)
+            .param("z", [4], DataType::F32, AccessType::Output)
+            .body(for_(
+                "i",
+                0,
+                4,
+                block([
+                    for_(
+                        "p",
+                        0,
+                        8,
+                        reduce(
+                            "y",
+                            [var("i")],
+                            ReduceOp::Add,
+                            load("x", [var("i"), var("p")]) * load("w", [var("p")]),
+                        ),
+                    ),
+                    store(
+                        "z",
+                        [var("i")],
+                        load("y", [var("i")]) * load("y", [var("i")]),
+                    ),
+                ]),
+            ));
+        let g = grad(&f).unwrap().to_string();
+        assert!(
+            g.contains("w.grad[p] += y.grad[3 - i] * x[3 - i, p]"),
+            "{g}"
+        );
+        assert!(!g.contains("7 - p"), "{g}");
     }
 
     #[test]

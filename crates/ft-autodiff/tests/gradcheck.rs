@@ -587,6 +587,164 @@ fn scalar_reuse_read_outside_storing_nest_is_rejected() {
     );
 }
 
+#[test]
+fn recurrence_keeps_its_reversal_and_its_gradient() {
+    // y[i] = y[i - 1] * 0.5 + a[i]: iteration `i` reads what `i - 1` wrote,
+    // so the backward pass must visit `i` before `i - 1` — a `Store`, never
+    // an accumulate-only loop. The accumulation next to it ascends.
+    let n = 6i64;
+    let f = Func::new("scan")
+        .param("a", [n], DataType::F64, AccessType::Input)
+        .param("y", [n], DataType::F64, AccessType::Output)
+        .param("s", [1], DataType::F64, AccessType::Output)
+        .body(block([
+            store("y", [0], load("a", [0])),
+            for_(
+                "i",
+                1,
+                n,
+                store(
+                    "y",
+                    [var("i")],
+                    load("y", [var("i") - 1]) * 0.5f64 + load("a", [var("i")]),
+                ),
+            ),
+            for_(
+                "k",
+                0,
+                n,
+                reduce(
+                    "s",
+                    [0],
+                    ReduceOp::Add,
+                    load("y", [var("k")]) * load("a", [var("k")]),
+                ),
+            ),
+        ]));
+    let text = grad(&f).expect("grad transform").to_string();
+    assert!(
+        text.contains("y.grad[6 - i]"),
+        "the scan is reversed:\n{text}"
+    );
+    assert!(
+        text.contains("a.grad[k] += s.grad[0] * y[k]"),
+        "the sum is not:\n{text}"
+    );
+    let inputs: Inputs = [("a".to_string(), tensor(&[n as usize], 23))].into();
+    for policy in [TapePolicy::Selective, TapePolicy::All] {
+        let opts = GradOptions {
+            policy,
+            ..Default::default()
+        };
+        gradcheck(&f, &opts, &inputs, &[], 1e-6);
+    }
+}
+
+#[test]
+fn named_values_in_a_replayed_nest_and_over_an_unneeded_tensor_gradcheck() {
+    // x[k, p] = exp(a[k]) / s[0] * w[p]   the nest is replayed whole under
+    //                                      `Selective`, its name with it
+    // u[k]    = a[k] * a[k]               nothing in the backward pass reads
+    //                                      `u` …
+    // y[k, p] = x[k, p] * x[k, p]
+    // z[k, p] += u[k] + s[0]              … not even the value named here
+    let (n, m) = (3i64, 4i64);
+    let local =
+        |name, shape: Vec<Expr>, body| var_def(name, shape, DataType::F64, MemType::CpuHeap, body);
+    let f = Func::new("named")
+        .param("a", [n], DataType::F64, AccessType::Input)
+        .param("s", [1], DataType::F64, AccessType::Input)
+        .param("w", [m], DataType::F64, AccessType::Input)
+        .param("y", [n, m], DataType::F64, AccessType::Output)
+        .param("z", [n, m], DataType::F64, AccessType::Output)
+        .body(local(
+            "x",
+            vec![n.into(), m.into()],
+            local(
+                "u",
+                vec![n.into()],
+                block([
+                    for_(
+                        "k",
+                        0,
+                        n,
+                        for_(
+                            "p",
+                            0,
+                            m,
+                            store(
+                                "x",
+                                idx![var("k"), var("p")],
+                                intrin::exp(load("a", [var("k")])) / load("s", [0])
+                                    * load("w", [var("p")]),
+                            ),
+                        ),
+                    ),
+                    for_(
+                        "k",
+                        0,
+                        n,
+                        store(
+                            "u",
+                            [var("k")],
+                            load("a", [var("k")]) * load("a", [var("k")]),
+                        ),
+                    ),
+                    for_(
+                        "k",
+                        0,
+                        n,
+                        for_(
+                            "p",
+                            0,
+                            m,
+                            block([
+                                store(
+                                    "y",
+                                    idx![var("k"), var("p")],
+                                    load("x", idx![var("k"), var("p")])
+                                        * load("x", idx![var("k"), var("p")]),
+                                ),
+                                reduce(
+                                    "z",
+                                    idx![var("k"), var("p")],
+                                    ReduceOp::Add,
+                                    load("u", [var("k")]) + load("s", [0]),
+                                ),
+                            ]),
+                        ),
+                    ),
+                ]),
+            ),
+        ));
+    let text = grad(&f).expect("grad transform").to_string();
+    assert!(
+        text.contains("= exp(a[k]) / s[0]"),
+        "a name in the nest:\n{text}"
+    );
+    assert!(
+        text.contains("= u.b[2 - k] + s[0]"),
+        "a name over `u`:\n{text}"
+    );
+    assert!(
+        !text.contains("u.tape"),
+        "which is no reason to keep `u`:\n{text}"
+    );
+    let inputs: Inputs = [
+        ("a".to_string(), tensor(&[n as usize], 31)),
+        ("s".to_string(), TensorVal::from_f64(&[1], vec![1.7])),
+        ("w".to_string(), tensor(&[m as usize], 33)),
+    ]
+    .into();
+    for policy in [TapePolicy::Selective, TapePolicy::All, TapePolicy::None] {
+        let opts = GradOptions {
+            policy,
+            ..Default::default()
+        };
+        gradcheck(&f, &opts, &inputs, &[], 1e-6);
+    }
+}
+
 /// A program whose single intermediate has `def_cost` exactly equal to the
 /// default `recompute_threshold` (16): a chain of 16 adds over 17 loads.
 fn boundary_cost_func(n: i64) -> Func {

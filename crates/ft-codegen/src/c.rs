@@ -865,7 +865,7 @@ impl<'a> Emitter<'a> {
                         Kind::Accum { var, indices, op } => {
                             // A loop that may not run must not touch the
                             // element either.
-                            if !guarded && !scalar::certainly_runs(begin, end) {
+                            if !guarded && !ft_passes::hoist::certainly_runs(begin, end) {
                                 self.line(&format!("if ({begin_c} < {end_c}) {{"));
                                 self.indent += 1;
                                 guarded = true;

@@ -12,14 +12,10 @@
 //! and cloning a function costs more than this whole analysis.
 //!
 //! * **Hoisting.** A maximal subexpression of a statement directly in loop
-//!   `L` that names nothing bound in `L` (iterators and `VarDef`s, nested
-//!   ones included, so a structurally equal expression anywhere in `L`
-//!   means the same thing), loads nothing written in `L` and contains a
+//!   `L` that may leave `L` by the rule of [`ft_passes::hoist`] (shared with
+//!   the values `ft-autodiff` names before differentiating) and contains a
 //!   load, a division or a math call is evaluated once in front of `L` —
-//!   one level at a time, and only where that cannot add an evaluation the
-//!   program did not have: `L` runs a constant, positive number of times,
-//!   the statement is not under an `If` in `L`, and the subexpression is
-//!   not in a `select` arm or right of a short-circuit operator.
+//!   one level at a time.
 //! * **Reuse.** Within a run of consecutive `Store`/`ReduceTo` statements,
 //!   a load, division or math call that occurs again before anything it
 //!   loads is written is computed once, in front of its first use. (The
@@ -34,6 +30,7 @@
 //!   carry a `simd` promise it breaks.
 
 use ft_ir::{BinaryOp, Expr, Fnv1a, ReduceOp, Stmt, StmtKind, UnaryOp};
+use ft_passes::hoist::{self, any_node, certainly_runs, is_leaf, operands, LoopNames, Scope};
 
 /// One decision, for the statement whose pre-order number is `at`.
 #[derive(Debug)]
@@ -63,19 +60,13 @@ pub(crate) enum Kind<'a> {
 
 /// The decisions for `body`, sorted by statement.
 pub(crate) fn analyze(body: &Stmt) -> Vec<Event<'_>> {
-    let mut a = Analyzer::default();
-    a.collect(body, 0);
+    let mut a = Analyzer {
+        names: LoopNames::of(body),
+        ..Analyzer::default()
+    };
     a.visit(body, None, false);
     a.events.sort_by_key(|e| e.at);
     a.events
-}
-
-/// Names bound or written in a loop: a range of [`Analyzer::names`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Scope {
-    start: usize,
-    end: usize,
-    innermost: bool,
 }
 
 /// An enclosing loop, as seen from a statement inside it.
@@ -108,12 +99,8 @@ struct Seen<'a> {
 
 #[derive(Debug, Default)]
 struct Analyzer<'a> {
-    /// Every name a loop binds (its iterator, a `VarDef`) or writes, in
-    /// traversal order, so that a loop's names — its nested loops' included
-    /// — are one contiguous range.
-    names: Vec<&'a str>,
-    /// One scope per `For`, in pre-order.
-    loops: Vec<Scope>,
+    /// What each loop binds or writes.
+    names: LoopNames<'a>,
     next_loop: usize,
     next_stmt: u32,
     events: Vec<Event<'a>>,
@@ -122,12 +109,6 @@ struct Analyzer<'a> {
     /// visited, whichever loop they end up in front of.
     hoists: Vec<&'a Expr>,
     seen: Vec<Seen<'a>>,
-}
-
-/// Whether a loop over `begin..end` runs a constant, positive number of
-/// times.
-pub(crate) fn certainly_runs(begin: &Expr, end: &Expr) -> bool {
-    matches!((begin, end), (Expr::IntConst(b), Expr::IntConst(e)) if b < e)
 }
 
 fn is_assign(s: &Stmt) -> bool {
@@ -143,49 +124,6 @@ fn costly(e: &Expr) -> bool {
             UnaryOp::Sqrt | UnaryOp::Exp | UnaryOp::Ln | UnaryOp::Sigmoid | UnaryOp::Tanh
         ),
         Expr::Binary { op, .. } => matches!(op, BinaryOp::Div | BinaryOp::Mod | BinaryOp::Pow),
-        _ => false,
-    }
-}
-
-/// The operands of `e` that are evaluated whenever `e` is, then the ones
-/// that may not be.
-fn operands(e: &Expr) -> (&[Expr], [Option<&Expr>; 2], [Option<&Expr>; 2]) {
-    match e {
-        Expr::Load { indices, .. } => (indices, [None; 2], [None; 2]),
-        Expr::Unary { a, .. } | Expr::Cast { a, .. } => (&[], [Some(a), None], [None; 2]),
-        Expr::Binary {
-            op: BinaryOp::And | BinaryOp::Or,
-            a,
-            b,
-        } => (&[], [Some(a), None], [Some(b), None]),
-        Expr::Binary { a, b, .. } => (&[], [Some(a), Some(b)], [None; 2]),
-        Expr::Select {
-            cond,
-            then,
-            otherwise,
-        } => (&[], [Some(cond), None], [Some(then), Some(otherwise)]),
-        _ => (&[], [None; 2], [None; 2]),
-    }
-}
-
-fn is_leaf(e: &Expr) -> bool {
-    matches!(
-        e,
-        Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_)
-    )
-}
-
-/// Whether `f` holds of `e` or of anything in it.
-fn any_node(e: &Expr, f: &mut impl FnMut(&Expr) -> bool) -> bool {
-    f(e) || match e {
-        Expr::Load { indices, .. } => indices.iter().any(|i| any_node(i, f)),
-        Expr::Unary { a, .. } | Expr::Cast { a, .. } => any_node(a, f),
-        Expr::Binary { a, b, .. } => any_node(a, f) || any_node(b, f),
-        Expr::Select {
-            cond,
-            then,
-            otherwise,
-        } => any_node(cond, f) || any_node(then, f) || any_node(otherwise, f),
         _ => false,
     }
 }
@@ -312,118 +250,17 @@ fn touches<'a>(
 }
 
 impl<'a> Analyzer<'a> {
-    /// First pass: the names each loop binds or writes. `from` is where the
-    /// names of the innermost loop around `s` start. Returns whether `s`
-    /// holds a loop at all.
-    fn collect(&mut self, s: &'a Stmt, from: usize) -> bool {
-        match &s.kind {
-            StmtKind::Block(v) => v.iter().fold(false, |any, c| self.collect(c, from) | any),
-            StmtKind::VarDef { name, body, .. } => {
-                self.name(name, from);
-                self.collect(body, from)
-            }
-            StmtKind::For { iter, body, .. } => {
-                let idx = self.loops.len();
-                self.loops.push(Scope::default());
-                let start = self.names.len();
-                self.names.push(iter);
-                let nested = self.collect(body, start);
-                self.loops[idx] = Scope {
-                    start,
-                    end: self.names.len(),
-                    innermost: !nested,
-                };
-                true
-            }
-            StmtKind::If {
-                then, otherwise, ..
-            } => {
-                let t = self.collect(then, from);
-                otherwise.as_ref().is_some_and(|o| self.collect(o, from)) | t
-            }
-            StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => {
-                self.name(var, from);
-                false
-            }
-            StmtKind::LibCall { outputs, .. } => {
-                outputs.iter().for_each(|o| self.name(o, from));
-                false
-            }
-            StmtKind::Empty => false,
-        }
-    }
-
-    fn name(&mut self, n: &'a str, from: usize) {
-        // Once per loop: every lookup walks the loop's whole range.
-        if !self.names[from..].contains(&n) {
-            self.names.push(n);
-        }
-    }
-
-    fn names_in(&self, lp: &Loop, name: &str) -> bool {
-        self.names[lp.scope.start..lp.scope.end].contains(&name)
-    }
-
     /// Whether `e` means the same thing everywhere in `lp` and before it.
     fn invariant(&self, e: &Expr, lp: &Loop) -> bool {
-        !any_node(
-            e,
-            &mut |n| matches!(n, Expr::Var(v) | Expr::Load { var: v, .. } if self.names_in(lp, v)),
-        )
+        hoist::invariant(e, &|n| self.names.varies(lp.scope, n))
     }
 
-    fn candidate(&mut self, e: &'a Expr, lp: &Loop) {
-        if !self.hoists[lp.h0..].contains(&e) {
-            self.hoists.push(e);
-        }
-    }
-
-    /// Make candidates of the maximal proper subexpressions of `e` that are
-    /// invariant in `lp`, contain something [`costly`] and are evaluated
-    /// whenever `e` is. Returns whether `e` itself is invariant, and
-    /// whether it contains something costly.
-    fn scan(&mut self, e: &'a Expr, lp: &Loop) -> (bool, bool) {
-        if is_leaf(e) {
-            return (!matches!(e, Expr::Var(n) if self.names_in(lp, n)), false);
-        }
-        let mark = self.hoists.len();
-        let mut inv = !matches!(e, Expr::Load { var, .. } if self.names_in(lp, var));
-        let mut worth = costly(e);
-        let (idx, sure, maybe) = operands(e);
-        for c in idx.iter().chain(sure.into_iter().flatten()) {
-            let (ci, cw) = self.scan(c, lp);
-            if ci && cw {
-                self.candidate(c, lp);
-            }
-            inv &= ci;
-            worth |= cw;
-        }
-        for c in maybe.into_iter().flatten() {
-            inv &= self.invariant(c, lp);
-            worth |= any_node(c, &mut costly);
-        }
-        if inv {
-            // The caller takes `e` whole.
-            self.hoists.truncate(mark);
-        }
-        (inv, worth)
-    }
-
-    /// Candidates from the assignments directly and unconditionally in
-    /// `lp`, whose body is `s`.
-    fn prescan(&mut self, s: &'a Stmt, lp: &Loop) {
-        match &s.kind {
-            StmtKind::Block(v) => v.iter().for_each(|c| self.prescan(c, lp)),
-            StmtKind::VarDef { body, .. } => self.prescan(body, lp),
-            StmtKind::Store { indices, value, .. } | StmtKind::ReduceTo { indices, value, .. } => {
-                for e in indices.iter().chain([value]) {
-                    if self.scan(e, lp) == (true, true) {
-                        self.candidate(e, lp);
-                    }
-                }
-            }
-            _ => {}
-        }
+    /// Make candidates of the maximal subexpressions of `e` that may leave
+    /// `lp` and contain something [`costly`], `e` itself included.
+    fn scan(&mut self, e: &'a Expr, lp: &Loop) {
+        let names = &self.names;
+        let varies = |n: &str| names.varies(lp.scope, n);
+        hoist::scan(e, &varies, &costly, &mut self.hoists, lp.h0);
     }
 
     /// Count the costly subexpressions of `e`, part of assignment `at`,
@@ -550,7 +387,7 @@ impl<'a> Analyzer<'a> {
                 property,
                 body,
             } => {
-                let scope = self.loops[self.next_loop];
+                let scope = self.names.scope(self.next_loop);
                 self.next_loop += 1;
                 let me = Loop {
                     scope,
@@ -558,7 +395,11 @@ impl<'a> Analyzer<'a> {
                     h0: self.hoists.len(),
                 };
                 if me.hoistable {
-                    self.prescan(body, &me);
+                    hoist::direct_assignments(body, &mut |indices, value| {
+                        for e in indices.iter().chain([value]) {
+                            self.scan(e, &me);
+                        }
+                    });
                 }
                 self.visit(body, Some(&me), false);
                 // Each candidate goes one loop further out where it may,

@@ -6,11 +6,14 @@
 //! schedule, AD and codegen stages rely on.
 //!
 //! All passes are pure rewrites built on [`ft_ir::Mutator`]; [`simplify()`]
-//! runs the standard pipeline to a fixpoint.
+//! runs the standard pipeline to a fixpoint. [`hoist`] is not a pass but the
+//! legality rule two later stages share: when a subexpression may be
+//! evaluated once in front of a loop.
 
 pub mod dce;
 pub mod normalize;
 pub mod fold;
+pub mod hoist;
 pub mod simplify;
 pub mod uniquify;
 

@@ -510,8 +510,15 @@ impl CompiledEngine {
     }
 }
 
-const CC_FLAGS: &str = "-O2 -fPIC -shared -ffp-contract=off -fopenmp";
-const CC_FLAGS_SERIAL: &str = "-O2 -fPIC -shared -ffp-contract=off";
+// `-fvect-cost-model=dynamic`: gcc's `-O2` vectorizer runs the `very-cheap`
+// model, which gives up on any loop that needs a scalar epilogue or a
+// runtime alias check — every channel loop over tensors the unit only knows
+// as pointers. `dynamic` is the model `-O3` uses, without `-O3`'s compile
+// time; the lanes of a vectorized elementwise loop round as the scalar loop
+// does, so outputs stay bit-identical to plain `-O2`. It is on both rungs: a
+// `cc` that rejects it fails loudly instead of sliding onto the serial one.
+const CC_FLAGS: &str = "-O2 -fvect-cost-model=dynamic -fPIC -shared -ffp-contract=off -fopenmp";
+const CC_FLAGS_SERIAL: &str = "-O2 -fvect-cost-model=dynamic -fPIC -shared -ffp-contract=off";
 
 impl ExecutionEngine for CompiledEngine {
     fn name(&self) -> &'static str {

@@ -93,12 +93,21 @@ pub(super) struct Compiler {
     decisions: Vec<LowerDecision>,
 }
 
-/// Tensor slots a region body defines locally (`VarDef`s).
-fn collect_locals(s: &crate::compiled::CStmt, out: &mut std::collections::HashSet<usize>) {
-    for_each_stmt(s, &mut |st| {
-        if let crate::compiled::CStmt::VarDef { t, .. } = st {
-            out.insert(*t);
+/// Tensor slots a region body defines locally (`VarDef`s), and the scalar
+/// slots it assigns (the iterators of its loops).
+fn collect_locals(
+    s: &crate::compiled::CStmt,
+    tensors: &mut std::collections::HashSet<usize>,
+    scalars: &mut std::collections::HashSet<usize>,
+) {
+    for_each_stmt(s, &mut |st| match st {
+        crate::compiled::CStmt::VarDef { t, .. } => {
+            tensors.insert(*t);
         }
+        crate::compiled::CStmt::For { s, .. } => {
+            scalars.insert(*s);
+        }
+        _ => {}
     });
 }
 
@@ -137,11 +146,22 @@ fn collect_loads(
 
 /// Whether a write at `idx` provably touches distinct cells on distinct
 /// iterations of the loop over scalar slot `s`: some index component must
-/// be a pure, strictly affine function of `s`. Scatter writes (`y[idx[k]]`)
-/// and divided/modded indices fail the test and serialize the region.
-fn disjoint_by(idx: &[crate::compiled::CExpr], s: usize) -> bool {
-    idx.iter()
-        .any(|e| pure_total(e) && linear_in(e, s) && contains_scalar(e, s))
+/// be a pure, strictly affine function of `s` whose other terms are the
+/// same in every iteration — it names none of `inner`, the scalar slots the
+/// region itself assigns (`t[i + k]` under an inner `for k` is one cell for
+/// many `i`). Scatter writes (`y[idx[k]]`) and divided/modded indices fail
+/// the test and serialize the region.
+fn disjoint_by(
+    idx: &[crate::compiled::CExpr],
+    s: usize,
+    inner: &std::collections::HashSet<usize>,
+) -> bool {
+    idx.iter().any(|e| {
+        pure_total(e)
+            && linear_in(e, s)
+            && contains_scalar(e, s)
+            && !inner.iter().any(|&k| contains_scalar(e, k))
+    })
 }
 
 /// Whether `e` is total (cannot fault), pure (no memory reads) and integer
@@ -183,7 +203,8 @@ pub(super) fn contains_scalar(e: &crate::compiled::CExpr, s: usize) -> bool {
 }
 
 /// Whether `e` (already known `pure_total`) is an affine function of scalar
-/// slot `s`, with everything else loop-invariant.
+/// slot `s`, given that every other scalar slot in it is loop-invariant —
+/// which is the caller's to check.
 fn linear_in(e: &crate::compiled::CExpr, s: usize) -> bool {
     use crate::compiled::CExpr as E;
     use BinaryOp::*;
@@ -1004,10 +1025,11 @@ impl Compiler {
         s: usize,
     ) -> Result<std::collections::HashSet<usize>, &'static str> {
         let mut locals = std::collections::HashSet::new();
-        collect_locals(body, &mut locals);
+        let mut inner = std::collections::HashSet::new();
+        collect_locals(body, &mut locals, &mut inner);
         let mut stored = std::collections::HashSet::new();
         let mut loaded = std::collections::HashSet::new();
-        scan_region(body, s, &locals, &mut stored, &mut loaded)?;
+        scan_region(body, s, &inner, &locals, &mut stored, &mut loaded)?;
         if stored.iter().any(|t| loaded.contains(t)) {
             return Err("read_write_overlap");
         }
@@ -1070,6 +1092,7 @@ impl Compiler {
 fn scan_region(
     st: &crate::compiled::CStmt,
     s: usize,
+    inner: &std::collections::HashSet<usize>,
     locals: &std::collections::HashSet<usize>,
     stored: &mut std::collections::HashSet<usize>,
     loaded: &mut std::collections::HashSet<usize>,
@@ -1079,17 +1102,17 @@ fn scan_region(
         S::Nop => Ok(()),
         S::Seq(v) => v
             .iter()
-            .try_for_each(|x| scan_region(x, s, locals, stored, loaded)),
+            .try_for_each(|x| scan_region(x, s, inner, locals, stored, loaded)),
         S::VarDef { shape, body, .. } => {
             shape.iter().for_each(|e| collect_loads(e, locals, loaded));
-            scan_region(body, s, locals, stored, loaded)
+            scan_region(body, s, inner, locals, stored, loaded)
         }
         S::For {
             begin, end, body, ..
         } => {
             collect_loads(begin, locals, loaded);
             collect_loads(end, locals, loaded);
-            scan_region(body, s, locals, stored, loaded)
+            scan_region(body, s, inner, locals, stored, loaded)
         }
         S::If {
             cond,
@@ -1097,9 +1120,9 @@ fn scan_region(
             otherwise,
         } => {
             collect_loads(cond, locals, loaded);
-            scan_region(then, s, locals, stored, loaded)?;
+            scan_region(then, s, inner, locals, stored, loaded)?;
             match otherwise {
-                Some(o) => scan_region(o, s, locals, stored, loaded),
+                Some(o) => scan_region(o, s, inner, locals, stored, loaded),
                 None => Ok(()),
             }
         }
@@ -1107,7 +1130,7 @@ fn scan_region(
             idx.iter().for_each(|e| collect_loads(e, locals, loaded));
             collect_loads(value, locals, loaded);
             if !locals.contains(t) {
-                if !disjoint_by(idx, s) {
+                if !disjoint_by(idx, s, inner) {
                     // The lowering leaves no `atomic` flag behind; one
                     // here means the caller skipped it (the C emitter's
                     // `CodegenError::AtomicReduce`).
@@ -1450,5 +1473,69 @@ mod tests {
             vec![(false, "unproven_disjoint_write".to_string())]
         );
         assert_parity(&g, &[], &[]);
+    }
+
+    #[test]
+    fn an_inner_iterator_is_not_an_invariant_of_the_region() {
+        // Hand-marked, wrongly: iterations `i` and `i + 1` of the parallel
+        // loop meet in `t[i + 1]` (`k` = 1 and 0). `i + k` is affine in `i`,
+        // but `k` is assigned inside the region, so it proves nothing; the
+        // region must come back serialized, and then agree with the
+        // interpreter bit for bit.
+        let (n, w) = (64i64, 8i64);
+        let f = Func::new("band")
+            .param("x", [n], DataType::F32, AccessType::Input)
+            .param("t", [n + w], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "i",
+                0,
+                n,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                for_(
+                    "k",
+                    0,
+                    w,
+                    reduce(
+                        "t",
+                        [var("i") + var("k")],
+                        ReduceOp::Add,
+                        load("x", [var("i")]) * 0.37f32,
+                    ),
+                ),
+            ));
+        assert_eq!(
+            decisions_of(&f, "vm.parallel"),
+            vec![(false, "unproven_disjoint_write".to_string())]
+        );
+        let x = TensorVal::from_f32(
+            &[n as usize],
+            (0..n).map(|v| (v as f32 * 0.61).sin() * 7.3).collect(),
+        );
+        for _ in 0..20 {
+            assert_parity(&f, &[("x", x.clone())], &[]);
+        }
+        // The same write behind a component that is the bare iterator stays
+        // a region: `t2[i, k]`.
+        let g = Func::new("rows")
+            .param("x", [n], DataType::F32, AccessType::Input)
+            .param("t2", [n, w], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "i",
+                0,
+                n,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                for_(
+                    "k",
+                    0,
+                    w,
+                    reduce(
+                        "t2",
+                        [var("i"), var("k")],
+                        ReduceOp::Add,
+                        load("x", [var("i")]),
+                    ),
+                ),
+            ));
+        assert!(decisions_of(&g, "vm.parallel")[0].0);
     }
 }
