@@ -127,6 +127,10 @@ pub struct MemPlan {
     /// Number of function params (engines map def `k` to slot
     /// `n_params + k`).
     pub n_params: usize,
+    /// [`plan_hash`](MemPlan::plan_hash), taken once by [`MemPlan::plan`]:
+    /// the fields above are read-only from then on (nothing writes them; a
+    /// plan edited through them keeps the hash of the plan it was built as).
+    hash: u64,
 }
 
 /// One recorded access during the liveness walk.
@@ -713,7 +717,7 @@ impl MemPlan {
         }
         let planned_peak_bytes = off;
 
-        let entries = w
+        let entries: Vec<PlanEntry> = w
             .defs
             .iter()
             .enumerate()
@@ -736,25 +740,13 @@ impl MemPlan {
             })
             .collect();
 
-        MemPlan {
-            entries,
-            classes,
-            planned_peak_bytes,
-            naive_peak_bytes: w.naive_peak,
-            naive_alloc_bytes: w.naive_alloc,
-            n_params: func.params.len(),
-        }
-    }
-
-    /// Deterministic FNV-1a hash of the whole plan — identical programs
-    /// yield identical hashes across processes and runs.
-    pub fn plan_hash(&self) -> u64 {
-        let mut h = ft_ir::Fnv1a::new_p44();
+        let n_params = func.params.len();
+        let mut h = ft_ir::Fnv1a::new();
         let mut eat = |bytes: &[u8]| h.write(bytes);
-        eat(&(self.n_params as u64).to_le_bytes());
-        eat(&self.planned_peak_bytes.to_le_bytes());
-        eat(&self.naive_peak_bytes.to_le_bytes());
-        for e in &self.entries {
+        eat(&(n_params as u64).to_le_bytes());
+        eat(&planned_peak_bytes.to_le_bytes());
+        eat(&w.naive_peak.to_le_bytes());
+        for e in &entries {
             eat(e.name.as_bytes());
             eat(&[0xff, e.must_zero as u8]);
             eat(&e.bytes.unwrap_or(u64::MAX).to_le_bytes());
@@ -763,7 +755,23 @@ impl MemPlan {
             eat(&u64::from(e.first).to_le_bytes());
             eat(&u64::from(e.last).to_le_bytes());
         }
-        h.finish()
+
+        MemPlan {
+            entries,
+            classes,
+            planned_peak_bytes,
+            naive_peak_bytes: w.naive_peak,
+            naive_alloc_bytes: w.naive_alloc,
+            n_params,
+            hash: h.finish(),
+        }
+    }
+
+    /// Deterministic FNV-1a hash of the whole plan — identical programs
+    /// yield identical hashes across processes and runs. A field read: the
+    /// plan hashed itself when it was built.
+    pub fn plan_hash(&self) -> u64 {
+        self.hash
     }
 
     /// Planned peak footprint of one *run*: the arena peak plus every
@@ -1040,6 +1048,32 @@ mod tests {
         assert_eq!(p1.plan_hash(), p2.plan_hash());
         let p3 = MemPlan::plan(&mk(), &sizes(&[("n", 256)]));
         assert_ne!(p1.plan_hash(), p3.plan_hash());
+    }
+
+    /// Every layout field moves `plan_hash()`: re-plan the fixture with one
+    /// thing changed and `t`'s entry (or the plan) differs there, and so does
+    /// the hash.
+    #[test]
+    fn plan_hash_moves_with_each_layout_field() {
+        let fill = |t: &str| for_("i", 0, 64, store(t, [var("i")], 1.0f32));
+        let def = |t: &str, body: Stmt| var_def(t, [64], DataType::F32, MemType::CpuHeap, body);
+        let f = || Func::new("f").param("y", [64], DataType::F32, AccessType::Output);
+        let plan = |f: Func| MemPlan::plan(&f, &HashMap::new());
+        let t = |p: &MemPlan| p.entries.last().unwrap().clone();
+        let base = plan(f().body(def("t", fill("t"))));
+        let x = plan(f().param("x", [1], DataType::F32, AccessType::Input).body(def("t", fill("t"))));
+        assert_ne!(x.n_params, base.n_params);
+        let read = store("y", [0], load("t", [0]));
+        let zeroed = plan(f().body(def("t", block([read, fill("t")]))));
+        assert_ne!(t(&zeroed).must_zero, t(&base).must_zero);
+        let longer = plan(f().body(def("t", block([fill("t"), fill("t")]))));
+        assert_ne!(t(&longer).last, t(&base).last);
+        let inner = plan(f().body(def("u", block([fill("u"), def("t", fill("t")), fill("u")]))));
+        assert_ne!(t(&inner).first, t(&base).first);
+        assert_ne!((t(&inner).offset, t(&inner).class), (t(&base).offset, t(&base).class));
+        for (k, p) in [x, zeroed, longer, inner].iter().enumerate() {
+            assert_ne!(p.plan_hash(), base.plan_hash(), "variant {k}");
+        }
     }
 
     /// Dynamic extents under an empty size map stay unplanned.

@@ -458,16 +458,18 @@ impl Grad<'_> {
         self.decisions.get(t) == Some(&MaterializeDecision::Recompute)
     }
 
-    fn check_tapeable_bounds(&self, t: &str) -> Result<(), AdError> {
-        for (_, b, e) in &self.stack {
-            for expr in [b, e] {
-                for v in expr.free_vars() {
-                    if !self.size_params.contains(&v) {
-                        return Err(AdError::Unsupported(format!(
-                            "tape for `{t}` needs loop bounds over size parameters only \
-                             (found iterator `{v}`)"
-                        )));
-                    }
+    /// A tape is declared at function scope, one dimension per enclosing
+    /// loop plus `shape`: every one of those extents must be over size
+    /// parameters only (a `cache`d window can have an iterator in its shape).
+    fn check_tapeable_bounds(&self, t: &str, shape: &[Expr]) -> Result<(), AdError> {
+        let bounds = self.stack.iter().flat_map(|(_, b, e)| [b, e]);
+        for expr in bounds.chain(shape) {
+            for v in expr.free_vars() {
+                if !self.size_params.contains(&v) {
+                    return Err(AdError::Unsupported(format!(
+                        "tape for `{t}` needs loop bounds and a shape over size parameters \
+                         only (found iterator `{v}`)"
+                    )));
                 }
             }
         }
@@ -495,7 +497,7 @@ impl Grad<'_> {
                 self.shapes.insert(name.clone(), shape.clone());
                 let body = self.instrument_forward(*body)?;
                 let body = if self.stored(&name) && !self.deep_tape.contains(&name) {
-                    self.check_tapeable_bounds(&name)?;
+                    self.check_tapeable_bounds(&name, &shape)?;
                     // Tape dims: one per enclosing loop (symbolic versions,
                     // §5.1) plus the tensor's own dims.
                     let mut dims: Vec<Expr> = self
@@ -560,8 +562,8 @@ impl Grad<'_> {
                 // version dimension per loop enclosing the *store* (see
                 // `deep_tape_plan`). The tape declaration happens here too —
                 // `deep_tape_plan` guarantees a single store site.
-                self.check_tapeable_bounds(&var)?;
                 let shape = self.shapes.get(&var).cloned().unwrap_or_default();
+                self.check_tapeable_bounds(&var, &shape)?;
                 let dtype = self.dtypes.get(&var).copied().unwrap_or(DataType::F64);
                 let mut dims: Vec<Expr> = self
                     .stack

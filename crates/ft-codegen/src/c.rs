@@ -2,8 +2,8 @@
 
 use crate::scalar::{self, Event, Kind};
 use ft_ir::{
-    AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, ReduceOp, Stmt, StmtKind,
-    UnaryOp,
+    AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, Param, ReduceOp, Stmt,
+    StmtKind, UnaryOp,
 };
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -42,7 +42,7 @@ const LIB_MATMUL: &str = r#"static inline void ft_lib_matmul(const float* A, con
 "#;
 
 /// Extra headers a *profiled* translation unit needs (`clock_gettime`).
-/// Appended to the preamble by [`emit_c_profiled`] only, so the unprofiled
+/// Appended to the preamble of profiled units only, so the unprofiled
 /// source — and therefore its artifact-cache key — is byte-identical to
 /// what [`emit_c`] always produced.
 pub const PROF_PREAMBLE: &str = "#include <time.h>\n";
@@ -142,35 +142,17 @@ impl Mangler {
     }
 }
 
-/// The C identifiers a generated translation unit exposes at its ABI
-/// boundary, in declaration order — what a driver needs to call the emitted
-/// function (or wrap it in a `main`/`dlsym` entry).
+/// The C identifiers of a translation unit's signature, in declaration
+/// order, as [`Printer::new`] bound them — the one `Mangler` pass that also
+/// prints the body and, in a planned unit, the `ft_entry` wrapper.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CSymbols {
+pub(crate) struct CSymbols {
     /// Identifier of the emitted function.
     pub func: String,
     /// One identifier per tensor parameter, in declaration order.
     pub params: Vec<String>,
     /// One identifier per size parameter, in declaration order.
     pub size_params: Vec<String>,
-}
-
-/// The ABI identifiers [`emit_c`] will choose for `func` — computed by the
-/// same mangler in the same order, so drivers stay in sync with the emitted
-/// signature even when parameter names collide after sanitization.
-pub fn c_symbols(func: &Func) -> CSymbols {
-    let mut m = Mangler::new();
-    bind_signature(&mut m, func)
-}
-
-/// Bind the function name and parameters in signature order (shared between
-/// [`emit_c`] and [`c_symbols`] so both sides of the ABI agree).
-fn bind_signature(m: &mut Mangler, func: &Func) -> CSymbols {
-    CSymbols {
-        func: m.bind(&func.name),
-        params: func.params.iter().map(|p| m.bind(&p.name)).collect(),
-        size_params: func.size_params.iter().map(|sp| m.bind(sp)).collect(),
-    }
 }
 
 /// One per-loop-nest timing slot in a profiled translation unit.
@@ -392,11 +374,15 @@ const WEAK_FLOAT: ExprType = ExprType {
 };
 
 impl<'a> Printer<'a> {
-    /// A printer with `func`'s signature bound (see [`c_symbols`]) and its
-    /// parameters in scope.
+    /// A printer with `func`'s signature bound (name, tensors, sizes, in
+    /// that order) and its parameters in scope.
     pub(crate) fn new(func: &'a Func, types: [&'static str; 5]) -> (Printer<'a>, CSymbols) {
         let mut names = Mangler::new();
-        let syms = bind_signature(&mut names, func);
+        let syms = CSymbols {
+            func: names.bind(&func.name),
+            params: func.params.iter().map(|p| names.bind(&p.name)).collect(),
+            size_params: func.size_params.iter().map(|sp| names.bind(sp)).collect(),
+        };
         let tensors = func
             .params
             .iter()
@@ -414,13 +400,17 @@ impl<'a> Printer<'a> {
     /// `func`'s parameter list: a pointer per tensor (`const` for inputs),
     /// then the size parameters.
     pub(crate) fn signature(&self, func: &Func, syms: &CSymbols) -> Vec<String> {
-        let tensors = func.params.iter().zip(&syms.params).map(|(p, ident)| {
-            let qual = if p.atype == AccessType::Input { "const " } else { "" };
-            format!("{qual}{}* {ident}", self.ctype(p.dtype))
-        });
+        let tensors = func.params.iter().zip(&syms.params);
+        let tensors = tensors.map(|(p, ident)| format!("{} {ident}", self.pointer(p)));
         let int = self.ctype(DataType::I64);
         let sizes = syms.size_params.iter().map(|ident| format!("{int} {ident}"));
         tensors.chain(sizes).collect()
+    }
+
+    /// The pointer type of a tensor parameter (`const` for inputs).
+    fn pointer(&self, p: &Param) -> String {
+        let qual = if p.atype == AccessType::Input { "const " } else { "" };
+        format!("{qual}{}*", self.ctype(p.dtype))
     }
 
     /// The target's name of `dt`.
@@ -1031,17 +1021,8 @@ pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
     Ok(emit_unit(func, None, false)?.0)
 }
 
-/// Emit a *profiled* translation unit: the function gains a trailing
-/// `uint64_t *__ft_prof` parameter and every outermost loop nest is
-/// bracketed with `clock_gettime(CLOCK_MONOTONIC)` pairs accumulating wall
-/// nanoseconds into its slot. Passing a NULL `__ft_prof` skips recording,
-/// so one profiled artifact serves both timed and untimed calls. Returns
-/// the source and the site table (slot `k` ↔ `sites[k]`).
-pub fn emit_c_profiled(func: &Func) -> Result<(String, Vec<ProfSite>), CodegenError> {
-    emit_unit(func, None, true)
-}
-
-/// Emit a translation unit with *planned* `VarDef` storage: the function
+/// Emit the engine's whole translation unit, with *planned* `VarDef`
+/// storage and the fixed-ABI entry point: the function
 /// gains a trailing `unsigned char* __ft_arena` parameter (before
 /// `__ft_prof` when `profile` is set) and every def the plan placed becomes
 /// a pointer at a static offset into that arena — one allocation for the
@@ -1053,6 +1034,17 @@ pub fn emit_c_profiled(func: &Func) -> Result<(String, Vec<ProfSite>), CodegenEr
 /// and so does a small constant-extent heap def inside a parallel body,
 /// which must be thread-private and therefore cannot take an arena offset;
 /// defs the plan could not size fall back to `calloc` as before.
+///
+/// A *profiled* function brackets every outermost loop nest with
+/// `clock_gettime(CLOCK_MONOTONIC)` pairs accumulating wall nanoseconds into
+/// slot `k` of `__ft_prof` (NULL skips recording), `k` ↔ `sites[k]` of the
+/// returned table.
+///
+/// The unit ends with `void ft_entry(void **params, const int64_t *sizes,
+/// unsigned char *arena, uint64_t *prof)`: it unpacks the untyped array —
+/// tensors, then sizes, in declaration order — and calls the function
+/// (`prof` discarded when unprofiled, so the entry signature never varies).
+/// The pass that printed the function prints it; they cannot disagree.
 ///
 /// The plan must have been computed for this exact `func` (same `VarDef`
 /// pre-order); a per-def name mismatch degrades that def to `calloc` rather
@@ -1139,6 +1131,23 @@ fn emit_unit(
         out.push_str("    if (__ft_arena_owned) free(__ft_arena_base);\n");
     }
     out.push_str("}\n");
+    if plan.is_some() {
+        out.push_str(
+            "\nvoid ft_entry(void **params, const int64_t *sizes, \
+             unsigned char *arena, uint64_t *prof) {\n",
+        );
+        if !profile {
+            out.push_str("    (void)prof;\n");
+        }
+        let _ = write!(out, "    {}(", syms.func);
+        for (i, p) in func.params.iter().enumerate() {
+            let _ = write!(out, "({})params[{i}], ", em.p.pointer(p));
+        }
+        for i in 0..func.size_params.len() {
+            let _ = write!(out, "sizes[{i}], ");
+        }
+        out.push_str(if profile { "arena, prof);\n}\n" } else { "arena);\n}\n" });
+    }
     Ok((out, em.prof.unwrap_or_default()))
 }
 
@@ -1229,7 +1238,7 @@ mod tests {
                 for_with("j", 0, 8, omp(), store("y", [var("i"), var("j")], 1.0f32)),
             ));
         assert_eq!(
-            emit_c_profiled(&nested).map(|(c, _)| c),
+            emit_unit(&nested, None, true).map(|(c, _)| c),
             Err(CodegenError::NestedParallel {
                 iter: "j".to_string()
             })
@@ -1254,7 +1263,7 @@ mod tests {
         );
         assert!(c.contains("h[h_part_i0] = ft_a1;"), "{c}");
         // One lowered loop, one profiling site.
-        let (_, sites) = emit_c_profiled(&lowered).unwrap();
+        let (_, sites) = emit_unit(&lowered, None, true).unwrap();
         assert_eq!(sites.len(), 1, "{sites:?}");
     }
 
@@ -1288,17 +1297,19 @@ mod tests {
     #[test]
     fn colliding_param_names_get_distinct_identifiers() {
         // `x.y` and `x_y` both sanitize to `x_y`; the mangler must keep
-        // them apart and `c_symbols` must agree with the emitted signature.
+        // them apart and the bound symbols are the emitted signature's.
         let f = Func::new("f")
             .param("x.y", [1], DataType::F32, AccessType::Input)
-            .param("x_y", [1], DataType::F32, AccessType::Output)
+            .param("x_y", [var("n")], DataType::F32, AccessType::Output)
+            .size_param("m")
+            .size_param("n")
             .body(store("x_y", [0], load("x.y", [0]) + 1.0f32));
-        let syms = c_symbols(&f);
+        let syms = Printer::new(&f, TYPES).1;
         assert_eq!(syms.params.len(), 2);
         assert_ne!(syms.params[0], syms.params[1], "{syms:?}");
         let c = emit_c(&f).unwrap();
         let sig = format!(
-            "void {}(const float* {}, float* {})",
+            "void {}(const float* {}, float* {}, int64_t m, int64_t n)",
             syms.func, syms.params[0], syms.params[1]
         );
         assert!(c.contains(&sig), "expected `{sig}` in:\n{c}");
@@ -1310,6 +1321,28 @@ mod tests {
             )),
             "{c}"
         );
+        // `emit_c` is the function alone; the planned unit ends with the
+        // one `ft_entry`, v3 signature, which hands over tensors then sizes
+        // in declaration order under the types the function was printed
+        // with, and the two compile together without a warning.
+        assert!(!c.contains("ft_entry"), "{c}");
+        let plan = ft_analysis::MemPlan::plan(&f, &HashMap::new());
+        let args = "f((const float*)params[0], (float*)params[1], sizes[0], sizes[1], arena";
+        for (profile, call) in [
+            (false, format!("    (void)prof;\n    {args});")),
+            (true, format!("    {args}, prof);")),
+        ] {
+            let (c, _) = emit_c_planned(&f, &plan, profile).unwrap();
+            assert_eq!(c.matches("ft_entry").count(), 1, "{c}");
+            let entry = format!(
+                "}}\n\nvoid ft_entry(void **params, const int64_t *sizes, \
+                 unsigned char *arena, uint64_t *prof) {{\n{call}\n}}\n"
+            );
+            assert!(c.ends_with(&entry), "{c}");
+            if let Some(r) = cc_accepts(&c, &["-Wall", "-Werror"]) {
+                r.unwrap();
+            }
+        }
     }
 
     #[test]
@@ -1340,7 +1373,7 @@ mod tests {
         let f = Func::new("main")
             .param("ft_fdiv", [1], DataType::F32, AccessType::Output)
             .body(store("ft_fdiv", [0], 1.0f32));
-        let syms = c_symbols(&f);
+        let syms = Printer::new(&f, TYPES).1;
         assert_ne!(syms.func, "main");
         assert_ne!(syms.params[0], "ft_fdiv");
         // So must one spelled like a temporary of the emitter's.
@@ -1364,7 +1397,7 @@ mod tests {
                 for_("i", 0, var("n"), inner),
                 for_("k", 0, var("n"), store("y", [var("k")], 2.0f32)),
             ])));
-        let (c, sites) = emit_c_profiled(&f).unwrap();
+        let (c, sites) = emit_unit(&f, None, true).unwrap();
         assert_eq!(sites.len(), 2, "{sites:?}");
         assert_eq!(sites[0].desc, "for i");
         assert_eq!(sites[1].desc, "for k");
@@ -1774,21 +1807,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn profiled_c_compiles_if_cc_available() {
+    /// Whether `cc -fsyntax-only -fopenmp <flags>` accepts `c`; `None`
+    /// without a `cc` to ask.
+    fn cc_accepts(c: &str, flags: &[&str]) -> Option<Result<(), String>> {
         use std::io::Write as _;
         use std::process::{Command, Stdio};
-        let (c, _) = emit_c_profiled(&sample()).unwrap();
-        let Ok(mut child) = Command::new("cc")
-            .args(["-fsyntax-only", "-fopenmp", "-xc", "-"])
+        let mut child = Command::new("cc")
+            .args(["-fsyntax-only", "-fopenmp"])
+            .args(flags)
+            .args(["-xc", "-"])
             .stdin(Stdio::piped())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
-        else {
-            eprintln!("cc unavailable; skipping compile check");
-            return;
-        };
+            .ok()?;
         child
             .stdin
             .as_mut()
@@ -1796,39 +1828,24 @@ mod tests {
             .write_all(c.as_bytes())
             .expect("write source");
         let out = child.wait_with_output().expect("cc runs");
-        assert!(
-            out.status.success(),
-            "cc rejected the profiled C:\n{}\n--- source ---\n{c}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        Some(if out.status.success() {
+            Ok(())
+        } else {
+            Err(format!(
+                "cc rejected:\n{}\n--- source ---\n{c}",
+                String::from_utf8_lossy(&out.stderr)
+            ))
+        })
     }
 
     #[test]
     fn generated_c_compiles_if_cc_available() {
-        use std::io::Write as _;
-        use std::process::{Command, Stdio};
-        let c = emit_c(&sample()).unwrap();
-        let Ok(mut child) = Command::new("cc")
-            .args(["-fsyntax-only", "-fopenmp", "-xc", "-"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-        else {
-            eprintln!("cc unavailable; skipping compile check");
-            return;
-        };
-        child
-            .stdin
-            .as_mut()
-            .expect("piped stdin")
-            .write_all(c.as_bytes())
-            .expect("write source");
-        let out = child.wait_with_output().expect("cc runs");
-        assert!(
-            out.status.success(),
-            "cc rejected the generated C:\n{}\n--- source ---\n{c}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        let profiled = emit_unit(&sample(), None, true).unwrap().0;
+        for c in [emit_c(&sample()).unwrap(), profiled] {
+            match cc_accepts(&c, &[]) {
+                Some(r) => r.unwrap(),
+                None => eprintln!("cc unavailable; skipping compile check"),
+            }
+        }
     }
 }

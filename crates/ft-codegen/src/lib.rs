@@ -28,9 +28,7 @@ pub mod cuda;
 pub mod lower;
 mod scalar;
 
-pub use c::{
-    c_symbols, emit_c, emit_c_planned, emit_c_profiled, CSymbols, CodegenError, Mangler, ProfSite,
-};
+pub use c::{emit_c, emit_c_planned, CodegenError, Mangler, ProfSite};
 pub use cuda::emit_cuda;
 pub use lower::lower_cpu_parallel;
 

@@ -305,7 +305,7 @@ impl Variant<'_> {
 /// Sample `k` of workload `w` under the master `seed`: the case and a raw
 /// trace of up to `max_ops` ops, both drawn from one deterministic stream.
 pub(crate) fn sample(w: Workload, seed: u64, k: usize, max_ops: usize) -> (Case, Vec<ScheduleOp>) {
-    let stream = ft_ir::fnv1a_p44(w.name().as_bytes())
+    let stream = ft_ir::fnv1a(w.name().as_bytes())
         ^ seed
         ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let case = Case::build(w, stream & 0xFFFF);

@@ -48,7 +48,7 @@ pub use builder::*;
 pub use expr::{BinaryOp, Expr, ExprType, UnaryOp};
 pub use find::{find_stmt, find_stmts, parent_map, LoopNest};
 pub use func::{Func, Param};
-pub use hash::{fnv1a, fnv1a_p44, Fnv1a};
+pub use hash::{fnv1a, Fnv1a};
 pub use mutate::Mutator;
 pub use stmt::{ForProperty, ReduceOp, Stmt, StmtId, StmtKind};
 pub use types::{AccessType, DataType, Device, MemType, ParallelScope};

@@ -22,9 +22,8 @@
 //! Registration (first use of a name) takes a mutex; the returned handles
 //! are lock-free thereafter, so hot loops register once and hold the
 //! handle. [`Metrics::snapshot`] freezes everything into a
-//! [`MetricsSnapshot`] with deterministic (sorted-name) ordering,
-//! [`MetricsSnapshot::diff`] isolates one run's deltas, and
-//! [`MetricsSnapshot::to_prometheus`] renders Prometheus text exposition.
+//! [`MetricsSnapshot`] with deterministic (sorted-name) ordering, and
+//! [`MetricsSnapshot::diff`] isolates one run's deltas.
 //! The JSON form (`results/METRICS.json`) is `ft_trace::metrics_to_json` /
 //! `metrics_from_json`: the workspace has one JSON codec, and this crate
 //! stays a leaf below it.
@@ -391,56 +390,6 @@ impl MetricsSnapshot {
                 .merge(h);
         }
     }
-
-    /// Render Prometheus text exposition format (version 0.0.4). Metric
-    /// names are prefixed `ft_` and sanitized (`.` and other non-name
-    /// characters become `_`); histograms emit cumulative `_bucket{le=...}`
-    /// series over powers of two plus `_sum`/`_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, &v) in &self.counters {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, &v) in &self.gauges {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let last = h
-                .buckets
-                .iter()
-                .rposition(|&b| b != 0)
-                .unwrap_or(0)
-                .min(HISTOGRAM_BUCKETS - 2);
-            let mut cum = 0u64;
-            for k in 0..=last {
-                cum = cum.saturating_add(h.buckets.get(k).copied().unwrap_or(0));
-                out.push_str(&format!(
-                    "{n}_bucket{{le=\"{}\"}} {cum}\n",
-                    bucket_upper_bound(k)
-                ));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
-        }
-        out
-    }
-}
-
-/// Sanitize a dotted metric name into a Prometheus metric name.
-fn prom_name(name: &str) -> String {
-    let mut out = String::from("ft_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -512,11 +461,6 @@ mod tests {
         assert_eq!(s.quantile(0.5), 3);
         // p99 → last bucket touched (1000 has bit length 10, ub 1023).
         assert_eq!(s.quantile(0.99), 1023);
-    }
-
-    #[test]
-    fn empty_snapshot_exports_cleanly() {
-        assert_eq!(Metrics::new().snapshot().to_prometheus(), "");
     }
 
     #[test]

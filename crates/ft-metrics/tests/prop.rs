@@ -1,6 +1,5 @@
 //! Property tests for the histogram merge algebra (the basis of the
-//! cross-worker determinism claim) and a golden test pinning the
-//! Prometheus exposition format.
+//! cross-worker determinism claim).
 
 use ft_metrics::{HistogramSnapshot, Metrics, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use proptest::prelude::*;
@@ -84,35 +83,4 @@ proptest! {
         prop_assert_eq!(&merges[0], &merges[1]);
         prop_assert_eq!(&merges[1], &merges[2]);
     }
-}
-
-/// Pin the exact Prometheus text exposition so dashboards scraping it
-/// never silently break: `ft_` prefix, dots to underscores, cumulative
-/// power-of-two `_bucket{le=...}` series ending in `+Inf`, then
-/// `_sum`/`_count`.
-#[test]
-fn prometheus_exposition_format_is_pinned() {
-    let m = Metrics::new();
-    m.counter("compiled.cache.hit").add(3);
-    m.gauge("pool.queue.depth").set(-2);
-    let h = m.histogram("run.us");
-    for v in [0u64, 3, 9] {
-        h.record(v);
-    }
-    let expected = "\
-# TYPE ft_compiled_cache_hit counter
-ft_compiled_cache_hit 3
-# TYPE ft_pool_queue_depth gauge
-ft_pool_queue_depth -2
-# TYPE ft_run_us histogram
-ft_run_us_bucket{le=\"0\"} 1
-ft_run_us_bucket{le=\"1\"} 1
-ft_run_us_bucket{le=\"3\"} 2
-ft_run_us_bucket{le=\"7\"} 2
-ft_run_us_bucket{le=\"15\"} 3
-ft_run_us_bucket{le=\"+Inf\"} 3
-ft_run_us_sum 12
-ft_run_us_count 3
-";
-    assert_eq!(m.snapshot().to_prometheus(), expected);
 }

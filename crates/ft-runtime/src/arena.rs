@@ -241,7 +241,6 @@ impl TensorPool {
 /// offsets; the base pointer is aligned to [`ARENA_ALIGN`].
 #[derive(Debug)]
 pub(crate) struct NativeArena {
-    plan_hash: u64,
     buf: Vec<u8>,
     pad: usize,
 }
@@ -251,15 +250,7 @@ impl NativeArena {
         let bytes = plan.planned_peak_bytes as usize;
         let buf = vec![0u8; bytes + ARENA_ALIGN as usize];
         let pad = buf.as_ptr().align_offset(ARENA_ALIGN as usize);
-        NativeArena {
-            plan_hash: plan.plan_hash(),
-            buf,
-            pad,
-        }
-    }
-
-    pub(crate) fn plan_hash(&self) -> u64 {
-        self.plan_hash
+        NativeArena { buf, pad }
     }
 
     pub(crate) fn bytes(&self) -> u64 {
@@ -449,15 +440,14 @@ impl RunContext {
         self.tensor_pool.take().unwrap_or_else(|| TensorPool::new(plan))
     }
 
-    /// The compiled engine's flat arena for `plan`, rebuilt on plan change.
-    /// Counts a fresh allocation (vs a reuse hit) in the staging stats.
+    /// The compiled engine's flat arena for `plan` — the plan this context
+    /// is bound to (`ensure_bound` refused any other earlier in the call),
+    /// so an arena that exists is this plan's. Counts a fresh allocation (vs
+    /// a reuse hit) in the staging stats.
     pub(crate) fn native_arena_for(&mut self, plan: &MemPlan) -> &mut NativeArena {
-        let hash = plan.plan_hash();
-        match &self.native_arena {
-            Some(a) if a.plan_hash() == hash => self.stats.hit(),
-            prev => {
-                let freed = prev.as_ref().map_or(0, NativeArena::bytes);
-                self.stats.bytes_held = self.stats.bytes_held.saturating_sub(freed);
+        match self.native_arena {
+            Some(_) => self.stats.hit(),
+            None => {
                 let a = NativeArena::new(plan);
                 self.stats.miss(a.bytes());
                 self.native_arena = Some(a);

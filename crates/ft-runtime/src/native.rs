@@ -11,10 +11,14 @@
 //! search loops, conformance sweeps, warm benchmarks — spawns zero
 //! compiler processes.
 //!
-//! Cache key: FNV-1a over the complete emitted translation unit (which
-//! already embodies the program *and* its schedule — scheduling rewrites
-//! the IR that `emit_c` prints), the compiler flag string, and an ABI
-//! version bumped whenever the entry-point convention changes.
+//! Cache key (`artifact_key`): FNV-1a over the complete translation unit
+//! `ft_codegen::emit_c_planned` emits (function and `ft_entry` wrapper; it
+//! already embodies the program, its schedule — scheduling rewrites the IR
+//! the emitter prints — and its memory plan, whose offsets and peak are
+//! literals in the text), the compiler flag string, and an ABI version
+//! bumped whenever the entry-point convention changes. A cached `.so` that
+//! does not load is moved aside and rebuilt once, under the key's file lock
+//! (`build_locked`).
 //!
 //! Parallelism: the engine compiles `ft_codegen::lower_cpu_parallel(func)`,
 //! not `func` — nested parallel marks serialized, `atomic` reductions
@@ -38,8 +42,8 @@ use crate::interp::RunResult;
 use crate::process::output_with_timeout;
 use crate::value::TensorVal;
 use ft_analysis::MemPlan;
-use ft_codegen::{c_symbols, emit_c_planned, CodegenError, ProfSite};
-use ft_ir::{AccessType, DataType, Func};
+use ft_codegen::{emit_c_planned, CodegenError, ProfSite};
+use ft_ir::{AccessType, Fnv1a, Func};
 use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, Verdict, TRACK_RUNTIME};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -221,14 +225,30 @@ fn pin_openmp_runtime() {
     PINNED.get_or_init(|| unsafe { libloading::Library::new("libgomp.so.1") }.ok());
 }
 
-fn ctype(dt: DataType) -> &'static str {
-    match dt {
-        DataType::F32 => "float",
-        DataType::F64 => "double",
-        DataType::I32 => "int32_t",
-        DataType::I64 => "int64_t",
-        DataType::Bool => "bool",
-    }
+/// `dlopen` an artifact and resolve its entry point.
+fn load_artifact(so_path: &Path) -> Result<(libloading::Library, EntryFn), RuntimeError> {
+    pin_openmp_runtime();
+    // SAFETY: the object was produced by our own emitter + cc (or is a
+    // cache entry keyed by the full source), and ft_entry's type is
+    // fixed by ABI_VERSION which participates in the key.
+    let lib = unsafe { libloading::Library::new(so_path) }
+        .map_err(|e| RuntimeError::Native(format!("load {}: {e}", so_path.display())))?;
+    let entry = *unsafe { lib.get::<EntryFn>(b"ft_entry\0") }
+        .map_err(|e| RuntimeError::Native(format!("resolve ft_entry: {e}")))?;
+    Ok((lib, entry))
+}
+
+/// The artifact-cache key of a translation unit: one FNV-1a streamed over
+/// `unit ‖ 0 ‖ CC_FLAGS ‖ 0 ‖ ABI_VERSION` — stable across processes and Rust
+/// versions, unlike `DefaultHasher`, so on-disk keys survive toolchain bumps.
+fn artifact_key(unit: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(unit.as_bytes());
+    h.write(&[0]);
+    h.write(CC_FLAGS.as_bytes());
+    h.write(&[0]);
+    h.write(&ABI_VERSION.to_le_bytes());
+    h.finish()
 }
 
 /// Copy `t` into `out`, a tensor of its shape (element-wise converting).
@@ -278,48 +298,6 @@ impl CompiledEngine {
         &self.cache_dir
     }
 
-    /// The complete translation unit handed to `cc`: the memory-planned
-    /// emitted function plus the fixed-ABI `ft_entry` wrapper that unpacks
-    /// the untyped parameter array and calls it. The plan is computed with
-    /// the run's concrete sizes, so arena offsets are compile-time constants
-    /// — distinct size bindings emit (and cache) distinct kernels. Profiled
-    /// units thread the prof array through to the emitted function;
-    /// unprofiled units discard it, so the entry signature is the same
-    /// across both.
-    fn source_for(
-        &self,
-        func: &Func,
-        plan: &MemPlan,
-    ) -> Result<(String, Vec<ProfSite>), RuntimeError> {
-        let (mut src, sites) = emit_c_planned(func, plan, self.profile).map_err(|e| match e {
-            // The interpreter's and the VM's error for the same program.
-            CodegenError::UnknownLibKernel { kernel } => RuntimeError::UnknownKernel(kernel),
-            e => RuntimeError::Native(format!("codegen: {e}")),
-        })?;
-        let syms = c_symbols(func);
-        src.push_str(
-            "\nvoid ft_entry(void **params, const int64_t *sizes, \
-             unsigned char *arena, uint64_t *prof) {\n",
-        );
-        let mut call_args: Vec<String> = Vec::new();
-        for (i, p) in func.params.iter().enumerate() {
-            let c = ctype(p.dtype);
-            let qual = if p.atype == AccessType::Input { "const " } else { "" };
-            call_args.push(format!("({qual}{c}*)params[{i}]"));
-        }
-        for i in 0..func.size_params.len() {
-            call_args.push(format!("sizes[{i}]"));
-        }
-        call_args.push("arena".to_string());
-        if self.profile {
-            call_args.push("prof".to_string());
-        } else {
-            src.push_str("    (void)prof;\n");
-        }
-        src.push_str(&format!("    {}({});\n}}\n", syms.func, call_args.join(", ")));
-        Ok((src, sites))
-    }
-
     fn note_cache(&self, hash: u64, hit: bool) {
         if let Some(m) = &self.tel.metrics {
             m.counter(if hit {
@@ -346,7 +324,16 @@ impl CompiledEngine {
     /// re-check whether another process published the artifact while we
     /// waited, and compile only if not. Returns whether a compile actually
     /// ran (false = lost the cross-process race, which is a cache hit).
-    fn build_locked(&self, src: &str, hash: u64, so_path: &Path) -> Result<bool, RuntimeError> {
+    /// `retire`: the caller could not load the published artifact. If, under
+    /// the lock, it still does not load — nobody has replaced it since — it
+    /// is renamed `<key>.so.bad` (`compiled.cache.quarantined`) and rebuilt.
+    fn build_locked(
+        &self,
+        src: &str,
+        hash: u64,
+        so_path: &Path,
+        retire: bool,
+    ) -> Result<bool, RuntimeError> {
         std::fs::create_dir_all(&self.cache_dir).map_err(|e| {
             RuntimeError::Native(format!("create {}: {e}", self.cache_dir.display()))
         })?;
@@ -355,6 +342,14 @@ impl CompiledEngine {
             .map_err(|e| RuntimeError::Native(format!("create {}: {e}", lock_path.display())))?;
         lock_exclusive(&lock)
             .map_err(|e| RuntimeError::Native(format!("lock {}: {e}", lock_path.display())))?;
+        if retire
+            && load_artifact(so_path).is_err()
+            && std::fs::rename(so_path, so_path.with_extension("so.bad")).is_ok()
+        {
+            if let Some(m) = &self.tel.metrics {
+                m.counter("compiled.cache.quarantined").inc();
+            }
+        }
         if so_path.is_file() {
             return Ok(false);
         }
@@ -427,19 +422,16 @@ impl CompiledEngine {
     }
 
     /// Emit + (cache-aware) compile + load the kernel for `func` under
-    /// `plan`. The plan hash participates in the cache key (belt and
-    /// braces — planned offsets are already baked into the source).
+    /// `plan`.
     fn kernel_for(&self, func: &Func, plan: &MemPlan) -> Result<Arc<LoadedKernel>, RuntimeError> {
-        let (src, sites) = self.source_for(func, plan)?;
-        let mut key = src.clone().into_bytes();
-        key.push(0);
-        key.extend_from_slice(CC_FLAGS.as_bytes());
-        key.push(0);
-        key.extend_from_slice(&ABI_VERSION.to_le_bytes());
-        key.extend_from_slice(&plan.plan_hash().to_le_bytes());
-        // FNV-1a is stable across processes and Rust versions, unlike
-        // `DefaultHasher`, so on-disk keys survive toolchain bumps.
-        let hash = ft_ir::fnv1a(&key);
+        // The plan was computed with the run's concrete sizes: distinct size
+        // bindings emit (and cache) distinct kernels.
+        let (src, sites) = emit_c_planned(func, plan, self.profile).map_err(|e| match e {
+            // The interpreter's and the VM's error for the same program.
+            CodegenError::UnknownLibKernel { kernel } => RuntimeError::UnknownKernel(kernel),
+            e => RuntimeError::Native(format!("codegen: {e}")),
+        })?;
+        let hash = artifact_key(&src);
         if let Some(k) = self.state.loaded.lock().get(&hash) {
             self.note_cache(hash, true);
             return Ok(Arc::clone(k));
@@ -451,10 +443,18 @@ impl CompiledEngine {
         // one per engine). Leaders compile under a per-key singleflight entry
         // plus a cross-process file lock; followers park, then re-check the
         // published artifact — and take over as leader if their leader failed.
-        loop {
-            if so_path.is_file() {
-                self.note_cache(hash, true);
-                break;
+        // A published artifact that does not load (truncated by a full disk,
+        // written by something else) sends its finder down the same path with
+        // `retire` set; an artifact that fails right after its build is the
+        // load error.
+        let mut retire = false;
+        let (lib, entry) = loop {
+            if !retire && so_path.is_file() {
+                if let Ok(loaded) = load_artifact(&so_path) {
+                    self.note_cache(hash, true);
+                    break loaded;
+                }
+                retire = true;
             }
             let (flight, leader) = {
                 let mut map = flights().lock();
@@ -468,40 +468,26 @@ impl CompiledEngine {
                 }
             };
             if leader {
-                let r = self.build_locked(&src, hash, &so_path);
+                let r = self.build_locked(&src, hash, &so_path, retire);
                 *flight.done.lock().unwrap() = true;
                 flight.cv.notify_all();
                 flights().lock().remove(&hash);
-                match r {
-                    Ok(compiled) => {
-                        self.note_cache(hash, !compiled);
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                if let Some(m) = &self.tel.metrics {
-                    m.counter("compiled.singleflight.wait").inc();
-                }
-                let mut done = flight.done.lock().unwrap();
-                while !*done {
-                    done = flight.cv.wait(done).unwrap();
-                }
-                // Loop: the artifact is normally on disk now; if the leader
-                // errored instead, the next iteration elects a new leader
-                // (each waiter leads at most once before erroring itself).
+                self.note_cache(hash, !r?);
+                break load_artifact(&so_path)?;
             }
-        }
-        pin_openmp_runtime();
-        // SAFETY: the object was produced by our own emitter + cc (or is a
-        // cache entry keyed by the full source), and ft_entry's type is
-        // fixed by ABI_VERSION which participates in the key.
-        let lib = unsafe { libloading::Library::new(&so_path) }
-            .map_err(|e| RuntimeError::Native(format!("load {}: {e}", so_path.display())))?;
-        let entry = unsafe { lib.get::<EntryFn>(b"ft_entry\0") }
-            .map_err(|e| RuntimeError::Native(format!("resolve ft_entry: {e}")))?;
+            if let Some(m) = &self.tel.metrics {
+                m.counter("compiled.singleflight.wait").inc();
+            }
+            let mut done = flight.done.lock().unwrap();
+            while !*done {
+                done = flight.cv.wait(done).unwrap();
+            }
+            // Loop: the artifact is normally on disk now; if the leader
+            // errored instead, the next iteration elects a new leader
+            // (each waiter leads at most once before erroring itself).
+        };
         let kernel = Arc::new(LoadedKernel {
-            entry: *entry,
+            entry,
             sites,
             _lib: lib,
         });
@@ -751,6 +737,15 @@ mod tests {
             ))
     }
 
+    /// `axpy`'s inputs (`x` all 1, `y` all `y0`) and size binding at length `n`.
+    fn axpy_io(n: usize, y0: f32) -> (HashMap<String, TensorVal>, HashMap<String, i64>) {
+        let inputs = HashMap::from([
+            ("x".to_string(), TensorVal::from_f32(&[n], vec![1.0; n])),
+            ("y".to_string(), TensorVal::from_f32(&[n], vec![y0; n])),
+        ]);
+        (inputs, HashMap::from([("n".to_string(), n as i64)]))
+    }
+
     #[test]
     fn compiles_and_runs_in_process() {
         if !cc_available() {
@@ -758,10 +753,7 @@ mod tests {
             return;
         }
         let eng = CompiledEngine::with_cache_dir(tmp_cache("run"));
-        let mut inputs = HashMap::new();
-        inputs.insert("x".to_string(), TensorVal::from_f32(&[5], vec![1.0; 5]));
-        inputs.insert("y".to_string(), TensorVal::from_f32(&[5], vec![0.5; 5]));
-        let sizes = HashMap::from([("n".to_string(), 5i64)]);
+        let (inputs, sizes) = axpy_io(5, 0.5);
         let r = eng.run(&axpy(), &inputs, &sizes).expect("runs");
         assert_eq!(r.output("y").to_f64_vec(), vec![2.5; 5]);
         // Input buffer untouched.
@@ -778,10 +770,7 @@ mod tests {
         let sink = TraceSink::new();
         let mut eng = CompiledEngine::with_cache_dir(&dir);
         eng.set_sink(Some(sink.clone()));
-        let mut inputs = HashMap::new();
-        inputs.insert("x".to_string(), TensorVal::from_f32(&[3], vec![1.0; 3]));
-        inputs.insert("y".to_string(), TensorVal::from_f32(&[3], vec![0.0; 3]));
-        let sizes = HashMap::from([("n".to_string(), 3i64)]);
+        let (inputs, sizes) = axpy_io(3, 0.0);
         eng.run(&axpy(), &inputs, &sizes).expect("cold run");
         eng.run(&axpy(), &inputs, &sizes).expect("warm run");
         // A *fresh* engine (empty in-memory memo) against the same dir
@@ -808,10 +797,7 @@ mod tests {
         let m = Metrics::new();
         let mut eng = CompiledEngine::with_cache_dir(&dir);
         eng.set_metrics(Some(m.clone()));
-        let mut inputs = HashMap::new();
-        inputs.insert("x".to_string(), TensorVal::from_f32(&[3], vec![1.0; 3]));
-        inputs.insert("y".to_string(), TensorVal::from_f32(&[3], vec![0.0; 3]));
-        let sizes = HashMap::from([("n".to_string(), 3i64)]);
+        let (inputs, sizes) = axpy_io(3, 0.0);
         eng.run(&axpy(), &inputs, &sizes).expect("cold run");
         eng.run(&axpy(), &inputs, &sizes).expect("warm run");
         let s = m.snapshot();
@@ -835,6 +821,73 @@ mod tests {
         let s2 = m.snapshot();
         assert_eq!(s2.counter("compiled.cc.spawned"), spawned, "{s2:?}");
         assert_eq!(s2.counter("compiled.cache.hit"), 2, "{s2:?}");
+        // Both engines asked for one key, and it is what the module doc
+        // says: FNV-1a of the emitted unit, the flags and ABI version 3 —
+        // no plan hash — with the unit itself cached next to the object.
+        let f = axpy();
+        let (lowered, plan) = ft_codegen::lower_and_plan(&f, &sizes);
+        let unit = emit_c_planned(&lowered, &plan, false).unwrap().0;
+        let tail = [&[0][..], CC_FLAGS.as_bytes(), &[0], &3u32.to_le_bytes()].concat();
+        let key = ft_ir::fnv1a(&[unit.as_bytes(), &tail].concat());
+        assert_eq!(artifact_key(&unit), key);
+        assert_eq!(std::fs::read_to_string(dir.join(format!("{key:016x}.c"))).unwrap(), unit);
+        assert!(dir.join(format!("{key:016x}.so")).is_file());
+    }
+
+    /// An artifact that does not load — truncated, or a shared object
+    /// without `ft_entry` — is moved to `<key>.so.bad` and rebuilt by the
+    /// request that finds it, once however many find it together; the
+    /// engine after that is a plain disk hit.
+    #[test]
+    fn an_unloadable_cached_artifact_is_quarantined_and_rebuilt() {
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let (inputs, sizes) = axpy_io(3, 0.0);
+        // `engines` fresh engines at once, one registry.
+        let run = |dir: &Path, engines: usize| {
+            let m = Metrics::new();
+            let barrier = std::sync::Barrier::new(engines);
+            std::thread::scope(|s| {
+                for _ in 0..engines {
+                    s.spawn(|| {
+                        let mut eng = CompiledEngine::with_cache_dir(dir);
+                        eng.set_metrics(Some(m.clone()));
+                        barrier.wait();
+                        let r = eng.run(&axpy(), &inputs, &sizes).expect("runs");
+                        assert_eq!(r.output("y").to_f64_vec(), vec![2.0; 3]);
+                    });
+                }
+            });
+            m.snapshot()
+        };
+        let truncate = |so: &Path| std::fs::File::options().write(true).open(so)?.set_len(100);
+        let foreign = |so: &Path| {
+            let c = so.with_extension("foreign.c");
+            std::fs::write(&c, "int not_ft_entry(void) { return 0; }\n")?;
+            Command::new("cc").args(["-shared", "-fPIC", "-o"]).arg(so).arg(&c).status().map(drop)
+        };
+        type Damage<'a> = &'a dyn Fn(&Path) -> std::io::Result<()>;
+        for (tag, damage, finders) in [
+            ("trunc", &truncate as Damage, 1),
+            ("foreign", &foreign, 1),
+            ("race", &truncate, 4),
+        ] {
+            let dir = tmp_cache(&format!("quarantine-{tag}"));
+            let per_build = run(&dir, 1).counter("compiled.cc.spawned");
+            let mut files = std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.path());
+            let so = files.find(|p| p.extension().is_some_and(|x| x == "so")).unwrap();
+            damage(&so).unwrap();
+            let healed = run(&dir, finders);
+            assert_eq!(healed.counter("compiled.cache.quarantined"), 1, "{tag}: {healed:?}");
+            assert_eq!(healed.counter("compiled.cc.spawned"), per_build, "{tag}: {healed:?}");
+            assert!(so.with_extension("so.bad").is_file(), "{tag}");
+            let warm = run(&dir, 1);
+            assert_eq!(warm.counter("compiled.cache.quarantined"), 0, "{tag}: {warm:?}");
+            assert_eq!(warm.counter("compiled.cc.spawned"), 0, "{tag}: {warm:?}");
+            assert_eq!(warm.counter("compiled.cache.hit"), 1, "{tag}: {warm:?}");
+        }
     }
 
     #[test]
@@ -849,17 +902,7 @@ mod tests {
             CompiledEngine::with_cache_dir(tmp_cache("prof")).with_profiling(true);
         eng.set_sink(Some(sink.clone()));
         eng.set_metrics(Some(m.clone()));
-        let n = 1i64 << 16;
-        let mut inputs = HashMap::new();
-        inputs.insert(
-            "x".to_string(),
-            TensorVal::from_f32(&[n as usize], vec![1.0; n as usize]),
-        );
-        inputs.insert(
-            "y".to_string(),
-            TensorVal::from_f32(&[n as usize], vec![0.0; n as usize]),
-        );
-        let sizes = HashMap::from([("n".to_string(), n)]);
+        let (inputs, sizes) = axpy_io(1 << 16, 0.0);
         let r = eng.run(&axpy(), &inputs, &sizes).expect("profiled run");
         assert_eq!(r.output("y").to_f64_vec()[0], 2.0);
         let profiles = sink.profiles();
@@ -888,13 +931,11 @@ mod tests {
 
     #[test]
     fn profiled_and_unprofiled_builds_cache_separately() {
-        let plain = CompiledEngine::with_cache_dir(tmp_cache("keys"));
-        let prof = plain.clone().with_profiling(true);
         let f = axpy();
         let plan = MemPlan::plan(&f, &HashMap::from([("n".to_string(), 8i64)]));
-        let (src_plain, sites_plain) = plain.source_for(&f, &plan).unwrap();
-        let (src_prof, sites_prof) = prof.source_for(&f, &plan).unwrap();
-        assert_ne!(src_plain, src_prof);
+        let (src_plain, sites_plain) = emit_c_planned(&f, &plan, false).unwrap();
+        let (src_prof, sites_prof) = emit_c_planned(&f, &plan, true).unwrap();
+        assert_ne!(artifact_key(&src_plain), artifact_key(&src_prof));
         assert!(sites_plain.is_empty());
         assert_eq!(sites_prof.len(), 1);
         assert!(src_prof.contains("__ft_prof"), "{src_prof}");
@@ -965,6 +1006,18 @@ mod tests {
             warm.counter("mem.arena.reuse_hits") > cold.counter("mem.arena.reuse_hits"),
             "{warm:?}"
         );
+        // The arena is the bound plan's: another plan is refused before the
+        // arena is consulted, and `reset()` drops it for the next binding.
+        let bytes = ctx.native_arena.as_ref().expect("allocated").bytes();
+        let sizes2 = HashMap::from([("n".to_string(), 2 * n as i64)]);
+        let inputs2 = HashMap::from([("x".to_string(), TensorVal::from_f32(&[2 * n], vec![1.0; 2 * n]))]);
+        let err = eng.run_with(&f, &inputs2, &sizes2, &mut ctx).unwrap_err();
+        assert!(matches!(err, RuntimeError::ContextMismatch { .. }), "{err}");
+        assert_eq!(ctx.native_arena.as_ref().expect("kept").bytes(), bytes);
+        ctx.reset();
+        assert!(ctx.native_arena.is_none());
+        eng.run_with(&f, &inputs2, &sizes2, &mut ctx).expect("rebound");
+        assert!(ctx.native_arena.as_ref().expect("re-allocated").bytes() > bytes);
     }
 
     #[test]
@@ -993,10 +1046,7 @@ mod tests {
             eprintln!("cc unavailable; skipping");
             return;
         }
-        let mut inputs = HashMap::new();
-        inputs.insert("x".to_string(), TensorVal::from_f32(&[16], vec![1.0; 16]));
-        inputs.insert("y".to_string(), TensorVal::from_f32(&[16], vec![0.0; 16]));
-        let sizes = HashMap::from([("n".to_string(), 16i64)]);
+        let (inputs, sizes) = axpy_io(16, 0.0);
 
         let m1 = Metrics::new();
         let mut solo = CompiledEngine::with_cache_dir(tmp_cache("herd-solo"));

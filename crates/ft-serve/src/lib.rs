@@ -46,7 +46,7 @@ use ft_runtime::{
     CompiledEngine, ExecutionEngine, RunContext, RunResult, RuntimeError, Scalar, TensorVal,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -268,19 +268,19 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Content key of a request: FNV-1a over the printed program and the
-/// sorted size bindings. Everything that changes generated code or buffer
-/// geometry is in one of the two.
+/// Content key of a request: FNV-1a over the printed program (streamed
+/// into the hasher, never held as a `String`) and the sorted size bindings.
+/// Everything that changes generated code or buffer geometry is in one of
+/// the two.
 fn content_key(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
     let mut h = ft_ir::Fnv1a::new();
-    let mut eat = |bytes: &[u8]| h.write(bytes);
-    eat(func.to_string().as_bytes());
+    let _ = write!(h, "{func}");
     let mut kv: Vec<(&String, &i64)> = sizes.iter().collect();
     kv.sort();
     for (k, v) in kv {
-        eat(b"|");
-        eat(k.as_bytes());
-        eat(&v.to_le_bytes());
+        h.write(b"|");
+        h.write(k.as_bytes());
+        h.write(&v.to_le_bytes());
     }
     h.finish()
 }
@@ -615,6 +615,17 @@ mod tests {
                 .param("y", [4], DataType::F32, AccessType::Output)
                 .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")])))),
         )
+    }
+
+    /// Streaming the program into the hasher left request keys where they
+    /// were: the literal is what the `to_string()` version gave this fixture.
+    #[test]
+    fn content_key_is_fnv1a_of_the_printed_program_and_sorted_sizes() {
+        let sizes = HashMap::from([("n".to_string(), 8i64), ("m".to_string(), -3i64)]);
+        let mut bytes = needs_x().to_string().into_bytes();
+        bytes.extend([&b"|m"[..], &(-3i64).to_le_bytes(), b"|n", &8i64.to_le_bytes()].concat());
+        assert_eq!(content_key(&needs_x(), &sizes), ft_ir::fnv1a(&bytes));
+        assert_eq!(ft_ir::fnv1a(&bytes), 0xed26_f631_3aef_ccbf);
     }
 
     fn manual_server(cfg: ServeConfig) -> Server {

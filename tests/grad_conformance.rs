@@ -137,6 +137,15 @@ fn committed_grad_repros_stay_fixed() {
     // with the other's (`IndexOutOfBounds` on `Q.cache.tape`). Fixed by
     // alpha-renaming duplicate defs before differentiation
     // (`ft_ir::mutate::uniquify_def_names`).
+    //
+    // `longformer-seed63815` (found when PR 22 re-drew the sample): `cache`
+    // of `V` inside the window loop gives `V.cache` a shape over the loop
+    // iterators, and taping it under `TapePolicy::All` declared
+    // `V.cache.tape` at function scope with `j` in its shape — `undefined
+    // name` on every backend. Autodiff now refuses such a tape
+    // (`AdError::Unsupported`), which the sweep counts as a skip. That one
+    // file is pinned to exactly this refusal; every other repro must replay.
+    const REFUSED: &str = "longformer-seed63815-interp-grad-all-t64-opt-then-grad.json";
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/repros/grad");
     let mut n = 0;
     for entry in std::fs::read_dir(dir).expect("repro corpus dir") {
@@ -149,6 +158,15 @@ fn committed_grad_repros_stay_fixed() {
         let repro = Repro::from_json(&text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(repro.grad.is_some(), "{}: not a grad repro", path.display());
+        if path.file_name().and_then(|f| f.to_str()) == Some(REFUSED) {
+            let e = repro.replay().expect_err("the iterator-shaped tape must be refused");
+            assert!(
+                e.starts_with("autodiff unsupported: tape for `V.cache`"),
+                "{}: {e}",
+                path.display()
+            );
+            continue;
+        }
         let replayed = repro
             .replay()
             .unwrap_or_else(|e| panic!("{}: replay setup failed: {e}", path.display()));
@@ -158,7 +176,7 @@ fn committed_grad_repros_stay_fixed() {
             path.display()
         );
     }
-    assert!(n >= 2, "repro corpus went missing ({n} files)");
+    assert!(n >= 3, "repro corpus went missing ({n} files)");
 }
 
 #[test]

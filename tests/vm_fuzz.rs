@@ -60,7 +60,7 @@ fn vm_matches_interp_on_random_scheduled_workloads() {
     for w in Workload::ALL {
         for k in 0..10u64 {
             // Mirrors the conformance sweep's per-variant seed derivation.
-            let stream = ft_ir::fnv1a_p44(w.name().as_bytes())
+            let stream = ft_ir::fnv1a(w.name().as_bytes())
                 ^ 0xF0DD_u64
                 ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let case = Case::build(w, stream & 0xFFFF);
