@@ -151,7 +151,6 @@ fn search_all(
             seed,
             workers,
             warm_payoff,
-            ..ft_autoschedule::search::SearchConfig::default()
         };
         let (saved, outcome) = search_schedule(&prep, &config, None, Some(bench_metrics()));
         // Never worse than the rule trace on the axis this run optimized.

@@ -31,7 +31,7 @@
 //! constant), `naive_peak_bytes` (stack-discipline peak of that regime)
 //! and `planned_peak_bytes` (the arena size).
 
-use ft_ir::{BinaryOp, DataType, Expr, Func, MemType, Stmt, StmtId, StmtKind};
+use ft_ir::{scalar, BinaryOp, DataType, Expr, Func, MemType, Stmt, StmtId, StmtKind};
 use std::collections::HashMap;
 
 /// Arena slices are aligned to the simulated cache line, matching the
@@ -43,25 +43,19 @@ fn align_up(b: u64) -> u64 {
 }
 
 /// Best-effort constant evaluation of a shape/bound expression under the
-/// given size-parameter bindings. `None` marks the extent dynamic.
+/// given size-parameter bindings, by the integer operators of
+/// [`ft_ir::scalar`]. `None` marks the extent dynamic — or not a number
+/// `i64` holds: an extent that overflows is `None`, never a wrapped figure.
 pub fn eval_extent(e: &Expr, sizes: &HashMap<String, i64>) -> Option<i64> {
+    use BinaryOp::*;
     match e {
         Expr::IntConst(v) => Some(*v),
         Expr::Var(n) => sizes.get(n).copied(),
-        Expr::Binary { op, a, b } => {
-            let x = eval_extent(a, sizes)?;
-            let y = eval_extent(b, sizes)?;
-            Some(match op {
-                BinaryOp::Add => x + y,
-                BinaryOp::Sub => x - y,
-                BinaryOp::Mul => x * y,
-                BinaryOp::Div if y != 0 => x.div_euclid(y),
-                BinaryOp::Mod if y != 0 => x.rem_euclid(y),
-                BinaryOp::Min => x.min(y),
-                BinaryOp::Max => x.max(y),
-                _ => return None,
-            })
-        }
+        Expr::Binary {
+            op: op @ (Add | Sub | Mul | Div | Mod | Min | Max),
+            a,
+            b,
+        } => scalar::checked_int_binary(*op, eval_extent(a, sizes)?, eval_extent(b, sizes)?),
         Expr::Cast { a, .. } => eval_extent(a, sizes),
         _ => None,
     }
@@ -238,8 +232,8 @@ impl Walker<'_> {
                 let numel: Option<u64> = shape
                     .iter()
                     .map(|e| eval_extent(e, self.sizes))
-                    .try_fold(1u64, |a, b| b.map(|v| a * v.max(0) as u64));
-                let bytes = numel.map(|n| n * dtype.size_bytes() as u64);
+                    .try_fold(1u64, |a, b| a.checked_mul(b?.max(0) as u64));
+                let bytes = numel.and_then(|n| n.checked_mul(dtype.size_bytes() as u64));
                 let def_idx = self.defs.len();
                 self.defs
                     .push((name.clone(), s.id, *dtype, *mtype, bytes, my_seq));
@@ -268,7 +262,7 @@ impl Walker<'_> {
                     eval_extent(begin, self.sizes),
                     eval_extent(end, self.sizes),
                 ) {
-                    (Some(b), Some(e)) => (e - b).max(0) as u64,
+                    (Some(b), Some(e)) => e.saturating_sub(b).max(0) as u64,
                     _ => 1,
                 };
                 let saved = self.trip_factor;
@@ -782,8 +776,8 @@ impl MemPlan {
     /// `planned_peak_bytes` alone would undercount programs whose footprint
     /// is dominated by parameters.
     pub fn run_peak_bytes(&self, param_bytes: impl IntoIterator<Item = u64>) -> u64 {
-        let params: u64 = param_bytes.into_iter().map(align_up).sum();
-        self.planned_peak_bytes.saturating_add(params)
+        let aligned = param_bytes.into_iter().map(align_up);
+        aligned.fold(self.planned_peak_bytes, u64::saturating_add)
     }
 
     /// The plan entry of the `k`-th pre-order `VarDef`.

@@ -54,12 +54,6 @@ pub struct SearchConfig {
     pub budget: usize,
     /// RNG seed; the single source of randomness.
     pub seed: u64,
-    /// Survivors kept between generations.
-    pub population: usize,
-    /// Candidates proposed per generation.
-    pub generation_size: usize,
-    /// Hard cap on trace length (crossover and append respect it).
-    pub max_trace_len: usize,
     /// Evaluation worker threads. **Does not affect the result**, only
     /// wall-clock: candidates are generated and ranked sequentially, and
     /// parallel evaluation writes into per-candidate slots.
@@ -74,9 +68,6 @@ impl Default for SearchConfig {
         SearchConfig {
             budget: 256,
             seed: 2022,
-            population: 8,
-            generation_size: 16,
-            max_trace_len: 24,
             workers: 1,
             warm_payoff: None,
         }
@@ -431,7 +422,7 @@ fn select<'a>(rng: &mut StdRng, pop: &'a [Indiv]) -> &'a Indiv {
     }
 }
 
-fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable, max_len: usize) -> Proposal {
+fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable) -> Proposal {
     let parent = select(rng, pop);
     let mut trace = parent.trace.clone();
     // Kinds: mutate 3, append 3, truncate 2, crossover 2.
@@ -449,7 +440,7 @@ fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable, max_len: usize
         credited.push(op_kind_name(&op));
         let pos = rng.gen_range(0..=trace.len());
         trace.insert(pos, op);
-        trace.truncate(max_len);
+        trace.truncate(MAX_TRACE_LEN);
     } else if roll < 8 {
         // Truncate: drop one op.
         let pos = rng.gen_range(0..trace.len());
@@ -461,7 +452,7 @@ fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable, max_len: usize
         let b = rng.gen_range(0..=other.trace.len());
         trace.truncate(a);
         trace.extend_from_slice(&other.trace[b..]);
-        trace.truncate(max_len);
+        trace.truncate(MAX_TRACE_LEN);
     }
     Proposal {
         trace,
@@ -487,6 +478,15 @@ const fn worst_score() -> ScheduleScore {
         dram_bytes: u64::MAX,
     }
 }
+
+/// Survivors kept between generations.
+pub const POPULATION: usize = 8;
+
+/// Candidates proposed per generation.
+pub const GENERATION_SIZE: usize = 16;
+
+/// Hard cap on trace length (crossover and append respect it).
+pub const MAX_TRACE_LEN: usize = 24;
 
 /// Candidates handed to the measurer per generation: the three the model
 /// ranks best among those nothing has timed yet, plus one drawn by the
@@ -764,7 +764,7 @@ impl Searcher<'_> {
 /// short version:
 ///
 /// - generation 0 evaluates the empty trace and [`rule_trace`];
-/// - each generation proposes [`SearchConfig::generation_size`] candidates
+/// - each generation proposes [`GENERATION_SIZE`] candidates
 ///   by payoff-weighted mutate/append/truncate/crossover, prepares them in
 ///   parallel, answers duplicates from the memo table, evaluates the rest
 ///   in parallel (never exceeding [`SearchConfig::budget`] evaluator
@@ -860,8 +860,8 @@ pub fn search(
         generations += 1;
         let mut span = sink.map(|s| s.span("search", "generation"));
         // Propose sequentially (single RNG stream → deterministic).
-        let proposals: Vec<Proposal> = (0..config.generation_size)
-            .map(|_| propose(&mut st.rng, &pop, &payoff, config.max_trace_len))
+        let proposals: Vec<Proposal> = (0..GENERATION_SIZE)
+            .map(|_| propose(&mut st.rng, &pop, &payoff))
             .collect();
         let traces: Vec<Vec<ScheduleOp>> = proposals.iter().map(|p| p.trace.clone()).collect();
         let (evals_before, measured_before) = (st.evals, st.measurements.len());
@@ -890,7 +890,7 @@ pub fn search(
         // population can't collapse into copies of one schedule.
         pop.sort_by(|a, b| a.fitness.cmp(&b.fitness).then(a.key.cmp(&b.key)));
         pop.dedup_by_key(|i| i.key);
-        pop.truncate(config.population.max(1));
+        pop.truncate(POPULATION);
         report(&st, generations, &mut history);
         if let Some(s) = &mut span {
             s.arg("gen", generations);

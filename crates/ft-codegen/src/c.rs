@@ -28,6 +28,14 @@ static inline int64_t ft_fmod(int64_t a, int64_t b) {
     int64_t r = a % b;
     return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
 }
+static inline double ft_ffmod(double a, double b) {
+    double r = fmod(a, b);
+    return (r != 0.0 && ((r < 0.0) != (b < 0.0))) ? r + b : r;
+}
+static inline float ft_ffmodf(float a, float b) {
+    float r = fmodf(a, b);
+    return (r != 0.0f && ((r < 0.0f) != (b < 0.0f))) ? r + b : r;
+}
 static inline double ft_sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
 static inline float ft_sigmoidf(float x) { return 1.0f / (1.0f + expf(-x)); }
 "#;
@@ -54,6 +62,7 @@ const TYPES: [&str; 5] = ["float", "double", "int32_t", "int64_t", "bool"];
 /// preamble's support library) plus the C99 keywords — IR names must never
 /// mangle onto these.
 const RESERVED: &[&str] = &[
+    "ft_ffmod", "ft_ffmodf",
     "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_sigmoidf", "ft_lib_matmul", "ft_entry", "__ft_prof",
     "__ft_t0", "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "auto", "break",
     "case", "char", "const", "continue", "default", "do", "double", "else", "enum", "extern",
@@ -313,8 +322,8 @@ fn float_fn(name: &str, single: bool) -> &'static str {
         ("sigmoid", false) => "ft_sigmoid(",
         ("tanh", true) => "tanhf(",
         ("tanh", false) => "tanh(",
-        ("%", true) => "fmodf(",
-        ("%", false) => "fmod(",
+        ("%", true) => "ft_ffmodf(",
+        ("%", false) => "ft_ffmod(",
         ("min", true) => "fminf(",
         ("min", false) => "fmin(",
         ("max", true) => "fmaxf(",
@@ -1754,7 +1763,7 @@ mod tests {
         for line in [
             "const float ft_c1 = x[0];",
             "y[0] = (expf((ft_c1 * 0.5f)) / 3);",
-            "y[1] = fminf(fmaxf(ft_c1, 0.0f), fmodf(ft_c1, 2.5f));",
+            "y[1] = fminf(fmaxf(ft_c1, 0.0f), ft_ffmodf(ft_c1, 2.5f));",
             "y[2] = powf(ft_c1, 2);",
             "y[3] = ft_sigmoidf(fabsf(ft_c1));",
             "y[4] = ((ft_c1 < 0.0f) ? (-ft_c1) : 1.5f);",
@@ -1767,7 +1776,7 @@ mod tests {
         let double = emit_c(&body(DataType::F64)).unwrap();
         for line in [
             "y[0] = (exp((ft_c1 * 0.5)) / 3);",
-            "y[1] = fmin(fmax(ft_c1, 0.0), fmod(ft_c1, 2.5));",
+            "y[1] = fmin(fmax(ft_c1, 0.0), ft_ffmod(ft_c1, 2.5));",
             "y[2] = pow(ft_c1, 2);",
             "y[3] = ft_sigmoid(fabs(ft_c1));",
             "y[4] = ((ft_c1 < 0.0) ? (-ft_c1) : 1.5);",
@@ -1779,7 +1788,7 @@ mod tests {
         // themselves integers compare exactly.
         let int = emit_c(&body(DataType::I64)).unwrap();
         for line in [
-            "y[1] = fmin(fmax(ft_c1, 0.0), fmod(ft_c1, 2.5));",
+            "y[1] = fmin(fmax(ft_c1, 0.0), ft_ffmod(ft_c1, 2.5));",
             "y[3] = ft_sigmoid(llabs(ft_c1));",
             "y[5] = ((ft_c1 > 0) - (ft_c1 < 0));",
             "y[7] = ((y[7]) < ((ft_c1 + 1)) ? (y[7]) : ((ft_c1 + 1)));",

@@ -8,16 +8,19 @@ use crate::types::DataType;
 use std::collections::HashSet;
 use std::ops;
 
-/// A unary operator or elementary function.
+/// A unary operator or elementary function. What each evaluates to is
+/// [`crate::scalar::unary`], on every engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
-    /// Arithmetic negation.
+    /// Arithmetic negation. Wraps on integers (`-i64::MIN` is `i64::MIN`);
+    /// a `Bool` operand counts as 0/1 and yields an integer.
     Neg,
-    /// Logical not.
+    /// Logical not of the operand's truthiness (non-zero; NaN is true).
+    /// Yields `Bool`.
     Not,
-    /// Absolute value.
+    /// Absolute value. Wraps on integers; of a `Bool`, an integer.
     Abs,
-    /// Square root.
+    /// Square root. Like every function below, always a float.
     Sqrt,
     /// Natural exponential.
     Exp,
@@ -27,7 +30,8 @@ pub enum UnaryOp {
     Sigmoid,
     /// Hyperbolic tangent.
     Tanh,
-    /// Sign (`-1`, `0`, `1`), with the operand's type.
+    /// Sign (`-1`, `0`, `1`), with the operand's type (an integer for a
+    /// `Bool`). Of a NaN, `0.0`.
     Sign,
 }
 
@@ -48,27 +52,32 @@ impl UnaryOp {
     }
 }
 
-/// A binary operator.
+/// A binary operator. What each evaluates to is [`crate::scalar::binary`],
+/// on every engine: arithmetic is float when either operand is a float and
+/// integer otherwise (a `Bool` counting as 0/1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
-    /// Addition.
+    /// Addition. Like `Sub` and `Mul`, wraps on integers.
     Add,
     /// Subtraction.
     Sub,
     /// Multiplication.
     Mul,
     /// Division. Integer division rounds toward negative infinity
-    /// (floor division), which keeps loop-bound arithmetic monotone.
+    /// (floor division), which keeps loop-bound arithmetic monotone; an
+    /// integer division by zero is an error, not a value.
     Div,
-    /// Remainder matching floor division (result has the divisor's sign).
+    /// Remainder matching floor division (result has the divisor's sign),
+    /// on integers and on floats alike: `-7.5 % 2.0` is `0.5`.
     Mod,
-    /// Minimum.
+    /// Minimum. On floats a NaN operand is ignored.
     Min,
-    /// Maximum.
+    /// Maximum. On floats a NaN operand is ignored.
     Max,
-    /// Power.
+    /// Power. Always a float, whatever the operands: `pow(2, -1)` is `0.5`.
     Pow,
-    /// Equality (yields `Bool`).
+    /// Equality (yields `Bool`). Like every comparison, exact on two
+    /// integers; any other pair of operands is compared as `f64`.
     Eq,
     /// Inequality (yields `Bool`).
     Ne,
@@ -80,9 +89,10 @@ pub enum BinaryOp {
     Gt,
     /// Greater-or-equal (yields `Bool`).
     Ge,
-    /// Logical and.
+    /// Logical and of the operands' truthiness (non-zero; NaN is true).
+    /// Yields `Bool`.
     And,
-    /// Logical or.
+    /// Logical or, likewise.
     Or,
 }
 

@@ -40,6 +40,7 @@ pub mod func;
 pub mod hash;
 pub mod mutate;
 pub mod printer;
+pub mod scalar;
 pub mod stmt;
 pub mod types;
 pub mod visit;
@@ -50,6 +51,7 @@ pub use find::{find_stmt, find_stmts, parent_map, LoopNest};
 pub use func::{Func, Param};
 pub use hash::{fnv1a, Fnv1a};
 pub use mutate::Mutator;
+pub use scalar::{DivisionByZero, Scalar};
 pub use stmt::{ForProperty, ReduceOp, Stmt, StmtId, StmtKind};
 pub use types::{AccessType, DataType, Device, MemType, ParallelScope};
 pub use visit::Visitor;

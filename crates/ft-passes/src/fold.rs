@@ -1,61 +1,10 @@
 //! Constant folding and algebraic simplification of expressions.
 
 use ft_ir::mutate::{mutate_expr_walk, mutate_stmt_walk};
+use ft_ir::scalar::{self, Scalar};
 use ft_ir::{BinaryOp, DataType, Expr, Func, Mutator, Stmt, UnaryOp};
 
 struct Folder;
-
-fn int2(op: BinaryOp, a: i64, b: i64) -> Option<Expr> {
-    use BinaryOp::*;
-    Some(match op {
-        Add => Expr::IntConst(a.checked_add(b)?),
-        Sub => Expr::IntConst(a.checked_sub(b)?),
-        Mul => Expr::IntConst(a.checked_mul(b)?),
-        // Integer division/remainder use floor semantics, keeping loop-bound
-        // arithmetic monotone (documented on `BinaryOp::Div`).
-        Div => Expr::IntConst(if b == 0 { return None } else { a.div_euclid(b) }),
-        Mod => Expr::IntConst(if b == 0 { return None } else { a.rem_euclid(b) }),
-        Min => Expr::IntConst(a.min(b)),
-        Max => Expr::IntConst(a.max(b)),
-        Pow => Expr::IntConst(a.checked_pow(u32::try_from(b).ok()?)?),
-        Eq => Expr::BoolConst(a == b),
-        Ne => Expr::BoolConst(a != b),
-        Lt => Expr::BoolConst(a < b),
-        Le => Expr::BoolConst(a <= b),
-        Gt => Expr::BoolConst(a > b),
-        Ge => Expr::BoolConst(a >= b),
-        And | Or => return None,
-    })
-}
-
-fn float2(op: BinaryOp, a: f64, b: f64) -> Option<Expr> {
-    use BinaryOp::*;
-    Some(match op {
-        Add => Expr::FloatConst(a + b),
-        Sub => Expr::FloatConst(a - b),
-        Mul => Expr::FloatConst(a * b),
-        Div => Expr::FloatConst(a / b),
-        Mod => Expr::FloatConst(a.rem_euclid(b)),
-        Min => Expr::FloatConst(a.min(b)),
-        Max => Expr::FloatConst(a.max(b)),
-        Pow => Expr::FloatConst(a.powf(b)),
-        Eq => Expr::BoolConst(a == b),
-        Ne => Expr::BoolConst(a != b),
-        Lt => Expr::BoolConst(a < b),
-        Le => Expr::BoolConst(a <= b),
-        Gt => Expr::BoolConst(a > b),
-        Ge => Expr::BoolConst(a >= b),
-        And | Or => return None,
-    })
-}
-
-fn as_float(e: &Expr) -> Option<f64> {
-    match e {
-        Expr::FloatConst(v) => Some(*v),
-        Expr::IntConst(v) => Some(*v as f64),
-        _ => None,
-    }
-}
 
 fn is_int_zero(e: &Expr) -> bool {
     matches!(e, Expr::IntConst(0))
@@ -96,17 +45,15 @@ impl Mutator for Folder {
 
 fn fold_binary(op: BinaryOp, a: Expr, b: Expr) -> Expr {
     use BinaryOp::*;
-    // Pure constant folding first.
-    if let (Expr::IntConst(x), Expr::IntConst(y)) = (&a, &b) {
-        if let Some(r) = int2(op, *x, *y) {
-            return r;
-        }
-    }
-    if let (Some(x), Some(y)) = (as_float(&a), as_float(&b)) {
-        if matches!(&a, Expr::FloatConst(_)) || matches!(&b, Expr::FloatConst(_)) {
-            if let Some(r) = float2(op, x, y) {
-                return r;
-            }
+    // Pure constant folding first: the operator's value by the one table.
+    // A zero divisor stays for the run to report, and so does an integer
+    // result that wrapped.
+    if let (Some(x), Some(y)) = (Scalar::of_const(&a), Scalar::of_const(&b)) {
+        match scalar::binary(op, x, y) {
+            Ok(Scalar::Int(v))
+                if scalar::checked_int_binary(op, x.as_i64(), y.as_i64()) != Some(v) => {}
+            Ok(v) => return v.to_const(),
+            Err(scalar::DivisionByZero) => {}
         }
     }
     // Boolean identities.
@@ -134,32 +81,11 @@ fn fold_binary(op: BinaryOp, a: Expr, b: Expr) -> Expr {
 }
 
 fn fold_unary(op: UnaryOp, a: Expr) -> Expr {
-    use UnaryOp::*;
-    match (&op, &a) {
-        (Neg, Expr::IntConst(v)) => return Expr::IntConst(-v),
-        (Neg, Expr::FloatConst(v)) => return Expr::FloatConst(-v),
-        (Not, Expr::BoolConst(v)) => return Expr::BoolConst(!v),
-        (Abs, Expr::IntConst(v)) => return Expr::IntConst(v.abs()),
-        (Abs, Expr::FloatConst(v)) => return Expr::FloatConst(v.abs()),
-        (Sign, Expr::IntConst(v)) => return Expr::IntConst(v.signum()),
-        (Sign, Expr::FloatConst(v)) => {
-            return Expr::FloatConst(if *v > 0.0 {
-                1.0
-            } else if *v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            })
-        }
-        (Sqrt, Expr::FloatConst(v)) => return Expr::FloatConst(v.sqrt()),
-        (Exp, Expr::FloatConst(v)) => return Expr::FloatConst(v.exp()),
-        (Ln, Expr::FloatConst(v)) => return Expr::FloatConst(v.ln()),
-        (Sigmoid, Expr::FloatConst(v)) => return Expr::FloatConst(1.0 / (1.0 + (-v).exp())),
-        (Tanh, Expr::FloatConst(v)) => return Expr::FloatConst(v.tanh()),
-        _ => {}
+    if let Some(x) = Scalar::of_const(&a) {
+        return scalar::unary(op, x).to_const();
     }
     // --x -> x
-    if op == Neg {
+    if op == UnaryOp::Neg {
         if let Expr::Unary {
             op: UnaryOp::Neg,
             a: inner,
@@ -172,14 +98,9 @@ fn fold_unary(op: UnaryOp, a: Expr) -> Expr {
 }
 
 fn fold_cast(dtype: DataType, a: Expr) -> Expr {
-    match (&a, dtype) {
-        (Expr::IntConst(v), DataType::F32 | DataType::F64) => Expr::FloatConst(*v as f64),
-        (Expr::IntConst(v), DataType::I32) => Expr::IntConst(*v as i32 as i64),
-        (Expr::IntConst(v), DataType::I64) => Expr::IntConst(*v),
-        (Expr::FloatConst(v), DataType::I32 | DataType::I64) => Expr::IntConst(*v as i64),
-        (Expr::FloatConst(v), DataType::F32) => Expr::FloatConst(*v as f32 as f64),
-        (Expr::FloatConst(v), DataType::F64) => Expr::FloatConst(*v),
-        _ => Expr::cast(dtype, a),
+    match Scalar::of_const(&a) {
+        Some(x) => scalar::cast(dtype, x).to_const(),
+        None => Expr::cast(dtype, a),
     }
 }
 

@@ -41,19 +41,18 @@ impl<'f> Resolved<'f> {
     /// # Errors
     ///
     /// [`RuntimeError::UnresolvedSize`] naming a size parameter that was
-    /// not supplied (or the parameter whose extent is negative or not a
-    /// function of the sizes), [`RuntimeError::DivisionByZero`] for a zero
-    /// divisor in an extent.
+    /// not supplied (or the parameter whose extent is negative, not a
+    /// function of the sizes, or — like its element count or byte size —
+    /// overflows), [`RuntimeError::DivisionByZero`] for a zero divisor in
+    /// an extent.
     pub(crate) fn new(
         func: &'f Func,
         sizes: &HashMap<String, i64>,
         lower: bool,
     ) -> Result<Resolved<'f>, RuntimeError> {
-        let (func, plan) = if lower {
-            ft_codegen::lower_and_plan(func, sizes)
-        } else {
-            (Cow::Borrowed(func), MemPlan::plan(func, sizes))
-        };
+        // Sizes, shapes and byte counts first — the lowering leaves the
+        // parameters alone — so a call whose extents are not numbers this
+        // host holds is refused before anything is lowered or planned.
         let size_vals: Vec<i64> = func
             .size_params
             .iter()
@@ -69,6 +68,26 @@ impl<'f> Resolved<'f> {
             .iter()
             .map(|p| p.shape.iter().map(|e| extent(e, sizes, &p.name)).collect())
             .collect::<Result<_, _>>()?;
+        let param_bytes: Vec<u64> = func
+            .params
+            .iter()
+            .zip(&shapes)
+            .map(|(p, shape)| {
+                shape
+                    .iter()
+                    .try_fold(p.dtype.size_bytes(), |n, d| n.checked_mul(*d))
+                    // What an allocation can be; leaves the 64-byte
+                    // alignment of the budget room too.
+                    .filter(|bytes| isize::try_from(*bytes).is_ok())
+                    .map(|bytes| bytes as u64)
+                    .ok_or_else(|| RuntimeError::UnresolvedSize(p.name.clone()))
+            })
+            .collect::<Result<_, _>>()?;
+        let (func, plan) = if lower {
+            ft_codegen::lower_and_plan(func, sizes)
+        } else {
+            (Cow::Borrowed(func), MemPlan::plan(func, sizes))
+        };
         // Two calls with equal signatures bind buffers of identical names,
         // element types and byte sizes.
         let mut h = ft_ir::Fnv1a::new();
@@ -86,9 +105,6 @@ impl<'f> Resolved<'f> {
             h.write(n.as_bytes());
             h.write(&v.to_le_bytes());
         }
-        let param_bytes = func.params.iter().zip(&shapes).map(|(p, shape)| {
-            (shape.iter().product::<usize>() as u64).saturating_mul(p.dtype.size_bytes() as u64)
-        });
         let run_peak_bytes = plan.run_peak_bytes(param_bytes);
         Ok(Resolved {
             shape_sig: h.finish(),
@@ -209,6 +225,54 @@ mod tests {
         assert_eq!(e, Err(RuntimeError::DivisionByZero));
         let e = extent(&var("n").rem(var("z") - 1), &sizes(&[("n", 4), ("z", 1)]), "x");
         assert_eq!(e, Err(RuntimeError::DivisionByZero));
+    }
+
+    #[test]
+    fn an_extent_or_a_size_that_overflows_is_refused_by_every_engine_before_anything_runs() {
+        // `[n * n]` at n = 2^32 is an extent `i64` does not hold; `[n, n]` at
+        // n = 2^33 has extents it does and an element count `usize` does
+        // not. Unchecked, both multiplications panicked in a debug build
+        // and wrapped in release — `[n * n]` to a zero-length buffer.
+        let fill = |name: &str, shape: Vec<Expr>| {
+            Func::new(name)
+                .param("x", [4], DataType::F32, AccessType::Input)
+                .param("y", shape, DataType::F32, AccessType::Output)
+                .size_param("n")
+                .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")]))))
+        };
+        let programs = [
+            (fill("squared", vec![var("n") * var("n")]), 1i64 << 32),
+            (fill("square", vec![var("n"), var("n")]), 1i64 << 33),
+        ];
+        let want = RuntimeError::UnresolvedSize("y".to_string());
+        let warm = halve_and_double();
+        let warm_sizes = sizes(&[("n", 8), ("d", 2)]);
+        for (f, n) in &programs {
+            let big = sizes(&[("n", *n)]);
+            assert_eq!(extent(&f.params[1].shape[0], &big, "y").is_ok(), f.name == "square");
+            for (engine, metrics) in engines(&f.name) {
+                let who = format!("{} on {}", engine.name(), f.name);
+                // What `ft-serve` admission asks for: the refusal, not a
+                // wrapped `run_peak_bytes`.
+                assert_eq!(engine.resolve(f, &big).err().as_ref(), Some(&want), "{who}");
+                assert_eq!(engine.run(f, &x_of(4), &big).err().as_ref(), Some(&want), "{who}");
+                assert_eq!(metrics.snapshot().counter("compiled.cc.spawned"), 0, "{who}");
+                if engine.name() == "compiled" && !cc_available() {
+                    continue;
+                }
+                // A context warm on another program is neither poisoned nor
+                // rebound by the refusal, and serves its next call.
+                let mut ctx = RunContext::new();
+                let r = engine.run_with(&warm, &x_of(4), &warm_sizes, &mut ctx).expect(&who);
+                ctx.recycle(r).expect(&who);
+                let refused = engine.run_with(f, &x_of(4), &big, &mut ctx);
+                assert_eq!(refused.err().as_ref(), Some(&want), "{who}");
+                assert!(!ctx.is_poisoned(), "{who}");
+                assert_eq!(ctx.bound_func(), Some("halve"), "{who}");
+                let r = engine.run_with(&warm, &x_of(4), &warm_sizes, &mut ctx).expect(&who);
+                assert_eq!(r.output("y").to_f64_vec(), vec![3.0; 4], "{who}");
+            }
+        }
     }
 
     #[test]

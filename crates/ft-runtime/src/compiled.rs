@@ -569,7 +569,7 @@ impl ExecCtx<'_> {
             CExpr::Unary { op, a } => {
                 let v = self.eval(a)?;
                 self.count_op(matches!(v, Scalar::Float(_)));
-                crate::interp::eval_unary(*op, v)?
+                ft_ir::scalar::unary(*op, v)
             }
             CExpr::Binary { op, a, b } => {
                 let va = self.eval(a)?;
@@ -577,7 +577,7 @@ impl ExecCtx<'_> {
                 self.count_op(
                     matches!(va, Scalar::Float(_)) || matches!(vb, Scalar::Float(_)),
                 );
-                crate::interp::eval_binary(*op, va, vb)?
+                ft_ir::scalar::binary(*op, va, vb)?
             }
             CExpr::Select {
                 cond,
@@ -590,16 +590,7 @@ impl ExecCtx<'_> {
                     self.eval(otherwise)?
                 }
             }
-            CExpr::Cast { dtype, a } => {
-                let v = self.eval(a)?;
-                match dtype {
-                    DataType::F32 => Scalar::Float(v.as_f64() as f32 as f64),
-                    DataType::F64 => Scalar::Float(v.as_f64()),
-                    DataType::I32 => Scalar::Int(v.as_i64() as i32 as i64),
-                    DataType::I64 => Scalar::Int(v.as_i64()),
-                    DataType::Bool => Scalar::Bool(v.as_bool()),
-                }
-            }
+            CExpr::Cast { dtype, a } => ft_ir::scalar::cast(*dtype, self.eval(a)?),
         })
     }
 
@@ -719,7 +710,7 @@ impl ExecCtx<'_> {
                 self.count_op(
                     matches!(old, Scalar::Float(_)) || matches!(v, Scalar::Float(_)),
                 );
-                let new = crate::interp::apply_reduce(*op, old, v);
+                let new = ft_ir::scalar::reduce(*op, old, v);
                 self.tensors[*t]
                     .as_mut()
                     .expect("checked")

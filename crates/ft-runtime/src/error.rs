@@ -157,6 +157,12 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
+impl From<ft_ir::DivisionByZero> for RuntimeError {
+    fn from(_: ft_ir::DivisionByZero) -> RuntimeError {
+        RuntimeError::DivisionByZero
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,8 @@ use crate::counters::{CacheSim, PerfCounters};
 use crate::device::DeviceConfig;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
-use crate::value::{Scalar, TensorVal};
-use ft_ir::{AccessType, BinaryOp, Func, ReduceOp, UnaryOp};
+use crate::value::TensorVal;
+use ft_ir::{AccessType, Func};
 use ft_trace::{RunProfile, StmtCounters, TRACK_RUNTIME};
 use std::collections::HashMap;
 
@@ -183,115 +183,6 @@ fn bind_and_exec(
         }
     }
     Ok(outputs)
-}
-
-/// Apply a reduction operator to `old` and `v`.
-pub fn apply_reduce(op: ReduceOp, old: Scalar, v: Scalar) -> Scalar {
-    let float = matches!(old, Scalar::Float(_)) || matches!(v, Scalar::Float(_));
-    if float {
-        let (a, b) = (old.as_f64(), v.as_f64());
-        Scalar::Float(match op {
-            ReduceOp::Add => a + b,
-            ReduceOp::Mul => a * b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        })
-    } else {
-        let (a, b) = (old.as_i64(), v.as_i64());
-        Scalar::Int(match op {
-            ReduceOp::Add => a + b,
-            ReduceOp::Mul => a * b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        })
-    }
-}
-
-pub(crate) fn eval_unary(op: UnaryOp, v: Scalar) -> Result<Scalar, RuntimeError> {
-    Ok(match (op, v) {
-        (UnaryOp::Neg, Scalar::Int(x)) => Scalar::Int(-x),
-        (UnaryOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
-        (UnaryOp::Not, x) => Scalar::Bool(!x.as_bool()),
-        (UnaryOp::Abs, Scalar::Int(x)) => Scalar::Int(x.abs()),
-        (UnaryOp::Abs, Scalar::Float(x)) => Scalar::Float(x.abs()),
-        (UnaryOp::Sign, Scalar::Int(x)) => Scalar::Int(x.signum()),
-        (UnaryOp::Sign, Scalar::Float(x)) => Scalar::Float(if x > 0.0 {
-            1.0
-        } else if x < 0.0 {
-            -1.0
-        } else {
-            0.0
-        }),
-        (UnaryOp::Sqrt, x) => Scalar::Float(x.as_f64().sqrt()),
-        (UnaryOp::Exp, x) => Scalar::Float(x.as_f64().exp()),
-        (UnaryOp::Ln, x) => Scalar::Float(x.as_f64().ln()),
-        (UnaryOp::Sigmoid, x) => Scalar::Float(1.0 / (1.0 + (-x.as_f64()).exp())),
-        (UnaryOp::Tanh, x) => Scalar::Float(x.as_f64().tanh()),
-        (op, x) => {
-            // Remaining combinations operate on the float value.
-            let _ = op;
-            x
-        }
-    })
-}
-
-pub(crate) fn eval_binary(op: BinaryOp, a: Scalar, b: Scalar) -> Result<Scalar, RuntimeError> {
-    use BinaryOp::*;
-    let float = matches!(a, Scalar::Float(_)) || matches!(b, Scalar::Float(_));
-    Ok(match op {
-        And => Scalar::Bool(a.as_bool() && b.as_bool()),
-        Or => Scalar::Bool(a.as_bool() || b.as_bool()),
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            Scalar::Bool(match op {
-                Eq => x == y,
-                Ne => x != y,
-                Lt => x < y,
-                Le => x <= y,
-                Gt => x > y,
-                Ge => x >= y,
-                _ => unreachable!(),
-            })
-        }
-        _ if float => {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            Scalar::Float(match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                Div => x / y,
-                Mod => x.rem_euclid(y),
-                Min => x.min(y),
-                Max => x.max(y),
-                Pow => x.powf(y),
-                _ => unreachable!(),
-            })
-        }
-        _ => {
-            let (x, y) = (a.as_i64(), b.as_i64());
-            Scalar::Int(match op {
-                Add => x.wrapping_add(y),
-                Sub => x.wrapping_sub(y),
-                Mul => x.wrapping_mul(y),
-                Div => {
-                    if y == 0 {
-                        return Err(RuntimeError::DivisionByZero);
-                    }
-                    x.div_euclid(y)
-                }
-                Mod => {
-                    if y == 0 {
-                        return Err(RuntimeError::DivisionByZero);
-                    }
-                    x.rem_euclid(y)
-                }
-                Min => x.min(y),
-                Max => x.max(y),
-                Pow => x.pow(y.clamp(0, 62) as u32),
-                _ => unreachable!(),
-            })
-        }
-    })
 }
 
 #[cfg(test)]

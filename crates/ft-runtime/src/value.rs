@@ -1,5 +1,6 @@
 //! Runtime tensor values.
 
+pub use ft_ir::Scalar;
 use ft_ir::DataType;
 use std::fmt;
 
@@ -23,46 +24,6 @@ pub(crate) enum Data {
     I32(Vec<i32>),
     I64(Vec<i64>),
     Bool(Vec<bool>),
-}
-
-/// A scalar element, used at the interpreter boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scalar {
-    /// Integer value (covers I32/I64 storage).
-    Int(i64),
-    /// Floating value (covers F32/F64 storage).
-    Float(f64),
-    /// Boolean value.
-    Bool(bool),
-}
-
-impl Scalar {
-    /// Numeric value as f64 (booleans as 0/1).
-    pub fn as_f64(self) -> f64 {
-        match self {
-            Scalar::Int(v) => v as f64,
-            Scalar::Float(v) => v,
-            Scalar::Bool(b) => b as i64 as f64,
-        }
-    }
-
-    /// Numeric value as i64 (floats truncated toward zero).
-    pub fn as_i64(self) -> i64 {
-        match self {
-            Scalar::Int(v) => v,
-            Scalar::Float(v) => v as i64,
-            Scalar::Bool(b) => b as i64,
-        }
-    }
-
-    /// Truthiness.
-    pub fn as_bool(self) -> bool {
-        match self {
-            Scalar::Int(v) => v != 0,
-            Scalar::Float(v) => v != 0.0,
-            Scalar::Bool(b) => b,
-        }
-    }
 }
 
 impl TensorVal {
@@ -515,8 +476,8 @@ pub mod lanes {
         acc
     }
 
-    /// `max` fold through the same `f64::max` the interpreter's
-    /// `apply_reduce` uses (NaN handling included).
+    /// `max` fold through the same `f64::max` `ft_ir::scalar` reduces
+    /// with (NaN handling included).
     pub fn max_f32(acc0: f32, x: &[f32]) -> f32 {
         let mut acc = acc0;
         for v in x {

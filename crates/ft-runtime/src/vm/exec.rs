@@ -84,6 +84,17 @@ pub(super) struct VmTally {
     pub(super) kernel_ns: ft_metrics::Histogram,
 }
 
+/// A value as its register holds it: `Scalar` widens exactly like the
+/// register file does.
+#[inline(always)]
+fn bits_of(v: Scalar) -> u64 {
+    match v {
+        Scalar::Float(x) => x.to_bits(),
+        Scalar::Int(x) => x as u64,
+        Scalar::Bool(x) => x as u64,
+    }
+}
+
 #[inline(always)]
 fn dev_index(device: Device) -> usize {
     matches!(device, Device::Gpu) as usize
@@ -118,6 +129,22 @@ impl VmState<'_> {
     #[inline(always)]
     fn wb(&mut self, r: u32, v: bool) {
         self.regs[r as usize] = v as u64;
+    }
+
+    /// `dst = a op b` on integers, by the table; with `op` a constant the
+    /// operator's own arm is all that is left of it.
+    #[inline(always)]
+    fn bin_i(&mut self, op: BinaryOp, dst: u32, a: u32, b: u32) -> Result<(), RuntimeError> {
+        let v = scalar::int_binary(op, self.ri(a), self.ri(b))?;
+        self.wi(dst, v);
+        Ok(())
+    }
+
+    /// `dst = a op b` on floats, likewise.
+    #[inline(always)]
+    fn bin_f(&mut self, op: BinaryOp, dst: u32, a: u32, b: u32) {
+        let v = scalar::float_binary(op, self.rf(a), self.rf(b));
+        self.wf(dst, v);
     }
 
     #[inline]
@@ -197,7 +224,7 @@ impl VmState<'_> {
         v: Scalar,
     ) -> Result<(), RuntimeError> {
         let old = self.load_flat_val(t, o)?;
-        let new = crate::interp::apply_reduce(op, old, v);
+        let new = scalar::reduce(op, old, v);
         self.slot_mut(t)
             .as_mut()
             .expect("checked above")
@@ -339,197 +366,42 @@ impl VmState<'_> {
                     let x = self.ri(*dst).wrapping_add(*v);
                     self.wi(*dst, x);
                 }
-                Instr::AddI { dst, a, b } => {
-                    let v = self.ri(*a).wrapping_add(self.ri(*b));
+                Instr::AddI { dst, a, b } => self.bin_i(BinaryOp::Add, *dst, *a, *b)?,
+                Instr::SubI { dst, a, b } => self.bin_i(BinaryOp::Sub, *dst, *a, *b)?,
+                Instr::MulI { dst, a, b } => self.bin_i(BinaryOp::Mul, *dst, *a, *b)?,
+                Instr::BinI { op, dst, a, b } => self.bin_i(*op, *dst, *a, *b)?,
+                Instr::AddF { dst, a, b } => self.bin_f(BinaryOp::Add, *dst, *a, *b),
+                Instr::SubF { dst, a, b } => self.bin_f(BinaryOp::Sub, *dst, *a, *b),
+                Instr::MulF { dst, a, b } => self.bin_f(BinaryOp::Mul, *dst, *a, *b),
+                Instr::DivF { dst, a, b } => self.bin_f(BinaryOp::Div, *dst, *a, *b),
+                Instr::BinF { op, dst, a, b } => self.bin_f(*op, *dst, *a, *b),
+                Instr::BinB { op, dst, a, b } => {
+                    let v = scalar::logic(*op, self.rb(*a), self.rb(*b));
+                    self.wb(*dst, v);
+                }
+                Instr::CmpI { op, dst, a, b } => {
+                    let v = scalar::compare(*op, self.ri(*a), self.ri(*b));
+                    self.wb(*dst, v);
+                }
+                Instr::CmpF { op, dst, a, b } => {
+                    let v = scalar::compare(*op, self.rf(*a), self.rf(*b));
+                    self.wb(*dst, v);
+                }
+                Instr::UnI { op, dst, a } => {
+                    let v = scalar::int_unary(*op, self.ri(*a));
                     self.wi(*dst, v);
                 }
-                Instr::SubI { dst, a, b } => {
-                    let v = self.ri(*a).wrapping_sub(self.ri(*b));
-                    self.wi(*dst, v);
-                }
-                Instr::MulI { dst, a, b } => {
-                    let v = self.ri(*a).wrapping_mul(self.ri(*b));
-                    self.wi(*dst, v);
-                }
-                Instr::DivI { dst, a, b } => {
-                    let y = self.ri(*b);
-                    if y == 0 {
-                        return Err(RuntimeError::DivisionByZero);
-                    }
-                    let v = self.ri(*a).div_euclid(y);
-                    self.wi(*dst, v);
-                }
-                Instr::ModI { dst, a, b } => {
-                    let y = self.ri(*b);
-                    if y == 0 {
-                        return Err(RuntimeError::DivisionByZero);
-                    }
-                    let v = self.ri(*a).rem_euclid(y);
-                    self.wi(*dst, v);
-                }
-                Instr::MinI { dst, a, b } => {
-                    let v = self.ri(*a).min(self.ri(*b));
-                    self.wi(*dst, v);
-                }
-                Instr::MaxI { dst, a, b } => {
-                    let v = self.ri(*a).max(self.ri(*b));
-                    self.wi(*dst, v);
-                }
-                Instr::PowI { dst, a, b } => {
-                    let e = self.ri(*b).clamp(0, 62) as u32;
-                    let v = self.ri(*a).wrapping_pow(e);
-                    self.wi(*dst, v);
-                }
-                Instr::AddF { dst, a, b } => {
-                    let v = self.rf(*a) + self.rf(*b);
+                Instr::UnF { op, dst, a } => {
+                    let v = scalar::float_unary(*op, self.rf(*a));
                     self.wf(*dst, v);
                 }
-                Instr::SubF { dst, a, b } => {
-                    let v = self.rf(*a) - self.rf(*b);
-                    self.wf(*dst, v);
-                }
-                Instr::MulF { dst, a, b } => {
-                    let v = self.rf(*a) * self.rf(*b);
-                    self.wf(*dst, v);
-                }
-                Instr::DivF { dst, a, b } => {
-                    let v = self.rf(*a) / self.rf(*b);
-                    self.wf(*dst, v);
-                }
-                Instr::ModF { dst, a, b } => {
-                    let v = self.rf(*a).rem_euclid(self.rf(*b));
-                    self.wf(*dst, v);
-                }
-                Instr::MinF { dst, a, b } => {
-                    let v = self.rf(*a).min(self.rf(*b));
-                    self.wf(*dst, v);
-                }
-                Instr::MaxF { dst, a, b } => {
-                    let v = self.rf(*a).max(self.rf(*b));
-                    self.wf(*dst, v);
-                }
-                Instr::PowF { dst, a, b } => {
-                    let v = self.rf(*a).powf(self.rf(*b));
-                    self.wf(*dst, v);
-                }
-                Instr::NegI { dst, a } => {
-                    let v = self.ri(*a).wrapping_neg();
-                    self.wi(*dst, v);
-                }
-                Instr::NegF { dst, a } => {
-                    let v = -self.rf(*a);
-                    self.wf(*dst, v);
-                }
-                Instr::AbsI { dst, a } => {
-                    let v = self.ri(*a).wrapping_abs();
-                    self.wi(*dst, v);
-                }
-                Instr::AbsF { dst, a } => {
-                    let v = self.rf(*a).abs();
-                    self.wf(*dst, v);
-                }
-                Instr::SignI { dst, a } => {
-                    let v = self.ri(*a).signum();
-                    self.wi(*dst, v);
-                }
-                Instr::SignF { dst, a } => {
-                    let x = self.rf(*a);
-                    let v = if x > 0.0 {
-                        1.0
-                    } else if x < 0.0 {
-                        -1.0
-                    } else {
-                        0.0
-                    };
-                    self.wf(*dst, v);
-                }
-                Instr::NotB { dst, a } => {
+                Instr::Not { dst, a } => {
                     let v = !self.rb(*a);
                     self.wb(*dst, v);
                 }
-                Instr::SqrtF { dst, a } => {
-                    let v = self.rf(*a).sqrt();
-                    self.wf(*dst, v);
-                }
-                Instr::ExpF { dst, a } => {
-                    let v = self.rf(*a).exp();
-                    self.wf(*dst, v);
-                }
-                Instr::LnF { dst, a } => {
-                    let v = self.rf(*a).ln();
-                    self.wf(*dst, v);
-                }
-                Instr::SigmoidF { dst, a } => {
-                    let v = 1.0 / (1.0 + (-self.rf(*a)).exp());
-                    self.wf(*dst, v);
-                }
-                Instr::TanhF { dst, a } => {
-                    let v = self.rf(*a).tanh();
-                    self.wf(*dst, v);
-                }
-                Instr::EqF { dst, a, b } => {
-                    let v = self.rf(*a) == self.rf(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::NeF { dst, a, b } => {
-                    let v = self.rf(*a) != self.rf(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::LtF { dst, a, b } => {
-                    let v = self.rf(*a) < self.rf(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::LeF { dst, a, b } => {
-                    let v = self.rf(*a) <= self.rf(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::GtF { dst, a, b } => {
-                    let v = self.rf(*a) > self.rf(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::GeF { dst, a, b } => {
-                    let v = self.rf(*a) >= self.rf(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::AndB { dst, a, b } => {
-                    let v = self.rb(*a) && self.rb(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::OrB { dst, a, b } => {
-                    let v = self.rb(*a) || self.rb(*b);
-                    self.wb(*dst, v);
-                }
-                Instr::IToF { dst, a } => {
-                    let v = self.ri(*a) as f64;
-                    self.wf(*dst, v);
-                }
-                Instr::BToF { dst, a } => {
-                    let v = self.rb(*a) as i64 as f64;
-                    self.wf(*dst, v);
-                }
-                Instr::BToI { dst, a } => {
-                    let v = self.rb(*a) as i64;
-                    self.wi(*dst, v);
-                }
-                Instr::FToI { dst, a } => {
-                    let v = self.rf(*a) as i64;
-                    self.wi(*dst, v);
-                }
-                Instr::IToB { dst, a } => {
-                    let v = self.ri(*a) != 0;
-                    self.wb(*dst, v);
-                }
-                Instr::FToB { dst, a } => {
-                    let v = self.rf(*a) != 0.0;
-                    self.wb(*dst, v);
-                }
-                Instr::RoundF32 { dst, a } => {
-                    let v = self.rf(*a) as f32 as f64;
-                    self.wf(*dst, v);
-                }
-                Instr::TruncI32 { dst, a } => {
-                    let v = self.ri(*a) as i32 as i64;
-                    self.wi(*dst, v);
+                Instr::Cast { to, from, dst, a } => {
+                    let v = scalar::cast(*to, self.scalar_of(*a, *from));
+                    self.regs[*dst as usize] = bits_of(v);
                 }
                 Instr::Off { t, idx, ndim, dst } => {
                     let ti = *t as usize;
@@ -580,13 +452,7 @@ impl VmState<'_> {
                 Instr::LoadFlat { t, off, dst } => {
                     let ti = *t as usize;
                     let o = self.regs[*off as usize] as i64;
-                    // `Scalar` widens exactly like the register file does.
-                    let bits = match self.load_flat_val(ti, o)? {
-                        Scalar::Float(x) => x.to_bits(),
-                        Scalar::Int(x) => x as u64,
-                        Scalar::Bool(x) => x as u64,
-                    };
-                    self.regs[*dst as usize] = bits;
+                    self.regs[*dst as usize] = bits_of(self.load_flat_val(ti, o)?);
                 }
                 Instr::StoreT { t, off, src, sty } => {
                     let ti = *t as usize;
@@ -615,7 +481,7 @@ impl VmState<'_> {
                     let o = self.regs[*off as usize] as usize;
                     let v = self.scalar_of(*src, *sty);
                     let old = self.slot(ti).as_ref().expect("Off checked").val.get_flat(o);
-                    let new = crate::interp::apply_reduce(*op, old, v);
+                    let new = scalar::reduce(*op, old, v);
                     self.slot_mut(ti)
                         .as_mut()
                         .expect("Off checked")
@@ -838,7 +704,7 @@ mod tests {
 
     #[test]
     fn int_reduction_and_wrapping_parity() {
-        // Int reduce via apply_reduce plus wrapping int arithmetic.
+        // Int reduce plus wrapping int arithmetic.
         let f = Func::new("ired")
             .param("x", [16], DataType::I32, AccessType::Input)
             .param("s", [1], DataType::I64, AccessType::Output)

@@ -615,7 +615,7 @@ impl VmState<'_> {
                     for k in 0..trip {
                         let v = xv.val.get_flat(xo + k);
                         let old = dv.val.get_flat(do_);
-                        let new = crate::interp::apply_reduce(op, old, v);
+                        let new = scalar::reduce(op, old, v);
                         dv.val.set_flat(do_, new);
                     }
                 }

@@ -289,23 +289,19 @@ impl Compiler {
         r
     }
 
-    /// Emit a conversion between scalar kinds, mirroring the interpreter's
-    /// `as_f64`/`as_i64`/`as_bool`.
+    /// Emit a conversion between scalar kinds: `Scalar::as_f64`/`as_i64`/
+    /// `as_bool`, which is the cast to the kind's widest type.
     fn conv(&mut self, r: u32, from: Ty, to: Ty) -> u32 {
         if from == to {
             return r;
         }
         let dst = self.alloc_tmp();
-        let ins = match (from, to) {
-            (Ty::I, Ty::F) => Instr::IToF { dst, a: r },
-            (Ty::B, Ty::F) => Instr::BToF { dst, a: r },
-            (Ty::B, Ty::I) => Instr::BToI { dst, a: r },
-            (Ty::F, Ty::I) => Instr::FToI { dst, a: r },
-            (Ty::I, Ty::B) => Instr::IToB { dst, a: r },
-            (Ty::F, Ty::B) => Instr::FToB { dst, a: r },
-            _ => unreachable!(),
+        let to = match to {
+            Ty::I => DataType::I64,
+            Ty::F => DataType::F64,
+            Ty::B => DataType::Bool,
         };
-        self.emit(ins);
+        self.emit(Instr::Cast { to, from, dst, a: r });
         dst
     }
 
@@ -347,10 +343,14 @@ impl Compiler {
                 | UnaryOp::Ln
                 | UnaryOp::Sigmoid
                 | UnaryOp::Tanh => Ty::F,
-                UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign => self.static_ty(a),
+                UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign => match self.static_ty(a) {
+                    Ty::F => Ty::F,
+                    _ => Ty::I,
+                },
             },
             E::Binary { op, a, b } => match op {
                 And | Or | Eq | Ne | Lt | Le | Gt | Ge => Ty::B,
+                Pow => Ty::F,
                 _ if self.static_ty(a) == Ty::F || self.static_ty(b) == Ty::F => Ty::F,
                 _ => Ty::I,
             },
@@ -590,113 +590,56 @@ impl Compiler {
             E::Unary { op, a } => {
                 let mark = self.mark();
                 let (ra, ta) = self.expr(a)?;
-                use UnaryOp::*;
-                match op {
-                    // The interpreter's catch-all passes Bool operands
-                    // through Neg/Abs/Sign unchanged.
-                    Neg | Abs | Sign if ta == Ty::B => Ok((ra, Ty::B)),
-                    Neg | Abs | Sign => {
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(match (op, ta) {
-                            (Neg, Ty::F) => Instr::NegF { dst, a: ra },
-                            (Neg, _) => Instr::NegI { dst, a: ra },
-                            (Abs, Ty::F) => Instr::AbsF { dst, a: ra },
-                            (Abs, _) => Instr::AbsI { dst, a: ra },
-                            (Sign, Ty::F) => Instr::SignF { dst, a: ra },
-                            (_, _) => Instr::SignI { dst, a: ra },
-                        });
-                        Ok((dst, ta))
-                    }
-                    Not => {
-                        let ca = self.conv(ra, ta, Ty::B);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(Instr::NotB { dst, a: ca });
-                        Ok((dst, Ty::B))
-                    }
-                    Sqrt | Exp | Ln | Sigmoid | Tanh => {
-                        let ca = self.conv(ra, ta, Ty::F);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(match op {
-                            Sqrt => Instr::SqrtF { dst, a: ca },
-                            Exp => Instr::ExpF { dst, a: ca },
-                            Ln => Instr::LnF { dst, a: ca },
-                            Sigmoid => Instr::SigmoidF { dst, a: ca },
-                            _ => Instr::TanhF { dst, a: ca },
-                        });
-                        Ok((dst, Ty::F))
-                    }
-                }
+                // The kind the operator computes in (`scalar::unary`).
+                let tc = match op {
+                    UnaryOp::Not => Ty::B,
+                    UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign if ta != Ty::F => Ty::I,
+                    _ => Ty::F,
+                };
+                let ca = self.conv(ra, ta, tc);
+                self.free_to(mark);
+                let dst = self.alloc_tmp();
+                self.emit(match tc {
+                    Ty::B => Instr::Not { dst, a: ca },
+                    Ty::I => Instr::UnI { op: *op, dst, a: ca },
+                    Ty::F => Instr::UnF { op: *op, dst, a: ca },
+                });
+                Ok((dst, tc))
             }
             E::Binary { op, a, b } => {
                 let mark = self.mark();
                 let (ra, ta) = self.expr(a)?;
                 let (rb, tb) = self.expr(b)?;
                 use BinaryOp::*;
-                match op {
-                    And | Or => {
-                        let ca = self.conv(ra, ta, Ty::B);
-                        let cb = self.conv(rb, tb, Ty::B);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(match op {
-                            And => Instr::AndB { dst, a: ca, b: cb },
-                            _ => Instr::OrB { dst, a: ca, b: cb },
-                        });
-                        Ok((dst, Ty::B))
-                    }
-                    Eq | Ne | Lt | Le | Gt | Ge => {
-                        let ca = self.conv(ra, ta, Ty::F);
-                        let cb = self.conv(rb, tb, Ty::F);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(match op {
-                            Eq => Instr::EqF { dst, a: ca, b: cb },
-                            Ne => Instr::NeF { dst, a: ca, b: cb },
-                            Lt => Instr::LtF { dst, a: ca, b: cb },
-                            Le => Instr::LeF { dst, a: ca, b: cb },
-                            Gt => Instr::GtF { dst, a: ca, b: cb },
-                            _ => Instr::GeF { dst, a: ca, b: cb },
-                        });
-                        Ok((dst, Ty::B))
-                    }
-                    _ if ta == Ty::F || tb == Ty::F => {
-                        let ca = self.conv(ra, ta, Ty::F);
-                        let cb = self.conv(rb, tb, Ty::F);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(match op {
-                            Add => Instr::AddF { dst, a: ca, b: cb },
-                            Sub => Instr::SubF { dst, a: ca, b: cb },
-                            Mul => Instr::MulF { dst, a: ca, b: cb },
-                            Div => Instr::DivF { dst, a: ca, b: cb },
-                            Mod => Instr::ModF { dst, a: ca, b: cb },
-                            Min => Instr::MinF { dst, a: ca, b: cb },
-                            Max => Instr::MaxF { dst, a: ca, b: cb },
-                            _ => Instr::PowF { dst, a: ca, b: cb },
-                        });
-                        Ok((dst, Ty::F))
-                    }
-                    _ => {
-                        let ca = self.conv(ra, ta, Ty::I);
-                        let cb = self.conv(rb, tb, Ty::I);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(match op {
-                            Add => Instr::AddI { dst, a: ca, b: cb },
-                            Sub => Instr::SubI { dst, a: ca, b: cb },
-                            Mul => Instr::MulI { dst, a: ca, b: cb },
-                            Div => Instr::DivI { dst, a: ca, b: cb },
-                            Mod => Instr::ModI { dst, a: ca, b: cb },
-                            Min => Instr::MinI { dst, a: ca, b: cb },
-                            Max => Instr::MaxI { dst, a: ca, b: cb },
-                            _ => Instr::PowI { dst, a: ca, b: cb },
-                        });
-                        Ok((dst, Ty::I))
-                    }
-                }
+                // The kind the operands meet in, and the result's
+                // (`scalar::binary`).
+                let float = ta == Ty::F || tb == Ty::F;
+                let (tc, tr) = match op {
+                    And | Or => (Ty::B, Ty::B),
+                    Eq | Ne | Lt | Le | Gt | Ge if ta == Ty::I && tb == Ty::I => (Ty::I, Ty::B),
+                    Eq | Ne | Lt | Le | Gt | Ge => (Ty::F, Ty::B),
+                    Add | Sub | Mul | Div | Mod | Min | Max if !float => (Ty::I, Ty::I),
+                    _ => (Ty::F, Ty::F),
+                };
+                let (a, b) = (self.conv(ra, ta, tc), self.conv(rb, tb, tc));
+                self.free_to(mark);
+                let dst = self.alloc_tmp();
+                let op = *op;
+                self.emit(match (tc, tr, op) {
+                    (Ty::B, _, _) => Instr::BinB { op, dst, a, b },
+                    (Ty::I, Ty::B, _) => Instr::CmpI { op, dst, a, b },
+                    (_, Ty::B, _) => Instr::CmpF { op, dst, a, b },
+                    (Ty::I, _, Add) => Instr::AddI { dst, a, b },
+                    (Ty::I, _, Sub) => Instr::SubI { dst, a, b },
+                    (Ty::I, _, Mul) => Instr::MulI { dst, a, b },
+                    (Ty::I, _, _) => Instr::BinI { op, dst, a, b },
+                    (Ty::F, _, Add) => Instr::AddF { dst, a, b },
+                    (Ty::F, _, Sub) => Instr::SubF { dst, a, b },
+                    (Ty::F, _, Mul) => Instr::MulF { dst, a, b },
+                    (Ty::F, _, Div) => Instr::DivF { dst, a, b },
+                    (Ty::F, _, _) => Instr::BinF { op, dst, a, b },
+                });
+                Ok((dst, tr))
             }
             E::Select {
                 cond,
@@ -735,25 +678,19 @@ impl Compiler {
             E::Cast { dtype, a } => {
                 let mark = self.mark();
                 let (ra, ta) = self.expr(a)?;
-                match dtype {
-                    DataType::F32 => {
-                        let c = self.conv(ra, ta, Ty::F);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(Instr::RoundF32 { dst, a: c });
-                        Ok((dst, Ty::F))
-                    }
-                    DataType::F64 => Ok((self.conv(ra, ta, Ty::F), Ty::F)),
-                    DataType::I32 => {
-                        let c = self.conv(ra, ta, Ty::I);
-                        self.free_to(mark);
-                        let dst = self.alloc_tmp();
-                        self.emit(Instr::TruncI32 { dst, a: c });
-                        Ok((dst, Ty::I))
-                    }
-                    DataType::I64 => Ok((self.conv(ra, ta, Ty::I), Ty::I)),
-                    DataType::Bool => Ok((self.conv(ra, ta, Ty::B), Ty::B)),
+                let to = ty_of(*dtype);
+                if matches!(dtype, DataType::F32 | DataType::I32) || ta != to {
+                    self.free_to(mark);
+                    let dst = self.alloc_tmp();
+                    self.emit(Instr::Cast {
+                        to: *dtype,
+                        from: ta,
+                        dst,
+                        a: ra,
+                    });
+                    return Ok((dst, to));
                 }
+                Ok((ra, to))
             }
         }
     }

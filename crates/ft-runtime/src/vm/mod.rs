@@ -50,8 +50,6 @@
 //!   (erroring before later dimensions run) but all-dims-then-convert by
 //!   the VM. (Parameter shapes are neither's business: they arrive
 //!   resolved, see [`crate::bind`].)
-//! * Integer overflow wraps in the VM (as it does in interpreter release
-//!   builds) where a debug-build interpreter would panic.
 //! * The VM hoists loop-invariant index arithmetic — including loads
 //!   from tensors the loop does not write, for accesses executed
 //!   unconditionally on every iteration — into the loop preheader. The
@@ -79,6 +77,7 @@ use crate::interp::{RunResult, Runtime};
 use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Data, Scalar, TensorVal};
+use ft_ir::scalar;
 use ft_ir::{AccessType, BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
 use ft_trace::TRACK_RUNTIME;
 use parking_lot::Mutex;
@@ -116,57 +115,37 @@ enum Instr {
     /// `dst += v` (wrapping). Loop increment and preheader probe.
     AddImmI { dst: u32, v: i64 },
 
+    /// The operators that are the machine's own — integer `+ - *`, float
+    /// `+ - * /` — each under an opcode of its own. Induction latches and
+    /// the bulk of every loop body are these seven, and a second dispatch
+    /// on the operator cost the four workloads 25–45 % (EXPERIMENTS.md).
+    /// Their arms still call the table, with the operator a constant.
     AddI { dst: u32, a: u32, b: u32 },
     SubI { dst: u32, a: u32, b: u32 },
     MulI { dst: u32, a: u32, b: u32 },
-    DivI { dst: u32, a: u32, b: u32 },
-    ModI { dst: u32, a: u32, b: u32 },
-    MinI { dst: u32, a: u32, b: u32 },
-    MaxI { dst: u32, a: u32, b: u32 },
-    PowI { dst: u32, a: u32, b: u32 },
-
     AddF { dst: u32, a: u32, b: u32 },
     SubF { dst: u32, a: u32, b: u32 },
     MulF { dst: u32, a: u32, b: u32 },
     DivF { dst: u32, a: u32, b: u32 },
-    ModF { dst: u32, a: u32, b: u32 },
-    MinF { dst: u32, a: u32, b: u32 },
-    MaxF { dst: u32, a: u32, b: u32 },
-    PowF { dst: u32, a: u32, b: u32 },
-
-    NegI { dst: u32, a: u32 },
-    NegF { dst: u32, a: u32 },
-    AbsI { dst: u32, a: u32 },
-    AbsF { dst: u32, a: u32 },
-    SignI { dst: u32, a: u32 },
-    SignF { dst: u32, a: u32 },
-    NotB { dst: u32, a: u32 },
-    SqrtF { dst: u32, a: u32 },
-    ExpF { dst: u32, a: u32 },
-    LnF { dst: u32, a: u32 },
-    SigmoidF { dst: u32, a: u32 },
-    TanhF { dst: u32, a: u32 },
-
-    /// Comparisons over `f64` operands (the interpreter compares `as_f64`).
-    EqF { dst: u32, a: u32, b: u32 },
-    NeF { dst: u32, a: u32, b: u32 },
-    LtF { dst: u32, a: u32, b: u32 },
-    LeF { dst: u32, a: u32, b: u32 },
-    GtF { dst: u32, a: u32, b: u32 },
-    GeF { dst: u32, a: u32, b: u32 },
-    AndB { dst: u32, a: u32, b: u32 },
-    OrB { dst: u32, a: u32, b: u32 },
-
-    IToF { dst: u32, a: u32 },
-    BToF { dst: u32, a: u32 },
-    BToI { dst: u32, a: u32 },
-    FToI { dst: u32, a: u32 },
-    IToB { dst: u32, a: u32 },
-    FToB { dst: u32, a: u32 },
-    /// `x as f32 as f64` — the F32 cast.
-    RoundF32 { dst: u32, a: u32 },
-    /// `x as i32 as i64` — the I32 cast.
-    TruncI32 { dst: u32, a: u32 },
+    /// The other integer operators, `Div`..`Max`, by [`scalar::int_binary`]
+    /// (floor `Div`/`Mod`; a zero divisor is the run's `DivisionByZero`).
+    BinI { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    /// The other float operators, `Mod`..`Pow`, by [`scalar::float_binary`].
+    BinF { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    /// `And`/`Or` by [`scalar::logic`].
+    BinB { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    /// A comparison of two `Int`s, exact ([`scalar::compare`]).
+    CmpI { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    /// A comparison of any other pair, both converted to `f64`.
+    CmpF { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    /// Integer `Neg`/`Abs`/`Sign` by [`scalar::int_unary`].
+    UnI { op: UnaryOp, dst: u32, a: u32 },
+    /// Every float unary by [`scalar::float_unary`].
+    UnF { op: UnaryOp, dst: u32, a: u32 },
+    Not { dst: u32, a: u32 },
+    /// [`scalar::cast`] of a register of kind `from` to `to`; a conversion
+    /// between kinds is the cast to the kind's widest type.
+    Cast { to: DataType, from: Ty, dst: u32, a: u32 },
 
     Jmp { to: u32 },
     BrFalse { cond: u32, to: u32 },
