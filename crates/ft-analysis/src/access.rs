@@ -1,6 +1,6 @@
 //! Collection of tensor accesses with their full static context.
 
-use ft_ir::{Expr, Func, ReduceOp, Stmt, StmtId, StmtKind, Visitor};
+use ft_ir::{Expr, Func, ReduceOp, Stmt, StmtId, StmtKind};
 use std::collections::HashMap;
 
 /// How an access touches its tensor.
@@ -26,35 +26,40 @@ impl AccessKind {
     }
 }
 
-/// One enclosing loop of an access.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopCtx {
+/// One enclosing loop of an access (borrowed from the function).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoopCtx<'f> {
     /// Id of the `For` statement.
     pub id: StmtId,
     /// Iterator name.
-    pub iter: String,
+    pub iter: &'f str,
     /// Inclusive lower bound.
-    pub begin: Expr,
+    pub begin: &'f Expr,
     /// Exclusive upper bound.
-    pub end: Expr,
+    pub end: &'f Expr,
 }
 
-/// A single tensor access inside a function.
+/// A single tensor access inside a function (borrowed from it).
 #[derive(Debug, Clone)]
-pub struct Access {
+pub struct Access<'f> {
     /// Id of the statement containing the access.
     pub stmt: StmtId,
     /// Tensor name.
-    pub var: String,
+    pub var: &'f str,
+    /// The definition the name resolves to at this point (the IR is
+    /// stack-scoped): the id of the enclosing `VarDef` that binds it, or
+    /// `None` for a function parameter. Two accesses touch the same tensor
+    /// only when both `var` and `def` agree.
+    pub def: Option<StmtId>,
     /// Subscript expressions (empty for scalars).
-    pub indices: Vec<Expr>,
+    pub indices: &'f [Expr],
     /// Read / write / reduce.
     pub kind: AccessKind,
     /// Enclosing loops, outermost first.
-    pub loops: Vec<LoopCtx>,
+    pub loops: Vec<LoopCtx<'f>>,
     /// Enclosing branch conditions; `(cond, taken)` where `taken == false`
     /// means the access is in the `else` arm.
-    pub conds: Vec<(Expr, bool)>,
+    pub conds: Vec<(&'f Expr, bool)>,
     /// Pre-order position of the containing statement, for syntactic
     /// ordering of instances with equal loop iterations.
     pub pos: usize,
@@ -62,28 +67,46 @@ pub struct Access {
 
 /// All accesses of a function plus per-tensor scope information.
 #[derive(Debug, Clone, Default)]
-pub struct AccessInfo {
+pub struct AccessInfo<'f> {
     /// Every access, in pre-order.
-    pub accesses: Vec<Access>,
-    /// For each locally defined tensor: the ids of the loops *containing* its
-    /// `VarDef` (dependences on the tensor cannot be carried by these loops —
-    /// each iteration sees a fresh incarnation; paper Fig. 12(d)).
-    pub def_inside_loops: HashMap<String, Vec<StmtId>>,
+    pub accesses: Vec<Access<'f>>,
+    /// For each `VarDef` (keyed by its id, [`Access::def`]): the ids of the
+    /// loops *containing* it (dependences on the tensor cannot be carried by
+    /// these loops — each iteration sees a fresh incarnation; paper
+    /// Fig. 12(d)).
+    pub def_inside_loops: HashMap<StmtId, Vec<StmtId>>,
 }
 
-struct Collector {
-    loops: Vec<LoopCtx>,
-    conds: Vec<(Expr, bool)>,
+impl AccessInfo<'_> {
+    /// The loops containing the definition `a` is bound to; `None` for a
+    /// parameter (one incarnation for the whole call).
+    pub fn def_loops(&self, a: &Access) -> Option<&[StmtId]> {
+        self.def_inside_loops.get(&a.def?).map(Vec::as_slice)
+    }
+}
+
+struct Collector<'f> {
+    loops: Vec<LoopCtx<'f>>,
+    conds: Vec<(&'f Expr, bool)>,
+    /// The `VarDef`s in scope, innermost last.
+    scope: Vec<(&'f str, StmtId)>,
     pos: usize,
-    info: AccessInfo,
+    info: AccessInfo<'f>,
 }
 
-impl Collector {
-    fn record(&mut self, stmt: StmtId, var: &str, indices: &[Expr], kind: AccessKind) {
+impl<'f> Collector<'f> {
+    fn record(&mut self, stmt: StmtId, var: &'f str, indices: &'f [Expr], kind: AccessKind) {
+        let def = self
+            .scope
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == var)
+            .map(|(_, id)| *id);
         self.info.accesses.push(Access {
             stmt,
-            var: var.to_string(),
-            indices: indices.to_vec(),
+            var,
+            def,
+            indices,
             kind,
             loops: self.loops.clone(),
             conds: self.conds.clone(),
@@ -91,7 +114,7 @@ impl Collector {
         });
     }
 
-    fn record_expr_reads(&mut self, stmt: StmtId, e: &Expr) {
+    fn record_expr_reads(&mut self, stmt: StmtId, e: &'f Expr) {
         match e {
             Expr::Load { var, indices } => {
                 self.record(stmt, var, indices, AccessKind::Read);
@@ -117,7 +140,7 @@ impl Collector {
         }
     }
 
-    fn walk(&mut self, s: &Stmt) {
+    fn walk(&mut self, s: &'f Stmt) {
         self.pos += 1;
         let my_pos = self.pos;
         match &s.kind {
@@ -127,11 +150,12 @@ impl Collector {
                 }
             }
             StmtKind::VarDef { name, body, .. } => {
-                self.info.def_inside_loops.insert(
-                    name.clone(),
-                    self.loops.iter().map(|l| l.id).collect(),
-                );
+                self.info
+                    .def_inside_loops
+                    .insert(s.id, self.loops.iter().map(|l| l.id).collect());
+                self.scope.push((name, s.id));
                 self.walk(body);
+                self.scope.pop();
             }
             StmtKind::For {
                 iter,
@@ -144,9 +168,9 @@ impl Collector {
                 self.record_expr_reads(s.id, end);
                 self.loops.push(LoopCtx {
                     id: s.id,
-                    iter: iter.clone(),
-                    begin: begin.clone(),
-                    end: end.clone(),
+                    iter,
+                    begin,
+                    end,
                 });
                 self.walk(body);
                 self.loops.pop();
@@ -157,11 +181,11 @@ impl Collector {
                 otherwise,
             } => {
                 self.record_expr_reads(s.id, cond);
-                self.conds.push((cond.clone(), true));
+                self.conds.push((cond, true));
                 self.walk(then);
                 self.conds.pop();
                 if let Some(o) = otherwise {
-                    self.conds.push((cond.clone(), false));
+                    self.conds.push((cond, false));
                     self.walk(o);
                     self.conds.pop();
                 }
@@ -210,40 +234,16 @@ impl Collector {
 }
 
 /// Collect every access of the function body with its static context.
-pub fn collect_accesses(func: &Func) -> AccessInfo {
+pub fn collect_accesses(func: &Func) -> AccessInfo<'_> {
     let mut c = Collector {
         loops: Vec::new(),
         conds: Vec::new(),
+        scope: Vec::new(),
         pos: 0,
         info: AccessInfo::default(),
     };
     c.walk(&func.body);
     c.info
-}
-
-/// Check that all `VarDef` names in a function are unique (the dependence
-/// engine keys tensors by name). Returns the first duplicate, if any.
-pub fn find_duplicate_def(func: &Func) -> Option<String> {
-    struct Dup {
-        seen: std::collections::HashSet<String>,
-        dup: Option<String>,
-    }
-    impl Visitor for Dup {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            if let StmtKind::VarDef { name, .. } = &s.kind {
-                if !self.seen.insert(name.clone()) && self.dup.is_none() {
-                    self.dup = Some(name.clone());
-                }
-            }
-            ft_ir::visit::walk_stmt(self, s);
-        }
-    }
-    let mut d = Dup {
-        seen: func.params.iter().map(|p| p.name.clone()).collect(),
-        dup: None,
-    };
-    d.visit_stmt(&func.body);
-    d.dup
 }
 
 #[cfg(test)]
@@ -285,7 +285,8 @@ mod tests {
 
     #[test]
     fn collects_all_accesses_with_context() {
-        let info = collect_accesses(&example());
+        let f = example();
+        let info = collect_accesses(&f);
         // x read, t write, t read, y reduce, plus loop-bound read of n? (n is
         // a scalar var, not a Load) => 4 accesses.
         assert_eq!(info.accesses.len(), 4);
@@ -302,15 +303,55 @@ mod tests {
     }
 
     #[test]
+    fn accesses_bind_to_the_innermost_def_of_their_name() {
+        // var t { t[] = x[0]; var t { t[] = 1 }; y[0] = t[] }
+        let f = Func::new("g")
+            .param("x", [1], DataType::F32, AccessType::Input)
+            .param("y", [1], DataType::F32, AccessType::Output)
+            .body(var_def(
+                "t",
+                scalar(),
+                DataType::F32,
+                MemType::CpuHeap,
+                block([
+                    store("t", scalar(), load("x", [0])),
+                    var_def(
+                        "t",
+                        scalar(),
+                        DataType::F32,
+                        MemType::CpuHeap,
+                        store("t", scalar(), 1.0f32),
+                    ),
+                    store("y", [0], load("t", scalar())),
+                ]),
+            ));
+        let info = collect_accesses(&f);
+        let defs: Vec<_> = info
+            .accesses
+            .iter()
+            .filter(|a| a.var == "t")
+            .map(|a| a.def)
+            .collect();
+        assert_eq!(defs.len(), 3);
+        assert_eq!(defs[0], defs[2]); // the outer t, before and after the inner def
+        assert_ne!(defs[0], defs[1]);
+        assert!(defs.iter().all(Option::is_some));
+    }
+
+    #[test]
     fn def_scope_is_recorded() {
-        let info = collect_accesses(&example());
-        let loops = &info.def_inside_loops["t"];
-        assert_eq!(loops.len(), 1); // t's def sits inside the i loop
+        let f = example();
+        let info = collect_accesses(&f);
+        let t = info.accesses.iter().find(|a| a.var == "t").unwrap();
+        assert_eq!(info.def_loops(t).map(<[_]>::len), Some(1)); // inside the i loop
+        let x = info.accesses.iter().find(|a| a.var == "x").unwrap();
+        assert_eq!(info.def_loops(x), None); // a parameter
     }
 
     #[test]
     fn pos_orders_statements() {
-        let info = collect_accesses(&example());
+        let f = example();
+        let info = collect_accesses(&f);
         let t_write = info
             .accesses
             .iter()
@@ -322,15 +363,5 @@ mod tests {
             .find(|a| a.var == "t" && a.kind == AccessKind::Read)
             .unwrap();
         assert!(t_write.pos < t_read.pos);
-    }
-
-    #[test]
-    fn duplicate_defs_are_found() {
-        let f = Func::new("g").body(block([
-            var_def("t", [1], DataType::F32, MemType::CpuHeap, empty()),
-            var_def("t", [1], DataType::F32, MemType::CpuHeap, empty()),
-        ]));
-        assert_eq!(find_duplicate_def(&f), Some("t".to_string()));
-        assert_eq!(find_duplicate_def(&example()), None);
     }
 }

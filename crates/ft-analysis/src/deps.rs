@@ -26,7 +26,7 @@ use crate::access::{collect_accesses, Access, AccessInfo, AccessKind, LoopCtx};
 use crate::affine::{
     cond_to_constraints, negated_cond_to_constraints, to_linexpr_mapped, VarMap,
 };
-use ft_ir::{find, Func, Stmt, StmtId, StmtKind};
+use ft_ir::{find, Func, ReduceOp, Stmt, StmtId, StmtKind};
 use ft_poly::{Constraint, LinExpr, Sat, System};
 use std::collections::HashSet;
 use std::fmt;
@@ -54,7 +54,7 @@ pub enum Carrier {
 }
 
 /// A dependence found by the engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoundDep {
     /// RAW / WAR / WAW.
     pub kind: DepKind,
@@ -103,7 +103,7 @@ fn side_map(loops: &[LoopCtx], tag: &str) -> VarMap {
     // Innermost binding wins for shadowed names (map is overwritten in order).
     let mut m = VarMap::new();
     for l in loops {
-        m.insert(l.iter.clone(), format!("{}.{}{}", l.iter, l.id.0, tag));
+        m.insert(l.iter.to_string(), renamed(l, tag));
     }
     m
 }
@@ -117,17 +117,17 @@ fn domain_constraints(acc: &Access, tag: &str, sys: &mut System) {
     // Build the rename map incrementally so a loop's bounds are translated
     // with only *outer* iterators renamed.
     let mut map = VarMap::new();
-    for l in &acc.loops {
+    for l in acc.loops.iter() {
         let v = LinExpr::var(renamed(l, tag));
-        if let Some(lo) = to_linexpr_mapped(&l.begin, &map) {
+        if let Some(lo) = to_linexpr_mapped(l.begin, &map) {
             sys.push(Constraint::ge(v.clone(), lo));
         }
-        if let Some(hi) = to_linexpr_mapped(&l.end, &map) {
+        if let Some(hi) = to_linexpr_mapped(l.end, &map) {
             sys.push(Constraint::lt(v, hi));
         }
-        map.insert(l.iter.clone(), renamed(l, tag));
+        map.insert(l.iter.to_string(), renamed(l, tag));
     }
-    for (cond, taken) in &acc.conds {
+    for (cond, taken) in acc.conds.iter() {
         if *taken {
             cond_to_constraints(cond, &map, sys);
         } else {
@@ -138,14 +138,14 @@ fn domain_constraints(acc: &Access, tag: &str, sys: &mut System) {
 
 /// Add subscript-equality constraints for the affine dimensions.
 fn subscript_constraints(a: &Access, b: &Access, sys: &mut System) {
-    let ma = side_map(&a.loops, "s");
-    let mb = side_map(&b.loops, "t");
     // A LibCall access has no subscripts and aliases the whole tensor:
     // mismatched arity also means "may alias" — skip equality entirely.
     if a.indices.len() != b.indices.len() {
         return;
     }
-    for (ia, ib) in a.indices.iter().zip(&b.indices) {
+    let ma = side_map(&a.loops, "s");
+    let mb = side_map(&b.loops, "t");
+    for (ia, ib) in a.indices.iter().zip(b.indices) {
         if let (Some(la), Some(lb)) = (to_linexpr_mapped(ia, &ma), to_linexpr_mapped(ib, &mb)) {
             sys.push(Constraint::eq(la, lb));
         }
@@ -153,80 +153,97 @@ fn subscript_constraints(a: &Access, b: &Access, sys: &mut System) {
     }
 }
 
-/// Stack-scope incarnation constraint (Fig. 12(d)): two instances can only
-/// touch the *same* incarnation of a locally defined tensor when they agree
-/// on every loop enclosing its `VarDef`, because each iteration of such a
-/// loop allocates a fresh tensor.
-fn incarnation_constraints(info: &AccessInfo, a: &Access, b: &Access, sys: &mut System) {
-    let Some(containing) = info.def_inside_loops.get(&a.var) else {
-        return; // function parameter: one incarnation for the whole call
-    };
-    for c in common_loops(a, b) {
-        if containing.contains(&c.id) {
-            sys.push(Constraint::eq(
-                LinExpr::var(renamed(c, "s")),
-                LinExpr::var(renamed(c, "t")),
-            ));
-        }
+/// The system every query about the pair starts from, `a` on the source
+/// side (iterators tagged `s`) and `b` on the sink side (`t`): both
+/// iteration domains, subscript equality, and the stack-scope incarnation
+/// constraint (Fig. 12(d)) — two instances can only touch the *same*
+/// incarnation of a locally defined tensor when they agree on every loop
+/// enclosing its `VarDef`, because each iteration of such a loop allocates
+/// a fresh tensor.
+fn pair_system(info: &AccessInfo, a: &Access, b: &Access) -> System {
+    let mut sys = System::new();
+    domain_constraints(a, "s", &mut sys);
+    domain_constraints(b, "t", &mut sys);
+    subscript_constraints(a, b, &mut sys);
+    if let Some(containing) = info.def_loops(a) {
+        lockstep(
+            &mut sys,
+            common_loops(a, b).filter(|c| containing.contains(&c.id)),
+        );
+    }
+    sys
+}
+
+/// Both instances run the same iteration of each of `loops`.
+fn lockstep<'a, 'f: 'a>(sys: &mut System, loops: impl IntoIterator<Item = &'a LoopCtx<'f>>) {
+    for c in loops {
+        sys.push(Constraint::eq(
+            LinExpr::var(renamed(c, "s")),
+            LinExpr::var(renamed(c, "t")),
+        ));
     }
 }
 
+/// The `first`-tagged instance runs an earlier iteration of `c` than the
+/// `then`-tagged one.
+fn earlier(sys: &mut System, c: &LoopCtx, first: &str, then: &str) {
+    sys.push(Constraint::lt(
+        LinExpr::var(renamed(c, first)),
+        LinExpr::var(renamed(c, then)),
+    ));
+}
+
 /// The loops common to both accesses (shared prefix of enclosing loops).
-fn common_loops<'a>(a: &'a Access, b: &Access) -> Vec<&'a LoopCtx> {
+fn common_loops<'a, 'f>(
+    a: &'a Access<'f>,
+    b: &'a Access<'f>,
+) -> impl Iterator<Item = &'a LoopCtx<'f>> {
     a.loops
         .iter()
-        .zip(&b.loops)
+        .zip(b.loops.iter())
         .take_while(|(x, y)| x.id == y.id)
         .map(|(x, _)| x)
-        .collect()
+}
+
+/// Whether `a` runs inside loop `l`.
+fn inside(a: &Access, l: StmtId) -> bool {
+    a.loops.iter().any(|c| c.id == l)
 }
 
 /// Does a dependence with `a` as source (earlier) and `b` as sink (later)
 /// exist under the given carrier?
 ///
 /// `Sat::Empty` means certainly not; `NonEmpty` certainly yes; `Unknown` is
-/// treated by callers as "maybe" (conservative).
+/// treated by callers as "maybe" (conservative). The structural refusals —
+/// a carrier not common to the pair, a carrier enclosing the tensor's
+/// `VarDef` (Fig. 12(d)), a loop-independent source that is not
+/// syntactically earlier — are answered before any system is built.
 pub fn dep_exists(info: &AccessInfo, a: &Access, b: &Access, carrier: Carrier) -> Sat {
-    let common = common_loops(a, b);
-    let mut sys = System::new();
-    domain_constraints(a, "s", &mut sys);
-    domain_constraints(b, "t", &mut sys);
-    subscript_constraints(a, b, &mut sys);
-            incarnation_constraints(info, a, b, &mut sys);
-    match carrier {
+    let common: Vec<&LoopCtx> = common_loops(a, b).collect();
+    let (same, carrying) = match carrier {
         Carrier::Loop(l) => {
             let Some(d) = common.iter().position(|c| c.id == l) else {
                 return Sat::Empty; // not a common loop: cannot carry
             };
-            // Stack-scope projection (Fig. 12(d)): the carrier must not
-            // enclose the tensor's VarDef.
-            if let Some(containing) = info.def_inside_loops.get(&a.var) {
-                if containing.contains(&l) {
-                    return Sat::Empty;
-                }
+            if info
+                .def_loops(a)
+                .is_some_and(|containing| containing.contains(&l))
+            {
+                return Sat::Empty;
             }
-            for c in &common[..d] {
-                sys.push(Constraint::eq(
-                    LinExpr::var(renamed(c, "s")),
-                    LinExpr::var(renamed(c, "t")),
-                ));
-            }
-            sys.push(Constraint::lt(
-                LinExpr::var(renamed(common[d], "s")),
-                LinExpr::var(renamed(common[d], "t")),
-            ));
+            (&common[..d], Some(common[d]))
         }
         Carrier::Independent => {
             if a.pos >= b.pos {
                 return Sat::Empty; // source must be syntactically earlier
             }
-            for c in &common {
-                sys.push(Constraint::eq(
-                    LinExpr::var(renamed(c, "s")),
-                    LinExpr::var(renamed(c, "t")),
-                ));
-            }
+            (&common[..], None)
         }
+    };
+    let mut sys = pair_system(info, a, b);
+    lockstep(&mut sys, same.iter().copied());
+    if let Some(c) = carrying {
+        earlier(&mut sys, c, "s", "t");
     }
     sys.satisfiable()
 }
@@ -240,10 +257,16 @@ fn classify(a: AccessKind, b: AccessKind) -> DepKind {
     }
 }
 
+/// Whether two accesses touch the same tensor: the same name bound to the
+/// same definition.
+fn same_tensor(a: &Access, b: &Access) -> bool {
+    a.def == b.def && a.var == b.var
+}
+
 /// Whether a pair of accesses can be ignored entirely: read-read pairs,
 /// different tensors, and same-operator reduce-reduce pairs (Fig. 12(c)).
 fn ignorable(a: &Access, b: &Access) -> bool {
-    if a.var != b.var || (!a.kind.writes() && !b.kind.writes()) {
+    if !same_tensor(a, b) || (!a.kind.writes() && !b.kind.writes()) {
         return true;
     }
     matches!(
@@ -252,19 +275,31 @@ fn ignorable(a: &Access, b: &Access) -> bool {
     )
 }
 
-/// Whether the carrier loop asserts `no_deps` for this tensor.
-fn no_deps_asserted(func: &Func, carrier: StmtId, var: &str) -> bool {
-    match find::find_by_id(&func.body, carrier) {
+/// The `no_deps` assertions of loop `l` (empty if it is not a loop).
+fn no_deps_of(func: &Func, l: StmtId) -> &[String] {
+    match find::find_by_id(&func.body, l) {
         Some(Stmt {
             kind: StmtKind::For { property, .. },
             ..
-        }) => property.no_deps.iter().any(|n| n == var),
-        _ => false,
+        }) => &property.no_deps,
+        _ => &[],
+    }
+}
+
+fn found(a: &Access, b: &Access, carrier: Carrier, sat: Sat) -> FoundDep {
+    FoundDep {
+        kind: classify(a.kind, b.kind),
+        var: a.var.to_string(),
+        source: a.stmt,
+        sink: b.stmt,
+        carrier,
+        certain: sat == Sat::NonEmpty,
     }
 }
 
 /// Compute every dependence in the function: for each conflicting access
-/// pair, each possible carrier loop plus the loop-independent case.
+/// pair, each possible carrier loop plus the loop-independent case. The
+/// unscoped reference the scoped queries below are tested against.
 pub fn all_deps(func: &Func) -> Vec<FoundDep> {
     let info = collect_accesses(func);
     let mut out = Vec::new();
@@ -274,31 +309,18 @@ pub fn all_deps(func: &Func) -> Vec<FoundDep> {
                 continue;
             }
             for c in common_loops(a, b) {
-                if no_deps_asserted(func, c.id, &a.var) {
+                if no_deps_of(func, c.id).iter().any(|n| n == a.var) {
                     continue;
                 }
-                match dep_exists(&info, a, b, Carrier::Loop(c.id)) {
+                let carrier = Carrier::Loop(c.id);
+                match dep_exists(&info, a, b, carrier) {
                     Sat::Empty => {}
-                    sat => out.push(FoundDep {
-                        kind: classify(a.kind, b.kind),
-                        var: a.var.clone(),
-                        source: a.stmt,
-                        sink: b.stmt,
-                        carrier: Carrier::Loop(c.id),
-                        certain: sat == Sat::NonEmpty,
-                    }),
+                    sat => out.push(found(a, b, carrier, sat)),
                 }
             }
             match dep_exists(&info, a, b, Carrier::Independent) {
                 Sat::Empty => {}
-                sat => out.push(FoundDep {
-                    kind: classify(a.kind, b.kind),
-                    var: a.var.clone(),
-                    source: a.stmt,
-                    sink: b.stmt,
-                    carrier: Carrier::Independent,
-                    certain: sat == Sat::NonEmpty,
-                }),
+                sat => out.push(found(a, b, Carrier::Independent, sat)),
             }
         }
     }
@@ -307,23 +329,29 @@ pub fn all_deps(func: &Func) -> Vec<FoundDep> {
 
 /// Dependences carried by a specific loop.
 pub fn loop_carried_deps(func: &Func, loop_id: StmtId) -> Vec<FoundDep> {
-    let info = collect_accesses(func);
+    loop_carried_deps_in(func, &collect_accesses(func), loop_id)
+}
+
+/// [`loop_carried_deps`] over the accesses of `func` already collected in
+/// `info`. Only accesses inside the loop are paired: no other pair has it
+/// as a common loop.
+pub fn loop_carried_deps_in(func: &Func, info: &AccessInfo, loop_id: StmtId) -> Vec<FoundDep> {
+    let no_deps = no_deps_of(func, loop_id);
+    let under: Vec<&Access> = info
+        .accesses
+        .iter()
+        .filter(|a| inside(a, loop_id))
+        .collect();
+    let carrier = Carrier::Loop(loop_id);
     let mut out = Vec::new();
-    for a in &info.accesses {
-        for b in &info.accesses {
-            if ignorable(a, b) || no_deps_asserted(func, loop_id, &a.var) {
+    for a in under.iter().filter(|a| !no_deps.iter().any(|n| n == a.var)) {
+        for b in &under {
+            if ignorable(a, b) {
                 continue;
             }
-            match dep_exists(&info, a, b, Carrier::Loop(loop_id)) {
+            match dep_exists(info, a, b, carrier) {
                 Sat::Empty => {}
-                sat => out.push(FoundDep {
-                    kind: classify(a.kind, b.kind),
-                    var: a.var.clone(),
-                    source: a.stmt,
-                    sink: b.stmt,
-                    carrier: Carrier::Loop(loop_id),
-                    certain: sat == Sat::NonEmpty,
-                }),
+                sat => out.push(found(a, b, carrier, sat)),
             }
         }
     }
@@ -342,25 +370,31 @@ pub fn parallelize_blockers(func: &Func, loop_id: StmtId) -> Vec<FoundDep> {
 /// more than one iteration of the loop — these must become atomic updates or
 /// parallel reductions when the loop is parallelized (Fig. 13(d)/(e)).
 pub fn carried_reductions(func: &Func, loop_id: StmtId) -> Vec<StmtId> {
-    let info = collect_accesses(func);
+    carried_reductions_in(&collect_accesses(func), loop_id)
+}
+
+/// [`carried_reductions`] over accesses already collected in `info`.
+pub fn carried_reductions_in(info: &AccessInfo, loop_id: StmtId) -> Vec<StmtId> {
+    let reduces: Vec<(&Access, ReduceOp)> = info
+        .accesses
+        .iter()
+        .filter(|a| inside(a, loop_id))
+        .filter_map(|a| match a.kind {
+            AccessKind::Reduce(op) => Some((a, op)),
+            _ => None,
+        })
+        .collect();
     let mut out = Vec::new();
-    for a in &info.accesses {
-        let AccessKind::Reduce(op_a) = a.kind else {
-            continue;
-        };
-        for b in &info.accesses {
-            let AccessKind::Reduce(op_b) = b.kind else {
-                continue;
-            };
-            if a.var != b.var || op_a != op_b {
+    for (a, op_a) in &reduces {
+        for (b, op_b) in &reduces {
+            if !same_tensor(a, b) || op_a != op_b {
                 continue;
             }
-            if dep_exists(&info, a, b, Carrier::Loop(loop_id)) != Sat::Empty {
-                if !out.contains(&a.stmt) {
-                    out.push(a.stmt);
-                }
-                if !out.contains(&b.stmt) {
-                    out.push(b.stmt);
+            if dep_exists(info, a, b, Carrier::Loop(loop_id)) != Sat::Empty {
+                for s in [a.stmt, b.stmt] {
+                    if !out.contains(&s) {
+                        out.push(s);
+                    }
                 }
             }
         }
@@ -377,6 +411,18 @@ pub fn subtree_ids(root: &Stmt) -> HashSet<StmtId> {
     set
 }
 
+/// The violation reporting that a transformation would reverse the
+/// dependence `a -> b` (carried by `carrier`).
+fn reversed(what: &str, a: &Access, b: &Access, carrier: Carrier, sat: Sat) -> Violation {
+    Violation {
+        reason: format!(
+            "{what} would reverse a dependence on `{}` ({} -> {})",
+            a.var, a.stmt, b.stmt
+        ),
+        deps: vec![found(a, b, carrier, sat)],
+    }
+}
+
 /// Legality of fusing consecutive loops `l1` (first) and `l2` (second).
 ///
 /// After fusion, `l2`'s body at normalized iteration `j` runs *before*
@@ -385,70 +431,50 @@ pub fn subtree_ids(root: &Stmt) -> HashSet<StmtId> {
 /// Fig. 8→10). Returns a [`Violation`] (reason + blocking dependences) when
 /// illegal.
 pub fn fuse_illegal(func: &Func, l1: StmtId, l2: StmtId) -> Option<Violation> {
-    let info = collect_accesses(func);
     let (Some(loop1), Some(loop2)) = (
         find::find_by_id(&func.body, l1),
         find::find_by_id(&func.body, l2),
     ) else {
         return Some(Violation::structural("loop not found"));
     };
-    let ids1 = subtree_ids(loop1);
-    let ids2 = subtree_ids(loop2);
     let (StmtKind::For { begin: b1, .. }, StmtKind::For { begin: b2, .. }) =
         (&loop1.kind, &loop2.kind)
     else {
         return Some(Violation::structural("not loops"));
     };
-    for a in info.accesses.iter().filter(|x| ids1.contains(&x.stmt)) {
-        for b in info.accesses.iter().filter(|x| ids2.contains(&x.stmt)) {
+    let info = collect_accesses(func);
+    let in1 = info
+        .accesses
+        .iter()
+        .filter_map(|a| Some((a, a.loops.iter().find(|l| l.id == l1)?)));
+    let in2: Vec<(&Access, &LoopCtx)> = info
+        .accesses
+        .iter()
+        .filter_map(|b| Some((b, b.loops.iter().find(|l| l.id == l2)?)))
+        .collect();
+    for (a, ia) in in1 {
+        for (b, jb) in &in2 {
             if ignorable(a, b) {
                 continue;
             }
-            let mut sys = System::new();
-            domain_constraints(a, "s", &mut sys);
-            domain_constraints(b, "t", &mut sys);
-            subscript_constraints(a, b, &mut sys);
-            incarnation_constraints(&info, a, b, &mut sys);
-            // Common outer loops (everything above l1/l2) run in lockstep.
-            for c in common_loops(a, b) {
-                sys.push(Constraint::eq(
-                    LinExpr::var(renamed(c, "s")),
-                    LinExpr::var(renamed(c, "t")),
-                ));
-            }
             // Normalized iterations: (i - begin1) vs (j - begin2).
-            let la = a.loops.iter().find(|l| l.id == l1).map(|l| renamed(l, "s"));
-            let lb = b.loops.iter().find(|l| l.id == l2).map(|l| renamed(l, "t"));
-            let (Some(ia), Some(jb)) = (la, lb) else {
-                continue;
-            };
             let (Some(lb1), Some(lb2)) = (
                 to_linexpr_mapped(b1, &side_map(&a.loops, "s")),
                 to_linexpr_mapped(b2, &side_map(&b.loops, "t")),
             ) else {
                 return Some(Violation::structural("non-affine loop begin"));
             };
+            let mut sys = pair_system(&info, a, b);
+            // Common outer loops (everything above l1/l2) run in lockstep.
+            lockstep(&mut sys, common_loops(a, b));
             // j_norm < i_norm would be reversed by fusion.
             sys.push(Constraint::lt(
-                LinExpr::var(jb) - lb2,
-                LinExpr::var(ia) - lb1,
+                LinExpr::var(renamed(jb, "t")) - lb2,
+                LinExpr::var(renamed(ia, "s")) - lb1,
             ));
             let sat = sys.satisfiable();
             if sat != Sat::Empty {
-                return Some(Violation {
-                    reason: format!(
-                        "fusing would reverse a dependence on `{}` ({} -> {})",
-                        a.var, a.stmt, b.stmt
-                    ),
-                    deps: vec![FoundDep {
-                        kind: classify(a.kind, b.kind),
-                        var: a.var.clone(),
-                        source: a.stmt,
-                        sink: b.stmt,
-                        carrier: Carrier::Loop(l1),
-                        certain: sat == Sat::NonEmpty,
-                    }],
-                });
+                return Some(reversed("fusing", a, b, Carrier::Loop(l1), sat));
             }
         }
     }
@@ -466,54 +492,33 @@ pub fn fission_illegal(
     loop_id: StmtId,
     in_first: &dyn Fn(StmtId) -> bool,
 ) -> Option<Violation> {
-    let info = collect_accesses(func);
-    let Some(the_loop) = find::find_by_id(&func.body, loop_id) else {
+    if find::find_by_id(&func.body, loop_id).is_none() {
         return Some(Violation::structural("loop not found"));
-    };
-    let ids = subtree_ids(the_loop);
-    for a in info.accesses.iter().filter(|x| ids.contains(&x.stmt)) {
-        for b in info.accesses.iter().filter(|x| ids.contains(&x.stmt)) {
-            // a in the second part (earlier in original), b in the first part.
-            if in_first(a.stmt) || !in_first(b.stmt) || ignorable(a, b) {
+    }
+    let info = collect_accesses(func);
+    let (first, second): (Vec<&Access>, Vec<&Access>) = info
+        .accesses
+        .iter()
+        .filter(|a| inside(a, loop_id))
+        .partition(|a| in_first(a.stmt));
+    // a in the second part (earlier in original), b in the first part.
+    for a in &second {
+        for b in &first {
+            if ignorable(a, b) {
                 continue;
             }
-            let mut sys = System::new();
-            domain_constraints(a, "s", &mut sys);
-            domain_constraints(b, "t", &mut sys);
-            subscript_constraints(a, b, &mut sys);
-            incarnation_constraints(&info, a, b, &mut sys);
-            let common = common_loops(a, b);
+            let common: Vec<&LoopCtx> = common_loops(a, b).collect();
             let Some(d) = common.iter().position(|c| c.id == loop_id) else {
                 continue;
             };
-            for c in &common[..d] {
-                sys.push(Constraint::eq(
-                    LinExpr::var(renamed(c, "s")),
-                    LinExpr::var(renamed(c, "t")),
-                ));
-            }
+            let mut sys = pair_system(&info, a, b);
+            lockstep(&mut sys, common[..d].iter().copied());
             // second-part at i strictly before first-part at j (i < j) in the
             // original order — reversed after fission.
-            sys.push(Constraint::lt(
-                LinExpr::var(renamed(common[d], "s")),
-                LinExpr::var(renamed(common[d], "t")),
-            ));
+            earlier(&mut sys, common[d], "s", "t");
             let sat = sys.satisfiable();
             if sat != Sat::Empty {
-                return Some(Violation {
-                    reason: format!(
-                        "fission would reverse a dependence on `{}` ({} -> {})",
-                        a.var, a.stmt, b.stmt
-                    ),
-                    deps: vec![FoundDep {
-                        kind: classify(a.kind, b.kind),
-                        var: a.var.clone(),
-                        source: a.stmt,
-                        sink: b.stmt,
-                        carrier: Carrier::Loop(loop_id),
-                        certain: sat == Sat::NonEmpty,
-                    }],
-                });
+                return Some(reversed("fission", a, b, Carrier::Loop(loop_id), sat));
             }
         }
     }
@@ -525,31 +530,27 @@ pub fn fission_illegal(
 /// Swapping only permutes the two bodies *within* one iteration of the
 /// common loops, so it is illegal iff they conflict at equal iterations.
 pub fn swap_illegal(func: &Func, s1: StmtId, s2: StmtId) -> Option<Violation> {
-    let info = collect_accesses(func);
     let (Some(st1), Some(st2)) = (
         find::find_by_id(&func.body, s1),
         find::find_by_id(&func.body, s2),
     ) else {
         return Some(Violation::structural("statement not found"));
     };
+    let info = collect_accesses(func);
     let ids1 = subtree_ids(st1);
     let ids2 = subtree_ids(st2);
+    let in2: Vec<&Access> = info
+        .accesses
+        .iter()
+        .filter(|x| ids2.contains(&x.stmt))
+        .collect();
     for a in info.accesses.iter().filter(|x| ids1.contains(&x.stmt)) {
-        for b in info.accesses.iter().filter(|x| ids2.contains(&x.stmt)) {
+        for b in &in2 {
             if ignorable(a, b) {
                 continue;
             }
-            let mut sys = System::new();
-            domain_constraints(a, "s", &mut sys);
-            domain_constraints(b, "t", &mut sys);
-            subscript_constraints(a, b, &mut sys);
-            incarnation_constraints(&info, a, b, &mut sys);
-            for c in common_loops(a, b) {
-                sys.push(Constraint::eq(
-                    LinExpr::var(renamed(c, "s")),
-                    LinExpr::var(renamed(c, "t")),
-                ));
-            }
+            let mut sys = pair_system(&info, a, b);
+            lockstep(&mut sys, common_loops(a, b));
             let sat = sys.satisfiable();
             if sat != Sat::Empty {
                 return Some(Violation {
@@ -557,14 +558,7 @@ pub fn swap_illegal(func: &Func, s1: StmtId, s2: StmtId) -> Option<Violation> {
                         "statements conflict on `{}` within one iteration",
                         a.var
                     ),
-                    deps: vec![FoundDep {
-                        kind: classify(a.kind, b.kind),
-                        var: a.var.clone(),
-                        source: a.stmt,
-                        sink: b.stmt,
-                        carrier: Carrier::Independent,
-                        certain: sat == Sat::NonEmpty,
-                    }],
+                    deps: vec![found(a, b, Carrier::Independent, sat)],
                 });
             }
         }
@@ -584,99 +578,57 @@ pub fn reorder_illegal(
     new_order: &[StmtId],
 ) -> Option<Violation> {
     let info = collect_accesses(func);
-    for a in &info.accesses {
-        for b in &info.accesses {
+    // Only accesses inside the whole nest can change order.
+    let nested: Vec<&Access> = info
+        .accesses
+        .iter()
+        .filter(|a| old_order.iter().all(|id| inside(a, *id)))
+        .collect();
+    for a in &nested {
+        for b in &nested {
             if ignorable(a, b) {
                 continue;
             }
-            // Both accesses must be inside the whole nest.
-            let pos_of = |acc: &Access, id: StmtId| acc.loops.iter().position(|l| l.id == id);
-            if old_order.iter().any(|id| pos_of(a, *id).is_none())
-                || old_order.iter().any(|id| pos_of(b, *id).is_none())
-            {
-                continue;
-            }
-            let common = common_loops(a, b);
             // Execution-order comparison sequences: the common loops, in old
-            // and in new nesting order.
-            let old_seq: Vec<&LoopCtx> = common.clone();
-            let mut new_seq: Vec<&LoopCtx> = Vec::new();
-            for c in &common {
-                if !old_order.contains(&c.id) {
-                    new_seq.push(c);
-                }
-            }
-            // Insert the permuted nest loops at the position of the first
-            // nest loop in the common order.
-            let first_nest_pos = common
+            // and in new nesting order — the permuted nest loops take the
+            // place of the first nest loop in the common order.
+            let old_seq: Vec<&LoopCtx> = common_loops(a, b).collect();
+            let first_nest_pos = old_seq
                 .iter()
                 .position(|c| old_order.contains(&c.id))
-                .unwrap_or(common.len());
-            let mut new_seq2: Vec<&LoopCtx> = common
+                .unwrap_or(old_seq.len());
+            let mut new_seq: Vec<&LoopCtx> = old_seq
                 .iter()
                 .filter(|c| !old_order.contains(&c.id))
                 .copied()
                 .collect();
-            let nest_loops: Vec<&LoopCtx> = new_order
+            let nest_loops = new_order
                 .iter()
-                .filter_map(|id| common.iter().find(|c| c.id == *id).copied())
-                .collect();
-            for (k, l) in nest_loops.into_iter().enumerate() {
-                new_seq2.insert(first_nest_pos + k, l);
+                .filter_map(|id| old_seq.iter().find(|c| c.id == *id).copied());
+            for (k, l) in nest_loops.enumerate() {
+                new_seq.insert(first_nest_pos + k, l);
             }
-            new_seq = new_seq2;
 
             // Violation: a before b under old_seq at depth d, while b
             // strictly before a under new_seq at depth e.
+            let base = pair_system(&info, a, b);
             for d in 0..=old_seq.len() {
+                if d == old_seq.len() && a.pos >= b.pos {
+                    continue; // "a before b at equal iters" needs pos order
+                }
                 for e in 0..new_seq.len() {
-                    if d == old_seq.len() && a.pos >= b.pos {
-                        continue; // "a before b at equal iters" needs pos order
-                    }
-                    let mut sys = System::new();
-                    domain_constraints(a, "s", &mut sys);
-                    domain_constraints(b, "t", &mut sys);
-                    subscript_constraints(a, b, &mut sys);
-            incarnation_constraints(&info, a, b, &mut sys);
-                    for c in &old_seq[..d.min(old_seq.len())] {
-                        sys.push(Constraint::eq(
-                            LinExpr::var(renamed(c, "s")),
-                            LinExpr::var(renamed(c, "t")),
-                        ));
-                    }
+                    let mut sys = base.clone();
+                    lockstep(&mut sys, old_seq[..d].iter().copied());
                     if d < old_seq.len() {
-                        sys.push(Constraint::lt(
-                            LinExpr::var(renamed(old_seq[d], "s")),
-                            LinExpr::var(renamed(old_seq[d], "t")),
-                        ));
+                        earlier(&mut sys, old_seq[d], "s", "t");
                     }
-                    for c in &new_seq[..e] {
-                        sys.push(Constraint::eq(
-                            LinExpr::var(renamed(c, "s")),
-                            LinExpr::var(renamed(c, "t")),
-                        ));
-                    }
+                    lockstep(&mut sys, new_seq[..e].iter().copied());
                     // b strictly before a in the new order.
-                    sys.push(Constraint::lt(
-                        LinExpr::var(renamed(new_seq[e], "t")),
-                        LinExpr::var(renamed(new_seq[e], "s")),
-                    ));
+                    earlier(&mut sys, new_seq[e], "t", "s");
                     let sat = sys.satisfiable();
                     if sat != Sat::Empty {
-                        return Some(Violation {
-                            reason: format!(
-                                "reorder would reverse a dependence on `{}` ({} -> {})",
-                                a.var, a.stmt, b.stmt
-                            ),
-                            deps: vec![FoundDep {
-                                kind: classify(a.kind, b.kind),
-                                var: a.var.clone(),
-                                source: a.stmt,
-                                sink: b.stmt,
-                                carrier: Carrier::Loop(new_seq[e].id),
-                                certain: sat == Sat::NonEmpty,
-                            }],
-                        });
+                        let carrier = Carrier::Loop(new_seq[e].id);
+                        return Some(reversed("reorder", a, b, carrier, sat));
                     }
                 }
             }
@@ -1066,6 +1018,40 @@ mod tests {
         let f = fnc(for_("i", 1, var("N"), block([s1, s2])));
         let li = find::find_loop(&f.body, "i").unwrap().id;
         assert!(fission_illegal(&f, li, &|id| id == id1).is_some());
+    }
+
+    #[test]
+    fn a_shadowing_def_does_not_hide_a_carried_dependence() {
+        // var t[1]; for i in 0..8 { t[0] = t[0] + x[i]; y[i] = t[0];
+        //                           var t[1] { t[0] = 1 } }
+        // The inner `t` is a different tensor: the outer one still carries
+        // the running sum across iterations of `i`.
+        let the_loop = for_(
+            "i",
+            0,
+            8,
+            block([
+                store("t", [0], load("t", [0]) + load("x", [i()])),
+                store("y", [i()], load("t", [0])),
+                var_def("t", [1], DataType::F32, MemType::CpuHeap, store("t", [0], 1.0f32)),
+            ]),
+        );
+        let li = the_loop.id;
+        let f = Func::new("f")
+            .param("x", [8], DataType::F32, AccessType::Input)
+            .param("y", [8], DataType::F32, AccessType::Output)
+            .body(var_def("t", [1], DataType::F32, MemType::CpuHeap, the_loop));
+        let blockers = parallelize_blockers(&f, li);
+        assert!(
+            blockers.iter().any(|d| d.var == "t" && d.kind == DepKind::Raw),
+            "{blockers:?}"
+        );
+        // No dependence pairs an access of the outer `t` with the inner one.
+        let inner = find::find_stmts(&f.body, &|s| {
+            matches!(&s.kind, StmtKind::Store { value: Expr::FloatConst(_), .. })
+        })[0]
+            .id;
+        assert!(all_deps(&f).iter().all(|d| (d.source == inner) == (d.sink == inner)));
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub use memplan::{eval_extent, MemPlan, PlanClass, PlanEntry, ARENA_ALIGN};
 pub use affine::{cond_to_constraints, linexpr_to_expr, to_linexpr};
 pub use bounds::{const_bounds, symbolic_bounds, BoundsCtx, SymBounds};
 pub use deps::{
-    all_deps, carried_reductions, fission_illegal, fuse_illegal, loop_carried_deps,
-    parallelize_blockers, reorder_illegal, swap_illegal, Carrier, DepKind, FoundDep, Violation,
+    all_deps, carried_reductions, carried_reductions_in, fission_illegal, fuse_illegal,
+    loop_carried_deps, loop_carried_deps_in, parallelize_blockers, reorder_illegal, swap_illegal,
+    Carrier, DepKind, FoundDep, Violation,
 };
+/// The verdict of [`deps::dep_exists`].
+pub use ft_poly::Sat;

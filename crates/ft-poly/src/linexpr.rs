@@ -7,7 +7,8 @@ use std::ops;
 /// An affine expression `Σ cᵢ·xᵢ + c` with `i64` coefficients.
 ///
 /// Variables are identified by name; a zero coefficient is never stored.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+/// The order is structural: by term map, then by constant.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinExpr {
     /// Non-zero coefficients, keyed by variable name (sorted for determinism).
     terms: BTreeMap<String, i64>,
@@ -66,6 +67,12 @@ impl LinExpr {
     /// Names of the variables with non-zero coefficients.
     pub fn vars(&self) -> impl Iterator<Item = &str> {
         self.terms.keys().map(String::as_str)
+    }
+
+    /// Whether both expressions have the same variable coefficients
+    /// (constants aside).
+    pub(crate) fn same_terms(&self, other: &LinExpr) -> bool {
+        self.terms == other.terms
     }
 
     /// Number of variables.

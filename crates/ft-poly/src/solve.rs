@@ -242,25 +242,12 @@ impl LinExpr {
     }
 }
 
+/// Keep, of the inequalities with identical coefficient vectors, only the
+/// tightest (smallest constant). The order left behind is structural —
+/// what Fourier–Motzkin decides depends on the set, not on the order.
 fn prune(ineqs: &mut Vec<LinExpr>) {
-    use std::collections::HashMap;
-    // For identical coefficient vectors keep only the tightest constant.
-    let mut best: HashMap<Vec<(String, i64)>, i64> = HashMap::new();
-    for e in ineqs.drain(..) {
-        let key: Vec<(String, i64)> = e.iter_terms().map(|(n, c)| (n.to_string(), c)).collect();
-        let c = e.constant_term();
-        best.entry(key)
-            .and_modify(|existing| *existing = (*existing).min(c))
-            .or_insert(c);
-    }
-    for (key, c) in best {
-        let mut e = LinExpr::constant(c);
-        for (n, coeff) in key {
-            e = e + LinExpr::term(n, coeff);
-        }
-        ineqs.push(e);
-    }
-    ineqs.sort_by_key(|e| format!("{e}"));
+    ineqs.sort_unstable();
+    ineqs.dedup_by(|later, kept| later.same_terms(kept));
 }
 
 /// The per-depth disjuncts of the lexicographic order `p >lex q`.

@@ -4,10 +4,14 @@
 use crate::util::{as_for, peel, refresh_ids, replace_by_id};
 use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
-use ft_analysis::deps::{carried_reductions, parallelize_blockers, fission_illegal, subtree_ids};
+use ft_analysis::collect_accesses;
+use ft_analysis::deps::{
+    carried_reductions_in, fission_illegal, loop_carried_deps_in, parallelize_blockers, subtree_ids,
+};
 use ft_ir::find::Selector;
 use ft_ir::mutate::subst_var_stmt;
 use ft_ir::{Expr, MemType, ParallelScope, Stmt, StmtId, StmtKind};
+use std::collections::HashSet;
 
 impl Schedule {
     /// Run a loop's iterations in parallel under the given hardware scope.
@@ -46,7 +50,8 @@ impl Schedule {
     ) -> Result<(), ScheduleError> {
         let target = self.resolve_stmt(loop_sel)?;
         let p = as_for(&target)?;
-        let blockers = parallelize_blockers(self.func(), p.id);
+        let info = collect_accesses(self.func());
+        let blockers = loop_carried_deps_in(self.func(), &info, p.id);
         if let Some(dep) = blockers.first() {
             let msg = format!(
                 "loop `{}` carries a {:?} dependence on `{}` ({} -> {})",
@@ -57,34 +62,32 @@ impl Schedule {
         }
         // Fig. 13(c): a tensor in thread-local storage defined outside the
         // parallel loop is not visible to the other threads.
-        let loop_ids = subtree_ids(&target);
-        let mut violation: Option<String> = None;
-        let info = ft_analysis::collect_accesses(self.func());
-        for acc in &info.accesses {
-            if !loop_ids.contains(&acc.stmt) || !acc.kind.writes() {
-                continue;
+        let mut thread_local = HashSet::new();
+        self.func().body.walk(&mut |s| {
+            if let StmtKind::VarDef {
+                mtype: MemType::GpuLocal | MemType::CpuStack,
+                ..
+            } = s.kind
+            {
+                thread_local.insert(s.id);
             }
-            let local = matches!(
-                self.local_mtype(&acc.var),
-                Some(MemType::GpuLocal) | Some(MemType::CpuStack)
-            );
-            if local {
-                // Defined outside the loop? Then other iterations (threads)
-                // cannot see the writes.
-                if let Some(containing) = info.def_inside_loops.get(&acc.var) {
-                    if !containing.contains(&p.id) {
-                        violation = Some(acc.var.clone());
-                    }
-                }
-            }
-        }
-        if let Some(v) = violation {
+        });
+        let written_outside = info.accesses.iter().find(|a| {
+            a.kind.writes()
+                && a.loops.iter().any(|l| l.id == p.id)
+                && a.def.is_some_and(|d| thread_local.contains(&d))
+                && info
+                    .def_loops(a)
+                    .is_some_and(|containing| !containing.contains(&p.id))
+        });
+        if let Some(acc) = written_outside {
             return Err(ScheduleError::Illegal(format!(
-                "tensor `{v}` is thread-local but defined outside the parallel loop (Fig. 13(c))"
+                "tensor `{}` is thread-local but defined outside the parallel loop (Fig. 13(c))",
+                acc.var
             )));
         }
         // Reductions updated by multiple iterations become atomic.
-        let atomics = carried_reductions(self.func(), p.id);
+        let atomics = carried_reductions_in(&info, p.id);
         let mut body = self.func().body.clone();
         for rid in atomics {
             body = replace_by_id(body, rid, &mut |s| match s.kind {
@@ -140,18 +143,6 @@ impl Schedule {
         .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
         self.func_mut().body = body;
         Ok(())
-    }
-
-    fn local_mtype(&self, var: &str) -> Option<MemType> {
-        let mut found = None;
-        self.func().body.walk(&mut |s| {
-            if let StmtKind::VarDef { name, mtype, .. } = &s.kind {
-                if name == var {
-                    found = Some(*mtype);
-                }
-            }
-        });
-        found
     }
 
     /// Fully unroll a constant-extent loop into a sequence of bodies.
@@ -243,10 +234,7 @@ impl Schedule {
         // of iteration i — the same reversal a fission at each boundary
         // would cause; verify each boundary.
         for cut in 1..items.len() {
-            let first_ids: std::collections::HashSet<StmtId> = items[..cut]
-                .iter()
-                .flat_map(subtree_ids)
-                .collect();
+            let first_ids: HashSet<StmtId> = items[..cut].iter().flat_map(subtree_ids).collect();
             if let Some(v) = fission_illegal(self.func(), p.id, &|id| first_ids.contains(&id)) {
                 self.note_deps(&v.deps);
                 return Err(ScheduleError::Illegal(v.to_string()));

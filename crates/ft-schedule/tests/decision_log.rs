@@ -86,3 +86,51 @@ fn phase_labels_attach_to_decisions() {
     assert_eq!(ds[0].pass.as_deref(), Some("auto_parallelize"));
     assert_eq!(ds[1].pass, None);
 }
+
+/// `var t[1]; for i in 0..8 { t[0] = t[0] + x[i]; y[i] = t[0];
+/// var t[1] { t[0] = 1 } }` — a def shadowing the running sum's name inside
+/// the loop must not hide the sum's carried dependence: parallelized, the
+/// iterations race on the outer `t`.
+#[test]
+fn a_shadowing_def_does_not_let_parallelize_race() {
+    let f = Func::new("shadow")
+        .param("x", [8], DataType::F32, AccessType::Input)
+        .param("y", [8], DataType::F32, AccessType::Output)
+        .body(var_def(
+            "t",
+            [1],
+            DataType::F32,
+            MemType::CpuHeap,
+            for_(
+                "i",
+                0,
+                8,
+                block([
+                    store("t", [0], load("t", [0]) + load("x", [var("i")])),
+                    store("y", [var("i")], load("t", [0])),
+                    var_def(
+                        "t",
+                        [1],
+                        DataType::F32,
+                        MemType::CpuHeap,
+                        store("t", [0], 1.0f32),
+                    ),
+                ]),
+            ),
+        ));
+    let sink = TraceSink::new();
+    let mut s = Schedule::with_sink(f, sink.clone());
+    let err = s.parallelize("i", ParallelScope::OpenMp).unwrap_err();
+    assert!(
+        matches!(err, ft_schedule::ScheduleError::Illegal(_)),
+        "{err}"
+    );
+    let decisions = sink.decisions();
+    assert_eq!(decisions.len(), 1);
+    assert_eq!(decisions[0].verdict, Verdict::Rejected);
+    assert!(
+        decisions[0].deps.iter().any(|d| d.var == "t"),
+        "{:?}",
+        decisions[0].deps
+    );
+}
