@@ -149,7 +149,14 @@ impl<'f> Collector<'f> {
                     self.walk(st);
                 }
             }
-            StmtKind::VarDef { name, body, .. } => {
+            StmtKind::VarDef {
+                name, shape, body, ..
+            } => {
+                // The extents are read where the def stands, before its
+                // name is bound.
+                for e in shape {
+                    self.record_expr_reads(s.id, e);
+                }
                 self.info
                     .def_inside_loops
                     .insert(s.id, self.loops.iter().map(|l| l.id).collect());
@@ -336,6 +343,34 @@ mod tests {
         assert_eq!(defs[0], defs[2]); // the outer t, before and after the inner def
         assert_ne!(defs[0], defs[1]);
         assert!(defs.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn a_def_reads_its_extents_outside_its_scope() {
+        // for i { var t[n[i]] { t[0] = 1 } }: `n[i]` is read by the def,
+        // under `i`, bound to the parameter `n`.
+        let f = Func::new("h")
+            .param("n", [4], DataType::I64, AccessType::Input)
+            .body(for_(
+                "i",
+                0,
+                4,
+                var_def(
+                    "n",
+                    [load("n", [var("i")])],
+                    DataType::F32,
+                    MemType::CpuHeap,
+                    store("n", [0], 1.0f32),
+                ),
+            ));
+        let info = collect_accesses(&f);
+        let read = &info.accesses[0];
+        assert_eq!(
+            (read.var, read.kind, read.def),
+            ("n", AccessKind::Read, None)
+        );
+        assert_eq!(read.loops.len(), 1);
+        assert!(info.accesses[1].def.is_some());
     }
 
     #[test]

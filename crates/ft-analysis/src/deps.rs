@@ -11,22 +11,19 @@
 //! * an execution-order constraint (loop-carried at a given carrier loop, or
 //!   loop-independent with syntactic position as tie-breaker).
 //!
-//! Three FreeTensor-specific refinements (paper Fig. 12) are implemented:
+//! Two FreeTensor-specific refinements (paper Fig. 12) are implemented:
 //!
 //! * **stack-scope projection**: a dependence on a tensor cannot be carried
 //!   by a loop that encloses the tensor's `VarDef` — each iteration owns a
 //!   fresh incarnation (Fig. 12(d));
 //! * **commutative reductions**: two `ReduceTo`s with the same operator on
-//!   the same tensor never constrain each other (Fig. 12(c));
-//! * **`no_deps` assertions**: loops may declare tensors free of carried
-//!   dependences (the escape hatch for indirect subscripts the polyhedral
-//!   model cannot see through).
+//!   the same tensor never constrain each other (Fig. 12(c)).
 
 use crate::access::{collect_accesses, Access, AccessInfo, AccessKind, LoopCtx};
 use crate::affine::{
     cond_to_constraints, negated_cond_to_constraints, to_linexpr_mapped, VarMap,
 };
-use ft_ir::{find, Func, ReduceOp, Stmt, StmtId, StmtKind};
+use ft_ir::{find, BinaryOp, Expr, Func, ReduceOp, Stmt, StmtId, StmtKind};
 use ft_poly::{Constraint, LinExpr, Sat, System};
 use std::collections::HashSet;
 use std::fmt;
@@ -71,6 +68,23 @@ pub struct FoundDep {
     pub certain: bool,
 }
 
+/// One line per dependence, as the schedule decision log and the VM's
+/// refused regions print it: ``Raw `y` #5 -> #9 @loop #3 certain``.
+impl fmt::Display for FoundDep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?} `{}` {} -> {} @",
+            self.kind, self.var, self.source, self.sink
+        )?;
+        match self.carrier {
+            Carrier::Loop(id) => write!(f, "loop {id}")?,
+            Carrier::Independent => f.write_str("independent")?,
+        }
+        f.write_str(if self.certain { " certain" } else { " may" })
+    }
+}
+
 /// A structured legality violation: why a transformation must be rejected,
 /// carrying the blocking dependences themselves (not just a message) so
 /// callers — notably the schedule decision log — can report *which*
@@ -112,19 +126,38 @@ fn renamed(l: &LoopCtx, tag: &str) -> String {
     format!("{}.{}{}", l.iter, l.id.0, tag)
 }
 
-/// Add the iteration-domain constraints of one access side.
+/// Call `f` on every operand of a chain of `op`s (on `e` itself when it is
+/// not one): each operand of a `max` lower bound or a `min` upper bound
+/// bounds the iterator on its own.
+fn for_each_operand<'e>(e: &'e Expr, op: BinaryOp, f: &mut impl FnMut(&'e Expr)) {
+    match e {
+        Expr::Binary { op: o, a, b } if *o == op => {
+            for_each_operand(a, op, f);
+            for_each_operand(b, op, f);
+        }
+        _ => f(e),
+    }
+}
+
+/// Add the iteration-domain constraints of one access side. A bound that is
+/// not affine — or an operand of a `min`/`max` bound that is not — adds
+/// nothing: the domain only grows, which is the conservative direction.
 fn domain_constraints(acc: &Access, tag: &str, sys: &mut System) {
     // Build the rename map incrementally so a loop's bounds are translated
     // with only *outer* iterators renamed.
     let mut map = VarMap::new();
     for l in acc.loops.iter() {
         let v = LinExpr::var(renamed(l, tag));
-        if let Some(lo) = to_linexpr_mapped(l.begin, &map) {
-            sys.push(Constraint::ge(v.clone(), lo));
-        }
-        if let Some(hi) = to_linexpr_mapped(l.end, &map) {
-            sys.push(Constraint::lt(v, hi));
-        }
+        for_each_operand(l.begin, BinaryOp::Max, &mut |lo| {
+            if let Some(lo) = to_linexpr_mapped(lo, &map) {
+                sys.push(Constraint::ge(v.clone(), lo));
+            }
+        });
+        for_each_operand(l.end, BinaryOp::Min, &mut |hi| {
+            if let Some(hi) = to_linexpr_mapped(hi, &map) {
+                sys.push(Constraint::lt(v.clone(), hi));
+            }
+        });
         map.insert(l.iter.to_string(), renamed(l, tag));
     }
     for (cond, taken) in acc.conds.iter() {
@@ -257,33 +290,29 @@ fn classify(a: AccessKind, b: AccessKind) -> DepKind {
     }
 }
 
-/// Whether two accesses touch the same tensor: the same name bound to the
-/// same definition.
-fn same_tensor(a: &Access, b: &Access) -> bool {
-    a.def == b.def && a.var == b.var
+/// Whether two accesses may touch one cell: the same name bound to the same
+/// definition, and no dimension where both subscripts are constants that
+/// differ (`y[i, 0]` and `y[i, 1]` never meet — the one case no solver is
+/// needed for, and unrolled bodies are full of it).
+fn may_meet(a: &Access, b: &Access) -> bool {
+    let distinct =
+        |(x, y): (&Expr, &Expr)| matches!((x, y), (Expr::IntConst(p), Expr::IntConst(q)) if p != q);
+    a.def == b.def
+        && a.var == b.var
+        && (a.indices.len() != b.indices.len() || !a.indices.iter().zip(b.indices).any(distinct))
 }
 
 /// Whether a pair of accesses can be ignored entirely: read-read pairs,
-/// different tensors, and same-operator reduce-reduce pairs (Fig. 12(c)).
+/// pairs that never meet, and same-operator reduce-reduce pairs (Fig.
+/// 12(c)).
 fn ignorable(a: &Access, b: &Access) -> bool {
-    if !same_tensor(a, b) || (!a.kind.writes() && !b.kind.writes()) {
+    if !may_meet(a, b) || (!a.kind.writes() && !b.kind.writes()) {
         return true;
     }
     matches!(
         (a.kind, b.kind),
         (AccessKind::Reduce(x), AccessKind::Reduce(y)) if x == y
     )
-}
-
-/// The `no_deps` assertions of loop `l` (empty if it is not a loop).
-fn no_deps_of(func: &Func, l: StmtId) -> &[String] {
-    match find::find_by_id(&func.body, l) {
-        Some(Stmt {
-            kind: StmtKind::For { property, .. },
-            ..
-        }) => &property.no_deps,
-        _ => &[],
-    }
 }
 
 fn found(a: &Access, b: &Access, carrier: Carrier, sat: Sat) -> FoundDep {
@@ -309,9 +338,6 @@ pub fn all_deps(func: &Func) -> Vec<FoundDep> {
                 continue;
             }
             for c in common_loops(a, b) {
-                if no_deps_of(func, c.id).iter().any(|n| n == a.var) {
-                    continue;
-                }
                 let carrier = Carrier::Loop(c.id);
                 match dep_exists(&info, a, b, carrier) {
                     Sat::Empty => {}
@@ -329,14 +355,13 @@ pub fn all_deps(func: &Func) -> Vec<FoundDep> {
 
 /// Dependences carried by a specific loop.
 pub fn loop_carried_deps(func: &Func, loop_id: StmtId) -> Vec<FoundDep> {
-    loop_carried_deps_in(func, &collect_accesses(func), loop_id)
+    loop_carried_deps_in(&collect_accesses(func), loop_id)
 }
 
-/// [`loop_carried_deps`] over the accesses of `func` already collected in
-/// `info`. Only accesses inside the loop are paired: no other pair has it
+/// [`loop_carried_deps`] over the accesses of a function already collected
+/// in `info`. Only accesses inside the loop are paired: no other pair has it
 /// as a common loop.
-pub fn loop_carried_deps_in(func: &Func, info: &AccessInfo, loop_id: StmtId) -> Vec<FoundDep> {
-    let no_deps = no_deps_of(func, loop_id);
+pub fn loop_carried_deps_in(info: &AccessInfo, loop_id: StmtId) -> Vec<FoundDep> {
     let under: Vec<&Access> = info
         .accesses
         .iter()
@@ -344,7 +369,7 @@ pub fn loop_carried_deps_in(func: &Func, info: &AccessInfo, loop_id: StmtId) -> 
         .collect();
     let carrier = Carrier::Loop(loop_id);
     let mut out = Vec::new();
-    for a in under.iter().filter(|a| !no_deps.iter().any(|n| n == a.var)) {
+    for a in &under {
         for b in &under {
             if ignorable(a, b) {
                 continue;
@@ -387,7 +412,7 @@ pub fn carried_reductions_in(info: &AccessInfo, loop_id: StmtId) -> Vec<StmtId> 
     let mut out = Vec::new();
     for (a, op_a) in &reduces {
         for (b, op_b) in &reduces {
-            if !same_tensor(a, b) || op_a != op_b {
+            if !may_meet(a, b) || op_a != op_b {
                 continue;
             }
             if dep_exists(info, a, b, Carrier::Loop(loop_id)) != Sat::Empty {
@@ -1020,6 +1045,67 @@ mod tests {
         assert!(fission_illegal(&f, li, &|id| id == id1).is_some());
     }
 
+    /// `for c in 0..8 { for j in lo(c) .. hi(c) { y[j] = x[c] } }`, and the
+    /// id of the `c` loop.
+    fn chunked(lo: Expr, hi: Expr) -> (Func, StmtId) {
+        let l = for_(
+            "c",
+            0,
+            8,
+            for_("j", lo, hi, store("y", [j()], load("x", [var("c")]))),
+        );
+        let id = l.id;
+        let f = Func::new("f")
+            .param("x", [8], DataType::F32, AccessType::Input)
+            .param("y", [var("n")], DataType::F32, AccessType::Output)
+            .param("adj", [8], DataType::I64, AccessType::Input)
+            .size_param("n")
+            .body(l);
+        (f, id)
+    }
+
+    #[test]
+    fn a_min_upper_bound_partitions_the_chunks() {
+        // The chunk grid `lower_cpu_parallel` cuts: chunk `c` covers
+        // [16c, min(16c + 16, n)), so no two chunks meet in `y`.
+        let c16 = || var("c") * 16;
+        let (f, c) = chunked(c16(), (c16() + 16).min(var("n")));
+        assert!(parallelize_blockers(&f, c).is_empty());
+        assert!(carried_reductions(&f, c).is_empty());
+        // Without the `min`, the domain of `j` is unbounded above.
+        let (f, c) = chunked(c16(), var("n"));
+        assert!(!parallelize_blockers(&f, c).is_empty());
+    }
+
+    #[test]
+    fn a_max_lower_bound_partitions_the_chunks() {
+        // Chunks counted from the top: [max(n - 16c - 16, 0), n - 16c).
+        let top = || var("n") - var("c") * 16;
+        let (f, c) = chunked((top() - 16).max(0), top());
+        assert!(parallelize_blockers(&f, c).is_empty());
+        let (f, c) = chunked(Expr::from(0), top());
+        assert!(!parallelize_blockers(&f, c).is_empty());
+    }
+
+    #[test]
+    fn a_non_affine_bound_operand_drops_only_itself() {
+        let adj = |e: Expr| load("adj", [e]);
+        // The affine operand still bounds `j`: the chunks stay disjoint.
+        let c16 = || var("c") * 16;
+        let (f, c) = chunked(c16(), (c16() + 16).min(adj(var("c"))));
+        assert!(parallelize_blockers(&f, c).is_empty());
+        // And dropping the load loosens, never tightens: every `c` writes
+        // `y[0..min(adj[c], 8))`, which collides.
+        let (f, c) = chunked(Expr::from(0), adj(var("c")).min(8));
+        let blockers = parallelize_blockers(&f, c);
+        assert!(
+            blockers
+                .iter()
+                .any(|d| d.var == "y" && d.kind == DepKind::Waw),
+            "{blockers:?}"
+        );
+    }
+
     #[test]
     fn a_shadowing_def_does_not_hide_a_carried_dependence() {
         // var t[1]; for i in 0..8 { t[0] = t[0] + x[i]; y[i] = t[0];
@@ -1052,24 +1138,5 @@ mod tests {
         })[0]
             .id;
         assert!(all_deps(&f).iter().all(|d| (d.source == inner) == (d.sink == inner)));
-    }
-
-    #[test]
-    fn no_deps_assertion_suppresses() {
-        // Indirect store a[idx[i],0] = 1 normally blocks parallelization
-        // (unknown subscripts may collide); a no_deps assertion lifts it.
-        let body = store(
-            "a",
-            [Expr::cast(DataType::I64, load("idx", [i()])), 0.into()],
-            1.0f64,
-        );
-        let f = fnc(for_("i", 0, var("N"), body.clone()));
-        let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(!parallelize_blockers(&f, li).is_empty());
-        let mut prop = ForProperty::serial();
-        prop.no_deps.push("a".to_string());
-        let f2 = fnc(for_with("i", 0, var("N"), prop, body));
-        let li2 = find::find_loop(&f2.body, "i").unwrap().id;
-        assert!(parallelize_blockers(&f2, li2).is_empty());
     }
 }

@@ -829,14 +829,10 @@ impl<'a> Emitter<'a> {
                 // clock_gettime pairs accumulating into their __ft_prof slot.
                 let site = if self.loop_depth == 0 {
                     if let Some(sites) = &mut self.prof {
-                        // The fill, chunk and merge nests of one lowered
-                        // loop share its id and therefore its slot.
-                        let k = sites.iter().position(|p| p.stmt == s.id).unwrap_or_else(|| {
-                            sites.push(ProfSite {
-                                stmt: s.id,
-                                desc: format!("for {iter}"),
-                            });
-                            sites.len() - 1
+                        let k = sites.len();
+                        sites.push(ProfSite {
+                            stmt: s.id,
+                            desc: format!("for {iter}"),
                         });
                         self.line("{");
                         self.indent += 1;
@@ -1271,9 +1267,13 @@ mod tests {
             "{c}"
         );
         assert!(c.contains("h[h_part_i0] = ft_a1;"), "{c}");
-        // One lowered loop, one profiling site.
+        // The chunk loop keeps the loop's site; the merge nest has its own.
         let (_, sites) = emit_unit(&lowered, None, true).unwrap();
-        assert_eq!(sites.len(), 1, "{sites:?}");
+        let descs: Vec<&str> = sites.iter().map(|p| p.desc.as_str()).collect();
+        assert_eq!(descs, ["for i.chunk", "for h.part.i0"], "{sites:?}");
+        let merge = ft_ir::find::find_loop(&lowered.body, "h.part.i0").unwrap().id;
+        let ids: Vec<_> = sites.iter().map(|p| p.stmt).collect();
+        assert_eq!(ids, [f.body.id, merge], "{sites:?}");
     }
 
     #[test]

@@ -40,8 +40,7 @@
 //! emitter keep the unlowered IR.
 
 use ft_ir::{
-    AccessType, DataType, Expr, ForProperty, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtId,
-    StmtKind,
+    AccessType, DataType, Expr, ForProperty, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind,
 };
 use ft_passes::const_fold_expr;
 use ft_schedule::util::{bound_names, fresh_name};
@@ -264,7 +263,7 @@ impl Partial {
                 vectorize: d + 1 == self.iters.len(),
                 ..ForProperty::serial()
             };
-            for_stmt(StmtId::fresh(), it, *extent, property, nest)
+            for_stmt(it, *extent, property, nest)
         })
     }
 }
@@ -332,18 +331,14 @@ struct Lowerer<'a> {
     defs: HashMap<&'a str, Vec<(DataType, &'a [Expr])>>,
 }
 
-fn for_stmt(id: StmtId, iter: &str, end: i64, property: ForProperty, body: Stmt) -> Stmt {
-    Stmt {
-        id,
-        label: None,
-        kind: StmtKind::For {
-            iter: iter.to_string(),
-            begin: Expr::IntConst(0),
-            end: Expr::IntConst(end),
-            property,
-            body: Box::new(body),
-        },
-    }
+fn for_stmt(iter: &str, end: i64, property: ForProperty, body: Stmt) -> Stmt {
+    Stmt::new(StmtKind::For {
+        iter: iter.to_string(),
+        begin: Expr::IntConst(0),
+        end: Expr::IntConst(end),
+        property,
+        body: Box::new(body),
+    })
 }
 
 impl<'a> Lowerer<'a> {
@@ -496,16 +491,17 @@ impl<'a> Lowerer<'a> {
             },
         };
 
-        // The fill and merge nests carry L's id too: a profiled build
-        // attributes all three to L's one site. A `VarDef` starts zeroed,
-        // which is the identity of `+=`: only the other operators fill.
+        // Only the chunk loop keeps L's id: every statement has its own, so
+        // a dependence query about one nest sees only that nest. A `VarDef`
+        // starts zeroed, which is the identity of `+=`: only the other
+        // operators fill.
         let mut stmts = Vec::with_capacity(2 * parts.len() + 1);
         for part in parts.iter().filter(|p| p.op != ReduceOp::Add) {
-            stmts.push(Self::fill_nest(id, scope, &chunk, p, part));
+            stmts.push(Self::fill_nest(scope, &chunk, p, part));
         }
         stmts.push(chunk_loop);
         for part in &parts {
-            stmts.push(Self::merge_nest(id, scope, &chunk, p, part));
+            stmts.push(Self::merge_nest(scope, &chunk, p, part));
         }
         let mut out = Stmt::new(StmtKind::Block(stmts));
         for part in parts.into_iter().rev() {
@@ -579,13 +575,7 @@ impl<'a> Lowerer<'a> {
 
     /// `for chunk: for i0: … part[chunk, i0, …] = identity` — a perfect
     /// full-overwrite nest, so the memory plan elides the arena zero-fill.
-    fn fill_nest(
-        id: StmtId,
-        scope: ParallelScope,
-        chunk: &str,
-        chunks: i64,
-        part: &Partial,
-    ) -> Stmt {
+    fn fill_nest(scope: ParallelScope, chunk: &str, chunks: i64, part: &Partial) -> Stmt {
         let iters = &part.iters;
         let mut indices = vec![Expr::Var(chunk.to_string())];
         indices.extend(iters.iter().cloned().map(Expr::Var));
@@ -595,18 +585,12 @@ impl<'a> Lowerer<'a> {
             value: part.op.identity(part.dtype),
         });
         let nest = part.dim_loops(0, nest);
-        for_stmt(id, chunk, chunks, ForProperty::parallel(scope), nest)
+        for_stmt(chunk, chunks, ForProperty::parallel(scope), nest)
     }
 
     /// `for i0 (parallel): for chunk: for i1…: X[i0, …] op= part[chunk, i0, …]`
     /// — every element of `X` folds its rows in ascending chunk order.
-    fn merge_nest(
-        id: StmtId,
-        scope: ParallelScope,
-        chunk: &str,
-        chunks: i64,
-        part: &Partial,
-    ) -> Stmt {
+    fn merge_nest(scope: ParallelScope, chunk: &str, chunks: i64, part: &Partial) -> Stmt {
         let iters = &part.iters;
         let at: Vec<Expr> = iters.iter().cloned().map(Expr::Var).collect();
         let mut row = vec![Expr::Var(chunk.to_string())];
@@ -624,10 +608,10 @@ impl<'a> Lowerer<'a> {
         let nest = part.dim_loops(1, nest);
         match iters.first() {
             // A scalar target: nothing to spread over a team.
-            None => for_stmt(id, chunk, chunks, ForProperty::serial(), nest),
+            None => for_stmt(chunk, chunks, ForProperty::serial(), nest),
             Some(i0) => {
-                let rows = for_stmt(StmtId::fresh(), chunk, chunks, ForProperty::serial(), nest);
-                for_stmt(id, i0, part.extents[0], ForProperty::parallel(scope), rows)
+                let rows = for_stmt(chunk, chunks, ForProperty::serial(), nest);
+                for_stmt(i0, part.extents[0], ForProperty::parallel(scope), rows)
             }
         }
     }

@@ -152,8 +152,7 @@ fn check_planned_path(
         if got.shape() != want.shape() {
             return Some(diverge(b, &name, f64::INFINITY, "planned run shape mismatch"));
         }
-        let d = got.max_abs_diff(want);
-        if d.is_nan() || d > 0.0 {
+        if let Some(d) = bit_difference(got, want) {
             return Some(diverge(
                 b,
                 &name,
@@ -163,6 +162,21 @@ fn check_planned_path(
         }
     }
     None
+}
+
+/// `|got - want|` at the first element whose bits differ, or `None` when
+/// every element has the same bits: a NaN on one side only differs (its
+/// difference is NaN), the same NaN on both sides does not.
+fn bit_difference(got: &TensorVal, want: &TensorVal) -> Option<f64> {
+    let bits = |s: ft_runtime::Scalar| match s {
+        ft_runtime::Scalar::Float(f) => f.to_bits(),
+        ft_runtime::Scalar::Int(v) => v as u64,
+        ft_runtime::Scalar::Bool(b) => u64::from(b),
+    };
+    (0..want.numel()).find_map(|i| {
+        let (g, w) = (got.get_flat(i), want.get_flat(i));
+        (bits(g) != bits(w)).then(|| (g.as_f64() - w.as_f64()).abs())
+    })
 }
 
 /// How one kind of variant is judged: the element-wise contract
@@ -372,6 +386,25 @@ mod tests {
             .expect("wrong gradient oracle");
         assert_eq!(d.output, "e.grad");
         said(&d, "gradient differs from oracle");
+    }
+
+    #[test]
+    fn the_planned_path_is_compared_bit_for_bit() {
+        let t = |v: Vec<f32>| TensorVal::from_f32(&[2], v);
+        let one = t(vec![1.0, 2.0]);
+        assert_eq!(bit_difference(&one, &one.clone()), None);
+        // A NaN from one run only: folding `|a - b|` with `f64::max`
+        // dropped it and called the runs equal.
+        let d = bit_difference(&t(vec![1.0, f32::NAN]), &one);
+        assert!(d.is_some_and(f64::is_nan), "{d:?}");
+        assert!(bit_difference(&one, &t(vec![1.0, f32::NAN])).is_some());
+        // The same NaN twice is the same bits; a sign is a bit too.
+        let nan = t(vec![f32::NAN, 0.0]);
+        assert_eq!(bit_difference(&nan, &nan.clone()), None);
+        assert_eq!(
+            bit_difference(&t(vec![1.0, -0.0]), &t(vec![1.0, 0.0])),
+            Some(0.0)
+        );
     }
 
     #[test]

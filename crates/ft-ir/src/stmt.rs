@@ -92,9 +92,6 @@ pub struct ForProperty {
     pub blend: bool,
     /// Implement the loop with vector instructions.
     pub vectorize: bool,
-    /// Names of tensors the user asserts carry no loop-carried dependence
-    /// over this loop (escape hatch for indirect indexing).
-    pub no_deps: Vec<String>,
 }
 
 impl ForProperty {

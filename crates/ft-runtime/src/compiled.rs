@@ -86,11 +86,6 @@ pub(crate) enum CStmt {
         idx: Vec<CExpr>,
         op: ReduceOp,
         value: CExpr,
-        /// Carried over from `StmtKind::ReduceTo`: the schedule marked this
-        /// reduction as crossing iterations of an enclosing parallel loop
-        /// (paper Fig. 13(d)/(e)). Parallel backends must privatize or
-        /// serialize it; sequential execution ignores the flag.
-        atomic: bool,
     },
     LibCall {
         kernel: String,
@@ -305,7 +300,7 @@ impl Lower {
                 indices,
                 op,
                 value,
-                atomic,
+                ..
             } => CStmt::Reduce {
                 t: self.tensor_slot(var)?,
                 idx: indices
@@ -314,7 +309,6 @@ impl Lower {
                     .collect::<Result<_, _>>()?,
                 op: *op,
                 value: self.expr(value)?,
-                atomic: *atomic,
             },
             StmtKind::LibCall {
                 kernel,
@@ -695,13 +689,7 @@ impl ExecCtx<'_> {
                 self.record_access(*t, off);
                 Ok(())
             }
-            CStmt::Reduce {
-                t,
-                idx,
-                op,
-                value,
-                atomic: _,
-            } => {
+            CStmt::Reduce { t, idx, op, value } => {
                 let idx = self.eval_indices(idx)?;
                 let v = self.eval(value)?;
                 let off = self.bounds_check(*t, &idx)?;

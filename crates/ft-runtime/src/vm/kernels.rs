@@ -119,13 +119,7 @@ impl Compiler {
                     None => Ok(Err("unsupported_value_shape")),
                 }
             }
-            S::Reduce {
-                t,
-                idx,
-                op,
-                value,
-                atomic: _,
-            } => {
+            S::Reduce { t, idx, op, value } => {
                 if ty_of(self.tdtype[*t]) != Ty::F {
                     return Ok(Err("unsupported_reduce_dtype"));
                 }
@@ -270,7 +264,7 @@ impl Compiler {
         let ctx = self.loops.pop().expect("pushed above");
         match built? {
             Err(reason) => {
-                self.decide("vm.simd", prof, false, reason);
+                self.decide(prof, false, reason);
                 Ok(false)
             }
             Ok(kernel) => {
@@ -289,7 +283,7 @@ impl Compiler {
                 if let Some(pg) = pre_gi {
                     self.patch(pg, after);
                 }
-                self.decide("vm.simd", prof, true, detail);
+                self.decide(prof, true, detail);
                 Ok(true)
             }
         }
@@ -732,7 +726,7 @@ mod tests {
     fn every_vectorize_kernel_shape_lowers() {
         let f = all_kernels_func();
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c).expect("typable");
+        let prog = compile_program(&c, &f).expect("typable");
         let veclooops = prog
             .code
             .iter()
@@ -743,7 +737,6 @@ mod tests {
         let mut accepted: Vec<String> = prog
             .decisions
             .iter()
-            .filter(|d| d.kind == "vm.simd")
             .map(|d| {
                 assert!(d.accepted, "unexpected rejection: {}", d.detail);
                 d.detail.clone()
@@ -898,7 +891,7 @@ mod tests {
                     reduce("q", [var("i")], ReduceOp::Add, load("q", [var("i")])),
                 ),
             ]));
-        let mut reasons: Vec<String> = decisions_of(&f, "vm.simd")
+        let mut reasons: Vec<String> = decisions_of(&f)
             .into_iter()
             .map(|(accepted, detail)| {
                 assert!(!accepted, "loop unexpectedly vectorized: {detail}");

@@ -51,7 +51,7 @@ impl Schedule {
         let target = self.resolve_stmt(loop_sel)?;
         let p = as_for(&target)?;
         let info = collect_accesses(self.func());
-        let blockers = loop_carried_deps_in(self.func(), &info, p.id);
+        let blockers = loop_carried_deps_in(&info, p.id);
         if let Some(dep) = blockers.first() {
             let msg = format!(
                 "loop `{}` carries a {:?} dependence on `{}` ({} -> {})",

@@ -2,7 +2,6 @@
 //! log, and per-statement counter tables.
 
 use crate::{Decision, TraceSink};
-use ft_analysis::Carrier;
 use std::fmt::Write as _;
 
 /// One compact line describing a decision, e.g.
@@ -18,20 +17,7 @@ pub fn decision_line(d: &Decision) -> String {
         let _ = write!(line, " — {reason}");
     }
     for dep in &d.deps {
-        let carrier = match dep.carrier {
-            Carrier::Loop(id) => format!("loop {id}"),
-            Carrier::Independent => "independent".to_string(),
-        };
-        let _ = write!(
-            line,
-            " [{:?} `{}` {} -> {} @{} {}]",
-            dep.kind,
-            dep.var,
-            dep.source,
-            dep.sink,
-            carrier,
-            if dep.certain { "certain" } else { "may" }
-        );
+        let _ = write!(line, " [{dep}]");
     }
     line
 }
@@ -107,7 +93,7 @@ pub fn provenance_report(sink: &TraceSink) -> String {
 mod tests {
     use super::*;
     use crate::Verdict;
-    use ft_analysis::{DepKind, FoundDep};
+    use ft_analysis::{Carrier, DepKind, FoundDep};
     use ft_ir::StmtId;
 
     #[test]

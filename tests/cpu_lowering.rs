@@ -25,6 +25,11 @@
 //! * `benchmark_units_stay_in_f32_under_wdouble_promotion` — the C of the
 //!   benchmark's seven units has no implicit `float`→`double` promotion and
 //!   no narrowing float conversion, says `cc`.
+//! * `every_lowered_parallel_loop_proves` — the seven rule-scheduled
+//!   programs, lowered, at small and full scale: unique statement ids, and
+//!   no dependence or reduction carried by any parallel loop. With
+//!   `--nocapture` it prints one table row per program and scale: parallel
+//!   loops, blockers, and what proving them all cost.
 
 use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
@@ -39,7 +44,7 @@ use freetensor::runtime::{
 };
 use freetensor::workloads::{data, Inputs, Instance, Scale, Workload};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn omp() -> ForProperty {
     ForProperty::parallel(ParallelScope::OpenMp)
@@ -179,11 +184,11 @@ fn carried_add_becomes_chunk_rows_and_an_ordered_merge() {
         )],
         "{lowered}"
     );
-    // Chunk loop and merge: two parallel nests, both under L's id (a
-    // zeroed `VarDef` is the identity of `+=`, so nothing fills the rows);
-    // the chunk loop keeps L's label.
+    // Chunk loop and merge: two parallel nests (a zeroed `VarDef` is the
+    // identity of `+=`, so nothing fills the rows); the chunk loop alone
+    // keeps L's id and label.
     assert_eq!(sh.parallel_loops, ["i.chunk", "h.part.i0"], "{lowered}");
-    assert_eq!(loops_with_id(&lowered, id), 2, "{lowered}");
+    assert_eq!(loops_with_id(&lowered, id), 1, "{lowered}");
     let labelled = find_stmts(&lowered.body, &|s| s.label.as_deref() == Some("L"));
     assert_eq!(labelled.len(), 1, "{lowered}");
     assert!(
@@ -227,8 +232,9 @@ fn mul_min_max_rows_start_from_the_identity() {
     let id = l.id;
     let f = f.body(l);
     let lowered = lower_checked(&f, &inputs, &no_sizes());
-    // Per target a fill and a merge nest, plus the chunk loop, all L's.
-    assert_eq!(loops_with_id(&lowered, id), 4 + 1 + 4, "{lowered}");
+    // Per target a fill and a merge nest, plus the chunk loop: only the
+    // chunk loop is L's.
+    assert_eq!(loops_with_id(&lowered, id), 1, "{lowered}");
     let mut fills = shape_of(&lowered).fills;
     fills.sort_by(|a, b| a.0.cmp(&b.0));
     assert_eq!(
@@ -796,4 +802,70 @@ fn benchmark_units_stay_in_f32_under_wdouble_promotion() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// The benchmark's seven programs under the rule passes — four forward,
+/// three differentiated — lowered as both back ends run them, at small and
+/// full scale. Every statement keeps an id of its own, so a query about one
+/// loop is about that loop alone, and every parallel loop the lowering
+/// keeps proves by the queries `parallelize` asks: no carried dependence,
+/// no carried reduction. Run with `--nocapture`, it prints a table row per
+/// program and scale with what proving every loop cost (one access
+/// collection, both queries per loop, best of three).
+#[test]
+fn every_lowered_parallel_loop_proves() {
+    use ft_analysis::{carried_reductions_in, collect_accesses, loop_carried_deps_in};
+    let programs = ["subdivnet", "longformer", "softras", "gat"]
+        .map(|n| (n, Kind::Rules))
+        .into_iter()
+        .chain(["subdivnet", "longformer", "softras"].map(|n| (n, Kind::GradRules)));
+    println!("\n| program | scale | parallel loops | blockers | carried reductions | prover µs |");
+    println!("|---|---|---|---|---|---|");
+    let mut failed = Vec::new();
+    for (name, kind) in programs {
+        for full in [false, true] {
+            let p = program(name, full, kind);
+            let lowered = lower_cpu_parallel(p.func());
+            let (mut ids, mut duplicates, mut loops) = (HashSet::new(), 0, Vec::new());
+            lowered.body.walk(&mut |s| {
+                duplicates += usize::from(!ids.insert(s.id));
+                if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+                    loops.push(s.id);
+                }
+            });
+            let mut best = std::time::Duration::MAX;
+            let (mut blockers, mut reductions) = (0, 0);
+            for _ in 0..3 {
+                let t0 = std::time::Instant::now();
+                let info = collect_accesses(&lowered);
+                blockers = loops
+                    .iter()
+                    .map(|l| loop_carried_deps_in(&info, *l).len())
+                    .sum();
+                reductions = loops
+                    .iter()
+                    .map(|l| carried_reductions_in(&info, *l).len())
+                    .sum();
+                best = best.min(t0.elapsed());
+            }
+            let label = if kind == Kind::GradRules {
+                format!("{name}.grad")
+            } else {
+                name.to_string()
+            };
+            let scale = if full { "full" } else { "small" };
+            println!(
+                "| {label} | {scale} | {} | {blockers} | {reductions} | {} |",
+                loops.len(),
+                best.as_micros()
+            );
+            if duplicates + blockers + reductions > 0 {
+                failed.push(format!(
+                    "{label} ({scale}): {duplicates} duplicate ids, {blockers} blockers, \
+                     {reductions} carried reductions"
+                ));
+            }
+        }
+    }
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
