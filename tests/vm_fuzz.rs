@@ -206,7 +206,8 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
     let (out, ds) = diff_with_decisions(&hist, &inputs, "parallel histogram");
     // The lowered nest is a chunk loop filling `h.part` and a merge nest
-    // folding it into `h`; the VM must take both as regions, not serialize.
+    // folding it into `h`; the dependence engine must prove both. A traced
+    // run asks every region, forked or not, so this holds on one core too.
     let regions: Vec<bool> = ds
         .iter()
         .filter(|(k, _, _)| k == "vm.parallel")
