@@ -15,7 +15,12 @@
 //!    calls (`as_lib`);
 //! 6. [`auto_unroll`] — unroll very short loops.
 //!
-//! [`auto_schedule`] runs all six in the paper's order for a target device.
+//! A seventh, [`auto_separate_tail`], runs between `auto_parallelize` and
+//! `auto_vectorize`: it splits every loop whose body is one affine guard on
+//! its own iterator into head, guard-free interior and tail, so interiors
+//! reach `auto_vectorize` without a branch.
+//!
+//! [`auto_schedule`] runs all seven for a target device.
 //!
 //! The [`search`] module is the alternative strategy: evolutionary search
 //! over schedule traces scored by the deterministic cost model, warm-started
@@ -246,6 +251,30 @@ pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
     n
 }
 
+/// Index-set splitting: every serial loop whose body is one `if` gets
+/// `separate_tail`, which refuses (with its reason in the decision log)
+/// guards that are not affine in the loop's own iterator. A loop bound to
+/// threads keeps its guard: splitting it would make three parallel regions
+/// of one (OpenMP), or a thread extent that varies by block (CUDA). Loops
+/// the split creates are not revisited; the interior keeps the loop's id,
+/// so loops inside it are.
+pub fn auto_separate_tail(sched: &mut Schedule) -> usize {
+    let span = begin_pass(sched, "auto_separate_tail");
+    let mut n = 0;
+    for id in all_loops(sched.func()) {
+        let guarded = ft_ir::find::find_by_id(&sched.func().body, id).is_some_and(|s| {
+            matches!(&s.kind, StmtKind::For { body, property, .. }
+                if property.parallel == ParallelScope::Serial
+                    && matches!(ft_schedule::util::peel(body).kind, StmtKind::If { .. }))
+        });
+        if guarded && sched.separate_tail(id).is_ok() {
+            n += 1;
+        }
+    }
+    end_pass(sched, span, n);
+    n
+}
+
 /// Pass 4: put small tensors as near to the processor as possible.
 pub fn auto_mem_type(sched: &mut Schedule, target: &Target) -> usize {
     let span = begin_pass(sched, "auto_mem_type");
@@ -309,7 +338,7 @@ pub fn auto_unroll(sched: &mut Schedule, target: &Target) -> usize {
     n
 }
 
-/// Run all six passes in the paper's order and return the scheduled function.
+/// Run all seven passes and return the scheduled function.
 pub fn auto_schedule(func: &Func, target: &Target) -> Func {
     auto_schedule_traced(func, target, None)
 }
@@ -324,11 +353,13 @@ pub fn auto_schedule_traced(func: &Func, target: &Target, sink: Option<TraceSink
     sched.into_func()
 }
 
-/// The six passes, in the paper's order.
+/// The paper's six passes in its order, with `auto_separate_tail` in front
+/// of `auto_vectorize`.
 fn run_passes(sched: &mut Schedule, target: &Target) {
     auto_fuse(sched);
     auto_use_lib(sched);
     auto_parallelize(sched, target);
+    auto_separate_tail(sched);
     auto_vectorize(sched);
     auto_mem_type(sched, target);
     auto_unroll(sched, target);

@@ -302,7 +302,7 @@ fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + 
     out.into_iter().map(|r| r.expect("par_map slot filled")).collect()
 }
 
-/// What the six rule-based passes do to `base`, in the positional trace
+/// What the rule-based passes do to `base`, in the positional trace
 /// vocabulary: the real passes run on a recording [`Schedule`], and every
 /// primitive they get accepted is noted with the position its loop or def
 /// had at that moment. Replaying the result through [`prepare_candidate`]

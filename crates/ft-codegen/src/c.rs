@@ -9,12 +9,39 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Static preamble: headers and the tiny support library every generated
-/// translation unit relies on — `HEADERS`, [`SCALAR_HELPERS`], `LIB_MATMUL`.
+/// translation unit relies on — `HEADERS`, `VECTOR_MATH`,
+/// [`SCALAR_HELPERS`], `LIB_MATMUL`.
 const HEADERS: &str = r#"#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <stdbool.h>
 #include <math.h>
+
+"#;
+
+/// The macro that turns on [`VECTOR_MATH`]: the engine defines it (and links
+/// `-lmvec`) only where a probe showed the host's libm has the variants.
+pub const VECTOR_MATH_MACRO: &str = "FT_LIBMVEC";
+
+/// glibc libmvec's vector variants of the `<math.h>` functions the emitter
+/// calls in loops (`expf`/`exp`, `logf`/`log`, `powf`/`pow`), declared as
+/// glibc's own `math-vector.h` does under `-ffast-math`: a loop the
+/// compiler vectorizes calls one variant per vector of lanes, and a scalar
+/// call stays glibc's. Without [`VECTOR_MATH_MACRO`] the block is empty.
+pub const VECTOR_MATH: &str = r#"#ifdef FT_LIBMVEC
+#pragma omp declare simd notinbranch
+float expf(float);
+#pragma omp declare simd notinbranch
+double exp(double);
+#pragma omp declare simd notinbranch
+float logf(float);
+#pragma omp declare simd notinbranch
+double log(double);
+#pragma omp declare simd notinbranch
+float powf(float, float);
+#pragma omp declare simd notinbranch
+double pow(double, double);
+#endif
 
 "#;
 
@@ -1107,7 +1134,7 @@ fn emit_unit(
     if profile {
         sig.push("uint64_t *__ft_prof".to_string());
     }
-    let mut out = [HEADERS, SCALAR_HELPERS, LIB_MATMUL].concat();
+    let mut out = [HEADERS, VECTOR_MATH, SCALAR_HELPERS, LIB_MATMUL].concat();
     if profile {
         out.push_str(PROF_PREAMBLE);
     }

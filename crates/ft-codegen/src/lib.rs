@@ -28,7 +28,9 @@ pub mod cuda;
 pub mod lower;
 mod scalar;
 
-pub use c::{emit_c, emit_c_planned, CodegenError, Mangler, ProfSite};
+pub use c::{
+    emit_c, emit_c_planned, CodegenError, Mangler, ProfSite, VECTOR_MATH, VECTOR_MATH_MACRO,
+};
 pub use cuda::emit_cuda;
 pub use lower::lower_cpu_parallel;
 

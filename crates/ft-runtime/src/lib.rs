@@ -66,7 +66,7 @@ pub use interp::{RunResult, Runtime};
 // execute — what `ExecutionEngine::resolve` hands out for them; re-exported
 // for tests that inspect the pair directly.
 pub use ft_codegen::lower_and_plan;
-pub use native::{cc_available, CompiledEngine};
+pub use native::{cc_available, cc_flags, CompiledEngine};
 pub use pool::{PoolStatsSnapshot, WorkerPool};
 pub use process::{output_with_timeout, TimedOutput};
 pub use value::{Scalar, TensorVal};

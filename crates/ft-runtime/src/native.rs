@@ -107,6 +107,9 @@ struct EngineState {
 pub struct CompiledEngine {
     cache_dir: PathBuf,
     cc_timeout: Duration,
+    /// The `cc` flags of this engine's units; `None` is [`cc_flags`]. Only
+    /// tests set it, to build what another host would.
+    flags: Option<&'static str>,
     tel: Telemetry,
     /// Emit per-loop-nest timing hooks into generated C and publish a
     /// [`RunProfile`] per run. Defaults from the `FT_PROFILE` env var.
@@ -238,14 +241,16 @@ fn load_artifact(so_path: &Path) -> Result<(libloading::Library, EntryFn), Runti
     Ok((lib, entry))
 }
 
-/// The artifact-cache key of a translation unit: one FNV-1a streamed over
-/// `unit ‖ 0 ‖ CC_FLAGS ‖ 0 ‖ ABI_VERSION` — stable across processes and Rust
-/// versions, unlike `DefaultHasher`, so on-disk keys survive toolchain bumps.
-fn artifact_key(unit: &str) -> u64 {
+/// The artifact-cache key of a translation unit built with `flags`: one
+/// FNV-1a streamed over `unit ‖ 0 ‖ flags ‖ 0 ‖ ABI_VERSION` — stable across
+/// processes and Rust versions, unlike `DefaultHasher`, so on-disk keys
+/// survive toolchain bumps, and a cache shared by hosts of different flags
+/// keeps one artifact per host kind.
+fn artifact_key(unit: &str, flags: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.write(unit.as_bytes());
     h.write(&[0]);
-    h.write(CC_FLAGS.as_bytes());
+    h.write(flags.as_bytes());
     h.write(&[0]);
     h.write(&ABI_VERSION.to_le_bytes());
     h.finish()
@@ -266,6 +271,7 @@ impl CompiledEngine {
         CompiledEngine {
             cache_dir: default_cache_dir(),
             cc_timeout: Duration::from_secs(60),
+            flags: None,
             tel: Telemetry::default(),
             profile: profile_env_enabled(),
             state: Arc::new(EngineState::default()),
@@ -361,7 +367,8 @@ impl CompiledEngine {
     /// Compile `src` into `so_path`, writing the source next to it for
     /// inspection. Tries OpenMP first (the emitter's pragmas are only
     /// honored with `-fopenmp`); falls back to a serial build on
-    /// toolchains without libgomp.
+    /// toolchains without libgomp. The flags follow the source, so a `-l`
+    /// among them links what the unit needs.
     fn compile(&self, src: &str, hash: u64, so_path: &Path) -> Result<(), RuntimeError> {
         let t0 = Instant::now();
         std::fs::create_dir_all(&self.cache_dir)
@@ -375,17 +382,18 @@ impl CompiledEngine {
             .cache_dir
             .join(format!("{hash:016x}.so.tmp.{}", std::process::id()));
         let mut last_err = String::new();
-        for flags in [CC_FLAGS, CC_FLAGS_SERIAL] {
+        let flags = self.flags();
+        for flags in [flags.to_string(), flags.replace(" -fopenmp", "")] {
             let mut cmd = Command::new("cc");
-            cmd.args(flags.split_whitespace())
-                .arg(&c_path)
+            cmd.arg(&c_path)
                 .arg("-o")
                 .arg(&tmp)
+                .args(flags.split_whitespace())
                 .arg("-lm");
             let mut span = self.tel.sink.as_ref().map(|s| {
                 let mut sp = s.span("compiled.cc", "compiled.cc");
                 sp.arg("hash", format!("{hash:016x}"));
-                sp.arg("flags", flags);
+                sp.arg("flags", flags.as_str());
                 sp
             });
             if let Some(m) = &self.tel.metrics {
@@ -431,7 +439,7 @@ impl CompiledEngine {
             CodegenError::UnknownLibKernel { kernel } => RuntimeError::UnknownKernel(kernel),
             e => RuntimeError::Native(format!("codegen: {e}")),
         })?;
-        let hash = artifact_key(&src);
+        let hash = artifact_key(&src, self.flags());
         if let Some(k) = self.state.loaded.lock().get(&hash) {
             self.note_cache(hash, true);
             return Ok(Arc::clone(k));
@@ -503,8 +511,96 @@ impl CompiledEngine {
 // time; the lanes of a vectorized elementwise loop round as the scalar loop
 // does, so outputs stay bit-identical to plain `-O2`. It is on both rungs: a
 // `cc` that rejects it fails loudly instead of sliding onto the serial one.
-const CC_FLAGS: &str = "-O2 -fvect-cost-model=dynamic -fPIC -shared -ffp-contract=off -fopenmp";
-const CC_FLAGS_SERIAL: &str = "-O2 -fvect-cost-model=dynamic -fPIC -shared -ffp-contract=off";
+// The serial rung is these flags without `-fopenmp`.
+const BASE_FLAGS: &str = "-O2 -fvect-cost-model=dynamic -fPIC -shared -ffp-contract=off -fopenmp";
+
+/// The flags this process builds every unit with, decided once: the base
+/// flags, then `-mavx2` where the CPU has AVX2 (8 `float` lanes instead of
+/// SSE's 4), then `-fuse-ld=gold` where a link probe shows gold links (it
+/// links a unit in half of `ld.bfd`'s ≈ 20 ms, gcc 12 on x86-64), then the
+/// vector-math macro and `-lmvec` where it shows libmvec provides the
+/// variants `ft_codegen::VECTOR_MATH` declares. The string is part of every
+/// artifact key, so a cache shared with a host that decided otherwise never
+/// serves it the wrong object.
+pub fn cc_flags() -> &'static str {
+    static FLAGS: OnceLock<String> = OnceLock::new();
+    FLAGS.get_or_init(|| host_flags(has_avx2(), "mvec"))
+}
+
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
+}
+
+/// [`cc_flags`] for a host with or without AVX2 whose vector-math library
+/// is `-l{lib}`: the linker and vector math are added only where a probe —
+/// a loop over every declared function, built as an executable, so an
+/// unresolved variant fails the link — links with them. One probe tries
+/// both; only when it fails is each tried on its own.
+fn host_flags(avx2: bool, lib: &str) -> String {
+    let mut flags = BASE_FLAGS.to_string();
+    if avx2 {
+        flags.push_str(" -mavx2");
+    }
+    if !cc_available() {
+        return flags;
+    }
+    let extras = [
+        " -fuse-ld=gold".to_string(),
+        format!(" -D{} -l{lib}", ft_codegen::VECTOR_MATH_MACRO),
+    ];
+    let all = extras.concat();
+    if probe_links(&format!("{flags}{all}")) {
+        flags.push_str(&all);
+        return flags;
+    }
+    for extra in &extras {
+        if probe_links(&format!("{flags}{extra}")) {
+            flags.push_str(extra);
+        }
+    }
+    flags
+}
+
+/// Whether a program calling every function of `ft_codegen::VECTOR_MATH`
+/// in a vectorizable loop compiles and links as an executable under
+/// `flags` (minus `-shared`).
+fn probe_links(flags: &str) -> bool {
+    static PROBES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = PROBES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ft-cc-probe-{}-{n}", std::process::id()));
+    let src = dir.join("probe.c");
+    let probe = format!(
+        "#include <math.h>\n{}float x[64], y[64];\ndouble u[64], v[64];\n\
+         int main(void) {{\n    for (int i = 0; i < 64; ++i) {{\n        \
+         x[i] = expf(x[i]) + logf(y[i]) + powf(x[i], y[i]);\n        \
+         u[i] = exp(u[i]) + log(v[i]) + pow(u[i], v[i]);\n    }}\n    \
+         return (int)(x[1] + u[1]);\n}}\n",
+        ft_codegen::VECTOR_MATH
+    );
+    let linked = std::fs::create_dir_all(&dir).is_ok()
+        && std::fs::write(&src, probe).is_ok()
+        && output_with_timeout(
+            Command::new("cc")
+                .arg(&src)
+                .arg("-o")
+                .arg(dir.join("probe"))
+                .args(flags.split_whitespace().filter(|f| *f != "-shared"))
+                .arg("-lm"),
+            Duration::from_secs(60),
+        )
+        .is_ok_and(|o| o.success());
+    let _ = std::fs::remove_dir_all(&dir);
+    linked
+}
+
+impl CompiledEngine {
+    fn flags(&self) -> &'static str {
+        self.flags.unwrap_or_else(cc_flags)
+    }
+}
 
 impl ExecutionEngine for CompiledEngine {
     fn name(&self) -> &'static str {
@@ -827,9 +923,9 @@ mod tests {
         let f = axpy();
         let (lowered, plan) = ft_codegen::lower_and_plan(&f, &sizes);
         let unit = emit_c_planned(&lowered, &plan, false).unwrap().0;
-        let tail = [&[0][..], CC_FLAGS.as_bytes(), &[0], &3u32.to_le_bytes()].concat();
+        let tail = [&[0][..], cc_flags().as_bytes(), &[0], &3u32.to_le_bytes()].concat();
         let key = ft_ir::fnv1a(&[unit.as_bytes(), &tail].concat());
-        assert_eq!(artifact_key(&unit), key);
+        assert_eq!(artifact_key(&unit, cc_flags()), key);
         assert_eq!(std::fs::read_to_string(dir.join(format!("{key:016x}.c"))).unwrap(), unit);
         assert!(dir.join(format!("{key:016x}.so")).is_file());
     }
@@ -935,7 +1031,10 @@ mod tests {
         let plan = MemPlan::plan(&f, &HashMap::from([("n".to_string(), 8i64)]));
         let (src_plain, sites_plain) = emit_c_planned(&f, &plan, false).unwrap();
         let (src_prof, sites_prof) = emit_c_planned(&f, &plan, true).unwrap();
-        assert_ne!(artifact_key(&src_plain), artifact_key(&src_prof));
+        assert_ne!(
+            artifact_key(&src_plain, cc_flags()),
+            artifact_key(&src_prof, cc_flags())
+        );
         assert!(sites_plain.is_empty());
         assert_eq!(sites_prof.len(), 1);
         assert!(src_prof.contains("__ft_prof"), "{src_prof}");
@@ -1032,6 +1131,95 @@ mod tests {
         let eng = CompiledEngine::with_cache_dir(tmp_cache("zero"));
         let r = eng.run(&f, &HashMap::new(), &HashMap::new()).expect("runs");
         assert_eq!(r.output("o").to_f64_vec(), vec![0.0, 7.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn two_flag_strings_give_two_artifact_keys() {
+        let f = axpy();
+        let unit = emit_c_planned(&f, &MemPlan::plan(&f, &HashMap::new()), false)
+            .unwrap()
+            .0;
+        let avx2 = format!("{BASE_FLAGS} -mavx2");
+        assert_ne!(artifact_key(&unit, BASE_FLAGS), artifact_key(&unit, &avx2));
+        assert!(cc_flags().starts_with(BASE_FLAGS), "{}", cc_flags());
+    }
+
+    /// `exp` in a `vectorize` loop: the unit the vector-math flags call
+    /// libmvec's variant from.
+    fn exp_rows() -> Func {
+        let body = store("y", [var("i")], intrin::exp(load("x", [var("i")])));
+        let vectorized = ForProperty {
+            vectorize: true,
+            ..ForProperty::serial()
+        };
+        Func::new("exp_rows")
+            .param("x", [64], DataType::F32, AccessType::Input)
+            .param("y", [64], DataType::F32, AccessType::Output)
+            .body(for_with("i", 0, 64, vectorized, body))
+    }
+
+    /// A host whose probe fails — here a vector-math library that does not
+    /// exist — builds with this host's flags minus vector math, and one
+    /// without AVX2 minus `-mavx2` too; a unit built with either spawns `cc`
+    /// as often, and as successfully, as one built with this host's own
+    /// flags.
+    #[test]
+    fn a_failed_probe_builds_with_the_base_flags() {
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let vector_math = format!(" -D{} -lmvec", ft_codegen::VECTOR_MATH_MACRO);
+        let without = cc_flags().replace(&vector_math, "");
+        let fallbacks = [false, has_avx2()].map(|avx2| {
+            let fallback = host_flags(avx2, "ft-no-such-library");
+            let want = if avx2 {
+                without.clone()
+            } else {
+                without.replace(" -mavx2", "")
+            };
+            assert_eq!(fallback, want, "AVX2: {avx2}");
+            &*Box::leak(fallback.into_boxed_str())
+        });
+        let x: Vec<f32> = (0..64).map(|i| i as f32 / 8.0 - 4.0).collect();
+        let inputs = HashMap::from([("x".to_string(), TensorVal::from_f32(&[64], x.clone()))]);
+        let spawns = [fallbacks[0], fallbacks[1], cc_flags()].map(|flags| {
+            let sink = TraceSink::new();
+            let mut eng = CompiledEngine::with_cache_dir(tmp_cache(&format!(
+                "flags-{:016x}",
+                ft_ir::fnv1a(flags.as_bytes())
+            )));
+            eng.flags = Some(flags);
+            eng.set_sink(Some(sink.clone()));
+            let r = eng
+                .run(&exp_rows(), &inputs, &HashMap::new())
+                .expect("builds and runs");
+            for (got, x) in r.output("y").to_f64_vec().iter().zip(&x) {
+                let want = f64::from(x.exp());
+                assert!(
+                    (got - want).abs() <= 1e-6 * want,
+                    "{flags}: exp({x}) = {got}"
+                );
+            }
+            let ok: Vec<String> = sink
+                .events()
+                .iter()
+                .filter(|e| e.name == "compiled.cc")
+                .flat_map(|e| {
+                    e.args
+                        .iter()
+                        .filter(|(k, _)| k == "ok")
+                        .map(|(_, v)| v.clone())
+                })
+                .collect();
+            ok
+        });
+        assert!(spawns.iter().all(|s| *s == spawns[2]), "{spawns:?}");
+        assert_eq!(
+            spawns[2].last().map(String::as_str),
+            Some("true"),
+            "{spawns:?}"
+        );
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! with the new shape — but are only applied to *locally defined* tensors
 //! (a parameter's layout is part of the caller-visible ABI).
 
-use crate::util::replace_by_id;
 use crate::{Schedule, ScheduleError};
 use ft_ir::mutate::{mutate_expr_walk, mutate_stmt_walk};
 use ft_ir::{Expr, Mutator, Stmt, StmtId, StmtKind};
@@ -89,7 +88,7 @@ impl Schedule {
         new_shape: Vec<Expr>,
         f: &dyn Fn(Vec<Expr>) -> Vec<Expr>,
     ) -> Result<(), ScheduleError> {
-        let body = replace_by_id(self.func().body.clone(), def_id, &mut |s| {
+        self.rewrite(def_id, |s| {
             let StmtKind::VarDef {
                 name,
                 dtype,
@@ -115,9 +114,6 @@ impl Schedule {
                 },
             }
         })
-        .ok_or_else(|| ScheduleError::NotFound(format!("{def_id:?}")))?;
-        self.func_mut().body = body;
-        Ok(())
     }
 
     /// Split dimension `dim` of a tensor into two of extents

@@ -221,6 +221,19 @@ impl Schedule {
         &mut self.func
     }
 
+    /// Replace the statement `id` of the function by `f` of it, in place.
+    pub(crate) fn rewrite(
+        &mut self,
+        id: StmtId,
+        f: impl FnOnce(Stmt) -> Stmt,
+    ) -> Result<(), ScheduleError> {
+        if util::replace_by_id(&mut self.func.body, id, f) {
+            Ok(())
+        } else {
+            Err(ScheduleError::NotFound(format!("{id:?}")))
+        }
+    }
+
     /// Resolve a selector to a statement id.
     pub(crate) fn resolve(&self, sel: impl Into<Selector>) -> Result<StmtId, ScheduleError> {
         let sel = sel.into();

@@ -1,7 +1,7 @@
 //! Loop transformations: `split`, `merge`, `reorder`, `fission`, `fuse`,
 //! `swap` (paper Table 1, "Loop").
 
-use crate::util::{as_for, extent, peel, replace_by_id};
+use crate::util::{as_for, extent, peel};
 use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::deps::{fission_illegal, fuse_illegal, reorder_illegal, swap_illegal, subtree_ids};
@@ -75,9 +75,7 @@ impl Schedule {
                 body: Box::new(inner),
             },
         };
-        let body = replace_by_id(self.func().body.clone(), p.id, &mut |_| outer.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
-        self.func_mut().body = body;
+        self.rewrite(p.id, |_| outer)?;
         Ok((p.id, inner_id))
     }
 
@@ -146,9 +144,7 @@ impl Schedule {
                 body: Box::new(body),
             },
         };
-        let body = replace_by_id(self.func().body.clone(), po.id, &mut |_| merged.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", po.id)))?;
-        self.func_mut().body = body;
+        self.rewrite(po.id, |_| merged)?;
         Ok(po.id)
     }
 
@@ -243,10 +239,7 @@ impl Schedule {
                 },
             };
         }
-        let new_body = replace_by_id(self.func().body.clone(), top_id, &mut |_| body.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{top_id:?}")))?;
-        self.func_mut().body = new_body;
-        Ok(())
+        self.rewrite(top_id, |_| body)
     }
 
     /// Fission a loop into two consecutive loops at the boundary *after* the
@@ -334,9 +327,7 @@ impl Schedule {
         );
         let id2 = loop2.id;
         let pair = Stmt::new(StmtKind::Block(vec![loop1, loop2]));
-        let body = replace_by_id(self.func().body.clone(), p.id, &mut |_| pair.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
-        self.func_mut().body = body;
+        self.rewrite(p.id, |_| pair)?;
         Ok((p.id, id2))
     }
 
@@ -423,7 +414,7 @@ impl Schedule {
             },
         };
         let parent_id = parent.id;
-        let body = replace_by_id(self.func().body.clone(), parent_id, &mut |s| {
+        self.rewrite(parent_id, |s| {
             let StmtKind::Block(items) = s.kind else {
                 unreachable!()
             };
@@ -442,9 +433,7 @@ impl Schedule {
                 label: s.label,
                 kind: StmtKind::Block(out),
             }
-        })
-        .ok_or_else(|| ScheduleError::NotFound(format!("{parent_id:?}")))?;
-        self.func_mut().body = body;
+        })?;
         Ok(p1.id)
     }
 
@@ -495,7 +484,7 @@ impl Schedule {
             return Err(ScheduleError::Illegal(v.to_string()));
         }
         let parent_id = parent.id;
-        let body = replace_by_id(self.func().body.clone(), parent_id, &mut |s| {
+        self.rewrite(parent_id, |s| {
             let StmtKind::Block(mut items) = s.kind else {
                 unreachable!()
             };
@@ -506,8 +495,5 @@ impl Schedule {
                 kind: StmtKind::Block(items),
             }
         })
-        .ok_or_else(|| ScheduleError::NotFound(format!("{parent_id:?}")))?;
-        self.func_mut().body = body;
-        Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! Memory-hierarchy transformations: `cache`, `cache_reduce`, `set_mtype`
 //! (paper Table 1, "Memory Hierarchy Trans."; bound inference per Fig. 14).
 
-use crate::util::{bound_names, fresh_name, replace_by_id};
+use crate::util::{bound_names, fresh_name};
 use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::bounds::{symbolic_bounds, BoundsCtx, SymBounds};
@@ -466,9 +466,7 @@ impl Schedule {
             Stmt::new(StmtKind::Block(seq)),
         );
         let scope_id = scope.id;
-        let body = replace_by_id(self.func().body.clone(), scope_id, &mut |_| def.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{scope_id:?}")))?;
-        self.func_mut().body = body;
+        self.rewrite(scope_id, |_| def)?;
         Ok(cache_name)
     }
 
@@ -558,9 +556,7 @@ impl Schedule {
             Stmt::new(StmtKind::Block(vec![init, rewritten, writeback])),
         );
         let scope_id = scope.id;
-        let body = replace_by_id(self.func().body.clone(), scope_id, &mut |_| def.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{scope_id:?}")))?;
-        self.func_mut().body = body;
+        self.rewrite(scope_id, |_| def)?;
         Ok(cache_name)
     }
 
@@ -596,7 +592,7 @@ impl Schedule {
         });
         let def_id =
             def_id.ok_or_else(|| ScheduleError::NotFound(format!("local tensor `{var}`")))?;
-        let body = replace_by_id(self.func().body.clone(), def_id, &mut |s| {
+        self.rewrite(def_id, |s| {
             let StmtKind::VarDef {
                 name,
                 shape,
@@ -621,9 +617,6 @@ impl Schedule {
                 },
             }
         })
-        .ok_or_else(|| ScheduleError::NotFound(format!("{def_id:?}")))?;
-        self.func_mut().body = body;
-        Ok(())
     }
 }
 

@@ -88,9 +88,8 @@ impl Schedule {
         }
         // Reductions updated by multiple iterations become atomic.
         let atomics = carried_reductions_in(&info, p.id);
-        let mut body = self.func().body.clone();
         for rid in atomics {
-            body = replace_by_id(body, rid, &mut |s| match s.kind {
+            let found = replace_by_id(&mut self.func_mut().body, rid, |s| match s.kind {
                 StmtKind::ReduceTo {
                     var,
                     indices,
@@ -113,10 +112,10 @@ impl Schedule {
                     label: s.label,
                     kind: k,
                 },
-            })
-            .expect("reduction id came from this tree");
+            });
+            assert!(found, "reduction id came from this tree");
         }
-        let body = replace_by_id(body, p.id, &mut |s| {
+        self.rewrite(p.id, |s| {
             let StmtKind::For {
                 iter,
                 begin,
@@ -140,9 +139,6 @@ impl Schedule {
                 },
             }
         })
-        .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
-        self.func_mut().body = body;
-        Ok(())
     }
 
     /// Fully unroll a constant-extent loop into a sequence of bodies.
@@ -186,10 +182,7 @@ impl Schedule {
             label: target.label.clone(),
             kind: StmtKind::Block(copies),
         };
-        let body = replace_by_id(self.func().body.clone(), p.id, &mut |_| unrolled.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
-        self.func_mut().body = body;
-        Ok(())
+        self.rewrite(p.id, |_| unrolled)
     }
 
     /// Unroll a loop and interleave the statements of its iterations:
@@ -255,10 +248,7 @@ impl Schedule {
             label: target.label.clone(),
             kind: StmtKind::Block(out),
         };
-        let body = replace_by_id(self.func().body.clone(), p.id, &mut |_| blended.clone())
-            .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
-        self.func_mut().body = body;
-        Ok(())
+        self.rewrite(p.id, |_| blended)
     }
 
     /// Implement a loop with vector instructions.
@@ -289,7 +279,7 @@ impl Schedule {
             self.note_deps(&blockers);
             return Err(ScheduleError::Illegal(msg));
         }
-        let body = replace_by_id(self.func().body.clone(), p.id, &mut |s| {
+        self.rewrite(p.id, |s| {
             let StmtKind::For {
                 iter,
                 begin,
@@ -313,8 +303,5 @@ impl Schedule {
                 },
             }
         })
-        .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", p.id)))?;
-        self.func_mut().body = body;
-        Ok(())
     }
 }

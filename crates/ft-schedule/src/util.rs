@@ -3,65 +3,34 @@
 use crate::ScheduleError;
 use ft_ir::{Expr, Stmt, StmtId, StmtKind};
 
-/// Rewrite the statement with id `target` through `f`, leaving the rest of
-/// the tree untouched. Returns `None` if the id is absent.
-pub fn replace_by_id(root: Stmt, target: StmtId, f: &mut dyn FnMut(Stmt) -> Stmt) -> Option<Stmt> {
-    fn rec(s: Stmt, target: StmtId, f: &mut dyn FnMut(Stmt) -> Stmt, hit: &mut bool) -> Stmt {
+/// Rewrite the statement with id `target` through `f`, in place, leaving
+/// the rest of the tree untouched (no copy of it is made). Returns `false`,
+/// with `f` not called, if the id is absent.
+pub fn replace_by_id(root: &mut Stmt, target: StmtId, f: impl FnOnce(Stmt) -> Stmt) -> bool {
+    fn find(s: &mut Stmt, target: StmtId) -> Option<&mut Stmt> {
         if s.id == target {
-            *hit = true;
-            return f(s);
+            return Some(s);
         }
-        let Stmt { id, label, kind } = s;
-        let kind = match kind {
-            StmtKind::Block(v) => StmtKind::Block(
-                v.into_iter()
-                    .map(|st| rec(st, target, f, hit))
-                    .collect(),
-            ),
-            StmtKind::VarDef {
-                name,
-                shape,
-                dtype,
-                mtype,
-                atype,
-                body,
-            } => StmtKind::VarDef {
-                name,
-                shape,
-                dtype,
-                mtype,
-                atype,
-                body: Box::new(rec(*body, target, f, hit)),
-            },
-            StmtKind::For {
-                iter,
-                begin,
-                end,
-                property,
-                body,
-            } => StmtKind::For {
-                iter,
-                begin,
-                end,
-                property,
-                body: Box::new(rec(*body, target, f, hit)),
-            },
+        match &mut s.kind {
+            StmtKind::Block(v) => v.iter_mut().find_map(|st| find(st, target)),
+            StmtKind::VarDef { body, .. } | StmtKind::For { body, .. } => find(body, target),
             StmtKind::If {
-                cond,
-                then,
-                otherwise,
-            } => StmtKind::If {
-                cond,
-                then: Box::new(rec(*then, target, f, hit)),
-                otherwise: otherwise.map(|o| Box::new(rec(*o, target, f, hit))),
-            },
-            k => k,
-        };
-        Stmt { id, label, kind }
+                then, otherwise, ..
+            } => find(then, target).or_else(|| find(otherwise.as_deref_mut()?, target)),
+            _ => None,
+        }
     }
-    let mut hit = false;
-    let out = rec(root, target, f, &mut hit);
-    hit.then_some(out)
+    let Some(node) = find(root, target) else {
+        return false;
+    };
+    let hole = Stmt {
+        id: target,
+        label: None,
+        kind: StmtKind::Empty,
+    };
+    let old = std::mem::replace(node, hole);
+    *node = f(old);
+    true
 }
 
 /// Unwrap single-statement blocks: the "real" statement a body consists of.
@@ -233,19 +202,18 @@ mod tests {
     fn replace_by_id_hits_nested() {
         let target = store("a", [0], 1.0f32);
         let tid = target.id;
-        let tree = for_("i", 0, 4, block([target, store("b", [0], 2.0f32)]));
-        let out = replace_by_id(tree, tid, &mut |s| {
-            s.same_id(StmtKind::Empty)
-        })
-        .unwrap();
+        let mut tree = for_("i", 0, 4, block([target, store("b", [0], 2.0f32)]));
+        assert!(replace_by_id(&mut tree, tid, |s| s.same_id(StmtKind::Empty)));
         let mut stores = 0;
-        out.walk(&mut |s| {
+        tree.walk(&mut |s| {
             if matches!(s.kind, StmtKind::Store { .. }) {
                 stores += 1;
             }
         });
         assert_eq!(stores, 1);
-        assert!(replace_by_id(out, StmtId(u64::MAX), &mut |s| s).is_none());
+        let before = tree.clone();
+        assert!(!replace_by_id(&mut tree, StmtId(u64::MAX), |_| unreachable!("absent")));
+        assert_eq!(tree, before);
     }
 
     #[test]

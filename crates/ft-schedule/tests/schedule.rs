@@ -659,12 +659,14 @@ fn as_lib_rejects_non_matmul() {
 fn separate_tail_removes_guard_from_main() {
     let f = stencil_func(10);
     let mut s = Schedule::new(f.clone());
-    let (outer, _) = s.split("i", 4).unwrap();
-    let (main_l, tail_l) = s.separate_tail(outer).unwrap();
-    assert_ne!(main_l, tail_l);
-    // The main loop contains no branches; the program still has one (tail).
-    let main_stmt = ft_ir::find::find_by_id(&s.func().body, main_l).unwrap();
-    assert!(ft_ir::find::find_stmt(main_stmt, &|st| matches!(
+    let (outer, inner) = s.split("i", 4).unwrap();
+    // The guard `split` left is on the inner iterator: the inner loop's
+    // range shrinks to where it holds, and without an `else` nothing else
+    // remains. The outer loop's body is a loop, not an `if`.
+    assert!(s.separate_tail(outer).is_err());
+    let pieces = s.separate_tail(inner).unwrap();
+    assert_eq!((pieces.head, pieces.interior, pieces.tail), (None, inner, None));
+    assert!(ft_ir::find::find_stmt(&s.func().body, &|st| matches!(
         st.kind,
         StmtKind::If { .. }
     ))

@@ -37,6 +37,16 @@ fn conformance_sweep() {
         accepted > summary.variants.len(),
         "too few accepted schedule ops ({accepted}) — sampler is broken"
     );
+    let splits = summary
+        .variants
+        .iter()
+        .filter(|v| {
+            v.trace
+                .iter()
+                .any(|op| matches!(op, ScheduleOp::SeparateTail { .. }))
+        })
+        .count();
+    eprintln!("{splits} variants split a guarded loop (separate_tail)");
     summary.assert_clean();
 }
 

@@ -7,7 +7,8 @@
 //!   interpreter.
 //! * `compiled_outputs_are_bit_identical_across_20_runs` and
 //!   `compiled_outputs_are_bit_identical_across_omp_num_threads` — the three
-//!   differentiated programs and four searched schedules, through
+//!   differentiated programs, four searched schedules and rule-scheduled
+//!   Longformer (vector `exp` in its split window loops), through
 //!   `CompiledEngine`: one bit pattern run to run, and the same pattern from
 //!   child processes at `OMP_NUM_THREADS` = 1, 2 and 4. The schedules are
 //!   the model-ranked traces `results/schedules/` held until the search
@@ -22,6 +23,10 @@
 //!   full-scale rule-scheduled gradients and the printed rule-scheduled IR
 //!   of all seven benchmark programs hash to their pins: the legality
 //!   checks the rule passes ask accept and refuse what they did.
+//! * `rule_scheduled_windows_are_guard_free_and_bit_identical_to_the_unsplit_schedule`
+//!   — Longformer and its gradient, small and full: no loop keeps a guard on
+//!   its iterators after `auto_separate_tail`, and the interpreter's output
+//!   bits are the unsplit schedule's.
 //! * `benchmark_units_stay_in_f32_under_wdouble_promotion` — the C of the
 //!   benchmark's seven units has no implicit `float`→`double` promotion and
 //!   no narrowing float conversion, says `cc`.
@@ -585,12 +590,20 @@ fn output_hash(outputs: &HashMap<String, TensorVal>) -> u64 {
 }
 
 /// One hash per program over `runs` compiled runs each; panics when two
-/// runs of a program differ in a single bit.
+/// runs of a program differ in a single bit. The programs are
+/// [`lowered_programs`] and rule-scheduled Longformer, whose split window
+/// loops call libmvec's vector `expf` where the host has it.
 fn compiled_hashes(runs: usize) -> Vec<(String, u64)> {
     let engine = CompiledEngine::new();
     let sizes = no_sizes();
+    let longformer = (
+        "longformer.rules".to_string(),
+        program("longformer", true, Kind::Rules),
+        inputs("longformer", false),
+    );
     lowered_programs()
         .into_iter()
+        .chain([longformer])
         .map(|(label, p, inputs)| {
             let mut ctx = RunContext::new();
             let mut first = None;
@@ -617,7 +630,7 @@ fn compiled_outputs_are_bit_identical_across_20_runs() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
-    assert_eq!(compiled_hashes(20).len(), 7);
+    assert_eq!(compiled_hashes(20).len(), 8);
 }
 
 const HASH_LINE: &str = "FT_OUTPUT_HASHES ";
@@ -666,7 +679,7 @@ fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
                 .unwrap_or_else(|| panic!("no hash line from the child:\n{stdout}"))
         })
         .collect();
-    assert_eq!(hashes[0].split(' ').count(), 7, "{hashes:?}");
+    assert_eq!(hashes[0].split(' ').count(), 8, "{hashes:?}");
     assert_eq!(hashes[0], hashes[1], "OMP_NUM_THREADS=1 vs 2");
     assert_eq!(hashes[0], hashes[2], "OMP_NUM_THREADS=1 vs 4");
 }
@@ -674,22 +687,25 @@ fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
 /// FNV-1a of `Program::emit_c()` for the forward rule-scheduled programs:
 /// they hold no atomic reduction and no nested parallel mark, so the
 /// lowering must not move a byte of them. Pinned at the commit before
-/// `lower_cpu_parallel` existed (980b554) and re-pinned twice since: when
-/// the emitter itself changed what it spells for the same IR (`f32`
+/// `lower_cpu_parallel` existed (980b554) and re-pinned three times since:
+/// when the emitter itself changed what it spells for the same IR (`f32`
 /// expressions in `float`, loop-invariant and repeated values in `const`
 /// locals, reduction targets in registers with a `simd reduction` clause,
-/// small thread-private rows as arrays — `ft-codegen/src/scalar.rs`), and
-/// when the prelude gained `ft_ffmod`/`ft_ffmodf` (eight lines in front of
-/// `ft_sigmoid`, nothing else; the diff is in EXPERIMENTS.md).
+/// small thread-private rows as arrays — `ft-codegen/src/scalar.rs`), when
+/// the prelude gained `ft_ffmod`/`ft_ffmodf` (eight lines in front of
+/// `ft_sigmoid`, nothing else), and when it gained the `FT_LIBMVEC` block
+/// of vector-math declarations (fifteen lines after `#include <math.h>`;
+/// Longformer's C also moved, by the `auto_separate_tail` split its IR pin
+/// below records). Each diff is in EXPERIMENTS.md.
 const FORWARD_RULE_C: [(&str, bool, u64); 8] = [
-    ("subdivnet", true, 0x6598_dd1a_e792_afb8),
-    ("subdivnet", false, 0x33d6_857e_7c52_1c46),
-    ("longformer", true, 0x66b9_ee08_dc8e_299e),
-    ("longformer", false, 0x1544_69be_5219_ed93),
-    ("softras", true, 0x8da4_d68a_987b_738a),
-    ("softras", false, 0x8f6d_9417_3592_f719),
-    ("gat", true, 0x3c64_2db7_dc95_5b21),
-    ("gat", false, 0x4242_890d_5742_593d),
+    ("subdivnet", true, 0x3e06_81f5_73db_cc7e),
+    ("subdivnet", false, 0x4383_1f2c_e4a2_1544),
+    ("longformer", true, 0xbdca_675d_9263_de83),
+    ("longformer", false, 0xf632_ec7e_8d63_7098),
+    ("softras", true, 0x1755_6fd6_ac75_8c70),
+    ("softras", false, 0x16ae_aeeb_c7fd_da27),
+    ("gat", true, 0x9647_7cb0_d664_35a3),
+    ("gat", false, 0x1e22_ad20_1357_1037),
 ];
 
 #[test]
@@ -719,24 +735,28 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
 /// FNV-1a of `Program::emit_c()` for the three full-scale rule-scheduled
 /// gradients, next to `FORWARD_RULE_C`: what the rule passes decided for
 /// the programs where the dependence queries cost the most. Pinned at the
-/// commit before the queries were scoped (f67484e).
+/// commit before the queries were scoped (f67484e); re-pinned with
+/// `FORWARD_RULE_C` for the `FT_LIBMVEC` prelude block (all three) and
+/// Longformer's split window loops.
 const GRAD_RULE_C: [(&str, u64); 3] = [
-    ("subdivnet", 0x9305_fb3a_26f6_5c1e),
-    ("longformer", 0xef44_06f8_3eca_6c07),
-    ("softras", 0x615b_51ee_4a36_7fe8),
+    ("subdivnet", 0xada8_b034_a1a3_40e8),
+    ("longformer", 0x7ee8_5db2_0e3e_ba4d),
+    ("softras", 0x8e05_134a_616f_dd32),
 ];
 
 /// FNV-1a of the printed rule-scheduled IR of the benchmark's seven
 /// programs at full scale (`true` = differentiated first), pinned at the
 /// same commit: every primitive the rule passes tried was accepted or
-/// refused exactly as before.
+/// refused exactly as before. The two Longformer entries moved once, when
+/// `auto_separate_tail` split their window loops (3 forward, 7 in the
+/// gradient); `UNSPLIT_RULE_IR` keeps what they were.
 const RULE_IR: [(&str, bool, u64); 7] = [
     ("subdivnet", false, 0x4933_bda9_f6f8_24ab),
-    ("longformer", false, 0xe296_43ed_931f_66f6),
+    ("longformer", false, 0x59fe_159e_2d9a_1e4a),
     ("softras", false, 0x3877_3a11_c9a0_8915),
     ("gat", false, 0x48fd_0000_11d8_cf03),
     ("subdivnet", true, 0x078b_2be8_6556_dfcc),
-    ("longformer", true, 0x80c3_8313_cbe8_d215),
+    ("longformer", true, 0xa1d2_c2ad_e85c_f18d),
     ("softras", true, 0xd184_1151_b9dd_c0fc),
 ];
 
@@ -762,6 +782,100 @@ fn rule_scheduled_gradient_c_and_ir_are_unchanged() {
         "moved from their pins:\n{}",
         moved.join("\n")
     );
+}
+
+/// `RULE_IR` of Longformer and its gradient (full scale) before
+/// `auto_separate_tail` existed: what [`unsplit_rules`] must still print.
+const UNSPLIT_RULE_IR: [(bool, u64); 2] = [
+    (false, 0xe296_43ed_931f_66f6),
+    (true, 0x80c3_8313_cbe8_d215),
+];
+
+/// The rule passes without `auto_separate_tail`, as `Program::optimize`
+/// runs them.
+fn unsplit_rules(p: &Program) -> Func {
+    use freetensor::autoschedule::*;
+    let mut f = p.func().clone();
+    for param in &mut f.params {
+        param.mtype = MemType::default_for(Device::Cpu);
+    }
+    let (target, mut s) = (Target::cpu(), freetensor::schedule::Schedule::new(f));
+    auto_fuse(&mut s);
+    auto_use_lib(&mut s);
+    auto_parallelize(&mut s, &target);
+    auto_vectorize(&mut s);
+    auto_mem_type(&mut s, &target);
+    auto_unroll(&mut s, &target);
+    ft_passes::simplify(&s.into_func())
+}
+
+/// Every `if` whose condition reads an iterator of a loop around it.
+fn iterator_guards(f: &Func) -> Vec<String> {
+    let mut guards = Vec::new();
+    f.body.walk(&mut |s| {
+        let StmtKind::If { cond, .. } = &s.kind else {
+            return;
+        };
+        let nest = freetensor::ir::find::loop_nest_of(&f.body, s.id).expect("in the tree");
+        let free = cond.free_vars();
+        if nest.loops.iter().any(|l| free.contains(&l.iter)) {
+            guards.push(format!("{cond:?}"));
+        }
+    });
+    guards
+}
+
+/// Longformer's window loops under the rule passes, forward and
+/// differentiated, small and full: `auto_separate_tail` leaves no guard on
+/// an iterator in any loop, and the interpreter computes exactly the bits
+/// of the unsplit schedule — every iteration runs the arm it ran before.
+#[test]
+fn rule_scheduled_windows_are_guard_free_and_bit_identical_to_the_unsplit_schedule() {
+    for (grad, kind) in [(false, Kind::Rules), (true, Kind::GradRules)] {
+        for full in [false, true] {
+            let label = format!("longformer (grad: {grad}, full scale: {full})");
+            let base = match grad {
+                false => instance("longformer", full).program(),
+                true => instance("longformer", full)
+                    .program()
+                    .grad(&GradOptions::default())
+                    .expect("differentiable"),
+            };
+            let (split, unsplit) = (program("longformer", full, kind), unsplit_rules(&base));
+            assert!(
+                !iterator_guards(&unsplit).is_empty(),
+                "{label}: nothing to split"
+            );
+            let guards = iterator_guards(split.func());
+            assert!(guards.is_empty(), "{label}: {guards:?}\n{}", split.func());
+            if full {
+                let h = freetensor::ir::fnv1a(unsplit.to_string().as_bytes());
+                assert!(
+                    UNSPLIT_RULE_IR.contains(&(grad, h)),
+                    "{label}: unsplit IR {h:#018x}"
+                );
+            }
+            let inst = instance("longformer", full);
+            let mut ins = inst.inputs(7);
+            if grad {
+                ins.insert(
+                    "y.grad".to_string(),
+                    data::features(&inst.output_shape(), 99),
+                );
+            }
+            let run = |f: &Func| {
+                Runtime::new()
+                    .run(f, &ins, &no_sizes())
+                    .expect("runs")
+                    .outputs
+            };
+            assert_eq!(
+                output_hash(&run(split.func())),
+                output_hash(&run(&unsplit)),
+                "{label}"
+            );
+        }
+    }
 }
 
 /// The emitter types an `f32` program's expressions in `float` from the

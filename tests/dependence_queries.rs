@@ -6,7 +6,8 @@
 //! every common carrier. Over the four workloads, forward and gradient (not
 //! GAT), small and full scale, unscheduled, rule-scheduled, under the
 //! committed searched schedules and under a fixed set of sampled schedule
-//! traces, for every loop `L` of the function:
+//! traces (some of whose accepted prefixes split a guarded loop with
+//! `separate_tail`), for every loop `L` of the function:
 //!
 //! * `loop_carried_deps(f, L)` is exactly `all_deps(f)` restricted to
 //!   `Carrier::Loop(L)` — same dependences, same order, same `certain`;
@@ -17,7 +18,7 @@ use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
 use freetensor::autoschedule::Target;
 use freetensor::ir::{Device, Func, StmtId, StmtKind};
-use freetensor::schedule::trace::apply_trace;
+use freetensor::schedule::trace::{apply_trace, ScheduleOp};
 use freetensor::workloads::{Scale, Workload};
 use ft_analysis::deps::dep_exists;
 use ft_analysis::{
@@ -99,6 +100,7 @@ fn scoped_queries_equal_the_unscoped_reference() {
         .map(|s| sample_trace(&mut TestRng::from_seed_u64(0xDE95_0000 + s), 6))
         .collect();
     let (mut functions, mut loops, mut deps, mut reductions) = (0, 0, 0, 0);
+    let mut splits = 0;
     for w in Workload::ALL {
         for (scale, scale_name) in [(Scale::Small, "small"), (Scale::Full, "full")] {
             let fwd = w.at(scale).program();
@@ -127,6 +129,10 @@ fn scoped_queries_equal_the_unscoped_reference() {
                 // Every accepted prefix of every sampled trace.
                 for (k, trace) in samples.iter().enumerate() {
                     let accepted = apply_trace(p.func(), trace).1;
+                    splits += accepted
+                        .iter()
+                        .filter(|op| matches!(op, ScheduleOp::SeparateTail { .. }))
+                        .count();
                     for n in 1..=accepted.len() {
                         let f = apply_trace(p.func(), &accepted[..n]).0;
                         variants.push((format!("sampled[{k}][..{n}]"), f));
@@ -142,7 +148,9 @@ fn scoped_queries_equal_the_unscoped_reference() {
     }
     eprintln!(
         "dependence queries: {functions} functions, {loops} loops, {deps} carried \
-         dependences, {reductions} carried reductions: scoped = unscoped"
+         dependences, {reductions} carried reductions, {splits} sampled separate_tail: \
+         scoped = unscoped"
     );
     assert!(deps > 0 && reductions > 0, "the comparison is vacuous");
+    assert!(splits > 0, "no sampled prefix splits a loop");
 }

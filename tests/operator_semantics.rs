@@ -13,6 +13,10 @@
 //!   `cc` exists, the compiled engine all give the table's value, and the
 //!   table's result kind is the one `Expr::dtype` infers for the node. The
 //!   cells an engine is not held to are [`EXCLUSIONS`], as data.
+//! * `vectorized_math_stays_within_tol_of_the_table` — the `exp`, `ln` and
+//!   `pow` rows, `f32` and `f64`, with cells that overflow and underflow,
+//!   through a `vectorize`d loop on the compiled engine, where a vector of
+//!   lanes may be libmvec's rather than glibc's scalar function.
 //! * `a_zero_divisor_is_a_structured_error` — integer `/` and `%` by zero on
 //!   the interpreter and the VM.
 
@@ -20,7 +24,8 @@ use ft_ir::prelude::*;
 use ft_ir::scalar::{self, DivisionByZero, Scalar};
 use ft_passes::const_fold_expr;
 use ft_runtime::{
-    cc_available, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal, VmRuntime,
+    cc_available, cc_flags, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal,
+    VmRuntime,
 };
 use ft_trace::TraceSink;
 use std::collections::HashMap;
@@ -233,15 +238,16 @@ fn cases() -> Vec<Case> {
 
 /// Every tuple of grid values of the case's operand types.
 fn cells(case: &Case) -> Vec<Vec<Scalar>> {
+    tuples(case.operands.iter().map(|d| grid(*d)))
+}
+
+/// Every tuple taking its `j`-th value from `columns[j]`.
+fn tuples(columns: impl Iterator<Item = Vec<Scalar>>) -> Vec<Vec<Scalar>> {
     let mut out = vec![vec![]];
-    for d in &case.operands {
+    for column in columns {
         out = out
             .iter()
-            .flat_map(|c| {
-                grid(*d)
-                    .into_iter()
-                    .map(move |v| [c.as_slice(), &[v]].concat())
-            })
+            .flat_map(|c| column.iter().map(move |v| [c.as_slice(), &[*v]].concat()))
             .collect();
     }
     out
@@ -359,8 +365,11 @@ fn tensor(dtype: DataType, values: impl ExactSizeIterator<Item = Scalar>) -> Ten
 
 /// One loop per row, each over that row's cells: `y<k>[i] = op(a<k>[i],
 /// b<k>[i])`, or `y<k>[i] op= b<k>[i]` with the old values as `y<k>`'s
-/// input.
-fn program(rows: &[(&Case, Vec<Vec<Scalar>>)]) -> (Func, HashMap<String, TensorVal>) {
+/// input; marked `vectorize` if `vectorize`.
+fn program(
+    rows: &[(&Case, Vec<Vec<Scalar>>)],
+    vectorize: bool,
+) -> (Func, HashMap<String, TensorVal>) {
     let mut f = Func::new("operators");
     let mut body = Vec::new();
     let mut inputs = HashMap::new();
@@ -388,7 +397,11 @@ fn program(rows: &[(&Case, Vec<Vec<Scalar>>)]) -> (Func, HashMap<String, TensorV
                 store(y, [var("i")], node)
             }
         };
-        body.push(for_("i", 0, n as i64, stmt));
+        let property = ForProperty {
+            vectorize,
+            ..ForProperty::serial()
+        };
+        body.push(for_with("i", 0, n as i64, property, stmt));
     }
     (f.body(block(body)), inputs)
 }
@@ -407,10 +420,12 @@ fn close(got: Scalar, want: Scalar) -> bool {
     same(got, want) || (g - w).abs() <= TOL * w.abs().max(1.0)
 }
 
-/// Run `rows` on `engine` and hold every cell of every row to the table.
-fn check(engine: &dyn ExecutionEngine, rows: &[(&Case, Vec<Vec<Scalar>>)]) {
+/// Run `rows` on `engine` and hold every cell of every row to the table;
+/// `vectorize` marks the loops, and the compiled engine's float rows are
+/// then held within `TOL` at either width.
+fn check(engine: &dyn ExecutionEngine, rows: &[(&Case, Vec<Vec<Scalar>>)], vectorize: bool) {
     let who = engine.name();
-    let (func, inputs) = program(rows);
+    let (func, inputs) = program(rows, vectorize);
     let result = engine
         .run(&func, &inputs, &HashMap::new())
         .unwrap_or_else(|e| panic!("{who}: {e}\n{func}"));
@@ -419,8 +434,10 @@ fn check(engine: &dyn ExecutionEngine, rows: &[(&Case, Vec<Vec<Scalar>>)]) {
         for (i, x) in cells.iter().enumerate() {
             let (got, want) = (y.get_flat(i), case.stored(x).expect("runnable"));
             let zero_sign = exclusion(case, x).is_some() && got.as_f64() == want.as_f64();
-            // Only the compiled engine computes an f32 row in `float`.
-            let ok = if who == "compiled" && case.single() {
+            // Only the compiled engine computes an f32 row in `float`, and
+            // only it calls a vector variant.
+            let float_row = case.single() || vectorize && kind_of(want) == Kind::Float;
+            let ok = if who == "compiled" && float_row {
                 close(got, want)
             } else {
                 same(got, want) || who == "compiled" && zero_sign
@@ -613,16 +630,54 @@ fn every_engine_computes_the_table() {
     }
     for operands in groups() {
         let rows = rows_of(&all, &operands, runnable);
-        check(&Runtime::new(), &rows);
+        check(&Runtime::new(), &rows, false);
         let sink = TraceSink::new();
         let mut vm = VmRuntime::new();
         vm.set_sink(Some(sink.clone()));
-        check(&vm, &rows);
+        check(&vm, &rows, false);
         let fell_back = sink.events().iter().any(|e| e.name == "vm.fallback");
         assert!(!fell_back, "the VM handed {operands:?} to the interpreter");
         if let Some(engine) = &compiled {
-            check(engine, &rows_of(&all, &operands, defined_in_c));
+            check(engine, &rows_of(&all, &operands, defined_in_c), false);
         }
+    }
+}
+
+/// libmvec's vector variants (`ft_codegen::VECTOR_MATH`, declared where
+/// `cc_flags` carries its macro) compute the lanes of a vectorized loop,
+/// and its special cases are its own code: the grid's NaN, infinities and
+/// zeros, plus arguments whose `exp` overflows, lands among the subnormals,
+/// and underflows to zero, at each width.
+#[test]
+fn vectorized_math_stays_within_tol_of_the_table() {
+    if !cc_available() {
+        eprintln!("no C compiler on PATH: nothing to vectorize");
+        return;
+    }
+    eprintln!("cc flags: {}", cc_flags());
+    let engine = CompiledEngine::new();
+    for (dtype, edges) in [
+        (F32, [88.8, 88.5, -88.0, -104.0]),
+        (F64, [710.0, 709.5, -709.0, -746.0]),
+    ] {
+        let values: Vec<Scalar> = grid(dtype)
+            .into_iter()
+            .chain(edges.map(Scalar::Float))
+            .collect();
+        let cases = [
+            Op::Un(UnaryOp::Exp),
+            Op::Un(UnaryOp::Ln),
+            Op::Bin(BinaryOp::Pow),
+        ]
+        .map(|op| Case {
+            op,
+            operands: vec![dtype; if matches!(op, Op::Bin(_)) { 2 } else { 1 }],
+        });
+        let rows: Vec<_> = cases
+            .iter()
+            .map(|c| (c, tuples(c.operands.iter().map(|_| values.clone()))))
+            .collect();
+        check(&engine, &rows, true);
     }
 }
 
@@ -637,7 +692,7 @@ fn a_zero_divisor_is_a_structured_error() {
         let Some(x) = cells(case).into_iter().find(by_zero) else {
             continue;
         };
-        let (func, inputs) = program(&[(case, vec![x.clone()])]);
+        let (func, inputs) = program(&[(case, vec![x.clone()])], false);
         let engines: [&dyn ExecutionEngine; 2] = [&Runtime::new(), &VmRuntime::new()];
         for engine in engines {
             let r = engine.run(&func, &inputs, &HashMap::new());
