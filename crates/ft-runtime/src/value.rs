@@ -373,10 +373,10 @@ impl fmt::Display for TensorVal {
     }
 }
 
-/// Portable 4-lane inner-loop kernels for the vectorized bytecode
-/// superinstructions (`std::simd` is unstable and external SIMD crates are
-/// off the table, so these are manual 4-wide unrolls the optimizer can turn
-/// into real vector code).
+/// Portable 4-lane inner loops of the VM's two fused kernels, `axpy` and
+/// `dot` (`std::simd` is unstable and external SIMD crates are off the
+/// table, so these are manual 4-wide unrolls the optimizer can turn into
+/// real vector code).
 ///
 /// Bit-exactness contract: every kernel reproduces the scalar engines'
 /// per-element semantics *exactly* — loads widen to `f64`, reductions round
@@ -453,62 +453,6 @@ pub mod lanes {
         }
         for (xv, yv) in x[split..].iter().zip(&y[split..]) {
             acc += xv * yv;
-        }
-        acc
-    }
-
-    /// Serial-order sum with the f32 storage round after every add
-    /// (mirrors `ReduceTo Add` on an `f32` cell).
-    pub fn sum_f32(acc0: f32, x: &[f32]) -> f32 {
-        let mut acc = acc0;
-        for v in x {
-            acc = (acc as f64 + *v as f64) as f32;
-        }
-        acc
-    }
-
-    /// Serial-order sum over `f64` elements.
-    pub fn sum_f64(acc0: f64, x: &[f64]) -> f64 {
-        let mut acc = acc0;
-        for v in x {
-            acc += v;
-        }
-        acc
-    }
-
-    /// `max` fold through the same `f64::max` `ft_ir::scalar` reduces
-    /// with (NaN handling included).
-    pub fn max_f32(acc0: f32, x: &[f32]) -> f32 {
-        let mut acc = acc0;
-        for v in x {
-            acc = f64::max(acc as f64, *v as f64) as f32;
-        }
-        acc
-    }
-
-    /// `f64` variant of [`max_f32`].
-    pub fn max_f64(acc0: f64, x: &[f64]) -> f64 {
-        let mut acc = acc0;
-        for v in x {
-            acc = f64::max(acc, *v);
-        }
-        acc
-    }
-
-    /// `min` fold through `f64::min`, f32 storage round per step.
-    pub fn min_f32(acc0: f32, x: &[f32]) -> f32 {
-        let mut acc = acc0;
-        for v in x {
-            acc = f64::min(acc as f64, *v as f64) as f32;
-        }
-        acc
-    }
-
-    /// `f64` variant of [`min_f32`].
-    pub fn min_f64(acc0: f64, x: &[f64]) -> f64 {
-        let mut acc = acc0;
-        for v in x {
-            acc = f64::min(acc, *v);
         }
         acc
     }

@@ -203,8 +203,9 @@ impl VmState<'_> {
         Ok(vt.val.get_flat(o as usize))
     }
 
-    /// One `StoreFlat` worth of semantics as a plain call.
-    #[inline]
+    /// One `StoreFlat` worth of semantics as a plain call, out of line for
+    /// the reason `exec_vec` is.
+    #[inline(never)]
     pub(super) fn store_flat_val(&mut self, t: usize, o: i64, v: Scalar) -> Result<(), RuntimeError> {
         let numel = self.numel_of(t)?;
         if o < 0 || o as usize >= numel {
@@ -542,9 +543,9 @@ impl VmState<'_> {
     }
 
     /// Run one fork-join region on the worker pool, or serially in place
-    /// (as its fused kernel, if it has one) when the work would not pay for
-    /// the handshake or the dependence engine refuses the loop — asked
-    /// last, so only a region about to fork pays for the proof.
+    /// when the work would not pay for the handshake or the dependence
+    /// engine refuses the loop — asked last, so only a region about to fork
+    /// pays for the proof.
     fn exec_region(&mut self, prog: &VmProgram<'_>, site: &ParSite) -> Result<(), RuntimeError> {
         let b = self.ri(site.s);
         let e = self.ri(site.end);
@@ -563,9 +564,6 @@ impl VmState<'_> {
         {
             if let Some(t) = self.tally.as_mut() {
                 t.par_serial += 1;
-            }
-            if let Some(fused) = &site.fused {
-                return self.exec_code(fused, prog);
             }
             for i in b..e {
                 self.wi(site.s, i);

@@ -801,17 +801,14 @@ impl Compiler {
         self.emit(Instr::Mov { dst: re, src: c1 });
         self.free_to(mark2);
         // Schedule marks, honored in priority order: an `OpenMp` loop
-        // becomes a pool region, which runs inline as its fused kernel if
-        // it is marked `vectorize` too and has one; a `vectorize` mark
-        // becomes a fused wide kernel if it can; anything else, the plain
-        // strength-reduced serial loop below.
+        // becomes a pool region (a `vectorize` mark on it is logged as
+        // refused); a `vectorize` mark becomes a fused wide kernel if it
+        // can; anything else, the plain strength-reduced serial loop below.
         if scope == ParallelScope::OpenMp {
-            let mut fused = Vec::new();
-            std::mem::swap(&mut self.buf, &mut fused);
-            let kernel = vectorize && self.try_vectorize(s, s_reg, re, prof, body)?;
-            std::mem::swap(&mut self.buf, &mut fused);
-            fused.push(Instr::Halt);
-            return self.region(s_reg, re, prof, body, kernel.then_some(fused));
+            if vectorize {
+                self.decide(prof, false, "parallel_region");
+            }
+            return self.region(s_reg, re, prof, body);
         }
         if vectorize && self.try_vectorize(s, s_reg, re, prof, body)? {
             return Ok(());
@@ -879,7 +876,6 @@ impl Compiler {
         re: u32,
         prof: usize,
         body: &crate::compiled::CStmt,
-        fused: Option<Vec<Instr>>,
     ) -> Result<(), Unsupported> {
         // The body compiles into a standalone stream with a clean loop /
         // conditional context (workers re-enter it from scratch every
@@ -911,7 +907,6 @@ impl Compiler {
             cost: code.len() as u32,
             code,
             local_mask,
-            fused,
             prof,
             refusal: std::sync::OnceLock::new(),
         });
@@ -1280,9 +1275,10 @@ mod tests {
     }
 
     #[test]
-    fn a_region_marked_vectorize_runs_inline_as_its_fused_kernel() {
+    fn a_region_marked_vectorize_runs_inline_as_its_own_body() {
         // 256 copies stay under `PAR_THRESHOLD`, so the region runs inline:
-        // as the `copy` kernel, bit for bit the serial loop.
+        // its own body per iteration, no kernel, bit for bit the serial
+        // loop. The `vectorize` mark is logged as refused.
         let both = ForProperty {
             vectorize: true,
             ..ForProperty::parallel(ParallelScope::OpenMp)
@@ -1297,7 +1293,7 @@ mod tests {
                 both,
                 store("y", [var("i")], load("x", [var("i")])),
             ));
-        assert_eq!(decisions_of(&f), [(true, "copy".to_string())]);
+        assert_eq!(decisions_of(&f), [(false, "parallel_region".to_string())]);
         let x = TensorVal::from_f32(&[256], (0..256).map(|v| v as f32 * 0.3).collect());
         let metrics = Metrics::new();
         let mut vm = VmRuntime::new();
@@ -1307,7 +1303,9 @@ mod tests {
         assert_eq!(r.outputs, assert_parity(&f, &[("x", x)], &[]).outputs);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("vm.par.serial"), 1);
-        assert_eq!(snap.counter("vm.kernel.copy"), 1);
+        for kernel in VEC_KERNEL_NAMES {
+            assert_eq!(snap.counter(&format!("vm.kernel.{kernel}")), 0);
+        }
     }
 
     #[test]

@@ -21,9 +21,16 @@
 //! counters, the cache simulator and per-statement profiling belong to the
 //! interpreter alone, and [`RunResult::counters`] comes back defaulted
 //! (only the capacity accounting that reproduces out-of-memory errors
-//! remains). Affine tensor indices inside the innermost loop are
-//! strength-reduced to a per-iteration induction increment
-//! (`off += stride`) hoisted into a loop preheader.
+//! remains).
+//!
+//! It keeps three fast paths, each because it pays at least 1.5× on the
+//! program it helps most (EXPERIMENTS.md, "What the VM's fast paths buy"):
+//! affine tensor indices inside the innermost loop are strength-reduced to
+//! a per-iteration induction increment (`off += stride`) hoisted into a
+//! loop preheader; a `vectorize` loop whose body is an `axpy` or a `dot`
+//! runs as one fused kernel (`kernels.rs`); and a proven parallel region
+//! forks onto the pool. Any other `vectorize` body compiles as if unmarked,
+//! and a region that runs inline runs its own bytecode body.
 //!
 //! Programs the static compiler cannot type (currently: `Select` whose arms
 //! evaluate to different runtime scalar kinds) and runs whose supplied
@@ -171,8 +178,8 @@ enum Instr {
     Free { t: u32 },
     LibCall { id: u32 },
 
-    /// A whole innermost `vectorize`-marked loop fused into one
-    /// wide kernel dispatch ([`VecSite`]). Carries no jump targets, so it
+    /// A whole innermost `vectorize`-marked `axpy` or `dot` loop fused into
+    /// one wide kernel dispatch ([`VecSite`]). Carries no jump targets, so it
     /// relocates freely inside enclosing loop bodies.
     VecLoop { site: u32 },
     /// A whole `OpenMp` loop run as a fork-join region on the
@@ -208,16 +215,12 @@ struct VecAccess {
     stride: Option<u32>,
 }
 
-/// The fused inner-loop shapes the vectorizer recognizes. Float reduction
-/// kernels preserve the interpreter's serial-order combines and per-step
-/// storage rounding (see [`crate::value::lanes`]), so accepting a kernel
-/// never changes results — only dispatch cost.
+/// The fused inner-loop shapes the vectorizer recognizes (`kernels.rs`
+/// says why only these two). Both preserve the interpreter's serial-order
+/// combines and per-step storage rounding (see [`crate::value::lanes`]),
+/// so accepting a kernel never changes results — only dispatch cost.
 #[derive(Debug, Clone)]
 enum VecKernel {
-    /// `dst[k] = v` with `v` loop-invariant (hoisted into register `src`).
-    Fill { dst: VecAccess, src: u32, sty: Ty },
-    /// `dst[k] = x[k]` (dtype conversion through the scalar widen/narrow).
-    Copy { dst: VecAccess, x: VecAccess },
     /// `dst[k] += a * x[k]` — elementwise float accumulate with an optional
     /// invariant multiplier `a` (`a_lhs` records the operand order so NaN
     /// propagation matches the serial multiply).
@@ -234,27 +237,18 @@ enum VecKernel {
         x: VecAccess,
         y: VecAccess,
     },
-    /// `acc op= x[k]` — loop-carried horizontal reduction (Add/Min/Max).
-    HReduce {
-        dst: VecAccess,
-        x: VecAccess,
-        op: ReduceOp,
-    },
 }
 
 /// Names of the fused kernels: the `vm.simd` decision detail and the
 /// `vm.kernel.*` metric suffix, in [`VecKernel::idx`] order.
-const VEC_KERNEL_NAMES: [&str; 5] = ["fill", "copy", "axpy", "dot", "hreduce"];
+const VEC_KERNEL_NAMES: [&str; 2] = ["axpy", "dot"];
 
 impl VecKernel {
     /// This kernel's place in [`VEC_KERNEL_NAMES`] and [`VmTally::vec`].
     fn idx(&self) -> usize {
         match self {
-            VecKernel::Fill { .. } => 0,
-            VecKernel::Copy { .. } => 1,
-            VecKernel::Axpy { .. } => 2,
-            VecKernel::Dot { .. } => 3,
-            VecKernel::HReduce { .. } => 4,
+            VecKernel::Axpy { .. } => 0,
+            VecKernel::Dot { .. } => 1,
         }
     }
 }
@@ -280,9 +274,6 @@ struct ParSite {
     local_mask: Vec<bool>,
     /// Static body cost (instruction count) feeding the grain heuristic.
     cost: u32,
-    /// A loop marked `vectorize` as well: its fused kernel (`[pre-guard]
-    /// preheader VecLoop Halt`), what the region runs when it runs inline.
-    fused: Option<Vec<Instr>>,
     /// Profile node of the loop, whose `stmt` is the loop's id.
     prof: usize,
     /// Why the loop may not run on the pool (`None`: nothing stops it),
@@ -350,8 +341,8 @@ impl VmProgram<'_> {
 /// and per parallel region (with a sink, every region is asked for its
 /// proof, whether or not it came to fork). A metrics registry records an
 /// `engine.vm.run_us` wall histogram, fused-kernel dispatch counters
-/// (`vm.kernel.*`) with an `engine.vm.kernel_ns` dispatch-wall histogram,
-/// parallel-region scheduling counters (`vm.par.{pool,serial}`), worker-pool
+/// (`vm.kernel.{axpy,dot}`) with an `engine.vm.kernel_ns` dispatch-wall
+/// histogram, parallel-region scheduling counters (`vm.par.{pool,serial}`), worker-pool
 /// claim counters, and an `engine.vm.fallback` counter for runs delegated to
 /// the interpreter.
 #[derive(Debug, Clone, Default)]

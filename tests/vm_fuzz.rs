@@ -6,8 +6,8 @@
 //! interpreter's *on the lowered function*, with [`PerfCounters`] left
 //! defaulted ([`assert_vm_contract`]). This test checks that on randomly
 //! *scheduled* variants of all four paper workloads (the same variant
-//! generator the cross-backend conformance sweep uses) and on directed
-//! schedules.
+//! generator the cross-backend conformance sweep uses), on directed
+//! schedules, and on the benchmark's seven rule-scheduled programs.
 
 use ft_codegen::lower_cpu_parallel;
 use ft_conformance::diff::{grad_close, reduction_depth};
@@ -147,43 +147,60 @@ fn vm_matches_interp_on_directed_vectorize_parallel_schedules() {
     assert!(spans > 0, "directed schedules produced no lowering attempts");
 }
 
-/// A `vectorize`-marked dot product and a parallel integer histogram:
-/// the corpus must demonstrably engage both the fused SIMD kernels and —
-/// on the chunk rows `lower_cpu_parallel` privatizes the histogram into —
-/// the pool regions, bit-exactly.
+/// A `vectorize`-marked axpy and dot product and a parallel integer
+/// histogram: the corpus must demonstrably engage both fused SIMD kernels
+/// and — on the chunk rows `lower_cpu_parallel` privatizes the histogram
+/// into — the pool regions, bit-exactly.
 #[test]
 fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
     let vec = ForProperty {
         vectorize: true,
         ..ForProperty::serial()
     };
-    let dot = Func::new("dot")
+    let simd = Func::new("axpy_dot")
         .param("x", [257], DataType::F32, AccessType::Input)
         .param("w", [257], DataType::F32, AccessType::Input)
+        .param("y", [257], DataType::F32, AccessType::Output)
         .param("d", [1], DataType::F32, AccessType::Output)
-        .body(for_with(
-            "i",
-            0,
-            257,
-            vec,
-            reduce(
-                "d",
-                [0],
-                ReduceOp::Add,
-                load("x", [var("i")]) * load("w", [var("i")]),
+        .body(block([
+            for_with(
+                "i",
+                0,
+                257,
+                vec.clone(),
+                reduce(
+                    "y",
+                    [var("i")],
+                    ReduceOp::Add,
+                    load("x", [var("i")]) * 0.3f32,
+                ),
             ),
-        ));
+            for_with(
+                "i",
+                0,
+                257,
+                vec,
+                reduce(
+                    "d",
+                    [0],
+                    ReduceOp::Add,
+                    load("x", [var("i")]) * load("w", [var("i")]),
+                ),
+            ),
+        ]));
     let x = TensorVal::from_f32(&[257], (0..257).map(|v| (v as f32).sin()).collect());
     let w = TensorVal::from_f32(&[257], (0..257).map(|v| 1.0 / (v as f32 + 0.7)).collect());
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x), ("w".to_string(), w)]
         .into_iter()
         .collect();
-    let (_, ds) = diff_with_decisions(&dot, &inputs, "vectorized dot");
-    assert!(
-        ds.iter()
-            .any(|(k, acc, how)| k == "vm.simd" && *acc && how == "dot"),
-        "dot kernel did not engage: {ds:?}"
-    );
+    let (_, ds) = diff_with_decisions(&simd, &inputs, "vectorized axpy and dot");
+    for kernel in ["axpy", "dot"] {
+        assert!(
+            ds.iter()
+                .any(|(k, acc, how)| k == "vm.simd" && *acc && how == kernel),
+            "{kernel} kernel did not engage: {ds:?}"
+        );
+    }
 
     let hist = Func::new("hist")
         .param("x", [1024], DataType::I32, AccessType::Input)
@@ -217,6 +234,92 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
     let mut serial = [0.0f64; 16];
     xs.iter().for_each(|v| serial[(*v % 16) as usize] += 1.0);
     assert_eq!(out.output("h").to_f64_vec(), serial);
+}
+
+/// The programs whose VM lowering the kernel set decides: the benchmark's
+/// four forward programs and three gradients under the rule passes, at
+/// small scale. Each runs on the VM bit-identical to the interpreter on
+/// `lower_and_plan`'s function, and every `vectorize` loop of that function
+/// has one `vm.simd` span, naming its kernel (`axpy`, `dot`) or why it has
+/// none. Both kernels engage somewhere among them.
+#[test]
+fn vm_matches_interp_on_rule_scheduled_benchmark_programs() {
+    use freetensor::autodiff::GradOptions;
+    use freetensor::autoschedule::Target;
+    use freetensor::workloads::{data, Scale};
+
+    let sizes = HashMap::new();
+    let mut engaged = std::collections::BTreeSet::new();
+    for w in Workload::ALL {
+        let inst = w.at(Scale::Small);
+        let forward = inst.program();
+        let mut programs = vec![(
+            w.name().to_string(),
+            forward.optimize(&Target::cpu()),
+            inst.inputs(7),
+        )];
+        if w.differentiable() {
+            let grad = forward
+                .grad(&GradOptions::default())
+                .expect("differentiable");
+            let mut inputs = inst.inputs(7);
+            let seed = data::features(&inst.output_shape(), 99);
+            inputs.insert(format!("{}.grad", w.output()), seed);
+            programs.push((
+                format!("{}.grad", w.name()),
+                grad.optimize(&Target::cpu()),
+                inputs,
+            ));
+        }
+        for (label, program, inputs) in programs {
+            let (lowered, _) = ft_codegen::lower_and_plan(program.func(), &sizes);
+            let want = Runtime::new()
+                .run(&lowered, &inputs, &sizes)
+                .unwrap_or_else(|e| panic!("interp failed on lowered {label}: {e:?}"));
+            let sink = ft_trace::TraceSink::new();
+            let mut vm = VmRuntime::new();
+            vm.set_sink(Some(sink.clone()));
+            let got = vm
+                .run(program.func(), &inputs, &sizes)
+                .unwrap_or_else(|e| panic!("vm failed on {label}: {e:?}"));
+            assert_eq!(got.outputs, want.outputs, "vm outputs differ on {label}");
+
+            let mut marked = 0;
+            lowered.body.walk(&mut |s| {
+                if matches!(&s.kind, StmtKind::For { property, .. } if property.vectorize) {
+                    marked += 1;
+                }
+            });
+            let arg = |e: &ft_trace::SpanEvent, key: &str| {
+                e.args
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v.clone())
+            };
+            let simd: Vec<(Option<String>, Option<String>)> = sink
+                .events()
+                .iter()
+                .filter(|e| e.name == "vm.simd")
+                .map(|e| (arg(e, "how"), arg(e, "reason")))
+                .collect();
+            assert_eq!(
+                simd.len(),
+                marked,
+                "{label}: one span per vectorize loop: {simd:?}"
+            );
+            for span in &simd {
+                match span {
+                    (Some(how), None) => {
+                        engaged.insert(how.clone());
+                    }
+                    (None, Some(reason)) => assert!(!reason.is_empty(), "{label}: {span:?}"),
+                    _ => panic!("{label}: a span with neither `how` nor `reason`: {span:?}"),
+                }
+            }
+        }
+    }
+    // Accepted spans name the two kernels, and nothing else.
+    assert_eq!(engaged, ["axpy", "dot"].map(String::from).into());
 }
 
 /// Directed grad-program schedules: differentiate every workload under both
