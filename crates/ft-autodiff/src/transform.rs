@@ -850,20 +850,39 @@ impl Grad<'_> {
 
 /// Whether the backward pass of a loop with body `s` may run its iterations
 /// in forward order: `s` is, through nested `For`s and `Block`s only, nothing
-/// but `+=` into tensors it never loads. The backward iterations then read
-/// the adjoints of those targets and `+=` into the adjoints of the tensors
-/// loaded — two disjoint sets — so their order decides rounding only, and
-/// ascending subscripts are the ones a C compiler vectorizes.
+/// but `+=` into tensors it never loads, and writes of 0-d `VarDef`s bound
+/// inside it (the values `name.rs` introduces), which live for one
+/// iteration. The backward iterations then read the adjoints of those
+/// targets and `+=` into the adjoints of the tensors loaded — two disjoint
+/// sets — so their order decides rounding only, and ascending subscripts
+/// are the ones a C compiler vectorizes.
 fn accumulate_only(s: &Stmt) -> bool {
-    fn walk(s: &Stmt, targets: &mut HashSet<String>, loads: &mut HashSet<String>) -> bool {
+    fn walk<'a>(
+        s: &'a Stmt,
+        locals: &mut Vec<&'a str>,
+        targets: &mut HashSet<String>,
+        loads: &mut HashSet<String>,
+    ) -> bool {
         match &s.kind {
-            StmtKind::Block(v) => v.iter().all(|c| walk(c, targets, loads)),
+            StmtKind::Block(v) => v.iter().all(|c| walk(c, locals, targets, loads)),
             StmtKind::For {
                 begin, end, body, ..
             } => {
                 loads.extend(begin.loaded_vars());
                 loads.extend(end.loaded_vars());
-                walk(body, targets, loads)
+                walk(body, locals, targets, loads)
+            }
+            StmtKind::VarDef {
+                name, shape, body, ..
+            } if shape.is_empty() => {
+                locals.push(name);
+                let ok = walk(body, locals, targets, loads);
+                locals.pop();
+                ok
+            }
+            StmtKind::Store { var, value, .. } if locals.contains(&var.as_str()) => {
+                loads.extend(value.loaded_vars());
+                true
             }
             StmtKind::ReduceTo {
                 var,
@@ -872,7 +891,9 @@ fn accumulate_only(s: &Stmt) -> bool {
                 value,
                 ..
             } => {
-                targets.insert(var.clone());
+                if !locals.contains(&var.as_str()) {
+                    targets.insert(var.clone());
+                }
                 for e in indices.iter().chain([value]) {
                     loads.extend(e.loaded_vars());
                 }
@@ -882,7 +903,7 @@ fn accumulate_only(s: &Stmt) -> bool {
         }
     }
     let (mut targets, mut loads) = (HashSet::new(), HashSet::new());
-    walk(s, &mut targets, &mut loads) && targets.is_disjoint(&loads)
+    walk(s, &mut Vec::new(), &mut targets, &mut loads) && targets.is_disjoint(&loads)
 }
 
 /// The set of tensors written in a sub-tree, and whether every write is a
@@ -1097,11 +1118,43 @@ mod tests {
         // `dot[k] += Q[j, p] * K[k, p]`, alone or at the bottom of a nest.
         assert!(accumulate_only(&dot()));
         assert!(accumulate_only(&for_("p", 0, 4, block([dot(), dot()]))));
-        // Anything else in the body keeps the reversal.
+        // A 0-d value bound in the body lives for one iteration: `name.rs`'s
+        // `t = Q[j, p]; dot[k] += t * K[k, p]` keeps the forward order.
         let scalar_def = |body| var_def("t", scalar(), DataType::F32, MemType::CpuStack, body);
+        let t = || load("t", scalar());
+        let named = |use_t: Stmt| {
+            scalar_def(block([
+                store("t", scalar(), load("Q", [var("j"), var("p")])),
+                use_t,
+            ]))
+        };
+        let dot_t = || {
+            reduce(
+                "dot",
+                [var("k")],
+                ReduceOp::Add,
+                t() * load("K", [var("k"), var("p")]),
+            )
+        };
+        assert!(accumulate_only(&named(dot_t())));
+        assert!(accumulate_only(&for_("c", 0, 3, named(for_("k", 0, 4, dot_t())))));
+        // Anything else in the body keeps the reversal.
         for body in [
             block([dot(), store("y", [var("p")], 0.0f32)]),
-            scalar_def(dot()),
+            // The local's value stored to a tensor bound outside the body.
+            named(store("y", [var("p")], t())),
+            // A 0-d tensor bound outside the body lives across iterations.
+            block([store("t", scalar(), load("Q", [var("j"), var("p")])), dot_t()]),
+            // A local row is not a named value.
+            var_def(
+                "r",
+                [2],
+                DataType::F32,
+                MemType::CpuStack,
+                block([store("r", [0], 1.0f32), dot()]),
+            ),
+            // A target the local's value is loaded from.
+            named(reduce("Q", [var("j"), var("p")], ReduceOp::Add, t())),
             if_(var("p").lt(2), dot()),
             reduce(
                 "m",

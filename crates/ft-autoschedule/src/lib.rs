@@ -18,7 +18,9 @@
 //! A seventh, [`auto_separate_tail`], runs between `auto_parallelize` and
 //! `auto_vectorize`: it splits every loop whose body is one affine guard on
 //! its own iterator into head, guard-free interior and tail, so interiors
-//! reach `auto_vectorize` without a branch.
+//! reach `auto_vectorize` without a branch. `auto_unroll` runs in front of
+//! `auto_vectorize` too, so a loop around a short one is offered to
+//! `vectorize` once the short one is unrolled.
 //!
 //! [`auto_schedule`] runs all seven for a target device.
 //!
@@ -353,16 +355,18 @@ pub fn auto_schedule_traced(func: &Func, target: &Target, sink: Option<TraceSink
     sched.into_func()
 }
 
-/// The paper's six passes in its order, with `auto_separate_tail` in front
-/// of `auto_vectorize`.
+/// The paper's six passes, with `auto_separate_tail` and then `auto_unroll`
+/// in front of `auto_vectorize`: a loop whose only inner loop is a short
+/// one becomes innermost once that loop is unrolled, and only then is it
+/// offered to `vectorize`.
 fn run_passes(sched: &mut Schedule, target: &Target) {
     auto_fuse(sched);
     auto_use_lib(sched);
     auto_parallelize(sched, target);
     auto_separate_tail(sched);
+    auto_unroll(sched, target);
     auto_vectorize(sched);
     auto_mem_type(sched, target);
-    auto_unroll(sched, target);
 }
 
 #[cfg(test)]
@@ -477,6 +481,41 @@ mod tests {
             matches!(st.kind, StmtKind::For { .. })
         });
         assert_eq!(loops.len(), 1); // the j loop is gone
+    }
+
+    #[test]
+    fn a_loop_around_a_three_trip_loop_is_unrolled_then_vectorized() {
+        // for i: for f: for c in 0..3: y[i, f, c] = x[i, f, c] * 2
+        let inner = for_(
+            "c",
+            0,
+            3,
+            store(
+                "y",
+                [var("i"), var("f"), var("c")],
+                load("x", [var("i"), var("f"), var("c")]) * 2.0f32,
+            ),
+        );
+        let f_loop = for_("f", 0, 16, inner);
+        let f_id = f_loop.id;
+        let f = Func::new("f")
+            .param("x", [8, 16, 3], DataType::F32, AccessType::Input)
+            .param("y", [8, 16, 3], DataType::F32, AccessType::Output)
+            .body(for_("i", 0, 8, f_loop));
+        let sink = TraceSink::new();
+        let tuned = auto_schedule_traced(&f, &Target::cpu(), Some(sink.clone()));
+        let vectorized = ft_ir::find::find_by_id(&tuned.body, f_id)
+            .is_some_and(|s| matches!(&s.kind, StmtKind::For { property, .. } if property.vectorize));
+        assert!(vectorized, "{tuned}");
+        let args = format!("({:?})", ft_ir::find::Selector::Id(f_id));
+        assert!(
+            sink.decisions().iter().any(|d| d.pass.as_deref() == Some("auto_vectorize")
+                && d.primitive == "vectorize"
+                && d.args == args
+                && d.verdict == ft_trace::Verdict::Applied),
+            "{:?}",
+            sink.decisions()
+        );
     }
 
     #[test]

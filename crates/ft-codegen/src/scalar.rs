@@ -27,7 +27,9 @@
 //!   into the loop's `simd reduction` clause; a `vectorize` loop left with
 //!   a carried reduction (`min`/`max`, whose NaN rule is not the clause's,
 //!   or a target the rule above refused) loses its pragma rather than
-//!   carry a `simd` promise it breaks.
+//!   carry a `simd` promise it breaks. A tensor bound inside the loop's
+//!   body is private to one iteration: a reduction into it (`ad.t1.grad`
+//!   of a named value's adjoint) is neither an accumulator nor carried.
 
 use ft_ir::{BinaryOp, Expr, Fnv1a, ReduceOp, Stmt, StmtKind, UnaryOp};
 use ft_passes::hoist::{self, any_node, certainly_runs, is_leaf, operands, LoopNames, Scope};
@@ -433,7 +435,7 @@ impl<'a> Analyzer<'a> {
                 }
                 if scope.innermost && !property.parallel.is_parallel() {
                     self.accumulate(at, iter, body, &me, property.vectorize);
-                } else if property.vectorize && carried(body, iter, &[]) {
+                } else if property.vectorize && carried(body, iter, &[], &mut Vec::new()) {
                     self.events.push(Event {
                         at,
                         kind: Kind::NoSimd,
@@ -448,7 +450,7 @@ impl<'a> Analyzer<'a> {
     /// Accumulators of innermost loop `at` over `iter`.
     fn accumulate(&mut self, at: u32, iter: &str, body: &'a Stmt, me: &Loop, vectorize: bool) {
         let mut accs: Vec<Acc<'a>> = Vec::new();
-        self.reductions(body, me, &mut accs);
+        self.reductions(body, me, &mut Vec::new(), &mut accs);
         let mut k = 0;
         while k < accs.len() {
             let var = accs[k].0;
@@ -472,7 +474,7 @@ impl<'a> Analyzer<'a> {
                 accs.retain(|a| a.0 != var);
             }
         }
-        if vectorize && carried(body, iter, &accs) {
+        if vectorize && carried(body, iter, &accs, &mut Vec::new()) {
             self.events.push(Event {
                 at,
                 kind: Kind::NoSimd,
@@ -486,18 +488,30 @@ impl<'a> Analyzer<'a> {
     }
 
     /// The distinct unconditional, non-atomic reductions directly in `me`
-    /// whose target element is the same in every iteration.
-    fn reductions(&self, s: &'a Stmt, me: &Loop, out: &mut Vec<Acc<'a>>) {
+    /// whose target element is the same in every iteration, into tensors
+    /// bound outside the body (`locals`, innermost last, are the others).
+    fn reductions(
+        &self,
+        s: &'a Stmt,
+        me: &Loop,
+        locals: &mut Vec<&'a str>,
+        out: &mut Vec<Acc<'a>>,
+    ) {
         match &s.kind {
-            StmtKind::Block(v) => v.iter().for_each(|c| self.reductions(c, me, out)),
-            StmtKind::VarDef { body, .. } => self.reductions(body, me, out),
+            StmtKind::Block(v) => v.iter().for_each(|c| self.reductions(c, me, locals, out)),
+            StmtKind::VarDef { name, body, .. } => {
+                locals.push(name);
+                self.reductions(body, me, locals, out);
+                locals.pop();
+            }
             StmtKind::ReduceTo {
                 var,
                 indices,
                 op,
                 atomic: false,
                 ..
-            } if indices.iter().all(|e| self.invariant(e, me))
+            } if !locals.contains(&var.as_str())
+                && indices.iter().all(|e| self.invariant(e, me))
                 && !out.iter().any(|a| a.0 == var && a.1 == indices.as_slice()) =>
             {
                 out.push((var, indices, *op));
@@ -509,23 +523,87 @@ impl<'a> Analyzer<'a> {
 
 /// Whether the loop over `iter` with body `s` folds into one element from
 /// more than one iteration, other than through the `+`/`*` accumulators
-/// among `accs` (a `simd reduction` clause covers those).
-fn carried(s: &Stmt, iter: &str, accs: &[Acc<'_>]) -> bool {
+/// among `accs` (a `simd reduction` clause covers those). A tensor bound in
+/// the body (`locals`, innermost last) is private to its iteration.
+fn carried<'a>(s: &'a Stmt, iter: &str, accs: &[Acc<'_>], locals: &mut Vec<&'a str>) -> bool {
     match &s.kind {
         StmtKind::ReduceTo {
             var, indices, op, ..
         } => {
             let in_clause = matches!(op, ReduceOp::Add | ReduceOp::Mul)
                 && accs.iter().any(|a| a.0 == var && a.1 == indices.as_slice());
-            !in_clause && !indices.iter().any(|e| mentions(e, iter))
+            !in_clause
+                && !locals.contains(&var.as_str())
+                && !indices.iter().any(|e| mentions(e, iter))
         }
-        StmtKind::Block(v) => v.iter().any(|c| carried(c, iter, accs)),
-        StmtKind::VarDef { body, .. } | StmtKind::For { body, .. } => carried(body, iter, accs),
+        StmtKind::Block(v) => v.iter().any(|c| carried(c, iter, accs, locals)),
+        StmtKind::VarDef { name, body, .. } => {
+            locals.push(name);
+            let carries = carried(body, iter, accs, locals);
+            locals.pop();
+            carries
+        }
+        StmtKind::For { body, .. } => carried(body, iter, accs, locals),
         StmtKind::If {
             then, otherwise, ..
         } => {
-            carried(then, iter, accs) || otherwise.as_ref().is_some_and(|o| carried(o, iter, accs))
+            carried(then, iter, accs, locals)
+                || otherwise
+                    .as_ref()
+                    .is_some_and(|o| carried(o, iter, accs, locals))
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ft_ir::prelude::*;
+
+    /// What [`analyze`] decides for `for p in 0..64` (`vectorize`) over
+    /// `body`: `(NoSimd, accumulator targets)`.
+    fn loop_decisions(body: Stmt) -> (bool, Vec<String>) {
+        let simd = ForProperty {
+            vectorize: true,
+            ..ForProperty::default()
+        };
+        let root = for_with("p", 0, 64, simd, body);
+        let (mut no_simd, mut accs) = (false, Vec::new());
+        for e in analyze(&root).into_iter().filter(|e| e.at == 0) {
+            match e.kind {
+                Kind::NoSimd => no_simd = true,
+                Kind::Accum { var, .. } => accs.push(var.to_string()),
+                _ => {}
+            }
+        }
+        (no_simd, accs)
+    }
+
+    /// `g[] += x[p]; g[] += x[p] * x[p]; t[0] += g[]`.
+    fn fold_through_g() -> Stmt {
+        block([
+            reduce("g", scalar(), ReduceOp::Add, load("x", [var("p")])),
+            reduce(
+                "g",
+                scalar(),
+                ReduceOp::Add,
+                load("x", [var("p")]) * load("x", [var("p")]),
+            ),
+            reduce("t", [0], ReduceOp::Add, load("g", scalar())),
+        ])
+    }
+
+    #[test]
+    fn a_reduction_into_a_body_local_def_is_private_to_the_iteration() {
+        let g = |body| var_def("g", scalar(), DataType::F32, MemType::CpuStack, body);
+        // Bound in the body: `g` starts from zero every iteration, so the
+        // loop keeps its pragma, and only `t` is an accumulator.
+        assert_eq!(
+            loop_decisions(g(fold_through_g())),
+            (false, vec!["t".to_string()])
+        );
+        // The same folds into a `g` bound outside the loop carry it.
+        assert!(loop_decisions(fold_through_g()).0);
     }
 }

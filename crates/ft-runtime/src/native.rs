@@ -511,8 +511,14 @@ impl CompiledEngine {
 // time; the lanes of a vectorized elementwise loop round as the scalar loop
 // does, so outputs stay bit-identical to plain `-O2`. It is on both rungs: a
 // `cc` that rejects it fails loudly instead of sliding onto the serial one.
+// `-fpeel-loops` is the part of `-O3` that pays here: it completely peels
+// a vector loop of a few constant trips (a 64-wide row is 8 AVX2 vectors),
+// so the row stays in registers across the loop around it. All of `-O3`
+// measured the same kernels for a little more `cc` time (EXPERIMENTS.md,
+// "SIMD the schedule asked for").
 // The serial rung is these flags without `-fopenmp`.
-const BASE_FLAGS: &str = "-O2 -fvect-cost-model=dynamic -fPIC -shared -ffp-contract=off -fopenmp";
+const BASE_FLAGS: &str =
+    "-O2 -fvect-cost-model=dynamic -fpeel-loops -fPIC -shared -ffp-contract=off -fopenmp";
 
 /// The flags this process builds every unit with, decided once: the base
 /// flags, then `-mavx2` where the CPU has AVX2 (8 `float` lanes instead of

@@ -35,6 +35,10 @@
 //!   no dependence or reduction carried by any parallel loop. With
 //!   `--nocapture` it prints one table row per program and scale: parallel
 //!   loops, blockers, and what proving them all cost.
+//! * `every_vectorize_loop_is_emitted_under_omp_simd` — the same programs:
+//!   every loop the lowered IR marks `vectorize` carries `#pragma omp simd`
+//!   in the C, except one that carries a `min=`/`max=`. With `--nocapture`
+//!   it prints one table row per program and scale.
 
 use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
@@ -696,16 +700,19 @@ fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
 /// `ft_sigmoid`, nothing else), and when it gained the `FT_LIBMVEC` block
 /// of vector-math declarations (fifteen lines after `#include <math.h>`;
 /// Longformer's C also moved, by the `auto_separate_tail` split its IR pin
-/// below records). Each diff is in EXPERIMENTS.md.
+/// below records). SoftRas (both scales) and small GAT moved once more when
+/// `auto_unroll` came to run before `auto_vectorize`: the loop the unrolled
+/// channel loop sat in is now `vectorize`, and its C gains a `simd
+/// reduction` pragma. Each diff is in EXPERIMENTS.md.
 const FORWARD_RULE_C: [(&str, bool, u64); 8] = [
     ("subdivnet", true, 0x3e06_81f5_73db_cc7e),
     ("subdivnet", false, 0x4383_1f2c_e4a2_1544),
     ("longformer", true, 0xbdca_675d_9263_de83),
     ("longformer", false, 0xf632_ec7e_8d63_7098),
-    ("softras", true, 0x1755_6fd6_ac75_8c70),
-    ("softras", false, 0x16ae_aeeb_c7fd_da27),
+    ("softras", true, 0x1d27_5a11_fd01_7691),
+    ("softras", false, 0x4414_5d60_313b_1c4e),
     ("gat", true, 0x9647_7cb0_d664_35a3),
-    ("gat", false, 0x1e22_ad20_1357_1037),
+    ("gat", false, 0xf56b_592d_cd4c_d35b),
 ];
 
 #[test]
@@ -737,11 +744,13 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
 /// the programs where the dependence queries cost the most. Pinned at the
 /// commit before the queries were scoped (f67484e); re-pinned with
 /// `FORWARD_RULE_C` for the `FT_LIBMVEC` prelude block (all three) and
-/// Longformer's split window loops.
+/// Longformer's split window loops, and for SubdivNet and SoftRas once more
+/// when backward loops over named values kept ascending order (both) and
+/// the emitter stopped counting a body-local reduction as carried (SoftRas).
 const GRAD_RULE_C: [(&str, u64); 3] = [
-    ("subdivnet", 0xada8_b034_a1a3_40e8),
+    ("subdivnet", 0x6a6d_3b45_3c83_8280),
     ("longformer", 0x7ee8_5db2_0e3e_ba4d),
-    ("softras", 0x8e05_134a_616f_dd32),
+    ("softras", 0xf852_0b5d_5563_0379),
 ];
 
 /// FNV-1a of the printed rule-scheduled IR of the benchmark's seven
@@ -749,15 +758,17 @@ const GRAD_RULE_C: [(&str, u64); 3] = [
 /// same commit: every primitive the rule passes tried was accepted or
 /// refused exactly as before. The two Longformer entries moved once, when
 /// `auto_separate_tail` split their window loops (3 forward, 7 in the
-/// gradient); `UNSPLIT_RULE_IR` keeps what they were.
+/// gradient); `UNSPLIT_RULE_IR` keeps what they were. SoftRas (both) and
+/// SubdivNet's gradient moved when `auto_unroll` came in front of
+/// `auto_vectorize` and named values stopped reversing backward loops.
 const RULE_IR: [(&str, bool, u64); 7] = [
     ("subdivnet", false, 0x4933_bda9_f6f8_24ab),
     ("longformer", false, 0x59fe_159e_2d9a_1e4a),
-    ("softras", false, 0x3877_3a11_c9a0_8915),
+    ("softras", false, 0x2023_bb22_df7d_d187),
     ("gat", false, 0x48fd_0000_11d8_cf03),
-    ("subdivnet", true, 0x078b_2be8_6556_dfcc),
+    ("subdivnet", true, 0xbd57_4e49_3eaf_f7b3),
     ("longformer", true, 0xa1d2_c2ad_e85c_f18d),
-    ("softras", true, 0xd184_1151_b9dd_c0fc),
+    ("softras", true, 0xbc59_dde1_8bc7_d3c2),
 ];
 
 #[test]
@@ -803,9 +814,9 @@ fn unsplit_rules(p: &Program) -> Func {
     auto_fuse(&mut s);
     auto_use_lib(&mut s);
     auto_parallelize(&mut s, &target);
+    auto_unroll(&mut s, &target);
     auto_vectorize(&mut s);
     auto_mem_type(&mut s, &target);
-    auto_unroll(&mut s, &target);
     ft_passes::simplify(&s.into_func())
 }
 
@@ -878,6 +889,108 @@ fn rule_scheduled_windows_are_guard_free_and_bit_identical_to_the_unsplit_schedu
     }
 }
 
+/// The benchmark's seven programs under the rule passes: four forward,
+/// three differentiated.
+fn rule_programs() -> impl Iterator<Item = (&'static str, Kind)> {
+    ["subdivnet", "longformer", "softras", "gat"]
+        .map(|n| (n, Kind::Rules))
+        .into_iter()
+        .chain(["subdivnet", "longformer", "softras"].map(|n| (n, Kind::GradRules)))
+}
+
+/// Table labels of one of [`rule_programs`] at one scale.
+fn labels(name: &str, kind: Kind, full: bool) -> (String, &'static str) {
+    let label = match kind {
+        Kind::GradRules => format!("{name}.grad"),
+        _ => name.to_string(),
+    };
+    (label, if full { "full" } else { "small" })
+}
+
+/// Whether the loop over `iter` with body `s` folds a `min=`/`max=` into
+/// one element from more than one iteration: `fmaxf`/`fminf` drop a NaN,
+/// the `simd reduction` clause's `max`/`min` need not, so the emitter keeps
+/// such a loop serial (DESIGN.md §7).
+fn carries_min_max(s: &Stmt, iter: &str) -> bool {
+    let mut found = false;
+    s.walk(&mut |st| {
+        if let StmtKind::ReduceTo {
+            op: ReduceOp::Min | ReduceOp::Max,
+            indices,
+            ..
+        } = &st.kind
+        {
+            found |= !indices.iter().any(|e| e.free_vars().contains(iter));
+        }
+    });
+    found
+}
+
+/// The schedule and the emitter agree: in the seven rule-scheduled
+/// programs, small and full, every loop the lowered IR marks `vectorize`
+/// is emitted under `#pragma omp simd` — a pragma the emitter drops is SIMD
+/// the rule passes proved and the kernel never gets. The one exception is
+/// a loop that carries a `min=`/`max=`. The emitter prints one `for` line
+/// per IR loop, in pre-order, so the two walks pair up loop by loop. With
+/// `--nocapture` it prints one table row per program and scale.
+#[test]
+fn every_vectorize_loop_is_emitted_under_omp_simd() {
+    println!("\n| program | scale | `vectorize` loops | `omp simd` | `min=`/`max=` | dropped |");
+    println!("|---|---|---|---|---|---|");
+    let mut failed = Vec::new();
+    for (name, kind) in rule_programs() {
+        for full in [false, true] {
+            let p = program(name, full, kind);
+            let lowered = lower_cpu_parallel(p.func());
+            let mut loops = Vec::new();
+            lowered.body.walk(&mut |s| {
+                if let StmtKind::For {
+                    iter,
+                    property,
+                    body,
+                    ..
+                } = &s.kind
+                {
+                    let vectorize = property.vectorize && !property.parallel.is_parallel();
+                    loops.push((iter.clone(), vectorize, carries_min_max(body, iter)));
+                }
+            });
+            let c = p.emit_c();
+            let lines: Vec<&str> = c.lines().map(str::trim_start).collect();
+            // Loops of the function, not of the prelude's helpers.
+            let simd: Vec<bool> = (1..lines.len())
+                .filter(|&i| lines[i].starts_with("for (int64_t ") && lines[i].ends_with('{'))
+                .map(|i| lines[i - 1].starts_with("#pragma omp simd"))
+                .collect();
+            let (label, scale) = labels(name, kind, full);
+            assert_eq!(
+                simd.len(),
+                loops.len(),
+                "{label} ({scale}): loops vs `for` lines\n{c}"
+            );
+            let (mut marked, mut pragmas, mut min_max, mut dropped) = (0, 0, 0, Vec::new());
+            for ((iter, vectorize, carries), simd) in loops.iter().zip(&simd) {
+                marked += usize::from(*vectorize);
+                pragmas += usize::from(*simd);
+                match (vectorize, simd) {
+                    (true, false) if *carries => min_max += 1,
+                    (true, false) => dropped.push(iter.as_str()),
+                    (false, true) => failed.push(format!("{label} ({scale}): `simd` on {iter}")),
+                    _ => {}
+                }
+            }
+            println!(
+                "| {label} | {scale} | {marked} | {pragmas} | {min_max} | {} |",
+                dropped.len()
+            );
+            if !dropped.is_empty() {
+                failed.push(format!("{label} ({scale}): no `simd` on {dropped:?}"));
+            }
+        }
+    }
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
+
 /// The emitter types an `f32` program's expressions in `float` from the
 /// IR's own inference (`Expr::dtype`); `cc` is the judge of whether that
 /// inference mirrors C's conversions: one `exp` for `expf`, one unsuffixed
@@ -890,11 +1003,7 @@ fn benchmark_units_stay_in_f32_under_wdouble_promotion() {
         eprintln!("skipping: no C compiler on PATH");
         return;
     }
-    let units = ["subdivnet", "longformer", "softras", "gat"]
-        .map(|n| (n, Kind::Rules))
-        .into_iter()
-        .chain(["subdivnet", "longformer", "softras"].map(|n| (n, Kind::GradRules)));
-    for (name, kind) in units {
+    for (name, kind) in rule_programs() {
         let c = program(name, true, kind).emit_c();
         let mut cc = Command::new("cc")
             .args(["-fopenmp", "-fsyntax-only", "-Werror", "-xc", "-"])
@@ -929,14 +1038,10 @@ fn benchmark_units_stay_in_f32_under_wdouble_promotion() {
 #[test]
 fn every_lowered_parallel_loop_proves() {
     use ft_analysis::{carried_reductions_in, collect_accesses, loop_carried_deps_in};
-    let programs = ["subdivnet", "longformer", "softras", "gat"]
-        .map(|n| (n, Kind::Rules))
-        .into_iter()
-        .chain(["subdivnet", "longformer", "softras"].map(|n| (n, Kind::GradRules)));
     println!("\n| program | scale | parallel loops | blockers | carried reductions | prover µs |");
     println!("|---|---|---|---|---|---|");
     let mut failed = Vec::new();
-    for (name, kind) in programs {
+    for (name, kind) in rule_programs() {
         for full in [false, true] {
             let p = program(name, full, kind);
             let lowered = lower_cpu_parallel(p.func());
@@ -962,12 +1067,7 @@ fn every_lowered_parallel_loop_proves() {
                     .sum();
                 best = best.min(t0.elapsed());
             }
-            let label = if kind == Kind::GradRules {
-                format!("{name}.grad")
-            } else {
-                name.to_string()
-            };
-            let scale = if full { "full" } else { "small" };
+            let (label, scale) = labels(name, kind, full);
             println!(
                 "| {label} | {scale} | {} | {blockers} | {reductions} | {} |",
                 loops.len(),

@@ -21,8 +21,18 @@ fn traced_subdivnet(p: &subdivnet::Params) -> (Program, TraceSink) {
 
 #[test]
 fn subdivnet_decision_log_covers_all_six_passes() {
-    let (_, sink) = traced_subdivnet(&subdivnet::Params::small());
-    let decisions = sink.decisions();
+    // At five channels the channel loop is short enough for `auto_unroll`,
+    // which runs in front of `auto_vectorize`, so the vectorizer has no
+    // loop left to try; at sixteen the channel loop stays and is offered
+    // to it.
+    let wide = subdivnet::Params {
+        in_feats: 16,
+        ..subdivnet::Params::small()
+    };
+    let decisions: Vec<_> = [subdivnet::Params::small(), wide]
+        .iter()
+        .flat_map(|p| traced_subdivnet(p).1.decisions())
+        .collect();
     // Every pass of the paper's auto-scheduler must leave at least one
     // entry in the decision log on this workload.
     for pass in [
