@@ -30,8 +30,7 @@ pub enum Backend {
     /// what the bit-identity rows of [`Backend::Vm`] and
     /// [`Backend::Compiled`] under real threads are for).
     Reordered,
-    /// Bytecode VM ([`VmRuntime`]) — a wall-clock engine, with an automatic
-    /// interpreter fallback for statically untypable programs.
+    /// Bytecode VM ([`VmRuntime`]) — a wall-clock engine.
     Vm,
     /// Native compiled engine ([`CompiledEngine`]): C → `cc` → shared
     /// object, loaded and called in-process through the artifact cache.

@@ -29,6 +29,26 @@ impl Mutator for Folder {
                 then,
                 otherwise,
             } => match cond.as_bool() {
+                // The arm taken has the node's type (`Expr::dtype`, C's
+                // `?:`), which needs no tensor's type when nothing loads.
+                Some(c) if then.loaded_vars().is_empty() && otherwise.loaded_vars().is_empty() => {
+                    let node = Expr::Select {
+                        cond,
+                        then,
+                        otherwise,
+                    };
+                    let to = node.dtype(&|_: &str| unreachable!("nothing loads")).dtype;
+                    let Expr::Select { then, otherwise, .. } = node else {
+                        unreachable!("built above")
+                    };
+                    let taken = if c { *then } else { *otherwise };
+                    let from = taken.dtype(&|_: &str| unreachable!("nothing loads")).dtype;
+                    if from == to {
+                        taken
+                    } else {
+                        fold_cast(to, taken)
+                    }
+                }
                 Some(true) => *then,
                 Some(false) => *otherwise,
                 None => Expr::Select {

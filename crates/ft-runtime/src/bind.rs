@@ -11,6 +11,7 @@
 //! context, compiles, or allocates anything, so a malformed call costs
 //! nothing and leaves no trace in a pooled [`RunContext`](crate::RunContext).
 
+use crate::arena::RunContext;
 use crate::error::RuntimeError;
 use crate::value::TensorVal;
 use ft_analysis::MemPlan;
@@ -178,6 +179,73 @@ impl<'f> Resolved<'f> {
         }
         Ok(())
     }
+
+    /// Every parameter's buffer for one call, in declaration order — the
+    /// bind step of every engine. An `Input` of the declared dtype is
+    /// borrowed; an `Input` of another dtype and every `InOut` are owned
+    /// copies converted to the declaration, so what an engine loads is the
+    /// declared type; an `Output` or `Cache` is zeroed. With a context, the
+    /// owned buffers come from its staging area.
+    pub(crate) fn bind<'i>(
+        &self,
+        inputs: &'i HashMap<String, TensorVal>,
+        mut ctx: Option<&mut RunContext>,
+    ) -> Vec<Cow<'i, TensorVal>> {
+        self.params()
+            .map(|(p, shape)| {
+                if !matches!(p.atype, AccessType::Input | AccessType::InOut) {
+                    return Cow::Owned(match ctx.as_deref_mut() {
+                        Some(c) => c.staged_zeros(&p.name, p.dtype, shape, true),
+                        None => TensorVal::zeros(p.dtype, shape),
+                    });
+                }
+                let t = &inputs[&p.name];
+                let declared = t.dtype() == p.dtype;
+                if p.atype == AccessType::Input && declared {
+                    return Cow::Borrowed(t);
+                }
+                Cow::Owned(match (ctx.as_deref_mut(), declared) {
+                    (Some(c), true) => c.staged_copy(&p.name, t),
+                    (Some(c), false) => {
+                        convert_into(c.staged_zeros(&p.name, p.dtype, shape, false), t)
+                    }
+                    (None, true) => t.clone(),
+                    (None, false) => convert_into(TensorVal::zeros(p.dtype, shape), t),
+                })
+            })
+            .collect()
+    }
+
+    /// The run's outputs by name: the final buffer of every `Output` and
+    /// `InOut` parameter (`take(i)` of the `i`-th parameter), an `InOut`
+    /// converted back to the dtype the caller passed it in.
+    pub(crate) fn outputs(
+        &self,
+        inputs: &HashMap<String, TensorVal>,
+        mut take: impl FnMut(usize) -> TensorVal,
+    ) -> HashMap<String, TensorVal> {
+        let outs = self.params().enumerate();
+        outs.filter(|(_, (p, _))| matches!(p.atype, AccessType::Output | AccessType::InOut))
+            .map(|(i, (p, _))| {
+                let t = take(i);
+                let t = match inputs.get(&p.name) {
+                    Some(orig) if p.atype == AccessType::InOut && orig.dtype() != t.dtype() => {
+                        convert_into(TensorVal::zeros(orig.dtype(), t.shape()), &t)
+                    }
+                    _ => t,
+                };
+                (p.name.clone(), t)
+            })
+            .collect()
+    }
+}
+
+/// Copy `t` into `out`, a tensor of its shape (element-wise converting).
+fn convert_into(mut out: TensorVal, t: &TensorVal) -> TensorVal {
+    for i in 0..t.numel() {
+        out.set_flat(i, t.get_flat(i));
+    }
+    out
 }
 
 /// One extent of parameter `param`, by the planner's evaluator — so the
@@ -392,6 +460,36 @@ mod tests {
                 warm.counter("mem.arena.alloc_calls"),
                 "{who}: the run after the malformed one allocated: {after:?}"
             );
+        }
+    }
+
+    #[test]
+    fn an_input_of_another_dtype_is_converted_at_bind_by_every_engine() {
+        // `x` and `acc` are declared f32 and passed as f64: every engine
+        // computes on f32 values and hands `acc` back as the f64 it got.
+        let f = Func::new("dt")
+            .param("x", [3], DataType::F32, AccessType::Input)
+            .param("acc", [3], DataType::F32, AccessType::InOut)
+            .body(for_(
+                "i",
+                0,
+                3,
+                store("acc", [var("i")], load("acc", [var("i")]) + load("x", [var("i")])),
+            ));
+        let (x, acc) = ([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]);
+        let inputs = HashMap::from([
+            ("x".to_string(), TensorVal::from_f64(&[3], x.to_vec())),
+            ("acc".to_string(), TensorVal::from_f64(&[3], acc.to_vec())),
+        ]);
+        let want: Vec<f64> = (0..3).map(|i| (acc[i] as f32 + x[i] as f32) as f64).collect();
+        for (engine, _) in engines("dtype") {
+            let who = engine.name();
+            if who == "compiled" && !cc_available() {
+                continue;
+            }
+            let r = engine.run(&f, &inputs, &HashMap::new()).expect(who);
+            assert_eq!(r.output("acc").dtype(), DataType::F64, "{who}");
+            assert_eq!(r.output("acc").to_f64_vec(), want, "{who}");
         }
     }
 

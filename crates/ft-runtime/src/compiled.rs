@@ -119,6 +119,8 @@ pub(crate) struct Compiled {
 
 struct Lower {
     tensor_names: Vec<String>,
+    /// Element type per tensor slot.
+    tensor_dtypes: Vec<DataType>,
     n_scalars: usize,
     tensor_scope: HashMap<String, Vec<usize>>,
     scalar_scope: HashMap<String, Vec<usize>>,
@@ -134,9 +136,10 @@ impl Lower {
             .ok_or_else(|| RuntimeError::UndefinedName(name.to_string()))
     }
 
-    fn new_tensor(&mut self, name: &str) -> usize {
+    fn new_tensor(&mut self, name: &str, dtype: DataType) -> usize {
         let slot = self.tensor_names.len();
         self.tensor_names.push(name.to_string());
+        self.tensor_dtypes.push(dtype);
         self.tensor_scope
             .entry(name.to_string())
             .or_default()
@@ -196,14 +199,48 @@ impl Lower {
                 cond,
                 then,
                 otherwise,
-            } => CExpr::Select {
-                cond: Box::new(self.expr(cond)?),
-                then: Box::new(self.expr(then)?),
-                otherwise: Box::new(self.expr(otherwise)?),
-            },
+            } => {
+                // A `Select` has the type `Expr::dtype` gives the node — C's
+                // `?:` — and its arm is converted to it, so neither the
+                // interpreter nor the VM needs a rule of its own.
+                let ty = |e: &Expr| e.dtype(&|n: &str| self.elem(n)).dtype;
+                let (to, from) = (ty(e), [ty(then), ty(otherwise)]);
+                CExpr::Select {
+                    cond: Box::new(self.expr(cond)?),
+                    then: Box::new(self.arm(then, from[0], to)?),
+                    otherwise: Box::new(self.arm(otherwise, from[1], to)?),
+                }
+            }
             Expr::Cast { dtype, a } => CExpr::Cast {
                 dtype: *dtype,
                 a: Box::new(self.expr(a)?),
+            },
+        })
+    }
+
+    /// The element type of the tensor `name` resolves to; any type for a
+    /// name that resolves to nothing, which lowering it reports.
+    fn elem(&self, name: &str) -> DataType {
+        let slot = self.tensor_scope.get(name).and_then(|v| v.last());
+        slot.map_or(DataType::I64, |t| self.tensor_dtypes[*t])
+    }
+
+    /// A `Select` arm of type `from`, converted to the node's type `to`; a
+    /// literal converts here, once.
+    fn arm(&mut self, e: &Expr, from: DataType, to: DataType) -> Result<CExpr, RuntimeError> {
+        let c = self.expr(e)?;
+        if from == to {
+            return Ok(c);
+        }
+        Ok(match Scalar::of_const(e) {
+            Some(v) => match ft_ir::scalar::cast(to, v) {
+                Scalar::Int(v) => CExpr::Int(v),
+                Scalar::Float(v) => CExpr::Float(v),
+                Scalar::Bool(v) => CExpr::Bool(v),
+            },
+            None => CExpr::Cast {
+                dtype: to,
+                a: Box::new(c),
             },
         })
     }
@@ -228,7 +265,7 @@ impl Lower {
                     .iter()
                     .map(|e| self.expr(e))
                     .collect::<Result<_, _>>()?;
-                let t = self.new_tensor(name);
+                let t = self.new_tensor(name, *dtype);
                 let body = self.stmt(body)?;
                 self.tensor_scope
                     .get_mut(name)
@@ -336,6 +373,7 @@ impl Lower {
 pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
     let mut lw = Lower {
         tensor_names: Vec::new(),
+        tensor_dtypes: Vec::new(),
         n_scalars: 0,
         tensor_scope: HashMap::new(),
         scalar_scope: HashMap::new(),
@@ -351,7 +389,7 @@ pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
     let params = func
         .params
         .iter()
-        .map(|p| (lw.new_tensor(&p.name), p.dtype))
+        .map(|p| (lw.new_tensor(&p.name, p.dtype), p.dtype))
         .collect();
     let body = lw.stmt(&func.body)?;
     Ok(Compiled {

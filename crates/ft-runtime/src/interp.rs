@@ -7,7 +7,7 @@ use crate::device::DeviceConfig;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::value::TensorVal;
-use ft_ir::{AccessType, Func};
+use ft_ir::Func;
 use ft_trace::{RunProfile, StmtCounters, TRACK_RUNTIME};
 use std::collections::HashMap;
 
@@ -154,9 +154,9 @@ impl Backend for Runtime {
     }
 }
 
-/// Place the resolved sizes and parameters (inputs cloned, the rest
-/// zeroed), execute the body, and extract outputs — the fallible core of
-/// `execute`, separated so the caller can recover the arena pool from the
+/// Place the resolved sizes and the bound parameters, execute the body, and
+/// extract outputs — the fallible core of `execute`, separated so the
+/// caller can recover the arena pool from the
 /// [`ExecCtx`](crate::compiled::ExecCtx) whether or not execution succeeded.
 fn bind_and_exec(
     compiled: &crate::compiled::Compiled,
@@ -167,22 +167,15 @@ fn bind_and_exec(
     for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
         ctx.scalars[*slot] = *v;
     }
-    for ((slot, _), (p, shape)) in compiled.params.iter().zip(resolved.params()) {
-        let val = match p.atype {
-            AccessType::Input | AccessType::InOut => inputs[&p.name].clone(),
-            _ => TensorVal::zeros(p.dtype, shape),
-        };
-        ctx.alloc(*slot, val, p.mtype)?;
+    let bound = resolved.bind(inputs, None);
+    for (((slot, _), (p, _)), val) in compiled.params.iter().zip(resolved.params()).zip(bound) {
+        ctx.alloc(*slot, val.into_owned(), p.mtype)?;
     }
     ctx.exec(&compiled.body)?;
-    let mut outputs = HashMap::new();
-    for ((slot, _), (p, _)) in compiled.params.iter().zip(resolved.params()) {
-        if matches!(p.atype, AccessType::Output | AccessType::InOut) {
-            let entry = ctx.tensors[*slot].take().expect("params stay live");
-            outputs.insert(p.name.clone(), entry.val);
-        }
-    }
-    Ok(outputs)
+    Ok(resolved.outputs(inputs, |i| {
+        let slot = compiled.params[i].0;
+        ctx.tensors[slot].take().expect("params stay live").val
+    }))
 }
 
 #[cfg(test)]

@@ -43,9 +43,10 @@ use crate::process::output_with_timeout;
 use crate::value::TensorVal;
 use ft_analysis::MemPlan;
 use ft_codegen::{emit_c_planned, CodegenError, ProfSite};
-use ft_ir::{AccessType, Fnv1a, Func};
+use ft_ir::{Fnv1a, Func};
 use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, Verdict, TRACK_RUNTIME};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ffi::c_void;
 use std::path::{Path, PathBuf};
@@ -254,14 +255,6 @@ fn artifact_key(unit: &str, flags: &str) -> u64 {
     h.write(&[0]);
     h.write(&ABI_VERSION.to_le_bytes());
     h.finish()
-}
-
-/// Copy `t` into `out`, a tensor of its shape (element-wise converting).
-fn convert_into(mut out: TensorVal, t: &TensorVal) -> TensorVal {
-    for i in 0..t.numel() {
-        out.set_flat(i, t.get_flat(i));
-    }
-    out
 }
 
 impl CompiledEngine {
@@ -642,56 +635,17 @@ impl Backend for CompiledEngine {
             .sink
             .as_ref()
             .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("compiled {}", func.name)));
-        // Bind parameters with the interpreter's semantics: Input borrowed
-        // read-only, InOut copied in (and returned), Output zeroed. The
-        // kernel reads Input buffers through const pointers; owned InOut/
-        // Output tensors keep their storage alive across the call.
-        enum Bound<'a> {
-            Borrowed(&'a TensorVal),
-            Owned(TensorVal),
-        }
-        let mut bound: Vec<Bound<'_>> = Vec::with_capacity(func.params.len());
-        for (p, shape) in resolved.params() {
-            let b = match p.atype {
-                AccessType::Input | AccessType::InOut => {
-                    let t = &inputs[&p.name];
-                    if p.atype == AccessType::InOut || t.dtype() != p.dtype {
-                        // Owned copy, converting when the caller's dtype
-                        // differs from the declaration (the kernel indexes
-                        // with the declared element size). A RunContext
-                        // serves the copy from its staging buffers.
-                        let owned = match rctx.as_deref_mut() {
-                            Some(c) if t.dtype() == p.dtype => c.staged_copy(&p.name, t),
-                            Some(c) => {
-                                convert_into(c.staged_zeros(&p.name, p.dtype, shape, false), t)
-                            }
-                            None => convert_into(TensorVal::zeros(p.dtype, shape), t),
-                        };
-                        Bound::Owned(owned)
-                    } else {
-                        Bound::Borrowed(t)
-                    }
-                }
-                // Output and Cache params are zero-initialized scratch; only
-                // Output (and InOut) are returned.
-                AccessType::Output | AccessType::Cache => {
-                    let owned = match rctx.as_deref_mut() {
-                        Some(c) => c.staged_zeros(&p.name, p.dtype, shape, true),
-                        None => TensorVal::zeros(p.dtype, shape),
-                    };
-                    Bound::Owned(owned)
-                }
-            };
-            bound.push(b);
-        }
+        // The kernel reads Input buffers through const pointers; owned
+        // InOut/Output tensors keep their storage alive across the call.
+        let mut bound = resolved.bind(inputs, rctx.as_deref_mut());
         let mut ptrs: Vec<*mut c_void> = bound
             .iter_mut()
             .map(|b| match b {
                 // The generated signature takes `const T*` for Input
                 // params, so handing out a mut-cast of a shared borrow is
                 // never written through.
-                Bound::Borrowed(t) => t.as_ptr_untyped() as *mut c_void,
-                Bound::Owned(t) => t.as_mut_ptr_untyped(),
+                Cow::Borrowed(t) => t.as_ptr_untyped() as *mut c_void,
+                Cow::Owned(t) => t.as_mut_ptr_untyped(),
             })
             .collect();
         let mut prof_buf: Vec<u64> = vec![0; kernel.sites.len()];
@@ -731,25 +685,14 @@ impl Backend for CompiledEngine {
         if !kernel.sites.is_empty() {
             self.publish_profile(func, &kernel.sites, &prof_buf, call_ns);
         }
-        let mut outputs = HashMap::new();
-        for (p, b) in func.params.iter().zip(bound) {
-            if !matches!(p.atype, AccessType::Output | AccessType::InOut) {
-                continue;
-            }
-            let t = match b {
-                Bound::Owned(t) => t,
-                Bound::Borrowed(_) => unreachable!("outputs are always owned"),
-            };
-            // The interpreter preserves the *caller's* dtype for InOut
-            // tensors (it binds by clone); convert back when they differ.
-            let t = match inputs.get(&p.name) {
-                Some(orig) if p.atype == AccessType::InOut && orig.dtype() != t.dtype() => {
-                    convert_into(TensorVal::zeros(orig.dtype(), t.shape()), &t)
-                }
-                _ => t,
-            };
-            outputs.insert(p.name.clone(), t);
-        }
+        let mut owned: Vec<Option<TensorVal>> = bound
+            .into_iter()
+            .map(|b| match b {
+                Cow::Owned(t) => Some(t),
+                Cow::Borrowed(_) => None,
+            })
+            .collect();
+        let outputs = resolved.outputs(inputs, |i| owned[i].take().expect("outputs are owned"));
         if let Some(sp) = span.as_mut() {
             sp.arg("params", func.params.len());
         }

@@ -266,20 +266,17 @@ impl VmState<'_> {
         })
     }
 
-    /// Place the resolved parameters — inputs cloned, the rest zeroed — under
-    /// the capacity accounting, before any code runs.
+    /// Place the bound parameters ([`Resolved::bind`]) under the capacity
+    /// accounting, before any code runs.
     pub(super) fn bind_params(
         &mut self,
         c: &Compiled,
         resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
     ) -> Result<(), RuntimeError> {
-        for ((slot, _), (p, shape)) in c.params.iter().zip(resolved.params()) {
-            let val = match p.atype {
-                AccessType::Input | AccessType::InOut => inputs[&p.name].clone(),
-                _ => TensorVal::zeros(p.dtype, shape),
-            };
-            self.account_alloc(*slot, VmSlot::new(val, p.mtype))?;
+        let bound = resolved.bind(inputs, None);
+        for (((slot, _), (p, _)), val) in c.params.iter().zip(resolved.params()).zip(bound) {
+            self.account_alloc(*slot, VmSlot::new(val.into_owned(), p.mtype))?;
         }
         Ok(())
     }

@@ -44,57 +44,45 @@ impl Compiler {
     /// Hoist a loop-invariant expression into the (speculative) innermost
     /// loop's preheader, returning the persist register holding its value.
     /// `None` when the expression is not provably invariant.
-    fn hoist_invariant(
-        &mut self,
-        e: &crate::compiled::CExpr,
-    ) -> Result<Option<(u32, Ty)>, Unsupported> {
+    fn hoist_invariant(&mut self, e: &crate::compiled::CExpr) -> Option<(u32, Ty)> {
         let ok = {
             let lp = self.loops.last().expect("vectorize ctx pushed");
             self.invariant_ok(e, lp.s, &lp.writes)
         };
         if !ok {
-            return Ok(None);
+            return None;
         }
         let dst = self.alloc_persist();
         let mut pre = Vec::new();
         std::mem::swap(&mut self.buf, &mut pre);
         let mark = self.mark();
-        let out = self.expr(e).map(|(src, ty)| {
-            self.emit(Instr::Mov { dst, src });
-            ty
-        });
+        let (src, ty) = self.expr(e);
+        self.emit(Instr::Mov { dst, src });
         self.free_to(mark);
         std::mem::swap(&mut self.buf, &mut pre);
-        let ty = out?;
         let lp = self.loops.last_mut().expect("vectorize ctx pushed");
         lp.preheader.extend(pre);
         if !pure_total(e) {
             lp.faulty_preheader = true;
         }
-        Ok(Some((dst, ty)))
+        Some((dst, ty))
     }
 
     /// Strength-reduce one access for a vectorized loop and recover the
     /// stride register its induction latch would have advanced by.
-    fn vec_access(
-        &mut self,
-        t: usize,
-        idx: &[crate::compiled::CExpr],
-    ) -> Result<Option<VecAccess>, Unsupported> {
+    fn vec_access(&mut self, t: usize, idx: &[crate::compiled::CExpr]) -> Option<VecAccess> {
         let before = self.loops.last().expect("vectorize ctx pushed").latches.len();
-        let Some(off) = self.try_reduce(t, idx)? else {
-            return Ok(None);
-        };
+        let off = self.try_reduce(t, idx)?;
         let lp = self.loops.last().expect("vectorize ctx pushed");
         let stride = lp.latches[before..].iter().find_map(|i| match i {
             Instr::AddI { dst, a, b } if *dst == off && *a == off => Some(*b),
             _ => None,
         });
-        Ok(Some(VecAccess {
+        Some(VecAccess {
             t: t as u32,
             off,
             stride,
-        }))
+        })
     }
 
     /// A varying load of a kernel reducing into tensor `t`, or the reason it
@@ -104,24 +92,22 @@ impl Compiler {
         &mut self,
         t: usize,
         (xt, xidx): (usize, &[crate::compiled::CExpr]),
-    ) -> Result<Result<VecAccess, &'static str>, Unsupported> {
+    ) -> Result<VecAccess, &'static str> {
         if xt == t {
-            return Ok(Err("reduction_target_reused"));
+            return Err("reduction_target_reused");
         }
         if ty_of(self.tdtype[xt]) != Ty::F {
-            return Ok(Err("unsupported_reduce_dtype"));
+            return Err("unsupported_reduce_dtype");
         }
-        Ok(self.vec_access(xt, xidx)?.ok_or("src_not_stride_reducible"))
+        self.vec_access(xt, xidx).ok_or("src_not_stride_reducible")
     }
 
     /// Classify the single-statement body of a `vectorize`-marked loop into
-    /// a fused kernel. `Ok(Err(reason))` is a structured rejection (the
-    /// loop compiles serially); `Err(Unsupported)` aborts the program to
-    /// the interpreter as usual.
+    /// a fused kernel, or the structured reason the loop compiles serially.
     fn build_vec_kernel(
         &mut self,
         inner: &crate::compiled::CStmt,
-    ) -> Result<Result<VecKernel, &'static str>, Unsupported> {
+    ) -> Result<VecKernel, &'static str> {
         use crate::compiled::{CExpr as E, CStmt as S};
         let (t, idx, value) = match inner {
             S::Reduce {
@@ -130,31 +116,21 @@ impl Compiler {
                 op: ReduceOp::Add,
                 value,
             } => (*t, idx, value),
-            S::Reduce { .. } => return Ok(Err("unsupported_reduce_op")),
-            S::Store { .. } => return Ok(Err("store_body")),
-            S::For { .. } => return Ok(Err("not_innermost")),
-            S::If { .. } => return Ok(Err("conditional_body")),
-            S::VarDef { .. } => return Ok(Err("vardef_body")),
-            S::LibCall { .. } => return Ok(Err("libcall_body")),
-            S::Seq(_) => return Ok(Err("compound_body")),
-            S::Nop => return Ok(Err("empty_body")),
+            S::Reduce { .. } => return Err("unsupported_reduce_op"),
+            S::Store { .. } => return Err("store_body"),
+            S::For { .. } => return Err("not_innermost"),
+            S::If { .. } => return Err("conditional_body"),
+            S::VarDef { .. } => return Err("vardef_body"),
+            S::LibCall { .. } => return Err("libcall_body"),
+            S::Seq(_) => return Err("compound_body"),
+            S::Nop => return Err("empty_body"),
         };
         if ty_of(self.tdtype[t]) != Ty::F {
-            return Ok(Err("unsupported_reduce_dtype"));
+            return Err("unsupported_reduce_dtype");
         }
         let s = self.loops.last().expect("vectorize ctx pushed").s;
-        let Some(dst) = self.vec_access(t, idx)? else {
-            return Ok(Err("dst_not_stride_reducible"));
-        };
+        let dst = self.vec_access(t, idx).ok_or("dst_not_stride_reducible")?;
         let carried = dst.stride.is_none();
-        macro_rules! src {
-            ($load:expr) => {
-                match self.vec_src(t, $load)? {
-                    Ok(x) => x,
-                    Err(reason) => return Ok(Err(reason)),
-                }
-            };
-        }
         let kernel = match value {
             E::Binary {
                 op: BinaryOp::Mul,
@@ -163,17 +139,17 @@ impl Compiler {
             } => match (varying_load(a, s), varying_load(b, s)) {
                 (Some(x), Some(y)) if carried => VecKernel::Dot {
                     dst,
-                    x: src!(x),
-                    y: src!(y),
+                    x: self.vec_src(t, x)?,
+                    y: self.vec_src(t, y)?,
                 },
                 (Some(x), None) | (None, Some(x)) if !carried => {
                     // Multiplier on the left means the serial code
                     // computed `a * x`.
                     let a_lhs = varying_load(a, s).is_none();
-                    let x = src!(x);
-                    let Some(a) = self.hoist_invariant(if a_lhs { a } else { b })? else {
-                        return Ok(Err("unsupported_value_shape"));
-                    };
+                    let x = self.vec_src(t, x)?;
+                    let a = self
+                        .hoist_invariant(if a_lhs { a } else { b })
+                        .ok_or("unsupported_value_shape")?;
                     VecKernel::Axpy {
                         dst,
                         x,
@@ -181,19 +157,19 @@ impl Compiler {
                         a_lhs,
                     }
                 }
-                _ => return Ok(Err("unsupported_value_shape")),
+                _ => return Err("unsupported_value_shape"),
             },
             _ => match varying_load(value, s) {
                 Some(x) if !carried => VecKernel::Axpy {
                     dst,
-                    x: src!(x),
+                    x: self.vec_src(t, x)?,
                     a: None,
                     a_lhs: true,
                 },
-                _ => return Ok(Err("unsupported_value_shape")),
+                _ => return Err("unsupported_value_shape"),
             },
         };
-        Ok(Ok(kernel))
+        Ok(kernel)
     }
 
     /// Try to lower a `vectorize`-marked innermost loop into a [`VecSite`].
@@ -207,7 +183,7 @@ impl Compiler {
         re: u32,
         prof: usize,
         body: &crate::compiled::CStmt,
-    ) -> Result<bool, Unsupported> {
+    ) -> bool {
         let inner = unwrap_single(body);
         let mut writes = std::collections::HashSet::new();
         collect_writes(body, &mut writes);
@@ -217,10 +193,10 @@ impl Compiler {
         self.loops.push(LoopCtx::new(s, self.cond_depth, writes));
         let built = self.build_vec_kernel(inner);
         let ctx = self.loops.pop().expect("pushed above");
-        match built? {
+        match built {
             Err(reason) => {
                 self.decide(prof, false, reason);
-                Ok(false)
+                false
             }
             Ok(kernel) => {
                 // The induction latches are dropped: the kernel dispatch
@@ -239,7 +215,7 @@ impl Compiler {
                     self.patch(pg, after);
                 }
                 self.decide(prof, true, detail);
-                Ok(true)
+                true
             }
         }
     }
@@ -538,7 +514,7 @@ mod tests {
     fn every_vectorize_kernel_shape_lowers() {
         let f = vectorize_shapes_func();
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c, &f).expect("typable");
+        let prog = compile_program(&c, &f);
         let veclooops = prog
             .code
             .iter()

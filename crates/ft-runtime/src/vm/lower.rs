@@ -236,14 +236,14 @@ impl Compiler {
 
     /// Compile each index expression into a contiguous register block
     /// (converted to `i64`, preserving the interpreter's evaluation order).
-    fn idx_block(&mut self, idx: &[crate::compiled::CExpr]) -> Result<u32, Unsupported> {
+    fn idx_block(&mut self, idx: &[crate::compiled::CExpr]) -> u32 {
         let blk = self.next;
         for _ in idx {
             self.alloc_tmp();
         }
         for (d, e) in idx.iter().enumerate() {
             let mark = self.mark();
-            let (r, t) = self.expr(e)?;
+            let (r, t) = self.expr(e);
             let r = self.conv(r, t, Ty::I);
             self.emit(Instr::Mov {
                 dst: blk + d as u32,
@@ -251,7 +251,7 @@ impl Compiler {
             });
             self.free_to(mark);
         }
-        Ok(blk)
+        blk
     }
 
     /// Statically inferred scalar kind of an expression, mirroring the
@@ -378,14 +378,12 @@ impl Compiler {
         &mut self,
         t: usize,
         idx: &[crate::compiled::CExpr],
-    ) -> Result<Option<u32>, Unsupported> {
-        let Some((s, cond_base)) = self.loops.last().map(|l| (l.s, l.cond_base)) else {
-            return Ok(None);
-        };
+    ) -> Option<u32> {
+        let (s, cond_base) = self.loops.last().map(|l| (l.s, l.cond_base))?;
         // The tensor (and hence its shape, which OffRaw reads at loop
         // entry) must exist before the loop starts.
         if self.depth_of[t].is_none_or(|d| d >= self.loops.len()) {
-            return Ok(None);
+            return None;
         }
         // Two eligibility tiers: `simple` probes are pure arithmetic that
         // cannot fault, so they may run unconditionally in the preheader
@@ -402,7 +400,7 @@ impl Compiler {
             })
         };
         if !(simple || with_loads) {
-            return Ok(None);
+            return None;
         }
         if with_loads {
             self.loops
@@ -420,7 +418,7 @@ impl Compiler {
         let mut pre = Vec::new();
         std::mem::swap(&mut self.buf, &mut pre);
         let mark = self.mark();
-        let blk = self.idx_block(idx)?;
+        let blk = self.idx_block(idx);
         self.emit(Instr::OffRaw {
             t: t as u32,
             idx: blk,
@@ -433,7 +431,7 @@ impl Compiler {
                 dst: s as u32,
                 v: 1,
             });
-            let blk2 = self.idx_block(idx)?;
+            let blk2 = self.idx_block(idx);
             let t2 = self.alloc_tmp();
             self.emit(Instr::OffRaw {
                 t: t as u32,
@@ -462,43 +460,43 @@ impl Compiler {
                 b: rs,
             });
         }
-        Ok(Some(r_off))
+        Some(r_off)
     }
 
-    pub(super) fn expr(&mut self, e: &crate::compiled::CExpr) -> Result<(u32, Ty), Unsupported> {
+    pub(super) fn expr(&mut self, e: &crate::compiled::CExpr) -> (u32, Ty) {
         use crate::compiled::CExpr as E;
         match e {
             E::Int(v) => {
                 let dst = self.alloc_tmp();
                 self.emit(Instr::ConstI { dst, v: *v });
-                Ok((dst, Ty::I))
+                (dst, Ty::I)
             }
             E::Float(v) => {
                 let dst = self.alloc_tmp();
                 self.emit(Instr::ConstF { dst, v: *v });
-                Ok((dst, Ty::F))
+                (dst, Ty::F)
             }
             E::Bool(v) => {
                 let dst = self.alloc_tmp();
                 self.emit(Instr::ConstB { dst, v: *v });
-                Ok((dst, Ty::B))
+                (dst, Ty::B)
             }
             // Scalar slots are read-only to expressions; return the slot
             // register itself.
-            E::Scalar(s) => Ok((*s as u32, Ty::I)),
+            E::Scalar(s) => (*s as u32, Ty::I),
             E::Load { t, idx } => {
                 let ty = ty_of(self.tdtype[*t]);
-                if let Some(off) = self.try_reduce(*t, idx)? {
+                if let Some(off) = self.try_reduce(*t, idx) {
                     let dst = self.alloc_tmp();
                     self.emit(Instr::LoadFlat {
                         t: *t as u32,
                         off,
                         dst,
                     });
-                    Ok((dst, ty))
+                    (dst, ty)
                 } else {
                     let mark = self.mark();
-                    let blk = self.idx_block(idx)?;
+                    let blk = self.idx_block(idx);
                     let roff = self.alloc_tmp();
                     self.emit(Instr::Off {
                         t: *t as u32,
@@ -513,12 +511,12 @@ impl Compiler {
                         off: roff,
                         dst,
                     });
-                    Ok((dst, ty))
+                    (dst, ty)
                 }
             }
             E::Unary { op, a } => {
                 let mark = self.mark();
-                let (ra, ta) = self.expr(a)?;
+                let (ra, ta) = self.expr(a);
                 // The kind the operator computes in (`scalar::unary`).
                 let tc = match op {
                     UnaryOp::Not => Ty::B,
@@ -533,12 +531,12 @@ impl Compiler {
                     Ty::I => Instr::UnI { op: *op, dst, a: ca },
                     Ty::F => Instr::UnF { op: *op, dst, a: ca },
                 });
-                Ok((dst, tc))
+                (dst, tc)
             }
             E::Binary { op, a, b } => {
                 let mark = self.mark();
-                let (ra, ta) = self.expr(a)?;
-                let (rb, tb) = self.expr(b)?;
+                let (ra, ta) = self.expr(a);
+                let (rb, tb) = self.expr(b);
                 use BinaryOp::*;
                 // The kind the operands meet in, and the result's
                 // (`scalar::binary`).
@@ -568,7 +566,7 @@ impl Compiler {
                     (Ty::F, _, Div) => Instr::DivF { dst, a, b },
                     (Ty::F, _, _) => Instr::BinF { op, dst, a, b },
                 });
-                Ok((dst, tr))
+                (dst, tr)
             }
             E::Select {
                 cond,
@@ -576,37 +574,32 @@ impl Compiler {
                 otherwise,
             } => {
                 let mark = self.mark();
-                let (rc, tc) = self.expr(cond)?;
+                let (rc, tc) = self.expr(cond);
                 let cb = self.conv(rc, tc, Ty::B);
                 self.free_to(mark);
                 let dst = self.alloc_tmp();
                 let br = self.emit_idx(Instr::BrFalse { cond: cb, to: 0 });
-                // Arms evaluate conditionally (a compile error discards the
-                // whole compiler, so the depth need not unwind on `?`).
+                // Arms evaluate conditionally.
                 self.cond_depth += 1;
                 let mark2 = self.mark();
-                let (rt, tt) = self.expr(then)?;
+                let (rt, tt) = self.expr(then);
                 self.emit(Instr::Mov { dst, src: rt });
                 self.free_to(mark2);
                 let jend = self.emit_idx(Instr::Jmp { to: 0 });
                 let else_pc = self.buf.len() as u32;
                 self.patch(br, else_pc);
-                let (re, te) = self.expr(otherwise)?;
+                let (re, te) = self.expr(otherwise);
                 self.cond_depth -= 1;
-                if tt != te {
-                    // Arms of different runtime scalar kinds cannot be
-                    // statically typed; the whole program falls back.
-                    return Err(Unsupported("select.mixed_arm_types"));
-                }
+                debug_assert_eq!(tt, te, "the slot lowering gives both arms the node's type");
                 self.emit(Instr::Mov { dst, src: re });
                 self.free_to(mark2);
                 let end_pc = self.buf.len() as u32;
                 self.patch(jend, end_pc);
-                Ok((dst, tt))
+                (dst, tt)
             }
             E::Cast { dtype, a } => {
                 let mark = self.mark();
-                let (ra, ta) = self.expr(a)?;
+                let (ra, ta) = self.expr(a);
                 let to = ty_of(*dtype);
                 if matches!(dtype, DataType::F32 | DataType::I32) || ta != to {
                     self.free_to(mark);
@@ -617,20 +610,20 @@ impl Compiler {
                         dst,
                         a: ra,
                     });
-                    return Ok((dst, to));
+                    return (dst, to);
                 }
-                Ok((ra, to))
+                (ra, to)
             }
         }
     }
 
-    fn stmt(&mut self, s: &crate::compiled::CStmt) -> Result<(), Unsupported> {
+    fn stmt(&mut self, s: &crate::compiled::CStmt) {
         use crate::compiled::CStmt as S;
         match s {
             S::Nop => {}
             S::Seq(v) => {
                 for st in v {
-                    self.stmt(st)?;
+                    self.stmt(st);
                 }
             }
             S::If {
@@ -639,17 +632,17 @@ impl Compiler {
                 otherwise,
             } => {
                 let mark = self.mark();
-                let (rc, tc) = self.expr(cond)?;
+                let (rc, tc) = self.expr(cond);
                 let cb = self.conv(rc, tc, Ty::B);
                 self.free_to(mark);
                 let br = self.emit_idx(Instr::BrFalse { cond: cb, to: 0 });
                 self.cond_depth += 1;
-                self.stmt(then)?;
+                self.stmt(then);
                 if let Some(o) = otherwise {
                     let j = self.emit_idx(Instr::Jmp { to: 0 });
                     let else_pc = self.buf.len() as u32;
                     self.patch(br, else_pc);
-                    self.stmt(o)?;
+                    self.stmt(o);
                     let end = self.buf.len() as u32;
                     self.patch(j, end);
                 } else {
@@ -660,8 +653,8 @@ impl Compiler {
             }
             S::Store { t, idx, value } => {
                 let mark = self.mark();
-                if let Some(off) = self.try_reduce(*t, idx)? {
-                    let (rv, tv) = self.expr(value)?;
+                if let Some(off) = self.try_reduce(*t, idx) {
+                    let (rv, tv) = self.expr(value);
                     self.emit(Instr::StoreFlat {
                         t: *t as u32,
                         off,
@@ -669,8 +662,8 @@ impl Compiler {
                         sty: tv,
                     });
                 } else {
-                    let blk = self.idx_block(idx)?;
-                    let (rv, tv) = self.expr(value)?;
+                    let blk = self.idx_block(idx);
+                    let (rv, tv) = self.expr(value);
                     // Bounds are checked after the value evaluates, matching
                     // the interpreter's error order.
                     let roff = self.alloc_tmp();
@@ -691,8 +684,8 @@ impl Compiler {
             }
             S::Reduce { t, idx, op, value } => {
                 let mark = self.mark();
-                if let Some(off) = self.try_reduce(*t, idx)? {
-                    let (rv, tv) = self.expr(value)?;
+                if let Some(off) = self.try_reduce(*t, idx) {
+                    let (rv, tv) = self.expr(value);
                     self.emit(Instr::ReduceFlat {
                         t: *t as u32,
                         off,
@@ -701,8 +694,8 @@ impl Compiler {
                         op: *op,
                     });
                 } else {
-                    let blk = self.idx_block(idx)?;
-                    let (rv, tv) = self.expr(value)?;
+                    let blk = self.idx_block(idx);
+                    let (rv, tv) = self.expr(value);
                     let roff = self.alloc_tmp();
                     self.emit(Instr::Off {
                         t: *t as u32,
@@ -729,7 +722,7 @@ impl Compiler {
             } => {
                 self.tdtype[*t] = *dtype;
                 let mark = self.mark();
-                let blk = self.idx_block(shape)?;
+                let blk = self.idx_block(shape);
                 self.emit(Instr::Alloc {
                     t: *t as u32,
                     shape: blk,
@@ -739,7 +732,7 @@ impl Compiler {
                 });
                 self.free_to(mark);
                 self.depth_of[*t] = Some(self.loops.len());
-                self.stmt(body)?;
+                self.stmt(body);
                 self.emit(Instr::Free { t: *t as u32 });
             }
             S::LibCall {
@@ -766,9 +759,8 @@ impl Compiler {
                 vectorize,
                 prof,
                 body,
-            } => self.compile_for(*s, begin, end, *scope, *vectorize, *prof, body)?,
+            } => self.compile_for(*s, begin, end, *scope, *vectorize, *prof, body),
         }
-        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -781,13 +773,13 @@ impl Compiler {
         vectorize: bool,
         prof: usize,
         body: &crate::compiled::CStmt,
-    ) -> Result<(), Unsupported> {
+    ) {
         let s_reg = s as u32;
         // `end` cannot reference `s` (the lowering creates the iterator
         // slot after lowering both bounds), so `s` can take the begin
         // value before `end` evaluates.
         let mark = self.mark();
-        let (r0, t0) = self.expr(begin)?;
+        let (r0, t0) = self.expr(begin);
         let c0 = self.conv(r0, t0, Ty::I);
         self.emit(Instr::Mov {
             dst: s_reg,
@@ -796,7 +788,7 @@ impl Compiler {
         self.free_to(mark);
         let re = self.alloc_persist();
         let mark2 = self.mark();
-        let (r1, t1) = self.expr(end)?;
+        let (r1, t1) = self.expr(end);
         let c1 = self.conv(r1, t1, Ty::I);
         self.emit(Instr::Mov { dst: re, src: c1 });
         self.free_to(mark2);
@@ -810,18 +802,17 @@ impl Compiler {
             }
             return self.region(s_reg, re, prof, body);
         }
-        if vectorize && self.try_vectorize(s, s_reg, re, prof, body)? {
-            return Ok(());
+        if vectorize && self.try_vectorize(s, s_reg, re, prof, body) {
+            return;
         }
         let mut writes = std::collections::HashSet::new();
         collect_writes(body, &mut writes);
         self.loops.push(LoopCtx::new(s, self.cond_depth, writes));
         let mut body_buf = Vec::new();
         std::mem::swap(&mut self.buf, &mut body_buf);
-        let r = self.stmt(body);
+        self.stmt(body);
         std::mem::swap(&mut self.buf, &mut body_buf);
         let ctx = self.loops.pop().expect("pushed above");
-        r?;
         // Preheader (offset bases + numeric stride probes), then the
         // guard, then the relocated body, then the induction latches.
         let pre_gi = self.emit_preheader(ctx.faulty_preheader, ctx.preheader, s_reg, re);
@@ -844,7 +835,6 @@ impl Compiler {
         if let Some(pg) = pre_gi {
             self.patch(pg, exit);
         }
-        Ok(())
     }
 
     /// Emit a loop's preheader. When it can fault (hoisted invariant loads)
@@ -876,7 +866,7 @@ impl Compiler {
         re: u32,
         prof: usize,
         body: &crate::compiled::CStmt,
-    ) -> Result<(), Unsupported> {
+    ) {
         // The body compiles into a standalone stream with a clean loop /
         // conditional context (workers re-enter it from scratch every
         // iteration). `depth_of` stays consistent under the reset: tensors
@@ -887,12 +877,11 @@ impl Compiler {
         self.cond_depth = 0;
         let mut code = Vec::new();
         std::mem::swap(&mut self.buf, &mut code);
-        let r = self.stmt(body);
+        self.stmt(body);
         self.emit(Instr::Halt);
         std::mem::swap(&mut self.buf, &mut code);
         self.loops = saved_loops;
         self.cond_depth = saved_cond;
-        r?;
         // Each worker owns the body's `VarDef`s.
         let mut local_mask = vec![false; self.tdtype.len()];
         for_each_stmt(body, &mut |st| {
@@ -911,16 +900,12 @@ impl Compiler {
             refusal: std::sync::OnceLock::new(),
         });
         self.emit(Instr::ParRegion { site });
-        Ok(())
     }
 }
 
 /// Lower a [`Compiled`] function into a VM program.
 /// `func` is the function `c` was compiled from.
-pub(crate) fn compile_program<'c>(
-    c: &'c Compiled,
-    func: &'c Func,
-) -> Result<VmProgram<'c>, Unsupported> {
+pub(crate) fn compile_program<'c>(c: &'c Compiled, func: &'c Func) -> VmProgram<'c> {
     let mut cp = Compiler {
         buf: Vec::new(),
         next: c.n_scalars as u32,
@@ -939,9 +924,9 @@ pub(crate) fn compile_program<'c>(
         cp.tdtype[*slot] = *dtype;
         cp.depth_of[*slot] = Some(0);
     }
-    cp.stmt(&c.body)?;
+    cp.stmt(&c.body);
     cp.emit(Instr::Halt);
-    Ok(VmProgram {
+    VmProgram {
         c,
         func,
         accesses: std::sync::OnceLock::new(),
@@ -951,7 +936,7 @@ pub(crate) fn compile_program<'c>(
         vec_sites: cp.vec_sites,
         par_sites: cp.par_sites,
         decisions: cp.decisions,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1003,7 +988,7 @@ mod tests {
                 store("y", [var("i")], load("x", [var("i")])),
             ));
         let c = crate::compiled::compile(&affine).unwrap();
-        let prog = compile_program(&c, &affine).expect("typable");
+        let prog = compile_program(&c, &affine);
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadFlat { .. })),
             "affine load should strength-reduce"
@@ -1024,7 +1009,7 @@ mod tests {
                 store("y", [var("i")], load("x", [load("idx", [var("i")])])),
             ));
         let c = crate::compiled::compile(&gather).unwrap();
-        let prog = compile_program(&c, &gather).expect("typable");
+        let prog = compile_program(&c, &gather);
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadT { .. })),
             "gather load must stay on the generic checked path"
@@ -1071,7 +1056,7 @@ mod tests {
                 ),
             ));
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c, &f).expect("typable");
+        let prog = compile_program(&c, &f);
         let flat_loads = prog
             .code
             .iter()

@@ -32,10 +32,10 @@
 //! forks onto the pool. Any other `vectorize` body compiles as if unmarked,
 //! and a region that runs inline runs its own bytecode body.
 //!
-//! Programs the static compiler cannot type (currently: `Select` whose arms
-//! evaluate to different runtime scalar kinds) and runs whose supplied
-//! input dtypes differ from the declared parameter dtypes fall back
-//! transparently to the interpreter, on the same lowered function, so
+//! Every program is statically typed: parameters hold their declared dtype
+//! (an input of another dtype is converted when it is bound,
+//! [`crate::bind`]) and a `Select` has its node's type (the slot lowering
+//! converts the arms to it), so the VM runs every program itself and
 //! [`VmRuntime::run`] is a drop-in replacement for
 //! [`Runtime::run`](crate::interp::Runtime::run).
 //!
@@ -81,12 +81,12 @@ use crate::counters::PerfCounters;
 use crate::device::DeviceConfig;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
-use crate::interp::{RunResult, Runtime};
+use crate::interp::RunResult;
 use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::scalar;
-use ft_ir::{AccessType, BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
+use ft_ir::{BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
 use ft_trace::TRACK_RUNTIME;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -187,13 +187,6 @@ enum Instr {
     ParRegion { site: u32 },
     Halt,
 }
-
-/// Marker: the program uses a construct the static compiler cannot type;
-/// the caller falls back to the interpreter. Carries a stable machine-
-/// readable reason naming the construct (reported as the `reason` arg of
-/// the `vm.fallback` trace span — no fallback is silent).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Unsupported(pub(crate) &'static str);
 
 /// A `LibCall` site.
 #[derive(Debug, Clone)]
@@ -342,13 +335,12 @@ impl VmProgram<'_> {
 /// proof, whether or not it came to fork). A metrics registry records an
 /// `engine.vm.run_us` wall histogram, fused-kernel dispatch counters
 /// (`vm.kernel.{axpy,dot}`) with an `engine.vm.kernel_ns` dispatch-wall
-/// histogram, parallel-region scheduling counters (`vm.par.{pool,serial}`), worker-pool
-/// claim counters, and an `engine.vm.fallback` counter for runs delegated to
-/// the interpreter.
+/// histogram, parallel-region scheduling counters (`vm.par.{pool,serial}`)
+/// and worker-pool claim counters.
 #[derive(Debug, Clone, Default)]
 pub struct VmRuntime {
-    /// Modeled platform parameters: device capacities for the
-    /// out-of-memory checks, and the device model of interpreter fallbacks.
+    /// Modeled platform parameters: the device capacities of the
+    /// out-of-memory checks.
     pub config: DeviceConfig,
     tel: Telemetry,
 }
@@ -367,10 +359,8 @@ impl VmRuntime {
         }
     }
 
-    /// Execute `func`, falling back to the interpreter for programs the
-    /// static compiler cannot type (or whose supplied inputs' dtypes differ
-    /// from the declarations). [`ExecutionEngine::run`], callable without
-    /// the trait in scope.
+    /// Execute `func` ([`ExecutionEngine::run`], callable without the trait
+    /// in scope).
     ///
     /// # Errors
     ///
@@ -418,37 +408,7 @@ impl Backend for VmRuntime {
         let pool_before = metrics.map(|_| WorkerPool::global().stats());
         let func = resolved.func();
         let compiled = crate::compiled::compile(func)?;
-        // The interpreter binds inputs by clone whatever their dtype; the
-        // VM compiles loads against the declared dtype, so mismatched
-        // inputs take the interpreter path instead.
-        let dtype_mismatch = resolved.params().any(|(p, _)| {
-            matches!(p.atype, AccessType::Input | AccessType::InOut)
-                && inputs[&p.name].dtype() != p.dtype
-        });
-        let prog = if dtype_mismatch {
-            Err(Unsupported("input.dtype_mismatch"))
-        } else {
-            compile_program(&compiled, func)
-        };
-        let prog = match prog {
-            Ok(p) => p,
-            Err(Unsupported(reason)) => {
-                // Structured fallback: name the construct that kept the
-                // program off the VM, then run the interpreter. Never
-                // silent — conformance asserts on this span.
-                if let Some(sink) = sink {
-                    let mut sp = sink.span_on(TRACK_RUNTIME, "vm.fallback", "vm.fallback");
-                    sp.arg("reason", reason);
-                    sp.arg("target", &func.name);
-                }
-                if let Some(m) = metrics {
-                    m.counter("engine.vm.fallback").inc();
-                }
-                let mut rt = Runtime::with_config(self.config.clone());
-                rt.tel = self.tel.clone();
-                return rt.execute(resolved, inputs, rctx);
-            }
-        };
+        let prog = compile_program(&compiled, func);
         // With a cross-run context: pool `VarDef` buffers by the plan's
         // interference classes. Plain `run` allocates every `VarDef` fresh,
         // which is what the planned path is diffed against.
@@ -517,13 +477,10 @@ impl Backend for VmRuntime {
         }
         crate::arena::return_pool(st.arena.take(), metrics, rctx);
         exec_r?;
-        let mut outputs = HashMap::new();
-        for ((slot, _), (p, _)) in compiled.params.iter().zip(resolved.params()) {
-            if matches!(p.atype, AccessType::Output | AccessType::InOut) {
-                let vt = st.tensors[*slot].take().expect("params stay live");
-                outputs.insert(p.name.clone(), vt.val);
-            }
-        }
+        let outputs = resolved.outputs(inputs, |i| {
+            let slot = compiled.params[i].0;
+            st.tensors[slot].take().expect("params stay live").val
+        });
         Ok(RunResult {
             outputs,
             counters: PerfCounters::default(),
@@ -547,6 +504,7 @@ pub fn run_vm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    pub(super) use crate::interp::Runtime;
     use ft_ir::prelude::*;
     use ft_ir::ForProperty;
     pub(super) use ft_metrics::Metrics;
@@ -767,10 +725,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_type_select_falls_back_to_interp() {
-        // `select` arms of different register types are statically untypable
-        // for the VM; the program must still run (via the interpreter) and
-        // announce itself as such in the trace.
+    fn a_select_of_mixed_arms_runs_on_the_vm_in_the_nodes_type() {
+        // `select(i < 2, i, 0.5)` is a float (`Expr::dtype`, C's `?:`), so
+        // `/ 2` divides floats: 1 / 2 is 0.5, not the integer 0.
         let f = Func::new("mixsel")
             .param("y", [4], DataType::F64, AccessType::Output)
             .body(for_(
@@ -780,79 +737,17 @@ mod tests {
                 store(
                     "y",
                     [var("i")],
-                    Expr::select(var("i").lt(2), var("i"), Expr::from(0.5f64)),
+                    Expr::select(var("i").lt(2), var("i"), Expr::from(0.5f64)) / 2,
                 ),
             ));
-        let (ins, szs) = maps(&[], &[]);
-        let ri = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
-        let sink = TraceSink::new();
-        let mut vm = VmRuntime::new();
-        vm.set_sink(Some(sink.clone()));
-        let rv = vm.run(&f, &ins, &szs).expect("vm (fallback) ok");
-        assert_eq!(ri.outputs, rv.outputs);
-        let events = sink.events();
-        let fb = events
-            .iter()
-            .find(|e| e.name == "vm.fallback")
-            .unwrap_or_else(|| {
-                panic!(
-                    "expected a structured vm.fallback span, got {:?}",
-                    events.iter().map(|e| &e.name).collect::<Vec<_>>()
-                )
-            });
-        assert!(
-            fb.args
-                .iter()
-                .any(|(k, v)| k == "reason" && v == "select.mixed_arm_types"),
-            "fallback span must name the construct, got args {:?}",
-            fb.args
-        );
-        let names: Vec<String> = events.iter().map(|e| e.name.clone()).collect();
-        assert!(
-            names.iter().any(|n| n == "interp mixsel"),
-            "expected interpreter fallback span, got {names:?}"
-        );
-    }
-
-    #[test]
-    fn dtype_mismatched_inputs_fall_back_and_name_their_reason() {
-        // The interpreter binds inputs by clone whatever the declared dtype;
-        // the VM detects the mismatch and must take the same path — with a
-        // named reason, not silently.
-        let f = Func::new("dt")
-            .param("x", [3], DataType::F32, AccessType::Input)
-            .param("y", [3], DataType::F64, AccessType::Output)
-            .body(for_(
-                "i",
-                0,
-                3,
-                store("y", [var("i")], load("x", [var("i")]) + 0.5f64),
-            ));
-        let x64 = TensorVal::from_f64(&[3], vec![1.25, 2.25, 3.25]);
-        let (ins, szs) = maps(&[("x", x64)], &[]);
-        let ri = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
-        let sink = TraceSink::new();
-        let mut vm = VmRuntime::new();
-        vm.set_sink(Some(sink.clone()));
-        let rv = vm.run(&f, &ins, &szs).expect("vm ok");
-        assert_eq!(ri.outputs, rv.outputs);
-        assert_eq!(ri.output("y").to_f64_vec(), vec![1.75, 2.75, 3.75]);
-        let events = sink.events();
-        let named = |e: &ft_trace::SpanEvent| {
-            let reason = |(k, v): &(String, String)| k == "reason" && v == "input.dtype_mismatch";
-            e.name == "vm.fallback" && e.args.iter().any(reason)
-        };
-        assert!(
-            events.iter().any(named),
-            "expected vm.fallback with input.dtype_mismatch, got {:?}",
-            events.iter().map(|e| (&e.name, &e.args)).collect::<Vec<_>>()
-        );
+        let r = assert_parity(&f, &[], &[]);
+        assert_eq!(r.output("y").to_f64_vec(), vec![0.0, 0.5, 0.25, 0.25]);
     }
 
     /// The `vectorize` decision log of `f`, as (accepted, detail).
     pub(super) fn decisions_of(f: &Func) -> Vec<(bool, String)> {
         let c = crate::compiled::compile(f).unwrap();
-        let prog = compile_program(&c, f).expect("typable");
+        let prog = compile_program(&c, f);
         prog.decisions
             .iter()
             .map(|d| (d.accepted, d.detail.clone()))
@@ -862,7 +757,7 @@ mod tests {
     /// What `exec_region` is told about each region of `f`, in site order.
     pub(super) fn refusals_of(f: &Func) -> Vec<Option<String>> {
         let c = crate::compiled::compile(f).unwrap();
-        let prog = compile_program(&c, f).expect("typable");
+        let prog = compile_program(&c, f);
         let sites = prog.par_sites.iter();
         sites.map(|p| prog.refusal(p).map(str::to_string)).collect()
     }

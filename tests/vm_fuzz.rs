@@ -324,10 +324,7 @@ fn vm_matches_interp_on_rule_scheduled_benchmark_programs() {
 
 /// Directed grad-program schedules: differentiate every workload under both
 /// tape policies, aggressively schedule the resulting *gradient* function,
-/// and hold the VM to its contract on it. Every backward-pass program must
-/// either lower onto the VM or emit a
-/// structured `vm.fallback` span naming the reason — never silently drop to
-/// the interpreter.
+/// and hold the VM to its contract on it.
 #[test]
 fn vm_matches_interp_on_directed_grad_program_schedules() {
     use ft_autodiff::TapePolicy;
@@ -376,26 +373,8 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
                 .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
             assert_vm_contract(&func, &inputs, &rv, &ctx);
 
-            let events = sink.events();
-            let lowered = events.iter().filter(|e| e.cat == "vm.lower").count();
-            let fallbacks: Vec<String> = events
-                .iter()
-                .filter(|e| e.name == "vm.fallback")
-                .map(|e| {
-                    let reason = &e
-                        .args
-                        .iter()
-                        .find(|(k, _)| k == "reason")
-                        .unwrap_or_else(|| panic!("vm.fallback without a reason on {ctx}"))
-                        .1;
-                    assert!(!reason.is_empty(), "empty fallback reason on {ctx}");
-                    reason.clone()
-                })
-                .collect();
-            assert!(
-                lowered > 0 || !fallbacks.is_empty(),
-                "backward pass neither lowered nor named a fallback on {ctx}"
-            );
+            let lowered = sink.events().iter().filter(|e| e.cat == "vm.lower").count();
+            assert!(lowered > 0, "no loop of the backward pass reached the lowering on {ctx}");
             lowering_attempts += lowered;
         }
     }
