@@ -3,6 +3,10 @@
 //! Fig. 16(b) (forward + backward, GAT excluded, OOM reported as in the
 //! paper). `--small` uses the reduced shapes (`Scale::Small`).
 //!
+//! The interpreter and VM wall axes time one `Program::run` on the
+//! workload's input map, which the engine reads in place: no copy of the
+//! inputs is inside the timed window.
+//!
 //! Each run also writes the machine-readable `results/BENCH.json`
 //! (override with `--json PATH`, suppress with `--no-json`); a plain run
 //! followed by a `--grad` run accumulates both record kinds in one file.
@@ -77,6 +81,7 @@ fn main() {
     println!("# instrumented interpreter and are the paper's reproduced quantity;");
     println!("# wall ms is measured on the fast-mode bytecode VM for FreeTensor");
     println!("# systems and on native kernels for the operator baseline.");
+    println!("# Neither wall includes a copy of the inputs.");
     println!("# `VM speedup` = instrumented-interpreter wall / fast-VM wall for");
     println!("# the FreeTensor (optimized) column. On CPU rows, `compiled` is the");
     println!("# native compiled engine's wall time (C -> cc -> shared object");

@@ -59,7 +59,7 @@ fn main() {
 }
 
 fn oom_demo(small: bool) {
-    use ft_workloads::{input_pairs, longformer};
+    use ft_workloads::longformer;
     let p = if small {
         longformer::Params {
             seq_len: 256,
@@ -73,7 +73,7 @@ fn oom_demo(small: bool) {
             feat_len: 32,
         }
     };
-    let ins = longformer::inputs(&p, 2022);
+    let mut ins = longformer::inputs(&p, 2022);
     let prog = longformer::program(&p);
     // Capacity chosen between the selective and all-materialized footprints.
     let l = 2 * p.w + 1;
@@ -88,6 +88,7 @@ fn oom_demo(small: bool) {
         &[p.seq_len, p.feat_len],
         vec![1.0; p.seq_len * p.feat_len],
     );
+    ins.insert("y.grad".to_string(), seed);
     println!("\n## OOM rescue on a memory-capped GPU (Longformer, n={}, w={})", p.seq_len, p.w);
     for (name, policy) in [("FT(-)", TapePolicy::All), ("FT(+)", TapePolicy::Selective)] {
         let grad = prog
@@ -97,9 +98,7 @@ fn oom_demo(small: bool) {
             })
             .expect("grad transform")
             .optimize(&ft_autoschedule::Target::gpu());
-        let mut pairs = input_pairs(&ins);
-        pairs.push(("y.grad", seed.clone()));
-        match grad.run(&rt, &pairs, &[]) {
+        match grad.run(&rt, &ins, &std::collections::HashMap::new()) {
             Ok(r) => println!(
                 "{name}: OK, peak {} of capacity {}",
                 fmt_bytes(r.counters.peak_bytes.get("gpu").copied().unwrap_or(0)),

@@ -6,9 +6,9 @@ use bench::{prepare, Scale, Workload};
 use ft_autoschedule::Target;
 use ft_ir::{Device, StmtKind};
 use ft_runtime::Runtime;
-use ft_workloads::input_pairs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// One random schedule candidate: a few random transformations applied to
@@ -93,12 +93,11 @@ fn main() {
             let _ = &tuned;
             // Search-based tuner: `rounds` random candidates, each measured.
             let rt = Runtime::new();
-            let pairs = input_pairs(&prep.inputs);
             let t1 = Instant::now();
             let mut best = f64::INFINITY;
             for _ in 0..rounds {
                 let cand = random_candidate(&prep.naive, &mut rng, dev);
-                if let Ok(r) = cand.run(&rt, &pairs, &[]) {
+                if let Ok(r) = cand.run(&rt, &prep.inputs, &HashMap::new()) {
                     best = best.min(r.counters.modeled_cycles);
                 }
             }

@@ -23,7 +23,9 @@
 //! wall-clock is still only indicative; the interp-vs-VM wall ratio
 //! ([`CaseResult::vm_speedup`]) and the VM-vs-native ratio
 //! ([`CaseResult::compiled_speedup`]) are the within-system engine
-//! comparisons.
+//! comparisons. The interpreter and VM wall axes time `Program::run` on
+//! the workload's own input map: the engine reads the caller's tensors, so
+//! neither axis includes a copy of every input.
 
 use ft_autodiff::{GradOptions, TapePolicy};
 use ft_autoschedule::search::{
@@ -39,7 +41,7 @@ use ft_runtime::{
 };
 use ft_schedule::trace::ScheduleOp;
 use ft_trace::JsonVal;
-use ft_workloads::{input_pairs, Inputs, Instance};
+use ft_workloads::{Inputs, Instance};
 use std::collections::HashMap;
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -604,7 +606,7 @@ impl<'a> WallMeasurer<'a> {
 ///
 /// The evaluator is [`modeled_counters`] over the workload's real inputs.
 /// When a C compiler is available the search also gets a measurer — a
-/// [`WallMeasurer`] on an engine of its own, with a temporary artifact
+/// `WallMeasurer` on an engine of its own, with a temporary artifact
 /// cache that is removed afterwards — and the model only decides which
 /// candidates it times. Without one (tier-1 on a `cc`-less host) the model
 /// decides alone and `measured` is `None`.
@@ -703,32 +705,32 @@ fn run_ft_both_engines(
     config: DeviceConfig,
     device: Device,
 ) -> CaseResult {
-    let pairs = &input_pairs(inputs);
+    let sizes = HashMap::new();
     // The static memory plan is a pure function of the schedule (bench
     // programs have constant shapes), so the peak-bytes axis is computed
     // once here rather than measured per engine.
-    let plan = ft_analysis::MemPlan::plan(prog.func(), &HashMap::new());
+    let plan = ft_analysis::MemPlan::plan(prog.func(), &sizes);
     let peak_naive_bytes = Some(plan.naive_peak_bytes);
     let peak_planned_bytes = Some(plan.planned_peak_bytes);
     let naive_alloc_bytes = Some(plan.naive_alloc_bytes);
-    let mut rt = Runtime::with_config(config.clone());
+    let mut rt = Runtime::with_config(config);
     rt.set_metrics(Some(bench_metrics().clone()));
     let start = Instant::now();
-    let result = prog.run(&rt, pairs, &[]);
+    let result = prog.run(&rt, inputs, &sizes);
     let interp_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     match result {
         Ok(r) => {
-            let mut vm = VmRuntime::with_config(config);
+            let mut vm = VmRuntime::new();
             vm.set_metrics(Some(bench_metrics().clone()));
             // One warm-up run, then best of two timed runs: a single cold
             // run folds one-off noise (page faults, pool spin-up, bytecode
             // compile jitter) into the headline number and can invert
             // close naive/optimized pairs.
             let mut wall_ms = f64::INFINITY;
-            let mut vm_result = prog.run_vm(&vm, pairs, &[]);
+            let mut vm_result = prog.run(&vm, inputs, &sizes);
             for _ in 0..2 {
                 let start = Instant::now();
-                let again = prog.run_vm(&vm, pairs, &[]);
+                let again = prog.run(&vm, inputs, &sizes);
                 wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
                 if vm_result.is_ok() {
                     vm_result = again;

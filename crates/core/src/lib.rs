@@ -7,13 +7,14 @@
 //!     Program::optimize(target)   rule-based auto-scheduling (§4.3)
 //!     Program::grad(options)      reverse-mode AD (§5)
 //!     Program::schedule()         manual Table-1 transformations
-//!     Program::run(runtime, …)    instrumented execution
+//!     Program::run(engine, …)     execution on any engine
 //!     Program::emit_c() / emit_cuda()   backend source
 //! ```
 //!
 //! ```
 //! use freetensor_core::Program;
 //! use ft_autoschedule::Target;
+//! use std::collections::HashMap;
 //!
 //! let p = Program::compile(
 //!     "def scale(x: f32[8] in, y: f32[8] out):\n  for i in range(8):\n    y[i] = x[i] * 2 + 1\n",
@@ -22,7 +23,8 @@
 //! let fast = p.optimize(&Target::cpu());
 //! let rt = ft_runtime::Runtime::new();
 //! let x = ft_runtime::TensorVal::from_f32(&[8], vec![1.0; 8]);
-//! let out = fast.run(&rt, &[("x", x)], &[])?;
+//! let inputs = HashMap::from([("x".to_string(), x)]);
+//! let out = fast.run(&rt, &inputs, &HashMap::new())?;
 //! assert_eq!(out.output("y").to_f64_vec(), vec![3.0; 8]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -30,9 +32,7 @@
 use ft_autodiff::{AdError, GradOptions};
 use ft_autoschedule::Target;
 use ft_ir::Func;
-use ft_runtime::{
-    CompiledEngine, ExecutionEngine, RunResult, Runtime, RuntimeError, TensorVal, VmRuntime,
-};
+use ft_runtime::{ExecutionEngine, RunResult, RuntimeError, TensorVal};
 use ft_trace::TraceSink;
 use std::collections::HashMap;
 
@@ -172,82 +172,31 @@ impl Program {
         Ok(Program::from_func_inner(g, self.sink.clone()))
     }
 
-    /// Execute on an instrumented runtime ([`Program::run_engine`] on the
-    /// interpreter): a run profiled into the program's sink gets a runtime
-    /// span plus per-statement counter attribution.
-    ///
-    /// # Errors
-    ///
-    /// See [`ft_runtime::Runtime::run`].
-    pub fn run(
-        &self,
-        runtime: &Runtime,
-        inputs: &[(&str, TensorVal)],
-        sizes: &[(&str, i64)],
-    ) -> Result<RunResult, RuntimeError> {
-        self.run_engine(runtime, inputs, sizes)
-    }
-
-    /// Execute on the bytecode VM, the portable wall-clock engine
-    /// ([`Program::run_engine`] on `ft_runtime::VmRuntime`).
-    ///
-    /// # Errors
-    ///
-    /// See [`ft_runtime::VmRuntime::run`].
-    pub fn run_vm(
-        &self,
-        vm: &VmRuntime,
-        inputs: &[(&str, TensorVal)],
-        sizes: &[(&str, i64)],
-    ) -> Result<RunResult, RuntimeError> {
-        self.run_engine(vm, inputs, sizes)
-    }
-
-    /// Execute on any [`ExecutionEngine`] — the one entry point behind
-    /// [`Program::run`]/[`Program::run_vm`]/[`Program::run_compiled`]. If
-    /// this program carries a trace sink and `engine` has none, the run is
-    /// recorded into the program's sink.
+    /// Execute on any [`ExecutionEngine`] — the interpreter
+    /// ([`ft_runtime::Runtime`]), the bytecode VM ([`ft_runtime::VmRuntime`])
+    /// or the native compiled engine ([`ft_runtime::CompiledEngine`]). The
+    /// maps are lent to [`ExecutionEngine::run`] as they are. If this program
+    /// carries a trace sink and `engine` has none, the run is recorded into
+    /// the program's sink: a runtime span, plus per-statement counter
+    /// attribution on the interpreter.
     ///
     /// # Errors
     ///
     /// The engine's [`RuntimeError`] surface.
-    pub fn run_engine<E: ExecutionEngine + Clone>(
+    pub fn run<E: ExecutionEngine + Clone>(
         &self,
         engine: &E,
-        inputs: &[(&str, TensorVal)],
-        sizes: &[(&str, i64)],
+        inputs: &HashMap<String, TensorVal>,
+        sizes: &HashMap<String, i64>,
     ) -> Result<RunResult, RuntimeError> {
-        let inputs: HashMap<String, TensorVal> = inputs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        let sizes: HashMap<String, i64> = sizes.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         match &self.sink {
             Some(s) if engine.sink().is_none() => {
                 let mut e = engine.clone();
                 e.set_sink(Some(s.clone()));
-                e.run(&self.func, &inputs, &sizes)
+                e.run(&self.func, inputs, sizes)
             }
-            _ => engine.run(&self.func, &inputs, &sizes),
+            _ => engine.run(&self.func, inputs, sizes),
         }
-    }
-
-    /// Execute through the native compiled engine: emit C, `cc`-compile to
-    /// a cached shared object, and call it in-process (the paper's actual
-    /// execution model). Compilation happens at most once per distinct
-    /// schedule — repeat runs hit the artifact cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`ft_runtime::CompiledEngine`]; toolchain failures surface as
-    /// [`RuntimeError::Native`].
-    pub fn run_compiled(
-        &self,
-        engine: &CompiledEngine,
-        inputs: &[(&str, TensorVal)],
-        sizes: &[(&str, i64)],
-    ) -> Result<RunResult, RuntimeError> {
-        self.run_engine(engine, inputs, sizes)
     }
 
     /// Emit C99 + OpenMP source for the current schedule.
@@ -264,6 +213,12 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_runtime::{CompiledEngine, Runtime, VmRuntime};
+
+    /// Named tensors as the map [`Program::run`] takes.
+    fn named<const N: usize>(pairs: [(&str, TensorVal); N]) -> HashMap<String, TensorVal> {
+        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+    }
 
     #[test]
     fn end_to_end_compile_optimize_run() {
@@ -274,10 +229,10 @@ mod tests {
         .unwrap();
         let rt = Runtime::new();
         let x = TensorVal::from_f32(&[16], (0..16).map(|v| v as f32).collect());
-        let plain = p.run(&rt, &[("x", x.clone())], &[]).unwrap();
+        let plain = p.run(&rt, &named([("x", x.clone())]), &HashMap::new()).unwrap();
         for target in [Target::cpu(), Target::gpu()] {
             let fast = p.optimize(&target);
-            let out = fast.run(&rt, &[("x", x.clone())], &[]).unwrap();
+            let out = fast.run(&rt, &named([("x", x.clone())]), &HashMap::new()).unwrap();
             assert!(plain.output("y").allclose(out.output("y"), 1e-6));
         }
     }
@@ -293,7 +248,7 @@ mod tests {
         let tuned = p.optimize(&Target::cpu());
         let rt = Runtime::new();
         let x = TensorVal::from_f32(&[8, 4], (0..32).map(|v| v as f32 - 16.0).collect());
-        let out = tuned.run(&rt, &[("x", x.clone())], &[]).unwrap();
+        let out = tuned.run(&rt, &named([("x", x.clone())]), &HashMap::new()).unwrap();
         let expect: Vec<f64> = x
             .to_f64_vec()
             .into_iter()
@@ -314,7 +269,7 @@ mod tests {
         let x = TensorVal::from_f64(&[4], vec![1.0, 2.0, 3.0, 4.0]);
         let seed = TensorVal::from_f64(&[4], vec![1.0; 4]);
         let out = g
-            .run(&rt, &[("x", x), ("y.grad", seed)], &[])
+            .run(&rt, &named([("x", x), ("y.grad", seed)]), &HashMap::new())
             .unwrap();
         let gx = out.output("x.grad").to_f64_vec();
         let expect: Vec<f64> = [1.0f64, 2.0, 3.0, 4.0].iter().map(|v| 3.0 * v * v).collect();
@@ -335,7 +290,7 @@ mod tests {
         let fast = p.optimize(&Target::cpu());
         let rt = Runtime::new();
         let x = TensorVal::from_f32(&[64], vec![1.0; 64]);
-        let r = fast.run(&rt, &[("x", x)], &[]).unwrap();
+        let r = fast.run(&rt, &named([("x", x)]), &HashMap::new()).unwrap();
         let _ = fast.emit_c();
 
         let events = sink.events();
@@ -370,9 +325,9 @@ mod tests {
         .unwrap();
         let fast = p.optimize(&Target::cpu());
         let x = TensorVal::from_f32(&[32], (0..32).map(|v| v as f32 * 0.25).collect());
-        let ri = fast.run(&Runtime::new(), &[("x", x.clone())], &[]).unwrap();
+        let ri = fast.run(&Runtime::new(), &named([("x", x.clone())]), &HashMap::new()).unwrap();
         let rv = fast
-            .run_vm(&VmRuntime::new(), &[("x", x)], &[])
+            .run(&VmRuntime::new(), &named([("x", x)]), &HashMap::new())
             .unwrap();
         assert_eq!(ri.output("y"), rv.output("y"));
     }
@@ -390,9 +345,9 @@ mod tests {
         .unwrap();
         let fast = p.optimize(&Target::cpu());
         let x = TensorVal::from_f32(&[32], (0..32).map(|v| v as f32 * 0.25).collect());
-        let ri = fast.run(&Runtime::new(), &[("x", x.clone())], &[]).unwrap();
+        let ri = fast.run(&Runtime::new(), &named([("x", x.clone())]), &HashMap::new()).unwrap();
         let rc = fast
-            .run_compiled(&CompiledEngine::new(), &[("x", x)], &[])
+            .run(&CompiledEngine::new(), &named([("x", x)]), &HashMap::new())
             .unwrap();
         // Inputs here are exactly representable and the kernel is one
         // multiply-add per element, so f32-native arithmetic agrees with

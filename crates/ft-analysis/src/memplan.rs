@@ -44,7 +44,7 @@ fn align_up(b: u64) -> u64 {
 
 /// Best-effort constant evaluation of a shape/bound expression under the
 /// given size-parameter bindings, by the integer operators of
-/// [`ft_ir::scalar`]. `None` marks the extent dynamic — or not a number
+/// [`ft_ir::scalar`](mod@ft_ir::scalar). `None` marks the extent dynamic — or not a number
 /// `i64` holds: an extent that overflows is `None`, never a wrapped figure.
 pub fn eval_extent(e: &Expr, sizes: &HashMap<String, i64>) -> Option<i64> {
     use BinaryOp::*;

@@ -6,7 +6,7 @@
 use ft_analysis::parallelize_blockers;
 use ft_ir::idx;
 use ft_ir::prelude::*;
-use ft_runtime::{Runtime, TensorVal};
+use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

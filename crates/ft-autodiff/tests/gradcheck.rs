@@ -4,7 +4,7 @@
 use ft_autodiff::{grad, grad_with, GradOptions, TapePolicy};
 use ft_ir::idx;
 use ft_ir::prelude::*;
-use ft_runtime::{Runtime, TensorVal};
+use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
 use std::collections::HashMap;
 
 type Inputs = HashMap<String, TensorVal>;

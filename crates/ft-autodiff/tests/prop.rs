@@ -3,7 +3,7 @@
 
 use ft_autodiff::{grad_with, GradOptions, TapePolicy};
 use ft_ir::prelude::*;
-use ft_runtime::{Runtime, Scalar, TensorVal};
+use ft_runtime::{ExecutionEngine, Runtime, Scalar, TensorVal};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

@@ -373,7 +373,7 @@ fn run_passes(sched: &mut Schedule, target: &Target) {
 mod tests {
     use super::*;
     use ft_ir::prelude::*;
-    use ft_runtime::{Runtime, TensorVal};
+    use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
     use std::collections::HashMap;
 
     fn elementwise_two_loops() -> Func {

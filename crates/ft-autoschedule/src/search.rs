@@ -1110,7 +1110,7 @@ impl SavedSchedule {
 mod tests {
     use super::*;
     use ft_ir::prelude::*;
-    use ft_runtime::{Runtime, TensorVal};
+    use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
     use std::collections::HashMap;
 
     /// A SubdivNet-shaped toy: two fusable elementwise loops over a

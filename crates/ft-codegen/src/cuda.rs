@@ -6,7 +6,7 @@
 //! become `__shared__` arrays; atomic reductions become `atomicAdd`.
 //!
 //! Names, indices and expressions are spelled by the C emitter's
-//! [`Printer`] — one scope of tensors and identifiers for the host function
+//! `c::Printer` — one scope of tensors and identifiers for the host function
 //! and every kernel, one typed spelling of every operator — under CUDA's
 //! type names and with the scalar helpers qualified for both sides.
 

@@ -1,9 +1,8 @@
 //! The execution backends a variant is pushed through.
 //!
-//! Every backend is driven through the common
-//! [`ExecutionEngine`](ft_runtime::ExecutionEngine) trait — the harness
-//! only chooses which engine to construct and, for [`Backend::Reordered`],
-//! which rewrite of the program to hand it.
+//! Every backend is driven through the common [`ExecutionEngine`] trait —
+//! the harness only chooses which engine to construct and, for
+//! [`Backend::Reordered`], which rewrite of the program to hand it.
 
 use ft_ir::mutate::{mutate_stmt_walk, subst_var_stmt, Mutator};
 use ft_ir::{find_stmt, AccessType, Expr, Func, ParallelScope, Stmt, StmtKind};
@@ -17,7 +16,7 @@ use std::sync::OnceLock;
 /// One way of executing a scheduled function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Sequential instrumented interpreter ([`Runtime::run`]).
+    /// Sequential instrumented interpreter ([`Runtime`]).
     Interp,
     /// The interpreter on [`reverse_parallel_loops`] of the program: the
     /// legality check of `parallelize`. A loop marked `OpenMp` claims its

@@ -252,7 +252,7 @@ fn check(
     None
 }
 
-/// [`check`] of a forward variant: the main output is judged against the
+/// `check` of a forward variant: the main output is judged against the
 /// plain-Rust oracle (`case.oracle`), every other output against the
 /// interpreter, element-wise within the flat absolute bound `tol` — the
 /// gradient contract with one oracle, no relative term and scale 1.
@@ -277,7 +277,7 @@ pub fn check_variant(
     check(func, &case.inputs, &oracles, backends, &contract)
 }
 
-/// [`check`] of a *gradient* function.
+/// `check` of a *gradient* function.
 ///
 /// `inputs` must already contain the seed gradient (`{output}.grad` ones);
 /// `oracle_grads` maps `.grad` output names to the plain-Rust oracle

@@ -546,6 +546,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use ft_ir::StmtKind;
+    use ft_runtime::ExecutionEngine;
 
     fn lower(src: &str, entry: &str) -> Func {
         let m = parse(src).expect("parse ok");

@@ -2,7 +2,7 @@
 //! compute the same results (printer/parser round-trip through execution).
 
 use ft_ir::prelude::*;
-use ft_runtime::{Runtime, TensorVal};
+use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

@@ -169,7 +169,7 @@ pub fn compile_with_libop(user_src: &str, entry: &str) -> Result<ft_ir::Func, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_runtime::{Runtime, TensorVal};
+    use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
     use std::collections::HashMap;
 
     fn run1(

@@ -1,7 +1,7 @@
 //! # ft-metrics — runtime telemetry registry
 //!
 //! A zero-global-state metrics substrate for the execution engines, plumbed
-//! the same way [`ft-trace`]'s `TraceSink` is: a [`Metrics`] handle is a
+//! the same way `ft-trace`'s `TraceSink` is: a [`Metrics`] handle is a
 //! cheap-to-clone `Arc` around a registry, components hold an
 //! `Option<Metrics>`, and instrumentation is a no-op when absent. There is
 //! deliberately no process-wide default registry — every harness (bench,

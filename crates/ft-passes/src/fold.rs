@@ -31,6 +31,8 @@ impl Mutator for Folder {
             } => match cond.as_bool() {
                 // The arm taken has the node's type (`Expr::dtype`, C's
                 // `?:`), which needs no tensor's type when nothing loads.
+                // When an arm loads, the folder cannot tell that type, so
+                // the `select` stays for the engines to convert.
                 Some(c) if then.loaded_vars().is_empty() && otherwise.loaded_vars().is_empty() => {
                     let node = Expr::Select {
                         cond,
@@ -49,9 +51,7 @@ impl Mutator for Folder {
                         fold_cast(to, taken)
                     }
                 }
-                Some(true) => *then,
-                Some(false) => *otherwise,
-                None => Expr::Select {
+                _ => Expr::Select {
                     cond,
                     then,
                     otherwise,

@@ -6,9 +6,9 @@
 //! they can share one backing buffer. This module realizes those classes as
 //! per-engine free-lists and a cross-run [`RunContext`]:
 //!
-//! * [`TensorPool`] — [`TensorVal`] buffers for the interpreter's executor
+//! * `TensorPool` — [`TensorVal`] buffers for the interpreter's executor
 //!   (`crate::compiled::ExecCtx`) and the VM's (`crate::vm`);
-//! * [`NativeArena`] — the single flat allocation handed to generated C
+//! * `NativeArena` — the single flat allocation handed to generated C
 //!   (`unsigned char* __ft_arena`) by the compiled engine;
 //! * [`RunContext`] — owns all of the above plus converted input/output
 //!   staging buffers, keyed by the plan hash, so compile-once/run-many
@@ -278,10 +278,11 @@ struct CtxBinding {
     outputs: Vec<(String, Vec<usize>)>,
 }
 
-/// Reusable cross-run state for [`ExecutionEngine::run_with`]
-/// (`crate::engine::ExecutionEngine::run_with`): per-engine buffer pools
-/// keyed by the memory-plan hash, plus named staging buffers that keep
-/// converted inputs and returned outputs alive between runs.
+/// Reusable cross-run state for
+/// [`ExecutionEngine::run_with`](crate::ExecutionEngine::run_with):
+/// per-engine buffer pools keyed by the memory-plan hash, plus named
+/// staging buffers that keep converted inputs and returned outputs alive
+/// between runs.
 ///
 /// A context binds to the first *plan* it runs (memory-plan hash +
 /// parameter shape signature), and each engine plans the function it

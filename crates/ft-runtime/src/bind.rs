@@ -9,7 +9,7 @@
 //! `Resolved::check_inputs` is the one place the tensors are held to it.
 //! The shell in [`crate::engine`] runs both before an engine binds a
 //! context, compiles, or allocates anything, so a malformed call costs
-//! nothing and leaves no trace in a pooled [`RunContext`](crate::RunContext).
+//! nothing and leaves no trace in a pooled [`RunContext`].
 
 use crate::arena::RunContext;
 use crate::error::RuntimeError;
@@ -528,6 +528,53 @@ mod tests {
             }
             let out = engine.run(&f, &x_of(6), &sizes).expect(who);
             assert_eq!(out.output("y").to_f64_vec()[..4], [2.5, 0.0, 0.0, 2.5], "{who}");
+        }
+    }
+
+    #[test]
+    fn only_the_interpreter_models_device_capacity() {
+        // A 4 KiB def on a 1 KiB CPU: the interpreter's device model refuses
+        // it; the VM and the compiled engine model no device and run it, to
+        // the bits the interpreter computes on the default device.
+        let row = |body| for_("i", 0, 128, for_("j", 0, 8, body));
+        let f = Func::new("big_def")
+            .param("x", [8], DataType::F32, AccessType::Input)
+            .param("y", [1], DataType::F32, AccessType::Output)
+            .body(var_def(
+                "t",
+                [128, 8],
+                DataType::F32,
+                MemType::CpuHeap,
+                block([
+                    row(store("t", [var("i"), var("j")], load("x", [var("j")]) * 2.0f32)),
+                    row(reduce("y", [0], ReduceOp::Add, load("t", [var("i"), var("j")]))),
+                ]),
+            ));
+        let x = TensorVal::from_f32(&[8], (0..8).map(|v| v as f32 * 0.5).collect());
+        let inputs = HashMap::from([("x".to_string(), x)]);
+        let small = crate::DeviceConfig {
+            cpu_mem_capacity: 1024,
+            ..crate::DeviceConfig::default()
+        };
+        let err = Runtime::with_config(small).run(&f, &inputs, &HashMap::new());
+        assert!(
+            matches!(
+                err,
+                Err(RuntimeError::OutOfMemory { device: ft_ir::Device::Cpu, requested: 4096, .. })
+            ),
+            "{err:?}"
+        );
+        let mut want = None;
+        for (engine, _) in engines("capacity") {
+            let who = engine.name();
+            if who == "compiled" && !cc_available() {
+                eprintln!("cc unavailable; skipping the compiled engine");
+                continue;
+            }
+            let r = engine.run(&f, &inputs, &HashMap::new()).expect(who);
+            let want = want.get_or_insert_with(|| r.outputs.clone());
+            assert_eq!(&r.outputs, want, "{who}");
+            assert_eq!(r.output("y").get_flat(0).as_f64(), 128.0 * 28.0, "{who}");
         }
     }
 }

@@ -1,19 +1,21 @@
 //! A common interface over the three execution engines.
 //!
 //! Each engine exists for one role: the interpreter
-//! ([`Runtime`](crate::Runtime)) is the reference semantics and the device
-//! model every other engine is diffed against; the bytecode VM
-//! ([`VmRuntime`](crate::VmRuntime)) is the portable fallback for hosts
+//! ([`Runtime`](crate::Runtime)) is the reference semantics and the one
+//! device model, which every other engine is diffed against; the bytecode
+//! VM ([`VmRuntime`](crate::VmRuntime)) is the portable fallback for hosts
 //! without a C compiler; the native compiled engine
 //! ([`CompiledEngine`](crate::native::CompiledEngine)) is the production
-//! path and the paper's execution model — the last two execute the same
-//! lowered function (`ft_codegen::lower_and_plan`). All three answer the
-//! same question — "run this `Func` on these tensors" — and the
-//! [`ExecutionEngine`] trait is the single seam harnesses (bench,
-//! conformance, serving, examples) drive them through. What the question
-//! means on the call side — sizes, shapes, which inputs must be there — is
-//! decided once, in [`crate::bind`], and the sequence around it once, here:
-//! an engine supplies only `execute`.
+//! path and the paper's execution model. The last two execute the same
+//! lowered function (`ft_codegen::lower_and_plan`) under one contract:
+//! no counters, no device capacities. All three answer the same question —
+//! "run this `Func` on these tensors" — and the [`ExecutionEngine`] trait,
+//! whose [`run`](ExecutionEngine::run) and
+//! [`run_with`](ExecutionEngine::run_with) are the only run methods, is
+//! the single seam harnesses (bench, conformance, serving, examples) drive
+//! them through. What the question means on the call side — sizes, shapes,
+//! which inputs must be there — is decided once, in [`crate::bind`], and
+//! the sequence around it once, here: an engine supplies only `execute`.
 
 use crate::arena::RunContext;
 use crate::bind::Resolved;

@@ -7,7 +7,6 @@ use crate::device::DeviceConfig;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::value::TensorVal;
-use ft_ir::Func;
 use ft_trace::{RunProfile, StmtCounters, TRACK_RUNTIME};
 use std::collections::HashMap;
 
@@ -59,22 +58,6 @@ impl Runtime {
             config,
             ..Runtime::default()
         }
-    }
-
-    /// Execute `func` with the given input tensors and size parameters
-    /// ([`ExecutionEngine::run`], callable without the trait in scope).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError`] for missing/ill-shaped inputs, out-of-bounds
-    /// accesses, unknown kernels, or device out-of-memory conditions.
-    pub fn run(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError> {
-        ExecutionEngine::run(self, func, inputs, sizes)
     }
 }
 

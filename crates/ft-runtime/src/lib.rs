@@ -18,17 +18,20 @@
 //!   can be compared on a single-core host.
 //!
 //! Three execution engines are provided behind the common
-//! [`ExecutionEngine`] trait, one per role:
+//! [`ExecutionEngine`] trait, one per role; [`ExecutionEngine::run`] and
+//! [`ExecutionEngine::run_with`] are the only ways to run any of them:
 //!
 //! * **reference semantics + device model** — the deterministic
-//!   instrumented interpreter ([`Runtime::run`]), the *specification* the
-//!   other two are diffed against and the only engine that counts;
+//!   instrumented interpreter ([`Runtime`]), the *specification* the
+//!   other two are diffed against and the only engine that counts or
+//!   models device capacities;
 //! * **portable fallback** — a flat bytecode VM ([`VmRuntime`],
 //!   [`vm`]): a wall-clock path that needs no C compiler. It is a
 //!   second back end of the function the production engine compiles
 //!   ([`lower_and_plan`]), runs its `OpenMp` loops as fork-join regions on
 //!   the persistent [`pool`] workers, and is bit-identical on outputs to
-//!   the interpreter run on that lowered function;
+//!   the interpreter run on that lowered function; like the compiled
+//!   engine it models no device;
 //! * **production** — the native compiled engine ([`CompiledEngine`],
 //!   [`native`]) that emits C with `ft-codegen`, compiles it with the host
 //!   `cc` into a content-addressed shared-object cache, and calls it
@@ -56,7 +59,7 @@ pub mod value;
 
 pub use arena::{ArenaStats, RunContext};
 pub use bind::Resolved;
-pub use vm::{run_vm, VmRuntime};
+pub use vm::VmRuntime;
 pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};
 pub use device::DeviceConfig;
 pub use engine::ExecutionEngine;

@@ -121,6 +121,7 @@ pub fn matmul_reference(a: &TensorVal, b: &TensorVal, m: usize, k: usize, n: usi
 mod tests {
     use super::*;
     use crate::interp::Runtime;
+    use crate::ExecutionEngine;
     use ft_ir::prelude::*;
     use ft_ir::{DataType, Stmt, StmtKind};
     use std::collections::HashMap;

@@ -3,28 +3,21 @@
 
 use super::*;
 
-/// A live tensor in the VM: the crate's one tensor type, beside the two
-/// facts the dispatch loop needs without a walk over the shape — the
-/// element count every flat bounds check compares against, and the memory
-/// type the capacity accounting charges.
+/// A live tensor in the VM: the crate's one tensor type, beside the
+/// element count every flat bounds check compares against, so the dispatch
+/// loop needs no walk over the shape.
 #[derive(Debug)]
 pub(super) struct VmSlot {
     pub(super) val: TensorVal,
     numel: usize,
-    mtype: MemType,
 }
 
 impl VmSlot {
-    fn new(val: TensorVal, mtype: MemType) -> VmSlot {
+    fn new(val: TensorVal) -> VmSlot {
         VmSlot {
             numel: val.numel(),
             val,
-            mtype,
         }
-    }
-
-    fn bytes(&self) -> u64 {
-        (self.numel * self.val.dtype().size_bytes()) as u64
     }
 }
 
@@ -51,13 +44,9 @@ const PAR_THRESHOLD: u64 = 32_768;
 
 /// Mutable machine state of one run.
 pub(super) struct VmState<'a> {
-    pub(super) config: &'a DeviceConfig,
     pub(super) names: &'a [String],
     pub(super) regs: Vec<u64>,
     pub(super) tensors: Vec<Option<VmSlot>>,
-    /// Live bytes per device, `[cpu, gpu]` — the capacity accounting that
-    /// reproduces the interpreter's out-of-memory errors.
-    pub(super) live: [u64; 2],
     /// Inside a fork-join region: the coordinator's slots plus the mask of
     /// slots that stay worker-private (the region body's `VarDef`s).
     pub(super) shared: Option<(&'a SharedSlots, &'a [bool])>,
@@ -67,8 +56,7 @@ pub(super) struct VmState<'a> {
     /// counts are independent of worker count.
     pub(super) tally: Option<VmTally>,
     /// Plan-driven buffer pool for `Alloc`/`Free` storage. Coordinator
-    /// only — fork-join worker states run with `None`; live-byte
-    /// accounting is unchanged.
+    /// only — fork-join worker states run with `None`.
     pub(super) arena: Option<TensorPool>,
 }
 
@@ -97,11 +85,6 @@ fn bits_of(v: Scalar) -> u64 {
         Scalar::Int(x) => x as u64,
         Scalar::Bool(x) => x as u64,
     }
-}
-
-#[inline(always)]
-fn dev_index(device: Device) -> usize {
-    matches!(device, Device::Gpu) as usize
 }
 
 impl VmState<'_> {
@@ -238,47 +221,18 @@ impl VmState<'_> {
         Ok(())
     }
 
-    /// The capacity check of `ExecCtx::alloc` (same `OutOfMemory` payload)
-    /// without its counters.
-    fn account_alloc(&mut self, t: usize, vt: VmSlot) -> Result<(), RuntimeError> {
-        let device = vt.mtype.device();
-        let bytes = vt.bytes();
-        let capacity = self.config.capacity(device) as u64;
-        let di = dev_index(device);
-        let live = self.live[di];
-        if live + bytes > capacity {
-            return Err(RuntimeError::OutOfMemory {
-                device,
-                requested: bytes,
-                live,
-                capacity,
-            });
-        }
-        self.live[di] = live + bytes;
-        *self.slot_mut(t) = Some(vt);
-        Ok(())
-    }
-
-    fn account_free(&mut self, t: usize) -> Option<VmSlot> {
-        self.slot_mut(t).take().inspect(|vt| {
-            let di = dev_index(vt.mtype.device());
-            self.live[di] = self.live[di].saturating_sub(vt.bytes());
-        })
-    }
-
-    /// Place the bound parameters ([`Resolved::bind`]) under the capacity
-    /// accounting, before any code runs.
+    /// Place the bound parameters ([`Resolved::bind`]), before any code
+    /// runs.
     pub(super) fn bind_params(
         &mut self,
         c: &Compiled,
         resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-    ) -> Result<(), RuntimeError> {
+    ) {
         let bound = resolved.bind(inputs, None);
-        for (((slot, _), (p, _)), val) in c.params.iter().zip(resolved.params()).zip(bound) {
-            self.account_alloc(*slot, VmSlot::new(val.into_owned(), p.mtype))?;
+        for ((slot, _), val) in c.params.iter().zip(bound) {
+            self.tensors[*slot] = Some(VmSlot::new(val.into_owned()));
         }
-        Ok(())
     }
 
     /// The extents of tensor `t`, read from the `ndim` registers at `base`.
@@ -507,7 +461,6 @@ impl VmState<'_> {
                     shape,
                     ndim,
                     dtype,
-                    mtype,
                 } => {
                     let ti = *t as usize;
                     let sh = self.shape_of(ti, *shape, *ndim)?;
@@ -515,11 +468,11 @@ impl VmState<'_> {
                         Some(pool) => pool.take_slot(ti, *dtype, &sh),
                         None => TensorVal::zeros(*dtype, &sh),
                     };
-                    self.account_alloc(ti, VmSlot::new(val, *mtype))?;
+                    *self.slot_mut(ti) = Some(VmSlot::new(val));
                 }
                 Instr::Free { t } => {
                     let ti = *t as usize;
-                    if let Some(vt) = self.account_free(ti) {
+                    if let Some(vt) = self.slot_mut(ti).take() {
                         if let Some(pool) = self.arena.as_mut() {
                             pool.put_slot(ti, vt.val);
                         }
@@ -575,9 +528,7 @@ impl VmState<'_> {
         let grain = grain_for(trip as i64, workers, u64::from(site.cost.max(1)));
         let base_regs = &self.regs;
         let shared = SharedSlots(self.tensors.as_mut_ptr());
-        let config = self.config;
         let names = self.names;
-        let live = self.live;
         let mask = site.local_mask.as_slice();
         // First error in deterministic (chunk, not thread) order. No
         // iteration reads a cell another writes, so whether each iteration
@@ -592,11 +543,9 @@ impl VmState<'_> {
             // This chunk's scratch state: the registers as they stood at
             // region entry, and empty slots for the body's own `VarDef`s.
             let mut ws = VmState {
-                config,
                 names,
                 regs: base_regs.clone(),
                 tensors: (0..prog.c.n_tensors).map(|_| None).collect(),
-                live,
                 shared: Some((&shared, mask)),
                 tally: None,
                 arena: None,
@@ -740,25 +689,6 @@ mod tests {
             WorkerPool::global().background_workers() > 0,
             "{pooled}"
         );
-    }
-
-    #[test]
-    fn oom_error_parity() {
-        // 17 Mi f32 = 68 MB > the 64 MB default GPU capacity.
-        let f = Func::new("oom")
-            .param("y", [1], DataType::F32, AccessType::Output)
-            .body(var_def(
-                "t",
-                [17 * 1024 * 1024],
-                DataType::F32,
-                MemType::GpuGlobal,
-                store("y", [0], 1.0f32),
-            ));
-        let (ins, szs) = maps(&[], &[]);
-        let ei = Runtime::new().run(&f, &ins, &szs).unwrap_err();
-        let ef = VmRuntime::new().run(&f, &ins, &szs).unwrap_err();
-        assert!(matches!(ei, RuntimeError::OutOfMemory { .. }));
-        assert_eq!(ei, ef);
     }
 
     #[test]

@@ -717,8 +717,8 @@ impl Compiler {
                 t,
                 shape,
                 dtype,
-                mtype,
                 body,
+                ..
             } => {
                 self.tdtype[*t] = *dtype;
                 let mark = self.mark();
@@ -728,7 +728,6 @@ impl Compiler {
                     shape: blk,
                     ndim: shape.len() as u8,
                     dtype: *dtype,
-                    mtype: *mtype,
                 });
                 self.free_to(mark);
                 self.depth_of[*t] = Some(self.loops.len());

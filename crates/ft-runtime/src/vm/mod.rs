@@ -1,10 +1,10 @@
-//! A flat bytecode VM over the slot-indexed lowering in [`crate::compiled`].
+//! A flat bytecode VM over the slot-indexed lowering in `crate::compiled`.
 //!
 //! The tree-walking interpreter ([`crate::interp::Runtime`]) is the
 //! *specification*: deterministic, fully instrumented, and deliberately
 //! simple. It is also slow — every expression evaluation chases `Box`es,
 //! re-matches enum variants, and re-folds multi-dimensional indices. This
-//! module lowers a [`Compiled`] function once more into a linear instruction
+//! module lowers a `Compiled` function once more into a linear instruction
 //! stream over a flat `u64` register file, executed by a single dispatch
 //! loop with explicit jump offsets: no recursion, no allocation per
 //! statement, no hash lookups.
@@ -17,11 +17,11 @@
 //! rows merged in chunk order, or a serial loop) is thus decided once, on
 //! the IR, for both; the VM runs a marked loop on the [`WorkerPool`] once
 //! the dependence engine finds nothing it carries (the legality rule
-//! `parallelize` asks, [`VmProgram::refusal`]). It models no device:
-//! counters, the cache simulator and per-statement profiling belong to the
-//! interpreter alone, and [`RunResult::counters`] comes back defaulted
-//! (only the capacity accounting that reproduces out-of-memory errors
-//! remains).
+//! `parallelize` asks, `VmProgram::refusal`). It models no device:
+//! counters, the cache simulator, device capacities and per-statement
+//! profiling belong to the interpreter alone, and [`RunResult::counters`]
+//! comes back defaulted. Like the compiled engine, it runs a program whose
+//! defs exceed a modeled capacity.
 //!
 //! It keeps three fast paths, each because it pays at least 1.5× on the
 //! program it helps most (EXPERIMENTS.md, "What the VM's fast paths buy"):
@@ -35,9 +35,8 @@
 //! Every program is statically typed: parameters hold their declared dtype
 //! (an input of another dtype is converted when it is bound,
 //! [`crate::bind`]) and a `Select` has its node's type (the slot lowering
-//! converts the arms to it), so the VM runs every program itself and
-//! [`VmRuntime::run`] is a drop-in replacement for
-//! [`Runtime::run`](crate::interp::Runtime::run).
+//! converts the arms to it), so the VM runs every program itself, behind
+//! the same [`ExecutionEngine`] contract as the other two engines.
 //!
 //! ## The contract, and known, documented divergences
 //!
@@ -78,7 +77,6 @@ use crate::arena::{RunContext, TensorPool};
 use crate::bind::Resolved;
 use crate::compiled::Compiled;
 use crate::counters::PerfCounters;
-use crate::device::DeviceConfig;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
@@ -86,7 +84,7 @@ use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::scalar;
-use ft_ir::{BinaryOp, DataType, Device, Func, MemType, ParallelScope, ReduceOp, UnaryOp};
+use ft_ir::{BinaryOp, DataType, Func, ParallelScope, ReduceOp, UnaryOp};
 use ft_trace::TRACK_RUNTIME;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -174,7 +172,7 @@ enum Instr {
     ReduceT { t: u32, off: u32, src: u32, sty: Ty, op: ReduceOp },
     ReduceFlat { t: u32, off: u32, src: u32, sty: Ty, op: ReduceOp },
 
-    Alloc { t: u32, shape: u32, ndim: u8, dtype: DataType, mtype: MemType },
+    Alloc { t: u32, shape: u32, ndim: u8, dtype: DataType },
     Free { t: u32 },
     LibCall { id: u32 },
 
@@ -326,8 +324,8 @@ impl VmProgram<'_> {
     }
 }
 
-/// The bytecode execution engine, a drop-in replacement for
-/// [`Runtime`](crate::interp::Runtime).
+/// The bytecode execution engine: the portable fallback, with the same
+/// [`ExecutionEngine`] contract as the compiled engine.
 ///
 /// A trace sink ([`ExecutionEngine::set_sink`]) records a `"vm <name>"`
 /// runtime span per run plus one `vm.lower` span per `vectorize` decision
@@ -339,40 +337,13 @@ impl VmProgram<'_> {
 /// and worker-pool claim counters.
 #[derive(Debug, Clone, Default)]
 pub struct VmRuntime {
-    /// Modeled platform parameters: the device capacities of the
-    /// out-of-memory checks.
-    pub config: DeviceConfig,
     tel: Telemetry,
 }
 
 impl VmRuntime {
-    /// A VM with the default device model.
+    /// A VM with no sink and no metrics registry.
     pub fn new() -> VmRuntime {
         VmRuntime::default()
-    }
-
-    /// A VM with an explicit device model.
-    pub fn with_config(config: DeviceConfig) -> VmRuntime {
-        VmRuntime {
-            config,
-            ..VmRuntime::default()
-        }
-    }
-
-    /// Execute `func` ([`ExecutionEngine::run`], callable without the trait
-    /// in scope).
-    ///
-    /// # Errors
-    ///
-    /// The same [`RuntimeError`] conditions as
-    /// [`Runtime::run`](crate::interp::Runtime::run).
-    pub fn run(
-        &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
-    ) -> Result<RunResult, RuntimeError> {
-        ExecutionEngine::run(self, func, inputs, sizes)
     }
 }
 
@@ -416,11 +387,9 @@ impl Backend for VmRuntime {
         let _span =
             sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
         let mut st = VmState {
-            config: &self.config,
             names: &compiled.tensor_names,
             regs: vec![0; prog.n_regs],
             tensors: (0..compiled.n_tensors).map(|_| None).collect(),
-            live: [0, 0],
             shared: None,
             tally: metrics.map(|m| VmTally {
                 vec: [0; VEC_KERNEL_NAMES.len()],
@@ -433,9 +402,8 @@ impl Backend for VmRuntime {
         for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
             st.regs[*slot] = *v as u64;
         }
-        let exec_r = st
-            .bind_params(&compiled, resolved, inputs)
-            .and_then(|()| st.exec_code(&prog.code, &prog));
+        st.bind_params(&compiled, resolved, inputs);
+        let exec_r = st.exec_code(&prog.code, &prog);
         // One span per lowering decision and per region, so a trace
         // explains which loops became wide kernels or may run on the pool
         // and why the rest may not. A region that never came to fork is
@@ -486,19 +454,6 @@ impl Backend for VmRuntime {
             counters: PerfCounters::default(),
         })
     }
-}
-
-/// Execute a function on the VM and return its outputs.
-///
-/// # Errors
-///
-/// The same [`RuntimeError`] conditions as [`VmRuntime::run`].
-pub fn run_vm(
-    func: &Func,
-    inputs: &HashMap<String, TensorVal>,
-    sizes: &HashMap<String, i64>,
-) -> Result<HashMap<String, TensorVal>, RuntimeError> {
-    VmRuntime::new().run(func, inputs, sizes).map(|r| r.outputs)
 }
 
 #[cfg(test)]

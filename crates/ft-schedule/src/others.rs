@@ -422,7 +422,7 @@ mod tests {
     use super::*;
     use ft_ir::mutate::subst_var_stmt;
     use ft_ir::prelude::*;
-    use ft_runtime::Runtime;
+    use ft_runtime::{ExecutionEngine, Runtime};
     use std::collections::HashMap;
 
     const J: i64 = 9;

@@ -4,7 +4,7 @@
 
 use ft_ir::prelude::*;
 use ft_ir::{find, StmtId};
-use ft_runtime::{Runtime, TensorVal};
+use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
 use ft_schedule::Schedule;
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -2,7 +2,7 @@
 //! legality decisions, and semantics preservation under the interpreter.
 
 use ft_ir::prelude::*;
-use ft_runtime::{Runtime, TensorVal};
+use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
 use ft_schedule::{Schedule, ScheduleError};
 use std::collections::HashMap;
 

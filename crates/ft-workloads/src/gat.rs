@@ -224,6 +224,7 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<Tensor, OpErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use ft_autoschedule::Target;
     use ft_runtime::Runtime;
 
@@ -238,7 +239,7 @@ mod tests {
         let rt = Runtime::new();
         let r = program(&p)
             .optimize(&Target::gpu())
-            .run(&rt, &crate::input_pairs(&ins), &[])
+            .run(&rt, &ins, &HashMap::new())
             .unwrap();
         assert!(
             r.counters.kernel_launches < dgl_kernels,

@@ -32,8 +32,3 @@ use std::collections::HashMap;
 
 /// Named input tensors for a workload run.
 pub type Inputs = HashMap<String, TensorVal>;
-
-/// Convert inputs into the slice form `Program::run` takes.
-pub fn input_pairs(inputs: &Inputs) -> Vec<(&str, TensorVal)> {
-    inputs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect()
-}

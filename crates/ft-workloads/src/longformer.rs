@@ -237,6 +237,7 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<OpbaseHandles,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use ft_runtime::Runtime;
 
     #[test]
@@ -248,7 +249,7 @@ mod tests {
         let baseline_peak = s.counters().peak_bytes["cpu"];
         let rt = Runtime::new();
         let r = program(&p)
-            .run(&rt, &crate::input_pairs(&ins), &[])
+            .run(&rt, &ins, &HashMap::new())
             .unwrap();
         let ft_peak = r.counters.peak_bytes["cpu"];
         assert!(
@@ -270,9 +271,9 @@ mod tests {
             .grad(&ft_autodiff::GradOptions::default())
             .unwrap();
         let rt = Runtime::new();
-        let mut pairs = crate::input_pairs(&ins);
-        pairs.push(("y.grad", seed.clone()));
-        let r = g.run(&rt, &pairs, &[]).unwrap();
+        let mut seeded = ins.clone();
+        seeded.insert("y.grad".to_string(), seed.clone());
+        let r = g.run(&rt, &seeded, &HashMap::new()).unwrap();
         // Operator AD.
         let s = Session::cpu();
         s.set_grad_mode(true);

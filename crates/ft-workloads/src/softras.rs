@@ -258,6 +258,7 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<OpbaseHandles,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use ft_runtime::Runtime;
 
     #[test]
@@ -275,9 +276,9 @@ mod tests {
             })
             .unwrap();
         let rt = Runtime::new();
-        let mut pairs = crate::input_pairs(&ins);
-        pairs.push(("img.grad", seed.clone()));
-        let r = g.run(&rt, &pairs, &[]).unwrap();
+        let mut seeded = ins.clone();
+        seeded.insert("img.grad".to_string(), seed.clone());
+        let r = g.run(&rt, &seeded, &HashMap::new()).unwrap();
         let s = Session::cpu();
         s.set_grad_mode(true);
         let h = opbase(&s, &p, &ins).unwrap();

@@ -166,6 +166,7 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<Tensor, OpErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use ft_autoschedule::Target;
     use ft_runtime::Runtime;
 
@@ -176,7 +177,7 @@ mod tests {
         let rt = Runtime::new();
         let r = program(&p)
             .optimize(&Target::cpu())
-            .run(&rt, &crate::input_pairs(&ins), &[])
+            .run(&rt, &ins, &HashMap::new())
             .unwrap();
         let s = Session::cpu();
         let _ = opbase(&s, &p, &ins).unwrap();
@@ -203,9 +204,9 @@ mod tests {
             &[p.n_faces, p.in_feats],
             vec![1.0; p.n_faces * p.in_feats],
         );
-        let mut pairs = crate::input_pairs(&ins);
-        pairs.push(("y.grad", seed.clone()));
-        let r = g.run(&rt, &pairs, &[]).unwrap();
+        let mut seeded = ins.clone();
+        seeded.insert("y.grad".to_string(), seed.clone());
+        let r = g.run(&rt, &seeded, &HashMap::new()).unwrap();
         let ft_grad = r.output("e.grad").clone();
         // Baseline AD over the same chain, keeping the input handle so its
         // gradient can be looked up.

@@ -241,6 +241,7 @@ mod tests {
     use super::*;
     use ft_autoschedule::Target;
     use ft_runtime::Runtime;
+    use std::collections::HashMap;
 
     #[test]
     fn every_workload_at_every_scale() {
@@ -273,7 +274,7 @@ mod tests {
                 for target in [None, Some(Target::cpu()), Some(Target::gpu())] {
                     let prog = target.as_ref().map_or(naive.clone(), |t| naive.optimize(t));
                     let r = prog
-                        .run(&Runtime::new(), &crate::input_pairs(&inputs), &[])
+                        .run(&Runtime::new(), &inputs, &HashMap::new())
                         .unwrap_or_else(|e| panic!("{} on {target:?}: {e:?}", w.name()));
                     let d = r.output(w.output()).max_abs_diff(&oracle);
                     assert!(d < 1e-4, "{} on {target:?}: off by {d}\n{}", w.name(), prog.func());

@@ -8,6 +8,7 @@
 use freetensor::autodiff::{GradOptions, TapePolicy};
 use freetensor::core::Program;
 use freetensor::runtime::{Runtime, TensorVal};
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Paper Fig. 15(a): t is an intermediate used by two outputs.
@@ -49,16 +50,19 @@ def fig15(a: f64[64] in, b: f64[64] in, c: f64[64] in, d: f64[64] in, y: f64[64]
         TensorVal::from_f64(&[64], (0..64).map(|i| ((i as f64) * 0.1 + s as f64).sin()).collect())
     };
     let ones = TensorVal::from_f64(&[64], vec![1.0; 64]);
-    let inputs = [
+    let inputs: HashMap<String, TensorVal> = [
         ("a", mk(1)),
         ("b", mk(2)),
         ("c", mk(3)),
         ("d", mk(4)),
         ("y.grad", ones.clone()),
         ("z.grad", ones),
-    ];
-    let r_all = materialized.run(&rt, &inputs, &[])?;
-    let r_sel = selective.run(&rt, &inputs, &[])?;
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    let r_all = materialized.run(&rt, &inputs, &HashMap::new())?;
+    let r_sel = selective.run(&rt, &inputs, &HashMap::new())?;
     for g in ["a.grad", "b.grad", "c.grad", "d.grad"] {
         assert!(r_all.output(g).allclose(r_sel.output(g), 1e-12));
     }

@@ -9,7 +9,8 @@
 use freetensor::autoschedule::Target;
 use freetensor::opbase::Session;
 use freetensor::runtime::Runtime;
-use freetensor::workloads::{gat, input_pairs};
+use freetensor::workloads::gat;
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = gat::Params {
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let program = gat::program(&params).optimize(&Target::gpu());
     let rt = Runtime::new();
-    let ft = program.run(&rt, &input_pairs(&inputs), &[])?;
+    let ft = program.run(&rt, &inputs, &HashMap::new())?;
 
     let session = Session::gpu();
     let y = gat::opbase(&session, &params, &inputs)?;

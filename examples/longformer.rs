@@ -9,7 +9,8 @@
 use freetensor::autodiff::GradOptions;
 use freetensor::opbase::Session;
 use freetensor::runtime::{Runtime, TensorVal};
-use freetensor::workloads::{input_pairs, longformer};
+use freetensor::workloads::longformer;
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = longformer::Params {
@@ -17,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         w: 8,
         feat_len: 16,
     };
-    let inputs = longformer::inputs(&params, 7);
+    let mut inputs = longformer::inputs(&params, 7);
     let seed = TensorVal::from_f32(
         &[params.seq_len, params.feat_len],
         vec![1.0; params.seq_len * params.feat_len],
@@ -26,9 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // FreeTensor: one fused gradient program (forward + tape + backward).
     let grad = longformer::program(&params).grad(&GradOptions::default())?;
     let rt = Runtime::new();
-    let mut pairs = input_pairs(&inputs);
-    pairs.push(("y.grad", seed.clone()));
-    let ft = grad.run(&rt, &pairs, &[])?;
+    inputs.insert("y.grad".to_string(), seed.clone());
+    let ft = grad.run(&rt, &inputs, &HashMap::new())?;
     println!(
         "FreeTensor grad: peak {} bytes, {} DRAM bytes",
         ft.counters.peak_bytes["cpu"], ft.counters.dram_bytes

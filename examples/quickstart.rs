@@ -8,6 +8,7 @@
 use freetensor::autoschedule::Target;
 use freetensor::core::Program;
 use freetensor::runtime::{Runtime, TensorVal};
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A fine-grained tensor program: a 1-D stencil with a boundary guard —
@@ -31,7 +32,8 @@ def blur(x: f32[256] in, y: f32[256] out):
     // Execute.
     let x = TensorVal::from_f32(&[256], (0..256).map(|i| (i as f32 * 0.1).sin()).collect());
     let rt = Runtime::new();
-    let result = fast.run(&rt, &[("x", x)], &[])?;
+    let inputs = HashMap::from([("x".to_string(), x)]);
+    let result = fast.run(&rt, &inputs, &HashMap::new())?;
     println!(
         "y[0..4] = {:?}",
         &result.output("y").to_f64_vec()[..4]

@@ -7,7 +7,8 @@
 
 use freetensor::autodiff::GradOptions;
 use freetensor::runtime::{Runtime, TensorVal};
-use freetensor::workloads::{input_pairs, softras};
+use freetensor::workloads::softras;
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = softras::Params {
@@ -17,12 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         channels: 3,
         ..softras::Params::default()
     };
-    let inputs = softras::inputs(&params, 99);
+    let mut inputs = softras::inputs(&params, 99);
 
     // Forward render.
     let rt = Runtime::new();
     let program = softras::program(&params);
-    let fwd = program.run(&rt, &input_pairs(&inputs), &[])?;
+    let fwd = program.run(&rt, &inputs, &HashMap::new())?;
     let img = fwd.output("img");
     println!(
         "rendered {}x{} image, mean intensity {:.4}",
@@ -41,9 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[params.pixels(), params.channels],
         vec![1.0 / params.pixels() as f32; params.pixels() * params.channels],
     );
-    let mut pairs = input_pairs(&inputs);
-    pairs.push(("img.grad", seed));
-    let back = grad.run(&rt, &pairs, &[])?;
+    inputs.insert("img.grad".to_string(), seed);
+    let back = grad.run(&rt, &inputs, &HashMap::new())?;
     let g_faces = back.output("faces.grad").to_f64_vec();
     let g_col = back.output("col.grad").to_f64_vec();
     println!(

@@ -8,7 +8,8 @@
 use freetensor::autoschedule::Target;
 use freetensor::opbase::Session;
 use freetensor::runtime::Runtime;
-use freetensor::workloads::{input_pairs, subdivnet};
+use freetensor::workloads::subdivnet;
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = subdivnet::Params {
@@ -20,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // FreeTensor: the fine-grained program, auto-scheduled for the GPU model.
     let program = subdivnet::program(&params).optimize(&Target::gpu());
     let rt = Runtime::new();
-    let ft = program.run(&rt, &input_pairs(&inputs), &[])?;
+    let ft = program.run(&rt, &inputs, &HashMap::new())?;
 
     // Operator-based: index_select / reshape / cat / sub / abs / sum.
     let session = Session::gpu();

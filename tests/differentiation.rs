@@ -5,14 +5,14 @@ use freetensor::autodiff::{GradOptions, TapePolicy};
 use freetensor::autoschedule::Target;
 use freetensor::ir::{BinaryOp, Expr, Stmt, StmtKind};
 use freetensor::runtime::{Runtime, Scalar, TensorVal};
-use freetensor::workloads::{data, input_pairs, longformer, subdivnet, Inputs, Scale, Workload};
+use freetensor::workloads::{data, longformer, subdivnet, Inputs, Scale, Workload};
 use ft_conformance::diff::{grad_close, reduction_depth, GradTol};
 use ft_passes::hoist::{any_node, invariant, LoopNames};
 use std::collections::HashMap;
 
 fn loss_of(prog: &freetensor::core::Program, inputs: &HashMap<String, TensorVal>, out: &str) -> f64 {
     let rt = Runtime::new();
-    let r = prog.run(&rt, &input_pairs(inputs), &[]).unwrap();
+    let r = prog.run(&rt, inputs, &HashMap::new()).unwrap();
     r.output(out).to_f64_vec().iter().sum()
 }
 
@@ -30,19 +30,9 @@ fn longformer_gradient_matches_finite_differences() {
         &[p.seq_len, p.feat_len],
         vec![1.0; p.seq_len * p.feat_len],
     );
-    let mut pairs = input_pairs(&inputs);
-    pairs.push(("y.grad", seed));
-    let rt = Runtime::new();
-    let analytic = rt
-        .run(
-            &grad.func().clone(),
-            &pairs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            &HashMap::new(),
-        )
-        .unwrap();
+    let mut seeded = inputs.clone();
+    seeded.insert("y.grad".to_string(), seed);
+    let analytic = grad.run(&Runtime::new(), &seeded, &HashMap::new()).unwrap();
     let eps = 1e-3;
     for name in ["Q", "K", "V"] {
         let g = analytic.output(&format!("{name}.grad"));
@@ -88,9 +78,9 @@ fn tape_policies_agree_numerically() {
                 ..Default::default()
             })
             .unwrap();
-        let mut pairs = input_pairs(&inputs);
-        pairs.push(("y.grad", seed.clone()));
-        let r = grad.run(&rt, &pairs, &[]).unwrap();
+        let mut seeded = inputs.clone();
+        seeded.insert("y.grad".to_string(), seed.clone());
+        let r = grad.run(&rt, &seeded, &HashMap::new()).unwrap();
         results.push(r.output("e.grad").clone());
     }
     assert!(
@@ -119,10 +109,10 @@ fn grad_of_optimized_program_matches_grad_of_naive() {
         .unwrap()
         .optimize(&freetensor::autoschedule::Target::cpu());
     let grad_plain = prog.grad(&GradOptions::default()).unwrap();
-    let mut pairs = input_pairs(&inputs);
-    pairs.push(("y.grad", seed));
-    let a = grad_plain.run(&rt, &pairs, &[]).unwrap();
-    let b = grad_then_opt.run(&rt, &pairs, &[]).unwrap();
+    let mut seeded = inputs.clone();
+    seeded.insert("y.grad".to_string(), seed);
+    let a = grad_plain.run(&rt, &seeded, &HashMap::new()).unwrap();
+    let b = grad_then_opt.run(&rt, &seeded, &HashMap::new()).unwrap();
     assert!(a.output("e.grad").allclose(b.output("e.grad"), 1e-5));
 }
 
@@ -134,7 +124,7 @@ fn weighted_loss(
     seed: &TensorVal,
 ) -> f64 {
     let r = prog
-        .run(&Runtime::new(), &input_pairs(inputs), &[])
+        .run(&Runtime::new(), inputs, &HashMap::new())
         .unwrap();
     let (y, s) = (r.output(out).to_f64_vec(), seed.to_f64_vec());
     y.iter().zip(&s).map(|(y, s)| y * s).sum()
@@ -154,7 +144,7 @@ fn the_ad_decisions_move_no_forward_bit_and_no_gradient() {
         let prog = inst.program();
         let out = w.output();
         let forward = prog
-            .run(&Runtime::new(), &input_pairs(&inputs), &[])
+            .run(&Runtime::new(), &inputs, &HashMap::new())
             .unwrap();
         let seed = data::features(&inst.output_shape(), 43);
         let oracle = inst.reference_grad(&inputs, &seed);
@@ -168,7 +158,7 @@ fn the_ad_decisions_move_no_forward_bit_and_no_gradient() {
             let g = prog.grad(&opts).unwrap();
             let what = format!("{} under {policy:?}", w.name());
             let r = g
-                .run(&Runtime::new(), &input_pairs(&with_seed), &[])
+                .run(&Runtime::new(), &with_seed, &HashMap::new())
                 .unwrap();
             assert_eq!(
                 r.output(out),

@@ -19,10 +19,12 @@
 //!   lanes may be libmvec's rather than glibc's scalar function.
 //! * `a_zero_divisor_is_a_structured_error` — integer `/` and `%` by zero on
 //!   the interpreter and the VM.
+//! * `a_constant_select_whose_arms_load_keeps_the_nodes_type` — the folder,
+//!   which knows no tensor's type, leaves such a `select` for the engines.
 
 use ft_ir::prelude::*;
 use ft_ir::scalar::{self, DivisionByZero, Scalar};
-use ft_passes::const_fold_expr;
+use ft_passes::{const_fold_expr, const_fold_func};
 use ft_runtime::{
     cc_available, cc_flags, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal,
     VmRuntime,
@@ -708,4 +710,29 @@ fn a_zero_divisor_is_a_structured_error() {
     }
     // `/` and `%` over {I64, Bool} x {I64, Bool}. A reduction does not divide.
     assert_eq!(programs, 8);
+}
+
+#[test]
+fn a_constant_select_whose_arms_load_keeps_the_nodes_type() {
+    // `select(true, xi[0], xf[0])` is an `f32` (C's `?:`), so `/ 2` divides
+    // floats. Folded to its bare `i32` arm, the division would floor.
+    let func = Func::new("sel")
+        .param("xi", [1], I32, AccessType::Input)
+        .param("xf", [1], F32, AccessType::Input)
+        .param("y", [1], F32, AccessType::Output)
+        .body(store(
+            "y",
+            [0],
+            Expr::select(Expr::BoolConst(true), load("xi", [0]), load("xf", [0])) / 2,
+        ));
+    let inputs = HashMap::from([
+        ("xi".to_string(), TensorVal::from_i32(&[1], vec![3])),
+        ("xf".to_string(), TensorVal::from_f32(&[1], vec![0.25])),
+    ]);
+    let y = |f: &Func| {
+        let r = Runtime::new().run(f, &inputs, &HashMap::new()).unwrap();
+        r.output("y").to_f64_vec()
+    };
+    assert_eq!(y(&func), [1.5]);
+    assert_eq!(y(&const_fold_func(func.clone())), [1.5]);
 }

@@ -5,7 +5,8 @@
 use freetensor::autoschedule::Target;
 use freetensor::opbase::Session;
 use freetensor::runtime::Runtime;
-use freetensor::workloads::{gat, input_pairs, longformer, softras, subdivnet};
+use freetensor::workloads::{gat, longformer, softras, subdivnet};
+use std::collections::HashMap;
 
 #[test]
 fn subdivnet_pipeline() {
@@ -20,7 +21,7 @@ fn subdivnet_pipeline() {
     for target in [Target::cpu(), Target::gpu()] {
         let r = prog
             .optimize(&target)
-            .run(&rt, &input_pairs(&ins), &[])
+            .run(&rt, &ins, &HashMap::new())
             .unwrap();
         assert!(r.output("y").allclose(&oracle, 1e-4));
     }
@@ -43,7 +44,7 @@ fn longformer_pipeline() {
     for target in [Target::cpu(), Target::gpu()] {
         let r = prog
             .optimize(&target)
-            .run(&rt, &input_pairs(&ins), &[])
+            .run(&rt, &ins, &HashMap::new())
             .unwrap();
         assert!(r.output("y").allclose(&oracle, 1e-3));
     }
@@ -57,7 +58,7 @@ fn softras_pipeline() {
     let rt = Runtime::new();
     let r = softras::program(&p)
         .optimize(&Target::gpu())
-        .run(&rt, &input_pairs(&ins), &[])
+        .run(&rt, &ins, &HashMap::new())
         .unwrap();
     assert!(r.output("img").allclose(&oracle, 1e-3));
 }
@@ -71,7 +72,7 @@ fn gat_pipeline() {
     for target in [Target::cpu(), Target::gpu()] {
         let r = gat::program(&p)
             .optimize(&target)
-            .run(&rt, &input_pairs(&ins), &[])
+            .run(&rt, &ins, &HashMap::new())
             .unwrap();
         assert!(r.output("y").allclose(&oracle, 1e-3));
     }
@@ -89,7 +90,7 @@ fn headline_claims_hold_at_test_scale() {
     let rt = Runtime::new();
     let ft = subdivnet::program(&p)
         .optimize(&Target::gpu())
-        .run(&rt, &input_pairs(&ins), &[])
+        .run(&rt, &ins, &HashMap::new())
         .unwrap();
     let s = Session::gpu();
     let _ = subdivnet::opbase(&s, &p, &ins).unwrap();

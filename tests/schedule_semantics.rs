@@ -3,7 +3,7 @@
 //! semantics under the interpreter.
 
 use freetensor::ir::{find, ParallelScope, StmtId, StmtKind};
-use freetensor::runtime::{Runtime, TensorVal};
+use freetensor::runtime::{ExecutionEngine, Runtime, TensorVal, VmRuntime};
 use freetensor::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,8 +116,8 @@ fn parallel_marks_preserve_semantics_reordered_and_on_the_vm() {
     let reversed = ft_conformance::backend::reverse_parallel_loops(&func);
     assert_ne!(reversed.to_string(), func.to_string(), "no loop was parallelized");
     let reordered = Runtime::new().run(&reversed, &inputs, &HashMap::new()).unwrap();
-    let vm = freetensor::runtime::run_vm(&func, &inputs, &HashMap::new()).unwrap();
-    for out in [&reordered.outputs, &vm] {
+    let vm = VmRuntime::new().run(&func, &inputs, &HashMap::new()).unwrap();
+    for out in [&reordered.outputs, &vm.outputs] {
         for (a, b) in y0.iter().zip(out["y"].to_f64_vec()) {
             assert!((a - b).abs() < 1e-4);
         }

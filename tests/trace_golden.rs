@@ -8,7 +8,8 @@ use freetensor::runtime::Runtime;
 use freetensor::trace::{
     chrome_trace, validate_chrome_trace, DepKind, TraceSink, Verdict,
 };
-use freetensor::workloads::{input_pairs, subdivnet};
+use freetensor::workloads::subdivnet;
+use std::collections::HashMap;
 
 /// Compile + auto-schedule SubdivNet (small) with a sink installed.
 fn traced_subdivnet(p: &subdivnet::Params) -> (Program, TraceSink) {
@@ -77,7 +78,7 @@ fn per_statement_profile_sums_to_run_aggregates() {
     let p = subdivnet::Params::small();
     let (prog, sink) = traced_subdivnet(&p);
     let r = prog
-        .run(&Runtime::new(), &input_pairs(&subdivnet::inputs(&p, 11)), &[])
+        .run(&Runtime::new(), &subdivnet::inputs(&p, 11), &HashMap::new())
         .expect("traced run");
     let profiles = sink.profiles();
     assert_eq!(profiles.len(), 1, "exactly one profiled run");
@@ -97,7 +98,7 @@ fn per_statement_profile_sums_to_run_aggregates() {
 fn chrome_trace_export_is_valid_and_covers_compile_and_runtime() {
     let p = subdivnet::Params::small();
     let (prog, sink) = traced_subdivnet(&p);
-    prog.run(&Runtime::new(), &input_pairs(&subdivnet::inputs(&p, 11)), &[])
+    prog.run(&Runtime::new(), &subdivnet::inputs(&p, 11), &HashMap::new())
         .expect("traced run");
     let json = chrome_trace(&sink);
     let stats = validate_chrome_trace(&json).expect("exported trace validates");
