@@ -62,13 +62,16 @@
 //!    (`hit / (hit + miss)`) must reach `--min-hit-rate` (default 0.99).
 //!    The arena steady state is gated the same way:
 //!    `mem.arena.warm_probe_runs` must be non-zero (the warm `RunContext`
-//!    loop actually ran) and `mem.arena.warm_alloc_calls` must be exactly
+//!    loop actually ran), `mem.arena.warm_alloc_calls` must be exactly
 //!    0 (after the first iteration, repeated runs through a reused context
-//!    perform zero tensor heap allocations). All four are **blocking**.
+//!    perform zero tensor heap allocations), and so must
+//!    `mem.arena.warm_resolve_calls` (those runs reuse the call the context
+//!    kept: no lowering, no memory plan). All five are **blocking**.
 //!    Without `--expect-warm` the counters are printed informationally.
 //!
 //! Exits 0 when clean, 1 on any blocking finding, 2 on usage/IO errors.
 
+use ft_metrics::MetricsSnapshot;
 use ft_trace::JsonVal;
 use std::process::ExitCode;
 
@@ -133,6 +136,79 @@ fn load(path: &str) -> Result<Vec<JsonVal>, String> {
         .and_then(JsonVal::as_arr)
         .ok_or_else(|| format!("{path}: no `records` array"))?
         .to_vec())
+}
+
+/// Check 5's findings on a telemetry snapshot, in print order: whether
+/// each blocks, and what it says.
+fn warm_gates(snap: &MetricsSnapshot, min_hit_rate: f64) -> Vec<(bool, String)> {
+    let spawned = snap.counter("compiled.cc.spawned");
+    let hit = snap.counter("compiled.cache.hit");
+    let lookups = hit + snap.counter("compiled.cache.miss");
+    let hit_rate = hit as f64 / lookups as f64;
+    let warm_allocs = snap.counter("mem.arena.warm_alloc_calls");
+    let warm_resolves = snap.counter("mem.arena.warm_resolve_calls");
+    let probes = snap.counter("mem.arena.warm_probe_runs");
+    let mut out = vec![if spawned != 0 {
+        (
+            true,
+            format!(
+                "warm run spawned the compiler {spawned} time(s) \
+                 (compiled.cc.spawned must be 0)"
+            ),
+        )
+    } else {
+        (false, "compiled.cc.spawned = 0 (no compiler spawns)".to_string())
+    }];
+    out.push(if lookups == 0 {
+        (
+            true,
+            "no compiled.cache lookups recorded — the compiled engine never ran, \
+             so the warm-cache gate is vacuous"
+                .to_string(),
+        )
+    } else if hit_rate < min_hit_rate {
+        (
+            true,
+            format!(
+                "cache hit rate {hit_rate:.3} ({hit}/{lookups}) below --min-hit-rate \
+                 {min_hit_rate}"
+            ),
+        )
+    } else {
+        (false, format!("cache hit rate {hit_rate:.3} ({hit}/{lookups})"))
+    });
+    if probes == 0 {
+        out.push((
+            true,
+            "no warm arena probes recorded — the reused-RunContext loop never ran, \
+             so the zero-allocation and zero-resolve gates are vacuous"
+                .to_string(),
+        ));
+        return out;
+    }
+    out.push(if warm_allocs != 0 {
+        (
+            true,
+            format!(
+                "warm RunContext iterations performed {warm_allocs} arena/staging \
+                 allocation(s) (mem.arena.warm_alloc_calls must be 0)"
+            ),
+        )
+    } else {
+        (false, format!("{probes} warm arena probe(s), 0 allocations in steady state"))
+    });
+    out.push(if warm_resolves != 0 {
+        (
+            true,
+            format!(
+                "warm RunContext iterations resolved {warm_resolves} call(s) afresh \
+                 (mem.arena.warm_resolve_calls must be 0)"
+            ),
+        )
+    } else {
+        (false, format!("{probes} warm arena probe(s), 0 fresh resolves in steady state"))
+    });
+    out
 }
 
 fn main() -> ExitCode {
@@ -408,66 +484,24 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let spawned = snap.counter("compiled.cc.spawned");
-        let hit = snap.counter("compiled.cache.hit");
-        let miss = snap.counter("compiled.cache.miss");
-        let lookups = hit + miss;
-        let hit_rate = if lookups == 0 {
-            f64::NAN
-        } else {
-            hit as f64 / lookups as f64
-        };
         if expect_warm {
-            if spawned != 0 {
-                blocking += 1;
-                println!(
-                    "BLOCKING   metrics: warm run spawned the compiler {spawned} time(s) \
-                     (compiled.cc.spawned must be 0)"
-                );
-            } else {
-                println!("ok         metrics: compiled.cc.spawned = 0 (no compiler spawns)");
-            }
-            if lookups == 0 {
-                blocking += 1;
-                println!(
-                    "BLOCKING   metrics: no compiled.cache lookups recorded — the compiled \
-                     engine never ran, so the warm-cache gate is vacuous"
-                );
-            } else if hit_rate < min_hit_rate {
-                blocking += 1;
-                println!(
-                    "BLOCKING   metrics: cache hit rate {hit_rate:.3} ({hit}/{lookups}) \
-                     below --min-hit-rate {min_hit_rate}"
-                );
-            } else {
-                println!(
-                    "ok         metrics: cache hit rate {hit_rate:.3} ({hit}/{lookups})"
-                );
-            }
-            let warm_allocs = snap.counter("mem.arena.warm_alloc_calls");
-            let probes = snap.counter("mem.arena.warm_probe_runs");
-            if probes == 0 {
-                blocking += 1;
-                println!(
-                    "BLOCKING   metrics: no warm arena probes recorded — the reused-RunContext \
-                     loop never ran, so the zero-allocation gate is vacuous"
-                );
-            } else if warm_allocs != 0 {
-                blocking += 1;
-                println!(
-                    "BLOCKING   metrics: warm RunContext iterations performed {warm_allocs} \
-                     arena/staging allocation(s) (mem.arena.warm_alloc_calls must be 0)"
-                );
-            } else {
-                println!(
-                    "ok         metrics: {probes} warm arena probe(s), 0 allocations in steady state"
-                );
+            for (blocks, finding) in warm_gates(&snap, min_hit_rate) {
+                if blocks {
+                    blocking += 1;
+                    println!("BLOCKING   metrics: {finding}");
+                } else {
+                    println!("ok         metrics: {finding}");
+                }
             }
         } else {
             println!(
-                "info       metrics: compiled.cc.spawned {spawned}, cache {hit} hit / {miss} miss, \
-                 arena warm allocs {} over {} probe(s)",
+                "info       metrics: compiled.cc.spawned {}, cache {} hit / {} miss, \
+                 arena warm allocs {} and resolves {} over {} probe(s)",
+                snap.counter("compiled.cc.spawned"),
+                snap.counter("compiled.cache.hit"),
+                snap.counter("compiled.cache.miss"),
                 snap.counter("mem.arena.warm_alloc_calls"),
+                snap.counter("mem.arena.warm_resolve_calls"),
                 snap.counter("mem.arena.warm_probe_runs"),
             );
         }
@@ -482,5 +516,37 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A snapshot of a warm sweep with `resolves` fresh resolves in its
+    /// warm probe iterations.
+    fn warm_sweep(resolves: u64) -> MetricsSnapshot {
+        let m = ft_metrics::Metrics::new();
+        m.counter("compiled.cache.hit").add(12);
+        m.counter("mem.arena.warm_probe_runs").add(3);
+        m.counter("mem.arena.warm_alloc_calls").add(0);
+        m.counter("mem.arena.warm_resolve_calls").add(resolves);
+        m.snapshot()
+    }
+
+    fn blocking(snap: &MetricsSnapshot) -> Vec<String> {
+        let gates = warm_gates(snap, 0.99).into_iter();
+        gates.filter(|(b, _)| *b).map(|(_, f)| f).collect()
+    }
+
+    #[test]
+    fn a_warm_probe_that_resolves_afresh_blocks() {
+        assert_eq!(blocking(&warm_sweep(0)), Vec::<String>::new());
+        let found = blocking(&warm_sweep(2));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("resolved 2 call(s)"), "{found:?}");
+        // No probe at all: the zero-resolve gate is vacuous, and says so.
+        let found = blocking(&ft_metrics::Metrics::new().snapshot());
+        assert!(found.iter().any(|f| f.contains("zero-resolve")), "{found:?}");
     }
 }

@@ -245,7 +245,7 @@ fn main() {
         std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap))).expect("write metrics");
         eprintln!(
             "wrote {} (cc spawned {}, cache {} hit / {} miss, {} compiled runs, \
-             arena warm allocs {} over {} probe(s))",
+             arena warm allocs {} and resolves {} over {} probe(s))",
             path.display(),
             snap.counter("compiled.cc.spawned"),
             snap.counter("compiled.cache.hit"),
@@ -254,6 +254,7 @@ fn main() {
                 .get("engine.compiled.run_us")
                 .map_or(0, |h| h.count),
             snap.counter("mem.arena.warm_alloc_calls"),
+            snap.counter("mem.arena.warm_resolve_calls"),
             snap.counter("mem.arena.warm_probe_runs"),
         );
     }

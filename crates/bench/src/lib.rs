@@ -774,7 +774,9 @@ fn run_ft_both_engines(
 /// arena/staging allocation calls observed during the *warm* iterations —
 /// 0 is the memory planner's steady-state claim. The observation is also
 /// aggregated into the process registry as `mem.arena.warm_alloc_calls`
-/// (+ `mem.arena.warm_probe_runs`), which `bench_check --expect-warm`
+/// (+ `mem.arena.warm_probe_runs`), next to the fresh resolves of those
+/// iterations as `mem.arena.warm_resolve_calls` (0: the context kept the
+/// lowered function and its plan), which `bench_check --expect-warm`
 /// gates on. `None` off-CPU, without a C compiler, or when any run fails.
 fn warm_arena_probe(
     prog: &freetensor_core::Program,
@@ -793,13 +795,19 @@ fn warm_arena_probe(
     let mut ctx = RunContext::new();
     let cold = engine.run_with(prog.func(), inputs, &sizes, &mut ctx).ok()?;
     ctx.recycle(cold).expect("recycle cold outputs");
-    let before = m.snapshot().counter("mem.arena.alloc_calls");
+    let counts = || {
+        let snap = m.snapshot();
+        (snap.counter("mem.arena.alloc_calls"), snap.counter("engine.compiled.resolves"))
+    };
+    let before = counts();
     for _ in 0..2 {
         let r = engine.run_with(prog.func(), inputs, &sizes, &mut ctx).ok()?;
         ctx.recycle(r).expect("recycle warm outputs");
     }
-    let warm = m.snapshot().counter("mem.arena.alloc_calls") - before;
+    let after = counts();
+    let warm = after.0 - before.0;
     bench_metrics().counter("mem.arena.warm_alloc_calls").add(warm);
+    bench_metrics().counter("mem.arena.warm_resolve_calls").add(after.1 - before.1);
     bench_metrics().counter("mem.arena.warm_probe_runs").inc();
     Some(warm)
 }

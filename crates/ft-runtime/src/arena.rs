@@ -11,8 +11,9 @@
 //! * `NativeArena` — the single flat allocation handed to generated C
 //!   (`unsigned char* __ft_arena`) by the compiled engine;
 //! * [`RunContext`] — owns all of the above plus converted input/output
-//!   staging buffers, keyed by the plan hash, so compile-once/run-many
-//!   steady state performs zero tensor heap allocations.
+//!   staging buffers, keyed by the plan hash, and keeps the call it last
+//!   resolved, so compile-once/run-many steady state performs zero tensor
+//!   heap allocations and no lowering or planning.
 //!
 //! Reuse is observable, not asserted: every pool counts fresh heap
 //! allocations (`mem.arena.alloc_calls`) and free-list hits
@@ -25,10 +26,11 @@ use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::value::TensorVal;
 use ft_analysis::{MemPlan, ARENA_ALIGN};
-use ft_ir::{AccessType, DataType};
+use ft_ir::{AccessType, DataType, Func, Param};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, TraceSink, Verdict, TRACK_RUNTIME};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Allocation-behavior counters of one pool (or of the staging layer).
 ///
@@ -85,8 +87,9 @@ pub(crate) fn flush_stats(m: &Metrics, stats: &mut ArenaStats) {
 }
 
 /// End of a run, successful or not: flush the allocation counters of the
-/// pool the executor drew on and hand the pool back to the context it was
-/// taken from, so a cross-run context keeps its buffers.
+/// pool the executor drew on and of the context's staging layer, and hand
+/// the pool back to the context it was taken from, so a cross-run context
+/// keeps its buffers.
 pub(crate) fn return_pool(
     pool: Option<TensorPool>,
     metrics: Option<&Metrics>,
@@ -97,6 +100,9 @@ pub(crate) fn return_pool(
         flush_stats(m, &mut pool.stats);
     }
     if let Some(c) = rctx {
+        if let Some(m) = metrics {
+            flush_stats(m, &mut c.stats);
+        }
         c.tensor_pool = Some(pool);
     }
 }
@@ -265,24 +271,59 @@ impl NativeArena {
     }
 }
 
-/// What a [`RunContext`] is committed to after its first planned run: the
-/// memory-plan hash, the signature of the parameter shapes/sizes, and the
-/// expected output set — the facts every later run and recycle must match.
-#[derive(Debug, Clone)]
-struct CtxBinding {
-    func_name: String,
-    plan_hash: u64,
-    shape_sig: u64,
-    /// Output/InOut parameter names with their resolved shapes, for the
+/// What a [`RunContext`] is bound to: the call it last resolved — the
+/// caller's function and sizes, which kind of engine resolved them, and the
+/// [`Resolved`] itself. Its memory-plan hash, shape signature and output set
+/// are the facts every later run and recycle must match; a later call of
+/// the same function at the same sizes on the same kind of engine runs it
+/// as kept, without resolving again.
+#[derive(Debug)]
+pub(crate) struct CtxBinding {
+    /// The caller's function when the engine executes another one (the
+    /// lowering changed it); `None` when it is `resolved.func()` itself.
+    source: Option<Func>,
+    sizes: HashMap<String, i64>,
+    lowers: bool,
+    resolved: Resolved<'static>,
+}
+
+impl CtxBinding {
+    /// The kept call.
+    pub(crate) fn resolved(&self) -> &Resolved<'static> {
+        &self.resolved
+    }
+
+    fn func_name(&self) -> &str {
+        &self.resolved.func().name
+    }
+
+    fn plan_hash(&self) -> u64 {
+        self.resolved.plan().plan_hash()
+    }
+
+    /// Whether `func` at `sizes` on an engine that `lowers` resolves to
+    /// the kept call: the same engine kind, equal size maps, and a source
+    /// function equal in full (`Func ==`), so a call is never served
+    /// another body's lowering.
+    fn is(&self, func: &Func, sizes: &HashMap<String, i64>, lowers: bool) -> bool {
+        self.lowers == lowers
+            && self.sizes == *sizes
+            && self.source.as_ref().unwrap_or_else(|| self.resolved.func()) == func
+    }
+
+    /// Output/InOut parameters with their resolved shapes, for the
     /// recycle-time signature check.
-    outputs: Vec<(String, Vec<usize>)>,
+    fn outputs(&self) -> impl Iterator<Item = (&Param, &[usize])> {
+        let outs = self.resolved.params();
+        outs.filter(|(p, _)| matches!(p.atype, AccessType::Output | AccessType::InOut))
+    }
 }
 
 /// Reusable cross-run state for
 /// [`ExecutionEngine::run_with`](crate::ExecutionEngine::run_with):
-/// per-engine buffer pools keyed by the memory-plan hash, plus named
-/// staging buffers that keep converted inputs and returned outputs alive
-/// between runs.
+/// per-engine buffer pools keyed by the memory-plan hash, named staging
+/// buffers that keep converted inputs and returned outputs alive between
+/// runs, and the call it last resolved.
 ///
 /// A context binds to the first *plan* it runs (memory-plan hash +
 /// parameter shape signature), and each engine plans the function it
@@ -292,6 +333,16 @@ struct CtxBinding {
 /// program the lowering leaves untouched. Feed finished results back with
 /// [`recycle`](RunContext::recycle) so output buffers return to the
 /// staging area instead of being dropped.
+///
+/// The binding is the resolved call itself — lowered function, memory
+/// plan, sizes and shapes — kept with the caller's function and size map.
+/// A later call whose function is equal to it in full (`Func ==`, not a
+/// name or a hash), whose size map is equal, and whose engine lowers as the
+/// one that resolved it runs the kept call without lowering or planning
+/// again (`engine.<name>.resolve_reused`); any other call resolves from
+/// scratch (`engine.<name>.resolves`) and, when its plan and shapes match
+/// the binding, replaces the kept call. A function the lowering leaves
+/// untouched is held once.
 ///
 /// Running a bound context against a different program, another engine's
 /// plan of the same program, or different shapes is a
@@ -314,7 +365,7 @@ pub struct RunContext {
     pub(crate) staging: HashMap<String, TensorVal>,
     /// Staging-layer stats (pools carry their own).
     pub(crate) stats: ArenaStats,
-    binding: Option<CtxBinding>,
+    binding: Option<Arc<CtxBinding>>,
     poisoned: bool,
 }
 
@@ -346,12 +397,12 @@ impl RunContext {
     ) -> Result<(), RuntimeError> {
         if let Some(b) = &self.binding {
             for (name, t) in &outputs {
-                let expected = b.outputs.iter().find(|(n, _)| n == name);
+                let expected = b.outputs().find(|(p, _)| p.name == *name);
                 if expected.is_none_or(|(_, shape)| shape != t.shape()) {
                     return Err(RuntimeError::RecycleMismatch {
-                        bound_func: b.func_name.clone(),
+                        bound_func: b.func_name().to_string(),
                         output: name.clone(),
-                        expected_shape: expected.map(|(_, shape)| shape.clone()),
+                        expected_shape: expected.map(|(_, shape)| shape.to_vec()),
                         actual_shape: t.shape().to_vec(),
                     });
                 }
@@ -365,9 +416,9 @@ impl RunContext {
         Ok(())
     }
 
-    /// Drop all pooled storage, staging buffers, and the program binding,
-    /// returning the context to its freshly-constructed state (stats
-    /// survive — they are observability, not state).
+    /// Drop all pooled storage, staging buffers, and the program binding
+    /// with its kept call, returning the context to its freshly-constructed
+    /// state (stats survive — they are observability, not state).
     pub fn reset(&mut self) {
         self.tensor_pool = None;
         self.native_arena = None;
@@ -391,47 +442,62 @@ impl RunContext {
 
     /// The function name this context is bound to, if any.
     pub fn bound_func(&self) -> Option<&str> {
-        self.binding.as_ref().map(|b| b.func_name.as_str())
+        self.binding.as_ref().map(|b| b.func_name())
     }
 
-    /// Run by the engine shell once a call has resolved and validated,
-    /// before the engine draws on the context: heal a poisoned context
-    /// (full reset, counted), then bind to `resolved` or verify the
-    /// existing binding matches.
+    /// The kept call, when `func` at `sizes` on an engine that `lowers`
+    /// resolves to it and the context is not poisoned (a poisoned context
+    /// resolves afresh, and `ensure_bound` heals it).
+    pub(crate) fn kept(
+        &self,
+        func: &Func,
+        sizes: &HashMap<String, i64>,
+        lowers: bool,
+    ) -> Option<Arc<CtxBinding>> {
+        let b = self.binding.as_ref()?;
+        (!self.poisoned && b.is(func, sizes, lowers)).then(|| Arc::clone(b))
+    }
+
+    /// Run by the engine shell once a fresh call of `func` at `sizes` has
+    /// resolved and validated, before the engine draws on the context: heal
+    /// a poisoned context (full reset, counted), verify an existing binding
+    /// matches, then keep the call as the binding.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ContextMismatch`] when bound to a different
-    /// program/plan/shape set.
-    pub(crate) fn ensure_bound(&mut self, resolved: &Resolved<'_>) -> Result<(), RuntimeError> {
+    /// program/plan/shape set; the kept call stays as it was.
+    pub(crate) fn ensure_bound(
+        &mut self,
+        resolved: Resolved<'_>,
+        func: &Func,
+        sizes: &HashMap<String, i64>,
+        lowers: bool,
+    ) -> Result<Arc<CtxBinding>, RuntimeError> {
         if self.poisoned {
             self.reset();
             self.stats.poison_resets += 1;
         }
-        let func = resolved.func();
         let plan_hash = resolved.plan().plan_hash();
-        match &self.binding {
-            None => {
-                self.binding = Some(CtxBinding {
-                    func_name: func.name.clone(),
-                    plan_hash,
-                    shape_sig: resolved.shape_sig(),
-                    outputs: resolved
-                        .params()
-                        .filter(|(p, _)| matches!(p.atype, AccessType::Output | AccessType::InOut))
-                        .map(|(p, shape)| (p.name.clone(), shape.to_vec()))
-                        .collect(),
+        if let Some(b) = &self.binding {
+            if b.plan_hash() != plan_hash || b.resolved.shape_sig() != resolved.shape_sig() {
+                return Err(RuntimeError::ContextMismatch {
+                    bound_func: b.func_name().to_string(),
+                    bound_plan_hash: b.plan_hash(),
+                    requested_func: resolved.func().name.clone(),
+                    requested_plan_hash: plan_hash,
                 });
-                Ok(())
             }
-            Some(b) if b.plan_hash == plan_hash && b.shape_sig == resolved.shape_sig() => Ok(()),
-            Some(b) => Err(RuntimeError::ContextMismatch {
-                bound_func: b.func_name.clone(),
-                bound_plan_hash: b.plan_hash,
-                requested_func: func.name.clone(),
-                requested_plan_hash: plan_hash,
-            }),
         }
+        let (resolved, callers) = resolved.into_owned();
+        let b = Arc::new(CtxBinding {
+            source: (!callers).then(|| func.clone()),
+            sizes: sizes.clone(),
+            lowers,
+            resolved,
+        });
+        self.binding = Some(Arc::clone(&b));
+        Ok(b)
     }
 
     /// Lend the interpreter or the VM the pool for `plan` — the plan this

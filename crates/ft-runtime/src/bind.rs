@@ -9,7 +9,10 @@
 //! `Resolved::check_inputs` is the one place the tensors are held to it.
 //! The shell in [`crate::engine`] runs both before an engine binds a
 //! context, compiles, or allocates anything, so a malformed call costs
-//! nothing and leaves no trace in a pooled [`RunContext`].
+//! nothing and leaves no trace in a pooled [`RunContext`]. A context keeps
+//! the `Resolved` of the call it is bound to, so a repeat of that call —
+//! the same function, `Func ==`, at the same sizes — is resolved once, not
+//! per call; `run` without a context resolves every call.
 
 use crate::arena::RunContext;
 use crate::error::RuntimeError;
@@ -115,6 +118,25 @@ impl<'f> Resolved<'f> {
             sizes: size_vals,
             shapes,
         })
+    }
+
+    /// This call with its function owned, and whether that function is the
+    /// caller's own (the lowering left it untouched) — so a context that
+    /// keeps the call holds that function once, not twice.
+    pub(crate) fn into_owned(self) -> (Resolved<'static>, bool) {
+        let (func, callers) = match self.func {
+            Cow::Borrowed(f) => (f.clone(), true),
+            Cow::Owned(f) => (f, false),
+        };
+        let resolved = Resolved {
+            func: Cow::Owned(func),
+            plan: self.plan,
+            sizes: self.sizes,
+            shapes: self.shapes,
+            shape_sig: self.shape_sig,
+            run_peak_bytes: self.run_peak_bytes,
+        };
+        (resolved, callers)
     }
 
     /// The function the engine executes.
@@ -375,9 +397,15 @@ mod tests {
 
     /// `y[i] = 2 * x[i]` through a scratch row, over `n / d` elements.
     fn halve_and_double() -> Func {
+        halve_and_scale(2.0)
+    }
+
+    /// `y[i] = k * x[i]`, otherwise [`halve_and_double`]: same name, params
+    /// and memory plan.
+    fn halve_and_scale(k: f32) -> Func {
         let len = || var("n") / var("d");
         let through = block([
-            for_("i", 0, len(), store("t", [var("i")], load("x", [var("i")]) * 2.0f32)),
+            for_("i", 0, len(), store("t", [var("i")], load("x", [var("i")]) * k)),
             for_("i", 0, len(), store("y", [var("i")], load("t", [var("i")]))),
         ]);
         Func::new("halve")
@@ -432,12 +460,8 @@ mod tests {
     fn a_warm_context_survives_a_malformed_request() {
         let f = halve_and_double();
         let sizes = sizes(&[("n", 64), ("d", 2)]);
-        for (engine, metrics) in engines("warm") {
+        for (engine, metrics) in runnable("warm") {
             let who = engine.name();
-            if who == "compiled" && !cc_available() {
-                eprintln!("cc unavailable; skipping the compiled engine");
-                continue;
-            }
             let mut ctx = RunContext::new();
             let good = |ctx: &mut RunContext| {
                 let r = engine.run_with(&f, &x_of(32), &sizes, ctx).expect(who);
@@ -463,6 +487,120 @@ mod tests {
         }
     }
 
+    /// The engines that can run here: all three, less the compiled one
+    /// without `cc`.
+    fn runnable(tag: &str) -> Vec<(Box<dyn ExecutionEngine>, Metrics)> {
+        let mut all = engines(tag);
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping the compiled engine");
+            all.retain(|(e, _)| e.name() != "compiled");
+        }
+        all
+    }
+
+    /// `(engine.<name>.resolves, engine.<name>.resolve_reused)` so far.
+    fn resolutions(engine: &dyn ExecutionEngine, m: &Metrics) -> (u64, u64) {
+        let snap = m.snapshot();
+        let name = engine.name();
+        let of = |what: &str| snap.counter(&format!("engine.{name}.{what}"));
+        (of("resolves"), of("resolve_reused"))
+    }
+
+    #[test]
+    fn a_kept_call_never_serves_another_body_of_the_same_plan() {
+        // `y = 3x` has `y = 2x`'s name, params, shapes and plan, so the
+        // context takes it at the parent's binding check; only `Func ==`
+        // tells the kept call from it.
+        let (double, triple) = (halve_and_double(), halve_and_scale(3.0));
+        let sizes = sizes(&[("n", 8), ("d", 2)]);
+        for (engine, metrics) in runnable("stale") {
+            let who = engine.name();
+            let mut ctx = RunContext::new();
+            let mut run = |f: &Func, want: f64| {
+                let r = engine.run_with(f, &x_of(4), &sizes, &mut ctx).expect(who);
+                assert_eq!(r.output("y").to_f64_vec(), vec![want; 4], "{who}");
+                ctx.recycle(r).expect(who);
+            };
+            run(&double, 3.0);
+            run(&double, 3.0);
+            run(&triple, 4.5);
+            run(&triple, 4.5);
+            run(&double, 3.0);
+            assert_eq!(ctx.bound_func(), Some("halve"), "{who}");
+            assert_eq!(resolutions(&*engine, &metrics), (3, 2), "{who}");
+        }
+    }
+
+    #[test]
+    fn a_shape_mismatch_leaves_the_kept_call_warm() {
+        let f = halve_and_double();
+        let (ok, wider) = (sizes(&[("n", 8), ("d", 2)]), sizes(&[("n", 16), ("d", 2)]));
+        for (engine, metrics) in runnable("mismatch") {
+            let who = engine.name();
+            let mut ctx = RunContext::new();
+            for _ in 0..2 {
+                let r = engine.run_with(&f, &x_of(4), &ok, &mut ctx).expect(who);
+                ctx.recycle(r).expect(who);
+            }
+            let err = engine.run_with(&f, &x_of(8), &wider, &mut ctx);
+            assert!(matches!(err, Err(RuntimeError::ContextMismatch { .. })), "{who}: {err:?}");
+            assert!(!ctx.is_poisoned(), "{who}");
+            let before = metrics.snapshot().counter("mem.arena.alloc_calls");
+            let resolved = resolutions(&*engine, &metrics);
+            let r = engine.run_with(&f, &x_of(4), &ok, &mut ctx).expect(who);
+            assert_eq!(r.output("y").to_f64_vec(), vec![3.0; 4], "{who}");
+            ctx.recycle(r).expect(who);
+            let after = metrics.snapshot().counter("mem.arena.alloc_calls");
+            assert_eq!(after, before, "{who}: the kept call's run allocated");
+            assert_eq!(resolutions(&*engine, &metrics), (resolved.0, resolved.1 + 1), "{who}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_context_resolves_its_next_call_afresh() {
+        // `y = x / d` on integers: a zero in `d` fails the interpreter's and
+        // the VM's run mid-way; C has no such failure, so the compiled
+        // engine's context is poisoned by hand, as a failed run would.
+        let f = Func::new("quotient")
+            .param("x", [4], DataType::I64, AccessType::Input)
+            .param("d", [4], DataType::I64, AccessType::Input)
+            .param("y", [4], DataType::I64, AccessType::Output)
+            .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")]) / load("d", [var("i")]))));
+        let inputs = |d: Vec<i64>| {
+            HashMap::from([
+                ("x".to_string(), TensorVal::from_i64(&[4], vec![7, -7, 9, 12])),
+                ("d".to_string(), TensorVal::from_i64(&[4], d)),
+            ])
+        };
+        let (good, bad) = (inputs(vec![2, 2, 3, 5]), inputs(vec![2, 0, 3, 5]));
+        let none = HashMap::new();
+        for (engine, metrics) in runnable("poison") {
+            let who = engine.name();
+            let mut ctx = RunContext::new();
+            for _ in 0..2 {
+                let r = engine.run_with(&f, &good, &none, &mut ctx).expect(who);
+                ctx.recycle(r).expect(who);
+            }
+            assert_eq!(resolutions(&*engine, &metrics), (1, 1), "{who}");
+            if who == "compiled" {
+                ctx.poison();
+            } else {
+                let err = engine.run_with(&f, &bad, &none, &mut ctx);
+                assert_eq!(err.err(), Some(RuntimeError::DivisionByZero), "{who}");
+                assert_eq!(resolutions(&*engine, &metrics), (1, 2), "{who}");
+            }
+            assert!(ctx.is_poisoned(), "{who}");
+            let (resolves, reused) = resolutions(&*engine, &metrics);
+            let r = engine.run_with(&f, &good, &none, &mut ctx).expect(who);
+            assert_eq!(resolutions(&*engine, &metrics), (resolves + 1, reused), "{who}");
+            assert_eq!(metrics.snapshot().counter("mem.arena.poison_resets"), 1, "{who}");
+            assert!(!ctx.is_poisoned(), "{who}");
+            let plain = engine.run(&f, &good, &none).expect(who);
+            assert_eq!(r.outputs, plain.outputs, "{who}");
+            assert_eq!(r.output("y").to_f64_vec(), [3.0, -4.0, 3.0, 2.0], "{who}");
+        }
+    }
+
     #[test]
     fn an_input_of_another_dtype_is_converted_at_bind_by_every_engine() {
         // `x` and `acc` are declared f32 and passed as f64: every engine
@@ -482,11 +620,8 @@ mod tests {
             ("acc".to_string(), TensorVal::from_f64(&[3], acc.to_vec())),
         ]);
         let want: Vec<f64> = (0..3).map(|i| (acc[i] as f32 + x[i] as f32) as f64).collect();
-        for (engine, _) in engines("dtype") {
+        for (engine, _) in runnable("dtype") {
             let who = engine.name();
-            if who == "compiled" && !cc_available() {
-                continue;
-            }
             let r = engine.run(&f, &inputs, &HashMap::new()).expect(who);
             assert_eq!(r.output("acc").dtype(), DataType::F64, "{who}");
             assert_eq!(r.output("acc").to_f64_vec(), want, "{who}");
@@ -565,12 +700,8 @@ mod tests {
             "{err:?}"
         );
         let mut want = None;
-        for (engine, _) in engines("capacity") {
+        for (engine, _) in runnable("capacity") {
             let who = engine.name();
-            if who == "compiled" && !cc_available() {
-                eprintln!("cc unavailable; skipping the compiled engine");
-                continue;
-            }
             let r = engine.run(&f, &inputs, &HashMap::new()).expect(who);
             let want = want.get_or_insert_with(|| r.outputs.clone());
             assert_eq!(&r.outputs, want, "{who}");

@@ -16,6 +16,8 @@
 //! them through. What the question means on the call side — sizes, shapes,
 //! which inputs must be there — is decided once, in [`crate::bind`], and
 //! the sequence around it once, here: an engine supplies only `execute`.
+//! With a [`RunContext`], that sequence resolves a call once: the context
+//! keeps it, and a repeat of it skips the lowering and the memory plan.
 
 use crate::arena::RunContext;
 use crate::bind::Resolved;
@@ -83,30 +85,24 @@ pub(crate) use sealed::{Backend, Telemetry};
 
 /// The one prepare-then-run sequence: resolve → validate → bind → publish
 /// the plan → execute, timed as `engine.<name>.run_us` and counted in
-/// `engine.<name>.errors`. Only an error of the run itself poisons the
-/// context: a call refused before `execute` has touched none of its buffers.
+/// `engine.<name>.errors`.
 fn run_shell<E: ExecutionEngine + ?Sized>(
     engine: &E,
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
     sizes: &HashMap<String, i64>,
-    mut ctx: Option<&mut RunContext>,
+    ctx: Option<&mut RunContext>,
 ) -> Result<RunResult, RuntimeError> {
-    let Telemetry { sink, metrics } = engine.telemetry();
+    let metrics = &engine.telemetry().metrics;
     let t0 = metrics.as_ref().map(|_| std::time::Instant::now());
-    let r = engine.resolve(func, sizes).and_then(|resolved| {
-        resolved.check_inputs(inputs)?;
-        if let Some(c) = ctx.as_deref_mut() {
-            c.ensure_bound(&resolved)?;
-        }
-        let name = &resolved.func().name;
-        crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), name, resolved.plan());
-        let r = engine.execute(&resolved, inputs, ctx.as_deref_mut());
-        if let (Err(_), Some(c)) = (&r, ctx) {
-            c.poison();
-        }
-        r
-    });
+    let r = match ctx {
+        None => engine.resolve(func, sizes).and_then(|resolved| {
+            count(engine, "resolves");
+            resolved.check_inputs(inputs)?;
+            publish_and_execute(engine, &resolved, inputs, None)
+        }),
+        Some(c) => run_bound(engine, func, inputs, sizes, c),
+    };
     if let (Some(m), Some(t0)) = (metrics, t0) {
         let name = engine.name();
         m.histogram(&format!("engine.{name}.run_us"))
@@ -116,6 +112,58 @@ fn run_shell<E: ExecutionEngine + ?Sized>(
         }
     }
     r
+}
+
+/// [`run_shell`] with a context: the call the context keeps when `func` at
+/// `sizes` is it, else a fresh resolve that `ensure_bound` keeps. Only an
+/// error of the run itself poisons the context: a call refused before
+/// `execute` has touched none of its buffers.
+fn run_bound<E: ExecutionEngine + ?Sized>(
+    engine: &E,
+    func: &Func,
+    inputs: &HashMap<String, TensorVal>,
+    sizes: &HashMap<String, i64>,
+    ctx: &mut RunContext,
+) -> Result<RunResult, RuntimeError> {
+    let lowers = engine.lowers();
+    let call = match ctx.kept(func, sizes, lowers) {
+        Some(call) => {
+            count(engine, "resolve_reused");
+            call.resolved().check_inputs(inputs)?;
+            call
+        }
+        None => {
+            let resolved = engine.resolve(func, sizes)?;
+            count(engine, "resolves");
+            resolved.check_inputs(inputs)?;
+            ctx.ensure_bound(resolved, func, sizes, lowers)?
+        }
+    };
+    let r = publish_and_execute(engine, call.resolved(), inputs, Some(ctx));
+    if r.is_err() {
+        ctx.poison();
+    }
+    r
+}
+
+/// Publish the plan of `resolved`, then run it on the engine.
+fn publish_and_execute<E: ExecutionEngine + ?Sized>(
+    engine: &E,
+    resolved: &Resolved<'_>,
+    inputs: &HashMap<String, TensorVal>,
+    ctx: Option<&mut RunContext>,
+) -> Result<RunResult, RuntimeError> {
+    let Telemetry { sink, metrics } = engine.telemetry();
+    let name = &resolved.func().name;
+    crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), name, resolved.plan());
+    engine.execute(resolved, inputs, ctx)
+}
+
+/// Count one `engine.<name>.<what>` event.
+fn count<E: ExecutionEngine + ?Sized>(engine: &E, what: &str) {
+    if let Some(m) = &engine.telemetry().metrics {
+        m.counter(&format!("engine.{}.{what}", engine.name())).inc();
+    }
 }
 
 /// An execution backend for lowered functions.
@@ -170,9 +218,14 @@ pub trait ExecutionEngine: Backend {
     /// (sized by the plan of the function it executes — see [`RunContext`])
     /// and keeps staging buffers alive across calls — so a compile-once/
     /// run-many loop reaches zero tensor heap allocations in steady state
-    /// (observable via the `mem.arena.*` metrics). Results are bit-identical
-    /// to `run`. Feed each result back with [`RunContext::recycle`] to
-    /// return output buffers to the context.
+    /// (observable via the `mem.arena.*` metrics). The context also keeps
+    /// the resolved call: a repeat of the same function (`Func ==`) at the
+    /// same sizes skips [`resolve`](ExecutionEngine::resolve) — the lowering
+    /// and the memory plan — and is counted `engine.<name>.resolve_reused`,
+    /// a fresh resolve `engine.<name>.resolves`. Inputs are checked and
+    /// the plan published on every call either way. Results are
+    /// bit-identical to `run`. Feed each result back with
+    /// [`RunContext::recycle`] to return output buffers to the context.
     fn run_with(
         &self,
         func: &Func,

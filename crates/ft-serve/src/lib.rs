@@ -26,7 +26,8 @@
 //!   the output buffers too, completing the zero-alloc loop.
 //! * **Memory budget** — admission is gated on the call's
 //!   [`run_peak_bytes`](ft_runtime::Resolved::run_peak_bytes) as the engine
-//!   resolves it ([`ExecutionEngine::resolve`]): when the sum over
+//!   resolves it ([`ExecutionEngine::resolve`]) at the key's first budgeted
+//!   admission (`serve.admission.resolves`): when the sum over
 //!   admitted (queued + executing) jobs would exceed the configured
 //!   budget, the request is rejected with the numbers that said no
 //!   ([`ServeError::OverBudget`]). A server without a budget does not plan
@@ -245,6 +246,9 @@ struct QueueState {
     compiling: HashSet<u64>,
     /// Keys that have completed at least once (artifact + contexts exist).
     warm: HashSet<u64>,
+    /// Planned run peak bytes per key, resolved at its first budgeted
+    /// admission; empty on a server without a budget.
+    peak_bytes: HashMap<u64, u64>,
     shutdown: bool,
 }
 
@@ -364,12 +368,19 @@ impl Server {
         // The footprint the engine itself resolves for this call: of the
         // function it executes, so partial rows of privatized reductions
         // are budgeted too. Nothing reads the figure without a budget, and
-        // resolving is a good part of a small request. A call that does not
-        // resolve occupies nothing — the engine refuses it before it binds
-        // or allocates, and that error is the reply.
+        // resolving lowers and plans, so it happens once per key
+        // (`serve.admission.resolves`), outside the queue lock. A call that
+        // does not resolve occupies nothing — the engine refuses it before
+        // it binds or allocates, and that error is the reply.
         let peak_bytes = self.inner.cfg.mem_budget_bytes.map_or(0, |_| {
-            let resolved = self.inner.engine.resolve(&req.func, &req.sizes);
-            resolved.map_or(0, |r| r.run_peak_bytes())
+            let known = self.inner.q.lock().unwrap().peak_bytes.get(&key).copied();
+            known.unwrap_or_else(|| {
+                m.counter("serve.admission.resolves").inc();
+                let resolved = self.inner.engine.resolve(&req.func, &req.sizes);
+                let bytes = resolved.map_or(0, |r| r.run_peak_bytes());
+                self.inner.q.lock().unwrap().peak_bytes.insert(key, bytes);
+                bytes
+            })
         });
         let (tx, rx) = mpsc::channel();
         {
@@ -737,6 +748,33 @@ mod tests {
         srv.submit("a", req(&f)).expect("fits after release");
         let s = srv.metrics().snapshot();
         assert_eq!(s.counter("serve.rejected.budget"), 1);
+    }
+
+    #[test]
+    fn budgeted_admission_resolves_a_key_once() {
+        // Admission resolves without running anything, so no `cc` is needed.
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            mem_budget_bytes: Some(64 * 1024),
+            ..ServeConfig::default()
+        });
+        let resolves = || srv.metrics().snapshot().counter("serve.admission.resolves");
+        let f = fill("admit", 1024, 1.0);
+        let _admitted: Vec<_> = (0..8)
+            .map(|_| srv.submit("a", req(&f)).expect("fits"))
+            .collect();
+        assert_eq!(resolves(), 1);
+        // A key too big for the budget is refused with the same figure on
+        // every try, resolved once.
+        let big = fill("admit_big", 1 << 16, 1.0);
+        let requested = || match srv.submit("a", req(&big)) {
+            Err(ServeError::OverBudget { requested_bytes, .. }) => requested_bytes,
+            other => panic!("want OverBudget, got {other:?}"),
+        };
+        let first = requested();
+        assert!(first >= 4 << 16, "{first}");
+        assert_eq!(requested(), first);
+        assert_eq!(resolves(), 2);
     }
 
     #[test]
