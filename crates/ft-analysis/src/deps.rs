@@ -353,7 +353,9 @@ pub fn all_deps(func: &Func) -> Vec<FoundDep> {
     out
 }
 
-/// Dependences carried by a specific loop.
+/// Dependences carried by a specific loop: those that block parallelizing
+/// it (paper Fig. 13). Same-operator reduce pairs are exempt (they lower to
+/// atomics or parallel reductions); everything else carried by it counts.
 pub fn loop_carried_deps(func: &Func, loop_id: StmtId) -> Vec<FoundDep> {
     loop_carried_deps_in(&collect_accesses(func), loop_id)
 }
@@ -381,14 +383,6 @@ pub fn loop_carried_deps_in(info: &AccessInfo, loop_id: StmtId) -> Vec<FoundDep>
         }
     }
     out
-}
-
-/// Dependences that block parallelizing `loop_id` (paper Fig. 13).
-///
-/// Same-operator reduce pairs are already exempt (they lower to atomics or
-/// parallel reductions); everything else carried by the loop blocks it.
-pub fn parallelize_blockers(func: &Func, loop_id: StmtId) -> Vec<FoundDep> {
-    loop_carried_deps(func, loop_id)
 }
 
 /// Reduce statements under `loop_id` whose target element may be updated by
@@ -804,8 +798,8 @@ mod tests {
         // WAW on t across i/j iterations is projected away by stack scoping.
         assert!(reorder_illegal(&f, &[li, lj], &[lj, li]).is_none());
         // And neither loop carries a dependence (so both parallelize).
-        assert!(parallelize_blockers(&f, li).is_empty());
-        assert!(parallelize_blockers(&f, lj).is_empty());
+        assert!(loop_carried_deps(&f, li).is_empty());
+        assert!(loop_carried_deps(&f, lj).is_empty());
     }
 
     #[test]
@@ -817,7 +811,7 @@ mod tests {
             store("a", idx![i(), 0], load("b", idx![i(), 0]) + 1.0f64),
         ));
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(parallelize_blockers(&f, li).is_empty());
+        assert!(loop_carried_deps(&f, li).is_empty());
     }
 
     #[test]
@@ -834,7 +828,7 @@ mod tests {
             ),
         ));
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(!parallelize_blockers(&f, li).is_empty());
+        assert!(!loop_carried_deps(&f, li).is_empty());
     }
 
     #[test]
@@ -847,7 +841,7 @@ mod tests {
             reduce("a", idx![0, 0], ReduceOp::Add, load("b", idx![i(), 0])),
         ));
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(parallelize_blockers(&f, li).is_empty()); // exempt...
+        assert!(loop_carried_deps(&f, li).is_empty()); // exempt...
         assert_eq!(carried_reductions(&f, li).len(), 1); // ...but must combine
     }
 
@@ -866,7 +860,7 @@ mod tests {
             ),
         ));
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(parallelize_blockers(&f, li).is_empty());
+        assert!(loop_carried_deps(&f, li).is_empty());
         assert_eq!(carried_reductions(&f, li).len(), 1);
     }
 
@@ -903,7 +897,7 @@ mod tests {
             .any(|d| d.kind == DepKind::Raw && d.carrier == Carrier::Independent && d.var == "a"));
         // No loop-carried deps: i iterations are independent.
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(parallelize_blockers(&f, li).is_empty());
+        assert!(loop_carried_deps(&f, li).is_empty());
     }
 
     #[test]
@@ -916,7 +910,7 @@ mod tests {
             store("a", idx![i(), 0], load("a", idx![i() - 1, 0])),
         ));
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        let blockers = parallelize_blockers(&f, li);
+        let blockers = loop_carried_deps(&f, li);
         assert!(blockers.iter().any(|d| d.kind == DepKind::Raw));
     }
 
@@ -931,7 +925,7 @@ mod tests {
             if_(i().lt(1), store("a", idx![0, 0], 1.0f64)),
         ));
         let li = find::find_loop(&f.body, "i").unwrap().id;
-        assert!(parallelize_blockers(&f, li).is_empty());
+        assert!(loop_carried_deps(&f, li).is_empty());
     }
 
     #[test]
@@ -1070,11 +1064,11 @@ mod tests {
         // [16c, min(16c + 16, n)), so no two chunks meet in `y`.
         let c16 = || var("c") * 16;
         let (f, c) = chunked(c16(), (c16() + 16).min(var("n")));
-        assert!(parallelize_blockers(&f, c).is_empty());
+        assert!(loop_carried_deps(&f, c).is_empty());
         assert!(carried_reductions(&f, c).is_empty());
         // Without the `min`, the domain of `j` is unbounded above.
         let (f, c) = chunked(c16(), var("n"));
-        assert!(!parallelize_blockers(&f, c).is_empty());
+        assert!(!loop_carried_deps(&f, c).is_empty());
     }
 
     #[test]
@@ -1082,9 +1076,9 @@ mod tests {
         // Chunks counted from the top: [max(n - 16c - 16, 0), n - 16c).
         let top = || var("n") - var("c") * 16;
         let (f, c) = chunked((top() - 16).max(0), top());
-        assert!(parallelize_blockers(&f, c).is_empty());
+        assert!(loop_carried_deps(&f, c).is_empty());
         let (f, c) = chunked(Expr::from(0), top());
-        assert!(!parallelize_blockers(&f, c).is_empty());
+        assert!(!loop_carried_deps(&f, c).is_empty());
     }
 
     #[test]
@@ -1093,11 +1087,11 @@ mod tests {
         // The affine operand still bounds `j`: the chunks stay disjoint.
         let c16 = || var("c") * 16;
         let (f, c) = chunked(c16(), (c16() + 16).min(adj(var("c"))));
-        assert!(parallelize_blockers(&f, c).is_empty());
+        assert!(loop_carried_deps(&f, c).is_empty());
         // And dropping the load loosens, never tightens: every `c` writes
         // `y[0..min(adj[c], 8))`, which collides.
         let (f, c) = chunked(Expr::from(0), adj(var("c")).min(8));
-        let blockers = parallelize_blockers(&f, c);
+        let blockers = loop_carried_deps(&f, c);
         assert!(
             blockers
                 .iter()
@@ -1127,7 +1121,7 @@ mod tests {
             .param("x", [8], DataType::F32, AccessType::Input)
             .param("y", [8], DataType::F32, AccessType::Output)
             .body(var_def("t", [1], DataType::F32, MemType::CpuHeap, the_loop));
-        let blockers = parallelize_blockers(&f, li);
+        let blockers = loop_carried_deps(&f, li);
         assert!(
             blockers.iter().any(|d| d.var == "t" && d.kind == DepKind::Raw),
             "{blockers:?}"

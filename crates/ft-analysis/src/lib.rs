@@ -38,7 +38,7 @@ pub use affine::{cond_to_constraints, linexpr_to_expr, to_linexpr};
 pub use bounds::{const_bounds, symbolic_bounds, BoundsCtx, SymBounds};
 pub use deps::{
     all_deps, carried_reductions, carried_reductions_in, fission_illegal, fuse_illegal,
-    loop_carried_deps, loop_carried_deps_in, parallelize_blockers, reorder_illegal, swap_illegal,
+    loop_carried_deps, loop_carried_deps_in, reorder_illegal, swap_illegal,
     Carrier, DepKind, FoundDep, Violation,
 };
 /// The verdict of [`deps::dep_exists`].

@@ -780,11 +780,6 @@ impl MemPlan {
         aligned.fold(self.planned_peak_bytes, u64::saturating_add)
     }
 
-    /// The plan entry of the `k`-th pre-order `VarDef`.
-    pub fn entry_for_def(&self, def_idx: usize) -> Option<&PlanEntry> {
-        self.entries.get(def_idx)
-    }
-
     /// Defs actually packed into the arena.
     pub fn n_planned(&self) -> usize {
         self.entries.iter().filter(|e| e.class.is_some()).count()

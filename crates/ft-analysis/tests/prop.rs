@@ -3,7 +3,7 @@
 //! must produce identical results. (The engine may be conservative — extra
 //! dependences are allowed — but never unsound.)
 
-use ft_analysis::parallelize_blockers;
+use ft_analysis::loop_carried_deps;
 use ft_ir::idx;
 use ft_ir::prelude::*;
 use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
@@ -93,7 +93,7 @@ proptest! {
         p in 0i64..=2, q in -2i64..=2, r in 0i64..=2, s in -2i64..=2, red in proptest::bool::ANY
     ) {
         let (func, loop_id) = program(p, q, r, s, red);
-        let blockers = parallelize_blockers(&func, loop_id);
+        let blockers = loop_carried_deps(&func, loop_id);
         if blockers.is_empty() {
             let fwd = run(&func);
             let bwd = run(&reversed(&func));
@@ -113,6 +113,6 @@ proptest! {
     #[test]
     fn unit_shift_recurrences_are_flagged(shift in 1i64..=2) {
         let (func, loop_id) = program(1, 0, 1, -shift, false);
-        prop_assert!(!parallelize_blockers(&func, loop_id).is_empty());
+        prop_assert!(!loop_carried_deps(&func, loop_id).is_empty());
     }
 }

@@ -45,14 +45,6 @@ pub struct TensorFacts {
     pub version_dims: usize,
 }
 
-impl TensorFacts {
-    /// Whether the definition reads only function inputs (strictly
-    /// recomputable regardless of other decisions).
-    pub fn recomputable_from(&self, available: &HashSet<String>) -> bool {
-        self.store_only && self.dep_loads.iter().all(|d| available.contains(d))
-    }
-}
-
 /// Collect facts about every local (VarDef) tensor of a function, for the
 /// active-set `active` (tensors that carry gradients).
 pub fn tensor_facts(func: &Func, active: &dyn Fn(&str) -> bool) -> HashMap<String, TensorFacts> {

@@ -7,6 +7,7 @@ use ft_ir::{
 };
 use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Static preamble: headers and the tiny support library every generated
 /// translation unit relies on — `HEADERS`, `VECTOR_MATH`,
@@ -87,7 +88,7 @@ const TYPES: [&str; 5] = ["float", "double", "int32_t", "int64_t", "bool"];
 
 /// C identifiers every generated translation unit already uses (the
 /// preamble's support library) plus the C99 keywords — IR names must never
-/// mangle onto these.
+/// mangle onto these, nor onto a name the C library declares ([`taken`]).
 const RESERVED: &[&str] = &[
     "ft_ffmod", "ft_ffmodf",
     "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_sigmoidf", "ft_lib_matmul", "ft_entry", "__ft_prof",
@@ -96,7 +97,43 @@ const RESERVED: &[&str] = &[
     "float", "for", "goto", "if", "inline", "int", "long", "register", "restrict", "return",
     "short", "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned",
     "void", "volatile", "while", "bool", "true", "false", "int32_t", "int64_t", "main",
+    "clock_gettime",
 ];
+
+/// What C99 `<stdlib.h>`, `<string.h>` and `<time.h>` declare at file
+/// scope (functions, types, macros): the emitted function, itself at file
+/// scope, may not take one, nor may a tensor shadow a function it calls.
+const LIBC: &str = "\
+    atof atoi atol atoll strtod strtof strtold strtol strtoll strtoul strtoull rand srand calloc \
+    free malloc realloc abort atexit exit _Exit getenv system bsearch qsort abs labs llabs div \
+    ldiv lldiv mblen mbtowc wctomb mbstowcs wcstombs size_t wchar_t div_t ldiv_t lldiv_t NULL \
+    EXIT_FAILURE EXIT_SUCCESS RAND_MAX MB_CUR_MAX memcpy memmove strcpy strncpy strcat strncat \
+    memcmp strcmp strcoll strncmp strxfrm memchr strchr strcspn strpbrk strrchr strspn strstr \
+    strtok memset strerror strlen clock difftime mktime time asctime ctime gmtime localtime \
+    strftime clock_t time_t CLOCKS_PER_SEC";
+
+/// What C99 `<math.h>` declares at file scope; each function also has an
+/// `f` (float) and an `l` (long double) variant.
+const LIBM: &str = "\
+    acos asin atan atan2 cos sin tan acosh asinh atanh cosh sinh tanh exp exp2 expm1 frexp ilogb \
+    ldexp log log10 log1p log2 logb modf scalbn scalbln cbrt fabs hypot pow sqrt erf erfc lgamma \
+    tgamma ceil floor nearbyint rint lrint llrint round lround llround trunc fmod remainder \
+    remquo copysign nan nextafter nexttoward fdim fmax fmin fma float_t double_t HUGE_VAL \
+    HUGE_VALF HUGE_VALL INFINITY NAN FP_INFINITE FP_NAN FP_NORMAL FP_SUBNORMAL FP_ZERO FP_ILOGB0 \
+    FP_ILOGBNAN MATH_ERRNO MATH_ERREXCEPT math_errhandling fpclassify isfinite isinf isnan \
+    isnormal signbit isgreater isgreaterequal isless islessequal islessgreater isunordered";
+
+/// Every identifier no IR name may take: [`RESERVED`], [`LIBC`], and each
+/// [`LIBM`] name in its three float widths.
+fn taken() -> &'static HashSet<String> {
+    static TAKEN: OnceLock<HashSet<String>> = OnceLock::new();
+    TAKEN.get_or_init(|| {
+        let libm = LIBM.split_ascii_whitespace();
+        let widths = libm.flat_map(|n| [n.to_string(), format!("{n}f"), format!("{n}l")]);
+        let libc = LIBC.split_ascii_whitespace().chain(RESERVED.iter().copied());
+        libc.map(str::to_string).chain(widths).collect()
+    })
+}
 
 /// Whether `ident` is spelled like a temporary of the emitter's own —
 /// `ft_h3` (hoisted out of a loop), `ft_c12` (computed once), `ft_a1`
@@ -139,10 +176,7 @@ impl Mangler {
         let base = sanitize(name);
         let mut ident = base.clone();
         let mut n = 1usize;
-        while RESERVED.contains(&ident.as_str())
-            || self.used.contains(&ident)
-            || is_temporary(&ident)
-        {
+        while taken().contains(&ident) || self.used.contains(&ident) || is_temporary(&ident) {
             n += 1;
             ident = format!("{base}_{n}");
         }
@@ -1418,6 +1452,12 @@ mod tests {
         assert_eq!(m.bind("ft_hx"), "ft_hx");
         let c = emit_c(&f).unwrap();
         assert!(c.contains(&format!("void {}(", syms.func)), "{c}");
+        // Nor anything the C library headers declare, in any float width:
+        // the function symbol would conflict with it, and a tensor would
+        // shadow a function the unit calls.
+        for (name, ident) in [("div", "div_2"), ("free", "free_2"), ("sinl", "sinl_2"), ("gat", "gat")] {
+            assert_eq!(m.bind(name), ident);
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * [`lower::lower_cpu_parallel`] — the IR→IR step every compiled-C path
 //!   and the bytecode VM run first: nested parallel marks become serial
 //!   loops and `atomic` reductions become chunk-private partial rows with
-//!   an ordered merge;
+//!   an ordered merge; [`lower::prove_parallel`], the legality verdict
+//!   both engines run once per resolve, makes every mark of that function
+//!   the dependence engine cannot prove serial;
 //! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`) for
 //!   lowered CPU schedules; compile-checked against the host C compiler in
 //!   the test suite. What the C computes per element is decided here, not
@@ -32,7 +34,7 @@ pub use c::{
     emit_c, emit_c_planned, CodegenError, Mangler, ProfSite, VECTOR_MATH, VECTOR_MATH_MACRO,
 };
 pub use cuda::emit_cuda;
-pub use lower::lower_cpu_parallel;
+pub use lower::{lower_cpu_parallel, prove_parallel, Serialized};
 
 use ft_analysis::MemPlan;
 use ft_ir::Func;
@@ -45,7 +47,10 @@ use std::collections::HashMap;
 /// [`lower_cpu_parallel`] meets [`MemPlan::plan`]. Both engines, the
 /// serving admission check and the conformance backend all size, emit and
 /// run from this pair, so the partial rows the lowering adds are in the
-/// planned peak, come out of the arena and are budgeted.
+/// planned peak, come out of the arena and are budgeted. The engines also
+/// run [`prove_parallel`] on the function when they resolve a call, so a
+/// mark the dependence engine cannot prove runs serially on both; the plan
+/// does not depend on marks and stays the plan of that function.
 pub fn lower_and_plan<'a>(
     func: &'a Func,
     sizes: &HashMap<String, i64>,

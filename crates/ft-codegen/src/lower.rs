@@ -30,20 +30,24 @@
 //! bit-identical run to run and across `OMP_NUM_THREADS` — and across the
 //! two back ends that execute the lowered function, the C emitter's
 //! kernels and the bytecode VM, whatever their worker counts. The rules are
-//! purely syntactic (no dependence queries; the engines run this on every
-//! warm call), and a function with no `atomic` reduction and no nested
-//! parallel mark is returned borrowed, untouched.
+//! purely syntactic (no dependence queries: every printed unit and every
+//! context-free run lowers), and a function with no `atomic` reduction and
+//! no nested parallel mark is returned borrowed, untouched.
+//!
+//! Whether a kept mark is legal at all is [`prove_parallel`]'s to say.
 //!
 //! The C backend maps *every* parallel scope onto OpenMP threads, so the
 //! pass treats any non-serial scope as a CPU parallel mark. The
 //! interpreter (the reference semantics), the cost model and the CUDA
 //! emitter keep the unlowered IR.
 
+use ft_analysis::{carried_reductions_in, collect_accesses, loop_carried_deps_in, FoundDep};
 use ft_ir::{
-    AccessType, DataType, Expr, ForProperty, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind,
+    AccessType, DataType, Expr, ForProperty, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtId,
+    StmtKind,
 };
 use ft_passes::const_fold_expr;
-use ft_schedule::util::{bound_names, fresh_name};
+use ft_schedule::util::{bound_names, fresh_name, replace_by_id};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
@@ -88,6 +92,48 @@ pub fn lower_cpu_parallel(func: &Func) -> Cow<'_, Func> {
     }
     lw.outside(&func.body, &mut lowered.body);
     Cow::Owned(lowered)
+}
+
+/// A parallel mark [`prove_parallel`] cleared: the loop, and the first
+/// dependence it carries (printed as the schedule decision log prints one)
+/// or `carried reduction #N`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Serialized {
+    pub loop_id: StmtId,
+    pub reason: String,
+    pub dep: Option<FoundDep>,
+}
+
+/// Ask the two queries `parallelize` asks about every parallel-marked loop
+/// of `func`, over accesses collected once, and make each loop they cannot
+/// prove serial (keeping `vectorize`); `func` stays borrowed when none is.
+/// Both engines run this once per resolve, after `lower_and_plan` (DESIGN.md
+/// §7): it costs a query per loop, so [`lower_cpu_parallel`] never calls it.
+pub fn prove_parallel(func: &mut Cow<'_, Func>) -> Vec<Serialized> {
+    let f: &Func = func;
+    let (mut info, mut refused) = (None, Vec::new());
+    f.body.walk(&mut |s| {
+        if !matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+            return;
+        }
+        let info = info.get_or_insert_with(|| collect_accesses(f));
+        let dep = loop_carried_deps_in(info, s.id).into_iter().next();
+        let reason = match (&dep, carried_reductions_in(info, s.id).first()) {
+            (Some(d), _) => d.to_string(),
+            (None, Some(r)) => format!("carried reduction {r}"),
+            (None, None) => return,
+        };
+        refused.push(Serialized { loop_id: s.id, reason, dep });
+    });
+    for r in &refused {
+        replace_by_id(&mut func.to_mut().body, r.loop_id, |mut s| {
+            if let StmtKind::For { property, .. } = &mut s.kind {
+                property.parallel = ParallelScope::Serial;
+            }
+            s
+        });
+    }
+    refused
 }
 
 /// Is there an `atomic` reduction, or a parallel loop inside a parallel one?

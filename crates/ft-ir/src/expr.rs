@@ -103,13 +103,6 @@ impl BinaryOp {
         matches!(self, Eq | Ne | Lt | Le | Gt | Ge | And | Or)
     }
 
-    /// Whether the operator counts as a floating-point operation for the
-    /// FLOP counters when its operands are floats.
-    pub fn is_arith(self) -> bool {
-        use BinaryOp::*;
-        matches!(self, Add | Sub | Mul | Div | Mod | Min | Max | Pow)
-    }
-
     /// DSL spelling of the operator.
     pub fn name(self) -> &'static str {
         use BinaryOp::*;

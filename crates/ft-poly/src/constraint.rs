@@ -95,13 +95,6 @@ impl System {
         System::default()
     }
 
-    /// Build from an iterator of constraints.
-    pub fn from_constraints(cs: impl IntoIterator<Item = Constraint>) -> System {
-        System {
-            constraints: cs.into_iter().collect(),
-        }
-    }
-
     /// Add a constraint (builder style).
     pub fn with(mut self, c: Constraint) -> System {
         self.constraints.push(c);

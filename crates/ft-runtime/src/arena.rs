@@ -107,16 +107,29 @@ pub(crate) fn return_pool(
     }
 }
 
-/// Record the planner's verdict: a `mem.plan` span on the runtime track,
-/// a decision-log entry with planned-vs-naive peak bytes, and the
-/// `mem.arena.bytes_planned` gauge.
+/// Record the resolve's verdicts: a `mem.plan` span on the runtime track,
+/// a decision-log entry with planned-vs-naive peak bytes, the
+/// `mem.arena.bytes_planned` gauge, and a rejected `lower.parallel`
+/// decision per parallel mark the prover made serial, with its reason and
+/// dependence.
 pub(crate) fn publish_plan(
     sink: Option<&TraceSink>,
     metrics: Option<&Metrics>,
-    func: &str,
-    plan: &MemPlan,
+    resolved: &Resolved<'_>,
 ) {
+    let (func, plan) = (&resolved.func().name, resolved.plan());
     if let Some(s) = sink {
+        for r in resolved.serialized() {
+            s.decision(Decision {
+                pass: None,
+                primitive: "lower.parallel".to_string(),
+                args: format!("({func}, {})", r.loop_id),
+                verdict: Verdict::Rejected,
+                reason: Some(r.reason.clone()),
+                deps: r.dep.iter().cloned().collect(),
+                ts_us: s.now_us(),
+            });
+        }
         let mut sp = s.span_on(TRACK_RUNTIME, "mem", "mem.plan");
         sp.arg("target", func);
         sp.arg("planned_peak_bytes", plan.planned_peak_bytes);

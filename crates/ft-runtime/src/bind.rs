@@ -13,26 +13,33 @@
 //! the `Resolved` of the call it is bound to, so a repeat of that call —
 //! the same function, `Func ==`, at the same sizes — is resolved once, not
 //! per call; `run` without a context resolves every call.
+//! Resolving is also where the VM and the compiled engine get their one
+//! parallel-legality verdict (`ft_codegen::prove_parallel` after
+//! `lower_and_plan`; [`Resolved::serialized`]): both run the proven function.
 
 use crate::arena::RunContext;
 use crate::error::RuntimeError;
 use crate::value::TensorVal;
 use ft_analysis::MemPlan;
+use ft_codegen::Serialized;
 use ft_ir::{AccessType, BinaryOp, Expr, Func, Param};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// One `(function, sizes)` call, resolved: the function the engine executes,
-/// its memory plan, and every size and parameter shape as numbers.
+/// its memory plan, the parallel marks it lost, and every size and
+/// parameter shape as numbers.
 ///
 /// Which function that is — `func` as given (the interpreter) or
-/// `ft_codegen::lower_and_plan(func)` (the VM and the compiled engine) — is
-/// the only thing an engine contributes; ask it with
+/// `ft_codegen::lower_and_plan(func)` with its unprovable marks made serial
+/// (the VM and the compiled engine) — is the only thing an engine
+/// contributes; ask it with
 /// [`ExecutionEngine::resolve`](crate::ExecutionEngine::resolve).
 #[derive(Debug)]
 pub struct Resolved<'f> {
     func: Cow<'f, Func>,
     plan: MemPlan,
+    serialized: Vec<Serialized>,
     sizes: Vec<i64>,
     shapes: Vec<Vec<usize>>,
     shape_sig: u64,
@@ -87,10 +94,12 @@ impl<'f> Resolved<'f> {
                     .ok_or_else(|| RuntimeError::UnresolvedSize(p.name.clone()))
             })
             .collect::<Result<_, _>>()?;
-        let (func, plan) = if lower {
-            ft_codegen::lower_and_plan(func, sizes)
+        let (func, plan, serialized) = if lower {
+            let (mut lowered, plan) = ft_codegen::lower_and_plan(func, sizes);
+            let serialized = ft_codegen::prove_parallel(&mut lowered);
+            (lowered, plan, serialized)
         } else {
-            (Cow::Borrowed(func), MemPlan::plan(func, sizes))
+            (Cow::Borrowed(func), MemPlan::plan(func, sizes), Vec::new())
         };
         // Two calls with equal signatures bind buffers of identical names,
         // element types and byte sizes.
@@ -115,6 +124,7 @@ impl<'f> Resolved<'f> {
             run_peak_bytes,
             func,
             plan,
+            serialized,
             sizes: size_vals,
             shapes,
         })
@@ -131,6 +141,7 @@ impl<'f> Resolved<'f> {
         let resolved = Resolved {
             func: Cow::Owned(func),
             plan: self.plan,
+            serialized: self.serialized,
             sizes: self.sizes,
             shapes: self.shapes,
             shape_sig: self.shape_sig,
@@ -147,6 +158,12 @@ impl<'f> Resolved<'f> {
     /// The memory plan of [`func`](Resolved::func) at these sizes.
     pub fn plan(&self) -> &MemPlan {
         &self.plan
+    }
+
+    /// The parallel marks of [`func`](Resolved::func) the dependence engine
+    /// could not prove, now serial (none on the interpreter).
+    pub fn serialized(&self) -> &[Serialized] {
+        &self.serialized
     }
 
     /// Size-parameter values, in declaration order.

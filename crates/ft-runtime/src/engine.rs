@@ -7,8 +7,10 @@
 //! without a C compiler; the native compiled engine
 //! ([`CompiledEngine`](crate::native::CompiledEngine)) is the production
 //! path and the paper's execution model. The last two execute the same
-//! lowered function (`ft_codegen::lower_and_plan`) under one contract:
-//! no counters, no device capacities. All three answer the same question —
+//! lowered function (`ft_codegen::lower_and_plan`, with every parallel mark
+//! the dependence engine cannot prove made serial when the call resolves)
+//! under one contract: no counters, no device capacities, no legality rule
+//! of their own. All three answer the same question —
 //! "run this `Func` on these tensors" — and the [`ExecutionEngine`] trait,
 //! whose [`run`](ExecutionEngine::run) and
 //! [`run_with`](ExecutionEngine::run_with) are the only run methods, is
@@ -17,7 +19,8 @@
 //! which inputs must be there — is decided once, in [`crate::bind`], and
 //! the sequence around it once, here: an engine supplies only `execute`.
 //! With a [`RunContext`], that sequence resolves a call once: the context
-//! keeps it, and a repeat of it skips the lowering and the memory plan.
+//! keeps it, and a repeat of it skips the lowering, the memory plan and the
+//! parallel-legality proof.
 
 use crate::arena::RunContext;
 use crate::bind::Resolved;
@@ -63,8 +66,9 @@ mod sealed {
     /// [`ExecutionEngine`] and keeps `execute` — whose callers vouch for
     /// validated inputs — off the public surface.
     pub trait Backend {
-        /// Whether this engine executes `ft_codegen::lower_and_plan(func)`
-        /// instead of `func` as given.
+        /// Whether this engine executes `ft_codegen::lower_and_plan(func)`,
+        /// its unprovable parallel marks made serial, instead of `func` as
+        /// given.
         fn lowers(&self) -> bool;
 
         /// Run a resolved, validated call. With a context, the shell has
@@ -84,8 +88,8 @@ mod sealed {
 pub(crate) use sealed::{Backend, Telemetry};
 
 /// The one prepare-then-run sequence: resolve → validate → bind → publish
-/// the plan → execute, timed as `engine.<name>.run_us` and counted in
-/// `engine.<name>.errors`.
+/// the plan and the serialized marks → execute, timed as
+/// `engine.<name>.run_us` and counted in `engine.<name>.errors`.
 fn run_shell<E: ExecutionEngine + ?Sized>(
     engine: &E,
     func: &Func,
@@ -146,7 +150,8 @@ fn run_bound<E: ExecutionEngine + ?Sized>(
     r
 }
 
-/// Publish the plan of `resolved`, then run it on the engine.
+/// Publish the plan of `resolved` and the marks it serialized, then run it
+/// on the engine.
 fn publish_and_execute<E: ExecutionEngine + ?Sized>(
     engine: &E,
     resolved: &Resolved<'_>,
@@ -154,8 +159,7 @@ fn publish_and_execute<E: ExecutionEngine + ?Sized>(
     ctx: Option<&mut RunContext>,
 ) -> Result<RunResult, RuntimeError> {
     let Telemetry { sink, metrics } = engine.telemetry();
-    let name = &resolved.func().name;
-    crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), name, resolved.plan());
+    crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), resolved);
     engine.execute(resolved, inputs, ctx)
 }
 
@@ -182,7 +186,8 @@ pub trait ExecutionEngine: Backend {
     fn name(&self) -> &'static str;
 
     /// The call-side facts of running `func` at `sizes` on this engine:
-    /// the function it executes, its memory plan, resolved sizes and
+    /// the function it executes (for an engine that lowers, proved: see
+    /// [`Resolved::serialized`]), its memory plan, resolved sizes and
     /// parameter shapes, the planned footprint.
     ///
     /// # Errors
@@ -220,8 +225,9 @@ pub trait ExecutionEngine: Backend {
     /// run-many loop reaches zero tensor heap allocations in steady state
     /// (observable via the `mem.arena.*` metrics). The context also keeps
     /// the resolved call: a repeat of the same function (`Func ==`) at the
-    /// same sizes skips [`resolve`](ExecutionEngine::resolve) — the lowering
-    /// and the memory plan — and is counted `engine.<name>.resolve_reused`,
+    /// same sizes skips [`resolve`](ExecutionEngine::resolve) — the lowering,
+    /// the memory plan and the parallel-legality proof — and is counted
+    /// `engine.<name>.resolve_reused`,
     /// a fresh resolve `engine.<name>.resolves`. Inputs are checked and
     /// the plan published on every call either way. Results are
     /// bit-identical to `run`. Feed each result back with

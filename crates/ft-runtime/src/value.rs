@@ -100,20 +100,6 @@ impl TensorVal {
         }
     }
 
-    /// Build a bool tensor from values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the product of `shape`.
-    pub fn from_bool(shape: &[usize], data: Vec<bool>) -> TensorVal {
-        assert_eq!(data.len(), shape.iter().product::<usize>());
-        TensorVal {
-            dtype: DataType::Bool,
-            shape: shape.to_vec(),
-            data: Data::Bool(data),
-        }
-    }
-
     /// A 0-D f64 scalar tensor.
     pub fn scalar_f64(v: f64) -> TensorVal {
         TensorVal {
@@ -223,34 +209,10 @@ impl TensorVal {
         }
     }
 
-    /// The raw f64 storage, if this tensor is f64-typed.
-    pub fn f64_data(&self) -> Option<&[f64]> {
-        match &self.data {
-            Data::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The raw i32 storage, if this tensor is i32-typed.
-    pub fn i32_data(&self) -> Option<&[i32]> {
-        match &self.data {
-            Data::I32(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The raw i64 storage, if this tensor is i64-typed.
     pub fn i64_data(&self) -> Option<&[i64]> {
         match &self.data {
             Data::I64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The raw bool storage, if this tensor is bool-typed.
-    pub fn bool_data(&self) -> Option<&[bool]> {
-        match &self.data {
-            Data::Bool(v) => Some(v),
             _ => None,
         }
     }

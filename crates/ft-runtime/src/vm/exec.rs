@@ -23,10 +23,11 @@ impl VmSlot {
 
 /// Raw shared view of the coordinator's tensor slots for fork-join regions.
 ///
-/// SAFETY: a region forks only when the dependence engine finds no
-/// dependence and no reduction carried by its loop
-/// ([`VmProgram::refusal`]): no cell one iteration writes is read or
-/// written by another, so element accesses never race. The `Option` shells
+/// SAFETY: the VM executes only functions a resolve proved
+/// (`ft_codegen::prove_parallel`, run by [`crate::bind`]): the dependence
+/// engine finds no dependence and no reduction carried by any parallel loop
+/// left in them, so no cell one iteration writes is read or written by
+/// another, and element accesses never race. The `Option` shells
 /// of shared slots are never inserted or removed while the region runs
 /// (region code contains no `Alloc`/`Free` for non-local tensors, and
 /// parameters are placed before any code runs) except by a `LibCall`, which
@@ -70,7 +71,7 @@ pub(super) struct VmTally {
     /// Parallel-region sites scheduled on the worker pool.
     pub(super) par_pool: u64,
     /// Parallel-region sites that took the serial fallback (tiny trip
-    /// count, one-core host, nested region, or a refusal).
+    /// count, one-core host, or nested region).
     pub(super) par_serial: u64,
     /// Wall time of each fused-kernel dispatch, in nanoseconds.
     pub(super) kernel_ns: ft_metrics::Histogram,
@@ -493,9 +494,7 @@ impl VmState<'_> {
     }
 
     /// Run one fork-join region on the worker pool, or serially in place
-    /// when the work would not pay for the handshake or the dependence
-    /// engine refuses the loop — asked last, so only a region about to fork
-    /// pays for the proof.
+    /// when the work would not pay for the handshake.
     fn exec_region(&mut self, prog: &VmProgram<'_>, site: &ParSite) -> Result<(), RuntimeError> {
         let b = self.ri(site.s);
         let e = self.ri(site.end);
@@ -507,11 +506,7 @@ impl VmState<'_> {
         let pool = WorkerPool::global();
         let workers = (pool.background_workers() + 1).min(trip);
         let work = (trip as u64).saturating_mul(u64::from(site.cost.max(1)));
-        if workers <= 1
-            || work < PAR_THRESHOLD
-            || self.shared.is_some()
-            || prog.refusal(site).is_some()
-        {
+        if workers <= 1 || work < PAR_THRESHOLD || self.shared.is_some() {
             if let Some(t) = self.tally.as_mut() {
                 t.par_serial += 1;
             }
@@ -672,7 +667,7 @@ mod tests {
                     ]),
                 ),
             ));
-        assert_eq!(refusals_of(&f), [None]);
+        assert!(serialized_of(&f).is_empty());
         let a = TensorVal::from_f32(&[2, 2], vec![0.5, 1.5, -2.0, 3.0]);
         let b = TensorVal::from_f32(&[2, 2], vec![1.25, -1.0, 0.75, 2.0]);
         let x = TensorVal::from_f32(&[n as usize], (0..n).map(|v| v as f32 * 0.01).collect());
@@ -725,12 +720,11 @@ mod tests {
         // reductions carried by the parallel loop. The VM used to serialize
         // such a loop; now it executes the nest the compiled kernel
         // executes — fill, chunk loop, merges, every one a region the
-        // dependence engine proves — so the association is the lowered
-        // function's: fixed by the IR, not by which worker ran what, and
-        // only close to serial.
+        // resolve proves — so the association is the lowered function's:
+        // fixed by the IR, not by which worker ran what, and only close to
+        // serial.
         // 2048 rows put the merge of `y` over `PAR_THRESHOLD`: with a helper
         // thread it runs on the pool, on a one-core host inline, same bits.
-        // The traced run asks the engine about every region either way.
         let (rows, cols) = (2048usize, 24usize);
         let xij = || load("x", [var("i"), var("j")]);
         let f = Func::new("rowsum")
@@ -768,16 +762,16 @@ mod tests {
             metrics.snapshot().counter("vm.par.pool") > 0,
             WorkerPool::global().background_workers() > 0
         );
-        let regions: Vec<bool> = sink
-            .events()
-            .iter()
-            .filter(|e| e.name == "vm.parallel")
-            .map(|e| e.args.iter().any(|(k, v)| k == "accepted" && v == "true"))
-            .collect();
-        assert!(
-            regions.len() >= 3 && regions.iter().all(|ok| *ok),
-            "fill, chunk loop and merge must all prove: {regions:?}"
-        );
+        let resolved = vm.resolve(&f, &szs).expect("resolves");
+        let mut regions = 0;
+        resolved.func().body.walk(&mut |s| {
+            if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+                regions += 1;
+            }
+        });
+        let serialized = sink.decisions().into_iter().filter(|d| d.primitive == "lower.parallel");
+        assert_eq!(serialized.count(), 0, "fill, chunk loop and merge must all prove");
+        assert!(regions >= 3, "{regions} regions");
         for _ in 1..20 {
             let again = vm.run(&f, &ins, &szs).expect("vm ok");
             assert_eq!(again.outputs, first.outputs, "run-to-run bits moved");

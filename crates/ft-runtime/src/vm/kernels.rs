@@ -514,7 +514,7 @@ mod tests {
     fn every_vectorize_kernel_shape_lowers() {
         let f = vectorize_shapes_func();
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c, &f);
+        let prog = compile_program(&c);
         let veclooops = prog
             .code
             .iter()

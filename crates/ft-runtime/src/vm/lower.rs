@@ -799,7 +799,7 @@ impl Compiler {
             if vectorize {
                 self.decide(prof, false, "parallel_region");
             }
-            return self.region(s_reg, re, prof, body);
+            return self.region(s_reg, re, body);
         }
         if vectorize && self.try_vectorize(s, s_reg, re, prof, body) {
             return;
@@ -856,16 +856,9 @@ impl Compiler {
         });
     }
 
-    /// Lower an `OpenMp` loop into a [`ParSite`]: whether it may run on the
-    /// pool is the dependence engine's to say, when it is about to
-    /// ([`VmProgram::refusal`]).
-    fn region(
-        &mut self,
-        s_reg: u32,
-        re: u32,
-        prof: usize,
-        body: &crate::compiled::CStmt,
-    ) {
+    /// Lower an `OpenMp` loop into a [`ParSite`]. The resolve proved the
+    /// mark (`ft_codegen::prove_parallel`) or made the loop serial.
+    fn region(&mut self, s_reg: u32, re: u32, body: &crate::compiled::CStmt) {
         // The body compiles into a standalone stream with a clean loop /
         // conditional context (workers re-enter it from scratch every
         // iteration). `depth_of` stays consistent under the reset: tensors
@@ -895,16 +888,13 @@ impl Compiler {
             cost: code.len() as u32,
             code,
             local_mask,
-            prof,
-            refusal: std::sync::OnceLock::new(),
         });
         self.emit(Instr::ParRegion { site });
     }
 }
 
 /// Lower a [`Compiled`] function into a VM program.
-/// `func` is the function `c` was compiled from.
-pub(crate) fn compile_program<'c>(c: &'c Compiled, func: &'c Func) -> VmProgram<'c> {
+pub(crate) fn compile_program(c: &Compiled) -> VmProgram<'_> {
     let mut cp = Compiler {
         buf: Vec::new(),
         next: c.n_scalars as u32,
@@ -927,8 +917,6 @@ pub(crate) fn compile_program<'c>(c: &'c Compiled, func: &'c Func) -> VmProgram<
     cp.emit(Instr::Halt);
     VmProgram {
         c,
-        func,
-        accesses: std::sync::OnceLock::new(),
         code: cp.buf,
         n_regs: cp.max_regs as usize,
         lib_sites: cp.lib_sites,
@@ -987,7 +975,7 @@ mod tests {
                 store("y", [var("i")], load("x", [var("i")])),
             ));
         let c = crate::compiled::compile(&affine).unwrap();
-        let prog = compile_program(&c, &affine);
+        let prog = compile_program(&c);
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadFlat { .. })),
             "affine load should strength-reduce"
@@ -1008,7 +996,7 @@ mod tests {
                 store("y", [var("i")], load("x", [load("idx", [var("i")])])),
             ));
         let c = crate::compiled::compile(&gather).unwrap();
-        let prog = compile_program(&c, &gather);
+        let prog = compile_program(&c);
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadT { .. })),
             "gather load must stay on the generic checked path"
@@ -1055,7 +1043,7 @@ mod tests {
                 ),
             ));
         let c = crate::compiled::compile(&f).unwrap();
-        let prog = compile_program(&c, &f);
+        let prog = compile_program(&c);
         let flat_loads = prog
             .code
             .iter()
@@ -1165,28 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn unlowered_atomic_reduce_is_refused_never_pooled() {
-        // `compile_program` fed the IR `run_inner` never hands it: the
-        // colliding reduction still carries its `atomic` flag. The loop is a
-        // region, and the engine refuses it the fork.
-        let f = Func::new("fser")
-            .param("x", [64], DataType::F32, AccessType::Input)
-            .param("acc", [1], DataType::F32, AccessType::Output)
-            .body(for_with(
-                "i",
-                0,
-                64,
-                ForProperty::parallel(ParallelScope::OpenMp),
-                atomic_reduce("acc", 0.into(), ReduceOp::Add, load("x", [var("i")])),
-            ));
-        let reduce = find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::ReduceTo { .. }))[0].id;
-        assert_eq!(
-            refusals_of(&f),
-            [Some(format!("carried reduction {reduce}"))]
-        );
-    }
-
-    #[test]
     fn a_region_reads_what_it_writes_at_its_own_iteration() {
         // `y[i]` written, then read at the same `i`: nothing crosses
         // iterations, so the loop runs on the pool — and every run agrees
@@ -1207,7 +1173,7 @@ mod tests {
                     store("z", [var("i")], load("y", [var("i")]) + 1.0f32),
                 ]),
             ));
-        assert_eq!(refusals_of(&f), [None]);
+        assert!(serialized_of(&f).is_empty());
         let x = TensorVal::from_f32(&[n as usize], (0..n).map(|v| v as f32 * 0.5).collect());
         let metrics = Metrics::new();
         let mut vm = VmRuntime::new();
@@ -1239,23 +1205,25 @@ mod tests {
             .param("y", [1], DataType::I64, AccessType::Output)
             .body(l);
         let why = format!("Waw `y` {id} -> {id} @loop {lid} certain");
-        assert_eq!(refusals_of(&g), [Some(why.clone())]);
+        assert_eq!(serialized_of(&g), std::slice::from_ref(&why));
         assert_parity(&g, &[], &[]);
-        // 32 iterations never fork, but a traced run asks anyway: the span
-        // carries the same reason on any number of cores.
+        // The resolve decides it, whether or not the region would fork: a
+        // traced run's `lower.parallel` decision carries the same reason and
+        // the dependence on any number of cores.
         let sink = TraceSink::new();
         let mut vm = VmRuntime::new();
         vm.set_sink(Some(sink.clone()));
         let (ins, szs) = maps(&[], &[]);
         vm.run(&g, &ins, &szs).expect("vm ok");
-        let spans: Vec<Vec<(String, String)>> = sink
-            .events()
+        let refused: Vec<_> = sink
+            .decisions()
             .into_iter()
-            .filter(|e| e.name == "vm.parallel")
-            .map(|e| e.args)
+            .filter(|d| d.primitive == "lower.parallel")
             .collect();
-        let refused = |a: &Vec<(String, String)>| a.iter().any(|(k, v)| k == "reason" && *v == why);
-        assert!(matches!(&spans[..], [a] if refused(a)), "{spans:?}");
+        assert!(
+            matches!(&refused[..], [d] if d.reason.as_deref() == Some(why.as_str()) && d.deps.len() == 1),
+            "{refused:?}"
+        );
     }
 
     #[test]
@@ -1296,8 +1264,8 @@ mod tests {
     fn an_inner_iterator_is_not_an_invariant_of_the_region() {
         // Hand-marked, wrongly: iterations `i` and `i + 1` of the parallel
         // loop meet in `t[i + 1]` (`k` = 1 and 0), which both update. The
-        // region is refused, and then agrees with the interpreter bit for
-        // bit.
+        // resolve makes the loop serial, and it agrees with the interpreter
+        // bit for bit.
         let (n, w) = (64i64, 8i64);
         let f = Func::new("band")
             .param("x", [n], DataType::F32, AccessType::Input)
@@ -1319,10 +1287,10 @@ mod tests {
                     ),
                 ),
             ));
-        let refusals = refusals_of(&f);
+        let serialized = serialized_of(&f);
         assert!(
-            matches!(&refusals[..], [Some(why)] if why.starts_with("carried reduction")),
-            "{refusals:?}"
+            matches!(&serialized[..], [why] if why.starts_with("carried reduction")),
+            "{serialized:?}"
         );
         let x = TensorVal::from_f32(
             &[n as usize],
@@ -1332,7 +1300,7 @@ mod tests {
             assert_parity(&f, &[("x", x.clone())], &[]);
         }
         // The same write behind a component that is the bare iterator is
-        // not refused: `t2[i, k]`.
+        // serialized: `t2[i, k]`.
         let g = Func::new("rows")
             .param("x", [n], DataType::F32, AccessType::Input)
             .param("t2", [n, w], DataType::F32, AccessType::Output)
@@ -1353,6 +1321,6 @@ mod tests {
                     ),
                 ),
             ));
-        assert_eq!(refusals_of(&g), [None]);
+        assert!(serialized_of(&g).is_empty());
     }
 }

@@ -15,9 +15,12 @@
 //! `ft_codegen::lower_and_plan` returns, on the crate's [`TensorVal`] and
 //! `arena::TensorPool`. How a parallel reduction is realized (chunk-private
 //! rows merged in chunk order, or a serial loop) is thus decided once, on
-//! the IR, for both; the VM runs a marked loop on the [`WorkerPool`] once
-//! the dependence engine finds nothing it carries (the legality rule
-//! `parallelize` asks, `VmProgram::refusal`). It models no device:
+//! the IR, for both. So is whether a marked loop may run in parallel at
+//! all: the resolve both back ends share proves every mark of that
+//! function or makes it serial (`ft_codegen::prove_parallel`, see
+//! [`crate::bind`]), and the VM runs every `OpenMp` loop of the function it
+//! is given as a region on the [`WorkerPool`], with no prover of its own.
+//! It models no device:
 //! counters, the cache simulator, device capacities and per-statement
 //! profiling belong to the interpreter alone, and [`RunResult::counters`]
 //! comes back defaulted. Like the compiled engine, it runs a program whose
@@ -84,11 +87,10 @@ use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::scalar;
-use ft_ir::{BinaryOp, DataType, Func, ParallelScope, ReduceOp, UnaryOp};
+use ft_ir::{BinaryOp, DataType, ParallelScope, ReduceOp, UnaryOp};
 use ft_trace::TRACK_RUNTIME;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Statically inferred scalar kind of a register, mirroring the
 /// interpreter's runtime [`Scalar`] variants.
@@ -265,12 +267,6 @@ struct ParSite {
     local_mask: Vec<bool>,
     /// Static body cost (instruction count) feeding the grain heuristic.
     cost: u32,
-    /// Profile node of the loop, whose `stmt` is the loop's id.
-    prof: usize,
-    /// Why the loop may not run on the pool (`None`: nothing stops it),
-    /// asked the first time the region is about to fork, or after a traced
-    /// run.
-    refusal: OnceLock<Option<String>>,
 }
 
 /// One lowering decision (a `vectorize` attempt), surfaced as a `vm.simd`
@@ -287,11 +283,6 @@ struct LowerDecision {
 /// the dispatch loop reads in place).
 pub(crate) struct VmProgram<'c> {
     c: &'c Compiled,
-    /// The function `c` was compiled from: what the dependence engine is
-    /// asked about.
-    func: &'c Func,
-    /// The accesses of `func`, collected for the first region asked.
-    accesses: OnceLock<ft_analysis::access::AccessInfo<'c>>,
     code: Vec<Instr>,
     n_regs: usize,
     lib_sites: Vec<LibSite>,
@@ -300,37 +291,13 @@ pub(crate) struct VmProgram<'c> {
     decisions: Vec<LowerDecision>,
 }
 
-impl VmProgram<'_> {
-    /// Why `site` may not run on the pool, or `None`: the first dependence
-    /// the engine finds carried by its loop — as the schedule decision log
-    /// prints one for a refused `parallelize` — or the first reduction
-    /// whose target two iterations update. Asked at most once per site, over
-    /// accesses collected at most once per program.
-    fn refusal<'s>(&self, site: &'s ParSite) -> Option<&'s str> {
-        let refusal = site.refusal.get_or_init(|| {
-            let l = self.c.prof_nodes[site.prof]
-                .stmt
-                .expect("a loop's node has its id");
-            let info = self
-                .accesses
-                .get_or_init(|| ft_analysis::collect_accesses(self.func));
-            if let Some(dep) = ft_analysis::loop_carried_deps_in(info, l).first() {
-                return Some(dep.to_string());
-            }
-            let reduce = ft_analysis::carried_reductions_in(info, l);
-            reduce.first().map(|s| format!("carried reduction {s}"))
-        });
-        refusal.as_deref()
-    }
-}
-
 /// The bytecode execution engine: the portable fallback, with the same
 /// [`ExecutionEngine`] contract as the compiled engine.
 ///
 /// A trace sink ([`ExecutionEngine::set_sink`]) records a `"vm <name>"`
 /// runtime span per run plus one `vm.lower` span per `vectorize` decision
-/// and per parallel region (with a sink, every region is asked for its
-/// proof, whether or not it came to fork). A metrics registry records an
+/// (the parallel marks the resolve made serial are its `lower.parallel`
+/// decisions, on both engines). A metrics registry records an
 /// `engine.vm.run_us` wall histogram, fused-kernel dispatch counters
 /// (`vm.kernel.{axpy,dot}`) with an `engine.vm.kernel_ns` dispatch-wall
 /// histogram, parallel-region scheduling counters (`vm.par.{pool,serial}`)
@@ -379,7 +346,7 @@ impl Backend for VmRuntime {
         let pool_before = metrics.map(|_| WorkerPool::global().stats());
         let func = resolved.func();
         let compiled = crate::compiled::compile(func)?;
-        let prog = compile_program(&compiled, func);
+        let prog = compile_program(&compiled);
         // With a cross-run context: pool `VarDef` buffers by the plan's
         // interference classes. Plain `run` allocates every `VarDef` fresh,
         // which is what the planned path is diffed against.
@@ -404,25 +371,14 @@ impl Backend for VmRuntime {
         }
         st.bind_params(&compiled, resolved, inputs);
         let exec_r = st.exec_code(&prog.code, &prog);
-        // One span per lowering decision and per region, so a trace
-        // explains which loops became wide kernels or may run on the pool
-        // and why the rest may not. A region that never came to fork is
-        // asked here, so a span carries the engine's verdict on any host.
+        // One span per lowering decision, so a trace explains which loops
+        // became wide kernels and why the rest did not.
         if let Some(sink) = sink {
-            let span = |kind: &str, prof: usize, accepted: bool, detail: &str| {
-                let mut sp = sink.span_on(TRACK_RUNTIME, "vm.lower", kind);
-                sp.arg("target", &compiled.prof_nodes[prof].desc);
-                sp.arg("accepted", accepted);
-                sp.arg(if accepted { "how" } else { "reason" }, detail);
-            };
             for d in &prog.decisions {
-                span("vm.simd", d.prof, d.accepted, &d.detail);
-            }
-            for p in &prog.par_sites {
-                match prog.refusal(p) {
-                    Some(why) => span("vm.parallel", p.prof, false, why),
-                    None => span("vm.parallel", p.prof, true, &format!("cost={}", p.cost)),
-                }
+                let mut sp = sink.span_on(TRACK_RUNTIME, "vm.lower", "vm.simd");
+                sp.arg("target", &compiled.prof_nodes[d.prof].desc);
+                sp.arg("accepted", d.accepted);
+                sp.arg(if d.accepted { "how" } else { "reason" }, &d.detail);
             }
         }
         if let Some(m) = metrics {
@@ -702,19 +658,18 @@ mod tests {
     /// The `vectorize` decision log of `f`, as (accepted, detail).
     pub(super) fn decisions_of(f: &Func) -> Vec<(bool, String)> {
         let c = crate::compiled::compile(f).unwrap();
-        let prog = compile_program(&c, f);
+        let prog = compile_program(&c);
         prog.decisions
             .iter()
             .map(|d| (d.accepted, d.detail.clone()))
             .collect()
     }
 
-    /// What `exec_region` is told about each region of `f`, in site order.
-    pub(super) fn refusals_of(f: &Func) -> Vec<Option<String>> {
-        let c = crate::compiled::compile(f).unwrap();
-        let prog = compile_program(&c, f);
-        let sites = prog.par_sites.iter();
-        sites.map(|p| prog.refusal(p).map(str::to_string)).collect()
+    /// Why the VM's resolve made each loop of `f` it could not prove
+    /// serial, in loop order.
+    pub(super) fn serialized_of(f: &Func) -> Vec<String> {
+        let r = VmRuntime::new().resolve(f, &HashMap::new()).unwrap();
+        r.serialized().iter().map(|s| s.reason.clone()).collect()
     }
 
     /// `target[index] op= value`, flagged `atomic`: what `parallelize` leaves

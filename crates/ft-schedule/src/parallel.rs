@@ -6,7 +6,7 @@ use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::collect_accesses;
 use ft_analysis::deps::{
-    carried_reductions_in, fission_illegal, loop_carried_deps_in, parallelize_blockers, subtree_ids,
+    carried_reductions_in, fission_illegal, loop_carried_deps, loop_carried_deps_in, subtree_ids,
 };
 use ft_ir::find::Selector;
 use ft_ir::mutate::subst_var_stmt;
@@ -270,7 +270,7 @@ impl Schedule {
     fn vectorize_impl(&mut self, loop_sel: Selector) -> Result<(), ScheduleError> {
         let target = self.resolve_stmt(loop_sel)?;
         let p = as_for(&target)?;
-        let blockers = parallelize_blockers(self.func(), p.id);
+        let blockers = loop_carried_deps(self.func(), p.id);
         if let Some(dep) = blockers.first() {
             let msg = format!(
                 "loop `{}` carries a {:?} dependence on `{}`",

@@ -92,24 +92,6 @@ pub fn extent(parts: &ForParts) -> Expr {
     ft_passes::const_fold_expr(parts.end.clone() - parts.begin.clone())
 }
 
-/// Collect the iterator names of all loops strictly inside `s`.
-pub fn inner_loop_iters(s: &Stmt) -> Vec<String> {
-    let mut out = Vec::new();
-    for c in s.children() {
-        c.walk(&mut |st| {
-            if let StmtKind::For { iter, .. } = &st.kind {
-                out.push(iter.clone());
-            }
-        });
-    }
-    if let StmtKind::For { iter, .. } = &s.kind {
-        // `s` itself being a loop counts as inner when caching around it.
-        out.push(iter.clone());
-    }
-    out
-}
-
-
 /// Every name bound anywhere in `func`: parameters, size parameters, local
 /// tensor definitions, and loop iterators. Primitives that introduce new
 /// bindings (e.g. `cache`) must pick names outside this set — re-applying a

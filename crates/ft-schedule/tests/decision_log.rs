@@ -2,7 +2,7 @@
 //! verdict, and rejections coming from the dependence engine carry the exact
 //! structured `FoundDep`s — not just a formatted message.
 
-use ft_analysis::parallelize_blockers;
+use ft_analysis::loop_carried_deps;
 use ft_ir::find::Selector;
 use ft_ir::prelude::*;
 use ft_schedule::Schedule;
@@ -28,7 +28,7 @@ fn scan_func() -> Func {
 fn rejected_parallelize_logs_the_exact_founddep() {
     let f = scan_func();
     let loop_id = Selector::from("i").resolve(&f).unwrap().id;
-    let expected = parallelize_blockers(&f, loop_id);
+    let expected = loop_carried_deps(&f, loop_id);
     assert!(
         !expected.is_empty(),
         "test premise: the scan loop must have blockers"
@@ -46,7 +46,7 @@ fn rejected_parallelize_logs_the_exact_founddep() {
     assert_eq!(d.verdict, Verdict::Rejected);
     assert!(d.args.contains('i'), "args should name the loop: {}", d.args);
     assert!(d.reason.as_deref().unwrap_or("").contains("dependence"));
-    // The logged deps are exactly what parallelize_blockers reported.
+    // The logged deps are exactly what loop_carried_deps reported.
     assert_eq!(
         format!("{:?}", d.deps),
         format!("{expected:?}"),

@@ -12,6 +12,7 @@
 //!   counters (structurally, through the METRICS.json snapshot format —
 //!   the same counters `bench_check --expect-warm` gates on in CI).
 //! * `colliding_param_names_do_not_shadow`,
+//!   `functions_and_tensors_named_like_the_c_library_compile`,
 //!   `heap_def_inside_a_parallel_body_is_thread_private` — directed ABI and
 //!   storage cases the sampled traces do not reach.
 //! * `hoisted_gathers_and_guards_*`, `all_i32_histogram_is_exact`,
@@ -216,6 +217,50 @@ fn colliding_param_names_do_not_shadow() {
         .run(&f, &inputs, &HashMap::new())
         .expect("compiled run");
     assert_eq!(out.output("o").to_f64_vec(), vec![9.0, 18.0]);
+}
+
+#[test]
+fn functions_and_tensors_named_like_the_c_library_compile() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // The function is a file-scope symbol next to what `<stdlib.h>` and
+    // `<math.h>` declare (`div`, `exp`), and a tensor named `free` would
+    // shadow the `free` the unit calls on the def it `calloc`s per
+    // iteration of a parallel loop.
+    let body = |name: &str| {
+        let (xi, fi) = (load("x", [var("r"), var("i")]), load("free", [var("i")]));
+        Func::new(name)
+            .param("x", [2, 4], DataType::F32, AccessType::Input)
+            .param("y", [2, 4], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "r",
+                0,
+                2,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                var_def(
+                    "free",
+                    [4097],
+                    DataType::F32,
+                    MemType::CpuHeap,
+                    block([
+                        for_("i", 0, 4, store("free", [var("i")], xi * 3.0f32)),
+                        for_("i", 0, 4, store("y", [var("r"), var("i")], fi + 1.0f32)),
+                    ]),
+                ),
+            ))
+    };
+    let x = TensorVal::from_f32(&[2, 4], vec![1.0, -2.0, 0.5, 4.0, 7.0, 0.25, -1.5, 3.0]);
+    let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into();
+    for name in ["div", "exp"] {
+        let f = body(name);
+        let want = Runtime::new().run(&f, &inputs, &HashMap::new()).expect("interp");
+        let got = CompiledEngine::new()
+            .run(&f, &inputs, &HashMap::new())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(got.outputs, want.outputs, "{name}");
+    }
 }
 
 #[test]

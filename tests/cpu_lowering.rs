@@ -31,10 +31,17 @@
 //!   benchmark's seven units has no implicit `float`→`double` promotion and
 //!   no narrowing float conversion, says `cc`.
 //! * `every_lowered_parallel_loop_proves` — the seven rule-scheduled
-//!   programs, lowered, at small and full scale: unique statement ids, and
-//!   no dependence or reduction carried by any parallel loop. With
-//!   `--nocapture` it prints one table row per program and scale: parallel
-//!   loops, blockers, and what proving them all cost.
+//!   programs and the eight committed searched schedules, lowered, at small
+//!   and full scale: unique statement ids, and `prove_parallel` (the
+//!   verdict both lowering engines run once per resolve) serializes no
+//!   loop. With `--nocapture` it prints one table row per program and
+//!   scale: parallel loops, serialized, and what proving them all cost.
+//! * `a_racy_mark_runs_serially_with_its_reason_on_every_engine` — a
+//!   hand-marked prefix sum and one-cell store: serial on the VM and the
+//!   compiled engine, bit-identical to the interpreter, with a
+//!   `lower.parallel` decision naming the dependence and no `omp parallel
+//!   for` in the unit; `an_unlowered_atomic_reduction_is_a_carried_reduction_to_the_prover`
+//!   — the prover's other reason.
 //! * `every_vectorize_loop_is_emitted_under_omp_simd` — the same programs:
 //!   every loop the lowered IR marks `vectorize` carries `#pragma omp simd`
 //!   in the C, except one that carries a `min=`/`max=`. With `--nocapture`
@@ -44,13 +51,15 @@ use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
 use freetensor::autoschedule::Target;
 use freetensor::codegen::lower::{MAX_CHUNKS, PARTIAL_BYTES_CAP};
-use freetensor::codegen::{emit_c, lower_cpu_parallel};
+use freetensor::codegen::{emit_c, lower_cpu_parallel, prove_parallel};
 use freetensor::core::Program;
 use freetensor::ir::prelude::*;
 use freetensor::ir::{ForProperty, StmtId};
 use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, Scalar, TensorVal,
+    VmRuntime,
 };
+use freetensor::trace::TraceSink;
 use freetensor::workloads::{data, Inputs, Instance, Scale, Workload};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -1027,59 +1036,167 @@ fn benchmark_units_stay_in_f32_under_wdouble_promotion() {
     }
 }
 
+/// The committed searched schedule of `name` at one scale
+/// (`results/schedules/`, what `kernel-searched` compiles), replayed.
+fn committed_searched(name: &str, full: bool) -> Program {
+    let scale = if full { "full" } else { "small" };
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results/schedules")
+        .join(SavedSchedule::file_name(name, "cpu", scale));
+    let text = std::fs::read_to_string(&path).expect("committed schedule");
+    let saved = SavedSchedule::from_json(&text).expect("schedule parses");
+    let p = instance(name, full).program();
+    let (func, _) = prepare_candidate(p.func(), freetensor::ir::Device::Cpu, &saved.trace);
+    Program::from_schedule(freetensor::schedule::Schedule::new(func))
+}
+
 /// The benchmark's seven programs under the rule passes — four forward,
-/// three differentiated — lowered as both back ends run them, at small and
-/// full scale. Every statement keeps an id of its own, so a query about one
-/// loop is about that loop alone, and every parallel loop the lowering
-/// keeps proves by the queries `parallelize` asks: no carried dependence,
-/// no carried reduction. Run with `--nocapture`, it prints a table row per
-/// program and scale with what proving every loop cost (one access
-/// collection, both queries per loop, best of three).
+/// three differentiated — and the eight committed searched schedules,
+/// lowered as both back ends run them, at small and full scale. Every
+/// statement keeps an id of its own, so a query about one loop is about
+/// that loop alone, and the verdict the engines run under
+/// (`prove_parallel`, the queries `parallelize` asks: no carried
+/// dependence, no carried reduction) serializes no loop. Run with
+/// `--nocapture`, it prints a table row per program and scale with what
+/// proving every loop cost (one access collection, both queries per loop,
+/// best of three).
 #[test]
 fn every_lowered_parallel_loop_proves() {
-    use ft_analysis::{carried_reductions_in, collect_accesses, loop_carried_deps_in};
-    println!("\n| program | scale | parallel loops | blockers | carried reductions | prover µs |");
-    println!("|---|---|---|---|---|---|");
-    let mut failed = Vec::new();
+    println!("\n| program | scale | parallel loops | serialized | prover µs |");
+    println!("|---|---|---|---|---|");
+    let mut programs = Vec::new();
     for (name, kind) in rule_programs() {
         for full in [false, true] {
-            let p = program(name, full, kind);
-            let lowered = lower_cpu_parallel(p.func());
-            let (mut ids, mut duplicates, mut loops) = (HashSet::new(), 0, Vec::new());
-            lowered.body.walk(&mut |s| {
-                duplicates += usize::from(!ids.insert(s.id));
-                if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
-                    loops.push(s.id);
-                }
-            });
-            let mut best = std::time::Duration::MAX;
-            let (mut blockers, mut reductions) = (0, 0);
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                let info = collect_accesses(&lowered);
-                blockers = loops
-                    .iter()
-                    .map(|l| loop_carried_deps_in(&info, *l).len())
-                    .sum();
-                reductions = loops
-                    .iter()
-                    .map(|l| carried_reductions_in(&info, *l).len())
-                    .sum();
-                best = best.min(t0.elapsed());
-            }
             let (label, scale) = labels(name, kind, full);
-            println!(
-                "| {label} | {scale} | {} | {blockers} | {reductions} | {} |",
-                loops.len(),
-                best.as_micros()
-            );
-            if duplicates + blockers + reductions > 0 {
-                failed.push(format!(
-                    "{label} ({scale}): {duplicates} duplicate ids, {blockers} blockers, \
-                     {reductions} carried reductions"
-                ));
+            programs.push((label, scale, program(name, full, kind)));
+        }
+    }
+    for name in ["subdivnet", "longformer", "softras", "gat"] {
+        for full in [false, true] {
+            let (_, scale) = labels(name, Kind::Searched, full);
+            programs.push((format!("{name} (searched)"), scale, committed_searched(name, full)));
+        }
+    }
+    let mut failed = Vec::new();
+    for (label, scale, p) in programs {
+        let lowered = lower_cpu_parallel(p.func());
+        let (mut ids, mut duplicates, mut loops) = (HashSet::new(), 0, 0);
+        lowered.body.walk(&mut |s| {
+            duplicates += usize::from(!ids.insert(s.id));
+            if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+                loops += 1;
             }
+        });
+        let mut best = std::time::Duration::MAX;
+        let mut serialized = Vec::new();
+        for _ in 0..3 {
+            let mut proven = lowered.clone();
+            let t0 = std::time::Instant::now();
+            serialized = prove_parallel(&mut proven);
+            best = best.min(t0.elapsed());
+        }
+        println!(
+            "| {label} | {scale} | {loops} | {} | {} |",
+            serialized.len(),
+            best.as_micros()
+        );
+        if duplicates + serialized.len() > 0 {
+            let why: Vec<&str> = serialized.iter().map(|r| r.reason.as_str()).collect();
+            failed.push(format!("{label} ({scale}): {duplicates} duplicate ids, serialized {why:?}"));
         }
     }
     assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
+
+/// A mark `parallelize` was never asked about reaches the engines: a
+/// hand-marked prefix sum, `for i (OpenMp): y[i + 1] = y[i] + x[i]`, whose
+/// every iteration reads what the one before wrote, and a store of every
+/// iteration into one cell. The resolve both lowering engines share cannot
+/// prove either mark, so on the VM and the compiled engine the loop runs
+/// serially: outputs bit-identical to the interpreter, one `lower.parallel`
+/// decision naming the dependence, and no `omp parallel for` in the unit
+/// `cc` builds.
+#[test]
+fn a_racy_mark_runs_serially_with_its_reason_on_every_engine() {
+    let n = 4096usize;
+    let prefix = Func::new("prefix")
+        .param("x", [n], DataType::F32, AccessType::Input)
+        .param("y", [n + 1], DataType::F32, AccessType::Output)
+        .body(for_with(
+            "i",
+            0,
+            n as i64,
+            omp(),
+            store("y", [var("i") + 1], load("y", [var("i")]) + load("x", [var("i")])),
+        ));
+    let one_cell = Func::new("one_cell")
+        .param("y", [1], DataType::I64, AccessType::Output)
+        .body(for_with("i", 0, 32, omp(), store("y", [0], var("i"))));
+    let x = TensorVal::from_f32(&[n], (0..n).map(|v| (v as f32 * 0.37).sin()).collect());
+    let cases = [
+        (prefix, HashMap::from([("x".to_string(), x)])),
+        (one_cell, HashMap::new()),
+    ];
+    for (f, inputs) in &cases {
+        let want = Runtime::new().run(f, inputs, &no_sizes()).expect("interp");
+        let cache = std::env::temp_dir().join(format!("ft-racy-{}-{}", std::process::id(), f.name));
+        let _ = std::fs::remove_dir_all(&cache);
+        let mut engines: Vec<Box<dyn ExecutionEngine>> = vec![Box::new(VmRuntime::new())];
+        if cc_available() {
+            engines.push(Box::new(CompiledEngine::with_cache_dir(cache.clone())));
+        } else {
+            eprintln!("cc unavailable; not running the compiled engine");
+        }
+        for mut engine in engines {
+            let who = format!("{} on {}", engine.name(), f.name);
+            let sink = TraceSink::new();
+            engine.set_sink(Some(sink.clone()));
+            let got = engine.run(f, inputs, &no_sizes()).expect(&who);
+            assert_eq!(output_hash(&got.outputs), output_hash(&want.outputs), "{who}");
+            let serialized: Vec<_> = sink
+                .decisions()
+                .into_iter()
+                .filter(|d| d.primitive == "lower.parallel")
+                .collect();
+            let names_y = |d: &freetensor::trace::Decision| {
+                matches!(&d.deps[..], [dep] if dep.var == "y")
+                    && d.reason.as_ref().is_some_and(|r| r.contains("`y`"))
+            };
+            assert!(matches!(&serialized[..], [d] if names_y(d)), "{who}: {serialized:?}");
+        }
+        let resolved = VmRuntime::new().resolve(f, &no_sizes()).expect("resolves");
+        assert!(!emit_c(resolved.func()).unwrap().contains("omp parallel for"));
+        if cc_available() {
+            let units: Vec<String> = std::fs::read_dir(&cache)
+                .expect("cache directory")
+                .map(|e| e.expect("entry").path())
+                .filter(|p| p.extension().is_some_and(|e| e == "c"))
+                .map(|p| std::fs::read_to_string(p).expect("unit"))
+                .collect();
+            assert_eq!(units.len(), 1, "{}", f.name);
+            assert!(!units[0].contains("omp parallel for"), "{}:\n{}", f.name, units[0]);
+        }
+    }
+}
+
+/// `parallelize` leaves a carried reduction flagged `atomic` for the
+/// lowering to privatize; handed to the prover unlowered, the same loop is
+/// one it cannot prove, and it says which reduction.
+#[test]
+fn an_unlowered_atomic_reduction_is_a_carried_reduction_to_the_prover() {
+    let red = atomic("acc", [0], ReduceOp::Add, load("x", [var("i")]));
+    let id = red.id;
+    let f = Func::new("fser")
+        .param("x", [64], DataType::F32, AccessType::Input)
+        .param("acc", [1], DataType::F32, AccessType::Output)
+        .body(for_with("i", 0, 64, omp(), red));
+    let mut proven = Cow::Borrowed(&f);
+    let serialized = prove_parallel(&mut proven);
+    assert_eq!(serialized.len(), 1);
+    assert_eq!(serialized[0].reason, format!("carried reduction {id}"));
+    assert!(matches!(proven, Cow::Owned(_)));
+    assert!(shape_of(&proven).parallel_loops.is_empty());
+    // Lowered first, as the engines do, it privatizes and proves.
+    let mut lowered = lower_cpu_parallel(&f);
+    assert_eq!(prove_parallel(&mut lowered), []);
 }

@@ -79,9 +79,10 @@ fn vm_matches_interp_on_random_scheduled_workloads() {
     assert_eq!(variants, 4 * 10);
 }
 
-/// Run the VM (with a trace sink), hold it to [`assert_vm_contract`], and
-/// return its outputs with its `vm.lower` decision spans as `(kind,
-/// accepted, detail)`. Every span must be well-formed.
+/// Run the VM (with a trace sink), hold it to [`assert_vm_contract`] and
+/// to a resolve that serialized no parallel mark, and return its outputs
+/// with its `vm.lower` decision spans as `(kind, accepted, detail)`. Every
+/// span must be well-formed.
 fn diff_with_decisions(
     func: &ft_ir::Func,
     inputs: &HashMap<String, TensorVal>,
@@ -94,6 +95,9 @@ fn diff_with_decisions(
         .run(func, inputs, &HashMap::new())
         .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
     assert_vm_contract(func, inputs, &rv, ctx);
+    // Every mark here is one `parallelize` accepts: lowered, it proves.
+    let serialized = sink.decisions().into_iter().filter(|d| d.primitive == "lower.parallel");
+    assert_eq!(serialized.count(), 0, "a checked mark was serialized on {ctx}");
     let decisions = sink
         .events()
         .iter()
@@ -221,16 +225,21 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
     let xs: Vec<i32> = (0..1024).map(|v| (v * 31 + 7) % 113).collect();
     let x = TensorVal::from_i32(&[1024], xs.clone());
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
-    let (out, ds) = diff_with_decisions(&hist, &inputs, "parallel histogram");
+    let (out, _) = diff_with_decisions(&hist, &inputs, "parallel histogram");
     // The lowered nest is a chunk loop filling `h.part` and a merge nest
-    // folding it into `h`; the dependence engine must prove both. A traced
-    // run asks every region, forked or not, so this holds on one core too.
-    let regions: Vec<bool> = ds
-        .iter()
-        .filter(|(k, _, _)| k == "vm.parallel")
-        .map(|(_, acc, _)| *acc)
-        .collect();
-    assert_eq!(regions, [true, true], "chunk loop and merge nest: {ds:?}");
+    // folding it into `h`; the resolve must prove both (it decides before
+    // any region runs, so this holds on one core too).
+    let resolved = VmRuntime::new()
+        .resolve(&hist, &HashMap::new())
+        .expect("resolves");
+    assert_eq!(resolved.serialized(), [], "chunk loop and merge nest");
+    let mut regions = 0;
+    resolved.func().body.walk(&mut |s| {
+        if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+            regions += 1;
+        }
+    });
+    assert_eq!(regions, 2, "chunk loop and merge nest");
     let mut serial = [0.0f64; 16];
     xs.iter().for_each(|v| serial[(*v % 16) as usize] += 1.0);
     assert_eq!(out.output("h").to_f64_vec(), serial);
