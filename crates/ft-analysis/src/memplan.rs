@@ -17,7 +17,11 @@
 //!    a byte arena can): best-fit by decreasing size, with a first-fit
 //!    retry in program order when that heuristic ever packs worse than the
 //!    naive stack discipline. Class `k` occupies one 64-byte-aligned slice
-//!    of the arena, sized by its largest member.
+//!    of the arena, sized by its largest member. A register — a 0-d
+//!    `CpuStack` def, which the C back end declares as a scalar local and
+//!    the VM keeps in a register — takes no class and counts in neither
+//!    naive total: no executor but the reference interpreter stores one in
+//!    memory.
 //! 4. **Zero-fill elision.** A def whose first action on every execution
 //!    path that touches it is a full overwrite (a scalar store, or a
 //!    perfect unconditional loop nest covering the whole shape) does not
@@ -144,6 +148,8 @@ struct Walker<'a> {
     scope: HashMap<String, Vec<usize>>,
     /// All defs in pre-order: (name, stmt, dtype, mtype, bytes, scope start).
     defs: Vec<(String, StmtId, DataType, MemType, Option<u64>, u32)>,
+    /// Per def: whether it is a register (0-d `CpuStack`).
+    registers: Vec<bool>,
     /// Scope end seq per def, filled on exit.
     def_end: Vec<u32>,
     accesses: Vec<AccessRec>,
@@ -237,8 +243,11 @@ impl Walker<'_> {
                 let def_idx = self.defs.len();
                 self.defs
                     .push((name.clone(), s.id, *dtype, *mtype, bytes, my_seq));
+                let register = mtype.register(shape.len());
+                self.registers.push(register);
                 self.def_end.push(0);
-                let b = bytes.unwrap_or(0);
+                // A register is no buffer in the naive regime either.
+                let b = if register { 0 } else { bytes.unwrap_or(0) };
                 self.live_now += align_up(b);
                 self.naive_peak = self.naive_peak.max(self.live_now);
                 self.naive_alloc = self.naive_alloc.saturating_add(
@@ -613,6 +622,7 @@ impl MemPlan {
             seq: 0,
             scope: HashMap::new(),
             defs: Vec::new(),
+            registers: Vec::new(),
             def_end: Vec::new(),
             accesses: Vec::new(),
             loop_stack: Vec::new(),
@@ -681,11 +691,12 @@ impl MemPlan {
             }
         }
 
-        // Pack the constant-shaped defs.
+        // Pack the constant-shaped defs, registers aside.
         let bytes: HashMap<usize, u64> = w
             .defs
             .iter()
             .enumerate()
+            .filter(|&(d, _)| !w.registers[d])
             .filter_map(|(d, def)| def.4.map(|b| (d, b)))
             .collect();
         let mut by_size: Vec<usize> = bytes.keys().copied().collect();

@@ -1,6 +1,10 @@
-//! C99 + OpenMP emission for CPU schedules.
+//! C99 + OpenMP emission for CPU schedules: a printer of the IR that
+//! [`lower_scalar`](crate::lower_scalar) leaves. What leaves a loop, what
+//! is computed once and what lives in a register is decided there; here a
+//! register (a 0-d `CpuStack` def) is a scalar local, and a `vectorize`
+//! loop's `simd reduction` clause lists the registers it folds into.
 
-use crate::scalar::{self, Event, Kind};
+use ft_passes::hoist::any_node;
 use ft_ir::{
     AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, Param, ReduceOp, Stmt,
     StmtKind, UnaryOp,
@@ -11,12 +15,20 @@ use std::sync::OnceLock;
 
 /// Static preamble: headers and the tiny support library every generated
 /// translation unit relies on — `HEADERS`, `VECTOR_MATH`,
-/// [`SCALAR_HELPERS`], `LIB_MATMUL`.
+/// [`SCALAR_HELPERS`], `LIB_MATMUL`. The `float` math is declared pure
+/// (`errno` is never read), so `cc` computes once the `f32` values the
+/// scalar lowering leaves in place; a loop marked nothing calls `double`
+/// math in its scalar form.
 const HEADERS: &str = r#"#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <stdbool.h>
 #include <math.h>
+float expf(float) __attribute__((const));
+float logf(float) __attribute__((const));
+float powf(float, float) __attribute__((const));
+float sqrtf(float) __attribute__((const));
+float tanhf(float) __attribute__((const));
 
 "#;
 
@@ -135,17 +147,6 @@ fn taken() -> &'static HashSet<String> {
     })
 }
 
-/// Whether `ident` is spelled like a temporary of the emitter's own —
-/// `ft_h3` (hoisted out of a loop), `ft_c12` (computed once), `ft_a1`
-/// (accumulator). The emitter numbers them itself, so no IR name may be
-/// given one.
-fn is_temporary(ident: &str) -> bool {
-    ident
-        .strip_prefix("ft_")
-        .and_then(|r| r.strip_prefix(['h', 'c', 'a']))
-        .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
-}
-
 /// Scope-aware mapping from IR names to *distinct* C identifiers.
 ///
 /// `sanitize` alone maps every non-alphanumeric character to `_`, so
@@ -176,7 +177,7 @@ impl Mangler {
         let base = sanitize(name);
         let mut ident = base.clone();
         let mut n = 1usize;
-        while taken().contains(&ident) || self.used.contains(&ident) || is_temporary(&ident) {
+        while taken().contains(&ident) || self.used.contains(&ident) {
             n += 1;
             ident = format!("{base}_{n}");
         }
@@ -301,38 +302,19 @@ struct ArenaSlot {
     must_zero: bool,
 }
 
-/// A temporary of the emitter's own: while it is live, `expr` is spelled
-/// `ident`.
-struct Temp<'a> {
-    expr: &'a Expr,
-    ident: String,
-    /// The assignment after which a reused value retires; `None` for one
-    /// hoisted out of a loop, which lives until the loop ends.
-    last: Option<u32>,
-}
-
-/// `var[indices]` held in local `ident` while the loop in front of which it
-/// was loaded runs.
-struct Acc<'a> {
-    var: &'a str,
-    indices: &'a [Expr],
-    op: ReduceOp,
-    ident: String,
-}
-
 /// Largest constant element count emitted as an automatic array.
 const STACK_ELEMS: i64 = 4096;
 
 /// The one expression printer of the crate: what is in scope — tensors
-/// with their element types and shapes, IR names with their identifiers,
-/// the emitter's temporaries — and the target language's type names. Both
-/// emitters spell names, indices and expressions through it; everything it
-/// prints is typed from [`Expr::dtype`].
+/// with their element types and shapes, IR names with their identifiers —
+/// and the target language's type names. Both emitters spell names,
+/// indices and expressions through it; everything it prints is typed from
+/// [`Expr::dtype`].
 pub(crate) struct Printer<'a> {
-    /// Tensors in scope, innermost last: name, element type, shape.
-    pub(crate) tensors: Vec<(&'a str, DataType, &'a [Expr])>,
+    /// Tensors in scope, innermost last: name, element type, shape, and
+    /// whether it is a register, spelled as a scalar local.
+    pub(crate) tensors: Vec<(&'a str, DataType, &'a [Expr], bool)>,
     pub(crate) names: Mangler,
-    temps: Vec<Temp<'a>>,
     /// The target's names of `f32`, `f64`, `i32`, `i64`, `bool`.
     types: [&'static str; 5],
 }
@@ -341,7 +323,6 @@ struct Emitter<'a> {
     p: Printer<'a>,
     out: String,
     indent: usize,
-    tmp: usize,
     /// `Some` when emitting a profiled unit: the sites allocated so far.
     prof: Option<Vec<ProfSite>>,
     /// For-nesting depth; only depth-0 loops get a profiling site.
@@ -357,13 +338,6 @@ struct Emitter<'a> {
     parallel_depth: usize,
     /// First construct the backend refuses; the unit is discarded when set.
     err: Option<CodegenError>,
-    /// The scalar-code decisions, by statement; `next_event` is the first
-    /// one not acted on yet, `next_stmt` the pre-order number (their key)
-    /// of the next statement.
-    events: Vec<Event<'a>>,
-    next_event: usize,
-    next_stmt: u32,
-    accs: Vec<Acc<'a>>,
 }
 
 /// `<math.h>` spelling of a function that exists per float width: the
@@ -456,12 +430,11 @@ impl<'a> Printer<'a> {
         let tensors = func
             .params
             .iter()
-            .map(|p| (p.name.as_str(), p.dtype, p.shape.as_slice()))
+            .map(|p| (p.name.as_str(), p.dtype, p.shape.as_slice(), false))
             .collect();
         let p = Printer {
             tensors,
             names,
-            temps: Vec::new(),
             types,
         };
         (p, syms)
@@ -494,7 +467,7 @@ impl<'a> Printer<'a> {
         }]
     }
 
-    pub(crate) fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr])> {
+    pub(crate) fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr], bool)> {
         self.tensors.iter().rev().find(|t| t.0 == name)
     }
 
@@ -506,10 +479,13 @@ impl<'a> Printer<'a> {
         e.dtype(&|n| self.elem(n))
     }
 
-    /// Append `var[linearized indices]` to `out`.
+    /// Append `var[linearized indices]` to `out`, or `var` of a register.
     pub(crate) fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
-        let shape: &[Expr] = self.tensor(var).map_or(&[], |t| t.2);
+        let (shape, register) = self.tensor(var).map_or((&[][..], false), |t| (t.2, t.3));
         self.names.put(out, var);
+        if register {
+            return;
+        }
         out.push('[');
         match indices {
             [] => out.push('0'),
@@ -574,15 +550,6 @@ impl<'a> Printer<'a> {
     /// `f32` expression is spelled to evaluate in `float`, so every float
     /// literal in it carries an `f` and every math call the `float` name.
     pub(crate) fn put_expr(&self, out: &mut String, e: &Expr, lit: DataType) {
-        let leaf = matches!(
-            e,
-            Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_)
-        );
-        if !leaf {
-            if let Some(t) = self.temps.iter().find(|t| t.expr == e) {
-                return out.push_str(&t.ident);
-            }
-        }
         match e {
             Expr::IntConst(v) => put_int(out, *v),
             Expr::FloatConst(v) => put_float(out, *v, lit == DataType::F32),
@@ -700,39 +667,6 @@ impl<'a> Emitter<'a> {
         self.out = out;
     }
 
-    /// The decision for statement `at` that comes next, if one is left.
-    fn event_at(&mut self, at: u32) -> Option<Kind<'a>> {
-        let e = self.events.get(self.next_event).filter(|e| e.at == at)?;
-        self.next_event += 1;
-        Some(e.kind)
-    }
-
-    /// The next identifier of the emitter's own (see [`is_temporary`]).
-    fn temporary(&mut self, kind: char) -> String {
-        self.tmp += 1;
-        format!("ft_{kind}{}", self.tmp)
-    }
-
-    /// `const T ft_xN = e;` here, and `ft_xN` for `e` from here on.
-    fn declare(&mut self, kind: char, e: &'a Expr, last: Option<u32>) {
-        let t = self.p.ty(e);
-        if t.weak {
-            // Nothing but literals: the compiler folds it wherever it is.
-            return;
-        }
-        let ident = self.temporary(kind);
-        self.line_with(|em, out| {
-            let _ = write!(out, "const {} {ident} = ", em.p.ctype(t.dtype));
-            em.p.put_expr(out, e, t.dtype);
-            out.push(';');
-        });
-        self.p.temps.push(Temp {
-            expr: e,
-            ident,
-            last,
-        });
-    }
-
     fn numel(&self, shape: &[Expr]) -> String {
         if shape.is_empty() {
             return "1".to_string();
@@ -744,30 +678,11 @@ impl<'a> Emitter<'a> {
             .join(" * ")
     }
 
-    /// The left-hand side of an assignment to `var[indices]`: the local
-    /// that holds the element while its loop runs, else the element.
-    fn put_target(&self, out: &mut String, var: &str, indices: &[Expr]) {
-        match self
-            .accs
-            .iter()
-            .find(|a| a.var == var && a.indices == indices)
-        {
-            Some(acc) => out.push_str(&acc.ident),
-            None => self.p.put_index(out, var, indices),
-        }
-    }
-
-    /// `var[indices] = value;` or `var[indices] op= value;`, with the
-    /// values this statement is the first to use computed in front of it.
-    fn assign(&mut self, at: u32, var: &str, indices: &[Expr], op: Option<ReduceOp>, value: &Expr) {
-        while let Some(kind) = self.event_at(at) {
-            if let Kind::Reuse { expr, last } = kind {
-                self.declare('c', expr, Some(last));
-            }
-        }
+    /// `var[indices] = value;` or `var[indices] op= value;`.
+    fn assign(&mut self, var: &str, indices: &[Expr], op: Option<ReduceOp>, value: &Expr) {
         let elem = self.p.elem(var);
         self.line_with(|em, out| {
-            em.put_target(out, var, indices);
+            em.p.put_index(out, var, indices);
             match op {
                 None | Some(ReduceOp::Add | ReduceOp::Mul) => {
                     out.push_str(match op {
@@ -785,13 +700,13 @@ impl<'a> Emitter<'a> {
                     if t.is_float() {
                         let name = if op == ReduceOp::Min { "min" } else { "max" };
                         out.push_str(float_fn(name, t == DataType::F32));
-                        em.put_target(out, var, indices);
+                        em.p.put_index(out, var, indices);
                         out.push_str(", ");
                         em.p.put_expr(out, value, t);
                         out.push(')');
                     } else {
                         let mut x = String::new();
-                        em.put_target(&mut x, var, indices);
+                        em.p.put_index(&mut x, var, indices);
                         let y = em.p.expr(value, elem);
                         let cmp = if op == ReduceOp::Min { '<' } else { '>' };
                         let _ = write!(out, "(({x}) {cmp} ({y}) ? ({x}) : ({y}))");
@@ -800,18 +715,94 @@ impl<'a> Emitter<'a> {
             }
             out.push(';');
         });
-        self.p.temps.retain(|t| t.last != Some(at));
+    }
+
+    /// A register `name` of `dtype` whose scope is `body`, without a block
+    /// (every identifier of the unit is distinct): `[const] T x = v;` when
+    /// `body` starts with `x = v` (`const` when no other store follows),
+    /// `T x = 0;` otherwise (every def starts from zero).
+    fn register(&mut self, name: &'a str, dtype: DataType, body: &'a Stmt) {
+        let stmts = match &body.kind {
+            StmtKind::Block(v) => v.as_slice(),
+            _ => std::slice::from_ref(body),
+        };
+        let reads = |e: &Expr| any_node(e, &mut |n| matches!(n, Expr::Load { var, .. } if var == name));
+        let init = match stmts.first().map(|s| &s.kind) {
+            Some(StmtKind::Store {
+                var,
+                indices,
+                value,
+            }) if var == name && indices.is_empty() && !reads(value) => Some(value),
+            _ => None,
+        };
+        let stmts = &stmts[usize::from(init.is_some())..];
+        let only = init.is_some() && !stmts.iter().any(|s| writes(s, name));
+        let ty = self.p.ctype(dtype);
+        self.p.tensors.push((name, dtype, &[], true));
+        let ident = self.p.names.bind(name);
+        self.line_with(|em, out| {
+            let _ = write!(out, "{}{ty} {ident} = ", if only { "const " } else { "" });
+            match init {
+                Some(v) => em.p.put_expr(out, v, dtype),
+                None => out.push('0'),
+            }
+            out.push(';');
+        });
+        for s in stmts {
+            self.stmt(s);
+        }
+        self.p.names.unbind(name);
+        self.p.tensors.pop();
+    }
+
+    /// `#pragma omp simd`, with a `reduction` clause per operator naming
+    /// the registers outside `body` that it folds into with that operator.
+    fn simd_pragma(&mut self, body: &Stmt) {
+        let (mut defs, mut folds) = (Vec::new(), Vec::new());
+        body.walk(&mut |s| match &s.kind {
+            StmtKind::VarDef { name, .. } => defs.push(name.clone()),
+            StmtKind::ReduceTo { var, op, .. } if self.p.tensor(var).is_some_and(|t| t.3) => {
+                folds.push((*op, var.clone()))
+            }
+            _ => {}
+        });
+        self.line_with(|em, out| {
+            out.push_str("#pragma omp simd");
+            for (sym, op) in [('+', ReduceOp::Add), ('*', ReduceOp::Mul)] {
+                let mut ids: Vec<String> = Vec::new();
+                for (_, var) in folds.iter().filter(|f| f.0 == op && !defs.contains(&f.1)) {
+                    let id = em.p.names.resolve(var);
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+                if !ids.is_empty() {
+                    let _ = write!(out, " reduction({sym}: {})", ids.join(", "));
+                }
+            }
+        });
     }
 
     fn stmt(&mut self, s: &'a Stmt) {
-        let at = self.next_stmt;
-        self.next_stmt += 1;
         match &s.kind {
             StmtKind::Empty => {}
             StmtKind::Block(v) => {
                 for st in v {
                     self.stmt(st);
                 }
+            }
+            StmtKind::VarDef {
+                name,
+                shape,
+                dtype,
+                mtype,
+                body,
+                ..
+            } if mtype.register(shape.len()) => {
+                // A register. Planned or not, it keeps its place in the def
+                // pre-order the arena slots are numbered in.
+                self.def_idx += 1;
+                self.register(name, *dtype, body);
             }
             StmtKind::VarDef {
                 name,
@@ -831,7 +822,7 @@ impl<'a> Emitter<'a> {
                     .try_fold(1i64, |a, b| b.map(|v| a * v));
                 let slot = self.arena.get(self.def_idx).cloned().flatten();
                 self.def_idx += 1;
-                self.p.tensors.push((name, *dtype, shape));
+                self.p.tensors.push((name, *dtype, shape, false));
                 let ident = self.p.names.bind(name);
                 self.line("{");
                 self.indent += 1;
@@ -910,39 +901,6 @@ impl<'a> Emitter<'a> {
                 // is only in scope inside the loop.
                 let begin_c = self.p.expr(begin, DataType::I64);
                 let end_c = self.p.expr(end, DataType::I64);
-                // What the loop keeps out of its body goes in front of its
-                // pragma: invariant values, then the elements it folds into.
-                let (temps, accs) = (self.p.temps.len(), self.accs.len());
-                let (mut simd, mut guarded) = (property.vectorize, false);
-                while let Some(kind) = self.event_at(at) {
-                    match kind {
-                        Kind::Hoist(e) => self.declare('h', e, None),
-                        Kind::NoSimd => simd = false,
-                        Kind::Accum { var, indices, op } => {
-                            // A loop that may not run must not touch the
-                            // element either.
-                            if !guarded && !ft_passes::hoist::certainly_runs(begin, end) {
-                                self.line(&format!("if ({begin_c} < {end_c}) {{"));
-                                self.indent += 1;
-                                guarded = true;
-                            }
-                            let ident = self.temporary('a');
-                            let ty = self.p.ctype(self.p.elem(var));
-                            self.line_with(|em, out| {
-                                let _ = write!(out, "{ty} {ident} = ");
-                                em.p.put_index(out, var, indices);
-                                out.push(';');
-                            });
-                            self.accs.push(Acc {
-                                var,
-                                indices,
-                                op,
-                                ident,
-                            });
-                        }
-                        Kind::Reuse { .. } => unreachable!("reuse is decided per assignment"),
-                    }
-                }
                 if property.parallel.is_parallel() {
                     if self.parallel_depth > 0 {
                         self.err.get_or_insert_with(|| CodegenError::NestedParallel {
@@ -950,17 +908,8 @@ impl<'a> Emitter<'a> {
                         });
                     }
                     self.line("#pragma omp parallel for");
-                } else if simd {
-                    self.line_with(|em, out| {
-                        out.push_str("#pragma omp simd");
-                        for (sym, op) in [('+', ReduceOp::Add), ('*', ReduceOp::Mul)] {
-                            let of_op = em.accs[accs..].iter().filter(|a| a.op == op);
-                            let ids: Vec<&str> = of_op.map(|a| a.ident.as_str()).collect();
-                            if !ids.is_empty() {
-                                let _ = write!(out, " reduction({sym}: {})", ids.join(", "));
-                            }
-                        }
-                    });
+                } else if property.vectorize {
+                    self.simd_pragma(body);
                 }
                 let i = self.p.names.bind(iter);
                 self.line(&format!(
@@ -979,17 +928,6 @@ impl<'a> Emitter<'a> {
                 self.indent -= 1;
                 self.line("}");
                 self.p.names.unbind(iter);
-                for a in self.accs.split_off(accs) {
-                    self.line_with(|em, out| {
-                        em.p.put_index(out, a.var, a.indices);
-                        let _ = write!(out, " = {};", a.ident);
-                    });
-                }
-                if guarded {
-                    self.indent -= 1;
-                    self.line("}");
-                }
-                self.p.temps.truncate(temps);
                 if let Some(k) = site {
                     self.line("clock_gettime(CLOCK_MONOTONIC, &__ft_t1);");
                     self.line(&format!(
@@ -1022,7 +960,7 @@ impl<'a> Emitter<'a> {
                 var,
                 indices,
                 value,
-            } => self.assign(at, var, indices, None, value),
+            } => self.assign(var, indices, None, value),
             StmtKind::ReduceTo {
                 var,
                 indices,
@@ -1034,7 +972,7 @@ impl<'a> Emitter<'a> {
                     self.err
                         .get_or_insert_with(|| CodegenError::AtomicReduce { var: var.clone() });
                 }
-                self.assign(at, var, indices, Some(*op), value);
+                self.assign(var, indices, Some(*op), value);
             }
             StmtKind::LibCall {
                 kernel,
@@ -1075,8 +1013,22 @@ fn sanitize(name: &str) -> String {
     s
 }
 
+/// Whether `s` stores, folds into or computes `var`.
+fn writes(s: &Stmt, var: &str) -> bool {
+    let mut found = false;
+    s.walk(&mut |st| {
+        found |= match &st.kind {
+            StmtKind::Store { var: v, .. } | StmtKind::ReduceTo { var: v, .. } => v == var,
+            StmtKind::LibCall { outputs, .. } => outputs.iter().any(|o| o == var),
+            _ => false,
+        };
+    });
+    found
+}
+
 /// Emit a complete C translation unit (preamble + one function) for a
-/// CPU-scheduled, [lowered](crate::lower_cpu_parallel) function.
+/// CPU-scheduled function, [lowered](crate::lower_cpu_parallel) and
+/// [scalar-lowered](crate::lower_scalar) (which decides what it prints).
 ///
 /// # Errors
 ///
@@ -1149,17 +1101,12 @@ fn emit_unit(
         p,
         out: String::new(),
         indent: 0,
-        tmp: 0,
         prof: profile.then(Vec::new),
         loop_depth: 0,
         arena,
         def_idx: 0,
         parallel_depth: 0,
         err: None,
-        events: scalar::analyze(&func.body),
-        next_event: 0,
-        next_stmt: 0,
-        accs: Vec::new(),
     };
     let mut sig = em.p.signature(func, &syms);
     if plan.is_some() {
@@ -1315,7 +1262,7 @@ mod tests {
     fn lowered_histogram_emits_chunk_rows_and_an_ordered_merge() {
         let f = histogram();
         let lowered = crate::lower_cpu_parallel(&f);
-        let c = emit_c(&lowered).unwrap();
+        let c = emit_c(&crate::lower_scalar(&lowered)).unwrap();
         assert!(!c.contains("omp atomic") && !c.contains("omp critical"), "{c}");
         assert_eq!(c.matches("#pragma omp parallel for").count(), 2, "{c}");
         assert!(
@@ -1446,10 +1393,7 @@ mod tests {
         let syms = Printer::new(&f, TYPES).1;
         assert_ne!(syms.func, "main");
         assert_ne!(syms.params[0], "ft_fdiv");
-        // So must one spelled like a temporary of the emitter's.
         let mut m = Mangler::new();
-        assert_eq!(m.bind("ft_h1"), "ft_h1_2");
-        assert_eq!(m.bind("ft_hx"), "ft_hx");
         let c = emit_c(&f).unwrap();
         assert!(c.contains(&format!("void {}(", syms.func)), "{c}");
         // Nor anything the C library headers declare, in any float width:
@@ -1530,7 +1474,7 @@ mod tests {
 
     // -----------------------------------------------------------------
     // Scalar code: one positive and one negative case per rule of
-    // `scalar.rs`, read off the emitted text.
+    // `scalar.rs`, read off the text printed from its output.
 
     /// `f` over f32 tensors `x[64]`, `t[1]`, i32 `idx[64]` (inputs) and
     /// `y[64, 32]`, `z[64]` (outputs), size parameter `n`.
@@ -1543,7 +1487,7 @@ mod tests {
             .param("z", [64], DataType::F32, AccessType::Output)
             .size_param("n")
             .body(body);
-        emit_c(&f).unwrap()
+        emit_c(&crate::lower_scalar(&f)).unwrap()
     }
 
     fn simd() -> ForProperty {
@@ -1574,7 +1518,8 @@ mod tests {
     #[test]
     fn invariants_leave_a_loop_that_certainly_runs() {
         let c = gather_row(0, 32, |s| s);
-        let decls = c.find("const float ft_h1 = expf(x[i]);").expect(&c);
+        // `expf(x[i])` would round in an `f32` register: its load leaves.
+        let decls = c.find("const float ft_h1 = x[i];").expect(&c);
         assert!(
             c.contains("const int64_t ft_h2 = ((int64_t)idx[i]);"),
             "{c}"
@@ -1584,7 +1529,7 @@ mod tests {
         assert!(c.find("for (int64_t i = ").unwrap() < decls, "{c}");
         assert!(decls < c.find("for (int64_t c = ").unwrap(), "{c}");
         assert!(
-            c.contains("y[(i) * (32) + (c)] = (ft_h1 * x[(ft_h2 + c)]);"),
+            c.contains("y[(i) * (32) + (c)] = (expf(ft_h1) * x[(ft_h2 + c)]);"),
             "{c}"
         );
     }
@@ -1649,6 +1594,8 @@ mod tests {
 
     #[test]
     fn a_repeated_value_is_computed_once_until_its_operand_is_written() {
+        // An `f32` value with an operator in it would round in a register;
+        // the load in it is what is computed once.
         let e = || exp(load("t", [0]));
         let c = over_f32(block([
             store("z", [0], e()),
@@ -1656,10 +1603,10 @@ mod tests {
             store("t", [0], 1.0f32),
             store("z", [2], e()),
         ]));
-        assert_eq!(c.matches("expf(t[0])").count(), 2, "{c}");
-        let decl = c.find("const float ft_c1 = expf(t[0]);").expect(&c);
-        assert!(decl < c.find("z[0] = ft_c1;").expect(&c), "{c}");
-        assert!(c.contains("z[1] = (ft_c1 / x[1]);"), "{c}");
+        assert_eq!(c.matches("t[0]").count(), 3, "{c}");
+        let decl = c.find("const float ft_c1 = t[0];").expect(&c);
+        assert!(decl < c.find("z[0] = expf(ft_c1);").expect(&c), "{c}");
+        assert!(c.contains("z[1] = (expf(ft_c1) / x[1]);"), "{c}");
         assert!(c.contains("z[2] = expf(t[0]);"), "{c}");
         // Loads count, plain arithmetic is left to the C compiler.
         let c = over_f32(store(
@@ -1693,7 +1640,7 @@ mod tests {
         assert!(!c.contains("if ("), "{c}");
         // A loop that may not run must not touch the element either.
         let c = fold(ReduceOp::Mul, var("n"), load("x", [var("p")]));
-        assert!(c.contains("if (0 < n) {"), "{c}");
+        assert!(c.contains("if ((0 < n)) {"), "{c}");
         assert!(c.contains("#pragma omp simd reduction(*: ft_a1)"), "{c}");
         // `fmaxf` drops a NaN, the clause's `max` need not: promoted, serial.
         let c = fold(ReduceOp::Max, 64, load("x", [var("p")]));
@@ -1826,7 +1773,8 @@ mod tests {
                     reduce("y", [7], ReduceOp::Min, x() + 1),
                 ]))
         };
-        let single = emit_c(&body(DataType::F32)).unwrap();
+        let emit = |dt| emit_c(&crate::lower_scalar(&body(dt))).unwrap();
+        let single = emit(DataType::F32);
         for line in [
             "const float ft_c1 = x[0];",
             "y[0] = (expf((ft_c1 * 0.5f)) / 3);",
@@ -1840,7 +1788,7 @@ mod tests {
         ] {
             assert!(single.contains(line), "`{line}` missing:\n{single}");
         }
-        let double = emit_c(&body(DataType::F64)).unwrap();
+        let double = emit(DataType::F64);
         for line in [
             "y[0] = (exp((ft_c1 * 0.5)) / 3);",
             "y[1] = fmin(fmax(ft_c1, 0.0), ft_ffmod(ft_c1, 2.5));",
@@ -1853,7 +1801,7 @@ mod tests {
         }
         // An integer meeting a float literal is a double, as in C; among
         // themselves integers compare exactly.
-        let int = emit_c(&body(DataType::I64)).unwrap();
+        let int = emit(DataType::I64);
         for line in [
             "y[1] = fmin(fmax(ft_c1, 0.0), ft_ffmod(ft_c1, 2.5));",
             "y[3] = ft_sigmoid(llabs(ft_c1));",

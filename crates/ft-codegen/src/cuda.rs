@@ -130,7 +130,7 @@ impl<'a> Cuda<'a> {
                 body,
                 ..
             } => {
-                self.p.tensors.push((name, *dtype, shape));
+                self.p.tensors.push((name, *dtype, shape, false));
                 let ident = self.p.names.bind(name);
                 if *mtype == MemType::GpuShared {
                     self.shared.push(name);
@@ -501,7 +501,7 @@ mod tests {
         );
         // And the same operators in C (which keeps `n[i]` in a local):
         // one printer, one spelling.
-        let c = crate::emit_c(&f).expect("nothing to refuse");
+        let c = crate::emit_c(&crate::lower_scalar(&f)).expect("nothing to refuse");
         assert!(
             c.contains("q[i] = (llabs(ft_fdiv(ft_c1, 3)) + ft_fmod(ft_c1, 3));"),
             "{c}"

@@ -10,20 +10,19 @@
 //!   an ordered merge; [`lower::prove_parallel`], the legality verdict
 //!   both engines run once per resolve, makes every mark of that function
 //!   the dependence engine cannot prove serial;
+//! * [`lower_scalar`] — the IR→IR step after it, for both back ends:
+//!   loop-invariant values, repeated values and reduction targets become
+//!   0-d `CpuStack` registers, and a `vectorize` loop that still carries a
+//!   reduction loses its mark (the `scalar` module says what, and why the
+//!   interpreter cannot tell the difference);
 //! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`) for
 //!   lowered CPU schedules; compile-checked against the host C compiler in
-//!   the test suite. What the C computes per element is decided here, not
-//!   left to the backend compiler: `f32` expressions are spelled in `float`
-//!   ([`ft_ir::Expr::dtype`]), and loop-invariant values, repeated values
-//!   and reduction targets go into locals (the crate-private `scalar`
-//!   analysis; `DESIGN.md` §7 states the numeric contract);
+//!   the test suite. It prints what the IR says: `f32` expressions are
+//!   spelled in `float` ([`ft_ir::Expr::dtype`]), a register is a scalar
+//!   local, and a `vectorize` loop's `simd reduction` clause names the
+//!   registers it folds into (`DESIGN.md` §7 states the numeric contract);
 //! * [`cuda::emit_cuda`] — CUDA-flavoured source: one `__global__` kernel per
-//!   outermost GPU-parallel nest plus a host launcher.
-//!
-//! In this repository the measured substrate is the instrumented interpreter
-//! (`ft-runtime`), per the substitution rules in `DESIGN.md`; the emitters
-//! exist to close the pipeline the way the paper describes and are validated
-//! for syntactic well-formedness.
+//!   outermost GPU-parallel nest plus a host launcher (syntax-checked only).
 
 pub mod c;
 pub mod cuda;
@@ -35,6 +34,7 @@ pub use c::{
 };
 pub use cuda::emit_cuda;
 pub use lower::{lower_cpu_parallel, prove_parallel, Serialized};
+pub use scalar::lower_scalar;
 
 use ft_analysis::MemPlan;
 use ft_ir::Func;
@@ -44,24 +44,38 @@ use std::collections::HashMap;
 
 /// The function the C backend compiles and the VM executes for `func`, and
 /// the memory plan of *that* function — the single place
-/// [`lower_cpu_parallel`] meets [`MemPlan::plan`]. Both engines, the
-/// serving admission check and the conformance backend all size, emit and
-/// run from this pair, so the partial rows the lowering adds are in the
-/// planned peak, come out of the arena and are budgeted. The engines also
-/// run [`prove_parallel`] on the function when they resolve a call, so a
-/// mark the dependence engine cannot prove runs serially on both; the plan
-/// does not depend on marks and stays the plan of that function.
+/// [`lower_cpu_parallel`] and [`lower_scalar`] meet [`MemPlan::plan`]. Both
+/// engines, the serving admission check and the conformance backend all
+/// size, emit and run from this pair, so the partial rows the lowering adds
+/// are in the planned peak, come out of the arena and are budgeted (the
+/// registers are defs of the plan too, with no arena slot). A `RunContext`
+/// keeps the pair for every warm call. The engines also run
+/// [`prove_parallel`] on the function when they resolve a call, so a mark
+/// the dependence engine cannot prove runs serially on both; the plan does
+/// not depend on marks and stays the plan of that function.
 pub fn lower_and_plan<'a>(
     func: &'a Func,
     sizes: &HashMap<String, i64>,
 ) -> (Cow<'a, Func>, MemPlan) {
-    let lowered = lower_cpu_parallel(func);
+    let lowered = then(lower_cpu_parallel(func), lower_scalar);
     let plan = MemPlan::plan(&lowered, sizes);
     (lowered, plan)
 }
 
-/// [`lower_cpu_parallel`] then [`emit_c`], with a provenance span on the
-/// compile track of `sink`.
+/// `step` applied to the function `first` holds, owned or borrowed.
+fn then<'a>(first: Cow<'a, Func>, step: fn(&Func) -> Cow<'_, Func>) -> Cow<'a, Func> {
+    match first {
+        Cow::Borrowed(f) => step(f),
+        Cow::Owned(f) => match step(&f) {
+            Cow::Borrowed(_) => Cow::Owned(f),
+            Cow::Owned(g) => Cow::Owned(g),
+        },
+    }
+}
+
+/// [`lower_cpu_parallel`], [`lower_scalar`], then [`emit_c`] — the C of the
+/// function the engines compile — with a provenance span on the compile
+/// track of `sink`.
 ///
 /// # Panics
 ///
@@ -69,7 +83,7 @@ pub fn lower_and_plan<'a>(
 /// ([`CodegenError::UnknownLibKernel`]).
 pub fn emit_c_traced(func: &Func, sink: Option<&TraceSink>) -> String {
     emit_traced("emit_c", func, sink, |f| {
-        emit_c(&lower_cpu_parallel(f))
+        emit_c(&then(lower_cpu_parallel(f), lower_scalar))
             .expect("lowered IR calling library kernels the C backend provides")
     })
 }

@@ -1,74 +1,81 @@
-//! Scalar-code decisions of the C emitter: what leaves a loop, what is
-//! computed once, what lives in a register.
+//! The scalar lowering both back ends run: what leaves a loop, what is
+//! computed once, what lives in a register — decided once, on the IR, and
+//! written into it.
 //!
 //! The paper's speedups are fewer redundant operations in the generated
 //! OpenMP code (§4.3), and the backend compiler cannot find them for us:
-//! every tensor is a plain pointer that may alias every other, the body of
-//! an `omp parallel for` is outlined, and `exp` may set `errno`. So the
-//! decisions are made here, on the IR, where a tensor is a name — and
-//! handed to [`c`](crate::c) as a list of [`Event`]s keyed by the pre-order
-//! number of the statement they apply to. The IR itself is not rewritten:
-//! the engine re-emits the unit on every warm call to find its cache key,
-//! and cloning a function costs more than this whole analysis.
+//! every tensor is a plain pointer that may alias every other, and the
+//! body of an `omp parallel for` is outlined. So [`lower_scalar`] decides
+//! on the IR, where a tensor is a name, and spells each decision as a 0-d
+//! `CpuStack` `VarDef` — a register, which the C printer declares as a
+//! scalar local and the VM keeps in a machine register. It runs once per
+//! prepare, in [`lower_and_plan`](crate::lower_and_plan) (and
+//! [`emit_c_traced`](crate::emit_c_traced)).
 //!
 //! * **Hoisting.** A maximal subexpression of a statement directly in loop
 //!   `L` that may leave `L` by the rule of [`ft_passes::hoist`] (shared with
 //!   the values `ft-autodiff` names before differentiating) and contains a
-//!   load, a division or a math call is evaluated once in front of `L` —
-//!   one level at a time.
+//!   load, a division or a math call is stored once into a register in
+//!   front of `L` — one level at a time.
 //! * **Reuse.** Within a run of consecutive `Store`/`ReduceTo` statements,
 //!   a load, division or math call that occurs again before anything it
-//!   loads is written is computed once, in front of its first use. (The
-//!   arithmetic in between needs no help: on `const` locals the backend
-//!   compiler's own CSE sees it.)
+//!   loads is written is stored into a register in front of its first use.
+//!   (The arithmetic in between needs no help: on `const` locals the
+//!   backend compiler's own CSE sees it.)
 //! * **Accumulators.** In an innermost serial or `vectorize` loop, an
 //!   unconditional `X[idx] op= v` with loop-invariant `idx`, `X` touched by
-//!   nothing else in the loop, accumulates in a local. `+`/`*` locals go
-//!   into the loop's `simd reduction` clause; a `vectorize` loop left with
-//!   a carried reduction (`min`/`max`, whose NaN rule is not the clause's,
-//!   or a target the rule above refused) loses its pragma rather than
-//!   carry a `simd` promise it breaks. A tensor bound inside the loop's
-//!   body is private to one iteration: a reduction into it (`ad.t1.grad`
-//!   of a named value's adjoint) is neither an accumulator nor carried.
+//!   nothing else in the loop, accumulates in a register: loaded in front
+//!   of the loop, written back after it, both under `begin < end` when the
+//!   loop may not run. A target that is already a register needs none. A
+//!   `+`/`*` register goes into the loop's `simd reduction` clause; a
+//!   `vectorize` loop left with a carried reduction (`min`/`max`, whose NaN
+//!   rule is not the clause's, or a target the rule above refused) loses
+//!   its mark rather than carry a `simd` promise it breaks. A tensor bound
+//!   inside the loop's body is private to one iteration: a reduction into
+//!   it (`ad.t1.grad` of a named value's adjoint) is neither an accumulator
+//!   nor carried.
+//!
+//! A register is a rounding point for the interpreter, which computes
+//! `f32` arithmetic in `f64` and rounds on a store. So a hoisted or reused
+//! value is one the interpreter reads back bit for bit from a register of
+//! its type: a load or a cast, or any `f64`, `i64` or `bool` value. An
+//! `f32` value with an operator in it is not named whole; the loads in it
+//! are. The pass is invisible to the reference semantics.
 
-use ft_ir::{BinaryOp, Expr, Fnv1a, ReduceOp, Stmt, StmtKind, UnaryOp};
+use ft_ir::mutate::{mutate_expr_walk, Mutator};
+use ft_ir::{
+    builder, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp,
+};
 use ft_passes::hoist::{self, any_node, certainly_runs, is_leaf, operands, LoopNames, Scope};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
-/// One decision, for the statement whose pre-order number is `at`.
-#[derive(Debug)]
-pub(crate) struct Event<'a> {
-    pub at: u32,
-    pub kind: Kind<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Kind<'a> {
-    /// `const T t = expr;` in front of loop `at` (and of its pragma), live
-    /// until the loop ends.
-    Hoist(&'a Expr),
-    /// `const T t = expr;` in front of statement `at`, live through
-    /// statement `last`.
-    Reuse { expr: &'a Expr, last: u32 },
-    /// Loop `at` keeps `var[indices]` in a local: loaded in front of the
-    /// loop, the target of every `var[indices] op= v` inside, stored after.
-    Accum {
-        var: &'a str,
-        indices: &'a [Expr],
-        op: ReduceOp,
-    },
-    /// Loop `at` is marked `vectorize` but carries a reduction.
-    NoSimd,
-}
-
-/// The decisions for `body`, sorted by statement.
-pub(crate) fn analyze(body: &Stmt) -> Vec<Event<'_>> {
-    let mut a = Analyzer {
-        names: LoopNames::of(body),
-        ..Analyzer::default()
+/// `func` with its scalar-code decisions written in, or `func` itself when
+/// there are none.
+pub fn lower_scalar(func: &Func) -> Cow<'_, Func> {
+    let mut used: HashSet<String> = func.params.iter().map(|p| p.name.clone()).collect();
+    used.extend(func.size_params.iter().cloned());
+    func.body.walk(&mut |s| {
+        if let StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } = &s.kind {
+            used.insert(name.clone());
+        }
+    });
+    let mut a = Lowering {
+        names: LoopNames::of(&func.body),
+        used,
+        tensors: func.params.iter().map(|p| (p.name.as_str(), p.dtype, false)).collect(),
+        ..Lowering::default()
     };
-    a.visit(body, None, false);
-    a.events.sort_by_key(|e| e.at);
-    a.events
+    let body = a.visit(&func.body, None, false);
+    if !a.changed {
+        return Cow::Borrowed(func);
+    }
+    Cow::Owned(Func {
+        name: func.name.clone(),
+        params: func.params.clone(),
+        size_params: func.size_params.clone(),
+        body,
+    })
 }
 
 /// An enclosing loop, as seen from a statement inside it.
@@ -77,50 +84,56 @@ struct Loop {
     scope: Scope,
     /// Runs a constant, positive number of times.
     hoistable: bool,
-    /// Where this loop's candidates start in [`Analyzer::hoists`].
+    /// Where this loop's candidates start in [`Lowering::hoists`].
     h0: usize,
 }
 
-/// `var[indices] op= …` kept in a local.
-type Acc<'a> = (&'a str, &'a [Expr], ReduceOp);
+/// `var[indices] op= …` kept in a register: the register's name, `None`
+/// when `var` is one already.
+#[derive(Debug)]
+struct Acc<'a> {
+    var: &'a str,
+    indices: &'a [Expr],
+    op: ReduceOp,
+    reg: Option<String>,
+}
 
 /// A load, division or math call seen in the current run of assignments.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Seen<'a> {
     expr: &'a Expr,
-    /// [`fingerprint`] of `expr`: an unrolled body is a run of dozens of
-    /// loads that differ in the last term of an index, and each is looked
-    /// up among all the others, and again whenever a tensor is written.
-    hash: u64,
-    loads: u64,
     /// 0 once a write to a tensor it loads closed the entry.
     count: u32,
-    first: u32,
-    last: u32,
+    /// Positions in the run of its first and last use.
+    first: usize,
+    last: usize,
 }
 
 #[derive(Debug, Default)]
-struct Analyzer<'a> {
+struct Lowering<'a> {
     /// What each loop binds or writes.
     names: LoopNames<'a>,
     next_loop: usize,
-    next_stmt: u32,
-    events: Vec<Event<'a>>,
-    /// Hoisting candidates of the enclosing loops, innermost last. All of
-    /// them will be temporaries that are live at the statement being
-    /// visited, whichever loop they end up in front of.
+    /// Hoisting candidates of the enclosing loops, innermost last.
     hoists: Vec<&'a Expr>,
     seen: Vec<Seen<'a>>,
+    /// The entries of `seen` used more than once: each is computed once.
+    reuses: Vec<Seen<'a>>,
+    /// The accumulators of the innermost loop being rewritten.
+    accs: Vec<Acc<'a>>,
+    /// Tensors in scope, innermost last: name, element type, register.
+    tensors: Vec<(&'a str, DataType, bool)>,
+    /// Every name of the function, and the registers made so far.
+    used: HashSet<String>,
+    next_reg: usize,
+    changed: bool,
 }
 
-fn is_assign(s: &Stmt) -> bool {
-    matches!(s.kind, StmtKind::Store { .. } | StmtKind::ReduceTo { .. })
-}
-
-/// Whether evaluating `e` itself (not its operands) is worth a temporary.
-fn costly(e: &Expr) -> bool {
+/// Whether evaluating `e` itself (not its operands) is worth a register,
+/// `tensors` in scope: a load is, unless it reads a register.
+fn costly(tensors: &[(&str, DataType, bool)], e: &Expr) -> bool {
     match e {
-        Expr::Load { .. } => true,
+        Expr::Load { var, .. } => !tensors.iter().rev().find(|t| t.0 == var).is_some_and(|t| t.2),
         Expr::Unary { op, .. } => matches!(
             op,
             UnaryOp::Sqrt | UnaryOp::Exp | UnaryOp::Ln | UnaryOp::Sigmoid | UnaryOp::Tanh
@@ -135,63 +148,6 @@ fn loads(e: &Expr, var: &str) -> bool {
         e,
         &mut |n| matches!(n, Expr::Load { var: v, .. } if v == var),
     )
-}
-
-fn mentions(e: &Expr, iter: &str) -> bool {
-    any_node(e, &mut |n| matches!(n, Expr::Var(v) if v == iter))
-}
-
-/// The bit of tensor `name` in a set of tensors folded into 64 bits.
-fn tensor_bit(name: &str) -> u64 {
-    1 << (ft_ir::fnv1a(name.as_bytes()) & 63)
-}
-
-/// Feed the structure of `e` to `h`, and the tensors it loads to `loads`.
-fn fingerprint(e: &Expr, h: &mut Fnv1a, loads: &mut u64) {
-    match e {
-        Expr::IntConst(v) => {
-            h.write(&[0]);
-            h.write(&v.to_le_bytes());
-        }
-        Expr::FloatConst(v) => {
-            h.write(&[1]);
-            h.write(&v.to_bits().to_le_bytes());
-        }
-        Expr::BoolConst(v) => h.write(&[2, u8::from(*v)]),
-        Expr::Var(n) => {
-            h.write(&[3]);
-            h.write(n.as_bytes());
-        }
-        Expr::Load { var, indices } => {
-            h.write(&[4, indices.len() as u8]);
-            h.write(var.as_bytes());
-            *loads |= tensor_bit(var);
-            indices.iter().for_each(|i| fingerprint(i, h, loads));
-        }
-        Expr::Unary { op, a } => {
-            h.write(&[5, *op as u8]);
-            fingerprint(a, h, loads);
-        }
-        Expr::Binary { op, a, b } => {
-            h.write(&[6, *op as u8]);
-            fingerprint(a, h, loads);
-            fingerprint(b, h, loads);
-        }
-        Expr::Select {
-            cond,
-            then,
-            otherwise,
-        } => {
-            h.write(&[7]);
-            fingerprint(cond, h, loads);
-            fingerprint(then, h, loads);
-            fingerprint(otherwise, h, loads);
-        }
-        Expr::Cast { dtype, a } => {
-            h.write(&[8, *dtype as u8]);
-            fingerprint(a, h, loads);
-        }
-    }
 }
 
 /// Whether two index lists certainly address different elements.
@@ -251,35 +207,107 @@ fn touches<'a>(
     }
 }
 
-impl<'a> Analyzer<'a> {
+/// Replaces every occurrence of a named value, outermost first, by a read
+/// of its register.
+struct UseRegisters<'r, 'a>(&'r [(&'a Expr, String)]);
+
+impl Mutator for UseRegisters<'_, '_> {
+    fn mutate_expr(&mut self, e: Expr) -> Expr {
+        if is_leaf(&e) {
+            return e;
+        }
+        match self.0.iter().find(|(v, _)| **v == e) {
+            Some((_, reg)) => builder::load(reg.as_str(), builder::scalar()),
+            None => mutate_expr_walk(self, e),
+        }
+    }
+}
+
+/// `VarDef reg { reg = value; body }`, a register of `dtype`.
+fn register(reg: &str, dtype: DataType, value: Expr, body: Vec<Stmt>) -> Stmt {
+    let mut stmts = vec![builder::store(reg, builder::scalar(), value)];
+    stmts.extend(body);
+    builder::var_def(reg, builder::scalar(), dtype, MemType::CpuStack, builder::block(stmts))
+}
+
+impl<'a> Lowering<'a> {
+    fn elem(&self, name: &str) -> DataType {
+        let t = self.tensors.iter().rev().find(|t| t.0 == name);
+        t.map_or(DataType::I64, |t| t.1)
+    }
+
+    fn dtype(&self, e: &Expr) -> DataType {
+        e.dtype(&|n| self.elem(n)).dtype
+    }
+
+    /// Whether the interpreter reads `e` back bit for bit from a register
+    /// of its type: the storage of an `f32` or `i32` rounds or wraps what
+    /// the interpreter computes in `f64` or `i64`. Literals fold anyway.
+    fn exact(&self, e: &Expr) -> bool {
+        let t = e.dtype(&|n| self.elem(n));
+        !t.weak
+            && match t.dtype {
+                DataType::F64 | DataType::I64 | DataType::Bool => true,
+                DataType::F32 | DataType::I32 => {
+                    matches!(e, Expr::Load { .. } | Expr::Cast { .. })
+                }
+            }
+    }
+
+    /// A register name no other name of the function has.
+    fn fresh(&mut self, kind: char) -> String {
+        loop {
+            self.next_reg += 1;
+            let name = format!("ft.{kind}{}", self.next_reg);
+            if self.used.insert(name.clone()) {
+                return name;
+            }
+        }
+    }
+
     /// Whether `e` means the same thing everywhere in `lp` and before it.
     fn invariant(&self, e: &Expr, lp: &Loop) -> bool {
         hoist::invariant(e, &|n| self.names.varies(lp.scope, n))
     }
 
     /// Make candidates of the maximal subexpressions of `e` that may leave
-    /// `lp` and contain something [`costly`], `e` itself included.
+    /// `lp` and contain something [`costly`], `e` itself included; one the
+    /// interpreter would round in a register gives way to its operands.
     fn scan(&mut self, e: &'a Expr, lp: &Loop) {
-        let names = &self.names;
+        let (names, tensors) = (&self.names, &self.tensors);
         let varies = |n: &str| names.varies(lp.scope, n);
+        let costly = |e: &Expr| costly(tensors, e);
+        let mut i = self.hoists.len();
         hoist::scan(e, &varies, &costly, &mut self.hoists, lp.h0);
+        while i < self.hoists.len() {
+            let c = self.hoists[i];
+            if self.exact(c) {
+                i += 1;
+                continue;
+            }
+            self.hoists.remove(i);
+            let len = self.hoists.len();
+            let (idx, sure, _) = operands(c);
+            for o in idx.iter().chain(sure.into_iter().flatten()) {
+                hoist::scan(o, &varies, &costly, &mut self.hoists, lp.h0);
+            }
+            // In its place, so the order of the candidates stays the order
+            // they are met in.
+            let added = self.hoists.len() - len;
+            self.hoists[i..].rotate_right(added);
+        }
     }
 
-    /// Count the costly subexpressions of `e`, part of assignment `at`,
-    /// that are evaluated whenever `e` is. A repeat is not looked into: its
-    /// operands will be evaluated once, with it.
-    fn count(&mut self, e: &'a Expr, at: u32) {
-        if is_leaf(e) {
+    /// Count the costly subexpressions of `e`, part of the assignment at
+    /// `at` in the run, that are evaluated whenever `e` is. A repeat is not
+    /// looked into: its operands will be evaluated once, with it.
+    fn count(&mut self, e: &'a Expr, at: usize) {
+        if is_leaf(e) || self.hoists.contains(&e) {
             return;
         }
-        if self.hoists.contains(&e) {
-            return;
-        }
-        let costly = costly(e);
-        let (mut h, mut loads) = (Fnv1a::new(), 0);
+        let costly = costly(&self.tensors, e) && self.exact(e);
         if costly {
-            fingerprint(e, &mut h, &mut loads);
-            let repeat = |s: &&mut Seen| s.count > 0 && s.hash == h.finish() && s.expr == e;
+            let repeat = |s: &&mut Seen| s.count > 0 && s.expr == e;
             if let Some(s) = self.seen.iter_mut().find(repeat) {
                 s.count += 1;
                 s.last = at;
@@ -293,8 +321,6 @@ impl<'a> Analyzer<'a> {
         if costly {
             self.seen.push(Seen {
                 expr: e,
-                hash: h.finish(),
-                loads,
                 count: 1,
                 first: at,
                 last: at,
@@ -302,10 +328,8 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// One assignment of a run.
-    fn assign(&mut self, s: &'a Stmt) {
-        let at = self.next_stmt;
-        self.next_stmt += 1;
+    /// The assignment at `at` in the current run.
+    fn assign(&mut self, s: &'a Stmt, at: usize) {
         let (StmtKind::Store {
             var,
             indices,
@@ -324,137 +348,262 @@ impl<'a> Analyzer<'a> {
             self.count(e, at);
         }
         // What loads `var` has a new value from here on.
-        let bit = tensor_bit(var);
         for i in 0..self.seen.len() {
-            let s = &self.seen[i];
-            if s.count > 0 && s.loads & bit != 0 && loads(s.expr, var) {
+            if self.seen[i].count > 0 && loads(self.seen[i].expr, var) {
                 self.close(i);
             }
         }
     }
 
     fn close(&mut self, i: usize) {
-        let s = &mut self.seen[i];
-        if s.count > 1 {
-            self.events.push(Event {
-                at: s.first,
-                kind: Kind::Reuse {
-                    expr: s.expr,
-                    last: s.last,
-                },
-            });
+        if self.seen[i].count > 1 {
+            self.reuses.push(self.seen[i].clone());
         }
-        s.count = 0;
+        self.seen[i].count = 0;
     }
 
-    fn end_run(&mut self) {
+    /// The assignments of `run`, rewritten, with every value reused in
+    /// them in a register in front of its first use.
+    fn end_run(&mut self, run: &[&'a Stmt]) -> Vec<Stmt> {
         (0..self.seen.len()).for_each(|i| self.close(i));
         self.seen.clear();
+        let mut reuses = std::mem::take(&mut self.reuses);
+        reuses.sort_by_key(|r| r.first);
+        let named: Vec<(&'a Expr, String)> =
+            reuses.iter().map(|r| (r.expr, self.fresh('c'))).collect();
+        // The registers among the first `k` that are live at `at`.
+        let live = |at: usize, k: usize| -> Vec<(&'a Expr, String)> {
+            let live = (0..k).filter(|&j| reuses[j].first <= at && at <= reuses[j].last);
+            live.map(|j| named[j].clone()).collect()
+        };
+        let stmts: Vec<Stmt> = run.iter().enumerate().map(|(at, s)| {
+            let k = reuses.partition_point(|r| r.first <= at);
+            UseRegisters(&live(at, k)).mutate_stmt(self.assignment(s))
+        }).collect();
+        // Every register lives to the end of the run: wrap from the back,
+        // in reverse order.
+        let mut rev: Vec<Stmt> = Vec::new();
+        for (at, s) in stmts.into_iter().enumerate().rev() {
+            rev.push(s);
+            for k in (0..reuses.len()).rev().filter(|&k| reuses[k].first == at) {
+                // Spelled with the registers declared before it.
+                let value = UseRegisters(&live(at, k)).mutate_expr(reuses[k].expr.clone());
+                let body = rev.drain(..).rev().collect();
+                rev.push(register(&named[k].1, self.dtype(reuses[k].expr), value, body));
+            }
+        }
+        self.changed |= !named.is_empty();
+        rev.reverse();
+        rev
     }
 
-    /// Second pass. `lp` is the innermost enclosing loop, `guarded` whether
-    /// an `If` sits between it and `s`.
-    fn visit(&mut self, s: &'a Stmt, lp: Option<&Loop>, guarded: bool) {
-        if is_assign(s) {
-            self.assign(s);
-            return self.end_run();
+    /// An assignment as written, unless it folds into an accumulator.
+    fn assignment(&self, s: &Stmt) -> Stmt {
+        if let StmtKind::ReduceTo {
+            var,
+            indices,
+            op,
+            value,
+            atomic: false,
+        } = &s.kind
+        {
+            let acc = self.accs.iter().find(|a| a.var == var && a.indices == indices.as_slice());
+            if let Some(Acc { reg: Some(reg), .. }) = acc {
+                let mut s = s.clone();
+                s.kind = StmtKind::ReduceTo {
+                    var: reg.clone(),
+                    indices: Vec::new(),
+                    op: *op,
+                    value: value.clone(),
+                    atomic: false,
+                };
+                return s;
+            }
         }
-        let at = self.next_stmt;
-        self.next_stmt += 1;
-        match &s.kind {
+        s.clone()
+    }
+
+    /// `s` rewritten. `lp` is the innermost enclosing loop, `guarded`
+    /// whether an `If` sits between it and `s`.
+    fn visit(&mut self, s: &'a Stmt, lp: Option<&Loop>, guarded: bool) -> Stmt {
+        let is_assign = |s: &Stmt| matches!(s.kind, StmtKind::Store { .. } | StmtKind::ReduceTo { .. });
+        if is_assign(s) {
+            self.assign(s, 0);
+            let mut run = self.end_run(&[s]);
+            return if run.len() == 1 { run.remove(0) } else { builder::block(run) };
+        }
+        let kind = match &s.kind {
             StmtKind::Block(v) => {
+                let (mut out, mut run) = (Vec::with_capacity(v.len()), Vec::new());
                 for c in v {
                     if is_assign(c) {
-                        self.assign(c);
+                        self.assign(c, run.len());
+                        run.push(c);
                     } else {
-                        self.end_run();
-                        self.visit(c, lp, guarded);
+                        out.extend(self.end_run(&run));
+                        run.clear();
+                        out.push(self.visit(c, lp, guarded));
                     }
                 }
-                self.end_run();
+                out.extend(self.end_run(&run));
+                StmtKind::Block(out)
             }
-            StmtKind::VarDef { body, .. } => self.visit(body, lp, guarded),
-            StmtKind::If {
-                then, otherwise, ..
-            } => {
-                self.visit(then, lp, true);
-                if let Some(o) = otherwise {
-                    self.visit(o, lp, true);
-                }
-            }
-            StmtKind::For {
-                iter,
-                begin,
-                end,
-                property,
+            StmtKind::VarDef {
+                name,
+                shape,
+                dtype,
+                mtype,
+                atype,
                 body,
             } => {
-                let scope = self.names.scope(self.next_loop);
-                self.next_loop += 1;
-                let me = Loop {
-                    scope,
-                    hoistable: certainly_runs(begin, end),
-                    h0: self.hoists.len(),
-                };
-                if me.hoistable {
-                    hoist::direct_assignments(body, &mut |indices, value| {
-                        for e in indices.iter().chain([value]) {
-                            self.scan(e, &me);
-                        }
-                    });
-                }
-                self.visit(body, Some(&me), false);
-                // Each candidate goes one loop further out where it may,
-                // and in front of this loop where it may not — then what
-                // is invariant *inside* it gets its chance further out.
-                let up = lp.filter(|p| p.hoistable && !guarded);
-                let e0 = self.events.len();
-                let mut keep = me.h0;
-                for i in me.h0..self.hoists.len() {
-                    let e = self.hoists[i];
-                    match up {
-                        Some(p) if self.invariant(e, p) => {
-                            if !self.hoists[p.h0..keep].contains(&e) {
-                                self.hoists[keep] = e;
-                                keep += 1;
-                            }
-                        }
-                        _ => self.events.push(Event {
-                            at,
-                            kind: Kind::Hoist(e),
-                        }),
-                    }
-                }
-                self.hoists.truncate(keep);
-                if let Some(p) = up {
-                    for i in e0..self.events.len() {
-                        if let Kind::Hoist(e) = self.events[i].kind {
-                            self.scan(e, p);
-                        }
-                    }
-                }
-                if scope.innermost && !property.parallel.is_parallel() {
-                    self.accumulate(at, iter, body, &me, property.vectorize);
-                } else if property.vectorize && carried(body, iter, &[], &mut Vec::new()) {
-                    self.events.push(Event {
-                        at,
-                        kind: Kind::NoSimd,
-                    });
+                self.tensors.push((name, *dtype, mtype.register(shape.len())));
+                let body = self.visit(body, lp, guarded);
+                self.tensors.pop();
+                StmtKind::VarDef {
+                    name: name.clone(),
+                    shape: shape.clone(),
+                    dtype: *dtype,
+                    mtype: *mtype,
+                    atype: *atype,
+                    body: Box::new(body),
                 }
             }
+            StmtKind::If {
+                cond,
+                then,
+                otherwise,
+            } => StmtKind::If {
+                cond: cond.clone(),
+                then: Box::new(self.visit(then, lp, true)),
+                otherwise: otherwise.as_ref().map(|o| Box::new(self.visit(o, lp, true))),
+            },
+            StmtKind::For { .. } => return self.visit_for(s, lp, guarded),
             StmtKind::Store { .. } | StmtKind::ReduceTo { .. } => unreachable!("handled above"),
-            StmtKind::LibCall { .. } | StmtKind::Empty => {}
+            StmtKind::LibCall { .. } | StmtKind::Empty => s.kind.clone(),
+        };
+        Stmt {
+            id: s.id,
+            label: s.label.clone(),
+            kind,
         }
     }
 
-    /// Accumulators of innermost loop `at` over `iter`.
-    fn accumulate(&mut self, at: u32, iter: &str, body: &'a Stmt, me: &Loop, vectorize: bool) {
-        let mut accs: Vec<Acc<'a>> = Vec::new();
+    fn visit_for(&mut self, s: &'a Stmt, lp: Option<&Loop>, guarded: bool) -> Stmt {
+        let StmtKind::For {
+            iter,
+            begin,
+            end,
+            property,
+            body,
+        } = &s.kind
+        else {
+            unreachable!("called on loops")
+        };
+        let scope = self.names.scope(self.next_loop);
+        self.next_loop += 1;
+        let me = Loop {
+            scope,
+            hoistable: certainly_runs(begin, end),
+            h0: self.hoists.len(),
+        };
+        if me.hoistable {
+            hoist::direct_assignments(body, &mut |indices, value| {
+                for e in indices.iter().chain([value]) {
+                    self.scan(e, &me);
+                }
+            });
+        }
+        let serial = !property.parallel.is_parallel();
+        let accs = match scope.innermost && serial {
+            true => self.accumulators(body, &me),
+            false => Vec::new(),
+        };
+        let no_simd = property.vectorize && serial && carried(body, iter, &accs, &mut Vec::new());
+        let outer_accs = std::mem::replace(&mut self.accs, accs);
+        let body = self.visit(body, Some(&me), false);
+        let accs = std::mem::replace(&mut self.accs, outer_accs);
+        let mut property = property.clone();
+        property.vectorize &= !no_simd;
+        let mut out = Stmt {
+            id: s.id,
+            label: s.label.clone(),
+            kind: StmtKind::For {
+                iter: iter.clone(),
+                begin: begin.clone(),
+                end: end.clone(),
+                property,
+                body: Box::new(body),
+            },
+        };
+        self.changed |= no_simd;
+
+        // The elements the loop folds into, in registers around it.
+        let accs: Vec<_> = accs.into_iter().filter_map(|a| Some((a.reg?, a.var, a.indices))).collect();
+        if !accs.is_empty() {
+            let mut stmts = vec![out];
+            for (reg, var, indices) in &accs {
+                let value = builder::load(reg.as_str(), builder::scalar());
+                stmts.push(builder::store(*var, indices.to_vec(), value));
+            }
+            for (reg, var, indices) in accs.iter().rev() {
+                let value = builder::load(*var, indices.to_vec());
+                stmts = vec![register(reg, self.elem(var), value, stmts)];
+            }
+            out = stmts.pop().expect("one register");
+            // A loop that may not run must not touch the element either.
+            if !me.hoistable {
+                out = builder::if_(Expr::binary(BinaryOp::Lt, begin.clone(), end.clone()), out);
+            }
+            self.changed = true;
+        }
+
+        // Each candidate goes one loop further out where it may, and in
+        // front of this loop where it may not — then what is invariant
+        // *inside* it gets its chance further out.
+        let up = lp.filter(|p| p.hoistable && !guarded);
+        let mut placed: Vec<&'a Expr> = Vec::new();
+        let mut keep = me.h0;
+        for i in me.h0..self.hoists.len() {
+            let e = self.hoists[i];
+            match up {
+                Some(p) if self.invariant(e, p) => {
+                    if !self.hoists[p.h0..keep].contains(&e) {
+                        self.hoists[keep] = e;
+                        keep += 1;
+                    }
+                }
+                _ => placed.push(e),
+            }
+        }
+        self.hoists.truncate(keep);
+        if let Some(p) = up {
+            for &e in &placed {
+                self.scan(e, p);
+            }
+        }
+        if placed.is_empty() {
+            return out;
+        }
+        let named: Vec<(&'a Expr, String)> = placed.iter().map(|&e| (e, self.fresh('h'))).collect();
+        out = UseRegisters(&named).mutate_stmt(out);
+        let mut stmts = vec![out];
+        for k in (0..named.len()).rev() {
+            // Spelled with the registers declared before it.
+            let value = UseRegisters(&named[..k]).mutate_expr(named[k].0.clone());
+            stmts = vec![register(&named[k].1, self.dtype(named[k].0), value, stmts)];
+        }
+        self.changed = true;
+        stmts.pop().expect("one register")
+    }
+
+    /// The accumulators of innermost loop `me` with body `body`.
+    fn accumulators(&mut self, body: &'a Stmt, me: &Loop) -> Vec<Acc<'a>> {
+        let mut accs = Vec::new();
         self.reductions(body, me, &mut Vec::new(), &mut accs);
         let mut k = 0;
         while k < accs.len() {
-            let var = accs[k].0;
-            if k > 0 && accs[k - 1].0 == var {
+            let var = accs[k].var;
+            if k > 0 && accs[k - 1].var == var {
                 // Cleared together with the accumulator before it.
                 k += 1;
                 continue;
@@ -464,27 +613,24 @@ impl<'a> Analyzer<'a> {
             // than all of them.
             let alone = !touches(body, var, false, &mut |idx, op, guarded| {
                 accs.iter()
-                    .filter(|a| a.0 == var)
-                    .all(|a| (a.1 == idx && a.2 == op && !guarded) || distinct(a.1, idx))
+                    .filter(|a| a.var == var)
+                    .all(|a| (a.indices == idx && a.op == op && !guarded) || distinct(a.indices, idx))
             });
             if alone {
                 k += 1;
             } else {
                 // The first of `var`'s accumulators is the one at `k`.
-                accs.retain(|a| a.0 != var);
+                accs.retain(|a| a.var != var);
             }
         }
-        if vectorize && carried(body, iter, &accs, &mut Vec::new()) {
-            self.events.push(Event {
-                at,
-                kind: Kind::NoSimd,
-            });
+        let register = |var: &str| self.tensors.iter().rev().find(|t| t.0 == var).is_some_and(|t| t.2);
+        let regs: Vec<bool> = accs.iter().map(|a| register(a.var)).collect();
+        for (a, is_reg) in accs.iter_mut().zip(regs) {
+            if !is_reg {
+                a.reg = Some(self.fresh('a'));
+            }
         }
-        self.events
-            .extend(accs.into_iter().map(|(var, indices, op)| Event {
-                at,
-                kind: Kind::Accum { var, indices, op },
-            }));
+        accs
     }
 
     /// The distinct unconditional, non-atomic reductions directly in `me`
@@ -512,9 +658,14 @@ impl<'a> Analyzer<'a> {
                 ..
             } if !locals.contains(&var.as_str())
                 && indices.iter().all(|e| self.invariant(e, me))
-                && !out.iter().any(|a| a.0 == var && a.1 == indices.as_slice()) =>
+                && !out.iter().any(|a| a.var == var && a.indices == indices.as_slice()) =>
             {
-                out.push((var, indices, *op));
+                out.push(Acc {
+                    var,
+                    indices,
+                    op: *op,
+                    reg: None,
+                });
             }
             _ => {}
         }
@@ -531,10 +682,12 @@ fn carried<'a>(s: &'a Stmt, iter: &str, accs: &[Acc<'_>], locals: &mut Vec<&'a s
             var, indices, op, ..
         } => {
             let in_clause = matches!(op, ReduceOp::Add | ReduceOp::Mul)
-                && accs.iter().any(|a| a.0 == var && a.1 == indices.as_slice());
+                && accs.iter().any(|a| a.var == var && a.indices == indices.as_slice());
             !in_clause
                 && !locals.contains(&var.as_str())
-                && !indices.iter().any(|e| mentions(e, iter))
+                && !indices
+                    .iter()
+                    .any(|e| any_node(e, &mut |n| matches!(n, Expr::Var(v) if v == iter)))
         }
         StmtKind::Block(v) => v.iter().any(|c| carried(c, iter, accs, locals)),
         StmtKind::VarDef { name, body, .. } => {
@@ -561,23 +714,36 @@ mod tests {
     use super::*;
     use ft_ir::prelude::*;
 
-    /// What [`analyze`] decides for `for p in 0..64` (`vectorize`) over
-    /// `body`: `(NoSimd, accumulator targets)`.
-    fn loop_decisions(body: Stmt) -> (bool, Vec<String>) {
-        let simd = ForProperty {
+    fn simd() -> ForProperty {
+        ForProperty {
             vectorize: true,
             ..ForProperty::default()
-        };
-        let root = for_with("p", 0, 64, simd, body);
-        let (mut no_simd, mut accs) = (false, Vec::new());
-        for e in analyze(&root).into_iter().filter(|e| e.at == 0) {
-            match e.kind {
-                Kind::NoSimd => no_simd = true,
-                Kind::Accum { var, .. } => accs.push(var.to_string()),
-                _ => {}
-            }
         }
-        (no_simd, accs)
+    }
+
+    /// `for p in 0..64` (`vectorize`) over `body`, in `wrap`, lowered:
+    /// (whether its mark was cleared, the accumulators' targets).
+    fn loop_decisions(body: Stmt, wrap: fn(Stmt) -> Stmt) -> (bool, Vec<String>) {
+        let f = Func::new("f")
+            .param("x", [64], DataType::F32, AccessType::Input)
+            .param("t", [1], DataType::F32, AccessType::Output)
+            .body(wrap(for_with("p", 0, 64, simd(), body)));
+        let (mut cleared, mut accs) = (false, Vec::new());
+        lower_scalar(&f).body.walk(&mut |s| match &s.kind {
+            StmtKind::For { property, .. } => cleared = !property.vectorize,
+            StmtKind::Store {
+                var,
+                value: Expr::Load { var: reg, .. },
+                ..
+            } if reg.starts_with("ft.a") => accs.push(var.clone()),
+            _ => {}
+        });
+        (cleared, accs)
+    }
+
+    /// A 0-d `CpuStack` `g` around `body`.
+    fn g(body: Stmt) -> Stmt {
+        var_def("g", scalar(), DataType::F32, MemType::CpuStack, body)
     }
 
     /// `g[] += x[p]; g[] += x[p] * x[p]; t[0] += g[]`.
@@ -596,14 +762,41 @@ mod tests {
 
     #[test]
     fn a_reduction_into_a_body_local_def_is_private_to_the_iteration() {
-        let g = |body| var_def("g", scalar(), DataType::F32, MemType::CpuStack, body);
         // Bound in the body: `g` starts from zero every iteration, so the
-        // loop keeps its pragma, and only `t` is an accumulator.
+        // loop keeps its mark, and only `t` is an accumulator.
         assert_eq!(
-            loop_decisions(g(fold_through_g())),
+            loop_decisions(g(fold_through_g()), |l| l),
             (false, vec!["t".to_string()])
         );
         // The same folds into a `g` bound outside the loop carry it.
-        assert!(loop_decisions(fold_through_g()).0);
+        assert!(loop_decisions(fold_through_g(), g).0);
+        // A register folded into and nothing else needs no accumulator of
+        // its own, and keeps the mark: the `simd reduction` clause names it.
+        let sum = reduce("g", scalar(), ReduceOp::Add, load("x", [var("p")]));
+        assert_eq!(loop_decisions(sum, g), (false, vec![]));
+    }
+
+    #[test]
+    fn an_f32_value_with_an_operator_is_not_named_whole() {
+        // `exp(x[0]) / 2` would round in an `f32` register; the load in it
+        // leaves the loop instead. An `f64` value leaves whole.
+        let value = || Expr::unary(UnaryOp::Exp, load("x", [0])) / 2.0;
+        let hoisted = |dt| {
+            let f = Func::new("f")
+                .param("x", [64], dt, AccessType::Input)
+                .param("y", [64], dt, AccessType::Output)
+                .body(for_("p", 0, 64, store("y", [var("p")], value())));
+            let mut values = Vec::new();
+            lower_scalar(&f).body.walk(&mut |s| {
+                if let StmtKind::Store { var, value, .. } = &s.kind {
+                    if var.starts_with("ft.h") {
+                        values.push(value.clone());
+                    }
+                }
+            });
+            values
+        };
+        assert_eq!(hoisted(DataType::F32), [load("x", [0])]);
+        assert_eq!(hoisted(DataType::F64), [value()]);
     }
 }

@@ -104,6 +104,14 @@ impl MemType {
         }
     }
 
+    /// Whether a tensor of `ndim` dimensions here is a register: a 0-d
+    /// `CpuStack` scalar, which the C back end declares as a local and the
+    /// VM keeps in a machine register, and no executor but the reference
+    /// interpreter stores in memory.
+    pub fn register(self, ndim: usize) -> bool {
+        ndim == 0 && self == MemType::CpuStack
+    }
+
     /// The default memory space for freshly created tensors on a device.
     pub fn default_for(device: Device) -> Self {
         match device {

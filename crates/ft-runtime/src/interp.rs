@@ -90,7 +90,7 @@ impl Backend for Runtime {
         let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
         let mut span =
             sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("interp {}", func.name)));
-        let compiled = crate::compiled::compile(func)?;
+        let compiled = crate::slots::compile(func)?;
         // Planned VarDef storage: loop-local defs reuse one buffer across
         // iterations within this run (skipping the re-zero where liveness
         // proves write-before-read), and a caller-provided RunContext keeps
@@ -99,7 +99,7 @@ impl Backend for Runtime {
             Some(c) => c.take_tensor_pool(resolved.plan()),
             None => crate::arena::TensorPool::new(resolved.plan()),
         };
-        let mut ctx = crate::compiled::ExecCtx {
+        let mut ctx = crate::slots::ExecCtx {
             config: &self.config,
             tensors: (0..compiled.n_tensors).map(|_| None).collect(),
             names: &compiled.tensor_names,
@@ -140,10 +140,10 @@ impl Backend for Runtime {
 /// Place the resolved sizes and the bound parameters, execute the body, and
 /// extract outputs — the fallible core of `execute`, separated so the
 /// caller can recover the arena pool from the
-/// [`ExecCtx`](crate::compiled::ExecCtx) whether or not execution succeeded.
+/// [`ExecCtx`](crate::slots::ExecCtx) whether or not execution succeeded.
 fn bind_and_exec(
-    compiled: &crate::compiled::Compiled,
-    ctx: &mut crate::compiled::ExecCtx<'_>,
+    compiled: &crate::slots::Compiled,
+    ctx: &mut crate::slots::ExecCtx<'_>,
     resolved: &Resolved<'_>,
     inputs: &HashMap<String, TensorVal>,
 ) -> Result<HashMap<String, TensorVal>, RuntimeError> {

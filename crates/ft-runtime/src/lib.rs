@@ -45,7 +45,7 @@
 pub mod arena;
 pub mod bind;
 pub mod vm;
-pub(crate) mod compiled;
+pub(crate) mod slots;
 pub mod counters;
 pub mod device;
 pub mod engine;

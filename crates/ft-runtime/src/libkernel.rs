@@ -7,7 +7,7 @@
 //! generate — one streaming pass over each operand — plus FLOPs at a modeled
 //! vendor-library efficiency.
 
-use crate::compiled::ExecCtx;
+use crate::slots::ExecCtx;
 use crate::error::RuntimeError;
 use crate::value::{Scalar, TensorVal};
 

@@ -1,9 +1,11 @@
-//! Slot-indexed lowering of the IR for execution.
+//! Slot-indexed lowering of the IR: the form the reference interpreter
+//! executes and the bytecode VM ([`crate::vm`]) compiles from. (The engine
+//! that compiles C is [`crate::native`].)
 //!
 //! Interpreting the IR directly would resolve tensor and iterator *names*
 //! through hash maps on every access; this module lowers a [`Func`] once
-//! into a compiled form where every scalar and tensor reference is a dense
-//! slot index, and the executor works over plain vectors. Semantics and
+//! into a form where every scalar and tensor reference is a dense slot
+//! index, and the executor works over plain vectors. Semantics and
 //! instrumentation are identical to the specification in [`crate::interp`]
 //! (the equivalence is exercised by the whole cross-crate test suite, which
 //! runs everything through this path).

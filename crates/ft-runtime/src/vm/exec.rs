@@ -95,7 +95,7 @@ impl VmState<'_> {
     }
 
     #[inline(always)]
-    fn rf(&self, r: u32) -> f64 {
+    pub(super) fn rf(&self, r: u32) -> f64 {
         f64::from_bits(self.regs[r as usize])
     }
 
@@ -110,7 +110,7 @@ impl VmState<'_> {
     }
 
     #[inline(always)]
-    fn wf(&mut self, r: u32, v: f64) {
+    pub(super) fn wf(&mut self, r: u32, v: f64) {
         self.regs[r as usize] = v.to_bits();
     }
 

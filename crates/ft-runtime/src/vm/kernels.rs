@@ -12,11 +12,11 @@ use super::*;
 
 /// If `e` is a load whose index varies in `s`, return its target and index.
 fn varying_load(
-    e: &crate::compiled::CExpr,
+    e: &crate::slots::CExpr,
     s: usize,
-) -> Option<(usize, &[crate::compiled::CExpr])> {
+) -> Option<(usize, &[crate::slots::CExpr])> {
     match e {
-        crate::compiled::CExpr::Load { t, idx }
+        crate::slots::CExpr::Load { t, idx }
             if idx.iter().any(|i| contains_scalar(i, s)) =>
         {
             Some((*t, idx))
@@ -26,9 +26,9 @@ fn varying_load(
 }
 
 /// Strip nested single-statement `Seq` wrappers.
-fn unwrap_single(body: &crate::compiled::CStmt) -> &crate::compiled::CStmt {
+fn unwrap_single(body: &crate::slots::CStmt) -> &crate::slots::CStmt {
     match body {
-        crate::compiled::CStmt::Seq(v) if v.len() == 1 => unwrap_single(&v[0]),
+        crate::slots::CStmt::Seq(v) if v.len() == 1 => unwrap_single(&v[0]),
         other => other,
     }
 }
@@ -41,17 +41,9 @@ fn contiguous(base: i64, stride: i64, trip: usize, numel: usize) -> bool {
 }
 
 impl Compiler {
-    /// Hoist a loop-invariant expression into the (speculative) innermost
-    /// loop's preheader, returning the persist register holding its value.
-    /// `None` when the expression is not provably invariant.
-    fn hoist_invariant(&mut self, e: &crate::compiled::CExpr) -> Option<(u32, Ty)> {
-        let ok = {
-            let lp = self.loops.last().expect("vectorize ctx pushed");
-            self.invariant_ok(e, lp.s, &lp.writes)
-        };
-        if !ok {
-            return None;
-        }
+    /// Evaluate `e`, which [`speculable`](Compiler::speculable) admits, into
+    /// a persist register in the innermost loop's preheader.
+    fn preheader_value(&mut self, e: &crate::slots::CExpr) -> (u32, Ty) {
         let dst = self.alloc_persist();
         let mut pre = Vec::new();
         std::mem::swap(&mut self.buf, &mut pre);
@@ -62,15 +54,12 @@ impl Compiler {
         std::mem::swap(&mut self.buf, &mut pre);
         let lp = self.loops.last_mut().expect("vectorize ctx pushed");
         lp.preheader.extend(pre);
-        if !pure_total(e) {
-            lp.faulty_preheader = true;
-        }
-        Some((dst, ty))
+        (dst, ty)
     }
 
     /// Strength-reduce one access for a vectorized loop and recover the
     /// stride register its induction latch would have advanced by.
-    fn vec_access(&mut self, t: usize, idx: &[crate::compiled::CExpr]) -> Option<VecAccess> {
+    fn vec_access(&mut self, t: usize, idx: &[crate::slots::CExpr]) -> Option<VecAccess> {
         let before = self.loops.last().expect("vectorize ctx pushed").latches.len();
         let off = self.try_reduce(t, idx)?;
         let lp = self.loops.last().expect("vectorize ctx pushed");
@@ -91,7 +80,7 @@ impl Compiler {
     fn vec_src(
         &mut self,
         t: usize,
-        (xt, xidx): (usize, &[crate::compiled::CExpr]),
+        (xt, xidx): (usize, &[crate::slots::CExpr]),
     ) -> Result<VecAccess, &'static str> {
         if xt == t {
             return Err("reduction_target_reused");
@@ -106,9 +95,9 @@ impl Compiler {
     /// a fused kernel, or the structured reason the loop compiles serially.
     fn build_vec_kernel(
         &mut self,
-        inner: &crate::compiled::CStmt,
+        inner: &crate::slots::CStmt,
     ) -> Result<VecKernel, &'static str> {
-        use crate::compiled::{CExpr as E, CStmt as S};
+        use crate::slots::{CExpr as E, CStmt as S};
         let (t, idx, value) = match inner {
             S::Reduce {
                 t,
@@ -129,6 +118,25 @@ impl Compiler {
             return Err("unsupported_reduce_dtype");
         }
         let s = self.loops.last().expect("vectorize ctx pushed").s;
+        let dtype = self.tdtype[t];
+        if let Some((dst, _)) = self.register(&E::Load { t, idx: idx.clone() }) {
+            return match value {
+                E::Binary {
+                    op: BinaryOp::Mul,
+                    a,
+                    b,
+                } => match (varying_load(a, s), varying_load(b, s)) {
+                    (Some(x), Some(y)) => Ok(VecKernel::Dot {
+                        dst,
+                        dtype,
+                        x: self.vec_src(t, x)?,
+                        y: self.vec_src(t, y)?,
+                    }),
+                    _ => Err("unsupported_value_shape"),
+                },
+                _ => Err("unsupported_value_shape"),
+            };
+        }
         let dst = self.vec_access(t, idx).ok_or("dst_not_stride_reducible")?;
         let carried = dst.stride.is_none();
         let kernel = match value {
@@ -137,23 +145,19 @@ impl Compiler {
                 a,
                 b,
             } => match (varying_load(a, s), varying_load(b, s)) {
-                (Some(x), Some(y)) if carried => VecKernel::Dot {
-                    dst,
-                    x: self.vec_src(t, x)?,
-                    y: self.vec_src(t, y)?,
-                },
                 (Some(x), None) | (None, Some(x)) if !carried => {
                     // Multiplier on the left means the serial code
                     // computed `a * x`.
                     let a_lhs = varying_load(a, s).is_none();
                     let x = self.vec_src(t, x)?;
-                    let a = self
-                        .hoist_invariant(if a_lhs { a } else { b })
-                        .ok_or("unsupported_value_shape")?;
+                    let a = if a_lhs { a } else { b };
+                    if !self.speculable(a, s, false) {
+                        return Err("unsupported_value_shape");
+                    }
                     VecKernel::Axpy {
                         dst,
                         x,
-                        a: Some(a),
+                        a: Some(self.preheader_value(a)),
                         a_lhs,
                     }
                 }
@@ -173,7 +177,7 @@ impl Compiler {
     }
 
     /// Try to lower a `vectorize`-marked innermost loop into a [`VecSite`].
-    /// On success the emitted code is `[pre-guard] preheader VecLoop`; on a
+    /// On success the emitted code is `preheader VecLoop`; on a
     /// structured rejection the caller falls through to the plain serial
     /// lowering with the reason in the decision log.
     pub(super) fn try_vectorize(
@@ -182,7 +186,7 @@ impl Compiler {
         s_reg: u32,
         re: u32,
         prof: usize,
-        body: &crate::compiled::CStmt,
+        body: &crate::slots::CStmt,
     ) -> bool {
         let inner = unwrap_single(body);
         let mut writes = std::collections::HashSet::new();
@@ -190,7 +194,7 @@ impl Compiler {
         // A speculative loop context: accepted, its preheader feeds the
         // site; rejected, it is discarded whole (persist registers probed
         // into it leak, which `alloc_persist` documents as fine).
-        self.loops.push(LoopCtx::new(s, self.cond_depth, writes));
+        self.loops.push(LoopCtx { s, writes, ..LoopCtx::default() });
         let built = self.build_vec_kernel(inner);
         let ctx = self.loops.pop().expect("pushed above");
         match built {
@@ -201,7 +205,7 @@ impl Compiler {
             Ok(kernel) => {
                 // The induction latches are dropped: the kernel dispatch
                 // computes every offset from base + k * stride directly.
-                let pre_gi = self.emit_preheader(ctx.faulty_preheader, ctx.preheader, s_reg, re);
+                self.buf.extend(ctx.preheader);
                 let detail = VEC_KERNEL_NAMES[kernel.idx()];
                 let site = self.vec_sites.len() as u32;
                 self.vec_sites.push(VecSite {
@@ -210,10 +214,6 @@ impl Compiler {
                     kernel,
                 });
                 self.emit(Instr::VecLoop { site });
-                let after = self.buf.len() as u32;
-                if let Some(pg) = pre_gi {
-                    self.patch(pg, after);
-                }
                 self.decide(prof, true, detail);
                 true
             }
@@ -250,7 +250,7 @@ impl VmState<'_> {
                 VecKernel::Axpy { dst, x, a, a_lhs } => {
                     self.vec_axpy(trip, dst, x, *a, *a_lhs)?;
                 }
-                VecKernel::Dot { dst, x, y } => self.vec_dot(trip, dst, x, y)?,
+                VecKernel::Dot { dst, dtype, x, y } => self.vec_dot(trip, *dst, *dtype, x, y)?,
             }
             if let Some(t) = self.tally.as_mut() {
                 t.vec[site.kernel.idx()] += 1;
@@ -281,7 +281,7 @@ impl VmState<'_> {
         let av = a.map(|(r, ty)| self.scalar_of(r, ty).as_f64());
         let xn = self.numel_of(xt)?;
         let dn = self.numel_of(dt)?;
-        let lane = contiguous(xb, xs, trip, xn) && contiguous(db, ds, trip, dn) && dt != xt;
+        let mut lane = contiguous(xb, xs, trip, xn) && contiguous(db, ds, trip, dn) && dt != xt;
         if lane {
             let (xo, do_) = (xb as usize, db as usize);
             let sp: *const Option<VmSlot> = self.slot(xt);
@@ -322,21 +322,12 @@ impl VmState<'_> {
                         }
                     }
                 }
-                _ => {
-                    // Mixed float widths: exact f64 math per cell.
-                    for k in 0..trip {
-                        let xvv = xv.val.get_flat(xo + k).as_f64();
-                        let prod = match (av, a_lhs) {
-                            (Some(a), true) => a * xvv,
-                            (Some(a), false) => xvv * a,
-                            (None, _) => xvv,
-                        };
-                        let old = dv.val.get_flat(do_ + k).as_f64();
-                        dv.val.set_flat(do_ + k, Scalar::Float(old + prod));
-                    }
-                }
+                // Mixed float widths: the per-cell steps below.
+                _ => lane = false,
             }
-            return Ok(());
+            if lane {
+                return Ok(());
+            }
         }
         let (mut ox, mut od) = (xb, db);
         for _ in 0..trip {
@@ -353,62 +344,43 @@ impl VmState<'_> {
         Ok(())
     }
 
-    /// `for i { dst[c] += x[f(i)] * y[g(i)] }` — the loop-carried dot.
+    /// `for i { r += x[f(i)] * y[g(i)] }` — the loop-carried dot into
+    /// register `r` of `dtype`: every step rounds to `dtype`, as the serial
+    /// loop's store into the register does.
     fn vec_dot(
         &mut self,
         trip: usize,
-        dst: &VecAccess,
+        r: u32,
+        dtype: DataType,
         x: &VecAccess,
         y: &VecAccess,
     ) -> Result<(), RuntimeError> {
-        let (dt, db, _) = self.acc(dst);
         let (xt, xb, xs) = self.acc(x);
         let (yt, yb, ys) = self.acc(y);
-        let xn = self.numel_of(xt)?;
-        let yn = self.numel_of(yt)?;
-        let dn = self.numel_of(dt)?;
-        let lane = contiguous(xb, xs, trip, xn)
-            && contiguous(yb, ys, trip, yn)
-            && db >= 0
-            && (db as usize) < dn
-            && dt != xt
-            && dt != yt;
-        if lane {
-            let (xo, yo, do_) = (xb as usize, yb as usize, db as usize);
-            let xp: *const Option<VmSlot> = self.slot(xt);
-            let yp: *const Option<VmSlot> = self.slot(yt);
-            let dp: *mut Option<VmSlot> = self.slot_mut(dt);
-            // SAFETY: dst is distinct from both sources (checked above);
-            // x and y may alias each other, both views are shared.
-            let xv = unsafe { (*xp).as_ref().expect("checked above") };
-            let yv = unsafe { (*yp).as_ref().expect("checked above") };
-            let dv = unsafe { (*dp).as_mut().expect("checked above") };
-            match (&mut dv.val.data, &xv.val.data, &yv.val.data) {
-                (Data::F32(d), Data::F32(sx), Data::F32(sy)) => {
-                    d[do_] = lanes::dot_f32(d[do_], &sx[xo..xo + trip], &sy[yo..yo + trip]);
-                }
-                (Data::F64(d), Data::F64(sx), Data::F64(sy)) => {
-                    d[do_] = lanes::dot_f64(d[do_], &sx[xo..xo + trip], &sy[yo..yo + trip]);
-                }
-                _ => {
-                    // Mixed float widths: exact f64 math per cell.
-                    for k in 0..trip {
-                        let p = xv.val.get_flat(xo + k).as_f64() * yv.val.get_flat(yo + k).as_f64();
-                        let old = dv.val.get_flat(do_).as_f64();
-                        dv.val.set_flat(do_, Scalar::Float(old + p));
-                    }
+        let lane = contiguous(xb, xs, trip, self.numel_of(xt)?)
+            && contiguous(yb, ys, trip, self.numel_of(yt)?);
+        let mut acc = self.rf(r);
+        let (xv, yv) = (self.slot(xt).as_ref(), self.slot(yt).as_ref());
+        let (xo, yo) = (xb as usize, yb as usize);
+        match (lane, dtype, xv.map(|v| &v.val.data), yv.map(|v| &v.val.data)) {
+            (true, DataType::F32, Some(Data::F32(sx)), Some(Data::F32(sy))) => {
+                acc = lanes::dot_f32(acc as f32, &sx[xo..xo + trip], &sy[yo..yo + trip]) as f64;
+            }
+            (true, DataType::F64, Some(Data::F64(sx)), Some(Data::F64(sy))) => {
+                acc = lanes::dot_f64(acc, &sx[xo..xo + trip], &sy[yo..yo + trip]);
+            }
+            // Strided, out of bounds or of mixed widths: step by step.
+            _ => {
+                let (mut ox, mut oy) = (xb, yb);
+                for _ in 0..trip {
+                    let p = self.load_flat_val(xt, ox)?.as_f64() * self.load_flat_val(yt, oy)?.as_f64();
+                    acc = scalar::cast(dtype, Scalar::Float(acc + p)).as_f64();
+                    ox = ox.wrapping_add(xs);
+                    oy = oy.wrapping_add(ys);
                 }
             }
-            return Ok(());
         }
-        let (mut ox, mut oy) = (xb, yb);
-        for _ in 0..trip {
-            let xvv = self.load_flat_val(xt, ox)?.as_f64();
-            let yvv = self.load_flat_val(yt, oy)?.as_f64();
-            self.reduce_flat_val(dt, db, ReduceOp::Add, Scalar::Float(xvv * yvv))?;
-            ox = ox.wrapping_add(xs);
-            oy = oy.wrapping_add(ys);
-        }
+        self.wf(r, acc);
         Ok(())
     }
 }
@@ -485,7 +457,8 @@ mod tests {
                         load("x", [var("i")]) * load("w", [var("i")]),
                     ),
                 ),
-                // Serial: carried Add, Min and Max of one load.
+                // Serial: a carried Add of one load. A carried Min or Max
+                // loses its mark in the scalar lowering.
                 for_with(
                     "i",
                     0,
@@ -513,7 +486,8 @@ mod tests {
     #[test]
     fn every_vectorize_kernel_shape_lowers() {
         let f = vectorize_shapes_func();
-        let c = crate::compiled::compile(&f).unwrap();
+        let (lowered, _) = ft_codegen::lower_and_plan(&f, &HashMap::new());
+        let c = crate::slots::compile(&lowered).unwrap();
         let prog = compile_program(&c);
         let veclooops = prog
             .code
@@ -530,8 +504,6 @@ mod tests {
             [
                 d(false, "store_body"),
                 d(false, "store_body"),
-                d(false, "unsupported_reduce_op"),
-                d(false, "unsupported_reduce_op"),
                 d(false, "unsupported_value_shape"),
                 d(true, "axpy"),
                 d(true, "axpy"),
@@ -630,7 +602,7 @@ mod tests {
                     16,
                     vec.clone(),
                     block([
-                        store("d", [var("i")], load("x", [var("i")])),
+                        store("d", [var("i")], 1.0f32),
                         reduce("e", [0], ReduceOp::Add, load("x", [var("i")])),
                     ]),
                 ),
@@ -685,7 +657,8 @@ mod tests {
                     vec.clone(),
                     reduce("hs", [0], ReduceOp::Add, load("x", [var("i")])),
                 ),
-                // unsupported_reduce_op (carried min and max)
+                // None: the scalar lowering clears the mark of a carried
+                // min and max.
                 for_with(
                     "i",
                     0,
@@ -756,8 +729,6 @@ mod tests {
             "unsupported_value_shape",
             "unsupported_value_shape",
             "unsupported_reduce_dtype",
-            "unsupported_reduce_op",
-            "unsupported_reduce_op",
             "unsupported_reduce_op",
             "reduction_target_reused",
             "parallel_region",

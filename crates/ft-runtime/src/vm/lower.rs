@@ -1,46 +1,30 @@
 //! Lowering of a slot-resolved function into a [`VmProgram`]: the
 //! register-allocating `Compiler`, strength reduction, and parallel-region
-//! sites.
+//! sites. A register of the IR (a 0-d `CpuStack` def, which
+//! `ft_codegen::lower_scalar` makes of every value it hoists, reuses or
+//! accumulates) is a machine register here; what to hoist is not decided
+//! again.
 
 use super::*;
 
 /// Per-open-loop compile state for strength reduction.
+#[derive(Default)]
 pub(super) struct LoopCtx {
     /// Scalar slot of the loop iterator.
     pub(super) s: usize,
-    /// `Compiler::cond_depth` at loop entry; an access compiled while the
-    /// depth is back at this value executes unconditionally every iteration.
-    cond_base: usize,
     /// Tensor slots the loop body writes (stores, reduces, `LibCall`
-    /// outputs, and `VarDef`s) — loads from any other tensor are
-    /// loop-invariant.
+    /// outputs, and `VarDef`s) — a register outside them is loop-invariant.
     pub(super) writes: std::collections::HashSet<usize>,
-    /// Whether the preheader contains instructions that can fault (hoisted
-    /// invariant loads / integer division); if so the preheader must be
-    /// skipped for zero-trip loops.
-    pub(super) faulty_preheader: bool,
-    /// Instructions to run once at loop entry (after `s = begin`).
+    /// Instructions to run once at loop entry (after `s = begin`), even
+    /// when the loop runs no iteration: they cannot fault.
     pub(super) preheader: Vec<Instr>,
     /// Induction increments to run at the end of every iteration.
     pub(super) latches: Vec<Instr>,
 }
 
-impl LoopCtx {
-    pub(super) fn new(s: usize, cond_base: usize, writes: std::collections::HashSet<usize>) -> LoopCtx {
-        LoopCtx {
-            s,
-            cond_base,
-            writes,
-            faulty_preheader: false,
-            preheader: Vec::new(),
-            latches: Vec::new(),
-        }
-    }
-}
-
 /// Call `f` on `s` and on every statement nested in it.
-fn for_each_stmt(s: &crate::compiled::CStmt, f: &mut impl FnMut(&crate::compiled::CStmt)) {
-    use crate::compiled::CStmt as S;
+fn for_each_stmt(s: &crate::slots::CStmt, f: &mut impl FnMut(&crate::slots::CStmt)) {
+    use crate::slots::CStmt as S;
     f(s);
     match s {
         S::Nop | S::Store { .. } | S::Reduce { .. } | S::LibCall { .. } => {}
@@ -58,8 +42,8 @@ fn for_each_stmt(s: &crate::compiled::CStmt, f: &mut impl FnMut(&crate::compiled
 }
 
 /// Collect every tensor slot `s` can write (or reallocate).
-pub(super) fn collect_writes(s: &crate::compiled::CStmt, out: &mut std::collections::HashSet<usize>) {
-    use crate::compiled::CStmt as S;
+pub(super) fn collect_writes(s: &crate::slots::CStmt, out: &mut std::collections::HashSet<usize>) {
+    use crate::slots::CStmt as S;
     for_each_stmt(s, &mut |st| match st {
         S::VarDef { t, .. } | S::Store { t, .. } | S::Reduce { t, .. } => {
             out.insert(*t);
@@ -83,37 +67,17 @@ pub(super) struct Compiler {
     depth_of: Vec<Option<usize>>,
     /// Declared dtype per tensor slot (fixed by the lowering).
     pub(super) tdtype: Vec<DataType>,
-    /// Number of conditional constructs (`If` branches, `Select` arms)
-    /// currently open; compared against `LoopCtx::cond_base` to decide
-    /// whether an access executes unconditionally in its loop.
-    pub(super) cond_depth: usize,
+    /// The machine register of each register of the IR (0-d `CpuStack`).
+    regs: Vec<Option<u32>>,
     lib_sites: Vec<LibSite>,
     pub(super) vec_sites: Vec<VecSite>,
     par_sites: Vec<ParSite>,
     decisions: Vec<LowerDecision>,
 }
 
-/// Whether `e` is total (cannot fault), pure (no memory reads) and integer
-/// (never produces a `Float`/`Bool` that `as_i64` would bend nonlinearly):
-/// safe to evaluate speculatively in a preheader, even for zero-trip loops.
-pub(super) fn pure_total(e: &crate::compiled::CExpr) -> bool {
-    use crate::compiled::CExpr as E;
-    use BinaryOp::*;
-    match e {
-        E::Int(_) | E::Scalar(_) => true,
-        E::Unary { op, a } => {
-            matches!(op, UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign) && pure_total(a)
-        }
-        E::Binary { op, a, b } => {
-            matches!(op, Add | Sub | Mul | Min | Max) && pure_total(a) && pure_total(b)
-        }
-        _ => false,
-    }
-}
-
 /// Whether scalar slot `s` appears anywhere in `e`.
-pub(super) fn contains_scalar(e: &crate::compiled::CExpr, s: usize) -> bool {
-    use crate::compiled::CExpr as E;
+pub(super) fn contains_scalar(e: &crate::slots::CExpr, s: usize) -> bool {
+    use crate::slots::CExpr as E;
     match e {
         E::Int(_) | E::Float(_) | E::Bool(_) => false,
         E::Scalar(x) => *x == s,
@@ -128,31 +92,6 @@ pub(super) fn contains_scalar(e: &crate::compiled::CExpr, s: usize) -> bool {
             contains_scalar(cond, s) || contains_scalar(then, s) || contains_scalar(otherwise, s)
         }
         E::Cast { a, .. } => contains_scalar(a, s),
-    }
-}
-
-/// Whether `e` (already known `pure_total`) is an affine function of scalar
-/// slot `s`, given that every other scalar slot in it is loop-invariant —
-/// which is the caller's to check.
-fn linear_in(e: &crate::compiled::CExpr, s: usize) -> bool {
-    use crate::compiled::CExpr as E;
-    use BinaryOp::*;
-    match e {
-        E::Int(_) | E::Scalar(_) => true,
-        E::Unary { op, a } => match op {
-            UnaryOp::Neg => linear_in(a, s),
-            _ => !contains_scalar(a, s),
-        },
-        E::Binary { op, a, b } => match op {
-            Add | Sub => linear_in(a, s) && linear_in(b, s),
-            Mul => {
-                (linear_in(a, s) && !contains_scalar(b, s))
-                    || (!contains_scalar(a, s) && linear_in(b, s))
-            }
-            Min | Max => !contains_scalar(a, s) && !contains_scalar(b, s),
-            _ => false,
-        },
-        _ => false,
     }
 }
 
@@ -236,7 +175,7 @@ impl Compiler {
 
     /// Compile each index expression into a contiguous register block
     /// (converted to `i64`, preserving the interpreter's evaluation order).
-    fn idx_block(&mut self, idx: &[crate::compiled::CExpr]) -> u32 {
+    fn idx_block(&mut self, idx: &[crate::slots::CExpr]) -> u32 {
         let blk = self.next;
         for _ in idx {
             self.alloc_tmp();
@@ -256,8 +195,8 @@ impl Compiler {
 
     /// Statically inferred scalar kind of an expression, mirroring the
     /// typing rules `expr` compiles with.
-    fn static_ty(&self, e: &crate::compiled::CExpr) -> Ty {
-        use crate::compiled::CExpr as E;
+    fn static_ty(&self, e: &crate::slots::CExpr) -> Ty {
+        use crate::slots::CExpr as E;
         use BinaryOp::*;
         match e {
             E::Int(_) => Ty::I,
@@ -288,76 +227,68 @@ impl Compiler {
         }
     }
 
-    /// Whether `e` is invariant in scalar slot `s` *and* safe to hoist into
-    /// the loop preheader: it never references `s`, and every load it
-    /// performs reads a tensor that exists before the loop and that the
-    /// loop body does not write, so its value — and any fault it raises —
-    /// is exactly that of the access's first-iteration evaluation.
-    pub(super) fn invariant_ok(
-        &self,
-        e: &crate::compiled::CExpr,
-        s: usize,
-        writes: &std::collections::HashSet<usize>,
-    ) -> bool {
-        use crate::compiled::CExpr as E;
+    /// The register `e` reads, with its type, if it reads one.
+    /// (An index into one is no register read: it fails as an access to a
+    /// tensor that does not exist.)
+    pub(super) fn register(&self, e: &crate::slots::CExpr) -> Option<(u32, Ty)> {
         match e {
-            E::Int(_) | E::Float(_) | E::Bool(_) => true,
-            E::Scalar(x) => *x != s,
-            E::Load { t, idx } => {
-                !writes.contains(t)
-                    && self.depth_of[*t].is_some_and(|d| d < self.loops.len())
-                    && idx.iter().all(|i| self.invariant_ok(i, s, writes))
+            crate::slots::CExpr::Load { t, idx } if idx.is_empty() => {
+                self.regs[*t].map(|r| (r, ty_of(self.tdtype[*t])))
             }
-            E::Unary { a, .. } => self.invariant_ok(a, s, writes),
-            E::Binary { a, b, .. } => {
-                self.invariant_ok(a, s, writes) && self.invariant_ok(b, s, writes)
-            }
-            E::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.invariant_ok(cond, s, writes)
-                    && self.invariant_ok(then, s, writes)
-                    && self.invariant_ok(otherwise, s, writes)
-            }
-            E::Cast { a, .. } => self.invariant_ok(a, s, writes),
+            _ => None,
         }
     }
 
-    /// Affine-in-`s` check where `s`-free subtrees may be arbitrary
-    /// hoistable invariants ([`Compiler::invariant_ok`]), as long as every
-    /// node on the `s`-path stays integer-typed — a float on the path would
-    /// round the truncated offset and break the two-point stride probe.
-    fn linear_mixed(
-        &self,
-        e: &crate::compiled::CExpr,
-        s: usize,
-        writes: &std::collections::HashSet<usize>,
-    ) -> bool {
-        use crate::compiled::CExpr as E;
+    /// Whether the innermost loop's preheader may evaluate `e` even when the
+    /// loop runs no iteration: it reads constants, scalars and registers
+    /// the loop does not write, and no integer division can fault. With
+    /// `int`, integer arithmetic the stride probes evaluate at an
+    /// iteration; without, a value of every iteration (no iterator `s`).
+    pub(super) fn speculable(&self, e: &crate::slots::CExpr, s: usize, int: bool) -> bool {
+        use crate::slots::CExpr as E;
         use BinaryOp::*;
-        if self.invariant_ok(e, s, writes) {
-            return self.static_ty(e) != Ty::F;
-        }
         match e {
-            E::Scalar(x) => *x == s,
-            E::Unary {
-                op: UnaryOp::Neg,
-                a,
-            } => self.linear_mixed(a, s, writes),
+            E::Int(_) => true,
+            E::Float(_) | E::Bool(_) => !int,
+            E::Scalar(x) => int || *x != s,
+            // To the loop, a register it does not write is an outer scalar.
+            E::Load { t, .. } => self.register(e).is_some_and(|(_, ty)| {
+                (!int || ty == Ty::I) && self.loops.last().is_some_and(|l| !l.writes.contains(t))
+            }),
+            E::Unary { op, a } => {
+                (!int || matches!(op, UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign))
+                    && self.speculable(a, s, int)
+            }
+            E::Binary { op, a, b } => {
+                let ok = match int {
+                    true => matches!(op, Add | Sub | Mul | Min | Max),
+                    false => !matches!(op, Div | Mod) || self.static_ty(e) == Ty::F,
+                };
+                ok && self.speculable(a, s, int) && self.speculable(b, s, int)
+            }
+            E::Select { .. } => false,
+            E::Cast { a, .. } => !int && self.speculable(a, s, int),
+        }
+    }
+
+    /// Whether `e` (already known [`speculable`](Compiler::speculable) as
+    /// an integer) is an affine function of scalar slot `s`.
+    fn linear_in(&self, e: &crate::slots::CExpr, s: usize) -> bool {
+        use crate::slots::CExpr as E;
+        use BinaryOp::*;
+        match e {
+            E::Int(_) | E::Scalar(_) | E::Load { .. } => true,
+            E::Unary { op, a } => match op {
+                UnaryOp::Neg => self.linear_in(a, s),
+                _ => !contains_scalar(a, s),
+            },
             E::Binary { op, a, b } => match op {
-                Add | Sub => {
-                    self.linear_mixed(a, s, writes) && self.linear_mixed(b, s, writes)
-                }
+                Add | Sub => self.linear_in(a, s) && self.linear_in(b, s),
                 Mul => {
-                    (self.linear_mixed(a, s, writes)
-                        && self.invariant_ok(b, s, writes)
-                        && self.static_ty(b) != Ty::F)
-                        || (self.invariant_ok(a, s, writes)
-                            && self.static_ty(a) != Ty::F
-                            && self.linear_mixed(b, s, writes))
+                    (self.linear_in(a, s) && !contains_scalar(b, s))
+                        || (!contains_scalar(a, s) && self.linear_in(b, s))
                 }
+                Min | Max => !contains_scalar(a, s) && !contains_scalar(b, s),
                 _ => false,
             },
             _ => false,
@@ -377,36 +308,20 @@ impl Compiler {
     pub(super) fn try_reduce(
         &mut self,
         t: usize,
-        idx: &[crate::compiled::CExpr],
+        idx: &[crate::slots::CExpr],
     ) -> Option<u32> {
-        let (s, cond_base) = self.loops.last().map(|l| (l.s, l.cond_base))?;
+        let s = self.loops.last()?.s;
         // The tensor (and hence its shape, which OffRaw reads at loop
         // entry) must exist before the loop starts.
         if self.depth_of[t].is_none_or(|d| d >= self.loops.len()) {
             return None;
         }
-        // Two eligibility tiers: `simple` probes are pure arithmetic that
-        // cannot fault, so they may run unconditionally in the preheader
-        // even for zero-trip loops; `with_loads` probes additionally hoist
-        // loop-invariant loads (gather rows, runtime strides read from
-        // memory), which is only sound for accesses executed
-        // unconditionally on every iteration — and obliges the preheader to
-        // be skipped when the loop runs zero iterations.
-        let simple = idx.iter().all(|e| pure_total(e) && linear_in(e, s));
-        let with_loads = !simple && self.cond_depth == cond_base && {
-            let lp = self.loops.last().expect("checked above");
-            idx.iter().all(|e| {
-                self.invariant_ok(e, s, &lp.writes) || self.linear_mixed(e, s, &lp.writes)
-            })
-        };
-        if !(simple || with_loads) {
+        // The probes run in the preheader whether or not the loop runs, so
+        // they must not fault: integer arithmetic on scalars and registers.
+        // A gathered row (`e[adj[i, j], c]`) reads a register here, which
+        // `ft_codegen::lower_scalar` loaded in front of the loop.
+        if !idx.iter().all(|e| self.speculable(e, s, true) && self.linear_in(e, s)) {
             return None;
-        }
-        if with_loads {
-            self.loops
-                .last_mut()
-                .expect("checked above")
-                .faulty_preheader = true;
         }
         let varying = idx.iter().any(|e| contains_scalar(e, s));
         let r_off = self.alloc_persist();
@@ -463,8 +378,8 @@ impl Compiler {
         Some(r_off)
     }
 
-    pub(super) fn expr(&mut self, e: &crate::compiled::CExpr) -> (u32, Ty) {
-        use crate::compiled::CExpr as E;
+    pub(super) fn expr(&mut self, e: &crate::slots::CExpr) -> (u32, Ty) {
+        use crate::slots::CExpr as E;
         match e {
             E::Int(v) => {
                 let dst = self.alloc_tmp();
@@ -481,9 +396,10 @@ impl Compiler {
                 self.emit(Instr::ConstB { dst, v: *v });
                 (dst, Ty::B)
             }
-            // Scalar slots are read-only to expressions; return the slot
-            // register itself.
+            // Scalar slots and registers are read-only to expressions;
+            // return the register itself.
             E::Scalar(s) => (*s as u32, Ty::I),
+            E::Load { .. } if self.register(e).is_some() => self.register(e).expect("checked"),
             E::Load { t, idx } => {
                 let ty = ty_of(self.tdtype[*t]);
                 if let Some(off) = self.try_reduce(*t, idx) {
@@ -535,38 +451,9 @@ impl Compiler {
             }
             E::Binary { op, a, b } => {
                 let mark = self.mark();
-                let (ra, ta) = self.expr(a);
-                let (rb, tb) = self.expr(b);
-                use BinaryOp::*;
-                // The kind the operands meet in, and the result's
-                // (`scalar::binary`).
-                let float = ta == Ty::F || tb == Ty::F;
-                let (tc, tr) = match op {
-                    And | Or => (Ty::B, Ty::B),
-                    Eq | Ne | Lt | Le | Gt | Ge if ta == Ty::I && tb == Ty::I => (Ty::I, Ty::B),
-                    Eq | Ne | Lt | Le | Gt | Ge => (Ty::F, Ty::B),
-                    Add | Sub | Mul | Div | Mod | Min | Max if !float => (Ty::I, Ty::I),
-                    _ => (Ty::F, Ty::F),
-                };
-                let (a, b) = (self.conv(ra, ta, tc), self.conv(rb, tb, tc));
-                self.free_to(mark);
-                let dst = self.alloc_tmp();
-                let op = *op;
-                self.emit(match (tc, tr, op) {
-                    (Ty::B, _, _) => Instr::BinB { op, dst, a, b },
-                    (Ty::I, Ty::B, _) => Instr::CmpI { op, dst, a, b },
-                    (_, Ty::B, _) => Instr::CmpF { op, dst, a, b },
-                    (Ty::I, _, Add) => Instr::AddI { dst, a, b },
-                    (Ty::I, _, Sub) => Instr::SubI { dst, a, b },
-                    (Ty::I, _, Mul) => Instr::MulI { dst, a, b },
-                    (Ty::I, _, _) => Instr::BinI { op, dst, a, b },
-                    (Ty::F, _, Add) => Instr::AddF { dst, a, b },
-                    (Ty::F, _, Sub) => Instr::SubF { dst, a, b },
-                    (Ty::F, _, Mul) => Instr::MulF { dst, a, b },
-                    (Ty::F, _, Div) => Instr::DivF { dst, a, b },
-                    (Ty::F, _, _) => Instr::BinF { op, dst, a, b },
-                });
-                (dst, tr)
+                let a = self.expr(a);
+                let b = self.expr(b);
+                self.binary(*op, a, b, mark)
             }
             E::Select {
                 cond,
@@ -579,8 +466,6 @@ impl Compiler {
                 self.free_to(mark);
                 let dst = self.alloc_tmp();
                 let br = self.emit_idx(Instr::BrFalse { cond: cb, to: 0 });
-                // Arms evaluate conditionally.
-                self.cond_depth += 1;
                 let mark2 = self.mark();
                 let (rt, tt) = self.expr(then);
                 self.emit(Instr::Mov { dst, src: rt });
@@ -589,7 +474,6 @@ impl Compiler {
                 let else_pc = self.buf.len() as u32;
                 self.patch(br, else_pc);
                 let (re, te) = self.expr(otherwise);
-                self.cond_depth -= 1;
                 debug_assert_eq!(tt, te, "the slot lowering gives both arms the node's type");
                 self.emit(Instr::Mov { dst, src: re });
                 self.free_to(mark2);
@@ -617,8 +501,98 @@ impl Compiler {
         }
     }
 
-    fn stmt(&mut self, s: &crate::compiled::CStmt) {
-        use crate::compiled::CStmt as S;
+    /// `a op b` of two evaluated operands, their temporaries released
+    /// back to `mark`.
+    fn binary(&mut self, op: BinaryOp, (ra, ta): (u32, Ty), (rb, tb): (u32, Ty), mark: u32) -> (u32, Ty) {
+        use BinaryOp::*;
+        // The kind the operands meet in, and the result's
+        // (`scalar::binary`).
+        let float = ta == Ty::F || tb == Ty::F;
+        let (tc, tr) = match op {
+            And | Or => (Ty::B, Ty::B),
+            Eq | Ne | Lt | Le | Gt | Ge if ta == Ty::I && tb == Ty::I => (Ty::I, Ty::B),
+            Eq | Ne | Lt | Le | Gt | Ge => (Ty::F, Ty::B),
+            Add | Sub | Mul | Div | Mod | Min | Max if !float => (Ty::I, Ty::I),
+            _ => (Ty::F, Ty::F),
+        };
+        let (a, b) = (self.conv(ra, ta, tc), self.conv(rb, tb, tc));
+        self.free_to(mark);
+        let dst = self.alloc_tmp();
+        self.emit(match (tc, tr, op) {
+            (Ty::B, _, _) => Instr::BinB { op, dst, a, b },
+            (Ty::I, Ty::B, _) => Instr::CmpI { op, dst, a, b },
+            (_, Ty::B, _) => Instr::CmpF { op, dst, a, b },
+            (Ty::I, _, Add) => Instr::AddI { dst, a, b },
+            (Ty::I, _, Sub) => Instr::SubI { dst, a, b },
+            (Ty::I, _, Mul) => Instr::MulI { dst, a, b },
+            (Ty::I, _, _) => Instr::BinI { op, dst, a, b },
+            (Ty::F, _, Add) => Instr::AddF { dst, a, b },
+            (Ty::F, _, Sub) => Instr::SubF { dst, a, b },
+            (Ty::F, _, Mul) => Instr::MulF { dst, a, b },
+            (Ty::F, _, Div) => Instr::DivF { dst, a, b },
+            (Ty::F, _, _) => Instr::BinF { op, dst, a, b },
+        });
+        (dst, tr)
+    }
+
+    /// `t[idx] = value`, or `t[idx] op= value` (`scalar::reduce`: the
+    /// operator's `binary`, then the store).
+    fn assign(
+        &mut self,
+        t: usize,
+        idx: &[crate::slots::CExpr],
+        op: Option<ReduceOp>,
+        value: &crate::slots::CExpr,
+    ) {
+        let mark = self.mark();
+        let tu = t as u32;
+        if let Some(r) = self.regs[t].filter(|_| idx.is_empty()) {
+            let dtype = self.tdtype[t];
+            let mut v = self.expr(value);
+            if let Some(op) = op {
+                let op = match op {
+                    ReduceOp::Add => BinaryOp::Add,
+                    ReduceOp::Mul => BinaryOp::Mul,
+                    ReduceOp::Min => BinaryOp::Min,
+                    ReduceOp::Max => BinaryOp::Max,
+                };
+                v = self.binary(op, (r, ty_of(dtype)), v, mark);
+            }
+            // Converted as a store into a tensor of `dtype` converts it.
+            let widest = matches!(dtype, DataType::F64 | DataType::I64 | DataType::Bool);
+            self.emit(match widest && v.1 == ty_of(dtype) {
+                true => Instr::Mov { dst: r, src: v.0 },
+                false => Instr::Cast {
+                    to: dtype,
+                    from: v.1,
+                    dst: r,
+                    a: v.0,
+                },
+            });
+        } else if let Some(off) = self.try_reduce(t, idx) {
+            let (src, sty) = self.expr(value);
+            self.emit(match op {
+                None => Instr::StoreFlat { t: tu, off, src, sty },
+                Some(op) => Instr::ReduceFlat { t: tu, off, src, sty, op },
+            });
+        } else {
+            let blk = self.idx_block(idx);
+            let (src, sty) = self.expr(value);
+            // Bounds are checked after the value evaluates, matching the
+            // interpreter's error order.
+            let off = self.alloc_tmp();
+            let ndim = idx.len() as u8;
+            self.emit(Instr::Off { t: tu, idx: blk, ndim, dst: off });
+            self.emit(match op {
+                None => Instr::StoreT { t: tu, off, src, sty },
+                Some(op) => Instr::ReduceT { t: tu, off, src, sty, op },
+            });
+        }
+        self.free_to(mark);
+    }
+
+    fn stmt(&mut self, s: &crate::slots::CStmt) {
+        use crate::slots::CStmt as S;
         match s {
             S::Nop => {}
             S::Seq(v) => {
@@ -636,7 +610,6 @@ impl Compiler {
                 let cb = self.conv(rc, tc, Ty::B);
                 self.free_to(mark);
                 let br = self.emit_idx(Instr::BrFalse { cond: cb, to: 0 });
-                self.cond_depth += 1;
                 self.stmt(then);
                 if let Some(o) = otherwise {
                     let j = self.emit_idx(Instr::Jmp { to: 0 });
@@ -649,69 +622,26 @@ impl Compiler {
                     let end = self.buf.len() as u32;
                     self.patch(br, end);
                 }
-                self.cond_depth -= 1;
             }
-            S::Store { t, idx, value } => {
-                let mark = self.mark();
-                if let Some(off) = self.try_reduce(*t, idx) {
-                    let (rv, tv) = self.expr(value);
-                    self.emit(Instr::StoreFlat {
-                        t: *t as u32,
-                        off,
-                        src: rv,
-                        sty: tv,
-                    });
-                } else {
-                    let blk = self.idx_block(idx);
-                    let (rv, tv) = self.expr(value);
-                    // Bounds are checked after the value evaluates, matching
-                    // the interpreter's error order.
-                    let roff = self.alloc_tmp();
-                    self.emit(Instr::Off {
-                        t: *t as u32,
-                        idx: blk,
-                        ndim: idx.len() as u8,
-                        dst: roff,
-                    });
-                    self.emit(Instr::StoreT {
-                        t: *t as u32,
-                        off: roff,
-                        src: rv,
-                        sty: tv,
-                    });
-                }
-                self.free_to(mark);
-            }
-            S::Reduce { t, idx, op, value } => {
-                let mark = self.mark();
-                if let Some(off) = self.try_reduce(*t, idx) {
-                    let (rv, tv) = self.expr(value);
-                    self.emit(Instr::ReduceFlat {
-                        t: *t as u32,
-                        off,
-                        src: rv,
-                        sty: tv,
-                        op: *op,
-                    });
-                } else {
-                    let blk = self.idx_block(idx);
-                    let (rv, tv) = self.expr(value);
-                    let roff = self.alloc_tmp();
-                    self.emit(Instr::Off {
-                        t: *t as u32,
-                        idx: blk,
-                        ndim: idx.len() as u8,
-                        dst: roff,
-                    });
-                    self.emit(Instr::ReduceT {
-                        t: *t as u32,
-                        off: roff,
-                        src: rv,
-                        sty: tv,
-                        op: *op,
-                    });
-                }
-                self.free_to(mark);
+            S::Store { t, idx, value } => self.assign(*t, idx, None, value),
+            S::Reduce { t, idx, op, value } => self.assign(*t, idx, Some(*op), value),
+            S::VarDef {
+                t,
+                shape,
+                dtype,
+                mtype,
+                body,
+            } if mtype.register(shape.len()) => {
+                // A register, zero like every def on entry.
+                self.tdtype[*t] = *dtype;
+                let r = self.alloc_persist();
+                self.regs[*t] = Some(r);
+                self.emit(match ty_of(*dtype) {
+                    Ty::I => Instr::ConstI { dst: r, v: 0 },
+                    Ty::F => Instr::ConstF { dst: r, v: 0.0 },
+                    Ty::B => Instr::ConstB { dst: r, v: false },
+                });
+                self.stmt(body);
             }
             S::VarDef {
                 t,
@@ -766,12 +696,12 @@ impl Compiler {
     fn compile_for(
         &mut self,
         s: usize,
-        begin: &crate::compiled::CExpr,
-        end: &crate::compiled::CExpr,
+        begin: &crate::slots::CExpr,
+        end: &crate::slots::CExpr,
         scope: ParallelScope,
         vectorize: bool,
         prof: usize,
-        body: &crate::compiled::CStmt,
+        body: &crate::slots::CStmt,
     ) {
         let s_reg = s as u32;
         // `end` cannot reference `s` (the lowering creates the iterator
@@ -806,7 +736,7 @@ impl Compiler {
         }
         let mut writes = std::collections::HashSet::new();
         collect_writes(body, &mut writes);
-        self.loops.push(LoopCtx::new(s, self.cond_depth, writes));
+        self.loops.push(LoopCtx { s, writes, ..LoopCtx::default() });
         let mut body_buf = Vec::new();
         std::mem::swap(&mut self.buf, &mut body_buf);
         self.stmt(body);
@@ -814,7 +744,7 @@ impl Compiler {
         let ctx = self.loops.pop().expect("pushed above");
         // Preheader (offset bases + numeric stride probes), then the
         // guard, then the relocated body, then the induction latches.
-        let pre_gi = self.emit_preheader(ctx.faulty_preheader, ctx.preheader, s_reg, re);
+        self.buf.extend(ctx.preheader);
         let guard = self.buf.len() as u32;
         let gi = self.emit_idx(Instr::BrGeI {
             a: s_reg,
@@ -831,20 +761,6 @@ impl Compiler {
         self.emit(Instr::Jmp { to: guard });
         let exit = self.buf.len() as u32;
         self.patch(gi, exit);
-        if let Some(pg) = pre_gi {
-            self.patch(pg, exit);
-        }
-    }
-
-    /// Emit a loop's preheader. When it can fault (hoisted invariant loads)
-    /// it goes behind a zero-trip pre-guard, so an empty loop never touches
-    /// memory it would not have touched under the interpreter; the guard
-    /// (on iterator `a` against bound `b`) is returned for the caller to
-    /// patch to the loop's exit.
-    pub(super) fn emit_preheader(&mut self, faulty: bool, pre: Vec<Instr>, a: u32, b: u32) -> Option<usize> {
-        let guard = faulty.then(|| self.emit_idx(Instr::BrGeI { a, b, to: 0 }));
-        self.buf.extend(pre);
-        guard
     }
 
     /// Record one `vectorize` decision for the trace.
@@ -858,26 +774,24 @@ impl Compiler {
 
     /// Lower an `OpenMp` loop into a [`ParSite`]. The resolve proved the
     /// mark (`ft_codegen::prove_parallel`) or made the loop serial.
-    fn region(&mut self, s_reg: u32, re: u32, body: &crate::compiled::CStmt) {
-        // The body compiles into a standalone stream with a clean loop /
-        // conditional context (workers re-enter it from scratch every
-        // iteration). `depth_of` stays consistent under the reset: tensors
-        // defined outside merely stop looking loop-invariant, which only
-        // makes strength reduction and hoisting more conservative.
+    fn region(&mut self, s_reg: u32, re: u32, body: &crate::slots::CStmt) {
+        // The body compiles into a standalone stream with a clean loop
+        // context (workers re-enter it from scratch every iteration, each
+        // with its own copy of the registers). `depth_of` stays consistent
+        // under the reset: tensors defined outside merely stop looking
+        // loop-invariant, which only makes strength reduction more
+        // conservative.
         let saved_loops = std::mem::take(&mut self.loops);
-        let saved_cond = self.cond_depth;
-        self.cond_depth = 0;
         let mut code = Vec::new();
         std::mem::swap(&mut self.buf, &mut code);
         self.stmt(body);
         self.emit(Instr::Halt);
         std::mem::swap(&mut self.buf, &mut code);
         self.loops = saved_loops;
-        self.cond_depth = saved_cond;
         // Each worker owns the body's `VarDef`s.
         let mut local_mask = vec![false; self.tdtype.len()];
         for_each_stmt(body, &mut |st| {
-            if let crate::compiled::CStmt::VarDef { t, .. } = st {
+            if let crate::slots::CStmt::VarDef { t, .. } = st {
                 local_mask[*t] = true;
             }
         });
@@ -901,9 +815,9 @@ pub(crate) fn compile_program(c: &Compiled) -> VmProgram<'_> {
         floor: c.n_scalars as u32,
         max_regs: c.n_scalars as u32,
         loops: Vec::new(),
-        cond_depth: 0,
         depth_of: vec![None; c.n_tensors],
         tdtype: vec![DataType::F32; c.n_tensors],
+        regs: vec![None; c.n_tensors],
         lib_sites: Vec::new(),
         vec_sites: Vec::new(),
         par_sites: Vec::new(),
@@ -974,7 +888,7 @@ mod tests {
                 64,
                 store("y", [var("i")], load("x", [var("i")])),
             ));
-        let c = crate::compiled::compile(&affine).unwrap();
+        let c = crate::slots::compile(&affine).unwrap();
         let prog = compile_program(&c);
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadFlat { .. })),
@@ -995,7 +909,7 @@ mod tests {
                 64,
                 store("y", [var("i")], load("x", [load("idx", [var("i")])])),
             ));
-        let c = crate::compiled::compile(&gather).unwrap();
+        let c = crate::slots::compile(&gather).unwrap();
         let prog = compile_program(&c);
         assert!(
             prog.code.iter().any(|i| matches!(i, Instr::LoadT { .. })),
@@ -1003,12 +917,26 @@ mod tests {
         );
     }
 
+    /// The values `ft_codegen::lower_scalar` hoists out of a loop of `f`.
+    fn hoisted(f: &Func) -> Vec<Expr> {
+        let mut values = Vec::new();
+        ft_codegen::lower_scalar(f).body.walk(&mut |s| {
+            if let StmtKind::Store { var, value, .. } = &s.kind {
+                if var.starts_with("ft.h") {
+                    values.push(value.clone());
+                }
+            }
+        });
+        values
+    }
+
     #[test]
     fn invariant_gather_rows_strength_reduce() {
         // SubdivNet's inner-loop shape: the gathered row index
         // `adj[i, j]` (and its `% 3` neighbour) is invariant in the channel
-        // loop, so the channel-loop accesses strength-reduce to flat
-        // loads even though the index contains loads and a Mod.
+        // loop, so the scalar lowering loads both in front of it, and the
+        // channel-loop accesses strength-reduce to flat loads through the
+        // registers.
         let (faces, ch) = (6usize, 8usize);
         let f = Func::new("conv")
             .param("e", [faces, ch], DataType::F32, AccessType::Input)
@@ -1042,7 +970,10 @@ mod tests {
                     ),
                 ),
             ));
-        let c = crate::compiled::compile(&f).unwrap();
+        let row = |j: Expr| load("adj", [var("i"), j]);
+        assert_eq!(hoisted(&f), [row(var("j")), row((var("j") + 1) % 3)]);
+        let (lowered, _) = ft_codegen::lower_and_plan(&f, &HashMap::new());
+        let c = crate::slots::compile(&lowered).unwrap();
         let prog = compile_program(&c);
         let flat_loads = prog
             .code
@@ -1078,9 +1009,10 @@ mod tests {
 
     #[test]
     fn zero_trip_loop_skips_faulting_preheader() {
-        // The hoisted invariant load `idx[7]` is out of bounds, but the
-        // loop never runs an iteration — the interpreter succeeds, so the
-        // VM's preheader must be skipped by the zero-trip pre-guard.
+        // The invariant load `idx[7]` is out of bounds, but the loop never
+        // runs an iteration — the interpreter succeeds. A loop that may not
+        // run has nothing hoisted out of it, so nothing faults in front of
+        // it.
         let f = Func::new("ztf")
             .param("x", [8], DataType::F32, AccessType::Input)
             .param("idx", [4], DataType::I64, AccessType::Input)
@@ -1092,6 +1024,7 @@ mod tests {
                 var("n"),
                 store("y", [var("c")], load("x", [load("idx", [7])])),
             ));
+        assert_eq!(hoisted(&f), []);
         let x = TensorVal::from_f32(&[8], vec![1.0; 8]);
         let idx = TensorVal::from_i64(&[4], vec![0; 4]);
         let r = assert_parity(&f, &[("x", x), ("idx", idx)], &[("n", 0)]);
@@ -1102,8 +1035,8 @@ mod tests {
     fn guarded_gather_is_not_hoisted() {
         // `idx[0]` is 100 — far out of bounds of `x` — but the guard is
         // false on every iteration, so the interpreter never evaluates the
-        // load. Hoisting it into the preheader would fault; conditional
-        // accesses must stay on the generic lazily-evaluated path.
+        // load. Hoisting it in front of the loop would fault: nothing
+        // leaves an `If`.
         let f = Func::new("guard")
             .param("x", [4], DataType::F32, AccessType::Input)
             .param("idx", [1], DataType::I64, AccessType::Input)
@@ -1117,6 +1050,7 @@ mod tests {
                     store("y", [var("i")], load("x", [load("idx", [0])])),
                 ),
             ));
+        assert_eq!(hoisted(&f), []);
         let x = TensorVal::from_f32(&[4], vec![1.0; 4]);
         let idx = TensorVal::from_i64(&[1], vec![100]);
         let r = assert_parity(&f, &[("x", x), ("idx", idx)], &[]);
@@ -1126,7 +1060,8 @@ mod tests {
     #[test]
     fn loads_from_loop_written_tensors_are_not_hoisted() {
         // `acc[0]` has a loop-invariant index but the loop itself writes
-        // `acc`, so the load must be re-evaluated every iteration.
+        // `acc`, so the load is evaluated every iteration: nothing leaves
+        // the loop, and nothing is reused across the store.
         let f = Func::new("carry")
             .param("y", [8], DataType::I64, AccessType::Output)
             .body(var_def(
@@ -1144,6 +1079,7 @@ mod tests {
                     ]),
                 ),
             ));
+        assert!(matches!(ft_codegen::lower_scalar(&f), std::borrow::Cow::Borrowed(_)));
         let r = assert_parity(&f, &[], &[]);
         // Running sums 0,1,3,6,... — a stale hoisted load would repeat 0.
         assert_eq!(

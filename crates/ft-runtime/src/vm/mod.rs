@@ -1,4 +1,4 @@
-//! A flat bytecode VM over the slot-indexed lowering in `crate::compiled`.
+//! A flat bytecode VM over the slot-indexed lowering in `crate::slots`.
 //!
 //! The tree-walking interpreter ([`crate::interp::Runtime`]) is the
 //! *specification*: deterministic, fully instrumented, and deliberately
@@ -13,27 +13,27 @@
 //! for hosts without a C compiler — and a *back end*, not a second
 //! runtime: like the compiled engine it executes the function
 //! `ft_codegen::lower_and_plan` returns, on the crate's [`TensorVal`] and
-//! `arena::TensorPool`. How a parallel reduction is realized (chunk-private
-//! rows merged in chunk order, or a serial loop) is thus decided once, on
-//! the IR, for both. So is whether a marked loop may run in parallel at
-//! all: the resolve both back ends share proves every mark of that
-//! function or makes it serial (`ft_codegen::prove_parallel`, see
-//! [`crate::bind`]), and the VM runs every `OpenMp` loop of the function it
-//! is given as a region on the [`WorkerPool`], with no prover of its own.
-//! It models no device:
-//! counters, the cache simulator, device capacities and per-statement
-//! profiling belong to the interpreter alone, and [`RunResult::counters`]
-//! comes back defaulted. Like the compiled engine, it runs a program whose
-//! defs exceed a modeled capacity.
+//! `arena::TensorPool`. So what is decided on the IR is decided once, for
+//! both: how a parallel reduction is realized (chunk-private rows merged in
+//! chunk order, or a serial loop); whether a marked loop may run in
+//! parallel (`ft_codegen::prove_parallel`, in the resolve both share, see
+//! [`crate::bind`]; the VM runs every `OpenMp` loop it is given as a region
+//! on the [`WorkerPool`]); and which values leave a loop, are computed
+//! once or accumulate in a register (`ft_codegen::lower_scalar`). A
+//! register of the IR — a 0-d `CpuStack` def — is a machine register here,
+//! with no buffer. The VM models no device: counters, the cache simulator,
+//! device capacities and per-statement profiling belong to the interpreter
+//! alone, and [`RunResult::counters`] comes back defaulted.
 //!
 //! It keeps three fast paths, each because it pays at least 1.5× on the
 //! program it helps most (EXPERIMENTS.md, "What the VM's fast paths buy"):
-//! affine tensor indices inside the innermost loop are strength-reduced to
-//! a per-iteration induction increment (`off += stride`) hoisted into a
-//! loop preheader; a `vectorize` loop whose body is an `axpy` or a `dot`
-//! runs as one fused kernel (`kernels.rs`); and a proven parallel region
-//! forks onto the pool. Any other `vectorize` body compiles as if unmarked,
-//! and a region that runs inline runs its own bytecode body.
+//! affine tensor indices inside the innermost loop — over iterators, sizes
+//! and integer registers the loop does not write — are strength-reduced to
+//! a per-iteration induction increment (`off += stride`) set up in a loop
+//! preheader; a `vectorize` loop whose body is an `axpy` or a `dot` runs as
+//! one fused kernel (`kernels.rs`); and a proven parallel region forks onto
+//! the pool. Any other `vectorize` body compiles as if unmarked, and a
+//! region that runs inline runs its own bytecode body.
 //!
 //! Every program is statically typed: parameters hold their declared dtype
 //! (an input of another dtype is converted when it is bound,
@@ -45,8 +45,8 @@
 //!
 //! On programs that *succeed*, outputs are bit-identical to the interpreter
 //! run on `lower_cpu_parallel(func)`, run to run and at any worker count
-//! (the differential fuzz suite asserts this): results follow the lowered
-//! function's association order. Where the lowering returns `func`
+//! (the differential fuzz suite asserts this; the scalar lowering changes
+//! no bit the interpreter computes). Where the lowering returns `func`
 //! untouched that is the interpreter on `func` itself; where it privatizes
 //! a float reduction the two agree to rounding, as the compiled kernel does.
 //!
@@ -60,14 +60,10 @@
 //!   (erroring before later dimensions run) but all-dims-then-convert by
 //!   the VM. (Parameter shapes are neither's business: they arrive
 //!   resolved, see [`crate::bind`].)
-//! * The VM hoists loop-invariant index arithmetic — including loads
-//!   from tensors the loop does not write, for accesses executed
-//!   unconditionally on every iteration — into the loop preheader. The
-//!   hoisted code only runs when the loop has at least one iteration, so
-//!   every fault it can raise is one the first iteration would raise too,
-//!   but it runs *before* that iteration's other side effects, so an
-//!   erroring program may report a different (still-legitimate) error than
-//!   the interpreter.
+//! * A value the scalar lowering hoists is evaluated in front of its loop,
+//!   which certainly runs and evaluates it unconditionally: a fault it
+//!   raises is the first iteration's, raised before that iteration's other
+//!   side effects.
 
 mod exec;
 mod kernels;
@@ -78,7 +74,7 @@ use lower::*;
 
 use crate::arena::{RunContext, TensorPool};
 use crate::bind::Resolved;
-use crate::compiled::Compiled;
+use crate::slots::Compiled;
 use crate::counters::PerfCounters;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
@@ -223,10 +219,12 @@ enum VecKernel {
         a: Option<(u32, Ty)>,
         a_lhs: bool,
     },
-    /// `acc += x[k] * y[k]` — loop-carried dot-product reduction into one
-    /// invariant cell.
+    /// `acc += x[k] * y[k]` — a loop-carried dot product into register
+    /// `dst` of `dtype` (`ft_codegen::lower_scalar` keeps every element a
+    /// `vectorize` loop folds into in a register, or clears the mark).
     Dot {
-        dst: VecAccess,
+        dst: u32,
+        dtype: DataType,
         x: VecAccess,
         y: VecAccess,
     },
@@ -345,7 +343,7 @@ impl Backend for VmRuntime {
         let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
         let pool_before = metrics.map(|_| WorkerPool::global().stats());
         let func = resolved.func();
-        let compiled = crate::compiled::compile(func)?;
+        let compiled = crate::slots::compile(func)?;
         let prog = compile_program(&compiled);
         // With a cross-run context: pool `VarDef` buffers by the plan's
         // interference classes. Plain `run` allocates every `VarDef` fresh,
@@ -657,7 +655,8 @@ mod tests {
 
     /// The `vectorize` decision log of `f`, as (accepted, detail).
     pub(super) fn decisions_of(f: &Func) -> Vec<(bool, String)> {
-        let c = crate::compiled::compile(f).unwrap();
+        let (lowered, _) = ft_codegen::lower_and_plan(f, &HashMap::new());
+        let c = crate::slots::compile(&lowered).unwrap();
         let prog = compile_program(&c);
         prog.decisions
             .iter()

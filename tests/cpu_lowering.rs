@@ -30,28 +30,35 @@
 //! * `benchmark_units_stay_in_f32_under_wdouble_promotion` — the C of the
 //!   benchmark's seven units has no implicit `float`→`double` promotion and
 //!   no narrowing float conversion, says `cc`.
-//! * `every_lowered_parallel_loop_proves` — the seven rule-scheduled
-//!   programs and the eight committed searched schedules, lowered, at small
-//!   and full scale: unique statement ids, and `prove_parallel` (the
+//! * `every_lowered_parallel_loop_proves` — the 22 benchmark units (the
+//!   seven rule-scheduled programs and the eight committed searched
+//!   schedules, at small and full scale), lowered as the engines run them
+//!   (`lower_and_plan`): unique statement ids, and `prove_parallel` (the
 //!   verdict both lowering engines run once per resolve) serializes no
 //!   loop. With `--nocapture` it prints one table row per program and
 //!   scale: parallel loops, serialized, and what proving them all cost.
+//! * `the_scalar_lowering_is_invisible_to_the_interpreter` — the same 22
+//!   units and one directed loop with a store between two reads: the
+//!   interpreter's output bits on `lower_cpu_parallel(f)` and on
+//!   `lower_scalar` of it are the same. With `--nocapture` it prints what
+//!   the pass decided per unit.
 //! * `a_racy_mark_runs_serially_with_its_reason_on_every_engine` — a
 //!   hand-marked prefix sum and one-cell store: serial on the VM and the
 //!   compiled engine, bit-identical to the interpreter, with a
 //!   `lower.parallel` decision naming the dependence and no `omp parallel
 //!   for` in the unit; `an_unlowered_atomic_reduction_is_a_carried_reduction_to_the_prover`
 //!   — the prover's other reason.
-//! * `every_vectorize_loop_is_emitted_under_omp_simd` — the same programs:
-//!   every loop the lowered IR marks `vectorize` carries `#pragma omp simd`
-//!   in the C, except one that carries a `min=`/`max=`. With `--nocapture`
-//!   it prints one table row per program and scale.
+//! * `every_vectorize_loop_is_emitted_under_omp_simd` — the rule-scheduled
+//!   programs: a loop of `lower_and_plan`'s function carries `#pragma omp
+//!   simd` in the C if and only if it is marked `vectorize`. With
+//!   `--nocapture` it prints one table row per program and scale, with the
+//!   marks `lower_scalar` cleared.
 
 use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
 use freetensor::autoschedule::Target;
 use freetensor::codegen::lower::{MAX_CHUNKS, PARTIAL_BYTES_CAP};
-use freetensor::codegen::{emit_c, lower_cpu_parallel, prove_parallel};
+use freetensor::codegen::{emit_c, lower_and_plan, lower_cpu_parallel, lower_scalar, prove_parallel};
 use freetensor::core::Program;
 use freetensor::ir::prelude::*;
 use freetensor::ir::{ForProperty, StmtId};
@@ -528,9 +535,9 @@ fn instance(name: &str, full: bool) -> Instance {
     Workload::from_name(name).expect("a workload").at(scale)
 }
 
-/// Full-scale inputs; a gradient also gets its seed tensor `<out>.grad`.
-fn inputs(name: &str, grad: bool) -> Inputs {
-    let inst = instance(name, true);
+/// Inputs at one scale; a gradient also gets its seed tensor `<out>.grad`.
+fn inputs(name: &str, full: bool, grad: bool) -> Inputs {
+    let inst = instance(name, full);
     let mut m = inst.inputs(7);
     if grad {
         let out = inst.workload().output();
@@ -566,14 +573,14 @@ fn lowered_programs() -> Vec<(String, Program, Inputs)> {
         v.push((
             format!("{name}.grad"),
             program(name, true, Kind::GradRules),
-            inputs(name, true),
+            inputs(name, true, true),
         ));
     }
     for name in ["subdivnet", "longformer", "softras", "gat"] {
         v.push((
             format!("{name}.searched"),
             program(name, true, Kind::Searched),
-            inputs(name, false),
+            inputs(name, true, false),
         ));
     }
     v
@@ -612,7 +619,7 @@ fn compiled_hashes(runs: usize) -> Vec<(String, u64)> {
     let longformer = (
         "longformer.rules".to_string(),
         program("longformer", true, Kind::Rules),
-        inputs("longformer", false),
+        inputs("longformer", true, false),
     );
     lowered_programs()
         .into_iter()
@@ -712,16 +719,22 @@ fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
 /// below records). SoftRas (both scales) and small GAT moved once more when
 /// `auto_unroll` came to run before `auto_vectorize`: the loop the unrolled
 /// channel loop sat in is now `vectorize`, and its C gains a `simd
-/// reduction` pragma. Each diff is in EXPERIMENTS.md.
+/// reduction` pragma. All eight moved once more when the emitter became a
+/// printer of `lower_scalar`'s IR: registers are spelled as scalar locals
+/// (`float m = -INFINITY;`, no block), a reduction into a register needs no
+/// accumulator, temporaries are numbered in decision order, and an `f32`
+/// value with an operator in it is no register (the interpreter would
+/// round it) — its loads are, and the prelude declares the `float` math
+/// pure so that `cc` computes it once. Each diff is in EXPERIMENTS.md.
 const FORWARD_RULE_C: [(&str, bool, u64); 8] = [
-    ("subdivnet", true, 0x3e06_81f5_73db_cc7e),
-    ("subdivnet", false, 0x4383_1f2c_e4a2_1544),
-    ("longformer", true, 0xbdca_675d_9263_de83),
-    ("longformer", false, 0xf632_ec7e_8d63_7098),
-    ("softras", true, 0x1d27_5a11_fd01_7691),
-    ("softras", false, 0x4414_5d60_313b_1c4e),
-    ("gat", true, 0x9647_7cb0_d664_35a3),
-    ("gat", false, 0xf56b_592d_cd4c_d35b),
+    ("subdivnet", true, 0x56d2_8fd3_ccd1_1908),
+    ("subdivnet", false, 0xdb14_9ec3_8c55_e164),
+    ("longformer", true, 0xdebd_8c13_b2b9_9bc9),
+    ("longformer", false, 0x8369_1063_c37f_8998),
+    ("softras", true, 0xeff2_81f2_dd77_115a),
+    ("softras", false, 0x05c3_85c5_9292_a779),
+    ("gat", true, 0x9f15_d1db_cae4_5f22),
+    ("gat", false, 0xbd52_0562_c37c_6f07),
 ];
 
 #[test]
@@ -755,11 +768,13 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
 /// `FORWARD_RULE_C` for the `FT_LIBMVEC` prelude block (all three) and
 /// Longformer's split window loops, and for SubdivNet and SoftRas once more
 /// when backward loops over named values kept ascending order (both) and
-/// the emitter stopped counting a body-local reduction as carried (SoftRas).
+/// the emitter stopped counting a body-local reduction as carried (SoftRas),
+/// and with `FORWARD_RULE_C` when the emitter became a printer of
+/// `lower_scalar`'s IR.
 const GRAD_RULE_C: [(&str, u64); 3] = [
-    ("subdivnet", 0x6a6d_3b45_3c83_8280),
-    ("longformer", 0x7ee8_5db2_0e3e_ba4d),
-    ("softras", 0xf852_0b5d_5563_0379),
+    ("subdivnet", 0xb9c4_bcf4_6eed_861c),
+    ("longformer", 0x0b98_b9bd_0861_aab3),
+    ("softras", 0xe070_2ed8_20b2_3fcb),
 ];
 
 /// FNV-1a of the printed rule-scheduled IR of the benchmark's seven
@@ -916,54 +931,39 @@ fn labels(name: &str, kind: Kind, full: bool) -> (String, &'static str) {
     (label, if full { "full" } else { "small" })
 }
 
-/// Whether the loop over `iter` with body `s` folds a `min=`/`max=` into
-/// one element from more than one iteration: `fmaxf`/`fminf` drop a NaN,
-/// the `simd reduction` clause's `max`/`min` need not, so the emitter keeps
-/// such a loop serial (DESIGN.md §7).
-fn carries_min_max(s: &Stmt, iter: &str) -> bool {
-    let mut found = false;
-    s.walk(&mut |st| {
-        if let StmtKind::ReduceTo {
-            op: ReduceOp::Min | ReduceOp::Max,
-            indices,
-            ..
-        } = &st.kind
-        {
-            found |= !indices.iter().any(|e| e.free_vars().contains(iter));
+/// The `vectorize` marks of `f`'s serial loops, in pre-order.
+fn vectorize_marks(f: &Func) -> Vec<bool> {
+    let mut marks = Vec::new();
+    f.body.walk(&mut |s| {
+        if let StmtKind::For { property, .. } = &s.kind {
+            marks.push(property.vectorize && !property.parallel.is_parallel());
         }
     });
-    found
+    marks
 }
 
 /// The schedule and the emitter agree: in the seven rule-scheduled
-/// programs, small and full, every loop the lowered IR marks `vectorize`
-/// is emitted under `#pragma omp simd` — a pragma the emitter drops is SIMD
-/// the rule passes proved and the kernel never gets. The one exception is
-/// a loop that carries a `min=`/`max=`. The emitter prints one `for` line
-/// per IR loop, in pre-order, so the two walks pair up loop by loop. With
-/// `--nocapture` it prints one table row per program and scale.
+/// programs, small and full, a loop of the function `lower_and_plan`
+/// returns is emitted under `#pragma omp simd` if and only if it is marked
+/// `vectorize` — a pragma the emitter dropped would be SIMD the rule passes
+/// proved and the kernel never gets, one it added a promise nobody checked.
+/// The marks `lower_scalar` cleared (a loop left with a carried `min=`/
+/// `max=` or a reduction it could not keep in a register) are counted
+/// apart. The emitter prints one `for` line per IR loop, in pre-order, so
+/// the two walks pair up loop by loop. With `--nocapture` it prints one
+/// table row per program and scale.
 #[test]
 fn every_vectorize_loop_is_emitted_under_omp_simd() {
-    println!("\n| program | scale | `vectorize` loops | `omp simd` | `min=`/`max=` | dropped |");
-    println!("|---|---|---|---|---|---|");
+    println!("\n| program | scale | `vectorize` loops | `omp simd` | marks the pass cleared |");
+    println!("|---|---|---|---|---|");
     let mut failed = Vec::new();
     for (name, kind) in rule_programs() {
         for full in [false, true] {
             let p = program(name, full, kind);
-            let lowered = lower_cpu_parallel(p.func());
-            let mut loops = Vec::new();
-            lowered.body.walk(&mut |s| {
-                if let StmtKind::For {
-                    iter,
-                    property,
-                    body,
-                    ..
-                } = &s.kind
-                {
-                    let vectorize = property.vectorize && !property.parallel.is_parallel();
-                    loops.push((iter.clone(), vectorize, carries_min_max(body, iter)));
-                }
-            });
+            let (lowered, _) = lower_and_plan(p.func(), &no_sizes());
+            let marks = vectorize_marks(&lowered);
+            let before = vectorize_marks(&lower_cpu_parallel(p.func()));
+            let cleared = before.iter().filter(|&&m| m).count() - marks.iter().filter(|&&m| m).count();
             let c = p.emit_c();
             let lines: Vec<&str> = c.lines().map(str::trim_start).collect();
             // Loops of the function, not of the prelude's helpers.
@@ -974,26 +974,17 @@ fn every_vectorize_loop_is_emitted_under_omp_simd() {
             let (label, scale) = labels(name, kind, full);
             assert_eq!(
                 simd.len(),
-                loops.len(),
+                marks.len(),
                 "{label} ({scale}): loops vs `for` lines\n{c}"
             );
-            let (mut marked, mut pragmas, mut min_max, mut dropped) = (0, 0, 0, Vec::new());
-            for ((iter, vectorize, carries), simd) in loops.iter().zip(&simd) {
-                marked += usize::from(*vectorize);
-                pragmas += usize::from(*simd);
-                match (vectorize, simd) {
-                    (true, false) if *carries => min_max += 1,
-                    (true, false) => dropped.push(iter.as_str()),
-                    (false, true) => failed.push(format!("{label} ({scale}): `simd` on {iter}")),
-                    _ => {}
-                }
-            }
+            let mismatched = marks.iter().zip(&simd).filter(|(m, s)| m != s).count();
             println!(
-                "| {label} | {scale} | {marked} | {pragmas} | {min_max} | {} |",
-                dropped.len()
+                "| {label} | {scale} | {} | {} | {cleared} |",
+                marks.iter().filter(|&&m| m).count(),
+                simd.iter().filter(|&&s| s).count(),
             );
-            if !dropped.is_empty() {
-                failed.push(format!("{label} ({scale}): no `simd` on {dropped:?}"));
+            if mismatched > 0 {
+                failed.push(format!("{label} ({scale}): {mismatched} loops disagree"));
             }
         }
     }
@@ -1050,9 +1041,81 @@ fn committed_searched(name: &str, full: bool) -> Program {
     Program::from_schedule(freetensor::schedule::Schedule::new(func))
 }
 
+/// One of the benchmark's 22 units: a table label, its scale, the program,
+/// and the inputs it runs on.
+struct Unit {
+    label: String,
+    scale: &'static str,
+    program: Program,
+    inputs: Box<dyn Fn() -> Inputs>,
+}
+
 /// The benchmark's seven programs under the rule passes — four forward,
-/// three differentiated — and the eight committed searched schedules,
-/// lowered as both back ends run them, at small and full scale. Every
+/// three differentiated — and the eight committed searched schedules, at
+/// small and full scale.
+fn benchmark_units() -> Vec<Unit> {
+    let mut units = Vec::new();
+    for (name, kind) in rule_programs() {
+        for full in [false, true] {
+            let (label, scale) = labels(name, kind, full);
+            let grad = kind == Kind::GradRules;
+            let inputs = Box::new(move || inputs(name, full, grad));
+            let program = program(name, full, kind);
+            units.push(Unit { label, scale, program, inputs });
+        }
+    }
+    for name in ["subdivnet", "longformer", "softras", "gat"] {
+        for full in [false, true] {
+            let (_, scale) = labels(name, Kind::Searched, full);
+            let label = format!("{name} (searched)");
+            let inputs = Box::new(move || inputs(name, full, false));
+            let program = committed_searched(name, full);
+            units.push(Unit { label, scale, program, inputs });
+        }
+    }
+    units
+}
+
+/// A loop that reads one cell, writes it, and reads it again — what no
+/// value may be moved across — as a directed unit next to the 22, whose
+/// programs happen to hold no such loop.
+fn store_between_reads() -> Unit {
+    let acc = || load("acc", [0]);
+    let y = || ft_ir::idx![var("i"), var("c")];
+    let f = Func::new("carry")
+        .param("x", [8], DataType::F32, AccessType::Input)
+        .param("acc", [1], DataType::F32, AccessType::InOut)
+        .param("y", [8, 8], DataType::F32, AccessType::Output)
+        .body(for_(
+            "i",
+            0,
+            8,
+            for_(
+                "c",
+                0,
+                8,
+                block([
+                    store("y", y(), acc() * load("x", [var("c")])),
+                    store("acc", [0], acc() + load("x", [var("c")])),
+                    store("y", y(), load("y", y()) + acc()),
+                ]),
+            ),
+        ));
+    let inputs = || {
+        let x = TensorVal::from_f32(&[8], (0..8).map(|v| v as f32 * 0.37 - 1.1).collect());
+        let acc = TensorVal::from_f32(&[1], vec![0.3]);
+        HashMap::from([("x".to_string(), x), ("acc".to_string(), acc)])
+    };
+    Unit {
+        label: "store between reads".to_string(),
+        scale: "directed",
+        program: Program::from_func(f),
+        inputs: Box::new(inputs),
+    }
+}
+
+/// The 22 benchmark units, lowered as both back ends run them
+/// (`lower_and_plan`, the scalar lowering's registers included). Every
 /// statement keeps an id of its own, so a query about one loop is about
 /// that loop alone, and the verdict the engines run under
 /// (`prove_parallel`, the queries `parallelize` asks: no carried
@@ -1064,22 +1127,9 @@ fn committed_searched(name: &str, full: bool) -> Program {
 fn every_lowered_parallel_loop_proves() {
     println!("\n| program | scale | parallel loops | serialized | prover µs |");
     println!("|---|---|---|---|---|");
-    let mut programs = Vec::new();
-    for (name, kind) in rule_programs() {
-        for full in [false, true] {
-            let (label, scale) = labels(name, kind, full);
-            programs.push((label, scale, program(name, full, kind)));
-        }
-    }
-    for name in ["subdivnet", "longformer", "softras", "gat"] {
-        for full in [false, true] {
-            let (_, scale) = labels(name, Kind::Searched, full);
-            programs.push((format!("{name} (searched)"), scale, committed_searched(name, full)));
-        }
-    }
     let mut failed = Vec::new();
-    for (label, scale, p) in programs {
-        let lowered = lower_cpu_parallel(p.func());
+    for Unit { label, scale, program, .. } in benchmark_units() {
+        let (lowered, _) = lower_and_plan(program.func(), &no_sizes());
         let (mut ids, mut duplicates, mut loops) = (HashSet::new(), 0, 0);
         lowered.body.walk(&mut |s| {
             duplicates += usize::from(!ids.insert(s.id));
@@ -1106,6 +1156,50 @@ fn every_lowered_parallel_loop_proves() {
         }
     }
     assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
+
+/// `lower_scalar` is invisible to the reference semantics: on each of the
+/// 22 benchmark units, and on [`store_between_reads`], the interpreter
+/// computes, bit for bit, the same outputs from the function
+/// `lower_cpu_parallel` returns and from `lower_scalar` of it — a register
+/// holds only what the interpreter reads back unchanged, and nothing moves
+/// across a write of what it loads. With `--nocapture` it prints one row
+/// per unit: the values hoisted out of a loop, the values computed once
+/// for a run of assignments, the accumulators, and the `vectorize` marks
+/// cleared.
+#[test]
+fn the_scalar_lowering_is_invisible_to_the_interpreter() {
+    println!("\n| program | scale | hoisted | reused | accumulators | marks cleared |");
+    println!("|---|---|---|---|---|---|");
+    let mut failed = Vec::new();
+    let units = benchmark_units().into_iter().chain([store_between_reads()]);
+    for Unit { label, scale, program, inputs } in units {
+        let lowered = lower_cpu_parallel(program.func());
+        let scalar = lower_scalar(&lowered);
+        let mut registers = [0; 3];
+        scalar.body.walk(&mut |s| {
+            if let StmtKind::VarDef { name, .. } = &s.kind {
+                for (k, prefix) in ["ft.h", "ft.c", "ft.a"].iter().enumerate() {
+                    registers[k] += usize::from(name.starts_with(prefix));
+                }
+            }
+        });
+        let marks = |f: &Func| vectorize_marks(f).into_iter().filter(|&m| m).count();
+        let [hoisted, reused, accs] = registers;
+        println!(
+            "| {label} | {scale} | {hoisted} | {reused} | {accs} | {} |",
+            marks(&lowered) - marks(&scalar)
+        );
+        let inputs = inputs();
+        let run = |f: &Func| {
+            let r = Runtime::new().run(f, &inputs, &no_sizes());
+            output_hash(&r.unwrap_or_else(|e| panic!("{label} ({scale}): {e}")).outputs)
+        };
+        if run(&lowered) != run(&scalar) {
+            failed.push(format!("{label} ({scale})"));
+        }
+    }
+    assert!(failed.is_empty(), "the interpreter's bits moved on {failed:?}");
 }
 
 /// A mark `parallelize` was never asked about reaches the engines: a

@@ -230,13 +230,15 @@ fn divisions(s: &Stmt, inv: &impl Fn(&Expr) -> bool) -> usize {
 fn named_values_cost_no_tape_and_leave_no_invariant_division_in_a_backward_loop() {
     // Full scale, as the benchmark runs them: differentiate, then the rule
     // schedule; the planned peak is that of the lowered function.
-    // Parent commit: 262 336, 662 528 and 12 352 bytes. A named value is two
-    // 4-byte scalars in the backward pass (`.b`, `.grad`), each a 64-byte
-    // arena slot of its own — and no tape.
+    // A named value is two 4-byte scalars in the backward pass (`.b`,
+    // `.grad`), registers like every 0-d `CpuStack` def: neither back end
+    // keeps one in memory, so the plan gives them no arena slot (they took
+    // a 64-byte slot each, and the peaks were 262 336, 662 656 and 12 480
+    // bytes, until the scalar lowering made them registers) — and no tape.
     for (w, tapes, peak) in [
-        (Workload::Subdivnet, 0, 262_336),
-        (Workload::Longformer, 3, 662_528 + 128),
-        (Workload::Softras, 2, 12_352 + 128),
+        (Workload::Subdivnet, 0, 262_144),
+        (Workload::Longformer, 3, 662_464),
+        (Workload::Softras, 2, 12_288),
     ] {
         let g = w
             .at(Scale::Full)
