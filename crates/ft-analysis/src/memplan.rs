@@ -70,10 +70,8 @@ pub fn eval_extent(e: &Expr, sizes: &HashMap<String, i64>) -> Option<i64> {
 pub struct PlanEntry {
     /// IR name of the def (not necessarily unique — shadowing is legal).
     pub name: String,
-    /// Pre-order def index. Engines that assign tensor slots params-first
-    /// address this def at slot `n_params + def_idx`.
-    pub def_idx: usize,
-    /// Stable id of the defining statement.
+    /// Stable id of the defining statement, which every engine finds the
+    /// entry by ([`MemPlan::entry`]).
     pub stmt: StmtId,
     /// Element type.
     pub dtype: DataType,
@@ -122,9 +120,8 @@ pub struct MemPlan {
     /// counted, loop trip counts folded in when constant (unknown trips
     /// count once, so this is a floor).
     pub naive_alloc_bytes: u64,
-    /// Number of function params (engines map def `k` to slot
-    /// `n_params + k`).
-    pub n_params: usize,
+    /// `(stmt, index into entries)`, sorted by statement id.
+    by_stmt: Vec<(StmtId, usize)>,
     /// [`plan_hash`](MemPlan::plan_hash), taken once by [`MemPlan::plan`]:
     /// the fields above are read-only from then on (nothing writes them; a
     /// plan edited through them keeps the hash of the plan it was built as).
@@ -730,7 +727,6 @@ impl MemPlan {
                 let class = class_of.get(&d).copied();
                 PlanEntry {
                     name: name.clone(),
-                    def_idx: d,
                     stmt: *stmt,
                     dtype: *dtype,
                     mtype: *mtype,
@@ -745,10 +741,20 @@ impl MemPlan {
             })
             .collect();
 
-        let n_params = func.params.len();
+        let mut by_stmt: Vec<(StmtId, usize)> = entries
+            .iter()
+            .enumerate()
+            .map(|(k, e)| (e.stmt, k))
+            .collect();
+        by_stmt.sort_unstable();
+        debug_assert!(
+            by_stmt.windows(2).all(|w| w[0].0 != w[1].0),
+            "two defs of `{}` share a statement id",
+            func.name
+        );
         let mut h = ft_ir::Fnv1a::new();
         let mut eat = |bytes: &[u8]| h.write(bytes);
-        eat(&(n_params as u64).to_le_bytes());
+        eat(&(func.params.len() as u64).to_le_bytes());
         eat(&planned_peak_bytes.to_le_bytes());
         eat(&w.naive_peak.to_le_bytes());
         for e in &entries {
@@ -767,8 +773,21 @@ impl MemPlan {
             planned_peak_bytes,
             naive_peak_bytes: w.naive_peak,
             naive_alloc_bytes: w.naive_alloc,
-            n_params,
+            by_stmt,
             hash: h.finish(),
+        }
+    }
+
+    /// The entry of the def `stmt` defines. `None` for a statement the
+    /// plan has no def of, and for an id two defs share (which `plan`
+    /// debug-asserts against): such a def is placed nowhere.
+    pub fn entry(&self, stmt: StmtId) -> Option<&PlanEntry> {
+        let k = self.by_stmt.partition_point(|&(s, _)| s < stmt);
+        match self.by_stmt[k..] {
+            [(s, e), ref rest @ ..] if s == stmt && rest.first().is_none_or(|r| r.0 != s) => {
+                Some(&self.entries[e])
+            }
+            _ => None,
         }
     }
 
@@ -1062,7 +1081,6 @@ mod tests {
         let t = |p: &MemPlan| p.entries.last().unwrap().clone();
         let base = plan(f().body(def("t", fill("t"))));
         let x = plan(f().param("x", [1], DataType::F32, AccessType::Input).body(def("t", fill("t"))));
-        assert_ne!(x.n_params, base.n_params);
         let read = store("y", [0], load("t", [0]));
         let zeroed = plan(f().body(def("t", block([read, fill("t")]))));
         assert_ne!(t(&zeroed).must_zero, t(&base).must_zero);

@@ -4,6 +4,7 @@
 //! register (a 0-d `CpuStack` def) is a scalar local, and a `vectorize`
 //! loop's `simd reduction` clause lists the registers it folds into.
 
+use ft_analysis::{MemPlan, PlanEntry};
 use ft_passes::hoist::any_node;
 use ft_ir::{
     AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, Param, ReduceOp, Stmt,
@@ -286,22 +287,6 @@ impl std::fmt::Display for CodegenError {
 
 impl std::error::Error for CodegenError {}
 
-/// Arena placement of one planned `VarDef`, precomputed from a
-/// [`ft_analysis::MemPlan`] and consumed by the emitter in def pre-order.
-#[derive(Debug, Clone)]
-struct ArenaSlot {
-    /// IR name of the def this slot was planned for; a mismatch (emitter
-    /// and planner walking different trees) falls back to `calloc`.
-    name: String,
-    /// Byte offset inside the arena.
-    offset: u64,
-    /// Class size in bytes — the `memset` extent when zeroing is required.
-    bytes: u64,
-    /// Whether liveness failed to prove write-before-read, so the buffer
-    /// must be zero-filled on (re-)entry.
-    must_zero: bool,
-}
-
 /// Largest constant element count emitted as an automatic array.
 const STACK_ELEMS: i64 = 4096;
 
@@ -327,11 +312,9 @@ struct Emitter<'a> {
     prof: Option<Vec<ProfSite>>,
     /// For-nesting depth; only depth-0 loops get a profiling site.
     loop_depth: usize,
-    /// Arena placements indexed by def pre-order number (the planner's
-    /// `def_idx`); empty when emitting without a memory plan.
-    arena: Vec<Option<ArenaSlot>>,
-    /// Pre-order counter of `VarDef`s encountered so far.
-    def_idx: usize,
+    /// The memory plan, whose entry of a def (by statement id) places it
+    /// in the arena; `None` when emitting without one.
+    plan: Option<&'a MemPlan>,
     /// Number of enclosing parallel (`omp parallel for`) loops. Defs inside
     /// a parallel body must stay thread-private; a shared arena offset
     /// would race across the team.
@@ -798,12 +781,7 @@ impl<'a> Emitter<'a> {
                 mtype,
                 body,
                 ..
-            } if mtype.register(shape.len()) => {
-                // A register. Planned or not, it keeps its place in the def
-                // pre-order the arena slots are numbered in.
-                self.def_idx += 1;
-                self.register(name, *dtype, body);
-            }
+            } if mtype.register(shape.len()) => self.register(name, *dtype, body),
             StmtKind::VarDef {
                 name,
                 shape,
@@ -820,8 +798,7 @@ impl<'a> Emitter<'a> {
                     .iter()
                     .map(|e| ft_passes::const_fold_expr(e.clone()).as_int())
                     .try_fold(1i64, |a, b| b.map(|v| a * v));
-                let slot = self.arena.get(self.def_idx).cloned().flatten();
-                self.def_idx += 1;
+                let entry = self.plan.and_then(|p| p.entry(s.id));
                 self.p.tensors.push((name, *dtype, shape, false));
                 let ident = self.p.names.bind(name);
                 self.line("{");
@@ -842,14 +819,18 @@ impl<'a> Emitter<'a> {
                         self.line(&format!("{ty} {ident}[{n}] = {{0}};"));
                         false
                     }
-                    _ => match slot {
-                        Some(a) if a.name == *name && self.parallel_depth == 0 => {
+                    _ => match entry {
+                        Some(&PlanEntry {
+                            offset: Some(offset),
+                            bytes: Some(bytes),
+                            must_zero,
+                            ..
+                        }) if self.parallel_depth == 0 => {
                             self.line(&format!(
-                                "{ty}* {ident} = ({ty}*)(__ft_arena_base + {});",
-                                a.offset
+                                "{ty}* {ident} = ({ty}*)(__ft_arena_base + {offset});"
                             ));
-                            if a.must_zero {
-                                self.line(&format!("memset({ident}, 0, {});", a.bytes));
+                            if must_zero {
+                                self.line(&format!("memset({ident}, 0, {bytes});"));
                             }
                             false
                         }
@@ -1064,12 +1045,12 @@ pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
 /// (`prof` discarded when unprofiled, so the entry signature never varies).
 /// The pass that printed the function prints it; they cannot disagree.
 ///
-/// The plan must have been computed for this exact `func` (same `VarDef`
-/// pre-order); a per-def name mismatch degrades that def to `calloc` rather
-/// than aliasing the wrong storage.
+/// The plan must have been computed for this exact `func`: each def is
+/// placed by its statement id ([`MemPlan::entry`]), and a def the plan has
+/// no entry for gets `calloc`.
 pub fn emit_c_planned(
     func: &Func,
-    plan: &ft_analysis::MemPlan,
+    plan: &MemPlan,
     profile: bool,
 ) -> Result<(String, Vec<ProfSite>), CodegenError> {
     emit_unit(func, Some(plan), profile)
@@ -1077,34 +1058,18 @@ pub fn emit_c_planned(
 
 fn emit_unit(
     func: &Func,
-    plan: Option<&ft_analysis::MemPlan>,
+    plan: Option<&MemPlan>,
     profile: bool,
 ) -> Result<(String, Vec<ProfSite>), CodegenError> {
     let (p, syms) = Printer::new(func, TYPES);
-    let arena: Vec<Option<ArenaSlot>> = plan.map_or_else(Vec::new, |pl| {
-        let n_defs = pl.entries.iter().map(|e| e.def_idx + 1).max().unwrap_or(0);
-        let mut v = vec![None; n_defs];
-        for e in &pl.entries {
-            if let (Some(offset), Some(bytes)) = (e.offset, e.bytes) {
-                v[e.def_idx] = Some(ArenaSlot {
-                    name: e.name.clone(),
-                    offset,
-                    bytes,
-                    must_zero: e.must_zero,
-                });
-            }
-        }
-        v
-    });
-    let any_planned = arena.iter().any(Option::is_some);
+    let any_planned = plan.is_some_and(|p| p.entries.iter().any(|e| e.offset.is_some()));
     let mut em = Emitter {
         p,
         out: String::new(),
         indent: 0,
         prof: profile.then(Vec::new),
         loop_depth: 0,
-        arena,
-        def_idx: 0,
+        plan,
         parallel_depth: 0,
         err: None,
     };

@@ -7,10 +7,13 @@
 //!
 //! * A value is an [`Int`](Scalar::Int) (`i32`/`i64` storage), a
 //!   [`Float`](Scalar::Float) (`f32`/`f64` storage, computed in `f64`) or a
-//!   [`Bool`](Scalar::Bool). Arithmetic with a `Float` operand is float
-//!   arithmetic; otherwise it is integer arithmetic, a `Bool` counting as
-//!   0/1. The result kind is the one [`Expr::dtype`](crate::Expr::dtype)
-//!   infers.
+//!   [`Bool`](Scalar::Bool): its [`Kind`]. Each operator computes in one
+//!   kind, which [`unary_kind`] and [`binary_kind`] state for every pair of
+//!   operand kinds, and its operands convert to it (`as_i64`, `as_f64`,
+//!   `as_bool`). Arithmetic with a `Float` operand is float arithmetic;
+//!   otherwise it is integer arithmetic, a `Bool` counting as 0/1. The
+//!   result kind is the one [`Expr::dtype`](crate::Expr::dtype) infers
+//!   (`operator_semantics` holds the two to each other on every cell).
 //! * Integer `+ - *`, `Neg` and `Abs` wrap. Integer `/` and `%` are *floor*
 //!   division — the quotient rounds toward negative infinity, the remainder
 //!   has the divisor's sign — and a zero divisor is [`DivisionByZero`].
@@ -23,7 +26,7 @@
 //!   range with NaN → 0 (C leaves those cases undefined, so the compiled
 //!   engine may differ there); an `I32` cast then wraps, an `F32` cast rounds.
 //!
-//! [`unary`], [`binary`], [`reduce`] and [`cast`] are total. The per-type
+//! [`unary`], [`binary`], [`reduce`] and [`cast`] are total. The per-kind
 //! primitives under them (what the VM's typed opcodes call) each take the
 //! operators their summary lists and panic on any other: reaching one with
 //! an operator of another kind is a bug in the caller's typing.
@@ -43,7 +46,73 @@ pub enum Scalar {
     Bool(bool),
 }
 
+/// The kind of a value, and the kind an operator computes in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// [`Scalar::Int`].
+    Int,
+    /// [`Scalar::Float`].
+    Float,
+    /// [`Scalar::Bool`].
+    Bool,
+}
+
+impl Kind {
+    /// The kind a value of `dtype` has.
+    pub fn of(dtype: DataType) -> Kind {
+        match dtype {
+            DataType::F32 | DataType::F64 => Kind::Float,
+            DataType::I32 | DataType::I64 => Kind::Int,
+            DataType::Bool => Kind::Bool,
+        }
+    }
+
+    /// The kind's widest type: [`cast`] to it is the conversion an operator
+    /// applies to an operand of another kind.
+    pub fn dtype(self) -> DataType {
+        match self {
+            Kind::Int => DataType::I64,
+            Kind::Float => DataType::F64,
+            Kind::Bool => DataType::Bool,
+        }
+    }
+}
+
+/// The kind `op` computes in on an operand of kind `x`, which is also its
+/// result's.
+pub fn unary_kind(op: UnaryOp, x: Kind) -> Kind {
+    match (op, x) {
+        (UnaryOp::Not, _) => Kind::Bool,
+        (UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign, Kind::Int | Kind::Bool) => Kind::Int,
+        _ => Kind::Float,
+    }
+}
+
+/// The kind `x op y` computes in on operands of kinds `x` and `y`, which
+/// both convert to it, and its result's kind: `Bool` for a comparison or a
+/// connective, else the same.
+pub fn binary_kind(op: BinaryOp, x: Kind, y: Kind) -> (Kind, Kind) {
+    use BinaryOp::*;
+    let float = x == Kind::Float || y == Kind::Float;
+    let kind = match op {
+        And | Or => Kind::Bool,
+        Eq | Ne | Lt | Le | Gt | Ge if x == Kind::Int && y == Kind::Int => Kind::Int,
+        Add | Sub | Mul | Div | Mod | Min | Max if !float => Kind::Int,
+        _ => Kind::Float,
+    };
+    (kind, if op.is_comparison() { Kind::Bool } else { kind })
+}
+
 impl Scalar {
+    /// The value's kind.
+    pub fn kind(self) -> Kind {
+        match self {
+            Scalar::Int(_) => Kind::Int,
+            Scalar::Float(_) => Kind::Float,
+            Scalar::Bool(_) => Kind::Bool,
+        }
+    }
+
     /// Numeric value as f64 (booleans as 0/1).
     pub fn as_f64(self) -> f64 {
         match self {
@@ -202,12 +271,10 @@ pub fn float_unary(op: UnaryOp, x: f64) -> f64 {
 /// `op x`.
 #[inline]
 pub fn unary(op: UnaryOp, x: Scalar) -> Scalar {
-    match (op, x) {
-        (UnaryOp::Not, _) => Scalar::Bool(!x.as_bool()),
-        (UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign, Scalar::Int(_) | Scalar::Bool(_)) => {
-            Scalar::Int(int_unary(op, x.as_i64()))
-        }
-        _ => Scalar::Float(float_unary(op, x.as_f64())),
+    match unary_kind(op, x.kind()) {
+        Kind::Bool => Scalar::Bool(!x.as_bool()),
+        Kind::Int => Scalar::Int(int_unary(op, x.as_i64())),
+        Kind::Float => Scalar::Float(float_unary(op, x.as_f64())),
     }
 }
 
@@ -218,18 +285,12 @@ pub fn unary(op: UnaryOp, x: Scalar) -> Scalar {
 /// [`DivisionByZero`] for an integer `/` or `%` by zero.
 #[inline(always)]
 pub fn binary(op: BinaryOp, x: Scalar, y: Scalar) -> Result<Scalar, DivisionByZero> {
-    use BinaryOp::*;
-    let float = matches!(x, Scalar::Float(_)) || matches!(y, Scalar::Float(_));
-    Ok(match op {
-        And | Or => Scalar::Bool(logic(op, x.as_bool(), y.as_bool())),
-        Eq | Ne | Lt | Le | Gt | Ge => Scalar::Bool(match (x, y) {
-            (Scalar::Int(a), Scalar::Int(b)) => compare(op, a, b),
-            _ => compare(op, x.as_f64(), y.as_f64()),
-        }),
-        Add | Sub | Mul | Div | Mod | Min | Max if !float => {
-            Scalar::Int(int_binary(op, x.as_i64(), y.as_i64())?)
-        }
-        _ => Scalar::Float(float_binary(op, x.as_f64(), y.as_f64())),
+    Ok(match binary_kind(op, x.kind(), y.kind()) {
+        (Kind::Bool, _) => Scalar::Bool(logic(op, x.as_bool(), y.as_bool())),
+        (Kind::Int, Kind::Bool) => Scalar::Bool(compare(op, x.as_i64(), y.as_i64())),
+        (Kind::Float, Kind::Bool) => Scalar::Bool(compare(op, x.as_f64(), y.as_f64())),
+        (Kind::Int, _) => Scalar::Int(int_binary(op, x.as_i64(), y.as_i64())?),
+        (Kind::Float, _) => Scalar::Float(float_binary(op, x.as_f64(), y.as_f64())),
     })
 }
 

@@ -1,6 +1,6 @@
 //! Statements of the FreeTensor IR: the stack-scoped AST.
 
-use crate::expr::Expr;
+use crate::expr::{BinaryOp, Expr};
 use crate::types::{AccessType, DataType, MemType, ParallelScope};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +51,16 @@ impl ReduceOp {
             ReduceOp::Mul => "*=",
             ReduceOp::Min => "min=",
             ReduceOp::Max => "max=",
+        }
+    }
+
+    /// The binary operator of the same name: `x op= v` is `x = x op v`.
+    pub fn binary(self) -> BinaryOp {
+        match self {
+            ReduceOp::Add => BinaryOp::Add,
+            ReduceOp::Mul => BinaryOp::Mul,
+            ReduceOp::Min => BinaryOp::Min,
+            ReduceOp::Max => BinaryOp::Max,
         }
     }
 

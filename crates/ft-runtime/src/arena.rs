@@ -26,7 +26,7 @@ use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::value::TensorVal;
 use ft_analysis::{MemPlan, ARENA_ALIGN};
-use ft_ir::{AccessType, DataType, Func, Param};
+use ft_ir::{AccessType, DataType, Func, Param, StmtId};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, TraceSink, Verdict, TRACK_RUNTIME};
 use std::collections::HashMap;
@@ -160,65 +160,39 @@ pub(crate) fn publish_plan(
     }
 }
 
-/// Per-def facts extracted from a plan, indexed by slot (params offset
-/// already applied).
-#[derive(Debug)]
-struct DefLookup {
-    n_params: usize,
-    /// Per def index: `(class, class_bytes, must_zero)` for planned defs.
-    defs: Vec<Option<(usize, u64, bool)>>,
-    n_classes: usize,
-}
-
-impl DefLookup {
-    fn new(plan: &MemPlan) -> DefLookup {
-        let defs = plan
-            .entries
-            .iter()
-            .map(|e| e.class.map(|c| (c, plan.classes[c].bytes, e.must_zero)))
-            .collect();
-        DefLookup {
-            n_params: plan.n_params,
-            defs,
-            n_classes: plan.classes.len(),
-        }
-    }
-
-    fn slot(&self, slot: usize) -> Option<(usize, u64, bool)> {
-        self.defs.get(slot.checked_sub(self.n_params)?).copied()?
-    }
-}
-
 /// Class-keyed free-lists of [`TensorVal`] buffers for the interpreter and
 /// the VM.
 #[derive(Debug)]
 pub(crate) struct TensorPool {
-    lookup: DefLookup,
+    /// The plan the pool realizes: a def's class is its entry's.
+    plan: MemPlan,
     free: Vec<Vec<TensorVal>>,
     pub(crate) stats: ArenaStats,
 }
 
 impl TensorPool {
     pub(crate) fn new(plan: &MemPlan) -> TensorPool {
-        let lookup = DefLookup::new(plan);
         TensorPool {
-            free: (0..lookup.n_classes).map(|_| Vec::new()).collect(),
-            lookup,
+            free: (0..plan.classes.len()).map(|_| Vec::new()).collect(),
+            plan: plan.clone(),
             stats: ArenaStats::default(),
         }
     }
 
-    /// A buffer for the `VarDef` occupying tensor slot `slot`. Pool hits
+    /// The class the def `def` was packed into, its size, and whether a
+    /// reused buffer needs the zero-fill; `None` for an unplanned def.
+    fn class(&self, def: StmtId) -> Option<(usize, u64, bool)> {
+        let e = self.plan.entry(def)?;
+        let class = e.class?;
+        Some((class, self.plan.classes[class].bytes, e.must_zero))
+    }
+
+    /// A buffer for the `VarDef` statement `def`. Pool hits
     /// skip the zero-fill when the plan proved every element is written
     /// before it is read; misses (and unplanned defs) allocate fresh
     /// zeroed storage.
-    pub(crate) fn take_slot(
-        &mut self,
-        slot: usize,
-        dtype: DataType,
-        shape: &[usize],
-    ) -> TensorVal {
-        if let Some((class, class_bytes, must_zero)) = self.lookup.slot(slot) {
+    pub(crate) fn take_slot(&mut self, def: StmtId, dtype: DataType, shape: &[usize]) -> TensorVal {
+        if let Some((class, class_bytes, must_zero)) = self.class(def) {
             while let Some(mut t) = self.free[class].pop() {
                 match t.reuse_for(dtype, shape) {
                     Some(grew) => {
@@ -248,8 +222,8 @@ impl TensorPool {
     }
 
     /// Return a scope-exited def's buffer to its class free-list.
-    pub(crate) fn put_slot(&mut self, slot: usize, t: TensorVal) {
-        if let Some((class, _, _)) = self.lookup.slot(slot) {
+    pub(crate) fn put_slot(&mut self, def: StmtId, t: TensorVal) {
+        if let Some((class, _, _)) = self.class(def) {
             self.free[class].push(t);
         }
     }

@@ -24,7 +24,10 @@
 //! not `func` — nested parallel marks serialized, `atomic` reductions
 //! turned into chunk-private rows merged in a fixed order — and plans,
 //! binds contexts to, and caches by that lowered function. Outputs are
-//! therefore bit-identical run to run and across `OMP_NUM_THREADS`.
+//! therefore bit-identical run to run and across `OMP_NUM_THREADS`. On a
+//! toolchain where `-fopenmp` does not link, [`cc_flags`] leaves it out and
+//! the kernels are serial; either way a build is one `cc`, never an OpenMP
+//! attempt followed by a serial retry.
 //!
 //! Numerics: generated C computes `float` expressions in single precision,
 //! while the interpreter widens to `f64` and rounds on store, so results
@@ -358,10 +361,10 @@ impl CompiledEngine {
     }
 
     /// Compile `src` into `so_path`, writing the source next to it for
-    /// inspection. Tries OpenMP first (the emitter's pragmas are only
-    /// honored with `-fopenmp`); falls back to a serial build on
-    /// toolchains without libgomp. The flags follow the source, so a `-l`
-    /// among them links what the unit needs.
+    /// inspection: one `cc`, with the flags this host decided once
+    /// ([`cc_flags`]; without `-fopenmp` where OpenMP does not link, and
+    /// the emitter's pragmas are then ignored). The flags follow the
+    /// source, so a `-l` among them links what the unit needs.
     fn compile(&self, src: &str, hash: u64, so_path: &Path) -> Result<(), RuntimeError> {
         let t0 = Instant::now();
         std::fs::create_dir_all(&self.cache_dir)
@@ -374,52 +377,49 @@ impl CompiledEngine {
         let tmp = self
             .cache_dir
             .join(format!("{hash:016x}.so.tmp.{}", std::process::id()));
-        let mut last_err = String::new();
         let flags = self.flags();
-        for flags in [flags.to_string(), flags.replace(" -fopenmp", "")] {
-            let mut cmd = Command::new("cc");
-            cmd.arg(&c_path)
-                .arg("-o")
-                .arg(&tmp)
-                .args(flags.split_whitespace())
-                .arg("-lm");
-            let mut span = self.tel.sink.as_ref().map(|s| {
-                let mut sp = s.span("compiled.cc", "compiled.cc");
-                sp.arg("hash", format!("{hash:016x}"));
-                sp.arg("flags", flags.as_str());
-                sp
-            });
-            if let Some(m) = &self.tel.metrics {
-                m.counter("compiled.cc.spawned").inc();
-            }
-            let out = output_with_timeout(&mut cmd, self.cc_timeout)
-                .map_err(|e| RuntimeError::Native(format!("spawn cc: {e}")))?;
-            if let Some(sp) = span.as_mut() {
-                sp.arg("ok", out.success());
-            }
-            if out.timed_out {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(RuntimeError::ChildTimeout {
-                    what: "cc".to_string(),
-                    timeout_ms: self.cc_timeout.as_millis() as u64,
-                });
-            }
-            if out.success() {
-                std::fs::rename(&tmp, so_path)
-                    .map_err(|e| RuntimeError::Native(format!("rename artifact: {e}")))?;
-                if let Some(m) = &self.tel.metrics {
-                    m.histogram("compiled.compile_us")
-                        .record_duration_us(t0.elapsed());
-                    m.counter("compiled.cache.publish").inc();
-                    m.gauge("compiled.cache.size_bytes")
-                        .set(cache_size_bytes(&self.cache_dir) as i64);
-                }
-                return Ok(());
-            }
-            last_err = String::from_utf8_lossy(&out.stderr).into_owned();
+        let mut cmd = Command::new("cc");
+        cmd.arg(&c_path)
+            .arg("-o")
+            .arg(&tmp)
+            .args(flags.split_whitespace())
+            .arg("-lm");
+        let mut span = self.tel.sink.as_ref().map(|s| {
+            let mut sp = s.span("compiled.cc", "compiled.cc");
+            sp.arg("hash", format!("{hash:016x}"));
+            sp.arg("flags", flags);
+            sp
+        });
+        if let Some(m) = &self.tel.metrics {
+            m.counter("compiled.cc.spawned").inc();
         }
-        let _ = std::fs::remove_file(&tmp);
-        Err(RuntimeError::Native(format!("cc failed:\n{last_err}")))
+        let out = output_with_timeout(&mut cmd, self.cc_timeout)
+            .map_err(|e| RuntimeError::Native(format!("spawn cc: {e}")))?;
+        if let Some(sp) = span.as_mut() {
+            sp.arg("ok", out.success());
+        }
+        if out.timed_out {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(RuntimeError::ChildTimeout {
+                what: "cc".to_string(),
+                timeout_ms: self.cc_timeout.as_millis() as u64,
+            });
+        }
+        if !out.success() {
+            let _ = std::fs::remove_file(&tmp);
+            let err = String::from_utf8_lossy(&out.stderr);
+            return Err(RuntimeError::Native(format!("cc failed:\n{err}")));
+        }
+        std::fs::rename(&tmp, so_path)
+            .map_err(|e| RuntimeError::Native(format!("rename artifact: {e}")))?;
+        if let Some(m) = &self.tel.metrics {
+            m.histogram("compiled.compile_us")
+                .record_duration_us(t0.elapsed());
+            m.counter("compiled.cache.publish").inc();
+            m.gauge("compiled.cache.size_bytes")
+                .set(cache_size_bytes(&self.cache_dir) as i64);
+        }
+        Ok(())
     }
 
     /// Emit + (cache-aware) compile + load the kernel for `func` under
@@ -502,28 +502,28 @@ impl CompiledEngine {
 // runtime alias check — every channel loop over tensors the unit only knows
 // as pointers. `dynamic` is the model `-O3` uses, without `-O3`'s compile
 // time; the lanes of a vectorized elementwise loop round as the scalar loop
-// does, so outputs stay bit-identical to plain `-O2`. It is on both rungs: a
-// `cc` that rejects it fails loudly instead of sliding onto the serial one.
+// does, so outputs stay bit-identical to plain `-O2`. It is not probed: a
+// `cc` that rejects it fails loudly.
 // `-fpeel-loops` is the part of `-O3` that pays here: it completely peels
 // a vector loop of a few constant trips (a 64-wide row is 8 AVX2 vectors),
 // so the row stays in registers across the loop around it. All of `-O3`
 // measured the same kernels for a little more `cc` time (EXPERIMENTS.md,
 // "SIMD the schedule asked for").
-// The serial rung is these flags without `-fopenmp`.
 const BASE_FLAGS: &str =
-    "-O2 -fvect-cost-model=dynamic -fpeel-loops -fPIC -shared -ffp-contract=off -fopenmp";
+    "-O2 -fvect-cost-model=dynamic -fpeel-loops -fPIC -shared -ffp-contract=off";
 
 /// The flags this process builds every unit with, decided once: the base
-/// flags, then `-mavx2` where the CPU has AVX2 (8 `float` lanes instead of
-/// SSE's 4), then `-fuse-ld=gold` where a link probe shows gold links (it
-/// links a unit in half of `ld.bfd`'s ≈ 20 ms, gcc 12 on x86-64), then the
-/// vector-math macro and `-lmvec` where it shows libmvec provides the
-/// variants `ft_codegen::VECTOR_MATH` declares. The string is part of every
-/// artifact key, so a cache shared with a host that decided otherwise never
-/// serves it the wrong object.
+/// flags, then `-fopenmp` where a link probe shows libgomp links (else the
+/// kernels are serial), then `-mavx2` where the CPU has AVX2 (8 `float`
+/// lanes instead of SSE's 4), then `-fuse-ld=gold` where a probe shows gold
+/// links (it links a unit in half of `ld.bfd`'s ≈ 20 ms, gcc 12 on x86-64),
+/// then the vector-math macro and `-lmvec` where one shows libmvec provides
+/// the variants `ft_codegen::VECTOR_MATH` declares. The string is part of
+/// every artifact key, so a cache shared with a host that decided otherwise
+/// never serves it the wrong object.
 pub fn cc_flags() -> &'static str {
     static FLAGS: OnceLock<String> = OnceLock::new();
-    FLAGS.get_or_init(|| host_flags(has_avx2(), "mvec"))
+    FLAGS.get_or_init(|| host_flags(has_avx2(), "-fopenmp", "mvec"))
 }
 
 fn has_avx2() -> bool {
@@ -533,34 +533,30 @@ fn has_avx2() -> bool {
     return false;
 }
 
-/// [`cc_flags`] for a host with or without AVX2 whose vector-math library
-/// is `-l{lib}`: the linker and vector math are added only where a probe —
-/// a loop over every declared function, built as an executable, so an
-/// unresolved variant fails the link — links with them. One probe tries
-/// both; only when it fails is each tried on its own.
-fn host_flags(avx2: bool, lib: &str) -> String {
-    let mut flags = BASE_FLAGS.to_string();
-    if avx2 {
-        flags.push_str(" -mavx2");
-    }
-    if !cc_available() {
-        return flags;
-    }
-    let extras = [
+/// [`cc_flags`] for a host with or without AVX2 whose OpenMP flags are
+/// `openmp` and whose vector-math library is `-l{lib}`: each of OpenMP,
+/// the linker and vector math is added only where a probe — a loop over
+/// every declared function, built as an executable, so an unresolved
+/// variant fails the link — links with it. One probe tries all three; only
+/// when it fails is each tried on its own.
+fn host_flags(avx2: bool, openmp: &str, lib: &str) -> String {
+    let rungs = [
+        format!(" {openmp}"),
         " -fuse-ld=gold".to_string(),
         format!(" -D{} -l{lib}", ft_codegen::VECTOR_MATH_MACRO),
     ];
-    let all = extras.concat();
-    if probe_links(&format!("{flags}{all}")) {
-        flags.push_str(&all);
-        return flags;
+    let with = |on: [bool; 3]| {
+        let pick = |k: usize| if on[k] { rungs[k].as_str() } else { "" };
+        let avx2 = if avx2 { " -mavx2" } else { "" };
+        format!("{BASE_FLAGS}{}{avx2}{}{}", pick(0), pick(1), pick(2))
+    };
+    if !cc_available() {
+        return with([true, false, false]);
     }
-    for extra in &extras {
-        if probe_links(&format!("{flags}{extra}")) {
-            flags.push_str(extra);
-        }
+    if probe_links(&with([true; 3])) {
+        return with([true; 3]);
     }
-    flags
+    with([0, 1, 2].map(|k| probe_links(&with([k == 0, k == 1, k == 2]))))
 }
 
 /// Whether a program calling every function of `ft_codegen::VECTOR_MATH`
@@ -849,10 +845,9 @@ mod tests {
         assert_eq!(s.counter("compiled.cache.miss"), 1, "{s:?}");
         assert_eq!(s.counter("compiled.cache.hit"), 1, "{s:?}");
         assert_eq!(s.counter("compiled.cache.publish"), 1, "{s:?}");
-        // One cc invocation compiled the artifact (a serial-fallback retry
-        // would make it 2; either way the warm run adds none).
+        // One cc invocation compiled the artifact; the warm run adds none.
         let spawned = s.counter("compiled.cc.spawned");
-        assert!((1..=2).contains(&spawned), "{s:?}");
+        assert_eq!(spawned, 1, "{s:?}");
         assert!(s.gauge("compiled.cache.size_bytes") > 0, "{s:?}");
         assert_eq!(
             s.histograms.get("engine.compiled.run_us").map(|h| h.count),
@@ -1121,7 +1116,7 @@ mod tests {
         let vector_math = format!(" -D{} -lmvec", ft_codegen::VECTOR_MATH_MACRO);
         let without = cc_flags().replace(&vector_math, "");
         let fallbacks = [false, has_avx2()].map(|avx2| {
-            let fallback = host_flags(avx2, "ft-no-such-library");
+            let fallback = host_flags(avx2, "-fopenmp", "ft-no-such-library");
             let want = if avx2 {
                 without.clone()
             } else {
@@ -1171,27 +1166,45 @@ mod tests {
         );
     }
 
+    /// A host where OpenMP does not link — here its flags name a library
+    /// that does not exist — keeps gold and vector math and builds a unit
+    /// with one `cc` (not an OpenMP attempt and a serial retry), whose
+    /// outputs are right.
+    #[test]
+    fn a_host_without_openmp_builds_serial_kernels_with_one_cc() {
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let flags = host_flags(has_avx2(), "-fopenmp -lft-no-such-library", "mvec");
+        assert_eq!(flags, cc_flags().replace(" -fopenmp", ""));
+        let m = Metrics::new();
+        let mut eng = CompiledEngine::with_cache_dir(tmp_cache("no-openmp"));
+        eng.flags = Some(Box::leak(flags.into_boxed_str()));
+        eng.set_metrics(Some(m.clone()));
+        let x: Vec<f32> = (0..64).map(|i| i as f32 / 8.0 - 4.0).collect();
+        let inputs = HashMap::from([("x".to_string(), TensorVal::from_f32(&[64], x.clone()))]);
+        let r = eng
+            .run(&exp_rows(), &inputs, &HashMap::new())
+            .expect("builds and runs");
+        for (got, x) in r.output("y").to_f64_vec().iter().zip(&x) {
+            let want = f64::from(x.exp());
+            assert!((got - want).abs() <= 1e-6 * want, "exp({x}) = {got}");
+        }
+        assert_eq!(m.snapshot().counter("compiled.cc.spawned"), 1);
+    }
+
     #[test]
     fn concurrent_identical_requests_compile_once() {
         // The thundering-herd regression: 8 engines (each with an empty
         // in-memory memo, as 8 serving threads would have) racing the same
-        // kernel against a fresh cache dir must spawn `cc` for exactly one
-        // build, not eight. First measure how many spawns *one* cold build
-        // takes on this toolchain (1, or 2 when OpenMP is unavailable and
-        // the serial fallback kicks in), then require the stampede to match.
+        // kernel against a fresh cache dir must spawn `cc` once, for one
+        // build, not eight.
         if !cc_available() {
             eprintln!("cc unavailable; skipping");
             return;
         }
         let (inputs, sizes) = axpy_io(16, 0.0);
-
-        let m1 = Metrics::new();
-        let mut solo = CompiledEngine::with_cache_dir(tmp_cache("herd-solo"));
-        solo.set_metrics(Some(m1.clone()));
-        solo.run(&axpy(), &inputs, &sizes).expect("solo cold run");
-        let per_build = m1.snapshot().counter("compiled.cc.spawned");
-        assert!((1..=2).contains(&per_build), "{per_build}");
-
         let dir = tmp_cache("herd");
         let m = Metrics::new();
         let barrier = std::sync::Barrier::new(8);
@@ -1213,7 +1226,7 @@ mod tests {
             }
         });
         let s = m.snapshot();
-        assert_eq!(s.counter("compiled.cc.spawned"), per_build, "{s:?}");
+        assert_eq!(s.counter("compiled.cc.spawned"), 1, "{s:?}");
         assert_eq!(s.counter("compiled.cache.publish"), 1, "{s:?}");
         assert_eq!(s.counter("compiled.cache.miss"), 1, "{s:?}");
         assert_eq!(s.counter("compiled.cache.hit"), 7, "{s:?}");

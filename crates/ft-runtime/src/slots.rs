@@ -9,13 +9,21 @@
 //! instrumentation are identical to the specification in [`crate::interp`]
 //! (the equivalence is exercised by the whole cross-crate test suite, which
 //! runs everything through this path).
+//!
+//! Every conversion is explicit: an operand, index, condition, loop bound,
+//! extent or stored value of another [`Kind`] than its consumer computes
+//! in ([`scalar::unary_kind`], [`scalar::binary_kind`]) is a
+//! [`CExpr::Cast`] to it — the conversion the table applies anyway — or a
+//! literal converted here. A back end infers no kind.
 
 use crate::counters::{CacheSim, PerfCounters, LINE};
 use crate::device::DeviceConfig;
 use crate::error::RuntimeError;
 use crate::value::{Scalar, TensorVal};
+use ft_ir::scalar::{self, Kind};
 use ft_ir::{
-    BinaryOp, DataType, Expr, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtKind, UnaryOp,
+    BinaryOp, DataType, Expr, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtId, StmtKind,
+    UnaryOp,
 };
 use ft_trace::{ProfileNode, StmtCounters};
 use std::collections::HashMap;
@@ -23,23 +31,29 @@ use std::collections::HashMap;
 /// A compiled expression over slot indices.
 #[derive(Debug, Clone)]
 pub(crate) enum CExpr {
-    Int(i64),
-    Float(f64),
-    Bool(bool),
+    Const(Scalar),
     /// Scalar slot (loop iterator or size parameter).
     Scalar(usize),
     Load {
         t: usize,
         idx: Vec<CExpr>,
     },
+    /// `op a`, `a` in the kind `op` computes in. `flop`: its operand was a
+    /// float before any conversion, so the device model counts a float
+    /// operation.
     Unary {
         op: UnaryOp,
         a: Box<CExpr>,
+        flop: bool,
     },
+    /// `a op b`, both in the kind `op` computes in; `flop` as for `Unary`
+    /// (so an arithmetic operator other than `Pow` computes in floats
+    /// exactly when it is set).
     Binary {
         op: BinaryOp,
         a: Box<CExpr>,
         b: Box<CExpr>,
+        flop: bool,
     },
     Select {
         cond: Box<CExpr>,
@@ -58,6 +72,8 @@ pub(crate) enum CStmt {
     Seq(Vec<CStmt>),
     VarDef {
         t: usize,
+        /// The defining statement: its entry of the memory plan.
+        id: StmtId,
         shape: Vec<CExpr>,
         dtype: DataType,
         mtype: MemType,
@@ -78,11 +94,14 @@ pub(crate) enum CStmt {
         then: Box<CStmt>,
         otherwise: Option<Box<CStmt>>,
     },
+    /// `t[idx] = value`, `value` of `t`'s kind.
     Store {
         t: usize,
         idx: Vec<CExpr>,
         value: CExpr,
     },
+    /// `t[idx] op= value`, `value` of the kind the operator computes in
+    /// (`t`'s, unless the value's promotes it).
     Reduce {
         t: usize,
         idx: Vec<CExpr>,
@@ -170,81 +189,78 @@ impl Lower {
         idx
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<CExpr, RuntimeError> {
+    /// `e` lowered, with the kind of its value.
+    fn expr(&mut self, e: &Expr) -> Result<(CExpr, Kind), RuntimeError> {
         Ok(match e {
-            Expr::IntConst(v) => CExpr::Int(*v),
-            Expr::FloatConst(v) => CExpr::Float(*v),
-            Expr::BoolConst(v) => CExpr::Bool(*v),
-            Expr::Var(n) => CExpr::Scalar(
-                self.scalar_scope
-                    .get(n)
-                    .and_then(|v| v.last().copied())
-                    .ok_or_else(|| RuntimeError::UndefinedName(n.clone()))?,
-            ),
-            Expr::Load { var, indices } => CExpr::Load {
-                t: self.tensor_slot(var)?,
-                idx: indices
-                    .iter()
-                    .map(|i| self.expr(i))
-                    .collect::<Result<_, _>>()?,
-            },
-            Expr::Unary { op, a } => CExpr::Unary {
-                op: *op,
-                a: Box::new(self.expr(a)?),
-            },
-            Expr::Binary { op, a, b } => CExpr::Binary {
-                op: *op,
-                a: Box::new(self.expr(a)?),
-                b: Box::new(self.expr(b)?),
-            },
+            Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) => {
+                let v = Scalar::of_const(e).expect("a literal");
+                (CExpr::Const(v), v.kind())
+            }
+            Expr::Var(n) => {
+                let slot = self.scalar_scope.get(n).and_then(|v| v.last().copied());
+                let slot = slot.ok_or_else(|| RuntimeError::UndefinedName(n.clone()))?;
+                (CExpr::Scalar(slot), Kind::Int)
+            }
+            Expr::Load { var, indices } => {
+                let t = self.tensor_slot(var)?;
+                let idx = self.indices(indices)?;
+                (CExpr::Load { t, idx }, Kind::of(self.tensor_dtypes[t]))
+            }
+            Expr::Unary { op, a } => {
+                let (a, from) = self.expr(a)?;
+                let kind = scalar::unary_kind(*op, from);
+                let (a, flop) = (Box::new(convert(a, from, kind)), from == Kind::Float);
+                (CExpr::Unary { op: *op, a, flop }, kind)
+            }
+            Expr::Binary { op, a, b } => {
+                let (op, (a, ka), (b, kb)) = (*op, self.expr(a)?, self.expr(b)?);
+                let (kind, result) = scalar::binary_kind(op, ka, kb);
+                let flop = ka == Kind::Float || kb == Kind::Float;
+                let (a, b) = (convert(a, ka, kind), convert(b, kb, kind));
+                let (a, b) = (Box::new(a), Box::new(b));
+                (CExpr::Binary { op, a, b, flop }, result)
+            }
             Expr::Select {
                 cond,
                 then,
                 otherwise,
             } => {
                 // A `Select` has the type `Expr::dtype` gives the node — C's
-                // `?:` — and its arm is converted to it, so neither the
-                // interpreter nor the VM needs a rule of its own.
-                let ty = |e: &Expr| e.dtype(&|n: &str| self.elem(n)).dtype;
+                // `?:` — and its arm is converted to it. (A name that
+                // resolves to nothing takes any type; lowering it fails.)
+                let scope = |n: &str| self.tensor_scope.get(n).and_then(|v| v.last().copied());
+                let elem = |n: &str| scope(n).map_or(DataType::I64, |t| self.tensor_dtypes[t]);
+                let ty = |e: &Expr| e.dtype(&elem).dtype;
                 let (to, from) = (ty(e), [ty(then), ty(otherwise)]);
-                CExpr::Select {
-                    cond: Box::new(self.expr(cond)?),
+                let select = CExpr::Select {
+                    cond: Box::new(self.expr_as(cond, Kind::Bool)?),
                     then: Box::new(self.arm(then, from[0], to)?),
                     otherwise: Box::new(self.arm(otherwise, from[1], to)?),
-                }
+                };
+                (select, Kind::of(to))
             }
-            Expr::Cast { dtype, a } => CExpr::Cast {
-                dtype: *dtype,
-                a: Box::new(self.expr(a)?),
-            },
+            Expr::Cast { dtype, a } => {
+                let a = Box::new(self.expr(a)?.0);
+                (CExpr::Cast { dtype: *dtype, a }, Kind::of(*dtype))
+            }
         })
     }
 
-    /// The element type of the tensor `name` resolves to; any type for a
-    /// name that resolves to nothing, which lowering it reports.
-    fn elem(&self, name: &str) -> DataType {
-        let slot = self.tensor_scope.get(name).and_then(|v| v.last());
-        slot.map_or(DataType::I64, |t| self.tensor_dtypes[*t])
+    /// `e` lowered and converted to `kind`.
+    fn expr_as(&mut self, e: &Expr, kind: Kind) -> Result<CExpr, RuntimeError> {
+        let (c, from) = self.expr(e)?;
+        Ok(convert(c, from, kind))
     }
 
-    /// A `Select` arm of type `from`, converted to the node's type `to`; a
-    /// literal converts here, once.
+    /// Index or extent expressions, as integers.
+    fn indices(&mut self, v: &[Expr]) -> Result<Vec<CExpr>, RuntimeError> {
+        v.iter().map(|i| self.expr_as(i, Kind::Int)).collect()
+    }
+
+    /// A `Select` arm of type `from`, converted to the node's type `to`.
     fn arm(&mut self, e: &Expr, from: DataType, to: DataType) -> Result<CExpr, RuntimeError> {
-        let c = self.expr(e)?;
-        if from == to {
-            return Ok(c);
-        }
-        Ok(match Scalar::of_const(e) {
-            Some(v) => match ft_ir::scalar::cast(to, v) {
-                Scalar::Int(v) => CExpr::Int(v),
-                Scalar::Float(v) => CExpr::Float(v),
-                Scalar::Bool(v) => CExpr::Bool(v),
-            },
-            None => CExpr::Cast {
-                dtype: to,
-                a: Box::new(c),
-            },
-        })
+        let c = self.expr(e)?.0;
+        Ok(if from == to { c } else { cast(c, to) })
     }
 
     fn stmt(&mut self, s: &Stmt) -> Result<CStmt, RuntimeError> {
@@ -263,10 +279,7 @@ impl Lower {
                 body,
                 ..
             } => {
-                let shape: Vec<CExpr> = shape
-                    .iter()
-                    .map(|e| self.expr(e))
-                    .collect::<Result<_, _>>()?;
+                let shape = self.indices(shape)?;
                 let t = self.new_tensor(name, *dtype);
                 let body = self.stmt(body)?;
                 self.tensor_scope
@@ -275,6 +288,7 @@ impl Lower {
                     .pop();
                 CStmt::VarDef {
                     t,
+                    id: s.id,
                     shape,
                     dtype: *dtype,
                     mtype: *mtype,
@@ -288,8 +302,8 @@ impl Lower {
                 property,
                 body,
             } => {
-                let begin = self.expr(begin)?;
-                let end = self.expr(end)?;
+                let begin = self.expr_as(begin, Kind::Int)?;
+                let end = self.expr_as(end, Kind::Int)?;
                 let s_slot = self.new_scalar(iter);
                 let prof = self.new_prof_node(s.id, format!("for {iter}"));
                 let saved = self.prof_cur;
@@ -315,7 +329,7 @@ impl Lower {
                 then,
                 otherwise,
             } => CStmt::If {
-                cond: self.expr(cond)?,
+                cond: self.expr_as(cond, Kind::Bool)?,
                 then: Box::new(self.stmt(then)?),
                 otherwise: match otherwise {
                     Some(o) => Some(Box::new(self.stmt(o)?)),
@@ -326,29 +340,27 @@ impl Lower {
                 var,
                 indices,
                 value,
-            } => CStmt::Store {
-                t: self.tensor_slot(var)?,
-                idx: indices
-                    .iter()
-                    .map(|i| self.expr(i))
-                    .collect::<Result<_, _>>()?,
-                value: self.expr(value)?,
-            },
+            } => {
+                let t = self.tensor_slot(var)?;
+                let idx = self.indices(indices)?;
+                let value = self.expr_as(value, Kind::of(self.tensor_dtypes[t]))?;
+                CStmt::Store { t, idx, value }
+            }
             StmtKind::ReduceTo {
                 var,
                 indices,
                 op,
                 value,
                 ..
-            } => CStmt::Reduce {
-                t: self.tensor_slot(var)?,
-                idx: indices
-                    .iter()
-                    .map(|i| self.expr(i))
-                    .collect::<Result<_, _>>()?,
-                op: *op,
-                value: self.expr(value)?,
-            },
+            } => {
+                let t = self.tensor_slot(var)?;
+                let idx = self.indices(indices)?;
+                let (value, from) = self.expr(value)?;
+                let target = Kind::of(self.tensor_dtypes[t]);
+                let (kind, _) = scalar::binary_kind(op.binary(), target, from);
+                let (value, op) = (convert(value, from, kind), *op);
+                CStmt::Reduce { t, idx, op, value }
+            }
             StmtKind::LibCall {
                 kernel,
                 inputs,
@@ -368,6 +380,26 @@ impl Lower {
                 prof: self.new_prof_node(s.id, kernel.clone()),
             },
         })
+    }
+}
+
+/// `c`, a value of kind `from`, converted to `to`.
+fn convert(c: CExpr, from: Kind, to: Kind) -> CExpr {
+    if from == to {
+        c
+    } else {
+        cast(c, to.dtype())
+    }
+}
+
+/// `c` cast to `dtype`; a literal converts here.
+fn cast(c: CExpr, dtype: DataType) -> CExpr {
+    match c {
+        CExpr::Const(v) => CExpr::Const(scalar::cast(dtype, v)),
+        _ => CExpr::Cast {
+            dtype,
+            a: Box::new(c),
+        },
     }
 }
 
@@ -589,9 +621,7 @@ impl ExecCtx<'_> {
 
     pub(crate) fn eval(&mut self, e: &CExpr) -> Result<Scalar, RuntimeError> {
         Ok(match e {
-            CExpr::Int(v) => Scalar::Int(*v),
-            CExpr::Float(v) => Scalar::Float(*v),
-            CExpr::Bool(v) => Scalar::Bool(*v),
+            CExpr::Const(v) => *v,
             CExpr::Scalar(s) => Scalar::Int(self.scalars[*s]),
             CExpr::Load { t, idx } => {
                 let idx = self.eval_indices(idx)?;
@@ -600,18 +630,16 @@ impl ExecCtx<'_> {
                 self.record_access(*t, off);
                 v
             }
-            CExpr::Unary { op, a } => {
+            CExpr::Unary { op, a, flop } => {
                 let v = self.eval(a)?;
-                self.count_op(matches!(v, Scalar::Float(_)));
-                ft_ir::scalar::unary(*op, v)
+                self.count_op(*flop);
+                scalar::unary(*op, v)
             }
-            CExpr::Binary { op, a, b } => {
+            CExpr::Binary { op, a, b, flop } => {
                 let va = self.eval(a)?;
                 let vb = self.eval(b)?;
-                self.count_op(
-                    matches!(va, Scalar::Float(_)) || matches!(vb, Scalar::Float(_)),
-                );
-                ft_ir::scalar::binary(*op, va, vb)?
+                self.count_op(*flop);
+                scalar::binary(*op, va, vb)?
             }
             CExpr::Select {
                 cond,
@@ -624,7 +652,7 @@ impl ExecCtx<'_> {
                     self.eval(otherwise)?
                 }
             }
-            CExpr::Cast { dtype, a } => ft_ir::scalar::cast(*dtype, self.eval(a)?),
+            CExpr::Cast { dtype, a } => scalar::cast(*dtype, self.eval(a)?),
         })
     }
 
@@ -639,6 +667,7 @@ impl ExecCtx<'_> {
             }
             CStmt::VarDef {
                 t,
+                id,
                 shape,
                 dtype,
                 mtype,
@@ -652,11 +681,11 @@ impl ExecCtx<'_> {
                             .map_err(|_| RuntimeError::UnresolvedSize(self.names[*t].clone()))
                     })
                     .collect::<Result<_, _>>()?;
-                let val = self.arena.take_slot(*t, *dtype, &sh);
+                let val = self.arena.take_slot(*id, *dtype, &sh);
                 self.alloc(*t, val, *mtype)?;
                 let r = self.exec(body);
                 if let Some(val) = self.dealloc(*t) {
-                    self.arena.put_slot(*t, val);
+                    self.arena.put_slot(*id, val);
                 }
                 r
             }
@@ -735,10 +764,9 @@ impl ExecCtx<'_> {
                 let off = self.bounds_check(*t, &idx)?;
                 let old = self.tensors[*t].as_ref().expect("checked").val.get_flat(off);
                 self.record_access(*t, off);
-                self.count_op(
-                    matches!(old, Scalar::Float(_)) || matches!(v, Scalar::Float(_)),
-                );
-                let new = ft_ir::scalar::reduce(*op, old, v);
+                // A float target or value made the value a float.
+                self.count_op(matches!(v, Scalar::Float(_)));
+                let new = scalar::reduce(*op, old, v);
                 self.tensors[*t]
                     .as_mut()
                     .expect("checked")

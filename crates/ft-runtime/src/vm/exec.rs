@@ -80,11 +80,34 @@ pub(super) struct VmTally {
 /// A value as its register holds it: `Scalar` widens exactly like the
 /// register file does.
 #[inline(always)]
-fn bits_of(v: Scalar) -> u64 {
+pub(super) fn bits_of(v: Scalar) -> u64 {
     match v {
         Scalar::Float(x) => x.to_bits(),
         Scalar::Int(x) => x as u64,
         Scalar::Bool(x) => x as u64,
+    }
+}
+
+/// The value of `kind` a register holding `bits` holds.
+#[inline(always)]
+fn scalar_from(bits: u64, kind: Kind) -> Scalar {
+    match kind {
+        Kind::Int => Scalar::Int(bits as i64),
+        Kind::Float => Scalar::Float(f64::from_bits(bits)),
+        Kind::Bool => Scalar::Bool(bits != 0),
+    }
+}
+
+/// Element `o` of `val` set to the register bits `bits` of a value of its
+/// kind, converted as [`TensorVal::set_flat`] converts it.
+#[inline(always)]
+fn store_bits(val: &mut TensorVal, o: usize, bits: u64) {
+    match &mut val.data {
+        Data::F32(v) => v[o] = f64::from_bits(bits) as f32,
+        Data::F64(v) => v[o] = f64::from_bits(bits),
+        Data::I32(v) => v[o] = bits as i64 as i32,
+        Data::I64(v) => v[o] = bits as i64,
+        Data::Bool(v) => v[o] = bits != 0,
     }
 }
 
@@ -135,15 +158,6 @@ impl VmState<'_> {
         self.wf(dst, v);
     }
 
-    #[inline]
-    pub(super) fn scalar_of(&self, r: u32, ty: Ty) -> Scalar {
-        match ty {
-            Ty::I => Scalar::Int(self.ri(r)),
-            Ty::F => Scalar::Float(self.rf(r)),
-            Ty::B => Scalar::Bool(self.rb(r)),
-        }
-    }
-
     /// The tensor slot `t` resolves to: the local vector, or the
     /// coordinator's slot when running inside a fork-join region and `t`
     /// is not worker-private.
@@ -190,30 +204,28 @@ impl VmState<'_> {
     /// One `StoreFlat` worth of semantics as a plain call, out of line for
     /// the reason `exec_vec` is.
     #[inline(never)]
-    pub(super) fn store_flat_val(&mut self, t: usize, o: i64, v: Scalar) -> Result<(), RuntimeError> {
+    pub(super) fn store_flat_val(&mut self, t: usize, o: i64, v: u64) -> Result<(), RuntimeError> {
         let numel = self.numel_of(t)?;
         if o < 0 || o as usize >= numel {
             return Err(self.oob(t, vec![o]));
         }
-        self.slot_mut(t)
-            .as_mut()
-            .expect("checked above")
-            .val
-            .set_flat(o as usize, v);
+        let vt = self.slot_mut(t).as_mut().expect("checked above");
+        store_bits(&mut vt.val, o as usize, v);
         Ok(())
     }
 
-    /// One `ReduceFlat` worth of semantics as a plain call.
+    /// One `ReduceFlat` worth of semantics as a plain call: `bits` hold a
+    /// value of the tensor's kind.
     #[inline]
     pub(super) fn reduce_flat_val(
         &mut self,
         t: usize,
         o: i64,
         op: ReduceOp,
-        v: Scalar,
+        bits: u64,
     ) -> Result<(), RuntimeError> {
         let old = self.load_flat_val(t, o)?;
-        let new = scalar::reduce(op, old, v);
+        let new = scalar::reduce(op, old, scalar_from(bits, old.kind()));
         self.slot_mut(t)
             .as_mut()
             .expect("checked above")
@@ -315,9 +327,7 @@ impl VmState<'_> {
                         continue;
                     }
                 }
-                Instr::ConstI { dst, v } => self.wi(*dst, *v),
-                Instr::ConstF { dst, v } => self.wf(*dst, *v),
-                Instr::ConstB { dst, v } => self.wb(*dst, *v),
+                Instr::Const { dst, bits } => self.regs[*dst as usize] = *bits,
                 Instr::Mov { dst, src } => self.regs[*dst as usize] = self.regs[*src as usize],
                 Instr::AddImmI { dst, v } => {
                     let x = self.ri(*dst).wrapping_add(*v);
@@ -357,7 +367,7 @@ impl VmState<'_> {
                     self.wb(*dst, v);
                 }
                 Instr::Cast { to, from, dst, a } => {
-                    let v = scalar::cast(*to, self.scalar_of(*a, *from));
+                    let v = scalar::cast(*to, scalar_from(self.regs[*a as usize], *from));
                     self.regs[*dst as usize] = bits_of(v);
                 }
                 Instr::Off { t, idx, ndim, dst } => {
@@ -397,47 +407,28 @@ impl VmState<'_> {
                     let ti = *t as usize;
                     let o = self.regs[*off as usize] as usize;
                     let vt = self.slot(ti).as_ref().expect("Off checked");
-                    let bits = match &vt.val.data {
-                        Data::F32(v) => (v[o] as f64).to_bits(),
-                        Data::F64(v) => v[o].to_bits(),
-                        Data::I32(v) => (v[o] as i64) as u64,
-                        Data::I64(v) => v[o] as u64,
-                        Data::Bool(v) => v[o] as u64,
-                    };
-                    self.regs[*dst as usize] = bits;
+                    self.regs[*dst as usize] = bits_of(vt.val.get_flat(o));
                 }
                 Instr::LoadFlat { t, off, dst } => {
                     let ti = *t as usize;
                     let o = self.regs[*off as usize] as i64;
                     self.regs[*dst as usize] = bits_of(self.load_flat_val(ti, o)?);
                 }
-                Instr::StoreT { t, off, src, sty } => {
-                    let ti = *t as usize;
+                Instr::StoreT { t, off, src } => {
                     let o = self.regs[*off as usize] as usize;
-                    let v = self.scalar_of(*src, *sty);
-                    self.slot_mut(ti)
-                        .as_mut()
-                        .expect("Off checked")
-                        .val
-                        .set_flat(o, v);
+                    let bits = self.regs[*src as usize];
+                    let vt = self.slot_mut(*t as usize).as_mut().expect("Off checked");
+                    store_bits(&mut vt.val, o, bits);
                 }
-                Instr::StoreFlat { t, off, src, sty } => {
-                    let ti = *t as usize;
+                Instr::StoreFlat { t, off, src } => {
                     let o = self.regs[*off as usize] as i64;
-                    let v = self.scalar_of(*src, *sty);
-                    self.store_flat_val(ti, o, v)?;
+                    self.store_flat_val(*t as usize, o, self.regs[*src as usize])?;
                 }
-                Instr::ReduceT {
-                    t,
-                    off,
-                    src,
-                    sty,
-                    op,
-                } => {
+                Instr::ReduceT { t, off, src, op } => {
                     let ti = *t as usize;
                     let o = self.regs[*off as usize] as usize;
-                    let v = self.scalar_of(*src, *sty);
                     let old = self.slot(ti).as_ref().expect("Off checked").val.get_flat(o);
+                    let v = scalar_from(self.regs[*src as usize], old.kind());
                     let new = scalar::reduce(*op, old, v);
                     self.slot_mut(ti)
                         .as_mut()
@@ -445,17 +436,9 @@ impl VmState<'_> {
                         .val
                         .set_flat(o, new);
                 }
-                Instr::ReduceFlat {
-                    t,
-                    off,
-                    src,
-                    sty,
-                    op,
-                } => {
-                    let ti = *t as usize;
+                Instr::ReduceFlat { t, off, src, op } => {
                     let o = self.regs[*off as usize] as i64;
-                    let v = self.scalar_of(*src, *sty);
-                    self.reduce_flat_val(ti, o, *op, v)?;
+                    self.reduce_flat_val(*t as usize, o, *op, self.regs[*src as usize])?;
                 }
                 Instr::Alloc {
                     t,
@@ -465,17 +448,17 @@ impl VmState<'_> {
                 } => {
                     let ti = *t as usize;
                     let sh = self.shape_of(ti, *shape, *ndim)?;
-                    let val = match self.arena.as_mut() {
-                        Some(pool) => pool.take_slot(ti, *dtype, &sh),
-                        None => TensorVal::zeros(*dtype, &sh),
+                    let val = match (self.arena.as_mut(), prog.defs[ti]) {
+                        (Some(pool), Some(def)) => pool.take_slot(def, *dtype, &sh),
+                        _ => TensorVal::zeros(*dtype, &sh),
                     };
                     *self.slot_mut(ti) = Some(VmSlot::new(val));
                 }
                 Instr::Free { t } => {
                     let ti = *t as usize;
                     if let Some(vt) = self.slot_mut(ti).take() {
-                        if let Some(pool) = self.arena.as_mut() {
-                            pool.put_slot(ti, vt.val);
+                        if let (Some(pool), Some(def)) = (self.arena.as_mut(), prog.defs[ti]) {
+                            pool.put_slot(def, vt.val);
                         }
                     }
                 }

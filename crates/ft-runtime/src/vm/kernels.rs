@@ -11,24 +11,17 @@
 use super::*;
 
 /// If `e` is a load whose index varies in `s`, return its target and index.
-fn varying_load(
-    e: &crate::slots::CExpr,
-    s: usize,
-) -> Option<(usize, &[crate::slots::CExpr])> {
+fn varying_load(e: &CExpr, s: usize) -> Option<(usize, &[CExpr])> {
     match e {
-        crate::slots::CExpr::Load { t, idx }
-            if idx.iter().any(|i| contains_scalar(i, s)) =>
-        {
-            Some((*t, idx))
-        }
+        CExpr::Load { t, idx } if idx.iter().any(|i| contains_scalar(i, s)) => Some((*t, idx)),
         _ => None,
     }
 }
 
 /// Strip nested single-statement `Seq` wrappers.
-fn unwrap_single(body: &crate::slots::CStmt) -> &crate::slots::CStmt {
+fn unwrap_single(body: &CStmt) -> &CStmt {
     match body {
-        crate::slots::CStmt::Seq(v) if v.len() == 1 => unwrap_single(&v[0]),
+        CStmt::Seq(v) if v.len() == 1 => unwrap_single(&v[0]),
         other => other,
     }
 }
@@ -41,25 +34,26 @@ fn contiguous(base: i64, stride: i64, trip: usize, numel: usize) -> bool {
 }
 
 impl Compiler {
-    /// Evaluate `e`, which [`speculable`](Compiler::speculable) admits, into
-    /// a persist register in the innermost loop's preheader.
-    fn preheader_value(&mut self, e: &crate::slots::CExpr) -> (u32, Ty) {
+    /// Evaluate the float `e`, which [`speculable`](Compiler::speculable)
+    /// admits, into a persist register in the innermost loop's preheader.
+    fn preheader_value(&mut self, e: &CExpr) -> u32 {
         let dst = self.alloc_persist();
         let mut pre = Vec::new();
         std::mem::swap(&mut self.buf, &mut pre);
         let mark = self.mark();
-        let (src, ty) = self.expr(e);
+        let (src, kind) = self.expr(e);
+        debug_assert_eq!(kind, Kind::Float, "{e:?}");
         self.emit(Instr::Mov { dst, src });
         self.free_to(mark);
         std::mem::swap(&mut self.buf, &mut pre);
         let lp = self.loops.last_mut().expect("vectorize ctx pushed");
         lp.preheader.extend(pre);
-        (dst, ty)
+        dst
     }
 
     /// Strength-reduce one access for a vectorized loop and recover the
     /// stride register its induction latch would have advanced by.
-    fn vec_access(&mut self, t: usize, idx: &[crate::slots::CExpr]) -> Option<VecAccess> {
+    fn vec_access(&mut self, t: usize, idx: &[CExpr]) -> Option<VecAccess> {
         let before = self.loops.last().expect("vectorize ctx pushed").latches.len();
         let off = self.try_reduce(t, idx)?;
         let lp = self.loops.last().expect("vectorize ctx pushed");
@@ -75,29 +69,24 @@ impl Compiler {
     }
 
     /// A varying load of a kernel reducing into tensor `t`, or the reason it
-    /// cannot be one: it reads `t` itself, is not a float, or its offset
-    /// does not strength-reduce.
+    /// cannot be one: it reads `t` itself, or its offset does not
+    /// strength-reduce. (It is a float: a load of another kind reaches a
+    /// float operator converted, so it is no load.)
     fn vec_src(
         &mut self,
         t: usize,
-        (xt, xidx): (usize, &[crate::slots::CExpr]),
+        (xt, xidx): (usize, &[CExpr]),
     ) -> Result<VecAccess, &'static str> {
         if xt == t {
             return Err("reduction_target_reused");
-        }
-        if ty_of(self.tdtype[xt]) != Ty::F {
-            return Err("unsupported_reduce_dtype");
         }
         self.vec_access(xt, xidx).ok_or("src_not_stride_reducible")
     }
 
     /// Classify the single-statement body of a `vectorize`-marked loop into
     /// a fused kernel, or the structured reason the loop compiles serially.
-    fn build_vec_kernel(
-        &mut self,
-        inner: &crate::slots::CStmt,
-    ) -> Result<VecKernel, &'static str> {
-        use crate::slots::{CExpr as E, CStmt as S};
+    fn build_vec_kernel(&mut self, inner: &CStmt) -> Result<VecKernel, &'static str> {
+        use {CExpr as E, CStmt as S};
         let (t, idx, value) = match inner {
             S::Reduce {
                 t,
@@ -114,7 +103,7 @@ impl Compiler {
             S::Seq(_) => return Err("compound_body"),
             S::Nop => return Err("empty_body"),
         };
-        if ty_of(self.tdtype[t]) != Ty::F {
+        if Kind::of(self.tdtype[t]) != Kind::Float {
             return Err("unsupported_reduce_dtype");
         }
         let s = self.loops.last().expect("vectorize ctx pushed").s;
@@ -125,6 +114,7 @@ impl Compiler {
                     op: BinaryOp::Mul,
                     a,
                     b,
+                    ..
                 } => match (varying_load(a, s), varying_load(b, s)) {
                     (Some(x), Some(y)) => Ok(VecKernel::Dot {
                         dst,
@@ -144,6 +134,7 @@ impl Compiler {
                 op: BinaryOp::Mul,
                 a,
                 b,
+                ..
             } => match (varying_load(a, s), varying_load(b, s)) {
                 (Some(x), None) | (None, Some(x)) if !carried => {
                     // Multiplier on the left means the serial code
@@ -186,7 +177,7 @@ impl Compiler {
         s_reg: u32,
         re: u32,
         prof: usize,
-        body: &crate::slots::CStmt,
+        body: &CStmt,
     ) -> bool {
         let inner = unwrap_single(body);
         let mut writes = std::collections::HashSet::new();
@@ -273,12 +264,12 @@ impl VmState<'_> {
         trip: usize,
         dst: &VecAccess,
         x: &VecAccess,
-        a: Option<(u32, Ty)>,
+        a: Option<u32>,
         a_lhs: bool,
     ) -> Result<(), RuntimeError> {
         let (dt, db, ds) = self.acc(dst);
         let (xt, xb, xs) = self.acc(x);
-        let av = a.map(|(r, ty)| self.scalar_of(r, ty).as_f64());
+        let av = a.map(|r| self.rf(r));
         let xn = self.numel_of(xt)?;
         let dn = self.numel_of(dt)?;
         let mut lane = contiguous(xb, xs, trip, xn) && contiguous(db, ds, trip, dn) && dt != xt;
@@ -337,7 +328,7 @@ impl VmState<'_> {
                 (Some(a), false) => xvv * a,
                 (None, _) => xvv,
             };
-            self.reduce_flat_val(dt, od, ReduceOp::Add, Scalar::Float(prod))?;
+            self.reduce_flat_val(dt, od, ReduceOp::Add, prod.to_bits())?;
             ox = ox.wrapping_add(xs);
             od = od.wrapping_add(ds);
         }

@@ -23,8 +23,8 @@ pub(super) struct LoopCtx {
 }
 
 /// Call `f` on `s` and on every statement nested in it.
-fn for_each_stmt(s: &crate::slots::CStmt, f: &mut impl FnMut(&crate::slots::CStmt)) {
-    use crate::slots::CStmt as S;
+fn for_each_stmt(s: &CStmt, f: &mut impl FnMut(&CStmt)) {
+    use CStmt as S;
     f(s);
     match s {
         S::Nop | S::Store { .. } | S::Reduce { .. } | S::LibCall { .. } => {}
@@ -42,8 +42,8 @@ fn for_each_stmt(s: &crate::slots::CStmt, f: &mut impl FnMut(&crate::slots::CStm
 }
 
 /// Collect every tensor slot `s` can write (or reallocate).
-pub(super) fn collect_writes(s: &crate::slots::CStmt, out: &mut std::collections::HashSet<usize>) {
-    use crate::slots::CStmt as S;
+pub(super) fn collect_writes(s: &CStmt, out: &mut std::collections::HashSet<usize>) {
+    use CStmt as S;
     for_each_stmt(s, &mut |st| match st {
         S::VarDef { t, .. } | S::Store { t, .. } | S::Reduce { t, .. } => {
             out.insert(*t);
@@ -69,6 +69,8 @@ pub(super) struct Compiler {
     pub(super) tdtype: Vec<DataType>,
     /// The machine register of each register of the IR (0-d `CpuStack`).
     regs: Vec<Option<u32>>,
+    /// The defining statement of each tensor slot a `VarDef` allocates.
+    defs: Vec<Option<StmtId>>,
     lib_sites: Vec<LibSite>,
     pub(super) vec_sites: Vec<VecSite>,
     par_sites: Vec<ParSite>,
@@ -76,10 +78,10 @@ pub(super) struct Compiler {
 }
 
 /// Whether scalar slot `s` appears anywhere in `e`.
-pub(super) fn contains_scalar(e: &crate::slots::CExpr, s: usize) -> bool {
-    use crate::slots::CExpr as E;
+pub(super) fn contains_scalar(e: &CExpr, s: usize) -> bool {
+    use CExpr as E;
     match e {
-        E::Int(_) | E::Float(_) | E::Bool(_) => false,
+        E::Const(_) => false,
         E::Scalar(x) => *x == s,
         E::Load { idx, .. } => idx.iter().any(|i| contains_scalar(i, s)),
         E::Unary { a, .. } => contains_scalar(a, s),
@@ -157,33 +159,23 @@ impl Compiler {
         r
     }
 
-    /// Emit a conversion between scalar kinds: `Scalar::as_f64`/`as_i64`/
-    /// `as_bool`, which is the cast to the kind's widest type.
-    fn conv(&mut self, r: u32, from: Ty, to: Ty) -> u32 {
-        if from == to {
-            return r;
-        }
-        let dst = self.alloc_tmp();
-        let to = match to {
-            Ty::I => DataType::I64,
-            Ty::F => DataType::F64,
-            Ty::B => DataType::Bool,
-        };
-        self.emit(Instr::Cast { to, from, dst, a: r });
-        dst
+    /// Compile `e`, which the slot lowering gave `kind`.
+    fn expr_in(&mut self, e: &CExpr, kind: Kind) -> u32 {
+        let (r, k) = self.expr(e);
+        debug_assert_eq!(k, kind, "the slot lowering converts {e:?}");
+        r
     }
 
     /// Compile each index expression into a contiguous register block
-    /// (converted to `i64`, preserving the interpreter's evaluation order).
-    fn idx_block(&mut self, idx: &[crate::slots::CExpr]) -> u32 {
+    /// (preserving the interpreter's evaluation order).
+    fn idx_block(&mut self, idx: &[CExpr]) -> u32 {
         let blk = self.next;
         for _ in idx {
             self.alloc_tmp();
         }
         for (d, e) in idx.iter().enumerate() {
             let mark = self.mark();
-            let (r, t) = self.expr(e);
-            let r = self.conv(r, t, Ty::I);
+            let r = self.expr_in(e, Kind::Int);
             self.emit(Instr::Mov {
                 dst: blk + d as u32,
                 src: r,
@@ -193,47 +185,13 @@ impl Compiler {
         blk
     }
 
-    /// Statically inferred scalar kind of an expression, mirroring the
-    /// typing rules `expr` compiles with.
-    fn static_ty(&self, e: &crate::slots::CExpr) -> Ty {
-        use crate::slots::CExpr as E;
-        use BinaryOp::*;
-        match e {
-            E::Int(_) => Ty::I,
-            E::Float(_) => Ty::F,
-            E::Bool(_) => Ty::B,
-            E::Scalar(_) => Ty::I,
-            E::Load { t, .. } => ty_of(self.tdtype[*t]),
-            E::Unary { op, a } => match op {
-                UnaryOp::Not => Ty::B,
-                UnaryOp::Sqrt
-                | UnaryOp::Exp
-                | UnaryOp::Ln
-                | UnaryOp::Sigmoid
-                | UnaryOp::Tanh => Ty::F,
-                UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign => match self.static_ty(a) {
-                    Ty::F => Ty::F,
-                    _ => Ty::I,
-                },
-            },
-            E::Binary { op, a, b } => match op {
-                And | Or | Eq | Ne | Lt | Le | Gt | Ge => Ty::B,
-                Pow => Ty::F,
-                _ if self.static_ty(a) == Ty::F || self.static_ty(b) == Ty::F => Ty::F,
-                _ => Ty::I,
-            },
-            E::Select { then, .. } => self.static_ty(then),
-            E::Cast { dtype, .. } => ty_of(*dtype),
-        }
-    }
-
-    /// The register `e` reads, with its type, if it reads one.
+    /// The register `e` reads, with its kind, if it reads one.
     /// (An index into one is no register read: it fails as an access to a
     /// tensor that does not exist.)
-    pub(super) fn register(&self, e: &crate::slots::CExpr) -> Option<(u32, Ty)> {
+    pub(super) fn register(&self, e: &CExpr) -> Option<(u32, Kind)> {
         match e {
-            crate::slots::CExpr::Load { t, idx } if idx.is_empty() => {
-                self.regs[*t].map(|r| (r, ty_of(self.tdtype[*t])))
+            CExpr::Load { t, idx } if idx.is_empty() => {
+                self.regs[*t].map(|r| (r, Kind::of(self.tdtype[*t])))
             }
             _ => None,
         }
@@ -243,26 +201,28 @@ impl Compiler {
     /// loop runs no iteration: it reads constants, scalars and registers
     /// the loop does not write, and no integer division can fault. With
     /// `int`, integer arithmetic the stride probes evaluate at an
-    /// iteration; without, a value of every iteration (no iterator `s`).
-    pub(super) fn speculable(&self, e: &crate::slots::CExpr, s: usize, int: bool) -> bool {
-        use crate::slots::CExpr as E;
+    /// iteration (no conversion or comparison, so every leaf is an
+    /// integer); without, a value of every iteration (no iterator `s`).
+    pub(super) fn speculable(&self, e: &CExpr, s: usize, int: bool) -> bool {
+        use CExpr as E;
         use BinaryOp::*;
         match e {
-            E::Int(_) => true,
-            E::Float(_) | E::Bool(_) => !int,
+            E::Const(_) => true,
             E::Scalar(x) => int || *x != s,
             // To the loop, a register it does not write is an outer scalar.
-            E::Load { t, .. } => self.register(e).is_some_and(|(_, ty)| {
-                (!int || ty == Ty::I) && self.loops.last().is_some_and(|l| !l.writes.contains(t))
-            }),
-            E::Unary { op, a } => {
+            E::Load { t, .. } => {
+                self.register(e).is_some()
+                    && self.loops.last().is_some_and(|l| !l.writes.contains(t))
+            }
+            E::Unary { op, a, .. } => {
                 (!int || matches!(op, UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign))
                     && self.speculable(a, s, int)
             }
-            E::Binary { op, a, b } => {
+            E::Binary { op, a, b, flop } => {
                 let ok = match int {
                     true => matches!(op, Add | Sub | Mul | Min | Max),
-                    false => !matches!(op, Div | Mod) || self.static_ty(e) == Ty::F,
+                    // Float operands: `/` and `%` compute in floats.
+                    false => *flop || !matches!(op, Div | Mod),
                 };
                 ok && self.speculable(a, s, int) && self.speculable(b, s, int)
             }
@@ -273,16 +233,16 @@ impl Compiler {
 
     /// Whether `e` (already known [`speculable`](Compiler::speculable) as
     /// an integer) is an affine function of scalar slot `s`.
-    fn linear_in(&self, e: &crate::slots::CExpr, s: usize) -> bool {
-        use crate::slots::CExpr as E;
+    fn linear_in(&self, e: &CExpr, s: usize) -> bool {
+        use CExpr as E;
         use BinaryOp::*;
         match e {
-            E::Int(_) | E::Scalar(_) | E::Load { .. } => true,
-            E::Unary { op, a } => match op {
+            E::Const(_) | E::Scalar(_) | E::Load { .. } => true,
+            E::Unary { op, a, .. } => match op {
                 UnaryOp::Neg => self.linear_in(a, s),
                 _ => !contains_scalar(a, s),
             },
-            E::Binary { op, a, b } => match op {
+            E::Binary { op, a, b, .. } => match op {
                 Add | Sub => self.linear_in(a, s) && self.linear_in(b, s),
                 Mul => {
                     (self.linear_in(a, s) && !contains_scalar(b, s))
@@ -305,11 +265,7 @@ impl Compiler {
     /// `n`) that a compile-time constant folder could not. Structural
     /// linearity is still required, so the two probes fully determine the
     /// sequence (wrapping arithmetic keeps this exact mod 2^64).
-    pub(super) fn try_reduce(
-        &mut self,
-        t: usize,
-        idx: &[crate::slots::CExpr],
-    ) -> Option<u32> {
+    pub(super) fn try_reduce(&mut self, t: usize, idx: &[CExpr]) -> Option<u32> {
         let s = self.loops.last()?.s;
         // The tensor (and hence its shape, which OffRaw reads at loop
         // entry) must exist before the loop starts.
@@ -378,78 +334,59 @@ impl Compiler {
         Some(r_off)
     }
 
-    pub(super) fn expr(&mut self, e: &crate::slots::CExpr) -> (u32, Ty) {
-        use crate::slots::CExpr as E;
+    /// Compile `e` into a register, in the kind of its operands; returns
+    /// the register and the kind of its value.
+    pub(super) fn expr(&mut self, e: &CExpr) -> (u32, Kind) {
+        use CExpr as E;
         match e {
-            E::Int(v) => {
+            E::Const(v) => {
                 let dst = self.alloc_tmp();
-                self.emit(Instr::ConstI { dst, v: *v });
-                (dst, Ty::I)
-            }
-            E::Float(v) => {
-                let dst = self.alloc_tmp();
-                self.emit(Instr::ConstF { dst, v: *v });
-                (dst, Ty::F)
-            }
-            E::Bool(v) => {
-                let dst = self.alloc_tmp();
-                self.emit(Instr::ConstB { dst, v: *v });
-                (dst, Ty::B)
+                self.emit(Instr::Const {
+                    dst,
+                    bits: bits_of(*v),
+                });
+                (dst, v.kind())
             }
             // Scalar slots and registers are read-only to expressions;
             // return the register itself.
-            E::Scalar(s) => (*s as u32, Ty::I),
+            E::Scalar(s) => (*s as u32, Kind::Int),
             E::Load { .. } if self.register(e).is_some() => self.register(e).expect("checked"),
             E::Load { t, idx } => {
-                let ty = ty_of(self.tdtype[*t]);
-                if let Some(off) = self.try_reduce(*t, idx) {
-                    let dst = self.alloc_tmp();
-                    self.emit(Instr::LoadFlat {
-                        t: *t as u32,
-                        off,
-                        dst,
-                    });
-                    (dst, ty)
-                } else {
+                let tu = *t as u32;
+                let flat = self.try_reduce(*t, idx);
+                let off = flat.unwrap_or_else(|| {
                     let mark = self.mark();
-                    let blk = self.idx_block(idx);
-                    let roff = self.alloc_tmp();
+                    let (blk, off) = (self.idx_block(idx), self.alloc_tmp());
                     self.emit(Instr::Off {
-                        t: *t as u32,
+                        t: tu,
                         idx: blk,
                         ndim: idx.len() as u8,
-                        dst: roff,
+                        dst: off,
                     });
                     self.free_to(mark);
-                    let dst = self.alloc_tmp();
-                    self.emit(Instr::LoadT {
-                        t: *t as u32,
-                        off: roff,
-                        dst,
-                    });
-                    (dst, ty)
-                }
+                    off
+                });
+                let dst = self.alloc_tmp();
+                self.emit(match flat {
+                    Some(_) => Instr::LoadFlat { t: tu, off, dst },
+                    None => Instr::LoadT { t: tu, off, dst },
+                });
+                (dst, Kind::of(self.tdtype[*t]))
             }
-            E::Unary { op, a } => {
+            E::Unary { op, a, .. } => {
                 let mark = self.mark();
-                let (ra, ta) = self.expr(a);
-                // The kind the operator computes in (`scalar::unary`).
-                let tc = match op {
-                    UnaryOp::Not => Ty::B,
-                    UnaryOp::Neg | UnaryOp::Abs | UnaryOp::Sign if ta != Ty::F => Ty::I,
-                    _ => Ty::F,
-                };
-                let ca = self.conv(ra, ta, tc);
+                let (a, kind) = self.expr(a);
+                debug_assert_eq!(scalar::unary_kind(*op, kind), kind, "{e:?}");
                 self.free_to(mark);
                 let dst = self.alloc_tmp();
-                self.emit(match tc {
-                    Ty::B => Instr::Not { dst, a: ca },
-                    Ty::I => Instr::UnI { op: *op, dst, a: ca },
-                    Ty::F => Instr::UnF { op: *op, dst, a: ca },
+                self.emit(match kind {
+                    Kind::Bool => Instr::Not { dst, a },
+                    Kind::Int => Instr::UnI { op: *op, dst, a },
+                    Kind::Float => Instr::UnF { op: *op, dst, a },
                 });
-                (dst, tc)
+                (dst, kind)
             }
-            E::Binary { op, a, b } => {
+            E::Binary { op, a, b, .. } => {
                 let mark = self.mark();
                 let a = self.expr(a);
                 let b = self.expr(b);
@@ -461,138 +398,169 @@ impl Compiler {
                 otherwise,
             } => {
                 let mark = self.mark();
-                let (rc, tc) = self.expr(cond);
-                let cb = self.conv(rc, tc, Ty::B);
+                let cb = self.expr_in(cond, Kind::Bool);
                 self.free_to(mark);
                 let dst = self.alloc_tmp();
                 let br = self.emit_idx(Instr::BrFalse { cond: cb, to: 0 });
                 let mark2 = self.mark();
-                let (rt, tt) = self.expr(then);
+                let (rt, kind) = self.expr(then);
                 self.emit(Instr::Mov { dst, src: rt });
                 self.free_to(mark2);
                 let jend = self.emit_idx(Instr::Jmp { to: 0 });
                 let else_pc = self.buf.len() as u32;
                 self.patch(br, else_pc);
-                let (re, te) = self.expr(otherwise);
-                debug_assert_eq!(tt, te, "the slot lowering gives both arms the node's type");
+                let re = self.expr_in(otherwise, kind);
                 self.emit(Instr::Mov { dst, src: re });
                 self.free_to(mark2);
                 let end_pc = self.buf.len() as u32;
                 self.patch(jend, end_pc);
-                (dst, tt)
+                (dst, kind)
             }
             E::Cast { dtype, a } => {
                 let mark = self.mark();
-                let (ra, ta) = self.expr(a);
-                let to = ty_of(*dtype);
-                if matches!(dtype, DataType::F32 | DataType::I32) || ta != to {
-                    self.free_to(mark);
-                    let dst = self.alloc_tmp();
-                    self.emit(Instr::Cast {
-                        to: *dtype,
-                        from: ta,
-                        dst,
-                        a: ra,
-                    });
-                    return (dst, to);
+                let (a, from) = self.expr(a);
+                if *dtype == from.dtype() {
+                    return (a, from);
                 }
-                (ra, to)
+                self.free_to(mark);
+                let dst = self.alloc_tmp();
+                self.emit(Instr::Cast {
+                    to: *dtype,
+                    from,
+                    dst,
+                    a,
+                });
+                (dst, Kind::of(*dtype))
             }
         }
     }
 
-    /// `a op b` of two evaluated operands, their temporaries released
-    /// back to `mark`.
-    fn binary(&mut self, op: BinaryOp, (ra, ta): (u32, Ty), (rb, tb): (u32, Ty), mark: u32) -> (u32, Ty) {
+    /// `a op b` of two evaluated operands of the kind `op` computes in,
+    /// their temporaries released back to `mark`.
+    fn binary(
+        &mut self,
+        op: BinaryOp,
+        (a, ka): (u32, Kind),
+        (b, kb): (u32, Kind),
+        mark: u32,
+    ) -> (u32, Kind) {
         use BinaryOp::*;
-        // The kind the operands meet in, and the result's
-        // (`scalar::binary`).
-        let float = ta == Ty::F || tb == Ty::F;
-        let (tc, tr) = match op {
-            And | Or => (Ty::B, Ty::B),
-            Eq | Ne | Lt | Le | Gt | Ge if ta == Ty::I && tb == Ty::I => (Ty::I, Ty::B),
-            Eq | Ne | Lt | Le | Gt | Ge => (Ty::F, Ty::B),
-            Add | Sub | Mul | Div | Mod | Min | Max if !float => (Ty::I, Ty::I),
-            _ => (Ty::F, Ty::F),
-        };
-        let (a, b) = (self.conv(ra, ta, tc), self.conv(rb, tb, tc));
+        let (kind, result) = scalar::binary_kind(op, ka, kb);
+        debug_assert!(
+            ka == kind && kb == kind,
+            "the slot lowering converts `{}`'s operands",
+            op.name()
+        );
         self.free_to(mark);
         let dst = self.alloc_tmp();
-        self.emit(match (tc, tr, op) {
-            (Ty::B, _, _) => Instr::BinB { op, dst, a, b },
-            (Ty::I, Ty::B, _) => Instr::CmpI { op, dst, a, b },
-            (_, Ty::B, _) => Instr::CmpF { op, dst, a, b },
-            (Ty::I, _, Add) => Instr::AddI { dst, a, b },
-            (Ty::I, _, Sub) => Instr::SubI { dst, a, b },
-            (Ty::I, _, Mul) => Instr::MulI { dst, a, b },
-            (Ty::I, _, _) => Instr::BinI { op, dst, a, b },
-            (Ty::F, _, Add) => Instr::AddF { dst, a, b },
-            (Ty::F, _, Sub) => Instr::SubF { dst, a, b },
-            (Ty::F, _, Mul) => Instr::MulF { dst, a, b },
-            (Ty::F, _, Div) => Instr::DivF { dst, a, b },
-            (Ty::F, _, _) => Instr::BinF { op, dst, a, b },
+        self.emit(match (kind, result, op) {
+            (Kind::Bool, _, _) => Instr::BinB { op, dst, a, b },
+            (Kind::Int, Kind::Bool, _) => Instr::CmpI { op, dst, a, b },
+            (_, Kind::Bool, _) => Instr::CmpF { op, dst, a, b },
+            (Kind::Int, _, Add) => Instr::AddI { dst, a, b },
+            (Kind::Int, _, Sub) => Instr::SubI { dst, a, b },
+            (Kind::Int, _, Mul) => Instr::MulI { dst, a, b },
+            (Kind::Int, _, _) => Instr::BinI { op, dst, a, b },
+            (Kind::Float, _, Add) => Instr::AddF { dst, a, b },
+            (Kind::Float, _, Sub) => Instr::SubF { dst, a, b },
+            (Kind::Float, _, Mul) => Instr::MulF { dst, a, b },
+            (Kind::Float, _, Div) => Instr::DivF { dst, a, b },
+            (Kind::Float, _, _) => Instr::BinF { op, dst, a, b },
         });
-        (dst, tr)
+        (dst, result)
     }
 
     /// `t[idx] = value`, or `t[idx] op= value` (`scalar::reduce`: the
-    /// operator's `binary`, then the store).
-    fn assign(
-        &mut self,
-        t: usize,
-        idx: &[crate::slots::CExpr],
-        op: Option<ReduceOp>,
-        value: &crate::slots::CExpr,
-    ) {
+    /// operator's `binary`, then the store). The slot lowering gives a
+    /// stored value `t`'s kind, and a reduction's value the kind the
+    /// operator computes in.
+    fn assign(&mut self, t: usize, idx: &[CExpr], op: Option<ReduceOp>, value: &CExpr) {
         let mark = self.mark();
         let tu = t as u32;
         if let Some(r) = self.regs[t].filter(|_| idx.is_empty()) {
-            let dtype = self.tdtype[t];
-            let mut v = self.expr(value);
-            if let Some(op) = op {
-                let op = match op {
-                    ReduceOp::Add => BinaryOp::Add,
-                    ReduceOp::Mul => BinaryOp::Mul,
-                    ReduceOp::Min => BinaryOp::Min,
-                    ReduceOp::Max => BinaryOp::Max,
-                };
-                v = self.binary(op, (r, ty_of(dtype)), v, mark);
-            }
-            // Converted as a store into a tensor of `dtype` converts it.
-            let widest = matches!(dtype, DataType::F64 | DataType::I64 | DataType::Bool);
-            self.emit(match widest && v.1 == ty_of(dtype) {
-                true => Instr::Mov { dst: r, src: v.0 },
-                false => Instr::Cast {
-                    to: dtype,
-                    from: v.1,
-                    dst: r,
-                    a: v.0,
-                },
-            });
-        } else if let Some(off) = self.try_reduce(t, idx) {
-            let (src, sty) = self.expr(value);
-            self.emit(match op {
-                None => Instr::StoreFlat { t: tu, off, src, sty },
-                Some(op) => Instr::ReduceFlat { t: tu, off, src, sty, op },
-            });
-        } else {
-            let blk = self.idx_block(idx);
-            let (src, sty) = self.expr(value);
-            // Bounds are checked after the value evaluates, matching the
-            // interpreter's error order.
-            let off = self.alloc_tmp();
-            let ndim = idx.len() as u8;
-            self.emit(Instr::Off { t: tu, idx: blk, ndim, dst: off });
-            self.emit(match op {
-                None => Instr::StoreT { t: tu, off, src, sty },
-                Some(op) => Instr::ReduceT { t: tu, off, src, sty, op },
-            });
+            let v = self.expr(value);
+            let v = self.combine(t, r, op, v, mark);
+            self.store_reg(t, r, v);
+            return self.free_to(mark);
         }
+        let flat = self.try_reduce(t, idx);
+        let blk = flat.is_none().then(|| self.idx_block(idx));
+        let v @ (mut src, kind) = self.expr(value);
+        // Bounds are checked after the value evaluates, matching the
+        // interpreter's error order.
+        let off = flat.unwrap_or_else(|| {
+            let (off, ndim) = (self.alloc_tmp(), idx.len() as u8);
+            let idx = blk.expect("no flat offset");
+            self.emit(Instr::Off { t: tu, idx, ndim, dst: off });
+            off
+        });
+        let mut op = op;
+        if op.is_some() && kind != Kind::of(self.tdtype[t]) {
+            // The value's kind promotes the element's (a float added to an
+            // integer, say): read, combine, and store the result.
+            let old = self.alloc_tmp();
+            self.emit(match flat {
+                Some(_) => Instr::LoadFlat { t: tu, off, dst: old },
+                None => Instr::LoadT { t: tu, off, dst: old },
+            });
+            let m = self.mark();
+            let v = self.combine(t, old, op.take(), v, m);
+            src = self.alloc_tmp();
+            self.store_reg(t, src, v);
+        }
+        self.emit(match (flat, op) {
+            (Some(_), None) => Instr::StoreFlat { t: tu, off, src },
+            (None, None) => Instr::StoreT { t: tu, off, src },
+            (Some(_), Some(op)) => Instr::ReduceFlat { t: tu, off, src, op },
+            (None, Some(op)) => Instr::ReduceT { t: tu, off, src, op },
+        });
         self.free_to(mark);
     }
 
-    fn stmt(&mut self, s: &crate::slots::CStmt) {
-        use crate::slots::CStmt as S;
+    /// `old op v` for a reduction into `t`, whose old value register `old`
+    /// holds, temporaries released back to `mark`; `v` itself for a store.
+    /// The old value is read in `v`'s kind: the one conversion the slot
+    /// form cannot state, since the old value is no expression of it.
+    fn combine(
+        &mut self,
+        t: usize,
+        old: u32,
+        op: Option<ReduceOp>,
+        v: (u32, Kind),
+        mark: u32,
+    ) -> (u32, Kind) {
+        let Some(op) = op else { return v };
+        let (from, mut old) = (Kind::of(self.tdtype[t]), old);
+        if from != v.1 {
+            let dst = self.alloc_tmp();
+            self.emit(Instr::Cast {
+                to: v.1.dtype(),
+                from,
+                dst,
+                a: old,
+            });
+            old = dst;
+        }
+        self.binary(op.binary(), (old, v.1), v, mark)
+    }
+
+    /// `r = v`, converted as a store into a tensor of `t`'s dtype converts
+    /// it.
+    fn store_reg(&mut self, t: usize, r: u32, (src, kind): (u32, Kind)) {
+        let dtype = self.tdtype[t];
+        self.emit(match dtype == kind.dtype() {
+            true => Instr::Mov { dst: r, src },
+            false => Instr::Cast {
+                to: dtype,
+                from: kind,
+                dst: r,
+                a: src,
+            },
+        });
+    }
+
+    fn stmt(&mut self, s: &CStmt) {
+        use CStmt as S;
         match s {
             S::Nop => {}
             S::Seq(v) => {
@@ -606,8 +574,7 @@ impl Compiler {
                 otherwise,
             } => {
                 let mark = self.mark();
-                let (rc, tc) = self.expr(cond);
-                let cb = self.conv(rc, tc, Ty::B);
+                let cb = self.expr_in(cond, Kind::Bool);
                 self.free_to(mark);
                 let br = self.emit_idx(Instr::BrFalse { cond: cb, to: 0 });
                 self.stmt(then);
@@ -631,26 +598,26 @@ impl Compiler {
                 dtype,
                 mtype,
                 body,
+                ..
             } if mtype.register(shape.len()) => {
-                // A register, zero like every def on entry.
+                // A register, zero like every def on entry (all-zero bits
+                // are 0, 0.0 and `false`).
                 self.tdtype[*t] = *dtype;
                 let r = self.alloc_persist();
                 self.regs[*t] = Some(r);
-                self.emit(match ty_of(*dtype) {
-                    Ty::I => Instr::ConstI { dst: r, v: 0 },
-                    Ty::F => Instr::ConstF { dst: r, v: 0.0 },
-                    Ty::B => Instr::ConstB { dst: r, v: false },
-                });
+                self.emit(Instr::Const { dst: r, bits: 0 });
                 self.stmt(body);
             }
             S::VarDef {
                 t,
+                id,
                 shape,
                 dtype,
                 body,
                 ..
             } => {
                 self.tdtype[*t] = *dtype;
+                self.defs[*t] = Some(*id);
                 let mark = self.mark();
                 let blk = self.idx_block(shape);
                 self.emit(Instr::Alloc {
@@ -696,29 +663,24 @@ impl Compiler {
     fn compile_for(
         &mut self,
         s: usize,
-        begin: &crate::slots::CExpr,
-        end: &crate::slots::CExpr,
+        begin: &CExpr,
+        end: &CExpr,
         scope: ParallelScope,
         vectorize: bool,
         prof: usize,
-        body: &crate::slots::CStmt,
+        body: &CStmt,
     ) {
         let s_reg = s as u32;
         // `end` cannot reference `s` (the lowering creates the iterator
         // slot after lowering both bounds), so `s` can take the begin
         // value before `end` evaluates.
         let mark = self.mark();
-        let (r0, t0) = self.expr(begin);
-        let c0 = self.conv(r0, t0, Ty::I);
-        self.emit(Instr::Mov {
-            dst: s_reg,
-            src: c0,
-        });
+        let src = self.expr_in(begin, Kind::Int);
+        self.emit(Instr::Mov { dst: s_reg, src });
         self.free_to(mark);
         let re = self.alloc_persist();
         let mark2 = self.mark();
-        let (r1, t1) = self.expr(end);
-        let c1 = self.conv(r1, t1, Ty::I);
+        let c1 = self.expr_in(end, Kind::Int);
         self.emit(Instr::Mov { dst: re, src: c1 });
         self.free_to(mark2);
         // Schedule marks, honored in priority order: an `OpenMp` loop
@@ -774,7 +736,7 @@ impl Compiler {
 
     /// Lower an `OpenMp` loop into a [`ParSite`]. The resolve proved the
     /// mark (`ft_codegen::prove_parallel`) or made the loop serial.
-    fn region(&mut self, s_reg: u32, re: u32, body: &crate::slots::CStmt) {
+    fn region(&mut self, s_reg: u32, re: u32, body: &CStmt) {
         // The body compiles into a standalone stream with a clean loop
         // context (workers re-enter it from scratch every iteration, each
         // with its own copy of the registers). `depth_of` stays consistent
@@ -791,7 +753,7 @@ impl Compiler {
         // Each worker owns the body's `VarDef`s.
         let mut local_mask = vec![false; self.tdtype.len()];
         for_each_stmt(body, &mut |st| {
-            if let crate::slots::CStmt::VarDef { t, .. } = st {
+            if let CStmt::VarDef { t, .. } = st {
                 local_mask[*t] = true;
             }
         });
@@ -818,6 +780,7 @@ pub(crate) fn compile_program(c: &Compiled) -> VmProgram<'_> {
         depth_of: vec![None; c.n_tensors],
         tdtype: vec![DataType::F32; c.n_tensors],
         regs: vec![None; c.n_tensors],
+        defs: vec![None; c.n_tensors],
         lib_sites: Vec::new(),
         vec_sites: Vec::new(),
         par_sites: Vec::new(),
@@ -832,6 +795,7 @@ pub(crate) fn compile_program(c: &Compiled) -> VmProgram<'_> {
     VmProgram {
         c,
         code: cp.buf,
+        defs: cp.defs,
         n_regs: cp.max_regs as usize,
         lib_sites: cp.lib_sites,
         vec_sites: cp.vec_sites,

@@ -35,11 +35,14 @@
 //! the pool. Any other `vectorize` body compiles as if unmarked, and a
 //! region that runs inline runs its own bytecode body.
 //!
-//! Every program is statically typed: parameters hold their declared dtype
-//! (an input of another dtype is converted when it is bound,
-//! [`crate::bind`]) and a `Select` has its node's type (the slot lowering
-//! converts the arms to it), so the VM runs every program itself, behind
-//! the same [`ExecutionEngine`] contract as the other two engines.
+//! Every program is statically typed, and the VM infers no type: parameters
+//! hold their declared dtype (an input of another dtype is converted when
+//! it is bound, [`crate::bind`]), and the slot lowering states every
+//! conversion, so each node's operands arrive in the [`Kind`] it computes
+//! in (`scalar::unary_kind`, `scalar::binary_kind`) and a value stored
+//! arrives in its tensor's. The VM picks each instruction by its operands'
+//! kind and runs every program itself, behind the same [`ExecutionEngine`]
+//! contract as the other two engines.
 //!
 //! ## The contract, and known, documented divergences
 //!
@@ -74,7 +77,7 @@ use lower::*;
 
 use crate::arena::{RunContext, TensorPool};
 use crate::bind::Resolved;
-use crate::slots::Compiled;
+use crate::slots::{CExpr, CStmt, Compiled};
 use crate::counters::PerfCounters;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
@@ -82,40 +85,19 @@ use crate::interp::RunResult;
 use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
 use crate::value::{lanes, Data, Scalar, TensorVal};
-use ft_ir::scalar;
-use ft_ir::{BinaryOp, DataType, ParallelScope, ReduceOp, UnaryOp};
+use ft_ir::scalar::{self, Kind};
+use ft_ir::{BinaryOp, DataType, ParallelScope, ReduceOp, StmtId, UnaryOp};
 use ft_trace::TRACK_RUNTIME;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Statically inferred scalar kind of a register, mirroring the
-/// interpreter's runtime [`Scalar`] variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
-    /// `Scalar::Int` — stored as the `i64` bit pattern.
-    I,
-    /// `Scalar::Float` — stored via `f64::to_bits`.
-    F,
-    /// `Scalar::Bool` — stored as 0/1.
-    B,
-}
-
-fn ty_of(dtype: DataType) -> Ty {
-    match dtype {
-        DataType::F32 | DataType::F64 => Ty::F,
-        DataType::I32 | DataType::I64 => Ty::I,
-        DataType::Bool => Ty::B,
-    }
-}
-
 /// One VM instruction. Register operands are indices into a flat `u64`
 /// file; the first `n_scalars` registers are the scalar slots of the
-/// lowering (loop iterators and size parameters, always [`Ty::I`]).
+/// lowering (loop iterators and size parameters, always [`Kind::Int`]).
 #[derive(Debug, Clone)]
 enum Instr {
-    ConstI { dst: u32, v: i64 },
-    ConstF { dst: u32, v: f64 },
-    ConstB { dst: u32, v: bool },
+    /// A constant, as its register holds it.
+    Const { dst: u32, bits: u64 },
     Mov { dst: u32, src: u32 },
     /// `dst += v` (wrapping). Loop increment and preheader probe.
     AddImmI { dst: u32, v: i64 },
@@ -148,9 +130,8 @@ enum Instr {
     /// Every float unary by [`scalar::float_unary`].
     UnF { op: UnaryOp, dst: u32, a: u32 },
     Not { dst: u32, a: u32 },
-    /// [`scalar::cast`] of a register of kind `from` to `to`; a conversion
-    /// between kinds is the cast to the kind's widest type.
-    Cast { to: DataType, from: Ty, dst: u32, a: u32 },
+    /// [`scalar::cast`] of a register of kind `from` to `to`.
+    Cast { to: DataType, from: Kind, dst: u32, a: u32 },
 
     Jmp { to: u32 },
     BrFalse { cond: u32, to: u32 },
@@ -165,11 +146,13 @@ enum Instr {
     LoadT { t: u32, off: u32, dst: u32 },
     /// Strength-reduced load: flat offset checked against `numel` only.
     LoadFlat { t: u32, off: u32, dst: u32 },
-    StoreT { t: u32, off: u32, src: u32, sty: Ty },
-    StoreFlat { t: u32, off: u32, src: u32, sty: Ty },
-    ReduceT { t: u32, off: u32, src: u32, sty: Ty, op: ReduceOp },
-    ReduceFlat { t: u32, off: u32, src: u32, sty: Ty, op: ReduceOp },
+    /// Stores and reductions of a register of the tensor's kind.
+    StoreT { t: u32, off: u32, src: u32 },
+    StoreFlat { t: u32, off: u32, src: u32 },
+    ReduceT { t: u32, off: u32, src: u32, op: ReduceOp },
+    ReduceFlat { t: u32, off: u32, src: u32, op: ReduceOp },
 
+    /// The `VarDef` of slot `t` ([`VmProgram::defs`] names its statement).
     Alloc { t: u32, shape: u32, ndim: u8, dtype: DataType },
     Free { t: u32 },
     LibCall { id: u32 },
@@ -211,12 +194,12 @@ struct VecAccess {
 #[derive(Debug, Clone)]
 enum VecKernel {
     /// `dst[k] += a * x[k]` — elementwise float accumulate with an optional
-    /// invariant multiplier `a` (`a_lhs` records the operand order so NaN
-    /// propagation matches the serial multiply).
+    /// invariant float multiplier `a` (`a_lhs` records the operand order so
+    /// NaN propagation matches the serial multiply).
     Axpy {
         dst: VecAccess,
         x: VecAccess,
-        a: Option<(u32, Ty)>,
+        a: Option<u32>,
         a_lhs: bool,
     },
     /// `acc += x[k] * y[k]` — a loop-carried dot product into register
@@ -282,6 +265,9 @@ struct LowerDecision {
 pub(crate) struct VmProgram<'c> {
     c: &'c Compiled,
     code: Vec<Instr>,
+    /// The defining statement of each tensor slot a `VarDef` allocates: its
+    /// entry of the memory plan.
+    defs: Vec<Option<StmtId>>,
     n_regs: usize,
     lib_sites: Vec<LibSite>,
     vec_sites: Vec<VecSite>,

@@ -10,9 +10,11 @@
 //!   [`ReduceOp`], cast target and `select` arm × operand types × a value
 //!   grid, as one-statement loops `y[i] = a[i] op b[i]`: `const_fold_expr`
 //!   on the constants, the interpreter, the VM and, when
-//!   `cc` exists, the compiled engine all give the table's value, and the
-//!   table's result kind is the one `Expr::dtype` infers for the node. The
+//!   `cc` exists, the compiled engine all give the table's value. The
 //!   cells an engine is not held to are [`EXCLUSIONS`], as data.
+//! * `static_and_dynamic_kinds_agree` — on every cell, the kind of the
+//!   table's value is the one `scalar::unary_kind`/`binary_kind` state and
+//!   the one `Expr::dtype` infers for the node.
 //! * `vectorized_math_stays_within_tol_of_the_table` — the `exp`, `ln` and
 //!   `pow` rows, `f32` and `f64`, with cells that overflow and underflow,
 //!   through a `vectorize`d loop on the compiled engine, where a vector of
@@ -23,7 +25,7 @@
 //!   which knows no tensor's type, leaves such a `select` for the engines.
 
 use ft_ir::prelude::*;
-use ft_ir::scalar::{self, DivisionByZero, Scalar};
+use ft_ir::scalar::{self, DivisionByZero, Kind, Scalar};
 use ft_passes::{const_fold_expr, const_fold_func};
 use ft_runtime::{
     cc_available, cc_flags, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal,
@@ -121,29 +123,6 @@ const BINARY: [BinaryOp; 16] = {
 const REDUCE: [ReduceOp; 4] = [ReduceOp::Add, ReduceOp::Mul, ReduceOp::Min, ReduceOp::Max];
 const CASTS: [DataType; 5] = [F32, F64, I32, I64, Bool];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Int,
-    Float,
-    Bool,
-}
-
-fn kind_of(v: Scalar) -> Kind {
-    match v {
-        Scalar::Int(_) => Kind::Int,
-        Scalar::Float(_) => Kind::Float,
-        Scalar::Bool(_) => Kind::Bool,
-    }
-}
-
-fn kind_of_dtype(d: DataType) -> Kind {
-    match d {
-        F32 | F64 => Kind::Float,
-        I32 | I64 => Kind::Int,
-        Bool => Kind::Bool,
-    }
-}
-
 /// One operator at one tuple of operand types.
 #[derive(Debug, Clone)]
 struct Case {
@@ -195,7 +174,7 @@ impl Case {
     fn out(&self) -> DataType {
         match self.inferred() {
             None => self.operands[0],
-            Some(d) if kind_of_dtype(d) == Kind::Int => I64,
+            Some(d) if Kind::of(d) == Kind::Int => I64,
             Some(d) => d,
         }
     }
@@ -345,7 +324,7 @@ fn exclusion(case: &Case, x: &[Scalar]) -> Option<&'static Exclusion> {
         Op::Cast(d) => d,
         _ => case.out(),
     };
-    if let (Kind::Int, Ok(Scalar::Float(v))) = (kind_of_dtype(target), pre_conversion(case, x)) {
+    if let (Kind::Int, Ok(Scalar::Float(v))) = (Kind::of(target), pre_conversion(case, x)) {
         if !fits(v, target) {
             return Some(&EXCLUSIONS[2]);
         }
@@ -443,7 +422,7 @@ fn check(engine: &dyn ExecutionEngine, rows: &[(&Case, Vec<Vec<Scalar>>)], vecto
             let zero_sign = exclusion(case, x).is_some() && got.as_f64() == want.as_f64();
             // Only the compiled engine computes an f32 row in `float`, and
             // only it calls a vector variant.
-            let float_row = case.single() || vectorize && kind_of(want) == Kind::Float;
+            let float_row = case.single() || vectorize && want.kind() == Kind::Float;
             let ok = if who == "compiled" && float_row {
                 close(got, want)
             } else {
@@ -559,38 +538,32 @@ fn the_table_says_what_python_says() {
 fn every_engine_computes_the_table() {
     let all = cases();
     let mut cells_checked = 0usize;
-    // The result kind is the one `Expr::dtype` infers, for the node over
-    // tensors and for the node over constants; the folder computes the
-    // table, and leaves a zero divisor or a wrapped binary result alone.
+    // Over constants, `Expr::dtype` infers the kind it infers over tensors
+    // (`static_and_dynamic_kinds_agree`); the folder computes the table,
+    // and leaves a zero divisor or a wrapped binary result alone.
     for case in all.iter().filter(|c| !matches!(c.op, Op::Red(_))) {
-        let inferred = kind_of_dtype(case.inferred().expect("not a reduction"));
+        let inferred = Kind::of(case.inferred().expect("not a reduction"));
         let foldable = !case.operands.contains(&F32);
         for x in cells(case) {
             cells_checked += 1;
             let Ok(want) = case.table(&x) else { continue };
-            assert_eq!(
-                kind_of(want),
-                inferred,
-                "{} at {x:?}: {want:?}",
-                case.label()
-            );
             if !foldable {
                 continue;
             }
             let consts: Vec<Expr> = x.iter().map(|v| v.to_const()).collect();
             let node = case.node(&consts).expect("not a reduction");
-            let of_consts = kind_of_dtype(node.dtype(&|_: &str| unreachable!("no loads")).dtype);
+            let of_consts = Kind::of(node.dtype(&|_: &str| unreachable!("no loads")).dtype);
             assert_eq!(of_consts, inferred, "{node:?}");
             let folded = const_fold_expr(node.clone());
             let wrapped = matches!(case.op, Op::Bin(_))
                 && exclusion(case, &x).is_some_and(|e| e.treatment == Treatment::NotRunCompiled)
-                && kind_of(want) == Kind::Int;
+                && want.kind() == Kind::Int;
             if wrapped {
                 assert_eq!(folded, node, "a wrapped result is the run's to compute");
             } else {
                 let got = Scalar::of_const(&folded).unwrap_or_else(|| panic!("{node:?} unfolded"));
                 assert!(
-                    kind_of(got) == kind_of(want) && same(got, want),
+                    got.kind() == want.kind() && same(got, want),
                     "{node:?} -> {folded:?}"
                 );
             }
@@ -643,6 +616,54 @@ fn every_engine_computes_the_table() {
             check(engine, &rows_of(&all, &operands, defined_in_c), false);
         }
     }
+}
+
+/// The promotion is stated once, in `ft_ir::scalar`: the table computes
+/// in the kind `unary_kind`/`binary_kind` give, the slot lowering converts
+/// every operand to it, and the C is typed by `Expr::dtype`. If those
+/// disagreed the VM would split from the C. For every case and every cell,
+/// the kind of the table's value is the rule's result kind and the kind
+/// `Expr::dtype` infers for the node over loads of the operand types (a
+/// reduction's node is its binary operator's).
+#[test]
+fn static_and_dynamic_kinds_agree() {
+    let mut cells_checked = 0usize;
+    for case in cases() {
+        let kinds: Vec<Kind> = case.operands.iter().map(|d| Kind::of(*d)).collect();
+        let (node, rule) = match case.op {
+            Op::Un(op) => (case.clone(), Some(scalar::unary_kind(op, kinds[0]))),
+            Op::Bin(op) => (
+                case.clone(),
+                Some(scalar::binary_kind(op, kinds[0], kinds[1]).1),
+            ),
+            Op::Red(op) => {
+                let node = Case {
+                    op: Op::Bin(op.binary()),
+                    ..case.clone()
+                };
+                (
+                    node,
+                    Some(scalar::binary_kind(op.binary(), kinds[0], kinds[1]).1),
+                )
+            }
+            Op::Cast(_) | Op::Sel(_) => (case.clone(), None),
+        };
+        let inferred = Kind::of(node.inferred().expect("a node"));
+        for x in cells(&case) {
+            let Ok(want) = case.table(&x) else { continue };
+            cells_checked += 1;
+            let label = case.label();
+            assert_eq!(
+                want.kind(),
+                inferred,
+                "{label} at {x:?}: {want:?}, Expr::dtype"
+            );
+            if let Some(rule) = rule {
+                assert_eq!(want.kind(), rule, "{label} at {x:?}: {want:?}, the rule");
+            }
+        }
+    }
+    assert!(cells_checked > 20_000, "the sweep shrank: {cells_checked}");
 }
 
 /// libmvec's vector variants (`ft_codegen::VECTOR_MATH`, declared where
