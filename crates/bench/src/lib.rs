@@ -838,10 +838,11 @@ fn time_compiled(
 }
 
 /// One `run_with` of `func` through `ctx`, timed in milliseconds (the
-/// recycle that follows is not). Runs go through a recycled context, the
-/// compile-once/run-many path: without it every call mallocs and faults in
-/// its own arena, which is most of a sub-millisecond kernel's wall. `None`
-/// when the engine fails.
+/// recycle that follows is not). Runs go through one recycled context, the
+/// compile-once/run-many path: a fresh context per call allocates and
+/// faults in a new arena and new outputs, and resolves the call again,
+/// which is most of a sub-millisecond kernel's wall. `None` when the engine
+/// fails.
 fn compiled_op_ms(
     engine: &CompiledEngine,
     func: &Func,

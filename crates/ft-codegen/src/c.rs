@@ -105,7 +105,7 @@ const TYPES: [&str; 5] = ["float", "double", "int32_t", "int64_t", "bool"];
 const RESERVED: &[&str] = &[
     "ft_ffmod", "ft_ffmodf",
     "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_sigmoidf", "ft_lib_matmul", "ft_entry", "__ft_prof",
-    "__ft_t0", "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "auto", "break",
+    "__ft_t0", "__ft_t1", "__ft_arena", "auto", "break",
     "case", "char", "const", "continue", "default", "do", "double", "else", "enum", "extern",
     "float", "for", "goto", "if", "inline", "int", "long", "register", "restrict", "return",
     "short", "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned",
@@ -827,7 +827,7 @@ impl<'a> Emitter<'a> {
                             ..
                         }) if self.parallel_depth == 0 => {
                             self.line(&format!(
-                                "{ty}* {ident} = ({ty}*)(__ft_arena_base + {offset});"
+                                "{ty}* {ident} = ({ty}*)(__ft_arena + {offset});"
                             ));
                             if must_zero {
                                 self.line(&format!("memset({ident}, 0, {bytes});"));
@@ -1027,8 +1027,8 @@ pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
 /// a pointer at a static offset into that arena — one allocation for the
 /// whole call instead of one `calloc` per def entry, zero-filled via
 /// `memset` only where the plan's liveness analysis could not prove
-/// write-before-read. Callers passing a NULL arena get a function-local
-/// `malloc`/`free` of the planned peak, so the kernel stays self-contained.
+/// write-before-read. The arena must not be NULL: the caller owns at least
+/// the planned peak of it.
 /// Small constant-extent `CpuStack` defs keep their stack-array emission,
 /// and so does a small constant-extent heap def inside a parallel body,
 /// which must be thread-private and therefore cannot take an arena offset;
@@ -1085,18 +1085,7 @@ fn emit_unit(
         out.push_str(PROF_PREAMBLE);
     }
     let _ = writeln!(out, "\nvoid {}({}) {{", syms.func, sig.join(", "));
-    if any_planned {
-        // A NULL arena means the caller did not preallocate: own a
-        // planned-peak-sized block for the duration of the call.
-        let peak = plan.map_or(0, |pl| pl.planned_peak_bytes);
-        out.push_str("    unsigned char* __ft_arena_base = __ft_arena;\n");
-        out.push_str("    int __ft_arena_owned = 0;\n");
-        let _ = writeln!(
-            out,
-            "    if (!__ft_arena_base) {{ __ft_arena_base = \
-             (unsigned char*)malloc({peak}); __ft_arena_owned = 1; }}"
-        );
-    } else if plan.is_some() {
+    if plan.is_some() && !any_planned {
         out.push_str("    (void)__ft_arena;\n");
     }
     em.indent = 1;
@@ -1105,9 +1094,6 @@ fn emit_unit(
         return Err(e);
     }
     out.push_str(&em.out);
-    if any_planned {
-        out.push_str("    if (__ft_arena_owned) free(__ft_arena_base);\n");
-    }
     out.push_str("}\n");
     if plan.is_some() {
         out.push_str(
@@ -1401,8 +1387,8 @@ mod tests {
     fn planned_unit_places_defs_in_the_arena() {
         // A heap-sized local (CpuHeap, so the stack path does not claim it)
         // written before read: the planned unit must address it at a static
-        // arena offset with no memset, no calloc, and a NULL-arena malloc
-        // fallback sized to the planned peak.
+        // offset into the caller's arena with no memset, no calloc, and no
+        // allocation of its own.
         let f = Func::new("f")
             .param("x", [var("n")], DataType::F32, AccessType::Input)
             .param("y", [var("n")], DataType::F32, AccessType::Output)
@@ -1423,13 +1409,10 @@ mod tests {
         let (c, sites) = emit_c_planned(&f, &plan, false).unwrap();
         assert!(sites.is_empty());
         assert!(c.contains("unsigned char* __ft_arena"), "{c}");
-        assert!(c.contains("float* t = (float*)(__ft_arena_base + 0);"), "{c}");
+        assert!(c.contains("float* t = (float*)(__ft_arena + 0);"), "{c}");
         assert!(!c.contains("calloc"), "{c}");
-        assert!(
-            c.contains(&format!("malloc({})", plan.planned_peak_bytes)),
-            "{c}"
-        );
-        assert!(c.contains("if (__ft_arena_owned) free(__ft_arena_base);"), "{c}");
+        assert!(!c.contains("malloc("), "{c}");
+        assert!(!c.contains("__ft_arena_owned"), "{c}");
         // Write-before-read was proven, so no memset for `t`.
         assert!(!c.contains("memset(t"), "{c}");
         // The unplanned emission is byte-identical to what emit_c always

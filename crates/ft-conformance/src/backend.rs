@@ -175,11 +175,12 @@ pub fn run_backend(
         .map_err(|e| format!("{}: {e}", backend.name()))
 }
 
-/// Execute `func` on `backend` through the *arena-planned* path: the engine
-/// runs with a reusable [`RunContext`] (memory-planned buffer pools, staging
-/// reuse). The context is warmed with one recycled run first, so the
-/// returned outputs come from the buffer-*reuse* steady state — the riskiest
-/// path, where a stale or mis-packed buffer would surface.
+/// Execute `func` on `backend` through the *warm-reuse* path: the second
+/// run on one [`RunContext`] (memory-planned buffer pools, staging reuse),
+/// the first recycled into it. The returned outputs come from the
+/// buffer-*reuse* steady state — the riskiest path, where a stale or
+/// mis-packed buffer would surface; [`run_backend`]'s fresh context reuses
+/// only within its one run.
 ///
 /// # Errors
 ///

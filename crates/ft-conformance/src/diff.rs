@@ -128,9 +128,10 @@ fn failed(backend: Backend, message: String) -> Divergence {
     }
 }
 
-/// Re-run `func` on `b` through the arena-planned path
+/// Re-run `func` on `b` through the warm-reuse path
 /// ([`run_backend_planned`]: memory-planned pools, warmed `RunContext`)
-/// and compare every output against the fresh-allocation outputs `plain`.
+/// and compare every output against the outputs `plain` of a first run on
+/// a fresh context, whose buffers come from the allocator.
 /// The planner only moves buffers; it must never change what is computed,
 /// and every backend is run-to-run deterministic, so the two runs are held
 /// to exact equality.

@@ -4,7 +4,8 @@
 //! function to an interference class; defs in one class never overlap in
 //! program pre-order (loop-carried defs widened to their enclosing loop), so
 //! they can share one backing buffer. This module realizes those classes as
-//! per-engine free-lists and a cross-run [`RunContext`]:
+//! per-engine free-lists and the [`RunContext`] every run draws on (`run`
+//! on a fresh one):
 //!
 //! * `TensorPool` — [`TensorVal`] buffers for the interpreter's executor
 //!   (`crate::slots::ExecCtx`) and the VM's (`crate::vm`);
@@ -39,19 +40,19 @@ use std::sync::Arc;
 /// `reuse_hits` counts requests served from a free-list without touching
 /// the allocator. Byte fields track the high-water mark of pooled storage.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ArenaStats {
+pub(crate) struct ArenaStats {
     /// Fresh heap allocations (pool misses, growth reallocations, staging
     /// misses).
-    pub alloc_calls: u64,
+    pub(crate) alloc_calls: u64,
     /// Requests served entirely from pooled storage.
-    pub reuse_hits: u64,
+    pub(crate) reuse_hits: u64,
     /// Bytes currently held by pooled storage.
-    pub bytes_held: u64,
+    pub(crate) bytes_held: u64,
     /// High-water mark of `bytes_held`.
-    pub bytes_peak: u64,
+    pub(crate) bytes_peak: u64,
     /// Times a poisoned context (a run errored mid-way) was reset to a
     /// clean slate before its next run.
-    pub poison_resets: u64,
+    pub(crate) poison_resets: u64,
 }
 
 impl ArenaStats {
@@ -65,45 +66,16 @@ impl ArenaStats {
         self.bytes_peak = self.bytes_peak.max(self.bytes_held);
     }
 
-    /// Fold another stats block into this one.
-    pub fn absorb(&mut self, other: ArenaStats) {
-        self.alloc_calls += other.alloc_calls;
-        self.reuse_hits += other.reuse_hits;
-        self.bytes_peak = self.bytes_peak.max(other.bytes_peak);
-        self.poison_resets += other.poison_resets;
-    }
-}
-
-/// Flush `stats` into the `mem.arena.*` metrics family and reset the
-/// per-run counters (byte high-water marks are monotone and survive).
-pub(crate) fn flush_stats(m: &Metrics, stats: &mut ArenaStats) {
-    m.counter("mem.arena.alloc_calls").add(stats.alloc_calls);
-    m.counter("mem.arena.reuse_hits").add(stats.reuse_hits);
-    m.counter("mem.arena.poison_resets").add(stats.poison_resets);
-    m.gauge("mem.arena.bytes_peak").fetch_max(stats.bytes_peak as i64);
-    stats.alloc_calls = 0;
-    stats.reuse_hits = 0;
-    stats.poison_resets = 0;
-}
-
-/// End of a run, successful or not: flush the allocation counters of the
-/// pool the executor drew on and of the context's staging layer, and hand
-/// the pool back to the context it was taken from, so a cross-run context
-/// keeps its buffers.
-pub(crate) fn return_pool(
-    pool: Option<TensorPool>,
-    metrics: Option<&Metrics>,
-    rctx: Option<&mut RunContext>,
-) {
-    let Some(mut pool) = pool else { return };
-    if let Some(m) = metrics {
-        flush_stats(m, &mut pool.stats);
-    }
-    if let Some(c) = rctx {
-        if let Some(m) = metrics {
-            flush_stats(m, &mut c.stats);
-        }
-        c.tensor_pool = Some(pool);
+    /// Flush into the `mem.arena.*` metrics family and reset the per-run
+    /// counters (byte high-water marks are monotone and survive).
+    fn flush(&mut self, m: &Metrics) {
+        m.counter("mem.arena.alloc_calls").add(self.alloc_calls);
+        m.counter("mem.arena.reuse_hits").add(self.reuse_hits);
+        m.counter("mem.arena.poison_resets").add(self.poison_resets);
+        m.gauge("mem.arena.bytes_peak").fetch_max(self.bytes_peak as i64);
+        self.alloc_calls = 0;
+        self.reuse_hits = 0;
+        self.poison_resets = 0;
     }
 }
 
@@ -306,7 +278,7 @@ impl CtxBinding {
     }
 }
 
-/// Reusable cross-run state for
+/// The state every run draws on, reusable across runs by
 /// [`ExecutionEngine::run_with`](crate::ExecutionEngine::run_with):
 /// per-engine buffer pools keyed by the memory-plan hash, named staging
 /// buffers that keep converted inputs and returned outputs alive between
@@ -489,9 +461,19 @@ impl RunContext {
 
     /// Lend the interpreter or the VM the pool for `plan` — the plan this
     /// context is bound to — for one run; the engine puts it back in
-    /// `tensor_pool` when the run ends.
+    /// `tensor_pool` when the run ends, successful or not.
     pub(crate) fn take_tensor_pool(&mut self, plan: &MemPlan) -> TensorPool {
         self.tensor_pool.take().unwrap_or_else(|| TensorPool::new(plan))
+    }
+
+    /// End of a run, successful or not: flush the allocation counters of
+    /// the context's pool and of its staging layer into `metrics`.
+    pub(crate) fn end_run(&mut self, metrics: Option<&Metrics>) {
+        let Some(m) = metrics else { return };
+        if let Some(pool) = &mut self.tensor_pool {
+            pool.stats.flush(m);
+        }
+        self.stats.flush(m);
     }
 
     /// The compiled engine's flat arena for `plan` — the plan this context
@@ -513,7 +495,8 @@ impl RunContext {
     /// A staged owned buffer named `name`, retargeted at `(dtype, shape)`.
     /// Zero-fills on reuse when `zeroed` (fresh allocations are already
     /// zeroed). A staging hit with matching dtype performs no heap
-    /// allocation.
+    /// allocation. The buffer leaves the staging area, so a miss adds no
+    /// held bytes: only [`recycle`](RunContext::recycle) does.
     pub(crate) fn staged_zeros(
         &mut self,
         name: &str,
@@ -535,7 +518,7 @@ impl RunContext {
                 return t;
             }
         }
-        self.stats.miss((shape.iter().product::<usize>() * dtype.size_bytes()) as u64);
+        self.stats.miss(0);
         TensorVal::zeros(dtype, shape)
     }
 
@@ -553,7 +536,7 @@ impl RunContext {
                 return t;
             }
         }
-        self.stats.miss(src.size_bytes() as u64);
+        self.stats.miss(0);
         src.clone()
     }
 }

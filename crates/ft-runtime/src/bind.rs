@@ -12,7 +12,8 @@
 //! nothing and leaves no trace in a pooled [`RunContext`]. A context keeps
 //! the `Resolved` of the call it is bound to, so a repeat of that call —
 //! the same function, `Func ==`, at the same sizes — is resolved once, not
-//! per call; `run` without a context resolves every call.
+//! per call; `run` resolves every call, because the context it runs on is
+//! fresh and dropped when the call returns.
 //! Resolving is also where the VM and the compiled engine get their one
 //! parallel-legality verdict (`ft_codegen::prove_parallel` after
 //! `lower_and_plan`; [`Resolved::serialized`]): both run the proven function.
@@ -223,34 +224,27 @@ impl<'f> Resolved<'f> {
     /// bind step of every engine. An `Input` of the declared dtype is
     /// borrowed; an `Input` of another dtype and every `InOut` are owned
     /// copies converted to the declaration, so what an engine loads is the
-    /// declared type; an `Output` or `Cache` is zeroed. With a context, the
-    /// owned buffers come from its staging area.
+    /// declared type; an `Output` or `Cache` is zeroed. The owned buffers
+    /// come from the staging area of `ctx`.
     pub(crate) fn bind<'i>(
         &self,
         inputs: &'i HashMap<String, TensorVal>,
-        mut ctx: Option<&mut RunContext>,
+        ctx: &mut RunContext,
     ) -> Vec<Cow<'i, TensorVal>> {
         self.params()
             .map(|(p, shape)| {
                 if !matches!(p.atype, AccessType::Input | AccessType::InOut) {
-                    return Cow::Owned(match ctx.as_deref_mut() {
-                        Some(c) => c.staged_zeros(&p.name, p.dtype, shape, true),
-                        None => TensorVal::zeros(p.dtype, shape),
-                    });
+                    return Cow::Owned(ctx.staged_zeros(&p.name, p.dtype, shape, true));
                 }
                 let t = &inputs[&p.name];
-                let declared = t.dtype() == p.dtype;
-                if p.atype == AccessType::Input && declared {
-                    return Cow::Borrowed(t);
+                if t.dtype() != p.dtype {
+                    let out = ctx.staged_zeros(&p.name, p.dtype, shape, false);
+                    return Cow::Owned(convert_into(out, t));
                 }
-                Cow::Owned(match (ctx.as_deref_mut(), declared) {
-                    (Some(c), true) => c.staged_copy(&p.name, t),
-                    (Some(c), false) => {
-                        convert_into(c.staged_zeros(&p.name, p.dtype, shape, false), t)
-                    }
-                    (None, true) => t.clone(),
-                    (None, false) => convert_into(TensorVal::zeros(p.dtype, shape), t),
-                })
+                match p.atype {
+                    AccessType::Input => Cow::Borrowed(t),
+                    _ => Cow::Owned(ctx.staged_copy(&p.name, t)),
+                }
             })
             .collect()
     }

@@ -18,9 +18,10 @@
 //! them through. What the question means on the call side — sizes, shapes,
 //! which inputs must be there — is decided once, in [`crate::bind`], and
 //! the sequence around it once, here: an engine supplies only `execute`.
-//! With a [`RunContext`], that sequence resolves a call once: the context
-//! keeps it, and a repeat of it skips the lowering, the memory plan and the
-//! parallel-legality proof.
+//! Every call runs that sequence on a [`RunContext`] — `run` on a fresh one
+//! it drops — so a test of `run` runs the production path. The context
+//! keeps the resolved call, and a repeat of it skips the lowering, the
+//! memory plan and the parallel-legality proof.
 
 use crate::arena::RunContext;
 use crate::bind::Resolved;
@@ -71,13 +72,13 @@ mod sealed {
         /// given.
         fn lowers(&self) -> bool;
 
-        /// Run a resolved, validated call. With a context, the shell has
-        /// already bound it to `resolved`.
+        /// Run a resolved, validated call on `ctx`, which the shell has
+        /// already bound to `resolved`.
         fn execute(
             &self,
             resolved: &Resolved<'_>,
             inputs: &HashMap<String, TensorVal>,
-            ctx: Option<&mut RunContext>,
+            ctx: &mut RunContext,
         ) -> Result<RunResult, RuntimeError>;
 
         fn telemetry(&self) -> &Telemetry;
@@ -87,26 +88,18 @@ mod sealed {
 }
 pub(crate) use sealed::{Backend, Telemetry};
 
-/// The one prepare-then-run sequence: resolve → validate → bind → publish
-/// the plan and the serialized marks → execute, timed as
+/// The one prepare-then-run sequence, [`run_bound`], timed as
 /// `engine.<name>.run_us` and counted in `engine.<name>.errors`.
 fn run_shell<E: ExecutionEngine + ?Sized>(
     engine: &E,
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
     sizes: &HashMap<String, i64>,
-    ctx: Option<&mut RunContext>,
+    ctx: &mut RunContext,
 ) -> Result<RunResult, RuntimeError> {
     let metrics = &engine.telemetry().metrics;
     let t0 = metrics.as_ref().map(|_| std::time::Instant::now());
-    let r = match ctx {
-        None => engine.resolve(func, sizes).and_then(|resolved| {
-            count(engine, "resolves");
-            resolved.check_inputs(inputs)?;
-            publish_and_execute(engine, &resolved, inputs, None)
-        }),
-        Some(c) => run_bound(engine, func, inputs, sizes, c),
-    };
+    let r = run_bound(engine, func, inputs, sizes, ctx);
     if let (Some(m), Some(t0)) = (metrics, t0) {
         let name = engine.name();
         m.histogram(&format!("engine.{name}.run_us"))
@@ -118,10 +111,12 @@ fn run_shell<E: ExecutionEngine + ?Sized>(
     r
 }
 
-/// [`run_shell`] with a context: the call the context keeps when `func` at
-/// `sizes` is it, else a fresh resolve that `ensure_bound` keeps. Only an
-/// error of the run itself poisons the context: a call refused before
-/// `execute` has touched none of its buffers.
+/// Resolve → validate → bind → publish the plan and the serialized marks →
+/// execute → end the run on the context. The call is the one the context
+/// keeps when `func` at `sizes` is it, else a fresh resolve that
+/// `ensure_bound` keeps. Only an error of the run itself poisons the
+/// context: a call refused before `execute` has touched none of its
+/// buffers.
 fn run_bound<E: ExecutionEngine + ?Sized>(
     engine: &E,
     func: &Func,
@@ -143,24 +138,14 @@ fn run_bound<E: ExecutionEngine + ?Sized>(
             ctx.ensure_bound(resolved, func, sizes, lowers)?
         }
     };
-    let r = publish_and_execute(engine, call.resolved(), inputs, Some(ctx));
+    let Telemetry { sink, metrics } = engine.telemetry();
+    crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), call.resolved());
+    let r = engine.execute(call.resolved(), inputs, ctx);
+    ctx.end_run(metrics.as_ref());
     if r.is_err() {
         ctx.poison();
     }
     r
-}
-
-/// Publish the plan of `resolved` and the marks it serialized, then run it
-/// on the engine.
-fn publish_and_execute<E: ExecutionEngine + ?Sized>(
-    engine: &E,
-    resolved: &Resolved<'_>,
-    inputs: &HashMap<String, TensorVal>,
-    ctx: Option<&mut RunContext>,
-) -> Result<RunResult, RuntimeError> {
-    let Telemetry { sink, metrics } = engine.telemetry();
-    crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), resolved);
-    engine.execute(resolved, inputs, ctx)
 }
 
 /// Count one `engine.<name>.<what>` event.
@@ -202,7 +187,9 @@ pub trait ExecutionEngine: Backend {
         Resolved::new(func, sizes, self.lowers())
     }
 
-    /// Execute `func` with the given input tensors and size parameters.
+    /// Execute `func` with the given input tensors and size parameters:
+    /// [`run_with`](ExecutionEngine::run_with) on a fresh [`RunContext`],
+    /// dropped when the call returns.
     ///
     /// # Errors
     ///
@@ -215,22 +202,21 @@ pub trait ExecutionEngine: Backend {
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
     ) -> Result<RunResult, RuntimeError> {
-        run_shell(self, func, inputs, sizes, None)
+        self.run_with(func, inputs, sizes, &mut RunContext::new())
     }
 
-    /// As [`run`](ExecutionEngine::run), with a reusable [`RunContext`]:
-    /// the engine draws temporary buffers from the context's arena pools
-    /// (sized by the plan of the function it executes — see [`RunContext`])
-    /// and keeps staging buffers alive across calls — so a compile-once/
-    /// run-many loop reaches zero tensor heap allocations in steady state
-    /// (observable via the `mem.arena.*` metrics). The context also keeps
-    /// the resolved call: a repeat of the same function (`Func ==`) at the
-    /// same sizes skips [`resolve`](ExecutionEngine::resolve) — the lowering,
-    /// the memory plan and the parallel-legality proof — and is counted
-    /// `engine.<name>.resolve_reused`,
-    /// a fresh resolve `engine.<name>.resolves`. Inputs are checked and
-    /// the plan published on every call either way. Results are
-    /// bit-identical to `run`. Feed each result back with
+    /// Execute `func` on a reusable [`RunContext`]: the engine draws
+    /// temporary buffers from the context's arena pools (sized by the plan
+    /// of the function it executes — see [`RunContext`]) and keeps staging
+    /// buffers alive across calls — so a compile-once/run-many loop reaches
+    /// zero tensor heap allocations in steady state (observable via the
+    /// `mem.arena.*` metrics). The context also keeps the resolved call: a
+    /// repeat of the same function (`Func ==`) at the same sizes skips
+    /// [`resolve`](ExecutionEngine::resolve) — the lowering, the memory plan
+    /// and the parallel-legality proof — and is counted
+    /// `engine.<name>.resolve_reused`, a fresh resolve
+    /// `engine.<name>.resolves`. Inputs are checked and the plan published
+    /// on every call either way. Feed each result back with
     /// [`RunContext::recycle`] to return output buffers to the context.
     fn run_with(
         &self,
@@ -239,7 +225,7 @@ pub trait ExecutionEngine: Backend {
         sizes: &HashMap<String, i64>,
         ctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
-        run_shell(self, func, inputs, sizes, Some(ctx))
+        run_shell(self, func, inputs, sizes, ctx)
     }
 
     /// Install (or remove) a trace sink.

@@ -84,7 +84,7 @@ impl Backend for Runtime {
         &self,
         resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-        mut rctx: Option<&mut RunContext>,
+        rctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
         let func = resolved.func();
         let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
@@ -93,12 +93,8 @@ impl Backend for Runtime {
         let compiled = crate::slots::compile(func)?;
         // Planned VarDef storage: loop-local defs reuse one buffer across
         // iterations within this run (skipping the re-zero where liveness
-        // proves write-before-read), and a caller-provided RunContext keeps
-        // the pool alive across runs.
-        let pool = match rctx.as_deref_mut() {
-            Some(c) => c.take_tensor_pool(resolved.plan()),
-            None => crate::arena::TensorPool::new(resolved.plan()),
-        };
+        // proves write-before-read), and the context keeps the pool alive
+        // across runs.
         let mut ctx = crate::slots::ExecCtx {
             config: &self.config,
             tensors: (0..compiled.n_tensors).map(|_| None).collect(),
@@ -111,10 +107,10 @@ impl Backend for Runtime {
             prof: sink.map(|_| vec![StmtCounters::default(); compiled.prof_nodes.len()]),
             prof_cur: 0,
             kernel_us: metrics.map(|m| m.histogram("engine.interp.kernel_us")),
-            arena: pool,
+            arena: rctx.take_tensor_pool(resolved.plan()),
         };
-        let r = bind_and_exec(&compiled, &mut ctx, resolved, inputs);
-        crate::arena::return_pool(Some(ctx.arena), metrics, rctx);
+        let r = bind_and_exec(&compiled, &mut ctx, resolved, inputs, rctx);
+        rctx.tensor_pool = Some(ctx.arena);
         let outputs = r?;
         if let (Some(sink), Some(buckets)) = (sink, ctx.prof.take()) {
             let mut nodes = compiled.prof_nodes.clone();
@@ -146,11 +142,12 @@ fn bind_and_exec(
     ctx: &mut crate::slots::ExecCtx<'_>,
     resolved: &Resolved<'_>,
     inputs: &HashMap<String, TensorVal>,
+    rctx: &mut RunContext,
 ) -> Result<HashMap<String, TensorVal>, RuntimeError> {
     for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
         ctx.scalars[*slot] = *v;
     }
-    let bound = resolved.bind(inputs, None);
+    let bound = resolved.bind(inputs, rctx);
     for (((slot, _), (p, _)), val) in compiled.params.iter().zip(resolved.params()).zip(bound) {
         ctx.alloc(*slot, val.into_owned(), p.mtype)?;
     }

@@ -57,7 +57,7 @@ pub mod pool;
 pub mod process;
 pub mod value;
 
-pub use arena::{ArenaStats, RunContext};
+pub use arena::RunContext;
 pub use bind::Resolved;
 pub use vm::VmRuntime;
 pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};

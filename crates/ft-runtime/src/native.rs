@@ -61,15 +61,16 @@ use std::time::{Duration, Instant};
 /// `.so` files from older layouts can never be loaded. v2: `ft_entry` gained
 /// a trailing `uint64_t *prof` parameter (NULL when profiling is off).
 /// v3: an `unsigned char *arena` parameter between `sizes` and `prof` — the
-/// preallocated backing block for memory-planned `VarDef`s (NULL makes the
-/// kernel malloc/free its own).
-const ABI_VERSION: u32 = 3;
+/// preallocated backing block for memory-planned `VarDef`s (NULL made the
+/// kernel malloc/free its own). v4: `arena` is never NULL — the engine
+/// always passes its context's block, and the kernel has no fallback.
+const ABI_VERSION: u32 = 4;
 
 /// Entry-point signature of every generated shared object:
 /// `void ft_entry(void **params, const int64_t *sizes, unsigned char *arena,
 /// uint64_t *prof)` with tensor parameters in declaration order followed by
 /// size parameters in declaration order. `arena` backs planned local defs
-/// (NULL = kernel-owned). `prof` is only read by profiled builds (slot `k`
+/// and is never NULL. `prof` is only read by profiled builds (slot `k`
 /// accumulates wall nanoseconds for outermost loop nest `k`); unprofiled
 /// builds ignore it and callers pass NULL.
 type EntryFn = unsafe extern "C" fn(*mut *mut c_void, *const i64, *mut c_void, *mut u64);
@@ -622,7 +623,7 @@ impl Backend for CompiledEngine {
         &self,
         resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-        mut rctx: Option<&mut RunContext>,
+        rctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
         let (func, plan) = (resolved.func(), resolved.plan());
         let kernel = self.kernel_for(func, plan)?;
@@ -633,7 +634,7 @@ impl Backend for CompiledEngine {
             .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("compiled {}", func.name)));
         // The kernel reads Input buffers through const pointers; owned
         // InOut/Output tensors keep their storage alive across the call.
-        let mut bound = resolved.bind(inputs, rctx.as_deref_mut());
+        let mut bound = resolved.bind(inputs, rctx);
         let mut ptrs: Vec<*mut c_void> = bound
             .iter_mut()
             .map(|b| match b {
@@ -650,21 +651,18 @@ impl Backend for CompiledEngine {
         } else {
             prof_buf.as_mut_ptr()
         };
-        // A RunContext preallocates the plan's arena once and hands the
-        // same block to every call; without one the kernel mallocs its own.
-        let arena_ptr: *mut c_void = match rctx.as_deref_mut() {
-            Some(c) => c.native_arena_for(plan).ptr() as *mut c_void,
-            None => std::ptr::null_mut(),
-        };
+        // The context allocates the plan's arena once and hands the same
+        // block to every call.
+        let arena_ptr = rctx.native_arena_for(plan).ptr() as *mut c_void;
         let call_t0 = Instant::now();
         // SAFETY: pointer array length and element types match the
         // generated ft_entry (same Func produced both); every buffer has
         // the shape `resolved` computed from the sizes the kernel is handed
         // (inputs: held to it by `check_inputs` before `execute`; the rest:
         // allocated from it above) and outlives the call; size values are
-        // passed by const pointer in declaration order; arena_ptr is
-        // NULL or points at planned_peak_bytes of storage for the plan the
-        // kernel was emitted from; prof_ptr is NULL or points at
+        // passed by const pointer in declaration order; arena_ptr points at
+        // planned_peak_bytes of storage for the plan the kernel was emitted
+        // from; prof_ptr is NULL or points at
         // sites.len() slots, matching the profiled build.
         unsafe {
             (kernel.entry)(
@@ -691,9 +689,6 @@ impl Backend for CompiledEngine {
         let outputs = resolved.outputs(inputs, |i| owned[i].take().expect("outputs are owned"));
         if let Some(sp) = span.as_mut() {
             sp.arg("params", func.params.len());
-        }
-        if let (Some(m), Some(c)) = (&self.tel.metrics, rctx) {
-            crate::arena::flush_stats(m, &mut c.stats);
         }
         Ok(RunResult {
             outputs,
@@ -862,12 +857,12 @@ mod tests {
         assert_eq!(s2.counter("compiled.cc.spawned"), spawned, "{s2:?}");
         assert_eq!(s2.counter("compiled.cache.hit"), 2, "{s2:?}");
         // Both engines asked for one key, and it is what the module doc
-        // says: FNV-1a of the emitted unit, the flags and ABI version 3 —
+        // says: FNV-1a of the emitted unit, the flags and ABI version 4 —
         // no plan hash — with the unit itself cached next to the object.
         let f = axpy();
         let (lowered, plan) = ft_codegen::lower_and_plan(&f, &sizes);
         let unit = emit_c_planned(&lowered, &plan, false).unwrap().0;
-        let tail = [&[0][..], cc_flags().as_bytes(), &[0], &3u32.to_le_bytes()].concat();
+        let tail = [&[0][..], cc_flags().as_bytes(), &[0], &4u32.to_le_bytes()].concat();
         let key = ft_ir::fnv1a(&[unit.as_bytes(), &tail].concat());
         assert_eq!(artifact_key(&unit, cc_flags()), key);
         assert_eq!(std::fs::read_to_string(dir.join(format!("{key:016x}.c"))).unwrap(), unit);

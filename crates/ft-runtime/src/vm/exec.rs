@@ -56,8 +56,9 @@ pub(super) struct VmState<'a> {
     /// worker states inside a fork-join region run untallied, so the
     /// counts are independent of worker count.
     pub(super) tally: Option<VmTally>,
-    /// Plan-driven buffer pool for `Alloc`/`Free` storage. Coordinator
-    /// only — fork-join worker states run with `None`.
+    /// Plan-driven buffer pool for `Alloc`/`Free` storage, lent by the
+    /// run's context. Coordinator only — fork-join worker states run with
+    /// `None`.
     pub(super) arena: Option<TensorPool>,
 }
 
@@ -241,8 +242,9 @@ impl VmState<'_> {
         c: &Compiled,
         resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
+        rctx: &mut RunContext,
     ) {
-        let bound = resolved.bind(inputs, None);
+        let bound = resolved.bind(inputs, rctx);
         for ((slot, _), val) in c.params.iter().zip(bound) {
             self.tensors[*slot] = Some(VmSlot::new(val.into_owned()));
         }

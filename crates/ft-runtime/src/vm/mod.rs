@@ -324,17 +324,13 @@ impl Backend for VmRuntime {
         &self,
         resolved: &Resolved<'_>,
         inputs: &HashMap<String, TensorVal>,
-        mut rctx: Option<&mut RunContext>,
+        rctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
         let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
         let pool_before = metrics.map(|_| WorkerPool::global().stats());
         let func = resolved.func();
         let compiled = crate::slots::compile(func)?;
         let prog = compile_program(&compiled);
-        // With a cross-run context: pool `VarDef` buffers by the plan's
-        // interference classes. Plain `run` allocates every `VarDef` fresh,
-        // which is what the planned path is diffed against.
-        let pool = rctx.as_deref_mut().map(|c| c.take_tensor_pool(resolved.plan()));
         let _span =
             sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
         let mut st = VmState {
@@ -348,12 +344,14 @@ impl Backend for VmRuntime {
                 par_serial: 0,
                 kernel_ns: m.histogram("engine.vm.kernel_ns"),
             }),
-            arena: pool,
+            // `VarDef` buffers come from the context's pool, by the plan's
+            // interference classes.
+            arena: Some(rctx.take_tensor_pool(resolved.plan())),
         };
         for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
             st.regs[*slot] = *v as u64;
         }
-        st.bind_params(&compiled, resolved, inputs);
+        st.bind_params(&compiled, resolved, inputs, rctx);
         let exec_r = st.exec_code(&prog.code, &prog);
         // One span per lowering decision, so a trace explains which loops
         // became wide kernels and why the rest did not.
@@ -383,7 +381,7 @@ impl Backend for VmRuntime {
                 crate::engine::record_pool_delta(m, before);
             }
         }
-        crate::arena::return_pool(st.arena.take(), metrics, rctx);
+        rctx.tensor_pool = st.arena.take();
         exec_r?;
         let outputs = resolved.outputs(inputs, |i| {
             let slot = compiled.params[i].0;

@@ -1,12 +1,15 @@
 //! The VM on a reusable [`RunContext`]: `VarDef` storage comes from the
 //! crate's one buffer pool (`arena::TensorPool`, observable as the
 //! `mem.arena.*` metrics) and a `LibCall` works on its operands in place.
+//! A context-free `run` draws on a pool too, on every engine.
 //! An integration test of its own because it installs a counting allocator.
 
 use ft_ir::prelude::*;
 use ft_ir::{AccessType, DataType, MemType, Stmt, StmtKind};
 use ft_metrics::{Metrics, MetricsSnapshot};
-use ft_runtime::{ExecutionEngine, RunContext, TensorVal, VmRuntime};
+use ft_runtime::{
+    cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, TensorVal, VmRuntime,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -81,24 +84,60 @@ fn run_on_one_context(f: &Func, runs: usize) -> Vec<MetricsSnapshot> {
         .collect()
 }
 
+/// `y = 2 * x` through a scratch entered four times a run.
+fn scratch_in_a_loop() -> Func {
+    Func::new("scratch")
+        .param("x", [16], DataType::F32, AccessType::Input)
+        .param("y", [16], DataType::F32, AccessType::Output)
+        .body(for_("r", 0, 4, through_scratch("t", DataType::F32, "y")))
+}
+
+/// `mem.arena.alloc_calls` and `mem.arena.reuse_hits` of a snapshot.
+fn counts(s: &MetricsSnapshot) -> (u64, u64) {
+    (
+        s.counter("mem.arena.alloc_calls"),
+        s.counter("mem.arena.reuse_hits"),
+    )
+}
+
 #[test]
 fn second_run_on_one_context_allocates_no_def_storage() {
     // The scratch is entered four times a run: the first entry of the first
     // run allocates it, every later one — in that run or the next — is a
-    // pool hit.
-    let f = Func::new("scratch")
-        .param("x", [16], DataType::F32, AccessType::Input)
-        .param("y", [16], DataType::F32, AccessType::Output)
-        .body(for_("r", 0, 4, through_scratch("t", DataType::F32, "y")));
-    let snaps = run_on_one_context(&f, 2);
-    let counts = |s: &MetricsSnapshot| {
-        (
-            s.counter("mem.arena.alloc_calls"),
-            s.counter("mem.arena.reuse_hits"),
-        )
-    };
-    assert_eq!(counts(&snaps[0]), (1, 3));
-    assert_eq!(counts(&snaps[1]), (1, 7));
+    // pool hit. The output `y` is allocated by the first run and, recycled,
+    // reused by the second.
+    let snaps = run_on_one_context(&scratch_in_a_loop(), 2);
+    assert_eq!(counts(&snaps[0]), (2, 3));
+    assert_eq!(counts(&snaps[1]), (2, 8));
+}
+
+#[test]
+fn a_context_free_run_draws_on_a_pool_like_a_first_run_with() {
+    // `run` is `run_with` on a fresh context: on every engine it allocates
+    // and reuses what a first `run_with` does, and computes the same bits.
+    let f = scratch_in_a_loop();
+    let x = TensorVal::from_f32(&[16], (0..16).map(|v| v as f32).collect());
+    let ins = HashMap::from([("x".to_string(), x)]);
+    let mut engines: Vec<Box<dyn ExecutionEngine>> =
+        vec![Box::new(Runtime::new()), Box::new(VmRuntime::new())];
+    if cc_available() {
+        engines.push(Box::new(CompiledEngine::new()));
+    }
+    for mut engine in engines {
+        let name = engine.name();
+        let metrics = Metrics::new();
+        engine.set_metrics(Some(metrics.clone()));
+        let free = engine.run(&f, &ins, &HashMap::new()).expect("runs");
+        let after_run = counts(&metrics.snapshot());
+        let with = engine
+            .run_with(&f, &ins, &HashMap::new(), &mut RunContext::new())
+            .expect("runs");
+        let total = counts(&metrics.snapshot());
+        let after_run_with = (total.0 - after_run.0, total.1 - after_run.1);
+        assert!(after_run.0 > 0, "{name}: `run` drew on no pool");
+        assert_eq!(after_run, after_run_with, "{name}");
+        assert_eq!(free.outputs, with.outputs, "{name}");
+    }
 }
 
 #[test]
@@ -123,7 +162,8 @@ fn a_pooled_buffer_of_the_wrong_dtype_gives_its_bytes_back() {
         "the two defs share a class"
     );
     let snaps = run_on_one_context(&f, 1);
-    assert_eq!(snaps[0].counter("mem.arena.alloc_calls"), 2);
+    // Two defs and the two outputs.
+    assert_eq!(snaps[0].counter("mem.arena.alloc_calls"), 4);
     assert_eq!(
         snaps[0].gauge("mem.arena.bytes_peak"),
         plan.classes[class].bytes as i64

@@ -451,10 +451,7 @@ fn partial_rows_are_planned_arena_backed_and_budgeted() {
     let (lowered, plan) = freetensor::runtime::lower_and_plan(&f, &sizes);
     assert!(plan.planned_peak_bytes >= rows, "{plan:?}");
     let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
-    assert!(
-        c.contains("float* h_part = (float*)(__ft_arena_base + "),
-        "{c}"
-    );
+    assert!(c.contains("float* h_part = (float*)(__ft_arena + "), "{c}");
     assert!(!c.contains("calloc"), "{c}");
 
     let mut inputs = scatter_inputs(4096);
