@@ -7,54 +7,107 @@
 //! dependence engine.
 
 use ft_ir::{BinaryOp, Expr, UnaryOp};
-use ft_poly::{Constraint, LinExpr, System};
-use std::collections::HashMap;
+use ft_poly::{CmpOp, Constraint, LinExpr, System};
 
-/// A renaming of scalar variables applied during extraction (used to give
-/// the two instances of a dependence query distinct variable names).
-pub type VarMap = HashMap<String, String>;
+/// An affine form `Σ cᵢ·xᵢ + c` over variables of type `V`. Terms are in
+/// no particular order and a variable may repeat (its coefficient is the sum
+/// of its terms) until [`Affine::normalized`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Affine<V> {
+    /// `(variable, coefficient)` terms.
+    pub terms: Vec<(V, i64)>,
+    /// The constant term.
+    pub constant: i64,
+}
 
-/// Convert an expression to an affine form over scalar variables, renaming
-/// variables through `map` (variables absent from the map keep their name).
-///
-/// Returns `None` when the expression is not affine.
-pub fn to_linexpr_mapped(e: &Expr, map: &VarMap) -> Option<LinExpr> {
-    match e {
-        Expr::IntConst(v) => Some(LinExpr::constant(*v)),
-        Expr::Var(n) => {
-            let name = map.get(n).cloned().unwrap_or_else(|| n.clone());
-            Some(LinExpr::var(name))
+impl<V: Copy + PartialEq> Affine<V> {
+    pub(crate) fn constant(c: i64) -> Affine<V> {
+        Affine {
+            terms: Vec::new(),
+            constant: c,
         }
+    }
+
+    pub(crate) fn scaled(mut self, k: i64) -> Affine<V> {
+        self.terms.iter_mut().for_each(|(_, c)| *c *= k);
+        self.constant *= k;
+        self
+    }
+
+    pub(crate) fn plus(mut self, other: Affine<V>) -> Affine<V> {
+        self.terms.extend(other.terms);
+        self.constant += other.constant;
+        self
+    }
+
+    pub(crate) fn minus(self, other: Affine<V>) -> Affine<V> {
+        self.plus(other.scaled(-1))
+    }
+
+    /// Each variable once, zero coefficients dropped (first-occurrence
+    /// order).
+    pub(crate) fn normalized(mut self) -> Affine<V> {
+        let mut out: Vec<(V, i64)> = Vec::with_capacity(self.terms.len());
+        for (v, c) in self.terms.drain(..) {
+            match out.iter_mut().find(|(w, _)| *w == v) {
+                Some((_, d)) => *d += c,
+                None => out.push((v, c)),
+            }
+        }
+        out.retain(|(_, c)| *c != 0);
+        self.terms = out;
+        self
+    }
+
+    /// The value, when no variable is left once normalized.
+    fn into_constant(self) -> Result<i64, Affine<V>> {
+        let n = self.normalized();
+        if n.terms.is_empty() {
+            Ok(n.constant)
+        } else {
+            Err(n)
+        }
+    }
+}
+
+/// The affine form of an integer expression, each variable name mapped
+/// through `var` (a dependence query names the two instances' iterators
+/// apart this way). `None` when the expression is not affine.
+pub(crate) fn affine<'e, V: Copy + PartialEq>(
+    e: &'e Expr,
+    var: &mut impl FnMut(&'e str) -> V,
+) -> Option<Affine<V>> {
+    match e {
+        Expr::IntConst(v) => Some(Affine::constant(*v)),
+        Expr::Var(n) => Some(Affine {
+            terms: vec![(var(n), 1)],
+            constant: 0,
+        }),
         Expr::Unary {
             op: UnaryOp::Neg,
             a,
-        } => Some(-to_linexpr_mapped(a, map)?),
+        } => Some(affine(a, var)?.scaled(-1)),
         Expr::Binary { op, a, b } => {
-            let la = to_linexpr_mapped(a, map);
-            let lb = to_linexpr_mapped(b, map);
+            let la = affine(a, var);
+            let lb = affine(b, var);
             match op {
-                BinaryOp::Add => Some(la? + lb?),
-                BinaryOp::Sub => Some(la? - lb?),
-                BinaryOp::Mul => {
-                    // Affine only when one side is constant.
-                    let (la, lb) = (la?, lb?);
-                    if la.is_constant() {
-                        Some(lb.scaled(la.constant_term()))
-                    } else if lb.is_constant() {
-                        Some(la.scaled(lb.constant_term()))
-                    } else {
-                        None
-                    }
-                }
+                BinaryOp::Add => Some(la?.plus(lb?)),
+                BinaryOp::Sub => Some(la?.minus(lb?)),
+                // Affine only when one side is constant.
+                BinaryOp::Mul => match (la?.into_constant(), lb?.into_constant()) {
+                    (Ok(k), Ok(c)) => Some(Affine::constant(k * c)),
+                    (Ok(k), Err(l)) | (Err(l), Ok(k)) => Some(l.scaled(k)),
+                    (Err(_), Err(_)) => None,
+                },
                 BinaryOp::Div => {
                     // Exact constant division only.
-                    let (la, lb) = (la?, lb?);
-                    let d = lb.is_constant().then(|| lb.constant_term())?;
-                    if d != 0
-                        && la.constant_term() % d == 0
-                        && la.iter_terms().all(|(_, c)| c % d == 0)
-                    {
-                        Some(la.exact_div(d))
+                    let d = lb?.into_constant().ok()?;
+                    let la = la?.normalized();
+                    if d != 0 && la.constant % d == 0 && la.terms.iter().all(|(_, c)| c % d == 0) {
+                        Some(Affine {
+                            terms: la.terms.into_iter().map(|(v, c)| (v, c / d)).collect(),
+                            constant: la.constant / d,
+                        })
                     } else {
                         None
                     }
@@ -62,100 +115,83 @@ pub fn to_linexpr_mapped(e: &Expr, map: &VarMap) -> Option<LinExpr> {
                 _ => None,
             }
         }
-        Expr::Cast { a, .. } => to_linexpr_mapped(a, map),
+        Expr::Cast { a, .. } => affine(a, var),
         _ => None,
     }
 }
 
-/// Convert an expression to an affine form without renaming.
+/// Convert an expression to an affine form over its variable names.
+///
+/// Returns `None` when the expression is not affine.
 pub fn to_linexpr(e: &Expr) -> Option<LinExpr> {
-    to_linexpr_mapped(e, &VarMap::new())
+    affine(e, &mut |n| n).map(linexpr)
+}
+
+fn linexpr(a: Affine<&str>) -> LinExpr {
+    a.terms
+        .into_iter()
+        .fold(LinExpr::constant(a.constant), |l, (n, c)| l + LinExpr::term(n, c))
+}
+
+/// The constraints a branch condition (`taken`) or its negation (`!taken`)
+/// adds, each passed to `push` as `form op 0`.
+///
+/// Returns `true` when the condition was captured exactly; `false` when it
+/// was (partially) dropped, leaving the constraints an over-approximation of
+/// the condition's domain — the conservative direction for dependence
+/// testing. A conjunction is captured conjunct by conjunct; its negation
+/// (a disjunction) is dropped.
+pub(crate) fn cond_constraints<'e, V: Copy + PartialEq>(
+    cond: &'e Expr,
+    taken: bool,
+    var: &mut impl FnMut(&'e str) -> V,
+    push: &mut impl FnMut(CmpOp, Affine<V>),
+) -> bool {
+    match cond {
+        Expr::Binary {
+            op: BinaryOp::And,
+            a,
+            b,
+        } if taken => {
+            // Both conjuncts add constraints; exact iff both exact.
+            let ea = cond_constraints(a, true, var, push);
+            let eb = cond_constraints(b, true, var, push);
+            ea && eb
+        }
+        Expr::Binary { op, a, b } => {
+            if !taken && !matches!(op, BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge) {
+                return false;
+            }
+            let (Some(la), Some(lb)) = (affine(a, var), affine(b, var)) else {
+                return false;
+            };
+            // `x op y` with the sense flipped when not taken.
+            let (op, ge) = match (op, taken) {
+                (BinaryOp::Lt, true) | (BinaryOp::Ge, false) => (CmpOp::Ge0, lb.minus(la).plus(Affine::constant(-1))),
+                (BinaryOp::Le, true) | (BinaryOp::Gt, false) => (CmpOp::Ge0, lb.minus(la)),
+                (BinaryOp::Gt, true) | (BinaryOp::Le, false) => (CmpOp::Ge0, la.minus(lb).plus(Affine::constant(-1))),
+                (BinaryOp::Ge, true) | (BinaryOp::Lt, false) => (CmpOp::Ge0, la.minus(lb)),
+                (BinaryOp::Eq, true) => (CmpOp::Eq0, la.minus(lb)),
+                _ => return false,
+            };
+            push(op, ge);
+            true
+        }
+        Expr::BoolConst(true) => taken,
+        _ => false,
+    }
 }
 
 /// Translate a branch condition into constraints conjoined onto `sys`.
 ///
 /// Returns `true` when the condition was captured exactly; `false` when it
 /// was (partially) dropped, leaving `sys` an over-approximation of the
-/// condition's domain — which is the conservative direction for dependence
-/// testing.
-pub fn cond_to_constraints(cond: &Expr, map: &VarMap, sys: &mut System) -> bool {
-    match cond {
-        Expr::Binary {
-            op: BinaryOp::And,
-            a,
-            b,
-        } => {
-            // Both conjuncts add constraints; exact iff both exact.
-            let ea = cond_to_constraints(a, map, sys);
-            let eb = cond_to_constraints(b, map, sys);
-            ea && eb
-        }
-        Expr::Binary { op, a, b } => {
-            let (Some(la), Some(lb)) = (to_linexpr_mapped(a, map), to_linexpr_mapped(b, map))
-            else {
-                return false;
-            };
-            match op {
-                BinaryOp::Lt => {
-                    sys.push(Constraint::lt(la, lb));
-                    true
-                }
-                BinaryOp::Le => {
-                    sys.push(Constraint::le(la, lb));
-                    true
-                }
-                BinaryOp::Gt => {
-                    sys.push(Constraint::gt(la, lb));
-                    true
-                }
-                BinaryOp::Ge => {
-                    sys.push(Constraint::ge(la, lb));
-                    true
-                }
-                BinaryOp::Eq => {
-                    sys.push(Constraint::eq(la, lb));
-                    true
-                }
-                _ => false,
-            }
-        }
-        Expr::BoolConst(true) => true,
-        _ => false,
-    }
+/// condition's domain.
+pub fn cond_to_constraints(cond: &Expr, sys: &mut System) -> bool {
+    cond_constraints(cond, true, &mut |n| n, &mut |op, a| {
+        sys.push(Constraint { expr: linexpr(a), op });
+    })
 }
-
-/// Translate the *negation* of a branch condition (for `else` arms).
-///
-/// Only single comparisons negate exactly into a conjunction; anything else
-/// is dropped (over-approximation).
-pub fn negated_cond_to_constraints(cond: &Expr, map: &VarMap, sys: &mut System) -> bool {
-    if let Expr::Binary { op, a, b } = cond {
-        let (Some(la), Some(lb)) = (to_linexpr_mapped(a, map), to_linexpr_mapped(b, map)) else {
-            return false;
-        };
-        match op {
-            BinaryOp::Lt => {
-                sys.push(Constraint::ge(la, lb));
-                return true;
-            }
-            BinaryOp::Le => {
-                sys.push(Constraint::gt(la, lb));
-                return true;
-            }
-            BinaryOp::Gt => {
-                sys.push(Constraint::le(la, lb));
-                return true;
-            }
-            BinaryOp::Ge => {
-                sys.push(Constraint::lt(la, lb));
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
 
 /// Convert an affine form back into an IR expression (normal form: terms in
 /// name order, constant last).
@@ -206,12 +242,15 @@ mod tests {
     }
 
     #[test]
-    fn renaming_applies() {
-        let mut map = VarMap::new();
-        map.insert("i".to_string(), "i@src".to_string());
-        let l = to_linexpr_mapped(&(var("i") + 1), &map).unwrap();
-        assert_eq!(l.coeff("i@src"), 1);
-        assert_eq!(l.coeff("i"), 0);
+    fn variables_map_through_the_closure() {
+        let e = var("i") * 2 + var("j") - var("i");
+        let a = affine(&e, &mut |n| if n == "i" { 0 } else { 1 }).unwrap();
+        assert_eq!(a.normalized().terms, vec![(0, 1), (1, 1)]);
+        // Cancelled products stay affine: (i - i) * j is 0.
+        let cancelled = (var("i") - var("i")) * var("j");
+        let z = affine(&cancelled, &mut |n| n).unwrap();
+        assert!(z.normalized().terms.is_empty());
+        assert!(to_linexpr(&((var("i") + var("i")) / 2)).is_some());
     }
 
     #[test]
@@ -221,7 +260,7 @@ mod tests {
             .ge(0)
             .and((var("i") + var("k")).lt(var("n")));
         let mut sys = System::new();
-        assert!(cond_to_constraints(&cond, &VarMap::new(), &mut sys));
+        assert!(cond_to_constraints(&cond, &mut sys));
         assert_eq!(sys.constraints.len(), 2);
         // Adding i + k = n makes it empty.
         sys.push(ft_poly::Constraint::eq(
@@ -233,26 +272,19 @@ mod tests {
 
     #[test]
     fn negated_conditions() {
+        let negated = |cond: &Expr, sys: &mut System| {
+            cond_constraints(cond, false, &mut |n| n, &mut |op, a| {
+                sys.push(Constraint { expr: linexpr(a), op });
+            })
+        };
         let mut sys = System::new();
-        assert!(negated_cond_to_constraints(
-            &var("i").lt(var("n")),
-            &VarMap::new(),
-            &mut sys
-        ));
+        assert!(negated(&var("i").lt(var("n")), &mut sys));
         // not(i < n)  =>  i >= n; with i < n it must be empty.
-        assert!(cond_to_constraints(
-            &var("i").lt(var("n")),
-            &VarMap::new(),
-            &mut sys
-        ));
+        assert!(cond_to_constraints(&var("i").lt(var("n")), &mut sys));
         assert_eq!(sys.satisfiable(), Sat::Empty);
         // Negating a conjunction is a disjunction: dropped, reported inexact.
         let mut sys2 = System::new();
-        assert!(!negated_cond_to_constraints(
-            &var("i").lt(5).and(var("j").lt(5)),
-            &VarMap::new(),
-            &mut sys2
-        ));
+        assert!(!negated(&var("i").lt(5).and(var("j").lt(5)), &mut sys2));
         assert!(sys2.constraints.is_empty());
     }
 }

@@ -20,11 +20,9 @@
 //!   the same tensor never constrain each other (Fig. 12(c)).
 
 use crate::access::{collect_accesses, Access, AccessInfo, AccessKind, LoopCtx};
-use crate::affine::{
-    cond_to_constraints, negated_cond_to_constraints, to_linexpr_mapped, VarMap,
-};
+use crate::affine::{affine, cond_constraints, Affine};
 use ft_ir::{find, BinaryOp, Expr, Func, ReduceOp, Stmt, StmtId, StmtKind};
-use ft_poly::{Constraint, LinExpr, Sat, System};
+use ft_poly::{CmpOp, Rows, Sat};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -113,17 +111,136 @@ impl fmt::Display for Violation {
     }
 }
 
-fn side_map(loops: &[LoopCtx], tag: &str) -> VarMap {
-    // Innermost binding wins for shadowed names (map is overwritten in order).
-    let mut m = VarMap::new();
-    for l in loops {
-        m.insert(l.iter.to_string(), renamed(l, tag));
-    }
-    m
+/// Which instance of a query an iterator belongs to: the source (earlier,
+/// named with an `s` suffix) or the sink (`t`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Source,
+    Sink,
 }
 
-fn renamed(l: &LoopCtx, tag: &str) -> String {
-    format!("{}.{}{}", l.iter, l.id.0, tag)
+/// A variable of a dependence query: the iterator of one loop on one side,
+/// or a name no enclosing loop binds (a size parameter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QVar<'f> {
+    Iter {
+        iter: &'f str,
+        id: StmtId,
+        side: Side,
+    },
+    Free(&'f str),
+}
+
+impl QVar<'_> {
+    /// The variable's name, `{iter}.{loop id}{s|t}` for an iterator, as
+    /// bytes: the solver breaks pivot ties in this order.
+    fn name_bytes<'b>(&'b self, buf: &'b mut [u8; 24]) -> impl Iterator<Item = u8> + 'b {
+        let (head, tail_len) = match *self {
+            QVar::Free(name) => (name, 0),
+            QVar::Iter { iter, id, side } => {
+                let digits = id.0.checked_ilog10().map_or(1, |d| d as usize + 1);
+                buf[0] = b'.';
+                let mut n = id.0;
+                for k in (1..=digits).rev() {
+                    buf[k] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                }
+                buf[digits + 1] = if side == Side::Source { b's' } else { b't' };
+                (iter, digits + 2)
+            }
+        };
+        head.bytes().chain(buf[..tail_len].iter().copied())
+    }
+
+    fn cmp_name(&self, other: &QVar<'_>) -> std::cmp::Ordering {
+        let (mut a, mut b) = ([0; 24], [0; 24]);
+        self.name_bytes(&mut a).cmp(other.name_bytes(&mut b))
+    }
+}
+
+/// The integer system of one dependence query, over variables interned per
+/// query: no name is built or hashed until the system is solved.
+#[derive(Default)]
+struct Query<'f> {
+    vars: Vec<QVar<'f>>,
+    /// `form op 0`, in push order (the solver takes equalities in order).
+    rows: Vec<(CmpOp, Affine<usize>)>,
+}
+
+impl<'f> Query<'f> {
+    fn intern(&mut self, v: QVar<'f>) -> usize {
+        match self.vars.iter().position(|w| *w == v) {
+            Some(k) => k,
+            None => {
+                self.vars.push(v);
+                self.vars.len() - 1
+            }
+        }
+    }
+
+    /// The iterator of loop `l` on `side`.
+    fn iter(&mut self, l: &LoopCtx<'f>, side: Side) -> Affine<usize> {
+        let v = self.intern(QVar::Iter {
+            iter: l.iter,
+            id: l.id,
+            side,
+        });
+        Affine {
+            terms: vec![(v, 1)],
+            constant: 0,
+        }
+    }
+
+    /// `name` as `side` sees it inside `loops` (innermost binding wins).
+    fn resolve(&mut self, name: &'f str, loops: &[LoopCtx<'f>], side: Side) -> usize {
+        let v = match loops.iter().rev().find(|l| l.iter == name) {
+            Some(l) => QVar::Iter {
+                iter: l.iter,
+                id: l.id,
+                side,
+            },
+            None => QVar::Free(name),
+        };
+        self.intern(v)
+    }
+
+    /// `e` over this query's variables, as `side` sees it inside `loops`.
+    fn affine(&mut self, e: &'f Expr, loops: &[LoopCtx<'f>], side: Side) -> Option<Affine<usize>> {
+        affine(e, &mut |n| self.resolve(n, loops, side))
+    }
+
+    /// `a >= 0` or `a == 0`.
+    fn push(&mut self, op: CmpOp, a: Affine<usize>) {
+        self.rows.push((op, a));
+    }
+
+    /// `a < b`.
+    fn push_lt(&mut self, a: Affine<usize>, b: Affine<usize>) {
+        self.push(CmpOp::Ge0, b.minus(a).plus(Affine::constant(-1)));
+    }
+
+    /// Variables numbered in name order, as [`System::satisfiable`] would.
+    ///
+    /// [`System::satisfiable`]: ft_poly::System::satisfiable
+    fn satisfiable(&self) -> Sat {
+        let n = self.vars.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| self.vars[a].cmp_name(&self.vars[b]));
+        let mut column = vec![0; n];
+        for (k, &v) in order.iter().enumerate() {
+            column[v] = k;
+        }
+        let mut rows = Rows::new(n);
+        for (op, a) in &self.rows {
+            let mut row = vec![0; n + 1];
+            for &(v, c) in &a.terms {
+                row[column[v]] += c;
+            }
+            row[n] = a.constant;
+            rows.push(*op, row);
+        }
+        rows.satisfiable()
+    }
 }
 
 /// Call `f` on every operand of a chain of `op`s (on `e` itself when it is
@@ -142,88 +259,85 @@ fn for_each_operand<'e>(e: &'e Expr, op: BinaryOp, f: &mut impl FnMut(&'e Expr))
 /// Add the iteration-domain constraints of one access side. A bound that is
 /// not affine — or an operand of a `min`/`max` bound that is not — adds
 /// nothing: the domain only grows, which is the conservative direction.
-fn domain_constraints(acc: &Access, tag: &str, sys: &mut System) {
-    // Build the rename map incrementally so a loop's bounds are translated
-    // with only *outer* iterators renamed.
-    let mut map = VarMap::new();
-    for l in acc.loops.iter() {
-        let v = LinExpr::var(renamed(l, tag));
+fn domain_constraints<'f>(acc: &Access<'f>, side: Side, q: &mut Query<'f>) {
+    // A loop's bounds see only the *outer* iterators as this side's.
+    for (k, l) in acc.loops.iter().enumerate() {
+        let outer = &acc.loops[..k];
         for_each_operand(l.begin, BinaryOp::Max, &mut |lo| {
-            if let Some(lo) = to_linexpr_mapped(lo, &map) {
-                sys.push(Constraint::ge(v.clone(), lo));
+            if let Some(lo) = q.affine(lo, outer, side) {
+                let v = q.iter(l, side);
+                q.push(CmpOp::Ge0, v.minus(lo));
             }
         });
         for_each_operand(l.end, BinaryOp::Min, &mut |hi| {
-            if let Some(hi) = to_linexpr_mapped(hi, &map) {
-                sys.push(Constraint::lt(v.clone(), hi));
+            if let Some(hi) = q.affine(hi, outer, side) {
+                let v = q.iter(l, side);
+                q.push_lt(v, hi);
             }
         });
-        map.insert(l.iter.to_string(), renamed(l, tag));
     }
     for (cond, taken) in acc.conds.iter() {
-        if *taken {
-            cond_to_constraints(cond, &map, sys);
-        } else {
-            negated_cond_to_constraints(cond, &map, sys);
-        }
+        let mut rows = Vec::new();
+        cond_constraints(
+            cond,
+            *taken,
+            &mut |n| q.resolve(n, &acc.loops, side),
+            &mut |op, a| rows.push((op, a)),
+        );
+        q.rows.extend(rows);
     }
 }
 
 /// Add subscript-equality constraints for the affine dimensions.
-fn subscript_constraints(a: &Access, b: &Access, sys: &mut System) {
+fn subscript_constraints<'f>(a: &Access<'f>, b: &Access<'f>, q: &mut Query<'f>) {
     // A LibCall access has no subscripts and aliases the whole tensor:
     // mismatched arity also means "may alias" — skip equality entirely.
     if a.indices.len() != b.indices.len() {
         return;
     }
-    let ma = side_map(&a.loops, "s");
-    let mb = side_map(&b.loops, "t");
     for (ia, ib) in a.indices.iter().zip(b.indices) {
-        if let (Some(la), Some(lb)) = (to_linexpr_mapped(ia, &ma), to_linexpr_mapped(ib, &mb)) {
-            sys.push(Constraint::eq(la, lb));
+        let la = q.affine(ia, &a.loops, Side::Source);
+        let lb = q.affine(ib, &b.loops, Side::Sink);
+        if let (Some(la), Some(lb)) = (la, lb) {
+            q.push(CmpOp::Eq0, la.minus(lb));
         }
         // Non-affine dimension: may alias anything — no constraint.
     }
 }
 
 /// The system every query about the pair starts from, `a` on the source
-/// side (iterators tagged `s`) and `b` on the sink side (`t`): both
-/// iteration domains, subscript equality, and the stack-scope incarnation
-/// constraint (Fig. 12(d)) — two instances can only touch the *same*
-/// incarnation of a locally defined tensor when they agree on every loop
-/// enclosing its `VarDef`, because each iteration of such a loop allocates
-/// a fresh tensor.
-fn pair_system(info: &AccessInfo, a: &Access, b: &Access) -> System {
-    let mut sys = System::new();
-    domain_constraints(a, "s", &mut sys);
-    domain_constraints(b, "t", &mut sys);
-    subscript_constraints(a, b, &mut sys);
+/// side and `b` on the sink side: both iteration domains, subscript
+/// equality, and the stack-scope incarnation constraint (Fig. 12(d)) — two
+/// instances can only touch the *same* incarnation of a locally defined
+/// tensor when they agree on every loop enclosing its `VarDef`, because
+/// each iteration of such a loop allocates a fresh tensor.
+fn pair_system<'f>(info: &AccessInfo, a: &Access<'f>, b: &Access<'f>) -> Query<'f> {
+    let mut q = Query::default();
+    domain_constraints(a, Side::Source, &mut q);
+    domain_constraints(b, Side::Sink, &mut q);
+    subscript_constraints(a, b, &mut q);
     if let Some(containing) = info.def_loops(a) {
         lockstep(
-            &mut sys,
+            &mut q,
             common_loops(a, b).filter(|c| containing.contains(&c.id)),
         );
     }
-    sys
+    q
 }
 
 /// Both instances run the same iteration of each of `loops`.
-fn lockstep<'a, 'f: 'a>(sys: &mut System, loops: impl IntoIterator<Item = &'a LoopCtx<'f>>) {
+fn lockstep<'a, 'f: 'a>(q: &mut Query<'f>, loops: impl IntoIterator<Item = &'a LoopCtx<'f>>) {
     for c in loops {
-        sys.push(Constraint::eq(
-            LinExpr::var(renamed(c, "s")),
-            LinExpr::var(renamed(c, "t")),
-        ));
+        let (s, t) = (q.iter(c, Side::Source), q.iter(c, Side::Sink));
+        q.push(CmpOp::Eq0, s.minus(t));
     }
 }
 
-/// The `first`-tagged instance runs an earlier iteration of `c` than the
-/// `then`-tagged one.
-fn earlier(sys: &mut System, c: &LoopCtx, first: &str, then: &str) {
-    sys.push(Constraint::lt(
-        LinExpr::var(renamed(c, first)),
-        LinExpr::var(renamed(c, then)),
-    ));
+/// The `first` instance runs an earlier iteration of `c` than the `then`
+/// one.
+fn earlier<'f>(q: &mut Query<'f>, c: &LoopCtx<'f>, first: Side, then: Side) {
+    let (a, b) = (q.iter(c, first), q.iter(c, then));
+    q.push_lt(a, b);
 }
 
 /// The loops common to both accesses (shared prefix of enclosing loops).
@@ -273,12 +387,12 @@ pub fn dep_exists(info: &AccessInfo, a: &Access, b: &Access, carrier: Carrier) -
             (&common[..], None)
         }
     };
-    let mut sys = pair_system(info, a, b);
-    lockstep(&mut sys, same.iter().copied());
+    let mut q = pair_system(info, a, b);
+    lockstep(&mut q, same.iter().copied());
     if let Some(c) = carrying {
-        earlier(&mut sys, c, "s", "t");
+        earlier(&mut q, c, Side::Source, Side::Sink);
     }
-    sys.satisfiable()
+    q.satisfiable()
 }
 
 fn classify(a: AccessKind, b: AccessKind) -> DepKind {
@@ -476,22 +590,20 @@ pub fn fuse_illegal(func: &Func, l1: StmtId, l2: StmtId) -> Option<Violation> {
             if ignorable(a, b) {
                 continue;
             }
+            let mut q = pair_system(&info, a, b);
             // Normalized iterations: (i - begin1) vs (j - begin2).
             let (Some(lb1), Some(lb2)) = (
-                to_linexpr_mapped(b1, &side_map(&a.loops, "s")),
-                to_linexpr_mapped(b2, &side_map(&b.loops, "t")),
+                q.affine(b1, &a.loops, Side::Source),
+                q.affine(b2, &b.loops, Side::Sink),
             ) else {
                 return Some(Violation::structural("non-affine loop begin"));
             };
-            let mut sys = pair_system(&info, a, b);
             // Common outer loops (everything above l1/l2) run in lockstep.
-            lockstep(&mut sys, common_loops(a, b));
+            lockstep(&mut q, common_loops(a, b));
             // j_norm < i_norm would be reversed by fusion.
-            sys.push(Constraint::lt(
-                LinExpr::var(renamed(jb, "t")) - lb2,
-                LinExpr::var(renamed(ia, "s")) - lb1,
-            ));
-            let sat = sys.satisfiable();
+            let (j, i) = (q.iter(jb, Side::Sink), q.iter(ia, Side::Source));
+            q.push_lt(j.minus(lb2), i.minus(lb1));
+            let sat = q.satisfiable();
             if sat != Sat::Empty {
                 return Some(reversed("fusing", a, b, Carrier::Loop(l1), sat));
             }
@@ -530,12 +642,12 @@ pub fn fission_illegal(
             let Some(d) = common.iter().position(|c| c.id == loop_id) else {
                 continue;
             };
-            let mut sys = pair_system(&info, a, b);
-            lockstep(&mut sys, common[..d].iter().copied());
+            let mut q = pair_system(&info, a, b);
+            lockstep(&mut q, common[..d].iter().copied());
             // second-part at i strictly before first-part at j (i < j) in the
             // original order — reversed after fission.
-            earlier(&mut sys, common[d], "s", "t");
-            let sat = sys.satisfiable();
+            earlier(&mut q, common[d], Side::Source, Side::Sink);
+            let sat = q.satisfiable();
             if sat != Sat::Empty {
                 return Some(reversed("fission", a, b, Carrier::Loop(loop_id), sat));
             }
@@ -568,9 +680,9 @@ pub fn swap_illegal(func: &Func, s1: StmtId, s2: StmtId) -> Option<Violation> {
             if ignorable(a, b) {
                 continue;
             }
-            let mut sys = pair_system(&info, a, b);
-            lockstep(&mut sys, common_loops(a, b));
-            let sat = sys.satisfiable();
+            let mut q = pair_system(&info, a, b);
+            lockstep(&mut q, common_loops(a, b));
+            let sat = q.satisfiable();
             if sat != Sat::Empty {
                 return Some(Violation {
                     reason: format!(
@@ -630,21 +742,22 @@ pub fn reorder_illegal(
 
             // Violation: a before b under old_seq at depth d, while b
             // strictly before a under new_seq at depth e.
-            let base = pair_system(&info, a, b);
+            let mut q = pair_system(&info, a, b);
+            let base = q.rows.len();
             for d in 0..=old_seq.len() {
                 if d == old_seq.len() && a.pos >= b.pos {
                     continue; // "a before b at equal iters" needs pos order
                 }
                 for e in 0..new_seq.len() {
-                    let mut sys = base.clone();
-                    lockstep(&mut sys, old_seq[..d].iter().copied());
+                    q.rows.truncate(base);
+                    lockstep(&mut q, old_seq[..d].iter().copied());
                     if d < old_seq.len() {
-                        earlier(&mut sys, old_seq[d], "s", "t");
+                        earlier(&mut q, old_seq[d], Side::Source, Side::Sink);
                     }
-                    lockstep(&mut sys, new_seq[..e].iter().copied());
+                    lockstep(&mut q, new_seq[..e].iter().copied());
                     // b strictly before a in the new order.
-                    earlier(&mut sys, new_seq[e], "t", "s");
-                    let sat = sys.satisfiable();
+                    earlier(&mut q, new_seq[e], Side::Sink, Side::Source);
+                    let sat = q.satisfiable();
                     if sat != Sat::Empty {
                         let carrier = Carrier::Loop(new_seq[e].id);
                         return Some(reversed("reorder", a, b, carrier, sat));
@@ -679,6 +792,33 @@ mod tests {
     }
     fn j() -> Expr {
         var("j")
+    }
+
+    #[test]
+    fn query_variables_sort_as_their_names() {
+        // The solver breaks pivot ties in name order: an interned variable
+        // must sort exactly where its `{iter}.{loop id}{s|t}` name would.
+        let name = |v: &QVar| match *v {
+            QVar::Iter { iter, id, side } => {
+                format!("{iter}.{}{}", id.0, if side == Side::Source { 's' } else { 't' })
+            }
+            QVar::Free(n) => n.to_string(),
+        };
+        let mut vars = Vec::new();
+        for iter in ["i", "i.1", "j", "N", "i0", "k2", "_"] {
+            for id in [0, 1, 3, 9, 10, 12, 100, 1_234_567, u64::MAX] {
+                for side in [Side::Source, Side::Sink] {
+                    vars.push(QVar::Iter { iter, id: StmtId(id), side });
+                }
+            }
+            vars.push(QVar::Free(iter));
+        }
+        vars.extend(["i.12", "i.12s", "i.1.3t", "j.9"].map(QVar::Free));
+        for a in &vars {
+            for b in &vars {
+                assert_eq!(a.cmp_name(b), name(a).cmp(&name(b)), "{} vs {}", name(a), name(b));
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@ pub struct Module {
 }
 
 impl Module {
-    /// Find a function by name. The *last* definition wins, so user code
-    /// appended after a library prelude shadows same-named library helpers.
+    /// Find a function by name. The *last* definition wins.
     pub fn find(&self, name: &str) -> Option<&SFunc> {
         self.funcs.iter().rev().find(|f| f.name == name)
     }

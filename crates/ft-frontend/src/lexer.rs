@@ -1,18 +1,21 @@
 //! Indentation-aware lexer for the textual DSL.
+//!
+//! Tokens borrow their text from the source: lexing allocates the token
+//! vector and nothing else.
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// A lexical token, borrowing names and strings from the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'s> {
     /// Identifier or keyword.
-    Name(String),
+    Name(&'s str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
     /// String literal (without quotes).
-    Str(String),
+    Str(&'s str),
     /// Punctuation or operator, e.g. `"+="`, `"("`.
     Sym(&'static str),
     /// End of a logical line.
@@ -25,7 +28,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Name(n) => write!(f, "`{n}`"),
@@ -42,10 +45,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token plus its 1-based source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'s> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'s>,
     /// 1-based line number.
     pub line: usize,
 }
@@ -65,20 +68,55 @@ impl fmt::Display for LexError {
     }
 }
 
-const SYMBOLS: &[&str] = &[
-    "+=", "*=", "min=", "max=", "==", "!=", "<=", ">=", "(", ")", "[", "]", ":", ",", "+", "-",
-    "*", "/", "%", "<", ">", "=", "@", ".",
-];
+/// The punctuation or operator at the start of `rest`, longest first.
+/// `min=` / `max=` are lexed with names.
+fn symbol(rest: &[u8]) -> Option<&'static str> {
+    Some(match rest {
+        [b'+', b'=', ..] => "+=",
+        [b'*', b'=', ..] => "*=",
+        [b'=', b'=', ..] => "==",
+        [b'!', b'=', ..] => "!=",
+        [b'<', b'=', ..] => "<=",
+        [b'>', b'=', ..] => ">=",
+        [b'(', ..] => "(",
+        [b')', ..] => ")",
+        [b'[', ..] => "[",
+        [b']', ..] => "]",
+        [b':', ..] => ":",
+        [b',', ..] => ",",
+        [b'+', ..] => "+",
+        [b'-', ..] => "-",
+        [b'*', ..] => "*",
+        [b'/', ..] => "/",
+        [b'%', ..] => "%",
+        [b'<', ..] => "<",
+        [b'>', ..] => ">",
+        [b'=', ..] => "=",
+        [b'@', ..] => "@",
+        [b'.', ..] => ".",
+        _ => return None,
+    })
+}
+
+/// The end of the run of bytes from `i` on that satisfy `pred`.
+fn scan(bytes: &[u8], mut i: usize, pred: impl Fn(u8) -> bool) -> usize {
+    while i < bytes.len() && pred(bytes[i]) {
+        i += 1;
+    }
+    i
+}
 
 /// Tokenize a source string, producing INDENT/DEDENT pairs from leading
 /// whitespace (spaces only; tabs are rejected). Comments (`# …`) and blank
 /// lines are skipped; brackets suppress newline significance.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
-    let mut out: Vec<Spanned> = Vec::new();
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
+    let mut out: Vec<Spanned<'_>> = Vec::with_capacity(src.len() / 3);
     let mut indents: Vec<usize> = vec![0];
     let mut depth = 0usize; // bracket nesting
+    let mut last_line = 0;
     for (lineno, raw) in src.lines().enumerate() {
         let line = lineno + 1;
+        last_line = line;
         let err = |m: &str| LexError {
             message: m.to_string(),
             line,
@@ -94,145 +132,87 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
         if code.trim().is_empty() {
             continue;
         }
+        let bytes = code.as_bytes();
+        let mut i = code.len() - code.trim_start().len();
+        let mut push = |tok| out.push(Spanned { tok, line });
         if depth == 0 {
-            let indent = code.len() - code.trim_start().len();
+            let indent = i;
             let current = *indents.last().expect("never empty");
             if indent > current {
                 indents.push(indent);
-                out.push(Spanned {
-                    tok: Tok::Indent,
-                    line,
-                });
+                push(Tok::Indent);
             } else {
                 while indent < *indents.last().expect("never empty") {
                     indents.pop();
-                    out.push(Spanned {
-                        tok: Tok::Dedent,
-                        line,
-                    });
+                    push(Tok::Dedent);
                 }
                 if indent != *indents.last().expect("never empty") {
                     return Err(err("inconsistent indentation"));
                 }
             }
         }
-        let bytes = code.as_bytes();
-        let mut i = code.len() - code.trim_start().len();
         while i < bytes.len() {
-            let c = bytes[i] as char;
-            if c == ' ' {
+            let c = bytes[i];
+            if c == b' ' {
                 i += 1;
-                continue;
-            }
-            if c == '"' {
+            } else if c == b'"' {
                 let end = code[i + 1..]
                     .find('"')
                     .ok_or_else(|| err("unterminated string"))?;
-                out.push(Spanned {
-                    tok: Tok::Str(code[i + 1..i + 1 + end].to_string()),
-                    line,
-                });
+                push(Tok::Str(&code[i + 1..i + 1 + end]));
                 i += end + 2;
-                continue;
-            }
-            if c.is_ascii_digit() {
+            } else if c.is_ascii_digit() {
                 let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
+                i = scan(bytes, i, |b| b.is_ascii_digit());
                 let mut is_float = false;
-                if i < bytes.len()
-                    && bytes[i] as char == '.'
-                    && i + 1 < bytes.len()
-                    && (bytes[i + 1] as char).is_ascii_digit()
-                {
+                if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
                     is_float = true;
-                    i += 1;
-                    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
+                    i = scan(bytes, i + 1, |b| b.is_ascii_digit());
                 }
-                if i < bytes.len() && (bytes[i] as char == 'e' || bytes[i] as char == 'E') {
-                    let mut j = i + 1;
-                    if j < bytes.len() && (bytes[j] as char == '+' || bytes[j] as char == '-') {
-                        j += 1;
-                    }
-                    if j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+                if matches!(bytes.get(i), Some(b'e' | b'E')) {
+                    let j = i + usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+                    if bytes.get(j + 1).is_some_and(u8::is_ascii_digit) {
                         is_float = true;
-                        i = j;
-                        while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                            i += 1;
-                        }
+                        i = scan(bytes, j + 1, |b| b.is_ascii_digit());
                     }
                 }
                 let text = &code[start..i];
-                let tok = if is_float {
+                push(if is_float {
                     Tok::Float(text.parse().map_err(|_| err("bad float literal"))?)
                 } else {
                     Tok::Int(text.parse().map_err(|_| err("bad integer literal"))?)
-                };
-                out.push(Spanned { tok, line });
-                continue;
-            }
-            if c.is_ascii_alphabetic() || c == '_' {
+                });
+            } else if c.is_ascii_alphabetic() || c == b'_' {
                 let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] as char == '_')
-                {
-                    i += 1;
-                }
-                let name = code[start..i].to_string();
+                i = scan(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                let name = &code[start..i];
                 // `min=` / `max=` reduce operators.
                 if (name == "min" || name == "max")
-                    && i < bytes.len()
-                    && bytes[i] as char == '='
-                    && (i + 1 >= bytes.len() || bytes[i + 1] as char != '=')
+                    && bytes.get(i) == Some(&b'=')
+                    && bytes.get(i + 1) != Some(&b'=')
                 {
-                    out.push(Spanned {
-                        tok: Tok::Sym(if name == "min" { "min=" } else { "max=" }),
-                        line,
-                    });
+                    push(Tok::Sym(if name == "min" { "min=" } else { "max=" }));
                     i += 1;
-                    continue;
+                } else {
+                    push(Tok::Name(name));
                 }
-                out.push(Spanned {
-                    tok: Tok::Name(name),
-                    line,
-                });
-                continue;
-            }
-            let mut matched = false;
-            for sym in SYMBOLS {
-                if sym.chars().next().map(char::is_alphabetic) == Some(true) {
-                    continue; // min=/max= handled above
+            } else if let Some(sym) = symbol(&bytes[i..]) {
+                match sym {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth = depth.saturating_sub(1),
+                    _ => {}
                 }
-                if code[i..].starts_with(sym) {
-                    match *sym {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth = depth.saturating_sub(1),
-                        _ => {}
-                    }
-                    out.push(Spanned {
-                        tok: Tok::Sym(sym),
-                        line,
-                    });
-                    i += sym.len();
-                    matched = true;
-                    break;
-                }
-            }
-            if !matched {
+                push(Tok::Sym(sym));
+                i += sym.len();
+            } else {
+                let c = code[i..].chars().next().expect("i is inside the line");
                 return Err(err(&format!("unexpected character `{c}`")));
             }
         }
         if depth == 0 {
-            out.push(Spanned {
-                tok: Tok::Newline,
-                line,
-            });
+            push(Tok::Newline);
         }
     }
-    let last_line = src.lines().count();
     while indents.len() > 1 {
         indents.pop();
         out.push(Spanned {
@@ -251,7 +231,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -261,11 +241,11 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Tok::Name("x".into()),
+                Tok::Name("x"),
                 Tok::Sym("="),
-                Tok::Name("a".into()),
+                Tok::Name("a"),
                 Tok::Sym("["),
-                Tok::Name("i".into()),
+                Tok::Name("i"),
                 Tok::Sym("]"),
                 Tok::Sym("+"),
                 Tok::Float(2.5),
@@ -304,7 +284,7 @@ mod tests {
     fn brackets_suppress_newlines() {
         let t = toks("x = create_var((2,\n  3), \"f32\", \"cpu\")\n");
         assert_eq!(t.iter().filter(|t| **t == Tok::Newline).count(), 1);
-        assert!(t.contains(&Tok::Str("f32".into())));
+        assert!(t.contains(&Tok::Str("f32")));
     }
 
     #[test]

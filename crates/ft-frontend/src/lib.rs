@@ -26,7 +26,7 @@ pub mod lower;
 pub mod parser;
 
 pub use ast::{Module, SExpr, SFunc, SStmt};
-pub use lower::{lower_module, LowerError};
+pub use lower::{lower_module, lower_with_library, LowerError};
 pub use parser::{parse, ParseError};
 
 /// Parse a module and lower the function named `entry` (inlining all calls).

@@ -11,7 +11,7 @@
 //!   compile-time value; conditions over it fold to constants during
 //!   lowering, so a finite recursion over `ndim` unrolls into a nested loop.
 
-use crate::ast::{Module, SExpr, SParam, SStmt};
+use crate::ast::{Module, SExpr, SFunc, SParam, SStmt};
 use ft_ir::{builder, DataType, Expr, Func, Stmt, StmtKind};
 use ft_passes::const_fold_expr;
 use std::collections::{HashMap, HashSet};
@@ -22,13 +22,24 @@ use std::fmt;
 pub struct LowerError {
     /// Explanation.
     pub message: String,
-    /// 1-based source line (0 when synthetic).
+    /// 1-based source line (0 when the error has no place in the text).
     pub line: usize,
+    /// Whether `line` is a line of the library module
+    /// ([`lower_with_library`]) rather than of the program's own text.
+    pub in_library: bool,
 }
 
 impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lowering error at line {}: {}", self.line, self.message)
+        match (self.line, self.in_library) {
+            (0, _) => write!(f, "lowering error: {}", self.message),
+            (line, false) => write!(f, "lowering error at line {line}: {}", self.message),
+            (line, true) => write!(
+                f,
+                "lowering error in the operator library at line {line}: {}",
+                self.message
+            ),
+        }
     }
 }
 
@@ -77,6 +88,9 @@ const MAX_INLINE_DEPTH: usize = 64;
 
 struct Lowerer<'m> {
     module: &'m Module,
+    library: Option<&'m Module>,
+    /// Whether the body being lowered is a library function's.
+    in_library: bool,
     scopes: Vec<HashMap<String, Binding>>,
     used_names: HashSet<String>,
     depth: usize,
@@ -90,67 +104,99 @@ struct Lowerer<'m> {
 /// Returns a [`LowerError`] for unknown names, rank mismatches, non-constant
 /// metadata, unbounded recursion, and calls to undefined functions.
 pub fn lower_module(module: &Module, entry: &str) -> Result<Func, LowerError> {
-    let sfunc = module.find(entry).ok_or_else(|| LowerError {
-        message: format!("no function named `{entry}`"),
-        line: 0,
-    })?;
-    let mut lw = Lowerer {
-        module,
-        scopes: vec![HashMap::new()],
-        used_names: HashSet::new(),
-        depth: 0,
-    };
-    let mut func = Func::new(entry);
-    // Bind size parameters first: tensor shapes may reference them
-    // regardless of declaration order.
-    for p in &sfunc.params {
-        if let SParam::Size { name } = p {
-            func = func.size_param(name.clone());
-            lw.bind(name, Binding::Scalar(builder::var(name)));
-            lw.used_names.insert(name.clone());
-        }
-    }
-    for p in &sfunc.params {
-        match p {
-            SParam::Tensor {
-                name,
-                dtype,
-                shape,
-                mtype,
-                atype,
-            } => {
-                let shape_ir: Vec<Expr> = shape
-                    .iter()
-                    .map(|e| lw.lower_scalar(e, sfunc.line))
-                    .collect::<Result<_, _>>()?;
-                func = func.param_on(name.clone(), shape_ir.clone(), *dtype, *mtype, *atype);
-                lw.bind(
-                    name,
-                    Binding::View(TensorView {
-                        base: name.clone(),
-                        prefix: vec![],
-                        shape: shape_ir,
-                        dtype: *dtype,
-                    }),
-                );
-                lw.used_names.insert(name.clone());
-            }
-            SParam::Size { .. } => {} // bound above
-            SParam::Untyped { name } => {
-                return Err(LowerError {
-                    message: format!(
-                        "entry function parameter `{name}` needs a type annotation"
-                    ),
-                    line: sfunc.line,
-                })
-            }
-        }
-    }
-    let body = lw.lower_block(&sfunc.body)?;
-    Ok(func.body(body))
+    Lowerer::new(module, None).entry(entry)
 }
 
-impl Lowerer<'_> {
+/// [`lower_module`] with a second, separately parsed module in scope: a
+/// name `module` does not define is looked up in `library`, so the
+/// program's own definitions shadow the library's. Error lines inside a
+/// library function are lines of the library's text
+/// ([`LowerError::in_library`]).
+///
+/// # Errors
+///
+/// As [`lower_module`].
+pub fn lower_with_library(
+    module: &Module,
+    library: &Module,
+    entry: &str,
+) -> Result<Func, LowerError> {
+    Lowerer::new(module, Some(library)).entry(entry)
+}
+
+impl<'m> Lowerer<'m> {
+    fn new(module: &'m Module, library: Option<&'m Module>) -> Lowerer<'m> {
+        Lowerer {
+            module,
+            library,
+            in_library: false,
+            scopes: vec![HashMap::new()],
+            used_names: HashSet::new(),
+            depth: 0,
+        }
+    }
+
+    /// The function `name` and whether it is the library's.
+    fn find(&self, name: &str) -> Option<(&'m SFunc, bool)> {
+        match self.module.find(name) {
+            Some(f) => Some((f, false)),
+            None => Some((self.library?.find(name)?, true)),
+        }
+    }
+
+    fn entry(mut self, entry: &str) -> Result<Func, LowerError> {
+        let Some((sfunc, in_library)) = self.find(entry) else {
+            return self.err(0, format!("no function named `{entry}`"));
+        };
+        self.in_library = in_library;
+        let mut func = Func::new(entry);
+        // Bind size parameters first: tensor shapes may reference them
+        // regardless of declaration order.
+        for p in &sfunc.params {
+            if let SParam::Size { name } = p {
+                func = func.size_param(name.clone());
+                self.bind(name, Binding::Scalar(builder::var(name)));
+                self.used_names.insert(name.clone());
+            }
+        }
+        for p in &sfunc.params {
+            match p {
+                SParam::Tensor {
+                    name,
+                    dtype,
+                    shape,
+                    mtype,
+                    atype,
+                } => {
+                    let shape_ir: Vec<Expr> = shape
+                        .iter()
+                        .map(|e| self.lower_scalar(e, sfunc.line))
+                        .collect::<Result<_, _>>()?;
+                    func = func.param_on(name.clone(), shape_ir.clone(), *dtype, *mtype, *atype);
+                    self.bind(
+                        name,
+                        Binding::View(TensorView {
+                            base: name.clone(),
+                            prefix: vec![],
+                            shape: shape_ir,
+                            dtype: *dtype,
+                        }),
+                    );
+                    self.used_names.insert(name.clone());
+                }
+                SParam::Size { .. } => {} // bound above
+                SParam::Untyped { name } => {
+                    return self.err(
+                        sfunc.line,
+                        format!("entry function parameter `{name}` needs a type annotation"),
+                    )
+                }
+            }
+        }
+        let body = self.lower_block(&sfunc.body)?;
+        Ok(func.body(body))
+    }
+
     fn bind(&mut self, name: &str, b: Binding) {
         self.scopes
             .last_mut()
@@ -184,6 +230,7 @@ impl Lowerer<'_> {
         Err(LowerError {
             message: msg.into(),
             line,
+            in_library: self.in_library && line > 0,
         })
     }
 
@@ -335,7 +382,7 @@ impl Lowerer<'_> {
         args: &[SExpr],
         line: usize,
     ) -> Result<Stmt, LowerError> {
-        let Some(func) = self.module.find(callee) else {
+        let Some((func, in_library)) = self.find(callee) else {
             return self.err(line, format!("call to undefined function `{callee}`"));
         };
         if self.depth >= MAX_INLINE_DEPTH {
@@ -411,7 +458,9 @@ impl Lowerer<'_> {
             self.bind(&name, b);
         }
         self.depth += 1;
+        let caller_in_library = std::mem::replace(&mut self.in_library, in_library);
         let body = self.lower_block(&func.body);
+        self.in_library = caller_in_library;
         self.depth -= 1;
         self.scopes = saved_scopes;
         body
@@ -523,6 +572,7 @@ pub fn validate(func: &Func) -> Result<(), LowerError> {
         return Err(LowerError {
             message: format!("duplicate tensor definition `{dup}` after lowering"),
             line: 0,
+            in_library: false,
         });
     }
     Ok(())

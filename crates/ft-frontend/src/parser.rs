@@ -31,8 +31,8 @@ impl From<LexError> for ParseError {
     }
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'s> {
+    toks: Vec<Spanned<'s>>,
     pos: usize,
 }
 
@@ -51,9 +51,9 @@ pub fn parse(src: &str) -> Result<Module, ParseError> {
     Ok(Module { funcs })
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Tok<'s> {
+        self.toks[self.pos].tok
     }
 
     fn line(&self) -> usize {
@@ -61,11 +61,11 @@ impl Parser {
     }
 
     fn at(&self, t: &Tok) -> bool {
-        self.peek() == t
+        self.peek() == *t
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'s> {
+        let t = self.peek();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -89,17 +89,17 @@ impl Parser {
     }
 
     fn expect_name(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Name(n) => {
                 self.bump();
-                Ok(n)
+                Ok(n.to_string())
             }
             other => self.err(format!("expected a name, found {other}")),
         }
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Name(n) if n == kw => {
                 self.bump();
                 Ok(())
@@ -183,16 +183,16 @@ impl Parser {
                 .ok_or(())
                 .or_else(|_| self.err::<MemType>(format!("unknown memory type `{spec}`")))?;
         }
-        let atype = match self.peek().clone() {
-            Tok::Name(k) if k == "in" => {
+        let atype = match self.peek() {
+            Tok::Name("in") => {
                 self.bump();
                 AccessType::Input
             }
-            Tok::Name(k) if k == "out" => {
+            Tok::Name("out") => {
                 self.bump();
                 AccessType::Output
             }
-            Tok::Name(k) if k == "inout" => {
+            Tok::Name("inout") => {
                 self.bump();
                 AccessType::InOut
             }
@@ -230,8 +230,8 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<SStmt, ParseError> {
         let line = self.line();
-        match self.peek().clone() {
-            Tok::Name(kw) if kw == "for" => {
+        match self.peek() {
+            Tok::Name("for") => {
                 self.bump();
                 let iter = self.expect_name()?;
                 self.expect_kw("in")?;
@@ -255,11 +255,11 @@ impl Parser {
                     line,
                 })
             }
-            Tok::Name(kw) if kw == "if" => {
+            Tok::Name("if") => {
                 self.bump();
                 let cond = self.expr()?;
                 let then = self.suite()?;
-                let otherwise = if matches!(self.peek(), Tok::Name(k) if k == "else") {
+                let otherwise = if matches!(self.peek(), Tok::Name("else")) {
                     self.bump();
                     self.suite()?
                 } else {
@@ -272,7 +272,7 @@ impl Parser {
                     line,
                 })
             }
-            Tok::Name(kw) if kw == "pass" => {
+            Tok::Name("pass") => {
                 self.bump();
                 self.eat_newline()?;
                 Ok(SStmt::Pass)
@@ -322,7 +322,7 @@ impl Parser {
             }
             self.expect_sym("]")?;
         }
-        let op = match self.peek().clone() {
+        let op = match self.peek() {
             Tok::Sym("=") => None,
             Tok::Sym("+=") => Some(ReduceOp::Add),
             Tok::Sym("*=") => Some(ReduceOp::Mul),
@@ -332,7 +332,7 @@ impl Parser {
         };
         self.bump();
         // `create_var` definition.
-        if op.is_none() && matches!(self.peek(), Tok::Name(k) if k == "create_var") {
+        if op.is_none() && matches!(self.peek(), Tok::Name("create_var")) {
             self.bump();
             self.expect_sym("(")?;
             self.expect_sym("(")?;
@@ -355,14 +355,14 @@ impl Parser {
             let Tok::Str(dt) = self.bump() else {
                 return self.err("expected a dtype string");
             };
-            let dtype = DataType::parse(&dt)
+            let dtype = DataType::parse(dt)
                 .ok_or(())
                 .or_else(|_| self.err::<DataType>(format!("unknown element type `{dt}`")))?;
             self.expect_sym(",")?;
             let Tok::Str(mt) = self.bump() else {
                 return self.err("expected a memory-type string");
             };
-            let mtype = MemType::parse(&mt)
+            let mtype = MemType::parse(mt)
                 .ok_or(())
                 .or_else(|_| self.err::<MemType>(format!("unknown memory type `{mt}`")))?;
             self.expect_sym(")")?;
@@ -404,7 +404,7 @@ impl Parser {
 
     fn or_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.and_expr()?;
-        while matches!(self.peek(), Tok::Name(k) if k == "or") {
+        while matches!(self.peek(), Tok::Name("or")) {
             self.bump();
             let r = self.and_expr()?;
             e = SExpr::Binary(BinaryOp::Or, Box::new(e), Box::new(r));
@@ -414,7 +414,7 @@ impl Parser {
 
     fn and_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.not_expr()?;
-        while matches!(self.peek(), Tok::Name(k) if k == "and") {
+        while matches!(self.peek(), Tok::Name("and")) {
             self.bump();
             let r = self.not_expr()?;
             e = SExpr::Binary(BinaryOp::And, Box::new(e), Box::new(r));
@@ -423,7 +423,7 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> Result<SExpr, ParseError> {
-        if matches!(self.peek(), Tok::Name(k) if k == "not") {
+        if matches!(self.peek(), Tok::Name("not")) {
             self.bump();
             let e = self.not_expr()?;
             return Ok(SExpr::Unary(UnaryOp::Not, Box::new(e)));
@@ -494,7 +494,7 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<SExpr, ParseError> {
         let mut e = self.primary()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Sym("[") => {
                     self.bump();
                     let mut indices = Vec::new();
@@ -530,7 +530,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<SExpr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(SExpr::Int(v))
@@ -547,22 +547,23 @@ impl Parser {
             }
             Tok::Name(n) => {
                 self.bump();
-                match n.as_str() {
+                match n {
                     "true" | "True" => return Ok(SExpr::Bool(true)),
                     "false" | "False" => return Ok(SExpr::Bool(false)),
                     "inf" => return Ok(SExpr::Inf),
                     _ => {}
                 }
                 if self.at(&Tok::Sym("(")) {
-                    return self.builtin_call(&n);
+                    return self.builtin_call(n);
                 }
-                Ok(SExpr::Name(n))
+                Ok(SExpr::Name(n.to_string()))
             }
             other => self.err(format!("unexpected {other} in expression")),
         }
     }
 
     fn builtin_call(&mut self, name: &str) -> Result<SExpr, ParseError> {
+        let line = self.line();
         self.expect_sym("(")?;
         let mut args = Vec::new();
         if !self.at(&Tok::Sym(")")) {
@@ -580,7 +581,7 @@ impl Parser {
             if args.len() != 1 {
                 return Err(ParseError {
                     message: format!("{op:?} takes one argument"),
-                    line: 0,
+                    line,
                 });
             }
             Ok(SExpr::Unary(op, Box::new(args.remove(0))))
@@ -589,7 +590,7 @@ impl Parser {
             if args.len() != 2 {
                 return Err(ParseError {
                     message: format!("{op:?} takes two arguments"),
-                    line: 0,
+                    line,
                 });
             }
             let a = args.remove(0);

@@ -186,9 +186,6 @@ pub fn print_stmt(f: &mut fmt::Formatter<'_>, s: &Stmt, level: usize) -> fmt::Re
             if property.unroll {
                 attrs.push_str("  # unroll");
             }
-            if property.blend {
-                attrs.push_str("  # blend");
-            }
             if property.vectorize {
                 attrs.push_str("  # vectorize");
             }

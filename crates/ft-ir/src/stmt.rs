@@ -98,8 +98,6 @@ pub struct ForProperty {
     pub parallel: ParallelScope,
     /// Fully unroll the loop during lowering.
     pub unroll: bool,
-    /// Unroll and interleave statements from each iteration (paper `blend`).
-    pub blend: bool,
     /// Implement the loop with vector instructions.
     pub vectorize: bool,
 }

@@ -6,18 +6,16 @@
 //! then co-optimized with the rest of the program — the key to removing
 //! operator-boundary redundancy.
 //!
-//! Use [`prelude_source`] to prepend the library to a user program:
+//! [`compile_with_libop`] compiles a user program with the library in
+//! scope. The library is parsed once per process and only the user's text
+//! per call; the user's own definitions shadow the library's:
 //!
 //! ```
-//! let src = format!(
-//!     "{}\n{}",
-//!     ft_libop::prelude_source(),
-//!     r#"
+//! let src = r#"
 //! def entry(x: f32[4, 8] in, y: f32[4, 8] out):
 //!   add(x, x, y)
-//! "#
-//! );
-//! let func = ft_frontend::compile_str(&src, "entry").expect("compiles");
+//! "#;
+//! let func = ft_libop::compile_with_libop(src, "entry").expect("compiles");
 //! assert_eq!(func.params.len(), 2);
 //! ```
 //!
@@ -26,6 +24,9 @@
 //! evaluation; shape-specific ones (`softmax1d`, `matmul`) are written in
 //! the canonical forms that the scheduler's `as_lib` and the auto-scheduler
 //! recognize.
+
+use ft_frontend::Module;
+use std::sync::OnceLock;
 
 /// DSL source of the whole operator library.
 pub fn prelude_source() -> &'static str {
@@ -156,14 +157,23 @@ def matmul(A, B, C, m: size, k: size, n: size):
 "#
 }
 
-/// Compile a user program together with the operator library.
+/// The operator library, parsed once per process.
+fn library() -> &'static Module {
+    static LIBRARY: OnceLock<Module> = OnceLock::new();
+    LIBRARY.get_or_init(|| ft_frontend::parse(prelude_source()).expect("the operator library parses"))
+}
+
+/// Compile a user program with the operator library in scope. Only
+/// `user_src` is parsed; its own definitions shadow the library's, and a
+/// parse or lowering error names a line of `user_src` — or, inside a
+/// library function, a line of the library.
 ///
 /// # Errors
 ///
 /// Propagates frontend parse/lowering errors (as strings with locations).
 pub fn compile_with_libop(user_src: &str, entry: &str) -> Result<ft_ir::Func, String> {
-    let src = format!("{}\n{}", prelude_source(), user_src);
-    ft_frontend::compile_str(&src, entry)
+    let module = ft_frontend::parse(user_src).map_err(|e| e.to_string())?;
+    ft_frontend::lower_with_library(&module, library(), entry).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -279,6 +289,48 @@ mod tests {
             matches!(st.kind, ft_ir::StmtKind::LibCall { .. })
         })
         .is_some());
+    }
+
+    #[test]
+    fn a_syntax_error_names_its_line_in_the_user_text() {
+        let src = "def e(x: f32[3] in, y: f32[3] out):\n  zeros(y)\n  y[0] = = x[0]\n";
+        let err = compile_with_libop(src, "e").unwrap_err();
+        assert!(err.starts_with("parse error at line 3:"), "{err}");
+    }
+
+    #[test]
+    fn a_lowering_error_inside_a_library_function_names_the_library() {
+        // `add` recurses on `C[i]` one level deeper than a 1-D `y` allows.
+        let src = "def e(x: f32[2, 3] in, y: f32[2] out):\n  add(x, x, y)\n";
+        let err = compile_with_libop(src, "e").unwrap_err();
+        let line = prelude_source()
+            .lines()
+            .position(|l| l.trim() == "add(A[i], B[i], C[i])")
+            .expect("add recurses")
+            + 1;
+        assert_eq!(
+            err,
+            format!(
+                "lowering error in the operator library at line {line}: \
+                 too many indices: `y` has 0 remaining dimensions"
+            )
+        );
+        // An error at the call site is the user's.
+        let err = compile_with_libop("def e(y: f32[2] out):\n\n  add(y, y)\n", "e").unwrap_err();
+        assert_eq!(err, "lowering error at line 3: `add` takes 3 arguments, got 2");
+    }
+
+    #[test]
+    fn user_definitions_shadow_the_library() {
+        let x = TensorVal::from_f32(&[2], vec![1.0, 2.0]);
+        let y = run1(
+            "def add(A, B, C):\n  for i in range(2):\n    C[i] = A[i] - B[i] * 2.0\n\n\
+             def e(x: f32[2] in, y: f32[2] out):\n  add(x, x, y)\n",
+            "e",
+            &[("x", x)],
+            "y",
+        );
+        assert_eq!(y.to_f64_vec(), vec![-1.0, -2.0]);
     }
 
     #[test]

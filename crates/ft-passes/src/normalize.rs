@@ -57,11 +57,7 @@ impl GuardRemover {
         use ft_ir::BinaryOp::*;
         match cond {
             Expr::Binary { op, a, b } if matches!(op, Lt | Le | Gt | Ge) => {
-                let map = ft_analysis::affine::VarMap::new();
-                let (Some(la), Some(lb)) = (
-                    ft_analysis::affine::to_linexpr_mapped(a, &map),
-                    ft_analysis::affine::to_linexpr_mapped(b, &map),
-                ) else {
+                let (Some(la), Some(lb)) = (to_linexpr(a), to_linexpr(b)) else {
                     return false;
                 };
                 let mut sys = self.domain_system();
@@ -126,7 +122,7 @@ impl Mutator for GuardRemover {
                 }
                 // Branch arms see the condition's constraints too.
                 let mut dom = System::new();
-                cond_to_constraints(&cond, &ft_analysis::affine::VarMap::new(), &mut dom);
+                cond_to_constraints(&cond, &mut dom);
                 self.domain.push(dom);
                 let then = self.mutate_stmt(*then);
                 self.domain.pop();

@@ -12,10 +12,12 @@
 //!
 //! * [`LinExpr`] — affine expressions over named integer variables;
 //! * [`Constraint`] / [`System`] — conjunctions of `e ≥ 0` / `e = 0`;
-//! * [`System::satisfiable`] — integer emptiness via equality substitution
+//! * [`Rows::satisfiable`] — integer emptiness via equality substitution
 //!   (with GCD feasibility tests) followed by Fourier–Motzkin elimination
 //!   with *real shadow* (sound for "empty") and *dark shadow* (sound for
-//!   "non-empty") tracking, in the style of the Omega test;
+//!   "non-empty") tracking, in the style of the Omega test, on dense rows
+//!   over variables numbered in pivot order; [`System::satisfiable`] numbers
+//!   a system's variables by name and solves it so;
 //! * [`lex_order_systems`] — the per-depth disjuncts of `p >lex q` used to
 //!   classify loop-carried dependences.
 //!
@@ -44,4 +46,4 @@ pub mod solve;
 
 pub use constraint::{CmpOp, Constraint, System};
 pub use linexpr::LinExpr;
-pub use solve::{lex_order_systems, Sat};
+pub use solve::{lex_order_systems, Rows, Sat};

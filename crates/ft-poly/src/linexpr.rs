@@ -69,12 +69,6 @@ impl LinExpr {
         self.terms.keys().map(String::as_str)
     }
 
-    /// Whether both expressions have the same variable coefficients
-    /// (constants aside).
-    pub(crate) fn same_terms(&self, other: &LinExpr) -> bool {
-        self.terms == other.terms
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.terms.len()

@@ -20,7 +20,7 @@
 //! answer to `Unknown`, never to a wrong verdict.
 
 use crate::constraint::{CmpOp, Constraint, System};
-use crate::linexpr::LinExpr;
+use crate::linexpr::{gcd, LinExpr};
 
 /// Result of an integer satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,92 +39,161 @@ const MAX_VARS: usize = 64;
 
 impl System {
     /// Decide whether this conjunction has an integer solution.
+    ///
+    /// The variables are numbered in name order and the system is solved as
+    /// [`Rows`]: where two variables tie for a pivot, the one whose name
+    /// sorts first is taken.
     pub fn satisfiable(&self) -> Sat {
-        // Phase 1: split into equalities / inequalities.
-        let mut eqs: Vec<LinExpr> = Vec::new();
-        let mut ineqs: Vec<LinExpr> = Vec::new();
+        let mut names: Vec<&str> = self.constraints.iter().flat_map(|c| c.expr.vars()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let mut rows = Rows::new(names.len());
         for c in &self.constraints {
-            match c.op {
-                CmpOp::Eq0 => eqs.push(c.expr.clone()),
-                CmpOp::Ge0 => ineqs.push(c.expr.clone()),
+            let mut row = vec![0; names.len() + 1];
+            for (name, coeff) in c.expr.iter_terms() {
+                row[names.binary_search(&name).expect("collected above")] = coeff;
             }
+            row[names.len()] = c.expr.constant_term();
+            rows.push(c.op, row);
         }
+        rows.satisfiable()
+    }
+}
 
-        let mut exact_eqs = true;
+/// A conjunction of affine constraints over integer variables numbered
+/// `0..width`, each a dense row: `width` coefficients, then the constant.
+///
+/// The numbering is the pivot order: equality substitution takes the first
+/// equality (in push order) with a ±1 coefficient and, in it, the
+/// lowest-numbered such variable; Fourier–Motzkin eliminates the variable
+/// with the fewest lower × upper bound pairs, the lowest-numbered on a tie.
+/// [`System::satisfiable`] numbers variables in name order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Rows {
+    width: usize,
+    eqs: Vec<Vec<i64>>,
+    ineqs: Vec<Vec<i64>>,
+}
+
+impl Rows {
+    /// The empty conjunction over `width` variables.
+    pub fn new(width: usize) -> Rows {
+        Rows {
+            width,
+            ..Rows::default()
+        }
+    }
+
+    /// Conjoin `row op 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row` holds `width` coefficients and the constant.
+    pub fn push(&mut self, op: CmpOp, row: Vec<i64>) {
+        assert_eq!(row.len(), self.width + 1, "a row is the coefficients and the constant");
+        match op {
+            CmpOp::Eq0 => self.eqs.push(row),
+            CmpOp::Ge0 => self.ineqs.push(row),
+        }
+    }
+
+    /// Decide whether the conjunction has an integer solution.
+    pub fn satisfiable(self) -> Sat {
+        let Rows {
+            width,
+            mut eqs,
+            mut ineqs,
+        } = self;
         loop {
             // Normalize every equality: constants decide immediately, the GCD
             // feasibility test may refute, coprime coefficients are canonical.
-            let mut normalized: Vec<LinExpr> = Vec::new();
-            for eq in eqs.drain(..) {
-                if eq.is_constant() {
-                    if eq.constant_term() != 0 {
+            let mut kept = 0;
+            for k in 0..eqs.len() {
+                let g = coeff_gcd(&eqs[k]);
+                let c = eqs[k][width];
+                if g == 0 {
+                    if c != 0 {
                         return Sat::Empty;
                     }
                     continue;
                 }
-                let g = eq.coeff_gcd();
-                if eq.constant_term() % g != 0 {
+                if c % g != 0 {
                     // GCD feasibility test: no integer solution.
                     return Sat::Empty;
                 }
-                normalized.push(eq.exact_div_coeffs_and_const(g));
+                if g > 1 {
+                    eqs[k].iter_mut().for_each(|x| *x /= g);
+                }
+                eqs.swap(kept, k);
+                kept += 1;
             }
-            eqs = normalized;
+            eqs.truncate(kept);
 
             // Pick one equality with a unit-coefficient variable and
             // substitute it away everywhere (exact integer step).
             let pick = eqs.iter().enumerate().find_map(|(i, eq)| {
-                eq.iter_terms()
-                    .find(|(_, c)| c.abs() == 1)
-                    .map(|(n, c)| (i, n.to_string(), c))
+                eq[..width].iter().position(|c| c.abs() == 1).map(|x| (i, x))
             });
-            let Some((idx, name, c)) = pick else { break };
-            let eq = eqs.swap_remove(idx);
-            // c*x + rest = 0  =>  x = -rest * sign(c)   (|c| = 1)
-            let rest = eq - LinExpr::term(name.clone(), c);
-            let value = rest.scaled(-c.signum());
-            for e in eqs.iter_mut() {
-                *e = e.subst(&name, &value);
+            let Some((idx, x)) = pick else { break };
+            let mut value = eqs.swap_remove(idx);
+            // c*x + rest = 0  =>  x = -c * rest   (|c| = 1)
+            if std::mem::take(&mut value[x]) == 1 && negate(&mut value).is_none() {
+                return Sat::Unknown;
             }
-            for e in ineqs.iter_mut() {
-                *e = e.subst(&name, &value);
+            for row in eqs.iter_mut().chain(ineqs.iter_mut()) {
+                if substitute(row, x, &value).is_none() {
+                    return Sat::Unknown;
+                }
             }
         }
 
         // Relax undissolved equalities to two inequalities each. Emptiness
         // stays sound; non-emptiness becomes unknown.
-        if !eqs.is_empty() {
-            exact_eqs = false;
-            for eq in eqs.drain(..) {
-                ineqs.push(eq.clone());
-                ineqs.push(-eq);
+        let exact_eqs = eqs.is_empty();
+        for eq in eqs {
+            let mut neg = eq.clone();
+            if negate(&mut neg).is_none() {
+                return Sat::Unknown;
             }
+            ineqs.push(eq);
+            ineqs.push(neg);
         }
 
-        let real = fm_eliminate(ineqs.clone(), Shadow::Real);
+        let real = fm_eliminate(ineqs.clone(), width, Shadow::Real);
         if real == FmResult::Empty {
             return Sat::Empty;
         }
-        if exact_eqs {
-            let dark = fm_eliminate(ineqs, Shadow::Dark);
-            if dark == FmResult::Satisfiable {
-                return Sat::NonEmpty;
-            }
+        if exact_eqs && fm_eliminate(ineqs, width, Shadow::Dark) == FmResult::Satisfiable {
+            return Sat::NonEmpty;
         }
         Sat::Unknown
     }
 }
 
-impl LinExpr {
-    /// Divide all coefficients by `g` and floor-divide the constant.
-    ///
-    /// Used after the GCD test: callers guarantee `g` divides the constant.
-    fn exact_div_coeffs_and_const(&self, g: i64) -> LinExpr {
-        if g <= 1 {
-            return self.clone();
-        }
-        self.exact_div(g)
+/// GCD of a row's coefficients (0 when they are all zero).
+fn coeff_gcd(row: &[i64]) -> i64 {
+    let (_, coeffs) = row.split_last().expect("a row ends in its constant");
+    coeffs.iter().fold(0, |g, &c| gcd(g, c))
+}
+
+/// Negate a row in place; `None` on overflow.
+fn negate(row: &mut [i64]) -> Option<()> {
+    for c in row {
+        *c = c.checked_neg()?;
     }
+    Some(())
+}
+
+/// `row` with variable `x` replaced by `value` (whose own `x` coefficient is
+/// zero); `None` on overflow.
+fn substitute(row: &mut [i64], x: usize, value: &[i64]) -> Option<()> {
+    let c = std::mem::take(&mut row[x]);
+    if c != 0 {
+        for (r, v) in row.iter_mut().zip(value) {
+            *r = r.checked_add(c.checked_mul(*v)?)?;
+        }
+    }
+    Some(())
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,27 +210,19 @@ enum FmResult {
 }
 
 /// Eliminate all variables by Fourier–Motzkin, under the chosen shadow.
-fn fm_eliminate(mut ineqs: Vec<LinExpr>, shadow: Shadow) -> FmResult {
+fn fm_eliminate(mut ineqs: Vec<Vec<i64>>, width: usize, shadow: Shadow) -> FmResult {
     loop {
         // Constant constraints decide immediately or drop out.
-        let mut vars: Vec<String> = Vec::new();
-        {
-            let mut seen = std::collections::BTreeSet::new();
-            for e in &ineqs {
-                if e.is_constant() {
-                    if e.constant_term() < 0 {
-                        return FmResult::Empty;
-                    }
-                } else {
-                    for v in e.vars() {
-                        seen.insert(v.to_string());
-                    }
-                }
+        for row in &ineqs {
+            if row[..width].iter().all(|&c| c == 0) && row[width] < 0 {
+                return FmResult::Empty;
             }
-            vars.extend(seen);
         }
-        ineqs.retain(|e| !e.is_constant());
-        prune(&mut ineqs);
+        ineqs.retain(|row| row[..width].iter().any(|&c| c != 0));
+        prune(&mut ineqs, width);
+        let vars: Vec<usize> = (0..width)
+            .filter(|&v| ineqs.iter().any(|row| row[v] != 0))
+            .collect();
         if vars.is_empty() {
             return FmResult::Satisfiable;
         }
@@ -169,85 +230,67 @@ fn fm_eliminate(mut ineqs: Vec<LinExpr>, shadow: Shadow) -> FmResult {
             return FmResult::Overflow;
         }
 
-        // Pick the variable minimizing the product of lower and upper bounds.
-        let (var, _) = vars
-            .iter()
-            .map(|v| {
-                let lowers = ineqs.iter().filter(|e| e.coeff(v) > 0).count();
-                let uppers = ineqs.iter().filter(|e| e.coeff(v) < 0).count();
-                // Variables with no bound on one side are free: cost 0.
-                (v.clone(), lowers.saturating_mul(uppers))
-            })
-            .min_by_key(|(_, cost)| *cost)
+        // Pick the variable minimizing the product of lower and upper bounds
+        // (a variable unbounded on one side costs 0).
+        let cost = |v: usize| {
+            let lowers = ineqs.iter().filter(|row| row[v] > 0).count();
+            let uppers = ineqs.iter().filter(|row| row[v] < 0).count();
+            lowers.saturating_mul(uppers)
+        };
+        let var = vars
+            .into_iter()
+            .min_by_key(|&v| cost(v))
             .expect("vars is non-empty");
 
-        let (with_var, rest): (Vec<LinExpr>, Vec<LinExpr>) =
-            ineqs.into_iter().partition(|e| e.coeff(&var) != 0);
-        let lowers: Vec<&LinExpr> = with_var.iter().filter(|e| e.coeff(&var) > 0).collect();
-        let uppers: Vec<&LinExpr> = with_var.iter().filter(|e| e.coeff(&var) < 0).collect();
-        let mut next = rest;
+        let (with_var, mut next): (Vec<Vec<i64>>, Vec<Vec<i64>>) =
+            ineqs.into_iter().partition(|row| row[var] != 0);
         // If the variable is unbounded on one side, all its constraints can be
         // satisfied by pushing it far enough: simply project them away.
-        if !lowers.is_empty() && !uppers.is_empty() {
-            for l in &lowers {
-                for u in &uppers {
-                    // l: a*x + p >= 0 (a > 0)  =>  x >= ceil(-p / a)
-                    // u: -b*x + q >= 0 (b > 0) =>  x <= floor(q / b)
-                    let a = l.coeff(&var);
-                    let b = -u.coeff(&var);
-                    debug_assert!(a > 0 && b > 0);
-                    // Real shadow: b*p + a*q >= 0.
-                    // Dark shadow: b*p + a*q >= (a-1)(b-1).
-                    let Some(lp) = l.checked_scaled(b) else {
+        for l in with_var.iter().filter(|row| row[var] > 0) {
+            for u in with_var.iter().filter(|row| row[var] < 0) {
+                // l: a*x + p >= 0 (a > 0)  =>  x >= ceil(-p / a)
+                // u: -b*x + q >= 0 (b > 0) =>  x <= floor(q / b)
+                // Real shadow: b*p + a*q >= 0.
+                // Dark shadow: b*p + a*q >= (a-1)(b-1).
+                let (a, b) = (l[var], -u[var]);
+                let Some(mut combined) = l
+                    .iter()
+                    .zip(u)
+                    .map(|(p, q)| p.checked_mul(b)?.checked_add(q.checked_mul(a)?))
+                    .collect::<Option<Vec<i64>>>()
+                else {
+                    return FmResult::Overflow;
+                };
+                if shadow == Shadow::Dark {
+                    let slack = (a - 1).checked_mul(b - 1);
+                    let Some(c) = slack.and_then(|s| combined[width].checked_sub(s)) else {
                         return FmResult::Overflow;
                     };
-                    let Some(uq) = u.checked_scaled(a) else {
-                        return FmResult::Overflow;
-                    };
-                    let Some(mut combined) = lp.checked_add(&uq) else {
-                        return FmResult::Overflow;
-                    };
-                    if shadow == Shadow::Dark {
-                        let Some(slack) = (a - 1).checked_mul(b - 1) else {
-                            return FmResult::Overflow;
-                        };
-                        combined = combined - slack;
-                    }
-                    // Tighten by the GCD of the coefficients (integer rounding).
-                    let g = combined.coeff_gcd();
-                    if g > 1 {
-                        combined = combined.floor_div_const(g);
-                    }
-                    next.push(combined);
+                    combined[width] = c;
                 }
+                // Tighten by the GCD of the coefficients (integer rounding):
+                // coefficients divide exactly, the constant floor-divides.
+                let g = coeff_gcd(&combined);
+                if g > 1 {
+                    combined[..width].iter_mut().for_each(|x| *x /= g);
+                    combined[width] = combined[width].div_euclid(g);
+                }
+                next.push(combined);
             }
-            if next.len() > MAX_INEQS {
-                return FmResult::Overflow;
-            }
+        }
+        if next.len() > MAX_INEQS {
+            return FmResult::Overflow;
         }
         ineqs = next;
     }
 }
 
-impl LinExpr {
-    /// `(Σ cᵢxᵢ + c) / g` where `g` divides every `cᵢ`: coefficients divide
-    /// exactly, the constant floor-divides (sound tightening for `>= 0`).
-    fn floor_div_const(&self, g: i64) -> LinExpr {
-        debug_assert!(g > 1);
-        let mut out = LinExpr::zero();
-        for (n, c) in self.iter_terms() {
-            out = out + LinExpr::term(n, c / g);
-        }
-        out + self.constant_term().div_euclid(g)
-    }
-}
-
 /// Keep, of the inequalities with identical coefficient vectors, only the
-/// tightest (smallest constant). The order left behind is structural —
-/// what Fourier–Motzkin decides depends on the set, not on the order.
-fn prune(ineqs: &mut Vec<LinExpr>) {
+/// tightest (smallest constant). What Fourier–Motzkin decides depends on
+/// the set left behind, not on its order.
+fn prune(ineqs: &mut Vec<Vec<i64>>, width: usize) {
     ineqs.sort_unstable();
-    ineqs.dedup_by(|later, kept| later.same_terms(kept));
+    ineqs.dedup_by(|later, kept| later[..width] == kept[..width]);
 }
 
 /// The per-depth disjuncts of the lexicographic order `p >lex q`.
