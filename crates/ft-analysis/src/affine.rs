@@ -13,14 +13,14 @@ use ft_poly::{CmpOp, Constraint, LinExpr, System};
 /// no particular order and a variable may repeat (its coefficient is the sum
 /// of its terms) until [`Affine::normalized`].
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Affine<V> {
+pub struct Affine<V> {
     /// `(variable, coefficient)` terms.
     pub terms: Vec<(V, i64)>,
     /// The constant term.
     pub constant: i64,
 }
 
-impl<V: Copy + PartialEq> Affine<V> {
+impl<V: Clone + PartialEq> Affine<V> {
     pub(crate) fn constant(c: i64) -> Affine<V> {
         Affine {
             terms: Vec::new(),
@@ -28,7 +28,8 @@ impl<V: Copy + PartialEq> Affine<V> {
         }
     }
 
-    pub(crate) fn scaled(mut self, k: i64) -> Affine<V> {
+    /// `k` times the form.
+    pub fn scaled(mut self, k: i64) -> Affine<V> {
         self.terms.iter_mut().for_each(|(_, c)| *c *= k);
         self.constant *= k;
         self
@@ -46,7 +47,7 @@ impl<V: Copy + PartialEq> Affine<V> {
 
     /// Each variable once, zero coefficients dropped (first-occurrence
     /// order).
-    pub(crate) fn normalized(mut self) -> Affine<V> {
+    pub fn normalized(mut self) -> Affine<V> {
         let mut out: Vec<(V, i64)> = Vec::with_capacity(self.terms.len());
         for (v, c) in self.terms.drain(..) {
             match out.iter_mut().find(|(w, _)| *w == v) {
@@ -68,6 +69,66 @@ impl<V: Copy + PartialEq> Affine<V> {
             Err(n)
         }
     }
+
+    /// The form of a leaf: a literal, or a variable named through `var`.
+    pub fn leaf<'e>(e: &'e Expr, var: impl FnOnce(&'e str) -> V) -> Option<Affine<V>> {
+        match e {
+            Expr::IntConst(v) => Some(Affine::constant(*v)),
+            Expr::Var(n) => Some(Affine {
+                terms: vec![(var(n), 1)],
+                constant: 0,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The form of `a op b` from the operands' forms, when affine. (A
+    /// negation is [`Affine::scaled`] by −1, a cast its operand's form.)
+    pub fn binary(op: BinaryOp, la: Option<Affine<V>>, lb: Option<Affine<V>>) -> Option<Affine<V>> {
+        match op {
+            BinaryOp::Add => Some(la?.plus(lb?)),
+            BinaryOp::Sub => Some(la?.minus(lb?)),
+            // Affine only when one side is constant.
+            BinaryOp::Mul => match (la?.into_constant(), lb?.into_constant()) {
+                (Ok(k), Ok(c)) => Some(Affine::constant(k * c)),
+                (Ok(k), Err(l)) | (Err(l), Ok(k)) => Some(l.scaled(k)),
+                (Err(_), Err(_)) => None,
+            },
+            BinaryOp::Div => {
+                // Exact constant division only.
+                let d = lb?.into_constant().ok()?;
+                let la = la?.normalized();
+                if d != 0 && la.constant % d == 0 && la.terms.iter().all(|(_, c)| c % d == 0) {
+                    Some(Affine {
+                        terms: la.terms.into_iter().map(|(v, c)| (v, c / d)).collect(),
+                        constant: la.constant / d,
+                    })
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        }
+    }
+}
+
+impl<V: AsRef<str>> Affine<V> {
+    /// The node count of [`linexpr_to_expr`] of a normalized form, without
+    /// building it.
+    pub fn expr_node_count(&self) -> usize {
+        let terms: usize = self.terms.iter().map(|(_, c)| if *c == 1 { 1 } else { 3 }).sum();
+        match (self.terms.len(), self.constant) {
+            (0, _) => 1,
+            (n, 0) => terms + n - 1,
+            (n, _) => terms + n + 1,
+        }
+    }
+
+    /// The expression in normal form ([`linexpr_to_expr`]).
+    pub fn to_expr(&self) -> Expr {
+        let terms = self.terms.iter().map(|(v, c)| (v.as_ref(), *c));
+        linexpr_to_expr(&linexpr(Affine { terms: terms.collect(), constant: self.constant }))
+    }
 }
 
 /// The affine form of an integer expression, each variable name mapped
@@ -78,45 +139,13 @@ pub(crate) fn affine<'e, V: Copy + PartialEq>(
     var: &mut impl FnMut(&'e str) -> V,
 ) -> Option<Affine<V>> {
     match e {
-        Expr::IntConst(v) => Some(Affine::constant(*v)),
-        Expr::Var(n) => Some(Affine {
-            terms: vec![(var(n), 1)],
-            constant: 0,
-        }),
         Expr::Unary {
             op: UnaryOp::Neg,
             a,
         } => Some(affine(a, var)?.scaled(-1)),
-        Expr::Binary { op, a, b } => {
-            let la = affine(a, var);
-            let lb = affine(b, var);
-            match op {
-                BinaryOp::Add => Some(la?.plus(lb?)),
-                BinaryOp::Sub => Some(la?.minus(lb?)),
-                // Affine only when one side is constant.
-                BinaryOp::Mul => match (la?.into_constant(), lb?.into_constant()) {
-                    (Ok(k), Ok(c)) => Some(Affine::constant(k * c)),
-                    (Ok(k), Err(l)) | (Err(l), Ok(k)) => Some(l.scaled(k)),
-                    (Err(_), Err(_)) => None,
-                },
-                BinaryOp::Div => {
-                    // Exact constant division only.
-                    let d = lb?.into_constant().ok()?;
-                    let la = la?.normalized();
-                    if d != 0 && la.constant % d == 0 && la.terms.iter().all(|(_, c)| c % d == 0) {
-                        Some(Affine {
-                            terms: la.terms.into_iter().map(|(v, c)| (v, c / d)).collect(),
-                            constant: la.constant / d,
-                        })
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            }
-        }
+        Expr::Binary { op, a, b } => Affine::binary(*op, affine(a, var), affine(b, var)),
         Expr::Cast { a, .. } => affine(a, var),
-        _ => None,
+        e => Affine::leaf(e, var),
     }
 }
 

@@ -34,7 +34,7 @@ pub mod memplan;
 
 pub use access::{collect_accesses, Access, AccessKind, LoopCtx};
 pub use memplan::{eval_extent, MemPlan, PlanClass, PlanEntry, ARENA_ALIGN};
-pub use affine::{cond_to_constraints, linexpr_to_expr, to_linexpr};
+pub use affine::{cond_to_constraints, linexpr_to_expr, to_linexpr, Affine};
 pub use bounds::{const_bounds, symbolic_bounds, BoundsCtx, SymBounds};
 pub use deps::{
     all_deps, carried_reductions, carried_reductions_in, fission_illegal, fuse_illegal,

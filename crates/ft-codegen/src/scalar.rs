@@ -30,7 +30,10 @@
 //!   `+`/`*` register goes into the loop's `simd reduction` clause; a
 //!   `vectorize` loop left with a carried reduction (`min`/`max`, whose NaN
 //!   rule is not the clause's, or a target the rule above refused) loses
-//!   its mark rather than carry a `simd` promise it breaks. A tensor bound
+//!   its mark rather than carry a `simd` promise it breaks, and so does a
+//!   `vectorize` loop with a parallel loop inside (OpenMP admits no
+//!   parallel region in a `simd` loop; the inner loop keeps its threads,
+//!   which the schedule asked for too). A tensor bound
 //!   inside the loop's body is private to one iteration: a reduction into
 //!   it (`ad.t1.grad` of a named value's adjoint) is neither an accumulator
 //!   nor carried.
@@ -518,7 +521,8 @@ impl<'a> Lowering<'a> {
             true => self.accumulators(body, &me),
             false => Vec::new(),
         };
-        let no_simd = property.vectorize && serial && carried(body, iter, &accs, &mut Vec::new());
+        let no_simd = property.vectorize
+            && ((serial && carried(body, iter, &accs, &mut Vec::new())) || holds_parallel(body));
         let outer_accs = std::mem::replace(&mut self.accs, accs);
         let body = self.visit(body, Some(&me), false);
         let accs = std::mem::replace(&mut self.accs, outer_accs);
@@ -670,6 +674,15 @@ impl<'a> Lowering<'a> {
             _ => {}
         }
     }
+}
+
+/// Is there a parallel loop anywhere in `s`?
+fn holds_parallel(s: &Stmt) -> bool {
+    let mut found = false;
+    s.walk(&mut |t| {
+        found |= matches!(&t.kind, StmtKind::For { property, .. } if property.parallel.is_parallel());
+    });
+    found
 }
 
 /// Whether the loop over `iter` with body `s` folds into one element from

@@ -414,4 +414,21 @@ mod tests {
         assert_eq!(again.max_abs_err, d.max_abs_err);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// CI's sweep (32 variants per workload, the default seed) splits a
+    /// guarded loop in at least 8 of its 128 variants.
+    #[test]
+    fn the_ci_sweep_reaches_separate_tail() {
+        let cfg = Config::default();
+        let split = Workload::ALL
+            .into_iter()
+            .flat_map(|w| (0..32).map(move |k| (w, k)))
+            .filter(|&(w, k)| {
+                let (case, raw) = sample(w, cfg.seed, k, cfg.max_ops);
+                let accepted = ops::apply_trace(&case.func, &raw).1;
+                accepted.iter().any(|op| matches!(op, ScheduleOp::SeparateTail { .. }))
+            })
+            .count();
+        assert!(split >= 8, "separate_tail accepted in {split} of 128 variants");
+    }
 }

@@ -30,7 +30,9 @@ pub fn arb_op() -> BoxedStrategy<ScheduleOp> {
         1 => (0..L).prop_map(|l| ScheduleOp::Vectorize { loop_idx: l }),
         1 => (0..L).prop_map(|l| ScheduleOp::Unroll { loop_idx: l }),
         2 => (0..L, 0..8usize).prop_map(|(l, p)| ScheduleOp::Cache { loop_idx: l, param_idx: p }),
-        1 => (0..L).prop_map(|l| ScheduleOp::SeparateTail { loop_idx: l }),
+        // Only a loop whose body is one `if` splits, so most draws are
+        // refused: at weight 1 a CI sweep reached it in 1 of 128 variants.
+        6 => (0..L).prop_map(|l| ScheduleOp::SeparateTail { loop_idx: l }),
         1 => (0..8usize).prop_map(|d| ScheduleOp::SetMtype { def_idx: d }),
         1 => (0..L).prop_map(|l| ScheduleOp::AsLib { loop_idx: l }),
     ]

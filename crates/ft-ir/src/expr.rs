@@ -474,31 +474,33 @@ impl Expr {
     /// The set of tensors read by this expression.
     pub fn loaded_vars(&self) -> HashSet<String> {
         let mut out = HashSet::new();
-        self.collect_loaded_vars(&mut out);
+        self.for_each_load(&mut |v| {
+            out.insert(v.to_string());
+        });
         out
     }
 
-    fn collect_loaded_vars(&self, out: &mut HashSet<String>) {
+    /// Call `f` with the tensor of every load in this expression, outer
+    /// loads first.
+    pub fn for_each_load<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             Expr::Load { var, indices } => {
-                out.insert(var.clone());
-                for i in indices {
-                    i.collect_loaded_vars(out);
-                }
+                f(var);
+                indices.iter().for_each(|i| i.for_each_load(f));
             }
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => a.collect_loaded_vars(out),
+            Expr::Unary { a, .. } | Expr::Cast { a, .. } => a.for_each_load(f),
             Expr::Binary { a, b, .. } => {
-                a.collect_loaded_vars(out);
-                b.collect_loaded_vars(out);
+                a.for_each_load(f);
+                b.for_each_load(f);
             }
             Expr::Select {
                 cond,
                 then,
                 otherwise,
             } => {
-                cond.collect_loaded_vars(out);
-                then.collect_loaded_vars(out);
-                otherwise.collect_loaded_vars(out);
+                cond.for_each_load(f);
+                then.for_each_load(f);
+                otherwise.for_each_load(f);
             }
             _ => {}
         }

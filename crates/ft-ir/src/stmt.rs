@@ -276,68 +276,30 @@ impl Stmt {
         n
     }
 
-    /// Structural equality ignoring ids and labels.
-    pub fn same_structure(&self, other: &Stmt) -> bool {
-        match (&self.kind, &other.kind) {
-            (StmtKind::Block(a), StmtKind::Block(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_structure(y))
+    /// The expressions of this node itself (loop bounds, condition, shape,
+    /// indices and value), not those of its children.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (a, b, rest): (Option<&Expr>, Option<&Expr>, &[Expr]) = match &self.kind {
+            StmtKind::For { begin, end, .. } => (Some(begin), Some(end), &[]),
+            StmtKind::If { cond, .. } => (Some(cond), None, &[]),
+            StmtKind::VarDef { shape, .. } => (None, None, shape),
+            StmtKind::Store { indices, value, .. } | StmtKind::ReduceTo { indices, value, .. } => {
+                (Some(value), None, indices)
             }
-            (
-                StmtKind::VarDef {
-                    name: n1,
-                    shape: s1,
-                    dtype: d1,
-                    mtype: m1,
-                    atype: a1,
-                    body: b1,
-                },
-                StmtKind::VarDef {
-                    name: n2,
-                    shape: s2,
-                    dtype: d2,
-                    mtype: m2,
-                    atype: a2,
-                    body: b2,
-                },
-            ) => n1 == n2 && s1 == s2 && d1 == d2 && m1 == m2 && a1 == a2 && b1.same_structure(b2),
-            (
-                StmtKind::For {
-                    iter: i1,
-                    begin: bg1,
-                    end: e1,
-                    property: p1,
-                    body: b1,
-                },
-                StmtKind::For {
-                    iter: i2,
-                    begin: bg2,
-                    end: e2,
-                    property: p2,
-                    body: b2,
-                },
-            ) => i1 == i2 && bg1 == bg2 && e1 == e2 && p1 == p2 && b1.same_structure(b2),
-            (
-                StmtKind::If {
-                    cond: c1,
-                    then: t1,
-                    otherwise: o1,
-                },
-                StmtKind::If {
-                    cond: c2,
-                    then: t2,
-                    otherwise: o2,
-                },
-            ) => {
-                c1 == c2
-                    && t1.same_structure(t2)
-                    && match (o1, o2) {
-                        (None, None) => true,
-                        (Some(x), Some(y)) => x.same_structure(y),
-                        _ => false,
-                    }
-            }
-            (a, b) => a == b,
-        }
+            _ => (None, None, &[]),
+        };
+        a.into_iter().chain(b).chain(rest)
+    }
+
+    /// Move this statement out, leaving an empty statement of the same id
+    /// in its place (no fresh id is drawn).
+    pub fn take(&mut self) -> Stmt {
+        let hole = Stmt {
+            id: self.id,
+            label: None,
+            kind: StmtKind::Empty,
+        };
+        std::mem::replace(self, hole)
     }
 }
 
@@ -406,13 +368,14 @@ mod tests {
     }
 
     #[test]
-    fn structural_equality_ignores_ids() {
-        let a = for_("i", 0, 10, store("a", [var("i")], 1.0f32));
-        let b = for_("i", 0, 10, store("a", [var("i")], 1.0f32));
-        assert_ne!(a.id, b.id);
-        assert!(a.same_structure(&b));
-        let c = for_("i", 0, 11, store("a", [var("i")], 1.0f32));
-        assert!(!a.same_structure(&c));
+    fn own_expressions_and_take() {
+        let mut s = for_("i", 0, var("n"), store("a", [var("i")], 1.0f32));
+        let own: Vec<&Expr> = s.exprs().collect();
+        assert_eq!(own, [&Expr::IntConst(0), &var("n")]);
+        let id = s.id;
+        let taken = s.take();
+        assert_eq!((taken.id, s.id), (id, id));
+        assert!(s.is_empty() && matches!(taken.kind, StmtKind::For { .. }));
     }
 
     #[test]

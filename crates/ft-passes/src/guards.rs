@@ -1,45 +1,16 @@
-//! Affine normalization and redundant-branch removal — the "simplification
-//! on mathematical expressions" and "removing redundant branches" steps of
+//! Redundant-branch removal — the "removing redundant branches" step of
 //! paper §4.3.
 
-use ft_analysis::{cond_to_constraints, linexpr_to_expr, to_linexpr};
-use ft_ir::mutate::{mutate_expr_walk, mutate_stmt_walk};
+use ft_analysis::{cond_to_constraints, to_linexpr};
+use ft_ir::mutate::mutate_stmt_walk;
 use ft_ir::{Expr, Func, Mutator, Stmt, StmtKind};
 use ft_poly::{Constraint, LinExpr, Sat, System};
-
-struct AffineNorm;
-
-impl Mutator for AffineNorm {
-    fn mutate_expr(&mut self, e: Expr) -> Expr {
-        // Normalize bottom-up so nested affine fragments inside non-affine
-        // expressions (e.g. subscripts of a product) also cancel.
-        let e = mutate_expr_walk(self, e);
-        match to_linexpr(&e) {
-            // Rebuild only when normalization actually shrinks the tree, so
-            // already-canonical expressions keep their shape.
-            Some(l) => {
-                let n = linexpr_to_expr(&l);
-                if n.node_count() < e.node_count() {
-                    n
-                } else {
-                    e
-                }
-            }
-            None => e,
-        }
-    }
-}
-
-/// Normalize every affine integer expression to a canonical sum-of-terms
-/// form, cancelling symbolic terms that constant folding cannot see
-/// (e.g. `i.0 * 256 + i.1 - i.0 * 256` → `i.1`).
-pub fn normalize_affine(s: Stmt) -> Stmt {
-    AffineNorm.mutate_stmt(s)
-}
 
 struct GuardRemover {
     /// Affine domain of the enclosing loops and guards.
     domain: Vec<System>,
+    /// Whether a guard was removed.
+    changed: bool,
 }
 
 impl GuardRemover {
@@ -79,34 +50,18 @@ impl GuardRemover {
 
 impl Mutator for GuardRemover {
     fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
-        match s.kind {
-            StmtKind::For {
-                iter,
-                begin,
-                end,
-                property,
-                body,
-            } => {
-                let mut dom = System::new();
-                if let (Some(lo), Some(hi)) = (to_linexpr(&begin), to_linexpr(&end)) {
-                    dom.push(Constraint::ge(LinExpr::var(iter.clone()), lo));
-                    dom.push(Constraint::lt(LinExpr::var(iter.clone()), hi));
-                }
-                self.domain.push(dom);
-                let body = self.mutate_stmt(*body);
-                self.domain.pop();
-                Stmt {
-                    id: s.id,
-                    label: s.label,
-                    kind: StmtKind::For {
-                        iter,
-                        begin,
-                        end,
-                        property,
-                        body: Box::new(body),
-                    },
-                }
+        if let StmtKind::For { iter, begin, end, .. } = &s.kind {
+            let mut dom = System::new();
+            if let (Some(lo), Some(hi)) = (to_linexpr(begin), to_linexpr(end)) {
+                dom.push(Constraint::ge(LinExpr::var(iter.clone()), lo));
+                dom.push(Constraint::lt(LinExpr::var(iter.clone()), hi));
             }
+            self.domain.push(dom);
+            let s = mutate_stmt_walk(self, s);
+            self.domain.pop();
+            return s;
+        }
+        match s.kind {
             StmtKind::If {
                 cond,
                 then,
@@ -114,41 +69,42 @@ impl Mutator for GuardRemover {
             } => {
                 if otherwise.is_none() && self.implied(&cond) {
                     // The guard always holds here: drop it.
+                    self.changed = true;
                     return self.mutate_stmt(Stmt {
                         id: s.id,
                         label: s.label,
                         kind: then.kind,
                     });
                 }
-                // Branch arms see the condition's constraints too.
+                // The `then` arm sees the condition's constraints too.
                 let mut dom = System::new();
                 cond_to_constraints(&cond, &mut dom);
                 self.domain.push(dom);
-                let then = self.mutate_stmt(*then);
+                let then = Box::new(self.mutate_stmt(*then));
                 self.domain.pop();
-                self.domain.push(System::new());
                 let otherwise = otherwise.map(|o| Box::new(self.mutate_stmt(*o)));
-                self.domain.pop();
-                Stmt {
-                    id: s.id,
-                    label: s.label,
-                    kind: StmtKind::If {
-                        cond,
-                        then: Box::new(then),
-                        otherwise,
-                    },
-                }
+                let kind = StmtKind::If { cond, then, otherwise };
+                Stmt { kind, ..s }
             }
-            _ => mutate_stmt_walk(self, s),
+            kind => mutate_stmt_walk(self, Stmt { kind, ..s }),
         }
+    }
+
+    fn mutate_expr(&mut self, e: Expr) -> Expr {
+        e
     }
 }
 
 /// Remove guards provably implied by their surrounding loop bounds and outer
 /// guards (e.g. the boundary checks `split` leaves in the main region).
-pub fn remove_redundant_guards(func: &Func) -> Func {
-    let body = GuardRemover { domain: Vec::new() }.mutate_stmt(func.body.clone());
-    func.with_body(body)
+/// Returns whether any was removed.
+pub fn remove_redundant_guards(func: &mut Func) -> bool {
+    let mut remover = GuardRemover {
+        domain: Vec::new(),
+        changed: false,
+    };
+    func.body = remover.mutate_stmt(func.body.take());
+    remover.changed
 }
 
 #[cfg(test)]
@@ -160,31 +116,23 @@ mod tests {
     fn affine_terms_cancel() {
         // i0*256 + i1 - i0*256 -> i1 (the cache-remap residue).
         let e = var("i0") * 256 + var("i1") - var("i0") * 256;
-        let n = normalize_affine(store("a", [e], 0.0f32));
-        match &n.kind {
-            StmtKind::Store { indices, .. } => assert_eq!(indices[0], var("i1")),
-            _ => unreachable!(),
-        }
+        assert_eq!(crate::simplify_expr(e), var("i1"));
     }
 
     #[test]
     fn normalization_is_conservative_for_non_affine() {
         let e = load("x", [var("i")]) * load("y", [var("j") + 1 - 1]);
-        let n = normalize_affine(store("a", [var("i")], e));
+        let value = crate::simplify_expr(e);
         // The float product is untouched; the subscript inside folds.
-        match &n.kind {
-            StmtKind::Store { value, .. } => {
-                let text = format!("{value:?}");
-                assert!(!text.contains("IntConst(1)"), "{text}");
-            }
-            _ => unreachable!(),
-        }
+        let text = format!("{value:?}");
+        assert!(text.starts_with("Binary { op: Mul"), "{text}");
+        assert!(!text.contains("IntConst(1)"), "{text}");
     }
 
     #[test]
     fn implied_guard_is_removed() {
         // for i in 0..8: if i < 10: S   — guard always true.
-        let f = Func::new("f")
+        let mut f = Func::new("f")
             .param("y", [8], DataType::F32, AccessType::Output)
             .body(for_(
                 "i",
@@ -192,18 +140,18 @@ mod tests {
                 8,
                 if_(var("i").lt(10), store("y", [var("i")], 1.0f32)),
             ));
-        let out = remove_redundant_guards(&f);
+        assert!(remove_redundant_guards(&mut f));
         assert!(
-            ft_ir::find::find_stmts(&out.body, &|s| matches!(s.kind, StmtKind::If { .. }))
+            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. }))
                 .is_empty(),
-            "{out}"
+            "{f}"
         );
     }
 
     #[test]
     fn live_guard_is_kept() {
         // for i in 0..8: if i < 5: S — guard matters.
-        let f = Func::new("f")
+        let mut f = Func::new("f")
             .param("y", [8], DataType::F32, AccessType::Output)
             .body(for_(
                 "i",
@@ -211,9 +159,9 @@ mod tests {
                 8,
                 if_(var("i").lt(5), store("y", [var("i")], 1.0f32)),
             ));
-        let out = remove_redundant_guards(&f);
+        assert!(!remove_redundant_guards(&mut f));
         assert_eq!(
-            ft_ir::find::find_stmts(&out.body, &|s| matches!(s.kind, StmtKind::If { .. }))
+            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. }))
                 .len(),
             1
         );
@@ -223,7 +171,7 @@ mod tests {
     fn nested_guards_compose() {
         // Outer guard i < 6 makes the inner i < 10 redundant; conjunctions
         // also discharge per conjunct.
-        let f = Func::new("f")
+        let mut f = Func::new("f")
             .param("y", [8], DataType::F32, AccessType::Output)
             .body(for_(
                 "i",
@@ -237,12 +185,12 @@ mod tests {
                     ),
                 ),
             ));
-        let out = remove_redundant_guards(&f);
+        assert!(remove_redundant_guards(&mut f));
         assert_eq!(
-            ft_ir::find::find_stmts(&out.body, &|s| matches!(s.kind, StmtKind::If { .. }))
+            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. }))
                 .len(),
             1,
-            "{out}"
+            "{f}"
         );
     }
 
@@ -268,13 +216,15 @@ mod tests {
                     ),
                 ))
         };
-        let clean = remove_redundant_guards(&guarded(64));
+        let mut clean = guarded(64);
+        assert!(remove_redundant_guards(&mut clean));
         assert!(
             ft_ir::find::find_stmts(&clean.body, &|s| matches!(s.kind, StmtKind::If { .. }))
                 .is_empty(),
             "{clean}"
         );
-        let kept = remove_redundant_guards(&guarded(60));
+        let mut kept = guarded(60);
+        assert!(!remove_redundant_guards(&mut kept));
         assert_eq!(
             ft_ir::find::find_stmts(&kept.body, &|s| matches!(s.kind, StmtKind::If { .. }))
                 .len(),

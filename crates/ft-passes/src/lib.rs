@@ -5,20 +5,20 @@
 //! normalization steps (unique definition names, flattened blocks) that the
 //! schedule, AD and codegen stages rely on.
 //!
-//! All passes are pure rewrites built on [`ft_ir::Mutator`]; [`simplify()`]
-//! runs the standard pipeline to a fixpoint. [`hoist`] is not a pass but the
-//! legality rule two later stages share: when a subexpression may be
-//! evaluated once in front of a loop.
+//! All passes are pure rewrites; [`simplify()`] runs the standard pipeline,
+//! one pass each, and its output is a fixpoint of every pass in it.
+//! [`hoist`] is not a pass but the legality rule two later stages share:
+//! when a subexpression may be evaluated once in front of a loop.
 
 pub mod dce;
-pub mod normalize;
+pub mod guards;
 pub mod fold;
 pub mod hoist;
 pub mod simplify;
 pub mod uniquify;
 
 pub use dce::remove_dead_defs;
-pub use normalize::{normalize_affine, remove_redundant_guards};
-pub use fold::{const_fold_expr, const_fold_func, const_fold_stmt};
-pub use simplify::{simplify, simplify_once, simplify_stmt, simplify_traced};
+pub use guards::remove_redundant_guards;
+pub use fold::{const_fold_expr, const_fold_func, const_fold_stmt, simplify_expr};
+pub use simplify::{simplify, simplify_stmt, simplify_traced};
 pub use uniquify::uniquify_defs;

@@ -1,21 +1,35 @@
-//! Control-flow simplification: constant branches, degenerate loops,
-//! flattened blocks.
+//! The simplification pipeline: expressions folded and normalized, constant
+//! branches and degenerate loops removed, blocks flattened, dead
+//! definitions and redundant guards removed — each in one pass.
 
-use crate::dce::remove_dead_defs;
-use crate::fold::const_fold_stmt;
 use ft_ir::mutate::{mutate_stmt_walk, subst_var_stmt};
 use ft_ir::{Expr, Func, Mutator, Stmt, StmtKind};
 
-struct Simplifier;
+/// One bottom-up pass over statements: each node's expressions and
+/// children, then its own control-flow rule. Its output is its own
+/// fixpoint: a rule's result is made of simplified parts, except the body
+/// of a single-trip loop, which is simplified again once its iterator is
+/// substituted.
+struct Control {
+    /// Simplify each node's expressions too ([`crate::simplify_expr`]).
+    exprs: bool,
+}
 
-impl Mutator for Simplifier {
+impl Mutator for Control {
+    fn mutate_expr(&mut self, e: Expr) -> Expr {
+        if self.exprs {
+            crate::simplify_expr(e)
+        } else {
+            e
+        }
+    }
+
     fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
-        let s = mutate_stmt_walk(self, s);
-        let Stmt { id, label, kind } = s;
+        let Stmt { id, label, kind } = mutate_stmt_walk(self, s);
         let kind = match kind {
             StmtKind::Block(stmts) => {
                 // Flatten nested blocks and drop no-ops.
-                let mut out: Vec<Stmt> = Vec::new();
+                let mut out: Vec<Stmt> = Vec::with_capacity(stmts.len());
                 for st in stmts {
                     match st.kind {
                         StmtKind::Empty => {}
@@ -25,7 +39,7 @@ impl Mutator for Simplifier {
                 }
                 match out.len() {
                     0 => StmtKind::Empty,
-                    1 => return out.into_iter().next().expect("len checked"),
+                    1 => return out.pop().expect("len checked"),
                     _ => StmtKind::Block(out),
                 }
             }
@@ -35,24 +49,18 @@ impl Mutator for Simplifier {
                 otherwise,
             } => match cond.as_bool() {
                 Some(true) => return *then,
-                Some(false) => {
-                    return otherwise.map_or_else(
-                        || Stmt { id, label, kind: StmtKind::Empty },
-                        |o| *o,
-                    )
-                }
-                None => {
-                    let otherwise = otherwise.filter(|o| !o.is_empty());
-                    if then.is_empty() && otherwise.is_none() {
-                        StmtKind::Empty
-                    } else {
-                        StmtKind::If {
-                            cond,
-                            then,
-                            otherwise,
-                        }
-                    }
-                }
+                Some(false) => match otherwise {
+                    Some(o) => return *o,
+                    None => StmtKind::Empty,
+                },
+                None => match otherwise.filter(|o| !o.is_empty()) {
+                    None if then.is_empty() => StmtKind::Empty,
+                    otherwise => StmtKind::If {
+                        cond,
+                        then,
+                        otherwise,
+                    },
+                },
             },
             StmtKind::For {
                 iter,
@@ -60,118 +68,72 @@ impl Mutator for Simplifier {
                 end,
                 property,
                 body,
-            } => {
-                if body.is_empty() {
-                    StmtKind::Empty
-                } else if let (Some(b), Some(e)) = (begin.as_int(), end.as_int()) {
-                    if e <= b {
-                        StmtKind::Empty
-                    } else if e == b + 1 {
-                        // Single-trip loop: substitute the iterator.
-                        return subst_var_stmt(*body, &iter, &Expr::IntConst(b));
-                    } else {
-                        StmtKind::For {
-                            iter,
-                            begin,
-                            end,
-                            property,
-                            body,
-                        }
-                    }
-                } else {
-                    StmtKind::For {
-                        iter,
-                        begin,
-                        end,
-                        property,
-                        body,
-                    }
+            } => match (begin.as_int(), end.as_int()) {
+                _ if body.is_empty() => StmtKind::Empty,
+                (Some(b), Some(e)) if e <= b => StmtKind::Empty,
+                // Single-trip loop: substitute the iterator.
+                (Some(b), Some(e)) if e == b + 1 => {
+                    return self.mutate_stmt(subst_var_stmt(*body, &iter, &Expr::IntConst(b)))
                 }
-            }
-            StmtKind::VarDef {
-                name,
-                shape,
-                dtype,
-                mtype,
-                atype,
-                body,
-            } => {
-                if body.is_empty() {
-                    StmtKind::Empty
-                } else {
-                    StmtKind::VarDef {
-                        name,
-                        shape,
-                        dtype,
-                        mtype,
-                        atype,
-                        body,
-                    }
-                }
-            }
+                _ => StmtKind::For {
+                    iter,
+                    begin,
+                    end,
+                    property,
+                    body,
+                },
+            },
+            StmtKind::VarDef { body, .. } if body.is_empty() => StmtKind::Empty,
             k => k,
         };
         Stmt { id, label, kind }
     }
 }
 
-/// One round of constant folding + affine normalization + control
-/// simplification.
-pub fn simplify_once(s: Stmt) -> Stmt {
-    let s = crate::normalize::normalize_affine(const_fold_stmt(s));
-    Simplifier.mutate_stmt(s)
+/// Fold, normalize and simplify the control flow of a statement tree, to
+/// a fixpoint in one pass.
+pub fn simplify_stmt(s: Stmt) -> Stmt {
+    Control { exprs: true }.mutate_stmt(s)
 }
 
-/// Simplify a statement tree to a fixpoint (bounded).
-pub fn simplify_stmt(mut s: Stmt) -> Stmt {
-    for _ in 0..8 {
-        let next = simplify_once(s.clone());
-        if next.same_structure(&s) {
-            return next;
-        }
-        s = next;
-    }
-    s
-}
-
-/// Simplify a whole function: fold, simplify control flow, and remove local
-/// definitions that are never read (dead-code elimination), to a fixpoint.
+/// Simplify a whole function: fold, normalize, simplify control flow, and
+/// remove local definitions that are never read (dead-code elimination) and
+/// guards the enclosing loops imply. The result is a fixpoint of every one
+/// of these.
 pub fn simplify(f: &Func) -> Func {
     simplify_traced(f, None)
 }
 
-/// [`simplify`] with provenance reporting: each sub-pass of each fixpoint
-/// round becomes a span on the compile track of `sink`, so a trace shows
-/// where simplification time went and how many rounds ran.
+/// [`simplify`] with provenance reporting: each sub-pass becomes a span on
+/// the compile track of `sink`, so a trace shows where simplification time
+/// went. The `simplify` span's `rounds` is 1: nothing is repeated to reach
+/// the fixpoint.
 pub fn simplify_traced(f: &Func, sink: Option<&ft_trace::TraceSink>) -> Func {
-    let run = |name: &str, input: &Func, pass: &dyn Fn(&Func) -> Func| -> Func {
-        let _span = sink.map(|s| s.span("pass", name));
-        pass(input)
+    let span = |name: &str| sink.map(|s| s.span("pass", name));
+    let run = |name: &str, f: &mut Func, pass: &dyn Fn(&mut Func) -> bool| {
+        let _span = span(name);
+        pass(f)
     };
-    let mut outer = sink.map(|s| s.span("pass", "simplify"));
-    let mut rounds = 1;
-    let mut cur = run("simplify:control", f, &|f| {
-        f.with_body(simplify_stmt(f.body.clone()))
-    });
-    for _ in 0..8 {
-        let next = run("simplify:dce", &cur, &|f| remove_dead_defs(f));
-        let next = run("simplify:guards", &next, &|f| {
-            crate::normalize::remove_redundant_guards(f)
-        });
-        let next = run("simplify:control", &next, &|f| {
-            f.with_body(simplify_stmt(f.body.clone()))
-        });
-        let fixed = next.body.same_structure(&cur.body);
-        cur = next;
-        if fixed {
-            break;
+    let control = |exprs| {
+        move |f: &mut Func| {
+            f.body = Control { exprs }.mutate_stmt(f.body.take());
+            true
         }
-        rounds += 1;
+    };
+    let mut outer = span("simplify");
+    let mut f = f.clone();
+    run("simplify:control", &mut f, &control(true));
+    let dce = run("simplify:dce", &mut f, &crate::remove_dead_defs);
+    let guards = run("simplify:guards", &mut f, &crate::remove_redundant_guards);
+    // What the two removed leaves empty statements and nested blocks
+    // behind; every expression is already simplified.
+    if dce || guards {
+        run("simplify:control", &mut f, &control(false));
     }
     if let Some(sp) = outer.as_mut() {
-        sp.arg("rounds", rounds);
+        sp.arg("rounds", 1);
     }
-    cur
+    f
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property tests: simplification passes preserve evaluation.
 
 use ft_ir::{BinaryOp, Expr, UnaryOp};
-use ft_passes::{const_fold_expr, normalize_affine};
+use ft_passes::{const_fold_expr, simplify_expr};
 use proptest::prelude::*;
 
 /// Floor division and its remainder from their definition, in `i128`:
@@ -207,16 +207,23 @@ proptest! {
         }
     }
 
-    /// Affine normalization preserves the value of every expression.
+    /// The expression simplifier (folding and affine normalization in one
+    /// pass) preserves the value of every expression.
     #[test]
-    fn normalize_preserves_evaluation(e in arb_expr(), a in -9i64..=9, b in -9i64..=9, c in -9i64..=9) {
-        let s = ft_ir::builder::store("out", [e.clone()], 0.0f32);
-        let n = normalize_affine(s);
-        let ft_ir::StmtKind::Store { indices, .. } = &n.kind else { unreachable!() };
+    fn simplify_expr_preserves_evaluation(e in arb_expr(), a in -9i64..=9, b in -9i64..=9, c in -9i64..=9) {
+        let n = simplify_expr(e.clone());
         let env = move |n: &str| match n { "a" => a, "b" => b, _ => c };
-        if let (Some(x), Some(y)) = (eval(&e, &env), eval(&indices[0], &env)) {
-            prop_assert_eq!(x, y, "normalization changed value: {:?} -> {:?}", e, &indices[0]);
+        if let (Some(x), Some(y)) = (eval(&e, &env), eval(&n, &env)) {
+            prop_assert_eq!(x, y, "simplification changed value: {:?} -> {:?}", e, n);
         }
+    }
+
+    /// The expression simplifier's output is its own fixpoint.
+    #[test]
+    fn simplify_expr_idempotent(e in arb_expr()) {
+        let once = simplify_expr(e);
+        let twice = simplify_expr(once.clone());
+        prop_assert_eq!(once, twice);
     }
 
     /// Folding is idempotent.

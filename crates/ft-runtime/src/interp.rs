@@ -8,6 +8,7 @@ use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::value::TensorVal;
 use ft_trace::{RunProfile, StmtCounters, TRACK_RUNTIME};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Result of executing a function.
@@ -137,11 +138,11 @@ impl Backend for Runtime {
 /// extract outputs — the fallible core of `execute`, separated so the
 /// caller can recover the arena pool from the
 /// [`ExecCtx`](crate::slots::ExecCtx) whether or not execution succeeded.
-fn bind_and_exec(
+fn bind_and_exec<'i>(
     compiled: &crate::slots::Compiled,
-    ctx: &mut crate::slots::ExecCtx<'_>,
+    ctx: &mut crate::slots::ExecCtx<'i>,
     resolved: &Resolved<'_>,
-    inputs: &HashMap<String, TensorVal>,
+    inputs: &'i HashMap<String, TensorVal>,
     rctx: &mut RunContext,
 ) -> Result<HashMap<String, TensorVal>, RuntimeError> {
     for (slot, v) in compiled.size_slots.iter().zip(resolved.sizes()) {
@@ -149,12 +150,13 @@ fn bind_and_exec(
     }
     let bound = resolved.bind(inputs, rctx);
     for (((slot, _), (p, _)), val) in compiled.params.iter().zip(resolved.params()).zip(bound) {
-        ctx.alloc(*slot, val.into_owned(), p.mtype)?;
+        let val = if compiled.written[*slot] { Cow::Owned(val.into_owned()) } else { val };
+        ctx.alloc(*slot, val, p.mtype)?;
     }
     ctx.exec(&compiled.body)?;
     Ok(resolved.outputs(inputs, |i| {
         let slot = compiled.params[i].0;
-        ctx.tensors[slot].take().expect("params stay live").val
+        ctx.tensors[slot].take().expect("params stay live").val.into_owned()
     }))
 }
 

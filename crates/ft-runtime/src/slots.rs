@@ -26,6 +26,7 @@ use ft_ir::{
     UnaryOp,
 };
 use ft_trace::{ProfileNode, StmtCounters};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A compiled expression over slot indices.
@@ -131,6 +132,9 @@ pub(crate) struct Compiled {
     /// Scalar slot per size parameter, in declaration order.
     pub size_slots: Vec<usize>,
     pub n_tensors: usize,
+    /// Per tensor slot: whether any statement writes it. An `Input` no
+    /// statement writes runs on the caller's buffer.
+    pub written: Vec<bool>,
     pub n_scalars: usize,
     /// Profile-tree skeleton in preorder (node 0 = the function root); each
     /// `For`/`LibCall` carries the index of its node. Counters are zeroed
@@ -142,6 +146,7 @@ struct Lower {
     tensor_names: Vec<String>,
     /// Element type per tensor slot.
     tensor_dtypes: Vec<DataType>,
+    written: Vec<bool>,
     n_scalars: usize,
     tensor_scope: HashMap<String, Vec<usize>>,
     scalar_scope: HashMap<String, Vec<usize>>,
@@ -161,6 +166,7 @@ impl Lower {
         let slot = self.tensor_names.len();
         self.tensor_names.push(name.to_string());
         self.tensor_dtypes.push(dtype);
+        self.written.push(false);
         self.tensor_scope
             .entry(name.to_string())
             .or_default()
@@ -342,6 +348,7 @@ impl Lower {
                 value,
             } => {
                 let t = self.tensor_slot(var)?;
+                self.written[t] = true;
                 let idx = self.indices(indices)?;
                 let value = self.expr_as(value, Kind::of(self.tensor_dtypes[t]))?;
                 CStmt::Store { t, idx, value }
@@ -354,6 +361,7 @@ impl Lower {
                 ..
             } => {
                 let t = self.tensor_slot(var)?;
+                self.written[t] = true;
                 let idx = self.indices(indices)?;
                 let (value, from) = self.expr(value)?;
                 let target = Kind::of(self.tensor_dtypes[t]);
@@ -374,7 +382,11 @@ impl Lower {
                     .collect::<Result<_, _>>()?,
                 outputs: outputs
                     .iter()
-                    .map(|n| self.tensor_slot(n))
+                    .map(|n| {
+                        let t = self.tensor_slot(n)?;
+                        self.written[t] = true;
+                        Ok::<_, RuntimeError>(t)
+                    })
                     .collect::<Result<_, _>>()?,
                 attrs: attrs.clone(),
                 prof: self.new_prof_node(s.id, kernel.clone()),
@@ -408,6 +420,7 @@ pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
     let mut lw = Lower {
         tensor_names: Vec::new(),
         tensor_dtypes: Vec::new(),
+        written: Vec::new(),
         n_scalars: 0,
         tensor_scope: HashMap::new(),
         scalar_scope: HashMap::new(),
@@ -429,6 +442,7 @@ pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
     Ok(Compiled {
         body,
         n_tensors: lw.tensor_names.len(),
+        written: lw.written,
         tensor_names: lw.tensor_names,
         params,
         size_slots,
@@ -437,8 +451,9 @@ pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
     })
 }
 
-pub(crate) struct TensorEntry {
-    pub val: TensorVal,
+pub(crate) struct TensorEntry<'a> {
+    /// Borrowed for an `Input` nothing writes ([`Compiled::written`]).
+    pub val: Cow<'a, TensorVal>,
     pub mtype: MemType,
     pub base: u64,
 }
@@ -447,7 +462,7 @@ pub(crate) struct TensorEntry {
 /// the reference interpreter).
 pub(crate) struct ExecCtx<'a> {
     pub config: &'a DeviceConfig,
-    pub tensors: Vec<Option<TensorEntry>>,
+    pub tensors: Vec<Option<TensorEntry<'a>>>,
     pub names: &'a [String],
     pub scalars: Vec<i64>,
     pub counters: PerfCounters,
@@ -467,22 +482,22 @@ pub(crate) struct ExecCtx<'a> {
     pub arena: crate::arena::TensorPool,
 }
 
-impl ExecCtx<'_> {
-    pub(crate) fn entry(&self, t: usize) -> Result<&TensorEntry, RuntimeError> {
+impl<'a> ExecCtx<'a> {
+    pub(crate) fn entry(&self, t: usize) -> Result<&TensorEntry<'a>, RuntimeError> {
         self.tensors[t]
             .as_ref()
             .ok_or_else(|| RuntimeError::UndefinedName(self.names[t].clone()))
     }
 
     pub(crate) fn tensor(&self, t: usize) -> Result<&TensorVal, RuntimeError> {
-        Ok(&self.entry(t)?.val)
+        Ok(&*self.entry(t)?.val)
     }
 
     pub(crate) fn replace_tensor(&mut self, t: usize, val: TensorVal) -> Result<(), RuntimeError> {
         let e = self.tensors[t]
             .as_mut()
             .ok_or_else(|| RuntimeError::UndefinedName(self.names[t].clone()))?;
-        e.val = val;
+        e.val = Cow::Owned(val);
         Ok(())
     }
 
@@ -507,7 +522,7 @@ impl ExecCtx<'_> {
     pub(crate) fn alloc(
         &mut self,
         t: usize,
-        val: TensorVal,
+        val: Cow<'a, TensorVal>,
         mtype: MemType,
     ) -> Result<(), RuntimeError> {
         let device = mtype.device();
@@ -534,7 +549,7 @@ impl ExecCtx<'_> {
         self.tensors[t].take().map(|e| {
             self.counters
                 .free(&e.mtype.device().to_string(), e.val.size_bytes() as u64);
-            e.val
+            e.val.into_owned()
         })
     }
 
@@ -682,7 +697,7 @@ impl ExecCtx<'_> {
                     })
                     .collect::<Result<_, _>>()?;
                 let val = self.arena.take_slot(*id, *dtype, &sh);
-                self.alloc(*t, val, *mtype)?;
+                self.alloc(*t, Cow::Owned(val), *mtype)?;
                 let r = self.exec(body);
                 if let Some(val) = self.dealloc(*t) {
                     self.arena.put_slot(*id, val);
@@ -754,6 +769,7 @@ impl ExecCtx<'_> {
                     .as_mut()
                     .expect("checked")
                     .val
+                    .to_mut()
                     .set_flat(off, v);
                 self.record_access(*t, off);
                 Ok(())
@@ -771,6 +787,7 @@ impl ExecCtx<'_> {
                     .as_mut()
                     .expect("checked")
                     .val
+                    .to_mut()
                     .set_flat(off, new);
                 self.record_access(*t, off);
                 Ok(())

@@ -2,18 +2,20 @@
 //! fork-join execution of parallel regions.
 
 use super::*;
+use std::borrow::Cow;
 
 /// A live tensor in the VM: the crate's one tensor type, beside the
 /// element count every flat bounds check compares against, so the dispatch
 /// loop needs no walk over the shape.
 #[derive(Debug)]
-pub(super) struct VmSlot {
-    pub(super) val: TensorVal,
+pub(super) struct VmSlot<'a> {
+    /// Borrowed for an `Input` nothing writes (`Compiled::written`).
+    pub(super) val: Cow<'a, TensorVal>,
     numel: usize,
 }
 
-impl VmSlot {
-    fn new(val: TensorVal) -> VmSlot {
+impl<'a> VmSlot<'a> {
+    fn new(val: Cow<'a, TensorVal>) -> VmSlot<'a> {
         VmSlot {
             numel: val.numel(),
             val,
@@ -34,10 +36,12 @@ impl VmSlot {
 /// takes its output out of its slot for the call: the engine models the
 /// call as a write of the whole tensor, so no other iteration touches it.
 /// Transient `&mut` views of one shared slot may coexist across workers
-/// only under that proof.
-pub(super) struct SharedSlots(*mut Option<VmSlot>);
-unsafe impl Send for SharedSlots {}
-unsafe impl Sync for SharedSlots {}
+/// only under that proof. A slot that borrows the caller's input is one no
+/// statement writes (`Compiled::written`), so no worker's store turns it
+/// into an owned copy (`Cow::to_mut`) under another's feet.
+pub(super) struct SharedSlots<'a>(*mut Option<VmSlot<'a>>);
+unsafe impl Send for SharedSlots<'_> {}
+unsafe impl Sync for SharedSlots<'_> {}
 
 /// Minimum `trip * body_cost` before a parallel region pays for the
 /// fork-join handshake; below it the region runs serially in place.
@@ -47,10 +51,10 @@ const PAR_THRESHOLD: u64 = 32_768;
 pub(super) struct VmState<'a> {
     pub(super) names: &'a [String],
     pub(super) regs: Vec<u64>,
-    pub(super) tensors: Vec<Option<VmSlot>>,
+    pub(super) tensors: Vec<Option<VmSlot<'a>>>,
     /// Inside a fork-join region: the coordinator's slots plus the mask of
     /// slots that stay worker-private (the region body's `VarDef`s).
-    pub(super) shared: Option<(&'a SharedSlots, &'a [bool])>,
+    pub(super) shared: Option<(&'a SharedSlots<'a>, &'a [bool])>,
     /// Dispatch tallies, present only when the owning
     /// [`VmRuntime`] has a metrics registry. Coordinator-thread only:
     /// worker states inside a fork-join region run untallied, so the
@@ -112,7 +116,7 @@ fn store_bits(val: &mut TensorVal, o: usize, bits: u64) {
     }
 }
 
-impl VmState<'_> {
+impl<'a> VmState<'a> {
     #[inline(always)]
     pub(super) fn ri(&self, r: u32) -> i64 {
         self.regs[r as usize] as i64
@@ -163,7 +167,7 @@ impl VmState<'_> {
     /// coordinator's slot when running inside a fork-join region and `t`
     /// is not worker-private.
     #[inline(always)]
-    pub(super) fn slot(&self, t: usize) -> &Option<VmSlot> {
+    pub(super) fn slot(&self, t: usize) -> &Option<VmSlot<'a>> {
         match self.shared {
             // SAFETY: see [`SharedSlots`].
             Some((sh, mask)) if !mask[t] => unsafe { &*sh.0.add(t) },
@@ -172,7 +176,7 @@ impl VmState<'_> {
     }
 
     #[inline(always)]
-    pub(super) fn slot_mut(&mut self, t: usize) -> &mut Option<VmSlot> {
+    pub(super) fn slot_mut(&mut self, t: usize) -> &mut Option<VmSlot<'a>> {
         match self.shared {
             // SAFETY: see [`SharedSlots`].
             Some((sh, mask)) if !mask[t] => unsafe { &mut *sh.0.add(t) },
@@ -211,7 +215,7 @@ impl VmState<'_> {
             return Err(self.oob(t, vec![o]));
         }
         let vt = self.slot_mut(t).as_mut().expect("checked above");
-        store_bits(&mut vt.val, o as usize, v);
+        store_bits(vt.val.to_mut(), o as usize, v);
         Ok(())
     }
 
@@ -231,6 +235,7 @@ impl VmState<'_> {
             .as_mut()
             .expect("checked above")
             .val
+            .to_mut()
             .set_flat(o as usize, new);
         Ok(())
     }
@@ -241,12 +246,13 @@ impl VmState<'_> {
         &mut self,
         c: &Compiled,
         resolved: &Resolved<'_>,
-        inputs: &HashMap<String, TensorVal>,
+        inputs: &'a HashMap<String, TensorVal>,
         rctx: &mut RunContext,
     ) {
         let bound = resolved.bind(inputs, rctx);
         for ((slot, _), val) in c.params.iter().zip(bound) {
-            self.tensors[*slot] = Some(VmSlot::new(val.into_owned()));
+            let val = if c.written[*slot] { Cow::Owned(val.into_owned()) } else { val };
+            self.tensors[*slot] = Some(VmSlot::new(val));
         }
     }
 
@@ -282,18 +288,18 @@ impl VmState<'_> {
                 // be borrowed beside it. An input that *is* the output reads
                 // a copy of its value at entry, as the interpreter's does.
                 let mut c = self.slot_mut(out).take().ok_or_else(|| undefined(out))?;
-                let at_entry = site.inputs.contains(&out).then(|| c.val.clone());
+                let at_entry = site.inputs.contains(&out).then(|| TensorVal::clone(&c.val));
                 let input = |t: usize| match &at_entry {
                     Some(v) if t == out => Ok(v),
                     _ => self
                         .slot(t)
                         .as_ref()
-                        .map(|s| &s.val)
+                        .map(|s| &*s.val)
                         .ok_or_else(|| undefined(t)),
                 };
                 let r = input(site.inputs[0]).and_then(|a| {
                     let b = input(site.inputs[1])?;
-                    matmul_checked(a, b, &mut c.val, &site.attrs, &self.names[out])
+                    matmul_checked(a, b, c.val.to_mut(), &site.attrs, &self.names[out])
                 });
                 *self.slot_mut(out) = Some(c);
                 r.map(drop)
@@ -420,7 +426,7 @@ impl VmState<'_> {
                     let o = self.regs[*off as usize] as usize;
                     let bits = self.regs[*src as usize];
                     let vt = self.slot_mut(*t as usize).as_mut().expect("Off checked");
-                    store_bits(&mut vt.val, o, bits);
+                    store_bits(vt.val.to_mut(), o, bits);
                 }
                 Instr::StoreFlat { t, off, src } => {
                     let o = self.regs[*off as usize] as i64;
@@ -436,6 +442,7 @@ impl VmState<'_> {
                         .as_mut()
                         .expect("Off checked")
                         .val
+                        .to_mut()
                         .set_flat(o, new);
                 }
                 Instr::ReduceFlat { t, off, src, op } => {
@@ -454,13 +461,13 @@ impl VmState<'_> {
                         (Some(pool), Some(def)) => pool.take_slot(def, *dtype, &sh),
                         _ => TensorVal::zeros(*dtype, &sh),
                     };
-                    *self.slot_mut(ti) = Some(VmSlot::new(val));
+                    *self.slot_mut(ti) = Some(VmSlot::new(Cow::Owned(val)));
                 }
                 Instr::Free { t } => {
                     let ti = *t as usize;
                     if let Some(vt) = self.slot_mut(ti).take() {
                         if let (Some(pool), Some(def)) = (self.arena.as_mut(), prog.defs[ti]) {
-                            pool.put_slot(def, vt.val);
+                            pool.put_slot(def, vt.val.into_owned());
                         }
                     }
                 }
@@ -507,7 +514,11 @@ impl VmState<'_> {
         }
         let grain = grain_for(trip as i64, workers, u64::from(site.cost.max(1)));
         let base_regs = &self.regs;
-        let shared = SharedSlots(self.tensors.as_mut_ptr());
+        // Worker states live within the region, so they see the slots at a
+        // lifetime of their own: shorter than the inputs' the slots borrow,
+        // and no worker puts a slot of its own into a shared one (see
+        // [`SharedSlots`]).
+        let shared = SharedSlots(self.tensors.as_mut_ptr().cast::<Option<VmSlot<'_>>>());
         let names = self.names;
         let mask = site.local_mask.as_slice();
         // First error in deterministic (chunk, not thread) order. No

@@ -280,7 +280,7 @@ impl VmState<'_> {
             // SAFETY: distinct live slots (checked above); ranges in bounds.
             let xv = unsafe { (*sp).as_ref().expect("checked above") };
             let dv = unsafe { (*dp).as_mut().expect("checked above") };
-            match (&mut dv.val.data, &xv.val.data) {
+            match (&mut dv.val.to_mut().data, &xv.val.data) {
                 (Data::F32(d), Data::F32(s)) => {
                     let (d, s) = (&mut d[do_..do_ + trip], &s[xo..xo + trip]);
                     match (av, a_lhs) {

@@ -385,7 +385,7 @@ impl Backend for VmRuntime {
         exec_r?;
         let outputs = resolved.outputs(inputs, |i| {
             let slot = compiled.params[i].0;
-            st.tensors[slot].take().expect("params stay live").val
+            st.tensors[slot].take().expect("params stay live").val.into_owned()
         });
         Ok(RunResult {
             outputs,

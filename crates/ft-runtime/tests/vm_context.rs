@@ -192,10 +192,10 @@ fn matmul_libcall_works_on_its_operands_in_place() {
     ]);
     let before = BIG_ALLOCS.with(Cell::get);
     let r = VmRuntime::new().run_with(&f, &ins, &HashMap::new(), &mut RunContext::new());
-    // One operand-sized buffer per bound parameter (A and B copied in, C
-    // zeroed) and none for the call: the kernel reads A and B and updates
-    // C where they are.
-    assert_eq!(BIG_ALLOCS.with(Cell::get) - before, 3);
+    // One operand-sized buffer, C zeroed, and none for the call: A and B
+    // are bound as the caller's buffers, and the kernel reads them and
+    // updates C where they are.
+    assert_eq!(BIG_ALLOCS.with(Cell::get) - before, 1);
     assert!(r
         .expect("runs")
         .output("C")

@@ -244,9 +244,13 @@ impl Schedule {
 
     /// Resolve a selector to a cloned statement.
     pub(crate) fn resolve_stmt(&self, sel: impl Into<Selector>) -> Result<Stmt, ScheduleError> {
+        self.resolve_ref(sel).cloned()
+    }
+
+    /// Resolve a selector to the statement in place.
+    pub(crate) fn resolve_ref(&self, sel: impl Into<Selector>) -> Result<&Stmt, ScheduleError> {
         let sel = sel.into();
         sel.resolve(&self.func)
-            .cloned()
             .ok_or_else(|| ScheduleError::NotFound(format!("{sel:?}")))
     }
 }

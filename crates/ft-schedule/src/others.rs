@@ -2,7 +2,7 @@
 //! (paper Table 1, "Others").
 
 use crate::trace::ScheduleOp;
-use crate::util::{as_for, bound_names, fresh_name, peel, refresh_ids};
+use crate::util::{as_for, as_for_ref, bound_names, fresh_name, peel, refresh_ids};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::{const_bounds, to_linexpr, BoundsCtx};
 use ft_ir::builder::var;
@@ -39,25 +39,26 @@ impl Schedule {
     }
 
     fn as_lib_impl(&mut self, loop_sel: Selector) -> Result<(), ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let pi = as_for(&target)?;
-        let pj = as_for(peel(&pi.body))?;
+        // The nest is matched in place; only the replacement is built.
+        let target = self.resolve_ref(loop_sel)?;
+        let pi = as_for_ref(target)?;
+        let pj = as_for_ref(peel(pi.body))?;
         let unsup = |m: &str| ScheduleError::Unsupported(format!("as_lib: {m}"));
         // The j-body: optional init store, then the k loop.
-        let jbody = peel(&pj.body).clone();
+        let jbody = peel(pj.body);
         let (init, kloop) = match &jbody.kind {
             StmtKind::Block(v) => {
                 let items: Vec<&Stmt> = v.iter().filter(|s| !s.is_empty()).collect();
                 match items.as_slice() {
-                    [a, b] => (Some((*a).clone()), (*b).clone()),
-                    [a] => (None, (*a).clone()),
+                    [a, b] => (Some(*a), *b),
+                    [a] => (None, *a),
                     _ => return Err(unsup("j-loop body is not (init?, k-loop)")),
                 }
             }
-            StmtKind::For { .. } => (None, jbody.clone()),
+            StmtKind::For { .. } => (None, jbody),
             _ => return Err(unsup("j-loop body is not a loop")),
         };
-        let pk = as_for(&kloop)?;
+        let pk = as_for_ref(kloop)?;
         // Check constant extents, zero-based.
         let dims: Vec<i64> = [&pi, &pj, &pk]
             .iter()
@@ -78,12 +79,12 @@ impl Schedule {
             op: ReduceOp::Add,
             value,
             ..
-        } = &peel(&pk.body).kind
+        } = &peel(pk.body).kind
         else {
             return Err(unsup("innermost statement is not `+=`"));
         };
         let is = |e: &Expr, n: &str| matches!(e, Expr::Var(v) if v == n);
-        if indices.len() != 2 || !is(&indices[0], &pi.iter) || !is(&indices[1], &pj.iter) {
+        if indices.len() != 2 || !is(&indices[0], pi.iter) || !is(&indices[1], pj.iter) {
             return Err(unsup("accumulator must be C[i, j]"));
         }
         let Expr::Binary {
@@ -101,18 +102,18 @@ impl Schedule {
         };
         if ai.len() != 2
             || bi.len() != 2
-            || !is(&ai[0], &pi.iter)
-            || !is(&ai[1], &pk.iter)
-            || !is(&bi[0], &pk.iter)
-            || !is(&bi[1], &pj.iter)
+            || !is(&ai[0], pi.iter)
+            || !is(&ai[1], pk.iter)
+            || !is(&bi[0], pk.iter)
+            || !is(&bi[1], pj.iter)
         {
             return Err(unsup("operands must be A[i, k] and B[k, j]"));
         }
         // Validate the optional init: C[i, j] = 0.
-        if let Some(init) = &init {
+        if let Some(init) = init {
             let ok = matches!(&init.kind, StmtKind::Store { var, indices, value }
                 if var == c && indices.len() == 2
-                    && is(&indices[0], &pi.iter) && is(&indices[1], &pj.iter)
+                    && is(&indices[0], pi.iter) && is(&indices[1], pj.iter)
                     && matches!(const_fold_expr(value.clone()),
                         Expr::IntConst(0) | Expr::FloatConst(_)));
             if !ok {
@@ -152,7 +153,7 @@ impl Schedule {
             label: target.label.clone(),
             kind: StmtKind::Block(seq),
         };
-        self.rewrite(target.id, |_| replacement)
+        self.rewrite(replacement.id, |_| replacement)
     }
 
     /// Index-set splitting (paper `separate_tail`): a loop whose body is one

@@ -23,12 +23,7 @@ pub fn replace_by_id(root: &mut Stmt, target: StmtId, f: impl FnOnce(Stmt) -> St
     let Some(node) = find(root, target) else {
         return false;
     };
-    let hole = Stmt {
-        id: target,
-        label: None,
-        kind: StmtKind::Empty,
-    };
-    let old = std::mem::replace(node, hole);
+    let old = node.take();
     *node = f(old);
     true
 }
@@ -64,8 +59,35 @@ pub struct ForParts {
     pub body: Stmt,
 }
 
-/// View a statement as a loop.
+/// View a statement as a loop (a copy of it).
 pub fn as_for(s: &Stmt) -> Result<ForParts, ScheduleError> {
+    let l = as_for_ref(s)?;
+    Ok(ForParts {
+        id: s.id,
+        iter: l.iter.to_string(),
+        begin: l.begin.clone(),
+        end: l.end.clone(),
+        property: l.property.clone(),
+        body: l.body.clone(),
+    })
+}
+
+/// A loop seen in place.
+pub struct ForRef<'a> {
+    /// Iterator name.
+    pub iter: &'a str,
+    /// Inclusive lower bound.
+    pub begin: &'a Expr,
+    /// Exclusive upper bound.
+    pub end: &'a Expr,
+    /// Scheduling attributes.
+    pub property: &'a ft_ir::ForProperty,
+    /// Loop body.
+    pub body: &'a Stmt,
+}
+
+/// View a statement as a loop without copying it.
+pub fn as_for_ref(s: &Stmt) -> Result<ForRef<'_>, ScheduleError> {
     match &s.kind {
         StmtKind::For {
             iter,
@@ -73,18 +95,32 @@ pub fn as_for(s: &Stmt) -> Result<ForParts, ScheduleError> {
             end,
             property,
             body,
-        } => Ok(ForParts {
-            id: s.id,
-            iter: iter.clone(),
-            begin: begin.clone(),
-            end: end.clone(),
-            property: property.clone(),
-            body: (**body).clone(),
+        } => Ok(ForRef {
+            iter,
+            begin,
+            end,
+            property,
+            body,
         }),
-        other => Err(ScheduleError::Unsupported(format!(
-            "expected a for-loop, found {other:?}"
-        ))),
+        _ => Err(not_a_loop(s)),
     }
+}
+
+/// The error of a primitive that needs a loop at `s`. It names the
+/// statement's kind and id, not its subtree: `auto_use_lib` probes every
+/// loop nest and drops most of these.
+fn not_a_loop(s: &Stmt) -> ScheduleError {
+    let kind = match &s.kind {
+        StmtKind::Block(_) => "a block",
+        StmtKind::VarDef { .. } => "a definition",
+        StmtKind::For { .. } => "a loop",
+        StmtKind::If { .. } => "a branch",
+        StmtKind::Store { .. } => "a store",
+        StmtKind::ReduceTo { .. } => "a reduction",
+        StmtKind::LibCall { .. } => "a library call",
+        StmtKind::Empty => "an empty statement",
+    };
+    ScheduleError::Unsupported(format!("expected a for-loop, found {kind} ({:?})", s.id))
 }
 
 /// The extent (`end - begin`) of a loop, constant-folded.

@@ -142,6 +142,36 @@ fn injected_dependence_bug_is_caught_and_minimized() {
 }
 
 #[test]
+fn committed_repros_stay_fixed() {
+    // Every forward bug the sweep has found lives on as a shrunk JSON repro
+    // under `tests/repros/`; replaying each on its backend must be clean.
+    //
+    // `gat-seed59181` and `softras-seed35329` (found at the CI budget, the
+    // second once `separate_tail` was drawn more often): a `vectorize` loop
+    // holding a `parallelize`d one printed `#pragma omp parallel for` inside
+    // `#pragma omp simd`, which `cc` refuses. `lower_scalar` now clears such
+    // a loop's mark.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/repros");
+    let mut n = 0;
+    for entry in std::fs::read_dir(dir).expect("repro corpus dir") {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            continue;
+        }
+        let repro = Repro::from_json(&std::fs::read_to_string(&path).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let available = Backend::available().iter().any(|b| b.name() == repro.backend);
+        if !available {
+            continue;
+        }
+        n += 1;
+        let d = repro.replay().unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(d.map(|d| d.message), None, "{}", path.display());
+    }
+    eprintln!("{n} committed repros replayed clean");
+}
+
+#[test]
 fn repro_files_replay() {
     // A known-good (legal) trace on a real workload must replay cleanly end
     // to end through the JSON pipeline — the reproduction path CI failures
