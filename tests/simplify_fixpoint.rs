@@ -96,3 +96,24 @@ fn every_accepted_sampled_schedule_simplifies_in_one_round() {
     }
     assert!(accepted > 4 * 12, "the sampler accepted only {accepted} ops");
 }
+
+/// `float(i) / float(n)` is a float division: simplifying it must not
+/// read the casts as affine and leave the integer division `i / n`. The
+/// interpreter holds both to 0.5 at `i` = 1, `n` = 2.
+#[test]
+fn a_cast_to_float_is_not_affine() {
+    use freetensor::ir::prelude::*;
+    use freetensor::runtime::{ExecutionEngine, Runtime};
+    use std::collections::HashMap;
+    let ratio = Expr::cast(DataType::F64, var("i")) / Expr::cast(DataType::F64, var("n"));
+    let simplified = ft_passes::simplify_expr(ratio.clone());
+    let sizes: HashMap<String, i64> = [("n".to_string(), 2)].into_iter().collect();
+    for e in [ratio, simplified] {
+        let f = Func::new("ratio")
+            .size_param("n")
+            .param("y", [1], DataType::F64, AccessType::Output)
+            .body(for_("i", 1, 2, store("y", [0], e.clone())));
+        let out = Runtime::new().run(&f, &HashMap::new(), &sizes).expect("runs");
+        assert_eq!(out.output("y").to_f64_vec(), [0.5], "{e:?}");
+    }
+}
