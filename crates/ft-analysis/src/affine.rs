@@ -83,7 +83,8 @@ impl<V: Clone + PartialEq> Affine<V> {
     }
 
     /// The form of `a op b` from the operands' forms, when affine. (A
-    /// negation is [`Affine::scaled`] by −1, a cast its operand's form.)
+    /// negation is [`Affine::scaled`] by −1, a cast to an integer type its
+    /// operand's form.)
     pub fn binary(op: BinaryOp, la: Option<Affine<V>>, lb: Option<Affine<V>>) -> Option<Affine<V>> {
         match op {
             BinaryOp::Add => Some(la?.plus(lb?)),
@@ -144,7 +145,7 @@ pub(crate) fn affine<'e, V: Copy + PartialEq>(
             a,
         } => Some(affine(a, var)?.scaled(-1)),
         Expr::Binary { op, a, b } => Affine::binary(*op, affine(a, var), affine(b, var)),
-        Expr::Cast { a, .. } => affine(a, var),
+        Expr::Cast { dtype, a } if dtype.is_int() => affine(a, var),
         e => Affine::leaf(e, var),
     }
 }

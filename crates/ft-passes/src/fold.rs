@@ -131,7 +131,9 @@ impl Exprs {
         if let Some(x) = Scalar::of_const(&a.e) {
             return plain(scalar::cast(dtype, x).to_const());
         }
-        let form = self.affine.then(|| a.form()).flatten();
+        // Only an integer value converted to an integer type keeps its form:
+        // `float(i) / float(n)` is no integer division.
+        let form = (self.affine && dtype.is_int()).then(|| a.form()).flatten();
         self.kept(Expr::cast(dtype, a.e), form)
     }
 
