@@ -23,6 +23,9 @@
 //!   full-scale rule-scheduled gradients and the printed rule-scheduled IR
 //!   of all seven benchmark programs hash to their pins: the legality
 //!   checks the rule passes ask accept and refuse what they did.
+//! * `committed_searched_c_is_unchanged` — the C of the eight committed
+//!   searched schedules, replayed at full and small scale, hashes to its
+//!   pin: replay applies the same primitives the rule passes do.
 //! * `rule_scheduled_windows_are_guard_free_and_bit_identical_to_the_unsplit_schedule`
 //!   — Longformer and its gradient, small and full: no loop keeps a guard on
 //!   its iterators after `auto_separate_tail`, and the interpreter's output
@@ -756,6 +759,36 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
         let h = freetensor::ir::fnv1a(p.emit_c().as_bytes());
         assert_eq!(h, want, "{name} (full scale: {full}) emits different C");
     }
+}
+
+/// FNV-1a of `Program::emit_c()` for the eight committed searched
+/// schedules (`results/schedules/`, what `kernel-searched` compiles),
+/// replayed at full and small scale: replay runs the schedule primitives
+/// on positions, so a primitive that rebuilds its loop differently moves
+/// these. Pinned when the primitives came to decide on the tree in place
+/// (SubdivNet's full-scale search kept the rule schedule: its pin is
+/// `FORWARD_RULE_C`'s).
+const SEARCHED_C: [(&str, bool, u64); 8] = [
+    ("subdivnet", true, 0x56d2_8fd3_ccd1_1908),
+    ("subdivnet", false, 0x2a35_04e3_2f82_aaa5),
+    ("longformer", true, 0x7c05_37b2_d2f3_17a6),
+    ("longformer", false, 0xbcba_64f3_2dab_827f),
+    ("softras", true, 0x28be_80d9_a595_173d),
+    ("softras", false, 0xad0e_0001_d792_b5e5),
+    ("gat", true, 0x8a8d_2774_8e6a_7b7e),
+    ("gat", false, 0x3a16_4b7f_2cdf_7cab),
+];
+
+#[test]
+fn committed_searched_c_is_unchanged() {
+    let moved: Vec<String> = SEARCHED_C
+        .iter()
+        .filter_map(|&(name, full, want)| {
+            let h = freetensor::ir::fnv1a(committed_searched(name, full).emit_c().as_bytes());
+            (h != want).then(|| format!("{name} (full scale: {full}): {h:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "moved from their pins:\n{}", moved.join("\n"));
 }
 
 /// FNV-1a of `Program::emit_c()` for the three full-scale rule-scheduled
