@@ -1,6 +1,9 @@
 //! Regenerates paper Table 2 — compiling time: FreeTensor's one-shot
 //! rule-based auto-transforming pass vs a search-based auto-tuner (the
 //! TVM/Ansor stand-in: random schedule search with per-round measurement).
+//! A second table splits the rule passes' time by pass for the seven
+//! benchmark programs (four forward, three differentiated), read from the
+//! spans each `auto_*` pass records on a trace sink.
 
 use bench::{prepare, Scale, Workload};
 use ft_autoschedule::Target;
@@ -8,8 +11,67 @@ use ft_ir::{Device, StmtKind};
 use ft_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ft_trace::TraceSink;
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// The rule passes in the order `Program::optimize` runs them.
+const PASSES: [&str; 7] = [
+    "auto_fuse",
+    "auto_use_lib",
+    "auto_parallelize",
+    "auto_separate_tail",
+    "auto_unroll",
+    "auto_vectorize",
+    "auto_mem_type",
+];
+
+/// Median µs per `auto_*` pass of `optimize(&Target::cpu())` on each of
+/// the seven benchmark programs at `scale`, over `reps` traced calls.
+/// Tracing also formats every decision-log entry, which the passes pay for
+/// here and not in an untraced `optimize`.
+fn pass_table(scale: Scale, reps: usize) {
+    println!("\n# Rule passes, median us per pass over {reps} traced optimize calls (CPU)");
+    let names = PASSES.map(|p| p.trim_start_matches("auto_"));
+    print!("{:<18}", "program");
+    for name in names {
+        print!(" {name:>8}");
+    }
+    println!(" {:>8}", "total");
+    for w in Workload::ALL {
+        let naive = prepare(w, scale).naive;
+        let mut programs = vec![(w.display().to_string(), naive.clone())];
+        // GAT's gradient is not a benchmark program (paper Fig. 16(b)).
+        if w != Workload::Gat {
+            let grad = naive.grad(&ft_autodiff::GradOptions::default());
+            programs.push((format!("{}.grad", w.display()), grad.expect("differentiable")));
+        }
+        for (label, p) in programs {
+            let mut samples: Vec<[u64; PASSES.len()]> = (0..reps)
+                .map(|_| {
+                    let sink = TraceSink::new();
+                    let _ = p.clone().with_sink(sink.clone()).optimize(&Target::cpu());
+                    let mut us = [0; PASSES.len()];
+                    for ev in sink.events().iter().filter(|e| e.cat == "autoschedule") {
+                        if let Some(k) = PASSES.iter().position(|p| *p == ev.name) {
+                            us[k] += ev.dur_us;
+                        }
+                    }
+                    us
+                })
+                .collect();
+            print!("{label:<18}");
+            let mut total = 0;
+            for k in 0..PASSES.len() {
+                samples.sort_by_key(|s| s[k]);
+                let median = samples[reps / 2][k];
+                total += median;
+                print!(" {median:>w$}", w = names[k].len().max(8));
+            }
+            println!(" {total:>8}");
+        }
+    }
+}
 
 /// One random schedule candidate: a few random transformations applied to
 /// random loops (illegal ones are simply rejected by the legality checks —
@@ -116,4 +178,5 @@ fn main() {
         }
     }
     println!("\npaper reference: FreeTensor compiles in 0.13%–22.92% of TVM's tuning time");
+    pass_table(scale, 21);
 }

@@ -93,9 +93,9 @@ impl Program {
     fn from_func_inner(func: Func, sink: Option<TraceSink>) -> Program {
         let func = {
             let _span = sink.as_ref().map(|s| s.span("pass", "uniquify_defs"));
-            ft_passes::uniquify_defs(&func)
+            ft_passes::uniquify_defs(func)
         };
-        let func = ft_passes::simplify_traced(&func, sink.as_ref());
+        let func = ft_passes::simplify_traced(func, sink.as_ref());
         Program { func, sink }
     }
 
@@ -132,9 +132,9 @@ impl Program {
         for p in &mut func.params {
             p.mtype = ft_ir::MemType::default_for(target.device);
         }
-        let tuned = ft_autoschedule::auto_schedule_traced(&func, target, self.sink.clone());
+        let tuned = ft_autoschedule::auto_schedule_traced(func, target, self.sink.clone());
         Program {
-            func: ft_passes::simplify_traced(&tuned, self.sink.as_ref()),
+            func: ft_passes::simplify_traced(tuned, self.sink.as_ref()),
             sink: self.sink.clone(),
         }
     }

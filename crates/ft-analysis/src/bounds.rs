@@ -71,13 +71,18 @@ pub struct SymBounds {
 /// Returns `None` when `e` is not affine or an eliminated variable has no
 /// registered bounds.
 pub fn symbolic_bounds(e: &Expr, ctx: &BoundsCtx, eliminate: &[String]) -> Option<SymBounds> {
+    bounds_without(e, ctx, |name| eliminate.iter().any(|n| n == name))
+}
+
+/// [`symbolic_bounds`] with the eliminated variables given by a predicate.
+fn bounds_without(e: &Expr, ctx: &BoundsCtx, eliminated: impl Fn(&str) -> bool) -> Option<SymBounds> {
     let lin = to_linexpr(e)?;
     let mut lower = lin.clone();
     let mut upper = lin;
     // Substitute innermost-first so bounds referencing outer iterators are
     // themselves eliminated on later steps.
     for (name, lo, hi) in ctx.ranges.iter().rev() {
-        if !eliminate.contains(name) {
+        if !eliminated(name) {
             continue;
         }
         let cl = lower.coeff(name);
@@ -92,10 +97,8 @@ pub fn symbolic_bounds(e: &Expr, ctx: &BoundsCtx, eliminate: &[String]) -> Optio
         }
     }
     // Every eliminated variable must be gone.
-    for name in eliminate {
-        if lower.coeff(name) != 0 || upper.coeff(name) != 0 {
-            return None;
-        }
+    if lower.vars().chain(upper.vars()).any(eliminated) {
+        return None;
     }
     Some(SymBounds { lower, upper })
 }
@@ -103,8 +106,7 @@ pub fn symbolic_bounds(e: &Expr, ctx: &BoundsCtx, eliminate: &[String]) -> Optio
 /// Compute constant inclusive bounds of `e`, eliminating *all* iterators in
 /// the context. Remaining free variables (size parameters) make this fail.
 pub fn const_bounds(e: &Expr, ctx: &BoundsCtx) -> Option<(i64, i64)> {
-    let all: Vec<String> = ctx.ranges.iter().map(|(n, _, _)| n.clone()).collect();
-    let b = symbolic_bounds(e, ctx, &all)?;
+    let b = bounds_without(e, ctx, |_| true)?;
     if b.lower.is_constant() && b.upper.is_constant() {
         Some((b.lower.constant_term(), b.upper.constant_term()))
     } else {

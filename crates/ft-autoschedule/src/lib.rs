@@ -86,50 +86,58 @@ impl Target {
     }
 }
 
-fn all_loops(func: &Func) -> Vec<StmtId> {
-    ft_ir::find::find_stmts(&func.body, &|s| matches!(s.kind, StmtKind::For { .. }))
-        .into_iter()
-        .map(|s| s.id)
-        .collect()
+/// What the passes ask about one loop, gathered for every loop in one walk.
+/// A pass visits the loops in this (pre-)order and may trust the facts of a
+/// loop no primitive has rewritten around it.
+struct LoopFacts {
+    id: StmtId,
+    parallel: ParallelScope,
+    /// No loop inside it.
+    innermost: bool,
+    /// Inside another loop.
+    enclosed: bool,
+    /// `end - begin`, when constant.
+    extent: Option<i64>,
+    /// The loop its body consists of, if any.
+    nested: Option<StmtId>,
+    /// Its body is one `if`.
+    guarded: bool,
+    /// Index past the last loop inside it.
+    subtree_end: usize,
 }
 
-fn loop_extent_const(func: &Func, id: StmtId) -> Option<i64> {
-    let s = ft_ir::find::find_by_id(&func.body, id)?;
-    let StmtKind::For { begin, end, .. } = &s.kind else {
-        return None;
-    };
-    let e = ft_passes::const_fold_expr(end.clone() - begin.clone());
-    e.as_int()
-}
-
-fn is_innermost(func: &Func, id: StmtId) -> bool {
-    let Some(s) = ft_ir::find::find_by_id(&func.body, id) else {
-        return false;
-    };
-    let mut inner = 0;
-    s.walk(&mut |st| {
-        if matches!(st.kind, StmtKind::For { .. }) {
-            inner += 1;
-        }
-    });
-    inner == 1 // only itself
-}
-
-fn loop_parallel(func: &Func, id: StmtId) -> ParallelScope {
-    match ft_ir::find::find_by_id(&func.body, id) {
-        Some(Stmt {
-            kind: StmtKind::For { property, .. },
+/// The facts of every loop of `func`, in pre-order.
+fn loop_facts(func: &Func) -> Vec<LoopFacts> {
+    fn rec(s: &Stmt, enclosed: bool, out: &mut Vec<LoopFacts>) {
+        let StmtKind::For {
+            begin,
+            end,
+            property,
+            body,
             ..
-        }) => property.parallel,
-        _ => ParallelScope::Serial,
+        } = &s.kind
+        else {
+            return s.children().for_each(|c| rec(c, enclosed, out));
+        };
+        let k = out.len();
+        let peeled = ft_schedule::util::peel(body);
+        out.push(LoopFacts {
+            id: s.id,
+            parallel: property.parallel,
+            innermost: false,
+            enclosed,
+            extent: ft_passes::const_fold_expr(end.clone() - begin.clone()).as_int(),
+            nested: matches!(peeled.kind, StmtKind::For { .. }).then_some(peeled.id),
+            guarded: matches!(peeled.kind, StmtKind::If { .. }),
+            subtree_end: 0,
+        });
+        rec(body, true, out);
+        out[k].innermost = out.len() == k + 1;
+        out[k].subtree_end = out.len();
     }
-}
-
-/// Whether the loop is (transitively) inside another loop.
-fn has_loop_parent(func: &Func, id: StmtId) -> bool {
-    ft_ir::find::loop_nest_of(&func.body, id)
-        .map(|n| !n.loops.is_empty())
-        .unwrap_or(false)
+    let mut out = Vec::new();
+    rec(&func.body, false, &mut out);
+    out
 }
 
 /// Pass 1: fuse adjacent equal-extent sibling loops (locality).
@@ -176,12 +184,13 @@ fn adjacent_loop_pairs(func: &Func) -> Vec<(StmtId, StmtId)> {
 pub fn auto_vectorize(sched: &mut Schedule) -> usize {
     let span = begin_pass(sched, "auto_vectorize");
     let mut n = 0;
-    for id in all_loops(sched.func()) {
-        if loop_parallel(sched.func(), id) == ParallelScope::Serial
-            && is_innermost(sched.func(), id)
-            && has_loop_parent(sched.func(), id)
-            && loop_extent_const(sched.func(), id).is_none_or(|e| e >= 4)
-            && sched.vectorize(id).is_ok()
+    // `vectorize` only marks its loop: every fact stays true.
+    for l in loop_facts(sched.func()) {
+        if l.parallel == ParallelScope::Serial
+            && l.innermost
+            && l.enclosed
+            && l.extent.is_none_or(|e| e >= 4)
+            && sched.vectorize(l.id).is_ok()
         {
             n += 1;
         }
@@ -198,30 +207,20 @@ pub fn auto_vectorize(sched: &mut Schedule) -> usize {
 pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
     let span = begin_pass(sched, "auto_parallelize");
     let mut n = 0;
-    let outer: Vec<StmtId> = all_loops(sched.func())
-        .into_iter()
-        .filter(|id| !has_loop_parent(sched.func(), *id))
-        .collect();
+    // Each primitive rewrites one outermost loop; the others keep their facts.
+    let outer = loop_facts(sched.func()).into_iter().filter(|l| !l.enclosed);
     match target.device {
         Device::Cpu => {
-            for id in outer {
-                if sched.parallelize(id, ParallelScope::OpenMp).is_ok() {
+            for l in outer {
+                if sched.parallelize(l.id, ParallelScope::OpenMp).is_ok() {
                     n += 1;
                 }
             }
         }
         Device::Gpu => {
-            for id in outer {
-                // Find a directly nested loop for the thread dimension.
-                let inner = ft_ir::find::find_by_id(&sched.func().body, id)
-                    .and_then(|s| match &s.kind {
-                        StmtKind::For { body, .. } => {
-                            let peeled = ft_schedule::util::peel(body);
-                            matches!(peeled.kind, StmtKind::For { .. }).then(|| peeled.id)
-                        }
-                        _ => None,
-                    });
-                match inner {
+            for LoopFacts { id, nested, extent, .. } in outer {
+                // A directly nested loop feeds the thread dimension.
+                match nested {
                     Some(tid) => {
                         let ok_b = sched.parallelize(id, ParallelScope::CudaBlockX).is_ok();
                         let ok_t = sched.parallelize(tid, ParallelScope::CudaThreadX).is_ok();
@@ -231,8 +230,7 @@ pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
                     }
                     None => {
                         // Lone loop: split to feed both levels.
-                        let extent = loop_extent_const(sched.func(), id).unwrap_or(i64::MAX);
-                        if extent > target.gpu_block_size {
+                        if extent.unwrap_or(i64::MAX) > target.gpu_block_size {
                             if let Ok((b, t)) = sched.split(id, target.gpu_block_size) {
                                 let ok_b = sched.parallelize(b, ParallelScope::CudaBlockX).is_ok();
                                 let ok_t =
@@ -263,14 +261,17 @@ pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
 pub fn auto_separate_tail(sched: &mut Schedule) -> usize {
     let span = begin_pass(sched, "auto_separate_tail");
     let mut n = 0;
-    for id in all_loops(sched.func()) {
-        let guarded = ft_ir::find::find_by_id(&sched.func().body, id).is_some_and(|s| {
-            matches!(&s.kind, StmtKind::For { body, property, .. }
-                if property.parallel == ParallelScope::Serial
-                    && matches!(ft_schedule::util::peel(body).kind, StmtKind::If { .. }))
-        });
-        if guarded && sched.separate_tail(id).is_ok() {
+    // A split keeps the loops of the `then` arm as they were and drops
+    // those of the `else` arm: inside a split loop, a loop must still exist.
+    let mut split_until = 0;
+    for (k, l) in loop_facts(sched.func()).iter().enumerate() {
+        if l.guarded
+            && l.parallel == ParallelScope::Serial
+            && (k >= split_until || ft_ir::find::find_by_id(&sched.func().body, l.id).is_some())
+            && sched.separate_tail(l.id).is_ok()
+        {
             n += 1;
+            split_until = split_until.max(l.subtree_end);
         }
     }
     end_pass(sched, span, n);
@@ -314,8 +315,8 @@ pub fn auto_mem_type(sched: &mut Schedule, target: &Target) -> usize {
 pub fn auto_use_lib(sched: &mut Schedule) -> usize {
     let span = begin_pass(sched, "auto_use_lib");
     let mut n = 0;
-    for id in all_loops(sched.func()) {
-        if sched.as_lib(id).is_ok() {
+    for l in loop_facts(sched.func()) {
+        if sched.as_lib(l.id).is_ok() {
             n += 1;
         }
     }
@@ -327,11 +328,12 @@ pub fn auto_use_lib(sched: &mut Schedule) -> usize {
 pub fn auto_unroll(sched: &mut Schedule, target: &Target) -> usize {
     let span = begin_pass(sched, "auto_unroll");
     let mut n = 0;
-    for id in all_loops(sched.func()) {
-        if loop_parallel(sched.func(), id) == ParallelScope::Serial
-            && is_innermost(sched.func(), id)
-            && loop_extent_const(sched.func(), id).is_some_and(|e| e <= target.unroll_trip)
-            && sched.unroll(id).is_ok()
+    // An unrolled loop holds no loop: the facts of the others stay true.
+    for l in loop_facts(sched.func()) {
+        if l.parallel == ParallelScope::Serial
+            && l.innermost
+            && l.extent.is_some_and(|e| e <= target.unroll_trip)
+            && sched.unroll(l.id).is_ok()
         {
             n += 1;
         }
@@ -342,14 +344,14 @@ pub fn auto_unroll(sched: &mut Schedule, target: &Target) -> usize {
 
 /// Run all seven passes and return the scheduled function.
 pub fn auto_schedule(func: &Func, target: &Target) -> Func {
-    auto_schedule_traced(func, target, None)
+    auto_schedule_traced(func.clone(), target, None)
 }
 
 /// [`auto_schedule`] with observability: when `sink` is `Some`, every pass
 /// reports a timed span and every primitive attempt (applied or rejected,
 /// with structured violated dependences) lands in the sink's decision log.
-pub fn auto_schedule_traced(func: &Func, target: &Target, sink: Option<TraceSink>) -> Func {
-    let mut sched = Schedule::new(func.clone());
+pub fn auto_schedule_traced(func: Func, target: &Target, sink: Option<TraceSink>) -> Func {
+    let mut sched = Schedule::new(func);
     sched.set_sink(sink);
     run_passes(&mut sched, target);
     sched.into_func()
@@ -503,7 +505,7 @@ mod tests {
             .param("y", [8, 16, 3], DataType::F32, AccessType::Output)
             .body(for_("i", 0, 8, f_loop));
         let sink = TraceSink::new();
-        let tuned = auto_schedule_traced(&f, &Target::cpu(), Some(sink.clone()));
+        let tuned = auto_schedule_traced(f, &Target::cpu(), Some(sink.clone()));
         let vectorized = ft_ir::find::find_by_id(&tuned.body, f_id)
             .is_some_and(|s| matches!(&s.kind, StmtKind::For { property, .. } if property.vectorize));
         assert!(vectorized, "{tuned}");

@@ -372,7 +372,7 @@ struct Lowerer<'a> {
     func: &'a Func,
     /// Every name bound anywhere in the function plus the ones this pass
     /// introduced; collected when the first name is needed.
-    used: Option<HashSet<String>>,
+    used: Option<HashSet<Cow<'a, str>>>,
     /// Innermost-last `(dtype, shape)` per visible tensor name.
     defs: HashMap<&'a str, Vec<(DataType, &'a [Expr])>>,
 }

@@ -64,74 +64,56 @@ pub fn parent_map(root: &Stmt) -> HashMap<StmtId, StmtId> {
     map
 }
 
-/// One level of a loop nest surrounding a statement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopLevel {
+/// One level of a loop nest surrounding a statement, borrowed from the tree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoopLevel<'a> {
     /// Id of the `For` statement.
     pub id: StmtId,
     /// Iterator variable name.
-    pub iter: String,
+    pub iter: &'a str,
     /// Lower bound (inclusive).
-    pub begin: Expr,
+    pub begin: &'a Expr,
     /// Upper bound (exclusive).
-    pub end: Expr,
+    pub end: &'a Expr,
 }
 
 /// The loop nest (outermost first) surrounding a statement, plus the
 /// `VarDef`s in scope.
 #[derive(Debug, Clone, Default)]
-pub struct LoopNest {
+pub struct LoopNest<'a> {
     /// Surrounding loops, outermost first.
-    pub loops: Vec<LoopLevel>,
+    pub loops: Vec<LoopLevel<'a>>,
     /// Names of tensors defined by surrounding `VarDef`s (innermost last).
-    pub defs: Vec<String>,
+    pub defs: Vec<&'a str>,
 }
 
 /// Compute the surrounding loop nest of the statement with id `target`.
 ///
 /// Returns `None` when `target` is not in the tree.
-pub fn loop_nest_of(root: &Stmt, target: StmtId) -> Option<LoopNest> {
-    fn rec(s: &Stmt, target: StmtId, cur: &mut LoopNest) -> bool {
+pub fn loop_nest_of(root: &Stmt, target: StmtId) -> Option<LoopNest<'_>> {
+    fn rec<'a>(s: &'a Stmt, target: StmtId, cur: &mut LoopNest<'a>) -> bool {
         if s.id == target {
             return true;
         }
+        let depth = (cur.loops.len(), cur.defs.len());
         match &s.kind {
             StmtKind::For {
+                iter, begin, end, ..
+            } => cur.loops.push(LoopLevel {
+                id: s.id,
                 iter,
                 begin,
                 end,
-                body,
-                ..
-            } => {
-                cur.loops.push(LoopLevel {
-                    id: s.id,
-                    iter: iter.clone(),
-                    begin: begin.clone(),
-                    end: end.clone(),
-                });
-                if rec(body, target, cur) {
-                    return true;
-                }
-                cur.loops.pop();
-                false
-            }
-            StmtKind::VarDef { name, body, .. } => {
-                cur.defs.push(name.clone());
-                if rec(body, target, cur) {
-                    return true;
-                }
-                cur.defs.pop();
-                false
-            }
-            _ => {
-                for c in s.children() {
-                    if rec(c, target, cur) {
-                        return true;
-                    }
-                }
-                false
-            }
+            }),
+            StmtKind::VarDef { name, .. } => cur.defs.push(name),
+            _ => {}
         }
+        if s.children().any(|c| rec(c, target, cur)) {
+            return true;
+        }
+        cur.loops.truncate(depth.0);
+        cur.defs.truncate(depth.1);
+        false
     }
     let mut nest = LoopNest::default();
     rec(root, target, &mut nest).then_some(nest)
@@ -215,11 +197,8 @@ mod tests {
         let s = nest();
         let store_stmt = find_by_label(&s, "S").unwrap();
         let n = loop_nest_of(&s, store_stmt.id).unwrap();
-        assert_eq!(
-            n.loops.iter().map(|l| l.iter.as_str()).collect::<Vec<_>>(),
-            vec!["i", "j"]
-        );
-        assert_eq!(n.defs, vec!["t".to_string()]);
+        assert_eq!(n.loops.iter().map(|l| l.iter).collect::<Vec<_>>(), ["i", "j"]);
+        assert_eq!(n.defs, ["t"]);
         assert!(loop_nest_of(&s, StmtId(u64::MAX)).is_none());
     }
 }

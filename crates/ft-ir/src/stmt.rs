@@ -243,26 +243,21 @@ impl Stmt {
         }
     }
 
-    /// The direct child statements of this node.
-    pub fn children(&self) -> Vec<&Stmt> {
-        match &self.kind {
-            StmtKind::Block(v) => v.iter().collect(),
-            StmtKind::VarDef { body, .. } | StmtKind::For { body, .. } => vec![body],
+    /// The direct child statements of this node, borrowed in place.
+    pub fn children(&self) -> impl Iterator<Item = &Stmt> {
+        let (many, a, b): (&[Stmt], Option<&Stmt>, Option<&Stmt>) = match &self.kind {
+            StmtKind::Block(v) => (v, None, None),
+            StmtKind::VarDef { body, .. } | StmtKind::For { body, .. } => (&[], Some(body), None),
             StmtKind::If {
                 then, otherwise, ..
-            } => {
-                let mut v = vec![then.as_ref()];
-                if let Some(o) = otherwise {
-                    v.push(o.as_ref());
-                }
-                v
-            }
-            _ => vec![],
-        }
+            } => (&[], Some(then), otherwise.as_deref()),
+            _ => (&[], None, None),
+        };
+        many.iter().chain(a).chain(b)
     }
 
     /// Depth-first pre-order iteration over all statements in the sub-tree.
-    pub fn walk(&self, f: &mut impl FnMut(&Stmt)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         f(self);
         for c in self.children() {
             c.walk(f);

@@ -101,14 +101,14 @@ pub fn simplify_stmt(s: Stmt) -> Stmt {
 /// guards the enclosing loops imply. The result is a fixpoint of every one
 /// of these.
 pub fn simplify(f: &Func) -> Func {
-    simplify_traced(f, None)
+    simplify_traced(f.clone(), None)
 }
 
 /// [`simplify`] with provenance reporting: each sub-pass becomes a span on
 /// the compile track of `sink`, so a trace shows where simplification time
 /// went. The `simplify` span's `rounds` is 1: nothing is repeated to reach
 /// the fixpoint.
-pub fn simplify_traced(f: &Func, sink: Option<&ft_trace::TraceSink>) -> Func {
+pub fn simplify_traced(mut f: Func, sink: Option<&ft_trace::TraceSink>) -> Func {
     let span = |name: &str| sink.map(|s| s.span("pass", name));
     let run = |name: &str, f: &mut Func, pass: &dyn Fn(&mut Func) -> bool| {
         let _span = span(name);
@@ -121,7 +121,6 @@ pub fn simplify_traced(f: &Func, sink: Option<&ft_trace::TraceSink>) -> Func {
         }
     };
     let mut outer = span("simplify");
-    let mut f = f.clone();
     run("simplify:control", &mut f, &control(true));
     let dce = run("simplify:dce", &mut f, &crate::remove_dead_defs);
     let guards = run("simplify:guards", &mut f, &crate::remove_redundant_guards);

@@ -66,7 +66,7 @@ impl Mutator for Uniquify {
 /// Rename local definitions so that every tensor name in the function
 /// (parameters + `VarDef`s) is unique. Inner shadowing definitions are
 /// renamed to `name.1`, `name.2`, ….
-pub fn uniquify_defs(func: &Func) -> Func {
+pub fn uniquify_defs(mut func: Func) -> Func {
     let mut u = Uniquify {
         taken: func
             .params
@@ -75,8 +75,8 @@ pub fn uniquify_defs(func: &Func) -> Func {
             .chain(func.size_params.iter().cloned())
             .collect(),
     };
-    let body = u.mutate_stmt(func.body.clone());
-    func.with_body(body)
+    func.body = u.mutate_stmt(func.body.take());
+    func
 }
 
 #[cfg(test)]
@@ -105,7 +105,7 @@ mod tests {
                     store("y", [1], load("t", [0])),
                 ),
             ]));
-        let out = uniquify_defs(&f);
+        let out = uniquify_defs(f.clone());
         let mut names = Vec::new();
         out.body.walk(&mut |s| {
             if let StmtKind::VarDef { name, .. } = &s.kind {
@@ -131,7 +131,7 @@ mod tests {
                 MemType::CpuHeap,
                 store("x", [0], 1.0f32),
             ));
-        let out = uniquify_defs(&f);
+        let out = uniquify_defs(f.clone());
         match &out.body.kind {
             StmtKind::VarDef { name, .. } => assert_eq!(name, "x.1"),
             other => panic!("unexpected {other:?}"),

@@ -1,7 +1,7 @@
 //! Loop transformations: `split`, `merge`, `reorder`, `fission`, `fuse`,
 //! `swap` (paper Table 1, "Loop").
 
-use crate::util::{as_for, extent, peel};
+use crate::util::{as_for_ref, extent, peel, peel_into};
 use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::deps::{fission_illegal, fuse_illegal, reorder_illegal, swap_illegal, subtree_ids};
@@ -43,40 +43,43 @@ impl Schedule {
                 "split factor must be positive".to_string(),
             ));
         }
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
+        let target = self.resolve_ref(loop_sel)?;
+        let (id, p) = (target.id, as_for_ref(target)?);
         let ext = extent(&p);
         let n_outer = const_fold_expr((ext.clone() + (factor - 1)) / factor);
         let exact = matches!(&ext, Expr::IntConst(n) if n % factor == 0);
-        let outer_name = format!("{}.0", p.iter);
-        let inner_name = format!("{}.1", p.iter);
+        let iter = p.iter.to_string();
+        let outer_name = format!("{iter}.0");
+        let inner_name = format!("{iter}.1");
         // i := begin + i.0 * factor + i.1
         let recon = const_fold_expr(
             p.begin.clone() + ft_ir::builder::var(&outer_name) * factor
                 + ft_ir::builder::var(&inner_name),
         );
-        let new_body = subst_var_stmt(p.body.clone(), &p.iter, &recon);
-        let guarded = if exact {
-            new_body
-        } else {
-            ft_ir::builder::if_(recon.lt(p.end.clone()), new_body)
-        };
-        let inner = ft_ir::builder::for_(&inner_name, 0, factor, guarded);
-        let inner_id = inner.id;
-        let mut property = p.property.clone();
-        let outer = Stmt {
-            id: p.id,
-            label: target.label.clone(),
-            kind: StmtKind::For {
-                iter: outer_name,
-                begin: Expr::IntConst(0),
-                end: n_outer,
-                property: std::mem::take(&mut property),
-                body: Box::new(inner),
-            },
-        };
-        self.rewrite(p.id, |_| outer)?;
-        Ok((p.id, inner_id))
+        let guard = (!exact).then(|| recon.clone().lt(p.end.clone()));
+        let mut inner_id = id;
+        self.rewrite(id, |mut s| {
+            let StmtKind::For {
+                iter: it,
+                begin,
+                end,
+                body,
+                ..
+            } = &mut s.kind
+            else {
+                unreachable!("checked above")
+            };
+            let new_body = subst_var_stmt(body.take(), &iter, &recon);
+            let guarded = match guard {
+                None => new_body,
+                Some(cond) => ft_ir::builder::if_(cond, new_body),
+            };
+            let inner = ft_ir::builder::for_(&inner_name, 0, factor, guarded);
+            inner_id = inner.id;
+            (*it, *begin, *end, **body) = (outer_name, Expr::IntConst(0), n_outer, inner);
+            s
+        })?;
+        Ok((id, inner_id))
     }
 
     /// Merge two perfectly nested loops into one: `(i, j) -> i.j` with
@@ -105,18 +108,17 @@ impl Schedule {
         outer_sel: Selector,
         inner_sel: Selector,
     ) -> Result<StmtId, ScheduleError> {
-        let outer = self.resolve_stmt(outer_sel)?;
-        let po = as_for(&outer)?;
-        let inner_peeled = peel(&po.body).clone();
-        let pi = as_for(&inner_peeled)?;
-        let inner_id = self.resolve(inner_sel)?;
-        if pi.id != inner_id {
+        let outer = self.resolve_ref(outer_sel)?;
+        let (outer_id, po) = (outer.id, as_for_ref(outer)?);
+        let inner = peel(po.body);
+        let pi = as_for_ref(inner)?;
+        if inner.id != self.resolve(inner_sel)? {
             return Err(ScheduleError::Unsupported(
                 "merge requires the inner loop to be the outer loop's only statement".to_string(),
             ));
         }
-        for e in [&pi.begin, &pi.end] {
-            if e.free_vars().contains(&po.iter) {
+        for e in [pi.begin, pi.end] {
+            if e.free_vars().contains(po.iter) {
                 return Err(ScheduleError::Unsupported(
                     "inner loop bounds depend on the outer iterator".to_string(),
                 ));
@@ -124,28 +126,27 @@ impl Schedule {
         }
         let ext_o = extent(&po);
         let ext_i = extent(&pi);
-        let merged_name = format!("{}.{}", po.iter, pi.iter);
+        let (iter_o, iter_i) = (po.iter.to_string(), pi.iter.to_string());
+        let merged_name = format!("{iter_o}.{iter_i}");
         let m = ft_ir::builder::var(&merged_name);
         let i_val = const_fold_expr(po.begin.clone() + m.clone() / ext_i.clone());
         let j_val = const_fold_expr(pi.begin.clone() + m.rem(ext_i.clone()));
-        let body = subst_var_stmt(
-            subst_var_stmt(pi.body.clone(), &pi.iter, &j_val),
-            &po.iter,
-            &i_val,
-        );
-        let merged = Stmt {
-            id: po.id,
-            label: outer.label.clone(),
-            kind: StmtKind::For {
-                iter: merged_name,
-                begin: Expr::IntConst(0),
-                end: const_fold_expr(ext_o * ext_i),
-                property: po.property.clone(),
-                body: Box::new(body),
-            },
-        };
-        self.rewrite(po.id, |_| merged)?;
-        Ok(po.id)
+        self.rewrite(outer_id, |mut s| {
+            let StmtKind::For {
+                iter, begin, end, body, ..
+            } = &mut s.kind
+            else {
+                unreachable!("checked above")
+            };
+            let StmtKind::For { body: inner, .. } = peel_into(body.take()).kind else {
+                unreachable!("checked above")
+            };
+            let inner = subst_var_stmt(*inner, &iter_i, &j_val);
+            **body = subst_var_stmt(inner, &iter_o, &i_val);
+            (*iter, *begin, *end) = (merged_name, Expr::IntConst(0), const_fold_expr(ext_o * ext_i));
+            s
+        })?;
+        Ok(outer_id)
     }
 
     /// Permute a perfect loop nest into the given order (outermost first).
@@ -173,30 +174,24 @@ impl Schedule {
             .collect::<Result<_, _>>()?;
         // Find the nest as written: the outermost of the requested loops must
         // contain the others as a perfect chain.
-        let mut nest: Vec<(StmtId, String, Expr, Expr, ft_ir::ForProperty)> = Vec::new();
-        let mut cur = self
-            .func()
-            .body
-            .clone();
-        // Locate the shallowest requested loop.
+        let body = &self.func().body;
         let top_id = *ids
             .iter()
             .find(|id| {
-                let sub = ft_ir::find::find_by_id(&self.func().body, **id).unwrap();
-                ids.iter()
-                    .all(|other| subtree_ids(sub).contains(other))
+                let sub = ft_ir::find::find_by_id(body, **id).expect("resolved above");
+                let inside = subtree_ids(sub);
+                ids.iter().all(|other| inside.contains(other))
             })
             .ok_or_else(|| {
                 ScheduleError::Unsupported("loops do not form a single nest".to_string())
             })?;
-        cur = ft_ir::find::find_by_id(&cur, top_id).unwrap().clone();
-        let innermost_body: Stmt;
+        let mut nest_ids: Vec<StmtId> = Vec::new();
+        let mut cur = ft_ir::find::find_by_id(body, top_id).expect("resolved above");
         loop {
-            let p = as_for(&cur)?;
-            nest.push((p.id, p.iter.clone(), p.begin.clone(), p.end.clone(), p.property.clone()));
-            let peeled = peel(&p.body).clone();
-            if nest.len() == order.len() {
-                innermost_body = peeled;
+            let p = as_for_ref(cur)?;
+            nest_ids.push(cur.id);
+            let peeled = peel(p.body);
+            if nest_ids.len() == order.len() {
                 break;
             }
             if !matches!(peeled.kind, StmtKind::For { .. }) {
@@ -206,40 +201,46 @@ impl Schedule {
             }
             cur = peeled;
         }
-        let nest_ids: Vec<StmtId> = nest.iter().map(|(id, ..)| *id).collect();
-        for id in &ids {
-            if !nest_ids.contains(id) {
-                return Err(ScheduleError::Unsupported(
-                    "requested loops are not a perfect nest chain".to_string(),
-                ));
-            }
+        if ids.iter().any(|id| !nest_ids.contains(id)) {
+            return Err(ScheduleError::Unsupported(
+                "requested loops are not a perfect nest chain".to_string(),
+            ));
         }
         // Legality.
         if let Some(v) = reorder_illegal(self.func(), &nest_ids, &ids) {
             self.note_deps(&v.deps);
             return Err(ScheduleError::Illegal(v.to_string()));
         }
-        // Rebuild the nest in the new order.
-        let mut body = innermost_body;
-        for id in ids.iter().rev() {
-            let (lid, iter, begin, end, property) = nest
-                .iter()
-                .find(|(nid, ..)| nid == id)
-                .cloned()
-                .expect("checked membership");
-            body = Stmt {
-                id: lid,
-                label: None,
-                kind: StmtKind::For {
-                    iter,
-                    begin,
-                    end,
-                    property,
-                    body: Box::new(body),
-                },
+        // Rebuild the nest in the new order, moving each level's parts.
+        self.rewrite(top_id, |top| {
+            let mut levels = Vec::with_capacity(nest_ids.len());
+            let mut cur = top;
+            let mut body = loop {
+                let StmtKind::For { body, .. } = &mut cur.kind else {
+                    unreachable!("checked above")
+                };
+                let inner = peel_into(body.take());
+                levels.push(cur);
+                if levels.len() == nest_ids.len() {
+                    break inner;
+                }
+                cur = inner;
             };
-        }
-        self.rewrite(top_id, |_| body)
+            for id in ids.iter().rev() {
+                let mut level = levels
+                    .iter()
+                    .find(|l| l.id == *id)
+                    .expect("checked membership")
+                    .clone();
+                let StmtKind::For { body: slot, .. } = &mut level.kind else {
+                    unreachable!("checked above")
+                };
+                **slot = body;
+                level.label = None;
+                body = level;
+            }
+            body
+        })
     }
 
     /// Fission a loop into two consecutive loops at the boundary *after* the
@@ -269,10 +270,10 @@ impl Schedule {
         loop_sel: Selector,
         after_sel: Selector,
     ) -> Result<(StmtId, StmtId), ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
+        let target = self.resolve_ref(loop_sel)?;
+        let (id, p) = (target.id, as_for_ref(target)?);
         let after_id = self.resolve(after_sel)?;
-        let StmtKind::Block(items) = &peel(&p.body).kind else {
+        let StmtKind::Block(items) = &peel(p.body).kind else {
             return Err(ScheduleError::Unsupported(
                 "fission needs a multi-statement loop body".to_string(),
             ));
@@ -295,40 +296,37 @@ impl Schedule {
             .iter()
             .flat_map(subtree_ids)
             .collect();
-        if let Some(v) = fission_illegal(self.func(), p.id, &|id| first_ids.contains(&id)) {
+        let iter = p.iter.to_string();
+        if let Some(v) = fission_illegal(self.func(), id, &|id| first_ids.contains(&id)) {
             self.note_deps(&v.deps);
             return Err(ScheduleError::Illegal(v.to_string()));
         }
         // Tensors defined before the cut but used after it would be severed;
         // reject (hoisting them is a separate concern).
-        let first = Stmt::new(StmtKind::Block(items[..cut].to_vec()));
-        let second_iter = format!("{}.b", p.iter);
-        let second_body = subst_var_stmt(
-            Stmt::new(StmtKind::Block(items[cut..].to_vec())),
-            &p.iter,
-            &ft_ir::builder::var(&second_iter),
-        );
-        let loop1 = Stmt {
-            id: p.id,
-            label: target.label.clone(),
-            kind: StmtKind::For {
-                iter: p.iter.clone(),
-                begin: p.begin.clone(),
-                end: p.end.clone(),
-                property: p.property.clone(),
-                body: Box::new(first),
-            },
-        };
-        let loop2 = ft_ir::builder::for_(
-            &second_iter,
-            p.begin.clone(),
-            p.end.clone(),
-            second_body,
-        );
-        let id2 = loop2.id;
-        let pair = Stmt::new(StmtKind::Block(vec![loop1, loop2]));
-        self.rewrite(p.id, |_| pair)?;
-        Ok((p.id, id2))
+        let second_iter = format!("{iter}.b");
+        let mut id2 = id;
+        self.rewrite(id, |mut loop1| {
+            let StmtKind::For {
+                begin, end, body, ..
+            } = &mut loop1.kind
+            else {
+                unreachable!("checked above")
+            };
+            let StmtKind::Block(mut first) = peel_into(body.take()).kind else {
+                unreachable!("checked above")
+            };
+            let second = first.split_off(cut);
+            **body = Stmt::new(StmtKind::Block(first));
+            let second_body = subst_var_stmt(
+                Stmt::new(StmtKind::Block(second)),
+                &iter,
+                &ft_ir::builder::var(&second_iter),
+            );
+            let loop2 = ft_ir::builder::for_(&second_iter, begin.clone(), end.clone(), second_body);
+            id2 = loop2.id;
+            Stmt::new(StmtKind::Block(vec![loop1, loop2]))
+        })?;
+        Ok((id, id2))
     }
 
     /// Fuse two consecutive loops with equal extents into one.
@@ -363,14 +361,15 @@ impl Schedule {
         first_sel: Selector,
         second_sel: Selector,
     ) -> Result<StmtId, ScheduleError> {
-        let l1 = self.resolve_stmt(first_sel)?;
-        let l2 = self.resolve_stmt(second_sel)?;
-        let p1 = as_for(&l1)?;
-        let p2 = as_for(&l2)?;
+        let l1 = self.resolve_ref(first_sel)?;
+        let l2 = self.resolve_ref(second_sel)?;
+        let (id1, id2) = (l1.id, l2.id);
+        let p1 = as_for_ref(l1)?;
+        let p2 = as_for_ref(l2)?;
         // Must be adjacent siblings of some block.
         let parent = ft_ir::find::find_stmt(&self.func().body, &|s| {
             matches!(&s.kind, StmtKind::Block(v)
-                if v.iter().any(|x| x.id == p1.id) && v.iter().any(|x| x.id == p2.id))
+                if v.iter().any(|x| x.id == id1) && v.iter().any(|x| x.id == id2))
         })
         .ok_or_else(|| {
             ScheduleError::Unsupported("loops to fuse must be siblings".to_string())
@@ -378,8 +377,8 @@ impl Schedule {
         let StmtKind::Block(items) = &parent.kind else {
             unreachable!()
         };
-        let pos1 = items.iter().position(|s| s.id == p1.id).unwrap();
-        let pos2 = items.iter().position(|s| s.id == p2.id).unwrap();
+        let pos1 = items.iter().position(|s| s.id == id1).unwrap();
+        let pos2 = items.iter().position(|s| s.id == id2).unwrap();
         if pos2 != pos1 + 1 {
             return Err(ScheduleError::Unsupported(
                 "loops to fuse must be adjacent".to_string(),
@@ -392,49 +391,31 @@ impl Schedule {
                 "loop extents differ: {e1:?} vs {e2:?}"
             )));
         }
-        if let Some(v) = fuse_illegal(self.func(), p1.id, p2.id) {
+        // Second body re-indexed onto the first iterator (paper's "+w" shift).
+        let shifted = const_fold_expr(
+            ft_ir::builder::var(p1.iter) - p1.begin.clone() + p2.begin.clone(),
+        );
+        let iter2 = p2.iter.to_string();
+        let parent_id = parent.id;
+        if let Some(v) = fuse_illegal(self.func(), id1, id2) {
             self.note_deps(&v.deps);
             return Err(ScheduleError::Illegal(v.to_string()));
         }
-        // Second body re-indexed onto the first iterator (paper's "+w" shift).
-        let shifted = const_fold_expr(
-            ft_ir::builder::var(&p1.iter) - p1.begin.clone() + p2.begin.clone(),
-        );
-        let body2 = subst_var_stmt(p2.body.clone(), &p2.iter, &shifted);
-        let fused_body = Stmt::new(StmtKind::Block(vec![p1.body.clone(), body2]));
-        let fused = Stmt {
-            id: p1.id,
-            label: l1.label.clone(),
-            kind: StmtKind::For {
-                iter: p1.iter.clone(),
-                begin: p1.begin.clone(),
-                end: p1.end.clone(),
-                property: p1.property.clone(),
-                body: Box::new(fused_body),
-            },
-        };
-        let parent_id = parent.id;
-        self.rewrite(parent_id, |s| {
-            let StmtKind::Block(items) = s.kind else {
+        self.rewrite(parent_id, |mut s| {
+            let StmtKind::Block(items) = &mut s.kind else {
                 unreachable!()
             };
-            let mut out = Vec::new();
-            for st in items {
-                if st.id == p1.id {
-                    out.push(fused.clone());
-                } else if st.id == p2.id {
-                    // dropped: fused into loop 1
-                } else {
-                    out.push(st);
-                }
-            }
-            Stmt {
-                id: s.id,
-                label: s.label,
-                kind: StmtKind::Block(out),
-            }
+            let StmtKind::For { body: body2, .. } = items.remove(pos2).kind else {
+                unreachable!("checked above")
+            };
+            let StmtKind::For { body, .. } = &mut items[pos1].kind else {
+                unreachable!("checked above")
+            };
+            let body2 = subst_var_stmt(*body2, &iter2, &shifted);
+            **body = Stmt::new(StmtKind::Block(vec![body.take(), body2]));
+            s
         })?;
-        Ok(p1.id)
+        Ok(id1)
     }
 
     /// Swap two consecutive statements (including whole loops).

@@ -228,7 +228,7 @@ impl Schedule {
                     "non-affine loop bounds around the cache scope".to_string(),
                 ));
             };
-            ctx.push(l.iter.clone(), lo, hi - 1);
+            ctx.push(l.iter, lo, hi - 1);
         }
         // Loops inside (and including) the scope are eliminated.
         let mut eliminate: Vec<String> = Vec::new();
@@ -306,11 +306,11 @@ impl Schedule {
             for l in &nest.loops {
                 if let (Some(lo), Some(hi)) = (to_linexpr(&l.begin), to_linexpr(&l.end)) {
                     domain.push(ft_poly::Constraint::ge(
-                        LinExpr::var(l.iter.clone()),
+                        LinExpr::var(l.iter),
                         lo,
                     ));
                     domain.push(ft_poly::Constraint::lt(
-                        LinExpr::var(l.iter.clone()),
+                        LinExpr::var(l.iter),
                         hi,
                     ));
                 }
@@ -393,9 +393,9 @@ impl Schedule {
         var: &str,
         mtype: MemType,
     ) -> Result<String, ScheduleError> {
-        let scope = self.resolve_stmt(scope_sel)?;
-        let uses = collect_use(&scope, var);
-        let dims = self.cache_region(&scope, var, &uses)?;
+        let scope = self.resolve_ref(scope_sel)?;
+        let uses = collect_use(scope, var);
+        let dims = self.cache_region(scope, var, &uses)?;
         let dtype = self
             .tensor_dtype(var)
             .ok_or_else(|| ScheduleError::NotFound(format!("tensor `{var}`")))?;
@@ -405,7 +405,8 @@ impl Schedule {
         // conformance sweep: double-`cache` of longformer's `Q`).
         let mut used = bound_names(self.func());
         let cache_name = fresh_name(&format!("{var}.cache"), &mut used);
-        let (offsets, extents) = self.clamped_region(&scope, var, &dims)?;
+        let (offsets, extents) = self.clamped_region(scope, var, &dims)?;
+        let scope_id = scope.id;
         let iters: Vec<String> = (0..dims.len())
             .map(|d| fresh_name(&format!("{var}.c{d}"), &mut used))
             .collect();
@@ -444,29 +445,17 @@ impl Schedule {
                 )
             })
         });
-        let rewritten = RemapAccess {
-            from: var,
-            to: &cache_name,
-            offsets: &offsets,
-        }
-        .mutate_stmt(scope.clone());
-        let mut seq: Vec<Stmt> = Vec::new();
-        if let Some(f) = fill {
-            seq.push(f);
-        }
-        seq.push(rewritten);
-        if let Some(w) = writeback {
-            seq.push(w);
-        }
-        let def = ft_ir::builder::var_def(
-            &cache_name,
-            extents,
-            dtype,
-            mtype,
-            Stmt::new(StmtKind::Block(seq)),
-        );
-        let scope_id = scope.id;
-        self.rewrite(scope_id, |_| def)?;
+        self.rewrite(scope_id, |scope| {
+            let rewritten = RemapAccess {
+                from: var,
+                to: &cache_name,
+                offsets: &offsets,
+            }
+            .mutate_stmt(scope);
+            let seq = fill.into_iter().chain([rewritten]).chain(writeback).collect();
+            let seq = Stmt::new(StmtKind::Block(seq));
+            ft_ir::builder::var_def(&cache_name, extents, dtype, mtype, seq)
+        })?;
         Ok(cache_name)
     }
 
@@ -499,8 +488,8 @@ impl Schedule {
         var: &str,
         mtype: MemType,
     ) -> Result<String, ScheduleError> {
-        let scope = self.resolve_stmt(scope_sel)?;
-        let uses = collect_use(&scope, var);
+        let scope = self.resolve_ref(scope_sel)?;
+        let uses = collect_use(scope, var);
         if uses.reads || uses.reduce_ops.is_empty() {
             return Err(ScheduleError::Unsupported(
                 "cache_reduce requires reduce-only accesses".to_string(),
@@ -512,14 +501,15 @@ impl Schedule {
                 "cache_reduce requires a single reduction operator".to_string(),
             ));
         }
-        let dims = self.cache_region(&scope, var, &uses)?;
+        let dims = self.cache_region(scope, var, &uses)?;
         let dtype = self
             .tensor_dtype(var)
             .ok_or_else(|| ScheduleError::NotFound(format!("tensor `{var}`")))?;
         // Fresh names, for the same reason as in `cache_impl`.
         let mut used = bound_names(self.func());
         let cache_name = fresh_name(&format!("{var}.cache_red"), &mut used);
-        let (offsets, extents) = self.clamped_region(&scope, var, &dims)?;
+        let (offsets, extents) = self.clamped_region(scope, var, &dims)?;
+        let scope_id = scope.id;
         let iters: Vec<String> = (0..dims.len())
             .map(|d| fresh_name(&format!("{var}.r{d}"), &mut used))
             .collect();
@@ -542,21 +532,16 @@ impl Schedule {
                 },
             )
         });
-        let rewritten = RemapAccess {
-            from: var,
-            to: &cache_name,
-            offsets: &offsets,
-        }
-        .mutate_stmt(scope.clone());
-        let def = ft_ir::builder::var_def(
-            &cache_name,
-            extents,
-            dtype,
-            mtype,
-            Stmt::new(StmtKind::Block(vec![init, rewritten, writeback])),
-        );
-        let scope_id = scope.id;
-        self.rewrite(scope_id, |_| def)?;
+        self.rewrite(scope_id, |scope| {
+            let rewritten = RemapAccess {
+                from: var,
+                to: &cache_name,
+                offsets: &offsets,
+            }
+            .mutate_stmt(scope);
+            let seq = Stmt::new(StmtKind::Block(vec![init, rewritten, writeback]));
+            ft_ir::builder::var_def(&cache_name, extents, dtype, mtype, seq)
+        })?;
         Ok(cache_name)
     }
 
@@ -592,30 +577,11 @@ impl Schedule {
         });
         let def_id =
             def_id.ok_or_else(|| ScheduleError::NotFound(format!("local tensor `{var}`")))?;
-        self.rewrite(def_id, |s| {
-            let StmtKind::VarDef {
-                name,
-                shape,
-                dtype,
-                atype,
-                body,
-                ..
-            } = s.kind
-            else {
-                unreachable!()
-            };
-            Stmt {
-                id: s.id,
-                label: s.label,
-                kind: StmtKind::VarDef {
-                    name,
-                    shape,
-                    dtype,
-                    mtype: new_mtype,
-                    atype,
-                    body,
-                },
+        self.rewrite(def_id, |mut s| {
+            if let StmtKind::VarDef { mtype, .. } = &mut s.kind {
+                *mtype = new_mtype;
             }
+            s
         })
     }
 }

@@ -2,7 +2,7 @@
 //! (paper Table 1, "Others").
 
 use crate::trace::ScheduleOp;
-use crate::util::{as_for, as_for_ref, bound_names, fresh_name, peel, refresh_ids};
+use crate::util::{as_for_ref, bound_names, fresh_name, peel, peel_into, refresh_ids};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::{const_bounds, to_linexpr, BoundsCtx};
 use ft_ir::builder::var;
@@ -190,19 +190,17 @@ impl Schedule {
     }
 
     fn separate_tail_impl(&mut self, loop_sel: Selector) -> Result<Separated, ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
+        let target = self.resolve_ref(loop_sel)?;
+        let (id, p) = (target.id, as_for_ref(target)?);
         let unsup = |m: String| ScheduleError::Unsupported(format!("separate_tail: {m}"));
         let StmtKind::If {
-            cond,
-            then,
-            otherwise,
-        } = &peel(&p.body).kind
+            cond, otherwise, ..
+        } = &peel(p.body).kind
         else {
             return Err(unsup(format!("the body of `{}` is not one `if`", p.iter)));
         };
-        let (lows, highs) = guard_bounds(cond, &p.iter).map_err(unsup)?;
-        let ctx = outer_bounds(self.func(), p.id);
+        let (lows, highs) = guard_bounds(cond, p.iter).map_err(unsup)?;
+        let ctx = outer_bounds(self.func(), id);
         let lo = fold_bound(
             BinaryOp::Max,
             std::iter::once(p.begin.clone()).chain(lows),
@@ -226,7 +224,7 @@ impl Schedule {
                 return None;
             }
             let iter = fresh_name(&format!("{}.{piece}", p.iter), &mut used);
-            let body = ft_ir::mutate::subst_var_stmt(refresh_ids(arm), &p.iter, &var(&iter));
+            let body = ft_ir::mutate::subst_var_stmt(refresh_ids(arm), p.iter, &var(&iter));
             Some(Stmt::new(StmtKind::For {
                 iter,
                 begin,
@@ -237,28 +235,28 @@ impl Schedule {
         };
         let head = else_loop("head", p.begin.clone(), head_end);
         let tail = else_loop("tail", tail_begin, p.end.clone());
-        let interior = Stmt {
-            id: p.id,
-            label: target.label.clone(),
-            kind: StmtKind::For {
-                iter: p.iter.clone(),
-                begin: lo,
-                end: hi,
-                property: p.property.clone(),
-                body: then.clone(),
-            },
-        };
         let split = Separated {
             head: head.as_ref().map(|s| s.id),
-            interior: p.id,
+            interior: id,
             tail: tail.as_ref().map(|s| s.id),
         };
-        let mut pieces: Vec<Stmt> = head.into_iter().chain([interior]).chain(tail).collect();
-        let replacement = match pieces.len() {
-            1 => pieces.pop().expect("one piece"),
-            _ => Stmt::new(StmtKind::Block(pieces)),
-        };
-        self.rewrite(p.id, |_| replacement)?;
+        self.rewrite(id, |mut interior| {
+            let StmtKind::For {
+                begin, end, body, ..
+            } = &mut interior.kind
+            else {
+                unreachable!("checked above")
+            };
+            let StmtKind::If { then, .. } = peel_into(body.take()).kind else {
+                unreachable!("checked above")
+            };
+            (*begin, *end, *body) = (lo, hi, then);
+            let mut pieces: Vec<Stmt> = head.into_iter().chain([interior]).chain(tail).collect();
+            match pieces.len() {
+                1 => pieces.pop().expect("one piece"),
+                _ => Stmt::new(StmtKind::Block(pieces)),
+            }
+        })?;
         Ok(split)
     }
 }

@@ -1,7 +1,7 @@
 //! Parallelizing transformations: `parallelize`, `unroll`, `blend`,
 //! `vectorize` (paper Table 1, "Parallelizing Trans.").
 
-use crate::util::{as_for, peel, refresh_ids, replace_by_id};
+use crate::util::{as_for_ref, peel, peel_into, refresh_ids, replace_by_id, ForRef};
 use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::collect_accesses;
@@ -48,14 +48,14 @@ impl Schedule {
         loop_sel: Selector,
         scope: ParallelScope,
     ) -> Result<(), ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
+        let target = self.resolve_ref(loop_sel)?;
+        let (id, iter) = (target.id, as_for_ref(target)?.iter);
         let info = collect_accesses(self.func());
-        let blockers = loop_carried_deps_in(&info, p.id);
+        let blockers = loop_carried_deps_in(&info, id);
         if let Some(dep) = blockers.first() {
             let msg = format!(
-                "loop `{}` carries a {:?} dependence on `{}` ({} -> {})",
-                p.iter, dep.kind, dep.var, dep.source, dep.sink
+                "loop `{iter}` carries a {:?} dependence on `{}` ({} -> {})",
+                dep.kind, dep.var, dep.source, dep.sink
             );
             self.note_deps(&blockers);
             return Err(ScheduleError::Illegal(msg));
@@ -74,11 +74,11 @@ impl Schedule {
         });
         let written_outside = info.accesses.iter().find(|a| {
             a.kind.writes()
-                && a.loops.iter().any(|l| l.id == p.id)
+                && a.loops.iter().any(|l| l.id == id)
                 && a.def.is_some_and(|d| thread_local.contains(&d))
                 && info
                     .def_loops(a)
-                    .is_some_and(|containing| !containing.contains(&p.id))
+                    .is_some_and(|containing| !containing.contains(&id))
         });
         if let Some(acc) = written_outside {
             return Err(ScheduleError::Illegal(format!(
@@ -87,57 +87,21 @@ impl Schedule {
             )));
         }
         // Reductions updated by multiple iterations become atomic.
-        let atomics = carried_reductions_in(&info, p.id);
+        let atomics = carried_reductions_in(&info, id);
         for rid in atomics {
-            let found = replace_by_id(&mut self.func_mut().body, rid, |s| match s.kind {
-                StmtKind::ReduceTo {
-                    var,
-                    indices,
-                    op,
-                    value,
-                    ..
-                } => Stmt {
-                    id: s.id,
-                    label: s.label,
-                    kind: StmtKind::ReduceTo {
-                        var,
-                        indices,
-                        op,
-                        value,
-                        atomic: true,
-                    },
-                },
-                k => Stmt {
-                    id: s.id,
-                    label: s.label,
-                    kind: k,
-                },
+            let found = replace_by_id(&mut self.func_mut().body, rid, |mut s| {
+                if let StmtKind::ReduceTo { atomic, .. } = &mut s.kind {
+                    *atomic = true;
+                }
+                s
             });
             assert!(found, "reduction id came from this tree");
         }
-        self.rewrite(p.id, |s| {
-            let StmtKind::For {
-                iter,
-                begin,
-                end,
-                mut property,
-                body,
-            } = s.kind
-            else {
-                unreachable!()
-            };
-            property.parallel = scope;
-            Stmt {
-                id: s.id,
-                label: s.label,
-                kind: StmtKind::For {
-                    iter,
-                    begin,
-                    end,
-                    property,
-                    body,
-                },
+        self.rewrite(id, |mut s| {
+            if let StmtKind::For { property, .. } = &mut s.kind {
+                property.parallel = scope;
             }
+            s
         })
     }
 
@@ -158,31 +122,46 @@ impl Schedule {
     }
 
     fn unroll_impl(&mut self, loop_sel: Selector) -> Result<(), ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
+        let (id, p, b, e) = self.constant_trip(loop_sel, "unroll")?;
+        let iter = p.iter.to_string();
+        self.rewrite(id, |s| {
+            let StmtKind::For { body, .. } = s.kind else {
+                unreachable!("checked above")
+            };
+            let copies = (b..e)
+                .map(|i| subst_var_stmt(refresh_ids(&body), &iter, &Expr::IntConst(i)))
+                .collect();
+            Stmt {
+                kind: StmtKind::Block(copies),
+                ..s
+            }
+        })
+    }
+
+    /// The loop `unroll` or `blend` (`what`) is asked to expand, in place,
+    /// with its constant bounds: at most 64 iterations.
+    fn constant_trip(
+        &self,
+        loop_sel: Selector,
+        what: &str,
+    ) -> Result<(StmtId, ForRef<'_>, i64, i64), ScheduleError> {
+        let target = self.resolve_ref(loop_sel)?;
+        let p = as_for_ref(target)?;
         let (Some(b), Some(e)) = (
             ft_passes::const_fold_expr(p.begin.clone()).as_int(),
             ft_passes::const_fold_expr(p.end.clone()).as_int(),
         ) else {
-            return Err(ScheduleError::Unsupported(
-                "unroll requires constant loop bounds".to_string(),
-            ));
+            return Err(ScheduleError::Unsupported(format!(
+                "{what} requires constant loop bounds"
+            )));
         };
         if e - b > 64 {
             return Err(ScheduleError::Unsupported(format!(
-                "unroll limit exceeded: {} iterations",
+                "{what} limit exceeded: {} iterations",
                 e - b
             )));
         }
-        let copies: Vec<Stmt> = (b..e)
-            .map(|i| subst_var_stmt(refresh_ids(&p.body), &p.iter, &Expr::IntConst(i)))
-            .collect();
-        let unrolled = Stmt {
-            id: p.id,
-            label: target.label.clone(),
-            kind: StmtKind::Block(copies),
-        };
-        self.rewrite(p.id, |_| unrolled)
+        Ok((target.id, p, b, e))
     }
 
     /// Unroll a loop and interleave the statements of its iterations:
@@ -202,53 +181,43 @@ impl Schedule {
     }
 
     fn blend_impl(&mut self, loop_sel: Selector) -> Result<(), ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
-        let (Some(b), Some(e)) = (
-            ft_passes::const_fold_expr(p.begin.clone()).as_int(),
-            ft_passes::const_fold_expr(p.end.clone()).as_int(),
-        ) else {
-            return Err(ScheduleError::Unsupported(
-                "blend requires constant loop bounds".to_string(),
-            ));
-        };
-        if e - b > 64 {
-            return Err(ScheduleError::Unsupported(format!(
-                "blend limit exceeded: {} iterations",
-                e - b
-            )));
-        }
-        let body = peel(&p.body).clone();
-        let items: Vec<Stmt> = match &body.kind {
-            StmtKind::Block(v) => v.clone(),
-            _ => vec![body.clone()],
+        let (id, p, b, e) = self.constant_trip(loop_sel, "blend")?;
+        let iter = p.iter.to_string();
+        let body = peel(p.body);
+        let items = match &body.kind {
+            StmtKind::Block(v) => v.as_slice(),
+            _ => std::slice::from_ref(body),
         };
         // Blending hoists statement j of iteration i+1 above statement j+1
         // of iteration i — the same reversal a fission at each boundary
         // would cause; verify each boundary.
         for cut in 1..items.len() {
             let first_ids: HashSet<StmtId> = items[..cut].iter().flat_map(subtree_ids).collect();
-            if let Some(v) = fission_illegal(self.func(), p.id, &|id| first_ids.contains(&id)) {
+            if let Some(v) = fission_illegal(self.func(), id, &|id| first_ids.contains(&id)) {
                 self.note_deps(&v.deps);
                 return Err(ScheduleError::Illegal(v.to_string()));
             }
         }
-        let mut out: Vec<Stmt> = Vec::new();
-        for stmt in &items {
-            for i in b..e {
-                out.push(subst_var_stmt(
-                    refresh_ids(stmt),
-                    &p.iter,
-                    &Expr::IntConst(i),
-                ));
+        self.rewrite(id, |s| {
+            let StmtKind::For { body, .. } = s.kind else {
+                unreachable!("checked above")
+            };
+            let body = peel_into(*body);
+            let items = match body.kind {
+                StmtKind::Block(v) => v,
+                _ => vec![body],
+            };
+            let mut out: Vec<Stmt> = Vec::new();
+            for stmt in &items {
+                for i in b..e {
+                    out.push(subst_var_stmt(refresh_ids(stmt), &iter, &Expr::IntConst(i)));
+                }
             }
-        }
-        let blended = Stmt {
-            id: p.id,
-            label: target.label.clone(),
-            kind: StmtKind::Block(out),
-        };
-        self.rewrite(p.id, |_| blended)
+            Stmt {
+                kind: StmtKind::Block(out),
+                ..s
+            }
+        })
     }
 
     /// Implement a loop with vector instructions.
@@ -268,40 +237,22 @@ impl Schedule {
     }
 
     fn vectorize_impl(&mut self, loop_sel: Selector) -> Result<(), ScheduleError> {
-        let target = self.resolve_stmt(loop_sel)?;
-        let p = as_for(&target)?;
-        let blockers = loop_carried_deps(self.func(), p.id);
+        let target = self.resolve_ref(loop_sel)?;
+        let (id, iter) = (target.id, as_for_ref(target)?.iter);
+        let blockers = loop_carried_deps(self.func(), id);
         if let Some(dep) = blockers.first() {
             let msg = format!(
-                "loop `{}` carries a {:?} dependence on `{}`",
-                p.iter, dep.kind, dep.var
+                "loop `{iter}` carries a {:?} dependence on `{}`",
+                dep.kind, dep.var
             );
             self.note_deps(&blockers);
             return Err(ScheduleError::Illegal(msg));
         }
-        self.rewrite(p.id, |s| {
-            let StmtKind::For {
-                iter,
-                begin,
-                end,
-                mut property,
-                body,
-            } = s.kind
-            else {
-                unreachable!()
-            };
-            property.vectorize = true;
-            Stmt {
-                id: s.id,
-                label: s.label,
-                kind: StmtKind::For {
-                    iter,
-                    begin,
-                    end,
-                    property,
-                    body,
-                },
+        self.rewrite(id, |mut s| {
+            if let StmtKind::For { property, .. } = &mut s.kind {
+                property.vectorize = true;
             }
+            s
         })
     }
 }

@@ -2,6 +2,8 @@
 
 use crate::ScheduleError;
 use ft_ir::{Expr, Stmt, StmtId, StmtKind};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// Rewrite the statement with id `target` through `f`, in place, leaving
 /// the rest of the tree untouched (no copy of it is made). Returns `false`,
@@ -32,44 +34,24 @@ pub fn replace_by_id(root: &mut Stmt, target: StmtId, f: impl FnOnce(Stmt) -> St
 pub fn peel(s: &Stmt) -> &Stmt {
     match &s.kind {
         StmtKind::Block(v) => {
-            let non_empty: Vec<&Stmt> = v.iter().filter(|st| !st.is_empty()).collect();
-            if non_empty.len() == 1 {
-                peel(non_empty[0])
-            } else {
-                s
+            let mut non_empty = v.iter().filter(|st| !st.is_empty());
+            match (non_empty.next(), non_empty.next()) {
+                (Some(only), None) => peel(only),
+                _ => s,
             }
         }
         _ => s,
     }
 }
 
-/// Destructure a `For` statement or fail.
-pub struct ForParts {
-    /// The loop's own id.
-    pub id: StmtId,
-    /// Iterator name.
-    pub iter: String,
-    /// Inclusive lower bound.
-    pub begin: Expr,
-    /// Exclusive upper bound.
-    pub end: Expr,
-    /// Scheduling attributes.
-    pub property: ft_ir::ForProperty,
-    /// Loop body (cloned).
-    pub body: Stmt,
-}
-
-/// View a statement as a loop (a copy of it).
-pub fn as_for(s: &Stmt) -> Result<ForParts, ScheduleError> {
-    let l = as_for_ref(s)?;
-    Ok(ForParts {
-        id: s.id,
-        iter: l.iter.to_string(),
-        begin: l.begin.clone(),
-        end: l.end.clone(),
-        property: l.property.clone(),
-        body: l.body.clone(),
-    })
+/// [`peel`] by value: the statement a body consists of, moved out.
+pub fn peel_into(s: Stmt) -> Stmt {
+    match s.kind {
+        StmtKind::Block(v) if v.iter().filter(|st| !st.is_empty()).count() == 1 => {
+            peel_into(v.into_iter().find(|st| !st.is_empty()).expect("one non-empty"))
+        }
+        kind => Stmt { kind, ..s },
+    }
 }
 
 /// A loop seen in place.
@@ -124,8 +106,8 @@ fn not_a_loop(s: &Stmt) -> ScheduleError {
 }
 
 /// The extent (`end - begin`) of a loop, constant-folded.
-pub fn extent(parts: &ForParts) -> Expr {
-    ft_passes::const_fold_expr(parts.end.clone() - parts.begin.clone())
+pub fn extent(l: &ForRef<'_>) -> Expr {
+    ft_passes::const_fold_expr(l.end.clone() - l.begin.clone())
 }
 
 /// Every name bound anywhere in `func`: parameters, size parameters, local
@@ -134,16 +116,13 @@ pub fn extent(parts: &ForParts) -> Expr {
 /// primitive to the same tensor would otherwise emit a second def/iterator
 /// with the first one's name, and the copy emitted by the second application
 /// can end up shadowed by (or capturing) the first.
-pub fn bound_names(func: &ft_ir::Func) -> std::collections::HashSet<String> {
-    let mut used: std::collections::HashSet<String> =
-        func.params.iter().map(|p| p.name.clone()).collect();
-    used.extend(func.size_params.iter().cloned());
+pub fn bound_names(func: &ft_ir::Func) -> HashSet<Cow<'_, str>> {
+    let params = func.params.iter().map(|p| p.name.as_str());
+    let mut used: HashSet<Cow<str>> =
+        params.chain(func.size_params.iter().map(String::as_str)).map(Cow::Borrowed).collect();
     func.body.walk(&mut |s| match &s.kind {
-        StmtKind::VarDef { name, .. } => {
-            used.insert(name.clone());
-        }
-        StmtKind::For { iter, .. } => {
-            used.insert(iter.clone());
+        StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } => {
+            used.insert(Cow::Borrowed(name));
         }
         _ => {}
     });
@@ -151,16 +130,16 @@ pub fn bound_names(func: &ft_ir::Func) -> std::collections::HashSet<String> {
 }
 
 /// Pick `base` if unused, else `base.1`, `base.2`, …; reserves the result.
-pub fn fresh_name(base: &str, used: &mut std::collections::HashSet<String>) -> String {
+pub fn fresh_name(base: &str, used: &mut HashSet<Cow<'_, str>>) -> String {
     let name = if used.contains(base) {
         (1..)
             .map(|k| format!("{base}.{k}"))
-            .find(|c| !used.contains(c))
+            .find(|c| !used.contains(c.as_str()))
             .expect("unbounded candidate space")
     } else {
         base.to_string()
     };
-    used.insert(name.clone());
+    used.insert(Cow::Owned(name.clone()));
     name
 }
 
@@ -245,11 +224,21 @@ mod tests {
     }
 
     #[test]
-    fn as_for_and_extent() {
+    fn peel_into_moves_what_peel_sees() {
+        let inner = store("a", [0], 1.0f32);
+        let iid = inner.id;
+        assert_eq!(peel_into(block([block([inner, empty()])])).id, iid);
+        let two = block([store("a", [0], 1.0f32), store("a", [1], 2.0f32)]);
+        let tid = two.id;
+        assert_eq!(peel_into(two).id, tid);
+    }
+
+    #[test]
+    fn as_for_ref_and_extent() {
         let l = for_("i", 2, var("n"), empty());
-        let p = as_for(&l).unwrap();
+        let p = as_for_ref(&l).unwrap();
         assert_eq!(p.iter, "i");
         assert_eq!(extent(&p), var("n") - 2);
-        assert!(as_for(&empty()).is_err());
+        assert!(as_for_ref(&empty()).is_err());
     }
 }

@@ -883,7 +883,7 @@ fn iterator_guards(f: &Func) -> Vec<String> {
         };
         let nest = freetensor::ir::find::loop_nest_of(&f.body, s.id).expect("in the tree");
         let free = cond.free_vars();
-        if nest.loops.iter().any(|l| free.contains(&l.iter)) {
+        if nest.loops.iter().any(|l| free.contains(l.iter)) {
             guards.push(format!("{cond:?}"));
         }
     });

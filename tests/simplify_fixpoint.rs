@@ -89,7 +89,7 @@ fn every_accepted_sampled_schedule_simplifies_in_one_round() {
             accepted += trace.len();
             let what = format!("{} sample {k} {trace:?}", w.name());
             let sink = TraceSink::new();
-            let once = ft_passes::simplify_traced(&scheduled, Some(&sink));
+            let once = ft_passes::simplify_traced(scheduled, Some(&sink));
             assert_one_round(&what, &sink);
             assert_fixpoint(&what, &once);
         }
