@@ -75,7 +75,11 @@ pub fn symbolic_bounds(e: &Expr, ctx: &BoundsCtx, eliminate: &[String]) -> Optio
 }
 
 /// [`symbolic_bounds`] with the eliminated variables given by a predicate.
-fn bounds_without(e: &Expr, ctx: &BoundsCtx, eliminated: impl Fn(&str) -> bool) -> Option<SymBounds> {
+fn bounds_without(
+    e: &Expr,
+    ctx: &BoundsCtx,
+    eliminated: impl Fn(&str) -> bool,
+) -> Option<SymBounds> {
     let lin = to_linexpr(e)?;
     let mut lower = lin.clone();
     let mut upper = lin;

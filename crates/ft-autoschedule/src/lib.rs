@@ -117,7 +117,8 @@ fn loop_facts(func: &Func) -> Vec<LoopFacts> {
             ..
         } = &s.kind
         else {
-            return s.children().for_each(|c| rec(c, enclosed, out));
+            s.children().for_each(|c| rec(c, enclosed, out));
+            return;
         };
         let k = out.len();
         let peeled = ft_schedule::util::peel(body);

@@ -143,7 +143,8 @@ impl Schedule {
             };
             let inner = subst_var_stmt(*inner, &iter_i, &j_val);
             **body = subst_var_stmt(inner, &iter_o, &i_val);
-            (*iter, *begin, *end) = (merged_name, Expr::IntConst(0), const_fold_expr(ext_o * ext_i));
+            let merged_end = const_fold_expr(ext_o * ext_i);
+            (*iter, *begin, *end) = (merged_name, Expr::IntConst(0), merged_end);
             s
         })?;
         Ok(outer_id)

@@ -223,7 +223,7 @@ impl Schedule {
             .ok_or_else(|| ScheduleError::NotFound(format!("{:?}", scope.id)))?;
         let mut ctx = BoundsCtx::new();
         for l in &nest.loops {
-            let (Some(lo), Some(hi)) = (to_linexpr(&l.begin), to_linexpr(&l.end)) else {
+            let (Some(lo), Some(hi)) = (to_linexpr(l.begin), to_linexpr(l.end)) else {
                 return Err(ScheduleError::Unsupported(
                     "non-affine loop bounds around the cache scope".to_string(),
                 ));
@@ -304,7 +304,7 @@ impl Schedule {
         let mut domain = ft_poly::System::new();
         if let Some(nest) = ft_ir::find::loop_nest_of(&self.func().body, scope.id) {
             for l in &nest.loops {
-                if let (Some(lo), Some(hi)) = (to_linexpr(&l.begin), to_linexpr(&l.end)) {
+                if let (Some(lo), Some(hi)) = (to_linexpr(l.begin), to_linexpr(l.end)) {
                     domain.push(ft_poly::Constraint::ge(
                         LinExpr::var(l.iter),
                         lo,

@@ -376,8 +376,8 @@ fn outer_bounds(func: &ft_ir::Func, id: StmtId) -> BoundsCtx {
     }
     let mut ctx = BoundsCtx::new();
     for l in ft_ir::find::loop_nest_of(&func.body, id).map_or_else(Vec::new, |n| n.loops) {
-        let lo = operand(&l.begin, BinaryOp::Max);
-        if let (Some(lo), Some(hi)) = (lo, operand(&l.end, BinaryOp::Min)) {
+        let lo = operand(l.begin, BinaryOp::Max);
+        if let (Some(lo), Some(hi)) = (lo, operand(l.end, BinaryOp::Min)) {
             ctx.push(l.iter, lo, hi - 1);
         }
     }
