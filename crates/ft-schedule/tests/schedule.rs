@@ -155,6 +155,31 @@ fn reorder_legal_case_runs_and_permutes() {
 }
 
 #[test]
+fn reorder_keeps_loop_labels() {
+    let f = Func::new("f")
+        .param("a", [4, 3], DataType::F32, AccessType::Output)
+        .body(
+            for_(
+                "i",
+                0,
+                4,
+                for_("j", 0, 3, store("a", [var("i"), var("j")], 1.0f32)).with_label("Lj"),
+            )
+            .with_label("Li"),
+        );
+    let mut s = Schedule::new(f);
+    s.reorder(&["j", "i"]).unwrap();
+    for (label, iter) in [("Li", "i"), ("Lj", "j")] {
+        let sel = ft_ir::find::Selector::Label(label.to_string());
+        match sel.resolve(s.func()).map(|st| &st.kind) {
+            Some(StmtKind::For { iter: it, .. }) => assert_eq!(it, iter, "{}", s.func()),
+            other => panic!("{label} resolves to {other:?} after reorder:\n{}", s.func()),
+        }
+    }
+    s.vectorize(ft_ir::find::Selector::Label("Li".to_string())).unwrap();
+}
+
+#[test]
 fn reorder_illegal_case_rejected() {
     // Fig. 12(b): scalar recurrence.
     let f = Func::new("f")
