@@ -228,16 +228,15 @@ impl Schedule {
                 cur = inner;
             };
             for id in ids.iter().rev() {
-                let mut level = levels
+                let at = levels
                     .iter()
-                    .find(|l| l.id == *id)
-                    .expect("checked membership")
-                    .clone();
+                    .position(|l| l.id == *id)
+                    .expect("checked membership");
+                let mut level = levels.swap_remove(at);
                 let StmtKind::For { body: slot, .. } = &mut level.kind else {
                     unreachable!("checked above")
                 };
                 **slot = body;
-                level.label = None;
                 body = level;
             }
             body
