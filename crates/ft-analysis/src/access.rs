@@ -2,6 +2,7 @@
 
 use ft_ir::{Expr, Func, ReduceOp, Stmt, StmtId, StmtKind};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// How an access touches its tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +56,12 @@ pub struct Access<'f> {
     pub indices: &'f [Expr],
     /// Read / write / reduce.
     pub kind: AccessKind,
-    /// Enclosing loops, outermost first.
-    pub loops: Vec<LoopCtx<'f>>,
+    /// Enclosing loops, outermost first (shared by the accesses under the
+    /// same loops).
+    pub loops: Rc<[LoopCtx<'f>]>,
     /// Enclosing branch conditions; `(cond, taken)` where `taken == false`
-    /// means the access is in the `else` arm.
-    pub conds: Vec<(&'f Expr, bool)>,
+    /// means the access is in the `else` arm (shared likewise).
+    pub conds: Rc<[(&'f Expr, bool)]>,
     /// Pre-order position of the containing statement, for syntactic
     /// ordering of instances with equal loop iterations.
     pub pos: usize,
@@ -88,6 +90,10 @@ impl AccessInfo<'_> {
 struct Collector<'f> {
     loops: Vec<LoopCtx<'f>>,
     conds: Vec<(&'f Expr, bool)>,
+    /// Snapshots of `loops` and `conds` that the accesses recorded under
+    /// them share; taken at the first access after a push or pop.
+    loops_snap: Option<Rc<[LoopCtx<'f>]>>,
+    conds_snap: Option<Rc<[(&'f Expr, bool)]>>,
     /// The `VarDef`s in scope, innermost last.
     scope: Vec<(&'f str, StmtId)>,
     pos: usize,
@@ -108,8 +114,8 @@ impl<'f> Collector<'f> {
             def,
             indices,
             kind,
-            loops: self.loops.clone(),
-            conds: self.conds.clone(),
+            loops: Rc::clone(self.loops_snap.get_or_insert_with(|| self.loops.as_slice().into())),
+            conds: Rc::clone(self.conds_snap.get_or_insert_with(|| self.conds.as_slice().into())),
             pos: self.pos,
         });
     }
@@ -138,6 +144,14 @@ impl<'f> Collector<'f> {
             }
             _ => {}
         }
+    }
+
+    fn walk_arm(&mut self, cond: &'f Expr, taken: bool, arm: &'f Stmt) {
+        self.conds.push((cond, taken));
+        self.conds_snap = None;
+        self.walk(arm);
+        self.conds.pop();
+        self.conds_snap = None;
     }
 
     fn walk(&mut self, s: &'f Stmt) {
@@ -179,8 +193,10 @@ impl<'f> Collector<'f> {
                     begin,
                     end,
                 });
+                self.loops_snap = None;
                 self.walk(body);
                 self.loops.pop();
+                self.loops_snap = None;
             }
             StmtKind::If {
                 cond,
@@ -188,13 +204,9 @@ impl<'f> Collector<'f> {
                 otherwise,
             } => {
                 self.record_expr_reads(s.id, cond);
-                self.conds.push((cond, true));
-                self.walk(then);
-                self.conds.pop();
+                self.walk_arm(cond, true, then);
                 if let Some(o) = otherwise {
-                    self.conds.push((cond, false));
-                    self.walk(o);
-                    self.conds.pop();
+                    self.walk_arm(cond, false, o);
                 }
             }
             StmtKind::Store {
@@ -245,6 +257,8 @@ pub fn collect_accesses(func: &Func) -> AccessInfo<'_> {
     let mut c = Collector {
         loops: Vec::new(),
         conds: Vec::new(),
+        loops_snap: None,
+        conds_snap: None,
         scope: Vec::new(),
         pos: 0,
         info: AccessInfo::default(),

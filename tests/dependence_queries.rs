@@ -53,7 +53,7 @@ fn reduction_reference(f: &Func) -> Vec<(StmtId, StmtId, StmtId)> {
             let common = a
                 .loops
                 .iter()
-                .zip(&b.loops)
+                .zip(b.loops.iter())
                 .take_while(|(p, q)| p.id == q.id);
             for (c, _) in common {
                 if dep_exists(&info, a, b, Carrier::Loop(c.id)) != Sat::Empty {
