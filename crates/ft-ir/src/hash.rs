@@ -1,8 +1,12 @@
 //! The one FNV-1a loop, with the one (standard) prime, that every content
 //! key in the workspace goes through: artifact-cache keys (streamed over the
-//! unit `ft-codegen` emits), `MemPlan::plan_hash`, schedule `canonical_key`
-//! and request keys (both stream a program's `Display` in through
-//! [`std::fmt::Write`], no `String`), output digests, per-variant fuzz seeds.
+//! unit `ft-codegen` emits), `MemPlan::plan_hash`, output digests, per-variant
+//! fuzz seeds, and [`Func::content_hash`], the structural key of a program
+//! behind request keys and schedule `canonical_key`.
+
+use crate::expr::Expr;
+use crate::func::Func;
+use crate::stmt::{Stmt, StmtKind};
 
 /// FNV-1a 64-bit offset basis.
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -28,6 +32,13 @@ impl Fnv1a {
         for &b in bytes {
             self.state = (self.state ^ u64::from(b)).wrapping_mul(PRIME);
         }
+    }
+
+    /// Absorb a 64-bit word in one FNV step (not its eight bytes): the
+    /// structural key's integers, float bits and lengths.
+    #[inline]
+    pub fn write_u64(&mut self, word: u64) {
+        self.state = (self.state ^ word).wrapping_mul(PRIME);
     }
 
     /// The hash of everything written so far.
@@ -61,6 +72,206 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+// Tags of the structural key. A statement's tag opens what the printer
+// prints as one line; `END` closes a loop's or branch's body, which the
+// printer indents.
+const PASS: u8 = 0;
+const VARDEF: u8 = 1;
+const FOR: u8 = 2;
+const IF: u8 = 3;
+const ELSE: u8 = 4;
+const END: u8 = 5;
+const STORE: u8 = 6;
+const REDUCE: u8 = 7;
+const LIB: u8 = 8;
+const INT: u8 = 9;
+const FLOAT: u8 = 10;
+const BOOL: u8 = 11;
+const VAR: u8 = 12;
+const LOAD: u8 = 13;
+const UNARY: u8 = 14;
+const BINARY: u8 = 15;
+const SELECT: u8 = 16;
+const CAST: u8 = 17;
+/// Ends a name: no UTF-8 string holds the byte 0xFF.
+const NAME_END: u8 = 0xff;
+
+impl Func {
+    /// Structural content key: FNV-1a ([`Fnv1a`]) streamed over what the
+    /// printer prints — names, labels, shapes, types, loop marks, constants —
+    /// and never statement ids, so two functions share it when their printed
+    /// forms are equal. A tag, operator or type is one byte, an integer,
+    /// float's bits or length one [`write_u64`](Fnv1a::write_u64) word. Like
+    /// the printer it lists a block's statements at the block's own level,
+    /// skips `Empty` ones and reads a def's body as the def's siblings; it
+    /// does tell apart two spellings the printer merges (`-1` as a literal
+    /// and as a negated one, NaN payloads). Allocates nothing.
+    pub fn content_hash(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        name(&mut h, &self.name);
+        h.write_u64(self.params.len() as u64);
+        for p in &self.params {
+            name(&mut h, &p.name);
+            h.write(&[p.dtype as u8, p.mtype as u8, p.atype as u8]);
+            exprs(&mut h, &p.shape);
+        }
+        h.write_u64(self.size_params.len() as u64);
+        for s in &self.size_params {
+            name(&mut h, s);
+        }
+        stmt(&mut h, &self.body);
+        h.finish()
+    }
+}
+
+fn name(h: &mut Fnv1a, s: &str) {
+    h.write(s.as_bytes());
+    h.write(&[NAME_END]);
+}
+
+fn exprs(h: &mut Fnv1a, es: &[Expr]) {
+    h.write_u64(es.len() as u64);
+    for e in es {
+        expr(h, e);
+    }
+}
+
+fn expr(h: &mut Fnv1a, e: &Expr) {
+    match e {
+        Expr::IntConst(v) => {
+            h.write(&[INT]);
+            h.write_u64(*v as u64);
+        }
+        Expr::FloatConst(v) => {
+            h.write(&[FLOAT]);
+            h.write_u64(v.to_bits());
+        }
+        Expr::BoolConst(v) => h.write(&[BOOL, u8::from(*v)]),
+        Expr::Var(n) => {
+            h.write(&[VAR]);
+            name(h, n);
+        }
+        Expr::Load { var, indices } => {
+            h.write(&[LOAD]);
+            name(h, var);
+            exprs(h, indices);
+        }
+        Expr::Unary { op, a } => {
+            h.write(&[UNARY, *op as u8]);
+            expr(h, a);
+        }
+        Expr::Binary { op, a, b } => {
+            h.write(&[BINARY, *op as u8]);
+            expr(h, a);
+            expr(h, b);
+        }
+        Expr::Select {
+            cond,
+            then,
+            otherwise,
+        } => {
+            h.write(&[SELECT]);
+            expr(h, cond);
+            expr(h, then);
+            expr(h, otherwise);
+        }
+        Expr::Cast { dtype, a } => {
+            h.write(&[CAST, *dtype as u8]);
+            expr(h, a);
+        }
+    }
+}
+
+fn stmt(h: &mut Fnv1a, s: &Stmt) {
+    let block = matches!(s.kind, StmtKind::Block(_));
+    match &s.kind {
+        StmtKind::Block(v) if v.iter().all(|c| matches!(c.kind, StmtKind::Empty)) => h.write(&[PASS]),
+        StmtKind::Block(_) => {}
+        StmtKind::Empty => h.write(&[PASS]),
+        StmtKind::VarDef {
+            name: n,
+            shape,
+            dtype,
+            mtype,
+            ..
+        } => {
+            h.write(&[VARDEF, *dtype as u8, *mtype as u8]);
+            name(h, n);
+            exprs(h, shape);
+        }
+        StmtKind::For {
+            iter,
+            begin,
+            end,
+            property: p,
+            ..
+        } => {
+            let marks = u8::from(p.unroll) | u8::from(p.vectorize) << 1 | u8::from(s.label.is_some()) << 2;
+            h.write(&[FOR, p.parallel as u8, marks]);
+            name(h, iter);
+            expr(h, begin);
+            expr(h, end);
+            if let Some(l) = &s.label {
+                name(h, l);
+            }
+        }
+        StmtKind::If { cond, .. } => {
+            h.write(&[IF]);
+            expr(h, cond);
+        }
+        StmtKind::Store {
+            var,
+            indices,
+            value,
+        } => {
+            h.write(&[STORE]);
+            name(h, var);
+            exprs(h, indices);
+            expr(h, value);
+        }
+        StmtKind::ReduceTo {
+            var,
+            indices,
+            op,
+            value,
+            atomic,
+        } => {
+            h.write(&[REDUCE, *op as u8, u8::from(*atomic)]);
+            name(h, var);
+            exprs(h, indices);
+            expr(h, value);
+        }
+        StmtKind::LibCall {
+            kernel,
+            inputs,
+            outputs,
+            attrs,
+        } => {
+            h.write(&[LIB]);
+            name(h, kernel);
+            for list in [inputs, outputs] {
+                h.write_u64(list.len() as u64);
+                list.iter().for_each(|n| name(h, n));
+            }
+            h.write_u64(attrs.len() as u64);
+            attrs.iter().for_each(|&a| h.write_u64(a as u64));
+        }
+    }
+    let nested = matches!(s.kind, StmtKind::For { .. } | StmtKind::If { .. });
+    for (i, c) in s.children().enumerate() {
+        if block && matches!(c.kind, StmtKind::Empty) {
+            continue;
+        }
+        if nested && i == 1 {
+            h.write(&[ELSE]);
+        }
+        stmt(h, c);
+        if nested {
+            h.write(&[END]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,5 +298,48 @@ mod tests {
         let mut streamed = Fnv1a::new();
         write!(streamed, "{func}").unwrap();
         assert_eq!(streamed.finish(), fnv1a(func.to_string().as_bytes()));
+    }
+
+    #[test]
+    fn write_u64_is_one_fnv_step() {
+        let mut h = Fnv1a::new();
+        h.write_u64(0x61);
+        assert_eq!(h.finish(), fnv1a(b"a"));
+    }
+
+    /// Where the printer's layout merges two trees, the key does too: a
+    /// block prints its statements at its own level and skips `Empty` ones,
+    /// a def's body prints as the def's siblings. A loop's or branch's body
+    /// is indented, so the key tells where it ends.
+    #[test]
+    fn content_hash_reads_the_tree_as_the_printer_lays_it_out() {
+        let st = |v: f32| store("y", [0], v);
+        let def = |body| var_def("t", scalar(), DataType::F32, MemType::CpuStack, body);
+        let func = |body| {
+            Func::new("f")
+                .param("y", [4], DataType::F32, AccessType::Output)
+                .body(body)
+        };
+        let alike = [
+            (block([st(1.0), block([st(2.0), empty()])]), block([st(1.0), st(2.0)])),
+            (block([def(st(1.0)), st(2.0)]), def(block([st(1.0), st(2.0)]))),
+            (block([empty(), block([])]), empty()),
+        ];
+        for (a, b) in alike {
+            let (a, b) = (func(a), func(b));
+            assert_eq!(a.to_string(), b.to_string());
+            assert_eq!(a.content_hash(), b.content_hash(), "{a}");
+        }
+        let cond = var("n").lt(2);
+        let apart = [
+            (block([for_("i", 0, 4, st(1.0)), st(2.0)]), for_("i", 0, 4, block([st(1.0), st(2.0)]))),
+            (block([if_(cond.clone(), st(1.0)), st(2.0)]), if_else(cond.clone(), st(1.0), st(2.0))),
+            (if_else(cond.clone(), st(1.0), empty()), if_(cond, st(1.0))),
+        ];
+        for (a, b) in apart {
+            let (a, b) = (func(a), func(b));
+            assert_ne!(a.to_string(), b.to_string());
+            assert_ne!(a.content_hash(), b.content_hash(), "{a}");
+        }
     }
 }

@@ -21,7 +21,6 @@
 use crate::{Schedule, ScheduleError};
 use ft_ir::{find, AccessType, ForProperty, Func, MemType, ParallelScope, Stmt, StmtId, StmtKind};
 use ft_trace::JsonVal;
-use std::fmt::Write as _;
 
 /// Largest constant element count [`ScheduleOp::SetMtype`] will promote to
 /// `CpuStack`. The rule-based `auto_mem_type` promotes up to its target's
@@ -355,15 +354,12 @@ pub fn apply_trace_traced(
     (sched.into_func(), accepted)
 }
 
-/// FNV-1a over the printed function (streamed, never held as a `String`):
-/// the canonical structural key of a scheduled program. Two traces that
-/// produce the same function (e.g. a trace plus a rejected op, or two op
-/// orders with the same effect) map to the same key, which is what search
-/// memoization dedupes on.
+/// The canonical structural key of a scheduled program:
+/// [`Func::content_hash`]. Two traces that produce the same function (e.g. a
+/// trace plus a rejected op, or two op orders with the same effect) map to
+/// the same key, which is what search memoization dedupes on.
 pub fn canonical_key(func: &Func) -> u64 {
-    let mut h = ft_ir::Fnv1a::new();
-    let _ = write!(h, "{func}");
-    h.finish()
+    func.content_hash()
 }
 
 fn num(n: u64) -> JsonVal {
@@ -508,12 +504,6 @@ mod tests {
                     ]),
                 ),
             ]))
-    }
-
-    #[test]
-    fn canonical_key_is_fnv1a_of_the_printed_function() {
-        let f = two_nests();
-        assert_eq!(canonical_key(&f), ft_ir::fnv1a(&f.to_string().into_bytes()));
     }
 
     #[test]

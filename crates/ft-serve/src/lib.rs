@@ -47,7 +47,7 @@ use ft_runtime::{
     CompiledEngine, ExecutionEngine, RunContext, RunResult, RuntimeError, Scalar, TensorVal,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -272,19 +272,19 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Content key of a request: FNV-1a over the printed program (streamed
-/// into the hasher, never held as a `String`) and the sorted size bindings.
-/// Everything that changes generated code or buffer geometry is in one of
-/// the two.
+/// Content key of a request: the program's structural
+/// [`Func::content_hash`] and the sorted size bindings, streamed through
+/// FNV-1a. Everything that changes generated code or buffer geometry is in
+/// one of the two.
 fn content_key(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
     let mut h = ft_ir::Fnv1a::new();
-    let _ = write!(h, "{func}");
+    h.write_u64(func.content_hash());
     let mut kv: Vec<(&String, &i64)> = sizes.iter().collect();
     kv.sort();
     for (k, v) in kv {
-        h.write(b"|");
         h.write(k.as_bytes());
-        h.write(&v.to_le_bytes());
+        h.write(&[0xff]);
+        h.write_u64(*v as u64);
     }
     h.finish()
 }
@@ -628,15 +628,45 @@ mod tests {
         )
     }
 
-    /// Streaming the program into the hasher left request keys where they
-    /// were: the literal is what the `to_string()` version gave this fixture.
+    /// Requests are keyed by structure: a separately built copy of a
+    /// program (its own `Arc`, fresh statement ids) is the same warm key —
+    /// it is served warm and spawns no `cc` — while one loop mark or one
+    /// size binding makes a different key.
     #[test]
-    fn content_key_is_fnv1a_of_the_printed_program_and_sorted_sizes() {
-        let sizes = HashMap::from([("n".to_string(), 8i64), ("m".to_string(), -3i64)]);
-        let mut bytes = needs_x().to_string().into_bytes();
-        bytes.extend([&b"|m"[..], &(-3i64).to_le_bytes(), b"|n", &8i64.to_le_bytes()].concat());
-        assert_eq!(content_key(&needs_x(), &sizes), ft_ir::fnv1a(&bytes));
-        assert_eq!(ft_ir::fnv1a(&bytes), 0xed26_f631_3aef_ccbf);
+    fn content_key_is_structural_and_takes_the_sizes() {
+        let (a, b) = (fill("same", 4, 1.0), fill("same", 4, 1.0));
+        assert!(!Arc::ptr_eq(&a, &b) && a.body.id != b.body.id);
+        let none = HashMap::new();
+        assert_eq!(content_key(&a, &none), content_key(&b, &none));
+        let mut marked = (*a).clone();
+        let ft_ir::StmtKind::For { property, .. } = &mut marked.body.kind else {
+            unreachable!("fill is one loop")
+        };
+        property.vectorize = true;
+        assert_ne!(content_key(&marked, &none), content_key(&a, &none));
+        let n = |v: i64| HashMap::from([("n".to_string(), v)]);
+        let keys = [content_key(&a, &none), content_key(&a, &n(8)), content_key(&a, &n(9))];
+        assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2], "{keys:?}");
+
+        if !ft_runtime::cc_available() {
+            eprintln!("cc unavailable; skipping the served half");
+            return;
+        }
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let spawned = || srv.metrics().snapshot().counter("compiled.cc.spawned");
+        let rx = srv.submit("a", req(&a)).unwrap();
+        assert!(srv.pump_one());
+        assert!(!rx.recv().unwrap().unwrap().warm);
+        let cold = spawned();
+        let rx = srv.submit("a", req(&b)).unwrap();
+        assert!(srv.pump_one());
+        assert!(rx.recv().unwrap().unwrap().warm);
+        let s = srv.metrics().snapshot();
+        assert_eq!((s.counter("serve.cold"), s.counter("serve.warm")), (1, 1), "{s:?}");
+        assert_eq!(spawned(), cold, "{s:?}");
     }
 
     fn manual_server(cfg: ServeConfig) -> Server {
