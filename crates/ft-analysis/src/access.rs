@@ -108,14 +108,20 @@ impl<'f> Collector<'f> {
             .rev()
             .find(|(n, _)| *n == var)
             .map(|(_, id)| *id);
+        let loops = self
+            .loops_snap
+            .get_or_insert_with(|| self.loops.as_slice().into());
+        let conds = self
+            .conds_snap
+            .get_or_insert_with(|| self.conds.as_slice().into());
         self.info.accesses.push(Access {
             stmt,
             var,
             def,
             indices,
             kind,
-            loops: Rc::clone(self.loops_snap.get_or_insert_with(|| self.loops.as_slice().into())),
-            conds: Rc::clone(self.conds_snap.get_or_insert_with(|| self.conds.as_slice().into())),
+            loops: Rc::clone(loops),
+            conds: Rc::clone(conds),
             pos: self.pos,
         });
     }

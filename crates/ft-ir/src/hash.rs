@@ -1,12 +1,13 @@
 //! The one FNV-1a loop, with the one (standard) prime, that every content
-//! key in the workspace goes through: artifact-cache keys (streamed over the
-//! unit `ft-codegen` emits), `MemPlan::plan_hash`, output digests, per-variant
-//! fuzz seeds, and [`Func::content_hash`], the structural key of a program
-//! behind request keys and schedule `canonical_key`.
+//! key in the workspace goes through: artifact-cache keys (over the emitted
+//! unit), `MemPlan::plan_hash`, output digests, per-variant fuzz seeds, and
+//! [`Func::content_hash`], behind request keys and schedule `canonical_key`.
 
 use crate::expr::Expr;
 use crate::func::Func;
 use crate::stmt::{Stmt, StmtKind};
+use crate::visit::{walk_expr, Visitor};
+use std::fmt::Write as _;
 
 /// FNV-1a 64-bit offset basis.
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -72,203 +73,110 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-// Tags of the structural key. A statement's tag opens what the printer
-// prints as one line; `END` closes a loop's or branch's body, which the
-// printer indents.
-const PASS: u8 = 0;
-const VARDEF: u8 = 1;
-const FOR: u8 = 2;
-const IF: u8 = 3;
-const ELSE: u8 = 4;
-const END: u8 = 5;
-const STORE: u8 = 6;
-const REDUCE: u8 = 7;
-const LIB: u8 = 8;
-const INT: u8 = 9;
-const FLOAT: u8 = 10;
-const BOOL: u8 = 11;
-const VAR: u8 = 12;
-const LOAD: u8 = 13;
-const UNARY: u8 = 14;
-const BINARY: u8 = 15;
-const SELECT: u8 = 16;
-const CAST: u8 = 17;
-/// Ends a name: no UTF-8 string holds the byte 0xFF.
-const NAME_END: u8 = 0xff;
-
 impl Func {
-    /// Structural content key: FNV-1a ([`Fnv1a`]) streamed over what the
-    /// printer prints — names, labels, shapes, types, loop marks, constants —
-    /// and never statement ids, so two functions share it when their printed
-    /// forms are equal. A tag, operator or type is one byte, an integer,
-    /// float's bits or length one [`write_u64`](Fnv1a::write_u64) word. Like
-    /// the printer it lists a block's statements at the block's own level,
-    /// skips `Empty` ones and reads a def's body as the def's siblings; it
-    /// does tell apart two spellings the printer merges (`-1` as a literal
-    /// and as a negated one, NaN payloads). Allocates nothing.
+    /// Structural content key: FNV-1a ([`Fnv1a`]) over what the printer
+    /// prints (names, labels, shapes, types, loop marks, constants), never
+    /// statement ids; a tag, operator or type is one byte, an integer, float
+    /// bits or a length one [`write_u64`](Fnv1a::write_u64) word. It reads
+    /// the tree as the printer lays it out, so two functions share it when
+    /// they print alike (it only separates `-1` from `-(1)`, and NaN
+    /// payloads). Allocates nothing.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        name(&mut h, &self.name);
-        h.write_u64(self.params.len() as u64);
+        let mut k = Key(Fnv1a::new());
+        k.name(&self.name).word(self.params.len() as u64);
         for p in &self.params {
-            name(&mut h, &p.name);
-            h.write(&[p.dtype as u8, p.mtype as u8, p.atype as u8]);
-            exprs(&mut h, &p.shape);
+            let types = [p.dtype as u8, p.mtype as u8, p.atype as u8];
+            k.tag(&types).name(&p.name).word(p.shape.len() as u64);
+            p.shape.iter().for_each(|e| k.visit_expr(e));
         }
-        h.write_u64(self.size_params.len() as u64);
-        for s in &self.size_params {
-            name(&mut h, s);
-        }
-        stmt(&mut h, &self.body);
-        h.finish()
+        k.word(self.size_params.len() as u64);
+        self.size_params.iter().for_each(|s| _ = k.name(s));
+        k.visit_stmt(&self.body);
+        k.0.finish()
     }
 }
 
-fn name(h: &mut Fnv1a, s: &str) {
-    h.write(s.as_bytes());
-    h.write(&[NAME_END]);
-}
+/// The walk behind [`Func::content_hash`].
+struct Key(Fnv1a);
 
-fn exprs(h: &mut Fnv1a, es: &[Expr]) {
-    h.write_u64(es.len() as u64);
-    for e in es {
-        expr(h, e);
+impl Key {
+    /// Absorb one-byte fields: a tag, operators, types.
+    fn tag(&mut self, bytes: &[u8]) -> &mut Key {
+        self.0.write(bytes);
+        self
+    }
+
+    /// Absorb a name, then a byte no UTF-8 text holds.
+    fn name(&mut self, s: &str) -> &mut Key {
+        self.0.write(s.as_bytes());
+        self.tag(&[0xff])
+    }
+
+    fn word(&mut self, w: u64) -> &mut Key {
+        self.0.write_u64(w);
+        self
     }
 }
 
-fn expr(h: &mut Fnv1a, e: &Expr) {
-    match e {
-        Expr::IntConst(v) => {
-            h.write(&[INT]);
-            h.write_u64(*v as u64);
+impl Visitor for Key {
+    fn visit_stmt(&mut self, s: &Stmt) {
+        use StmtKind as K;
+        match &s.kind {
+            K::Block(v) if v.iter().any(|c| !matches!(c.kind, K::Empty)) => {}
+            K::Block(_) | K::Empty => _ = self.tag(b"p"),
+            K::VarDef {
+                name, dtype, mtype, ..
+            } => _ = self.tag(&[b'd', *dtype as u8, *mtype as u8]).name(name),
+            K::For {
+                iter, property: p, ..
+            } => {
+                let flags = [p.unroll, p.vectorize, s.label.is_some()].map(u8::from);
+                self.tag(&[b'f', p.parallel as u8]).tag(&flags).name(iter);
+                s.label.iter().for_each(|l| _ = self.name(l));
+            }
+            K::If { .. } => _ = self.tag(b"c"),
+            K::Store { var, .. } => _ = self.tag(b"s").name(var),
+            K::ReduceTo {
+                var, op, atomic, ..
+            } => _ = self.tag(&[b'r', *op as u8, u8::from(*atomic)]).name(var),
+            // Rare (no benchmark program has one): its fields via `Debug`.
+            K::LibCall { .. } => _ = write!(self.0, "x{:?}", s.kind),
         }
-        Expr::FloatConst(v) => {
-            h.write(&[FLOAT]);
-            h.write_u64(v.to_bits());
+        // A block's statements print at its own level, `Empty` ones not at
+        // all; a loop's or branch's body is indented, and `;` ends it.
+        let block = matches!(s.kind, K::Block(_) | K::Empty);
+        let nested = matches!(s.kind, K::For { .. } | K::If { .. });
+        if !block {
+            self.word(s.exprs().count() as u64);
+            s.exprs().for_each(|e| self.visit_expr(e));
         }
-        Expr::BoolConst(v) => h.write(&[BOOL, u8::from(*v)]),
-        Expr::Var(n) => {
-            h.write(&[VAR]);
-            name(h, n);
-        }
-        Expr::Load { var, indices } => {
-            h.write(&[LOAD]);
-            name(h, var);
-            exprs(h, indices);
-        }
-        Expr::Unary { op, a } => {
-            h.write(&[UNARY, *op as u8]);
-            expr(h, a);
-        }
-        Expr::Binary { op, a, b } => {
-            h.write(&[BINARY, *op as u8]);
-            expr(h, a);
-            expr(h, b);
-        }
-        Expr::Select {
-            cond,
-            then,
-            otherwise,
-        } => {
-            h.write(&[SELECT]);
-            expr(h, cond);
-            expr(h, then);
-            expr(h, otherwise);
-        }
-        Expr::Cast { dtype, a } => {
-            h.write(&[CAST, *dtype as u8]);
-            expr(h, a);
-        }
-    }
-}
-
-fn stmt(h: &mut Fnv1a, s: &Stmt) {
-    let block = matches!(s.kind, StmtKind::Block(_));
-    match &s.kind {
-        StmtKind::Block(v) if v.iter().all(|c| matches!(c.kind, StmtKind::Empty)) => h.write(&[PASS]),
-        StmtKind::Block(_) => {}
-        StmtKind::Empty => h.write(&[PASS]),
-        StmtKind::VarDef {
-            name: n,
-            shape,
-            dtype,
-            mtype,
-            ..
-        } => {
-            h.write(&[VARDEF, *dtype as u8, *mtype as u8]);
-            name(h, n);
-            exprs(h, shape);
-        }
-        StmtKind::For {
-            iter,
-            begin,
-            end,
-            property: p,
-            ..
-        } => {
-            let marks = u8::from(p.unroll) | u8::from(p.vectorize) << 1 | u8::from(s.label.is_some()) << 2;
-            h.write(&[FOR, p.parallel as u8, marks]);
-            name(h, iter);
-            expr(h, begin);
-            expr(h, end);
-            if let Some(l) = &s.label {
-                name(h, l);
+        for (i, c) in s.children().enumerate() {
+            if block && matches!(c.kind, K::Empty) {
+                continue;
+            }
+            if nested && i == 1 {
+                self.tag(b"e");
+            }
+            self.visit_stmt(c);
+            if nested {
+                self.tag(b";");
             }
         }
-        StmtKind::If { cond, .. } => {
-            h.write(&[IF]);
-            expr(h, cond);
-        }
-        StmtKind::Store {
-            var,
-            indices,
-            value,
-        } => {
-            h.write(&[STORE]);
-            name(h, var);
-            exprs(h, indices);
-            expr(h, value);
-        }
-        StmtKind::ReduceTo {
-            var,
-            indices,
-            op,
-            value,
-            atomic,
-        } => {
-            h.write(&[REDUCE, *op as u8, u8::from(*atomic)]);
-            name(h, var);
-            exprs(h, indices);
-            expr(h, value);
-        }
-        StmtKind::LibCall {
-            kernel,
-            inputs,
-            outputs,
-            attrs,
-        } => {
-            h.write(&[LIB]);
-            name(h, kernel);
-            for list in [inputs, outputs] {
-                h.write_u64(list.len() as u64);
-                list.iter().for_each(|n| name(h, n));
-            }
-            h.write_u64(attrs.len() as u64);
-            attrs.iter().for_each(|&a| h.write_u64(a as u64));
-        }
     }
-    let nested = matches!(s.kind, StmtKind::For { .. } | StmtKind::If { .. });
-    for (i, c) in s.children().enumerate() {
-        if block && matches!(c.kind, StmtKind::Empty) {
-            continue;
-        }
-        if nested && i == 1 {
-            h.write(&[ELSE]);
-        }
-        stmt(h, c);
-        if nested {
-            h.write(&[END]);
-        }
+
+    fn visit_expr(&mut self, e: &Expr) {
+        _ = match e {
+            Expr::IntConst(v) => self.tag(b"i").word(*v as u64),
+            Expr::FloatConst(v) => self.tag(b"f").word(v.to_bits()),
+            Expr::BoolConst(v) => self.tag(&[b'b', u8::from(*v)]),
+            Expr::Var(n) => self.tag(b"v").name(n),
+            Expr::Load { var, indices } => self.tag(b"l").name(var).word(indices.len() as u64),
+            Expr::Unary { op, .. } => self.tag(&[b'u', *op as u8]),
+            Expr::Binary { op, .. } => self.tag(&[b'o', *op as u8]),
+            Expr::Select { .. } => self.tag(b"?"),
+            Expr::Cast { dtype, .. } => self.tag(&[b'c', *dtype as u8]),
+        };
+        walk_expr(self, e);
     }
 }
 
@@ -276,7 +184,6 @@ fn stmt(h: &mut Fnv1a, s: &Stmt) {
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use std::fmt::Write as _;
 
     #[test]
     fn known_answers_and_split_writes() {
@@ -321,8 +228,14 @@ mod tests {
                 .body(body)
         };
         let alike = [
-            (block([st(1.0), block([st(2.0), empty()])]), block([st(1.0), st(2.0)])),
-            (block([def(st(1.0)), st(2.0)]), def(block([st(1.0), st(2.0)]))),
+            (
+                block([st(1.0), block([st(2.0), empty()])]),
+                block([st(1.0), st(2.0)]),
+            ),
+            (
+                block([def(st(1.0)), st(2.0)]),
+                def(block([st(1.0), st(2.0)])),
+            ),
             (block([empty(), block([])]), empty()),
         ];
         for (a, b) in alike {
@@ -332,8 +245,14 @@ mod tests {
         }
         let cond = var("n").lt(2);
         let apart = [
-            (block([for_("i", 0, 4, st(1.0)), st(2.0)]), for_("i", 0, 4, block([st(1.0), st(2.0)]))),
-            (block([if_(cond.clone(), st(1.0)), st(2.0)]), if_else(cond.clone(), st(1.0), st(2.0))),
+            (
+                block([for_("i", 0, 4, st(1.0)), st(2.0)]),
+                for_("i", 0, 4, block([st(1.0), st(2.0)])),
+            ),
+            (
+                block([if_(cond.clone(), st(1.0)), st(2.0)]),
+                if_else(cond.clone(), st(1.0), st(2.0)),
+            ),
             (if_else(cond.clone(), st(1.0), empty()), if_(cond, st(1.0))),
         ];
         for (a, b) in apart {

@@ -289,27 +289,50 @@ fn keys_match_printed_forms_ignore_ids_and_see_every_field() {
             assert_eq!(k, key, "{label} prints as {other} but keys differently");
         }
         if let Some((t, other)) = by_key.insert(key, (text.clone(), label)) {
-            assert_eq!(t, text, "{label} shares its key with {other} but prints differently");
+            assert_eq!(
+                t, text,
+                "{label} shares its key with {other} but prints differently"
+            );
         }
 
         let mut refreshed = f.clone();
         stmts_mut(&mut refreshed.body, &mut |s| s.id = StmtId::fresh());
         assert_ne!(refreshed.body.id, f.body.id);
-        assert_eq!(refreshed.content_hash(), key, "{label}: fresh ids moved the key");
+        assert_eq!(
+            refreshed.content_hash(),
+            key,
+            "{label}: fresh ids moved the key"
+        );
 
+        // Each edit twice in a row: the second one changes a label's text,
+        // where the first one gave the loop a label.
         for (what, edit) in edits() {
             let mut g = f.clone();
-            if edit(&mut g) {
-                assert_ne!(g.to_string(), text, "{label}: {what} did not print");
-                assert_ne!(g.content_hash(), key, "{label}: {what} did not move the key");
+            let mut before = (text.clone(), key);
+            for _ in 0..2 {
+                if !edit(&mut g) {
+                    break;
+                }
+                let after = (g.to_string(), g.content_hash());
+                assert_ne!(after.0, before.0, "{label}: {what} did not print");
+                assert_ne!(after.1, before.1, "{label}: {what} did not move the key");
+                before = after;
             }
         }
 
         let mut k = 0;
-        assert_eq!(allocations(|| k = f.content_hash()), 0, "{label}: content_hash allocated");
+        assert_eq!(
+            allocations(|| k = f.content_hash()),
+            0,
+            "{label}: content_hash allocated"
+        );
         assert_eq!(k, key);
     }
-    assert!(by_text.len() > 40, "a corpus of {} distinct programs", by_text.len());
+    assert!(
+        by_text.len() > 40,
+        "a corpus of {} distinct programs",
+        by_text.len()
+    );
 }
 
 /// Best-of-batches µs per call of `f`.
@@ -331,7 +354,12 @@ fn micros(mut f: impl FnMut() -> u64) -> f64 {
 fn key_cost_next_to_the_printed_key() {
     for w in Workload::ALL {
         for scale in [Scale::Small, Scale::Full] {
-            let f = w.at(scale).program().optimize(&Target::cpu()).func().clone();
+            let f = w
+                .at(scale)
+                .program()
+                .optimize(&Target::cpu())
+                .func()
+                .clone();
             let structural = micros(|| f.content_hash());
             let printed = micros(|| ft_ir::fnv1a(f.to_string().as_bytes()));
             eprintln!(

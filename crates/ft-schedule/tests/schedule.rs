@@ -176,7 +176,8 @@ fn reorder_keeps_loop_labels() {
             other => panic!("{label} resolves to {other:?} after reorder:\n{}", s.func()),
         }
     }
-    s.vectorize(ft_ir::find::Selector::Label("Li".to_string())).unwrap();
+    let li = ft_ir::find::Selector::Label("Li".to_string());
+    s.vectorize(li).unwrap();
 }
 
 #[test]
