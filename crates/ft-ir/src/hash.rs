@@ -79,8 +79,8 @@ impl Func {
     /// statement ids; a tag, operator or type is one byte, an integer, float
     /// bits or a length one [`write_u64`](Fnv1a::write_u64) word. It reads
     /// the tree as the printer lays it out, so two functions share it when
-    /// they print alike (it only separates `-1` from `-(1)`, and NaN
-    /// payloads). Allocates nothing.
+    /// they print alike (it only tells a negative literal from a negated
+    /// one, and NaN payloads apart). Allocates nothing.
     pub fn content_hash(&self) -> u64 {
         let mut k = Key(Fnv1a::new());
         k.name(&self.name).word(self.params.len() as u64);
