@@ -199,7 +199,15 @@ impl Program {
         }
     }
 
-    /// Emit C99 + OpenMP source for the current schedule.
+    /// The C99 + OpenMP unit the compiled engine builds for the current
+    /// schedule: [`ft_codegen::emit_c`] of [`ft_codegen::lower_and_plan`]
+    /// at no sizes, `ft_entry` included. For a program without size
+    /// parameters it is byte for byte the `<key>.c` the engine writes, with
+    /// one difference: the engine proves each parallel mark first
+    /// ([`ft_codegen::prove_parallel`]), so a mark the dependence engine
+    /// refuses runs serially there while this text keeps its `#pragma omp
+    /// parallel for`. A def whose extent reads a size parameter is
+    /// `calloc`ed here and takes an arena offset at the sizes of a run.
     pub fn emit_c(&self) -> String {
         ft_codegen::emit_c_traced(&self.func, self.sink.as_ref())
     }

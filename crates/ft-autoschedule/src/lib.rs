@@ -50,39 +50,31 @@ fn end_pass(sched: &mut Schedule, span: Option<Span>, applied: usize) {
     }
 }
 
+/// Elements threshold for register-class placement.
+pub const REG_ELEMS: i64 = 64;
+/// Elements threshold for shared-memory placement (GPU).
+pub const SHARED_ELEMS: i64 = 4096;
+/// Trip-count threshold for unrolling.
+pub const UNROLL_TRIP: i64 = 8;
+/// Split factor when one loop must feed both grid and block parallelism.
+pub const GPU_BLOCK_SIZE: i64 = 128;
+
 /// Auto-scheduling target description.
 #[derive(Debug, Clone)]
 pub struct Target {
     /// CPU or (simulated) GPU.
     pub device: Device,
-    /// Elements threshold for register-class placement.
-    pub reg_elems: i64,
-    /// Elements threshold for shared-memory placement (GPU).
-    pub shared_elems: i64,
-    /// Trip-count threshold for unrolling.
-    pub unroll_trip: i64,
-    /// Split factor when one loop must feed both grid and block parallelism.
-    pub gpu_block_size: i64,
 }
 
 impl Target {
     /// Default CPU target.
     pub fn cpu() -> Target {
-        Target {
-            device: Device::Cpu,
-            reg_elems: 64,
-            shared_elems: 4096,
-            unroll_trip: 8,
-            gpu_block_size: 128,
-        }
+        Target { device: Device::Cpu }
     }
 
     /// Default (simulated) GPU target.
     pub fn gpu() -> Target {
-        Target {
-            device: Device::Gpu,
-            ..Target::cpu()
-        }
+        Target { device: Device::Gpu }
     }
 }
 
@@ -231,8 +223,8 @@ pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
                     }
                     None => {
                         // Lone loop: split to feed both levels.
-                        if extent.unwrap_or(i64::MAX) > target.gpu_block_size {
-                            if let Ok((b, t)) = sched.split(id, target.gpu_block_size) {
+                        if extent.unwrap_or(i64::MAX) > GPU_BLOCK_SIZE {
+                            if let Ok((b, t)) = sched.split(id, GPU_BLOCK_SIZE) {
                                 let ok_b = sched.parallelize(b, ParallelScope::CudaBlockX).is_ok();
                                 let ok_t =
                                     sched.parallelize(t, ParallelScope::CudaThreadX).is_ok();
@@ -296,9 +288,9 @@ pub fn auto_mem_type(sched: &mut Schedule, target: &Target) -> usize {
     for (name, elems) in defs {
         let Some(elems) = elems else { continue };
         let new_mtype = match target.device {
-            Device::Cpu if elems <= target.reg_elems => Some(MemType::CpuStack),
-            Device::Gpu if elems <= target.reg_elems => Some(MemType::GpuLocal),
-            Device::Gpu if elems <= target.shared_elems => Some(MemType::GpuShared),
+            Device::Cpu if elems <= REG_ELEMS => Some(MemType::CpuStack),
+            Device::Gpu if elems <= REG_ELEMS => Some(MemType::GpuLocal),
+            Device::Gpu if elems <= SHARED_ELEMS => Some(MemType::GpuShared),
             Device::Gpu => Some(MemType::GpuGlobal),
             _ => None,
         };
@@ -326,14 +318,14 @@ pub fn auto_use_lib(sched: &mut Schedule) -> usize {
 }
 
 /// Pass 6: unroll very short innermost loops.
-pub fn auto_unroll(sched: &mut Schedule, target: &Target) -> usize {
+pub fn auto_unroll(sched: &mut Schedule) -> usize {
     let span = begin_pass(sched, "auto_unroll");
     let mut n = 0;
     // An unrolled loop holds no loop: the facts of the others stay true.
     for l in loop_facts(sched.func()) {
         if l.parallel == ParallelScope::Serial
             && l.innermost
-            && l.extent.is_some_and(|e| e <= target.unroll_trip)
+            && l.extent.is_some_and(|e| e <= UNROLL_TRIP)
             && sched.unroll(l.id).is_ok()
         {
             n += 1;
@@ -367,7 +359,7 @@ fn run_passes(sched: &mut Schedule, target: &Target) {
     auto_use_lib(sched);
     auto_parallelize(sched, target);
     auto_separate_tail(sched);
-    auto_unroll(sched, target);
+    auto_unroll(sched);
     auto_vectorize(sched);
     auto_mem_type(sched, target);
 }
@@ -479,7 +471,7 @@ mod tests {
                 for_("j", 0, 3, store("y", [var("i"), var("j")], 1.0f32)),
             ));
         let mut s = Schedule::new(f);
-        assert_eq!(auto_unroll(&mut s, &Target::cpu()), 1);
+        assert_eq!(auto_unroll(&mut s), 1);
         let loops = ft_ir::find::find_stmts(&s.func().body, &|st| {
             matches!(st.kind, StmtKind::For { .. })
         });

@@ -91,9 +91,8 @@ const LIB_MATMUL: &str = r#"static inline void ft_lib_matmul(const float* A, con
 "#;
 
 /// Extra headers a *profiled* translation unit needs (`clock_gettime`).
-/// Appended to the preamble of profiled units only, so the unprofiled
-/// source — and therefore its artifact-cache key — is byte-identical to
-/// what [`emit_c`] always produced.
+/// Appended to the preamble of profiled units only, so an unprofiled unit
+/// — and therefore its artifact-cache key — holds nothing of profiling.
 pub const PROF_PREAMBLE: &str = "#include <time.h>\n";
 
 /// C's names of the element types, in [`Printer::ctype`]'s order.
@@ -216,7 +215,7 @@ impl Mangler {
 
 /// The C identifiers of a translation unit's signature, in declaration
 /// order, as [`Printer::new`] bound them — the one `Mangler` pass that also
-/// prints the body and, in a planned unit, the `ft_entry` wrapper.
+/// prints the body and the `ft_entry` wrapper.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CSymbols {
     /// Identifier of the emitted function.
@@ -313,8 +312,8 @@ struct Emitter<'a> {
     /// For-nesting depth; only depth-0 loops get a profiling site.
     loop_depth: usize,
     /// The memory plan, whose entry of a def (by statement id) places it
-    /// in the arena; `None` when emitting without one.
-    plan: Option<&'a MemPlan>,
+    /// in the arena.
+    plan: &'a MemPlan,
     /// Number of enclosing parallel (`omp parallel for`) loops. Defs inside
     /// a parallel body must stay thread-private; a shared arena offset
     /// would race across the team.
@@ -798,7 +797,7 @@ impl<'a> Emitter<'a> {
                     .iter()
                     .map(|e| ft_passes::const_fold_expr(e.clone()).as_int())
                     .try_fold(1i64, |a, b| b.map(|v| a * v));
-                let entry = self.plan.and_then(|p| p.entry(s.id));
+                let entry = self.plan.entry(s.id);
                 self.p.tensors.push((name, *dtype, shape, false));
                 let ident = self.p.names.bind(name);
                 self.line("{");
@@ -1007,32 +1006,22 @@ fn writes(s: &Stmt, var: &str) -> bool {
     found
 }
 
-/// Emit a complete C translation unit (preamble + one function) for a
-/// CPU-scheduled function, [lowered](crate::lower_cpu_parallel) and
-/// [scalar-lowered](crate::lower_scalar) (which decides what it prints).
+/// Emit the translation unit `cc` builds for a CPU-scheduled function,
+/// [lowered](crate::lower_cpu_parallel) and
+/// [scalar-lowered](crate::lower_scalar) (which decides what it prints),
+/// under its memory plan: the preamble, the function, and the fixed-ABI
+/// entry point.
 ///
-/// # Errors
-///
-/// [`CodegenError`] when `func` still holds an `atomic` reduction or a
-/// nested parallel loop, or calls a library kernel the backend does not
-/// provide (all three emitters).
-pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
-    Ok(emit_unit(func, None, false)?.0)
-}
-
-/// Emit the engine's whole translation unit, with *planned* `VarDef`
-/// storage and the fixed-ABI entry point: the function
-/// gains a trailing `unsigned char* __ft_arena` parameter (before
-/// `__ft_prof` when `profile` is set) and every def the plan placed becomes
-/// a pointer at a static offset into that arena — one allocation for the
-/// whole call instead of one `calloc` per def entry, zero-filled via
-/// `memset` only where the plan's liveness analysis could not prove
+/// The function takes a trailing `unsigned char* __ft_arena` parameter
+/// (before `__ft_prof` when `profile` is set), and every def the plan
+/// placed is a pointer at a static offset into that arena — one allocation
+/// for the whole call instead of one `calloc` per def entry, zero-filled
+/// via `memset` only where the plan's liveness analysis could not prove
 /// write-before-read. The arena must not be NULL: the caller owns at least
-/// the planned peak of it.
-/// Small constant-extent `CpuStack` defs keep their stack-array emission,
-/// and so does a small constant-extent heap def inside a parallel body,
-/// which must be thread-private and therefore cannot take an arena offset;
-/// defs the plan could not size fall back to `calloc` as before.
+/// the planned peak of it. Small constant-extent `CpuStack` defs keep their
+/// stack-array emission, and so does a small constant-extent heap def
+/// inside a parallel body, which must be thread-private and therefore
+/// cannot take an arena offset; defs the plan could not size get `calloc`.
 ///
 /// A *profiled* function brackets every outermost loop nest with
 /// `clock_gettime(CLOCK_MONOTONIC)` pairs accumulating wall nanoseconds into
@@ -1048,21 +1037,18 @@ pub fn emit_c(func: &Func) -> Result<String, CodegenError> {
 /// The plan must have been computed for this exact `func`: each def is
 /// placed by its statement id ([`MemPlan::entry`]), and a def the plan has
 /// no entry for gets `calloc`.
-pub fn emit_c_planned(
+///
+/// # Errors
+///
+/// [`CodegenError`] when `func` still holds an `atomic` reduction or a
+/// nested parallel loop, or calls a library kernel the backend does not
+/// provide (all three emitters).
+pub fn emit_c(
     func: &Func,
     plan: &MemPlan,
     profile: bool,
 ) -> Result<(String, Vec<ProfSite>), CodegenError> {
-    emit_unit(func, Some(plan), profile)
-}
-
-fn emit_unit(
-    func: &Func,
-    plan: Option<&MemPlan>,
-    profile: bool,
-) -> Result<(String, Vec<ProfSite>), CodegenError> {
     let (p, syms) = Printer::new(func, TYPES);
-    let any_planned = plan.is_some_and(|p| p.entries.iter().any(|e| e.offset.is_some()));
     let mut em = Emitter {
         p,
         out: String::new(),
@@ -1074,9 +1060,7 @@ fn emit_unit(
         err: None,
     };
     let mut sig = em.p.signature(func, &syms);
-    if plan.is_some() {
-        sig.push("unsigned char* __ft_arena".to_string());
-    }
+    sig.push("unsigned char* __ft_arena".to_string());
     if profile {
         sig.push("uint64_t *__ft_prof".to_string());
     }
@@ -1085,7 +1069,7 @@ fn emit_unit(
         out.push_str(PROF_PREAMBLE);
     }
     let _ = writeln!(out, "\nvoid {}({}) {{", syms.func, sig.join(", "));
-    if plan.is_some() && !any_planned {
+    if !plan.entries.iter().any(|e| e.offset.is_some()) {
         out.push_str("    (void)__ft_arena;\n");
     }
     em.indent = 1;
@@ -1095,23 +1079,21 @@ fn emit_unit(
     }
     out.push_str(&em.out);
     out.push_str("}\n");
-    if plan.is_some() {
-        out.push_str(
-            "\nvoid ft_entry(void **params, const int64_t *sizes, \
-             unsigned char *arena, uint64_t *prof) {\n",
-        );
-        if !profile {
-            out.push_str("    (void)prof;\n");
-        }
-        let _ = write!(out, "    {}(", syms.func);
-        for (i, p) in func.params.iter().enumerate() {
-            let _ = write!(out, "({})params[{i}], ", em.p.pointer(p));
-        }
-        for i in 0..func.size_params.len() {
-            let _ = write!(out, "sizes[{i}], ");
-        }
-        out.push_str(if profile { "arena, prof);\n}\n" } else { "arena);\n}\n" });
+    out.push_str(
+        "\nvoid ft_entry(void **params, const int64_t *sizes, \
+         unsigned char *arena, uint64_t *prof) {\n",
+    );
+    if !profile {
+        out.push_str("    (void)prof;\n");
     }
+    let _ = write!(out, "    {}(", syms.func);
+    for (i, p) in func.params.iter().enumerate() {
+        let _ = write!(out, "({})params[{i}], ", em.p.pointer(p));
+    }
+    for i in 0..func.size_params.len() {
+        let _ = write!(out, "sizes[{i}], ");
+    }
+    out.push_str(if profile { "arena, prof);\n}\n" } else { "arena);\n}\n" });
     Ok((out, em.prof.unwrap_or_default()))
 }
 
@@ -1140,10 +1122,24 @@ mod tests {
             ))
     }
 
+    /// `f`'s unit under its plan at no sizes, profiled or not, with the
+    /// profiling sites.
+    fn unit_of(f: &Func, profile: bool) -> Result<(String, Vec<ProfSite>), CodegenError> {
+        emit_c(f, &MemPlan::plan(f, &HashMap::new()), profile)
+    }
+
+    /// `f`'s unprofiled unit under its plan at no sizes.
+    fn unit(f: &Func) -> Result<String, CodegenError> {
+        Ok(unit_of(f, false)?.0)
+    }
+
     #[test]
     fn emits_signature_and_pragma() {
-        let c = emit_c(&sample()).unwrap();
-        assert!(c.contains("void axpy(const float* x, float* y, int64_t n)"), "{c}");
+        let c = unit(&sample()).unwrap();
+        assert!(
+            c.contains("void axpy(const float* x, float* y, int64_t n, unsigned char* __ft_arena)"),
+            "{c}"
+        );
         assert!(c.contains("#pragma omp parallel for"), "{c}");
         assert!(c.contains("y[i] = (y[i] + (x[i] * 2.0f))"), "{c}");
     }
@@ -1179,14 +1175,14 @@ mod tests {
                 MemType::CpuStack,
                 store("y", [0], load("t", [0])),
             ));
-        let c = emit_c(&f).unwrap();
+        let c = unit(&f).unwrap();
         assert!(c.contains("float t[8] = {0};"), "{c}");
     }
 
     #[test]
     fn unlowered_parallel_constructs_are_errors_not_pragmas() {
         assert_eq!(
-            emit_c(&histogram()),
+            unit(&histogram()),
             Err(CodegenError::AtomicReduce {
                 var: "h".to_string()
             })
@@ -1202,7 +1198,7 @@ mod tests {
                 for_with("j", 0, 8, omp(), store("y", [var("i"), var("j")], 1.0f32)),
             ));
         assert_eq!(
-            emit_unit(&nested, None, true).map(|(c, _)| c),
+            unit_of(&nested, true).map(|(c, _)| c),
             Err(CodegenError::NestedParallel {
                 iter: "j".to_string()
             })
@@ -1213,7 +1209,7 @@ mod tests {
     fn lowered_histogram_emits_chunk_rows_and_an_ordered_merge() {
         let f = histogram();
         let lowered = crate::lower_cpu_parallel(&f);
-        let c = emit_c(&crate::lower_scalar(&lowered)).unwrap();
+        let c = unit(&crate::lower_scalar(&lowered)).unwrap();
         assert!(!c.contains("omp atomic") && !c.contains("omp critical"), "{c}");
         assert_eq!(c.matches("#pragma omp parallel for").count(), 2, "{c}");
         assert!(
@@ -1227,7 +1223,7 @@ mod tests {
         );
         assert!(c.contains("h[h_part_i0] = ft_a1;"), "{c}");
         // The chunk loop keeps the loop's site; the merge nest has its own.
-        let (_, sites) = emit_unit(&lowered, None, true).unwrap();
+        let (_, sites) = unit_of(&lowered, true).unwrap();
         let descs: Vec<&str> = sites.iter().map(|p| p.desc.as_str()).collect();
         assert_eq!(descs, ["for i.chunk", "for h.part.i0"], "{sites:?}");
         let merge = ft_ir::find::find_loop(&lowered.body, "h.part.i0").unwrap().id;
@@ -1242,7 +1238,7 @@ mod tests {
             .size_param("n")
             .size_param("m")
             .body(store("a", ft_ir::idx![var("n") - 1, 0], 1.0f64));
-        let c = emit_c(&f).unwrap();
+        let c = unit(&f).unwrap();
         assert!(c.contains("a[((n - 1)) * (m) + (0)] = 1.0;"), "{c}");
     }
 
@@ -1257,7 +1253,7 @@ mod tests {
                 MemType::CpuStack,
                 store("y", [0], load("t.cache", [0])),
             ));
-        let c = emit_c(&f).unwrap();
+        let c = unit(&f).unwrap();
         assert!(c.contains("t_cache"), "{c}");
         assert!(!c.contains("t.cache["), "{c}");
     }
@@ -1275,32 +1271,29 @@ mod tests {
         let syms = Printer::new(&f, TYPES).1;
         assert_eq!(syms.params.len(), 2);
         assert_ne!(syms.params[0], syms.params[1], "{syms:?}");
-        let c = emit_c(&f).unwrap();
         let sig = format!(
-            "void {}(const float* {}, float* {}, int64_t m, int64_t n)",
+            "void {}(const float* {}, float* {}, int64_t m, int64_t n, unsigned char* __ft_arena",
             syms.func, syms.params[0], syms.params[1]
         );
-        assert!(c.contains(&sig), "expected `{sig}` in:\n{c}");
-        // The store targets the second param, the load reads the first.
-        assert!(
-            c.contains(&format!(
-                "{}[0] = ({}[0] + 1.0f);",
-                syms.params[1], syms.params[0]
-            )),
-            "{c}"
-        );
-        // `emit_c` is the function alone; the planned unit ends with the
-        // one `ft_entry`, v3 signature, which hands over tensors then sizes
-        // in declaration order under the types the function was printed
-        // with, and the two compile together without a warning.
-        assert!(!c.contains("ft_entry"), "{c}");
-        let plan = ft_analysis::MemPlan::plan(&f, &HashMap::new());
+        // The unit ends with the one `ft_entry`, v3 signature, which hands
+        // over tensors then sizes in declaration order under the types the
+        // function was printed with, and the two compile together without a
+        // warning.
         let args = "f((const float*)params[0], (float*)params[1], sizes[0], sizes[1], arena";
         for (profile, call) in [
             (false, format!("    (void)prof;\n    {args});")),
             (true, format!("    {args}, prof);")),
         ] {
-            let (c, _) = emit_c_planned(&f, &plan, profile).unwrap();
+            let (c, _) = unit_of(&f, profile).unwrap();
+            assert!(c.contains(&sig), "expected `{sig}` in:\n{c}");
+            // The store targets the second param, the load reads the first.
+            assert!(
+                c.contains(&format!(
+                    "{}[0] = ({}[0] + 1.0f);",
+                    syms.params[1], syms.params[0]
+                )),
+                "{c}"
+            );
             assert_eq!(c.matches("ft_entry").count(), 1, "{c}");
             let entry = format!(
                 "}}\n\nvoid ft_entry(void **params, const int64_t *sizes, \
@@ -1328,7 +1321,7 @@ mod tests {
                 MemType::CpuStack,
                 store("t", [0], load("t", [1])),
             ));
-        let c = emit_c(&f).unwrap();
+        let c = unit(&f).unwrap();
         assert!(c.contains("float t_2[2] = {0};"), "{c}");
         // Inside the VarDef, `t` resolves to the inner binding.
         assert!(c.contains("t_2[0] = t_2[1];"), "{c}");
@@ -1345,7 +1338,7 @@ mod tests {
         assert_ne!(syms.func, "main");
         assert_ne!(syms.params[0], "ft_fdiv");
         let mut m = Mangler::new();
-        let c = emit_c(&f).unwrap();
+        let c = unit(&f).unwrap();
         assert!(c.contains(&format!("void {}(", syms.func)), "{c}");
         // Nor anything the C library headers declare, in any float width:
         // the function symbol would conflict with it, and a tensor would
@@ -1368,7 +1361,7 @@ mod tests {
                 for_("i", 0, var("n"), inner),
                 for_("k", 0, var("n"), store("y", [var("k")], 2.0f32)),
             ])));
-        let (c, sites) = emit_unit(&f, None, true).unwrap();
+        let (c, sites) = unit_of(&f, true).unwrap();
         assert_eq!(sites.len(), 2, "{sites:?}");
         assert_eq!(sites[0].desc, "for i");
         assert_eq!(sites[1].desc, "for k");
@@ -1378,7 +1371,7 @@ mod tests {
         assert!(c.contains("if (__ft_prof) __ft_prof[1] +="), "{c}");
         assert_eq!(c.matches("clock_gettime").count(), 4, "{c}");
         // The unprofiled emission is untouched by the profiling machinery.
-        let plain = emit_c(&f).unwrap();
+        let plain = unit(&f).unwrap();
         assert!(!plain.contains("__ft_prof"), "{plain}");
         assert!(!plain.contains("clock_gettime"), "{plain}");
     }
@@ -1406,7 +1399,7 @@ mod tests {
         let sizes = HashMap::from([("n".to_string(), 256i64)]);
         let plan = ft_analysis::MemPlan::plan(&f, &sizes);
         assert!(plan.planned_peak_bytes > 0, "{plan:?}");
-        let (c, sites) = emit_c_planned(&f, &plan, false).unwrap();
+        let (c, sites) = emit_c(&f, &plan, false).unwrap();
         assert!(sites.is_empty());
         assert!(c.contains("unsigned char* __ft_arena"), "{c}");
         assert!(c.contains("float* t = (float*)(__ft_arena + 0);"), "{c}");
@@ -1415,9 +1408,11 @@ mod tests {
         assert!(!c.contains("__ft_arena_owned"), "{c}");
         // Write-before-read was proven, so no memset for `t`.
         assert!(!c.contains("memset(t"), "{c}");
-        // The unplanned emission is byte-identical to what emit_c always
-        // produced: no arena symbols anywhere.
-        assert!(!emit_c(&f).unwrap().contains("__ft_arena"));
+        // At no sizes the plan cannot size `t`: it gets `calloc`, and the
+        // arena parameter is unused.
+        let c = unit(&f).unwrap();
+        assert!(c.contains("float* t = (float*)calloc((n), sizeof(float));"), "{c}");
+        assert!(c.contains("    (void)__ft_arena;\n"), "{c}");
     }
 
     // -----------------------------------------------------------------
@@ -1435,7 +1430,7 @@ mod tests {
             .param("z", [64], DataType::F32, AccessType::Output)
             .size_param("n")
             .body(body);
-        emit_c(&crate::lower_scalar(&f)).unwrap()
+        unit(&crate::lower_scalar(&f)).unwrap()
     }
 
     fn simd() -> ForProperty {
@@ -1601,7 +1596,7 @@ mod tests {
         // The target is also read ...
         let c = fold(ReduceOp::Add, 64, load("x", [var("p")]) * load("z", [0]));
         assert!(
-            !c.contains("ft_a") && !c.contains("#pragma omp simd"),
+            !c.contains("ft_a1") && !c.contains("#pragma omp simd"),
             "{c}"
         );
         assert!(c.contains("z[0] += (x[p] * z[0]);"), "{c}");
@@ -1612,7 +1607,7 @@ mod tests {
         );
         let c = over_f32(for_with("p", 0, 64, simd(), guarded));
         assert!(
-            !c.contains("ft_a") && !c.contains("#pragma omp simd"),
+            !c.contains("ft_a1") && !c.contains("#pragma omp simd"),
             "{c}"
         );
         // One element per iteration is no carried dependence.
@@ -1654,7 +1649,7 @@ mod tests {
             1.0f32,
         );
         let c = over_f32(for_("i", 0, 64, for_("p", 0, 64, block([row(0), unknown]))));
-        assert!(!c.contains("ft_a"), "{c}");
+        assert!(!c.contains("ft_a1"), "{c}");
     }
 
     #[test]
@@ -1684,7 +1679,7 @@ mod tests {
             c.contains("float* row = (float*)calloc((4097), sizeof(float));"),
             "{c}"
         );
-        // Outside a parallel body the arena (or `calloc`) keeps it.
+        // Outside a parallel body the arena keeps it.
         let c = over_f32(var_def(
             "row",
             [8],
@@ -1692,7 +1687,7 @@ mod tests {
             MemType::CpuHeap,
             store("z", [0], load("row", [0])),
         ));
-        assert!(c.contains("calloc((8)"), "{c}");
+        assert!(c.contains("float* row = (float*)(__ft_arena + 0);"), "{c}");
     }
 
     #[test]
@@ -1721,7 +1716,7 @@ mod tests {
                     reduce("y", [7], ReduceOp::Min, x() + 1),
                 ]))
         };
-        let emit = |dt| emit_c(&crate::lower_scalar(&body(dt))).unwrap();
+        let emit = |dt| unit(&crate::lower_scalar(&body(dt))).unwrap();
         let single = emit(DataType::F32);
         for line in [
             "const float ft_c1 = x[0];",
@@ -1772,7 +1767,7 @@ mod tests {
                 attrs: vec![4],
             }));
         assert_eq!(
-            emit_c(&f),
+            unit(&f),
             Err(CodegenError::UnknownLibKernel {
                 kernel: "fft".to_string()
             })
@@ -1812,8 +1807,8 @@ mod tests {
 
     #[test]
     fn generated_c_compiles_if_cc_available() {
-        let profiled = emit_unit(&sample(), None, true).unwrap().0;
-        for c in [emit_c(&sample()).unwrap(), profiled] {
+        for profile in [false, true] {
+            let c = unit_of(&sample(), profile).unwrap().0;
             match cc_accepts(&c, &[]) {
                 Some(r) => r.unwrap(),
                 None => eprintln!("cc unavailable; skipping compile check"),

@@ -501,7 +501,9 @@ mod tests {
         );
         // And the same operators in C (which keeps `n[i]` in a local):
         // one printer, one spelling.
-        let c = crate::emit_c(&crate::lower_scalar(&f)).expect("nothing to refuse");
+        let g = crate::lower_scalar(&f);
+        let plan = ft_analysis::MemPlan::plan(&g, &std::collections::HashMap::new());
+        let (c, _) = crate::emit_c(&g, &plan, false).expect("nothing to refuse");
         assert!(
             c.contains("q[i] = (llabs(ft_fdiv(ft_c1, 3)) + ft_fmod(ft_c1, 3));"),
             "{c}"

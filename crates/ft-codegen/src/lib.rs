@@ -15,12 +15,15 @@
 //!   0-d `CpuStack` registers, and a `vectorize` loop that still carries a
 //!   reduction loses its mark (the `scalar` module says what, and why the
 //!   interpreter cannot tell the difference);
-//! * [`c::emit_c`] — C99 with OpenMP pragmas (`parallel for`, `simd`) for
-//!   lowered CPU schedules; compile-checked against the host C compiler in
-//!   the test suite. It prints what the IR says: `f32` expressions are
-//!   spelled in `float` ([`ft_ir::Expr::dtype`]), a register is a scalar
-//!   local, and a `vectorize` loop's `simd reduction` clause names the
-//!   registers it folds into (`DESIGN.md` §7 states the numeric contract);
+//! * [`c::emit_c`] — the one C unit: C99 with OpenMP pragmas (`parallel
+//!   for`, `simd`) for a lowered CPU schedule under its memory plan, with
+//!   the `ft_entry` wrapper the compiled engine calls; [`emit_c_traced`]
+//!   prints it for [`lower_and_plan`] at no sizes, which is what
+//!   `Program::emit_c` shows. It prints what the IR says: `f32`
+//!   expressions are spelled in `float` ([`ft_ir::Expr::dtype`]), a
+//!   register is a scalar local, and a `vectorize` loop's `simd reduction`
+//!   clause names the registers it folds into (`DESIGN.md` §7 states the
+//!   numeric contract);
 //! * [`cuda::emit_cuda`] — CUDA-flavoured source: one `__global__` kernel per
 //!   outermost GPU-parallel nest plus a host launcher (syntax-checked only).
 
@@ -29,9 +32,7 @@ pub mod cuda;
 pub mod lower;
 mod scalar;
 
-pub use c::{
-    emit_c, emit_c_planned, CodegenError, Mangler, ProfSite, VECTOR_MATH, VECTOR_MATH_MACRO,
-};
+pub use c::{emit_c, CodegenError, Mangler, ProfSite, VECTOR_MATH, VECTOR_MATH_MACRO};
 pub use cuda::emit_cuda;
 pub use lower::{lower_cpu_parallel, prove_parallel, Serialized};
 pub use scalar::lower_scalar;
@@ -73,9 +74,11 @@ fn then<'a>(first: Cow<'a, Func>, step: fn(&Func) -> Cow<'_, Func>) -> Cow<'a, F
     }
 }
 
-/// [`lower_cpu_parallel`], [`lower_scalar`], then [`emit_c`] — the C of the
-/// function the engines compile — with a provenance span on the compile
-/// track of `sink`.
+/// [`emit_c`] of [`lower_and_plan`] at no sizes, unprofiled, with a
+/// provenance span on the compile track of `sink`: the unit the compiled
+/// engine builds for a program without size parameters, except that a
+/// mark the engine's [`prove_parallel`] refuses keeps its `#pragma omp
+/// parallel for` here.
 ///
 /// # Panics
 ///
@@ -83,8 +86,10 @@ fn then<'a>(first: Cow<'a, Func>, step: fn(&Func) -> Cow<'_, Func>) -> Cow<'a, F
 /// ([`CodegenError::UnknownLibKernel`]).
 pub fn emit_c_traced(func: &Func, sink: Option<&TraceSink>) -> String {
     emit_traced("emit_c", func, sink, |f| {
-        emit_c(&then(lower_cpu_parallel(f), lower_scalar))
+        let (lowered, plan) = lower_and_plan(f, &HashMap::new());
+        emit_c(&lowered, &plan, false)
             .expect("lowered IR calling library kernels the C backend provides")
+            .0
     })
 }
 

@@ -9,8 +9,8 @@
 //! on the IR, where a tensor is a name, and spells each decision as a 0-d
 //! `CpuStack` `VarDef` — a register, which the C printer declares as a
 //! scalar local and the VM keeps in a machine register. It runs once per
-//! prepare, in [`lower_and_plan`](crate::lower_and_plan) (and
-//! [`emit_c_traced`](crate::emit_c_traced)).
+//! prepare, in [`lower_and_plan`](crate::lower_and_plan), whose function
+//! [`emit_c_traced`](crate::emit_c_traced) prints too.
 //!
 //! * **Hoisting.** A maximal subexpression of a statement directly in loop
 //!   `L` that may leave `L` by the rule of [`ft_passes::hoist`] (shared with

@@ -12,7 +12,7 @@
 //! compiler processes.
 //!
 //! Cache key (`artifact_key`): FNV-1a over the complete translation unit
-//! `ft_codegen::emit_c_planned` emits (function and `ft_entry` wrapper; it
+//! `ft_codegen::emit_c` emits (function and `ft_entry` wrapper; it
 //! already embodies the program, its schedule — scheduling rewrites the IR
 //! the emitter prints — and its memory plan, whose offsets and peak are
 //! literals in the text), the compiler flag string, and an ABI version
@@ -45,7 +45,7 @@ use crate::interp::RunResult;
 use crate::process::output_with_timeout;
 use crate::value::TensorVal;
 use ft_analysis::MemPlan;
-use ft_codegen::{emit_c_planned, CodegenError, ProfSite};
+use ft_codegen::{emit_c, CodegenError, ProfSite};
 use ft_ir::{Fnv1a, Func};
 use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, Verdict, TRACK_RUNTIME};
 use parking_lot::Mutex;
@@ -428,7 +428,7 @@ impl CompiledEngine {
     fn kernel_for(&self, func: &Func, plan: &MemPlan) -> Result<Arc<LoadedKernel>, RuntimeError> {
         // The plan was computed with the run's concrete sizes: distinct size
         // bindings emit (and cache) distinct kernels.
-        let (src, sites) = emit_c_planned(func, plan, self.profile).map_err(|e| match e {
+        let (src, sites) = emit_c(func, plan, self.profile).map_err(|e| match e {
             // The interpreter's and the VM's error for the same program.
             CodegenError::UnknownLibKernel { kernel } => RuntimeError::UnknownKernel(kernel),
             e => RuntimeError::Native(format!("codegen: {e}")),
@@ -861,7 +861,7 @@ mod tests {
         // no plan hash — with the unit itself cached next to the object.
         let f = axpy();
         let (lowered, plan) = ft_codegen::lower_and_plan(&f, &sizes);
-        let unit = emit_c_planned(&lowered, &plan, false).unwrap().0;
+        let unit = emit_c(&lowered, &plan, false).unwrap().0;
         let tail = [&[0][..], cc_flags().as_bytes(), &[0], &4u32.to_le_bytes()].concat();
         let key = ft_ir::fnv1a(&[unit.as_bytes(), &tail].concat());
         assert_eq!(artifact_key(&unit, cc_flags()), key);
@@ -968,8 +968,8 @@ mod tests {
     fn profiled_and_unprofiled_builds_cache_separately() {
         let f = axpy();
         let plan = MemPlan::plan(&f, &HashMap::from([("n".to_string(), 8i64)]));
-        let (src_plain, sites_plain) = emit_c_planned(&f, &plan, false).unwrap();
-        let (src_prof, sites_prof) = emit_c_planned(&f, &plan, true).unwrap();
+        let (src_plain, sites_plain) = emit_c(&f, &plan, false).unwrap();
+        let (src_prof, sites_prof) = emit_c(&f, &plan, true).unwrap();
         assert_ne!(
             artifact_key(&src_plain, cc_flags()),
             artifact_key(&src_prof, cc_flags())
@@ -1075,7 +1075,7 @@ mod tests {
     #[test]
     fn two_flag_strings_give_two_artifact_keys() {
         let f = axpy();
-        let unit = emit_c_planned(&f, &MemPlan::plan(&f, &HashMap::new()), false)
+        let unit = emit_c(&f, &MemPlan::plan(&f, &HashMap::new()), false)
             .unwrap()
             .0;
         let avx2 = format!("{BASE_FLAGS} -mavx2");

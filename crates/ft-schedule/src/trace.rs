@@ -23,8 +23,8 @@ use ft_ir::{find, AccessType, ForProperty, Func, MemType, ParallelScope, Stmt, S
 use ft_trace::JsonVal;
 
 /// Largest constant element count [`ScheduleOp::SetMtype`] will promote to
-/// `CpuStack`. The rule-based `auto_mem_type` promotes up to its target's
-/// `reg_elems` (64 by default); the trace op allows a slightly larger
+/// `CpuStack`. The rule-based `auto_mem_type` promotes up to
+/// `ft_autoschedule::REG_ELEMS` (64); the trace op allows a slightly larger
 /// neighborhood so search can explore beyond the rule threshold while still
 /// keeping promoted tensors L1-resident-sized.
 pub const SET_MTYPE_MAX_ELEMS: i64 = 256;

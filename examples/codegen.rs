@@ -1,5 +1,7 @@
-//! Emit the native-backend sources (C/OpenMP and CUDA-flavoured) for a
-//! scheduled program — the paper's §4.3 code-generation stage.
+//! Emit the native-backend sources for a scheduled program — the paper's
+//! §4.3 code-generation stage: the C/OpenMP unit the compiled engine hands
+//! `cc` (planned arena offsets and the `ft_entry` wrapper included), and
+//! the CUDA-flavoured source.
 //!
 //! ```sh
 //! cargo run --example codegen
@@ -15,7 +17,7 @@ fn main() {
     };
     let program = subdivnet::program(&params);
 
-    println!("==== C / OpenMP (CPU schedule) ====");
+    println!("==== C / OpenMP: the unit cc builds (CPU schedule) ====");
     println!("{}", program.optimize(&Target::cpu()).emit_c());
 
     println!("==== CUDA-flavoured (GPU schedule) ====");

@@ -306,7 +306,7 @@ fn heap_def_inside_a_parallel_body_is_thread_private() {
                 ),
             ));
         let (lowered, plan) = ft_runtime::lower_and_plan(&f, &HashMap::new());
-        let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
+        let (c, _) = freetensor::codegen::emit_c(&lowered, &plan, false).expect("emits");
         assert!(
             c.contains(private),
             "`t` is not thread-private as `{private}`:\n{c}"

@@ -33,6 +33,9 @@
 //! * `benchmark_units_stay_in_f32_under_wdouble_promotion` — the C of the
 //!   benchmark's seven units has no implicit `float`→`double` promotion and
 //!   no narrowing float conversion, says `cc`.
+//! * `the_unit_cc_builds_is_the_unit_program_emit_c_prints` — on the 22
+//!   benchmark units, the `<key>.c` a `CompiledEngine` writes is byte for
+//!   byte `Program::emit_c()`.
 //! * `every_lowered_parallel_loop_proves` — the 22 benchmark units (the
 //!   seven rule-scheduled programs and the eight committed searched
 //!   schedules, at small and full scale), lowered as the engines run them
@@ -47,9 +50,10 @@
 //!   the pass decided per unit.
 //! * `a_racy_mark_runs_serially_with_its_reason_on_every_engine` — a
 //!   hand-marked prefix sum and one-cell store: serial on the VM and the
-//!   compiled engine, bit-identical to the interpreter, with a
+//!   compiled engine, bit-identical to the interpreter, with a rejected
 //!   `lower.parallel` decision naming the dependence and no `omp parallel
-//!   for` in the unit; `an_unlowered_atomic_reduction_is_a_carried_reduction_to_the_prover`
+//!   for` in the unit (the one line `Program::emit_c()` keeps);
+//!   `an_unlowered_atomic_reduction_is_a_carried_reduction_to_the_prover`
 //!   — the prover's other reason.
 //! * `every_vectorize_loop_is_emitted_under_omp_simd` — the rule-scheduled
 //!   programs: a loop of `lower_and_plan`'s function carries `#pragma omp
@@ -147,7 +151,8 @@ fn lower_checked(f: &Func, inputs: &Inputs, sizes: &HashMap<String, i64>) -> Fun
         matches!(lower_cpu_parallel(&lowered), Cow::Borrowed(_)),
         "lowering is not idempotent:\n{lowered}"
     );
-    emit_c(&lowered).unwrap_or_else(|e| panic!("emit_c rejected lowered IR: {e}\n{lowered}"));
+    emit_c(&lowered, &ft_analysis::MemPlan::plan(&lowered, sizes), false)
+        .unwrap_or_else(|e| panic!("emit_c rejected lowered IR: {e}\n{lowered}"));
     let rt = Runtime::new();
     let want = rt.run(f, inputs, sizes).expect("original runs");
     let got = rt.run(&lowered, inputs, sizes).expect("lowered runs");
@@ -453,7 +458,7 @@ fn partial_rows_are_planned_arena_backed_and_budgeted() {
     let sizes = no_sizes();
     let (lowered, plan) = freetensor::runtime::lower_and_plan(&f, &sizes);
     assert!(plan.planned_peak_bytes >= rows, "{plan:?}");
-    let (c, _) = freetensor::codegen::emit_c_planned(&lowered, &plan, false).expect("emits");
+    let (c, _) = freetensor::codegen::emit_c(&lowered, &plan, false).expect("emits");
     assert!(c.contains("float* h_part = (float*)(__ft_arena + "), "{c}");
     assert!(!c.contains("calloc"), "{c}");
 
@@ -725,16 +730,19 @@ fn compiled_outputs_are_bit_identical_across_omp_num_threads() {
 /// accumulator, temporaries are numbered in decision order, and an `f32`
 /// value with an operator in it is no register (the interpreter would
 /// round it) — its loads are, and the prelude declares the `float` math
-/// pure so that `cc` computes it once. Each diff is in EXPERIMENTS.md.
+/// pure so that `cc` computes it once. Each diff is in EXPERIMENTS.md. All
+/// eight moved once more, and no kernel with them, when `Program::emit_c`
+/// came to print the unit `cc` builds (arena offsets, `ft_entry`): the
+/// pins are the hashes of the engine's unit at the commit before.
 const FORWARD_RULE_C: [(&str, bool, u64); 8] = [
-    ("subdivnet", true, 0x56d2_8fd3_ccd1_1908),
-    ("subdivnet", false, 0xdb14_9ec3_8c55_e164),
-    ("longformer", true, 0xdebd_8c13_b2b9_9bc9),
-    ("longformer", false, 0x8369_1063_c37f_8998),
-    ("softras", true, 0xeff2_81f2_dd77_115a),
-    ("softras", false, 0x05c3_85c5_9292_a779),
-    ("gat", true, 0x9f15_d1db_cae4_5f22),
-    ("gat", false, 0xbd52_0562_c37c_6f07),
+    ("subdivnet", true, 0x18f7_464c_a82a_58eb),
+    ("subdivnet", false, 0x1f77_fb90_21a9_53a1),
+    ("longformer", true, 0x51bd_0608_f1c3_c859),
+    ("longformer", false, 0x9a9e_84b2_8831_7c90),
+    ("softras", true, 0x51a5_312f_fb19_b421),
+    ("softras", false, 0xe9da_a6f4_f793_bd78),
+    ("gat", true, 0x5183_9118_13f6_9430),
+    ("gat", false, 0x1854_8c5f_af2b_e765),
 ];
 
 #[test]
@@ -767,16 +775,16 @@ fn emitted_c_has_no_atomics_and_forward_rule_c_is_unchanged() {
 /// on positions, so a primitive that rebuilds its loop differently moves
 /// these. Pinned when the primitives came to decide on the tree in place
 /// (SubdivNet's full-scale search kept the rule schedule: its pin is
-/// `FORWARD_RULE_C`'s).
+/// `FORWARD_RULE_C`'s), and re-pinned with it to the unit `cc` builds.
 const SEARCHED_C: [(&str, bool, u64); 8] = [
-    ("subdivnet", true, 0x56d2_8fd3_ccd1_1908),
-    ("subdivnet", false, 0x2a35_04e3_2f82_aaa5),
-    ("longformer", true, 0x7c05_37b2_d2f3_17a6),
-    ("longformer", false, 0xbcba_64f3_2dab_827f),
-    ("softras", true, 0x28be_80d9_a595_173d),
-    ("softras", false, 0xad0e_0001_d792_b5e5),
-    ("gat", true, 0x8a8d_2774_8e6a_7b7e),
-    ("gat", false, 0x3a16_4b7f_2cdf_7cab),
+    ("subdivnet", true, 0x18f7_464c_a82a_58eb),
+    ("subdivnet", false, 0x5f7e_b3d6_7632_49f4),
+    ("longformer", true, 0x1234_68bb_b8d2_a04e),
+    ("longformer", false, 0xdaa0_eacd_5ef8_d069),
+    ("softras", true, 0x981f_d554_dfb9_a8cc),
+    ("softras", false, 0xc0e2_6e26_58c6_6876),
+    ("gat", true, 0xdc14_562a_182b_e570),
+    ("gat", false, 0xfed2_53e8_4eb5_7971),
 ];
 
 #[test]
@@ -800,11 +808,12 @@ fn committed_searched_c_is_unchanged() {
 /// when backward loops over named values kept ascending order (both) and
 /// the emitter stopped counting a body-local reduction as carried (SoftRas),
 /// and with `FORWARD_RULE_C` when the emitter became a printer of
-/// `lower_scalar`'s IR.
+/// `lower_scalar`'s IR and when `Program::emit_c` came to print the unit
+/// `cc` builds.
 const GRAD_RULE_C: [(&str, u64); 3] = [
-    ("subdivnet", 0xb9c4_bcf4_6eed_861c),
-    ("longformer", 0x0b98_b9bd_0861_aab3),
-    ("softras", 0xe070_2ed8_20b2_3fcb),
+    ("subdivnet", 0xf7b1_1f5e_dad9_90e4),
+    ("longformer", 0x619e_abf9_11e2_71bd),
+    ("softras", 0x8055_f374_58af_12e7),
 ];
 
 /// FNV-1a of the printed rule-scheduled IR of the benchmark's seven
@@ -868,7 +877,7 @@ fn unsplit_rules(p: &Program) -> Func {
     auto_fuse(&mut s);
     auto_use_lib(&mut s);
     auto_parallelize(&mut s, &target);
-    auto_unroll(&mut s, &target);
+    auto_unroll(&mut s);
     auto_vectorize(&mut s);
     auto_mem_type(&mut s, &target);
     ft_passes::simplify(&s.into_func())
@@ -1188,6 +1197,41 @@ fn every_lowered_parallel_loop_proves() {
     assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
 
+/// The units a `CompiledEngine` wrote as `<key>.c` into `cache`.
+fn cached_units(cache: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(cache)
+        .expect("cache directory")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "c"))
+        .map(|p| std::fs::read_to_string(p).expect("unit"))
+        .collect()
+}
+
+/// One C unit: on each of the 22 benchmark units — no size parameters,
+/// every mark proves — the unit a `CompiledEngine` writes next to the
+/// object it builds is byte for byte the unit `Program::emit_c()` prints.
+#[test]
+fn the_unit_cc_builds_is_the_unit_program_emit_c_prints() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    let mut moved = Vec::new();
+    for (k, Unit { label, scale, program, inputs }) in benchmark_units().into_iter().enumerate() {
+        let cache = std::env::temp_dir().join(format!("ft-unit-{}-{k}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let engine = CompiledEngine::with_cache_dir(cache.clone());
+        engine
+            .run(program.func(), &inputs(), &no_sizes())
+            .unwrap_or_else(|e| panic!("{label} ({scale}): {e}"));
+        if cached_units(&cache) != [program.emit_c()] {
+            moved.push(format!("{label} ({scale})"));
+        }
+        let _ = std::fs::remove_dir_all(&cache);
+    }
+    assert!(moved.is_empty(), "the engine built another unit for {moved:?}");
+}
+
 /// `lower_scalar` is invisible to the reference semantics: on each of the
 /// 22 benchmark units, and on [`store_between_reads`], the interpreter
 /// computes, bit for bit, the same outputs from the function
@@ -1237,9 +1281,11 @@ fn the_scalar_lowering_is_invisible_to_the_interpreter() {
 /// every iteration reads what the one before wrote, and a store of every
 /// iteration into one cell. The resolve both lowering engines share cannot
 /// prove either mark, so on the VM and the compiled engine the loop runs
-/// serially: outputs bit-identical to the interpreter, one `lower.parallel`
-/// decision naming the dependence, and no `omp parallel for` in the unit
-/// `cc` builds.
+/// serially: outputs bit-identical to the interpreter, one rejected
+/// `lower.parallel` decision naming the dependence, and no `omp parallel
+/// for` in the unit `cc` builds. That pragma line is the one difference
+/// `Program::emit_c` documents: the printed unit, whose marks nothing
+/// proves, keeps it and is otherwise the built one.
 #[test]
 fn a_racy_mark_runs_serially_with_its_reason_on_every_engine() {
     let n = 4096usize;
@@ -1283,22 +1329,21 @@ fn a_racy_mark_runs_serially_with_its_reason_on_every_engine() {
                 .filter(|d| d.primitive == "lower.parallel")
                 .collect();
             let names_y = |d: &freetensor::trace::Decision| {
-                matches!(&d.deps[..], [dep] if dep.var == "y")
+                matches!(d.verdict, freetensor::trace::Verdict::Rejected)
+                    && matches!(&d.deps[..], [dep] if dep.var == "y")
                     && d.reason.as_ref().is_some_and(|r| r.contains("`y`"))
             };
             assert!(matches!(&serialized[..], [d] if names_y(d)), "{who}: {serialized:?}");
         }
         let resolved = VmRuntime::new().resolve(f, &no_sizes()).expect("resolves");
-        assert!(!emit_c(resolved.func()).unwrap().contains("omp parallel for"));
+        let (unit, _) = emit_c(resolved.func(), resolved.plan(), false).expect("emits");
+        assert!(!unit.contains("omp parallel for"), "{}:\n{unit}", f.name);
+        let printed = Program::from_func(f.clone()).emit_c();
+        let pragma = "    #pragma omp parallel for\n";
+        assert_eq!(printed.matches(pragma).count(), 1, "{printed}");
+        assert_eq!(printed.replace(pragma, ""), unit, "{}", f.name);
         if cc_available() {
-            let units: Vec<String> = std::fs::read_dir(&cache)
-                .expect("cache directory")
-                .map(|e| e.expect("entry").path())
-                .filter(|p| p.extension().is_some_and(|e| e == "c"))
-                .map(|p| std::fs::read_to_string(p).expect("unit"))
-                .collect();
-            assert_eq!(units.len(), 1, "{}", f.name);
-            assert!(!units[0].contains("omp parallel for"), "{}:\n{}", f.name, units[0]);
+            assert_eq!(cached_units(&cache), [unit], "{}", f.name);
         }
     }
 }
