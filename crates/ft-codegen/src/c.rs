@@ -59,9 +59,8 @@ double pow(double, double);
 
 "#;
 
-/// The helpers expressions are spelled with, each qualified `static inline`
-/// (the CUDA emitter re-qualifies them for both sides of a launch).
-pub(crate) const SCALAR_HELPERS: &str = r#"static inline int64_t ft_fdiv(int64_t a, int64_t b) {
+/// The helpers expressions are spelled with, each `static inline`.
+const SCALAR_HELPERS: &str = r#"static inline int64_t ft_fdiv(int64_t a, int64_t b) {
     int64_t q = a / b, r = a % b;
     return (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;
 }
@@ -94,9 +93,6 @@ const LIB_MATMUL: &str = r#"static inline void ft_lib_matmul(const float* A, con
 /// Appended to the preamble of profiled units only, so an unprofiled unit
 /// — and therefore its artifact-cache key — holds nothing of profiling.
 pub const PROF_PREAMBLE: &str = "#include <time.h>\n";
-
-/// C's names of the element types, in [`Printer::ctype`]'s order.
-const TYPES: [&str; 5] = ["float", "double", "int32_t", "int64_t", "bool"];
 
 /// C identifiers every generated translation unit already uses (the
 /// preamble's support library) plus the C99 keywords — IR names must never
@@ -217,7 +213,7 @@ impl Mangler {
 /// order, as [`Printer::new`] bound them — the one `Mangler` pass that also
 /// prints the body and the `ft_entry` wrapper.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CSymbols {
+struct CSymbols {
     /// Identifier of the emitted function.
     pub func: String,
     /// One identifier per tensor parameter, in declaration order.
@@ -289,18 +285,15 @@ impl std::error::Error for CodegenError {}
 /// Largest constant element count emitted as an automatic array.
 const STACK_ELEMS: i64 = 4096;
 
-/// The one expression printer of the crate: what is in scope — tensors
-/// with their element types and shapes, IR names with their identifiers —
-/// and the target language's type names. Both emitters spell names,
-/// indices and expressions through it; everything it prints is typed from
+/// The expression printer: what is in scope — tensors with their element
+/// types and shapes, IR names with their identifiers. Names, indices and
+/// expressions are spelled through it; everything it prints is typed from
 /// [`Expr::dtype`].
-pub(crate) struct Printer<'a> {
+struct Printer<'a> {
     /// Tensors in scope, innermost last: name, element type, shape, and
     /// whether it is a register, spelled as a scalar local.
-    pub(crate) tensors: Vec<(&'a str, DataType, &'a [Expr], bool)>,
-    pub(crate) names: Mangler,
-    /// The target's names of `f32`, `f64`, `i32`, `i64`, `bool`.
-    types: [&'static str; 5],
+    tensors: Vec<(&'a str, DataType, &'a [Expr], bool)>,
+    names: Mangler,
 }
 
 struct Emitter<'a> {
@@ -386,6 +379,32 @@ fn put_float(out: &mut String, v: f64, single: bool) {
     }
 }
 
+/// `func`'s parameter list under the identifiers of `syms`: a pointer per
+/// tensor (`const` for inputs), then the size parameters.
+fn signature(func: &Func, syms: &CSymbols) -> Vec<String> {
+    let tensors = func.params.iter().zip(&syms.params);
+    let tensors = tensors.map(|(p, ident)| format!("{} {ident}", pointer(p)));
+    let sizes = syms.size_params.iter().map(|ident| format!("int64_t {ident}"));
+    tensors.chain(sizes).collect()
+}
+
+/// The pointer type of a tensor parameter (`const` for inputs).
+fn pointer(p: &Param) -> String {
+    let qual = if p.atype == AccessType::Input { "const " } else { "" };
+    format!("{qual}{}*", ctype(p.dtype))
+}
+
+/// C's name of `dt`.
+fn ctype(dt: DataType) -> &'static str {
+    match dt {
+        DataType::F32 => "float",
+        DataType::F64 => "double",
+        DataType::I32 => "int32_t",
+        DataType::I64 => "int64_t",
+        DataType::Bool => "bool",
+    }
+}
+
 /// Whether `e` is built from literals only and floating point: the one
 /// kind of operand whose spelling depends on what it meets.
 fn weak_float(e: &Expr) -> bool {
@@ -402,7 +421,7 @@ const WEAK_FLOAT: ExprType = ExprType {
 impl<'a> Printer<'a> {
     /// A printer with `func`'s signature bound (name, tensors, sizes, in
     /// that order) and its parameters in scope.
-    pub(crate) fn new(func: &'a Func, types: [&'static str; 5]) -> (Printer<'a>, CSymbols) {
+    fn new(func: &'a Func) -> (Printer<'a>, CSymbols) {
         let mut names = Mangler::new();
         let syms = CSymbols {
             func: names.bind(&func.name),
@@ -414,46 +433,14 @@ impl<'a> Printer<'a> {
             .iter()
             .map(|p| (p.name.as_str(), p.dtype, p.shape.as_slice(), false))
             .collect();
-        let p = Printer {
-            tensors,
-            names,
-            types,
-        };
-        (p, syms)
+        (Printer { tensors, names }, syms)
     }
 
-    /// `func`'s parameter list: a pointer per tensor (`const` for inputs),
-    /// then the size parameters.
-    pub(crate) fn signature(&self, func: &Func, syms: &CSymbols) -> Vec<String> {
-        let tensors = func.params.iter().zip(&syms.params);
-        let tensors = tensors.map(|(p, ident)| format!("{} {ident}", self.pointer(p)));
-        let int = self.ctype(DataType::I64);
-        let sizes = syms.size_params.iter().map(|ident| format!("{int} {ident}"));
-        tensors.chain(sizes).collect()
-    }
-
-    /// The pointer type of a tensor parameter (`const` for inputs).
-    fn pointer(&self, p: &Param) -> String {
-        let qual = if p.atype == AccessType::Input { "const " } else { "" };
-        format!("{qual}{}*", self.ctype(p.dtype))
-    }
-
-    /// The target's name of `dt`.
-    pub(crate) fn ctype(&self, dt: DataType) -> &'static str {
-        self.types[match dt {
-            DataType::F32 => 0,
-            DataType::F64 => 1,
-            DataType::I32 => 2,
-            DataType::I64 => 3,
-            DataType::Bool => 4,
-        }]
-    }
-
-    pub(crate) fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr], bool)> {
+    fn tensor(&self, name: &str) -> Option<&(&'a str, DataType, &'a [Expr], bool)> {
         self.tensors.iter().rev().find(|t| t.0 == name)
     }
 
-    pub(crate) fn elem(&self, name: &str) -> DataType {
+    fn elem(&self, name: &str) -> DataType {
         self.tensor(name).map_or(DataType::I64, |t| t.1)
     }
 
@@ -462,7 +449,7 @@ impl<'a> Printer<'a> {
     }
 
     /// Append `var[linearized indices]` to `out`, or `var` of a register.
-    pub(crate) fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
+    fn put_index(&self, out: &mut String, var: &str, indices: &[Expr]) {
         let (shape, register) = self.tensor(var).map_or((&[][..], false), |t| (t.2, t.3));
         self.names.put(out, var);
         if register {
@@ -489,7 +476,7 @@ impl<'a> Printer<'a> {
         out.push(']');
     }
 
-    pub(crate) fn expr(&self, e: &Expr, lit: DataType) -> String {
+    fn expr(&self, e: &Expr, lit: DataType) -> String {
         let mut out = String::new();
         self.put_expr(&mut out, e, lit);
         out
@@ -531,7 +518,7 @@ impl<'a> Printer<'a> {
     /// where nothing in `e` says otherwise (a store's target type): an
     /// `f32` expression is spelled to evaluate in `float`, so every float
     /// literal in it carries an `f` and every math call the `float` name.
-    pub(crate) fn put_expr(&self, out: &mut String, e: &Expr, lit: DataType) {
+    fn put_expr(&self, out: &mut String, e: &Expr, lit: DataType) {
         match e {
             Expr::IntConst(v) => put_int(out, *v),
             Expr::FloatConst(v) => put_float(out, *v, lit == DataType::F32),
@@ -554,7 +541,7 @@ impl<'a> Printer<'a> {
                                 let x = self.expr(a, lit);
                                 let sign = format!("(({x} > 0) - ({x} < 0))");
                                 let _ = match t.is_float() {
-                                    true => write!(out, "(({}){sign})", self.ctype(t)),
+                                    true => write!(out, "(({}){sign})", ctype(t)),
                                     false => write!(out, "{sign}"),
                                 };
                                 return;
@@ -621,7 +608,7 @@ impl<'a> Printer<'a> {
                 self.put_pair(out, " ? ", then, " : ", otherwise, ")", lit);
             }
             Expr::Cast { dtype, a } => {
-                let _ = write!(out, "(({})", self.ctype(*dtype));
+                let _ = write!(out, "(({})", ctype(*dtype));
                 self.put_expr(out, a, if dtype.is_float() { *dtype } else { lit });
                 out.push(')');
             }
@@ -719,7 +706,7 @@ impl<'a> Emitter<'a> {
         };
         let stmts = &stmts[usize::from(init.is_some())..];
         let only = init.is_some() && !stmts.iter().any(|s| writes(s, name));
-        let ty = self.p.ctype(dtype);
+        let ty = ctype(dtype);
         self.p.tensors.push((name, dtype, &[], true));
         let ident = self.p.names.bind(name);
         self.line_with(|em, out| {
@@ -789,7 +776,7 @@ impl<'a> Emitter<'a> {
                 body,
                 ..
             } => {
-                let ty = self.p.ctype(*dtype);
+                let ty = ctype(*dtype);
                 // Extents are evaluated in the enclosing scope, before the
                 // new name is bound.
                 let n = self.numel(shape);
@@ -1042,13 +1029,13 @@ fn writes(s: &Stmt, var: &str) -> bool {
 ///
 /// [`CodegenError`] when `func` still holds an `atomic` reduction or a
 /// nested parallel loop, or calls a library kernel the backend does not
-/// provide (all three emitters).
+/// provide.
 pub fn emit_c(
     func: &Func,
     plan: &MemPlan,
     profile: bool,
 ) -> Result<(String, Vec<ProfSite>), CodegenError> {
-    let (p, syms) = Printer::new(func, TYPES);
+    let (p, syms) = Printer::new(func);
     let mut em = Emitter {
         p,
         out: String::new(),
@@ -1059,7 +1046,7 @@ pub fn emit_c(
         parallel_depth: 0,
         err: None,
     };
-    let mut sig = em.p.signature(func, &syms);
+    let mut sig = signature(func, &syms);
     sig.push("unsigned char* __ft_arena".to_string());
     if profile {
         sig.push("uint64_t *__ft_prof".to_string());
@@ -1088,7 +1075,7 @@ pub fn emit_c(
     }
     let _ = write!(out, "    {}(", syms.func);
     for (i, p) in func.params.iter().enumerate() {
-        let _ = write!(out, "({})params[{i}], ", em.p.pointer(p));
+        let _ = write!(out, "({})params[{i}], ", pointer(p));
     }
     for i in 0..func.size_params.len() {
         let _ = write!(out, "sizes[{i}], ");
@@ -1268,7 +1255,7 @@ mod tests {
             .size_param("m")
             .size_param("n")
             .body(store("x_y", [0], load("x.y", [0]) + 1.0f32));
-        let syms = Printer::new(&f, TYPES).1;
+        let syms = Printer::new(&f).1;
         assert_eq!(syms.params.len(), 2);
         assert_ne!(syms.params[0], syms.params[1], "{syms:?}");
         let sig = format!(
@@ -1334,7 +1321,7 @@ mod tests {
         let f = Func::new("main")
             .param("ft_fdiv", [1], DataType::F32, AccessType::Output)
             .body(store("ft_fdiv", [0], 1.0f32));
-        let syms = Printer::new(&f, TYPES).1;
+        let syms = Printer::new(&f).1;
         assert_ne!(syms.func, "main");
         assert_ne!(syms.params[0], "ft_fdiv");
         let mut m = Mangler::new();

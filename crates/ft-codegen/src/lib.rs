@@ -2,7 +2,9 @@
 //!
 //! FreeTensor "generates OpenMP or CUDA code from the AST and invokes
 //! dedicated backend compilers like gcc or nvcc" (paper §4.3). This crate
-//! reproduces the source-emission half:
+//! reproduces the OpenMP half, the one a host `cc` builds and runs; GPU
+//! schedules are priced by the interpreter's device model instead
+//! (`ft-runtime`), and no CUDA is printed:
 //!
 //! * [`lower::lower_cpu_parallel`] — the IR→IR step every compiled-C path
 //!   and the bytecode VM run first: nested parallel marks become serial
@@ -23,17 +25,13 @@
 //!   expressions are spelled in `float` ([`ft_ir::Expr::dtype`]), a
 //!   register is a scalar local, and a `vectorize` loop's `simd reduction`
 //!   clause names the registers it folds into (`DESIGN.md` §7 states the
-//!   numeric contract);
-//! * [`cuda::emit_cuda`] — CUDA-flavoured source: one `__global__` kernel per
-//!   outermost GPU-parallel nest plus a host launcher (syntax-checked only).
+//!   numeric contract).
 
 pub mod c;
-pub mod cuda;
 pub mod lower;
 mod scalar;
 
 pub use c::{emit_c, CodegenError, Mangler, ProfSite, VECTOR_MATH, VECTOR_MATH_MACRO};
-pub use cuda::emit_cuda;
 pub use lower::{lower_cpu_parallel, prove_parallel, Serialized};
 pub use scalar::lower_scalar;
 
@@ -85,27 +83,11 @@ fn then<'a>(first: Cow<'a, Func>, step: fn(&Func) -> Cow<'_, Func>) -> Cow<'a, F
 /// When `func` calls a library kernel the C backend does not provide
 /// ([`CodegenError::UnknownLibKernel`]).
 pub fn emit_c_traced(func: &Func, sink: Option<&TraceSink>) -> String {
-    emit_traced("emit_c", func, sink, |f| {
-        let (lowered, plan) = lower_and_plan(f, &HashMap::new());
-        emit_c(&lowered, &plan, false)
-            .expect("lowered IR calling library kernels the C backend provides")
-            .0
-    })
-}
-
-/// [`emit_cuda`] with a provenance span on the compile track of `sink`.
-pub fn emit_cuda_traced(func: &Func, sink: Option<&TraceSink>) -> String {
-    emit_traced("emit_cuda", func, sink, emit_cuda)
-}
-
-fn emit_traced(
-    name: &str,
-    func: &Func,
-    sink: Option<&TraceSink>,
-    emit: fn(&Func) -> String,
-) -> String {
-    let mut span = sink.map(|s| s.span("codegen", name));
-    let src = emit(func);
+    let mut span = sink.map(|s| s.span("codegen", "emit_c"));
+    let (lowered, plan) = lower_and_plan(func, &HashMap::new());
+    let src = emit_c(&lowered, &plan, false)
+        .expect("lowered IR calling library kernels the C backend provides")
+        .0;
     if let Some(sp) = span.as_mut() {
         sp.arg("func", &func.name);
         sp.arg("bytes", src.len());

@@ -38,8 +38,8 @@
 //!
 //! The C backend maps *every* parallel scope onto OpenMP threads, so the
 //! pass treats any non-serial scope as a CPU parallel mark. The
-//! interpreter (the reference semantics), the cost model and the CUDA
-//! emitter keep the unlowered IR.
+//! interpreter (the reference semantics) and the cost model keep the
+//! unlowered IR.
 
 use ft_analysis::{carried_reductions_in, collect_accesses, loop_carried_deps_in, FoundDep};
 use ft_ir::{

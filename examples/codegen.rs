@@ -1,7 +1,8 @@
-//! Emit the native-backend sources for a scheduled program — the paper's
+//! Emit the native-backend source for a scheduled program — the paper's
 //! §4.3 code-generation stage: the C/OpenMP unit the compiled engine hands
-//! `cc` (planned arena offsets and the `ft_entry` wrapper included), and
-//! the CUDA-flavoured source.
+//! `cc` (planned arena offsets and the `ft_entry` wrapper included). The
+//! GPU schedule is printed as IR: its block/thread loop mapping is what
+//! the interpreter's device model prices, and no CUDA is emitted.
 //!
 //! ```sh
 //! cargo run --example codegen
@@ -20,6 +21,6 @@ fn main() {
     println!("==== C / OpenMP: the unit cc builds (CPU schedule) ====");
     println!("{}", program.optimize(&Target::cpu()).emit_c());
 
-    println!("==== CUDA-flavoured (GPU schedule) ====");
-    println!("{}", program.optimize(&Target::gpu()).emit_cuda());
+    println!("==== GPU schedule (IR the device model prices) ====");
+    println!("{}", program.optimize(&Target::gpu()).func());
 }

@@ -61,28 +61,3 @@ fn emitted_c_compiles_for_all_workloads() {
         }
     }
 }
-
-#[test]
-fn cuda_emission_covers_all_workloads() {
-    // No nvcc in CI: assert structural properties instead.
-    for (name, cu) in [
-        (
-            "subdivnet",
-            subdivnet::program(&subdivnet::Params {
-                n_faces: 16,
-                in_feats: 4,
-            })
-            .optimize(&Target::gpu())
-            .emit_cuda(),
-        ),
-        (
-            "gat",
-            gat::program(&gat::Params::small())
-                .optimize(&Target::gpu())
-                .emit_cuda(),
-        ),
-    ] {
-        assert!(cu.contains("__global__"), "{name}: no kernel:\n{cu}");
-        assert!(cu.contains("<<<"), "{name}: no launch:\n{cu}");
-    }
-}
