@@ -1,9 +1,8 @@
 //! Benchmark regression and schedule-payoff gate.
 //!
 //! ```text
-//! bench_check <baseline.json> <current.json> [--threshold 2.0]
-//!             [--det-threshold 1.10] [--strict-wall]
-//!             [--metrics METRICS.json [--expect-warm] [--min-hit-rate 0.99]]
+//! bench_check <baseline.json> <current.json>
+//!             [--metrics METRICS.json [--expect-warm]]
 //! ```
 //!
 //! Two independent checks, with different teeth:
@@ -12,20 +11,17 @@
 //!    device, kind, scale) against a committed baseline. The
 //!    *deterministic* metrics (`cycles`, `dram_bytes`, from the modeled
 //!    cost counters — identical on every host) are **blocking** when they
-//!    grow past `--det-threshold`. Wall-clock is **advisory** (printed,
-//!    never fails the run) since absolute time varies across runner
-//!    hardware; `--threshold` controls when it is flagged.
+//!    grow past 1.10x the baseline (`DET_THRESHOLD`). Wall-clock is
+//!    **advisory** (printed, never fails the run) since absolute time varies
+//!    across runner hardware; it is flagged past 2x (`WALL_THRESHOLD`).
 //!
 //! 2. **Inversions** — within the *current* file, for every
 //!    (workload, device, kind, scale) that has both an `ft-naive` and an
 //!    `ft-optimized` row, the optimized schedule must actually pay off.
 //!    A higher optimized `cycles` count is **blocking**; a higher
-//!    optimized wall time is advisory unless `--strict-wall` promotes it
-//!    (used on the committed full-scale results, where the VM's SIMD and
-//!    privatized-reduction lowering is expected to win outright). On
-//!    `grad` rows the *compiled* wall (`compiled_wall_ms`) must also stay
-//!    within 1.10x of `ft-naive`'s: **blocking** at full scale, advisory
-//!    at small scale.
+//!    optimized wall time is advisory. On `grad` rows the *compiled* wall
+//!    (`compiled_wall_ms`) must also stay within 1.10x of `ft-naive`'s:
+//!    **blocking** at full scale, advisory at small scale.
 //!
 //! 3. **Searched schedules** — within the *current* file, every
 //!    `ft-searched` row (a committed `results/schedules/` trace replayed by
@@ -59,7 +55,7 @@
 //!    have executed against a fully populated artifact cache:
 //!    `compiled.cc.spawned` must be exactly 0 (every kernel served without
 //!    a compiler spawn) and the `compiled.cache` hit rate
-//!    (`hit / (hit + miss)`) must reach `--min-hit-rate` (default 0.99).
+//!    (`hit / (hit + miss)`) must reach `MIN_HIT_RATE` (0.99).
 //!    The arena steady state is gated the same way:
 //!    `mem.arena.warm_probe_runs` must be non-zero (the warm `RunContext`
 //!    loop actually ran), `mem.arena.warm_alloc_calls` must be exactly
@@ -79,6 +75,15 @@ use std::process::ExitCode;
 /// against `ft-naive`, searched rows against `ft-optimized`): best-of-5
 /// timings of sub-millisecond kernels repeat within a few percent.
 const WALL_MARGIN: f64 = 1.10;
+
+/// Growth of a deterministic metric over the baseline that blocks.
+const DET_THRESHOLD: f64 = 1.10;
+
+/// Growth of wall-clock over the baseline that is flagged (advisory).
+const WALL_THRESHOLD: f64 = 2.0;
+
+/// Lowest `compiled.cache` hit rate a warm run may have.
+const MIN_HIT_RATE: f64 = 0.99;
 
 fn field(r: &JsonVal, k: &str) -> Option<String> {
     r.get(k).and_then(JsonVal::as_str).map(str::to_string)
@@ -140,7 +145,7 @@ fn load(path: &str) -> Result<Vec<JsonVal>, String> {
 
 /// Check 5's findings on a telemetry snapshot, in print order: whether
 /// each blocks, and what it says.
-fn warm_gates(snap: &MetricsSnapshot, min_hit_rate: f64) -> Vec<(bool, String)> {
+fn warm_gates(snap: &MetricsSnapshot) -> Vec<(bool, String)> {
     let spawned = snap.counter("compiled.cc.spawned");
     let hit = snap.counter("compiled.cache.hit");
     let lookups = hit + snap.counter("compiled.cache.miss");
@@ -166,13 +171,10 @@ fn warm_gates(snap: &MetricsSnapshot, min_hit_rate: f64) -> Vec<(bool, String)> 
              so the warm-cache gate is vacuous"
                 .to_string(),
         )
-    } else if hit_rate < min_hit_rate {
+    } else if hit_rate < MIN_HIT_RATE {
         (
             true,
-            format!(
-                "cache hit rate {hit_rate:.3} ({hit}/{lookups}) below --min-hit-rate \
-                 {min_hit_rate}"
-            ),
+            format!("cache hit rate {hit_rate:.3} ({hit}/{lookups}) below {MIN_HIT_RATE}"),
         )
     } else {
         (false, format!("cache hit rate {hit_rate:.3} ({hit}/{lookups})"))
@@ -218,40 +220,22 @@ fn main() -> ExitCode {
         .enumerate()
         .filter(|(i, a)| {
             !a.starts_with("--")
-                && !matches!(
-                    args[1..].get(i.wrapping_sub(1)).map(String::as_str),
-                    Some("--threshold")
-                        | Some("--det-threshold")
-                        | Some("--metrics")
-                        | Some("--min-hit-rate")
-                )
+                && args[1..].get(i.wrapping_sub(1)).map(String::as_str) != Some("--metrics")
         })
         .map(|(_, a)| a)
         .collect();
     let [baseline_path, current_path] = positional[..] else {
         eprintln!(
             "usage: bench_check <baseline.json> <current.json> \
-             [--threshold X] [--det-threshold Y] [--strict-wall] \
-             [--metrics METRICS.json [--expect-warm] [--min-hit-rate R]]"
+             [--metrics METRICS.json [--expect-warm]]"
         );
         return ExitCode::from(2);
     };
-    let opt = |name: &str, default: f64| -> f64 {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let wall_threshold = opt("--threshold", 2.0);
-    let det_threshold = opt("--det-threshold", 1.10);
-    let strict_wall = args.iter().any(|a| a == "--strict-wall");
     let metrics_path: Option<&String> = args
         .iter()
         .position(|a| a == "--metrics")
         .and_then(|i| args.get(i + 1));
     let expect_warm = args.iter().any(|a| a == "--expect-warm");
-    let min_hit_rate = opt("--min-hit-rate", 0.99);
 
     let (baseline, current) = match (load(baseline_path), load(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
@@ -281,11 +265,11 @@ fn main() -> ExitCode {
             let (Some(bv), Some(cv)) = (num(base, metric), num(cur, metric)) else {
                 continue;
             };
-            if bv > 0.0 && cv > det_threshold * bv {
+            if bv > 0.0 && cv > DET_THRESHOLD * bv {
                 blocking += 1;
                 println!(
                     "BLOCKING   {k}: {metric} {cv:.0} vs baseline {bv:.0} \
-                     (>{det_threshold}x, deterministic)"
+                     (>{DET_THRESHOLD}x, deterministic)"
                 );
             }
         }
@@ -305,10 +289,10 @@ fn main() -> ExitCode {
             }
         }
         if let (Some(bw), Some(cw)) = (num(base, "wall_ms"), num(cur, "wall_ms")) {
-            if cw > wall_threshold * bw {
+            if cw > WALL_THRESHOLD * bw {
                 advisories += 1;
                 println!(
-                    "ADVISORY   {k}: wall {cw:.2}ms vs baseline {bw:.2}ms (>{wall_threshold}x)"
+                    "ADVISORY   {k}: wall {cw:.2}ms vs baseline {bw:.2}ms (>{WALL_THRESHOLD}x)"
                 );
             } else {
                 println!("ok         {k}: wall {cw:.2}ms vs baseline {bw:.2}ms");
@@ -342,14 +326,9 @@ fn main() -> ExitCode {
         }
         if let (Some(nw), Some(ow)) = (num(naive, "wall_ms"), num(cur, "wall_ms")) {
             if ow > nw {
-                let label = if strict_wall { "BLOCKING" } else { "ADVISORY" };
-                if strict_wall {
-                    blocking += 1;
-                } else {
-                    advisories += 1;
-                }
+                advisories += 1;
                 println!(
-                    "{label}   {ck}: ft-optimized wall {ow:.3}ms > ft-naive {nw:.3}ms (inversion)"
+                    "ADVISORY   {ck}: ft-optimized wall {ow:.3}ms > ft-naive {nw:.3}ms (inversion)"
                 );
             } else {
                 println!(
@@ -485,7 +464,7 @@ fn main() -> ExitCode {
             }
         };
         if expect_warm {
-            for (blocks, finding) in warm_gates(&snap, min_hit_rate) {
+            for (blocks, finding) in warm_gates(&snap) {
                 if blocks {
                     blocking += 1;
                     println!("BLOCKING   metrics: {finding}");
@@ -535,7 +514,7 @@ mod tests {
     }
 
     fn blocking(snap: &MetricsSnapshot) -> Vec<String> {
-        let gates = warm_gates(snap, 0.99).into_iter();
+        let gates = warm_gates(snap).into_iter();
         gates.filter(|(b, _)| *b).map(|(_, f)| f).collect()
     }
 

@@ -27,9 +27,10 @@
 //! the values — tapes, inputs, replayed tensors of enclosing scopes — that
 //! the pullback of the unnamed statement would have read inside it.
 
-use ft_ir::mutate::{mutate_expr_walk, mutate_stmt_walk};
+use ft_ir::mutate::{bound_names, mutate_expr_walk, mutate_stmt_walk};
 use ft_ir::{builder, DataType, Expr, Func, MemType, Mutator, Stmt, StmtKind};
 use ft_passes::hoist::{certainly_runs, direct_assignments, scan, LoopNames};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// `func`'s body with every value the rule admits named, and the names
@@ -41,30 +42,19 @@ use std::collections::{HashMap, HashSet};
 /// becomes `VarDef t { t[] = E; L[E := t[]] }`, `t` a 0-d `CpuStack` tensor
 /// of `E`'s type; structurally equal values of one loop share a name.
 ///
-/// `func`'s definition names must be unique (`uniquify_def_names`): "loads
+/// `func`'s definition names must be unique (`uniquify_defs`): "loads
 /// nothing `L` writes" is decided by name.
 pub(crate) fn name_invariants(
     func: &Func,
     dtypes: &HashMap<String, DataType>,
     active: &dyn Fn(&str) -> bool,
 ) -> (Stmt, Vec<(String, DataType)>) {
-    let mut used: HashSet<String> = func
-        .params
-        .iter()
-        .map(|p| p.name.clone())
-        .chain(func.size_params.iter().cloned())
-        .collect();
-    func.body.walk(&mut |s| {
-        if let StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } = &s.kind {
-            used.insert(name.clone());
-        }
-    });
     let mut namer = Namer {
         loops: LoopNames::of(&func.body),
         next_loop: 0,
         dtypes,
         active,
-        used,
+        used: bound_names(func),
         introduced: Vec::new(),
     };
     let body = namer.mutate_stmt(func.body.clone());
@@ -79,7 +69,7 @@ struct Namer<'a> {
     dtypes: &'a HashMap<String, DataType>,
     active: &'a dyn Fn(&str) -> bool,
     /// Every parameter, size parameter, definition and iterator name.
-    used: HashSet<String>,
+    used: HashSet<Cow<'a, str>>,
     introduced: Vec<(String, DataType)>,
 }
 
@@ -111,7 +101,7 @@ impl Namer<'_> {
     fn fresh(&mut self) -> String {
         (1..)
             .map(|k| format!("ad.t{k}"))
-            .find(|n| self.used.insert(n.clone()))
+            .find(|n| self.used.insert(Cow::Owned(n.clone())))
             .expect("unbounded candidate space")
     }
 }
@@ -358,9 +348,7 @@ mod tests {
     /// The names given in a DSL program, all of whose float tensors carry
     /// gradients.
     fn names_in_source(src: &str, entry: &str) -> String {
-        let f = ft_ir::mutate::uniquify_def_names(
-            &ft_frontend::compile_str(src, entry).expect("compiles"),
-        );
+        let f = ft_passes::uniquify_defs(ft_frontend::compile_str(src, entry).expect("compiles"));
         let mut d: HashMap<String, DataType> =
             f.params.iter().map(|p| (p.name.clone(), p.dtype)).collect();
         f.body.walk(&mut |s| {

@@ -3,7 +3,7 @@
 use crate::analyze::{decide, tensor_facts, MaterializeDecision, TapePolicy};
 use crate::deriv::{pullback, DerivError};
 use crate::name::name_invariants;
-use ft_ir::mutate::{rename_var_stmt, subst_var_stmt, uniquify_def_names};
+use ft_ir::mutate::{refresh_ids, rename_var_stmt, subst_var_stmt};
 use ft_ir::{
     builder, AccessType, DataType, Expr, Func, MemType, Param, ReduceOp, Stmt, StmtKind,
 };
@@ -106,7 +106,7 @@ pub fn grad_with(func: &Func, opts: &GradOptions) -> Result<Func, AdError> {
     // parameter cached twice by the schedule, yielding two `Q.cache` defs —
     // would silently merge distinct tensors and corrupt tape indexing.
     // Alpha-rename them apart first.
-    let func = &uniquify_def_names(func);
+    let func = &ft_passes::uniquify_defs(func.clone());
     for p in &func.params {
         if p.atype == AccessType::InOut {
             return Err(AdError::Unsupported(format!(
@@ -682,7 +682,7 @@ impl Grad<'_> {
                         && all_stores
                         && writes.iter().all(|t| self.recomputed(t))
                     {
-                        let replay = self.tape_substitute_stmt(refresh_ids(st));
+                        let replay = self.tape_substitute_stmt(refresh_ids(st.clone()));
                         out.push(replay);
                     }
                 }
@@ -987,52 +987,6 @@ impl Grad<'_> {
         };
         Stmt { id, label, kind }
     }
-}
-
-/// Deep copy with fresh statement identities.
-fn refresh_ids(s: &Stmt) -> Stmt {
-    let kind = match &s.kind {
-        StmtKind::Block(v) => StmtKind::Block(v.iter().map(refresh_ids).collect()),
-        StmtKind::VarDef {
-            name,
-            shape,
-            dtype,
-            mtype,
-            atype,
-            body,
-        } => StmtKind::VarDef {
-            name: name.clone(),
-            shape: shape.clone(),
-            dtype: *dtype,
-            mtype: *mtype,
-            atype: *atype,
-            body: Box::new(refresh_ids(body)),
-        },
-        StmtKind::For {
-            iter,
-            begin,
-            end,
-            property,
-            body,
-        } => StmtKind::For {
-            iter: iter.clone(),
-            begin: begin.clone(),
-            end: end.clone(),
-            property: property.clone(),
-            body: Box::new(refresh_ids(body)),
-        },
-        StmtKind::If {
-            cond,
-            then,
-            otherwise,
-        } => StmtKind::If {
-            cond: cond.clone(),
-            then: Box::new(refresh_ids(then)),
-            otherwise: otherwise.as_ref().map(|o| Box::new(refresh_ids(o))),
-        },
-        k => k.clone(),
-    };
-    Stmt::new(kind)
 }
 
 #[cfg(test)]

@@ -29,15 +29,15 @@
 //! generation times [`MEASURED_PER_GEN`] of its candidates, survivors and
 //! payoff credit follow the measured wall, and the returned trace is the
 //! winner of a final interleaved A/B against the rule trace. Candidate
-//! programs are memoized on [`canonical_key`] — the printed, simplified
-//! function — so two traces that produce the same program are never
+//! programs are memoized on [`Func::content_hash`] of the simplified
+//! function, so two traces that produce the same program are never
 //! evaluated, or measured, twice.
 
 use crate::Target;
 use ft_ir::{Device, Func, MemType};
 use ft_metrics::Metrics;
 use ft_runtime::{PerfCounters, ScheduleScore};
-use ft_schedule::trace::{apply_trace, canonical_key, op_from_json, op_to_json, ScheduleOp};
+use ft_schedule::trace::{apply_trace, op_from_json, op_to_json, ScheduleOp};
 use ft_schedule::Schedule;
 use ft_trace::{JsonVal, TraceSink};
 use rand::rngs::StdRng;
@@ -178,7 +178,7 @@ pub struct GenStat {
 /// calibration report correlates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
-    /// [`canonical_key`] of the candidate program (never repeats).
+    /// [`Func::content_hash`] of the candidate program (never repeats).
     pub key: u64,
     /// Its modeled cycles, from the evaluator.
     pub cycles: f64,
@@ -234,9 +234,10 @@ pub struct SearchOutcome {
     pub history: Vec<GenStat>,
     /// Final payoff statistics (persist for warm starts).
     pub payoff: PayoffTable,
-    /// The final A/B between `best_trace` and `rule_trace`; `None` without
-    /// a measurer, or when the rule trace itself could not be measured.
-    pub measured: Option<Measured>,
+    /// The final A/B between `best_trace` and `rule_trace`, or why there is
+    /// none: no measurer, or a reading of the rule trace the measurer
+    /// failed to take (a host too busy to give clean readings, for one).
+    pub measured: Result<Measured, String>,
     /// Every candidate the generations measured, in measurement order (the
     /// A/B's repeat measurements are not in here).
     pub measurements: Vec<Measurement>,
@@ -270,7 +271,7 @@ pub fn prepare_candidate(base: &Func, device: Device, trace: &[ScheduleOp]) -> (
 
 fn prepare(base: &Func, device: Device, trace: &[ScheduleOp]) -> Prepared {
     let (func, accepted) = prepare_candidate(base, device, trace);
-    let key = canonical_key(&func);
+    let key = func.content_hash();
     let rejected = (trace.len() - accepted.len()) as u64;
     Prepared {
         func,
@@ -501,7 +502,7 @@ pub const FINALISTS: usize = 3;
 pub const AB_ROUNDS: usize = 10;
 
 /// Drop, one at a time to a fixpoint, every op of `trace` whose removal
-/// leaves the [`canonical_key`] of the prepared program unchanged: repeated
+/// leaves the [`Func::content_hash`] of the prepared program unchanged: repeated
 /// marks, ops a later op undoes, ops that were no-ops where they applied.
 /// The result replays to the same program with nothing left to drop
 /// (minimizing twice is the identity).
@@ -688,11 +689,14 @@ impl Searcher<'_> {
     /// order that reverses every round so no contender always runs behind
     /// the same neighbour. Returns the winner's key and the verdict; the
     /// rule trace is displaced only by a contender whose median beats its
-    /// own by more than the interquartile range of its own samples. `None`
-    /// when the rule trace has no measurement to defend (no measurer, or
-    /// the measurer fails on it).
-    fn final_ab(&mut self, rule_key: u64) -> Option<(u64, Measured)> {
-        self.seen.get(&rule_key)?.wall??;
+    /// own by more than the interquartile range of its own samples. `Err`
+    /// says why the rule trace has no measurement to defend: no measurer,
+    /// or one that failed on one of its readings.
+    fn final_ab(&mut self, rule_key: u64) -> Result<(u64, Measured), String> {
+        self.measurer.ok_or("no measurer")?;
+        if !matches!(self.seen.get(&rule_key).and_then(|s| s.wall), Some(Some(_))) {
+            return Err("the measurer failed on the rule trace".to_string());
+        }
         let mut finalists: Vec<u64> = self
             .seen
             .iter()
@@ -724,7 +728,10 @@ impl Searcher<'_> {
         }
         let full_median = |s: &Vec<f64>| (s.len() == AB_ROUNDS).then(|| median(s));
         let rule = &samples[0];
-        let rule_wall_us = full_median(rule)?;
+        let rule_wall_us = full_median(rule).ok_or_else(|| {
+            let failed = AB_ROUNDS - rule.len();
+            format!("the measurer failed on the rule trace in {failed} of {AB_ROUNDS} A/B rounds")
+        })?;
         let noise_us = rule[AB_ROUNDS * 3 / 4] - rule[AB_ROUNDS / 4];
         let (winner, wall_us) = samples
             .iter()
@@ -734,7 +741,7 @@ impl Searcher<'_> {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .filter(|(_, m)| rule_wall_us - m > noise_us)
             .unwrap_or((0, rule_wall_us));
-        Some((
+        Ok((
             contenders[winner],
             Measured {
                 wall_us,
@@ -886,7 +893,7 @@ pub fn search(
                 fitness,
             });
         }
-        // Survivor selection: best-first, deduped by canonical key so the
+        // Survivor selection: best-first, deduped by content hash so the
         // population can't collapse into copies of one schedule.
         pop.sort_by(|a, b| a.fitness.cmp(&b.fitness).then(a.key.cmp(&b.key)));
         pop.dedup_by_key(|i| i.key);
@@ -912,8 +919,8 @@ pub fn search(
             .add(st.measurements.len() as u64);
     }
     let winner = match &ab {
-        Some((key, _)) => st.seen.get(key),
-        None => st.best(),
+        Ok((key, _)) => st.seen.get(key),
+        Err(_) => st.best(),
     };
     let (best_trace, best_score, best_counters) = match winner {
         Some(s) => (
@@ -1242,7 +1249,8 @@ mod tests {
             parallel_marks(&f, &modeled.best_trace) > 0,
             "the model alone is expected to parallelize the toy"
         );
-        assert!(modeled.measured.is_none() && modeled.measurements.is_empty());
+        assert_eq!(modeled.measured, Err("no measurer".to_string()));
+        assert!(modeled.measurements.is_empty());
         let out = search(
             &f,
             &t,
@@ -1273,12 +1281,14 @@ mod tests {
         let t = Target::cpu();
         // Every program measures the same, the rule trace a little noisily:
         // no contender clears the margin however the model ranks them.
-        let rule_key = canonical_key(&prepare_candidate(&f, Device::Cpu, &rule_trace(&f, &t)).0);
+        let rule_key = prepare_candidate(&f, Device::Cpu, &rule_trace(&f, &t))
+            .0
+            .content_hash();
         let calls = std::cell::Cell::new(0u32);
         let flat = |g: &Func| {
             calls.set(calls.get() + 1);
             let jitter = f64::from(calls.get() % 3);
-            Some(if canonical_key(g) == rule_key {
+            Some(if g.content_hash() == rule_key {
                 50.0 + jitter
             } else {
                 50.0
@@ -1294,7 +1304,7 @@ mod tests {
             None,
         );
         let (replayed, _) = prepare_candidate(&f, Device::Cpu, &out.best_trace);
-        assert_eq!(canonical_key(&replayed), rule_key);
+        assert_eq!(replayed.content_hash(), rule_key);
         assert_eq!(out.best_score, out.rule_score);
         let m = out.measured.expect("the A/B ran");
         assert_eq!(m.wall_us, m.rule_wall_us);
@@ -1307,7 +1317,7 @@ mod tests {
         let t = Target::cpu();
         let calls = std::cell::RefCell::new(Vec::new());
         let counting = |g: &Func| {
-            calls.borrow_mut().push(canonical_key(g));
+            calls.borrow_mut().push(g.content_hash());
             charges_parallel_marks(g)
         };
         let out = search(
@@ -1354,7 +1364,8 @@ mod tests {
             None,
             None,
         );
-        assert!(out.measured.is_none());
+        let why = out.measured.unwrap_err();
+        assert_eq!(why, "the measurer failed on the rule trace");
         assert!(out.measurements.len() > 2);
         assert!(out.measurements.iter().all(|m| m.wall_us.is_none()));
         assert!(out.best_score < out.rule_score);
@@ -1379,7 +1390,7 @@ mod tests {
         );
         assert_eq!(parallel_marks(&f, &out.best_trace), 0);
         // The rule trace itself could not be timed: no A/B, no verdict.
-        assert!(out.measured.is_none());
+        assert!(out.measured.is_err());
     }
 
     #[test]
@@ -1395,7 +1406,7 @@ mod tests {
             ScheduleOp::Parallelize { loop_idx: 0 },
             ScheduleOp::SeparateTail { loop_idx: 0 },
         ];
-        let key = |t: &[ScheduleOp]| canonical_key(&prepare_candidate(&f, Device::Cpu, t).0);
+        let key = |t: &[ScheduleOp]| prepare_candidate(&f, Device::Cpu, t).0.content_hash();
         let min = minimize_trace(&f, Device::Cpu, &padded);
         assert_eq!(key(&min), key(&padded));
         assert!(min.len() < padded.len(), "{min:?}");

@@ -42,12 +42,13 @@
 //! unlowered IR.
 
 use ft_analysis::{carried_reductions_in, collect_accesses, loop_carried_deps_in, FoundDep};
+use ft_ir::mutate::{bound_names, fresh_name};
 use ft_ir::{
     AccessType, DataType, Expr, ForProperty, Func, MemType, ParallelScope, ReduceOp, Stmt, StmtId,
     StmtKind,
 };
 use ft_passes::const_fold_expr;
-use ft_schedule::util::{bound_names, fresh_name, replace_by_id};
+use ft_schedule::util::replace_by_id;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 

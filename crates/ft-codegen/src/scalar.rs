@@ -45,7 +45,7 @@
 //! `f32` value with an operator in it is not named whole; the loads in it
 //! are. The pass is invisible to the reference semantics.
 
-use ft_ir::mutate::{mutate_expr_walk, Mutator};
+use ft_ir::mutate::{bound_names, mutate_expr_walk, Mutator};
 use ft_ir::{
     builder, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp,
 };
@@ -56,16 +56,9 @@ use std::collections::HashSet;
 /// `func` with its scalar-code decisions written in, or `func` itself when
 /// there are none.
 pub fn lower_scalar(func: &Func) -> Cow<'_, Func> {
-    let mut used: HashSet<String> = func.params.iter().map(|p| p.name.clone()).collect();
-    used.extend(func.size_params.iter().cloned());
-    func.body.walk(&mut |s| {
-        if let StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } = &s.kind {
-            used.insert(name.clone());
-        }
-    });
     let mut a = Lowering {
         names: LoopNames::of(&func.body),
-        used,
+        used: bound_names(func),
         tensors: func.params.iter().map(|p| (p.name.as_str(), p.dtype, false)).collect(),
         ..Lowering::default()
     };
@@ -127,7 +120,7 @@ struct Lowering<'a> {
     /// Tensors in scope, innermost last: name, element type, register.
     tensors: Vec<(&'a str, DataType, bool)>,
     /// Every name of the function, and the registers made so far.
-    used: HashSet<String>,
+    used: HashSet<Cow<'a, str>>,
     next_reg: usize,
     changed: bool,
 }
@@ -262,7 +255,7 @@ impl<'a> Lowering<'a> {
         loop {
             self.next_reg += 1;
             let name = format!("ft.{kind}{}", self.next_reg);
-            if self.used.insert(name.clone()) {
+            if self.used.insert(Cow::Owned(name.clone())) {
                 return name;
             }
         }

@@ -5,7 +5,7 @@
 //! [`Backend::Reordered`], which rewrite of the program to hand it.
 
 use ft_ir::mutate::{mutate_stmt_walk, subst_var_stmt, Mutator};
-use ft_ir::{find_stmt, AccessType, Expr, Func, ParallelScope, Stmt, StmtKind};
+use ft_ir::{find_stmt, Expr, Func, ParallelScope, Stmt, StmtKind};
 use ft_runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, TensorVal, VmRuntime,
 };
@@ -145,15 +145,6 @@ pub fn engine_for(backend: Backend) -> Box<dyn ExecutionEngine> {
         Backend::Vm => Box::new(VmRuntime::new()),
         Backend::Compiled => Box::new(shared_compiled_engine().clone()),
     }
-}
-
-/// Names of the function's output (and in-out) tensors.
-pub fn output_names(func: &Func) -> Vec<String> {
-    func.params
-        .iter()
-        .filter(|p| matches!(p.atype, AccessType::Output | AccessType::InOut))
-        .map(|p| p.name.clone())
-        .collect()
 }
 
 /// Execute `func` on `backend`, returning its output tensors by name.

@@ -1,6 +1,6 @@
 //! Differential comparison of one scheduled variant across backends.
 
-use crate::backend::{output_names, run_backend, run_backend_planned, Backend};
+use crate::backend::{run_backend, run_backend_planned, Backend};
 use crate::workload::Case;
 use ft_ir::{Func, StmtKind};
 use ft_runtime::TensorVal;
@@ -145,18 +145,18 @@ fn check_planned_path(
         Ok(o) => o,
         Err(e) => return Some(failed(b, e)),
     };
-    for name in output_names(func) {
-        let Some(got) = planned.get(&name) else {
-            return Some(diverge(b, &name, f64::INFINITY, "planned run lost output"));
+    for name in func.output_names() {
+        let Some(got) = planned.get(name) else {
+            return Some(diverge(b, name, f64::INFINITY, "planned run lost output"));
         };
-        let want = &plain[&name];
+        let want = &plain[name];
         if got.shape() != want.shape() {
-            return Some(diverge(b, &name, f64::INFINITY, "planned run shape mismatch"));
+            return Some(diverge(b, name, f64::INFINITY, "planned run shape mismatch"));
         }
         if let Some(d) = bit_difference(got, want) {
             return Some(diverge(
                 b,
-                &name,
+                name,
                 d,
                 "arena-planned run differs from fresh-allocation run",
             ));
@@ -228,22 +228,22 @@ fn check(
                 Err(e) => return Some(failed(b, e)),
             }
         };
-        for name in output_names(func) {
-            let Some(got) = outs.get(&name) else {
-                return Some(diverge(b, &name, f64::INFINITY, contract.missing));
+        for name in func.output_names() {
+            let Some(got) = outs.get(name) else {
+                return Some(diverge(b, name, f64::INFINITY, contract.missing));
             };
-            let (expect, what) = if let Some(oracle) = oracles.get(name.as_str()) {
+            let (expect, what) = if let Some(oracle) = oracles.get(name) {
                 (*oracle, contract.vs_oracle)
             } else if b == Backend::Interp {
                 continue;
             } else {
-                (&base[&name], contract.vs_interp)
+                (&base[name], contract.vs_interp)
             };
             if got.shape() != expect.shape() {
-                return Some(diverge(b, &name, f64::INFINITY, "shape mismatch"));
+                return Some(diverge(b, name, f64::INFINITY, "shape mismatch"));
             }
             if let Err(d) = grad_close(got, expect, &contract.tol, contract.scale) {
-                return Some(diverge(b, &name, d, what));
+                return Some(diverge(b, name, d, what));
             }
         }
         if let Some(d) = check_planned_path(b, func, inputs, &outs) {

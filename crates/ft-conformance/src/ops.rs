@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 pub use ft_schedule::trace::{
-    apply_trace, apply_trace_traced, canonical_key, loops_of, op_from_json, op_to_json,
-    trace_from_json, trace_to_json, vardefs_of, ScheduleOp,
+    apply_trace, apply_trace_traced, loops_of, op_from_json, op_to_json, trace_from_json,
+    trace_to_json, vardefs_of, ScheduleOp,
 };
 
 /// Proptest strategy over *legality-checkable* ops (the unchecked fault

@@ -12,8 +12,10 @@
 //!   lowering, so a finite recursion over `ndim` unrolls into a nested loop.
 
 use crate::ast::{Module, SExpr, SFunc, SParam, SStmt};
+use ft_ir::mutate::fresh_name;
 use ft_ir::{builder, DataType, Expr, Func, Stmt, StmtKind};
 use ft_passes::const_fold_expr;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -92,7 +94,7 @@ struct Lowerer<'m> {
     /// Whether the body being lowered is a library function's.
     in_library: bool,
     scopes: Vec<HashMap<String, Binding>>,
-    used_names: HashSet<String>,
+    used_names: HashSet<Cow<'m, str>>,
     depth: usize,
 }
 
@@ -156,7 +158,7 @@ impl<'m> Lowerer<'m> {
             if let SParam::Size { name } = p {
                 func = func.size_param(name.clone());
                 self.bind(name, Binding::Scalar(builder::var(name)));
-                self.used_names.insert(name.clone());
+                self.used_names.insert(Cow::Borrowed(name));
             }
         }
         for p in &sfunc.params {
@@ -182,7 +184,7 @@ impl<'m> Lowerer<'m> {
                             dtype: *dtype,
                         }),
                     );
-                    self.used_names.insert(name.clone());
+                    self.used_names.insert(Cow::Borrowed(name));
                 }
                 SParam::Size { .. } => {} // bound above
                 SParam::Untyped { name } => {
@@ -213,19 +215,6 @@ impl<'m> Lowerer<'m> {
         None
     }
 
-    fn unique_name(&mut self, base: &str) -> String {
-        if self.used_names.insert(base.to_string()) {
-            return base.to_string();
-        }
-        for k in 1.. {
-            let cand = format!("{base}.{k}");
-            if self.used_names.insert(cand.clone()) {
-                return cand;
-            }
-        }
-        unreachable!()
-    }
-
     fn err<T>(&self, line: usize, msg: impl Into<String>) -> Result<T, LowerError> {
         Err(LowerError {
             message: msg.into(),
@@ -251,7 +240,7 @@ impl<'m> Lowerer<'m> {
                         .iter()
                         .map(|e| self.lower_scalar(e, *line))
                         .collect::<Result<_, _>>()?;
-                    let unique = self.unique_name(name);
+                    let unique = fresh_name(name, &mut self.used_names);
                     self.scopes.push(HashMap::new());
                     self.bind(
                         name,
@@ -295,7 +284,7 @@ impl<'m> Lowerer<'m> {
             } => {
                 let b = self.lower_scalar(begin, *line)?;
                 let e = self.lower_scalar(end, *line)?;
-                let unique = self.unique_name(iter);
+                let unique = fresh_name(iter, &mut self.used_names);
                 self.scopes.push(HashMap::new());
                 self.bind(iter, Binding::Scalar(builder::var(&unique)));
                 let body_ir = self.lower_block(body)?;

@@ -6,6 +6,8 @@
 
 use crate::expr::Expr;
 use crate::stmt::{Stmt, StmtKind};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// A consuming rewriter over statements and expressions.
 ///
@@ -241,55 +243,54 @@ pub fn rename_var_stmt(s: Stmt, from: &str, to: &str) -> Stmt {
     RenameVar { from, to }.mutate_stmt(s)
 }
 
-/// Alpha-rename `VarDef`s so every definition in `func` has a name distinct
-/// from all other definitions *and* from every parameter.
-///
-/// Shadowing is legal IR — the interpreter and the codegen backends scope
-/// names correctly — but whole-function analyses that key per-tensor facts
-/// by name (notably autodiff's tape materialization) silently merge
-/// distinct tensors when names repeat. The schedule `cache` primitive
-/// produces exactly that: caching the same parameter twice yields two
-/// `VarDef`s both named `{param}.cache`.
-///
-/// The pass is top-down: a colliding definition is renamed together with
-/// its whole subtree (an inner shadowing def of the same name is renamed
-/// identically, preserving resolution, and then gets its own fresh name
-/// when the walk reaches it).
-pub fn uniquify_def_names(func: &crate::Func) -> crate::Func {
-    struct Uniquify {
-        used: std::collections::HashSet<String>,
-    }
-    impl Mutator for Uniquify {
-        fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
-            let s = if let StmtKind::VarDef { name, .. } = &s.kind {
-                if self.used.insert(name.clone()) {
-                    s
-                } else {
-                    let base = name.clone();
-                    let fresh = (1..)
-                        .map(|k| format!("{base}.{k}"))
-                        .find(|c| !self.used.contains(c))
-                        .expect("unbounded candidate space");
-                    self.used.insert(fresh.clone());
-                    rename_var_stmt(s, &base, &fresh)
-                }
-            } else {
-                s
-            };
-            mutate_stmt_walk(self, s)
+/// Every name bound anywhere in `func`: parameters, size parameters, local
+/// tensor definitions, and loop iterators. A pass that introduces a binding
+/// picks its name outside this set with [`fresh_name`]: re-applying a
+/// primitive to the same tensor would otherwise emit a second def or
+/// iterator with the first one's name, which the first can shadow or
+/// capture.
+pub fn bound_names(func: &crate::Func) -> HashSet<Cow<'_, str>> {
+    let params = func.params.iter().map(|p| p.name.as_str());
+    let mut taken: HashSet<Cow<str>> =
+        params.chain(func.size_params.iter().map(String::as_str)).map(Cow::Borrowed).collect();
+    func.body.walk(&mut |s| match &s.kind {
+        StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } => {
+            taken.insert(Cow::Borrowed(name));
         }
-    }
-    let mut m = Uniquify {
-        used: func
-            .params
-            .iter()
-            .map(|p| p.name.clone())
-            .chain(func.size_params.iter().cloned())
-            .collect(),
+        _ => {}
+    });
+    taken
+}
+
+/// Pick `base` if it is not taken, else the first of `base.1`, `base.2`, …
+/// that is not; the result is taken from then on.
+pub fn fresh_name(base: &str, taken: &mut HashSet<Cow<'_, str>>) -> String {
+    let name = if taken.contains(base) {
+        (1..)
+            .map(|k| format!("{base}.{k}"))
+            .find(|c| !taken.contains(c.as_str()))
+            .expect("unbounded candidate space")
+    } else {
+        base.to_string()
     };
-    let mut out = func.clone();
-    out.body = m.mutate_stmt(out.body);
-    out
+    taken.insert(Cow::Owned(name.clone()));
+    name
+}
+
+/// Rebuilds every statement post-order with a fresh id and no label.
+struct RefreshIds;
+
+impl Mutator for RefreshIds {
+    fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
+        Stmt::new(mutate_stmt_walk(self, s).kind)
+    }
+}
+
+/// `s` with fresh statement ids: a duplicated subtree must not share
+/// identities with its original, or a later schedule would resolve and
+/// rewrite it ambiguously.
+pub fn refresh_ids(s: Stmt) -> Stmt {
+    RefreshIds.mutate_stmt(s)
 }
 
 #[cfg(test)]
@@ -324,105 +325,6 @@ mod tests {
             }
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn uniquify_renames_sibling_defs_and_preserves_shadowing() {
-        use crate::func::{Func, Param};
-        use crate::types::{AccessType, DataType, MemType};
-        // Two sibling defs named "Q.cache" (the double-`cache` shape), the
-        // second one containing a *nested* shadowing "Q.cache" as well.
-        let mk = |body: Stmt| {
-            var_def(
-                "Q.cache",
-                [4],
-                DataType::F32,
-                MemType::CpuStack,
-                body,
-            )
-        };
-        let first = mk(store("Q.cache", [0], load("Q", [0])));
-        let second = mk(block([
-            store("Q.cache", [1], load("Q", [1])),
-            mk(store("Q.cache", [2], 0.0f32)),
-        ]));
-        let f = Func {
-            name: "f".to_string(),
-            params: vec![Param {
-                name: "Q".to_string(),
-                shape: vec![Expr::IntConst(4)],
-                dtype: DataType::F32,
-                mtype: MemType::CpuHeap,
-                atype: AccessType::Input,
-            }],
-            size_params: vec![],
-            body: block([first, second]),
-        };
-        let out = uniquify_def_names(&f);
-        // All def names distinct, and none collide with the parameter.
-        let mut defs = Vec::new();
-        out.body.walk(&mut |s| {
-            if let StmtKind::VarDef { name, .. } = &s.kind {
-                defs.push(name.clone());
-            }
-        });
-        assert_eq!(defs.len(), 3);
-        let uniq: std::collections::HashSet<_> = defs.iter().collect();
-        assert_eq!(uniq.len(), 3, "{defs:?}");
-        assert!(!defs.contains(&"Q".to_string()));
-        // Every Store targets the name of its innermost enclosing def:
-        // collect (def under which each store sits → store var) pairs.
-        fn check(s: &Stmt, encl: Option<&str>) {
-            match &s.kind {
-                StmtKind::VarDef { name, body, .. } => check(body, Some(name)),
-                StmtKind::Block(ss) => ss.iter().for_each(|st| check(st, encl)),
-                StmtKind::Store { var, .. } => assert_eq!(Some(var.as_str()), encl),
-                _ => {}
-            }
-        }
-        check(&out.body, None);
-        // Loads of the untouched parameter survive by name.
-        let mut loads_q = 0;
-        out.body.walk(&mut |s| {
-            if let StmtKind::Store { value, .. } = &s.kind {
-                if matches!(value, Expr::Load { var, .. } if var == "Q") {
-                    loads_q += 1;
-                }
-            }
-        });
-        assert_eq!(loads_q, 2);
-    }
-
-    #[test]
-    fn uniquify_is_identity_on_distinct_names() {
-        use crate::func::{Func, Param};
-        use crate::types::{AccessType, DataType, MemType};
-        let f = Func {
-            name: "f".to_string(),
-            params: vec![Param {
-                name: "x".to_string(),
-                shape: vec![Expr::IntConst(2)],
-                dtype: DataType::F32,
-                mtype: MemType::CpuHeap,
-                atype: AccessType::Input,
-            }],
-            size_params: vec![],
-            body: var_def(
-                "a",
-                [2],
-                DataType::F32,
-                MemType::CpuStack,
-                var_def(
-                    "b",
-                    [2],
-                    DataType::F32,
-                    MemType::CpuStack,
-                    store("b", [0], load("a", [0])),
-                ),
-            ),
-        };
-        let out = uniquify_def_names(&f);
-        assert_eq!(out, f);
     }
 
     #[test]

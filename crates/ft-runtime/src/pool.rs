@@ -27,7 +27,7 @@
 //! outlives the caller's frame.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A chunk-range task: invoked as `task(lo, hi)` for each claimed chunk.
@@ -39,16 +39,12 @@ type Task = dyn Fn(i64, i64) + Sync;
 
 /// One parallel region in flight.
 struct Job {
-    /// First iteration of the region (the chunk grid's origin).
-    begin: i64,
-    /// Unclaimed `[front, back)` range. Background helpers claim
-    /// grid-aligned chunks ascending from the front; the submitting thread
-    /// claims descending from the back. For a legal region chunk order is
-    /// semantically free; for an *illegal* one (an unchecked parallelize of
-    /// a loop-carried dependence) the two-ended order makes the divergence
-    /// deterministic — it shows even when the OS never actually interleaves
-    /// the workers, e.g. on a single-core host.
-    range: Mutex<(i64, i64)>,
+    /// Start of the next unclaimed chunk. The submitter and the helpers
+    /// claim from it alike, so chunks start on the grid `begin + k * grain`
+    /// and are claimed in ascending order.
+    next: AtomicI64,
+    /// End of the region.
+    end: i64,
     /// Chunk size for dynamic scheduling.
     grain: i64,
     /// The region body, lifetime-erased (see module docs for why this is
@@ -73,9 +69,9 @@ struct PoolStats {
     regions: AtomicU64,
     /// Regions run inline (nested, single-worker, or single-chunk).
     inline_regions: AtomicU64,
-    /// Chunks claimed by submitting threads (back end of the grid).
+    /// Chunks claimed by submitting threads.
     chunks_submitter: AtomicU64,
-    /// Chunks claimed by background helpers (front end of the grid).
+    /// Chunks claimed by background helpers.
     chunks_helper: AtomicU64,
     /// Peak queue depth ever observed at publish time.
     queue_peak: AtomicU64,
@@ -108,9 +104,9 @@ impl PoolStatsSnapshot {
         }
     }
 
-    /// Submitter/helper claim imbalance in percent: `0` when both ends
-    /// drained the same number of chunks, `100` when one end did all the
-    /// work. `None` when no chunks were claimed.
+    /// Submitter/helper claim imbalance in percent: `0` when the submitters
+    /// and the helpers claimed the same number of chunks, `100` when one
+    /// side did all the work. `None` when no chunks were claimed.
     pub fn imbalance_pct(&self) -> Option<u64> {
         let total = self.chunks_submitter + self.chunks_helper;
         if total == 0 {
@@ -122,59 +118,37 @@ impl PoolStatsSnapshot {
 }
 
 impl Job {
-    /// Claim the next grid-aligned chunk from the chosen end, or `None`
-    /// when the range is drained. Both ends stay on the same chunk grid
-    /// (`begin + k * grain`), so chunk indices — and everything built on
-    /// them, like the VM's first-error-by-chunk order — are independent of
-    /// who claimed what.
-    fn claim(&self, from_back: bool) -> Option<(i64, i64)> {
-        let mut r = self.range.lock().unwrap_or_else(|e| e.into_inner());
-        let (front, back) = *r;
-        if front >= back {
+    /// Claim the next chunk, or `None` when the range is drained. Chunks
+    /// sit on one grid (`begin + k * grain`) whoever claims them, so chunk
+    /// indices — and everything built on them, like the VM's
+    /// first-error-by-chunk order — do not depend on who claimed what.
+    fn claim(&self, submitter: bool) -> Option<(i64, i64)> {
+        let lo = self.next.fetch_add(self.grain, Ordering::Relaxed);
+        if lo >= self.end {
             return None;
         }
-        if from_back {
-            self.stats.chunks_submitter.fetch_add(1, Ordering::Relaxed);
+        let claims = if submitter {
+            &self.stats.chunks_submitter
         } else {
-            self.stats.chunks_helper.fetch_add(1, Ordering::Relaxed);
-        }
-        if from_back {
-            // Grid-aligned start of the chunk containing `back - 1`.
-            let lo = (self.begin + (back - 1 - self.begin) / self.grain * self.grain).max(front);
-            *r = (front, lo);
-            Some((lo, back))
-        } else {
-            let hi = (front + self.grain).min(back);
-            *r = (hi, back);
-            Some((front, hi))
-        }
-    }
-
-    /// Claim and run one chunk from the chosen end. Returns `false` when
-    /// the range is drained, or after recording a panic and cancelling the
-    /// region.
-    fn work_one(&self, from_back: bool) -> bool {
-        let Some((lo, hi)) = self.claim(from_back) else {
-            return false;
+            &self.stats.chunks_helper
         };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(lo, hi))) {
-            // Cancel: no worker claims further chunks of this region.
-            let mut r = self.range.lock().unwrap_or_else(|e| e.into_inner());
-            r.0 = r.1;
-            drop(r);
-            let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            return false;
-        }
-        true
+        claims.fetch_add(1, Ordering::Relaxed);
+        Some((lo, self.end.min(lo.saturating_add(self.grain))))
     }
 
-    /// Claim and run chunks until the range is drained; record a panic and
-    /// cancel the region if one occurs.
-    fn work(&self, from_back: bool) {
-        while self.work_one(from_back) {}
+    /// Claim and run chunks until the range is drained; on a panic, record
+    /// it and cancel the region: no worker claims a further chunk.
+    fn work(&self, submitter: bool) {
+        while let Some((lo, hi)) = self.claim(submitter) {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(lo, hi))) {
+                self.next.fetch_max(self.end, Ordering::Relaxed);
+                let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+                if slot.is_none() {
+                    *slot = Some(payload);
+                }
+                return;
+            }
+        }
     }
 
     fn leave(&self) {
@@ -300,8 +274,8 @@ impl WorkerPool {
             return catch_unwind(AssertUnwindSafe(|| task(begin, end)));
         }
         let job = Arc::new(Job {
-            begin,
-            range: Mutex::new((begin, end)),
+            next: AtomicI64::new(begin),
+            end,
             grain,
             // SAFETY: the reference is only used by workers that `leave()`
             // the job before `pending` reaches zero, and we block below
@@ -314,43 +288,31 @@ impl WorkerPool {
             panic: Mutex::new(None),
             stats: Arc::clone(&self.shared.stats),
         });
-        // The submitting thread runs its *first* chunk — the one at the back
-        // of the range (see [`Job::range`]) — before the job is published to
-        // helpers at all. For a legal region this is semantically free; for
-        // an illegal one it makes the out-of-order execution observable on
-        // every run: a parked helper can otherwise win the wake-up race and
-        // drain the whole range in ascending order, hiding the bug on hosts
-        // where the OS never interleaves the threads.
+        self.shared.stats.regions.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
+            for _ in 0..helpers {
+                q.push(Arc::clone(&job));
+            }
+            self.shared
+                .stats
+                .queue_peak
+                .fetch_max(q.len() as u64, Ordering::Relaxed);
+        }
+        self.shared.available.notify_all();
         IN_REGION.with(|f| f.set(true));
-        let published = job.work_one(true);
-        if published {
-            self.shared.stats.regions.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-                for _ in 0..helpers {
-                    q.push(Arc::clone(&job));
-                }
-                self.shared
-                    .stats
-                    .queue_peak
-                    .fetch_max(q.len() as u64, Ordering::Relaxed);
-            }
-            self.shared.available.notify_all();
-            job.work(true);
-        }
+        job.work(true);
         IN_REGION.with(|f| f.set(false));
-        if published {
-            // Block until every background worker has left the region; this
-            // is what makes the lifetime erasure above sound.
-            let mut pending = job.pending.lock().unwrap_or_else(|e| e.into_inner());
-            while *pending > 0 {
-                pending = job
-                    .done
-                    .wait(pending)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            drop(pending);
+        // Block until every background worker has left the region; this is
+        // what makes the lifetime erasure above sound.
+        let mut pending = job.pending.lock().unwrap_or_else(|e| e.into_inner());
+        while *pending > 0 {
+            pending = job
+                .done
+                .wait(pending)
+                .unwrap_or_else(|e| e.into_inner());
         }
+        drop(pending);
         let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
         match payload {
             Some(payload) => Err(payload),
@@ -529,7 +491,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let before = pool.stats();
         // 100 iterations in grain-4 chunks: 25 chunks split between the
-        // submitter (back end) and helpers (front end).
+        // submitter and the helpers.
         assert_eq!(sum_region(&pool, 100, 4, 3), 100 * 99 / 2);
         let d = pool.stats().delta_since(&before);
         assert_eq!(d.regions + d.inline_regions, 1);

@@ -1,13 +1,12 @@
 //! Memory-hierarchy transformations: `cache`, `cache_reduce`, `set_mtype`
 //! (paper Table 1, "Memory Hierarchy Trans."; bound inference per Fig. 14).
 
-use crate::util::{bound_names, fresh_name};
 use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::bounds::{symbolic_bounds, BoundsCtx, SymBounds};
 use ft_analysis::to_linexpr;
 use ft_ir::find::Selector;
-use ft_ir::mutate::{mutate_expr_walk, mutate_stmt_walk};
+use ft_ir::mutate::{bound_names, fresh_name, mutate_expr_walk, mutate_stmt_walk};
 use ft_ir::{DataType, Expr, MemType, Mutator, ReduceOp, Stmt, StmtId, StmtKind};
 use ft_poly::LinExpr;
 use ft_passes::const_fold_expr;

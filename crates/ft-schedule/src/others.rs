@@ -2,11 +2,12 @@
 //! (paper Table 1, "Others").
 
 use crate::trace::ScheduleOp;
-use crate::util::{as_for_ref, bound_names, fresh_name, peel, peel_into, refresh_ids};
+use crate::util::{as_for_ref, peel, peel_into};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::{const_bounds, to_linexpr, BoundsCtx};
 use ft_ir::builder::var;
 use ft_ir::find::Selector;
+use ft_ir::mutate::{bound_names, fresh_name, refresh_ids};
 use ft_ir::{BinaryOp, Expr, ReduceOp, Stmt, StmtId, StmtKind};
 use ft_passes::const_fold_expr;
 use ft_poly::LinExpr;
@@ -224,7 +225,7 @@ impl Schedule {
                 return None;
             }
             let iter = fresh_name(&format!("{}.{piece}", p.iter), &mut used);
-            let body = ft_ir::mutate::subst_var_stmt(refresh_ids(arm), p.iter, &var(&iter));
+            let body = ft_ir::mutate::subst_var_stmt(refresh_ids(arm.clone()), p.iter, &var(&iter));
             Some(Stmt::new(StmtKind::For {
                 iter,
                 begin,

@@ -1,15 +1,15 @@
 //! Parallelizing transformations: `parallelize`, `unroll`, `blend`,
 //! `vectorize` (paper Table 1, "Parallelizing Trans.").
 
-use crate::util::{as_for_ref, peel, peel_into, refresh_ids, replace_by_id, ForRef};
 use crate::trace::ScheduleOp;
+use crate::util::{as_for_ref, peel, peel_into, replace_by_id, ForRef};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::collect_accesses;
 use ft_analysis::deps::{
     carried_reductions_in, fission_illegal, loop_carried_deps, loop_carried_deps_in, subtree_ids,
 };
 use ft_ir::find::Selector;
-use ft_ir::mutate::subst_var_stmt;
+use ft_ir::mutate::{refresh_ids, subst_var_stmt};
 use ft_ir::{Expr, MemType, ParallelScope, Stmt, StmtId, StmtKind};
 use std::collections::HashSet;
 
@@ -129,7 +129,7 @@ impl Schedule {
                 unreachable!("checked above")
             };
             let copies = (b..e)
-                .map(|i| subst_var_stmt(refresh_ids(&body), &iter, &Expr::IntConst(i)))
+                .map(|i| subst_var_stmt(refresh_ids((*body).clone()), &iter, &Expr::IntConst(i)))
                 .collect();
             Stmt {
                 kind: StmtKind::Block(copies),
@@ -210,7 +210,8 @@ impl Schedule {
             let mut out: Vec<Stmt> = Vec::new();
             for stmt in &items {
                 for i in b..e {
-                    out.push(subst_var_stmt(refresh_ids(stmt), &iter, &Expr::IntConst(i)));
+                    let copy = refresh_ids(stmt.clone());
+                    out.push(subst_var_stmt(copy, &iter, &Expr::IntConst(i)));
                 }
             }
             Stmt {

@@ -13,8 +13,8 @@
 //!
 //! This module is the single home of the vocabulary ([`ScheduleOp`]), its
 //! application under legality checking ([`apply_trace`]), its JSON codec
-//! ([`op_to_json`] / [`op_from_json`]), and the canonical structural key
-//! used to deduplicate search candidates ([`canonical_key`]).
+//! ([`op_to_json`] / [`op_from_json`]). Search candidates are deduplicated
+//! on [`Func::content_hash`] of the scheduled program.
 //! `ft-conformance` re-exports all of it and layers proptest sampling on
 //! top; `ft-autoschedule`'s search engine layers mutation on top.
 
@@ -354,14 +354,6 @@ pub fn apply_trace_traced(
     (sched.into_func(), accepted)
 }
 
-/// The canonical structural key of a scheduled program:
-/// [`Func::content_hash`]. Two traces that produce the same function (e.g. a
-/// trace plus a rejected op, or two op orders with the same effect) map to
-/// the same key, which is what search memoization dedupes on.
-pub fn canonical_key(func: &Func) -> u64 {
-    func.content_hash()
-}
-
 fn num(n: u64) -> JsonVal {
     JsonVal::Num(n as f64)
 }
@@ -565,8 +557,8 @@ mod tests {
         with_reject.push(ScheduleOp::Merge { loop_idx: 0 });
         let (f1, _) = apply_trace(&f, &trace);
         let (f2, _) = apply_trace(&f, &with_reject);
-        assert_eq!(canonical_key(&f1), canonical_key(&f2));
+        assert_eq!(f1.content_hash(), f2.content_hash());
         let (f3, _) = apply_trace(&f, &[]);
-        assert_ne!(canonical_key(&f1), canonical_key(&f3));
+        assert_ne!(f1.content_hash(), f3.content_hash());
     }
 }

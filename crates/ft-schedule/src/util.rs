@@ -2,8 +2,6 @@
 
 use crate::ScheduleError;
 use ft_ir::{Expr, Stmt, StmtId, StmtKind};
-use std::borrow::Cow;
-use std::collections::HashSet;
 
 /// Rewrite the statement with id `target` through `f`, in place, leaving
 /// the rest of the tree untouched (no copy of it is made). Returns `false`,
@@ -108,86 +106,6 @@ fn not_a_loop(s: &Stmt) -> ScheduleError {
 /// The extent (`end - begin`) of a loop, constant-folded.
 pub fn extent(l: &ForRef<'_>) -> Expr {
     ft_passes::const_fold_expr(l.end.clone() - l.begin.clone())
-}
-
-/// Every name bound anywhere in `func`: parameters, size parameters, local
-/// tensor definitions, and loop iterators. Primitives that introduce new
-/// bindings (e.g. `cache`) must pick names outside this set — re-applying a
-/// primitive to the same tensor would otherwise emit a second def/iterator
-/// with the first one's name, and the copy emitted by the second application
-/// can end up shadowed by (or capturing) the first.
-pub fn bound_names(func: &ft_ir::Func) -> HashSet<Cow<'_, str>> {
-    let params = func.params.iter().map(|p| p.name.as_str());
-    let mut used: HashSet<Cow<str>> =
-        params.chain(func.size_params.iter().map(String::as_str)).map(Cow::Borrowed).collect();
-    func.body.walk(&mut |s| match &s.kind {
-        StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } => {
-            used.insert(Cow::Borrowed(name));
-        }
-        _ => {}
-    });
-    used
-}
-
-/// Pick `base` if unused, else `base.1`, `base.2`, …; reserves the result.
-pub fn fresh_name(base: &str, used: &mut HashSet<Cow<'_, str>>) -> String {
-    let name = if used.contains(base) {
-        (1..)
-            .map(|k| format!("{base}.{k}"))
-            .find(|c| !used.contains(c.as_str()))
-            .expect("unbounded candidate space")
-    } else {
-        base.to_string()
-    };
-    used.insert(Cow::Owned(name.clone()));
-    name
-}
-
-/// Deep-copy a statement with fresh ids (duplicated sub-trees must not share
-/// identities, or later schedules would resolve and rewrite ambiguously).
-pub fn refresh_ids(s: &Stmt) -> Stmt {
-    let kind = match &s.kind {
-        StmtKind::Block(v) => StmtKind::Block(v.iter().map(refresh_ids).collect()),
-        StmtKind::VarDef {
-            name,
-            shape,
-            dtype,
-            mtype,
-            atype,
-            body,
-        } => StmtKind::VarDef {
-            name: name.clone(),
-            shape: shape.clone(),
-            dtype: *dtype,
-            mtype: *mtype,
-            atype: *atype,
-            body: Box::new(refresh_ids(body)),
-        },
-        StmtKind::For {
-            iter,
-            begin,
-            end,
-            property,
-            body,
-        } => StmtKind::For {
-            iter: iter.clone(),
-            begin: begin.clone(),
-            end: end.clone(),
-            property: property.clone(),
-            body: Box::new(refresh_ids(body)),
-        },
-        StmtKind::If {
-            cond,
-            then,
-            otherwise,
-        } => StmtKind::If {
-            cond: cond.clone(),
-            then: Box::new(refresh_ids(then)),
-            otherwise: otherwise.as_ref().map(|o| Box::new(refresh_ids(o))),
-        },
-        k => k.clone(),
-    };
-    Stmt::new(kind)
 }
 
 #[cfg(test)]

@@ -136,7 +136,7 @@ fn committed_grad_repros_stay_fixed() {
     // the tape was allocated with one def's version structure and indexed
     // with the other's (`IndexOutOfBounds` on `Q.cache.tape`). Fixed by
     // alpha-renaming duplicate defs before differentiation
-    // (`ft_ir::mutate::uniquify_def_names`).
+    // (`ft_passes::uniquify_defs`).
     //
     // `longformer-seed63815` (found when PR 22 re-drew the sample): `cache`
     // of `V` inside the window loop gives `V.cache` a shape over the loop
