@@ -41,7 +41,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn opt_val<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
 }
 
 fn main() -> ExitCode {
@@ -55,15 +57,12 @@ fn main() -> ExitCode {
         .unwrap_or(2022);
     let workers: usize = opt_val(&args, "--workers")
         .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-        });
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)));
     let scale = match opt_val(&args, "--scale").map(String::as_str) {
         Some("small") => Scale::Small,
         _ => Scale::Full,
     };
-    let out_dir: PathBuf = opt_val(&args, "--out")
-        .map_or_else(bench::schedules_dir, PathBuf::from);
+    let out_dir: PathBuf = opt_val(&args, "--out").map_or_else(bench::schedules_dir, PathBuf::from);
     let warm_start = args.iter().any(|a| a == "--warm-start");
     let require_win = args.iter().any(|a| a == "--require-win");
     let metrics_path: Option<PathBuf> = args.iter().position(|a| a == "--metrics").map(|i| {
@@ -104,7 +103,8 @@ fn main() -> ExitCode {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap))).expect("write metrics");
+        std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap)))
+            .expect("write metrics");
         eprintln!(
             "wrote {} (evaluations {}, memo hits {}, illegal rejected {})",
             path.display(),
@@ -134,8 +134,17 @@ fn search_all(
     );
     println!(
         "{:<12} {:>12} {:>12} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>8} {:>8}",
-        "workload", "rule cycles", "searched", "rule us", "srch us", "noise", "evals", "timed",
-        "rho", "model s", "cc s"
+        "workload",
+        "rule cycles",
+        "searched",
+        "rule us",
+        "srch us",
+        "noise",
+        "evals",
+        "timed",
+        "rho",
+        "model s",
+        "cc s"
     );
     let mut losses = 0usize;
     let mut calibration = Vec::new();
@@ -199,8 +208,7 @@ fn search_all(
         ));
         std::fs::write(&path, format!("{}\n", saved.to_json())).expect("write schedule");
         let hist_path = path.with_extension("history.json");
-        std::fs::write(&hist_path, format!("{}\n", history_json(&outcome)))
-            .expect("write history");
+        std::fs::write(&hist_path, format!("{}\n", history_json(&outcome))).expect("write history");
         eprintln!("wrote {} and {}", path.display(), hist_path.display());
     }
     if !calibration.is_empty() {
@@ -226,7 +234,10 @@ fn history_json(outcome: &ft_autoschedule::search::SearchOutcome) -> JsonVal {
                     .map(|g| {
                         JsonVal::Obj(vec![
                             ("generation".to_string(), JsonVal::Num(g.generation as f64)),
-                            ("evaluations".to_string(), JsonVal::Num(g.evaluations as f64)),
+                            (
+                                "evaluations".to_string(),
+                                JsonVal::Num(g.evaluations as f64),
+                            ),
                             ("memo_hits".to_string(), JsonVal::Num(g.memo_hits as f64)),
                             ("measured".to_string(), JsonVal::Num(g.measured as f64)),
                             ("best_cycles".to_string(), JsonVal::Num(g.best_cycles)),

@@ -162,7 +162,10 @@ fn warm_gates(snap: &MetricsSnapshot) -> Vec<(bool, String)> {
             ),
         )
     } else {
-        (false, "compiled.cc.spawned = 0 (no compiler spawns)".to_string())
+        (
+            false,
+            "compiled.cc.spawned = 0 (no compiler spawns)".to_string(),
+        )
     }];
     out.push(if lookups == 0 {
         (
@@ -177,7 +180,10 @@ fn warm_gates(snap: &MetricsSnapshot) -> Vec<(bool, String)> {
             format!("cache hit rate {hit_rate:.3} ({hit}/{lookups}) below {MIN_HIT_RATE}"),
         )
     } else {
-        (false, format!("cache hit rate {hit_rate:.3} ({hit}/{lookups})"))
+        (
+            false,
+            format!("cache hit rate {hit_rate:.3} ({hit}/{lookups})"),
+        )
     });
     if probes == 0 {
         out.push((
@@ -197,7 +203,10 @@ fn warm_gates(snap: &MetricsSnapshot) -> Vec<(bool, String)> {
             ),
         )
     } else {
-        (false, format!("{probes} warm arena probe(s), 0 allocations in steady state"))
+        (
+            false,
+            format!("{probes} warm arena probe(s), 0 allocations in steady state"),
+        )
     });
     out.push(if warm_resolves != 0 {
         (
@@ -208,7 +217,10 @@ fn warm_gates(snap: &MetricsSnapshot) -> Vec<(bool, String)> {
             ),
         )
     } else {
-        (false, format!("{probes} warm arena probe(s), 0 fresh resolves in steady state"))
+        (
+            false,
+            format!("{probes} warm arena probe(s), 0 fresh resolves in steady state"),
+        )
     });
     out
 }
@@ -331,9 +343,7 @@ fn main() -> ExitCode {
                     "ADVISORY   {ck}: ft-optimized wall {ow:.3}ms > ft-naive {nw:.3}ms (inversion)"
                 );
             } else {
-                println!(
-                    "ok         {ck}: ft-optimized wall {ow:.3}ms <= ft-naive {nw:.3}ms"
-                );
+                println!("ok         {ck}: ft-optimized wall {ow:.3}ms <= ft-naive {nw:.3}ms");
             }
         }
         // The product path on differentiated programs: rule-scheduled
@@ -342,10 +352,9 @@ fn main() -> ExitCode {
         // Blocking at full scale; at small scale a kernel of a few
         // microseconds is all fork/join, so the row only advises.
         if field(cur, "kind").as_deref() == Some("grad") {
-            if let (Some(nw), Some(ow)) = (
-                num(naive, "compiled_wall_ms"),
-                num(cur, "compiled_wall_ms"),
-            ) {
+            if let (Some(nw), Some(ow)) =
+                (num(naive, "compiled_wall_ms"), num(cur, "compiled_wall_ms"))
+            {
                 if ow <= WALL_MARGIN * nw {
                     println!(
                         "ok         {ck}: ft-optimized compiled wall {ow:.3}ms <= \
@@ -385,10 +394,7 @@ fn main() -> ExitCode {
             continue;
         };
         searched_checked += 1;
-        if let (Some(ow), Some(sw)) = (
-            num(opt, "compiled_wall_ms"),
-            num(cur, "compiled_wall_ms"),
-        ) {
+        if let (Some(ow), Some(sw)) = (num(opt, "compiled_wall_ms"), num(cur, "compiled_wall_ms")) {
             if sw <= WALL_MARGIN * ow {
                 println!(
                     "ok         {ck}: ft-searched compiled wall {sw:.3}ms <= \
@@ -526,6 +532,9 @@ mod tests {
         assert!(found[0].contains("resolved 2 call(s)"), "{found:?}");
         // No probe at all: the zero-resolve gate is vacuous, and says so.
         let found = blocking(&ft_metrics::Metrics::new().snapshot());
-        assert!(found.iter().any(|f| f.contains("zero-resolve")), "{found:?}");
+        assert!(
+            found.iter().any(|f| f.contains("zero-resolve")),
+            "{found:?}"
+        );
     }
 }

@@ -175,7 +175,10 @@ fn main() {
                     (Some(s), Some(o)) if r.failure.is_none() && s > 0.0 => {
                         format!("compiled: {s:.3}ms, {:.2}x vs rule-based {o:.3}ms", o / s)
                     }
-                    _ => r.failure.clone().unwrap_or_else(|| "compiled: -".to_string()),
+                    _ => r
+                        .failure
+                        .clone()
+                        .unwrap_or_else(|| "compiled: -".to_string()),
                 };
                 println!(
                     "{:<12} {:<5} {:>74}   searched: {} ({:.1}ms) {} [search {:.0}ms]",
@@ -222,8 +225,7 @@ fn main() {
         let simd_accepted = lower
             .iter()
             .filter(|e| {
-                e.name == "vm.simd"
-                    && e.args.iter().any(|(k, v)| k == "accepted" && v == "true")
+                e.name == "vm.simd" && e.args.iter().any(|(k, v)| k == "accepted" && v == "true")
             })
             .count();
         eprintln!(
@@ -242,7 +244,8 @@ fn main() {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap))).expect("write metrics");
+        std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap)))
+            .expect("write metrics");
         eprintln!(
             "wrote {} (cc spawned {}, cache {} hit / {} miss, {} compiled runs, \
              arena warm allocs {} and resolves {} over {} probe(s))",

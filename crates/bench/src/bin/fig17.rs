@@ -53,7 +53,12 @@ fn main() {
             ft.counters.l2_bytes as f64,
             true,
         ),
-        ("FLOPs", ob.counters.flops as f64, ft.counters.flops as f64, false),
+        (
+            "FLOPs",
+            ob.counters.flops as f64,
+            ft.counters.flops as f64,
+            false,
+        ),
     ];
     for (name, base, ours, bytes) in rows {
         let fmt = |v: f64| {
@@ -77,9 +82,7 @@ fn main() {
          row equals its DRAM row by construction; FreeTensor's L2 traffic \
          comes from the per-access cache simulator."
     );
-    println!(
-        "paper reference: 1 kernel vs >=6; DRAM 3.31%; L2 18.38%; FLOPs 79.72%"
-    );
+    println!("paper reference: 1 kernel vs >=6; DRAM 3.31%; L2 18.38%; FLOPs 79.72%");
     if let Some(sink) = sink {
         let scale = if small { "small" } else { "full" };
         let dir = Path::new("results/trace");
@@ -90,8 +93,7 @@ fn main() {
             &std::fs::read_to_string(&json_path).expect("read back trace"),
         )
         .expect("emitted trace must validate");
-        std::fs::write(&report_path, ft_trace::provenance_report(&sink))
-            .expect("write report");
+        std::fs::write(&report_path, ft_trace::provenance_report(&sink)).expect("write report");
         println!(
             "\ntrace: {} ({} events, {} tracks) — load in Perfetto / chrome://tracing",
             json_path.display(),

@@ -14,7 +14,14 @@ fn main() {
     println!("# Fig. 18 — selective intermediate tensor materialization");
     println!(
         "{:<12} {:<5} {:>14} {:>14} {:>14} {:>10} {:>12} {:>12}",
-        "workload", "dev", "FT(-) total", "FT(+) total", "speedup", "fwd-only", "FT(-) peak", "FT(+) peak"
+        "workload",
+        "dev",
+        "FT(-) total",
+        "FT(+) total",
+        "speedup",
+        "fwd-only",
+        "FT(-) peak",
+        "FT(+) peak"
     );
     for w in Workload::ALL.into_iter().filter(|w| w.differentiable()) {
         let prep = prepare(w, scale);
@@ -89,7 +96,10 @@ fn oom_demo(small: bool) {
         vec![1.0; p.seq_len * p.feat_len],
     );
     ins.insert("y.grad".to_string(), seed);
-    println!("\n## OOM rescue on a memory-capped GPU (Longformer, n={}, w={})", p.seq_len, p.w);
+    println!(
+        "\n## OOM rescue on a memory-capped GPU (Longformer, n={}, w={})",
+        p.seq_len, p.w
+    );
     for (name, policy) in [("FT(-)", TapePolicy::All), ("FT(+)", TapePolicy::Selective)] {
         let grad = prog
             .grad(&ft_autodiff::GradOptions {

@@ -9,9 +9,9 @@ use bench::{prepare, Scale, Workload};
 use ft_autoschedule::Target;
 use ft_ir::{Device, StmtKind};
 use ft_runtime::Runtime;
+use ft_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ft_trace::TraceSink;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -44,7 +44,10 @@ fn pass_table(scale: Scale, reps: usize) {
         // GAT's gradient is not a benchmark program (paper Fig. 16(b)).
         if w != Workload::Gat {
             let grad = naive.grad(&ft_autodiff::GradOptions::default());
-            programs.push((format!("{}.grad", w.display()), grad.expect("differentiable")));
+            programs.push((
+                format!("{}.grad", w.display()),
+                grad.expect("differentiable"),
+            ));
         }
         for (label, p) in programs {
             let mut samples: Vec<[u64; PASSES.len()]> = (0..reps)
@@ -84,13 +87,12 @@ fn random_candidate(
     let mut sched = base.schedule();
     let n_moves = rng.gen_range(1..5);
     for _ in 0..n_moves {
-        let loops: Vec<ft_ir::StmtId> =
-            ft_ir::find::find_stmts(&sched.func().body, &|s| {
-                matches!(s.kind, StmtKind::For { .. })
-            })
-            .iter()
-            .map(|s| s.id)
-            .collect();
+        let loops: Vec<ft_ir::StmtId> = ft_ir::find::find_stmts(&sched.func().body, &|s| {
+            matches!(s.kind, StmtKind::For { .. })
+        })
+        .iter()
+        .map(|s| s.id)
+        .collect();
         if loops.is_empty() {
             break;
         }

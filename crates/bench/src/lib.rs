@@ -36,14 +36,14 @@ use ft_ir::{Device, Func};
 use ft_metrics::Metrics;
 use ft_opbase::{OpError, Session};
 use ft_runtime::{
-    cc_available, CompiledEngine, DeviceConfig, ExecutionEngine, PerfCounters, RunContext,
-    Runtime, TensorVal, VmRuntime,
+    cc_available, CompiledEngine, DeviceConfig, ExecutionEngine, PerfCounters, RunContext, Runtime,
+    TensorVal, VmRuntime,
 };
 use ft_schedule::trace::ScheduleOp;
 use ft_trace::JsonVal;
 use ft_workloads::{Inputs, Instance};
-use std::collections::HashMap;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -412,7 +412,11 @@ pub fn replay_program(
 /// call it. `None` when the interpreter cannot run the program.
 pub fn modeled_counters(func: &Func, inputs: &HashMap<String, TensorVal>) -> Option<PerfCounters> {
     Runtime::new()
-        .run(&ft_codegen::lower_cpu_parallel(func), inputs, &HashMap::new())
+        .run(
+            &ft_codegen::lower_cpu_parallel(func),
+            inputs,
+            &HashMap::new(),
+        )
         .ok()
         .map(|r| r.counters)
 }
@@ -485,7 +489,15 @@ fn cc_version() -> String {
         .arg("--version")
         .output()
         .ok()
-        .and_then(|o| Some(String::from_utf8(o.stdout).ok()?.lines().next()?.to_string()))
+        .and_then(|o| {
+            Some(
+                String::from_utf8(o.stdout)
+                    .ok()?
+                    .lines()
+                    .next()?
+                    .to_string(),
+            )
+        })
         .unwrap_or_default()
 }
 
@@ -547,10 +559,23 @@ impl<'a> WallMeasurer<'a> {
         let engine = CompiledEngine::with_cache_dir(cache_dir);
         let mut yardstick_ctx = RunContext::new();
         let spin_up = std::time::Duration::from_secs(2);
-        warm_compiled_ops(&engine, &yardstick, inputs, &mut yardstick_ctx, 256, spin_up)?;
+        warm_compiled_ops(
+            &engine,
+            &yardstick,
+            inputs,
+            &mut yardstick_ctx,
+            256,
+            spin_up,
+        )?;
         let slice = Self::READING / 2;
-        let ops =
-            timed_compiled_ops(&engine, &yardstick, inputs, &mut yardstick_ctx, usize::MAX, slice)?;
+        let ops = timed_compiled_ops(
+            &engine,
+            &yardstick,
+            inputs,
+            &mut yardstick_ctx,
+            usize::MAX,
+            slice,
+        )?;
         Some(WallMeasurer {
             engine,
             inputs,
@@ -589,8 +614,12 @@ impl<'a> WallMeasurer<'a> {
                 return None;
             }
             let candidate = Self::burst(&self.engine, func, self.inputs, &mut self.ctx)?;
-            let yardstick =
-                Self::burst(&self.engine, &self.yardstick, self.inputs, &mut self.yardstick_ctx)?;
+            let yardstick = Self::burst(
+                &self.engine,
+                &self.yardstick,
+                self.inputs,
+                &mut self.yardstick_ctx,
+            )?;
             if yardstick <= Self::STALLED * self.yardstick_us {
                 ratios.push(candidate / yardstick);
             }
@@ -659,7 +688,9 @@ pub fn search_schedule(
         &target,
         config,
         &evaluator,
-        measurer.as_ref().map(|m| m as &ft_autoschedule::search::Measurer),
+        measurer
+            .as_ref()
+            .map(|m| m as &ft_autoschedule::search::Measurer),
         sink,
         metrics,
     );
@@ -793,21 +824,32 @@ fn warm_arena_probe(
     engine.set_metrics(Some(m.clone()));
     let sizes = HashMap::new();
     let mut ctx = RunContext::new();
-    let cold = engine.run_with(prog.func(), inputs, &sizes, &mut ctx).ok()?;
+    let cold = engine
+        .run_with(prog.func(), inputs, &sizes, &mut ctx)
+        .ok()?;
     ctx.recycle(cold).expect("recycle cold outputs");
     let counts = || {
         let snap = m.snapshot();
-        (snap.counter("mem.arena.alloc_calls"), snap.counter("engine.compiled.resolves"))
+        (
+            snap.counter("mem.arena.alloc_calls"),
+            snap.counter("engine.compiled.resolves"),
+        )
     };
     let before = counts();
     for _ in 0..2 {
-        let r = engine.run_with(prog.func(), inputs, &sizes, &mut ctx).ok()?;
+        let r = engine
+            .run_with(prog.func(), inputs, &sizes, &mut ctx)
+            .ok()?;
         ctx.recycle(r).expect("recycle warm outputs");
     }
     let after = counts();
     let warm = after.0 - before.0;
-    bench_metrics().counter("mem.arena.warm_alloc_calls").add(warm);
-    bench_metrics().counter("mem.arena.warm_resolve_calls").add(after.1 - before.1);
+    bench_metrics()
+        .counter("mem.arena.warm_alloc_calls")
+        .add(warm);
+    bench_metrics()
+        .counter("mem.arena.warm_resolve_calls")
+        .add(after.1 - before.1);
     bench_metrics().counter("mem.arena.warm_probe_runs").inc();
     Some(warm)
 }
@@ -818,11 +860,7 @@ fn warm_arena_probe(
 /// `bench_check` gates on ratios of them). `None` off-CPU, without a C
 /// compiler, or when the engine fails (the compiled axis is an extra
 /// measurement, not a correctness gate — conformance owns that).
-fn time_compiled(
-    prog: &freetensor_core::Program,
-    inputs: &Inputs,
-    device: Device,
-) -> Option<f64> {
+fn time_compiled(prog: &freetensor_core::Program, inputs: &Inputs, device: Device) -> Option<f64> {
     if device != Device::Cpu || !cc_available() {
         return None;
     }
@@ -942,12 +980,7 @@ fn run_opbase_forward(prep: &Prepared, device: Device, config: DeviceConfig) -> 
 }
 
 /// Run forward+backward of one case (GAT excluded, as in the paper).
-pub fn run_grad(
-    prep: &Prepared,
-    system: System,
-    device: Device,
-    policy: TapePolicy,
-) -> CaseResult {
+pub fn run_grad(prep: &Prepared, system: System, device: Device, policy: TapePolicy) -> CaseResult {
     run_grad_capped(prep, system, device, policy, None)
 }
 
@@ -1063,7 +1096,10 @@ pub fn json_record(
     r: &CaseResult,
 ) -> JsonVal {
     // NaN (a case that did not run has no cycle count) is `null`.
-    let num = |v: Option<f64>| v.filter(|v| !v.is_nan()).map_or(JsonVal::Null, JsonVal::Num);
+    let num = |v: Option<f64>| {
+        v.filter(|v| !v.is_nan())
+            .map_or(JsonVal::Null, JsonVal::Num)
+    };
     let count = |v: Option<u64>| v.map_or(JsonVal::Null, |n| JsonVal::Int(n.into()));
     let text = |s: &str| JsonVal::Str(s.to_string());
     let fields = [
@@ -1088,7 +1124,12 @@ pub fn json_record(
         ("failure", r.failure.as_deref().map_or(JsonVal::Null, text)),
         ("failed_stage", r.failed_stage.map_or(JsonVal::Null, text)),
     ];
-    JsonVal::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    JsonVal::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Write `records` into the BENCH.json at `path`, merging with an existing
@@ -1155,7 +1196,10 @@ pub fn calibration_record(saved: &SavedSchedule, outcome: &SearchOutcome) -> Opt
         ("scale".to_string(), JsonVal::Str(saved.scale.clone())),
         ("seed".to_string(), JsonVal::Num(saved.seed as f64)),
         ("budget".to_string(), JsonVal::Num(saved.budget as f64)),
-        ("omp_threads".to_string(), JsonVal::Num(host.omp_threads as f64)),
+        (
+            "omp_threads".to_string(),
+            JsonVal::Num(host.omp_threads as f64),
+        ),
         ("nproc".to_string(), JsonVal::Num(host.nproc as f64)),
         ("cc".to_string(), JsonVal::Str(host.cc)),
         ("count".to_string(), JsonVal::Num(pairs.len() as f64)),
@@ -1312,7 +1356,10 @@ mod tests {
             assert!(cpu.compiled_speedup().is_some());
         }
         let gpu = run_forward(&prep, System::FtOptimized, Device::Gpu);
-        assert!(gpu.compiled_wall_ms.is_none(), "compiled axis leaked to GPU");
+        assert!(
+            gpu.compiled_wall_ms.is_none(),
+            "compiled axis leaked to GPU"
+        );
     }
 
     #[test]
@@ -1333,10 +1380,8 @@ mod tests {
 
     #[test]
     fn bench_json_merges_across_kinds() {
-        let path = std::env::temp_dir().join(format!(
-            "ft-bench-json-test-{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("ft-bench-json-test-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let prep = prepare(Workload::Gat, Scale::Small);
         let r = run_forward(&prep, System::FtOptimized, Device::Cpu);
@@ -1400,11 +1445,20 @@ mod tests {
         let prep = prepare(Workload::Gat, Scale::Small);
         let gpu = run_forward(&prep, System::FtSearched, Device::Gpu);
         assert_eq!(gpu.failed_stage, Some("schedule"));
-        assert!(gpu.failure.as_deref().unwrap_or_default().contains("CPU-only"));
+        assert!(gpu
+            .failure
+            .as_deref()
+            .unwrap_or_default()
+            .contains("CPU-only"));
         // (GAT grads are excluded before the schedule skip can fire, so use
         // a workload that reaches the searched-grad guard.)
         let prep = prepare(Workload::Subdivnet, Scale::Small);
-        let grad = run_grad(&prep, System::FtSearched, Device::Cpu, TapePolicy::Selective);
+        let grad = run_grad(
+            &prep,
+            System::FtSearched,
+            Device::Cpu,
+            TapePolicy::Selective,
+        );
         assert_eq!(grad.failed_stage, Some("schedule"));
         assert!(grad.cycles.is_nan());
     }
@@ -1476,15 +1530,17 @@ mod tests {
         let tied = rho(&[(5.0, 1.0), (5.0, 2.0), (7.0, 3.0), (9.0, 4.0)]).unwrap();
         assert!((tied - 4.5 / (4.5f64 * 5.0).sqrt()).abs() < 1e-12, "{tied}");
         assert_eq!(rho(&[(1.0, 1.0), (2.0, 2.0)]), None, "two pairs");
-        assert_eq!(rho(&[(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)]), None, "constant side");
+        assert_eq!(
+            rho(&[(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)]),
+            None,
+            "constant side"
+        );
     }
 
     #[test]
     fn calibration_file_merges_by_workload_and_scale() {
-        let path = std::env::temp_dir().join(format!(
-            "ft-calibration-test-{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("ft-calibration-test-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let rec = |w: &str, scale: &str, count: f64| {
             JsonVal::Obj(vec![
@@ -1493,9 +1549,16 @@ mod tests {
                 ("count".to_string(), JsonVal::Num(count)),
             ])
         };
-        write_calibration(&path, vec![rec("gat", "small", 1.0), rec("gat", "full", 2.0)]).unwrap();
-        write_calibration(&path, vec![rec("gat", "small", 3.0), rec("softras", "small", 4.0)])
-            .unwrap();
+        write_calibration(
+            &path,
+            vec![rec("gat", "small", 1.0), rec("gat", "full", 2.0)],
+        )
+        .unwrap();
+        write_calibration(
+            &path,
+            vec![rec("gat", "small", 3.0), rec("softras", "small", 4.0)],
+        )
+        .unwrap();
         let doc = JsonVal::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let counts: Vec<u64> = doc
             .get("records")

@@ -33,7 +33,15 @@ fn modeled_search(
     metrics: Option<&Metrics>,
 ) -> SearchOutcome {
     let evaluator = |f: &ft_ir::Func| modeled_counters(f, &prep.inputs);
-    search(prep.naive.func(), &Target::cpu(), config, &evaluator, None, None, metrics)
+    search(
+        prep.naive.func(),
+        &Target::cpu(),
+        config,
+        &evaluator,
+        None,
+        None,
+        metrics,
+    )
 }
 
 #[test]
@@ -98,8 +106,7 @@ fn the_rule_trace_replays_to_the_rule_schedule() {
         for scale in [Scale::Small, Scale::Full] {
             let prep = prepare(w, scale);
             let base = prep.naive.func();
-            let (replayed, accepted) =
-                prepare_candidate(base, cpu.device, &rule_trace(base, &cpu));
+            let (replayed, accepted) = prepare_candidate(base, cpu.device, &rule_trace(base, &cpu));
             assert_eq!(
                 replayed.to_string(),
                 prep.naive.optimize(&cpu).func().to_string(),
@@ -122,11 +129,7 @@ fn committed_schedules_replay_to_their_recorded_scores() {
     let mut found = 0usize;
     for w in Workload::ALL {
         for scale in [Scale::Small, Scale::Full] {
-            let path = dir.join(SavedSchedule::file_name(
-                w.name(),
-                "cpu",
-                scale.name(),
-            ));
+            let path = dir.join(SavedSchedule::file_name(w.name(), "cpu", scale.name()));
             let Ok(text) = std::fs::read_to_string(&path) else {
                 continue;
             };

@@ -239,10 +239,14 @@ mod tests {
         .unwrap();
         let rt = Runtime::new();
         let x = TensorVal::from_f32(&[16], (0..16).map(|v| v as f32).collect());
-        let plain = p.run(&rt, &named([("x", x.clone())]), &HashMap::new()).unwrap();
+        let plain = p
+            .run(&rt, &named([("x", x.clone())]), &HashMap::new())
+            .unwrap();
         for target in [Target::cpu(), Target::gpu()] {
             let fast = p.optimize(&target);
-            let out = fast.run(&rt, &named([("x", x.clone())]), &HashMap::new()).unwrap();
+            let out = fast
+                .run(&rt, &named([("x", x.clone())]), &HashMap::new())
+                .unwrap();
             assert!(plain.output("y").allclose(out.output("y"), 1e-6));
         }
     }
@@ -258,7 +262,9 @@ mod tests {
         let tuned = p.optimize(&Target::cpu());
         let rt = Runtime::new();
         let x = TensorVal::from_f32(&[8, 4], (0..32).map(|v| v as f32 - 16.0).collect());
-        let out = tuned.run(&rt, &named([("x", x.clone())]), &HashMap::new()).unwrap();
+        let out = tuned
+            .run(&rt, &named([("x", x.clone())]), &HashMap::new())
+            .unwrap();
         let expect: Vec<f64> = x
             .to_f64_vec()
             .into_iter()
@@ -282,7 +288,10 @@ mod tests {
             .run(&rt, &named([("x", x), ("y.grad", seed)]), &HashMap::new())
             .unwrap();
         let gx = out.output("x.grad").to_f64_vec();
-        let expect: Vec<f64> = [1.0f64, 2.0, 3.0, 4.0].iter().map(|v| 3.0 * v * v).collect();
+        let expect: Vec<f64> = [1.0f64, 2.0, 3.0, 4.0]
+            .iter()
+            .map(|v| 3.0 * v * v)
+            .collect();
         for (a, b) in gx.iter().zip(expect) {
             assert!((a - b).abs() < 1e-9, "{gx:?}");
         }
@@ -335,7 +344,9 @@ mod tests {
         .unwrap();
         let fast = p.optimize(&Target::cpu());
         let x = TensorVal::from_f32(&[32], (0..32).map(|v| v as f32 * 0.25).collect());
-        let ri = fast.run(&Runtime::new(), &named([("x", x.clone())]), &HashMap::new()).unwrap();
+        let ri = fast
+            .run(&Runtime::new(), &named([("x", x.clone())]), &HashMap::new())
+            .unwrap();
         let rv = fast
             .run(&VmRuntime::new(), &named([("x", x)]), &HashMap::new())
             .unwrap();
@@ -355,7 +366,9 @@ mod tests {
         .unwrap();
         let fast = p.optimize(&Target::cpu());
         let x = TensorVal::from_f32(&[32], (0..32).map(|v| v as f32 * 0.25).collect());
-        let ri = fast.run(&Runtime::new(), &named([("x", x.clone())]), &HashMap::new()).unwrap();
+        let ri = fast
+            .run(&Runtime::new(), &named([("x", x.clone())]), &HashMap::new())
+            .unwrap();
         let rc = fast
             .run(&CompiledEngine::new(), &named([("x", x)]), &HashMap::new())
             .unwrap();

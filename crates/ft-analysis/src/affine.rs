@@ -117,7 +117,11 @@ impl<V: AsRef<str>> Affine<V> {
     /// The node count of [`linexpr_to_expr`] of a normalized form, without
     /// building it.
     pub fn expr_node_count(&self) -> usize {
-        let terms: usize = self.terms.iter().map(|(_, c)| if *c == 1 { 1 } else { 3 }).sum();
+        let terms: usize = self
+            .terms
+            .iter()
+            .map(|(_, c)| if *c == 1 { 1 } else { 3 })
+            .sum();
         match (self.terms.len(), self.constant) {
             (0, _) => 1,
             (n, 0) => terms + n - 1,
@@ -128,7 +132,10 @@ impl<V: AsRef<str>> Affine<V> {
     /// The expression in normal form ([`linexpr_to_expr`]).
     pub fn to_expr(&self) -> Expr {
         let terms = self.terms.iter().map(|(v, c)| (v.as_ref(), *c));
-        linexpr_to_expr(&linexpr(Affine { terms: terms.collect(), constant: self.constant }))
+        linexpr_to_expr(&linexpr(Affine {
+            terms: terms.collect(),
+            constant: self.constant,
+        }))
     }
 }
 
@@ -160,7 +167,9 @@ pub fn to_linexpr(e: &Expr) -> Option<LinExpr> {
 fn linexpr(a: Affine<&str>) -> LinExpr {
     a.terms
         .into_iter()
-        .fold(LinExpr::constant(a.constant), |l, (n, c)| l + LinExpr::term(n, c))
+        .fold(LinExpr::constant(a.constant), |l, (n, c)| {
+            l + LinExpr::term(n, c)
+        })
 }
 
 /// The constraints a branch condition (`taken`) or its negation (`!taken`)
@@ -189,7 +198,12 @@ pub(crate) fn cond_constraints<'e, V: Copy + PartialEq>(
             ea && eb
         }
         Expr::Binary { op, a, b } => {
-            if !taken && !matches!(op, BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge) {
+            if !taken
+                && !matches!(
+                    op,
+                    BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
+                )
+            {
                 return false;
             }
             let (Some(la), Some(lb)) = (affine(a, var), affine(b, var)) else {
@@ -197,9 +211,13 @@ pub(crate) fn cond_constraints<'e, V: Copy + PartialEq>(
             };
             // `x op y` with the sense flipped when not taken.
             let (op, ge) = match (op, taken) {
-                (BinaryOp::Lt, true) | (BinaryOp::Ge, false) => (CmpOp::Ge0, lb.minus(la).plus(Affine::constant(-1))),
+                (BinaryOp::Lt, true) | (BinaryOp::Ge, false) => {
+                    (CmpOp::Ge0, lb.minus(la).plus(Affine::constant(-1)))
+                }
                 (BinaryOp::Le, true) | (BinaryOp::Gt, false) => (CmpOp::Ge0, lb.minus(la)),
-                (BinaryOp::Gt, true) | (BinaryOp::Le, false) => (CmpOp::Ge0, la.minus(lb).plus(Affine::constant(-1))),
+                (BinaryOp::Gt, true) | (BinaryOp::Le, false) => {
+                    (CmpOp::Ge0, la.minus(lb).plus(Affine::constant(-1)))
+                }
                 (BinaryOp::Ge, true) | (BinaryOp::Lt, false) => (CmpOp::Ge0, la.minus(lb)),
                 (BinaryOp::Eq, true) => (CmpOp::Eq0, la.minus(lb)),
                 _ => return false,
@@ -219,7 +237,10 @@ pub(crate) fn cond_constraints<'e, V: Copy + PartialEq>(
 /// condition's domain.
 pub fn cond_to_constraints(cond: &Expr, sys: &mut System) -> bool {
     cond_constraints(cond, true, &mut |n| n, &mut |op, a| {
-        sys.push(Constraint { expr: linexpr(a), op });
+        sys.push(Constraint {
+            expr: linexpr(a),
+            op,
+        });
     })
 }
 
@@ -304,7 +325,10 @@ mod tests {
     fn negated_conditions() {
         let negated = |cond: &Expr, sys: &mut System| {
             cond_constraints(cond, false, &mut |n| n, &mut |op, a| {
-                sys.push(Constraint { expr: linexpr(a), op });
+                sys.push(Constraint {
+                    expr: linexpr(a),
+                    op,
+                });
             })
         };
         let mut sys = System::new();

@@ -685,10 +685,7 @@ pub fn swap_illegal(func: &Func, s1: StmtId, s2: StmtId) -> Option<Violation> {
             let sat = q.satisfiable();
             if sat != Sat::Empty {
                 return Some(Violation {
-                    reason: format!(
-                        "statements conflict on `{}` within one iteration",
-                        a.var
-                    ),
+                    reason: format!("statements conflict on `{}` within one iteration", a.var),
                     deps: vec![found(a, b, Carrier::Independent, sat)],
                 });
             }
@@ -772,8 +769,8 @@ pub fn reorder_illegal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_ir::prelude::*;
     use ft_ir::idx;
+    use ft_ir::prelude::*;
     use ft_ir::DataType;
 
     fn fnc(body: Stmt) -> Func {
@@ -800,7 +797,11 @@ mod tests {
         // must sort exactly where its `{iter}.{loop id}{s|t}` name would.
         let name = |v: &QVar| match *v {
             QVar::Iter { iter, id, side } => {
-                format!("{iter}.{}{}", id.0, if side == Side::Source { 's' } else { 't' })
+                format!(
+                    "{iter}.{}{}",
+                    id.0,
+                    if side == Side::Source { 's' } else { 't' }
+                )
             }
             QVar::Free(n) => n.to_string(),
         };
@@ -808,7 +809,11 @@ mod tests {
         for iter in ["i", "i.1", "j", "N", "i0", "k2", "_"] {
             for id in [0, 1, 3, 9, 10, 12, 100, 1_234_567, u64::MAX] {
                 for side in [Side::Source, Side::Sink] {
-                    vars.push(QVar::Iter { iter, id: StmtId(id), side });
+                    vars.push(QVar::Iter {
+                        iter,
+                        id: StmtId(id),
+                        side,
+                    });
                 }
             }
             vars.push(QVar::Free(iter));
@@ -816,7 +821,13 @@ mod tests {
         vars.extend(["i.12", "i.12s", "i.1.3t", "j.9"].map(QVar::Free));
         for a in &vars {
             for b in &vars {
-                assert_eq!(a.cmp_name(b), name(a).cmp(&name(b)), "{} vs {}", name(a), name(b));
+                assert_eq!(
+                    a.cmp_name(b),
+                    name(a).cmp(&name(b)),
+                    "{} vs {}",
+                    name(a),
+                    name(b)
+                );
             }
         }
     }
@@ -828,7 +839,12 @@ mod tests {
             "i",
             0,
             var("N"),
-            for_("j", 0, var("M"), store("a", [i(), j()], load("b", [i(), j()]) + 1.0f64)),
+            for_(
+                "j",
+                0,
+                var("M"),
+                store("a", [i(), j()], load("b", [i(), j()]) + 1.0f64),
+            ),
         );
         let f = fnc(body);
         let li = find::find_loop(&f.body, "i").unwrap().id;
@@ -1075,7 +1091,12 @@ mod tests {
         // read before all updates are in).
         let f = Func::new("f")
             .param("dot", [var("W")], DataType::F32, AccessType::InOut)
-            .param("dot_max", Vec::<Expr>::new(), DataType::F32, AccessType::InOut)
+            .param(
+                "dot_max",
+                Vec::<Expr>::new(),
+                DataType::F32,
+                AccessType::InOut,
+            )
             .param("dot_norm", [var("W")], DataType::F32, AccessType::Output)
             .size_param("W")
             .body(block([
@@ -1083,12 +1104,7 @@ mod tests {
                     "k1",
                     0,
                     var("W"),
-                    reduce(
-                        "dot_max",
-                        scalar(),
-                        ReduceOp::Max,
-                        load("dot", [var("k1")]),
-                    ),
+                    reduce("dot_max", scalar(), ReduceOp::Max, load("dot", [var("k1")])),
                 ),
                 for_(
                     "k2",
@@ -1111,12 +1127,21 @@ mod tests {
         // for k1: a[k1,0] = b[k1,0]; for k2: b[k2,1] = a[k2,0] * 2
         // Dependence a[k1] -> a[k2] only at k2 == k1: fusion preserves it.
         let f = fnc(block([
-            for_("k1", 0, var("N"), store("a", idx![var("k1"), 0], load("b", idx![var("k1"), 0]))),
+            for_(
+                "k1",
+                0,
+                var("N"),
+                store("a", idx![var("k1"), 0], load("b", idx![var("k1"), 0])),
+            ),
             for_(
                 "k2",
                 0,
                 var("N"),
-                store("b", idx![var("k2"), 1], load("a", idx![var("k2"), 0]) * 2.0f64),
+                store(
+                    "b",
+                    idx![var("k2"), 1],
+                    load("a", idx![var("k2"), 0]) * 2.0f64,
+                ),
             ),
         ]));
         let l1 = find::find_loop(&f.body, "k1").unwrap().id;
@@ -1253,7 +1278,13 @@ mod tests {
             block([
                 store("t", [0], load("t", [0]) + load("x", [i()])),
                 store("y", [i()], load("t", [0])),
-                var_def("t", [1], DataType::F32, MemType::CpuHeap, store("t", [0], 1.0f32)),
+                var_def(
+                    "t",
+                    [1],
+                    DataType::F32,
+                    MemType::CpuHeap,
+                    store("t", [0], 1.0f32),
+                ),
             ]),
         );
         let li = the_loop.id;
@@ -1263,14 +1294,24 @@ mod tests {
             .body(var_def("t", [1], DataType::F32, MemType::CpuHeap, the_loop));
         let blockers = loop_carried_deps(&f, li);
         assert!(
-            blockers.iter().any(|d| d.var == "t" && d.kind == DepKind::Raw),
+            blockers
+                .iter()
+                .any(|d| d.var == "t" && d.kind == DepKind::Raw),
             "{blockers:?}"
         );
         // No dependence pairs an access of the outer `t` with the inner one.
         let inner = find::find_stmts(&f.body, &|s| {
-            matches!(&s.kind, StmtKind::Store { value: Expr::FloatConst(_), .. })
+            matches!(
+                &s.kind,
+                StmtKind::Store {
+                    value: Expr::FloatConst(_),
+                    ..
+                }
+            )
         })[0]
             .id;
-        assert!(all_deps(&f).iter().all(|d| (d.source == inner) == (d.sink == inner)));
+        assert!(all_deps(&f)
+            .iter()
+            .all(|d| (d.source == inner) == (d.sink == inner)));
     }
 }

@@ -33,13 +33,13 @@ pub mod deps;
 pub mod memplan;
 
 pub use access::{collect_accesses, Access, AccessKind, LoopCtx};
-pub use memplan::{eval_extent, MemPlan, PlanClass, PlanEntry, ARENA_ALIGN};
 pub use affine::{cond_to_constraints, linexpr_to_expr, to_linexpr, Affine};
 pub use bounds::{const_bounds, symbolic_bounds, BoundsCtx, SymBounds};
 pub use deps::{
     all_deps, carried_reductions, carried_reductions_in, fission_illegal, fuse_illegal,
-    loop_carried_deps, loop_carried_deps_in, reorder_illegal, swap_illegal,
-    Carrier, DepKind, FoundDep, Violation,
+    loop_carried_deps, loop_carried_deps_in, reorder_illegal, swap_illegal, Carrier, DepKind,
+    FoundDep, Violation,
 };
 /// The verdict of [`deps::dep_exists`].
 pub use ft_poly::Sat;
+pub use memplan::{eval_extent, MemPlan, PlanClass, PlanEntry, ARENA_ALIGN};

@@ -247,9 +247,9 @@ impl Walker<'_> {
                 let b = if register { 0 } else { bytes.unwrap_or(0) };
                 self.live_now += align_up(b);
                 self.naive_peak = self.naive_peak.max(self.live_now);
-                self.naive_alloc = self.naive_alloc.saturating_add(
-                    align_up(b).saturating_mul(self.trip_factor),
-                );
+                self.naive_alloc = self
+                    .naive_alloc
+                    .saturating_add(align_up(b).saturating_mul(self.trip_factor));
                 self.scope.entry(name.clone()).or_default().push(def_idx);
                 self.stmt(body);
                 self.scope.get_mut(name).expect("pushed above").pop();
@@ -264,10 +264,7 @@ impl Walker<'_> {
                 let li = self.loops.len();
                 self.loops.push((my_seq, 0));
                 self.loop_stack.push(li);
-                let trips = match (
-                    eval_extent(begin, self.sizes),
-                    eval_extent(end, self.sizes),
-                ) {
+                let trips = match (eval_extent(begin, self.sizes), eval_extent(end, self.sizes)) {
                     (Some(b), Some(e)) => e.saturating_sub(b).max(0) as u64,
                     _ => 1,
                 };
@@ -336,18 +333,14 @@ enum ZeroScan {
 
 fn expr_reads(e: &Expr, name: &str) -> bool {
     match e {
-        Expr::Load { var, indices } => {
-            var == name || indices.iter().any(|i| expr_reads(i, name))
-        }
+        Expr::Load { var, indices } => var == name || indices.iter().any(|i| expr_reads(i, name)),
         Expr::Unary { a, .. } => expr_reads(a, name),
         Expr::Binary { a, b, .. } => expr_reads(a, name) || expr_reads(b, name),
         Expr::Select {
             cond,
             then,
             otherwise,
-        } => {
-            expr_reads(cond, name) || expr_reads(then, name) || expr_reads(otherwise, name)
-        }
+        } => expr_reads(cond, name) || expr_reads(then, name) || expr_reads(otherwise, name),
         Expr::Cast { a, .. } => expr_reads(a, name),
         _ => false,
     }
@@ -356,9 +349,7 @@ fn expr_reads(e: &Expr, name: &str) -> bool {
 fn stmt_touches(s: &Stmt, name: &str) -> bool {
     let mut hit = false;
     s.walk(&mut |st| match &st.kind {
-        StmtKind::VarDef {
-            name: n, shape, ..
-        } => {
+        StmtKind::VarDef { name: n, shape, .. } => {
             // A shadowing def rebinds the name for its subtree; its own
             // extents still evaluate in the outer scope. `walk` cannot skip
             // subtrees, so shadowed regions are handled conservatively:
@@ -508,9 +499,7 @@ fn zero_scan(s: &Stmt, name: &str, shape: &[Expr]) -> ZeroScan {
             value,
             ..
         } => {
-            if var == name
-                || indices.iter().any(|e| expr_reads(e, name))
-                || expr_reads(value, name)
+            if var == name || indices.iter().any(|e| expr_reads(e, name)) || expr_reads(value, name)
             {
                 ZeroScan::Needs
             } else {
@@ -669,8 +658,7 @@ impl MemPlan {
                 } = &s.kind
                 {
                     debug_assert_eq!(w.defs[k].1, s.id, "walk order matches planner");
-                    must_zero[k] =
-                        zero_scan(body, name, shape) != ZeroScan::Covered;
+                    must_zero[k] = zero_scan(body, name, shape) != ZeroScan::Covered;
                     k += 1;
                 }
             });
@@ -714,7 +702,10 @@ impl MemPlan {
         let mut classes: Vec<PlanClass> = Vec::with_capacity(class_bytes.len());
         let mut off = 0u64;
         for &b in &class_bytes {
-            classes.push(PlanClass { bytes: b, offset: off });
+            classes.push(PlanClass {
+                bytes: b,
+                offset: off,
+            });
             off += align_up(b);
         }
         let planned_peak_bytes = off;
@@ -896,15 +887,13 @@ mod tests {
     fn loop_carried_def_widens_to_the_loop() {
         // acc lives across iterations of the loop (reduce), scratch is
         // loop-local. They must not share storage.
-        let loop_body = block([
-            var_def(
-                "scratch",
-                [8],
-                DataType::F32,
-                MemType::CpuHeap,
-                store("acc", scalar(), load("scratch", [0])),
-            ),
-        ]);
+        let loop_body = block([var_def(
+            "scratch",
+            [8],
+            DataType::F32,
+            MemType::CpuHeap,
+            store("acc", scalar(), load("scratch", [0])),
+        )]);
         let f = Func::new("f")
             .param("y", [1], DataType::F32, AccessType::Output)
             .body(var_def(
@@ -975,10 +964,7 @@ mod tests {
             DataType::F32,
             MemType::CpuHeap,
             block([
-                if_(
-                    load("y", [0]).gt(0.0f32),
-                    store("u", [0], 1.0f32),
-                ),
+                if_(load("y", [0]).gt(0.0f32), store("u", [0], 1.0f32)),
                 store("y", [1], load("u", [0])),
             ]),
         );
@@ -1080,7 +1066,10 @@ mod tests {
         let plan = |f: Func| MemPlan::plan(&f, &HashMap::new());
         let t = |p: &MemPlan| p.entries.last().unwrap().clone();
         let base = plan(f().body(def("t", fill("t"))));
-        let x = plan(f().param("x", [1], DataType::F32, AccessType::Input).body(def("t", fill("t"))));
+        let x = plan(
+            f().param("x", [1], DataType::F32, AccessType::Input)
+                .body(def("t", fill("t"))),
+        );
         let read = store("y", [0], load("t", [0]));
         let zeroed = plan(f().body(def("t", block([read, fill("t")]))));
         assert_ne!(t(&zeroed).must_zero, t(&base).must_zero);
@@ -1088,7 +1077,10 @@ mod tests {
         assert_ne!(t(&longer).last, t(&base).last);
         let inner = plan(f().body(def("u", block([fill("u"), def("t", fill("t")), fill("u")]))));
         assert_ne!(t(&inner).first, t(&base).first);
-        assert_ne!((t(&inner).offset, t(&inner).class), (t(&base).offset, t(&base).class));
+        assert_ne!(
+            (t(&inner).offset, t(&inner).class),
+            (t(&base).offset, t(&base).class)
+        );
         for (k, p) in [x, zeroed, longer, inner].iter().enumerate() {
             assert_ne!(p.plan_hash(), base.plan_hash(), "variant {k}");
         }

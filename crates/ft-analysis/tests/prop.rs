@@ -24,7 +24,12 @@ fn program(p: i64, q: i64, r: i64, s: i64, use_reduce: bool) -> (Func, StmtId) {
         .and(ridx.clone().ge(0))
         .and(ridx.clone().lt(N));
     let update = if use_reduce {
-        reduce("a", idx![widx], ReduceOp::Add, load("a", idx![ridx]) + 1.0f64)
+        reduce(
+            "a",
+            idx![widx],
+            ReduceOp::Add,
+            load("a", idx![ridx]) + 1.0f64,
+        )
     } else {
         store("a", idx![widx], load("a", idx![ridx]) + 1.0f64)
     };
@@ -76,7 +81,10 @@ fn reversed(func: &Func) -> Func {
 }
 
 fn run(func: &Func) -> Vec<f64> {
-    let a = TensorVal::from_f64(&[N as usize], (0..N).map(|k| (k as f64 * 0.7).sin()).collect());
+    let a = TensorVal::from_f64(
+        &[N as usize],
+        (0..N).map(|k| (k as f64 * 0.7).sin()).collect(),
+    );
     let inputs: HashMap<String, TensorVal> = [("a".to_string(), a)].into_iter().collect();
     Runtime::new()
         .run(func, &inputs, &HashMap::new())

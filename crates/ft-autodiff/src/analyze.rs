@@ -51,11 +51,7 @@ pub fn tensor_facts(func: &Func, active: &dyn Fn(&str) -> bool) -> HashMap<Strin
     let mut facts: HashMap<String, TensorFacts> = HashMap::new();
     let param_names: HashSet<String> = func.params.iter().map(|p| p.name.clone()).collect();
     // Register locals with their version-dimension counts.
-    fn register(
-        s: &Stmt,
-        depth: usize,
-        facts: &mut HashMap<String, TensorFacts>,
-    ) {
+    fn register(s: &Stmt, depth: usize, facts: &mut HashMap<String, TensorFacts>) {
         match &s.kind {
             StmtKind::VarDef { name, body, .. } => {
                 facts.entry(name.clone()).or_default().version_dims = depth;
@@ -233,21 +229,9 @@ mod tests {
                     DataType::F32,
                     MemType::CpuStack,
                     block([
-                        store(
-                            "t",
-                            scalar(),
-                            load("a", [var("i")]) * load("b", [var("i")]),
-                        ),
-                        store(
-                            "y",
-                            [var("i")],
-                            load("t", scalar()) * load("c", [var("i")]),
-                        ),
-                        store(
-                            "z",
-                            [var("i")],
-                            load("t", scalar()) * load("d", [var("i")]),
-                        ),
+                        store("t", scalar(), load("a", [var("i")]) * load("b", [var("i")])),
+                        store("y", [var("i")], load("t", scalar()) * load("c", [var("i")])),
+                        store("z", [var("i")], load("t", scalar()) * load("d", [var("i")])),
                     ]),
                 ),
             ))
@@ -259,8 +243,10 @@ mod tests {
         let facts = tensor_facts(&f, &|_| true);
         let t = &facts["t"];
         assert!(t.needed, "t's value is used by the y and z pullbacks");
-        assert!(t.store_only && t.dep_loads.iter().all(|d| ["a","b"].contains(&d.as_str())),
-            "t = a[i]*b[i] reads only inputs");
+        assert!(
+            t.store_only && t.dep_loads.iter().all(|d| ["a", "b"].contains(&d.as_str())),
+            "t = a[i]*b[i] reads only inputs"
+        );
         assert_eq!(t.version_dims, 1, "one enclosing loop = one version dim");
         assert_eq!(t.def_cost, 1, "t = a[i]*b[i] is one multiply");
     }
@@ -329,7 +315,11 @@ mod tests {
                         "j",
                         0,
                         8,
-                        store("y", [var("j")], load("acc", scalar()) * load("x", [var("j")])),
+                        store(
+                            "y",
+                            [var("j")],
+                            load("acc", scalar()) * load("x", [var("j")]),
+                        ),
                     ),
                 ]),
             ));

@@ -74,9 +74,7 @@ fn rec(
             let da = match op {
                 UnaryOp::Neg => -adj,
                 UnaryOp::Abs => adj * Expr::unary(UnaryOp::Sign, (**a).clone()),
-                UnaryOp::Sqrt => {
-                    adj / (Expr::unary(UnaryOp::Sqrt, (**a).clone()) * 2.0f64)
-                }
+                UnaryOp::Sqrt => adj / (Expr::unary(UnaryOp::Sqrt, (**a).clone()) * 2.0f64),
                 UnaryOp::Exp => adj * Expr::unary(UnaryOp::Exp, (**a).clone()),
                 UnaryOp::Ln => adj / (**a).clone(),
                 UnaryOp::Sigmoid => {
@@ -131,11 +129,7 @@ fn rec(
                     if let Expr::FloatConst(c) = **b {
                         let da = adj
                             * Expr::FloatConst(c)
-                            * Expr::binary(
-                                BinaryOp::Pow,
-                                (**a).clone(),
-                                Expr::FloatConst(c - 1.0),
-                            );
+                            * Expr::binary(BinaryOp::Pow, (**a).clone(), Expr::FloatConst(c - 1.0));
                         return rec(a, da, active, out);
                     }
                     return Err(DerivError::Unsupported(
@@ -261,11 +255,7 @@ mod tests {
     fn pow_min_int_exponent_errors_instead_of_overflowing() {
         // `i64::MIN - 1` overflows; the power rule must reject the exponent
         // structurally rather than panic in debug builds.
-        let e = Expr::binary(
-            BinaryOp::Pow,
-            load("a", scalar()),
-            Expr::IntConst(i64::MIN),
-        );
+        let e = Expr::binary(BinaryOp::Pow, load("a", scalar()), Expr::IntConst(i64::MIN));
         let err = pullback(&e, &var("g"), &all_active).unwrap_err();
         assert!(
             matches!(&err, DerivError::Unsupported(m) if m.contains("underflow")),

@@ -4,9 +4,7 @@ use crate::analyze::{decide, tensor_facts, MaterializeDecision, TapePolicy};
 use crate::deriv::{pullback, DerivError};
 use crate::name::name_invariants;
 use ft_ir::mutate::{refresh_ids, rename_var_stmt, subst_var_stmt};
-use ft_ir::{
-    builder, AccessType, DataType, Expr, Func, MemType, Param, ReduceOp, Stmt, StmtKind,
-};
+use ft_ir::{builder, AccessType, DataType, Expr, Func, MemType, Param, ReduceOp, Stmt, StmtKind};
 use ft_passes::const_fold_expr;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -133,9 +131,9 @@ pub fn grad_with(func: &Func, opts: &GradOptions) -> Result<Func, AdError> {
             // collide with its own `.grad` seed parameter, and an integer
             // input has no gradient.
             for x in w {
-                let p = func.find_param(x).ok_or_else(|| {
-                    AdError::Unsupported(format!("unknown wrt input `{x}`"))
-                })?;
+                let p = func
+                    .find_param(x)
+                    .ok_or_else(|| AdError::Unsupported(format!("unknown wrt input `{x}`")))?;
                 if p.atype != AccessType::Input {
                     return Err(AdError::Unsupported(format!(
                         "wrt `{x}` is an {:?} parameter; only inputs can be \
@@ -329,7 +327,10 @@ fn deep_tape_plan(
         for e in exprs {
             for v in e.loaded_vars() {
                 if let Some(&d) = defs.get(&v) {
-                    info.entry(v).or_default().load_sites.push(stack[d..].to_vec());
+                    info.entry(v)
+                        .or_default()
+                        .load_sites
+                        .push(stack[d..].to_vec());
                 }
             }
         }
@@ -375,8 +376,7 @@ fn deep_tape_plan(
                         self_load,
                     ));
                 }
-                let exprs: Vec<&Expr> =
-                    std::iter::once(value).chain(indices.iter()).collect();
+                let exprs: Vec<&Expr> = std::iter::once(value).chain(indices.iter()).collect();
                 record_loads(&exprs, stack, defs, info);
             }
             StmtKind::ReduceTo {
@@ -388,8 +388,7 @@ fn deep_tape_plan(
                 if defs.contains_key(var) {
                     info.entry(var.clone()).or_default().reduces += 1;
                 }
-                let exprs: Vec<&Expr> =
-                    std::iter::once(value).chain(indices.iter()).collect();
+                let exprs: Vec<&Expr> = std::iter::once(value).chain(indices.iter()).collect();
                 record_loads(&exprs, stack, defs, info);
             }
             _ => {
@@ -400,12 +399,7 @@ fn deep_tape_plan(
         }
     }
     let mut info: HashMap<String, Info> = HashMap::new();
-    walk(
-        &func.body,
-        &mut Vec::new(),
-        &mut HashMap::new(),
-        &mut info,
-    );
+    walk(&func.body, &mut Vec::new(), &mut HashMap::new(), &mut info);
     let mut deep = HashSet::new();
     for (t, i) in info {
         if decisions.get(&t) != Some(&MaterializeDecision::Store) {
@@ -529,8 +523,7 @@ impl Grad<'_> {
                 property,
                 body,
             } => {
-                self.stack
-                    .push((iter.clone(), begin.clone(), end.clone()));
+                self.stack.push((iter.clone(), begin.clone(), end.clone()));
                 let body = self.instrument_forward(*body)?;
                 self.stack.pop();
                 StmtKind::For {
@@ -661,7 +654,6 @@ impl Grad<'_> {
             other => other.clone(),
         }
     }
-
 }
 
 impl Grad<'_> {
@@ -678,9 +670,7 @@ impl Grad<'_> {
                 // to their tapes.
                 for st in v {
                     let (writes, all_stores) = written_tensors(st);
-                    if !writes.is_empty()
-                        && all_stores
-                        && writes.iter().all(|t| self.recomputed(t))
+                    if !writes.is_empty() && all_stores && writes.iter().all(|t| self.recomputed(t))
                     {
                         let replay = self.tape_substitute_stmt(refresh_ids(st.clone()));
                         out.push(replay);
@@ -707,13 +697,7 @@ impl Grad<'_> {
                 let bwd_name = format!("{name}.b");
                 let body = rename_var_stmt(body, name, &bwd_name);
                 let with_grad = if (self.active)(name) {
-                    builder::var_def(
-                        grad_name(name),
-                        shape.clone(),
-                        *dtype,
-                        *mtype,
-                        body,
-                    )
+                    builder::var_def(grad_name(name), shape.clone(), *dtype, *mtype, body)
                 } else {
                     body
                 };
@@ -732,8 +716,7 @@ impl Grad<'_> {
                 body,
                 ..
             } => {
-                self.stack
-                    .push((iter.clone(), begin.clone(), end.clone()));
+                self.stack.push((iter.clone(), begin.clone(), end.clone()));
                 let mut inner = self.backward(body)?;
                 self.stack.pop();
                 if !accumulate_only(body) {
@@ -785,7 +768,11 @@ impl Grad<'_> {
                             indices: indices.clone(),
                         },
                     ),
-                    builder::store(grad_name(var), indices.clone(), ReduceOp::Add.identity(dtype)),
+                    builder::store(
+                        grad_name(var),
+                        indices.clone(),
+                        ReduceOp::Add.identity(dtype),
+                    ),
                 ];
                 let adj = Expr::Load {
                     var: g.clone(),
@@ -935,7 +922,9 @@ impl Grad<'_> {
         let Stmt { id, label, kind } = s;
         let kind = match kind {
             StmtKind::Block(v) => StmtKind::Block(
-                v.into_iter().map(|st| self.tape_substitute_stmt(st)).collect(),
+                v.into_iter()
+                    .map(|st| self.tape_substitute_stmt(st))
+                    .collect(),
             ),
             StmtKind::VarDef {
                 name,
@@ -1091,14 +1080,22 @@ mod tests {
             )
         };
         assert!(accumulate_only(&named(dot_t())));
-        assert!(accumulate_only(&for_("c", 0, 3, named(for_("k", 0, 4, dot_t())))));
+        assert!(accumulate_only(&for_(
+            "c",
+            0,
+            3,
+            named(for_("k", 0, 4, dot_t()))
+        )));
         // Anything else in the body keeps the reversal.
         for body in [
             block([dot(), store("y", [var("p")], 0.0f32)]),
             // The local's value stored to a tensor bound outside the body.
             named(store("y", [var("p")], t())),
             // A 0-d tensor bound outside the body lives across iterations.
-            block([store("t", scalar(), load("Q", [var("j"), var("p")])), dot_t()]),
+            block([
+                store("t", scalar(), load("Q", [var("j"), var("p")])),
+                dot_t(),
+            ]),
             // A local row is not a named value.
             var_def(
                 "r",

@@ -27,10 +27,7 @@ fn tensor(shape: &[usize], seed: u64) -> TensorVal {
 /// Sum all elements of all float outputs (the scalar loss used for FD).
 fn loss(func: &Func, inputs: &Inputs, sizes: &HashMap<String, i64>) -> f64 {
     let r = Runtime::new().run(func, inputs, sizes).expect("fwd runs");
-    r.outputs
-        .values()
-        .flat_map(|t| t.to_f64_vec())
-        .sum()
+    r.outputs.values().flat_map(|t| t.to_f64_vec()).sum()
 }
 
 /// Compare AD gradients against central finite differences for each wrt
@@ -49,7 +46,9 @@ fn gradcheck(func: &Func, opts: &GradOptions, inputs: &Inputs, sizes: &[(&str, i
             grad_inputs.insert(format!("{}.grad", p.name), ones);
         }
     }
-    let res = Runtime::new().run(&g, &grad_inputs, &sizes).expect("grad runs");
+    let res = Runtime::new()
+        .run(&g, &grad_inputs, &sizes)
+        .expect("grad runs");
     // Finite differences per input element.
     let eps = 1e-5;
     for p in &func.params {
@@ -61,11 +60,17 @@ fn gradcheck(func: &Func, opts: &GradOptions, inputs: &Inputs, sizes: &[(&str, i
         for i in 0..base.numel() {
             let mut plus = inputs.clone();
             let mut t = base.clone();
-            t.set_flat(i, ft_runtime::Scalar::Float(base.get_flat(i).as_f64() + eps));
+            t.set_flat(
+                i,
+                ft_runtime::Scalar::Float(base.get_flat(i).as_f64() + eps),
+            );
             plus.insert(p.name.clone(), t);
             let mut minus = inputs.clone();
             let mut t = base.clone();
-            t.set_flat(i, ft_runtime::Scalar::Float(base.get_flat(i).as_f64() - eps));
+            t.set_flat(
+                i,
+                ft_runtime::Scalar::Float(base.get_flat(i).as_f64() - eps),
+            );
             minus.insert(p.name.clone(), t);
             let fd = (loss(func, &plus, &sizes) - loss(func, &minus, &sizes)) / (2.0 * eps);
             let an = analytic.get_flat(i).as_f64();
@@ -119,7 +124,13 @@ fn fig15_inputs(n: usize) -> Inputs {
 
 #[test]
 fn fig15_gradcheck_selective() {
-    gradcheck(&fig15(6), &GradOptions::default(), &fig15_inputs(6), &[], 1e-4);
+    gradcheck(
+        &fig15(6),
+        &GradOptions::default(),
+        &fig15_inputs(6),
+        &[],
+        1e-4,
+    );
 }
 
 #[test]
@@ -252,9 +263,7 @@ fn guarded_stencil_gradcheck() {
                 -w,
                 w + 1,
                 if_(
-                    (var("j") + var("k"))
-                        .ge(0)
-                        .and((var("j") + var("k")).lt(n)),
+                    (var("j") + var("k")).ge(0).and((var("j") + var("k")).lt(n)),
                     reduce(
                         "y",
                         [var("j")],
@@ -303,7 +312,11 @@ fn overwritten_output_gradcheck() {
             4,
             block([
                 store("y", [var("i")], load("x", [var("i")]) * 3.0f64),
-                store("y", [var("i")], load("x", [var("i")]) * load("x", [var("i")])),
+                store(
+                    "y",
+                    [var("i")],
+                    load("x", [var("i")]) * load("x", [var("i")]),
+                ),
             ]),
         ));
     let inputs: Inputs = [("x".to_string(), tensor(&[4], 41))].into_iter().collect();
@@ -365,7 +378,9 @@ fn taped_vector_intermediate_gradcheck() {
     };
     let g = grad_with(&f, &opts).unwrap();
     assert!(g.to_string().contains("row.tape"), "{g}");
-    let inputs: Inputs = [("x".to_string(), tensor(&[3, 4], 51))].into_iter().collect();
+    let inputs: Inputs = [("x".to_string(), tensor(&[3, 4], 51))]
+        .into_iter()
+        .collect();
     gradcheck(&f, &opts, &inputs, &[], 1e-3);
     // The default (more recompute-friendly) budget must agree too.
     gradcheck(&f, &GradOptions::default(), &inputs, &[], 1e-3);
@@ -503,11 +518,7 @@ fn scalar_reused_across_inner_loop_gradcheck_all_policy() {
                     0,
                     m,
                     block([
-                        store(
-                            "t",
-                            scalar(),
-                            load("a", [var("i")]) - load("b", [var("j")]),
-                        ),
+                        store("t", scalar(), load("a", [var("i")]) - load("b", [var("j")])),
                         store(
                             "y",
                             [var("i"), var("j")],
@@ -566,11 +577,7 @@ fn scalar_reuse_read_outside_storing_nest_is_rejected() {
                         "j",
                         0,
                         m,
-                        store(
-                            "t",
-                            scalar(),
-                            load("a", [var("i")]) * load("b", [var("j")]),
-                        ),
+                        store("t", scalar(), load("a", [var("i")]) * load("b", [var("j")])),
                     ),
                     store("y", [var("i")], load("t", scalar()) * load("t", scalar())),
                 ]),
@@ -800,10 +807,17 @@ fn selective_boundary_decisions_give_bit_identical_gradients() {
     let mut inputs = [("a".to_string(), tensor(&[5], 11))]
         .into_iter()
         .collect::<Inputs>();
-    inputs.insert("y.grad".to_string(), TensorVal::from_f64(&[5], vec![1.0; 5]));
+    inputs.insert(
+        "y.grad".to_string(),
+        TensorVal::from_f64(&[5], vec![1.0; 5]),
+    );
     let sizes = HashMap::new();
-    let ra = Runtime::new().run(&at, &inputs, &sizes).expect("recompute runs");
-    let rb = Runtime::new().run(&below, &inputs, &sizes).expect("store runs");
+    let ra = Runtime::new()
+        .run(&at, &inputs, &sizes)
+        .expect("recompute runs");
+    let rb = Runtime::new()
+        .run(&below, &inputs, &sizes)
+        .expect("store runs");
     assert_eq!(
         ra.output("a.grad"),
         rb.output("a.grad"),

@@ -12,10 +12,7 @@ const N: usize = 4;
 /// Random smooth expressions of `x[i]` (kept numerically tame).
 fn arb_smooth_expr() -> impl Strategy<Value = Expr> {
     let x = || load("x", [var("i")]);
-    let leaf = prop_oneof![
-        Just(x()),
-        (-1.5f64..1.5).prop_map(Expr::FloatConst),
-    ];
+    let leaf = prop_oneof![Just(x()), (-1.5f64..1.5).prop_map(Expr::FloatConst),];
     leaf.prop_recursive(3, 16, 2, move |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
@@ -24,7 +21,9 @@ fn arb_smooth_expr() -> impl Strategy<Value = Expr> {
             inner.clone().prop_map(intrin::sigmoid),
             inner.clone().prop_map(intrin::tanh),
             inner.clone().prop_map(|a| intrin::exp(a * 0.25f64)),
-            inner.clone().prop_map(|a| intrin::sqrt(intrin::abs(a) + 1.0f64)),
+            inner
+                .clone()
+                .prop_map(|a| intrin::sqrt(intrin::abs(a) + 1.0f64)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.max(b)),
         ]
     })
@@ -58,8 +57,7 @@ fn build(expr: Expr, via_local: bool) -> Func {
 }
 
 fn loss(func: &Func, x: &TensorVal) -> f64 {
-    let inputs: HashMap<String, TensorVal> =
-        [("x".to_string(), x.clone())].into_iter().collect();
+    let inputs: HashMap<String, TensorVal> = [("x".to_string(), x.clone())].into_iter().collect();
     Runtime::new()
         .run(func, &inputs, &HashMap::new())
         .expect("fwd runs")

@@ -69,12 +69,16 @@ pub struct Target {
 impl Target {
     /// Default CPU target.
     pub fn cpu() -> Target {
-        Target { device: Device::Cpu }
+        Target {
+            device: Device::Cpu,
+        }
     }
 
     /// Default (simulated) GPU target.
     pub fn gpu() -> Target {
-        Target { device: Device::Gpu }
+        Target {
+            device: Device::Gpu,
+        }
     }
 }
 
@@ -211,7 +215,10 @@ pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
             }
         }
         Device::Gpu => {
-            for LoopFacts { id, nested, extent, .. } in outer {
+            for LoopFacts {
+                id, nested, extent, ..
+            } in outer
+            {
                 // A directly nested loop feeds the thread dimension.
                 match nested {
                     Some(tid) => {
@@ -226,8 +233,7 @@ pub fn auto_parallelize(sched: &mut Schedule, target: &Target) -> usize {
                         if extent.unwrap_or(i64::MAX) > GPU_BLOCK_SIZE {
                             if let Ok((b, t)) = sched.split(id, GPU_BLOCK_SIZE) {
                                 let ok_b = sched.parallelize(b, ParallelScope::CudaBlockX).is_ok();
-                                let ok_t =
-                                    sched.parallelize(t, ParallelScope::CudaThreadX).is_ok();
+                                let ok_t = sched.parallelize(t, ParallelScope::CudaThreadX).is_ok();
                                 if ok_b || ok_t {
                                     n += 1;
                                 }
@@ -377,8 +383,18 @@ mod tests {
             .param("t", [64], DataType::F32, AccessType::Output)
             .param("y", [64], DataType::F32, AccessType::Output)
             .body(block([
-                for_("i", 0, 64, store("t", [var("i")], load("x", [var("i")]) * 2.0f32)),
-                for_("j", 0, 64, store("y", [var("j")], load("t", [var("j")]) + 1.0f32)),
+                for_(
+                    "i",
+                    0,
+                    64,
+                    store("t", [var("i")], load("x", [var("i")]) * 2.0f32),
+                ),
+                for_(
+                    "j",
+                    0,
+                    64,
+                    store("y", [var("j")], load("t", [var("j")]) + 1.0f32),
+                ),
             ]))
     }
 
@@ -432,10 +448,7 @@ mod tests {
                 [8],
                 DataType::F32,
                 MemType::CpuHeap,
-                block([
-                    store("t", [0], 1.0f32),
-                    store("y", [0], load("t", [0])),
-                ]),
+                block([store("t", [0], 1.0f32), store("y", [0], load("t", [0]))]),
             ));
         let mut s = Schedule::new(f);
         assert_eq!(auto_mem_type(&mut s, &Target::cpu()), 1);
@@ -499,15 +512,18 @@ mod tests {
             .body(for_("i", 0, 8, f_loop));
         let sink = TraceSink::new();
         let tuned = auto_schedule_traced(f, &Target::cpu(), Some(sink.clone()));
-        let vectorized = ft_ir::find::find_by_id(&tuned.body, f_id)
-            .is_some_and(|s| matches!(&s.kind, StmtKind::For { property, .. } if property.vectorize));
+        let vectorized = ft_ir::find::find_by_id(&tuned.body, f_id).is_some_and(
+            |s| matches!(&s.kind, StmtKind::For { property, .. } if property.vectorize),
+        );
         assert!(vectorized, "{tuned}");
         let args = format!("({:?})", ft_ir::find::Selector::Id(f_id));
         assert!(
-            sink.decisions().iter().any(|d| d.pass.as_deref() == Some("auto_vectorize")
-                && d.primitive == "vectorize"
-                && d.args == args
-                && d.verdict == ft_trace::Verdict::Applied),
+            sink.decisions()
+                .iter()
+                .any(|d| d.pass.as_deref() == Some("auto_vectorize")
+                    && d.primitive == "vectorize"
+                    && d.args == args
+                    && d.verdict == ft_trace::Verdict::Applied),
             "{:?}",
             sink.decisions()
         );
@@ -517,12 +533,13 @@ mod tests {
     fn full_pipeline_preserves_semantics() {
         let f = elementwise_two_loops();
         let x = TensorVal::from_f32(&[64], (0..64).map(|v| (v as f32).cos()).collect());
-        let inputs: HashMap<String, TensorVal> =
-            [("x".to_string(), x)].into_iter().collect();
+        let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
         let before = Runtime::new().run(&f, &inputs, &HashMap::new()).unwrap();
         for target in [Target::cpu(), Target::gpu()] {
             let tuned = auto_schedule(&f, &target);
-            let after = Runtime::new().run(&tuned, &inputs, &HashMap::new()).unwrap();
+            let after = Runtime::new()
+                .run(&tuned, &inputs, &HashMap::new())
+                .unwrap();
             assert!(
                 before.output("y").allclose(after.output("y"), 1e-6),
                 "auto-schedule changed semantics on {:?}:\n{tuned}",
@@ -536,9 +553,10 @@ mod tests {
         let f = elementwise_two_loops();
         let tuned = auto_schedule(&f, &Target::gpu());
         let x = TensorVal::from_f32(&[64], vec![1.0; 64]);
-        let inputs: HashMap<String, TensorVal> =
-            [("x".to_string(), x)].into_iter().collect();
-        let r = Runtime::new().run(&tuned, &inputs, &HashMap::new()).unwrap();
+        let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
+        let r = Runtime::new()
+            .run(&tuned, &inputs, &HashMap::new())
+            .unwrap();
         assert_eq!(r.counters.kernel_launches, 1, "{tuned}");
     }
 }

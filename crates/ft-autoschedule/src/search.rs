@@ -142,7 +142,9 @@ impl PayoffTable {
         };
         let mut entries = BTreeMap::new();
         for (k, v) in fields {
-            let arr = v.as_arr().ok_or_else(|| format!("payoff `{k}` not an array"))?;
+            let arr = v
+                .as_arr()
+                .ok_or_else(|| format!("payoff `{k}` not an array"))?;
             let n = |i: usize| -> Result<u64, String> {
                 arr.get(i)
                     .and_then(JsonVal::as_u64)
@@ -260,7 +262,11 @@ struct Prepared {
 /// `freetensor_core::Program::optimize` (param placement → schedule →
 /// simplify). Public because the bench replay path must build candidate
 /// programs identically to how the search scored them.
-pub fn prepare_candidate(base: &Func, device: Device, trace: &[ScheduleOp]) -> (Func, Vec<ScheduleOp>) {
+pub fn prepare_candidate(
+    base: &Func,
+    device: Device,
+    trace: &[ScheduleOp],
+) -> (Func, Vec<ScheduleOp>) {
     let mut f = base.clone();
     for p in &mut f.params {
         p.mtype = MemType::default_for(device);
@@ -300,7 +306,9 @@ fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + 
             });
         }
     });
-    out.into_iter().map(|r| r.expect("par_map slot filled")).collect()
+    out.into_iter()
+        .map(|r| r.expect("par_map slot filled"))
+        .collect()
 }
 
 /// What the rule-based passes do to `base`, in the positional trace
@@ -1044,9 +1052,18 @@ impl SavedSchedule {
             ("scale".to_string(), JsonVal::Str(self.scale.clone())),
             ("seed".to_string(), JsonVal::Num(self.seed as f64)),
             ("budget".to_string(), JsonVal::Num(self.budget as f64)),
-            ("search_wall_ms".to_string(), JsonVal::Num(self.search_wall_ms)),
-            ("searched_cycles".to_string(), JsonVal::Num(self.searched_cycles)),
-            ("searched_dram".to_string(), JsonVal::Num(self.searched_dram as f64)),
+            (
+                "search_wall_ms".to_string(),
+                JsonVal::Num(self.search_wall_ms),
+            ),
+            (
+                "searched_cycles".to_string(),
+                JsonVal::Num(self.searched_cycles),
+            ),
+            (
+                "searched_dram".to_string(),
+                JsonVal::Num(self.searched_dram as f64),
+            ),
             ("rule_cycles".to_string(), JsonVal::Num(self.rule_cycles)),
             ("rule_dram".to_string(), JsonVal::Num(self.rule_dram as f64)),
             (
@@ -1128,8 +1145,18 @@ mod tests {
             .param("t", [256], DataType::F32, AccessType::Output)
             .param("y", [256], DataType::F32, AccessType::Output)
             .body(block([
-                for_("i", 0, 256, store("t", [var("i")], load("x", [var("i")]) * 2.0f32)),
-                for_("j", 0, 256, store("y", [var("j")], load("t", [var("j")]) + 1.0f32)),
+                for_(
+                    "i",
+                    0,
+                    256,
+                    store("t", [var("i")], load("x", [var("i")]) * 2.0f32),
+                ),
+                for_(
+                    "j",
+                    0,
+                    256,
+                    store("y", [var("j")], load("t", [var("j")]) + 1.0f32),
+                ),
             ]))
     }
 
@@ -1157,7 +1184,9 @@ mod tests {
         // The rules fuse the two loops and parallelize, every op they were
         // granted replays, and the replay is their program.
         assert!(trace.iter().any(|o| matches!(o, ScheduleOp::Fuse { .. })));
-        assert!(trace.iter().any(|o| matches!(o, ScheduleOp::Parallelize { .. })));
+        assert!(trace
+            .iter()
+            .any(|o| matches!(o, ScheduleOp::Parallelize { .. })));
         let (scheduled, accepted) = prepare_candidate(&f, Device::Cpu, &trace);
         assert_eq!(accepted, trace);
         let (placed, _) = prepare_candidate(&f, Device::Cpu, &[]);
@@ -1188,7 +1217,10 @@ mod tests {
         assert_eq!(a.best_trace, b.best_trace);
         assert_eq!(a.best_score, b.best_score);
         assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.best_trace, c.best_trace, "worker count changed the result");
+        assert_eq!(
+            a.best_trace, c.best_trace,
+            "worker count changed the result"
+        );
         assert_eq!(a.best_score, c.best_score);
         assert_eq!(a.memo_hits, c.memo_hits);
         assert_eq!(a.history, c.history);

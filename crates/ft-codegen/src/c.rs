@@ -5,11 +5,11 @@
 //! loop's `simd reduction` clause lists the registers it folds into.
 
 use ft_analysis::{MemPlan, PlanEntry};
-use ft_passes::hoist::any_node;
 use ft_ir::{
-    AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, Param, ReduceOp, Stmt,
-    StmtKind, UnaryOp,
+    AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, Param, ReduceOp, Stmt, StmtKind,
+    UnaryOp,
 };
+use ft_passes::hoist::any_node;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -98,13 +98,58 @@ pub const PROF_PREAMBLE: &str = "#include <time.h>\n";
 /// preamble's support library) plus the C99 keywords — IR names must never
 /// mangle onto these, nor onto a name the C library declares ([`taken`]).
 const RESERVED: &[&str] = &[
-    "ft_ffmod", "ft_ffmodf",
-    "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_sigmoidf", "ft_lib_matmul", "ft_entry", "__ft_prof",
-    "__ft_t0", "__ft_t1", "__ft_arena", "auto", "break",
-    "case", "char", "const", "continue", "default", "do", "double", "else", "enum", "extern",
-    "float", "for", "goto", "if", "inline", "int", "long", "register", "restrict", "return",
-    "short", "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned",
-    "void", "volatile", "while", "bool", "true", "false", "int32_t", "int64_t", "main",
+    "ft_ffmod",
+    "ft_ffmodf",
+    "ft_fdiv",
+    "ft_fmod",
+    "ft_sigmoid",
+    "ft_sigmoidf",
+    "ft_lib_matmul",
+    "ft_entry",
+    "__ft_prof",
+    "__ft_t0",
+    "__ft_t1",
+    "__ft_arena",
+    "auto",
+    "break",
+    "case",
+    "char",
+    "const",
+    "continue",
+    "default",
+    "do",
+    "double",
+    "else",
+    "enum",
+    "extern",
+    "float",
+    "for",
+    "goto",
+    "if",
+    "inline",
+    "int",
+    "long",
+    "register",
+    "restrict",
+    "return",
+    "short",
+    "signed",
+    "sizeof",
+    "static",
+    "struct",
+    "switch",
+    "typedef",
+    "union",
+    "unsigned",
+    "void",
+    "volatile",
+    "while",
+    "bool",
+    "true",
+    "false",
+    "int32_t",
+    "int64_t",
+    "main",
     "clock_gettime",
 ];
 
@@ -138,7 +183,9 @@ fn taken() -> &'static HashSet<String> {
     TAKEN.get_or_init(|| {
         let libm = LIBM.split_ascii_whitespace();
         let widths = libm.flat_map(|n| [n.to_string(), format!("{n}f"), format!("{n}l")]);
-        let libc = LIBC.split_ascii_whitespace().chain(RESERVED.iter().copied());
+        let libc = LIBC
+            .split_ascii_whitespace()
+            .chain(RESERVED.iter().copied());
         libc.map(str::to_string).chain(widths).collect()
     })
 }
@@ -384,13 +431,20 @@ fn put_float(out: &mut String, v: f64, single: bool) {
 fn signature(func: &Func, syms: &CSymbols) -> Vec<String> {
     let tensors = func.params.iter().zip(&syms.params);
     let tensors = tensors.map(|(p, ident)| format!("{} {ident}", pointer(p)));
-    let sizes = syms.size_params.iter().map(|ident| format!("int64_t {ident}"));
+    let sizes = syms
+        .size_params
+        .iter()
+        .map(|ident| format!("int64_t {ident}"));
     tensors.chain(sizes).collect()
 }
 
 /// The pointer type of a tensor parameter (`const` for inputs).
 fn pointer(p: &Param) -> String {
-    let qual = if p.atype == AccessType::Input { "const " } else { "" };
+    let qual = if p.atype == AccessType::Input {
+        "const "
+    } else {
+        ""
+    };
     format!("{qual}{}*", ctype(p.dtype))
 }
 
@@ -695,7 +749,12 @@ impl<'a> Emitter<'a> {
             StmtKind::Block(v) => v.as_slice(),
             _ => std::slice::from_ref(body),
         };
-        let reads = |e: &Expr| any_node(e, &mut |n| matches!(n, Expr::Load { var, .. } if var == name));
+        let reads = |e: &Expr| {
+            any_node(
+                e,
+                &mut |n| matches!(n, Expr::Load { var, .. } if var == name),
+            )
+        };
         let init = match stmts.first().map(|s| &s.kind) {
             Some(StmtKind::Store {
                 var,
@@ -812,9 +871,7 @@ impl<'a> Emitter<'a> {
                             must_zero,
                             ..
                         }) if self.parallel_depth == 0 => {
-                            self.line(&format!(
-                                "{ty}* {ident} = ({ty}*)(__ft_arena + {offset});"
-                            ));
+                            self.line(&format!("{ty}* {ident} = ({ty}*)(__ft_arena + {offset});"));
                             if must_zero {
                                 self.line(&format!("memset({ident}, 0, {bytes});"));
                             }
@@ -870,9 +927,10 @@ impl<'a> Emitter<'a> {
                 let end_c = self.p.expr(end, DataType::I64);
                 if property.parallel.is_parallel() {
                     if self.parallel_depth > 0 {
-                        self.err.get_or_insert_with(|| CodegenError::NestedParallel {
-                            iter: iter.clone(),
-                        });
+                        self.err
+                            .get_or_insert_with(|| CodegenError::NestedParallel {
+                                iter: iter.clone(),
+                            });
                     }
                     self.line("#pragma omp parallel for");
                 } else if property.vectorize {
@@ -1080,7 +1138,11 @@ pub fn emit_c(
     for i in 0..func.size_params.len() {
         let _ = write!(out, "sizes[{i}], ");
     }
-    out.push_str(if profile { "arena, prof);\n}\n" } else { "arena);\n}\n" });
+    out.push_str(if profile {
+        "arena, prof);\n}\n"
+    } else {
+        "arena);\n}\n"
+    });
     Ok((out, em.prof.unwrap_or_default()))
 }
 
@@ -1197,7 +1259,10 @@ mod tests {
         let f = histogram();
         let lowered = crate::lower_cpu_parallel(&f);
         let c = unit(&crate::lower_scalar(&lowered)).unwrap();
-        assert!(!c.contains("omp atomic") && !c.contains("omp critical"), "{c}");
+        assert!(
+            !c.contains("omp atomic") && !c.contains("omp critical"),
+            "{c}"
+        );
         assert_eq!(c.matches("#pragma omp parallel for").count(), 2, "{c}");
         assert!(
             c.contains("h_part[(i_chunk) * (4) + (((int64_t)idx[i]))] += 1.0f;"),
@@ -1213,7 +1278,9 @@ mod tests {
         let (_, sites) = unit_of(&lowered, true).unwrap();
         let descs: Vec<&str> = sites.iter().map(|p| p.desc.as_str()).collect();
         assert_eq!(descs, ["for i.chunk", "for h.part.i0"], "{sites:?}");
-        let merge = ft_ir::find::find_loop(&lowered.body, "h.part.i0").unwrap().id;
+        let merge = ft_ir::find::find_loop(&lowered.body, "h.part.i0")
+            .unwrap()
+            .id;
         let ids: Vec<_> = sites.iter().map(|p| p.stmt).collect();
         assert_eq!(ids, [f.body.id, merge], "{sites:?}");
     }
@@ -1330,7 +1397,12 @@ mod tests {
         // Nor anything the C library headers declare, in any float width:
         // the function symbol would conflict with it, and a tensor would
         // shadow a function the unit calls.
-        for (name, ident) in [("div", "div_2"), ("free", "free_2"), ("sinl", "sinl_2"), ("gat", "gat")] {
+        for (name, ident) in [
+            ("div", "div_2"),
+            ("free", "free_2"),
+            ("sinl", "sinl_2"),
+            ("gat", "gat"),
+        ] {
             assert_eq!(m.bind(name), ident);
         }
     }
@@ -1379,8 +1451,18 @@ mod tests {
                 DataType::F32,
                 MemType::CpuHeap,
                 block([
-                    for_("i", 0, var("n"), store("t", [var("i")], load("x", [var("i")]))),
-                    for_("i", 0, var("n"), store("y", [var("i")], load("t", [var("i")]))),
+                    for_(
+                        "i",
+                        0,
+                        var("n"),
+                        store("t", [var("i")], load("x", [var("i")])),
+                    ),
+                    for_(
+                        "i",
+                        0,
+                        var("n"),
+                        store("y", [var("i")], load("t", [var("i")])),
+                    ),
                 ]),
             ));
         let sizes = HashMap::from([("n".to_string(), 256i64)]);
@@ -1398,7 +1480,10 @@ mod tests {
         // At no sizes the plan cannot size `t`: it gets `calloc`, and the
         // arena parameter is unused.
         let c = unit(&f).unwrap();
-        assert!(c.contains("float* t = (float*)calloc((n), sizeof(float));"), "{c}");
+        assert!(
+            c.contains("float* t = (float*)calloc((n), sizeof(float));"),
+            "{c}"
+        );
         assert!(c.contains("    (void)__ft_arena;\n"), "{c}");
     }
 

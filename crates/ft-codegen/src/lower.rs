@@ -124,7 +124,11 @@ pub fn prove_parallel(func: &mut Cow<'_, Func>) -> Vec<Serialized> {
             (None, Some(r)) => format!("carried reduction {r}"),
             (None, None) => return,
         };
-        refused.push(Serialized { loop_id: s.id, reason, dep });
+        refused.push(Serialized {
+            loop_id: s.id,
+            reason,
+            dep,
+        });
     });
     for r in &refused {
         replace_by_id(&mut func.to_mut().body, r.loop_id, |mut s| {

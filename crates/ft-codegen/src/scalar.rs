@@ -46,9 +46,7 @@
 //! are. The pass is invisible to the reference semantics.
 
 use ft_ir::mutate::{bound_names, mutate_expr_walk, Mutator};
-use ft_ir::{
-    builder, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp,
-};
+use ft_ir::{builder, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp};
 use ft_passes::hoist::{self, any_node, certainly_runs, is_leaf, operands, LoopNames, Scope};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -59,7 +57,11 @@ pub fn lower_scalar(func: &Func) -> Cow<'_, Func> {
     let mut a = Lowering {
         names: LoopNames::of(&func.body),
         used: bound_names(func),
-        tensors: func.params.iter().map(|p| (p.name.as_str(), p.dtype, false)).collect(),
+        tensors: func
+            .params
+            .iter()
+            .map(|p| (p.name.as_str(), p.dtype, false))
+            .collect(),
         ..Lowering::default()
     };
     let body = a.visit(&func.body, None, false);
@@ -129,7 +131,11 @@ struct Lowering<'a> {
 /// `tensors` in scope: a load is, unless it reads a register.
 fn costly(tensors: &[(&str, DataType, bool)], e: &Expr) -> bool {
     match e {
-        Expr::Load { var, .. } => !tensors.iter().rev().find(|t| t.0 == var).is_some_and(|t| t.2),
+        Expr::Load { var, .. } => !tensors
+            .iter()
+            .rev()
+            .find(|t| t.0 == var)
+            .is_some_and(|t| t.2),
         Expr::Unary { op, .. } => matches!(
             op,
             UnaryOp::Sqrt | UnaryOp::Exp | UnaryOp::Ln | UnaryOp::Sigmoid | UnaryOp::Tanh
@@ -223,7 +229,13 @@ impl Mutator for UseRegisters<'_, '_> {
 fn register(reg: &str, dtype: DataType, value: Expr, body: Vec<Stmt>) -> Stmt {
     let mut stmts = vec![builder::store(reg, builder::scalar(), value)];
     stmts.extend(body);
-    builder::var_def(reg, builder::scalar(), dtype, MemType::CpuStack, builder::block(stmts))
+    builder::var_def(
+        reg,
+        builder::scalar(),
+        dtype,
+        MemType::CpuStack,
+        builder::block(stmts),
+    )
 }
 
 impl<'a> Lowering<'a> {
@@ -372,10 +384,14 @@ impl<'a> Lowering<'a> {
             let live = (0..k).filter(|&j| reuses[j].first <= at && at <= reuses[j].last);
             live.map(|j| named[j].clone()).collect()
         };
-        let stmts: Vec<Stmt> = run.iter().enumerate().map(|(at, s)| {
-            let k = reuses.partition_point(|r| r.first <= at);
-            UseRegisters(&live(at, k)).mutate_stmt(self.assignment(s))
-        }).collect();
+        let stmts: Vec<Stmt> = run
+            .iter()
+            .enumerate()
+            .map(|(at, s)| {
+                let k = reuses.partition_point(|r| r.first <= at);
+                UseRegisters(&live(at, k)).mutate_stmt(self.assignment(s))
+            })
+            .collect();
         // Every register lives to the end of the run: wrap from the back,
         // in reverse order.
         let mut rev: Vec<Stmt> = Vec::new();
@@ -385,7 +401,12 @@ impl<'a> Lowering<'a> {
                 // Spelled with the registers declared before it.
                 let value = UseRegisters(&live(at, k)).mutate_expr(reuses[k].expr.clone());
                 let body = rev.drain(..).rev().collect();
-                rev.push(register(&named[k].1, self.dtype(reuses[k].expr), value, body));
+                rev.push(register(
+                    &named[k].1,
+                    self.dtype(reuses[k].expr),
+                    value,
+                    body,
+                ));
             }
         }
         self.changed |= !named.is_empty();
@@ -403,7 +424,10 @@ impl<'a> Lowering<'a> {
             atomic: false,
         } = &s.kind
         {
-            let acc = self.accs.iter().find(|a| a.var == var && a.indices == indices.as_slice());
+            let acc = self
+                .accs
+                .iter()
+                .find(|a| a.var == var && a.indices == indices.as_slice());
             if let Some(Acc { reg: Some(reg), .. }) = acc {
                 let mut s = s.clone();
                 s.kind = StmtKind::ReduceTo {
@@ -422,11 +446,16 @@ impl<'a> Lowering<'a> {
     /// `s` rewritten. `lp` is the innermost enclosing loop, `guarded`
     /// whether an `If` sits between it and `s`.
     fn visit(&mut self, s: &'a Stmt, lp: Option<&Loop>, guarded: bool) -> Stmt {
-        let is_assign = |s: &Stmt| matches!(s.kind, StmtKind::Store { .. } | StmtKind::ReduceTo { .. });
+        let is_assign =
+            |s: &Stmt| matches!(s.kind, StmtKind::Store { .. } | StmtKind::ReduceTo { .. });
         if is_assign(s) {
             self.assign(s, 0);
             let mut run = self.end_run(&[s]);
-            return if run.len() == 1 { run.remove(0) } else { builder::block(run) };
+            return if run.len() == 1 {
+                run.remove(0)
+            } else {
+                builder::block(run)
+            };
         }
         let kind = match &s.kind {
             StmtKind::Block(v) => {
@@ -452,7 +481,8 @@ impl<'a> Lowering<'a> {
                 atype,
                 body,
             } => {
-                self.tensors.push((name, *dtype, mtype.register(shape.len())));
+                self.tensors
+                    .push((name, *dtype, mtype.register(shape.len())));
                 let body = self.visit(body, lp, guarded);
                 self.tensors.pop();
                 StmtKind::VarDef {
@@ -471,7 +501,9 @@ impl<'a> Lowering<'a> {
             } => StmtKind::If {
                 cond: cond.clone(),
                 then: Box::new(self.visit(then, lp, true)),
-                otherwise: otherwise.as_ref().map(|o| Box::new(self.visit(o, lp, true))),
+                otherwise: otherwise
+                    .as_ref()
+                    .map(|o| Box::new(self.visit(o, lp, true))),
             },
             StmtKind::For { .. } => return self.visit_for(s, lp, guarded),
             StmtKind::Store { .. } | StmtKind::ReduceTo { .. } => unreachable!("handled above"),
@@ -535,7 +567,10 @@ impl<'a> Lowering<'a> {
         self.changed |= no_simd;
 
         // The elements the loop folds into, in registers around it.
-        let accs: Vec<_> = accs.into_iter().filter_map(|a| Some((a.reg?, a.var, a.indices))).collect();
+        let accs: Vec<_> = accs
+            .into_iter()
+            .filter_map(|a| Some((a.reg?, a.var, a.indices)))
+            .collect();
         if !accs.is_empty() {
             let mut stmts = vec![out];
             for (reg, var, indices) in &accs {
@@ -609,9 +644,9 @@ impl<'a> Lowering<'a> {
             // must be one of its accumulators or certainly another element
             // than all of them.
             let alone = !touches(body, var, false, &mut |idx, op, guarded| {
-                accs.iter()
-                    .filter(|a| a.var == var)
-                    .all(|a| (a.indices == idx && a.op == op && !guarded) || distinct(a.indices, idx))
+                accs.iter().filter(|a| a.var == var).all(|a| {
+                    (a.indices == idx && a.op == op && !guarded) || distinct(a.indices, idx)
+                })
             });
             if alone {
                 k += 1;
@@ -620,7 +655,13 @@ impl<'a> Lowering<'a> {
                 accs.retain(|a| a.var != var);
             }
         }
-        let register = |var: &str| self.tensors.iter().rev().find(|t| t.0 == var).is_some_and(|t| t.2);
+        let register = |var: &str| {
+            self.tensors
+                .iter()
+                .rev()
+                .find(|t| t.0 == var)
+                .is_some_and(|t| t.2)
+        };
         let regs: Vec<bool> = accs.iter().map(|a| register(a.var)).collect();
         for (a, is_reg) in accs.iter_mut().zip(regs) {
             if !is_reg {
@@ -655,7 +696,9 @@ impl<'a> Lowering<'a> {
                 ..
             } if !locals.contains(&var.as_str())
                 && indices.iter().all(|e| self.invariant(e, me))
-                && !out.iter().any(|a| a.var == var && a.indices == indices.as_slice()) =>
+                && !out
+                    .iter()
+                    .any(|a| a.var == var && a.indices == indices.as_slice()) =>
             {
                 out.push(Acc {
                     var,
@@ -673,7 +716,8 @@ impl<'a> Lowering<'a> {
 fn holds_parallel(s: &Stmt) -> bool {
     let mut found = false;
     s.walk(&mut |t| {
-        found |= matches!(&t.kind, StmtKind::For { property, .. } if property.parallel.is_parallel());
+        found |=
+            matches!(&t.kind, StmtKind::For { property, .. } if property.parallel.is_parallel());
     });
     found
 }
@@ -688,7 +732,9 @@ fn carried<'a>(s: &'a Stmt, iter: &str, accs: &[Acc<'_>], locals: &mut Vec<&'a s
             var, indices, op, ..
         } => {
             let in_clause = matches!(op, ReduceOp::Add | ReduceOp::Mul)
-                && accs.iter().any(|a| a.var == var && a.indices == indices.as_slice());
+                && accs
+                    .iter()
+                    .any(|a| a.var == var && a.indices == indices.as_slice());
             !in_clause
                 && !locals.contains(&var.as_str())
                 && !indices

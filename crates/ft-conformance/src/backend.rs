@@ -247,10 +247,14 @@ def sums(x: f32[{N}] in, k: i32[{N}] in, fsum: f32[] out, isum: i32[] out):
             func.to_string(),
             "the parallel loop was not reversed"
         );
-        let x = TensorVal::from_f32(&[N], (0..N).map(|i| (i as f32 * 0.37).sin() * 3.0).collect());
+        let x = TensorVal::from_f32(
+            &[N],
+            (0..N).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(),
+        );
         let k = TensorVal::from_i32(&[N], (0..N as i32).map(|i| i * 7919 % 1013 - 500).collect());
-        let inputs: HashMap<String, TensorVal> =
-            [("x".to_string(), x), ("k".to_string(), k)].into_iter().collect();
+        let inputs: HashMap<String, TensorVal> = [("x".to_string(), x), ("k".to_string(), k)]
+            .into_iter()
+            .collect();
         let interp = run_backend(Backend::Interp, &func, &inputs).unwrap();
         let reordered = run_backend(Backend::Reordered, &func, &inputs).unwrap();
         // Integer addition is associative: exact. Float addition is not: the
@@ -258,7 +262,10 @@ def sums(x: f32[{N}] in, k: i32[{N}] in, fsum: f32[] out, isum: i32[] out):
         assert_eq!(interp["isum"], reordered["isum"]);
         let d = interp["fsum"].max_abs_diff(&reordered["fsum"]);
         assert!(d > 0.0, "reversal did not reassociate the float sum");
-        assert!(d <= crate::Config::default().tol, "float reduction drifted by {d:e}");
+        assert!(
+            d <= crate::Config::default().tol,
+            "float reduction drifted by {d:e}"
+        );
     }
 
     #[test]
@@ -274,7 +281,8 @@ def rec(y: f32[8] out):
 "#,
             "rec",
         );
-        let (bad, accepted) = apply_trace(&rec, &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }]);
+        let (bad, accepted) =
+            apply_trace(&rec, &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }]);
         assert_eq!(accepted.len(), 1);
         let out = run_backend(Backend::Reordered, &bad, &HashMap::new()).unwrap();
         assert_eq!(out["y"].to_f64_vec(), vec![1.0; 8]);
@@ -290,9 +298,14 @@ def shrink(n: i32[1] inout, y: f32[4] out):
 "#,
             "shrink",
         );
-        let (marked, accepted) =
-            apply_trace(&own_bound, &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }]);
+        let (marked, accepted) = apply_trace(
+            &own_bound,
+            &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }],
+        );
         assert_eq!(accepted.len(), 1);
-        assert_eq!(reverse_parallel_loops(&marked).to_string(), marked.to_string());
+        assert_eq!(
+            reverse_parallel_loops(&marked).to_string(),
+            marked.to_string()
+        );
     }
 }

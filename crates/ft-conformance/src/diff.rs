@@ -151,7 +151,12 @@ fn check_planned_path(
         };
         let want = &plain[name];
         if got.shape() != want.shape() {
-            return Some(diverge(b, name, f64::INFINITY, "planned run shape mismatch"));
+            return Some(diverge(
+                b,
+                name,
+                f64::INFINITY,
+                "planned run shape mismatch",
+            ));
         }
         if let Some(d) = bit_difference(got, want) {
             return Some(diverge(
@@ -338,7 +343,10 @@ mod tests {
         // gradient floor: a genuinely wrong near-zero gradient.
         let want = TensorVal::from_f64(&[1], vec![0.0]);
         let got = TensorVal::from_f64(&[1], vec![3e-4]);
-        assert!(got.max_abs_diff(&want) < forward_tol, "old contract accepted this");
+        assert!(
+            got.max_abs_diff(&want) < forward_tol,
+            "old contract accepted this"
+        );
         assert!(
             grad_close(&got, &want, &tol, 1.0).is_err(),
             "the gradient contract must reject wrong near-zero gradients"
@@ -429,7 +437,12 @@ mod tests {
         let g = Func::new("g")
             .param("x", [4], DataType::F32, AccessType::Input)
             .param("y", [4], DataType::F32, AccessType::Output)
-            .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")]))));
+            .body(for_(
+                "i",
+                0,
+                4,
+                store("y", [var("i")], load("x", [var("i")])),
+            ));
         assert_eq!(reduction_depth(&g), 0, "no ReduceTo, no accumulation depth");
     }
 }

@@ -224,8 +224,13 @@ pub fn fd_disagreements(w: Workload, case: &Case, oracle_grads: &Inputs) -> Vec<
             // Write then read back so `h` is exact after f32 rounding.
             let mut plus = case.inputs.clone();
             let mut minus = case.inputs.clone();
-            plus.get_mut(xname).unwrap().set_flat(i, Scalar::Float(x0 + h));
-            minus.get_mut(xname).unwrap().set_flat(i, Scalar::Float(x0 - h));
+            plus.get_mut(xname)
+                .unwrap()
+                .set_flat(i, Scalar::Float(x0 + h));
+            minus
+                .get_mut(xname)
+                .unwrap()
+                .set_flat(i, Scalar::Float(x0 - h));
             let xp = plus[xname].get_flat(i).as_f64();
             let xm = minus[xname].get_flat(i).as_f64();
             let lp: f64 = oracle.reference(&plus).to_f64_vec().iter().sum();
@@ -401,7 +406,13 @@ mod tests {
                 ..GradSpec::default()
             };
             let (g, _) = build_grad_func(&case.func, &[], &spec).unwrap();
-            let d = crate::check_grad_variant(&g, &inputs, &oracle, &[Backend::Interp], &GradTol::default());
+            let d = crate::check_grad_variant(
+                &g,
+                &inputs,
+                &oracle,
+                &[Backend::Interp],
+                &GradTol::default(),
+            );
             assert!(d.is_none(), "{}: {:?}", order.name(), d);
         }
     }

@@ -40,11 +40,11 @@ pub mod workload;
 
 pub use backend::{run_backend_planned, run_backend_telemetry, Backend};
 pub use diff::{check_grad_variant, check_variant, Divergence, GradTol};
+pub use ft_workloads::Workload;
 pub use grad::{run_grad_conformance, GradConfig, GradOrder, GradSpec};
 pub use ops::ScheduleOp;
 pub use repro::Repro;
 pub use shrink::{minimize, recheck, Flaky, RECHECK_RUNS};
-pub use ft_workloads::Workload;
 pub use workload::Case;
 
 use ft_autodiff::AdError;
@@ -123,7 +123,10 @@ impl Summary {
 
     /// Variants that diverged.
     pub fn n_diverged(&self) -> usize {
-        self.variants.iter().filter(|v| v.divergence.is_some()).count()
+        self.variants
+            .iter()
+            .filter(|v| v.divergence.is_some())
+            .count()
     }
 
     /// Variants skipped with a structured [`AdError`].
@@ -142,7 +145,10 @@ impl Summary {
         );
         if self.grad {
             let fd = self.fd_failures.len();
-            s.push_str(&format!(", {} skipped, {fd} oracle FD failures", self.n_skipped()));
+            s.push_str(&format!(
+                ", {} skipped, {fd} oracle FD failures",
+                self.n_skipped()
+            ));
         }
         s.push('\n');
         for m in &self.fd_failures {
@@ -154,7 +160,9 @@ impl Summary {
                 "  DIVERGED {} (input_seed {}{}): backend {} output `{}` max_abs_err {:.3e}{}\n",
                 v.workload,
                 v.input_seed,
-                v.spec.map(|s| format!(", {}", s.label())).unwrap_or_default(),
+                v.spec
+                    .map(|s| format!(", {}", s.label()))
+                    .unwrap_or_default(),
                 d.backend.name(),
                 d.output,
                 d.max_abs_err,
@@ -305,9 +313,8 @@ impl Variant<'_> {
 /// Sample `k` of workload `w` under the master `seed`: the case and a raw
 /// trace of up to `max_ops` ops, both drawn from one deterministic stream.
 pub(crate) fn sample(w: Workload, seed: u64, k: usize, max_ops: usize) -> (Case, Vec<ScheduleOp>) {
-    let stream = ft_ir::fnv1a(w.name().as_bytes())
-        ^ seed
-        ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let stream =
+        ft_ir::fnv1a(w.name().as_bytes()) ^ seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let case = Case::build(w, stream & 0xFFFF);
     let raw = ops::sample_trace(&mut TestRng::from_seed_u64(stream), max_ops);
     (case, raw)
@@ -361,8 +368,15 @@ mod tests {
         let recorded = |o: &VariantReport| {
             let text = std::fs::read_to_string(o.repro_path.as_ref().expect("repro written"));
             let repro = Repro::from_json(&text.unwrap()).unwrap();
-            assert!(repro.trace.is_empty(), "schedule-independent: {:?}", repro.trace);
-            assert_eq!((repro.workload.as_str(), repro.input_seed), ("subdivnet", 13));
+            assert!(
+                repro.trace.is_empty(),
+                "schedule-independent: {:?}",
+                repro.trace
+            );
+            assert_eq!(
+                (repro.workload.as_str(), repro.input_seed),
+                ("subdivnet", 13)
+            );
             assert_eq!(repro.flaky, None);
             let runs = repro.metrics.as_ref().expect("telemetry rides along");
             assert_eq!(runs.histograms["engine.interp.run_us"].count, 1);
@@ -409,7 +423,10 @@ mod tests {
         let d = outcome.divergence.as_ref().expect("the fault is caught");
         assert_eq!(d.output, "e.grad");
         let repro = recorded(&outcome);
-        assert_eq!((repro.grad, repro.tol_rel, repro.tol), (Some(spec), Some(tol.rel), tol.abs));
+        assert_eq!(
+            (repro.grad, repro.tol_rel, repro.tol),
+            (Some(spec), Some(tol.rel), tol.abs)
+        );
         let again = repro.replay().unwrap().expect("replay still diverges");
         assert_eq!(again.max_abs_err, d.max_abs_err);
         let _ = std::fs::remove_dir_all(&dir);
@@ -426,9 +443,14 @@ mod tests {
             .filter(|&(w, k)| {
                 let (case, raw) = sample(w, cfg.seed, k, cfg.max_ops);
                 let accepted = ops::apply_trace(&case.func, &raw).1;
-                accepted.iter().any(|op| matches!(op, ScheduleOp::SeparateTail { .. }))
+                accepted
+                    .iter()
+                    .any(|op| matches!(op, ScheduleOp::SeparateTail { .. }))
             })
             .count();
-        assert!(split >= 8, "separate_tail accepted in {split} of 128 variants");
+        assert!(
+            split >= 8,
+            "separate_tail accepted in {split} of 128 variants"
+        );
     }
 }

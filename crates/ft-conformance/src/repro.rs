@@ -15,8 +15,8 @@ use crate::ops::{op_from_json, op_to_json, ScheduleOp};
 use crate::shrink::Flaky;
 use crate::workload::Case;
 use crate::Variant;
-use ft_workloads::Workload;
 use ft_trace::JsonVal;
+use ft_workloads::Workload;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -92,9 +92,18 @@ fn err_from_json(v: &JsonVal) -> Option<f64> {
 
 fn grad_to_json(g: &GradSpec) -> JsonVal {
     let mut fields = vec![
-        ("policy".to_string(), JsonVal::Str(policy_name(g.policy).to_string())),
-        ("recompute_threshold".to_string(), num(g.recompute_threshold as u64)),
-        ("order".to_string(), JsonVal::Str(g.order.name().to_string())),
+        (
+            "policy".to_string(),
+            JsonVal::Str(policy_name(g.policy).to_string()),
+        ),
+        (
+            "recompute_threshold".to_string(),
+            num(g.recompute_threshold as u64),
+        ),
+        (
+            "order".to_string(),
+            JsonVal::Str(g.order.name().to_string()),
+        ),
     ];
     if let Some(f) = g.fault {
         fields.push(("fault".to_string(), JsonVal::Str(fault_name(f).to_string())));
@@ -283,7 +292,9 @@ impl Repro {
                     policy_name(g.policy),
                     g.recompute_threshold,
                     g.order.name(),
-                    g.fault.map(|f| format!("-{}", fault_name(f))).unwrap_or_default()
+                    g.fault
+                        .map(|f| format!("-{}", fault_name(f)))
+                        .unwrap_or_default()
                 )
             })
             .unwrap_or_default();
@@ -321,7 +332,9 @@ impl Repro {
             },
             backends: &[b],
         };
-        let (func, _) = variant.build(&self.trace, None).map_err(|e| e.to_string())?;
+        let (func, _) = variant
+            .build(&self.trace, None)
+            .map_err(|e| e.to_string())?;
         Ok(variant.check(&func))
     }
 }
@@ -475,7 +488,10 @@ mod tests {
             name.contains("grad-all-t17-opt-then-grad-drop-tape-version-bump"),
             "{name}"
         );
-        assert_eq!(Repro::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap(), g);
+        assert_eq!(
+            Repro::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap(),
+            g
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -516,10 +532,9 @@ mod tests {
         // empty log.
         let mut old = r.clone();
         old.decision_log.clear();
-        let json = old.to_json().replace(
-            "\"decision_log\"",
-            "\"ignored_legacy_key\"",
-        );
+        let json = old
+            .to_json()
+            .replace("\"decision_log\"", "\"ignored_legacy_key\"");
         let parsed = Repro::from_json(&json).unwrap();
         assert!(parsed.decision_log.is_empty());
         assert_eq!(parsed.trace, r.trace);

@@ -104,7 +104,10 @@ mod tests {
             n += 1;
             (n % 2 == 0).then_some(n)
         });
-        assert_eq!((d, flaky.map(|f| (f.hits, f.runs))), (4, Some((2, RECHECK_RUNS))));
+        assert_eq!(
+            (d, flaky.map(|f| (f.hits, f.runs))),
+            (4, Some((2, RECHECK_RUNS)))
+        );
     }
 
     fn op(i: usize) -> ScheduleOp {

@@ -621,22 +621,24 @@ def entry(A: f32[2, 3, 4] in, B: f32[2, 3, 4] in, C: f32[2, 3, 4] out):
   add(A, B, C)
 "#;
         let f = lower(src, "entry");
-        let loops = ft_ir::find::find_stmts(&f.body, &|s| {
-            matches!(s.kind, StmtKind::For { .. })
-        });
+        let loops = ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::For { .. }));
         assert_eq!(loops.len(), 3, "{f}");
         // No branches survive: all ndim tests folded at compile time.
-        assert!(ft_ir::find::find_stmts(&f.body, &|s| {
-            matches!(s.kind, StmtKind::If { .. })
-        })
-        .is_empty());
+        assert!(
+            ft_ir::find::find_stmts(&f.body, &|s| { matches!(s.kind, StmtKind::If { .. }) })
+                .is_empty()
+        );
         let text = f.to_string();
-        assert!(text.contains("C[i, i.1, i.2] = A[i, i.1, i.2] + B[i, i.1, i.2]"), "{text}");
+        assert!(
+            text.contains("C[i, i.1, i.2] = A[i, i.1, i.2] + B[i, i.1, i.2]"),
+            "{text}"
+        );
     }
 
     #[test]
     fn infinite_recursion_is_reported() {
-        let src = "def loopy(A):\n  loopy(A)\n\ndef entry(A: f32[2] in, y: f32[1] out):\n  loopy(A)\n";
+        let src =
+            "def loopy(A):\n  loopy(A)\n\ndef entry(A: f32[2] in, y: f32[1] out):\n  loopy(A)\n";
         let m = parse(src).unwrap();
         let err = lower_module(&m, "entry").unwrap_err();
         assert!(err.message.contains("depth limit"), "{err}");
@@ -716,7 +718,10 @@ def fwd(Q: f32[64, 16] in, K: f32[64, 16] in, y: f32[64] out, w: size):
 "#;
         let f = lower(src, "fwd");
         let text = f.to_string();
-        assert!(text.contains("dot[k + w] += Q[j, p] * K[j + k, p]"), "{text}");
+        assert!(
+            text.contains("dot[k + w] += Q[j, p] * K[j + k, p]"),
+            "{text}"
+        );
         assert!(text.contains("dot_max[] max= dot[k2]"), "{text}");
     }
 

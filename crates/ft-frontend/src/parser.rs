@@ -641,10 +641,8 @@ mod tests {
 
     #[test]
     fn parses_function_signature() {
-        let m = parse(
-            "def f(x: f32[n, m] @ gpu in, y: f32[n] out, n: size, m: size):\n  pass\n",
-        )
-        .unwrap();
+        let m = parse("def f(x: f32[n, m] @ gpu in, y: f32[n] out, n: size, m: size):\n  pass\n")
+            .unwrap();
         let f = m.find("f").unwrap();
         assert_eq!(f.params.len(), 4);
         match &f.params[0] {
@@ -683,10 +681,8 @@ mod tests {
         let m = parse(src).unwrap();
         let f = m.find("f").unwrap();
         assert!(matches!(&f.params[0], SParam::Untyped { .. }));
-        assert!(
-            matches!(&f.body[0], SStmt::VarDef { shape, mtype, .. }
-                if shape.len() == 2 && *mtype == MemType::GpuShared)
-        );
+        assert!(matches!(&f.body[0], SStmt::VarDef { shape, mtype, .. }
+                if shape.len() == 2 && *mtype == MemType::GpuShared));
     }
 
     #[test]
@@ -697,9 +693,7 @@ mod tests {
         assert!(matches!(&f.body[0], SStmt::VarDef { shape, .. } if shape.is_empty()));
         assert!(matches!(&f.body[1], SStmt::VarDef { shape, .. } if shape.len() == 1));
         // Bare-name assignment parses as a 0-index store.
-        assert!(
-            matches!(&f.body[2], SStmt::Assign { indices, .. } if indices.is_empty())
-        );
+        assert!(matches!(&f.body[2], SStmt::Assign { indices, .. } if indices.is_empty()));
     }
 
     #[test]
@@ -715,7 +709,8 @@ mod tests {
 
     #[test]
     fn parses_range_with_negative_bounds() {
-        let src = "def f(y: f32[8] out, w: size):\n  for k in range(-w, w + 1):\n    y[k + w] = k\n";
+        let src =
+            "def f(y: f32[8] out, w: size):\n  for k in range(-w, w + 1):\n    y[k + w] = k\n";
         let m = parse(src).unwrap();
         let f = m.find("f").unwrap();
         let SStmt::For { begin, .. } = &f.body[0] else {

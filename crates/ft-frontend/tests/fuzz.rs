@@ -8,22 +8,176 @@ use proptest::prelude::*;
 /// Words and punctuation of the DSL, some junk, and line breaks with and
 /// without indentation.
 const VOCABULARY: &[&str] = &[
-    "def", "f", "g", "x", "y", "A", "n", "i", "for", "in", "range", "if", "else", "pass",
-    "create_var", "(", ")", "[", "]", ":", ",", "+", "-", "*", "/", "%", "=", "+=", "*=",
-    "min=", "max=", "==", "!=", "<", "<=", ">=", ".", "@", "ndim", "shape", "f32", "i32",
-    "size", "in", "out", "inout", "\"f32\"", "\"cpu\"", "0", "1", "3", "2.5", "1e-3", "inf",
-    "and", "or", "not", "abs", "max", "select", "add", "zeros", "matmul", "softmax1d", "\n",
-    "\n  ", "\n    ", "\n\n", "#", "\t", "\"", "$", "é", "99999999999999999999",
+    "def",
+    "f",
+    "g",
+    "x",
+    "y",
+    "A",
+    "n",
+    "i",
+    "for",
+    "in",
+    "range",
+    "if",
+    "else",
+    "pass",
+    "create_var",
+    "(",
+    ")",
+    "[",
+    "]",
+    ":",
+    ",",
+    "+",
+    "-",
+    "*",
+    "/",
+    "%",
+    "=",
+    "+=",
+    "*=",
+    "min=",
+    "max=",
+    "==",
+    "!=",
+    "<",
+    "<=",
+    ">=",
+    ".",
+    "@",
+    "ndim",
+    "shape",
+    "f32",
+    "i32",
+    "size",
+    "in",
+    "out",
+    "inout",
+    "\"f32\"",
+    "\"cpu\"",
+    "0",
+    "1",
+    "3",
+    "2.5",
+    "1e-3",
+    "inf",
+    "and",
+    "or",
+    "not",
+    "abs",
+    "max",
+    "select",
+    "add",
+    "zeros",
+    "matmul",
+    "softmax1d",
+    "\n",
+    "\n  ",
+    "\n    ",
+    "\n\n",
+    "#",
+    "\t",
+    "\"",
+    "$",
+    "é",
+    "99999999999999999999",
 ];
 
 /// A well-formed program: mutations of it reach the lowering.
 const SEED: &[&str] = &[
-    "def", "f", "(", "x", ":", "f32", "[", "4", ",", "8", "]", "in", ",", "y", ":", "f32", "[",
-    "4", ",", "8", "]", "out", ",", "n", ":", "size", ")", ":", "\n  ", "t", "=", "create_var",
-    "(", "(", "8", ",", ")", ",", "\"f32\"", ",", "\"cpu\"", ")", "\n  ", "for", "i", "in",
-    "range", "(", "4", ")", ":", "\n    ", "add", "(", "x", "[", "i", "]", ",", "x", "[", "i",
-    "]", ",", "y", "[", "i", "]", ")", "\n    ", "if", "x", ".", "ndim", "==", "2", ":",
-    "\n      ", "y", "[", "i", ",", "0", "]", "max=", "t", "[", "i", "]", "+", "n", "\n",
+    "def",
+    "f",
+    "(",
+    "x",
+    ":",
+    "f32",
+    "[",
+    "4",
+    ",",
+    "8",
+    "]",
+    "in",
+    ",",
+    "y",
+    ":",
+    "f32",
+    "[",
+    "4",
+    ",",
+    "8",
+    "]",
+    "out",
+    ",",
+    "n",
+    ":",
+    "size",
+    ")",
+    ":",
+    "\n  ",
+    "t",
+    "=",
+    "create_var",
+    "(",
+    "(",
+    "8",
+    ",",
+    ")",
+    ",",
+    "\"f32\"",
+    ",",
+    "\"cpu\"",
+    ")",
+    "\n  ",
+    "for",
+    "i",
+    "in",
+    "range",
+    "(",
+    "4",
+    ")",
+    ":",
+    "\n    ",
+    "add",
+    "(",
+    "x",
+    "[",
+    "i",
+    "]",
+    ",",
+    "x",
+    "[",
+    "i",
+    "]",
+    ",",
+    "y",
+    "[",
+    "i",
+    "]",
+    ")",
+    "\n    ",
+    "if",
+    "x",
+    ".",
+    "ndim",
+    "==",
+    "2",
+    ":",
+    "\n      ",
+    "y",
+    "[",
+    "i",
+    ",",
+    "0",
+    "]",
+    "max=",
+    "t",
+    "[",
+    "i",
+    "]",
+    "+",
+    "n",
+    "\n",
 ];
 
 fn lines(text: &str) -> usize {
@@ -34,10 +188,17 @@ fn lines(text: &str) -> usize {
 /// library, or no line at all (an entry that does not exist).
 fn check_message(msg: &str, text: &str) {
     let Some((head, rest)) = msg.split_once("at line ") else {
-        assert!(msg.starts_with("lowering error: no function named"), "{msg}");
+        assert!(
+            msg.starts_with("lowering error: no function named"),
+            "{msg}"
+        );
         return;
     };
-    let line: usize = rest.split(':').next().and_then(|n| n.parse().ok()).expect(msg);
+    let line: usize = rest
+        .split(':')
+        .next()
+        .and_then(|n| n.parse().ok())
+        .expect(msg);
     let within = if head.contains("operator library") {
         ft_libop::prelude_source().lines().count()
     } else {
@@ -53,7 +214,10 @@ fn check(text: &str) {
             if let Err(e) = lower_module(&module, "f") {
                 assert!(!e.in_library, "{e}");
                 assert!(e.line <= lines(text), "{e}\n{text}");
-                assert!(e.line > 0 || e.message.starts_with("no function named"), "{e}");
+                assert!(
+                    e.line > 0 || e.message.starts_with("no function named"),
+                    "{e}"
+                );
             }
         }
     }

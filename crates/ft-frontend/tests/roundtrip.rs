@@ -86,13 +86,11 @@ proptest! {
 #[test]
 fn workload_sources_roundtrip_through_printer() {
     // Every workload's lowered IR prints to text the parser accepts again.
-    let sources = [
-        ft_libop::compile_with_libop(
-            "def e(a: f32[4, 4] in, b: f32[4, 4] in, c: f32[4, 4] out):\n  matmul(a, b, c, 4, 4, 4)\n",
-            "e",
-        )
-        .unwrap(),
-    ];
+    let sources = [ft_libop::compile_with_libop(
+        "def e(a: f32[4, 4] in, b: f32[4, 4] in, c: f32[4, 4] out):\n  matmul(a, b, c, 4, 4, 4)\n",
+        "e",
+    )
+    .unwrap()];
     for f in sources {
         let text = f.to_string();
         ft_frontend::parse(&text)

@@ -108,12 +108,7 @@ where
 }
 
 /// `var[indices] op= value`.
-pub fn reduce<I>(
-    name: impl Into<String>,
-    indices: I,
-    op: ReduceOp,
-    value: impl Into<Expr>,
-) -> Stmt
+pub fn reduce<I>(name: impl Into<String>, indices: I, op: ReduceOp, value: impl Into<Expr>) -> Stmt
 where
     I: IntoIterator,
     I::Item: Into<Expr>,

@@ -692,8 +692,18 @@ mod tests {
     fn operator_overloads_build_trees() {
         let e = v("i") * 2 + 1;
         match &e {
-            Expr::Binary { op: BinaryOp::Add, a, b } => {
-                assert!(matches!(**a, Expr::Binary { op: BinaryOp::Mul, .. }));
+            Expr::Binary {
+                op: BinaryOp::Add,
+                a,
+                b,
+            } => {
+                assert!(matches!(
+                    **a,
+                    Expr::Binary {
+                        op: BinaryOp::Mul,
+                        ..
+                    }
+                ));
                 assert_eq!(**b, Expr::IntConst(1));
             }
             other => panic!("unexpected tree: {other:?}"),

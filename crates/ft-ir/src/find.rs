@@ -46,9 +46,10 @@ pub fn find_by_label<'a>(root: &'a Stmt, label: &str) -> Option<&'a Stmt> {
 
 /// Find the loop with the given iterator name (first match, pre-order).
 pub fn find_loop<'a>(root: &'a Stmt, iter_name: &str) -> Option<&'a Stmt> {
-    find_stmt(root, &|s| {
-        matches!(&s.kind, StmtKind::For { iter, .. } if iter == iter_name)
-    })
+    find_stmt(
+        root,
+        &|s| matches!(&s.kind, StmtKind::For { iter, .. } if iter == iter_name),
+    )
 }
 
 /// Map from each statement id to its parent's id.
@@ -197,7 +198,10 @@ mod tests {
         let s = nest();
         let store_stmt = find_by_label(&s, "S").unwrap();
         let n = loop_nest_of(&s, store_stmt.id).unwrap();
-        assert_eq!(n.loops.iter().map(|l| l.iter).collect::<Vec<_>>(), ["i", "j"]);
+        assert_eq!(
+            n.loops.iter().map(|l| l.iter).collect::<Vec<_>>(),
+            ["i", "j"]
+        );
         assert_eq!(n.defs, ["t"]);
         assert!(loop_nest_of(&s, StmtId(u64::MAX)).is_none());
     }

@@ -251,8 +251,10 @@ pub fn rename_var_stmt(s: Stmt, from: &str, to: &str) -> Stmt {
 /// capture.
 pub fn bound_names(func: &crate::Func) -> HashSet<Cow<'_, str>> {
     let params = func.params.iter().map(|p| p.name.as_str());
-    let mut taken: HashSet<Cow<str>> =
-        params.chain(func.size_params.iter().map(String::as_str)).map(Cow::Borrowed).collect();
+    let mut taken: HashSet<Cow<str>> = params
+        .chain(func.size_params.iter().map(String::as_str))
+        .map(Cow::Borrowed)
+        .collect();
     func.body.walk(&mut |s| match &s.kind {
         StmtKind::VarDef { name, .. } | StmtKind::For { iter: name, .. } => {
             taken.insert(Cow::Borrowed(name));
@@ -343,9 +345,7 @@ mod tests {
         let mut names = Vec::new();
         out.walk(&mut |st| match &st.kind {
             StmtKind::VarDef { name, .. } => names.push(name.clone()),
-            StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => {
-                names.push(var.clone())
-            }
+            StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => names.push(var.clone()),
             _ => {}
         });
         assert!(names.iter().all(|n| n == "u"));

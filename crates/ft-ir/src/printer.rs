@@ -332,7 +332,10 @@ mod tests {
             reduce("dot", [var("k")], ReduceOp::Add, 1.0f32),
         );
         let text = s.to_string();
-        assert!(text.contains("create_var((w * 2 + 1), \"f32\", \"gpu\")"), "{text}");
+        assert!(
+            text.contains("create_var((w * 2 + 1), \"f32\", \"gpu\")"),
+            "{text}"
+        );
         assert!(text.contains("dot[k] += 1.0"), "{text}");
     }
 
@@ -343,7 +346,10 @@ mod tests {
             .size_param("n")
             .body(empty());
         let text = f.to_string();
-        assert!(text.starts_with("def f(x: f32[n] @ cpu in, n: size):"), "{text}");
+        assert!(
+            text.starts_with("def f(x: f32[n] @ cpu in, n: size):"),
+            "{text}"
+        );
     }
 
     #[test]

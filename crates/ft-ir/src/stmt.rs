@@ -326,10 +326,7 @@ mod tests {
 
     #[test]
     fn reduce_identity_values() {
-        assert_eq!(
-            ReduceOp::Add.identity(DataType::F32),
-            Expr::FloatConst(0.0)
-        );
+        assert_eq!(ReduceOp::Add.identity(DataType::F32), Expr::FloatConst(0.0));
         assert_eq!(ReduceOp::Mul.identity(DataType::I32), Expr::IntConst(1));
         assert_eq!(
             ReduceOp::Max.identity(DataType::F64),

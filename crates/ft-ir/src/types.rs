@@ -218,7 +218,10 @@ impl ParallelScope {
 
     /// Whether this is a CUDA *thread* (block-level) scope.
     pub fn is_gpu_thread(self) -> bool {
-        matches!(self, ParallelScope::CudaThreadX | ParallelScope::CudaThreadY)
+        matches!(
+            self,
+            ParallelScope::CudaThreadX | ParallelScope::CudaThreadY
+        )
     }
 }
 

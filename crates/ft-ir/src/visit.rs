@@ -119,7 +119,11 @@ mod tests {
             if_(
                 var("i").lt(var("n")),
                 block([
-                    store("y", [var("i")], load("x", [var("i")]) + load("x", [var("i") + 1])),
+                    store(
+                        "y",
+                        [var("i")],
+                        load("x", [var("i")]) + load("x", [var("i") + 1]),
+                    ),
                     reduce("acc", scalar(), ReduceOp::Add, load("y", [var("i")])),
                 ]),
             ),
@@ -141,7 +145,12 @@ mod tests {
 
     #[test]
     fn visitor_reaches_nested_statements() {
-        let s = for_("i", 0, 4, for_("j", 0, 4, store("a", [var("i"), var("j")], 0.0f32)));
+        let s = for_(
+            "i",
+            0,
+            4,
+            for_("j", 0, 4, store("a", [var("i"), var("j")], 0.0f32)),
+        );
         let mut c = CountFors(0);
         c.visit_stmt(&s);
         assert_eq!(c.0, 2);

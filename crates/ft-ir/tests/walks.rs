@@ -56,9 +56,15 @@ fn scheduled() -> Vec<(String, Func)> {
         let p = w.at(Scale::Full).program();
         if w != Workload::Gat {
             let g = p.grad(&GradOptions::default()).expect("differentiable");
-            out.push((format!("{}.grad", w.name()), g.optimize(&Target::cpu()).func().clone()));
+            out.push((
+                format!("{}.grad", w.name()),
+                g.optimize(&Target::cpu()).func().clone(),
+            ));
         }
-        out.push((w.name().to_string(), p.optimize(&Target::cpu()).func().clone()));
+        out.push((
+            w.name().to_string(),
+            p.optimize(&Target::cpu()).func().clone(),
+        ));
     }
     out
 }
@@ -106,6 +112,10 @@ fn walks_allocate_nothing_and_visit_in_pre_order() {
         let mut edges = 0;
         let children = allocations(|| f.body.walk(&mut |s| edges += s.children().count()));
         assert_eq!(children, 0, "{label}: children");
-        assert_eq!(edges + 1, want.len(), "{label}: every statement but the root is a child");
+        assert_eq!(
+            edges + 1,
+            want.len(),
+            "{label}: every statement but the root is a child"
+        );
     }
 }

@@ -160,7 +160,8 @@ def matmul(A, B, C, m: size, k: size, n: size):
 /// The operator library, parsed once per process.
 fn library() -> &'static Module {
     static LIBRARY: OnceLock<Module> = OnceLock::new();
-    LIBRARY.get_or_init(|| ft_frontend::parse(prelude_source()).expect("the operator library parses"))
+    LIBRARY
+        .get_or_init(|| ft_frontend::parse(prelude_source()).expect("the operator library parses"))
 }
 
 /// Compile a user program with the operator library in scope. Only
@@ -182,12 +183,7 @@ mod tests {
     use ft_runtime::{ExecutionEngine, Runtime, TensorVal};
     use std::collections::HashMap;
 
-    fn run1(
-        src: &str,
-        entry: &str,
-        inputs: &[(&str, TensorVal)],
-        out: &str,
-    ) -> TensorVal {
+    fn run1(src: &str, entry: &str, inputs: &[(&str, TensorVal)], out: &str) -> TensorVal {
         let f = compile_with_libop(src, entry).expect("compiles");
         let inputs: HashMap<String, TensorVal> = inputs
             .iter()
@@ -317,7 +313,10 @@ mod tests {
         );
         // An error at the call site is the user's.
         let err = compile_with_libop("def e(y: f32[2] out):\n\n  add(y, y)\n", "e").unwrap_err();
-        assert_eq!(err, "lowering error at line 3: `add` takes 3 arguments, got 2");
+        assert_eq!(
+            err,
+            "lowering error at line 3: `add` takes 3 arguments, got 2"
+        );
     }
 
     #[test]

@@ -223,12 +223,11 @@ impl Metrics {
             .unwrap()
             .iter()
             .map(|(k, h)| {
-                let buckets: Vec<u64> = h
-                    .0
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect();
+                let buckets: Vec<u64> =
+                    h.0.buckets
+                        .iter()
+                        .map(|b| b.load(Ordering::Relaxed))
+                        .collect();
                 (
                     k.clone(),
                     HistogramSnapshot {

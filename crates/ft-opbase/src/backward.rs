@@ -170,7 +170,10 @@ impl Session {
                 self.charge(3 * n_out, 3 * n_out);
                 vec![(
                     inputs[0].clone(),
-                    gout.iter().zip(&y).map(|(g, s)| g * s * (1.0 - s)).collect(),
+                    gout.iter()
+                        .zip(&y)
+                        .map(|(g, s)| g * s * (1.0 - s))
+                        .collect(),
                 )]
             }
             Op::Scale(c) => {
@@ -244,7 +247,9 @@ impl Session {
                 vec![(inputs[0].clone(), ga), (inputs[1].clone(), gb)]
             }
             Op::Transpose2d => {
-                let [n, m] = *output.shape() else { unreachable!() };
+                let [n, m] = *output.shape() else {
+                    unreachable!()
+                };
                 let mut g = vec![0.0; m * n];
                 for j in 0..n {
                     for i in 0..m {
@@ -311,7 +316,9 @@ impl Session {
                 contribs
             }
             Op::UnfoldWindow { w } => {
-                let [n, f] = *inputs[0].shape() else { unreachable!() };
+                let [n, f] = *inputs[0].shape() else {
+                    unreachable!()
+                };
                 let l = 2 * w + 1;
                 let mut g = vec![0.0; n * f];
                 for j in 0..n {
@@ -330,8 +337,12 @@ impl Session {
             }
             Op::BmmQk => {
                 let (q, kwin) = (vals(&inputs[0]), vals(&inputs[1]));
-                let [n, f] = *inputs[0].shape() else { unreachable!() };
-                let [_, l, _] = *inputs[1].shape() else { unreachable!() };
+                let [n, f] = *inputs[0].shape() else {
+                    unreachable!()
+                };
+                let [_, l, _] = *inputs[1].shape() else {
+                    unreachable!()
+                };
                 let mut gq = vec![0.0; n * f];
                 let mut gk = vec![0.0; n * l * f];
                 for j in 0..n {
@@ -348,8 +359,12 @@ impl Session {
             }
             Op::BmmAv => {
                 let (attn, vwin) = (vals(&inputs[0]), vals(&inputs[1]));
-                let [n, l] = *inputs[0].shape() else { unreachable!() };
-                let [_, _, f] = *inputs[1].shape() else { unreachable!() };
+                let [n, l] = *inputs[0].shape() else {
+                    unreachable!()
+                };
+                let [_, _, f] = *inputs[1].shape() else {
+                    unreachable!()
+                };
                 let mut ga = vec![0.0; n * l];
                 let mut gv = vec![0.0; n * l * f];
                 for j in 0..n {

@@ -229,7 +229,9 @@ mod tests {
     #[test]
     fn footprint_tracks_live_tensors() {
         let s = Session::cpu();
-        let a = s.tensor(TensorVal::zeros(ft_ir::DataType::F32, &[256])).unwrap();
+        let a = s
+            .tensor(TensorVal::zeros(ft_ir::DataType::F32, &[256]))
+            .unwrap();
         assert_eq!(s.counters().live_bytes["cpu"], 1024);
         drop(a);
         assert_eq!(s.counters().live_bytes["cpu"], 0);

@@ -275,7 +275,10 @@ impl Session {
     pub fn sum_dim(&self, a: &Tensor, dim: usize) -> Result<Tensor, OpError> {
         let shape = a.shape().to_vec();
         if dim >= shape.len() {
-            return Err(OpError::Shape(format!("sum_dim {dim} of rank {}", shape.len())));
+            return Err(OpError::Shape(format!(
+                "sum_dim {dim} of rank {}",
+                shape.len()
+            )));
         }
         let (outer, d, inner) = split3(&shape, dim);
         let v = f32s(a);
@@ -427,7 +430,13 @@ impl Session {
     /// # Errors
     ///
     /// Bad range or out-of-memory.
-    pub fn slice(&self, a: &Tensor, dim: usize, start: usize, end: usize) -> Result<Tensor, OpError> {
+    pub fn slice(
+        &self,
+        a: &Tensor,
+        dim: usize,
+        start: usize,
+        end: usize,
+    ) -> Result<Tensor, OpError> {
         let shape = a.shape().to_vec();
         if dim >= shape.len() || end > shape[dim] || start >= end {
             return Err(OpError::Shape("slice range".to_string()));
@@ -660,7 +669,12 @@ impl Session {
     ///
     /// Bad row pointers or out-of-memory.
     #[allow(clippy::needless_range_loop)] // CSR walks index by edge id
-    pub fn expand_by_segment(&self, x: &Tensor, rowptr: &Tensor, e: usize) -> Result<Tensor, OpError> {
+    pub fn expand_by_segment(
+        &self,
+        x: &Tensor,
+        rowptr: &Tensor,
+        e: usize,
+    ) -> Result<Tensor, OpError> {
         let v = f32s(x);
         let rp = f32s(rowptr);
         let n = rp.len() - 1;

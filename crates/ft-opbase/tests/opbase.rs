@@ -50,8 +50,7 @@ fn matmul_and_transpose() {
     let a = t(&s, &[3, 4], 4);
     let b = t(&s, &[4, 2], 5);
     let c = s.matmul(&a, &b).unwrap();
-    let reference =
-        ft_runtime::libkernel::matmul_reference(a.val(), b.val(), 3, 4, 2);
+    let reference = ft_runtime::libkernel::matmul_reference(a.val(), b.val(), 3, 4, 2);
     assert!(c.val().allclose(&reference, 1e-4));
     let at = s.transpose2d(&a).unwrap();
     assert_eq!(at.shape(), &[4, 3]);
@@ -113,11 +112,7 @@ fn unfold_window_zero_pads() {
 }
 
 /// Central-difference gradcheck through an op chain built by `f`.
-fn opcheck(
-    shapes: &[&[usize]],
-    f: impl Fn(&Session, &[Tensor]) -> Tensor,
-    tol: f64,
-) {
+fn opcheck(shapes: &[&[usize]], f: impl Fn(&Session, &[Tensor]) -> Tensor, tol: f64) {
     // Baseline inputs.
     let mk = |vals: &[Vec<f32>]| -> (Session, Vec<Tensor>) {
         let s = Session::cpu();
@@ -133,7 +128,9 @@ fn opcheck(
         .enumerate()
         .map(|(k, sh)| {
             let n: usize = sh.iter().product();
-            (0..n).map(|i| ((i + k * 7) as f32 * 0.37).sin() * 0.8).collect()
+            (0..n)
+                .map(|i| ((i + k * 7) as f32 * 0.37).sin() * 0.8)
+                .collect()
         })
         .collect();
     // Analytic gradients.
@@ -174,53 +171,69 @@ fn opcheck(
 
 #[test]
 fn gradcheck_elementwise_and_reduce() {
-    opcheck(&[&[6], &[6]], |s, ts| {
-        let c = s.mul(&ts[0], &ts[1]).unwrap();
-        let d = s.sigmoid(&c).unwrap();
-        let e = s.exp(&d).unwrap();
-        s.scale(&e, 0.5).unwrap()
-    }, 1e-2);
+    opcheck(
+        &[&[6], &[6]],
+        |s, ts| {
+            let c = s.mul(&ts[0], &ts[1]).unwrap();
+            let d = s.sigmoid(&c).unwrap();
+            let e = s.exp(&d).unwrap();
+            s.scale(&e, 0.5).unwrap()
+        },
+        1e-2,
+    );
 }
 
 #[test]
 fn gradcheck_matmul_softmax() {
-    opcheck(&[&[3, 4], &[4, 2]], |s, ts| {
-        let c = s.matmul(&ts[0], &ts[1]).unwrap();
-        s.softmax_dim(&c, 1).unwrap()
-    }, 1e-2);
+    opcheck(
+        &[&[3, 4], &[4, 2]],
+        |s, ts| {
+            let c = s.matmul(&ts[0], &ts[1]).unwrap();
+            s.softmax_dim(&c, 1).unwrap()
+        },
+        1e-2,
+    );
 }
 
 #[test]
 fn gradcheck_subdivnet_chain() {
-    opcheck(&[&[4, 3]], |s, ts| {
-        let adj = s
-            .tensor(TensorVal::from_i32(
-                &[4, 3],
-                vec![1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2],
-            ))
-            .unwrap();
-        let flat = s.reshape(&adj, &[12]).unwrap();
-        let gathered = s.index_select(&ts[0], &flat).unwrap();
-        let af = s.reshape(&gathered, &[4, 3, 3]).unwrap();
-        let tail = s.slice(&af, 1, 1, 3).unwrap();
-        let head = s.slice(&af, 1, 0, 1).unwrap();
-        let re = s.cat(&[&tail, &head], 1).unwrap();
-        let d = s.sub(&af, &re).unwrap();
-        // |x| is non-smooth; square instead for a clean FD check.
-        let sq = s.mul(&d, &d).unwrap();
-        s.sum_dim(&sq, 1).unwrap()
-    }, 1e-2);
+    opcheck(
+        &[&[4, 3]],
+        |s, ts| {
+            let adj = s
+                .tensor(TensorVal::from_i32(
+                    &[4, 3],
+                    vec![1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2],
+                ))
+                .unwrap();
+            let flat = s.reshape(&adj, &[12]).unwrap();
+            let gathered = s.index_select(&ts[0], &flat).unwrap();
+            let af = s.reshape(&gathered, &[4, 3, 3]).unwrap();
+            let tail = s.slice(&af, 1, 1, 3).unwrap();
+            let head = s.slice(&af, 1, 0, 1).unwrap();
+            let re = s.cat(&[&tail, &head], 1).unwrap();
+            let d = s.sub(&af, &re).unwrap();
+            // |x| is non-smooth; square instead for a clean FD check.
+            let sq = s.mul(&d, &d).unwrap();
+            s.sum_dim(&sq, 1).unwrap()
+        },
+        1e-2,
+    );
 }
 
 #[test]
 fn gradcheck_longformer_chain() {
-    opcheck(&[&[5, 3], &[5, 3], &[5, 3]], |s, ts| {
-        let kwin = s.unfold_window(&ts[1], 1).unwrap();
-        let vwin = s.unfold_window(&ts[2], 1).unwrap();
-        let dot = s.bmm_qk(&ts[0], &kwin).unwrap();
-        let attn = s.softmax_dim(&dot, 1).unwrap();
-        s.bmm_av(&attn, &vwin).unwrap()
-    }, 1e-2);
+    opcheck(
+        &[&[5, 3], &[5, 3], &[5, 3]],
+        |s, ts| {
+            let kwin = s.unfold_window(&ts[1], 1).unwrap();
+            let vwin = s.unfold_window(&ts[2], 1).unwrap();
+            let dot = s.bmm_qk(&ts[0], &kwin).unwrap();
+            let attn = s.softmax_dim(&dot, 1).unwrap();
+            s.bmm_av(&attn, &vwin).unwrap()
+        },
+        1e-2,
+    );
 }
 
 #[test]
@@ -267,11 +280,16 @@ fn segment_ops_match_direct_computation() {
     assert_eq!(mx.val().to_f64_vec(), vec![3.0, 5.0]);
     let sm = s.segment_sum(&vals, &rowptr).unwrap();
     assert_eq!(sm.val().to_f64_vec(), vec![4.0, 7.0]);
-    let per_node = s.tensor(TensorVal::from_f32(&[2], vec![10.0, 20.0])).unwrap();
+    let per_node = s
+        .tensor(TensorVal::from_f32(&[2], vec![10.0, 20.0]))
+        .unwrap();
     let exp = s.expand_by_segment(&per_node, &rowptr, 5).unwrap();
     assert_eq!(exp.val().to_f64_vec(), vec![10.0, 10.0, 20.0, 20.0, 20.0]);
     let feats = s
-        .tensor(TensorVal::from_f32(&[5, 2], (0..10).map(|x| x as f32).collect()))
+        .tensor(TensorVal::from_f32(
+            &[5, 2],
+            (0..10).map(|x| x as f32).collect(),
+        ))
         .unwrap();
     let w = s
         .tensor(TensorVal::from_f32(&[5], vec![1.0, 0.5, 2.0, 0.0, 1.0]))
@@ -287,10 +305,17 @@ fn add_row_and_add_col_broadcast() {
     let m = s
         .tensor(TensorVal::from_f32(&[2, 3], vec![0.0; 6]))
         .unwrap();
-    let row = s.tensor(TensorVal::from_f32(&[3], vec![1.0, 2.0, 3.0])).unwrap();
-    let col = s.tensor(TensorVal::from_f32(&[2], vec![10.0, 20.0])).unwrap();
+    let row = s
+        .tensor(TensorVal::from_f32(&[3], vec![1.0, 2.0, 3.0]))
+        .unwrap();
+    let col = s
+        .tensor(TensorVal::from_f32(&[2], vec![10.0, 20.0]))
+        .unwrap();
     let a = s.add_row(&m, &row).unwrap();
     assert_eq!(a.val().to_f64_vec(), vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     let b = s.add_col(&a, &col).unwrap();
-    assert_eq!(b.val().to_f64_vec(), vec![11.0, 12.0, 13.0, 21.0, 22.0, 23.0]);
+    assert_eq!(
+        b.val().to_f64_vec(),
+        vec![11.0, 12.0, 13.0, 21.0, 22.0, 23.0]
+    );
 }

@@ -12,14 +12,21 @@ fn live_reads<'s>(s: &'s Stmt, dead: &dyn Fn(&str) -> bool, out: &mut HashSet<&'
     let left = match &s.kind {
         StmtKind::Store { var, .. } | StmtKind::ReduceTo { var, .. } => !dead(var),
         // A call's outputs stay defined, read or not.
-        StmtKind::LibCall { inputs, outputs, .. } => {
+        StmtKind::LibCall {
+            inputs, outputs, ..
+        } => {
             out.extend(inputs.iter().chain(outputs).map(String::as_str));
             true
         }
-        StmtKind::Block(v) => v.iter().fold(false, |left, st| live_reads(st, dead, out) | left),
+        StmtKind::Block(v) => v
+            .iter()
+            .fold(false, |left, st| live_reads(st, dead, out) | left),
         StmtKind::VarDef { body, .. } | StmtKind::For { body, .. } => live_reads(body, dead, out),
-        StmtKind::If { then, otherwise, .. } => {
-            live_reads(then, dead, out) | otherwise.as_ref().is_some_and(|o| live_reads(o, dead, out))
+        StmtKind::If {
+            then, otherwise, ..
+        } => {
+            live_reads(then, dead, out)
+                | otherwise.as_ref().is_some_and(|o| live_reads(o, dead, out))
         }
         StmtKind::Empty => false,
     };
@@ -85,13 +92,20 @@ pub fn remove_dead_defs(func: &mut Func) -> bool {
     // tensors found live so far read.
     while !locals.iter().all(|n| live.contains(n.as_str())) {
         let mut next = live.clone();
-        live_reads(&func.body, &|n| locals.contains(n) && !live.contains(n), &mut next);
+        live_reads(
+            &func.body,
+            &|n| locals.contains(n) && !live.contains(n),
+            &mut next,
+        );
         if next.len() == live.len() {
             break;
         }
         live = next;
     }
-    let dead: HashSet<String> = locals.into_iter().filter(|n| !live.contains(n.as_str())).collect();
+    let dead: HashSet<String> = locals
+        .into_iter()
+        .filter(|n| !live.contains(n.as_str()))
+        .collect();
     if dead.is_empty() {
         return false;
     }
@@ -138,10 +152,7 @@ mod tests {
                 [1],
                 DataType::F32,
                 MemType::CpuHeap,
-                block([
-                    store("t", [0], 1.0f32),
-                    store("y", [0], load("t", [0])),
-                ]),
+                block([store("t", [0], 1.0f32), store("y", [0], load("t", [0]))]),
             ));
         let mut out = f.clone();
         assert!(!remove_dead_defs(&mut out));
@@ -150,7 +161,8 @@ mod tests {
 
     fn count_defs(f: &Func) -> usize {
         let mut defs = 0;
-        f.body.walk(&mut |s| defs += usize::from(matches!(s.kind, StmtKind::VarDef { .. })));
+        f.body
+            .walk(&mut |s| defs += usize::from(matches!(s.kind, StmtKind::VarDef { .. })));
         defs
     }
 
@@ -188,7 +200,8 @@ mod tests {
     /// it back, is dead; one that an output reads keeps what it reads.
     #[test]
     fn liveness_follows_reads_from_the_outputs() {
-        let def = |name: &str, body: Stmt| var_def(name, [1], DataType::F32, MemType::CpuHeap, body);
+        let def =
+            |name: &str, body: Stmt| var_def(name, [1], DataType::F32, MemType::CpuHeap, body);
         let mut f = Func::new("f")
             .param("y", [1], DataType::F32, AccessType::Output)
             .body(def(

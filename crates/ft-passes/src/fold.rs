@@ -52,9 +52,11 @@ impl Exprs {
             Expr::Binary { op, a, b } => self.binary(op, self.expr(*a), self.expr(*b)),
             Expr::Unary { op, a } => self.unary(op, self.expr(*a)),
             Expr::Cast { dtype, a } => self.cast(dtype, self.expr(*a)),
-            Expr::Select { cond, then, otherwise } => {
-                self.select(self.expr(*cond), self.expr(*then), self.expr(*otherwise))
-            }
+            Expr::Select {
+                cond,
+                then,
+                otherwise,
+            } => self.select(self.expr(*cond), self.expr(*then), self.expr(*otherwise)),
             Expr::Load { var, indices } => {
                 let indices = indices.into_iter().map(|i| self.expr(i).e).collect();
                 plain(Expr::Load { var, indices })
@@ -67,7 +69,10 @@ impl Exprs {
     /// so already-canonical expressions keep their shape.
     fn kept(&self, e: Expr, form: Option<Affine<String>>) -> Node {
         match form.map(Affine::normalized) {
-            Some(f) if f.expr_node_count() < e.node_count() => Node { e: f.to_expr(), form: Some(f) },
+            Some(f) if f.expr_node_count() < e.node_count() => Node {
+                e: f.to_expr(),
+                form: Some(f),
+            },
             form => Node { e, form },
         }
     }
@@ -118,10 +123,18 @@ impl Exprs {
         }
         match (op, a.e) {
             // --x -> x
-            (UnaryOp::Neg, Expr::Unary { op: UnaryOp::Neg, a: x }) => self.expr(*x),
+            (
+                UnaryOp::Neg,
+                Expr::Unary {
+                    op: UnaryOp::Neg,
+                    a: x,
+                },
+            ) => self.expr(*x),
             (op, e) => {
                 a.e = e;
-                let form = (self.affine && op == UnaryOp::Neg).then(|| a.form()).flatten();
+                let form = (self.affine && op == UnaryOp::Neg)
+                    .then(|| a.form())
+                    .flatten();
                 self.kept(Expr::unary(op, a.e), form.map(|f| f.scaled(-1)))
             }
         }
@@ -187,7 +200,10 @@ pub fn const_fold_stmt(s: Stmt) -> Stmt {
 
 /// Constant-fold a whole function body.
 pub fn const_fold_func(f: Func) -> Func {
-    Func { body: const_fold_stmt(f.body), ..f }
+    Func {
+        body: const_fold_stmt(f.body),
+        ..f
+    }
 }
 
 #[cfg(test)]
@@ -239,7 +255,10 @@ mod tests {
             const_fold_expr(var("c").lt(5).and(false)),
             Expr::BoolConst(false)
         );
-        assert_eq!(const_fold_expr(var("c").gt(0).or(true)), Expr::BoolConst(true));
+        assert_eq!(
+            const_fold_expr(var("c").gt(0).or(true)),
+            Expr::BoolConst(true)
+        );
         assert_eq!(
             const_fold_expr(Expr::BoolConst(true).not()),
             Expr::BoolConst(false)

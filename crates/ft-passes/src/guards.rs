@@ -50,7 +50,10 @@ impl GuardRemover {
 
 impl Mutator for GuardRemover {
     fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
-        if let StmtKind::For { iter, begin, end, .. } = &s.kind {
+        if let StmtKind::For {
+            iter, begin, end, ..
+        } = &s.kind
+        {
             let mut dom = System::new();
             if let (Some(lo), Some(hi)) = (to_linexpr(begin), to_linexpr(end)) {
                 dom.push(Constraint::ge(LinExpr::var(iter.clone()), lo));
@@ -83,7 +86,11 @@ impl Mutator for GuardRemover {
                 let then = Box::new(self.mutate_stmt(*then));
                 self.domain.pop();
                 let otherwise = otherwise.map(|o| Box::new(self.mutate_stmt(*o)));
-                let kind = StmtKind::If { cond, then, otherwise };
+                let kind = StmtKind::If {
+                    cond,
+                    then,
+                    otherwise,
+                };
                 Stmt { kind, ..s }
             }
             kind => mutate_stmt_walk(self, Stmt { kind, ..s }),
@@ -142,8 +149,7 @@ mod tests {
             ));
         assert!(remove_redundant_guards(&mut f));
         assert!(
-            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. }))
-                .is_empty(),
+            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. })).is_empty(),
             "{f}"
         );
     }
@@ -161,8 +167,7 @@ mod tests {
             ));
         assert!(!remove_redundant_guards(&mut f));
         assert_eq!(
-            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. }))
-                .len(),
+            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. })).len(),
             1
         );
     }
@@ -187,8 +192,7 @@ mod tests {
             ));
         assert!(remove_redundant_guards(&mut f));
         assert_eq!(
-            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. }))
-                .len(),
+            ft_ir::find::find_stmts(&f.body, &|s| matches!(s.kind, StmtKind::If { .. })).len(),
             1,
             "{f}"
         );
@@ -226,8 +230,7 @@ mod tests {
         let mut kept = guarded(60);
         assert!(!remove_redundant_guards(&mut kept));
         assert_eq!(
-            ft_ir::find::find_stmts(&kept.body, &|s| matches!(s.kind, StmtKind::If { .. }))
-                .len(),
+            ft_ir::find::find_stmts(&kept.body, &|s| matches!(s.kind, StmtKind::If { .. })).len(),
             1
         );
     }

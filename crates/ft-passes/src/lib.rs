@@ -11,14 +11,14 @@
 //! when a subexpression may be evaluated once in front of a loop.
 
 pub mod dce;
-pub mod guards;
 pub mod fold;
+pub mod guards;
 pub mod hoist;
 pub mod simplify;
 pub mod uniquify;
 
 pub use dce::remove_dead_defs;
-pub use guards::remove_redundant_guards;
 pub use fold::{const_fold_expr, const_fold_func, const_fold_stmt, simplify_expr};
+pub use guards::remove_redundant_guards;
 pub use simplify::{simplify, simplify_stmt, simplify_traced};
 pub use uniquify::uniquify_defs;

@@ -178,9 +178,7 @@ mod tests {
         match &out.kind {
             StmtKind::Block(v) => {
                 assert_eq!(v.len(), 2);
-                assert!(v
-                    .iter()
-                    .all(|st| matches!(st.kind, StmtKind::Store { .. })));
+                assert!(v.iter().all(|st| matches!(st.kind, StmtKind::Store { .. })));
             }
             other => panic!("expected block, got {other:?}"),
         }

@@ -88,8 +88,7 @@ fn eval_bool(e: &Expr, env: &dyn Fn(&str) -> i64) -> Option<bool> {
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (-20i64..=20).prop_map(Expr::IntConst),
-        prop_oneof![Just("a"), Just("b"), Just("c")]
-            .prop_map(|n| Expr::Var(n.to_string())),
+        prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(|n| Expr::Var(n.to_string())),
     ];
     leaf.prop_recursive(4, 48, 3, |inner| {
         prop_oneof![
@@ -101,9 +100,8 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.min(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.max(b)),
             inner.clone().prop_map(|a| -a),
-            (inner.clone(), inner.clone(), inner).prop_map(|(c, a, b)| {
-                Expr::select(c.clone().lt(a.clone()), a, b)
-            }),
+            (inner.clone(), inner.clone(), inner)
+                .prop_map(|(c, a, b)| { Expr::select(c.clone().lt(a.clone()), a, b) }),
         ]
     })
 }

@@ -44,7 +44,11 @@ impl System {
     /// [`Rows`]: where two variables tie for a pivot, the one whose name
     /// sorts first is taken.
     pub fn satisfiable(&self) -> Sat {
-        let mut names: Vec<&str> = self.constraints.iter().flat_map(|c| c.expr.vars()).collect();
+        let mut names: Vec<&str> = self
+            .constraints
+            .iter()
+            .flat_map(|c| c.expr.vars())
+            .collect();
         names.sort_unstable();
         names.dedup();
         let mut rows = Rows::new(names.len());
@@ -90,7 +94,11 @@ impl Rows {
     ///
     /// Panics unless `row` holds `width` coefficients and the constant.
     pub fn push(&mut self, op: CmpOp, row: Vec<i64>) {
-        assert_eq!(row.len(), self.width + 1, "a row is the coefficients and the constant");
+        assert_eq!(
+            row.len(),
+            self.width + 1,
+            "a row is the coefficients and the constant"
+        );
         match op {
             CmpOp::Eq0 => self.eqs.push(row),
             CmpOp::Ge0 => self.ineqs.push(row),
@@ -132,7 +140,10 @@ impl Rows {
             // Pick one equality with a unit-coefficient variable and
             // substitute it away everywhere (exact integer step).
             let pick = eqs.iter().enumerate().find_map(|(i, eq)| {
-                eq[..width].iter().position(|c| c.abs() == 1).map(|x| (i, x))
+                eq[..width]
+                    .iter()
+                    .position(|c| c.abs() == 1)
+                    .map(|x| (i, x))
             });
             let Some((idx, x)) = pick else { break };
             let mut value = eqs.swap_remove(idx);
@@ -305,7 +316,10 @@ pub fn lex_order_systems(pairs: &[(String, String)]) -> Vec<System> {
     for d in 0..pairs.len() {
         let mut sys = System::new();
         for (p, q) in &pairs[..d] {
-            sys.push(Constraint::eq(LinExpr::var(p.clone()), LinExpr::var(q.clone())));
+            sys.push(Constraint::eq(
+                LinExpr::var(p.clone()),
+                LinExpr::var(q.clone()),
+            ));
         }
         let (p, q) = &pairs[d];
         sys.push(Constraint::gt(
@@ -427,10 +441,7 @@ mod tests {
     #[test]
     fn omega_classic_empty_interval() {
         // 2x in [2k+1, 2k+1] for integer x has no solution: 2x = 2k+1.
-        let sys = System::new().with(Constraint::eq(
-            v("x").scaled(2),
-            v("k").scaled(2) + 1,
-        ));
+        let sys = System::new().with(Constraint::eq(v("x").scaled(2), v("k").scaled(2) + 1));
         assert_eq!(sys.satisfiable(), Sat::Empty);
     }
 
@@ -523,8 +534,14 @@ mod tests {
             }
             let truth = brute_force(&sys, 4);
             match sys.satisfiable() {
-                Sat::Empty => assert!(!truth, "case {case}: solver Empty but brute found a solution: {sys}"),
-                Sat::NonEmpty => assert!(truth, "case {case}: solver NonEmpty but brute found none: {sys}"),
+                Sat::Empty => assert!(
+                    !truth,
+                    "case {case}: solver Empty but brute found a solution: {sys}"
+                ),
+                Sat::NonEmpty => assert!(
+                    truth,
+                    "case {case}: solver NonEmpty but brute found none: {sys}"
+                ),
                 Sat::Unknown => {} // always sound
             }
         }

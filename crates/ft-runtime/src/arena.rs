@@ -72,7 +72,8 @@ impl ArenaStats {
         m.counter("mem.arena.alloc_calls").add(self.alloc_calls);
         m.counter("mem.arena.reuse_hits").add(self.reuse_hits);
         m.counter("mem.arena.poison_resets").add(self.poison_resets);
-        m.gauge("mem.arena.bytes_peak").fetch_max(self.bytes_peak as i64);
+        m.gauge("mem.arena.bytes_peak")
+            .fetch_max(self.bytes_peak as i64);
         self.alloc_calls = 0;
         self.reuse_hits = 0;
         self.poison_resets = 0;
@@ -181,8 +182,7 @@ impl TensorPool {
                     // dtype mismatch within the class: this buffer cannot
                     // serve the request; drop it and try the next.
                     None => {
-                        self.stats.bytes_held =
-                            self.stats.bytes_held.saturating_sub(class_bytes);
+                        self.stats.bytes_held = self.stats.bytes_held.saturating_sub(class_bytes);
                     }
                 }
             }
@@ -463,7 +463,9 @@ impl RunContext {
     /// context is bound to — for one run; the engine puts it back in
     /// `tensor_pool` when the run ends, successful or not.
     pub(crate) fn take_tensor_pool(&mut self, plan: &MemPlan) -> TensorPool {
-        self.tensor_pool.take().unwrap_or_else(|| TensorPool::new(plan))
+        self.tensor_pool
+            .take()
+            .unwrap_or_else(|| TensorPool::new(plan))
     }
 
     /// End of a run, successful or not: flush the allocation counters of

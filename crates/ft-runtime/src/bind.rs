@@ -324,7 +324,11 @@ mod tests {
     fn zero_size_divisor_is_an_error_not_a_panic() {
         let e = extent(&(var("n") / var("z")), &sizes(&[("n", 4), ("z", 0)]), "x");
         assert_eq!(e, Err(RuntimeError::DivisionByZero));
-        let e = extent(&var("n").rem(var("z") - 1), &sizes(&[("n", 4), ("z", 1)]), "x");
+        let e = extent(
+            &var("n").rem(var("z") - 1),
+            &sizes(&[("n", 4), ("z", 1)]),
+            "x",
+        );
         assert_eq!(e, Err(RuntimeError::DivisionByZero));
     }
 
@@ -339,7 +343,12 @@ mod tests {
                 .param("x", [4], DataType::F32, AccessType::Input)
                 .param("y", shape, DataType::F32, AccessType::Output)
                 .size_param("n")
-                .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")]))))
+                .body(for_(
+                    "i",
+                    0,
+                    4,
+                    store("y", [var("i")], load("x", [var("i")])),
+                ))
         };
         let programs = [
             (fill("squared", vec![var("n") * var("n")]), 1i64 << 32),
@@ -350,27 +359,42 @@ mod tests {
         let warm_sizes = sizes(&[("n", 8), ("d", 2)]);
         for (f, n) in &programs {
             let big = sizes(&[("n", *n)]);
-            assert_eq!(extent(&f.params[1].shape[0], &big, "y").is_ok(), f.name == "square");
+            assert_eq!(
+                extent(&f.params[1].shape[0], &big, "y").is_ok(),
+                f.name == "square"
+            );
             for (engine, metrics) in engines(&f.name) {
                 let who = format!("{} on {}", engine.name(), f.name);
                 // What `ft-serve` admission asks for: the refusal, not a
                 // wrapped `run_peak_bytes`.
                 assert_eq!(engine.resolve(f, &big).err().as_ref(), Some(&want), "{who}");
-                assert_eq!(engine.run(f, &x_of(4), &big).err().as_ref(), Some(&want), "{who}");
-                assert_eq!(metrics.snapshot().counter("compiled.cc.spawned"), 0, "{who}");
+                assert_eq!(
+                    engine.run(f, &x_of(4), &big).err().as_ref(),
+                    Some(&want),
+                    "{who}"
+                );
+                assert_eq!(
+                    metrics.snapshot().counter("compiled.cc.spawned"),
+                    0,
+                    "{who}"
+                );
                 if engine.name() == "compiled" && !cc_available() {
                     continue;
                 }
                 // A context warm on another program is neither poisoned nor
                 // rebound by the refusal, and serves its next call.
                 let mut ctx = RunContext::new();
-                let r = engine.run_with(&warm, &x_of(4), &warm_sizes, &mut ctx).expect(&who);
+                let r = engine
+                    .run_with(&warm, &x_of(4), &warm_sizes, &mut ctx)
+                    .expect(&who);
                 ctx.recycle(r).expect(&who);
                 let refused = engine.run_with(f, &x_of(4), &big, &mut ctx);
                 assert_eq!(refused.err().as_ref(), Some(&want), "{who}");
                 assert!(!ctx.is_poisoned(), "{who}");
                 assert_eq!(ctx.bound_func(), Some("halve"), "{who}");
-                let r = engine.run_with(&warm, &x_of(4), &warm_sizes, &mut ctx).expect(&who);
+                let r = engine
+                    .run_with(&warm, &x_of(4), &warm_sizes, &mut ctx)
+                    .expect(&who);
                 assert_eq!(r.output("y").to_f64_vec(), vec![3.0; 4], "{who}");
             }
         }
@@ -416,7 +440,12 @@ mod tests {
     fn halve_and_scale(k: f32) -> Func {
         let len = || var("n") / var("d");
         let through = block([
-            for_("i", 0, len(), store("t", [var("i")], load("x", [var("i")]) * k)),
+            for_(
+                "i",
+                0,
+                len(),
+                store("t", [var("i")], load("x", [var("i")]) * k),
+            ),
             for_("i", 0, len(), store("y", [var("i")], load("t", [var("i")]))),
         ]);
         Func::new("halve")
@@ -424,7 +453,13 @@ mod tests {
             .param("y", [len()], DataType::F32, AccessType::Output)
             .size_param("n")
             .size_param("d")
-            .body(var_def("t", [len()], DataType::F32, MemType::CpuHeap, through))
+            .body(var_def(
+                "t",
+                [len()],
+                DataType::F32,
+                MemType::CpuHeap,
+                through,
+            ))
     }
 
     fn x_of(len: usize) -> HashMap<String, TensorVal> {
@@ -436,7 +471,11 @@ mod tests {
         let f = halve_and_double();
         let ok = sizes(&[("n", 8), ("d", 2)]);
         let cases = [
-            (HashMap::new(), ok.clone(), RuntimeError::MissingInput("x".to_string())),
+            (
+                HashMap::new(),
+                ok.clone(),
+                RuntimeError::MissingInput("x".to_string()),
+            ),
             (
                 x_of(5),
                 ok,
@@ -446,8 +485,16 @@ mod tests {
                     actual: vec![5],
                 },
             ),
-            (x_of(4), sizes(&[("n", 8)]), RuntimeError::UnresolvedSize("d".to_string())),
-            (x_of(4), sizes(&[("n", 8), ("d", 0)]), RuntimeError::DivisionByZero),
+            (
+                x_of(4),
+                sizes(&[("n", 8)]),
+                RuntimeError::UnresolvedSize("d".to_string()),
+            ),
+            (
+                x_of(4),
+                sizes(&[("n", 8), ("d", 0)]),
+                RuntimeError::DivisionByZero,
+            ),
         ];
         for (i, (inputs, sizes, want)) in cases.iter().enumerate() {
             for (engine, metrics) in engines(&format!("case{i}")) {
@@ -484,12 +531,20 @@ mod tests {
             let warm = good(&mut ctx);
             // One malformed request through the same pooled context...
             let err = engine.run_with(&f, &HashMap::new(), &sizes, &mut ctx);
-            assert_eq!(err.err(), Some(RuntimeError::MissingInput("x".to_string())), "{who}");
+            assert_eq!(
+                err.err(),
+                Some(RuntimeError::MissingInput("x".to_string())),
+                "{who}"
+            );
             assert!(!ctx.is_poisoned(), "{who}");
             assert_eq!(ctx.bound_func(), Some("halve"), "{who}");
             // ...and the next good one finds it exactly as warm as it was.
             let after = good(&mut ctx);
-            assert_eq!(after.counter("mem.arena.poison_resets"), 0, "{who}: {after:?}");
+            assert_eq!(
+                after.counter("mem.arena.poison_resets"),
+                0,
+                "{who}: {after:?}"
+            );
             assert_eq!(
                 after.counter("mem.arena.alloc_calls"),
                 warm.counter("mem.arena.alloc_calls"),
@@ -554,7 +609,10 @@ mod tests {
                 ctx.recycle(r).expect(who);
             }
             let err = engine.run_with(&f, &x_of(8), &wider, &mut ctx);
-            assert!(matches!(err, Err(RuntimeError::ContextMismatch { .. })), "{who}: {err:?}");
+            assert!(
+                matches!(err, Err(RuntimeError::ContextMismatch { .. })),
+                "{who}: {err:?}"
+            );
             assert!(!ctx.is_poisoned(), "{who}");
             let before = metrics.snapshot().counter("mem.arena.alloc_calls");
             let resolved = resolutions(&*engine, &metrics);
@@ -563,7 +621,11 @@ mod tests {
             ctx.recycle(r).expect(who);
             let after = metrics.snapshot().counter("mem.arena.alloc_calls");
             assert_eq!(after, before, "{who}: the kept call's run allocated");
-            assert_eq!(resolutions(&*engine, &metrics), (resolved.0, resolved.1 + 1), "{who}");
+            assert_eq!(
+                resolutions(&*engine, &metrics),
+                (resolved.0, resolved.1 + 1),
+                "{who}"
+            );
         }
     }
 
@@ -576,10 +638,22 @@ mod tests {
             .param("x", [4], DataType::I64, AccessType::Input)
             .param("d", [4], DataType::I64, AccessType::Input)
             .param("y", [4], DataType::I64, AccessType::Output)
-            .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")]) / load("d", [var("i")]))));
+            .body(for_(
+                "i",
+                0,
+                4,
+                store(
+                    "y",
+                    [var("i")],
+                    load("x", [var("i")]) / load("d", [var("i")]),
+                ),
+            ));
         let inputs = |d: Vec<i64>| {
             HashMap::from([
-                ("x".to_string(), TensorVal::from_i64(&[4], vec![7, -7, 9, 12])),
+                (
+                    "x".to_string(),
+                    TensorVal::from_i64(&[4], vec![7, -7, 9, 12]),
+                ),
                 ("d".to_string(), TensorVal::from_i64(&[4], d)),
             ])
         };
@@ -603,8 +677,16 @@ mod tests {
             assert!(ctx.is_poisoned(), "{who}");
             let (resolves, reused) = resolutions(&*engine, &metrics);
             let r = engine.run_with(&f, &good, &none, &mut ctx).expect(who);
-            assert_eq!(resolutions(&*engine, &metrics), (resolves + 1, reused), "{who}");
-            assert_eq!(metrics.snapshot().counter("mem.arena.poison_resets"), 1, "{who}");
+            assert_eq!(
+                resolutions(&*engine, &metrics),
+                (resolves + 1, reused),
+                "{who}"
+            );
+            assert_eq!(
+                metrics.snapshot().counter("mem.arena.poison_resets"),
+                1,
+                "{who}"
+            );
             assert!(!ctx.is_poisoned(), "{who}");
             let plain = engine.run(&f, &good, &none).expect(who);
             assert_eq!(r.outputs, plain.outputs, "{who}");
@@ -623,14 +705,20 @@ mod tests {
                 "i",
                 0,
                 3,
-                store("acc", [var("i")], load("acc", [var("i")]) + load("x", [var("i")])),
+                store(
+                    "acc",
+                    [var("i")],
+                    load("acc", [var("i")]) + load("x", [var("i")]),
+                ),
             ));
         let (x, acc) = ([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]);
         let inputs = HashMap::from([
             ("x".to_string(), TensorVal::from_f64(&[3], x.to_vec())),
             ("acc".to_string(), TensorVal::from_f64(&[3], acc.to_vec())),
         ]);
-        let want: Vec<f64> = (0..3).map(|i| (acc[i] as f32 + x[i] as f32) as f64).collect();
+        let want: Vec<f64> = (0..3)
+            .map(|i| (acc[i] as f32 + x[i] as f32) as f64)
+            .collect();
         for (engine, _) in runnable("dtype") {
             let who = engine.name();
             let r = engine.run(&f, &inputs, &HashMap::new()).expect(who);
@@ -666,14 +754,20 @@ mod tests {
             assert_eq!(shapes, [("x", &[6][..]), ("y", &[6, 3][..])], "{who}");
             // No defs: the footprint is the two parameter buffers, 64-aligned.
             assert_eq!(r.run_peak_bytes(), 64 + 192, "{who}");
-            let other = engine.resolve(&f, &self::sizes(&[("n", 4), ("m", 7)])).expect(who);
+            let other = engine
+                .resolve(&f, &self::sizes(&[("n", 4), ("m", 7)]))
+                .expect(who);
             assert_ne!(r.shape_sig(), other.shape_sig(), "{who}");
             if who == "compiled" && !cc_available() {
                 eprintln!("cc unavailable; not running the compiled engine");
                 continue;
             }
             let out = engine.run(&f, &x_of(6), &sizes).expect(who);
-            assert_eq!(out.output("y").to_f64_vec()[..4], [2.5, 0.0, 0.0, 2.5], "{who}");
+            assert_eq!(
+                out.output("y").to_f64_vec()[..4],
+                [2.5, 0.0, 0.0, 2.5],
+                "{who}"
+            );
         }
     }
 
@@ -692,8 +786,17 @@ mod tests {
                 DataType::F32,
                 MemType::CpuHeap,
                 block([
-                    row(store("t", [var("i"), var("j")], load("x", [var("j")]) * 2.0f32)),
-                    row(reduce("y", [0], ReduceOp::Add, load("t", [var("i"), var("j")]))),
+                    row(store(
+                        "t",
+                        [var("i"), var("j")],
+                        load("x", [var("j")]) * 2.0f32,
+                    )),
+                    row(reduce(
+                        "y",
+                        [0],
+                        ReduceOp::Add,
+                        load("t", [var("i"), var("j")]),
+                    )),
                 ]),
             ));
         let x = TensorVal::from_f32(&[8], (0..8).map(|v| v as f32 * 0.5).collect());
@@ -706,7 +809,11 @@ mod tests {
         assert!(
             matches!(
                 err,
-                Err(RuntimeError::OutOfMemory { device: ft_ir::Device::Cpu, requested: 4096, .. })
+                Err(RuntimeError::OutOfMemory {
+                    device: ft_ir::Device::Cpu,
+                    requested: 4096,
+                    ..
+                })
             ),
             "{err:?}"
         );

@@ -68,9 +68,7 @@ impl DeviceConfig {
             ParallelScope::Serial => 1,
             ParallelScope::OpenMp => self.cpu_threads,
             ParallelScope::CudaBlockX | ParallelScope::CudaBlockY => self.gpu_sms,
-            ParallelScope::CudaThreadX | ParallelScope::CudaThreadY => {
-                self.gpu_threads_per_block
-            }
+            ParallelScope::CudaThreadX | ParallelScope::CudaThreadY => self.gpu_threads_per_block,
         }
     }
 

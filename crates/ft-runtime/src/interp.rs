@@ -123,7 +123,10 @@ impl Backend for Runtime {
                 nodes,
             });
             if let Some(sp) = span.as_mut() {
-                sp.arg("modeled_cycles", format!("{:.0}", ctx.counters.modeled_cycles));
+                sp.arg(
+                    "modeled_cycles",
+                    format!("{:.0}", ctx.counters.modeled_cycles),
+                );
                 sp.arg("flops", ctx.counters.flops);
             }
         }
@@ -150,13 +153,21 @@ fn bind_and_exec<'i>(
     }
     let bound = resolved.bind(inputs, rctx);
     for (((slot, _), (p, _)), val) in compiled.params.iter().zip(resolved.params()).zip(bound) {
-        let val = if compiled.written[*slot] { Cow::Owned(val.into_owned()) } else { val };
+        let val = if compiled.written[*slot] {
+            Cow::Owned(val.into_owned())
+        } else {
+            val
+        };
         ctx.alloc(*slot, val, p.mtype)?;
     }
     ctx.exec(&compiled.body)?;
     Ok(resolved.outputs(inputs, |i| {
         let slot = compiled.params[i].0;
-        ctx.tensors[slot].take().expect("params stay live").val.into_owned()
+        ctx.tensors[slot]
+            .take()
+            .expect("params stay live")
+            .val
+            .into_owned()
     }))
 }
 
@@ -265,7 +276,13 @@ mod tests {
             store("y", [var("b2")], 2.0f32),
         );
         let f = Func::new("f")
-            .param_on("y", [32], DataType::F32, MemType::GpuGlobal, AccessType::Output)
+            .param_on(
+                "y",
+                [32],
+                DataType::F32,
+                MemType::GpuGlobal,
+                AccessType::Output,
+            )
             .body(block([kernel1, kernel2]));
         let r = run(&f, &[], &[]);
         assert_eq!(r.counters.kernel_launches, 2);
@@ -279,7 +296,13 @@ mod tests {
             ..Default::default()
         };
         let f = Func::new("f")
-            .param_on("y", [1024], DataType::F32, MemType::GpuGlobal, AccessType::Output)
+            .param_on(
+                "y",
+                [1024],
+                DataType::F32,
+                MemType::GpuGlobal,
+                AccessType::Output,
+            )
             .body(store("y", [0], 1.0f32));
         let err = Runtime::with_config(config)
             .run(&f, &HashMap::new(), &HashMap::new())
@@ -333,8 +356,18 @@ mod tests {
             .param("x", [16384], DataType::F32, AccessType::Input)
             .param("y", [1], DataType::F32, AccessType::Output)
             .body(block([
-                for_("i", 0, 16384, reduce("y", [0], ReduceOp::Add, load("x", [var("i")]))),
-                for_("i2", 0, 16384, reduce("y", [0], ReduceOp::Add, load("x", [var("i2")]))),
+                for_(
+                    "i",
+                    0,
+                    16384,
+                    reduce("y", [0], ReduceOp::Add, load("x", [var("i")])),
+                ),
+                for_(
+                    "i2",
+                    0,
+                    16384,
+                    reduce("y", [0], ReduceOp::Add, load("x", [var("i2")])),
+                ),
             ]));
         let x = TensorVal::from_f32(&[16384], vec![1.0; 16384]);
         let r = run(&f, &[("x", x)], &[]);
@@ -376,7 +409,12 @@ mod tests {
                     "i",
                     0,
                     1,
-                    for_("i", 2, 3, store("y", [2], Expr::cast(DataType::F32, var("i")))),
+                    for_(
+                        "i",
+                        2,
+                        3,
+                        store("y", [2], Expr::cast(DataType::F32, var("i"))),
+                    ),
                 ),
             ]));
         let r = run(&f, &[], &[]);
@@ -464,7 +502,12 @@ mod tests {
                         "j",
                         0,
                         64,
-                        reduce("y", [var("i")], ReduceOp::Add, load("x", [var("i"), var("j")])),
+                        reduce(
+                            "y",
+                            [var("i")],
+                            ReduceOp::Add,
+                            load("x", [var("i"), var("j")]),
+                        ),
                     ),
                 ),
             ]));
@@ -509,7 +552,9 @@ mod tests {
         let f = Func::new("f")
             .param("y", [8], DataType::F32, AccessType::Output)
             .body(for_("i", 0, 8, store("y", [var("i")], 1.0f32)));
-        let r = Runtime::new().run(&f, &HashMap::new(), &HashMap::new()).unwrap();
+        let r = Runtime::new()
+            .run(&f, &HashMap::new(), &HashMap::new())
+            .unwrap();
         assert_eq!(r.output("y").to_f64_vec(), vec![1.0; 8]);
     }
 
@@ -529,9 +574,7 @@ mod tests {
         let nosz: HashMap<String, i64> = HashMap::new();
         rt.run_with(&a, &none, &nosz, &mut ctx).unwrap();
         assert_eq!(ctx.bound_func(), Some("a"));
-        let err = rt
-            .run_with(&b, &none, &nosz, &mut ctx)
-            .unwrap_err();
+        let err = rt.run_with(&b, &none, &nosz, &mut ctx).unwrap_err();
         assert!(
             matches!(
                 &err,

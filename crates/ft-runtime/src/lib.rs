@@ -44,8 +44,6 @@
 
 pub mod arena;
 pub mod bind;
-pub mod vm;
-pub(crate) mod slots;
 pub mod counters;
 pub mod device;
 pub mod engine;
@@ -55,16 +53,18 @@ pub mod libkernel;
 pub mod native;
 pub mod pool;
 pub mod process;
+pub(crate) mod slots;
 pub mod value;
+pub mod vm;
 
 pub use arena::RunContext;
 pub use bind::Resolved;
-pub use vm::VmRuntime;
 pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};
 pub use device::DeviceConfig;
 pub use engine::ExecutionEngine;
 pub use error::RuntimeError;
 pub use interp::{RunResult, Runtime};
+pub use vm::VmRuntime;
 // The (lowered function, memory plan) pair `CompiledEngine` and `VmRuntime`
 // execute — what `ExecutionEngine::resolve` hands out for them; re-exported
 // for tests that inspect the pair directly.

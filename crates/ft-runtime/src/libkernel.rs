@@ -7,8 +7,8 @@
 //! generate — one streaming pass over each operand — plus FLOPs at a modeled
 //! vendor-library efficiency.
 
-use crate::slots::ExecCtx;
 use crate::error::RuntimeError;
+use crate::slots::ExecCtx;
 use crate::value::{Scalar, TensorVal};
 
 /// Efficiency factor of a vendor kernel relative to naive per-element
@@ -141,12 +141,10 @@ mod tests {
                 outputs: vec!["C".to_string()],
                 attrs: vec![m as i64, k as i64, n as i64],
             }));
-        let inputs: HashMap<String, TensorVal> = [
-            ("A".to_string(), a.clone()),
-            ("B".to_string(), b.clone()),
-        ]
-        .into_iter()
-        .collect();
+        let inputs: HashMap<String, TensorVal> =
+            [("A".to_string(), a.clone()), ("B".to_string(), b.clone())]
+                .into_iter()
+                .collect();
         let r = Runtime::new().run(&f, &inputs, &HashMap::new()).unwrap();
         let reference = matmul_reference(&a, &b, m, k, n);
         assert!(r.output("C").allclose(&reference, 1e-4));
@@ -162,9 +160,6 @@ mod tests {
             attrs: vec![],
         }));
         let err = Runtime::new().run(&f, &HashMap::new(), &HashMap::new());
-        assert!(matches!(
-            err,
-            Err(crate::RuntimeError::UnknownKernel(_))
-        ));
+        assert!(matches!(err, Err(crate::RuntimeError::UnknownKernel(_))));
     }
 }

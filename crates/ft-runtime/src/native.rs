@@ -368,8 +368,9 @@ impl CompiledEngine {
     /// source, so a `-l` among them links what the unit needs.
     fn compile(&self, src: &str, hash: u64, so_path: &Path) -> Result<(), RuntimeError> {
         let t0 = Instant::now();
-        std::fs::create_dir_all(&self.cache_dir)
-            .map_err(|e| RuntimeError::Native(format!("create {}: {e}", self.cache_dir.display())))?;
+        std::fs::create_dir_all(&self.cache_dir).map_err(|e| {
+            RuntimeError::Native(format!("create {}: {e}", self.cache_dir.display()))
+        })?;
         let c_path = self.cache_dir.join(format!("{hash:016x}.c"));
         std::fs::write(&c_path, src)
             .map_err(|e| RuntimeError::Native(format!("write {}: {e}", c_path.display())))?;
@@ -674,7 +675,8 @@ impl Backend for CompiledEngine {
         };
         let call_ns = call_t0.elapsed().as_nanos() as u64;
         if let Some(m) = &self.tel.metrics {
-            m.histogram("engine.compiled.kernel_us").record(call_ns / 1000);
+            m.histogram("engine.compiled.kernel_us")
+                .record(call_ns / 1000);
         }
         if !kernel.sites.is_empty() {
             self.publish_profile(func, &kernel.sites, &prof_buf, call_ns);
@@ -748,10 +750,7 @@ mod tests {
     use ft_trace::TraceSink;
 
     fn tmp_cache(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "ft-native-test-{tag}-{}",
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("ft-native-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
@@ -865,7 +864,10 @@ mod tests {
         let tail = [&[0][..], cc_flags().as_bytes(), &[0], &4u32.to_le_bytes()].concat();
         let key = ft_ir::fnv1a(&[unit.as_bytes(), &tail].concat());
         assert_eq!(artifact_key(&unit, cc_flags()), key);
-        assert_eq!(std::fs::read_to_string(dir.join(format!("{key:016x}.c"))).unwrap(), unit);
+        assert_eq!(
+            std::fs::read_to_string(dir.join(format!("{key:016x}.c"))).unwrap(),
+            unit
+        );
         assert!(dir.join(format!("{key:016x}.so")).is_file());
     }
 
@@ -901,7 +903,12 @@ mod tests {
         let foreign = |so: &Path| {
             let c = so.with_extension("foreign.c");
             std::fs::write(&c, "int not_ft_entry(void) { return 0; }\n")?;
-            Command::new("cc").args(["-shared", "-fPIC", "-o"]).arg(so).arg(&c).status().map(drop)
+            Command::new("cc")
+                .args(["-shared", "-fPIC", "-o"])
+                .arg(so)
+                .arg(&c)
+                .status()
+                .map(drop)
         };
         type Damage<'a> = &'a dyn Fn(&Path) -> std::io::Result<()>;
         for (tag, damage, finders) in [
@@ -912,14 +919,28 @@ mod tests {
             let dir = tmp_cache(&format!("quarantine-{tag}"));
             let per_build = run(&dir, 1).counter("compiled.cc.spawned");
             let mut files = std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.path());
-            let so = files.find(|p| p.extension().is_some_and(|x| x == "so")).unwrap();
+            let so = files
+                .find(|p| p.extension().is_some_and(|x| x == "so"))
+                .unwrap();
             damage(&so).unwrap();
             let healed = run(&dir, finders);
-            assert_eq!(healed.counter("compiled.cache.quarantined"), 1, "{tag}: {healed:?}");
-            assert_eq!(healed.counter("compiled.cc.spawned"), per_build, "{tag}: {healed:?}");
+            assert_eq!(
+                healed.counter("compiled.cache.quarantined"),
+                1,
+                "{tag}: {healed:?}"
+            );
+            assert_eq!(
+                healed.counter("compiled.cc.spawned"),
+                per_build,
+                "{tag}: {healed:?}"
+            );
             assert!(so.with_extension("so.bad").is_file(), "{tag}");
             let warm = run(&dir, 1);
-            assert_eq!(warm.counter("compiled.cache.quarantined"), 0, "{tag}: {warm:?}");
+            assert_eq!(
+                warm.counter("compiled.cache.quarantined"),
+                0,
+                "{tag}: {warm:?}"
+            );
             assert_eq!(warm.counter("compiled.cc.spawned"), 0, "{tag}: {warm:?}");
             assert_eq!(warm.counter("compiled.cache.hit"), 1, "{tag}: {warm:?}");
         }
@@ -933,8 +954,7 @@ mod tests {
         }
         let sink = TraceSink::new();
         let m = Metrics::new();
-        let mut eng =
-            CompiledEngine::with_cache_dir(tmp_cache("prof")).with_profiling(true);
+        let mut eng = CompiledEngine::with_cache_dir(tmp_cache("prof")).with_profiling(true);
         eng.set_sink(Some(sink.clone()));
         eng.set_metrics(Some(m.clone()));
         let (inputs, sizes) = axpy_io(1 << 16, 0.0);
@@ -1018,10 +1038,7 @@ mod tests {
         let mut eng = CompiledEngine::with_cache_dir(tmp_cache("warm"));
         eng.set_metrics(Some(m.clone()));
         let n = 256usize;
-        let inputs = HashMap::from([(
-            "x".to_string(),
-            TensorVal::from_f32(&[n], vec![1.0; n]),
-        )]);
+        let inputs = HashMap::from([("x".to_string(), TensorVal::from_f32(&[n], vec![1.0; n]))]);
         let sizes = HashMap::from([("n".to_string(), n as i64)]);
         let mut ctx = crate::arena::RunContext::new();
         let r1 = eng.run_with(&f, &inputs, &sizes, &mut ctx).expect("cold");
@@ -1048,13 +1065,17 @@ mod tests {
         // arena is consulted, and `reset()` drops it for the next binding.
         let bytes = ctx.native_arena.as_ref().expect("allocated").bytes();
         let sizes2 = HashMap::from([("n".to_string(), 2 * n as i64)]);
-        let inputs2 = HashMap::from([("x".to_string(), TensorVal::from_f32(&[2 * n], vec![1.0; 2 * n]))]);
+        let inputs2 = HashMap::from([(
+            "x".to_string(),
+            TensorVal::from_f32(&[2 * n], vec![1.0; 2 * n]),
+        )]);
         let err = eng.run_with(&f, &inputs2, &sizes2, &mut ctx).unwrap_err();
         assert!(matches!(err, RuntimeError::ContextMismatch { .. }), "{err}");
         assert_eq!(ctx.native_arena.as_ref().expect("kept").bytes(), bytes);
         ctx.reset();
         assert!(ctx.native_arena.is_none());
-        eng.run_with(&f, &inputs2, &sizes2, &mut ctx).expect("rebound");
+        eng.run_with(&f, &inputs2, &sizes2, &mut ctx)
+            .expect("rebound");
         assert!(ctx.native_arena.as_ref().expect("re-allocated").bytes() > bytes);
     }
 

@@ -98,7 +98,9 @@ impl PoolStatsSnapshot {
         PoolStatsSnapshot {
             regions: self.regions.saturating_sub(earlier.regions),
             inline_regions: self.inline_regions.saturating_sub(earlier.inline_regions),
-            chunks_submitter: self.chunks_submitter.saturating_sub(earlier.chunks_submitter),
+            chunks_submitter: self
+                .chunks_submitter
+                .saturating_sub(earlier.chunks_submitter),
             chunks_helper: self.chunks_helper.saturating_sub(earlier.chunks_helper),
             queue_peak: self.queue_peak,
         }
@@ -201,10 +203,7 @@ impl WorkerPool {
                 .spawn(move || worker_loop(&sh))
                 .expect("spawn pool worker");
         }
-        WorkerPool {
-            shared,
-            background,
-        }
+        WorkerPool { shared, background }
     }
 
     /// The process-global pool, created on first use with one background
@@ -280,9 +279,7 @@ impl WorkerPool {
             // SAFETY: the reference is only used by workers that `leave()`
             // the job before `pending` reaches zero, and we block below
             // until it does — the erased borrow cannot outlive this frame.
-            task: unsafe {
-                std::mem::transmute::<&(dyn Fn(i64, i64) + Sync), &'static Task>(task)
-            },
+            task: unsafe { std::mem::transmute::<&(dyn Fn(i64, i64) + Sync), &'static Task>(task) },
             pending: Mutex::new(helpers),
             done: Condvar::new(),
             panic: Mutex::new(None),
@@ -307,10 +304,7 @@ impl WorkerPool {
         // what makes the lifetime erasure above sound.
         let mut pending = job.pending.lock().unwrap_or_else(|e| e.into_inner());
         while *pending > 0 {
-            pending = job
-                .done
-                .wait(pending)
-                .unwrap_or_else(|e| e.into_inner());
+            pending = job.done.wait(pending).unwrap_or_else(|e| e.into_inner());
         }
         drop(pending);
         let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -421,10 +415,7 @@ mod tests {
                     }
                 })
                 .unwrap_err();
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("boom"), "unexpected payload: {msg}");
             // The same pool must keep scheduling work correctly.
             assert_eq!(sum_region(&pool, 1000, 8, 4), 1000 * 999 / 2);

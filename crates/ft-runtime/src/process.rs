@@ -50,10 +50,7 @@ fn drain(stream: Option<impl Read>) -> Vec<u8> {
 /// Propagates spawn/wait I/O errors. A timeout is *not* an `Err` — it is
 /// reported through [`TimedOutput::timed_out`] so callers can surface a
 /// structured error with their own context.
-pub fn output_with_timeout(
-    cmd: &mut Command,
-    timeout: Duration,
-) -> std::io::Result<TimedOutput> {
+pub fn output_with_timeout(cmd: &mut Command, timeout: Duration) -> std::io::Result<TimedOutput> {
     cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
     let mut child = cmd.spawn()?;
     let out_pipe = child.stdout.take();
@@ -157,7 +154,9 @@ mod tests {
     fn zombie_children() -> Vec<u32> {
         let me = std::process::id();
         let mut zs = Vec::new();
-        let Ok(rd) = std::fs::read_dir("/proc") else { return zs };
+        let Ok(rd) = std::fs::read_dir("/proc") else {
+            return zs;
+        };
         for e in rd.flatten() {
             let Some(pid) = e.file_name().to_str().and_then(|s| s.parse::<u32>().ok()) else {
                 continue;
@@ -167,7 +166,9 @@ mod tests {
             };
             // stat: `pid (comm) state ppid ...` — comm may hold spaces, so
             // parse from the last ')'.
-            let Some(rest) = stat.rsplit_once(')').map(|(_, r)| r) else { continue };
+            let Some(rest) = stat.rsplit_once(')').map(|(_, r)| r) else {
+                continue;
+            };
             let mut fields = rest.split_whitespace();
             let state = fields.next().unwrap_or("");
             let ppid: u32 = fields.next().and_then(|p| p.parse().ok()).unwrap_or(0);

@@ -272,11 +272,9 @@ impl Lower {
     fn stmt(&mut self, s: &Stmt) -> Result<CStmt, RuntimeError> {
         Ok(match &s.kind {
             StmtKind::Empty => CStmt::Nop,
-            StmtKind::Block(v) => CStmt::Seq(
-                v.iter()
-                    .map(|st| self.stmt(st))
-                    .collect::<Result<_, _>>()?,
-            ),
+            StmtKind::Block(v) => {
+                CStmt::Seq(v.iter().map(|st| self.stmt(st)).collect::<Result<_, _>>()?)
+            }
             StmtKind::VarDef {
                 name,
                 shape,
@@ -288,10 +286,7 @@ impl Lower {
                 let shape = self.indices(shape)?;
                 let t = self.new_tensor(name, *dtype);
                 let body = self.stmt(body)?;
-                self.tensor_scope
-                    .get_mut(name)
-                    .expect("just pushed")
-                    .pop();
+                self.tensor_scope.get_mut(name).expect("just pushed").pop();
                 CStmt::VarDef {
                     t,
                     id: s.id,
@@ -316,10 +311,7 @@ impl Lower {
                 self.prof_cur = prof;
                 let body = self.stmt(body)?;
                 self.prof_cur = saved;
-                self.scalar_scope
-                    .get_mut(iter)
-                    .expect("just pushed")
-                    .pop();
+                self.scalar_scope.get_mut(iter).expect("just pushed").pop();
                 CStmt::For {
                     s: s_slot,
                     begin,
@@ -432,7 +424,11 @@ pub(crate) fn compile(func: &Func) -> Result<Compiled, RuntimeError> {
         }],
         prof_cur: 0,
     };
-    let size_slots = func.size_params.iter().map(|sp| lw.new_scalar(sp)).collect();
+    let size_slots = func
+        .size_params
+        .iter()
+        .map(|sp| lw.new_scalar(sp))
+        .collect();
     let params = func
         .params
         .iter()
@@ -641,7 +637,11 @@ impl<'a> ExecCtx<'a> {
             CExpr::Load { t, idx } => {
                 let idx = self.eval_indices(idx)?;
                 let off = self.bounds_check(*t, &idx)?;
-                let v = self.tensors[*t].as_ref().expect("checked").val.get_flat(off);
+                let v = self.tensors[*t]
+                    .as_ref()
+                    .expect("checked")
+                    .val
+                    .get_flat(off);
                 self.record_access(*t, off);
                 v
             }
@@ -778,7 +778,11 @@ impl<'a> ExecCtx<'a> {
                 let idx = self.eval_indices(idx)?;
                 let v = self.eval(value)?;
                 let off = self.bounds_check(*t, &idx)?;
-                let old = self.tensors[*t].as_ref().expect("checked").val.get_flat(off);
+                let old = self.tensors[*t]
+                    .as_ref()
+                    .expect("checked")
+                    .val
+                    .get_flat(off);
                 self.record_access(*t, off);
                 // A float target or value made the value a float.
                 self.count_op(matches!(v, Scalar::Float(_)));

@@ -1,7 +1,7 @@
 //! Runtime tensor values.
 
-pub use ft_ir::Scalar;
 use ft_ir::DataType;
+pub use ft_ir::Scalar;
 use std::fmt;
 
 /// A dense, row-major tensor value (a scalar is a 0-D tensor with one
@@ -302,7 +302,9 @@ impl TensorVal {
 
     /// All elements as f64 (for comparisons in tests and harnesses).
     pub fn to_f64_vec(&self) -> Vec<f64> {
-        (0..self.numel()).map(|i| self.get_flat(i).as_f64()).collect()
+        (0..self.numel())
+            .map(|i| self.get_flat(i).as_f64())
+            .collect()
     }
 
     /// Maximum absolute elementwise difference to another tensor.

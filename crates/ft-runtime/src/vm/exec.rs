@@ -251,7 +251,11 @@ impl<'a> VmState<'a> {
     ) {
         let bound = resolved.bind(inputs, rctx);
         for ((slot, _), val) in c.params.iter().zip(bound) {
-            let val = if c.written[*slot] { Cow::Owned(val.into_owned()) } else { val };
+            let val = if c.written[*slot] {
+                Cow::Owned(val.into_owned())
+            } else {
+                val
+            };
             self.tensors[*slot] = Some(VmSlot::new(val));
         }
     }
@@ -266,7 +270,8 @@ impl<'a> VmState<'a> {
     }
 
     fn oob(&self, t: usize, index: Vec<i64>) -> RuntimeError {
-        let shape = self.slot(t)
+        let shape = self
+            .slot(t)
             .as_ref()
             .map(|vt| vt.val.shape().to_vec())
             .unwrap_or_default();
@@ -761,12 +766,20 @@ mod tests {
         let resolved = vm.resolve(&f, &szs).expect("resolves");
         let mut regions = 0;
         resolved.func().body.walk(&mut |s| {
-            if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+            if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel())
+            {
                 regions += 1;
             }
         });
-        let serialized = sink.decisions().into_iter().filter(|d| d.primitive == "lower.parallel");
-        assert_eq!(serialized.count(), 0, "fill, chunk loop and merge must all prove");
+        let serialized = sink
+            .decisions()
+            .into_iter()
+            .filter(|d| d.primitive == "lower.parallel");
+        assert_eq!(
+            serialized.count(),
+            0,
+            "fill, chunk loop and merge must all prove"
+        );
         assert!(regions >= 3, "{regions} regions");
         for _ in 1..20 {
             let again = vm.run(&f, &ins, &szs).expect("vm ok");

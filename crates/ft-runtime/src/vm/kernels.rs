@@ -54,7 +54,12 @@ impl Compiler {
     /// Strength-reduce one access for a vectorized loop and recover the
     /// stride register its induction latch would have advanced by.
     fn vec_access(&mut self, t: usize, idx: &[CExpr]) -> Option<VecAccess> {
-        let before = self.loops.last().expect("vectorize ctx pushed").latches.len();
+        let before = self
+            .loops
+            .last()
+            .expect("vectorize ctx pushed")
+            .latches
+            .len();
         let off = self.try_reduce(t, idx)?;
         let lp = self.loops.last().expect("vectorize ctx pushed");
         let stride = lp.latches[before..].iter().find_map(|i| match i {
@@ -108,7 +113,10 @@ impl Compiler {
         }
         let s = self.loops.last().expect("vectorize ctx pushed").s;
         let dtype = self.tdtype[t];
-        if let Some((dst, _)) = self.register(&E::Load { t, idx: idx.clone() }) {
+        if let Some((dst, _)) = self.register(&E::Load {
+            t,
+            idx: idx.clone(),
+        }) {
             return match value {
                 E::Binary {
                     op: BinaryOp::Mul,
@@ -185,7 +193,11 @@ impl Compiler {
         // A speculative loop context: accepted, its preheader feeds the
         // site; rejected, it is discarded whole (persist registers probed
         // into it leak, which `alloc_persist` documents as fine).
-        self.loops.push(LoopCtx { s, writes, ..LoopCtx::default() });
+        self.loops.push(LoopCtx {
+            s,
+            writes,
+            ..LoopCtx::default()
+        });
         let built = self.build_vec_kernel(inner);
         let ctx = self.loops.pop().expect("pushed above");
         match built {
@@ -353,7 +365,12 @@ impl VmState<'_> {
         let mut acc = self.rf(r);
         let (xv, yv) = (self.slot(xt).as_ref(), self.slot(yt).as_ref());
         let (xo, yo) = (xb as usize, yb as usize);
-        match (lane, dtype, xv.map(|v| &v.val.data), yv.map(|v| &v.val.data)) {
+        match (
+            lane,
+            dtype,
+            xv.map(|v| &v.val.data),
+            yv.map(|v| &v.val.data),
+        ) {
             (true, DataType::F32, Some(Data::F32(sx)), Some(Data::F32(sy))) => {
                 acc = lanes::dot_f32(acc as f32, &sx[xo..xo + trip], &sy[yo..yo + trip]) as f64;
             }
@@ -364,7 +381,8 @@ impl VmState<'_> {
             _ => {
                 let (mut ox, mut oy) = (xb, yb);
                 for _ in 0..trip {
-                    let p = self.load_flat_val(xt, ox)?.as_f64() * self.load_flat_val(yt, oy)?.as_f64();
+                    let p =
+                        self.load_flat_val(xt, ox)?.as_f64() * self.load_flat_val(yt, oy)?.as_f64();
                     acc = scalar::cast(dtype, Scalar::Float(acc + p)).as_f64();
                     ox = ox.wrapping_add(xs);
                     oy = oy.wrapping_add(ys);
@@ -405,7 +423,13 @@ mod tests {
             .size_param("n")
             .body(block([
                 // Serial: an invariant store.
-                for_with("i", 0, var("n"), vec.clone(), store("yf", [var("i")], 1.25f32)),
+                for_with(
+                    "i",
+                    0,
+                    var("n"),
+                    vec.clone(),
+                    store("yf", [var("i")], 1.25f32),
+                ),
                 // Serial: a stride-1 copy.
                 for_with(
                     "i",
@@ -554,12 +578,7 @@ mod tests {
                     0,
                     16,
                     vec.clone(),
-                    for_(
-                        "j",
-                        0,
-                        4,
-                        store("a", [var("i") * 4 + var("j")], 1.0f32),
-                    ),
+                    for_("j", 0, 4, store("a", [var("i") * 4 + var("j")], 1.0f32)),
                 ),
                 // conditional_body
                 for_with(
@@ -567,7 +586,10 @@ mod tests {
                     0,
                     16,
                     vec.clone(),
-                    if_(var("i").lt(8), store("b", [var("i")], load("x", [var("i")]))),
+                    if_(
+                        var("i").lt(8),
+                        store("b", [var("i")], load("x", [var("i")])),
+                    ),
                 ),
                 // vardef_body
                 for_with(

@@ -90,9 +90,7 @@ pub(super) fn contains_scalar(e: &CExpr, s: usize) -> bool {
             cond,
             then,
             otherwise,
-        } => {
-            contains_scalar(cond, s) || contains_scalar(then, s) || contains_scalar(otherwise, s)
-        }
+        } => contains_scalar(cond, s) || contains_scalar(then, s) || contains_scalar(otherwise, s),
         E::Cast { a, .. } => contains_scalar(a, s),
     }
 }
@@ -204,8 +202,8 @@ impl Compiler {
     /// iteration (no conversion or comparison, so every leaf is an
     /// integer); without, a value of every iteration (no iterator `s`).
     pub(super) fn speculable(&self, e: &CExpr, s: usize, int: bool) -> bool {
-        use CExpr as E;
         use BinaryOp::*;
+        use CExpr as E;
         match e {
             E::Const(_) => true,
             E::Scalar(x) => int || *x != s,
@@ -234,8 +232,8 @@ impl Compiler {
     /// Whether `e` (already known [`speculable`](Compiler::speculable) as
     /// an integer) is an affine function of scalar slot `s`.
     fn linear_in(&self, e: &CExpr, s: usize) -> bool {
-        use CExpr as E;
         use BinaryOp::*;
+        use CExpr as E;
         match e {
             E::Const(_) | E::Scalar(_) | E::Load { .. } => true,
             E::Unary { op, a, .. } => match op {
@@ -276,7 +274,10 @@ impl Compiler {
         // they must not fault: integer arithmetic on scalars and registers.
         // A gathered row (`e[adj[i, j], c]`) reads a register here, which
         // `ft_codegen::lower_scalar` loaded in front of the loop.
-        if !idx.iter().all(|e| self.speculable(e, s, true) && self.linear_in(e, s)) {
+        if !idx
+            .iter()
+            .all(|e| self.speculable(e, s, true) && self.linear_in(e, s))
+        {
             return None;
         }
         let varying = idx.iter().any(|e| contains_scalar(e, s));
@@ -491,7 +492,12 @@ impl Compiler {
         let off = flat.unwrap_or_else(|| {
             let (off, ndim) = (self.alloc_tmp(), idx.len() as u8);
             let idx = blk.expect("no flat offset");
-            self.emit(Instr::Off { t: tu, idx, ndim, dst: off });
+            self.emit(Instr::Off {
+                t: tu,
+                idx,
+                ndim,
+                dst: off,
+            });
             off
         });
         let mut op = op;
@@ -500,8 +506,16 @@ impl Compiler {
             // integer, say): read, combine, and store the result.
             let old = self.alloc_tmp();
             self.emit(match flat {
-                Some(_) => Instr::LoadFlat { t: tu, off, dst: old },
-                None => Instr::LoadT { t: tu, off, dst: old },
+                Some(_) => Instr::LoadFlat {
+                    t: tu,
+                    off,
+                    dst: old,
+                },
+                None => Instr::LoadT {
+                    t: tu,
+                    off,
+                    dst: old,
+                },
             });
             let m = self.mark();
             let v = self.combine(t, old, op.take(), v, m);
@@ -511,8 +525,18 @@ impl Compiler {
         self.emit(match (flat, op) {
             (Some(_), None) => Instr::StoreFlat { t: tu, off, src },
             (None, None) => Instr::StoreT { t: tu, off, src },
-            (Some(_), Some(op)) => Instr::ReduceFlat { t: tu, off, src, op },
-            (None, Some(op)) => Instr::ReduceT { t: tu, off, src, op },
+            (Some(_), Some(op)) => Instr::ReduceFlat {
+                t: tu,
+                off,
+                src,
+                op,
+            },
+            (None, Some(op)) => Instr::ReduceT {
+                t: tu,
+                off,
+                src,
+                op,
+            },
         });
         self.free_to(mark);
     }
@@ -698,7 +722,11 @@ impl Compiler {
         }
         let mut writes = std::collections::HashSet::new();
         collect_writes(body, &mut writes);
-        self.loops.push(LoopCtx { s, writes, ..LoopCtx::default() });
+        self.loops.push(LoopCtx {
+            s,
+            writes,
+            ..LoopCtx::default()
+        });
         let mut body_buf = Vec::new();
         std::mem::swap(&mut self.buf, &mut body_buf);
         self.stmt(body);
@@ -826,12 +854,7 @@ mod tests {
                     var("n"),
                     store("y", [var("i")], load("x", [var("i") * 3 + 1])),
                 ),
-                for_(
-                    "k",
-                    5,
-                    2,
-                    store("y", [var("k")], 9.0f32),
-                ),
+                for_("k", 5, 2, store("y", [var("k")], 9.0f32)),
             ]));
         let x = TensorVal::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0]);
         let r = assert_parity(&f, &[("x", x.clone())], &[("n", 0)]);
@@ -855,11 +878,15 @@ mod tests {
         let c = crate::slots::compile(&affine).unwrap();
         let prog = compile_program(&c);
         assert!(
-            prog.code.iter().any(|i| matches!(i, Instr::LoadFlat { .. })),
+            prog.code
+                .iter()
+                .any(|i| matches!(i, Instr::LoadFlat { .. })),
             "affine load should strength-reduce"
         );
         assert!(
-            prog.code.iter().any(|i| matches!(i, Instr::StoreFlat { .. })),
+            prog.code
+                .iter()
+                .any(|i| matches!(i, Instr::StoreFlat { .. })),
             "affine store should strength-reduce"
         );
 
@@ -925,10 +952,7 @@ mod tests {
                             load("e", [load("adj", [var("i"), var("j")]), var("c")])
                                 + load(
                                     "e",
-                                    [
-                                        load("adj", [var("i"), (var("j") + 1) % 3]),
-                                        var("c"),
-                                    ],
+                                    [load("adj", [var("i"), (var("j") + 1) % 3]), var("c")],
                                 ),
                         ),
                     ),
@@ -965,8 +989,8 @@ mod tests {
         for j in 0..3 {
             let r0 = adj.get_flat(2 * 3 + j).as_i64() as usize;
             let r1 = adj.get_flat(2 * 3 + (j + 1) % 3).as_i64() as usize;
-            expect += e.get_flat(r0 * ch + 5).as_f64() as f32
-                + e.get_flat(r1 * ch + 5).as_f64() as f32;
+            expect +=
+                e.get_flat(r0 * ch + 5).as_f64() as f32 + e.get_flat(r1 * ch + 5).as_f64() as f32;
         }
         assert_eq!(r.output("y").get_flat(2 * ch + 5).as_f64(), expect as f64);
     }
@@ -1043,7 +1067,10 @@ mod tests {
                     ]),
                 ),
             ));
-        assert!(matches!(ft_codegen::lower_scalar(&f), std::borrow::Cow::Borrowed(_)));
+        assert!(matches!(
+            ft_codegen::lower_scalar(&f),
+            std::borrow::Cow::Borrowed(_)
+        ));
         let r = assert_parity(&f, &[], &[]);
         // Running sums 0,1,3,6,... — a stale hoisted load would repeat 0.
         assert_eq!(

@@ -77,13 +77,13 @@ use lower::*;
 
 use crate::arena::{RunContext, TensorPool};
 use crate::bind::Resolved;
-use crate::slots::{CExpr, CStmt, Compiled};
 use crate::counters::PerfCounters;
 use crate::engine::{Backend, ExecutionEngine, Telemetry};
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::libkernel::matmul_checked;
 use crate::pool::{grain_for, WorkerPool};
+use crate::slots::{CExpr, CStmt, Compiled};
 use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::scalar::{self, Kind};
 use ft_ir::{BinaryOp, DataType, ParallelScope, ReduceOp, StmtId, UnaryOp};
@@ -97,73 +97,209 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum Instr {
     /// A constant, as its register holds it.
-    Const { dst: u32, bits: u64 },
-    Mov { dst: u32, src: u32 },
+    Const {
+        dst: u32,
+        bits: u64,
+    },
+    Mov {
+        dst: u32,
+        src: u32,
+    },
     /// `dst += v` (wrapping). Loop increment and preheader probe.
-    AddImmI { dst: u32, v: i64 },
+    AddImmI {
+        dst: u32,
+        v: i64,
+    },
 
     /// The operators that are the machine's own — integer `+ - *`, float
     /// `+ - * /` — each under an opcode of its own. Induction latches and
     /// the bulk of every loop body are these seven, and a second dispatch
     /// on the operator cost the four workloads 25–45 % (EXPERIMENTS.md).
     /// Their arms still call the table, with the operator a constant.
-    AddI { dst: u32, a: u32, b: u32 },
-    SubI { dst: u32, a: u32, b: u32 },
-    MulI { dst: u32, a: u32, b: u32 },
-    AddF { dst: u32, a: u32, b: u32 },
-    SubF { dst: u32, a: u32, b: u32 },
-    MulF { dst: u32, a: u32, b: u32 },
-    DivF { dst: u32, a: u32, b: u32 },
+    AddI {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    SubI {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    MulI {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    AddF {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    SubF {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    MulF {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    DivF {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// The other integer operators, `Div`..`Max`, by [`scalar::int_binary`]
     /// (floor `Div`/`Mod`; a zero divisor is the run's `DivisionByZero`).
-    BinI { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    BinI {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// The other float operators, `Mod`..`Pow`, by [`scalar::float_binary`].
-    BinF { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    BinF {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// `And`/`Or` by [`scalar::logic`].
-    BinB { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    BinB {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// A comparison of two `Int`s, exact ([`scalar::compare`]).
-    CmpI { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    CmpI {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// A comparison of any other pair, both converted to `f64`.
-    CmpF { op: BinaryOp, dst: u32, a: u32, b: u32 },
+    CmpF {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
     /// Integer `Neg`/`Abs`/`Sign` by [`scalar::int_unary`].
-    UnI { op: UnaryOp, dst: u32, a: u32 },
+    UnI {
+        op: UnaryOp,
+        dst: u32,
+        a: u32,
+    },
     /// Every float unary by [`scalar::float_unary`].
-    UnF { op: UnaryOp, dst: u32, a: u32 },
-    Not { dst: u32, a: u32 },
+    UnF {
+        op: UnaryOp,
+        dst: u32,
+        a: u32,
+    },
+    Not {
+        dst: u32,
+        a: u32,
+    },
     /// [`scalar::cast`] of a register of kind `from` to `to`.
-    Cast { to: DataType, from: Kind, dst: u32, a: u32 },
+    Cast {
+        to: DataType,
+        from: Kind,
+        dst: u32,
+        a: u32,
+    },
 
-    Jmp { to: u32 },
-    BrFalse { cond: u32, to: u32 },
+    Jmp {
+        to: u32,
+    },
+    BrFalse {
+        cond: u32,
+        to: u32,
+    },
     /// Loop guard: jump if `regs[a] >= regs[b]` (as `i64`).
-    BrGeI { a: u32, b: u32, to: u32 },
+    BrGeI {
+        a: u32,
+        b: u32,
+        to: u32,
+    },
 
     /// Row-major fold of `ndim` index registers starting at `idx`, with
     /// per-dimension bounds checks (the interpreter's `bounds_check`).
-    Off { t: u32, idx: u32, ndim: u8, dst: u32 },
+    Off {
+        t: u32,
+        idx: u32,
+        ndim: u8,
+        dst: u32,
+    },
     /// Same fold, wrapping and unchecked — preheader stride probes only.
-    OffRaw { t: u32, idx: u32, ndim: u8, dst: u32 },
-    LoadT { t: u32, off: u32, dst: u32 },
+    OffRaw {
+        t: u32,
+        idx: u32,
+        ndim: u8,
+        dst: u32,
+    },
+    LoadT {
+        t: u32,
+        off: u32,
+        dst: u32,
+    },
     /// Strength-reduced load: flat offset checked against `numel` only.
-    LoadFlat { t: u32, off: u32, dst: u32 },
+    LoadFlat {
+        t: u32,
+        off: u32,
+        dst: u32,
+    },
     /// Stores and reductions of a register of the tensor's kind.
-    StoreT { t: u32, off: u32, src: u32 },
-    StoreFlat { t: u32, off: u32, src: u32 },
-    ReduceT { t: u32, off: u32, src: u32, op: ReduceOp },
-    ReduceFlat { t: u32, off: u32, src: u32, op: ReduceOp },
+    StoreT {
+        t: u32,
+        off: u32,
+        src: u32,
+    },
+    StoreFlat {
+        t: u32,
+        off: u32,
+        src: u32,
+    },
+    ReduceT {
+        t: u32,
+        off: u32,
+        src: u32,
+        op: ReduceOp,
+    },
+    ReduceFlat {
+        t: u32,
+        off: u32,
+        src: u32,
+        op: ReduceOp,
+    },
 
     /// The `VarDef` of slot `t` ([`VmProgram::defs`] names its statement).
-    Alloc { t: u32, shape: u32, ndim: u8, dtype: DataType },
-    Free { t: u32 },
-    LibCall { id: u32 },
+    Alloc {
+        t: u32,
+        shape: u32,
+        ndim: u8,
+        dtype: DataType,
+    },
+    Free {
+        t: u32,
+    },
+    LibCall {
+        id: u32,
+    },
 
     /// A whole innermost `vectorize`-marked `axpy` or `dot` loop fused into
     /// one wide kernel dispatch ([`VecSite`]). Carries no jump targets, so it
     /// relocates freely inside enclosing loop bodies.
-    VecLoop { site: u32 },
+    VecLoop {
+        site: u32,
+    },
     /// A whole `OpenMp` loop run as a fork-join region on the
     /// persistent worker pool ([`ParSite`]).
-    ParRegion { site: u32 },
+    ParRegion {
+        site: u32,
+    },
     Halt,
 }
 
@@ -331,8 +467,7 @@ impl Backend for VmRuntime {
         let func = resolved.func();
         let compiled = crate::slots::compile(func)?;
         let prog = compile_program(&compiled);
-        let _span =
-            sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
+        let _span = sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("vm {}", func.name)));
         let mut st = VmState {
             names: &compiled.tensor_names,
             regs: vec![0; prog.n_regs],
@@ -385,7 +520,11 @@ impl Backend for VmRuntime {
         exec_r?;
         let outputs = resolved.outputs(inputs, |i| {
             let slot = compiled.params[i].0;
-            st.tensors[slot].take().expect("params stay live").val.into_owned()
+            st.tensors[slot]
+                .take()
+                .expect("params stay live")
+                .val
+                .into_owned()
         });
         Ok(RunResult {
             outputs,
@@ -429,7 +568,11 @@ mod tests {
         let ri = Runtime::new().run(&lowered, &ins, &szs).expect("interp ok");
         let rv = VmRuntime::new().run(f, &ins, &szs).expect("vm ok");
         assert_eq!(ri.outputs, rv.outputs, "vm outputs differ");
-        assert_eq!(rv.counters, PerfCounters::default(), "the vm must not count");
+        assert_eq!(
+            rv.counters,
+            PerfCounters::default(),
+            "the vm must not count"
+        );
         ri
     }
 

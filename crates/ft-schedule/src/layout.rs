@@ -19,10 +19,7 @@ impl Mutator for RewriteIdx<'_> {
     fn mutate_expr(&mut self, e: Expr) -> Expr {
         match e {
             Expr::Load { var, indices } if var == self.var => {
-                let indices = indices
-                    .into_iter()
-                    .map(|i| self.mutate_expr(i))
-                    .collect();
+                let indices = indices.into_iter().map(|i| self.mutate_expr(i)).collect();
                 Expr::Load {
                     var,
                     indices: (self.f)(indices),
@@ -124,12 +121,7 @@ impl Schedule {
     ///
     /// [`ScheduleError::NotFound`] for parameters/unknown tensors;
     /// [`ScheduleError::Unsupported`] for a bad dimension or factor.
-    pub fn var_split(
-        &mut self,
-        var: &str,
-        dim: usize,
-        factor: i64,
-    ) -> Result<(), ScheduleError> {
+    pub fn var_split(&mut self, var: &str, dim: usize, factor: i64) -> Result<(), ScheduleError> {
         let args = self
             .tracing()
             .then(|| format!("(\"{var}\", {dim}, {factor})"));

@@ -1,10 +1,12 @@
 //! Loop transformations: `split`, `merge`, `reorder`, `fission`, `fuse`,
 //! `swap` (paper Table 1, "Loop").
 
-use crate::util::{as_for_ref, extent, peel, peel_into};
 use crate::trace::ScheduleOp;
+use crate::util::{as_for_ref, extent, peel, peel_into};
 use crate::{Schedule, ScheduleError};
-use ft_analysis::deps::{fission_illegal, fuse_illegal, reorder_illegal, swap_illegal, subtree_ids};
+use ft_analysis::deps::{
+    fission_illegal, fuse_illegal, reorder_illegal, subtree_ids, swap_illegal,
+};
 use ft_ir::find::Selector;
 use ft_ir::mutate::subst_var_stmt;
 use ft_ir::{Expr, Stmt, StmtId, StmtKind};
@@ -53,7 +55,8 @@ impl Schedule {
         let inner_name = format!("{iter}.1");
         // i := begin + i.0 * factor + i.1
         let recon = const_fold_expr(
-            p.begin.clone() + ft_ir::builder::var(&outer_name) * factor
+            p.begin.clone()
+                + ft_ir::builder::var(&outer_name) * factor
                 + ft_ir::builder::var(&inner_name),
         );
         let guard = (!exact).then(|| recon.clone().lt(p.end.clone()));
@@ -133,7 +136,11 @@ impl Schedule {
         let j_val = const_fold_expr(pi.begin.clone() + m.rem(ext_i.clone()));
         self.rewrite(outer_id, |mut s| {
             let StmtKind::For {
-                iter, begin, end, body, ..
+                iter,
+                begin,
+                end,
+                body,
+                ..
             } = &mut s.kind
             else {
                 unreachable!("checked above")
@@ -278,24 +285,18 @@ impl Schedule {
                 "fission needs a multi-statement loop body".to_string(),
             ));
         };
-        let cut = items
-            .iter()
-            .position(|s| s.id == after_id)
-            .ok_or_else(|| {
-                ScheduleError::Unsupported(
-                    "fission boundary must be a direct child of the loop body".to_string(),
-                )
-            })?
-            + 1;
+        let cut = items.iter().position(|s| s.id == after_id).ok_or_else(|| {
+            ScheduleError::Unsupported(
+                "fission boundary must be a direct child of the loop body".to_string(),
+            )
+        })? + 1;
         if cut == items.len() {
             return Err(ScheduleError::Unsupported(
                 "fission boundary is already the end of the body".to_string(),
             ));
         }
-        let first_ids: std::collections::HashSet<StmtId> = items[..cut]
-            .iter()
-            .flat_map(subtree_ids)
-            .collect();
+        let first_ids: std::collections::HashSet<StmtId> =
+            items[..cut].iter().flat_map(subtree_ids).collect();
         let iter = p.iter.to_string();
         if let Some(v) = fission_illegal(self.func(), id, &|id| first_ids.contains(&id)) {
             self.note_deps(&v.deps);
@@ -371,9 +372,7 @@ impl Schedule {
             matches!(&s.kind, StmtKind::Block(v)
                 if v.iter().any(|x| x.id == id1) && v.iter().any(|x| x.id == id2))
         })
-        .ok_or_else(|| {
-            ScheduleError::Unsupported("loops to fuse must be siblings".to_string())
-        })?;
+        .ok_or_else(|| ScheduleError::Unsupported("loops to fuse must be siblings".to_string()))?;
         let StmtKind::Block(items) = &parent.kind else {
             unreachable!()
         };
@@ -392,9 +391,8 @@ impl Schedule {
             )));
         }
         // Second body re-indexed onto the first iterator (paper's "+w" shift).
-        let shifted = const_fold_expr(
-            ft_ir::builder::var(p1.iter) - p1.begin.clone() + p2.begin.clone(),
-        );
+        let shifted =
+            const_fold_expr(ft_ir::builder::var(p1.iter) - p1.begin.clone() + p2.begin.clone());
         let iter2 = p2.iter.to_string();
         let parent_id = parent.id;
         if let Some(v) = fuse_illegal(self.func(), id1, id2) {

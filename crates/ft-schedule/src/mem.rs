@@ -8,8 +8,8 @@ use ft_analysis::to_linexpr;
 use ft_ir::find::Selector;
 use ft_ir::mutate::{bound_names, fresh_name, mutate_expr_walk, mutate_stmt_walk};
 use ft_ir::{DataType, Expr, MemType, Mutator, ReduceOp, Stmt, StmtId, StmtKind};
-use ft_poly::LinExpr;
 use ft_passes::const_fold_expr;
+use ft_poly::LinExpr;
 
 pub use ft_analysis::linexpr_to_expr;
 
@@ -120,10 +120,7 @@ impl Mutator for RemapAccess<'_> {
     fn mutate_expr(&mut self, e: Expr) -> Expr {
         match e {
             Expr::Load { var, indices } if var == self.from => {
-                let mapped: Vec<Expr> = indices
-                    .into_iter()
-                    .map(|i| self.mutate_expr(i))
-                    .collect();
+                let mapped: Vec<Expr> = indices.into_iter().map(|i| self.mutate_expr(i)).collect();
                 Expr::Load {
                     var: self.to.to_string(),
                     indices: self.remap(mapped),
@@ -232,7 +229,10 @@ impl Schedule {
         // Loops inside (and including) the scope are eliminated.
         let mut eliminate: Vec<String> = Vec::new();
         scope.walk(&mut |s| {
-            if let StmtKind::For { iter, begin, end, .. } = &s.kind {
+            if let StmtKind::For {
+                iter, begin, end, ..
+            } = &s.kind
+            {
                 eliminate.push(iter.clone());
                 if let (Some(lo), Some(hi)) = (to_linexpr(begin), to_linexpr(end)) {
                     if !ctx.contains(iter) {
@@ -260,14 +260,10 @@ impl Schedule {
                         if all.iter().all(|l| l.is_constant()) {
                             SymBounds {
                                 lower: LinExpr::constant(
-                                    prev.lower
-                                        .constant_term()
-                                        .min(b.lower.constant_term()),
+                                    prev.lower.constant_term().min(b.lower.constant_term()),
                                 ),
                                 upper: LinExpr::constant(
-                                    prev.upper
-                                        .constant_term()
-                                        .max(b.upper.constant_term()),
+                                    prev.upper.constant_term().max(b.upper.constant_term()),
                                 ),
                             }
                         } else {
@@ -283,7 +279,6 @@ impl Schedule {
         }
         Ok(dims)
     }
-
 
     /// Offsets and extents of the cached region, clamped to the tensor's
     /// declared bounds — guarded accesses may have rectangular hulls that
@@ -304,14 +299,8 @@ impl Schedule {
         if let Some(nest) = ft_ir::find::loop_nest_of(&self.func().body, scope.id) {
             for l in &nest.loops {
                 if let (Some(lo), Some(hi)) = (to_linexpr(l.begin), to_linexpr(l.end)) {
-                    domain.push(ft_poly::Constraint::ge(
-                        LinExpr::var(l.iter),
-                        lo,
-                    ));
-                    domain.push(ft_poly::Constraint::lt(
-                        LinExpr::var(l.iter),
-                        hi,
-                    ));
+                    domain.push(ft_poly::Constraint::ge(LinExpr::var(l.iter), lo));
+                    domain.push(ft_poly::Constraint::lt(LinExpr::var(l.iter), hi));
                 }
             }
         }
@@ -324,7 +313,10 @@ impl Schedule {
             // tensor, and the fill/write-back loops run unguarded.
             let mut lower_safe = {
                 let mut sys = domain.clone();
-                sys.push(ft_poly::Constraint::lt(b.lower.clone(), LinExpr::constant(0)));
+                sys.push(ft_poly::Constraint::lt(
+                    b.lower.clone(),
+                    LinExpr::constant(0),
+                ));
                 provably(sys)
             };
             let mut upper_safe = false;
@@ -351,9 +343,7 @@ impl Schedule {
             };
             let ext = if lower_safe && upper_safe {
                 // Affine difference folds symbolically: (i+m-1) - i + 1 = m.
-                const_fold_expr(
-                    linexpr_to_expr(&(b.upper.clone() - b.lower.clone())) + 1,
-                )
+                const_fold_expr(linexpr_to_expr(&(b.upper.clone() - b.lower.clone())) + 1)
             } else {
                 const_fold_expr((hi - lo.clone() + 1).max(0))
             };
@@ -451,7 +441,11 @@ impl Schedule {
                 offsets: &offsets,
             }
             .mutate_stmt(scope);
-            let seq = fill.into_iter().chain([rewritten]).chain(writeback).collect();
+            let seq = fill
+                .into_iter()
+                .chain([rewritten])
+                .chain(writeback)
+                .collect();
             let seq = Stmt::new(StmtKind::Block(seq));
             ft_ir::builder::var_def(&cache_name, extents, dtype, mtype, seq)
         })?;
@@ -587,11 +581,7 @@ impl Schedule {
 
 /// `for c0 in 0..e0: ... for ck: body([c0..ck])`, or just `body([])` for
 /// scalars.
-fn build_copy_nest(
-    iters: &[String],
-    extents: &[Expr],
-    body: impl FnOnce(&[Expr]) -> Stmt,
-) -> Stmt {
+fn build_copy_nest(iters: &[String], extents: &[Expr], body: impl FnOnce(&[Expr]) -> Stmt) -> Stmt {
     let ivs: Vec<Expr> = iters.iter().map(ft_ir::builder::var).collect();
     let mut s = body(&ivs);
     for (it, ext) in iters.iter().zip(extents).rev() {

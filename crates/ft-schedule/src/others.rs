@@ -32,7 +32,9 @@ impl Schedule {
     pub fn as_lib(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self.loop_pos(&sel).map(|loop_idx| ScheduleOp::AsLib { loop_idx });
+        let op = self
+            .loop_pos(&sel)
+            .map(|loop_idx| ScheduleOp::AsLib { loop_idx });
         let r = self.as_lib_impl(sel);
         self.note_op(op, &r);
         self.record("as_lib", args, &r);
@@ -96,8 +98,16 @@ impl Schedule {
         else {
             return Err(unsup("innermost value is not a product"));
         };
-        let (Expr::Load { var: av, indices: ai }, Expr::Load { var: bv, indices: bi }) =
-            (a.as_ref(), b.as_ref())
+        let (
+            Expr::Load {
+                var: av,
+                indices: ai,
+            },
+            Expr::Load {
+                var: bv,
+                indices: bi,
+            },
+        ) = (a.as_ref(), b.as_ref())
         else {
             return Err(unsup("product operands must be loads"));
         };

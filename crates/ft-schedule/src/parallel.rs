@@ -114,7 +114,9 @@ impl Schedule {
     pub fn unroll(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self.loop_pos(&sel).map(|loop_idx| ScheduleOp::Unroll { loop_idx });
+        let op = self
+            .loop_pos(&sel)
+            .map(|loop_idx| ScheduleOp::Unroll { loop_idx });
         let r = self.unroll_impl(sel);
         self.note_op(op, &r);
         self.record("unroll", args, &r);
@@ -230,7 +232,9 @@ impl Schedule {
     pub fn vectorize(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self.loop_pos(&sel).map(|loop_idx| ScheduleOp::Vectorize { loop_idx });
+        let op = self
+            .loop_pos(&sel)
+            .map(|loop_idx| ScheduleOp::Vectorize { loop_idx });
         let r = self.vectorize_impl(sel);
         self.note_op(op, &r);
         self.record("vectorize", args, &r);

@@ -284,9 +284,7 @@ impl ScheduleOp {
                     return Err(structural("def is not CPU-heap resident"));
                 }
                 match def_const_elems(sched.func(), &var) {
-                    Some(e) if e <= SET_MTYPE_MAX_ELEMS => {
-                        sched.set_mtype(&var, MemType::CpuStack)
-                    }
+                    Some(e) if e <= SET_MTYPE_MAX_ELEMS => sched.set_mtype(&var, MemType::CpuStack),
                     Some(_) => Err(structural("tensor too large for stack placement")),
                     None => Err(structural("tensor size is not a compile-time constant")),
                 }
@@ -484,29 +482,36 @@ mod tests {
         Func::new("f")
             .param("x", [64], DataType::F32, AccessType::Input)
             .param("y", [64], DataType::F32, AccessType::Output)
-            .body(block([
-                var_def(
-                    "t",
-                    [8],
-                    DataType::F32,
-                    MemType::CpuHeap,
-                    block([
-                        store("t", [0], 1.0f32),
-                        for_("i", 0, 64, store("y", [var("i")], load("x", [var("i")]) * 2.0f32)),
-                    ]),
-                ),
-            ]))
+            .body(block([var_def(
+                "t",
+                [8],
+                DataType::F32,
+                MemType::CpuHeap,
+                block([
+                    store("t", [0], 1.0f32),
+                    for_(
+                        "i",
+                        0,
+                        64,
+                        store("y", [var("i")], load("x", [var("i")]) * 2.0f32),
+                    ),
+                ]),
+            )]))
     }
 
     #[test]
     fn set_mtype_promotes_small_heap_defs_only() {
         let f = two_nests();
         let mut sched = Schedule::new(f.clone());
-        ScheduleOp::SetMtype { def_idx: 0 }.apply(&mut sched).unwrap();
+        ScheduleOp::SetMtype { def_idx: 0 }
+            .apply(&mut sched)
+            .unwrap();
         let defs = vardefs_of(sched.func());
         assert_eq!(def_mtype(sched.func(), &defs[0]), Some(MemType::CpuStack));
         // A second promotion is rejected: the def is no longer heap-resident.
-        assert!(ScheduleOp::SetMtype { def_idx: 0 }.apply(&mut sched).is_err());
+        assert!(ScheduleOp::SetMtype { def_idx: 0 }
+            .apply(&mut sched)
+            .is_err());
     }
 
     #[test]
@@ -524,20 +529,31 @@ mod tests {
                 ]),
             ));
         let mut sched = Schedule::new(f);
-        assert!(ScheduleOp::SetMtype { def_idx: 0 }.apply(&mut sched).is_err());
+        assert!(ScheduleOp::SetMtype { def_idx: 0 }
+            .apply(&mut sched)
+            .is_err());
     }
 
     #[test]
     fn trace_json_roundtrips_every_op() {
         let trace = vec![
-            ScheduleOp::Split { loop_idx: 3, factor: 8 },
+            ScheduleOp::Split {
+                loop_idx: 3,
+                factor: 8,
+            },
             ScheduleOp::Merge { loop_idx: 1 },
             ScheduleOp::Reorder { loop_idx: 0 },
-            ScheduleOp::Fuse { first_idx: 2, second_idx: 5 },
+            ScheduleOp::Fuse {
+                first_idx: 2,
+                second_idx: 5,
+            },
             ScheduleOp::Parallelize { loop_idx: 4 },
             ScheduleOp::Vectorize { loop_idx: 6 },
             ScheduleOp::Unroll { loop_idx: 7 },
-            ScheduleOp::Cache { loop_idx: 1, param_idx: 2 },
+            ScheduleOp::Cache {
+                loop_idx: 1,
+                param_idx: 2,
+            },
             ScheduleOp::SeparateTail { loop_idx: 9 },
             ScheduleOp::SetMtype { def_idx: 1 },
             ScheduleOp::AsLib { loop_idx: 2 },

@@ -45,9 +45,11 @@ pub fn peel(s: &Stmt) -> &Stmt {
 /// [`peel`] by value: the statement a body consists of, moved out.
 pub fn peel_into(s: Stmt) -> Stmt {
     match s.kind {
-        StmtKind::Block(v) if v.iter().filter(|st| !st.is_empty()).count() == 1 => {
-            peel_into(v.into_iter().find(|st| !st.is_empty()).expect("one non-empty"))
-        }
+        StmtKind::Block(v) if v.iter().filter(|st| !st.is_empty()).count() == 1 => peel_into(
+            v.into_iter()
+                .find(|st| !st.is_empty())
+                .expect("one non-empty"),
+        ),
         kind => Stmt { kind, ..s },
     }
 }
@@ -127,7 +129,11 @@ mod tests {
         });
         assert_eq!(stores, 1);
         let before = tree.clone();
-        assert!(!replace_by_id(&mut tree, StmtId(u64::MAX), |_| unreachable!("absent")));
+        assert!(!replace_by_id(
+            &mut tree,
+            StmtId(u64::MAX),
+            |_| unreachable!("absent")
+        ));
         assert_eq!(tree, before);
     }
 

@@ -16,11 +16,7 @@ fn scan_func() -> Func {
             "i",
             1,
             1024,
-            store(
-                "y",
-                [var("i")],
-                load("y", [var("i") - 1]) * 2.0f32,
-            ),
+            store("y", [var("i")], load("y", [var("i") - 1]) * 2.0f32),
         ))
 }
 
@@ -44,7 +40,11 @@ fn rejected_parallelize_logs_the_exact_founddep() {
     let d = &decisions[0];
     assert_eq!(d.primitive, "parallelize");
     assert_eq!(d.verdict, Verdict::Rejected);
-    assert!(d.args.contains('i'), "args should name the loop: {}", d.args);
+    assert!(
+        d.args.contains('i'),
+        "args should name the loop: {}",
+        d.args
+    );
     assert!(d.reason.as_deref().unwrap_or("").contains("dependence"));
     // The logged deps are exactly what loop_carried_deps reported.
     assert_eq!(

@@ -69,12 +69,9 @@ fn subject() -> Func {
 fn run(func: &Func) -> (Vec<f64>, f64, Vec<f64>) {
     let x = TensorVal::from_f32(&[24], (0..24).map(|k| (k as f32 * 0.41).cos()).collect());
     let rec = TensorVal::from_f32(&[25], vec![0.3; 25]);
-    let inputs: HashMap<String, TensorVal> = [
-        ("x".to_string(), x),
-        ("rec".to_string(), rec),
-    ]
-    .into_iter()
-    .collect();
+    let inputs: HashMap<String, TensorVal> = [("x".to_string(), x), ("rec".to_string(), rec)]
+        .into_iter()
+        .collect();
     let r = Runtime::new()
         .run(func, &inputs, &HashMap::new())
         .unwrap_or_else(|e| panic!("run failed: {e}\n{func}"));
@@ -109,7 +106,10 @@ enum Move {
 fn arb_move() -> impl Strategy<Value = Move> {
     let idx = 0usize..64;
     prop_oneof![
-        (idx.clone(), prop_oneof![Just(2i64), Just(3), Just(5), Just(8)])
+        (
+            idx.clone(),
+            prop_oneof![Just(2i64), Just(3), Just(5), Just(8)]
+        )
             .prop_map(|(l, f)| Move::Split(l, f)),
         idx.clone().prop_map(Move::Parallelize),
         idx.clone().prop_map(Move::Vectorize),

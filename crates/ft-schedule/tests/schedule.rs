@@ -220,10 +220,7 @@ fn fission_splits_loop_bodies() {
             "i",
             0,
             8,
-            block([
-                s1,
-                store("y", [var("i")], load("t", [var("i")]) + 1.0f32),
-            ]),
+            block([s1, store("y", [var("i")], load("t", [var("i")]) + 1.0f32)]),
         ));
     let mut s = Schedule::new(f.clone());
     let (l1, l2) = s.fission("i", s1_id).unwrap();
@@ -263,8 +260,18 @@ fn fuse_elementwise_loops() {
         .param("t", [8], DataType::F32, AccessType::Output)
         .param("y", [8], DataType::F32, AccessType::Output)
         .body(block([
-            for_("i", 0, 8, store("t", [var("i")], load("x", [var("i")]) * 2.0f32)),
-            for_("j", 0, 8, store("y", [var("j")], load("t", [var("j")]) + 1.0f32)),
+            for_(
+                "i",
+                0,
+                8,
+                store("t", [var("i")], load("x", [var("i")]) * 2.0f32),
+            ),
+            for_(
+                "j",
+                0,
+                8,
+                store("y", [var("j")], load("t", [var("j")]) + 1.0f32),
+            ),
         ]));
     let mut s = Schedule::new(f.clone());
     let fused = s.fuse("i", "j").unwrap();
@@ -286,7 +293,12 @@ fn fuse_with_offset_ranges() {
         .param("a", [2 * w + 1], DataType::F32, AccessType::Output)
         .param("b", [2 * w + 1], DataType::F32, AccessType::Output)
         .body(block([
-            for_("k", -w, w + 1, store("a", [var("k") + w], load("dot", [var("k") + w]))),
+            for_(
+                "k",
+                -w,
+                w + 1,
+                store("a", [var("k") + w], load("dot", [var("k") + w])),
+            ),
             for_("k2", 0, 2 * w + 1, store("b", [var("k2")], var("k2"))),
         ]));
     let mut s = Schedule::new(f.clone());
@@ -484,19 +496,28 @@ fn cache_fig14_pattern() {
                 "j",
                 0,
                 4,
-                store("y", [var("i"), var("j")], load("a", [var("i") + var("j")]) * 2.0f32),
+                store(
+                    "y",
+                    [var("i"), var("j")],
+                    load("a", [var("i") + var("j")]) * 2.0f32,
+                ),
             )
             .with_label("Lj"),
         ));
     let mut s = Schedule::new(f.clone());
     let name = s
-        .cache(ft_ir::find::Selector::Label("Lj".to_string()), "a", MemType::CpuStack)
+        .cache(
+            ft_ir::find::Selector::Label("Lj".to_string()),
+            "a",
+            MemType::CpuStack,
+        )
         .unwrap();
     assert_eq!(name, "a.cache");
     // The cache tensor has extent m = 4.
-    let def = ft_ir::find::find_stmt(&s.func().body, &|st| {
-        matches!(&st.kind, StmtKind::VarDef { name, .. } if name == "a.cache")
-    })
+    let def = ft_ir::find::find_stmt(
+        &s.func().body,
+        &|st| matches!(&st.kind, StmtKind::VarDef { name, .. } if name == "a.cache"),
+    )
     .expect("cache def exists");
     match &def.kind {
         StmtKind::VarDef { shape, mtype, .. } => {
@@ -512,12 +533,14 @@ fn cache_fig14_pattern() {
 fn cache_written_region_is_stored_back() {
     let f = Func::new("f")
         .param("a", [8], DataType::F32, AccessType::InOut)
-        .body(
-            for_("j", 0, 8, store("a", [var("j")], var("j") * 3)).with_label("L"),
-        );
+        .body(for_("j", 0, 8, store("a", [var("j")], var("j") * 3)).with_label("L"));
     let mut s = Schedule::new(f.clone());
-    s.cache(ft_ir::find::Selector::Label("L".to_string()), "a", MemType::CpuStack)
-        .unwrap();
+    s.cache(
+        ft_ir::find::Selector::Label("L".to_string()),
+        "a",
+        MemType::CpuStack,
+    )
+    .unwrap();
     let a = TensorVal::from_f32(&[8], vec![0.0; 8]);
     assert_same_semantics(&f, s.func(), &[("a", a)], &[], "a");
 }
@@ -566,10 +589,7 @@ fn set_mtype_moves_local_tensors() {
             [4],
             DataType::F32,
             MemType::CpuHeap,
-            block([
-                store("t", [0], 1.0f32),
-                store("y", [0], load("t", [0])),
-            ]),
+            block([store("t", [0], 1.0f32), store("y", [0], load("t", [0]))]),
         ));
     let mut s = Schedule::new(f);
     s.set_mtype("t", MemType::CpuStack).unwrap();
@@ -596,8 +616,18 @@ fn var_split_reorder_merge_roundtrip() {
                 DataType::F32,
                 MemType::CpuHeap,
                 block([
-                    for_("i", 0, 24, store("t", [var("i")], load("x", [var("i")]) * 2.0f32)),
-                    for_("j", 0, 24, store("y", [var("j")], load("t", [var("j")]) + 1.0f32)),
+                    for_(
+                        "i",
+                        0,
+                        24,
+                        store("t", [var("i")], load("x", [var("i")]) * 2.0f32),
+                    ),
+                    for_(
+                        "j",
+                        0,
+                        24,
+                        store("y", [var("j")], load("t", [var("j")]) + 1.0f32),
+                    ),
                 ]),
             ));
         let mut s = Schedule::new(f);
@@ -618,7 +648,10 @@ fn var_split_reorder_merge_roundtrip() {
     let expect = run(&plain, &[("x", x.clone())], &[], "y");
     for f in [&split, &split_reordered, &merged_back] {
         let got = run(f, &[("x", x.clone())], &[], "y");
-        assert!(expect.allclose(&got, 1e-6), "layout changed semantics:\n{f}");
+        assert!(
+            expect.allclose(&got, 1e-6),
+            "layout changed semantics:\n{f}"
+        );
     }
     // Layout of parameters is rejected.
     let f = stencil_func(4);
@@ -691,12 +724,14 @@ fn separate_tail_removes_guard_from_main() {
     // remains. The outer loop's body is a loop, not an `if`.
     assert!(s.separate_tail(outer).is_err());
     let pieces = s.separate_tail(inner).unwrap();
-    assert_eq!((pieces.head, pieces.interior, pieces.tail), (None, inner, None));
-    assert!(ft_ir::find::find_stmt(&s.func().body, &|st| matches!(
-        st.kind,
-        StmtKind::If { .. }
-    ))
-    .is_none());
+    assert_eq!(
+        (pieces.head, pieces.interior, pieces.tail),
+        (None, inner, None)
+    );
+    assert!(
+        ft_ir::find::find_stmt(&s.func().body, &|st| matches!(st.kind, StmtKind::If { .. }))
+            .is_none()
+    );
     assert_same_semantics(&f, s.func(), &[("x", seq_f32(11))], &[], "y");
 }
 

@@ -120,7 +120,10 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Overloaded { depth, cap } => {
-                write!(f, "overloaded: {depth} jobs queued (cap {cap}); retry later")
+                write!(
+                    f,
+                    "overloaded: {depth} jobs queued (cap {cap}); retry later"
+                )
             }
             ServeError::OverBudget {
                 requested_bytes,
@@ -552,7 +555,8 @@ fn execute(inner: &Inner, job: Job) {
     let reply = match r {
         Ok(result) => {
             m.counter("serve.ok").inc();
-            m.counter(if warm { "serve.warm" } else { "serve.cold" }).inc();
+            m.counter(if warm { "serve.warm" } else { "serve.cold" })
+                .inc();
             let payload = if job.digest_only {
                 let d = digest_outputs(&result.outputs);
                 if ctx.recycle(result).is_err() {
@@ -624,7 +628,12 @@ mod tests {
             Func::new("needs_x")
                 .param("x", [4], DataType::F32, AccessType::Input)
                 .param("y", [4], DataType::F32, AccessType::Output)
-                .body(for_("i", 0, 4, store("y", [var("i")], load("x", [var("i")])))),
+                .body(for_(
+                    "i",
+                    0,
+                    4,
+                    store("y", [var("i")], load("x", [var("i")])),
+                )),
         )
     }
 
@@ -645,8 +654,15 @@ mod tests {
         property.vectorize = true;
         assert_ne!(content_key(&marked, &none), content_key(&a, &none));
         let n = |v: i64| HashMap::from([("n".to_string(), v)]);
-        let keys = [content_key(&a, &none), content_key(&a, &n(8)), content_key(&a, &n(9))];
-        assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2], "{keys:?}");
+        let keys = [
+            content_key(&a, &none),
+            content_key(&a, &n(8)),
+            content_key(&a, &n(9)),
+        ];
+        assert!(
+            keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2],
+            "{keys:?}"
+        );
 
         if !ft_runtime::cc_available() {
             eprintln!("cc unavailable; skipping the served half");
@@ -665,7 +681,11 @@ mod tests {
         assert!(srv.pump_one());
         assert!(rx.recv().unwrap().unwrap().warm);
         let s = srv.metrics().snapshot();
-        assert_eq!((s.counter("serve.cold"), s.counter("serve.warm")), (1, 1), "{s:?}");
+        assert_eq!(
+            (s.counter("serve.cold"), s.counter("serve.warm")),
+            (1, 1),
+            "{s:?}"
+        );
         assert_eq!(spawned(), cold, "{s:?}");
     }
 
@@ -798,7 +818,9 @@ mod tests {
         // every try, resolved once.
         let big = fill("admit_big", 1 << 16, 1.0);
         let requested = || match srv.submit("a", req(&big)) {
-            Err(ServeError::OverBudget { requested_bytes, .. }) => requested_bytes,
+            Err(ServeError::OverBudget {
+                requested_bytes, ..
+            }) => requested_bytes,
             other => panic!("want OverBudget, got {other:?}"),
         };
         let first = requested();

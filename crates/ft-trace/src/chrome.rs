@@ -95,7 +95,10 @@ fn decision_event(d: &Decision) -> JsonVal {
         args.push(("deps", JsonVal::Arr(d.deps.iter().map(dep_json).collect())));
     }
     obj(vec![
-        ("name", JsonVal::Str(format!("{} {}", d.primitive, d.verdict))),
+        (
+            "name",
+            JsonVal::Str(format!("{} {}", d.primitive, d.verdict)),
+        ),
         ("cat", JsonVal::Str("schedule".to_string())),
         ("ph", JsonVal::Str("i".to_string())),
         ("ts", num(d.ts_us)),
@@ -343,9 +346,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
                 }
                 for (k, v) in args {
                     if v.as_f64().is_none() {
-                        return Err(format!(
-                            "event {i}: `C` event series `{k}` is not numeric"
-                        ));
+                        return Err(format!("event {i}: `C` event series `{k}` is not numeric"));
                     }
                 }
                 n_counters += 1;
@@ -502,7 +503,10 @@ mod tests {
             hit.get("args").unwrap().get("value").unwrap().as_f64(),
             Some(3.0)
         );
-        assert_eq!(hit.get("tid").unwrap().as_u64(), Some(crate::TRACK_COUNTERS));
+        assert_eq!(
+            hit.get("tid").unwrap().as_u64(),
+            Some(crate::TRACK_COUNTERS)
+        );
         // The counters track is named in metadata.
         assert!(text.contains("\"metrics\""), "{text}");
     }

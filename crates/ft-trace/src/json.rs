@@ -195,7 +195,9 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonVal, String> {
     skip_ws(b, pos);
     if depth > MAX_DEPTH {
-        return Err(format!("nested deeper than {MAX_DEPTH} levels at byte {pos}"));
+        return Err(format!(
+            "nested deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
     }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -305,9 +307,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonVal, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -346,8 +346,14 @@ pub fn metrics_to_json(snap: &MetricsSnapshot) -> JsonVal {
     };
     JsonVal::Obj(vec![
         ("counters".to_string(), by_name(&snap.counters, |&v| int(v))),
-        ("gauges".to_string(), by_name(&snap.gauges, |&v| JsonVal::Int(v.into()))),
-        ("histograms".to_string(), by_name(&snap.histograms, histogram)),
+        (
+            "gauges".to_string(),
+            by_name(&snap.gauges, |&v| JsonVal::Int(v.into())),
+        ),
+        (
+            "histograms".to_string(),
+            by_name(&snap.histograms, histogram),
+        ),
     ])
 }
 
@@ -361,11 +367,15 @@ pub fn metrics_from_json(v: &JsonVal) -> Result<MetricsSnapshot, String> {
     let section = |key: &str| v.get(key).and_then(JsonVal::as_obj).unwrap_or_default();
     let mut snap = MetricsSnapshot::default();
     for (k, v) in section("counters") {
-        let n = v.as_u64().ok_or_else(|| format!("counter `{k}` not a u64"))?;
+        let n = v
+            .as_u64()
+            .ok_or_else(|| format!("counter `{k}` not a u64"))?;
         snap.counters.insert(k.clone(), n);
     }
     for (k, v) in section("gauges") {
-        let n = v.as_i64().ok_or_else(|| format!("gauge `{k}` not an i64"))?;
+        let n = v
+            .as_i64()
+            .ok_or_else(|| format!("gauge `{k}` not an i64"))?;
         snap.gauges.insert(k.clone(), n);
     }
     for (k, v) in section("histograms") {
@@ -406,7 +416,10 @@ mod tests {
     #[test]
     fn roundtrip() {
         let v = JsonVal::Obj(vec![
-            ("name".to_string(), JsonVal::Str("split \"x\"\n".to_string())),
+            (
+                "name".to_string(),
+                JsonVal::Str("split \"x\"\n".to_string()),
+            ),
             ("n".to_string(), JsonVal::Int(42)),
             ("err".to_string(), JsonVal::Num(1.25e-3)),
             ("flag".to_string(), JsonVal::Bool(true)),
@@ -459,10 +472,16 @@ mod tests {
             assert_eq!(JsonVal::parse(not_u64).unwrap().as_u64(), None, "{not_u64}");
         }
         assert_eq!(JsonVal::parse("-1").unwrap().as_i64(), Some(-1));
-        assert_eq!(JsonVal::parse("9223372036854775808").unwrap().as_i64(), None);
+        assert_eq!(
+            JsonVal::parse("9223372036854775808").unwrap().as_i64(),
+            None
+        );
         // Too long for an integer: still a number.
         let long = "1".repeat(60);
-        assert_eq!(JsonVal::parse(&long).unwrap().as_f64(), Some(long.parse().unwrap()));
+        assert_eq!(
+            JsonVal::parse(&long).unwrap().as_f64(),
+            Some(long.parse().unwrap())
+        );
     }
 
     #[test]
@@ -490,7 +509,10 @@ mod tests {
     #[test]
     fn metrics_snapshots_roundtrip_exactly() {
         let m = ft_metrics::Metrics::new();
-        assert_eq!(metrics_from_json(&metrics_to_json(&m.snapshot())), Ok(m.snapshot()));
+        assert_eq!(
+            metrics_from_json(&metrics_to_json(&m.snapshot())),
+            Ok(m.snapshot())
+        );
         m.counter("compiled.cache.hit").add(41);
         m.counter("big").add(u64::MAX);
         m.gauge("pool.queue.depth").set(-3);

@@ -76,7 +76,11 @@ pub fn provenance_report(sink: &TraceSink) -> String {
             let _ = writeln!(
                 out,
                 "  {:<40} {:>12} {:>14} {:>14} {:>14.0}",
-                label, n.counters.flops, n.counters.dram_bytes, n.counters.l2_bytes, n.counters.cycles
+                label,
+                n.counters.flops,
+                n.counters.dram_bytes,
+                n.counters.l2_bytes,
+                n.counters.cycles
             );
         }
         let t = p.totals();
@@ -116,7 +120,10 @@ mod tests {
         };
         let line = decision_line(&d);
         assert!(line.contains("[auto_parallelize]"), "{line}");
-        assert!(line.contains("parallelize(\"i\", OpenMp): rejected"), "{line}");
+        assert!(
+            line.contains("parallelize(\"i\", OpenMp): rejected"),
+            "{line}"
+        );
         assert!(line.contains("Waw `y` #5 -> #5 @loop #3 certain"), "{line}");
         assert!(!line.contains("##"), "{line}");
     }

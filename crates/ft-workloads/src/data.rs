@@ -95,10 +95,7 @@ mod tests {
         assert_eq!(ci.numel(), 128);
         assert_eq!(rp.get_flat(32).as_i64(), 128);
         for i in 0..32 {
-            assert_eq!(
-                rp.get_flat(i + 1).as_i64() - rp.get_flat(i).as_i64(),
-                4
-            );
+            assert_eq!(rp.get_flat(i + 1).as_i64() - rp.get_flat(i).as_i64(), 4);
         }
     }
 

@@ -224,9 +224,9 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<Tensor, OpErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use ft_autoschedule::Target;
     use ft_runtime::Runtime;
+    use std::collections::HashMap;
 
     #[test]
     fn freetensor_beats_dgl_on_kernel_count() {

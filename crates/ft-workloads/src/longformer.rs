@@ -176,9 +176,8 @@ pub fn reference_grad(p: &Params, inputs: &Inputs, seed: &TensorVal) -> Inputs {
             }
         }
     }
-    let to_val = |v: Vec<f64>| {
-        TensorVal::from_f32(&[n, f], v.into_iter().map(|x| x as f32).collect())
-    };
+    let to_val =
+        |v: Vec<f64>| TensorVal::from_f32(&[n, f], v.into_iter().map(|x| x as f32).collect());
     let mut m = Inputs::new();
     m.insert("Q.grad".to_string(), to_val(dq));
     m.insert("K.grad".to_string(), to_val(dk));
@@ -237,8 +236,8 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<OpbaseHandles,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use ft_runtime::Runtime;
+    use std::collections::HashMap;
 
     #[test]
     fn window_materialization_dominates_baseline_memory() {
@@ -248,9 +247,7 @@ mod tests {
         let _ = opbase(&s, &p, &ins).unwrap();
         let baseline_peak = s.counters().peak_bytes["cpu"];
         let rt = Runtime::new();
-        let r = program(&p)
-            .run(&rt, &ins, &HashMap::new())
-            .unwrap();
+        let r = program(&p).run(&rt, &ins, &HashMap::new()).unwrap();
         let ft_peak = r.counters.peak_bytes["cpu"];
         assert!(
             baseline_peak > 2 * ft_peak,
@@ -262,10 +259,7 @@ mod tests {
     fn freetensor_grad_matches_operator_grad() {
         let p = Params::small();
         let ins = inputs(&p, 13);
-        let seed = TensorVal::from_f32(
-            &[p.seq_len, p.feat_len],
-            vec![1.0; p.seq_len * p.feat_len],
-        );
+        let seed = TensorVal::from_f32(&[p.seq_len, p.feat_len], vec![1.0; p.seq_len * p.feat_len]);
         // FreeTensor AD.
         let g = program(&p)
             .grad(&ft_autodiff::GradOptions::default())

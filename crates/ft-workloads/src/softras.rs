@@ -184,7 +184,9 @@ pub fn reference_grad(p: &Params, inputs: &Inputs, seed: &TensorVal) -> Inputs {
         let b: Vec<f64> = (0..ff)
             .map(|f| {
                 (0..ch)
-                    .map(|c| seed.get_flat(pi * ch + c).as_f64() * col.get_flat(f * ch + c).as_f64())
+                    .map(|c| {
+                        seed.get_flat(pi * ch + c).as_f64() * col.get_flat(f * ch + c).as_f64()
+                    })
                     .sum()
             })
             .collect();
@@ -239,7 +241,7 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<OpbaseHandles,
     let p2 = s.sum_dim(&px2, 1)?; // [P]
     let f2t = s.mul(&faces, &faces)?;
     let c2 = s.sum_dim(&f2t, 1)?; // [F]
-    // -2 P C^T.
+                                  // -2 P C^T.
     let ct = s.transpose2d(&faces)?;
     let pc = s.matmul(&px, &ct)?; // [P, F]
     let m2 = s.scale(&pc, -2.0)?;
@@ -258,8 +260,8 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<OpbaseHandles,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use ft_runtime::Runtime;
+    use std::collections::HashMap;
 
     #[test]
     fn freetensor_grad_matches_operator_grad() {

@@ -43,7 +43,10 @@ pub fn inputs(p: &Params, seed: u64) -> Inputs {
         "e".to_string(),
         data::features(&[p.n_faces, p.in_feats], seed),
     );
-    m.insert("adj".to_string(), data::mesh_adjacency(p.n_faces, seed ^ 0xAD));
+    m.insert(
+        "adj".to_string(),
+        data::mesh_adjacency(p.n_faces, seed ^ 0xAD),
+    );
     m
 }
 
@@ -166,9 +169,9 @@ pub fn opbase(s: &Session, p: &Params, inputs: &Inputs) -> Result<Tensor, OpErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use ft_autoschedule::Target;
     use ft_runtime::Runtime;
+    use std::collections::HashMap;
 
     #[test]
     fn freetensor_uses_less_traffic_than_opbase() {
@@ -200,10 +203,7 @@ mod tests {
             .grad(&ft_autodiff::GradOptions::default())
             .unwrap();
         let rt = Runtime::new();
-        let seed = TensorVal::from_f32(
-            &[p.n_faces, p.in_feats],
-            vec![1.0; p.n_faces * p.in_feats],
-        );
+        let seed = TensorVal::from_f32(&[p.n_faces, p.in_feats], vec![1.0; p.n_faces * p.in_feats]);
         let mut seeded = ins.clone();
         seeded.insert("y.grad".to_string(), seed.clone());
         let r = g.run(&rt, &seeded, &HashMap::new()).unwrap();

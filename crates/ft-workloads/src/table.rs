@@ -277,10 +277,19 @@ mod tests {
                         .run(&Runtime::new(), &inputs, &HashMap::new())
                         .unwrap_or_else(|e| panic!("{} on {target:?}: {e:?}", w.name()));
                     let d = r.output(w.output()).max_abs_diff(&oracle);
-                    assert!(d < 1e-4, "{} on {target:?}: off by {d}\n{}", w.name(), prog.func());
+                    assert!(
+                        d < 1e-4,
+                        "{} on {target:?}: off by {d}\n{}",
+                        w.name(),
+                        prog.func()
+                    );
                 }
                 let s = Session::cpu();
-                let d = inst.opbase(&s, &inputs).unwrap().val().max_abs_diff(&oracle);
+                let d = inst
+                    .opbase(&s, &inputs)
+                    .unwrap()
+                    .val()
+                    .max_abs_diff(&oracle);
                 assert!(d < 1e-4, "{}: operator baseline off by {d}", w.name());
             }
         }

@@ -47,7 +47,12 @@ def fig15(a: f64[64] in, b: f64[64] in, c: f64[64] in, d: f64[64] in, y: f64[64]
     // Both produce identical gradients.
     let rt = Runtime::new();
     let mk = |s: u64| {
-        TensorVal::from_f64(&[64], (0..64).map(|i| ((i as f64) * 0.1 + s as f64).sin()).collect())
+        TensorVal::from_f64(
+            &[64],
+            (0..64)
+                .map(|i| ((i as f64) * 0.1 + s as f64).sin())
+                .collect(),
+        )
     };
     let ones = TensorVal::from_f64(&[64], vec![1.0; 64]);
     let inputs: HashMap<String, TensorVal> = [
@@ -66,7 +71,9 @@ def fig15(a: f64[64] in, b: f64[64] in, c: f64[64] in, d: f64[64] in, y: f64[64]
     for g in ["a.grad", "b.grad", "c.grad", "d.grad"] {
         assert!(r_all.output(g).allclose(r_sel.output(g), 1e-12));
     }
-    println!("gradients identical; FT(-) peak {}B vs FT(+) peak {}B",
-        r_all.counters.peak_bytes["cpu"], r_sel.counters.peak_bytes["cpu"]);
+    println!(
+        "gradients identical; FT(-) peak {}B vs FT(+) peak {}B",
+        r_all.counters.peak_bytes["cpu"], r_sel.counters.peak_bytes["cpu"]
+    );
     Ok(())
 }

@@ -34,10 +34,7 @@ def blur(x: f32[256] in, y: f32[256] out):
     let rt = Runtime::new();
     let inputs = HashMap::from([("x".to_string(), x)]);
     let result = fast.run(&rt, &inputs, &HashMap::new())?;
-    println!(
-        "y[0..4] = {:?}",
-        &result.output("y").to_f64_vec()[..4]
-    );
+    println!("y[0..4] = {:?}", &result.output("y").to_f64_vec()[..4]);
     println!(
         "counters: {} flops, {} DRAM bytes, {:.0} modeled cycles",
         result.counters.flops, result.counters.dram_bytes, result.counters.modeled_cycles

@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Same numbers...
     assert!(ft.output("y").allclose(y.val(), 1e-4));
-    println!("outputs agree (max diff {:.2e})", ft.output("y").max_abs_diff(y.val()));
+    println!(
+        "outputs agree (max diff {:.2e})",
+        ft.output("y").max_abs_diff(y.val())
+    );
 
     // ...very different execution (the paper's Fig. 17 analysis).
     println!("\n{:<22}{:>14}{:>14}", "", "FreeTensor", "operator-based");

@@ -22,8 +22,8 @@
 //!   on the inputs where moving an evaluation would show.
 
 use freetensor::autoschedule::Target;
-use freetensor::workloads::{gat, longformer};
 use freetensor::trace::{metrics_from_json, metrics_to_json, JsonVal};
+use freetensor::workloads::{gat, longformer};
 use ft_conformance::grad::{build_grad_func, grad_setup, GradSpec};
 use ft_conformance::ops::{apply_trace, sample_trace};
 use ft_conformance::{check_grad_variant, check_variant, Backend, Case, GradTol, Workload};
@@ -83,13 +83,11 @@ fn compiled_grad_matches_interpreter_under_sampled_traces() {
             let raw = sample_trace(&mut rng, 4);
             // Outside the differentiable fragment = structured skip, same
             // as the grad conformance sweep.
-            let Ok((gfunc, trace)) = build_grad_func(&case.func, &raw, &GradSpec::default())
-            else {
+            let Ok((gfunc, trace)) = build_grad_func(&case.func, &raw, &GradSpec::default()) else {
                 continue;
             };
             let (inputs, oracle_grads) = grad_setup(w, &case);
-            if let Some(d) = check_grad_variant(&gfunc, &inputs, &oracle_grads, &backends, &tol)
-            {
+            if let Some(d) = check_grad_variant(&gfunc, &inputs, &oracle_grads, &backends, &tol) {
                 panic!(
                     "{} grad sample {k} under trace {trace:?}: {}",
                     w.name(),
@@ -208,7 +206,10 @@ fn colliding_param_names_do_not_shadow() {
             ),
         ));
     let inputs: HashMap<String, TensorVal> = [
-        ("x.y".to_string(), TensorVal::from_f32(&[2], vec![10.0, 20.0])),
+        (
+            "x.y".to_string(),
+            TensorVal::from_f32(&[2], vec![10.0, 20.0]),
+        ),
         ("x_y".to_string(), TensorVal::from_f32(&[2], vec![1.0, 2.0])),
     ]
     .into_iter()
@@ -255,7 +256,9 @@ fn functions_and_tensors_named_like_the_c_library_compile() {
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into();
     for name in ["div", "exp"] {
         let f = body(name);
-        let want = Runtime::new().run(&f, &inputs, &HashMap::new()).expect("interp");
+        let want = Runtime::new()
+            .run(&f, &inputs, &HashMap::new())
+            .expect("interp");
         let got = CompiledEngine::new()
             .run(&f, &inputs, &HashMap::new())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -486,7 +489,9 @@ fn i64_max_reduction_is_exact_above_2_pow_53() {
         ));
     let x = TensorVal::from_i64(&[4], vec![BIG - 1, BIG + 1, BIG, 5]);
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
-    let want = Runtime::new().run(&f, &inputs, &HashMap::new()).expect("interp run");
+    let want = Runtime::new()
+        .run(&f, &inputs, &HashMap::new())
+        .expect("interp run");
     assert_eq!(want.output("m").i64_data(), Some(&[BIG + 1, -BIG - 1][..]));
     let got = CompiledEngine::new()
         .run(&f, &inputs, &HashMap::new())

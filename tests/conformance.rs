@@ -84,9 +84,7 @@ fn legality_check_blocks_the_recurrence() {
     let case = recurrence_case();
     let (func, accepted) = apply_trace(&case.func, &[ScheduleOp::Parallelize { loop_idx: 0 }]);
     assert!(accepted.is_empty(), "dependence check failed to block");
-    assert!(
-        check_variant(&case, &func, &[Backend::Interp, Backend::Reordered], 1e-4).is_none()
-    );
+    assert!(check_variant(&case, &func, &[Backend::Interp, Backend::Reordered], 1e-4).is_none());
 }
 
 #[test]
@@ -160,12 +158,16 @@ fn committed_repros_stay_fixed() {
         }
         let repro = Repro::from_json(&std::fs::read_to_string(&path).unwrap())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let available = Backend::available().iter().any(|b| b.name() == repro.backend);
+        let available = Backend::available()
+            .iter()
+            .any(|b| b.name() == repro.backend);
         if !available {
             continue;
         }
         n += 1;
-        let d = repro.replay().unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let d = repro
+            .replay()
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(d.map(|d| d.message), None, "{}", path.display());
     }
     eprintln!("{n} committed repros replayed clean");

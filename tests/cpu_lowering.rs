@@ -65,7 +65,9 @@ use freetensor::autodiff::GradOptions;
 use freetensor::autoschedule::search::{prepare_candidate, SavedSchedule};
 use freetensor::autoschedule::Target;
 use freetensor::codegen::lower::{MAX_CHUNKS, PARTIAL_BYTES_CAP};
-use freetensor::codegen::{emit_c, lower_and_plan, lower_cpu_parallel, lower_scalar, prove_parallel};
+use freetensor::codegen::{
+    emit_c, lower_and_plan, lower_cpu_parallel, lower_scalar, prove_parallel,
+};
 use freetensor::core::Program;
 use freetensor::ir::prelude::*;
 use freetensor::ir::{ForProperty, StmtId};
@@ -151,8 +153,12 @@ fn lower_checked(f: &Func, inputs: &Inputs, sizes: &HashMap<String, i64>) -> Fun
         matches!(lower_cpu_parallel(&lowered), Cow::Borrowed(_)),
         "lowering is not idempotent:\n{lowered}"
     );
-    emit_c(&lowered, &ft_analysis::MemPlan::plan(&lowered, sizes), false)
-        .unwrap_or_else(|e| panic!("emit_c rejected lowered IR: {e}\n{lowered}"));
+    emit_c(
+        &lowered,
+        &ft_analysis::MemPlan::plan(&lowered, sizes),
+        false,
+    )
+    .unwrap_or_else(|e| panic!("emit_c rejected lowered IR: {e}\n{lowered}"));
     let rt = Runtime::new();
     let want = rt.run(f, inputs, sizes).expect("original runs");
     let got = rt.run(&lowered, inputs, sizes).expect("lowered runs");
@@ -546,7 +552,10 @@ fn inputs(name: &str, full: bool, grad: bool) -> Inputs {
     let mut m = inst.inputs(7);
     if grad {
         let out = inst.workload().output();
-        m.insert(format!("{out}.grad"), data::features(&inst.output_shape(), 99));
+        m.insert(
+            format!("{out}.grad"),
+            data::features(&inst.output_shape(), 99),
+        );
     }
     m
 }
@@ -796,7 +805,11 @@ fn committed_searched_c_is_unchanged() {
             (h != want).then(|| format!("{name} (full scale: {full}): {h:#018x}"))
         })
         .collect();
-    assert!(moved.is_empty(), "moved from their pins:\n{}", moved.join("\n"));
+    assert!(
+        moved.is_empty(),
+        "moved from their pins:\n{}",
+        moved.join("\n")
+    );
 }
 
 /// FNV-1a of `Program::emit_c()` for the three full-scale rule-scheduled
@@ -1002,7 +1015,8 @@ fn every_vectorize_loop_is_emitted_under_omp_simd() {
             let (lowered, _) = lower_and_plan(p.func(), &no_sizes());
             let marks = vectorize_marks(&lowered);
             let before = vectorize_marks(&lower_cpu_parallel(p.func()));
-            let cleared = before.iter().filter(|&&m| m).count() - marks.iter().filter(|&&m| m).count();
+            let cleared =
+                before.iter().filter(|&&m| m).count() - marks.iter().filter(|&&m| m).count();
             let c = p.emit_c();
             let lines: Vec<&str> = c.lines().map(str::trim_start).collect();
             // Loops of the function, not of the prelude's helpers.
@@ -1100,7 +1114,12 @@ fn benchmark_units() -> Vec<Unit> {
             let grad = kind == Kind::GradRules;
             let inputs = Box::new(move || inputs(name, full, grad));
             let program = program(name, full, kind);
-            units.push(Unit { label, scale, program, inputs });
+            units.push(Unit {
+                label,
+                scale,
+                program,
+                inputs,
+            });
         }
     }
     for name in ["subdivnet", "longformer", "softras", "gat"] {
@@ -1109,7 +1128,12 @@ fn benchmark_units() -> Vec<Unit> {
             let label = format!("{name} (searched)");
             let inputs = Box::new(move || inputs(name, full, false));
             let program = committed_searched(name, full);
-            units.push(Unit { label, scale, program, inputs });
+            units.push(Unit {
+                label,
+                scale,
+                program,
+                inputs,
+            });
         }
     }
     units
@@ -1167,12 +1191,19 @@ fn every_lowered_parallel_loop_proves() {
     println!("\n| program | scale | parallel loops | serialized | prover µs |");
     println!("|---|---|---|---|---|");
     let mut failed = Vec::new();
-    for Unit { label, scale, program, .. } in benchmark_units() {
+    for Unit {
+        label,
+        scale,
+        program,
+        ..
+    } in benchmark_units()
+    {
         let (lowered, _) = lower_and_plan(program.func(), &no_sizes());
         let (mut ids, mut duplicates, mut loops) = (HashSet::new(), 0, 0);
         lowered.body.walk(&mut |s| {
             duplicates += usize::from(!ids.insert(s.id));
-            if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel()) {
+            if matches!(&s.kind, StmtKind::For { property, .. } if property.parallel.is_parallel())
+            {
                 loops += 1;
             }
         });
@@ -1191,7 +1222,9 @@ fn every_lowered_parallel_loop_proves() {
         );
         if duplicates + serialized.len() > 0 {
             let why: Vec<&str> = serialized.iter().map(|r| r.reason.as_str()).collect();
-            failed.push(format!("{label} ({scale}): {duplicates} duplicate ids, serialized {why:?}"));
+            failed.push(format!(
+                "{label} ({scale}): {duplicates} duplicate ids, serialized {why:?}"
+            ));
         }
     }
     assert!(failed.is_empty(), "{}", failed.join("\n"));
@@ -1217,7 +1250,16 @@ fn the_unit_cc_builds_is_the_unit_program_emit_c_prints() {
         return;
     }
     let mut moved = Vec::new();
-    for (k, Unit { label, scale, program, inputs }) in benchmark_units().into_iter().enumerate() {
+    for (
+        k,
+        Unit {
+            label,
+            scale,
+            program,
+            inputs,
+        },
+    ) in benchmark_units().into_iter().enumerate()
+    {
         let cache = std::env::temp_dir().join(format!("ft-unit-{}-{k}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache);
         let engine = CompiledEngine::with_cache_dir(cache.clone());
@@ -1229,7 +1271,10 @@ fn the_unit_cc_builds_is_the_unit_program_emit_c_prints() {
         }
         let _ = std::fs::remove_dir_all(&cache);
     }
-    assert!(moved.is_empty(), "the engine built another unit for {moved:?}");
+    assert!(
+        moved.is_empty(),
+        "the engine built another unit for {moved:?}"
+    );
 }
 
 /// `lower_scalar` is invisible to the reference semantics: on each of the
@@ -1247,7 +1292,13 @@ fn the_scalar_lowering_is_invisible_to_the_interpreter() {
     println!("|---|---|---|---|---|---|");
     let mut failed = Vec::new();
     let units = benchmark_units().into_iter().chain([store_between_reads()]);
-    for Unit { label, scale, program, inputs } in units {
+    for Unit {
+        label,
+        scale,
+        program,
+        inputs,
+    } in units
+    {
         let lowered = lower_cpu_parallel(program.func());
         let scalar = lower_scalar(&lowered);
         let mut registers = [0; 3];
@@ -1267,13 +1318,19 @@ fn the_scalar_lowering_is_invisible_to_the_interpreter() {
         let inputs = inputs();
         let run = |f: &Func| {
             let r = Runtime::new().run(f, &inputs, &no_sizes());
-            output_hash(&r.unwrap_or_else(|e| panic!("{label} ({scale}): {e}")).outputs)
+            output_hash(
+                &r.unwrap_or_else(|e| panic!("{label} ({scale}): {e}"))
+                    .outputs,
+            )
         };
         if run(&lowered) != run(&scalar) {
             failed.push(format!("{label} ({scale})"));
         }
     }
-    assert!(failed.is_empty(), "the interpreter's bits moved on {failed:?}");
+    assert!(
+        failed.is_empty(),
+        "the interpreter's bits moved on {failed:?}"
+    );
 }
 
 /// A mark `parallelize` was never asked about reaches the engines: a
@@ -1297,7 +1354,11 @@ fn a_racy_mark_runs_serially_with_its_reason_on_every_engine() {
             0,
             n as i64,
             omp(),
-            store("y", [var("i") + 1], load("y", [var("i")]) + load("x", [var("i")])),
+            store(
+                "y",
+                [var("i") + 1],
+                load("y", [var("i")]) + load("x", [var("i")]),
+            ),
         ));
     let one_cell = Func::new("one_cell")
         .param("y", [1], DataType::I64, AccessType::Output)
@@ -1322,7 +1383,11 @@ fn a_racy_mark_runs_serially_with_its_reason_on_every_engine() {
             let sink = TraceSink::new();
             engine.set_sink(Some(sink.clone()));
             let got = engine.run(f, inputs, &no_sizes()).expect(&who);
-            assert_eq!(output_hash(&got.outputs), output_hash(&want.outputs), "{who}");
+            assert_eq!(
+                output_hash(&got.outputs),
+                output_hash(&want.outputs),
+                "{who}"
+            );
             let serialized: Vec<_> = sink
                 .decisions()
                 .into_iter()
@@ -1333,7 +1398,10 @@ fn a_racy_mark_runs_serially_with_its_reason_on_every_engine() {
                     && matches!(&d.deps[..], [dep] if dep.var == "y")
                     && d.reason.as_ref().is_some_and(|r| r.contains("`y`"))
             };
-            assert!(matches!(&serialized[..], [d] if names_y(d)), "{who}: {serialized:?}");
+            assert!(
+                matches!(&serialized[..], [d] if names_y(d)),
+                "{who}: {serialized:?}"
+            );
         }
         let resolved = VmRuntime::new().resolve(f, &no_sizes()).expect("resolves");
         let (unit, _) = emit_c(resolved.func(), resolved.plan(), false).expect("emits");

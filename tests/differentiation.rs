@@ -10,7 +10,11 @@ use ft_conformance::diff::{grad_close, reduction_depth, GradTol};
 use ft_passes::hoist::{any_node, invariant, LoopNames};
 use std::collections::HashMap;
 
-fn loss_of(prog: &freetensor::core::Program, inputs: &HashMap<String, TensorVal>, out: &str) -> f64 {
+fn loss_of(
+    prog: &freetensor::core::Program,
+    inputs: &HashMap<String, TensorVal>,
+    out: &str,
+) -> f64 {
     let rt = Runtime::new();
     let r = prog.run(&rt, inputs, &HashMap::new()).unwrap();
     r.output(out).to_f64_vec().iter().sum()
@@ -26,10 +30,7 @@ fn longformer_gradient_matches_finite_differences() {
     let inputs = longformer::inputs(&p, 55);
     let prog = longformer::program(&p);
     let grad = prog.grad(&GradOptions::default()).unwrap();
-    let seed = TensorVal::from_f32(
-        &[p.seq_len, p.feat_len],
-        vec![1.0; p.seq_len * p.feat_len],
-    );
+    let seed = TensorVal::from_f32(&[p.seq_len, p.feat_len], vec![1.0; p.seq_len * p.feat_len]);
     let mut seeded = inputs.clone();
     seeded.insert("y.grad".to_string(), seed);
     let analytic = grad.run(&Runtime::new(), &seeded, &HashMap::new()).unwrap();
@@ -65,10 +66,7 @@ fn tape_policies_agree_numerically() {
     };
     let inputs = subdivnet::inputs(&p, 77);
     let prog = subdivnet::program(&p);
-    let seed = TensorVal::from_f32(
-        &[p.n_faces, p.in_feats],
-        vec![1.0; p.n_faces * p.in_feats],
-    );
+    let seed = TensorVal::from_f32(&[p.n_faces, p.in_feats], vec![1.0; p.n_faces * p.in_feats]);
     let rt = Runtime::new();
     let mut results = Vec::new();
     for policy in [TapePolicy::All, TapePolicy::Selective] {
@@ -99,10 +97,7 @@ fn grad_of_optimized_program_matches_grad_of_naive() {
     };
     let inputs = subdivnet::inputs(&p, 88);
     let prog = subdivnet::program(&p);
-    let seed = TensorVal::from_f32(
-        &[p.n_faces, p.in_feats],
-        vec![1.0; p.n_faces * p.in_feats],
-    );
+    let seed = TensorVal::from_f32(&[p.n_faces, p.in_feats], vec![1.0; p.n_faces * p.in_feats]);
     let rt = Runtime::new();
     let grad_then_opt = prog
         .grad(&GradOptions::default())
@@ -123,9 +118,7 @@ fn weighted_loss(
     out: &str,
     seed: &TensorVal,
 ) -> f64 {
-    let r = prog
-        .run(&Runtime::new(), inputs, &HashMap::new())
-        .unwrap();
+    let r = prog.run(&Runtime::new(), inputs, &HashMap::new()).unwrap();
     let (y, s) = (r.output(out).to_f64_vec(), seed.to_f64_vec());
     y.iter().zip(&s).map(|(y, s)| y * s).sum()
 }
@@ -143,9 +136,7 @@ fn the_ad_decisions_move_no_forward_bit_and_no_gradient() {
         let inputs = inst.inputs(41);
         let prog = inst.program();
         let out = w.output();
-        let forward = prog
-            .run(&Runtime::new(), &inputs, &HashMap::new())
-            .unwrap();
+        let forward = prog.run(&Runtime::new(), &inputs, &HashMap::new()).unwrap();
         let seed = data::features(&inst.output_shape(), 43);
         let oracle = inst.reference_grad(&inputs, &seed);
         let mut with_seed = inputs.clone();
@@ -157,9 +148,7 @@ fn the_ad_decisions_move_no_forward_bit_and_no_gradient() {
             };
             let g = prog.grad(&opts).unwrap();
             let what = format!("{} under {policy:?}", w.name());
-            let r = g
-                .run(&Runtime::new(), &with_seed, &HashMap::new())
-                .unwrap();
+            let r = g.run(&Runtime::new(), &with_seed, &HashMap::new()).unwrap();
             assert_eq!(
                 r.output(out),
                 forward.output(out),

@@ -100,9 +100,7 @@ fn injected_ad_fault_is_caught_shrunk_and_replays() {
         grad: Some(spec),
         tol_rel: Some(tol.rel),
         metrics: Some(ft_conformance::run_backend_telemetry(
-            d.backend,
-            &f,
-            &inputs,
+            d.backend, &f, &inputs,
         )),
         flaky: None,
     };
@@ -155,11 +153,12 @@ fn committed_grad_repros_stay_fixed() {
         }
         n += 1;
         let text = std::fs::read_to_string(&path).unwrap();
-        let repro = Repro::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let repro = Repro::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(repro.grad.is_some(), "{}: not a grad repro", path.display());
         if path.file_name().and_then(|f| f.to_str()) == Some(REFUSED) {
-            let e = repro.replay().expect_err("the iterator-shaped tape must be refused");
+            let e = repro
+                .replay()
+                .expect_err("the iterator-shaped tape must be refused");
             assert!(
                 e.starts_with("autodiff unsupported: tape for `V.cache`"),
                 "{}: {e}",
@@ -193,6 +192,12 @@ fn sound_ad_passes_where_the_fault_fails() {
         fault: None,
     };
     let (f, _) = build_grad_func(&case.func, &[], &spec).unwrap();
-    let d = check_grad_variant(&f, &inputs, &oracle, &Backend::available(), &GradTol::default());
+    let d = check_grad_variant(
+        &f,
+        &inputs,
+        &oracle,
+        &Backend::available(),
+        &GradTol::default(),
+    );
     assert!(d.is_none(), "{d:?}");
 }

@@ -153,7 +153,10 @@ impl Case {
             Op::Bin(op) => scalar::binary(op, x[0], x[1]),
             Op::Red(op) => Ok(scalar::reduce(op, x[0], x[1])),
             Op::Cast(d) => Ok(scalar::cast(d, x[0])),
-            Op::Sel(t) => Ok(scalar::cast(self.inferred().expect("a node"), x[usize::from(!t)])),
+            Op::Sel(t) => Ok(scalar::cast(
+                self.inferred().expect("a node"),
+                x[usize::from(!t)],
+            )),
         }
     }
 

@@ -36,10 +36,7 @@ fn run(func: &freetensor::ir::Func) -> (Vec<f64>, Vec<f64>) {
     let x = TensorVal::from_f32(&[40], (0..40).map(|i| (i as f32 * 0.3).cos()).collect());
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
     let r = Runtime::new().run(func, &inputs, &HashMap::new()).unwrap();
-    (
-        r.output("y").to_f64_vec(),
-        r.output("acc").to_f64_vec(),
-    )
+    (r.output("y").to_f64_vec(), r.output("acc").to_f64_vec())
 }
 
 fn loops_of(func: &freetensor::ir::Func) -> Vec<StmtId> {
@@ -64,7 +61,9 @@ fn random_accepted_schedules_preserve_semantics() {
             }
             let target = loops[rng.gen_range(0..loops.len())];
             let accepted = match rng.gen_range(0..7) {
-                0 => sched.split(target, [2, 3, 8][rng.gen_range(0..3usize)]).is_ok(),
+                0 => sched
+                    .split(target, [2, 3, 8][rng.gen_range(0..3usize)])
+                    .is_ok(),
                 1 => sched.parallelize(target, ParallelScope::OpenMp).is_ok(),
                 2 => sched.vectorize(target).is_ok(),
                 3 => sched.unroll(target).is_ok(),
@@ -114,9 +113,17 @@ fn parallel_marks_preserve_semantics_reordered_and_on_the_vm() {
     let x = TensorVal::from_f32(&[40], (0..40).map(|i| (i as f32 * 0.3).cos()).collect());
     let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
     let reversed = ft_conformance::backend::reverse_parallel_loops(&func);
-    assert_ne!(reversed.to_string(), func.to_string(), "no loop was parallelized");
-    let reordered = Runtime::new().run(&reversed, &inputs, &HashMap::new()).unwrap();
-    let vm = VmRuntime::new().run(&func, &inputs, &HashMap::new()).unwrap();
+    assert_ne!(
+        reversed.to_string(),
+        func.to_string(),
+        "no loop was parallelized"
+    );
+    let reordered = Runtime::new()
+        .run(&reversed, &inputs, &HashMap::new())
+        .unwrap();
+    let vm = VmRuntime::new()
+        .run(&func, &inputs, &HashMap::new())
+        .unwrap();
     for out in [&reordered.outputs, &vm.outputs] {
         for (a, b) in y0.iter().zip(out["y"].to_f64_vec()) {
             assert!((a - b).abs() < 1e-4);

@@ -23,16 +23,16 @@
 //!   deduplicated build, and a warm key serves with no `cc`, a pure cache
 //!   hit stream and no tensor allocation. Latency is `ftbench serve-*`'s.
 
-use ft_conformance::ops::{apply_trace, sample_trace};
-use ft_conformance::{Case, Workload};
-use ft_metrics::Metrics;
+use freetensor::autoschedule::Target;
 use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, RuntimeError, Scalar,
     TensorVal,
 };
-use freetensor::autoschedule::Target;
 use freetensor::serve::{Request, ServeConfig, Server};
 use freetensor::workloads::{longformer, subdivnet};
+use ft_conformance::ops::{apply_trace, sample_trace};
+use ft_conformance::{Case, Workload};
+use ft_metrics::Metrics;
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -210,12 +210,18 @@ fn server_keys_contexts_per_program() {
         for _ in 0..2 {
             replies.push(
                 server
-                    .submit("a", Request::new(sub.clone(), sub_in.clone(), none.clone()).digest())
+                    .submit(
+                        "a",
+                        Request::new(sub.clone(), sub_in.clone(), none.clone()).digest(),
+                    )
                     .expect("submit subdivnet"),
             );
             replies.push(
                 server
-                    .submit("b", Request::new(lf.clone(), lf_in.clone(), none.clone()).digest())
+                    .submit(
+                        "b",
+                        Request::new(lf.clone(), lf_in.clone(), none.clone()).digest(),
+                    )
                     .expect("submit longformer"),
             );
         }
@@ -301,7 +307,9 @@ fn a_cold_stampede_compiles_once_and_the_warm_loop_allocates_nothing() {
             let (server, req, want) = (&server, &req, digests[0]);
             s.spawn(move || {
                 for _ in 0..16 {
-                    let resp = server.call(&format!("client-{c}"), req()).expect("warm request");
+                    let resp = server
+                        .call(&format!("client-{c}"), req())
+                        .expect("warm request");
                     assert_eq!(resp.digest(), Some(want));
                     assert!(resp.warm);
                 }

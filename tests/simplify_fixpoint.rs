@@ -25,14 +25,21 @@ fn assert_one_round(what: &str, sink: &TraceSink) {
     assert_eq!(outer.len(), 1, "{what}: one simplify per call");
     let rounds = outer[0].args.iter().find(|(k, _)| k == "rounds");
     assert_eq!(rounds.map(|(_, v)| v.as_str()), Some("1"), "{what}");
-    let controls = events.iter().filter(|e| e.name == "simplify:control").count();
+    let controls = events
+        .iter()
+        .filter(|e| e.name == "simplify:control")
+        .count();
     assert!(controls <= 2, "{what}: {controls} control passes");
 }
 
 /// `simplify(f)` prints as `f`: `f` is a fixpoint.
 fn assert_fixpoint(what: &str, f: &Func) {
     let again = ft_passes::simplify(f);
-    assert_eq!(again.to_string(), f.to_string(), "{what}: simplify moved its own output");
+    assert_eq!(
+        again.to_string(),
+        f.to_string(),
+        "{what}: simplify moved its own output"
+    );
 }
 
 /// Run `stage` on a fresh sink and hold its one `simplify` call to the
@@ -66,7 +73,10 @@ fn every_pipeline_simplify_is_one_round_to_a_fixpoint() {
             let mut programs = vec![fwd.clone()];
             if w.differentiable() {
                 programs.push(checked(&format!("{name} grad"), |sink| {
-                    fwd.clone().with_sink(sink).grad(&GradOptions::default()).expect("grad")
+                    fwd.clone()
+                        .with_sink(sink)
+                        .grad(&GradOptions::default())
+                        .expect("grad")
                 }));
             }
             for (i, p) in programs.into_iter().enumerate() {
@@ -94,7 +104,10 @@ fn every_accepted_sampled_schedule_simplifies_in_one_round() {
             assert_fixpoint(&what, &once);
         }
     }
-    assert!(accepted > 4 * 12, "the sampler accepted only {accepted} ops");
+    assert!(
+        accepted > 4 * 12,
+        "the sampler accepted only {accepted} ops"
+    );
 }
 
 /// `float(i) / float(n)` is a float division: simplifying it must not
@@ -113,7 +126,9 @@ fn a_cast_to_float_is_not_affine() {
             .size_param("n")
             .param("y", [1], DataType::F64, AccessType::Output)
             .body(for_("i", 1, 2, store("y", [0], e.clone())));
-        let out = Runtime::new().run(&f, &HashMap::new(), &sizes).expect("runs");
+        let out = Runtime::new()
+            .run(&f, &HashMap::new(), &sizes)
+            .expect("runs");
         assert_eq!(out.output("y").to_f64_vec(), [0.5], "{e:?}");
     }
 }

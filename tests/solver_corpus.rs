@@ -28,10 +28,17 @@ fn parse_system(text: &str) -> System {
 
 #[test]
 fn every_recorded_answer_is_unchanged() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/solver-corpus.txt");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/solver-corpus.txt"
+    );
     let text = std::fs::read_to_string(path).expect("the corpus is committed");
     let mut counts = [0usize; 3];
-    for (k, line) in text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).enumerate() {
+    for (k, line) in text
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .enumerate()
+    {
         let (answer, system) = line.split_once('|').expect("answer|system");
         let want = match answer {
             "E" => Sat::Empty,

@@ -5,9 +5,7 @@
 use freetensor::autoschedule::Target;
 use freetensor::core::Program;
 use freetensor::runtime::Runtime;
-use freetensor::trace::{
-    chrome_trace, validate_chrome_trace, DepKind, TraceSink, Verdict,
-};
+use freetensor::trace::{chrome_trace, validate_chrome_trace, DepKind, TraceSink, Verdict};
 use freetensor::workloads::subdivnet;
 use std::collections::HashMap;
 
@@ -57,9 +55,7 @@ fn subdivnet_decision_log_covers_all_six_passes() {
     let rejection = decisions
         .iter()
         .find(|d| {
-            d.primitive == "vectorize"
-                && d.verdict == Verdict::Rejected
-                && !d.deps.is_empty()
+            d.primitive == "vectorize" && d.verdict == Verdict::Rejected && !d.deps.is_empty()
         })
         .expect("a vectorize rejection with structured deps");
     assert!(

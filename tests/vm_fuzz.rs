@@ -96,17 +96,21 @@ fn diff_with_decisions(
         .unwrap_or_else(|e| panic!("vm failed on {ctx}: {e:?}"));
     assert_vm_contract(func, inputs, &rv, ctx);
     // Every mark here is one `parallelize` accepts: lowered, it proves.
-    let serialized = sink.decisions().into_iter().filter(|d| d.primitive == "lower.parallel");
-    assert_eq!(serialized.count(), 0, "a checked mark was serialized on {ctx}");
+    let serialized = sink
+        .decisions()
+        .into_iter()
+        .filter(|d| d.primitive == "lower.parallel");
+    assert_eq!(
+        serialized.count(),
+        0,
+        "a checked mark was serialized on {ctx}"
+    );
     let decisions = sink
         .events()
         .iter()
         .filter(|e| e.cat == "vm.lower")
         .map(|e| {
-            let accepted = e
-                .args
-                .iter()
-                .any(|(k, v)| k == "accepted" && v == "true");
+            let accepted = e.args.iter().any(|(k, v)| k == "accepted" && v == "true");
             let detail_key = if accepted { "how" } else { "reason" };
             let detail = e
                 .args
@@ -148,7 +152,10 @@ fn vm_matches_interp_on_directed_vectorize_parallel_schedules() {
         let ctx = format!("workload {} directed trace {trace:?}", w.name());
         spans += diff_with_decisions(&func, &case.inputs, &ctx).1.len();
     }
-    assert!(spans > 0, "directed schedules produced no lowering attempts");
+    assert!(
+        spans > 0,
+        "directed schedules produced no lowering attempts"
+    );
 }
 
 /// A `vectorize`-marked axpy and dot product and a parallel integer
@@ -383,7 +390,10 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
             assert_vm_contract(&func, &inputs, &rv, &ctx);
 
             let lowered = sink.events().iter().filter(|e| e.cat == "vm.lower").count();
-            assert!(lowered > 0, "no loop of the backward pass reached the lowering on {ctx}");
+            assert!(
+                lowered > 0,
+                "no loop of the backward pass reached the lowering on {ctx}"
+            );
             lowering_attempts += lowered;
         }
     }
