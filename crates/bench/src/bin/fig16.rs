@@ -3,9 +3,10 @@
 //! Fig. 16(b) (forward + backward, GAT excluded, OOM reported as in the
 //! paper). `--small` uses the reduced shapes (`Scale::Small`).
 //!
-//! The interpreter and VM wall axes time one `Program::run` on the
-//! workload's input map, which the engine reads in place: no copy of the
-//! inputs is inside the timed window.
+//! A FreeTensor cell's cycles come from the instrumented interpreter and
+//! its wall from the native compiled engine (best warm operation, CPU rows
+//! only; the GPU axis is modeled only), which reads the workload's input
+//! map in place: no copy of the inputs is inside the timed window.
 //!
 //! Each run also writes the machine-readable `results/BENCH.json`
 //! (override with `--json PATH`, suppress with `--no-json`); a plain run
@@ -42,8 +43,9 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .map(|mib| mib << 20);
     // Optional compilation-provenance trace of the optimized CPU runs
-    // (`--trace PATH`): a Chrome-format artifact whose `vm.lower` spans
-    // record every SIMD / parallel-region lowering decision.
+    // (`--trace PATH`): a Chrome-format artifact with every schedule
+    // decision, the memory plan, and each parallel mark the compiled
+    // engine's resolve made serial (`lower.parallel`).
     let trace_path: Option<std::path::PathBuf> = args
         .iter()
         .position(|a| a == "--trace")
@@ -78,14 +80,12 @@ fn main() {
         }
     );
     println!("# Cells: modeled cycles (wall ms). Modeled cycles come from the");
-    println!("# instrumented interpreter and are the paper's reproduced quantity;");
-    println!("# wall ms is measured on the fast-mode bytecode VM for FreeTensor");
-    println!("# systems and on native kernels for the operator baseline.");
-    println!("# Neither wall includes a copy of the inputs.");
-    println!("# `VM speedup` = instrumented-interpreter wall / fast-VM wall for");
-    println!("# the FreeTensor (optimized) column. On CPU rows, `compiled` is the");
-    println!("# native compiled engine's wall time (C -> cc -> shared object");
-    println!("# called in-process; compile time amortized by the artifact cache).");
+    println!("# instrumented interpreter and are the paper's reproduced quantity.");
+    println!("# For FreeTensor systems wall ms is the best warm operation of the");
+    println!("# native compiled engine (C -> cc -> shared object called");
+    println!("# in-process; compile time amortized by the artifact cache), on CPU");
+    println!("# rows only: the GPU axis is modeled. For the operator baseline it");
+    println!("# is its native kernels. No wall includes a copy of the inputs.");
     println!("# `arena peak` = planned/naive peak temporary bytes of the optimized");
     println!("# schedule under the static memory plan (liveness-packed arena vs");
     println!("# stack-discipline allocation).");
@@ -109,8 +109,7 @@ fn main() {
             let mut cells = Vec::new();
             let mut best_baseline = f64::INFINITY;
             let mut ft_cycles = f64::NAN;
-            let mut ft_vm_speedup = None;
-            let mut ft_compiled = None;
+            let mut ft_wall = None;
             let mut ft_peaks = None;
             for sys in systems {
                 let r = if grad {
@@ -123,14 +122,16 @@ fn main() {
                         Some(stage) => format!("{f} [{stage}]"),
                         None => f.clone(),
                     },
-                    None => format!("{} ({:.1}ms)", fmt_cycles(r.cycles), r.wall_ms),
+                    None => match r.wall_ms {
+                        Some(ms) => format!("{} ({ms:.3}ms)", fmt_cycles(r.cycles)),
+                        None => fmt_cycles(r.cycles),
+                    },
                 };
                 if r.failure.is_none() {
                     match sys {
                         System::FtOptimized => {
                             ft_cycles = r.cycles;
-                            ft_vm_speedup = r.vm_speedup();
-                            ft_compiled = r.compiled_wall_ms;
+                            ft_wall = r.wall_ms;
                             ft_peaks = r.peak_planned_bytes.zip(r.peak_naive_bytes);
                         }
                         _ => best_baseline = best_baseline.min(r.cycles),
@@ -144,50 +145,40 @@ fn main() {
             } else {
                 format!("{:.2}x", best_baseline / ft_cycles)
             };
-            let vm_col = ft_vm_speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.1}x"));
-            let compiled_col =
-                ft_compiled.map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}ms"));
             let arena_col = ft_peaks.map_or_else(
                 || "-".to_string(),
                 |(p, n)| format!("{}/{}", fmt_bytes(p), fmt_bytes(n)),
             );
             println!(
-                "{:<12} {:<5} {:>24} {:>24} {:>24}   speedup vs best other: {:<8} VM speedup: {:<6} compiled: {:<8} arena peak: {}",
+                "{:<12} {:<5} {:>24} {:>24} {:>24}   speedup vs best other: {:<8} arena peak: {}",
                 w.display(),
                 dev.to_string(),
                 cells[0],
                 cells[1],
                 cells[2],
                 speedup,
-                vm_col,
-                compiled_col,
                 arena_col
             );
             // Search-found schedules ride along as a fourth system on CPU
             // forward rows, whenever a committed `results/schedules/` trace
             // exists for this (workload, scale) — replayed, not re-searched.
-            // Its compiled wall against the rules' is what the search
-            // optimized; its cycles are the model's opinion of the lowered
-            // program.
+            // Its wall against the rules' is what the search optimized; its
+            // cycles are the model's opinion of the lowered program.
             if !grad && dev == Device::Cpu && load_saved_schedule(w, scale).is_some() {
                 let r = run_forward_capped(&prep, System::FtSearched, dev, capacity);
-                let vs_rule = match (r.compiled_wall_ms, ft_compiled) {
-                    (Some(s), Some(o)) if r.failure.is_none() && s > 0.0 => {
-                        format!("compiled: {s:.3}ms, {:.2}x vs rule-based {o:.3}ms", o / s)
+                let cycles = fmt_cycles(r.cycles);
+                let searched = match (&r.failure, r.wall_ms, ft_wall) {
+                    (Some(f), _, _) => f.clone(),
+                    (None, Some(s), Some(o)) if s > 0.0 => {
+                        format!("{cycles} ({s:.3}ms), {:.2}x vs rule-based {o:.3}ms", o / s)
                     }
-                    _ => r
-                        .failure
-                        .clone()
-                        .unwrap_or_else(|| "compiled: -".to_string()),
+                    (None, _, _) => cycles,
                 };
                 println!(
-                    "{:<12} {:<5} {:>74}   searched: {} ({:.1}ms) {} [search {:.0}ms]",
+                    "{:<12} {:<5} {:>74}   searched: {searched} [search {:.0}ms]",
                     "",
                     "",
                     "",
-                    fmt_cycles(r.cycles),
-                    r.wall_ms,
-                    vs_rule,
                     r.search_wall_ms.unwrap_or(0.0)
                 );
                 records.push(json_record(w, System::FtSearched, dev, kind, scale, &r));
@@ -214,29 +205,18 @@ fn main() {
         }
         // Stamp the cumulative bench metrics into the trace as Chrome "C"
         // counter events, so the exported artifact carries the registry
-        // state alongside the lowering spans.
+        // state alongside the decisions.
         sink.metrics_sample(&bench_metrics().snapshot());
         ft_trace::write_chrome_trace(&sink, &path).expect("write trace");
-        let lower: Vec<_> = sink
-            .events()
-            .into_iter()
-            .filter(|e| e.cat == "vm.lower")
-            .collect();
-        let simd_accepted = lower
+        let serialized = sink
+            .decisions()
             .iter()
-            .filter(|e| {
-                e.name == "vm.simd" && e.args.iter().any(|(k, v)| k == "accepted" && v == "true")
-            })
+            .filter(|d| d.primitive == "lower.parallel")
             .count();
         eprintln!(
-            "wrote {} ({} vm.lower spans, {} accepted vm.simd)",
+            "wrote {} ({} decisions, {serialized} parallel marks made serial)",
             path.display(),
-            lower.len(),
-            simd_accepted
-        );
-        assert!(
-            simd_accepted > 0,
-            "optimized CPU runs produced no accepted vm.simd spans"
+            sink.decisions().len(),
         );
     }
     if let Some(path) = metrics_path {
@@ -247,7 +227,7 @@ fn main() {
         std::fs::write(&path, format!("{}\n", ft_trace::metrics_to_json(&snap)))
             .expect("write metrics");
         eprintln!(
-            "wrote {} (cc spawned {}, cache {} hit / {} miss, {} compiled runs, \
+            "wrote {} (cc spawned {}, cache {} hit / {} miss, {} cold compiled runs, \
              arena warm allocs {} and resolves {} over {} probe(s))",
             path.display(),
             snap.counter("compiled.cc.spawned"),

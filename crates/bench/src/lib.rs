@@ -10,22 +10,17 @@
 //! | `fig18` | Fig. 18 selective-materialization ablation (FT(-) vs FT(+)) |
 //! | `table2` | Table 2 compile time: rule-based vs search-based tuning |
 //!
-//! Measurement note (documented substitution): FreeTensor programs report
-//! three time axes. The hardware-independent counters and the modeled cycle
-//! time come from the *instrumented interpreter* — the semantic reference,
-//! which both systems charge identically — the headline wall-clock
-//! (`CaseResult::wall_ms`) is measured on the *fast-mode bytecode VM*
-//! (`ft_runtime::VmRuntime`), and on CPU cases a third axis
-//! (`CaseResult::compiled_wall_ms`) is measured on the *native compiled
-//! engine* (`ft_runtime::CompiledEngine`: C → `cc` → shared object called
-//! in-process, compile time amortized away by the artifact cache). The
-//! baseline operators execute native Rust kernels, so cross-system
-//! wall-clock is still only indicative; the interp-vs-VM wall ratio
-//! ([`CaseResult::vm_speedup`]) and the VM-vs-native ratio
-//! ([`CaseResult::compiled_speedup`]) are the within-system engine
-//! comparisons. The interpreter and VM wall axes time `Program::run` on
-//! the workload's own input map: the engine reads the caller's tensors, so
-//! neither axis includes a copy of every input.
+//! Measurement note (documented substitution): each FreeTensor case runs on
+//! two engines with one job each. The *instrumented interpreter* — the
+//! semantic reference, which both systems charge identically — produces the
+//! hardware-independent counters and the modeled cycle time, the paper's
+//! axis. The *native compiled engine* (`ft_runtime::CompiledEngine`: C →
+//! `cc` → shared object called in-process, compile time amortized away by
+//! the artifact cache) produces the wall-clock, [`CaseResult::wall_ms`], on
+//! CPU cases; the GPU axis is modeled only. The baseline operators execute
+//! native Rust kernels, so cross-system wall-clock is only indicative. The
+//! compiled engine reads the caller's tensors in place, so no wall includes
+//! a copy of the inputs.
 
 use ft_autodiff::{GradOptions, TapePolicy};
 use ft_autoschedule::search::{
@@ -37,7 +32,7 @@ use ft_metrics::Metrics;
 use ft_opbase::{OpError, Session};
 use ft_runtime::{
     cc_available, CompiledEngine, DeviceConfig, ExecutionEngine, PerfCounters, RunContext, Runtime,
-    TensorVal, VmRuntime,
+    RuntimeError, TensorVal,
 };
 use ft_schedule::trace::ScheduleOp;
 use ft_trace::JsonVal;
@@ -90,22 +85,13 @@ pub use ft_workloads::{Scale, Workload};
 /// Outcome of one measured case.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// Wall-clock milliseconds of the execution engine: the fast-mode
-    /// bytecode VM for FreeTensor systems, native kernels for the operator
-    /// baseline (see the crate-level measurement note). On failure this is
-    /// the elapsed time of the failing stage.
-    pub wall_ms: f64,
-    /// Wall-clock milliseconds of the instrumented-interpreter run that
-    /// produced `counters` (`None` for the operator baseline, which has no
-    /// interpreter axis).
-    pub interp_wall_ms: Option<f64>,
-    /// Wall-clock milliseconds of the native compiled engine
-    /// ([`ft_runtime::CompiledEngine`]): C → `cc` → shared object called
-    /// in-process. Compilation is excluded (compile-once/run-many — the
-    /// warm-up run pays it through the artifact cache). `None` on GPU
-    /// cases, the operator baseline, failures, or hosts without a C
-    /// compiler.
-    pub compiled_wall_ms: Option<f64>,
+    /// Wall-clock milliseconds: for FreeTensor systems the best warm
+    /// operation of the native compiled engine, compilation excluded (the
+    /// first run pays it through the artifact cache), and `None` on GPU cases
+    /// and on hosts without a C compiler; for the operator baseline its
+    /// native kernels (see the crate-level measurement note). On failure
+    /// this is the elapsed time of the failing stage.
+    pub wall_ms: Option<f64>,
     /// Wall-clock milliseconds the *search* that produced this schedule
     /// spent, carried over from the replayed [`SavedSchedule`] — the
     /// tuning cost axis. `None` for every non-searched system.
@@ -116,7 +102,8 @@ pub struct CaseResult {
     pub counters: PerfCounters,
     /// `None` = ran; `Some(reason)` = failed (e.g. "OOM").
     pub failure: Option<String>,
-    /// Pipeline stage a failure occurred in (`"grad"`, `"run"`, `"vm"`),
+    /// Pipeline stage a failure occurred in (`"grad"`, `"run"`,
+    /// `"compiled"`, `"schedule"`),
     /// `None` when the case ran.
     pub failed_stage: Option<&'static str>,
     /// Peak temporary (`VarDef`) bytes live at once under naive
@@ -129,8 +116,9 @@ pub struct CaseResult {
     /// never legitimately above `peak_naive_bytes` — `bench_check` blocks
     /// on both that and regressions against the committed baseline.
     pub peak_planned_bytes: Option<u64>,
-    /// Arena/staging allocation calls observed during two *warm* compiled
-    /// runs through a reused `RunContext` (after one cold run). The memory
+    /// Arena/staging allocation calls observed during the *warm* compiled
+    /// runs through a reused `RunContext` that time `wall_ms` (every run
+    /// after the first). The memory
     /// planner's steady-state claim is that this is 0 — `bench_check
     /// --expect-warm` gates on the aggregated `mem.arena.warm_alloc_calls`
     /// counter. `None` off-CPU, without a C compiler, or on failures.
@@ -144,31 +132,11 @@ pub struct CaseResult {
 }
 
 impl CaseResult {
-    /// Interpreter-vs-VM wall-clock ratio (>1 means the VM is faster),
-    /// when both engines ran to completion.
-    pub fn vm_speedup(&self) -> Option<f64> {
-        match self.interp_wall_ms {
-            Some(iw) if self.failure.is_none() && self.wall_ms > 0.0 => Some(iw / self.wall_ms),
-            _ => None,
-        }
-    }
-
-    /// VM-vs-compiled wall-clock ratio (>1 means native code is faster
-    /// than the fast-mode VM), when both engines ran to completion.
-    pub fn compiled_speedup(&self) -> Option<f64> {
-        match self.compiled_wall_ms {
-            Some(cw) if self.failure.is_none() && cw > 0.0 => Some(self.wall_ms / cw),
-            _ => None,
-        }
-    }
-
     /// A case that produced no measurement: skipped, or failed in `stage`
     /// after `elapsed_ms`. No cycle count, no counters, no memory axes.
     pub fn not_run(stage: &'static str, reason: String, elapsed_ms: f64) -> CaseResult {
         CaseResult {
-            wall_ms: elapsed_ms,
-            interp_wall_ms: None,
-            compiled_wall_ms: None,
+            wall_ms: Some(elapsed_ms),
             search_wall_ms: None,
             cycles: f64::NAN,
             counters: PerfCounters::default(),
@@ -183,7 +151,7 @@ impl CaseResult {
 }
 
 /// The process-wide metrics registry shared by every engine a bench sweep
-/// touches (interpreter, VM, compiled). One registry per process means a
+/// touches (interpreter, compiled). One registry per process means a
 /// `fig16 --metrics` run exports the whole sweep's telemetry — engine run
 /// histograms, compile counts, cache hit/miss, pool stats — as one
 /// `results/METRICS.json` document.
@@ -192,7 +160,7 @@ pub fn bench_metrics() -> &'static Metrics {
     METRICS.get_or_init(Metrics::new)
 }
 
-/// The process-wide compiled engine used for the third time axis: one
+/// The process-wide compiled engine behind the wall-clock axis: one
 /// instance keeps the in-memory kernel memo warm across every case in a
 /// sweep, on top of the on-disk artifact cache.
 fn bench_compiled_engine() -> &'static CompiledEngine {
@@ -438,6 +406,11 @@ fn median(mut v: Vec<f64>) -> Option<f64> {
     }
 }
 
+/// The lowest of the slices' medians (`None` when every slice is empty).
+fn lowest_median(slices: Vec<Vec<f64>>) -> Option<f64> {
+    slices.into_iter().filter_map(median).min_by(f64::total_cmp)
+}
+
 /// Spearman rank correlation of `(x, y)` pairs, ties sharing their mean
 /// rank. `None` for fewer than three pairs or when either side is constant.
 pub fn spearman(pairs: &[(f64, f64)]) -> Option<f64> {
@@ -523,7 +496,8 @@ struct WallMeasurer<'a> {
     ctx: RunContext,
     yardstick: Func,
     yardstick_ctx: RunContext,
-    /// Median wall of the yardstick over the set-up's operations, in us.
+    /// Wall of the yardstick at set-up, in us: the lowest median of
+    /// [`Self::SLICES`] slices of its operations.
     yardstick_us: f64,
 }
 
@@ -543,6 +517,11 @@ impl<'a> WallMeasurer<'a> {
     /// How long a reading waits for [`Self::MIN_PAIRS`] clean pairs before
     /// it gives up; a stall lasts about a second.
     const GIVE_UP: std::time::Duration = std::time::Duration::from_secs(3);
+    /// Slices of half a reading the set-up times the yardstick in. Every
+    /// reading of a search is scaled by its wall, and one slice beside a
+    /// busy host read 7 217 us against 132 us quiet; a stall only adds
+    /// time, so the lowest slice median is the wall.
+    const SLICES: usize = 3;
 
     /// Compile the yardstick and run it until the process's OpenMP team is
     /// in place, then take its wall. A team's first hundred-odd regions —
@@ -550,7 +529,8 @@ impl<'a> WallMeasurer<'a> {
     /// and every barrier then costs a 4 ms spin (EXPERIMENTS.md, "A hazard
     /// this does not fix"): parallel kernels read 10–70x their wall and
     /// serial ones do not, so a search that timed through it would learn
-    /// that threads are slow. `None` when the yardstick does not build.
+    /// that threads are slow. `None` when the yardstick does not build or
+    /// run.
     fn new(
         cache_dir: &std::path::Path,
         yardstick: Func,
@@ -559,30 +539,20 @@ impl<'a> WallMeasurer<'a> {
         let engine = CompiledEngine::with_cache_dir(cache_dir);
         let mut yardstick_ctx = RunContext::new();
         let spin_up = std::time::Duration::from_secs(2);
-        warm_compiled_ops(
-            &engine,
-            &yardstick,
-            inputs,
-            &mut yardstick_ctx,
-            256,
-            spin_up,
-        )?;
+        let ctx = &mut yardstick_ctx;
+        warm_compiled_ops(&engine, &yardstick, inputs, ctx, 256, spin_up).ok()?;
         let slice = Self::READING / 2;
-        let ops = timed_compiled_ops(
-            &engine,
-            &yardstick,
-            inputs,
-            &mut yardstick_ctx,
-            usize::MAX,
-            slice,
-        )?;
+        let slices = (0..Self::SLICES)
+            .map(|_| timed_compiled_ops(&engine, &yardstick, inputs, ctx, usize::MAX, slice))
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
         Some(WallMeasurer {
             engine,
             inputs,
             ctx: RunContext::new(),
             yardstick,
             yardstick_ctx,
-            yardstick_us: median(ops)? * 1e3,
+            yardstick_us: lowest_median(slices)? * 1e3,
         })
     }
 
@@ -594,8 +564,8 @@ impl<'a> WallMeasurer<'a> {
         inputs: &HashMap<String, TensorVal>,
         ctx: &mut RunContext,
     ) -> Option<f64> {
-        compiled_op_ms(engine, func, inputs, ctx)?;
-        let ops = timed_compiled_ops(engine, func, inputs, ctx, usize::MAX, Self::BURST)?;
+        compiled_op_ms(engine, func, inputs, ctx).ok()?;
+        let ops = timed_compiled_ops(engine, func, inputs, ctx, usize::MAX, Self::BURST).ok()?;
         Some(median(ops)? * 1e3)
     }
 
@@ -606,7 +576,7 @@ impl<'a> WallMeasurer<'a> {
         // Candidates differ in their memory plans; the context is one
         // program's at a time.
         self.ctx.reset();
-        warm_up_compiled(&self.engine, func, self.inputs, &mut self.ctx)?;
+        warm_up_compiled(&self.engine, func, self.inputs, &mut self.ctx).ok()?;
         let start = Instant::now();
         let mut ratios = Vec::new();
         while ratios.len() < Self::MIN_PAIRS || start.elapsed() < Self::READING {
@@ -726,10 +696,12 @@ pub fn search_schedule(
     (saved, outcome)
 }
 
-/// Run a FreeTensor program on every engine with a time axis: the
-/// instrumented interpreter for counters + modeled cycles, the fast-mode
-/// bytecode VM for the headline wall-clock, and — on CPU cases with a C
-/// compiler on `PATH` — the native compiled engine for the third axis.
+/// Run a FreeTensor program on its two engines: the instrumented
+/// interpreter for counters and modeled cycles, and — on CPU cases with a C
+/// compiler on `PATH` — the native compiled engine for the wall-clock
+/// ([`time_compiled`]). A program the interpreter ran and the compiled
+/// engine fails on is a `"compiled"`-stage failure: a real engine
+/// divergence worth surfacing, not an axis to leave blank.
 fn run_ft_both_engines(
     prog: &freetensor_core::Program,
     inputs: &Inputs,
@@ -747,151 +719,106 @@ fn run_ft_both_engines(
     let mut rt = Runtime::with_config(config);
     rt.set_metrics(Some(bench_metrics().clone()));
     let start = Instant::now();
-    let result = prog.run(&rt, inputs, &sizes);
-    let interp_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    match result {
-        Ok(r) => {
-            let mut vm = VmRuntime::new();
-            vm.set_metrics(Some(bench_metrics().clone()));
-            // One warm-up run, then best of two timed runs: a single cold
-            // run folds one-off noise (page faults, pool spin-up, bytecode
-            // compile jitter) into the headline number and can invert
-            // close naive/optimized pairs.
-            let mut wall_ms = f64::INFINITY;
-            let mut vm_result = prog.run(&vm, inputs, &sizes);
-            for _ in 0..2 {
-                let start = Instant::now();
-                let again = prog.run(&vm, inputs, &sizes);
-                wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
-                if vm_result.is_ok() {
-                    vm_result = again;
-                }
-            }
-            let compiled_wall_ms = time_compiled(prog, inputs, device);
-            let warm_alloc_calls = warm_arena_probe(prog, inputs, device);
-            // The VM mirrors interpreter semantics, so a run that passed on
-            // the interpreter failing here is a real engine divergence worth
-            // surfacing, not something to paper over.
-            let failure = vm_result.err().map(|e| short_error(&e.to_string()));
-            CaseResult {
-                wall_ms,
-                interp_wall_ms: Some(interp_wall_ms),
-                compiled_wall_ms,
-                search_wall_ms: None,
-                cycles: r.counters.modeled_cycles,
-                counters: r.counters,
-                failed_stage: failure.is_some().then_some("vm"),
-                failure,
+    let counters = match prog.run(&rt, inputs, &sizes) {
+        Ok(r) => r.counters,
+        Err(e) => {
+            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+            return CaseResult {
                 peak_naive_bytes,
                 peak_planned_bytes,
-                warm_alloc_calls,
                 naive_alloc_bytes,
-            }
+                ..CaseResult::not_run("run", short_error(&e.to_string()), elapsed_ms)
+            };
         }
-        Err(e) => CaseResult {
-            interp_wall_ms: Some(interp_wall_ms),
-            peak_naive_bytes,
-            peak_planned_bytes,
-            naive_alloc_bytes,
-            ..CaseResult::not_run("run", short_error(&e.to_string()), interp_wall_ms)
-        },
+    };
+    let start = Instant::now();
+    let timed = (device == Device::Cpu && cc_available()).then(|| time_compiled(prog, inputs));
+    let (wall_ms, warm_alloc_calls, failure) = match timed {
+        None => (None, None, None),
+        Some(Ok((wall, warm))) => (Some(wall), Some(warm), None),
+        Some(Err(e)) => {
+            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+            (Some(elapsed_ms), None, Some(short_error(&e.to_string())))
+        }
+    };
+    CaseResult {
+        wall_ms,
+        search_wall_ms: None,
+        cycles: counters.modeled_cycles,
+        counters,
+        failed_stage: failure.is_some().then_some("compiled"),
+        failure,
+        peak_naive_bytes,
+        peak_planned_bytes,
+        warm_alloc_calls,
+        naive_alloc_bytes,
     }
 }
 
-/// Drive the native compiled engine through a reusable [`RunContext`]: one
-/// cold `run_with` populates the arena, the staging buffers, and (through
-/// the artifact cache) the kernel; then two warm iterations re-run with
-/// every output recycled back into the context. Returns the number of
-/// arena/staging allocation calls observed during the *warm* iterations —
-/// 0 is the memory planner's steady-state claim. The observation is also
-/// aggregated into the process registry as `mem.arena.warm_alloc_calls`
-/// (+ `mem.arena.warm_probe_runs`), next to the fresh resolves of those
-/// iterations as `mem.arena.warm_resolve_calls` (0: the context kept the
-/// lowered function and its plan), which `bench_check --expect-warm`
-/// gates on. `None` off-CPU, without a C compiler, or when any run fails.
-fn warm_arena_probe(
+/// Time `prog` on the process's compiled engine: one `run_with` loop
+/// through one [`RunContext`], every output recycled into it. Returns the
+/// best of five timed operations in milliseconds (these kernels are short
+/// enough that fewer samples leave scheduler noise in a sub-millisecond
+/// row, and `bench_check` gates on ratios of them) and the arena/staging
+/// allocation calls of the warm runs.
+///
+/// The first run resolves the call and pays compilation through the
+/// artifact cache. It reports into the sweep's registry, and into the
+/// program's trace sink, so a traced case keeps the resolve's
+/// `lower.parallel` decisions. Every run after it reports into a registry
+/// of the case's own on the same engine clone (clones share the kernel
+/// memo), so the steady state is read apart from the sweep: its allocation
+/// calls — 0 is the memory planner's claim — and its fresh resolves (0: the
+/// context kept the lowered function and its plan) are added to the sweep's
+/// `mem.arena.warm_alloc_calls` and `mem.arena.warm_resolve_calls`, with
+/// one `mem.arena.warm_probe_runs` per case, which `bench_check
+/// --expect-warm` gates on.
+fn time_compiled(
     prog: &freetensor_core::Program,
     inputs: &Inputs,
-    device: Device,
-) -> Option<u64> {
-    if device != Device::Cpu || !cc_available() {
-        return None;
-    }
-    // A clone shares the kernel memo (no recompilation) but carries its own
-    // metrics slot, so the probe's counters don't mix with the sweep's.
+) -> Result<(f64, u64), RuntimeError> {
     let mut engine = bench_compiled_engine().clone();
-    let m = Metrics::new();
-    engine.set_metrics(Some(m.clone()));
-    let sizes = HashMap::new();
+    engine.set_sink(prog.sink().cloned());
     let mut ctx = RunContext::new();
-    let cold = engine
-        .run_with(prog.func(), inputs, &sizes, &mut ctx)
-        .ok()?;
-    ctx.recycle(cold).expect("recycle cold outputs");
-    let counts = || {
-        let snap = m.snapshot();
-        (
-            snap.counter("mem.arena.alloc_calls"),
-            snap.counter("engine.compiled.resolves"),
-        )
-    };
-    let before = counts();
-    for _ in 0..2 {
-        let r = engine
-            .run_with(prog.func(), inputs, &sizes, &mut ctx)
-            .ok()?;
-        ctx.recycle(r).expect("recycle warm outputs");
-    }
-    let after = counts();
-    let warm = after.0 - before.0;
-    bench_metrics()
-        .counter("mem.arena.warm_alloc_calls")
-        .add(warm);
-    bench_metrics()
-        .counter("mem.arena.warm_resolve_calls")
-        .add(after.1 - before.1);
-    bench_metrics().counter("mem.arena.warm_probe_runs").inc();
-    Some(warm)
-}
-
-/// Time the native compiled engine on a CPU case: best of five warm
-/// operations (the VM axis takes two; these kernels are short enough that
-/// two samples leave scheduler noise in a sub-millisecond row, and
-/// `bench_check` gates on ratios of them). `None` off-CPU, without a C
-/// compiler, or when the engine fails (the compiled axis is an extra
-/// measurement, not a correctness gate — conformance owns that).
-fn time_compiled(prog: &freetensor_core::Program, inputs: &Inputs, device: Device) -> Option<f64> {
-    if device != Device::Cpu || !cc_available() {
-        return None;
-    }
+    compiled_op_ms(&engine, prog.func(), inputs, &mut ctx)?;
+    let warm = Metrics::new();
+    engine.set_sink(None);
+    engine.set_metrics(Some(warm.clone()));
     let ops = warm_compiled_ops(
-        bench_compiled_engine(),
+        &engine,
         prog.func(),
         inputs,
-        &mut RunContext::new(),
+        &mut ctx,
         5,
         std::time::Duration::MAX,
     )?;
-    ops.into_iter().min_by(f64::total_cmp)
+    let warm = warm.snapshot();
+    let allocs = warm.counter("mem.arena.alloc_calls");
+    let sweep = bench_metrics();
+    sweep.counter("mem.arena.warm_alloc_calls").add(allocs);
+    sweep
+        .counter("mem.arena.warm_resolve_calls")
+        .add(warm.counter("engine.compiled.resolves"));
+    sweep.counter("mem.arena.warm_probe_runs").inc();
+    Ok((ops.into_iter().fold(f64::INFINITY, f64::min), allocs))
 }
 
 /// One `run_with` of `func` through `ctx`, timed in milliseconds (the
 /// recycle that follows is not). Runs go through one recycled context, the
 /// compile-once/run-many path: a fresh context per call allocates and
 /// faults in a new arena and new outputs, and resolves the call again,
-/// which is most of a sub-millisecond kernel's wall. `None` when the engine
-/// fails.
+/// which is most of a sub-millisecond kernel's wall.
 fn compiled_op_ms(
     engine: &CompiledEngine,
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
     ctx: &mut RunContext,
-) -> Option<f64> {
+) -> Result<f64, RuntimeError> {
     let start = Instant::now();
-    let r = engine.run_with(func, inputs, &HashMap::new(), ctx).ok()?;
+    let r = engine.run_with(func, inputs, &HashMap::new(), ctx)?;
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    ctx.recycle(r).ok()?;
-    Some(ms)
+    ctx.recycle(r)?;
+    Ok(ms)
 }
 
 /// Warm `func` up on `engine`: the first run pays compilation through the
@@ -905,7 +832,7 @@ fn warm_up_compiled(
     func: &Func,
     inputs: &HashMap<String, TensorVal>,
     ctx: &mut RunContext,
-) -> Option<()> {
+) -> Result<(), RuntimeError> {
     let warm = Instant::now();
     for _ in 0..20 {
         compiled_op_ms(engine, func, inputs, ctx)?;
@@ -913,7 +840,7 @@ fn warm_up_compiled(
             break;
         }
     }
-    Some(())
+    Ok(())
 }
 
 /// Fewest operations [`timed_compiled_ops`] times before its `cap` applies.
@@ -929,13 +856,13 @@ fn timed_compiled_ops(
     ctx: &mut RunContext,
     n: usize,
     cap: std::time::Duration,
-) -> Option<Vec<f64>> {
+) -> Result<Vec<f64>, RuntimeError> {
     let timed = Instant::now();
     let mut ops = Vec::new();
     while ops.len() < n && (ops.len() < MIN_TIMED_OPS || timed.elapsed() < cap) {
         ops.push(compiled_op_ms(engine, func, inputs, ctx)?);
     }
-    Some(ops)
+    Ok(ops)
 }
 
 /// [`warm_up_compiled`], then [`timed_compiled_ops`].
@@ -946,7 +873,7 @@ fn warm_compiled_ops(
     ctx: &mut RunContext,
     n: usize,
     cap: std::time::Duration,
-) -> Option<Vec<f64>> {
+) -> Result<Vec<f64>, RuntimeError> {
     warm_up_compiled(engine, func, inputs, ctx)?;
     timed_compiled_ops(engine, func, inputs, ctx, n, cap)
 }
@@ -959,9 +886,7 @@ fn run_opbase(session: &Session, run: impl FnOnce() -> Result<(), OpError>) -> C
     let counters = session.counters();
     let failure = result.err().map(|e| short_error(&e.to_string()));
     CaseResult {
-        wall_ms,
-        interp_wall_ms: None,
-        compiled_wall_ms: None,
+        wall_ms: Some(wall_ms),
         search_wall_ms: None,
         cycles: counters.modeled_cycles,
         counters,
@@ -1108,11 +1033,7 @@ pub fn json_record(
         ("device", text(&device.to_string())),
         ("kind", text(kind)),
         ("scale", text(scale.name())),
-        ("wall_ms", num(Some(r.wall_ms))),
-        ("interp_wall_ms", num(r.interp_wall_ms)),
-        ("vm_wall_speedup", num(r.vm_speedup())),
-        ("compiled_wall_ms", num(r.compiled_wall_ms)),
-        ("compiled_wall_speedup", num(r.compiled_speedup())),
+        ("wall_ms", num(r.wall_ms)),
         ("search_wall_ms", num(r.search_wall_ms)),
         ("cycles", num(Some(r.cycles))),
         ("peak_live_bytes_naive", count(r.peak_naive_bytes)),
@@ -1328,38 +1249,22 @@ mod tests {
     }
 
     #[test]
-    fn ft_cases_report_both_time_axes() {
-        // The VM wall-clock is the headline; the instrumented interpreter's
-        // wall-clock rides along so the engine speedup is computable. The
-        // operator baseline has no interpreter axis.
-        let prep = prepare(Workload::Gat, Scale::Small);
-        let ft = run_forward(&prep, System::FtOptimized, Device::Cpu);
-        assert!(ft.failure.is_none(), "{:?}", ft.failure);
-        assert!(ft.interp_wall_ms.is_some());
-        assert!(ft.vm_speedup().is_some());
-        let ob = run_forward(&prep, System::OpBase, Device::Cpu);
-        assert!(ob.interp_wall_ms.is_none());
-        assert!(ob.vm_speedup().is_none());
-        assert!(ob.compiled_wall_ms.is_none());
-    }
-
-    #[test]
     fn cpu_ft_cases_report_the_compiled_axis() {
-        // The third time axis: on CPU cases with a C compiler available,
-        // FreeTensor rows also carry the native compiled engine's wall
-        // time; GPU cases never do (the compiled engine is CPU-only).
+        // On CPU cases with a C compiler available, a FreeTensor row's wall
+        // is the native compiled engine's, and its warm runs allocated
+        // nothing; without one, and on every GPU case (the compiled engine
+        // is CPU-only), the row has no wall. The operator baseline times its
+        // own kernels on either device.
         let prep = prepare(Workload::Subdivnet, Scale::Small);
         let cpu = run_forward(&prep, System::FtOptimized, Device::Cpu);
         assert!(cpu.failure.is_none(), "{:?}", cpu.failure);
-        if cc_available() {
-            assert!(cpu.compiled_wall_ms.is_some(), "no compiled axis on CPU");
-            assert!(cpu.compiled_speedup().is_some());
-        }
+        assert_eq!(cpu.wall_ms.is_some(), cc_available(), "{:?}", cpu.wall_ms);
+        assert_eq!(cpu.warm_alloc_calls, cc_available().then_some(0));
         let gpu = run_forward(&prep, System::FtOptimized, Device::Gpu);
-        assert!(
-            gpu.compiled_wall_ms.is_none(),
-            "compiled axis leaked to GPU"
-        );
+        assert!(gpu.failure.is_none(), "{:?}", gpu.failure);
+        assert_eq!(gpu.wall_ms, None, "compiled axis leaked to GPU");
+        let ob = run_forward(&prep, System::OpBase, Device::Gpu);
+        assert!(ob.wall_ms.is_some_and(|w| w > 0.0), "{:?}", ob.wall_ms);
     }
 
     #[test]
@@ -1374,7 +1279,8 @@ mod tests {
             Some(16 << 10),
         );
         assert!(r.failure.is_some());
-        assert!(r.wall_ms > 0.0, "failure must still report elapsed time");
+        let elapsed = r.wall_ms.unwrap_or_default();
+        assert!(elapsed > 0.0, "failure must still report elapsed time");
         assert!(r.failed_stage.is_some());
     }
 
@@ -1408,8 +1314,9 @@ mod tests {
             .collect();
         assert!(kinds.contains(&"forward".to_string()));
         assert!(kinds.contains(&"grad".to_string()));
-        assert!(records[0].get("wall_ms").unwrap().as_f64().unwrap() > 0.0);
-        assert!(records[0].get("vm_wall_speedup").is_some());
+        let wall = records[0].get("wall_ms").unwrap();
+        assert_eq!(wall.as_f64().is_some(), cc_available(), "{wall}");
+        assert!(records[0].get("compiled_wall_ms").is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1535,6 +1442,19 @@ mod tests {
             None,
             "constant side"
         );
+    }
+
+    #[test]
+    fn the_yardstick_is_the_lowest_slice_median() {
+        // One slice beside a busy host read 50x the quiet wall; a stall only
+        // adds time, so the yardstick keeps the lowest median.
+        let slices = vec![
+            vec![7217.0, 7100.0, 7300.0],
+            vec![131.0, 132.0, 500.0],
+            vec![135.0],
+        ];
+        assert_eq!(lowest_median(slices), Some(132.0));
+        assert_eq!(lowest_median(vec![Vec::new(), Vec::new()]), None);
     }
 
     #[test]

@@ -179,29 +179,12 @@ fn cache_size_bytes(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// One in-flight compilation of a cache key. The first requester (the
-/// *leader*) compiles; everyone else parks on the condvar and re-checks the
-/// on-disk artifact once the leader finishes.
-#[derive(Default)]
-struct Flight {
-    done: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-/// Process-wide singleflight table: at most one thread per cache key is
-/// compiling at any moment, regardless of how many `CompiledEngine` values
-/// (each with its own in-memory memo) exist. Entries live only while a
-/// compile is in flight.
-fn flights() -> &'static Mutex<HashMap<u64, Arc<Flight>>> {
-    static FLIGHTS: OnceLock<Mutex<HashMap<u64, Arc<Flight>>>> = OnceLock::new();
-    FLIGHTS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Take an exclusive advisory lock on `file`, blocking until granted. The
 /// lock is released when the file handle is dropped (and by the kernel if
 /// the process dies — unlike a lock *file*, it cannot leak and wedge the
-/// cache). This is the cross-process leg of compile deduplication; the
-/// in-process leg is [`flights`].
+/// cache). An `flock` belongs to an open file description, so threads of
+/// one process that each open the lock file queue on it as processes do:
+/// it is the one lock that deduplicates compiles.
 #[cfg(unix)]
 fn lock_exclusive(file: &std::fs::File) -> std::io::Result<()> {
     use std::os::unix::io::AsRawFd;
@@ -323,10 +306,10 @@ impl CompiledEngine {
         }
     }
 
-    /// Leader-side build: take the cross-process file lock for `hash`,
-    /// re-check whether another process published the artifact while we
-    /// waited, and compile only if not. Returns whether a compile actually
-    /// ran (false = lost the cross-process race, which is a cache hit).
+    /// Build under the file lock of `hash`: take it, re-check whether
+    /// another thread or process published the artifact while we waited,
+    /// and compile only if not. Returns whether a compile actually ran
+    /// (false = another builder won the race, which is a cache hit).
     /// `retire`: the caller could not load the published artifact. If, under
     /// the lock, it still does not load — nobody has replaced it since — it
     /// is renamed `<key>.so.bad` (`compiled.cache.quarantined`) and rebuilt.
@@ -440,54 +423,24 @@ impl CompiledEngine {
             return Ok(Arc::clone(k));
         }
         let so_path = self.cache_dir.join(format!("{hash:016x}.so"));
-        // Miss in the in-memory memo: settle who compiles. Any number of
-        // engines/threads/processes may want this key at once; exactly one
-        // `cc` must be spawned (the thundering-herd bug this replaces spawned
-        // one per engine). Leaders compile under a per-key singleflight entry
-        // plus a cross-process file lock; followers park, then re-check the
-        // published artifact — and take over as leader if their leader failed.
-        // A published artifact that does not load (truncated by a full disk,
-        // written by something else) sends its finder down the same path with
-        // `retire` set; an artifact that fails right after its build is the
-        // load error.
-        let mut retire = false;
-        let (lib, entry) = loop {
-            if !retire && so_path.is_file() {
-                if let Ok(loaded) = load_artifact(&so_path) {
-                    self.note_cache(hash, true);
-                    break loaded;
-                }
-                retire = true;
+        // Miss in the in-memory memo. A published artifact that loads is a
+        // hit. Otherwise any number of engines, threads and processes may
+        // want this key at once, and exactly one `cc` must run:
+        // `build_locked` queues on the key's file lock and builds only if
+        // nobody published the artifact while it waited. A published artifact
+        // that does not load (truncated by a full disk, written by something
+        // else) sends its finder there with `retire` set; an artifact that
+        // fails right after its build is the load error.
+        let (lib, entry) = match so_path.is_file().then(|| load_artifact(&so_path)) {
+            Some(Ok(loaded)) => {
+                self.note_cache(hash, true);
+                loaded
             }
-            let (flight, leader) = {
-                let mut map = flights().lock();
-                match map.get(&hash) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(Flight::default());
-                        map.insert(hash, Arc::clone(&f));
-                        (f, true)
-                    }
-                }
-            };
-            if leader {
-                let r = self.build_locked(&src, hash, &so_path, retire);
-                *flight.done.lock().unwrap() = true;
-                flight.cv.notify_all();
-                flights().lock().remove(&hash);
-                self.note_cache(hash, !r?);
-                break load_artifact(&so_path)?;
+            published => {
+                let built = self.build_locked(&src, hash, &so_path, published.is_some())?;
+                self.note_cache(hash, !built);
+                load_artifact(&so_path)?
             }
-            if let Some(m) = &self.tel.metrics {
-                m.counter("compiled.singleflight.wait").inc();
-            }
-            let mut done = flight.done.lock().unwrap();
-            while !*done {
-                done = flight.cv.wait(done).unwrap();
-            }
-            // Loop: the artifact is normally on disk now; if the leader
-            // errored instead, the next iteration elects a new leader
-            // (each waiter leads at most once before erroring itself).
         };
         let kernel = Arc::new(LoadedKernel {
             entry,

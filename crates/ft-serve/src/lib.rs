@@ -8,12 +8,13 @@
 //! worker pool over one shared [`CompiledEngine`], with four serving
 //! policies layered on top:
 //!
-//! * **In-flight dedup** — requests for a key whose first (cold)
-//!   compilation is still in flight don't start another; they queue behind
-//!   it and are counted as `serve.inflight_dedup_hits`. The compile itself
-//!   is additionally deduplicated process-wide (singleflight) and
-//!   machine-wide (a file lock on cache publishes) inside the engine, so a
-//!   64-request stampede on a cold key spawns exactly one `cc`.
+//! * **One build per cold key** — a request for a key whose first (cold)
+//!   compilation is still in flight is counted as
+//!   `serve.inflight_dedup_hits`, and is not held back: a worker runs it,
+//!   and it waits inside the engine, on the key's file lock. Threads and
+//!   processes queue on that lock alike; the first builds, the rest load
+//!   what it published, so a 64-request stampede on a cold key spawns
+//!   exactly one `cc`.
 //! * **Fairness** — jobs queue per client and are drained round-robin, so
 //!   one chatty client cannot starve the rest. The queue is bounded;
 //!   overflow is a structured [`ServeError::Overloaded`], not unbounded

@@ -8,7 +8,7 @@
 //!   sequentially (the reference bits), then replayed by 4 threads at once
 //!   through the *same* engine instance. Every concurrent result must be
 //!   bit-identical to the sequential one: the kernel memo, artifact cache,
-//!   and singleflight are shared mutable state, and this is the test that
+//!   and its file locks are shared mutable state, and this is the test that
 //!   they never bleed between concurrent runs.
 //! * `subdivnet_context_is_rejected_on_longformer` — the regression the
 //!   serving front door exposed: a context warmed on one program being
@@ -279,8 +279,8 @@ fn a_cold_stampede_compiles_once_and_the_warm_loop_allocates_nothing() {
         metrics.clone(),
     );
 
-    // 64 identical requests on a cold key, submitted at once: singleflight
-    // and the publish lock collapse every concurrent miss onto one build.
+    // 64 identical requests on a cold key, submitted at once: the key's
+    // publish lock collapses every concurrent miss onto one build.
     let pending: Vec<_> = (0..64)
         .map(|i| {
             server

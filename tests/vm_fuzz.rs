@@ -257,7 +257,8 @@ fn vm_engages_simd_and_privatized_reductions_bit_exactly() {
 /// small scale. Each runs on the VM bit-identical to the interpreter on
 /// `lower_and_plan`'s function, and every `vectorize` loop of that function
 /// has one `vm.simd` span, naming its kernel (`axpy`, `dot`) or why it has
-/// none. Both kernels engage somewhere among them.
+/// none. Both kernels engage somewhere among them, and some kernel engages
+/// in the four forward programs alone.
 #[test]
 fn vm_matches_interp_on_rule_scheduled_benchmark_programs() {
     use freetensor::autodiff::GradOptions;
@@ -266,6 +267,7 @@ fn vm_matches_interp_on_rule_scheduled_benchmark_programs() {
 
     let sizes = HashMap::new();
     let mut engaged = std::collections::BTreeSet::new();
+    let mut forward_engaged = 0;
     for w in Workload::ALL {
         let inst = w.at(Scale::Small);
         let forward = inst.program();
@@ -327,6 +329,7 @@ fn vm_matches_interp_on_rule_scheduled_benchmark_programs() {
                 match span {
                     (Some(how), None) => {
                         engaged.insert(how.clone());
+                        forward_engaged += usize::from(!label.ends_with(".grad"));
                     }
                     (None, Some(reason)) => assert!(!reason.is_empty(), "{label}: {span:?}"),
                     _ => panic!("{label}: a span with neither `how` nor `reason`: {span:?}"),
@@ -336,6 +339,10 @@ fn vm_matches_interp_on_rule_scheduled_benchmark_programs() {
     }
     // Accepted spans name the two kernels, and nothing else.
     assert_eq!(engaged, ["axpy", "dot"].map(String::from).into());
+    assert!(
+        forward_engaged > 0,
+        "the rule-optimized forward programs engaged no fused kernel"
+    );
 }
 
 /// Directed grad-program schedules: differentiate every workload under both
