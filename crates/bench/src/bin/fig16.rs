@@ -208,15 +208,15 @@ fn main() {
         // state alongside the decisions.
         sink.metrics_sample(&bench_metrics().snapshot());
         ft_trace::write_chrome_trace(&sink, &path).expect("write trace");
-        let serialized = sink
-            .decisions()
+        let decisions = sink.decisions();
+        let serialized = decisions
             .iter()
             .filter(|d| d.primitive == "lower.parallel")
             .count();
         eprintln!(
             "wrote {} ({} decisions, {serialized} parallel marks made serial)",
             path.display(),
-            sink.decisions().len(),
+            decisions.len(),
         );
     }
     if let Some(path) = metrics_path {

@@ -309,7 +309,7 @@ impl CompiledEngine {
     /// Build under the file lock of `hash`: take it, re-check whether
     /// another thread or process published the artifact while we waited,
     /// and compile only if not. Returns whether a compile actually ran
-    /// (false = another builder won the race, which is a cache hit).
+    /// (false = another thread or process published it first, a cache hit).
     /// `retire`: the caller could not load the published artifact. If, under
     /// the lock, it still does not load — nobody has replaced it since — it
     /// is renamed `<key>.so.bad` (`compiled.cache.quarantined`) and rebuilt.
