@@ -126,29 +126,10 @@ impl<'f> Collector<'f> {
         });
     }
 
-    fn record_expr_reads(&mut self, stmt: StmtId, e: &'f Expr) {
-        match e {
-            Expr::Load { var, indices } => {
-                self.record(stmt, var, indices, AccessKind::Read);
-                for i in indices {
-                    self.record_expr_reads(stmt, i);
-                }
-            }
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => self.record_expr_reads(stmt, a),
-            Expr::Binary { a, b, .. } => {
-                self.record_expr_reads(stmt, a);
-                self.record_expr_reads(stmt, b);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.record_expr_reads(stmt, cond);
-                self.record_expr_reads(stmt, then);
-                self.record_expr_reads(stmt, otherwise);
-            }
-            _ => {}
+    /// Record every load in `es` as a read by `stmt`, in evaluation order.
+    fn reads(&mut self, stmt: StmtId, es: impl IntoIterator<Item = &'f Expr>) {
+        for e in es {
+            e.for_each_load(&mut |var, indices| self.record(stmt, var, indices, AccessKind::Read));
         }
     }
 
@@ -174,9 +155,7 @@ impl<'f> Collector<'f> {
             } => {
                 // The extents are read where the def stands, before its
                 // name is bound.
-                for e in shape {
-                    self.record_expr_reads(s.id, e);
-                }
+                self.reads(s.id, shape);
                 self.info
                     .def_inside_loops
                     .insert(s.id, self.loops.iter().map(|l| l.id).collect());
@@ -191,8 +170,7 @@ impl<'f> Collector<'f> {
                 body,
                 ..
             } => {
-                self.record_expr_reads(s.id, begin);
-                self.record_expr_reads(s.id, end);
+                self.reads(s.id, [begin, end]);
                 self.loops.push(LoopCtx {
                     id: s.id,
                     iter,
@@ -209,7 +187,7 @@ impl<'f> Collector<'f> {
                 then,
                 otherwise,
             } => {
-                self.record_expr_reads(s.id, cond);
+                self.reads(s.id, [cond]);
                 self.walk_arm(cond, true, then);
                 if let Some(o) = otherwise {
                     self.walk_arm(cond, false, o);
@@ -221,10 +199,7 @@ impl<'f> Collector<'f> {
                 value,
             } => {
                 self.pos = my_pos;
-                for i in indices {
-                    self.record_expr_reads(s.id, i);
-                }
-                self.record_expr_reads(s.id, value);
+                self.reads(s.id, indices.iter().chain([value]));
                 self.record(s.id, var, indices, AccessKind::Write);
             }
             StmtKind::ReduceTo {
@@ -234,10 +209,7 @@ impl<'f> Collector<'f> {
                 value,
                 ..
             } => {
-                for i in indices {
-                    self.record_expr_reads(s.id, i);
-                }
-                self.record_expr_reads(s.id, value);
+                self.reads(s.id, indices.iter().chain([value]));
                 self.record(s.id, var, indices, AccessKind::Reduce(*op));
             }
             StmtKind::LibCall {
@@ -327,6 +299,40 @@ mod tests {
         assert_eq!(y.loops[0].iter, "i");
         assert_eq!(y.conds.len(), 1);
         assert!(y.conds[0].1);
+    }
+
+    #[test]
+    fn reads_are_recorded_in_evaluation_order() {
+        // y[0] = A[B[i]] + C[j]: a load before its subscripts, `a` before
+        // `b`. The dependence engine orders accesses by this position.
+        let f = Func::new("r")
+            .param("A", [4], DataType::F32, AccessType::Input)
+            .param("B", [4], DataType::I64, AccessType::Input)
+            .param("C", [4], DataType::F32, AccessType::Input)
+            .param("y", [1], DataType::F32, AccessType::Output)
+            .body(for_(
+                "i",
+                0,
+                4,
+                for_(
+                    "j",
+                    0,
+                    4,
+                    store(
+                        "y",
+                        [0],
+                        load("A", [load("B", [var("i")])]) + load("C", [var("j")]),
+                    ),
+                ),
+            ));
+        let info = collect_accesses(&f);
+        let reads: Vec<&str> = info
+            .accesses
+            .iter()
+            .filter(|a| a.kind == AccessKind::Read)
+            .map(|a| a.var)
+            .collect();
+        assert_eq!(reads, ["A", "B", "C"]);
     }
 
     #[test]

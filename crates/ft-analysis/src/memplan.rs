@@ -184,30 +184,10 @@ impl Walker<'_> {
         });
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Load { var, indices } => {
-                self.note_access(var);
-                for i in indices {
-                    self.expr(i);
-                }
-            }
-            Expr::Unary { a, .. } => self.expr(a),
-            Expr::Binary { a, b, .. } => {
-                self.expr(a);
-                self.expr(b);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.expr(cond);
-                self.expr(then);
-                self.expr(otherwise);
-            }
-            Expr::Cast { a, .. } => self.expr(a),
-            _ => {}
+    /// Note every load in `es`, in evaluation order.
+    fn note_loads<'e>(&mut self, es: impl IntoIterator<Item = &'e Expr>) {
+        for e in es {
+            e.for_each_load(&mut |var, _| self.note_access(var));
         }
     }
 
@@ -229,9 +209,7 @@ impl Walker<'_> {
                 body,
                 ..
             } => {
-                for e in shape {
-                    self.expr(e);
-                }
+                self.note_loads(shape);
                 let numel: Option<u64> = shape
                     .iter()
                     .map(|e| eval_extent(e, self.sizes))
@@ -259,8 +237,7 @@ impl Walker<'_> {
             StmtKind::For {
                 begin, end, body, ..
             } => {
-                self.expr(begin);
-                self.expr(end);
+                self.note_loads([begin, end]);
                 let li = self.loops.len();
                 self.loops.push((my_seq, 0));
                 self.loop_stack.push(li);
@@ -280,7 +257,7 @@ impl Walker<'_> {
                 then,
                 otherwise,
             } => {
-                self.expr(cond);
+                self.note_loads([cond]);
                 self.stmt(then);
                 if let Some(o) = otherwise {
                     self.stmt(o);
@@ -292,10 +269,7 @@ impl Walker<'_> {
                 value,
             } => {
                 self.note_access(var);
-                for i in indices {
-                    self.expr(i);
-                }
-                self.expr(value);
+                self.note_loads(indices.iter().chain([value]));
             }
             StmtKind::ReduceTo {
                 var,
@@ -304,10 +278,7 @@ impl Walker<'_> {
                 ..
             } => {
                 self.note_access(var);
-                for i in indices {
-                    self.expr(i);
-                }
-                self.expr(value);
+                self.note_loads(indices.iter().chain([value]));
             }
             StmtKind::LibCall {
                 inputs, outputs, ..
@@ -331,19 +302,9 @@ enum ZeroScan {
     Needs,
 }
 
-fn expr_reads(e: &Expr, name: &str) -> bool {
-    match e {
-        Expr::Load { var, indices } => var == name || indices.iter().any(|i| expr_reads(i, name)),
-        Expr::Unary { a, .. } => expr_reads(a, name),
-        Expr::Binary { a, b, .. } => expr_reads(a, name) || expr_reads(b, name),
-        Expr::Select {
-            cond,
-            then,
-            otherwise,
-        } => expr_reads(cond, name) || expr_reads(then, name) || expr_reads(otherwise, name),
-        Expr::Cast { a, .. } => expr_reads(a, name),
-        _ => false,
-    }
+/// Whether `e` loads `name`.
+fn loads(e: &Expr, name: &str) -> bool {
+    e.any(&mut |n| matches!(n, Expr::Load { var, .. } if var == name))
 }
 
 fn stmt_touches(s: &Stmt, name: &str) -> bool {
@@ -357,7 +318,7 @@ fn stmt_touches(s: &Stmt, name: &str) -> bool {
             if n == name {
                 hit = true;
             }
-            if shape.iter().any(|e| expr_reads(e, name)) {
+            if shape.iter().any(|e| loads(e, name)) {
                 hit = true;
             }
         }
@@ -366,9 +327,7 @@ fn stmt_touches(s: &Stmt, name: &str) -> bool {
             indices,
             value,
         } => {
-            hit |= var == name
-                || indices.iter().any(|e| expr_reads(e, name))
-                || expr_reads(value, name);
+            hit |= var == name || indices.iter().any(|e| loads(e, name)) || loads(value, name);
         }
         StmtKind::ReduceTo {
             var,
@@ -376,15 +335,13 @@ fn stmt_touches(s: &Stmt, name: &str) -> bool {
             value,
             ..
         } => {
-            hit |= var == name
-                || indices.iter().any(|e| expr_reads(e, name))
-                || expr_reads(value, name);
+            hit |= var == name || indices.iter().any(|e| loads(e, name)) || loads(value, name);
         }
         StmtKind::For { begin, end, .. } => {
-            hit |= expr_reads(begin, name) || expr_reads(end, name);
+            hit |= loads(begin, name) || loads(end, name);
         }
         StmtKind::If { cond, .. } => {
-            hit |= expr_reads(cond, name);
+            hit |= loads(cond, name);
         }
         StmtKind::LibCall {
             inputs, outputs, ..
@@ -442,7 +399,7 @@ fn is_full_overwrite_nest(s: &Stmt, name: &str, shape: &[Expr]) -> bool {
             .iter()
             .zip(&iters)
             .all(|(e, it)| matches!(e, Expr::Var(v) if v == *it))
-        && !expr_reads(value, name)
+        && !loads(value, name)
 }
 
 /// Scan the def body in execution order for the first statement touching
@@ -465,7 +422,7 @@ fn zero_scan(s: &Stmt, name: &str, shape: &[Expr]) -> ZeroScan {
             body,
             ..
         } => {
-            if sh.iter().any(|e| expr_reads(e, name)) {
+            if sh.iter().any(|e| loads(e, name)) {
                 return ZeroScan::Needs;
             }
             if n == name {
@@ -479,7 +436,7 @@ fn zero_scan(s: &Stmt, name: &str, shape: &[Expr]) -> ZeroScan {
             indices,
             value,
         } => {
-            if indices.iter().any(|e| expr_reads(e, name)) || expr_reads(value, name) {
+            if indices.iter().any(|e| loads(e, name)) || loads(value, name) {
                 return ZeroScan::Needs;
             }
             if var == name {
@@ -499,15 +456,14 @@ fn zero_scan(s: &Stmt, name: &str, shape: &[Expr]) -> ZeroScan {
             value,
             ..
         } => {
-            if var == name || indices.iter().any(|e| expr_reads(e, name)) || expr_reads(value, name)
-            {
+            if var == name || indices.iter().any(|e| loads(e, name)) || loads(value, name) {
                 ZeroScan::Needs
             } else {
                 ZeroScan::Skip
             }
         }
         StmtKind::For { begin, end, .. } => {
-            if expr_reads(begin, name) || expr_reads(end, name) {
+            if loads(begin, name) || loads(end, name) {
                 return ZeroScan::Needs;
             }
             if is_full_overwrite_nest(s, name, shape) {
@@ -522,7 +478,7 @@ fn zero_scan(s: &Stmt, name: &str, shape: &[Expr]) -> ZeroScan {
             }
         }
         StmtKind::If { cond, .. } => {
-            if expr_reads(cond, name) {
+            if loads(cond, name) {
                 return ZeroScan::Needs;
             }
             // Conditional first write: either branch may be skipped.

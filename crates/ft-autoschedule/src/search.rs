@@ -441,12 +441,12 @@ fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable) -> Proposal {
         // Mutate: replace one op with a fresh draw.
         let pos = rng.gen_range(0..trace.len());
         let op = random_op(rng, payoff);
-        credited.push(op_kind_name(&op));
+        credited.push(op.op_name());
         trace[pos] = op;
     } else if roll < 6 || trace.is_empty() {
         // Append/insert a fresh op.
         let op = random_op(rng, payoff);
-        credited.push(op_kind_name(&op));
+        credited.push(op.op_name());
         let pos = rng.gen_range(0..=trace.len());
         trace.insert(pos, op);
         trace.truncate(MAX_TRACE_LEN);
@@ -468,16 +468,6 @@ fn propose(rng: &mut StdRng, pop: &[Indiv], payoff: &PayoffTable) -> Proposal {
         credited,
         parent_fitness: parent.fitness,
     }
-}
-
-/// The static name of an op's kind (identical to [`ScheduleOp::op_name`]
-/// but returning the `OP_KINDS` interned str for payoff credit).
-fn op_kind_name(op: &ScheduleOp) -> &'static str {
-    OP_KINDS
-        .iter()
-        .map(|(k, _)| *k)
-        .find(|k| *k == op.op_name())
-        .unwrap_or("split")
 }
 
 /// Score of a failed (or budget-starved) candidate: ranks strictly last.

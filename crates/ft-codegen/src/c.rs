@@ -9,7 +9,6 @@ use ft_ir::{
     AccessType, BinaryOp, DataType, Expr, ExprType, Func, MemType, Param, ReduceOp, Stmt, StmtKind,
     UnaryOp,
 };
-use ft_passes::hoist::any_node;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -749,12 +748,7 @@ impl<'a> Emitter<'a> {
             StmtKind::Block(v) => v.as_slice(),
             _ => std::slice::from_ref(body),
         };
-        let reads = |e: &Expr| {
-            any_node(
-                e,
-                &mut |n| matches!(n, Expr::Load { var, .. } if var == name),
-            )
-        };
+        let reads = |e: &Expr| e.any(&mut |n| matches!(n, Expr::Load { var, .. } if var == name));
         let init = match stmts.first().map(|s| &s.kind) {
             Some(StmtKind::Store {
                 var,

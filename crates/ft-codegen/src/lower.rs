@@ -195,33 +195,10 @@ impl<'a> Scan<'a> {
         }
     }
 
-    fn exprs(&mut self, es: &'a [Expr]) {
+    /// Every tensor loaded in `es` is used as a value.
+    fn loads(&mut self, es: impl IntoIterator<Item = &'a Expr>) {
         for e in es {
-            self.expr(e);
-        }
-    }
-
-    fn expr(&mut self, e: &'a Expr) {
-        match e {
-            Expr::Load { var, indices } => {
-                self.mixed(var);
-                self.exprs(indices);
-            }
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => self.expr(a),
-            Expr::Binary { a, b, .. } => {
-                self.expr(a);
-                self.expr(b);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.expr(cond);
-                self.expr(then);
-                self.expr(otherwise);
-            }
-            Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_) => {}
+            e.for_each_load(&mut |var, _| self.mixed(var));
         }
     }
 
@@ -232,7 +209,7 @@ impl<'a> Scan<'a> {
             StmtKind::VarDef {
                 name, shape, body, ..
             } => {
-                self.exprs(shape);
+                self.loads(shape);
                 self.local.push(name);
                 self.stmt(body);
                 self.local.pop();
@@ -240,8 +217,7 @@ impl<'a> Scan<'a> {
             StmtKind::For {
                 begin, end, body, ..
             } => {
-                self.expr(begin);
-                self.expr(end);
+                self.loads([begin, end]);
                 self.stmt(body);
             }
             StmtKind::If {
@@ -249,7 +225,7 @@ impl<'a> Scan<'a> {
                 then,
                 otherwise,
             } => {
-                self.expr(cond);
+                self.loads([cond]);
                 self.stmt(then);
                 if let Some(o) = otherwise {
                     self.stmt(o);
@@ -261,8 +237,7 @@ impl<'a> Scan<'a> {
                 value,
             } => {
                 self.mixed(var);
-                self.exprs(indices);
-                self.expr(value);
+                self.loads(indices.iter().chain([value]));
             }
             StmtKind::ReduceTo {
                 var,
@@ -276,8 +251,7 @@ impl<'a> Scan<'a> {
                     t.mixed |= t.op.is_some_and(|seen| seen != *op);
                     t.op = Some(*op);
                 }
-                self.exprs(indices);
-                self.expr(value);
+                self.loads(indices.iter().chain([value]));
             }
             StmtKind::LibCall {
                 inputs, outputs, ..

@@ -47,7 +47,7 @@
 
 use ft_ir::mutate::{bound_names, mutate_expr_walk, Mutator};
 use ft_ir::{builder, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp};
-use ft_passes::hoist::{self, any_node, certainly_runs, is_leaf, operands, LoopNames, Scope};
+use ft_passes::hoist::{self, certainly_runs, is_leaf, operands, LoopNames, Scope};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -146,10 +146,7 @@ fn costly(tensors: &[(&str, DataType, bool)], e: &Expr) -> bool {
 }
 
 fn loads(e: &Expr, var: &str) -> bool {
-    any_node(
-        e,
-        &mut |n| matches!(n, Expr::Load { var: v, .. } if v == var),
-    )
+    e.any(&mut |n| matches!(n, Expr::Load { var: v, .. } if v == var))
 }
 
 /// Whether two index lists certainly address different elements.
@@ -739,7 +736,7 @@ fn carried<'a>(s: &'a Stmt, iter: &str, accs: &[Acc<'_>], locals: &mut Vec<&'a s
                 && !locals.contains(&var.as_str())
                 && !indices
                     .iter()
-                    .any(|e| any_node(e, &mut |n| matches!(n, Expr::Var(v) if v == iter)))
+                    .any(|e| e.any(&mut |n| matches!(n, Expr::Var(v) if v == iter)))
         }
         StmtKind::Block(v) => v.iter().any(|c| carried(c, iter, accs, locals)),
         StmtKind::VarDef { name, body, .. } => {

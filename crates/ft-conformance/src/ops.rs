@@ -5,7 +5,9 @@
 //! so the search-based auto-scheduler (`ft-autoschedule::search`) and this
 //! fuzzer draw from the identical op language. This module re-exports it
 //! and adds the proptest strategy ([`arb_op`]) and the seeded trace sampler
-//! ([`sample_trace`]) that conformance and search warm-up both use.
+//! ([`sample_trace`]) that the conformance sweeps draw their variants from.
+//! The search draws its own ops (`random_op` in `ft-autoschedule::search`),
+//! weighted by what has paid off so far.
 
 use proptest::collection;
 use proptest::prelude::*;

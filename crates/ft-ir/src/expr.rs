@@ -436,131 +436,61 @@ impl Expr {
         }
     }
 
+    /// Call `f` on this expression and every node in it, pre-order and in
+    /// evaluation order: a load before its subscripts, `a` before `b`,
+    /// `cond`, `then`, `otherwise`.
+    pub fn walk<'e>(&'e self, f: &mut impl FnMut(&'e Expr)) {
+        self.any(&mut |e| {
+            f(e);
+            false
+        });
+    }
+
+    /// Whether `f` holds of this expression or of any node in it, asked in
+    /// the order of [`walk`](Expr::walk) and no further than the first yes.
+    pub fn any<'e>(&'e self, f: &mut impl FnMut(&'e Expr) -> bool) -> bool {
+        f(self)
+            || match self {
+                Expr::Load { indices, .. } => indices.iter().any(|i| i.any(f)),
+                Expr::Unary { a, .. } | Expr::Cast { a, .. } => a.any(f),
+                Expr::Binary { a, b, .. } => a.any(f) || b.any(f),
+                Expr::Select {
+                    cond,
+                    then,
+                    otherwise,
+                } => cond.any(f) || then.any(f) || otherwise.any(f),
+                Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_) => {
+                    false
+                }
+            }
+    }
+
     /// The set of free scalar variables (`Expr::Var`) in this expression.
     pub fn free_vars(&self) -> HashSet<String> {
         let mut out = HashSet::new();
-        self.collect_free_vars(&mut out);
+        self.walk(&mut |e| {
+            if let Expr::Var(n) = e {
+                out.insert(n.clone());
+            }
+        });
         out
-    }
-
-    fn collect_free_vars(&self, out: &mut HashSet<String>) {
-        match self {
-            Expr::Var(name) => {
-                out.insert(name.clone());
-            }
-            Expr::Load { indices, .. } => {
-                for i in indices {
-                    i.collect_free_vars(out);
-                }
-            }
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => a.collect_free_vars(out),
-            Expr::Binary { a, b, .. } => {
-                a.collect_free_vars(out);
-                b.collect_free_vars(out);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                cond.collect_free_vars(out);
-                then.collect_free_vars(out);
-                otherwise.collect_free_vars(out);
-            }
-            _ => {}
-        }
     }
 
     /// The set of tensors read by this expression.
     pub fn loaded_vars(&self) -> HashSet<String> {
         let mut out = HashSet::new();
-        self.for_each_load(&mut |v| {
-            out.insert(v.to_string());
-        });
+        self.for_each_load(&mut |v, _| _ = out.insert(v.to_string()));
         out
     }
 
-    /// Call `f` with the tensor of every load in this expression, outer
-    /// loads first.
-    pub fn for_each_load<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
-        match self {
-            Expr::Load { var, indices } => {
-                f(var);
-                indices.iter().for_each(|i| i.for_each_load(f));
+    /// Call `f` with the tensor and the subscripts of every load in this
+    /// expression, in the order of [`walk`](Expr::walk): outer loads first.
+    pub fn for_each_load<'e>(&'e self, f: &mut impl FnMut(&'e str, &'e [Expr])) {
+        self.walk(&mut |e| {
+            if let Expr::Load { var, indices } = e {
+                f(var, indices);
             }
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => a.for_each_load(f),
-            Expr::Binary { a, b, .. } => {
-                a.for_each_load(f);
-                b.for_each_load(f);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                cond.for_each_load(f);
-                then.for_each_load(f);
-                otherwise.for_each_load(f);
-            }
-            _ => {}
-        }
-    }
-
-    /// Substitute every occurrence of scalar variable `name` with `value`.
-    pub fn subst_var(&self, name: &str, value: &Expr) -> Expr {
-        match self {
-            Expr::Var(n) if n == name => value.clone(),
-            Expr::Var(_) | Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) => {
-                self.clone()
-            }
-            Expr::Load { var, indices } => Expr::Load {
-                var: var.clone(),
-                indices: indices.iter().map(|i| i.subst_var(name, value)).collect(),
-            },
-            Expr::Unary { op, a } => Expr::unary(*op, a.subst_var(name, value)),
-            Expr::Binary { op, a, b } => {
-                Expr::binary(*op, a.subst_var(name, value), b.subst_var(name, value))
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => Expr::select(
-                cond.subst_var(name, value),
-                then.subst_var(name, value),
-                otherwise.subst_var(name, value),
-            ),
-            Expr::Cast { dtype, a } => Expr::cast(*dtype, a.subst_var(name, value)),
-        }
-    }
-
-    /// Rename every load of tensor `from` to tensor `to`.
-    pub fn rename_load(&self, from: &str, to: &str) -> Expr {
-        match self {
-            Expr::Load { var, indices } => Expr::Load {
-                var: if var == from {
-                    to.to_string()
-                } else {
-                    var.clone()
-                },
-                indices: indices.iter().map(|i| i.rename_load(from, to)).collect(),
-            },
-            Expr::Unary { op, a } => Expr::unary(*op, a.rename_load(from, to)),
-            Expr::Binary { op, a, b } => {
-                Expr::binary(*op, a.rename_load(from, to), b.rename_load(from, to))
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => Expr::select(
-                cond.rename_load(from, to),
-                then.rename_load(from, to),
-                otherwise.rename_load(from, to),
-            ),
-            Expr::Cast { dtype, a } => Expr::cast(*dtype, a.rename_load(from, to)),
-            _ => self.clone(),
-        }
+        });
     }
 
     /// Number of arithmetic operations on the *value path* (subscript
@@ -587,17 +517,9 @@ impl Expr {
     /// Number of nodes in this expression tree (used by cost heuristics, e.g.
     /// the selective-materialization balance in `ft-autodiff`).
     pub fn node_count(&self) -> usize {
-        match self {
-            Expr::IntConst(_) | Expr::FloatConst(_) | Expr::BoolConst(_) | Expr::Var(_) => 1,
-            Expr::Load { indices, .. } => 1 + indices.iter().map(Expr::node_count).sum::<usize>(),
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => 1 + a.node_count(),
-            Expr::Binary { a, b, .. } => 1 + a.node_count() + b.node_count(),
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => 1 + cond.node_count() + then.node_count() + otherwise.node_count(),
-        }
+        let mut n = 0;
+        self.walk(&mut |_| n += 1);
+        n
     }
 }
 
@@ -683,6 +605,7 @@ impl ops::Neg for &Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutate::{Mutator, RenameVar, SubstVar};
 
     fn v(n: &str) -> Expr {
         Expr::Var(n.to_string())
@@ -723,9 +646,40 @@ mod tests {
     }
 
     #[test]
+    fn walk_is_pre_order_in_evaluation_order() {
+        let ld = |var: &str, i: Expr| Expr::Load {
+            var: var.into(),
+            indices: vec![i],
+        };
+        let e = ld("A", ld("B", v("i"))) + ld("C", v("j"));
+        let mut seen = Vec::new();
+        e.walk(&mut |n| {
+            seen.push(match n {
+                Expr::Load { var, .. } | Expr::Var(var) => var.as_str(),
+                _ => "+",
+            })
+        });
+        assert_eq!(seen, ["+", "A", "B", "i", "C", "j"]);
+        let mut asked = 0;
+        assert!(e.any(&mut |n| {
+            asked += 1;
+            matches!(n, Expr::Var(_))
+        }));
+        assert_eq!(asked, 4, "no node after the first yes is asked");
+        let mut loads = Vec::new();
+        e.for_each_load(&mut |var, indices| loads.push((var, indices.len())));
+        assert_eq!(loads, [("A", 1), ("B", 1), ("C", 1)]);
+    }
+
+    #[test]
     fn substitution() {
         let e = (v("i") + v("j")) * v("i");
-        let s = e.subst_var("i", &Expr::IntConst(3));
+        let value = Expr::IntConst(3);
+        let s = SubstVar {
+            name: "i",
+            value: &value,
+        }
+        .mutate_expr(e);
         assert!(s.free_vars().contains("j"));
         assert!(!s.free_vars().contains("i"));
     }
@@ -736,7 +690,7 @@ mod tests {
             var: "t".into(),
             indices: vec![v("t")],
         };
-        let r = e.rename_load("t", "u");
+        let r = RenameVar { from: "t", to: "u" }.mutate_expr(e);
         match r {
             Expr::Load { var, indices } => {
                 assert_eq!(var, "u");

@@ -6,7 +6,6 @@
 use crate::expr::Expr;
 use crate::func::Func;
 use crate::stmt::{Stmt, StmtKind};
-use crate::visit::{walk_expr, Visitor};
 use std::fmt::Write as _;
 
 /// FNV-1a 64-bit offset basis.
@@ -87,11 +86,11 @@ impl Func {
         for p in &self.params {
             let types = [p.dtype as u8, p.mtype as u8, p.atype as u8];
             k.tag(&types).name(&p.name).word(p.shape.len() as u64);
-            p.shape.iter().for_each(|e| k.visit_expr(e));
+            p.shape.iter().for_each(|e| k.expr(e));
         }
         k.word(self.size_params.len() as u64);
         self.size_params.iter().for_each(|s| _ = k.name(s));
-        k.visit_stmt(&self.body);
+        k.stmt(&self.body);
         k.0.finish()
     }
 }
@@ -116,10 +115,8 @@ impl Key {
         self.0.write_u64(w);
         self
     }
-}
 
-impl Visitor for Key {
-    fn visit_stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &Stmt) {
         use StmtKind as K;
         match &s.kind {
             K::Block(v) if v.iter().any(|c| !matches!(c.kind, K::Empty)) => {}
@@ -148,7 +145,7 @@ impl Visitor for Key {
         let nested = matches!(s.kind, K::For { .. } | K::If { .. });
         if !block {
             self.word(s.exprs().count() as u64);
-            s.exprs().for_each(|e| self.visit_expr(e));
+            s.exprs().for_each(|e| self.expr(e));
         }
         for (i, c) in s.children().enumerate() {
             if block && matches!(c.kind, K::Empty) {
@@ -157,26 +154,27 @@ impl Visitor for Key {
             if nested && i == 1 {
                 self.tag(b"e");
             }
-            self.visit_stmt(c);
+            self.stmt(c);
             if nested {
                 self.tag(b";");
             }
         }
     }
 
-    fn visit_expr(&mut self, e: &Expr) {
-        _ = match e {
-            Expr::IntConst(v) => self.tag(b"i").word(*v as u64),
-            Expr::FloatConst(v) => self.tag(b"f").word(v.to_bits()),
-            Expr::BoolConst(v) => self.tag(&[b'b', u8::from(*v)]),
-            Expr::Var(n) => self.tag(b"v").name(n),
-            Expr::Load { var, indices } => self.tag(b"l").name(var).word(indices.len() as u64),
-            Expr::Unary { op, .. } => self.tag(&[b'u', *op as u8]),
-            Expr::Binary { op, .. } => self.tag(&[b'o', *op as u8]),
-            Expr::Select { .. } => self.tag(b"?"),
-            Expr::Cast { dtype, .. } => self.tag(&[b'c', *dtype as u8]),
-        };
-        walk_expr(self, e);
+    fn expr(&mut self, e: &Expr) {
+        e.walk(&mut |node| {
+            _ = match node {
+                Expr::IntConst(v) => self.tag(b"i").word(*v as u64),
+                Expr::FloatConst(v) => self.tag(b"f").word(v.to_bits()),
+                Expr::BoolConst(v) => self.tag(&[b'b', u8::from(*v)]),
+                Expr::Var(n) => self.tag(b"v").name(n),
+                Expr::Load { var, indices } => self.tag(b"l").name(var).word(indices.len() as u64),
+                Expr::Unary { op, .. } => self.tag(&[b'u', *op as u8]),
+                Expr::Binary { op, .. } => self.tag(&[b'o', *op as u8]),
+                Expr::Select { .. } => self.tag(b"?"),
+                Expr::Cast { dtype, .. } => self.tag(&[b'c', *dtype as u8]),
+            }
+        });
     }
 }
 

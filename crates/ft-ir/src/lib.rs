@@ -15,7 +15,8 @@
 //! * loops carry a [`ForProperty`] describing how they are mapped to hardware
 //!   parallelism (OpenMP threads, CUDA blocks/threads, vector lanes).
 //!
-//! The tree is immutable: passes rewrite it functionally through the
+//! The tree is immutable: passes read it through [`Stmt::walk`] and
+//! [`Expr::walk`] and rewrite it functionally through the
 //! [`mutate::Mutator`] framework. Statements carry stable [`StmtId`]s (and
 //! optional string labels) so that schedule primitives can address them across
 //! rewrites.
@@ -43,7 +44,6 @@ pub mod printer;
 pub mod scalar;
 pub mod stmt;
 pub mod types;
-pub mod visit;
 
 pub use builder::*;
 pub use expr::{BinaryOp, Expr, ExprType, UnaryOp};
@@ -54,7 +54,6 @@ pub use mutate::Mutator;
 pub use scalar::{DivisionByZero, Scalar};
 pub use stmt::{ForProperty, ReduceOp, Stmt, StmtId, StmtKind};
 pub use types::{AccessType, DataType, Device, MemType, ParallelScope};
-pub use visit::Visitor;
 
 /// Commonly used items, for glob import in downstream crates and examples.
 pub mod prelude {
@@ -65,5 +64,4 @@ pub mod prelude {
     pub use crate::mutate::Mutator;
     pub use crate::stmt::{ForProperty, ReduceOp, Stmt, StmtId, StmtKind};
     pub use crate::types::{AccessType, DataType, Device, MemType, ParallelScope};
-    pub use crate::visit::Visitor;
 }

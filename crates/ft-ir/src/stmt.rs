@@ -360,6 +360,45 @@ mod tests {
     }
 
     #[test]
+    fn walk_reaches_nested_expressions() {
+        let s = for_(
+            "i",
+            0,
+            var("n"),
+            if_(
+                var("i").lt(var("n")),
+                block([
+                    store(
+                        "y",
+                        [var("i")],
+                        load("x", [var("i")]) + load("x", [var("i") + 1]),
+                    ),
+                    reduce("acc", scalar(), ReduceOp::Add, load("y", [var("i")])),
+                ]),
+            ),
+        );
+        let mut loads = 0;
+        s.walk(&mut |st| {
+            st.exprs()
+                .for_each(|e| e.walk(&mut |n| loads += usize::from(matches!(n, Expr::Load { .. }))))
+        });
+        assert_eq!(loads, 3);
+    }
+
+    #[test]
+    fn walk_reaches_nested_statements() {
+        let s = for_(
+            "i",
+            0,
+            4,
+            for_("j", 0, 4, store("a", [var("i"), var("j")], 0.0f32)),
+        );
+        let mut fors = 0;
+        s.walk(&mut |st| fors += usize::from(matches!(st.kind, StmtKind::For { .. })));
+        assert_eq!(fors, 2);
+    }
+
+    #[test]
     fn own_expressions_and_take() {
         let mut s = for_("i", 0, var("n"), store("a", [var("i")], 1.0f32));
         let own: Vec<&Expr> = s.exprs().collect();

@@ -33,7 +33,7 @@ fn live_reads<'s>(s: &'s Stmt, dead: &dyn Fn(&str) -> bool, out: &mut HashSet<&'
     // A dead definition goes, and its shape with it.
     if left && !matches!(&s.kind, StmtKind::VarDef { name, .. } if dead(name)) {
         for e in s.exprs() {
-            e.for_each_load(&mut |v| {
+            e.for_each_load(&mut |v, _| {
                 out.insert(v);
             });
         }

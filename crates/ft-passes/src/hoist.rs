@@ -144,28 +144,10 @@ pub fn is_leaf(e: &Expr) -> bool {
     )
 }
 
-/// Whether `f` holds of `e` or of anything in it.
-pub fn any_node(e: &Expr, f: &mut impl FnMut(&Expr) -> bool) -> bool {
-    f(e) || match e {
-        Expr::Load { indices, .. } => indices.iter().any(|i| any_node(i, f)),
-        Expr::Unary { a, .. } | Expr::Cast { a, .. } => any_node(a, f),
-        Expr::Binary { a, b, .. } => any_node(a, f) || any_node(b, f),
-        Expr::Select {
-            cond,
-            then,
-            otherwise,
-        } => any_node(cond, f) || any_node(then, f) || any_node(otherwise, f),
-        _ => false,
-    }
-}
-
 /// Whether `e` names nothing of which `varies` holds: no such scalar
 /// variable, no load of such a tensor.
 pub fn invariant(e: &Expr, varies: &impl Fn(&str) -> bool) -> bool {
-    !any_node(
-        e,
-        &mut |n| matches!(n, Expr::Var(v) | Expr::Load { var: v, .. } if varies(v)),
-    )
+    !e.any(&mut |n| matches!(n, Expr::Var(v) | Expr::Load { var: v, .. } if varies(v)))
 }
 
 /// Collect into `out` the maximal subexpressions of `e` — `e` itself
@@ -211,7 +193,7 @@ fn scan_proper<'a>(
     }
     for c in maybe.into_iter().flatten() {
         inv &= invariant(c, varies);
-        worthy |= any_node(c, &mut |n| worth(n));
+        worthy |= c.any(&mut |n| worth(n));
     }
     if inv {
         out.truncate(mark);

@@ -29,34 +29,14 @@ fn collect_use(scope: &Stmt, var: &str) -> TensorUse {
         writes: false,
         reduce_ops: Vec::new(),
     };
-    fn expr_scan(e: &Expr, var: &str, u: &mut TensorUse) {
-        match e {
-            Expr::Load { var: v, indices } => {
-                if v == var {
-                    u.reads = true;
-                    u.index_sets.push(indices.clone());
-                }
-                for i in indices {
-                    expr_scan(i, var, u);
-                }
+    let reads = |e: &Expr, u: &mut TensorUse| {
+        e.for_each_load(&mut |v, indices| {
+            if v == var {
+                u.reads = true;
+                u.index_sets.push(indices.to_vec());
             }
-            Expr::Unary { a, .. } | Expr::Cast { a, .. } => expr_scan(a, var, u),
-            Expr::Binary { a, b, .. } => {
-                expr_scan(a, var, u);
-                expr_scan(b, var, u);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                expr_scan(cond, var, u);
-                expr_scan(then, var, u);
-                expr_scan(otherwise, var, u);
-            }
-            _ => {}
-        }
-    }
+        })
+    };
     scope.walk(&mut |s| match &s.kind {
         StmtKind::Store {
             var: v,
@@ -67,10 +47,7 @@ fn collect_use(scope: &Stmt, var: &str) -> TensorUse {
                 u.writes = true;
                 u.index_sets.push(indices.clone());
             }
-            for i in indices {
-                expr_scan(i, var, &mut u);
-            }
-            expr_scan(value, var, &mut u);
+            indices.iter().chain([value]).for_each(|e| reads(e, &mut u));
         }
         StmtKind::ReduceTo {
             var: v,
@@ -84,16 +61,13 @@ fn collect_use(scope: &Stmt, var: &str) -> TensorUse {
                 u.reduce_ops.push(*op);
                 u.index_sets.push(indices.clone());
             }
-            for i in indices {
-                expr_scan(i, var, &mut u);
-            }
-            expr_scan(value, var, &mut u);
+            indices.iter().chain([value]).for_each(|e| reads(e, &mut u));
         }
         StmtKind::For { begin, end, .. } => {
-            expr_scan(begin, var, &mut u);
-            expr_scan(end, var, &mut u);
+            reads(begin, &mut u);
+            reads(end, &mut u);
         }
-        StmtKind::If { cond, .. } => expr_scan(cond, var, &mut u),
+        StmtKind::If { cond, .. } => reads(cond, &mut u),
         _ => {}
     });
     u

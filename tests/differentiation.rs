@@ -7,7 +7,7 @@ use freetensor::ir::{BinaryOp, Expr, Stmt, StmtKind};
 use freetensor::runtime::{Runtime, Scalar, TensorVal};
 use freetensor::workloads::{data, longformer, subdivnet, Inputs, Scale, Workload};
 use ft_conformance::diff::{grad_close, reduction_depth, GradTol};
-use ft_passes::hoist::{any_node, invariant, LoopNames};
+use ft_passes::hoist::{invariant, LoopNames};
 use std::collections::HashMap;
 
 fn loss_of(
@@ -205,10 +205,9 @@ fn divisions(s: &Stmt, inv: &impl Fn(&Expr) -> bool) -> usize {
             return;
         };
         for e in indices.iter().chain([value]) {
-            any_node(e, &mut |n| {
+            e.walk(&mut |n| {
                 found +=
                     usize::from(matches!(n, Expr::Binary { op: BinaryOp::Div, b, .. } if inv(b)));
-                false
             });
         }
     });
@@ -282,7 +281,7 @@ fn named_values_cost_no_tape_and_leave_no_invariant_division_in_a_backward_loop(
                     // A tensor value, that is: dividing by a literal (the
                     // adjoint of SoftRas's `/ sigma`) is nobody's to hoist.
                     let inv = |e: &Expr| {
-                        any_node(e, &mut |n| matches!(n, Expr::Load { .. }))
+                        e.any(&mut |n| matches!(n, Expr::Load { .. }))
                             && invariant(e, &|n| names.varies(scope, n))
                     };
                     assert!(
