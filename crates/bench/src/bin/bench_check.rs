@@ -5,7 +5,7 @@
 //!             [--metrics METRICS.json [--expect-warm]]
 //! ```
 //!
-//! Two independent checks, with different teeth:
+//! Three checks on the records, with different teeth:
 //!
 //! 1. **Baseline regressions** — rows matched on (workload, system,
 //!    device, kind, scale) against a committed baseline. The
@@ -24,20 +24,7 @@
 //!    within 1.10x of `ft-naive`'s, **blocking** at full scale and advisory
 //!    at small scale.
 //!
-//! 3. **Searched schedules** — within the *current* file, every
-//!    `ft-searched` row (a committed `results/schedules/` trace replayed by
-//!    `fig16`) is held to the axis the search optimizes: its
-//!    `wall_ms` must stay within 1.10x of its `ft-optimized`
-//!    counterpart's — **blocking** at full scale, advisory at small scale,
-//!    as for `grad` rows in check 2. Its modeled `cycles` (of the
-//!    CPU-lowered program) are reported against `ft-optimized`'s and only
-//!    ever advise: the cost model picks what the search measures, it does
-//!    not decide what wins. A *failed* `ft-searched` row is itself
-//!    **blocking**: a committed schedule that no longer replays is a broken
-//!    artifact, not a skippable case. Rows are only checked when present —
-//!    repos without committed schedules pass vacuously.
-//!
-//! 4. **Memory plans** — every current row carrying both peak-bytes
+//! 3. **Memory plans** — every current row carrying both peak-bytes
 //!    fields must satisfy `peak_live_bytes_planned <=
 //!    peak_live_bytes_naive` (the liveness packing can never *lose* to
 //!    stack-discipline allocation; equality means nothing was reusable),
@@ -52,7 +39,7 @@
 //! An optional check reads a `fig16 --metrics` telemetry snapshot
 //! (`--metrics METRICS.json`):
 //!
-//! 5. **Warm-cache gates** — with `--expect-warm`, the run is asserted to
+//! 4. **Warm-cache gates** — with `--expect-warm`, the run is asserted to
 //!    have executed against a fully populated artifact cache:
 //!    `compiled.cc.spawned` must be exactly 0 (every kernel served without
 //!    a compiler spawn) and the `compiled.cache` hit rate
@@ -72,9 +59,9 @@ use ft_metrics::MetricsSnapshot;
 use ft_trace::JsonVal;
 use std::process::ExitCode;
 
-/// Noise margin of the wall inversion checks (gradient rows
-/// against `ft-naive`, searched rows against `ft-optimized`): best-of-5
-/// timings of sub-millisecond kernels repeat within a few percent.
+/// Noise margin of the gradient rows' wall inversion check against
+/// `ft-naive`: best-of-5 timings of sub-millisecond kernels repeat within a
+/// few percent.
 const WALL_MARGIN: f64 = 1.10;
 
 /// Growth of a deterministic metric over the baseline that blocks.
@@ -144,7 +131,7 @@ fn load(path: &str) -> Result<Vec<JsonVal>, String> {
         .to_vec())
 }
 
-/// Check 5's findings on a telemetry snapshot, in print order: whether
+/// Check 4's findings on a telemetry snapshot, in print order: whether
 /// each blocks, and what it says.
 fn warm_gates(snap: &MetricsSnapshot) -> Vec<(bool, String)> {
     let spawned = snap.counter("compiled.cc.spawned");
@@ -368,59 +355,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- Check 3: ft-searched must not lose to ft-optimized on wall. ---
-    let mut searched_checked = 0usize;
-    for cur in &current {
-        if field(cur, "system").as_deref() != Some("ft-searched") {
-            continue;
-        }
-        let Some(ck) = case_key(cur) else { continue };
-        if failed(cur) {
-            // A committed schedule that fails to replay is a broken
-            // artifact: blocking, unlike ordinary failed rows.
-            blocking += 1;
-            let why = field(cur, "failure").unwrap_or_default();
-            println!("BLOCKING   {ck}: ft-searched row failed ({why})");
-            continue;
-        }
-        let Some(opt) = current.iter().find(|r| {
-            field(r, "system").as_deref() == Some("ft-optimized")
-                && case_key(r).as_deref() == Some(&ck)
-                && !failed(r)
-        }) else {
-            continue;
-        };
-        searched_checked += 1;
-        if let (Some(ow), Some(sw)) = (num(opt, "wall_ms"), num(cur, "wall_ms")) {
-            if sw <= WALL_MARGIN * ow {
-                println!(
-                    "ok         {ck}: ft-searched wall {sw:.3}ms <= \
-                     {WALL_MARGIN} x ft-optimized {ow:.3}ms"
-                );
-            } else {
-                let label = wall_finding(cur, &mut blocking, &mut advisories);
-                println!(
-                    "{label}   {ck}: ft-searched wall {sw:.3}ms > \
-                     {WALL_MARGIN} x ft-optimized {ow:.3}ms (search loses to the rules)"
-                );
-            }
-        }
-        if let (Some(oc), Some(sc)) = (num(opt, "cycles"), num(cur, "cycles")) {
-            if sc > oc {
-                advisories += 1;
-                println!(
-                    "ADVISORY   {ck}: ft-searched modeled cycles {sc:.0} > ft-optimized {oc:.0} \
-                     (the model disagrees with the measurement)"
-                );
-            } else {
-                println!(
-                    "ok         {ck}: ft-searched modeled cycles {sc:.0} <= ft-optimized {oc:.0}"
-                );
-            }
-        }
-    }
-
-    // --- Check 4: memory plans must never exceed naive allocation. ---
+    // --- Check 3: memory plans must never exceed naive allocation. ---
     let mut plans_checked = 0usize;
     for cur in &current {
         let (Some(n), Some(p)) = (
@@ -453,7 +388,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- Check 5: runtime-telemetry warm-cache gates. ---
+    // --- Check 4: runtime-telemetry warm-cache gates. ---
     if let Some(path) = metrics_path {
         let snap = match std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
@@ -490,9 +425,8 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "{compared} baseline rows compared, {inversions_checked} optimized/naive pairs, \
-         {searched_checked} searched/optimized pairs and {plans_checked} memory plans checked: \
-         {blocking} blocking, {advisories} advisory"
+        "{compared} baseline rows compared, {inversions_checked} optimized/naive pairs \
+         and {plans_checked} memory plans checked: {blocking} blocking, {advisories} advisory"
     );
     if blocking > 0 {
         ExitCode::FAILURE

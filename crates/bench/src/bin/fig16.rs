@@ -20,9 +20,8 @@
 //! --expect-warm` gates on exactly that.
 
 use bench::{
-    bench_metrics, fmt_bytes, fmt_cycles, json_record, load_saved_schedule, prepare,
-    run_forward_capped, run_forward_traced, run_grad_capped, write_bench_json, Scale, System,
-    Workload,
+    bench_metrics, fmt_bytes, fmt_cycles, json_record, prepare, run_forward_capped,
+    run_forward_traced, run_grad_capped, write_bench_json, Scale, System, Workload,
 };
 use ft_autodiff::TapePolicy;
 use ft_ir::Device;
@@ -109,7 +108,6 @@ fn main() {
             let mut cells = Vec::new();
             let mut best_baseline = f64::INFINITY;
             let mut ft_cycles = f64::NAN;
-            let mut ft_wall = None;
             let mut ft_peaks = None;
             for sys in systems {
                 let r = if grad {
@@ -131,7 +129,6 @@ fn main() {
                     match sys {
                         System::FtOptimized => {
                             ft_cycles = r.cycles;
-                            ft_wall = r.wall_ms;
                             ft_peaks = r.peak_planned_bytes.zip(r.peak_naive_bytes);
                         }
                         _ => best_baseline = best_baseline.min(r.cycles),
@@ -159,30 +156,6 @@ fn main() {
                 speedup,
                 arena_col
             );
-            // Search-found schedules ride along as a fourth system on CPU
-            // forward rows, whenever a committed `results/schedules/` trace
-            // exists for this (workload, scale) — replayed, not re-searched.
-            // Its wall against the rules' is what the search optimized; its
-            // cycles are the model's opinion of the lowered program.
-            if !grad && dev == Device::Cpu && load_saved_schedule(w, scale).is_some() {
-                let r = run_forward_capped(&prep, System::FtSearched, dev, capacity);
-                let cycles = fmt_cycles(r.cycles);
-                let searched = match (&r.failure, r.wall_ms, ft_wall) {
-                    (Some(f), _, _) => f.clone(),
-                    (None, Some(s), Some(o)) if s > 0.0 => {
-                        format!("{cycles} ({s:.3}ms), {:.2}x vs rule-based {o:.3}ms", o / s)
-                    }
-                    (None, _, _) => cycles,
-                };
-                println!(
-                    "{:<12} {:<5} {:>74}   searched: {searched} [search {:.0}ms]",
-                    "",
-                    "",
-                    "",
-                    r.search_wall_ms.unwrap_or(0.0)
-                );
-                records.push(json_record(w, System::FtSearched, dev, kind, scale, &r));
-            }
         }
     }
     if let Some(path) = json_path {

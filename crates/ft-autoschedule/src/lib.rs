@@ -24,9 +24,8 @@
 //!
 //! [`auto_schedule`] runs all seven for a target device.
 //!
-//! The [`search`] module is the alternative strategy: evolutionary search
-//! over schedule traces scored by the deterministic cost model, warm-started
-//! from (and required to beat) the rule-based result.
+//! The [`search`] module reads recorded schedule traces and replays them
+//! (`results/schedules/`, the benchmark's `kernel-searched` programs).
 
 pub mod search;
 
@@ -352,22 +351,18 @@ pub fn auto_schedule(func: &Func, target: &Target) -> Func {
 pub fn auto_schedule_traced(func: Func, target: &Target, sink: Option<TraceSink>) -> Func {
     let mut sched = Schedule::new(func);
     sched.set_sink(sink);
-    run_passes(&mut sched, target);
+    // The paper's six passes, with `auto_separate_tail` and then
+    // `auto_unroll` in front of `auto_vectorize`: a loop whose only inner
+    // loop is a short one becomes innermost once that loop is unrolled, and
+    // only then is it offered to `vectorize`.
+    auto_fuse(&mut sched);
+    auto_use_lib(&mut sched);
+    auto_parallelize(&mut sched, target);
+    auto_separate_tail(&mut sched);
+    auto_unroll(&mut sched);
+    auto_vectorize(&mut sched);
+    auto_mem_type(&mut sched, target);
     sched.into_func()
-}
-
-/// The paper's six passes, with `auto_separate_tail` and then `auto_unroll`
-/// in front of `auto_vectorize`: a loop whose only inner loop is a short
-/// one becomes innermost once that loop is unrolled, and only then is it
-/// offered to `vectorize`.
-fn run_passes(sched: &mut Schedule, target: &Target) {
-    auto_fuse(sched);
-    auto_use_lib(sched);
-    auto_parallelize(sched, target);
-    auto_separate_tail(sched);
-    auto_unroll(sched);
-    auto_vectorize(sched);
-    auto_mem_type(sched, target);
 }
 
 #[cfg(test)]

@@ -2,12 +2,10 @@
 //!
 //! The vocabulary itself — [`ScheduleOp`], its legality-checked application
 //! ([`apply_trace`]), and the JSON codec — lives in [`ft_schedule::trace`]
-//! so the search-based auto-scheduler (`ft-autoschedule::search`) and this
-//! fuzzer draw from the identical op language. This module re-exports it
-//! and adds the proptest strategy ([`arb_op`]) and the seeded trace sampler
+//! so the recorded schedule traces (`ft-autoschedule::search`) and this
+//! fuzzer speak the identical op language. This module re-exports it and
+//! adds the proptest strategy ([`arb_op`]) and the seeded trace sampler
 //! ([`sample_trace`]) that the conformance sweeps draw their variants from.
-//! The search draws its own ops (`random_op` in `ft-autoschedule::search`),
-//! weighted by what has paid off so far.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -100,8 +98,8 @@ mod tests {
         assert_eq!(property.parallel, ParallelScope::OpenMp);
     }
 
-    /// Satellite: search reproducibility depends on `sample_trace` being a
-    /// pure function of its seed. Pin the byte-identical JSON encoding of a
+    /// Repro reproducibility depends on `sample_trace` being a pure
+    /// function of its seed. Pin the byte-identical JSON encoding of a
     /// fixed-seed draw so an accidental strategy reshuffle (which would
     /// silently re-map every recorded seed) fails loudly.
     #[test]

@@ -1,7 +1,7 @@
 //! The one FNV-1a loop, with the one (standard) prime, that every content
 //! key in the workspace goes through: artifact-cache keys (over the emitted
 //! unit), `MemPlan::plan_hash`, output digests, per-variant fuzz seeds, and
-//! [`Func::content_hash`], behind request keys and schedule-search keys.
+//! [`Func::content_hash`], behind request keys.
 
 use crate::expr::Expr;
 use crate::func::Func;

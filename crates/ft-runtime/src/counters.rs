@@ -169,90 +169,6 @@ impl PerfCounters {
             *live = live.saturating_sub(bytes);
         }
     }
-
-    /// The search objective of this run: quantized `modeled_cycles` first,
-    /// `dram_bytes` as the tiebreak. See [`ScheduleScore`].
-    pub fn score(&self) -> ScheduleScore {
-        ScheduleScore::new(self.modeled_cycles, self.dram_bytes)
-    }
-
-    /// Whether two runs score equally *for schedule-search purposes*:
-    /// `modeled_cycles` within relative epsilon (and `dram_bytes` exactly).
-    ///
-    /// `PerfCounters::eq` intentionally stays bit-exact — the VM-parity
-    /// differential tests depend on that — but a search comparing candidate
-    /// schedules must not let accumulated float drift (e.g. a different
-    /// merge order of per-thread counters) make two identical schedules
-    /// compare unequal and churn the population. Use this (or [`score`],
-    /// whose quantization is coarser than the epsilon here) for ranking.
-    ///
-    /// [`score`]: PerfCounters::score
-    pub fn score_eq(&self, other: &PerfCounters) -> bool {
-        let a = self.modeled_cycles;
-        let b = other.modeled_cycles;
-        let cycles_close = if a == b {
-            true // covers 0.0 == 0.0 and exact equality
-        } else {
-            (a - b).abs() <= SCORE_REL_EPS * a.abs().max(b.abs())
-        };
-        cycles_close && self.dram_bytes == other.dram_bytes
-    }
-}
-
-/// Relative tolerance under which two `modeled_cycles` values are the same
-/// schedule score (~2^-26, i.e. half the f64 mantissa): large enough to
-/// absorb any realistic accumulation-order drift, far smaller than the
-/// effect of a real schedule change.
-pub const SCORE_REL_EPS: f64 = 1.5e-8;
-
-/// A total-order key over `(modeled_cycles, dram_bytes)` for ranking
-/// candidate schedules: lower is better, `Ord` is derived, and the cycle
-/// component is *quantized* so values within float-drift distance of each
-/// other collapse to the same key.
-///
-/// Quantization masks the low 26 mantissa bits of the `f64` bit pattern.
-/// For non-negative finite doubles the bit pattern is monotone as a `u64`,
-/// so masking preserves order while bucketing values whose relative
-/// difference is below ~2^-26 — the same scale as [`SCORE_REL_EPS`]. Two
-/// runs that `score_eq` therefore map to equal or adjacent keys, and the
-/// derived lexicographic order falls through to deterministic `dram_bytes`
-/// on ties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ScheduleScore {
-    /// Quantized `modeled_cycles` bit pattern (primary objective).
-    pub cycles_q: u64,
-    /// Exact `dram_bytes` (deterministic tiebreak).
-    pub dram_bytes: u64,
-}
-
-impl ScheduleScore {
-    /// Mask clearing the low 26 of the 52 f64 mantissa bits.
-    const QUANT_MASK: u64 = !((1u64 << 26) - 1);
-
-    /// Build the key from raw counter values. Negative or NaN cycle values
-    /// cannot occur in real runs; they rank last so a corrupted candidate
-    /// never wins the search.
-    pub fn new(modeled_cycles: f64, dram_bytes: u64) -> ScheduleScore {
-        let cycles_q = if modeled_cycles.is_finite() && modeled_cycles >= 0.0 {
-            modeled_cycles.to_bits() & Self::QUANT_MASK
-        } else {
-            u64::MAX
-        };
-        ScheduleScore {
-            cycles_q,
-            dram_bytes,
-        }
-    }
-
-    /// The representative `modeled_cycles` of this key's bucket (for
-    /// display; `u64::MAX` decodes as infinity).
-    pub fn cycles(&self) -> f64 {
-        if self.cycles_q == u64::MAX {
-            f64::INFINITY
-        } else {
-            f64::from_bits(self.cycles_q)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -355,60 +271,5 @@ mod tests {
         p.alloc("gpu", u64::MAX - 1);
         assert_eq!(p.alloc("gpu", 100), u64::MAX);
         assert_eq!(p.peak_bytes["gpu"], u64::MAX);
-    }
-
-    #[test]
-    fn score_eq_absorbs_float_drift_but_not_real_changes() {
-        let base = PerfCounters {
-            modeled_cycles: 1.0e9,
-            dram_bytes: 1 << 20,
-            ..Default::default()
-        };
-        // A value one ulp-accumulation away (simulating a different merge
-        // order of per-thread partial sums) must still compare equal for
-        // search, even though exact PartialEq distinguishes it.
-        let mut drifted = base.clone();
-        drifted.modeled_cycles = 1.0e9 + 1.0; // rel diff 1e-9 < SCORE_REL_EPS
-        assert_ne!(base, drifted);
-        assert!(base.score_eq(&drifted));
-        assert!(drifted.score_eq(&base));
-        // A real schedule change (0.1% fewer cycles) is a different score.
-        let mut better = base.clone();
-        better.modeled_cycles = 0.999e9;
-        assert!(!base.score_eq(&better));
-        // dram_bytes is an exact, deterministic counter: any difference is a
-        // different score even at identical cycles.
-        let mut more_dram = base.clone();
-        more_dram.dram_bytes += 64;
-        assert!(!base.score_eq(&more_dram));
-        // Zero-cycle runs compare equal to themselves.
-        let zero = PerfCounters::default();
-        assert!(zero.score_eq(&PerfCounters::default()));
-    }
-
-    #[test]
-    fn schedule_score_orders_by_quantized_cycles_then_dram() {
-        let a = ScheduleScore::new(1.0e9, 100);
-        let drift = ScheduleScore::new(1.0e9 + 1.0, 100);
-        // Drift-distance values collapse to the same key...
-        assert_eq!(a, drift);
-        // ...real differences order correctly...
-        assert!(ScheduleScore::new(0.999e9, 100) < a);
-        assert!(a < ScheduleScore::new(1.001e9, 100));
-        // ...and dram_bytes breaks exact-cycle ties deterministically.
-        assert!(a < ScheduleScore::new(1.0e9, 101));
-        // Corrupted values rank last, never winning a search.
-        assert!(ScheduleScore::new(f64::NAN, 0) > ScheduleScore::new(1.0e12, u64::MAX));
-        assert_eq!(ScheduleScore::new(f64::NAN, 0).cycles(), f64::INFINITY);
-        // score() is consistent with score_eq(): equal keys for drift pairs.
-        let p1 = PerfCounters {
-            modeled_cycles: 1.0e9,
-            dram_bytes: 7,
-            ..Default::default()
-        };
-        let mut p2 = p1.clone();
-        p2.modeled_cycles = 1.0e9 + 1.0;
-        assert!(p1.score_eq(&p2));
-        assert_eq!(p1.score(), p2.score());
     }
 }

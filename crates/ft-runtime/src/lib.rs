@@ -59,7 +59,7 @@ pub mod vm;
 
 pub use arena::RunContext;
 pub use bind::Resolved;
-pub use counters::{CacheGeometryError, CacheSim, PerfCounters, ScheduleScore, SCORE_REL_EPS};
+pub use counters::{CacheGeometryError, CacheSim, PerfCounters};
 pub use device::DeviceConfig;
 pub use engine::ExecutionEngine;
 pub use error::RuntimeError;

@@ -7,9 +7,9 @@
 //! stdout-parsing protocol. Compilation cost is paid once per distinct
 //! (source, flags) pair: artifacts live in a content-addressed on-disk
 //! cache (`target/ft-cache/<hash>.{c,so}`), and loaded objects are
-//! additionally memoized in-process, so repeat traffic — autoschedule
-//! search loops, conformance sweeps, warm benchmarks — spawns zero
-//! compiler processes.
+//! additionally memoized in-process, so repeat traffic — conformance
+//! sweeps, warm benchmarks, served requests — spawns zero compiler
+//! processes.
 //!
 //! Cache key (`artifact_key`): FNV-1a over the complete translation unit
 //! `ft_codegen::emit_c` emits (function and `ft_entry` wrapper; it

@@ -1,7 +1,6 @@
 //! Loop transformations: `split`, `merge`, `reorder`, `fission`, `fuse`,
 //! `swap` (paper Table 1, "Loop").
 
-use crate::trace::ScheduleOp;
 use crate::util::{as_for_ref, extent, peel, peel_into};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::deps::{
@@ -346,13 +345,7 @@ impl Schedule {
         let args = self
             .tracing()
             .then(|| format!("({first_sel:?}, {second_sel:?})"));
-        let op = self.loop_pos(&first_sel).zip(self.loop_pos(&second_sel));
-        let op = op.map(|(first_idx, second_idx)| ScheduleOp::Fuse {
-            first_idx,
-            second_idx,
-        });
         let r = self.fuse_impl(first_sel, second_sel);
-        self.note_op(op, &r);
         self.record("fuse", args, &r);
         r
     }

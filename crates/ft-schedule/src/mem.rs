@@ -1,7 +1,6 @@
 //! Memory-hierarchy transformations: `cache`, `cache_reduce`, `set_mtype`
 //! (paper Table 1, "Memory Hierarchy Trans."; bound inference per Fig. 14).
 
-use crate::trace::ScheduleOp;
 use crate::{Schedule, ScheduleError};
 use ft_analysis::bounds::{symbolic_bounds, BoundsCtx, SymBounds};
 use ft_analysis::to_linexpr;
@@ -522,13 +521,7 @@ impl Schedule {
         let args = self
             .tracing()
             .then(|| format!("(\"{var}\", {new_mtype:?})"));
-        // The vocabulary's `set_mtype` is a promotion to the CPU stack.
-        let op = self
-            .def_pos(var)
-            .filter(|_| new_mtype == MemType::CpuStack)
-            .map(|def_idx| ScheduleOp::SetMtype { def_idx });
         let r = self.set_mtype_impl(var, new_mtype);
-        self.note_op(op, &r);
         self.record("set_mtype", args, &r);
         r
     }

@@ -1,7 +1,6 @@
 //! Remaining transformations: `as_lib` and `separate_tail`
 //! (paper Table 1, "Others").
 
-use crate::trace::ScheduleOp;
 use crate::util::{as_for_ref, peel, peel_into};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::{const_bounds, to_linexpr, BoundsCtx};
@@ -32,11 +31,7 @@ impl Schedule {
     pub fn as_lib(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self
-            .loop_pos(&sel)
-            .map(|loop_idx| ScheduleOp::AsLib { loop_idx });
         let r = self.as_lib_impl(sel);
-        self.note_op(op, &r);
         self.record("as_lib", args, &r);
         r
     }
@@ -191,11 +186,7 @@ impl Schedule {
     ) -> Result<Separated, ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self
-            .loop_pos(&sel)
-            .map(|loop_idx| ScheduleOp::SeparateTail { loop_idx });
         let r = self.separate_tail_impl(sel);
-        self.note_op(op, &r);
         self.record("separate_tail", args, &r);
         r
     }

@@ -1,7 +1,6 @@
 //! Parallelizing transformations: `parallelize`, `unroll`, `blend`,
 //! `vectorize` (paper Table 1, "Parallelizing Trans.").
 
-use crate::trace::ScheduleOp;
 use crate::util::{as_for_ref, peel, peel_into, replace_by_id, ForRef};
 use crate::{Schedule, ScheduleError};
 use ft_analysis::collect_accesses;
@@ -32,13 +31,7 @@ impl Schedule {
     ) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?}, {scope:?})"));
-        // The vocabulary's `parallelize` is OpenMP.
-        let op = self
-            .loop_pos(&sel)
-            .filter(|_| scope == ParallelScope::OpenMp)
-            .map(|loop_idx| ScheduleOp::Parallelize { loop_idx });
         let r = self.parallelize_impl(sel, scope);
-        self.note_op(op, &r);
         self.record("parallelize", args, &r);
         r
     }
@@ -114,11 +107,7 @@ impl Schedule {
     pub fn unroll(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self
-            .loop_pos(&sel)
-            .map(|loop_idx| ScheduleOp::Unroll { loop_idx });
         let r = self.unroll_impl(sel);
-        self.note_op(op, &r);
         self.record("unroll", args, &r);
         r
     }
@@ -232,11 +221,7 @@ impl Schedule {
     pub fn vectorize(&mut self, loop_sel: impl Into<Selector>) -> Result<(), ScheduleError> {
         let sel = loop_sel.into();
         let args = self.tracing().then(|| format!("({sel:?})"));
-        let op = self
-            .loop_pos(&sel)
-            .map(|loop_idx| ScheduleOp::Vectorize { loop_idx });
         let r = self.vectorize_impl(sel);
-        self.note_op(op, &r);
         self.record("vectorize", args, &r);
         r
     }

@@ -1,6 +1,6 @@
 //! The schedule-trace vocabulary: a serializable, replayable op language
 //! over the [`Schedule`] primitives, shared by the conformance fuzzer and
-//! the search-based auto-scheduler.
+//! the recorded schedule traces `ft-autoschedule::search` replays.
 //!
 //! Ops address loops *positionally* (index into the pre-order list of `For`
 //! statements, modulo its length) rather than by `StmtId`, so a trace stays
@@ -8,15 +8,13 @@
 //! the auto-tuner baseline in `bench/table2` uses. A trace is therefore a
 //! complete, self-contained schedule description: applying the same trace
 //! to the same base function always yields the same scheduled function,
-//! which is what makes both conformance shrinking and search memoization
-//! sound.
+//! which is what makes conformance shrinking sound and a recorded trace a
+//! fixture.
 //!
 //! This module is the single home of the vocabulary ([`ScheduleOp`]), its
 //! application under legality checking ([`apply_trace`]), its JSON codec
-//! ([`op_to_json`] / [`op_from_json`]). Search candidates are deduplicated
-//! on [`Func::content_hash`] of the scheduled program.
-//! `ft-conformance` re-exports all of it and layers proptest sampling on
-//! top; `ft-autoschedule`'s search engine layers mutation on top.
+//! ([`op_to_json`] / [`op_from_json`]). `ft-conformance` re-exports all of
+//! it and layers proptest sampling on top.
 
 use crate::{Schedule, ScheduleError};
 use ft_ir::{find, AccessType, ForProperty, Func, MemType, ParallelScope, Stmt, StmtId, StmtKind};
@@ -25,8 +23,8 @@ use ft_trace::JsonVal;
 /// Largest constant element count [`ScheduleOp::SetMtype`] will promote to
 /// `CpuStack`. The rule-based `auto_mem_type` promotes up to
 /// `ft_autoschedule::REG_ELEMS` (64); the trace op allows a slightly larger
-/// neighborhood so search can explore beyond the rule threshold while still
-/// keeping promoted tensors L1-resident-sized.
+/// neighborhood so sampled traces reach beyond the rule threshold while
+/// still keeping promoted tensors L1-resident-sized.
 pub const SET_MTYPE_MAX_ELEMS: i64 = 256;
 
 /// One sampled schedule transformation.
@@ -304,7 +302,7 @@ impl ScheduleOp {
         }
     }
 
-    /// Short op name used in JSON repros and the search payoff table.
+    /// Short op name used in JSON repros and trace files.
     pub fn op_name(&self) -> &'static str {
         match self {
             ScheduleOp::Split { .. } => "split",
@@ -327,8 +325,8 @@ impl ScheduleOp {
 ///
 /// Returns the scheduled function and the accepted subsequence. Because
 /// rejected ops leave the schedule untouched, replaying just the accepted
-/// subsequence reproduces the identical function — this is what makes both
-/// conformance shrinking and search-trace canonicalization sound.
+/// subsequence reproduces the identical function — this is what makes
+/// conformance shrinking sound.
 pub fn apply_trace(base: &Func, trace: &[ScheduleOp]) -> (Func, Vec<ScheduleOp>) {
     apply_trace_traced(base, trace, None)
 }

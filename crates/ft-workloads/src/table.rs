@@ -1,8 +1,8 @@
 //! The one table of the evaluation: the paper's four workloads (§6.1) at
 //! the three problem sizes this repository runs them at. Everything that
 //! enumerates workloads — the conformance sweeps, the figure binaries, the
-//! schedule search — asks this table instead of matching on a workload
-//! itself.
+//! replayed schedule traces — asks this table instead of matching on a
+//! workload itself.
 
 use crate::{gat, longformer, softras, subdivnet, Inputs};
 use freetensor_core::Program;
@@ -27,8 +27,9 @@ pub enum Workload {
 pub enum Scale {
     /// Each module's `Params::small()`: what the differential tests run.
     Test,
-    /// Reduced shapes where a kernel takes microseconds (CI figures, the
-    /// `*-cpu-small.json` searched schedules).
+    /// Reduced shapes where a kernel takes microseconds (CI figures, and
+    /// the shapes the recorded `*-cpu-small.json` schedule traces were
+    /// recorded at).
     Small,
     /// Paper-like shapes scaled to the simulator: each `Params::default()`.
     Full,
