@@ -4,7 +4,8 @@
 //! ([`Runtime`](crate::Runtime)) is the reference semantics and the one
 //! device model, which every other engine is diffed against; the bytecode
 //! VM ([`VmRuntime`](crate::VmRuntime)) is the portable fallback for hosts
-//! without a C compiler; the native compiled engine
+//! without a C compiler, which `ft-serve` serves on when
+//! [`cc_available`](crate::cc_available) is false; the native compiled engine
 //! ([`CompiledEngine`](crate::native::CompiledEngine)) is the production
 //! path and the paper's execution model. The last two execute the same
 //! lowered function (`ft_codegen::lower_and_plan`, with every parallel mark

@@ -31,7 +31,8 @@
 //!   ([`lower_and_plan`]), runs its `OpenMp` loops as fork-join regions on
 //!   the persistent [`pool`] workers, and is bit-identical on outputs to
 //!   the interpreter run on that lowered function; like the compiled
-//!   engine it models no device;
+//!   engine it models no device. `ft-serve` runs it where
+//!   [`cc_available`] is false;
 //! * **production** — the native compiled engine ([`CompiledEngine`],
 //!   [`native`]) that emits C with `ft-codegen`, compiles it with the host
 //!   `cc` into a content-addressed shared-object cache, and calls it

@@ -5,8 +5,10 @@
 //! under concurrent traffic if the machinery around the compiler is safe to
 //! share. [`Server`] is that front door: it accepts `(program, sizes,
 //! inputs)` jobs keyed by content hash and runs them on a persistent
-//! worker pool over one shared [`CompiledEngine`], with four serving
-//! policies layered on top:
+//! worker pool over one shared engine — the [`CompiledEngine`], or, on a
+//! host without a C compiler ([`ft_runtime::cc_available`]), the
+//! portable [`VmRuntime`], chosen once when the server starts — with four
+//! serving policies layered on top:
 //!
 //! * **One build per cold key** — a request for a key whose first (cold)
 //!   compilation is still in flight is counted as
@@ -46,6 +48,7 @@ use ft_ir::Func;
 use ft_metrics::Metrics;
 use ft_runtime::{
     CompiledEngine, ExecutionEngine, RunContext, RunResult, RuntimeError, Scalar, TensorVal,
+    VmRuntime,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -72,7 +75,8 @@ pub struct ServeConfig {
     /// full arena + staging footprint.
     pub ctx_pool_per_key: usize,
     /// Artifact cache directory for the compiled engine (`None` = the
-    /// engine's default resolution, honoring `FT_CACHE_DIR`).
+    /// engine's default resolution, honoring `FT_CACHE_DIR`). Unused on a
+    /// host without `cc`, where the server runs the VM.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -258,7 +262,7 @@ struct QueueState {
 
 struct Inner {
     cfg: ServeConfig,
-    engine: CompiledEngine,
+    engine: Box<dyn ExecutionEngine + Send + Sync>,
     metrics: Metrics,
     q: Mutex<QueueState>,
     work: Condvar,
@@ -318,12 +322,15 @@ fn digest_outputs(outputs: &HashMap<String, TensorVal>) -> u64 {
 }
 
 impl Server {
-    /// Start a server: builds the shared compiled engine (metrics
-    /// attached) and spawns `cfg.workers` worker threads.
+    /// Start a server: builds the shared engine (metrics attached) —
+    /// the compiled engine over `cfg.cache_dir`, or the VM when
+    /// [`ft_runtime::cc_available`] is false — and spawns `cfg.workers`
+    /// worker threads.
     pub fn new(cfg: ServeConfig, metrics: Metrics) -> Server {
-        let mut engine = match &cfg.cache_dir {
-            Some(d) => CompiledEngine::with_cache_dir(d.clone()),
-            None => CompiledEngine::new(),
+        let mut engine: Box<dyn ExecutionEngine + Send + Sync> = match &cfg.cache_dir {
+            _ if !ft_runtime::cc_available() => Box::new(VmRuntime::new()),
+            Some(d) => Box::new(CompiledEngine::with_cache_dir(d.clone())),
+            None => Box::new(CompiledEngine::new()),
         };
         engine.set_metrics(Some(metrics.clone()));
         let inner = Arc::new(Inner {
@@ -665,10 +672,6 @@ mod tests {
             "{keys:?}"
         );
 
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping the served half");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             ..ServeConfig::default()
@@ -688,6 +691,24 @@ mod tests {
             "{s:?}"
         );
         assert_eq!(spawned(), cold, "{s:?}");
+    }
+
+    /// The server runs the compiled engine where the host has `cc` and the
+    /// VM where it does not; the engine that ran the request timed it.
+    #[test]
+    fn a_fresh_server_serves_on_the_engine_the_host_supports() {
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let rx = srv.submit("a", req(&fill("which", 4, 1.0))).unwrap();
+        assert!(srv.pump_one());
+        rx.recv().unwrap().expect("served");
+        let s = srv.metrics().snapshot();
+        let runs = |name: &str| s.histograms.get(name).map_or(0, |h| h.count);
+        let cc = ft_runtime::cc_available();
+        assert_eq!(runs("engine.vm.run_us"), u64::from(!cc), "{s:?}");
+        assert_eq!(runs("engine.compiled.run_us"), u64::from(cc), "{s:?}");
     }
 
     fn manual_server(cfg: ServeConfig) -> Server {
@@ -711,10 +732,6 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_clients() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             ..ServeConfig::default()
@@ -746,10 +763,6 @@ mod tests {
 
     #[test]
     fn backpressure_is_a_structured_error() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             queue_cap: 2,
@@ -769,10 +782,6 @@ mod tests {
 
     #[test]
     fn memory_budget_rejects_with_reason() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         // y: [1024] f32 = 4 KiB of parameter footprint per job.
         let f = fill("budget", 1024, 1.0);
         let srv = manual_server(ServeConfig {
@@ -832,16 +841,14 @@ mod tests {
 
     #[test]
     fn inflight_dedup_is_counted_and_warm_keys_are_not() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             ..ServeConfig::default()
         });
         let f = fill("dedup", 4, 1.0);
-        // Three submissions of one cold key: 1 leader + 2 dedup hits.
+        // Three submissions of one cold key: the two after the first are
+        // dedup hits, which run and (with `cc`) wait inside the engine on
+        // the key's build `flock`.
         let _r1 = srv.submit("a", req(&f)).unwrap();
         let _r2 = srv.submit("b", req(&f)).unwrap();
         let _r3 = srv.submit("c", req(&f)).unwrap();
@@ -860,15 +867,13 @@ mod tests {
         assert_eq!(s.counter("serve.cold"), 1, "{s:?}");
         assert_eq!(s.counter("serve.warm"), 3, "{s:?}");
         // One compile served all four requests.
-        assert_eq!(s.counter("compiled.cache.publish"), 1, "{s:?}");
+        if ft_runtime::cc_available() {
+            assert_eq!(s.counter("compiled.cache.publish"), 1, "{s:?}");
+        }
     }
 
     #[test]
     fn digest_mode_recycles_outputs_server_side() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             ..ServeConfig::default()
@@ -897,10 +902,6 @@ mod tests {
 
     #[test]
     fn errors_flow_through_the_reply_channel() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             ..ServeConfig::default()
@@ -921,17 +922,13 @@ mod tests {
         assert_eq!(s.counter("serve.errors"), 1);
         // Refused before anything was compiled for it.
         assert_eq!(s.counter("compiled.cc.spawned"), 0, "{s:?}");
-        // The key never became warm; the next attempt is cold again and is
-        // the new compile leader (no deadlock on the failed flight).
+        // The key never became warm: the next attempt is cold again, and
+        // nothing holds the key's build lock for it.
         assert_eq!(s.counter("serve.warm"), 0);
     }
 
     #[test]
     fn a_malformed_request_leaves_the_keys_pooled_context_warm() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 0,
             ..ServeConfig::default()
@@ -965,10 +962,6 @@ mod tests {
 
     #[test]
     fn worker_pool_drains_concurrent_traffic() {
-        if !ft_runtime::cc_available() {
-            eprintln!("cc unavailable; skipping");
-            return;
-        }
         let srv = manual_server(ServeConfig {
             workers: 2,
             ..ServeConfig::default()
@@ -988,6 +981,8 @@ mod tests {
         }
         let s = srv.metrics().snapshot();
         assert_eq!(s.counter("serve.ok"), 16);
-        assert_eq!(s.counter("compiled.cache.publish"), 1, "{s:?}");
+        if ft_runtime::cc_available() {
+            assert_eq!(s.counter("compiled.cache.publish"), 1, "{s:?}");
+        }
     }
 }
