@@ -20,8 +20,8 @@
 //! --expect-warm` gates on exactly that.
 
 use bench::{
-    bench_metrics, fmt_bytes, fmt_cycles, json_record, prepare, run_forward_capped,
-    run_forward_traced, run_grad_capped, write_bench_json, Scale, System, Workload,
+    bench_metrics, fmt_bytes, fmt_cycles, json_record, prepare, run_forward, run_forward_capped,
+    run_grad_capped, write_bench_json, Scale, System, Workload,
 };
 use ft_autodiff::TapePolicy;
 use ft_ir::Device;
@@ -165,10 +165,10 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        let sink = ft_trace::TraceSink::new();
+        let sink = ft_trace::TraceSink::new().with_metrics(bench_metrics().clone());
         for &w in &workloads {
             let prep = prepare(w, scale);
-            let r = run_forward_traced(&prep, System::FtOptimized, Device::Cpu, &sink);
+            let r = run_forward(&prep, System::FtOptimized, Device::Cpu, Some(&sink));
             if let Some(f) = r.failure {
                 eprintln!("trace run failed on {}: {f}", w.display());
             }
@@ -179,7 +179,7 @@ fn main() {
         // Stamp the cumulative bench metrics into the trace as Chrome "C"
         // counter events, so the exported artifact carries the registry
         // state alongside the decisions.
-        sink.metrics_sample(&bench_metrics().snapshot());
+        sink.sample_metrics();
         ft_trace::write_chrome_trace(&sink, &path).expect("write trace");
         let decisions = sink.decisions();
         let serialized = decisions

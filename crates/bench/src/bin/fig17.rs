@@ -7,7 +7,7 @@
 //! Chrome trace-event JSON under `results/trace/` (load it in Perfetto or
 //! `chrome://tracing`), plus a human-readable provenance report.
 
-use bench::{fmt_bytes, prepare, run_forward, run_forward_traced, Scale, System, Workload};
+use bench::{fmt_bytes, prepare, run_forward, Scale, System, Workload};
 use ft_ir::Device;
 use std::path::Path;
 
@@ -19,16 +19,8 @@ fn main() {
         if small { Scale::Small } else { Scale::Full },
     );
     let sink = trace.then(ft_trace::TraceSink::new);
-    let (ft, ob) = match &sink {
-        Some(s) => (
-            run_forward_traced(&prep, System::FtOptimized, Device::Gpu, s),
-            run_forward_traced(&prep, System::OpBase, Device::Gpu, s),
-        ),
-        None => (
-            run_forward(&prep, System::FtOptimized, Device::Gpu),
-            run_forward(&prep, System::OpBase, Device::Gpu),
-        ),
-    };
+    let ft = run_forward(&prep, System::FtOptimized, Device::Gpu, sink.as_ref());
+    let ob = run_forward(&prep, System::OpBase, Device::Gpu, sink.as_ref());
     println!("# Fig. 17 — analysis of the SubdivNet GPU speedup");
     println!(
         "{:<22} {:>16} {:>16} {:>12}",

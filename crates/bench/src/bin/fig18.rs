@@ -26,7 +26,7 @@ fn main() {
     for w in Workload::ALL.into_iter().filter(|w| w.differentiable()) {
         let prep = prepare(w, scale);
         for dev in [Device::Cpu, Device::Gpu] {
-            let fwd = run_forward(&prep, System::FtOptimized, dev);
+            let fwd = run_forward(&prep, System::FtOptimized, dev, None);
             let minus = run_grad(&prep, System::FtOptimized, dev, TapePolicy::All);
             let plus = run_grad(&prep, System::FtOptimized, dev, TapePolicy::Selective);
             let peak = |r: &bench::CaseResult| {

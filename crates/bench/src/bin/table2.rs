@@ -53,7 +53,9 @@ fn pass_table(scale: Scale, reps: usize) {
             let mut samples: Vec<[u64; PASSES.len()]> = (0..reps)
                 .map(|_| {
                     let sink = TraceSink::new();
-                    let _ = p.clone().with_sink(sink.clone()).optimize(&Target::cpu());
+                    let mut p = p.clone();
+                    p.set_sink(Some(sink.clone()));
+                    let _ = p.optimize(&Target::cpu());
                     let mut us = [0; PASSES.len()];
                     for ev in sink.events().iter().filter(|e| e.cat == "autoschedule") {
                         if let Some(k) = PASSES.iter().position(|p| *p == ev.name) {

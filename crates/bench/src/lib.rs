@@ -31,7 +31,7 @@ use ft_runtime::{
     cc_available, CompiledEngine, DeviceConfig, ExecutionEngine, PerfCounters, RunContext, Runtime,
     RuntimeError, TensorVal,
 };
-use ft_trace::JsonVal;
+use ft_trace::{JsonVal, TraceSink};
 use ft_workloads::{Inputs, Instance};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -150,7 +150,7 @@ fn bench_compiled_engine() -> &'static CompiledEngine {
     static ENGINE: OnceLock<CompiledEngine> = OnceLock::new();
     ENGINE.get_or_init(|| {
         let mut e = CompiledEngine::new();
-        e.set_metrics(Some(bench_metrics().clone()));
+        e.set_sink(Some(TraceSink::from(bench_metrics().clone())));
         e
     })
 }
@@ -184,9 +184,19 @@ fn target_for(device: Device) -> Target {
     }
 }
 
-/// Run the forward pass of one (workload, system, device) case.
-pub fn run_forward(prep: &Prepared, system: System, device: Device) -> CaseResult {
-    run_forward_capped(prep, system, device, None)
+/// Run the forward pass of one (workload, system, device) case. With a
+/// `sink`, provenance and profiling are recorded into it: for FreeTensor
+/// systems the sink is installed on the program, so auto-schedule
+/// decisions, pass spans, and the per-statement run profile all land in one
+/// trace; for the operator baseline a single runtime span wraps the session
+/// (op-base has no per-statement attribution).
+pub fn run_forward(
+    prep: &Prepared,
+    system: System,
+    device: Device,
+    sink: Option<&TraceSink>,
+) -> CaseResult {
+    run_forward_inner(prep, system, device, None, sink)
 }
 
 /// Like [`run_forward`], with an optional GPU memory capacity override
@@ -200,26 +210,12 @@ pub fn run_forward_capped(
     run_forward_inner(prep, system, device, gpu_capacity, None)
 }
 
-/// Like [`run_forward`], but with provenance + profiling recorded into
-/// `sink`: for FreeTensor systems the sink is installed on the program, so
-/// auto-schedule decisions, pass spans, and the per-statement run profile
-/// all land in one trace; for the operator baseline a single runtime span
-/// wraps the session (op-base has no per-statement attribution).
-pub fn run_forward_traced(
-    prep: &Prepared,
-    system: System,
-    device: Device,
-    sink: &ft_trace::TraceSink,
-) -> CaseResult {
-    run_forward_inner(prep, system, device, None, Some(sink))
-}
-
 fn run_forward_inner(
     prep: &Prepared,
     system: System,
     device: Device,
     gpu_capacity: Option<usize>,
-    sink: Option<&ft_trace::TraceSink>,
+    sink: Option<&TraceSink>,
 ) -> CaseResult {
     let mut config = DeviceConfig::default();
     if let Some(cap) = gpu_capacity {
@@ -241,10 +237,8 @@ fn run_forward_inner(
             r
         }
         System::FtNaive | System::FtOptimized => {
-            let base = match sink {
-                Some(s) => prep.naive.clone().with_sink(s.clone()),
-                None => prep.naive.clone(),
-            };
+            let mut base = prep.naive.clone();
+            base.set_sink(sink.cloned());
             let prog = if system == System::FtOptimized {
                 base.optimize(&target_for(device))
             } else {
@@ -278,7 +272,7 @@ fn run_ft_both_engines(
     let peak_planned_bytes = Some(plan.planned_peak_bytes);
     let naive_alloc_bytes = Some(plan.naive_alloc_bytes);
     let mut rt = Runtime::with_config(config);
-    rt.set_metrics(Some(bench_metrics().clone()));
+    rt.set_sink(Some(TraceSink::from(bench_metrics().clone())));
     let start = Instant::now();
     let counters = match prog.run(&rt, inputs, &sizes) {
         Ok(r) => r.counters,
@@ -338,12 +332,13 @@ fn time_compiled(
     inputs: &Inputs,
 ) -> Result<(f64, u64), RuntimeError> {
     let mut engine = bench_compiled_engine().clone();
-    engine.set_sink(prog.sink().cloned());
+    if let Some(s) = prog.sink() {
+        engine.set_sink(Some(s.with_metrics(bench_metrics().clone())));
+    }
     let mut ctx = RunContext::new();
     compiled_op_ms(&engine, prog.func(), inputs, &mut ctx)?;
     let warm = Metrics::new();
-    engine.set_sink(None);
-    engine.set_metrics(Some(warm.clone()));
+    engine.set_sink(Some(TraceSink::from(warm.clone())));
     warm_up_compiled(&engine, prog.func(), inputs, &mut ctx)?;
     let ops = (0..5)
         .map(|_| compiled_op_ms(&engine, prog.func(), inputs, &mut ctx))
@@ -650,7 +645,7 @@ mod tests {
             let prep = prepare(w, Scale::Small);
             for sys in [System::OpBase, System::FtNaive, System::FtOptimized] {
                 for dev in [Device::Cpu, Device::Gpu] {
-                    let r = run_forward(&prep, sys, dev);
+                    let r = run_forward(&prep, sys, dev, None);
                     assert!(
                         r.failure.is_none(),
                         "{} / {:?} / {dev} failed: {:?}",
@@ -697,14 +692,14 @@ mod tests {
         // is CPU-only), the row has no wall. The operator baseline times its
         // own kernels on either device.
         let prep = prepare(Workload::Subdivnet, Scale::Small);
-        let cpu = run_forward(&prep, System::FtOptimized, Device::Cpu);
+        let cpu = run_forward(&prep, System::FtOptimized, Device::Cpu, None);
         assert!(cpu.failure.is_none(), "{:?}", cpu.failure);
         assert_eq!(cpu.wall_ms.is_some(), cc_available(), "{:?}", cpu.wall_ms);
         assert_eq!(cpu.warm_alloc_calls, cc_available().then_some(0));
-        let gpu = run_forward(&prep, System::FtOptimized, Device::Gpu);
+        let gpu = run_forward(&prep, System::FtOptimized, Device::Gpu, None);
         assert!(gpu.failure.is_none(), "{:?}", gpu.failure);
         assert_eq!(gpu.wall_ms, None, "compiled axis leaked to GPU");
-        let ob = run_forward(&prep, System::OpBase, Device::Gpu);
+        let ob = run_forward(&prep, System::OpBase, Device::Gpu, None);
         assert!(ob.wall_ms.is_some_and(|w| w > 0.0), "{:?}", ob.wall_ms);
     }
 
@@ -731,7 +726,7 @@ mod tests {
             std::env::temp_dir().join(format!("ft-bench-json-test-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let prep = prepare(Workload::Gat, Scale::Small);
-        let r = run_forward(&prep, System::FtOptimized, Device::Cpu);
+        let r = run_forward(&prep, System::FtOptimized, Device::Cpu, None);
         let rec = |kind: &str| {
             json_record(
                 Workload::Gat,
@@ -767,9 +762,9 @@ mod tests {
         // whole-run counters; the Chrome export validates.
         let prep = prepare(Workload::Subdivnet, Scale::Small);
         let sink = ft_trace::TraceSink::new();
-        let ft = run_forward_traced(&prep, System::FtOptimized, Device::Gpu, &sink);
+        let ft = run_forward(&prep, System::FtOptimized, Device::Gpu, Some(&sink));
         assert!(ft.failure.is_none(), "{:?}", ft.failure);
-        let ob = run_forward_traced(&prep, System::OpBase, Device::Gpu, &sink);
+        let ob = run_forward(&prep, System::OpBase, Device::Gpu, Some(&sink));
         assert!(ob.failure.is_none(), "{:?}", ob.failure);
         assert!(!sink.decisions().is_empty(), "no schedule decisions traced");
         let profiles = sink.profiles();
@@ -790,8 +785,8 @@ mod tests {
         for w in Workload::ALL {
             let prep = prepare(w, Scale::Small);
             for dev in [Device::Cpu, Device::Gpu] {
-                let ft = run_forward(&prep, System::FtOptimized, dev);
-                let ob = run_forward(&prep, System::OpBase, dev);
+                let ft = run_forward(&prep, System::FtOptimized, dev, None);
+                let ob = run_forward(&prep, System::OpBase, dev, None);
                 assert!(
                     ft.cycles < ob.cycles,
                     "{} on {dev}: FreeTensor {} !< baseline {}",

@@ -38,11 +38,11 @@ use std::collections::HashMap;
 
 /// A compiled FreeTensor program (an IR function plus pipeline operations).
 ///
-/// Installing a [`TraceSink`] (via [`Program::compile_traced`],
-/// [`Program::with_sink`] or [`Program::set_sink`]) turns on end-to-end
-/// provenance: every pipeline stage this program goes through — frontend
-/// lowering, simplification passes, auto-scheduling decisions, codegen, and
-/// instrumented runs — reports into the sink, and the sink carries through
+/// Installing a [`TraceSink`] (via [`Program::compile_traced`] or
+/// [`Program::set_sink`]) turns on end-to-end provenance: every pipeline
+/// stage this program goes through — frontend lowering, simplification
+/// passes, auto-scheduling decisions, codegen, and instrumented runs —
+/// reports into the sink's event log, and the sink carries through
 /// `optimize`/`grad` to derived programs.
 #[derive(Debug, Clone)]
 pub struct Program {
@@ -95,15 +95,8 @@ impl Program {
             let _span = sink.as_ref().map(|s| s.span("pass", "uniquify_defs"));
             ft_passes::uniquify_defs(func)
         };
-        let func = ft_passes::simplify_traced(func, sink.as_ref());
+        let func = ft_passes::simplify(func, sink.as_ref());
         Program { func, sink }
-    }
-
-    /// Install a trace sink on this program (builder form).
-    #[must_use]
-    pub fn with_sink(mut self, sink: TraceSink) -> Program {
-        self.sink = Some(sink);
-        self
     }
 
     /// Install (or remove) the trace sink all later pipeline stages report
@@ -132,9 +125,9 @@ impl Program {
         for p in &mut func.params {
             p.mtype = ft_ir::MemType::default_for(target.device);
         }
-        let tuned = ft_autoschedule::auto_schedule_traced(func, target, self.sink.clone());
+        let tuned = ft_autoschedule::auto_schedule(func, target, self.sink.clone());
         Program {
-            func: ft_passes::simplify_traced(tuned, self.sink.as_ref()),
+            func: ft_passes::simplify(tuned, self.sink.as_ref()),
             sink: self.sink.clone(),
         }
     }
@@ -143,10 +136,9 @@ impl Program {
     /// installed, manual primitives are logged the same way automatic ones
     /// are.
     pub fn schedule(&self) -> ft_schedule::Schedule {
-        match &self.sink {
-            Some(s) => ft_schedule::Schedule::with_sink(self.func.clone(), s.clone()),
-            None => ft_schedule::Schedule::new(self.func.clone()),
-        }
+        let mut sched = ft_schedule::Schedule::new(self.func.clone());
+        sched.set_sink(self.sink.clone());
+        sched
     }
 
     /// Finish manual scheduling. The schedule's sink (if any) carries over.
@@ -176,9 +168,11 @@ impl Program {
     /// ([`ft_runtime::Runtime`]), the bytecode VM ([`ft_runtime::VmRuntime`])
     /// or the native compiled engine ([`ft_runtime::CompiledEngine`]). The
     /// maps are lent to [`ExecutionEngine::run`] as they are. If this program
-    /// carries a trace sink and `engine` has none, the run is recorded into
-    /// the program's sink: a runtime span, plus per-statement counter
-    /// attribution on the interpreter.
+    /// carries a sink with an event log and `engine`'s handle keeps none,
+    /// the run is logged into the program's sink — a runtime span, plus
+    /// per-statement counter attribution on the interpreter — while its
+    /// metrics still go to the engine's registry (the program's, when the
+    /// engine has no handle).
     ///
     /// # Errors
     ///
@@ -190,9 +184,10 @@ impl Program {
         sizes: &HashMap<String, i64>,
     ) -> Result<RunResult, RuntimeError> {
         match &self.sink {
-            Some(s) if engine.sink().is_none() => {
+            Some(s) if s.logs() && !engine.sink().is_some_and(TraceSink::logs) => {
                 let mut e = engine.clone();
-                e.set_sink(Some(s.clone()));
+                let registry = engine.sink().unwrap_or(s).metrics();
+                e.set_sink(Some(s.with_metrics(registry.clone())));
                 e.run(&self.func, inputs, sizes)
             }
             _ => engine.run(&self.func, inputs, sizes),
@@ -216,7 +211,16 @@ impl Program {
     /// every engine returns `RuntimeError::UnknownKernel` for such a
     /// program instead.
     pub fn emit_c(&self) -> String {
-        ft_codegen::emit_c_traced(&self.func, self.sink.as_ref())
+        let mut span = self.sink.as_ref().map(|s| s.span("codegen", "emit_c"));
+        let (lowered, plan) = ft_codegen::lower_and_plan(&self.func, &HashMap::new());
+        let src = ft_codegen::emit_c(&lowered, &plan, false)
+            .expect("lowered IR calling library kernels the C backend provides")
+            .0;
+        if let Some(sp) = span.as_mut() {
+            sp.arg("func", &self.func.name);
+            sp.arg("bytes", src.len());
+        }
+        src
     }
 }
 

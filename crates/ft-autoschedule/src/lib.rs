@@ -34,9 +34,10 @@ use ft_schedule::Schedule;
 use ft_trace::{Span, TraceSink};
 
 /// Open a timed span for one `auto_*` pass and label subsequent schedule
-/// decisions with the pass name. No-op (and allocation-free) without a sink.
+/// decisions with the pass name. No-op (and allocation-free) without a sink
+/// that keeps a log.
 fn begin_pass(sched: &mut Schedule, name: &str) -> Option<Span> {
-    let sink = sched.sink()?.clone();
+    let sink = sched.sink().filter(|s| s.logs())?.clone();
     sched.set_phase(Some(name.to_string()));
     Some(sink.span("autoschedule", name))
 }
@@ -340,15 +341,11 @@ pub fn auto_unroll(sched: &mut Schedule) -> usize {
     n
 }
 
-/// Run all seven passes and return the scheduled function.
-pub fn auto_schedule(func: &Func, target: &Target) -> Func {
-    auto_schedule_traced(func.clone(), target, None)
-}
-
-/// [`auto_schedule`] with observability: when `sink` is `Some`, every pass
-/// reports a timed span and every primitive attempt (applied or rejected,
-/// with structured violated dependences) lands in the sink's decision log.
-pub fn auto_schedule_traced(func: Func, target: &Target, sink: Option<TraceSink>) -> Func {
+/// Run all seven passes and return the scheduled function. With a `sink`,
+/// every pass reports a timed span and every primitive attempt (applied or
+/// rejected, with structured violated dependences) lands in the sink's
+/// decision log.
+pub fn auto_schedule(func: Func, target: &Target, sink: Option<TraceSink>) -> Func {
     let mut sched = Schedule::new(func);
     sched.set_sink(sink);
     // The paper's six passes, with `auto_separate_tail` and then
@@ -506,7 +503,7 @@ mod tests {
             .param("y", [8, 16, 3], DataType::F32, AccessType::Output)
             .body(for_("i", 0, 8, f_loop));
         let sink = TraceSink::new();
-        let tuned = auto_schedule_traced(f, &Target::cpu(), Some(sink.clone()));
+        let tuned = auto_schedule(f, &Target::cpu(), Some(sink.clone()));
         let vectorized = ft_ir::find::find_by_id(&tuned.body, f_id).is_some_and(
             |s| matches!(&s.kind, StmtKind::For { property, .. } if property.vectorize),
         );
@@ -531,7 +528,7 @@ mod tests {
         let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
         let before = Runtime::new().run(&f, &inputs, &HashMap::new()).unwrap();
         for target in [Target::cpu(), Target::gpu()] {
-            let tuned = auto_schedule(&f, &target);
+            let tuned = auto_schedule(f.clone(), &target, None);
             let after = Runtime::new()
                 .run(&tuned, &inputs, &HashMap::new())
                 .unwrap();
@@ -546,7 +543,7 @@ mod tests {
     #[test]
     fn gpu_schedule_launches_fewer_kernels_after_fuse() {
         let f = elementwise_two_loops();
-        let tuned = auto_schedule(&f, &Target::gpu());
+        let tuned = auto_schedule(f, &Target::gpu(), None);
         let x = TensorVal::from_f32(&[64], vec![1.0; 64]);
         let inputs: HashMap<String, TensorVal> = [("x".to_string(), x)].into_iter().collect();
         let r = Runtime::new()

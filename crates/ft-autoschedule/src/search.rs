@@ -26,8 +26,8 @@ pub fn prepare_candidate(
     for p in &mut f.params {
         p.mtype = MemType::default_for(device);
     }
-    let (scheduled, accepted) = apply_trace(&f, trace);
-    (ft_passes::simplify(&scheduled), accepted)
+    let (scheduled, accepted) = apply_trace(&f, trace, None);
+    (ft_passes::simplify(scheduled, None), accepted)
 }
 
 /// A recorded schedule trace: one JSON file per (workload, device,

@@ -19,13 +19,12 @@
 //!   interpreter cannot tell the difference);
 //! * [`c::emit_c`] — the one C unit: C99 with OpenMP pragmas (`parallel
 //!   for`, `simd`) for a lowered CPU schedule under its memory plan, with
-//!   the `ft_entry` wrapper the compiled engine calls; [`emit_c_traced`]
-//!   prints it for [`lower_and_plan`] at no sizes, which is what
-//!   `Program::emit_c` shows. It prints what the IR says: `f32`
-//!   expressions are spelled in `float` ([`ft_ir::Expr::dtype`]), a
-//!   register is a scalar local, and a `vectorize` loop's `simd reduction`
-//!   clause names the registers it folds into (`DESIGN.md` §7 states the
-//!   numeric contract).
+//!   the `ft_entry` wrapper the compiled engine calls; `Program::emit_c`
+//!   shows it for [`lower_and_plan`] at no sizes. It prints what the IR
+//!   says: `f32` expressions are spelled in `float`
+//!   ([`ft_ir::Expr::dtype`]), a register is a scalar local, and a
+//!   `vectorize` loop's `simd reduction` clause names the registers it
+//!   folds into (`DESIGN.md` §7 states the numeric contract).
 
 pub mod c;
 pub mod lower;
@@ -37,7 +36,6 @@ pub use scalar::lower_scalar;
 
 use ft_analysis::MemPlan;
 use ft_ir::Func;
-use ft_trace::TraceSink;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -70,27 +68,4 @@ fn then<'a>(first: Cow<'a, Func>, step: fn(&Func) -> Cow<'_, Func>) -> Cow<'a, F
             Cow::Owned(g) => Cow::Owned(g),
         },
     }
-}
-
-/// [`emit_c`] of [`lower_and_plan`] at no sizes, unprofiled, with a
-/// provenance span on the compile track of `sink`: the unit the compiled
-/// engine builds for a program without size parameters, except that a
-/// mark the engine's [`prove_parallel`] refuses keeps its `#pragma omp
-/// parallel for` here.
-///
-/// # Panics
-///
-/// When `func` calls a library kernel the C backend does not provide
-/// ([`CodegenError::UnknownLibKernel`]).
-pub fn emit_c_traced(func: &Func, sink: Option<&TraceSink>) -> String {
-    let mut span = sink.map(|s| s.span("codegen", "emit_c"));
-    let (lowered, plan) = lower_and_plan(func, &HashMap::new());
-    let src = emit_c(&lowered, &plan, false)
-        .expect("lowered IR calling library kernels the C backend provides")
-        .0;
-    if let Some(sp) = span.as_mut() {
-        sp.arg("func", &func.name);
-        sp.arg("bytes", src.len());
-    }
-    src
 }

@@ -10,7 +10,7 @@
 //! `CpuStack` `VarDef` — a register, which the C printer declares as a
 //! scalar local and the VM keeps in a machine register. It runs once per
 //! prepare, in [`lower_and_plan`](crate::lower_and_plan), whose function
-//! [`emit_c_traced`](crate::emit_c_traced) prints too.
+//! `Program::emit_c` prints too.
 //!
 //! * **Hoisting.** A maximal subexpression of a statement directly in loop
 //!   `L` that may leave `L` by the rule of [`ft_passes::hoist`] (shared with

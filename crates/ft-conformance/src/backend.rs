@@ -206,7 +206,7 @@ pub fn run_backend_telemetry(
 ) -> ft_metrics::MetricsSnapshot {
     let mut engine = engine_for(backend);
     let metrics = ft_metrics::Metrics::new();
-    engine.set_metrics(Some(metrics.clone()));
+    engine.set_sink(Some(ft_trace::TraceSink::from(metrics.clone())));
     let _ = engine.run(&backend.program(func), inputs, &HashMap::new());
     metrics.snapshot()
 }
@@ -240,7 +240,7 @@ def sums(x: f32[{N}] in, k: i32[{N}] in, fsum: f32[] out, isum: i32[] out):
             ),
             "sums",
         );
-        let (func, accepted) = apply_trace(&base, &[ScheduleOp::Parallelize { loop_idx: 0 }]);
+        let (func, accepted) = apply_trace(&base, &[ScheduleOp::Parallelize { loop_idx: 0 }], None);
         assert_eq!(accepted.len(), 1, "legal parallelize was rejected");
         assert_ne!(
             reverse_parallel_loops(&func).to_string(),
@@ -281,8 +281,11 @@ def rec(y: f32[8] out):
 "#,
             "rec",
         );
-        let (bad, accepted) =
-            apply_trace(&rec, &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }]);
+        let (bad, accepted) = apply_trace(
+            &rec,
+            &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }],
+            None,
+        );
         assert_eq!(accepted.len(), 1);
         let out = run_backend(Backend::Reordered, &bad, &HashMap::new()).unwrap();
         assert_eq!(out["y"].to_f64_vec(), vec![1.0; 8]);
@@ -301,6 +304,7 @@ def shrink(n: i32[1] inout, y: f32[4] out):
         let (marked, accepted) = apply_trace(
             &own_bound,
             &[ScheduleOp::ParallelizeUnchecked { loop_idx: 0 }],
+            None,
         );
         assert_eq!(accepted.len(), 1);
         assert_eq!(

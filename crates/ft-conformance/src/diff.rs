@@ -387,7 +387,7 @@ mod tests {
 
         let case = Case::build(w, 7);
         let (inputs, mut oracle_grads) = grad_setup(w, &case);
-        let (g, _) = build_grad_func(&case.func, &[], &GradSpec::default()).unwrap();
+        let (g, _) = build_grad_func(&case.func, &[], &GradSpec::default(), None).unwrap();
         let tol = GradTol::default();
         assert!(check_grad_variant(&g, &inputs, &oracle_grads, &backends, &tol).is_none());
         bump(oracle_grads.get_mut("e.grad").unwrap());

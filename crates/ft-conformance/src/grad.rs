@@ -139,6 +139,8 @@ impl GradSpec {
 /// Build the gradient function of `func` for one sweep point, applying the
 /// schedule trace on the side of AD that `spec.order` dictates. Returns the
 /// function together with the legality-accepted subsequence of `trace`.
+/// With a `sink`, the trace's schedule decision log lands in it (used when
+/// writing repros).
 ///
 /// # Errors
 ///
@@ -149,26 +151,16 @@ pub fn build_grad_func(
     func: &Func,
     trace: &[ScheduleOp],
     spec: &GradSpec,
-) -> Result<(Func, Vec<ScheduleOp>), AdError> {
-    build_grad_func_traced(func, trace, spec, None)
-}
-
-/// [`build_grad_func`] with an optional trace sink capturing the schedule
-/// decision log (used when writing repros).
-pub fn build_grad_func_traced(
-    func: &Func,
-    trace: &[ScheduleOp],
-    spec: &GradSpec,
     sink: Option<&ft_trace::TraceSink>,
 ) -> Result<(Func, Vec<ScheduleOp>), AdError> {
     let opts = spec.options();
     match spec.order {
         GradOrder::GradThenOpt => {
             let g = grad_with(func, &opts)?;
-            Ok(ops::apply_trace_traced(&g, trace, sink))
+            Ok(ops::apply_trace(&g, trace, sink))
         }
         GradOrder::OptThenGrad => {
-            let (f, accepted) = ops::apply_trace_traced(func, trace, sink);
+            let (f, accepted) = ops::apply_trace(func, trace, sink);
             let g = grad_with(&f, &opts)?;
             Ok((g, accepted))
         }
@@ -405,7 +397,7 @@ mod tests {
                 order,
                 ..GradSpec::default()
             };
-            let (g, _) = build_grad_func(&case.func, &[], &spec).unwrap();
+            let (g, _) = build_grad_func(&case.func, &[], &spec, None).unwrap();
             let d = crate::check_grad_variant(
                 &g,
                 &inputs,

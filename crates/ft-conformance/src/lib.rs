@@ -218,8 +218,8 @@ impl Variant<'_> {
         sink: Option<&ft_trace::TraceSink>,
     ) -> Result<(Func, Vec<ScheduleOp>), AdError> {
         match &self.grad {
-            None => Ok(ops::apply_trace_traced(&self.case.func, trace, sink)),
-            Some((spec, ..)) => grad::build_grad_func_traced(&self.case.func, trace, spec, sink),
+            None => Ok(ops::apply_trace(&self.case.func, trace, sink)),
+            Some((spec, ..)) => grad::build_grad_func(&self.case.func, trace, spec, sink),
         }
     }
 
@@ -442,7 +442,7 @@ mod tests {
             .flat_map(|w| (0..32).map(move |k| (w, k)))
             .filter(|&(w, k)| {
                 let (case, raw) = sample(w, cfg.seed, k, cfg.max_ops);
-                let accepted = ops::apply_trace(&case.func, &raw).1;
+                let accepted = ops::apply_trace(&case.func, &raw, None).1;
                 accepted
                     .iter()
                     .any(|op| matches!(op, ScheduleOp::SeparateTail { .. }))

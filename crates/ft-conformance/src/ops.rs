@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 pub use ft_schedule::trace::{
-    apply_trace, apply_trace_traced, loops_of, op_from_json, op_to_json, trace_from_json,
-    trace_to_json, vardefs_of, ScheduleOp,
+    apply_trace, loops_of, op_from_json, op_to_json, trace_from_json, trace_to_json, vardefs_of,
+    ScheduleOp,
 };
 
 /// Proptest strategy over *legality-checkable* ops (the unchecked fault
@@ -56,8 +56,8 @@ mod tests {
         let mut rng = TestRng::from_seed_u64(99);
         for _ in 0..8 {
             let raw = sample_trace(&mut rng, 6);
-            let (f1, accepted) = apply_trace(&case.func, &raw);
-            let (f2, accepted2) = apply_trace(&case.func, &accepted);
+            let (f1, accepted) = apply_trace(&case.func, &raw, None);
+            let (f2, accepted2) = apply_trace(&case.func, &accepted, None);
             assert_eq!(accepted, accepted2, "accepted trace must be a fixpoint");
             assert_eq!(f1.to_string(), f2.to_string());
         }
@@ -71,7 +71,7 @@ mod tests {
             let mut accepted_total = 0;
             for _ in 0..10 {
                 let raw = sample_trace(&mut rng, 6);
-                let (_, accepted) = apply_trace(&case.func, &raw);
+                let (_, accepted) = apply_trace(&case.func, &raw, None);
                 accepted_total += accepted.len();
             }
             assert!(

@@ -1,11 +1,12 @@
 //! # ft-metrics — runtime telemetry registry
 //!
-//! A zero-global-state metrics substrate for the execution engines, plumbed
-//! the same way `ft-trace`'s `TraceSink` is: a [`Metrics`] handle is a
-//! cheap-to-clone `Arc` around a registry, components hold an
-//! `Option<Metrics>`, and instrumentation is a no-op when absent. There is
-//! deliberately no process-wide default registry — every harness (bench,
-//! conformance, serving) builds its own and decides its lifetime.
+//! A zero-global-state metrics substrate for the execution engines: a
+//! [`Metrics`] handle is a cheap-to-clone `Arc` around a registry. It
+//! travels inside `ft-trace`'s `TraceSink`, the one telemetry handle
+//! (`TraceSink::from(metrics)` is a registry-only one); components hold an
+//! `Option<TraceSink>`, and instrumentation is a no-op when absent. There
+//! is deliberately no process-wide default registry — every harness
+//! (bench, conformance, serving) builds its own and decides its lifetime.
 //!
 //! Three instrument kinds:
 //!

@@ -20,5 +20,5 @@ pub mod uniquify;
 pub use dce::remove_dead_defs;
 pub use fold::{const_fold_expr, const_fold_func, const_fold_stmt, simplify_expr};
 pub use guards::remove_redundant_guards;
-pub use simplify::{simplify, simplify_stmt, simplify_traced};
+pub use simplify::{simplify, simplify_stmt};
 pub use uniquify::uniquify_defs;

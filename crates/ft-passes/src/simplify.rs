@@ -100,15 +100,11 @@ pub fn simplify_stmt(s: Stmt) -> Stmt {
 /// remove local definitions that are never read (dead-code elimination) and
 /// guards the enclosing loops imply. The result is a fixpoint of every one
 /// of these.
-pub fn simplify(f: &Func) -> Func {
-    simplify_traced(f.clone(), None)
-}
-
-/// [`simplify`] with provenance reporting: each sub-pass becomes a span on
-/// the compile track of `sink`, so a trace shows where simplification time
-/// went. The `simplify` span's `rounds` is 1: nothing is repeated to reach
-/// the fixpoint.
-pub fn simplify_traced(mut f: Func, sink: Option<&ft_trace::TraceSink>) -> Func {
+///
+/// With a `sink`, each sub-pass becomes a span on its compile track, so a
+/// trace shows where simplification time went. The `simplify` span's
+/// `rounds` is 1: nothing is repeated to reach the fixpoint.
+pub fn simplify(mut f: Func, sink: Option<&ft_trace::TraceSink>) -> Func {
     let span = |name: &str| sink.map(|s| s.span("pass", name));
     let run = |name: &str, f: &mut Func, pass: &dyn Fn(&mut Func) -> bool| {
         let _span = span(name);
@@ -205,7 +201,7 @@ mod tests {
                 ),
                 for_("i2", 0, 4, store("y", [var("i2")], 2.0f32)),
             ]));
-        let out = simplify(&f);
+        let out = simplify(f, None);
         let mut has_t = false;
         out.body.walk(&mut |s| {
             if let StmtKind::VarDef { name, .. } = &s.kind {

@@ -85,13 +85,10 @@ impl ArenaStats {
 /// `mem.arena.bytes_planned` gauge, and a rejected `lower.parallel`
 /// decision per parallel mark the prover made serial, with its reason and
 /// dependence.
-pub(crate) fn publish_plan(
-    sink: Option<&TraceSink>,
-    metrics: Option<&Metrics>,
-    resolved: &Resolved<'_>,
-) {
+pub(crate) fn publish_plan(handle: Option<&TraceSink>, resolved: &Resolved<'_>) {
+    let Some(s) = handle else { return };
     let (func, plan) = (&resolved.func().name, resolved.plan());
-    if let Some(s) = sink {
+    if s.logs() {
         for r in resolved.serialized() {
             s.decision(Decision {
                 pass: None,
@@ -127,10 +124,9 @@ pub(crate) fn publish_plan(
             ts_us: s.now_us(),
         });
     }
-    if let Some(m) = metrics {
-        m.gauge("mem.arena.bytes_planned")
-            .fetch_max(plan.planned_peak_bytes as i64);
-    }
+    s.metrics()
+        .gauge("mem.arena.bytes_planned")
+        .fetch_max(plan.planned_peak_bytes as i64);
 }
 
 /// Class-keyed free-lists of [`TensorVal`] buffers for the interpreter and
@@ -469,9 +465,12 @@ impl RunContext {
     }
 
     /// End of a run, successful or not: flush the allocation counters of
-    /// the context's pool and of its staging layer into `metrics`.
-    pub(crate) fn end_run(&mut self, metrics: Option<&Metrics>) {
-        let Some(m) = metrics else { return };
+    /// the context's pool and of its staging layer into the registry of
+    /// `handle`.
+    pub(crate) fn end_run(&mut self, handle: Option<&TraceSink>) {
+        let Some(m) = handle.map(TraceSink::metrics) else {
+            return;
+        };
         if let Some(pool) = &mut self.tensor_pool {
             pool.stats.flush(m);
         }

@@ -312,7 +312,9 @@ fn why_unresolved(e: &Expr, sizes: &HashMap<String, i64>) -> Option<RuntimeError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, VmRuntime};
+    use crate::{
+        cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, TraceSink, VmRuntime,
+    };
     use ft_ir::prelude::*;
     use ft_metrics::Metrics;
 
@@ -424,7 +426,7 @@ mod tests {
         all.into_iter()
             .map(|mut e| {
                 let m = Metrics::new();
-                e.set_metrics(Some(m.clone()));
+                e.set_sink(Some(TraceSink::from(m.clone())));
                 (e, m)
             })
             .collect()

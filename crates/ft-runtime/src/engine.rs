@@ -28,19 +28,18 @@ use crate::arena::RunContext;
 use crate::bind::Resolved;
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
-use crate::pool::{PoolStatsSnapshot, WorkerPool};
+use crate::pool::PoolStatsSnapshot;
 use crate::value::TensorVal;
 use ft_ir::Func;
 use ft_metrics::Metrics;
 use ft_trace::TraceSink;
 use std::collections::HashMap;
 
-/// Publish the worker-pool statistics accumulated since `before` into `m`:
+/// Publish one run's own worker-pool statistics into `m`:
 /// `pool.regions[.inline]`, `pool.chunks.{submitter,helper}` counters, the
-/// monotone `pool.queue.peak_depth` gauge, and the last run's
+/// monotone `pool.queue.peak_depth` gauge, and the run's
 /// `pool.claim.imbalance_pct` gauge.
-pub(crate) fn record_pool_delta(m: &Metrics, before: &PoolStatsSnapshot) {
-    let d = WorkerPool::global().stats().delta_since(before);
+pub(crate) fn record_pool_stats(m: &Metrics, d: &PoolStatsSnapshot) {
     m.counter("pool.regions").add(d.regions);
     m.counter("pool.regions.inline").add(d.inline_regions);
     m.counter("pool.chunks.submitter").add(d.chunks_submitter);
@@ -54,14 +53,6 @@ pub(crate) fn record_pool_delta(m: &Metrics, before: &PoolStatsSnapshot) {
 
 mod sealed {
     use super::*;
-
-    /// The installed trace sink and metrics registry of one engine — what
-    /// the trait's `set_sink`/`sink`/`set_metrics` read and write.
-    #[derive(Debug, Clone, Default)]
-    pub struct Telemetry {
-        pub(crate) sink: Option<TraceSink>,
-        pub(crate) metrics: Option<Metrics>,
-    }
 
     /// What an engine contributes to a run; the rest is the shell behind
     /// [`ExecutionEngine::run`]. The module is private, which seals
@@ -82,12 +73,25 @@ mod sealed {
             ctx: &mut RunContext,
         ) -> Result<RunResult, RuntimeError>;
 
-        fn telemetry(&self) -> &Telemetry;
+        /// The installed telemetry handle, what the trait's
+        /// `set_sink`/`sink` write and read.
+        fn handle(&self) -> &Option<TraceSink>;
 
-        fn telemetry_mut(&mut self) -> &mut Telemetry;
+        fn handle_mut(&mut self) -> &mut Option<TraceSink>;
+
+        /// The registry of the installed handle.
+        fn registry(&self) -> Option<&Metrics> {
+            self.handle().as_ref().map(TraceSink::metrics)
+        }
+
+        /// The installed handle, if it keeps an event log: what a span, a
+        /// decision or a profile is built for.
+        fn log(&self) -> Option<&TraceSink> {
+            self.handle().as_ref().filter(|s| s.logs())
+        }
     }
 }
-pub(crate) use sealed::{Backend, Telemetry};
+pub(crate) use sealed::Backend;
 
 /// The one prepare-then-run sequence, [`run_bound`], timed as
 /// `engine.<name>.run_us` and counted in `engine.<name>.errors`.
@@ -98,8 +102,8 @@ fn run_shell<E: ExecutionEngine + ?Sized>(
     sizes: &HashMap<String, i64>,
     ctx: &mut RunContext,
 ) -> Result<RunResult, RuntimeError> {
-    let metrics = &engine.telemetry().metrics;
-    let t0 = metrics.as_ref().map(|_| std::time::Instant::now());
+    let metrics = engine.registry();
+    let t0 = metrics.map(|_| std::time::Instant::now());
     let r = run_bound(engine, func, inputs, sizes, ctx);
     if let (Some(m), Some(t0)) = (metrics, t0) {
         let name = engine.name();
@@ -139,10 +143,10 @@ fn run_bound<E: ExecutionEngine + ?Sized>(
             ctx.ensure_bound(resolved, func, sizes, lowers)?
         }
     };
-    let Telemetry { sink, metrics } = engine.telemetry();
-    crate::arena::publish_plan(sink.as_ref(), metrics.as_ref(), call.resolved());
+    let handle = engine.handle().as_ref();
+    crate::arena::publish_plan(handle, call.resolved());
     let r = engine.execute(call.resolved(), inputs, ctx);
-    ctx.end_run(metrics.as_ref());
+    ctx.end_run(handle);
     if r.is_err() {
         ctx.poison();
     }
@@ -151,7 +155,7 @@ fn run_bound<E: ExecutionEngine + ?Sized>(
 
 /// Count one `engine.<name>.<what>` event.
 fn count<E: ExecutionEngine + ?Sized>(engine: &E, what: &str) {
-    if let Some(m) = &engine.telemetry().metrics {
+    if let Some(m) = engine.registry() {
         m.counter(&format!("engine.{}.{what}", engine.name())).inc();
     }
 }
@@ -229,21 +233,24 @@ pub trait ExecutionEngine: Backend {
         run_shell(self, func, inputs, sizes, ctx)
     }
 
-    /// Install (or remove) a trace sink.
+    /// Install (or remove) the telemetry handle: its registry receives
+    /// per-run wall histograms (`engine.<name>.run_us`), error counters,
+    /// and whatever backend-specific metrics the engine owns (cache
+    /// counters, kernel dispatch counts, pool claims); its event log, if it
+    /// keeps one, the runtime spans, decisions and profiles.
     fn set_sink(&mut self, sink: Option<TraceSink>) {
-        self.telemetry_mut().sink = sink;
+        *self.handle_mut() = sink;
     }
 
-    /// The installed trace sink, if any.
+    /// The installed telemetry handle, if any.
     fn sink(&self) -> Option<&TraceSink> {
-        self.telemetry().sink.as_ref()
+        self.handle().as_ref()
     }
 
-    /// Install (or remove) a metrics registry. Engines record per-run wall
-    /// histograms (`engine.<name>.run_us`), error counters, and whatever
-    /// backend-specific telemetry they own (cache counters, kernel dispatch
-    /// counts, pool claims).
+    /// Install (or remove) a registry-only handle. Kept for the benchmark
+    /// harness (`benchmark/src/harness.rs`), which calls it; everything
+    /// else installs a handle with [`set_sink`](ExecutionEngine::set_sink).
     fn set_metrics(&mut self, metrics: Option<Metrics>) {
-        self.telemetry_mut().metrics = metrics;
+        self.set_sink(metrics.map(TraceSink::from));
     }
 }

@@ -4,10 +4,10 @@ use crate::arena::RunContext;
 use crate::bind::Resolved;
 use crate::counters::{CacheSim, PerfCounters};
 use crate::device::DeviceConfig;
-use crate::engine::{Backend, ExecutionEngine, Telemetry};
+use crate::engine::{Backend, ExecutionEngine};
 use crate::error::RuntimeError;
 use crate::value::TensorVal;
-use ft_trace::{RunProfile, StmtCounters, TRACK_RUNTIME};
+use ft_trace::{RunProfile, StmtCounters, TraceSink, TRACK_RUNTIME};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -44,7 +44,7 @@ impl RunResult {
 pub struct Runtime {
     /// Modeled platform parameters.
     pub config: DeviceConfig,
-    pub(crate) tel: Telemetry,
+    sink: Option<TraceSink>,
 }
 
 impl Runtime {
@@ -73,12 +73,12 @@ impl Backend for Runtime {
         false
     }
 
-    fn telemetry(&self) -> &Telemetry {
-        &self.tel
+    fn handle(&self) -> &Option<TraceSink> {
+        &self.sink
     }
 
-    fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.tel
+    fn handle_mut(&mut self) -> &mut Option<TraceSink> {
+        &mut self.sink
     }
 
     fn execute(
@@ -88,7 +88,7 @@ impl Backend for Runtime {
         rctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
         let func = resolved.func();
-        let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
+        let (sink, metrics) = (self.log(), self.registry());
         let mut span =
             sink.map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("interp {}", func.name)));
         let compiled = crate::slots::compile(func)?;

@@ -70,6 +70,9 @@ pub use vm::VmRuntime;
 // execute — what `ExecutionEngine::resolve` hands out for them; re-exported
 // for tests that inspect the pair directly.
 pub use ft_codegen::lower_and_plan;
+// The telemetry handle `ExecutionEngine::set_sink` installs, for crates
+// that drive engines without depending on `ft-trace`.
+pub use ft_trace::TraceSink;
 pub use native::{cc_available, cc_flags, CompiledEngine};
 pub use pool::{PoolStatsSnapshot, WorkerPool};
 pub use process::{output_with_timeout, TimedOutput};

@@ -39,7 +39,7 @@
 use crate::arena::RunContext;
 use crate::bind::Resolved;
 use crate::counters::PerfCounters;
-use crate::engine::{Backend, ExecutionEngine, Telemetry};
+use crate::engine::{Backend, ExecutionEngine};
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::process::output_with_timeout;
@@ -47,7 +47,9 @@ use crate::value::TensorVal;
 use ft_analysis::MemPlan;
 use ft_codegen::{emit_c, CodegenError, ProfSite};
 use ft_ir::{Fnv1a, Func};
-use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, Verdict, TRACK_RUNTIME};
+use ft_trace::{
+    Decision, ProfileNode, RunProfile, StmtCounters, TraceSink, Verdict, TRACK_RUNTIME,
+};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -115,7 +117,7 @@ pub struct CompiledEngine {
     /// The `cc` flags of this engine's units; `None` is [`cc_flags`]. Only
     /// tests set it, to build what another host would.
     flags: Option<&'static str>,
-    tel: Telemetry,
+    sink: Option<TraceSink>,
     /// Emit per-loop-nest timing hooks into generated C and publish a
     /// [`RunProfile`] per run. Defaults from the `FT_PROFILE` env var.
     profile: bool,
@@ -252,7 +254,7 @@ impl CompiledEngine {
             cache_dir: default_cache_dir(),
             cc_timeout: Duration::from_secs(60),
             flags: None,
-            tel: Telemetry::default(),
+            sink: None,
             profile: profile_env_enabled(),
             state: Arc::new(EngineState::default()),
         }
@@ -285,7 +287,7 @@ impl CompiledEngine {
     }
 
     fn note_cache(&self, hash: u64, hit: bool) {
-        if let Some(m) = &self.tel.metrics {
+        if let Some(m) = self.registry() {
             m.counter(if hit {
                 "compiled.cache.hit"
             } else {
@@ -293,7 +295,7 @@ impl CompiledEngine {
             })
             .inc();
         }
-        if let Some(sink) = &self.tel.sink {
+        if let Some(sink) = self.log() {
             sink.decision(Decision {
                 pass: None,
                 primitive: "compiled.cache".to_string(),
@@ -332,7 +334,7 @@ impl CompiledEngine {
             && load_artifact(so_path).is_err()
             && std::fs::rename(so_path, so_path.with_extension("so.bad")).is_ok()
         {
-            if let Some(m) = &self.tel.metrics {
+            if let Some(m) = self.registry() {
                 m.counter("compiled.cache.quarantined").inc();
             }
         }
@@ -369,13 +371,13 @@ impl CompiledEngine {
             .arg(&tmp)
             .args(flags.split_whitespace())
             .arg("-lm");
-        let mut span = self.tel.sink.as_ref().map(|s| {
+        let mut span = self.log().map(|s| {
             let mut sp = s.span("compiled.cc", "compiled.cc");
             sp.arg("hash", format!("{hash:016x}"));
             sp.arg("flags", flags);
             sp
         });
-        if let Some(m) = &self.tel.metrics {
+        if let Some(m) = self.registry() {
             m.counter("compiled.cc.spawned").inc();
         }
         let out = output_with_timeout(&mut cmd, self.cc_timeout)
@@ -397,7 +399,7 @@ impl CompiledEngine {
         }
         std::fs::rename(&tmp, so_path)
             .map_err(|e| RuntimeError::Native(format!("rename artifact: {e}")))?;
-        if let Some(m) = &self.tel.metrics {
+        if let Some(m) = self.registry() {
             m.histogram("compiled.compile_us")
                 .record_duration_us(t0.elapsed());
             m.counter("compiled.cache.publish").inc();
@@ -565,12 +567,12 @@ impl Backend for CompiledEngine {
         true
     }
 
-    fn telemetry(&self) -> &Telemetry {
-        &self.tel
+    fn handle(&self) -> &Option<TraceSink> {
+        &self.sink
     }
 
-    fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.tel
+    fn handle_mut(&mut self) -> &mut Option<TraceSink> {
+        &mut self.sink
     }
 
     fn execute(
@@ -582,9 +584,7 @@ impl Backend for CompiledEngine {
         let (func, plan) = (resolved.func(), resolved.plan());
         let kernel = self.kernel_for(func, plan)?;
         let mut span = self
-            .tel
-            .sink
-            .as_ref()
+            .log()
             .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("compiled {}", func.name)));
         // The kernel reads Input buffers through const pointers; owned
         // InOut/Output tensors keep their storage alive across the call.
@@ -627,7 +627,7 @@ impl Backend for CompiledEngine {
             )
         };
         let call_ns = call_t0.elapsed().as_nanos() as u64;
-        if let Some(m) = &self.tel.metrics {
+        if let Some(m) = self.registry() {
             m.histogram("engine.compiled.kernel_us")
                 .record(call_ns / 1000);
         }
@@ -662,11 +662,11 @@ impl CompiledEngine {
     /// counter for metrics-only consumers.
     fn publish_profile(&self, func: &Func, sites: &[ProfSite], times_ns: &[u64], call_ns: u64) {
         let in_loops: u64 = times_ns.iter().sum();
-        if let Some(m) = &self.tel.metrics {
+        if let Some(m) = self.registry() {
             m.counter("compiled.prof.site_ns").add(in_loops);
             m.counter("compiled.prof.call_ns").add(call_ns);
         }
-        let Some(sink) = &self.tel.sink else { return };
+        let Some(sink) = self.log() else { return };
         let mut nodes = vec![ProfileNode {
             stmt: None,
             desc: func.name.clone(),
@@ -700,7 +700,6 @@ mod tests {
     use super::*;
     use ft_ir::prelude::*;
     use ft_metrics::Metrics;
-    use ft_trace::TraceSink;
 
     fn tmp_cache(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ft-native-test-{tag}-{}", std::process::id()));
@@ -784,7 +783,7 @@ mod tests {
         let dir = tmp_cache("metrics");
         let m = Metrics::new();
         let mut eng = CompiledEngine::with_cache_dir(&dir);
-        eng.set_metrics(Some(m.clone()));
+        eng.set_sink(Some(TraceSink::from(m.clone())));
         let (inputs, sizes) = axpy_io(3, 0.0);
         eng.run(&axpy(), &inputs, &sizes).expect("cold run");
         eng.run(&axpy(), &inputs, &sizes).expect("warm run");
@@ -803,7 +802,7 @@ mod tests {
         );
         // Warm runs through a fresh engine spawn no compiler.
         let mut eng2 = CompiledEngine::with_cache_dir(&dir);
-        eng2.set_metrics(Some(m.clone()));
+        eng2.set_sink(Some(TraceSink::from(m.clone())));
         eng2.run(&axpy(), &inputs, &sizes).expect("disk-warm run");
         let s2 = m.snapshot();
         assert_eq!(s2.counter("compiled.cc.spawned"), spawned, "{s2:?}");
@@ -843,7 +842,7 @@ mod tests {
                 for _ in 0..engines {
                     s.spawn(|| {
                         let mut eng = CompiledEngine::with_cache_dir(dir);
-                        eng.set_metrics(Some(m.clone()));
+                        eng.set_sink(Some(TraceSink::from(m.clone())));
                         barrier.wait();
                         let r = eng.run(&axpy(), &inputs, &sizes).expect("runs");
                         assert_eq!(r.output("y").to_f64_vec(), vec![2.0; 3]);
@@ -908,8 +907,7 @@ mod tests {
         let sink = TraceSink::new();
         let m = Metrics::new();
         let mut eng = CompiledEngine::with_cache_dir(tmp_cache("prof")).with_profiling(true);
-        eng.set_sink(Some(sink.clone()));
-        eng.set_metrics(Some(m.clone()));
+        eng.set_sink(Some(sink.with_metrics(m.clone())));
         let (inputs, sizes) = axpy_io(1 << 16, 0.0);
         let r = eng.run(&axpy(), &inputs, &sizes).expect("profiled run");
         assert_eq!(r.output("y").to_f64_vec()[0], 2.0);
@@ -989,7 +987,7 @@ mod tests {
             ));
         let m = Metrics::new();
         let mut eng = CompiledEngine::with_cache_dir(tmp_cache("warm"));
-        eng.set_metrics(Some(m.clone()));
+        eng.set_sink(Some(TraceSink::from(m.clone())));
         let n = 256usize;
         let inputs = HashMap::from([("x".to_string(), TensorVal::from_f32(&[n], vec![1.0; n]))]);
         let sizes = HashMap::from([("n".to_string(), n as i64)]);
@@ -1150,7 +1148,7 @@ mod tests {
         let m = Metrics::new();
         let mut eng = CompiledEngine::with_cache_dir(tmp_cache("no-openmp"));
         eng.flags = Some(Box::leak(flags.into_boxed_str()));
-        eng.set_metrics(Some(m.clone()));
+        eng.set_sink(Some(TraceSink::from(m.clone())));
         let x: Vec<f32> = (0..64).map(|i| i as f32 / 8.0 - 4.0).collect();
         let inputs = HashMap::from([("x".to_string(), TensorVal::from_f32(&[64], x.clone()))]);
         let r = eng
@@ -1181,7 +1179,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let mut eng = CompiledEngine::with_cache_dir(&dir);
-                    eng.set_metrics(Some(m.clone()));
+                    eng.set_sink(Some(TraceSink::from(m.clone())));
                     let (inputs, sizes, barrier) = (&inputs, &sizes, &barrier);
                     s.spawn(move || {
                         barrier.wait();

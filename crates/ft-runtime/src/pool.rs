@@ -56,28 +56,16 @@ struct Job {
     done: Condvar,
     /// First panic payload raised by any chunk.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The owning pool's lifetime stats, bumped at each chunk claim.
-    stats: Arc<PoolStats>,
-}
-
-/// Monotone lifetime statistics of a pool, kept as relaxed atomics so the
-/// claim hot path costs one uncontended `fetch_add`. Engines sample
-/// [`WorkerPool::stats`] before and after a run and publish the delta.
-#[derive(Debug, Default)]
-struct PoolStats {
-    /// Regions distributed to the queue.
-    regions: AtomicU64,
-    /// Regions run inline (nested, single-worker, or single-chunk).
-    inline_regions: AtomicU64,
-    /// Chunks claimed by submitting threads.
+    /// Chunks claimed by the submitting thread in this region.
     chunks_submitter: AtomicU64,
-    /// Chunks claimed by background helpers.
+    /// Chunks claimed by background helpers in this region.
     chunks_helper: AtomicU64,
-    /// Peak queue depth ever observed at publish time.
-    queue_peak: AtomicU64,
 }
 
-/// A point-in-time copy of a pool's lifetime statistics.
+/// Worker-pool statistics of one region, as [`WorkerPool::try_run`]
+/// returns them, or the sum over the regions of one run. They are counted
+/// on the region, so a run's statistics hold only its own regions, however
+/// many runs share the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStatsSnapshot {
     /// Regions distributed to the queue.
@@ -88,22 +76,19 @@ pub struct PoolStatsSnapshot {
     pub chunks_submitter: u64,
     /// Chunks claimed by background helpers.
     pub chunks_helper: u64,
-    /// Peak queue depth observed at publish time (monotone).
+    /// Peak queue depth observed when a region was published.
     pub queue_peak: u64,
 }
 
 impl PoolStatsSnapshot {
-    /// Counters accumulated since `earlier` (the monotone peak is kept).
-    pub fn delta_since(&self, earlier: &PoolStatsSnapshot) -> PoolStatsSnapshot {
-        PoolStatsSnapshot {
-            regions: self.regions.saturating_sub(earlier.regions),
-            inline_regions: self.inline_regions.saturating_sub(earlier.inline_regions),
-            chunks_submitter: self
-                .chunks_submitter
-                .saturating_sub(earlier.chunks_submitter),
-            chunks_helper: self.chunks_helper.saturating_sub(earlier.chunks_helper),
-            queue_peak: self.queue_peak,
-        }
+    /// Accumulate another region's or run's statistics into this one (the
+    /// queue peak is the larger of the two).
+    pub fn add(&mut self, other: &PoolStatsSnapshot) {
+        self.regions += other.regions;
+        self.inline_regions += other.inline_regions;
+        self.chunks_submitter += other.chunks_submitter;
+        self.chunks_helper += other.chunks_helper;
+        self.queue_peak = self.queue_peak.max(other.queue_peak);
     }
 
     /// Submitter/helper claim imbalance in percent: `0` when the submitters
@@ -130,9 +115,9 @@ impl Job {
             return None;
         }
         let claims = if submitter {
-            &self.stats.chunks_submitter
+            &self.chunks_submitter
         } else {
-            &self.stats.chunks_helper
+            &self.chunks_helper
         };
         claims.fetch_add(1, Ordering::Relaxed);
         Some((lo, self.end.min(lo.saturating_add(self.grain))))
@@ -167,7 +152,6 @@ struct PoolShared {
     /// should join it.
     queue: Mutex<Vec<Arc<Job>>>,
     available: Condvar,
-    stats: Arc<PoolStats>,
 }
 
 thread_local! {
@@ -194,7 +178,6 @@ impl WorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Vec::new()),
             available: Condvar::new(),
-            stats: Arc::new(PoolStats::default()),
         });
         for i in 0..background {
             let sh = Arc::clone(&shared);
@@ -225,24 +208,12 @@ impl WorkerPool {
         self.background
     }
 
-    /// A point-in-time copy of the pool's monotone lifetime statistics.
-    /// Sample before and after a run and use
-    /// [`PoolStatsSnapshot::delta_since`] to attribute claims to the run.
-    pub fn stats(&self) -> PoolStatsSnapshot {
-        let s = &self.shared.stats;
-        PoolStatsSnapshot {
-            regions: s.regions.load(Ordering::Relaxed),
-            inline_regions: s.inline_regions.load(Ordering::Relaxed),
-            chunks_submitter: s.chunks_submitter.load(Ordering::Relaxed),
-            chunks_helper: s.chunks_helper.load(Ordering::Relaxed),
-            queue_peak: s.queue_peak.load(Ordering::Relaxed),
-        }
-    }
-
     /// Run `task` over `[begin, end)` with dynamic chunks of `grain`
     /// iterations, using at most `max_workers` concurrent workers (the
-    /// submitting thread counts as one). Returns the first panic payload
-    /// raised by any chunk, after all workers have left the region.
+    /// submitting thread counts as one). Returns this region's own
+    /// statistics — one region, distributed or inline, its chunk claims and
+    /// the queue depth at its publish — or the first panic payload raised by
+    /// any chunk, after all workers have left the region.
     ///
     /// # Errors
     ///
@@ -254,9 +225,9 @@ impl WorkerPool {
         grain: i64,
         max_workers: usize,
         task: &(dyn Fn(i64, i64) + Sync),
-    ) -> Result<(), Box<dyn std::any::Any + Send>> {
+    ) -> Result<PoolStatsSnapshot, Box<dyn std::any::Any + Send>> {
         if begin >= end {
-            return Ok(());
+            return Ok(PoolStatsSnapshot::default());
         }
         let grain = grain.max(1);
         let helpers = max_workers
@@ -266,11 +237,11 @@ impl WorkerPool {
         // Nested region (submitted from inside another region's chunk), or
         // no helpers: run inline on this thread.
         if helpers == 0 || IN_REGION.with(|f| f.get()) {
-            self.shared
-                .stats
-                .inline_regions
-                .fetch_add(1, Ordering::Relaxed);
-            return catch_unwind(AssertUnwindSafe(|| task(begin, end)));
+            catch_unwind(AssertUnwindSafe(|| task(begin, end)))?;
+            return Ok(PoolStatsSnapshot {
+                inline_regions: 1,
+                ..PoolStatsSnapshot::default()
+            });
         }
         let job = Arc::new(Job {
             next: AtomicI64::new(begin),
@@ -283,19 +254,16 @@ impl WorkerPool {
             pending: Mutex::new(helpers),
             done: Condvar::new(),
             panic: Mutex::new(None),
-            stats: Arc::clone(&self.shared.stats),
+            chunks_submitter: AtomicU64::new(0),
+            chunks_helper: AtomicU64::new(0),
         });
-        self.shared.stats.regions.fetch_add(1, Ordering::Relaxed);
-        {
+        let depth = {
             let mut q = self.shared.queue.lock().expect("pool queue poisoned");
             for _ in 0..helpers {
                 q.push(Arc::clone(&job));
             }
-            self.shared
-                .stats
-                .queue_peak
-                .fetch_max(q.len() as u64, Ordering::Relaxed);
-        }
+            q.len() as u64
+        };
         self.shared.available.notify_all();
         IN_REGION.with(|f| f.set(true));
         job.work(true);
@@ -310,7 +278,13 @@ impl WorkerPool {
         let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
         match payload {
             Some(payload) => Err(payload),
-            None => Ok(()),
+            None => Ok(PoolStatsSnapshot {
+                regions: 1,
+                inline_regions: 0,
+                chunks_submitter: job.chunks_submitter.load(Ordering::Relaxed),
+                chunks_helper: job.chunks_helper.load(Ordering::Relaxed),
+                queue_peak: depth,
+            }),
         }
     }
 }
@@ -478,22 +452,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_attribute_chunks_and_regions() {
+    fn a_region_reports_its_own_chunks() {
         let pool = WorkerPool::new(2);
-        let before = pool.stats();
         // 100 iterations in grain-4 chunks: 25 chunks split between the
         // submitter and the helpers.
-        assert_eq!(sum_region(&pool, 100, 4, 3), 100 * 99 / 2);
-        let d = pool.stats().delta_since(&before);
-        assert_eq!(d.regions + d.inline_regions, 1);
+        let d = pool.try_run(0, 100, 4, 3, &|_, _| {}).unwrap();
+        assert_eq!((d.regions, d.inline_regions), (1, 0));
         assert_eq!(d.chunks_submitter + d.chunks_helper, 25);
+        assert!(d.queue_peak >= 1);
         assert!(d.imbalance_pct().is_some());
         // An inline region (max_workers == 1) claims no chunks.
-        let before = pool.stats();
-        assert_eq!(sum_region(&pool, 10, 1, 1), 45);
-        let d = pool.stats().delta_since(&before);
+        let d = pool.try_run(0, 10, 1, 1, &|_, _| {}).unwrap();
         assert_eq!((d.regions, d.inline_regions), (0, 1));
         assert_eq!(d.chunks_submitter + d.chunks_helper, 0);
+        // A zero-iteration region is no region.
+        let d = pool.try_run(5, 5, 1, 3, &|_, _| {}).unwrap();
+        assert_eq!(d, PoolStatsSnapshot::default());
     }
 
     #[test]

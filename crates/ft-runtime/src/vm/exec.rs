@@ -78,6 +78,9 @@ pub(super) struct VmTally {
     /// Parallel-region sites that took the serial fallback (tiny trip
     /// count, one-core host, or nested region).
     pub(super) par_serial: u64,
+    /// This run's own worker-pool regions and chunk claims, as
+    /// [`WorkerPool::try_run`] reports them.
+    pub(super) pool: PoolStatsSnapshot,
     /// Wall time of each fused-kernel dispatch, in nanoseconds.
     pub(super) kernel_ns: ft_metrics::Histogram,
 }
@@ -557,8 +560,13 @@ impl<'a> VmState<'a> {
                 }
             }
         };
-        if let Err(payload) = pool.try_run(b, e, grain, workers, &body) {
-            std::panic::resume_unwind(payload);
+        match pool.try_run(b, e, grain, workers, &body) {
+            Ok(region) => {
+                if let Some(t) = self.tally.as_mut() {
+                    t.pool.add(&region);
+                }
+            }
+            Err(payload) => std::panic::resume_unwind(payload),
         }
         if let Some((_, er)) = err.into_inner() {
             return Err(er);
@@ -674,7 +682,7 @@ mod tests {
         let x = TensorVal::from_f32(&[n as usize], (0..n).map(|v| v as f32 * 0.01).collect());
         let metrics = Metrics::new();
         let mut vm = VmRuntime::new();
-        vm.set_metrics(Some(metrics.clone()));
+        vm.set_sink(Some(TraceSink::from(metrics.clone())));
         let inputs = [("a", a), ("b", b), ("x", x)];
         let (ins, szs) = maps(&inputs, &[]);
         let r = vm.run(&f, &ins, &szs).expect("vm ok");
@@ -756,8 +764,7 @@ mod tests {
         let (ins, szs) = maps(&[("x", x.clone())], &[]);
         let (sink, metrics) = (TraceSink::new(), Metrics::new());
         let mut vm = VmRuntime::new();
-        vm.set_sink(Some(sink.clone()));
-        vm.set_metrics(Some(metrics.clone()));
+        vm.set_sink(Some(sink.with_metrics(metrics.clone())));
         let first = vm.run(&f, &ins, &szs).expect("vm ok");
         assert_eq!(
             metrics.snapshot().counter("vm.par.pool") > 0,
@@ -789,5 +796,59 @@ mod tests {
         let serial = Runtime::new().run(&f, &ins, &szs).expect("interp ok");
         assert!(first.output("y").allclose(serial.output("y"), 1e-4));
         assert_eq!(first.output("top"), serial.output("top"));
+    }
+
+    /// Runs overlapping on two threads publish only their own worker-pool
+    /// regions and chunk claims into the registry they share: however the
+    /// runs interleave, `pool.regions` is the number of regions they put on
+    /// the pool and the chunk counters are those regions' chunks. (On a
+    /// host whose pool has no helper every region is serial and all of it
+    /// reads 0.)
+    #[test]
+    fn concurrent_runs_publish_only_their_own_pool_claims() {
+        const RUNS_PER_THREAD: u64 = 40;
+        let n = 1 << 14;
+        let f = Func::new("par_scale")
+            .param("x", [n], DataType::F32, AccessType::Input)
+            .param("y", [n], DataType::F32, AccessType::Output)
+            .body(for_with(
+                "i",
+                0,
+                n,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                store("y", [var("i")], load("x", [var("i")]) * 2.0f32 + 1.0f32),
+            ));
+        let x = TensorVal::from_f32(&[n as usize], (0..n).map(|v| v as f32).collect());
+        let (ins, szs) = maps(&[("x", x)], &[]);
+        let claims = |m: &Metrics| {
+            let s = m.snapshot();
+            let chunks = s.counter("pool.chunks.submitter") + s.counter("pool.chunks.helper");
+            (s.counter("pool.regions"), chunks, s.counter("vm.par.pool"))
+        };
+        let solo = Metrics::new();
+        let mut vm = VmRuntime::new();
+        vm.set_sink(Some(TraceSink::from(solo.clone())));
+        vm.run(&f, &ins, &szs).expect("vm ok");
+        let (regions, chunks, pooled) = claims(&solo);
+        assert_eq!(regions, pooled);
+        let shared = Metrics::new();
+        vm.set_sink(Some(TraceSink::from(shared.clone())));
+        // Each pair of runs starts together, so the two overlap.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..RUNS_PER_THREAD {
+                        start.wait();
+                        vm.run(&f, &ins, &szs).expect("vm ok");
+                    }
+                });
+            }
+        });
+        let runs = 2 * RUNS_PER_THREAD;
+        assert_eq!(
+            claims(&shared),
+            (runs * regions, runs * chunks, runs * pooled)
+        );
     }
 }

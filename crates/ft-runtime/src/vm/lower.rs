@@ -1104,7 +1104,7 @@ mod tests {
         let x = TensorVal::from_f32(&[n as usize], (0..n).map(|v| v as f32 * 0.5).collect());
         let metrics = Metrics::new();
         let mut vm = VmRuntime::new();
-        vm.set_metrics(Some(metrics.clone()));
+        vm.set_sink(Some(TraceSink::from(metrics.clone())));
         let (ins, szs) = maps(&[("x", x.clone())], &[]);
         for _ in 0..20 {
             let r = vm.run(&f, &ins, &szs).expect("vm ok");
@@ -1176,7 +1176,7 @@ mod tests {
         let x = TensorVal::from_f32(&[256], (0..256).map(|v| v as f32 * 0.3).collect());
         let metrics = Metrics::new();
         let mut vm = VmRuntime::new();
-        vm.set_metrics(Some(metrics.clone()));
+        vm.set_sink(Some(TraceSink::from(metrics.clone())));
         let (ins, szs) = maps(&[("x", x.clone())], &[]);
         let r = vm.run(&f, &ins, &szs).expect("vm ok");
         assert_eq!(r.outputs, assert_parity(&f, &[("x", x)], &[]).outputs);

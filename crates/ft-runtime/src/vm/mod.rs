@@ -78,16 +78,16 @@ use lower::*;
 use crate::arena::{RunContext, TensorPool};
 use crate::bind::Resolved;
 use crate::counters::PerfCounters;
-use crate::engine::{Backend, ExecutionEngine, Telemetry};
+use crate::engine::{Backend, ExecutionEngine};
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::libkernel::matmul_checked;
-use crate::pool::{grain_for, WorkerPool};
+use crate::pool::{grain_for, PoolStatsSnapshot, WorkerPool};
 use crate::slots::{CExpr, CStmt, Compiled};
 use crate::value::{lanes, Data, Scalar, TensorVal};
 use ft_ir::scalar::{self, Kind};
 use ft_ir::{BinaryOp, DataType, ParallelScope, ReduceOp, StmtId, UnaryOp};
-use ft_trace::TRACK_RUNTIME;
+use ft_trace::{TraceSink, TRACK_RUNTIME};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -424,7 +424,7 @@ pub(crate) struct VmProgram<'c> {
 /// and worker-pool claim counters.
 #[derive(Debug, Clone, Default)]
 pub struct VmRuntime {
-    tel: Telemetry,
+    sink: Option<TraceSink>,
 }
 
 impl VmRuntime {
@@ -448,12 +448,12 @@ impl Backend for VmRuntime {
         true
     }
 
-    fn telemetry(&self) -> &Telemetry {
-        &self.tel
+    fn handle(&self) -> &Option<TraceSink> {
+        &self.sink
     }
 
-    fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.tel
+    fn handle_mut(&mut self) -> &mut Option<TraceSink> {
+        &mut self.sink
     }
 
     fn execute(
@@ -462,8 +462,7 @@ impl Backend for VmRuntime {
         inputs: &HashMap<String, TensorVal>,
         rctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
-        let (sink, metrics) = (self.tel.sink.as_ref(), self.tel.metrics.as_ref());
-        let pool_before = metrics.map(|_| WorkerPool::global().stats());
+        let (sink, metrics) = (self.log(), self.registry());
         let func = resolved.func();
         let compiled = crate::slots::compile(func)?;
         let prog = compile_program(&compiled);
@@ -477,6 +476,7 @@ impl Backend for VmRuntime {
                 vec: [0; VEC_KERNEL_NAMES.len()],
                 par_pool: 0,
                 par_serial: 0,
+                pool: PoolStatsSnapshot::default(),
                 kernel_ns: m.histogram("engine.vm.kernel_ns"),
             }),
             // `VarDef` buffers come from the context's pool, by the plan's
@@ -511,9 +511,7 @@ impl Backend for VmRuntime {
                 if t.par_serial > 0 {
                     m.counter("vm.par.serial").add(t.par_serial);
                 }
-            }
-            if let Some(before) = &pool_before {
-                crate::engine::record_pool_delta(m, before);
+                crate::engine::record_pool_stats(m, &t.pool);
             }
         }
         rctx.tensor_pool = st.arena.take();

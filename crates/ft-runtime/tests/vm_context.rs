@@ -8,7 +8,8 @@ use ft_ir::prelude::*;
 use ft_ir::{AccessType, DataType, MemType, Stmt, StmtKind};
 use ft_metrics::{Metrics, MetricsSnapshot};
 use ft_runtime::{
-    cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, TensorVal, VmRuntime,
+    cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, TensorVal, TraceSink,
+    VmRuntime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,7 +72,7 @@ fn run_on_one_context(f: &Func, runs: usize) -> Vec<MetricsSnapshot> {
     let ins = HashMap::from([("x".to_string(), x)]);
     let metrics = Metrics::new();
     let mut vm = VmRuntime::new();
-    vm.set_metrics(Some(metrics.clone()));
+    vm.set_sink(Some(TraceSink::from(metrics.clone())));
     let mut ctx = RunContext::new();
     (0..runs)
         .map(|_| {
@@ -126,7 +127,7 @@ fn a_context_free_run_draws_on_a_pool_like_a_first_run_with() {
     for mut engine in engines {
         let name = engine.name();
         let metrics = Metrics::new();
-        engine.set_metrics(Some(metrics.clone()));
+        engine.set_sink(Some(TraceSink::from(metrics.clone())));
         let free = engine.run(&f, &ins, &HashMap::new()).expect("runs");
         let after_run = counts(&metrics.snapshot());
         let with = engine

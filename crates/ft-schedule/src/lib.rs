@@ -81,8 +81,8 @@ impl std::error::Error for ScheduleError {}
 /// When a [`TraceSink`] is installed ([`Schedule::set_sink`]), every
 /// primitive attempt — applied or rejected — is appended to the sink's
 /// decision log, including the structured dependences
-/// ([`ft_analysis::FoundDep`]) that caused a rejection. Without a sink the
-/// bookkeeping reduces to a branch on a `None` field.
+/// ([`ft_analysis::FoundDep`]) that caused a rejection. Without a sink, or
+/// with one that keeps no event log, the bookkeeping reduces to a branch.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     func: Func,
@@ -102,13 +102,6 @@ impl Schedule {
             phase: None,
             pending_deps: Vec::new(),
         }
-    }
-
-    /// Start scheduling a function, reporting every decision into `sink`.
-    pub fn with_sink(func: Func, sink: TraceSink) -> Schedule {
-        let mut s = Schedule::new(func);
-        s.sink = Some(sink);
-        s
     }
 
     /// Install (or remove) the decision-log sink.
@@ -137,16 +130,16 @@ impl Schedule {
         self.func
     }
 
-    /// Whether a decision sink is installed (callers can skip building
-    /// argument strings when it is not).
+    /// Whether an installed sink keeps a decision log (callers can skip
+    /// building argument strings when none does).
     pub(crate) fn tracing(&self) -> bool {
-        self.sink.is_some()
+        self.sink.as_ref().is_some_and(TraceSink::logs)
     }
 
     /// Stash the dependences a legality check just reported, to be attached
     /// to the current primitive's decision-log entry.
     pub(crate) fn note_deps(&mut self, deps: &[FoundDep]) {
-        if self.sink.is_some() {
+        if self.tracing() {
             self.pending_deps.extend_from_slice(deps);
         }
     }
@@ -160,7 +153,9 @@ impl Schedule {
         result: &Result<T, ScheduleError>,
     ) {
         let deps = std::mem::take(&mut self.pending_deps);
-        let Some(sink) = &self.sink else { return };
+        let Some(sink) = self.sink.as_ref().filter(|s| s.logs()) else {
+            return;
+        };
         let (verdict, reason) = match result {
             Ok(_) => (Verdict::Applied, None),
             Err(e) => (Verdict::Rejected, Some(e.to_string())),

@@ -576,7 +576,8 @@ mod tests {
             ),
         ];
         for (f, why) in cases {
-            let mut s = Schedule::with_sink(f.clone(), sink.clone());
+            let mut s = Schedule::new(f.clone());
+            s.set_sink(Some(sink.clone()));
             let e = s.separate_tail("k").expect_err("refused");
             assert!(e.to_string().contains(why), "{e}");
             assert_eq!(

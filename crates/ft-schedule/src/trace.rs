@@ -326,15 +326,10 @@ impl ScheduleOp {
 /// Returns the scheduled function and the accepted subsequence. Because
 /// rejected ops leave the schedule untouched, replaying just the accepted
 /// subsequence reproduces the identical function — this is what makes
-/// conformance shrinking sound.
-pub fn apply_trace(base: &Func, trace: &[ScheduleOp]) -> (Func, Vec<ScheduleOp>) {
-    apply_trace_traced(base, trace, None)
-}
-
-/// [`apply_trace`] with a schedule decision log: when `sink` is `Some`,
-/// every op attempt — accepted or rejected, with the rejecting dependences —
-/// is recorded, so a repro can explain *why* its trace looks the way it does.
-pub fn apply_trace_traced(
+/// conformance shrinking sound. With a `sink`, every op attempt — accepted
+/// or rejected, with the rejecting dependences — lands in its decision log,
+/// so a repro can explain *why* its trace looks the way it does.
+pub fn apply_trace(
     base: &Func,
     trace: &[ScheduleOp],
     sink: Option<&ft_trace::TraceSink>,
@@ -569,10 +564,10 @@ mod tests {
         // A trailing op that is always rejected must not change the key.
         let mut with_reject = trace.clone();
         with_reject.push(ScheduleOp::Merge { loop_idx: 0 });
-        let (f1, _) = apply_trace(&f, &trace);
-        let (f2, _) = apply_trace(&f, &with_reject);
+        let (f1, _) = apply_trace(&f, &trace, None);
+        let (f2, _) = apply_trace(&f, &with_reject, None);
         assert_eq!(f1.content_hash(), f2.content_hash());
-        let (f3, _) = apply_trace(&f, &[]);
+        let (f3, _) = apply_trace(&f, &[], None);
         assert_ne!(f1.content_hash(), f3.content_hash());
     }
 }

@@ -31,7 +31,8 @@ fn rejected_parallelize_logs_the_exact_founddep() {
     );
 
     let sink = TraceSink::new();
-    let mut s = Schedule::with_sink(f, sink.clone());
+    let mut s = Schedule::new(f);
+    s.set_sink(Some(sink.clone()));
     let err = s.parallelize("i", ParallelScope::OpenMp).unwrap_err();
     assert!(matches!(err, ft_schedule::ScheduleError::Illegal(_)));
 
@@ -59,7 +60,8 @@ fn rejected_parallelize_logs_the_exact_founddep() {
 fn applied_primitives_are_logged_too_and_no_sink_means_no_log() {
     // With a sink: a successful split is logged as applied.
     let sink = TraceSink::new();
-    let mut s = Schedule::with_sink(scan_func(), sink.clone());
+    let mut s = Schedule::new(scan_func());
+    s.set_sink(Some(sink.clone()));
     s.split("i", 32).unwrap();
     let ds = sink.decisions();
     assert_eq!(ds.len(), 1);
@@ -76,7 +78,8 @@ fn applied_primitives_are_logged_too_and_no_sink_means_no_log() {
 #[test]
 fn phase_labels_attach_to_decisions() {
     let sink = TraceSink::new();
-    let mut s = Schedule::with_sink(scan_func(), sink.clone());
+    let mut s = Schedule::new(scan_func());
+    s.set_sink(Some(sink.clone()));
     s.set_phase(Some("auto_parallelize".to_string()));
     let _ = s.parallelize("i", ParallelScope::OpenMp);
     s.set_phase(None);
@@ -119,7 +122,8 @@ fn a_shadowing_def_does_not_let_parallelize_race() {
             ),
         ));
     let sink = TraceSink::new();
-    let mut s = Schedule::with_sink(f, sink.clone());
+    let mut s = Schedule::new(f);
+    s.set_sink(Some(sink.clone()));
     let err = s.parallelize("i", ParallelScope::OpenMp).unwrap_err();
     assert!(
         matches!(err, ft_schedule::ScheduleError::Illegal(_)),

@@ -48,7 +48,7 @@ use ft_ir::Func;
 use ft_metrics::Metrics;
 use ft_runtime::{
     CompiledEngine, ExecutionEngine, RunContext, RunResult, RuntimeError, Scalar, TensorVal,
-    VmRuntime,
+    TraceSink, VmRuntime,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -332,7 +332,7 @@ impl Server {
             Some(d) => Box::new(CompiledEngine::with_cache_dir(d.clone())),
             None => Box::new(CompiledEngine::new()),
         };
-        engine.set_metrics(Some(metrics.clone()));
+        engine.set_sink(Some(TraceSink::from(metrics.clone())));
         let inner = Arc::new(Inner {
             cfg,
             engine,

@@ -480,15 +480,15 @@ mod tests {
     #[test]
     fn metrics_snapshots_export_as_counter_tracks() {
         let sink = sink_with_everything();
-        let m = ft_metrics::Metrics::new();
+        let m = sink.metrics();
         m.counter("compiled.cache.hit").add(3);
         m.gauge("pool.queue.peak_depth").set(7);
+        m.gauge("custom.series").set(-2);
         m.histogram("engine.interp.run_us").record(100);
-        sink.metrics_sample(&m.snapshot());
-        sink.counter("custom.series", 1.5);
+        sink.sample_metrics();
         let text = chrome_trace(&sink);
         let stats = validate_chrome_trace(&text).unwrap();
-        // counter + gauge + histogram count/sum + the manual sample.
+        // counter + two gauges + histogram count/sum.
         assert_eq!(stats.counters, 5, "{text}");
         let root = JsonVal::parse(&text).unwrap();
         let evs = root.get("traceEvents").unwrap().as_arr().unwrap();

@@ -20,10 +20,13 @@
 //!   loop instead of per run.
 //!
 //! There is deliberately **no global state**: a [`TraceSink`] is an explicit
-//! cheaply-clonable handle (an `Arc` around the buffers) that callers thread
-//! through the APIs they want observed. Every instrumented component stores
-//! an `Option<TraceSink>`; when it is `None` the instrumentation is a single
-//! branch on a local field — nothing is allocated, locked, or timestamped.
+//! cheaply-clonable handle that callers thread through the APIs they want
+//! observed. It is the one telemetry handle: it carries an
+//! [`ft_metrics::Metrics`] registry, always, and optionally the event log
+//! the records above go to. Every instrumented component stores an
+//! `Option<TraceSink>`; when it is `None`, or holds only a registry, the
+//! logging is a single branch — nothing is allocated, locked, or
+//! timestamped for a span, a decision or a profile.
 
 pub use ft_analysis::{Carrier, DepKind, FoundDep};
 use ft_ir::StmtId;
@@ -51,9 +54,9 @@ pub const TRACK_PROFILE_BASE: u64 = 100;
 
 /// One sampled value of a named runtime metric, exported as a Chrome
 /// trace-event `"C"` (counter) event so Perfetto renders the series as a
-/// counter track. Samples usually come from [`TraceSink::metrics_sample`]
-/// freezing an `ft_metrics` registry at a meaningful moment (after a
-/// benchmark repetition, at the end of a run).
+/// counter track. Samples come from [`TraceSink::sample_metrics`] freezing
+/// the handle's registry at a meaningful moment (after a benchmark
+/// repetition, at the end of a run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterSample {
     /// Metric name, e.g. `"compiled.cache.hit"`.
@@ -203,23 +206,42 @@ struct TraceData {
     counters: Vec<CounterSample>,
 }
 
-/// Handle to a trace buffer. Cloning is cheap (it shares the buffer); all
-/// clones report into the same trace and share one time epoch.
+/// An event log: the records and the epoch their timestamps count from.
+struct Log {
+    data: Mutex<TraceData>,
+    epoch: Instant,
+}
+
+impl Log {
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+}
+
+/// The one telemetry handle: a metrics registry, always present, and an
+/// optional event log (spans, decisions, profiles, counter samples).
+/// Cloning is cheap and shares both; all clones report into the same
+/// registry and the same log, with one time epoch.
+///
+/// [`TraceSink::new`] gives a log and a fresh registry, `From<Metrics>` a
+/// registry-only handle, and [`TraceSink::with_metrics`] this handle's log
+/// over another registry. Without a log every logging method returns at
+/// once: nothing is allocated, locked or timestamped. A call site that
+/// formats an argument first asks [`TraceSink::logs`].
 #[derive(Clone)]
 pub struct TraceSink {
-    inner: Arc<Mutex<TraceData>>,
-    epoch: Instant,
+    metrics: ft_metrics::Metrics,
+    log: Option<Arc<Log>>,
 }
 
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let d = self.inner.lock();
+        let (spans, decisions, profiles) = self
+            .read(|d| (d.events.len(), d.decisions.len(), d.profiles.len()))
+            .unwrap_or_default();
         write!(
             f,
-            "TraceSink({} spans, {} decisions, {} profiles)",
-            d.events.len(),
-            d.decisions.len(),
-            d.profiles.len()
+            "TraceSink({spans} spans, {decisions} decisions, {profiles} profiles)"
         )
     }
 }
@@ -230,18 +252,49 @@ impl Default for TraceSink {
     }
 }
 
+impl From<ft_metrics::Metrics> for TraceSink {
+    /// A registry-only handle: metrics, no event log.
+    fn from(metrics: ft_metrics::Metrics) -> TraceSink {
+        TraceSink { metrics, log: None }
+    }
+}
+
 impl TraceSink {
-    /// Create an empty sink; its time epoch is "now".
+    /// An empty event log over a fresh registry; its time epoch is "now".
+    /// `TraceSink::new().with_metrics(m)` attaches a log to an existing
+    /// registry `m`.
     pub fn new() -> TraceSink {
         TraceSink {
-            inner: Arc::new(Mutex::new(TraceData::default())),
-            epoch: Instant::now(),
+            metrics: ft_metrics::Metrics::new(),
+            log: Some(Arc::new(Log {
+                data: Mutex::new(TraceData::default()),
+                epoch: Instant::now(),
+            })),
         }
     }
 
-    /// Microseconds elapsed since this sink was created.
+    /// This handle's event log (if any) over `metrics`.
+    #[must_use]
+    pub fn with_metrics(&self, metrics: ft_metrics::Metrics) -> TraceSink {
+        TraceSink {
+            metrics,
+            log: self.log.clone(),
+        }
+    }
+
+    /// The metrics registry.
+    pub fn metrics(&self) -> &ft_metrics::Metrics {
+        &self.metrics
+    }
+
+    /// Whether this handle keeps an event log.
+    pub fn logs(&self) -> bool {
+        self.log.is_some()
+    }
+
+    /// Microseconds elapsed since the log was created (0 without a log).
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.log.as_ref().map_or(0, |l| l.now_us())
     }
 
     /// Open a span on the compile track; it is recorded when dropped.
@@ -252,125 +305,103 @@ impl TraceSink {
     /// Open a span on an explicit track.
     pub fn span_on(&self, track: u64, cat: &str, name: &str) -> Span {
         Span {
-            sink: self.clone(),
-            name: name.to_string(),
-            cat: cat.to_string(),
-            track,
-            start_us: self.now_us(),
-            args: Vec::new(),
+            open: self.log.as_ref().map(|log| {
+                let ev = SpanEvent {
+                    name: name.to_string(),
+                    cat: cat.to_string(),
+                    ts_us: log.now_us(),
+                    dur_us: 0,
+                    track,
+                    args: Vec::new(),
+                };
+                (Arc::clone(log), ev)
+            }),
         }
     }
 
-    /// Record an already-completed span.
-    pub fn push_event(&self, ev: SpanEvent) {
-        self.inner.lock().events.push(ev);
+    fn write(&self, f: impl FnOnce(&mut TraceData)) {
+        if let Some(log) = &self.log {
+            f(&mut log.data.lock());
+        }
+    }
+
+    fn read<T>(&self, f: impl FnOnce(&TraceData) -> T) -> Option<T> {
+        self.log.as_ref().map(|l| f(&l.data.lock()))
     }
 
     /// Append an entry to the schedule decision log.
     pub fn decision(&self, d: Decision) {
-        self.inner.lock().decisions.push(d);
+        self.write(|data| data.decisions.push(d));
     }
 
     /// Attach a per-statement runtime profile.
     pub fn profile(&self, p: RunProfile) {
-        self.inner.lock().profiles.push(p);
+        self.write(|d| d.profiles.push(p));
     }
 
-    /// Record one counter sample (a point on a Chrome counter track).
-    pub fn counter(&self, name: &str, value: f64) {
-        let s = CounterSample {
-            name: name.to_string(),
-            value,
-            ts_us: self.now_us(),
-        };
-        self.inner.lock().counters.push(s);
-    }
-
-    /// Sample every instrument of a frozen metrics snapshot onto the
-    /// counter track, stamped "now": counters and gauges by value,
-    /// histograms as `<name>.count` / `<name>.sum`. Call at meaningful
-    /// boundaries (end of a run, end of a benchmark repetition) to chart
-    /// cache traffic, pool activity, and kernel counts over trace time.
-    pub fn metrics_sample(&self, snap: &ft_metrics::MetricsSnapshot) {
-        let ts_us = self.now_us();
-        let mut d = self.inner.lock();
-        for (name, &v) in &snap.counters {
-            d.counters.push(CounterSample {
-                name: name.clone(),
-                value: v as f64,
-                ts_us,
-            });
-        }
-        for (name, &v) in &snap.gauges {
-            d.counters.push(CounterSample {
-                name: name.clone(),
-                value: v as f64,
-                ts_us,
-            });
-        }
-        for (name, h) in &snap.histograms {
-            d.counters.push(CounterSample {
-                name: format!("{name}.count"),
-                value: h.count as f64,
-                ts_us,
-            });
-            d.counters.push(CounterSample {
-                name: format!("{name}.sum"),
-                value: h.sum as f64,
-                ts_us,
-            });
-        }
+    /// Sample every instrument of the registry onto the counter track,
+    /// stamped "now": counters and gauges by value, histograms as
+    /// `<name>.count` / `<name>.sum`. Call at meaningful boundaries (end of
+    /// a run, end of a benchmark repetition) to chart cache traffic, pool
+    /// activity, and kernel counts over trace time.
+    pub fn sample_metrics(&self) {
+        let Some(log) = &self.log else { return };
+        let snap = self.metrics.snapshot();
+        let ts_us = log.now_us();
+        let values = (snap.counters.iter().map(|(n, &v)| (n.clone(), v as f64)))
+            .chain(snap.gauges.iter().map(|(n, &v)| (n.clone(), v as f64)))
+            .chain(snap.histograms.iter().flat_map(|(n, h)| {
+                [
+                    (format!("{n}.count"), h.count as f64),
+                    (format!("{n}.sum"), h.sum as f64),
+                ]
+            }));
+        let samples = values.map(|(name, value)| CounterSample { name, value, ts_us });
+        log.data.lock().counters.extend(samples);
     }
 
     /// Snapshot of the recorded spans.
     pub fn events(&self) -> Vec<SpanEvent> {
-        self.inner.lock().events.clone()
+        self.read(|d| d.events.clone()).unwrap_or_default()
     }
 
     /// Snapshot of the decision log.
     pub fn decisions(&self) -> Vec<Decision> {
-        self.inner.lock().decisions.clone()
+        self.read(|d| d.decisions.clone()).unwrap_or_default()
     }
 
     /// Snapshot of the recorded runtime profiles.
     pub fn profiles(&self) -> Vec<RunProfile> {
-        self.inner.lock().profiles.clone()
+        self.read(|d| d.profiles.clone()).unwrap_or_default()
     }
 
     /// Snapshot of the recorded counter samples.
     pub fn counter_samples(&self) -> Vec<CounterSample> {
-        self.inner.lock().counters.clone()
+        self.read(|d| d.counters.clone()).unwrap_or_default()
     }
 }
 
-/// An open timed span; records a [`SpanEvent`] when dropped.
+/// An open timed span; records a [`SpanEvent`] when dropped. Inert on a
+/// handle without a log.
 pub struct Span {
-    sink: TraceSink,
-    name: String,
-    cat: String,
-    track: u64,
-    start_us: u64,
-    args: Vec<(String, String)>,
+    open: Option<(Arc<Log>, SpanEvent)>,
 }
 
 impl Span {
     /// Attach a key/value annotation (shown in the trace viewer's `args`).
     pub fn arg(&mut self, key: &str, value: impl fmt::Display) {
-        self.args.push((key.to_string(), value.to_string()));
+        if let Some((_, ev)) = &mut self.open {
+            ev.args.push((key.to_string(), value.to_string()));
+        }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let end = self.sink.now_us();
-        self.sink.push_event(SpanEvent {
-            name: std::mem::take(&mut self.name),
-            cat: std::mem::take(&mut self.cat),
-            ts_us: self.start_us,
-            dur_us: end.saturating_sub(self.start_us),
-            track: self.track,
-            args: std::mem::take(&mut self.args),
-        });
+        if let Some((log, mut ev)) = self.open.take() {
+            ev.dur_us = log.now_us().saturating_sub(ev.ts_us);
+            log.data.lock().events.push(ev);
+        }
     }
 }
 
@@ -395,6 +426,49 @@ mod tests {
         assert_eq!(evs[1].args, vec![("k".to_string(), "3".to_string())]);
         assert!(evs[0].ts_us >= evs[1].ts_us);
         assert!(evs[0].ts_us + evs[0].dur_us <= evs[1].ts_us + evs[1].dur_us);
+    }
+
+    #[test]
+    fn a_registry_only_handle_records_nothing_but_metrics() {
+        let m = ft_metrics::Metrics::new();
+        let sink = TraceSink::from(m.clone());
+        assert!(!sink.logs());
+        {
+            let mut sp = sink.span("pass", "simplify");
+            sp.arg("rounds", 1);
+        }
+        sink.decision(Decision {
+            pass: None,
+            primitive: "split".to_string(),
+            args: String::new(),
+            verdict: Verdict::Applied,
+            reason: None,
+            deps: Vec::new(),
+            ts_us: sink.now_us(),
+        });
+        sink.profile(RunProfile {
+            func: "f".to_string(),
+            nodes: Vec::new(),
+        });
+        sink.metrics().counter("c").inc();
+        sink.sample_metrics();
+        assert!(sink.events().is_empty());
+        assert!(sink.decisions().is_empty());
+        assert!(sink.profiles().is_empty());
+        assert!(sink.counter_samples().is_empty());
+        assert_eq!(m.snapshot().counter("c"), 1);
+    }
+
+    #[test]
+    fn with_metrics_shares_the_log_and_swaps_the_registry() {
+        let sink = TraceSink::new();
+        let m = ft_metrics::Metrics::new();
+        let other = sink.with_metrics(m.clone());
+        drop(other.span("cat", "from-other"));
+        other.metrics().counter("c").inc();
+        assert_eq!(sink.events().len(), 1);
+        assert_eq!(m.snapshot().counter("c"), 1);
+        assert_eq!(sink.metrics().snapshot().counter("c"), 0);
     }
 
     #[test]

@@ -30,7 +30,9 @@ use ft_conformance::{check_grad_variant, check_variant, Backend, Case, GradTol, 
 use ft_ir::prelude::*;
 use ft_ir::ForProperty;
 use ft_metrics::Metrics;
-use ft_runtime::{cc_available, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal};
+use ft_runtime::{
+    cc_available, CompiledEngine, ExecutionEngine, Runtime, RuntimeError, TensorVal, TraceSink,
+};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 
@@ -54,7 +56,7 @@ fn compiled_matches_interpreter_on_all_workloads_under_sampled_traces() {
             let case = Case::build(w, seed & 0xFFFF);
             let mut rng = TestRng::from_seed_u64(seed);
             let raw = sample_trace(&mut rng, 5);
-            let (func, trace) = apply_trace(&case.func, &raw);
+            let (func, trace) = apply_trace(&case.func, &raw, None);
             if let Some(d) = check_variant(&case, &func, &backends, TOL) {
                 panic!(
                     "{} sample {k} under trace {trace:?}: {}",
@@ -83,7 +85,8 @@ fn compiled_grad_matches_interpreter_under_sampled_traces() {
             let raw = sample_trace(&mut rng, 4);
             // Outside the differentiable fragment = structured skip, same
             // as the grad conformance sweep.
-            let Ok((gfunc, trace)) = build_grad_func(&case.func, &raw, &GradSpec::default()) else {
+            let Ok((gfunc, trace)) = build_grad_func(&case.func, &raw, &GradSpec::default(), None)
+            else {
                 continue;
             };
             let (inputs, oracle_grads) = grad_setup(w, &case);
@@ -124,7 +127,7 @@ fn warm_artifact_cache_spawns_no_compiler() {
     // Cold start: fresh directory, fresh engine — must compile exactly here.
     let cold_metrics = Metrics::new();
     let mut cold = CompiledEngine::with_cache_dir(&dir);
-    cold.set_metrics(Some(cold_metrics.clone()));
+    cold.set_sink(Some(TraceSink::from(cold_metrics.clone())));
     cold.run(&case.func, &case.inputs, &HashMap::new())
         .expect("cold run");
     let snap = frozen(&cold_metrics);
@@ -150,7 +153,7 @@ fn warm_artifact_cache_spawns_no_compiler() {
     // directory — the on-disk artifact must satisfy it without cc.
     let warm_metrics = Metrics::new();
     let mut warm = CompiledEngine::with_cache_dir(&dir);
-    warm.set_metrics(Some(warm_metrics.clone()));
+    warm.set_sink(Some(TraceSink::from(warm_metrics.clone())));
     let r = warm
         .run(&case.func, &case.inputs, &HashMap::new())
         .expect("warm run");
@@ -521,7 +524,7 @@ fn unknown_library_kernel_is_a_structured_error_and_spawns_no_cc() {
 
     let metrics = Metrics::new();
     let mut engine = CompiledEngine::new();
-    engine.set_metrics(Some(metrics.clone()));
+    engine.set_sink(Some(TraceSink::from(metrics.clone())));
     let compiled = engine.run(&f, &inputs, &HashMap::new());
     assert_eq!(compiled.err(), Some(want));
     let snap = metrics.snapshot();

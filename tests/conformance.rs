@@ -82,7 +82,8 @@ fn legality_check_blocks_the_recurrence() {
     // Sanity: the *checked* parallelize refuses this loop, so only the
     // fault-injected variant below can break it.
     let case = recurrence_case();
-    let (func, accepted) = apply_trace(&case.func, &[ScheduleOp::Parallelize { loop_idx: 0 }]);
+    let (func, accepted) =
+        apply_trace(&case.func, &[ScheduleOp::Parallelize { loop_idx: 0 }], None);
     assert!(accepted.is_empty(), "dependence check failed to block");
     assert!(check_variant(&case, &func, &[Backend::Interp, Backend::Reordered], 1e-4).is_none());
 }
@@ -100,7 +101,7 @@ fn injected_dependence_bug_is_caught_and_minimized() {
         ScheduleOp::Vectorize { loop_idx: 0 },
     ];
     let fails = |t: &[ScheduleOp]| {
-        let (f, _) = apply_trace(&case.func, t);
+        let (f, _) = apply_trace(&case.func, t, None);
         check_variant(&case, &f, &backends, tol).is_some()
     };
     assert!(fails(&trace), "injected dependence bug was not caught");
@@ -111,7 +112,7 @@ fn injected_dependence_bug_is_caught_and_minimized() {
         "shrinker did not isolate the injected op"
     );
     // Reconstruct the divergence and push it through the repro pipeline.
-    let (f, _) = apply_trace(&case.func, &minimized);
+    let (f, _) = apply_trace(&case.func, &minimized, None);
     let d = check_variant(&case, &f, &backends, tol).expect("minimized trace no longer diverges");
     assert!(d.max_abs_err > 1.0, "divergence suspiciously small: {d:?}");
     let repro = Repro {

@@ -472,7 +472,7 @@ fn partial_rows_are_planned_arena_backed_and_budgeted() {
     inputs.insert("h".to_string(), TensorVal::zeros(DataType::F32, &[4096]));
     let metrics = ft_metrics::Metrics::new();
     let mut engine = CompiledEngine::new();
-    engine.set_metrics(Some(metrics.clone()));
+    engine.set_sink(Some(TraceSink::from(metrics.clone())));
     let mut ctx = RunContext::new();
     let cold = engine
         .run_with(&f, &inputs, &sizes, &mut ctx)
@@ -893,7 +893,7 @@ fn unsplit_rules(p: &Program) -> Func {
     auto_unroll(&mut s);
     auto_vectorize(&mut s);
     auto_mem_type(&mut s, &target);
-    ft_passes::simplify(&s.into_func())
+    ft_passes::simplify(s.into_func(), None)
 }
 
 /// Every `if` whose condition reads an iterator of a loop around it.

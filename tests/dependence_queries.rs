@@ -128,13 +128,13 @@ fn scoped_queries_equal_the_unscoped_reference() {
                 }
                 // Every accepted prefix of every sampled trace.
                 for (k, trace) in samples.iter().enumerate() {
-                    let accepted = apply_trace(p.func(), trace).1;
+                    let accepted = apply_trace(p.func(), trace, None).1;
                     splits += accepted
                         .iter()
                         .filter(|op| matches!(op, ScheduleOp::SeparateTail { .. }))
                         .count();
                     for n in 1..=accepted.len() {
-                        let f = apply_trace(p.func(), &accepted[..n]).0;
+                        let f = apply_trace(p.func(), &accepted[..n], None).0;
                         variants.push((format!("sampled[{k}][..{n}]"), f));
                     }
                 }

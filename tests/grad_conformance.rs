@@ -73,7 +73,7 @@ fn injected_ad_fault_is_caught_shrunk_and_replays() {
         ft_conformance::ScheduleOp::Unroll { loop_idx: 1 },
     ];
     let fails = |t: &[ft_conformance::ScheduleOp]| {
-        build_grad_func(&case.func, t, &spec)
+        build_grad_func(&case.func, t, &spec, None)
             .map(|(f, _)| check_grad_variant(&f, &inputs, &oracle, &backends, &tol).is_some())
             .unwrap_or(false)
     };
@@ -84,7 +84,7 @@ fn injected_ad_fault_is_caught_shrunk_and_replays() {
         "the fault is schedule-independent, so the minimal repro is the empty trace: {minimized:?}"
     );
     // Reconstruct the divergence and push it through the repro pipeline.
-    let (f, _) = build_grad_func(&case.func, &minimized, &spec).unwrap();
+    let (f, _) = build_grad_func(&case.func, &minimized, &spec, None).unwrap();
     let d = check_grad_variant(&f, &inputs, &oracle, &backends, &tol)
         .expect("minimized trace no longer diverges");
     assert_eq!(d.output, "e.grad", "the miscompiled gradient is e's");
@@ -191,7 +191,7 @@ fn sound_ad_passes_where_the_fault_fails() {
         order: GradOrder::GradThenOpt,
         fault: None,
     };
-    let (f, _) = build_grad_func(&case.func, &[], &spec).unwrap();
+    let (f, _) = build_grad_func(&case.func, &[], &spec, None).unwrap();
     let d = check_grad_variant(
         &f,
         &inputs,

@@ -32,7 +32,7 @@ fn memplan_determinism_sweep() {
             };
             let build = || {
                 let case = Case::build(w, 11);
-                apply_trace(&case.func, &trace).0
+                apply_trace(&case.func, &trace, None).0
             };
             let p1 = ft_analysis::MemPlan::plan(&build(), &sizes);
             let p2 = ft_analysis::MemPlan::plan(&build(), &sizes);

@@ -87,8 +87,7 @@ fn compiled_profile_agrees_with_interpreter_attribution_on_subdivnet() {
     let sink = TraceSink::new();
     let metrics = Metrics::new();
     let mut eng = CompiledEngine::with_cache_dir(tmp_cache("subdivnet")).with_profiling(true);
-    eng.set_sink(Some(sink.clone()));
-    eng.set_metrics(Some(metrics.clone()));
+    eng.set_sink(Some(sink.with_metrics(metrics.clone())));
     const RUNS: usize = 5;
     let mut rc = None;
     for _ in 0..RUNS {

@@ -28,7 +28,7 @@
 use freetensor::autoschedule::Target;
 use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, RuntimeError, Scalar,
-    TensorVal,
+    TensorVal, TraceSink,
 };
 use freetensor::serve::{Payload, Request, ServeConfig, Server};
 use freetensor::workloads::{longformer, subdivnet};
@@ -79,7 +79,7 @@ fn four_thread_replay_is_bit_identical_to_sequential() {
         let mut rng = TestRng::from_seed_u64(seed);
         for _ in 0..3 {
             let raw = sample_trace(&mut rng, 5);
-            let (func, _accepted) = apply_trace(&case.func, &raw);
+            let (func, _accepted) = apply_trace(&case.func, &raw, None);
             variants.push((func, case.inputs.clone()));
         }
     }
@@ -281,7 +281,7 @@ fn a_cold_stampede_compiles_once_and_the_warm_loop_allocates_nothing() {
     let per_build = cc_available().then(|| {
         let solo_metrics = Metrics::new();
         let mut solo = CompiledEngine::with_cache_dir(&solo_cache);
-        solo.set_metrics(Some(solo_metrics.clone()));
+        solo.set_sink(Some(TraceSink::from(solo_metrics.clone())));
         solo.run(&func, &inputs, &none).expect("solo cold run");
         let per_build = solo_metrics.snapshot().counter("compiled.cc.spawned");
         assert!((1..=2).contains(&per_build), "{per_build}");

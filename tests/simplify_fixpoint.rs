@@ -34,7 +34,7 @@ fn assert_one_round(what: &str, sink: &TraceSink) {
 
 /// `simplify(f)` prints as `f`: `f` is a fixpoint.
 fn assert_fixpoint(what: &str, f: &Func) {
-    let again = ft_passes::simplify(f);
+    let again = ft_passes::simplify(f.clone(), None);
     assert_eq!(
         again.to_string(),
         f.to_string(),
@@ -73,15 +73,15 @@ fn every_pipeline_simplify_is_one_round_to_a_fixpoint() {
             let mut programs = vec![fwd.clone()];
             if w.differentiable() {
                 programs.push(checked(&format!("{name} grad"), |sink| {
-                    fwd.clone()
-                        .with_sink(sink)
-                        .grad(&GradOptions::default())
-                        .expect("grad")
+                    let mut fwd = fwd.clone();
+                    fwd.set_sink(Some(sink));
+                    fwd.grad(&GradOptions::default()).expect("grad")
                 }));
             }
-            for (i, p) in programs.into_iter().enumerate() {
+            for (i, mut p) in programs.into_iter().enumerate() {
                 checked(&format!("{name} #{i} optimize"), |sink| {
-                    p.with_sink(sink).optimize(&Target::cpu())
+                    p.set_sink(Some(sink));
+                    p.optimize(&Target::cpu())
                 });
             }
         }
@@ -95,11 +95,11 @@ fn every_accepted_sampled_schedule_simplifies_in_one_round() {
         let case = Case::build(w, 7);
         let mut rng = TestRng::from_seed_u64(0x5EED + i as u64);
         for k in 0..12 {
-            let (scheduled, trace) = apply_trace(&case.func, &sample_trace(&mut rng, 6));
+            let (scheduled, trace) = apply_trace(&case.func, &sample_trace(&mut rng, 6), None);
             accepted += trace.len();
             let what = format!("{} sample {k} {trace:?}", w.name());
             let sink = TraceSink::new();
-            let once = ft_passes::simplify_traced(scheduled, Some(&sink));
+            let once = ft_passes::simplify(scheduled, Some(&sink));
             assert_one_round(&what, &sink);
             assert_fixpoint(&what, &once);
         }

@@ -66,7 +66,7 @@ fn vm_matches_interp_on_random_scheduled_workloads() {
             let case = Case::build(w, stream & 0xFFFF);
             let mut rng = TestRng::from_seed_u64(stream);
             let raw = ops::sample_trace(&mut rng, 6);
-            let (func, trace) = ops::apply_trace(&case.func, &raw);
+            let (func, trace) = ops::apply_trace(&case.func, &raw, None);
             let ctx = format!("workload {} variant {k} trace {trace:?}", w.name());
 
             let rv = VmRuntime::new()
@@ -148,7 +148,7 @@ fn vm_matches_interp_on_directed_vectorize_parallel_schedules() {
         for i in 0..nloops {
             raw.push(ops::ScheduleOp::Vectorize { loop_idx: i });
         }
-        let (func, trace) = ops::apply_trace(&case.func, &raw);
+        let (func, trace) = ops::apply_trace(&case.func, &raw, None);
         let ctx = format!("workload {} directed trace {trace:?}", w.name());
         spans += diff_with_decisions(&func, &case.inputs, &ctx).1.len();
     }
@@ -369,7 +369,7 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
             // loops, then parallelize and vectorize every one of them (the
             // legality checker keeps what is sound) — this drives tape
             // loads/stores through the vectorize/parallel lowering paths.
-            let (plain, _) = build_grad_func(&case.func, &[], &spec).expect("grad builds");
+            let (plain, _) = build_grad_func(&case.func, &[], &spec, None).expect("grad builds");
             let nloops = ops::loops_of(&plain).len();
             let mut raw = Vec::new();
             for i in 0..nloops {
@@ -379,7 +379,7 @@ fn vm_matches_interp_on_directed_grad_program_schedules() {
                 raw.push(ops::ScheduleOp::Vectorize { loop_idx: i });
             }
             let (func, trace) =
-                build_grad_func(&case.func, &raw, &spec).expect("scheduled grad builds");
+                build_grad_func(&case.func, &raw, &spec, None).expect("scheduled grad builds");
             taped_programs += format!("{func}").contains(".tape") as usize;
             let (inputs, _) = grad_setup(w, &case);
             let ctx = format!(
